@@ -20,7 +20,10 @@ wall time of one measured batch.  Sweep records carry an extra
 field is the executor's *actual* ``stats.workers_used`` — 1 whenever
 the auto-serial cutover refused the pool — never the requested count.
 ``check_sweep_speedup.py`` gates on the sweep pair, and
-``check_serve_throughput.py`` gates on ``serve_inproc_submit``.
+``check_serve_throughput.py`` gates on ``serve_inproc_submit``.  The
+last record, ``src_loc``, is not a timing: its ``lines`` key counts the
+non-blank, non-comment lines under ``src/repro`` so the ledger tracks
+code size next to speed (ROADMAP aim 2).
 
 Usage::
 
@@ -113,6 +116,16 @@ def git_rev() -> str:
         ).stdout.strip()
     except (OSError, subprocess.CalledProcessError):
         return "unknown"
+
+
+def src_loc() -> int:
+    """Non-blank, non-comment lines of Python under ``src/repro``."""
+    return sum(
+        1
+        for path in (REPO_ROOT / "src" / "repro").rglob("*.py")
+        for line in path.read_text(encoding="utf-8").splitlines()
+        if line.strip() and not line.lstrip().startswith("#")
+    )
 
 
 def best_of(fn, repeats: int) -> float:
@@ -608,6 +621,18 @@ def run_benchmarks(scale_name: str, workers: int, out_path: Path) -> list[dict]:
             "serial and parallel sweeps disagree — equivalence broken"
         )
     print("  serial/parallel results identical: ok")
+
+    records.append(
+        {
+            "bench": "src_loc",
+            "wall_s": 0.0,
+            "cells_per_s": None,
+            "workers": 1,
+            "git_rev": rev,
+            "lines": src_loc(),
+        }
+    )
+    print(f"  {'src_loc':<24} lines={records[-1]['lines']}")
 
     out_path.write_text(json.dumps(records, indent=2) + "\n")
     print(f"wrote {out_path} ({len(records)} benchmarks)")

@@ -79,6 +79,9 @@ def main(argv: list[str] | None = None) -> int:
         POINTS,
         SEEDS,
         workers=2,
+        # The grid is below the parallel cutover; kills only fire in a
+        # pool worker, so force the pool.
+        min_cells_per_worker=0,
         checkpoint_dir=checkpoint_dir,
         retry=policy,
         chaos=chaos,

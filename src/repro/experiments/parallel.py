@@ -1,61 +1,62 @@
-"""Parallel sweep execution over a process pool.
+"""The sweep dispatch loop.
 
 Every paper figure is a grid of independent ``(SweepPoint, seed)``
-simulation cells; this module fans them out over ``multiprocessing``
-workers and reassembles the per-point averages in order, so
-``run_sweep(points, workers=N)`` returns a result list **bitwise
-identical** to the serial path — each cell is a deterministic function
-of its inputs, and aggregation happens in the parent in the same seed
-order :func:`~repro.experiments.sweep.run_point` uses.
+simulation cells.  :class:`SweepExecutor` runs such a grid through
+**one** loop, whatever the options: enumerate the pending cells
+seed-major, restore what a :class:`~repro.resilience.CellStore` already
+holds, pick a backend, submit chunks through the plain
+:meth:`concurrent.futures.Executor.submit` protocol, handle each
+completed future in one place, and merge the reports in the parent in
+serial seed order — so ``run_sweep(points, workers=N)`` is **bitwise
+identical** to the serial result however the cells were executed.
 
-Two execution regimes share the cell enumeration:
+Backend (one rule for every sweep)
+    In-process — a synchronous ``Executor`` whose ``submit`` runs the
+    call and returns a resolved future — when ``workers <= 1``, the
+    platform lacks ``fork``, at most one cell is left to run, or the
+    grid is below the ``min_cells_per_worker`` cutover.  Otherwise the
+    persistent **warm pool** (:mod:`repro.experiments.pool`): workers
+    forked once per process lifetime, each seed group's workload and
+    master-log inputs built once in the parent and shipped through a
+    shared-memory arena while the workers crunch the previous group.
 
-* the **fast path** (no resilience options) chunks cells contiguously
-  to amortise IPC and hit worker-side caches; by default it runs on the
-  persistent **warm pool** (:mod:`repro.experiments.pool`): workers are
-  spawned once per process lifetime and reused across ``run_sweep``
-  calls, each seed group's workload/master-log inputs are built once in
-  the parent and shipped through a shared-memory arena (so the next
-  seed's inputs generate while workers crunch the current one), and
-  chunk size adapts to the measured per-cell cost.  ``warm=False``
-  falls back to the cold per-sweep pool.  Either way a dead worker
-  aborts the sweep with an error naming the unfinished cells;
-* the **resilient path** (any of ``checkpoint_dir`` / ``retry`` /
-  ``chaos`` set) submits one cell per task so failures are attributable:
-  completed cells are persisted atomically through
-  :class:`~repro.resilience.CellStore` (a killed sweep resumes
-  bitwise-identically), cells lost to worker crashes or in-cell
-  exceptions are resubmitted under the
-  :class:`~repro.resilience.RetryPolicy` backoff schedule, persistently
-  failing cells are quarantined into ``quarantine.json`` instead of
-  aborting, and a pool that keeps breaking degrades to in-process
-  execution.  The :class:`~repro.resilience.ChaosConfig` fault-injection
-  hooks (default off) ride the same path so the test suites can rehearse
-  every one of those scenarios deterministically.
+Resilience (data carried by the loop, not a second path)
+    ``checkpoint_dir`` attaches a store: every completed cell is
+    persisted atomically and a killed sweep resumes bitwise-identically.
+    Without a :class:`~repro.resilience.RetryPolicy` the loop fails
+    fast: a cell's own exception propagates unchanged and a dead worker
+    raises an error naming every unfinished cell.  With one (any of
+    ``checkpoint_dir`` / ``retry`` / ``chaos`` implies the default
+    policy) chunks hold one cell so failures stay attributable, a
+    failing cell is resubmitted after its deterministic backoff and
+    quarantined once its attempts are spent, a broken pool is respawned
+    and its lost cells resubmitted, and a pool that keeps breaking is
+    swapped for the in-process executor.  Chaos injection and the
+    per-cell timeout live inside the one worker entry point
+    (:func:`repro.experiments.pool.run_chunk`), so they apply
+    identically in workers and in-process.
 
-Design notes
-------------
-* Cells are enumerated **seed-major**: the expensive per-cell inputs
-  (workload draw, master failure log) depend on the seed but not on the
-  swept parameter, so neighbouring cells share a seed and hit the
-  module-level caches in :mod:`repro.experiments.sweep` (worker-side
-  memoisation — caches persist for the life of each worker process).
-* Workers are forked, so they also inherit any caches the parent has
-  already warmed.
-* Scheduling is deterministic in *value*: results are keyed by cell
-  index and re-ordered before averaging, so neither chunk completion
-  order nor retry order can affect the output.
-* Platforms without ``fork`` (Windows, some sandboxes) fall back to
-  in-process execution, as does ``workers <= 1``.
+Whichever way the loop is left — done, a cell's exception, a dead
+worker, Ctrl-C — futures not yet started are cancelled and running ones
+awaited *before* the arenas are unlinked, so no worker is left
+attaching a segment that is gone and no chunk of a failed sweep is
+still occupying the pool when the caller sees the error.
+
+Cells are enumerated **seed-major** because the expensive inputs depend
+on the seed, not the swept parameter: neighbouring cells share an arena
+and hit the worker-side caches in :mod:`repro.experiments.sweep`.
+Results are keyed by cell id and re-ordered before averaging, so
+neither completion order nor retry order can affect the output.
 """
 
 from __future__ import annotations
 
-import math
+import itertools
 import multiprocessing
 import os
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from collections import deque
+from concurrent.futures import FIRST_COMPLETED, Executor, Future, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -64,16 +65,16 @@ from typing import Callable, Sequence
 from repro.errors import ExperimentError
 from repro.experiments import pool as pool_mod
 from repro.experiments.sweep import (
+    Cell,
     SweepPoint,
     SweepResult,
     _result_cache,
-    run_point,
-    simulate_cell,
-    simulate_cell_obs,
+    enumerate_cells,
+    merge_reports,
 )
 from repro.failures.synthetic import BurstFailureModel
 from repro.metrics.report import SimulationReport
-from repro.obs.aggregate import CellObs, SweepObsCollector
+from repro.obs.aggregate import SweepObsCollector
 from repro.obs.log import get_logger
 from repro.obs.metrics import count_active
 from repro.resilience import (
@@ -85,19 +86,13 @@ from repro.resilience import (
     RetryPolicy,
     SweepRunStats,
     cell_key,
-    cell_timeout,
     corrupt_checkpoint,
-    inject_pre_cell,
 )
 
 logger = get_logger(__name__)
 
-#: Upper bound on chunks per worker: small enough to amortise IPC, large
-#: enough to load-balance uneven cell costs.
-_CHUNKS_PER_WORKER = 4
-
-#: One sweep cell: ``((point_index, seed_index), point, seed)``.
-Cell = tuple[tuple[int, int], SweepPoint, int]
+#: Minimum seconds between progress/ETA log lines.
+_LOG_INTERVAL_S = 5.0
 
 
 def fork_available() -> bool:
@@ -122,73 +117,40 @@ def default_workers() -> int:
     return max(1, (os.cpu_count() or 2) - 1)
 
 
-def _run_cell_chunk(
-    chunk: Sequence[tuple[tuple[int, int], SweepPoint, int, BurstFailureModel]],
-    with_obs: bool = False,
-) -> list[tuple[tuple[int, int], SimulationReport, CellObs | None]]:
-    """Fast-path worker entry point: run a contiguous slice of cells.
+class _InProcessExecutor(Executor):
+    """Runs each call synchronously and returns its resolved future.
 
-    With ``with_obs`` each cell also returns its picklable observability
-    payload (metrics snapshot + trace records) for the parent to merge.
+    What lets in-process execution share the dispatch loop with the
+    pool.  Only ``Exception`` is captured: an interrupt propagates out
+    of ``submit`` at once, as it would out of a plain loop.
     """
-    out: list[tuple[tuple[int, int], SimulationReport, CellObs | None]] = []
-    for cell_id, point, seed, model in chunk:
-        if with_obs:
-            report, obs = simulate_cell_obs(point, seed, model)
-        else:
-            report, obs = simulate_cell(point, seed, model), None
-        out.append((cell_id, report, obs))
-    return out
 
-
-def _run_cell_task(
-    cell_id: tuple[int, int],
-    point: SweepPoint,
-    seed: int,
-    model: BurstFailureModel,
-    attempt: int,
-    chaos: ChaosConfig | None,
-    timeout_s: float | None,
-    with_obs: bool,
-) -> tuple[tuple[int, int], SimulationReport, CellObs | None]:
-    """Resilient-path worker entry point: one cell per task.
-
-    Single-cell tasks make failures attributable — an exception names
-    exactly one cell, and a pool breakage loses exactly the in-flight
-    cells — at the price of more IPC, which resilience callers accept.
-    Chaos injection and the per-cell wall-clock timeout both live inside
-    the task so they apply identically in workers and in-process.
-    """
-    with cell_timeout(timeout_s):
-        inject_pre_cell(chaos, cell_id, attempt, in_worker=True)
-        if with_obs:
-            report, obs = simulate_cell_obs(point, seed, model)
-        else:
-            report, obs = simulate_cell(point, seed, model), None
-    return cell_id, report, obs
+    def submit(self, fn, /, *args, **kwargs):
+        future: Future = Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
 
 
 @dataclass
 class SweepExecutor:
-    """Fans sweep cells out over a process pool.
+    """Runs the cells of a sweep through the one dispatch loop.
 
     Parameters
     ----------
     workers:
         Pool size; ``None`` resolves via :func:`default_workers`.
-    chunk_size:
-        Fast-path cells per task; ``None`` derives a deterministic size
-        from the cell and worker counts.
-    log_interval_s:
-        Minimum seconds between progress/ETA log lines.
     checkpoint_dir:
         Persist every completed cell into a
         :class:`~repro.resilience.CellStore` rooted here; with
         ``resume`` (default), already-stored cells are restored instead
-        of recomputed.  Enables the resilient path.
+        of recomputed.
     retry:
         :class:`~repro.resilience.RetryPolicy` for crashed/raising
-        cells; any resilient run without one uses the defaults.
+        cells; a run with ``checkpoint_dir`` or ``chaos`` but no policy
+        uses the defaults, a run with none of the three fails fast.
     chaos:
         :class:`~repro.resilience.ChaosConfig` fault injection (testing
         only; default off).
@@ -196,38 +158,31 @@ class SweepExecutor:
         Whether to trust existing checkpoint cells (verified reads) or
         recompute everything while still writing checkpoints.
     min_cells_per_worker:
-        Fast-path parallel cutover: a sweep with fewer than
-        ``min_cells_per_worker * workers`` cells runs in-process even
-        when workers were requested — pool spawn plus per-worker table
-        warm-up costs more than it buys on small grids (BENCH_core.json
-        had an 8-point sweep *slower* with 2 workers than serial).  Set
-        to 0 to force the pool whenever workers > 1.  The cutover is
-        decided *before* any pool exists, so sub-cutover grids never
-        spin up (or touch) the warm pool.
-    warm:
-        Fast-path pool regime: ``True`` (default) runs on the
-        process-wide persistent warm pool with shared-memory arenas
-        (:mod:`repro.experiments.pool`); ``False`` restores the cold
-        per-sweep pool.  Results are bitwise identical either way.
+        Parallel cutover: a sweep with fewer than
+        ``min_cells_per_worker * workers`` cells left to run executes
+        in-process even when workers were requested — pool spawn plus
+        per-worker table warm-up costs more than it buys on small grids
+        (BENCH_core.json had an 8-point sweep *slower* with 2 workers
+        than serial).  Set to 0 to force the pool whenever workers > 1.
+        The cutover is decided *before* any pool exists, so sub-cutover
+        grids never spin up (or touch) the warm pool.
     sleep:
         Backoff clock, injectable so tests can fake it.
     """
 
     workers: int | None = None
-    chunk_size: int | None = None
-    log_interval_s: float = 5.0
     checkpoint_dir: str | Path | None = None
     retry: RetryPolicy | None = None
     chaos: ChaosConfig | None = None
     resume: bool = True
     min_cells_per_worker: int = 10
-    warm: bool = True
     sleep: Callable[[float], None] = field(default=time.sleep)
 
     @property
     def resilient(self) -> bool:
-        """Whether any resilience feature routes this run off the fast
-        path (chunked pool execution with fail-fast semantics)."""
+        """Whether any resilience option is set: the run then retries
+        and quarantines instead of failing fast, and bypasses the
+        in-memory result memo."""
         return (
             self.checkpoint_dir is not None
             or self.retry is not None
@@ -261,10 +216,9 @@ class SweepExecutor:
 
         An observability ``collector`` disables the result-cache
         shortcut (cached results carry no metrics or trace) and receives
-        every computed cell's payload; the merge order inside the
-        collector is sorted cell id, so aggregated metrics are
-        independent of completion order and identical to the serial
-        path's.  Cells restored from a checkpoint contribute no
+        every computed cell's payload; it merges in sorted cell id
+        order, so aggregated metrics are independent of completion
+        order.  Cells restored from a checkpoint contribute no
         metrics/trace (they were not executed).
         """
         model = failure_model or BurstFailureModel()
@@ -272,422 +226,67 @@ class SweepExecutor:
         if not seeds:
             raise ExperimentError("cannot run a sweep across zero seeds")
         n_workers = self.workers if self.workers is not None else default_workers()
-        resilient = self.resilient
         stats = SweepRunStats()
 
         results: list[SweepResult | None] = [None] * len(points)
         pending: list[int] = []
         for i, point in enumerate(points):
-            # The in-memory memo is bypassed on the resilient path: it
+            # The in-memory memo is bypassed on resilient runs: it
             # cannot say which cells are durably checkpointed, and a
             # resumable sweep must leave a complete on-disk record.
             cached = (
                 _result_cache.get((point, seeds, model))
-                if collector is None and not resilient
+                if collector is None and not self.resilient
                 else None
             )
             if cached is not None:
                 results[i] = cached
             else:
                 pending.append(i)
-        if not pending:
-            stats.mode = "cached"
-            return ResilientSweepOutcome(results, (), stats)
+        cells = enumerate_cells(points, pending, seeds)
 
-        if resilient:
-            return self._run_resilient(
-                points, pending, seeds, model, n_workers, collector, results, stats
-            )
-
-        # The serial cutover is decided here, before any pool is touched:
-        # a sub-cutover grid must never pay a warm-pool spawn.
-        n_cells = len(pending) * len(seeds)
-        auto_serial = n_cells < self.min_cells_per_worker * n_workers
-        if n_workers <= 1 or n_cells <= 1 or auto_serial or not fork_available():
-            if n_workers > 1 and not fork_available():
-                logger.info(
-                    "platform lacks fork start method; running %d cells "
-                    "in-process",
-                    n_cells,
-                )
-            elif n_workers > 1 and auto_serial:
-                logger.info(
-                    "sweep mode: serial — %d cells is below the parallel "
-                    "cutover (min_cells_per_worker=%d x %d workers)",
-                    n_cells,
-                    self.min_cells_per_worker,
-                    n_workers,
-                )
-            stats.mode = "serial"
-            for i in pending:
-                results[i] = run_point(
-                    points[i], seeds, model, collector=collector, point_index=i
-                )
-            return ResilientSweepOutcome(results, (), stats)
-
-        stats.mode = "warm" if self.warm else "parallel"
-        stats.workers_used = n_workers
-        logger.info(
-            "sweep mode: %s — %d cells over %d workers",
-            stats.mode,
-            n_cells,
-            n_workers,
-        )
-        if self.warm:
-            reports, observations = self._execute_warm(
-                points, pending, seeds, model, n_workers, stats,
-                with_obs=collector is not None,
-            )
-        else:
-            reports, observations = self._execute(
-                points, pending, seeds, model, n_workers,
-                with_obs=collector is not None,
-            )
-        if collector is not None:
-            for (i, si), obs in observations.items():
-                collector.add_cell(i, si, obs)
-        for i in pending:
-            point_reports = [reports[(i, s)] for s in range(len(seeds))]
-            result = SweepResult.from_reports(points[i], point_reports)
-            _result_cache[(points[i], seeds, model)] = result
-            results[i] = result
-        return ResilientSweepOutcome(results, (), stats)
-
-    # ------------------------------------------------------------------
-    # fast path (no resilience): chunked fan-out, fail-fast
-    # ------------------------------------------------------------------
-    def _execute(
-        self,
-        points: Sequence[SweepPoint],
-        pending: Sequence[int],
-        seeds: tuple[int, ...],
-        model: BurstFailureModel,
-        n_workers: int,
-        with_obs: bool = False,
-    ) -> tuple[
-        dict[tuple[int, int], SimulationReport],
-        dict[tuple[int, int], CellObs],
-    ]:
-        """Run the uncached cells; returns ``(point_i, seed_i)``-keyed
-        reports plus (when ``with_obs``) observability payloads."""
-        # Seed-major enumeration: contiguous chunks share a seed, so a
-        # worker's workload/master-log caches are hit by every cell of
-        # the chunk after the first.
-        cells = [
-            ((i, si), points[i], seeds[si], model)
-            for si in range(len(seeds))
-            for i in pending
-        ]
-        n_cells = len(cells)
-        chunk_size = self.chunk_size or max(
-            1, math.ceil(n_cells / (n_workers * _CHUNKS_PER_WORKER))
-        )
-        chunks = [
-            cells[lo : lo + chunk_size] for lo in range(0, n_cells, chunk_size)
-        ]
-        logger.info(
-            "sweep fan-out: %d cells in %d chunks over %d workers",
-            n_cells,
-            len(chunks),
-            n_workers,
-        )
-        reports: dict[tuple[int, int], SimulationReport] = {}
-        observations: dict[tuple[int, int], CellObs] = {}
-        started = time.monotonic()
-        last_log = started
-        ctx = multiprocessing.get_context("fork")
-        try:
-            with ProcessPoolExecutor(
-                max_workers=min(n_workers, len(chunks)), mp_context=ctx
-            ) as pool:
-                futures = {
-                    pool.submit(_run_cell_chunk, chunk, with_obs)
-                    for chunk in chunks
-                }
-                while futures:
-                    done, futures = wait(futures, return_when=FIRST_COMPLETED)
-                    for future in done:
-                        for cell_id, report, obs in future.result():
-                            reports[cell_id] = report
-                            if obs is not None:
-                                observations[cell_id] = obs
-                    now = time.monotonic()
-                    if now - last_log >= self.log_interval_s and reports:
-                        last_log = now
-                        elapsed = now - started
-                        rate = len(reports) / elapsed
-                        remaining = (n_cells - len(reports)) / rate if rate else 0.0
-                        logger.info(
-                            "sweep progress: %d/%d cells (%.2f cells/s, "
-                            "ETA %.0fs)",
-                            len(reports),
-                            n_cells,
-                            rate,
-                            remaining,
-                        )
-        except BrokenProcessPool as exc:
-            unfinished = sorted(
-                cell_id for cell_id, *_ in cells if cell_id not in reports
-            )
-            shown = ", ".join(
-                f"(point {pi}, seed#{si})" for pi, si in unfinished[:8]
-            )
-            if len(unfinished) > 8:
-                shown += f", ... {len(unfinished) - 8} more"
-            raise ExperimentError(
-                f"sweep worker process died before finishing its cells "
-                f"(killed or crashed); {len(reports)}/{n_cells} cells "
-                f"completed; unfinished after 1 attempt: {shown}; pass "
-                f"retry=RetryPolicy(...) to run_sweep for automatic "
-                f"resubmission, or rerun with workers=1 to isolate"
-            ) from exc
-        elapsed = time.monotonic() - started
-        logger.info(
-            "sweep complete: %d cells in %.1fs (%.2f cells/s)",
-            n_cells,
-            elapsed,
-            n_cells / elapsed if elapsed > 0 else float("inf"),
-        )
-        return reports, observations
-
-    # ------------------------------------------------------------------
-    # warm path: persistent pool, shared-memory arenas, pipelined seeds
-    # ------------------------------------------------------------------
-    def _execute_warm(
-        self,
-        points: Sequence[SweepPoint],
-        pending: Sequence[int],
-        seeds: tuple[int, ...],
-        model: BurstFailureModel,
-        n_workers: int,
-        stats: SweepRunStats,
-        with_obs: bool = False,
-    ) -> tuple[
-        dict[tuple[int, int], SimulationReport],
-        dict[tuple[int, int], CellObs],
-    ]:
-        """Run the uncached cells on the persistent warm pool.
-
-        Seed groups are pipelined: seed ``k``'s chunks are submitted the
-        moment its arena is built, then seed ``k+1``'s inputs generate
-        in the parent while the workers crunch — the serial prologue
-        (workload + master-log generation) overlaps cell execution
-        instead of preceding it.  Each arena ships only cache entries no
-        earlier arena of this sweep carried, so total arena bytes stay
-        proportional to the distinct inputs.
-        """
-        warm = pool_mod.get_warm_pool()
-        spawns_before = warm.spawns
-        executor = warm.ensure(n_workers)
-        stats.pool_reused = warm.spawns == spawns_before
-
-        n_cells = len(pending) * len(seeds)
-        chunk_size = self.chunk_size or pool_mod.adaptive_chunk_size(
-            n_cells, n_workers, pool_mod.cell_cost_estimate_s()
-        )
-        stats.chunk_size = chunk_size
-        reports: dict[tuple[int, int], SimulationReport] = {}
-        observations: dict[tuple[int, int], CellObs] = {}
-        started = time.monotonic()
-        last_log = started
-
-        def collect(done_futures) -> None:
-            nonlocal last_log
-            for future in done_futures:
-                for cell_id, report, obs in future.result():
-                    reports[cell_id] = report
-                    if obs is not None:
-                        observations[cell_id] = obs
-            now = time.monotonic()
-            if now - last_log >= self.log_interval_s and reports:
-                last_log = now
-                elapsed = now - started
-                rate = len(reports) / elapsed
-                remaining = (n_cells - len(reports)) / rate if rate else 0.0
-                logger.info(
-                    "sweep progress: %d/%d cells (%.2f cells/s, ETA %.0fs)",
-                    len(reports),
-                    n_cells,
-                    rate,
-                    remaining,
-                )
-
-        arenas: list[pool_mod.SharedArena] = []
-        shipped: set = set()
-        futures: set = set()
-        try:
-            try:
-                for si in range(len(seeds)):
-                    arena = pool_mod.build_seed_arena(
-                        points, pending, seeds[si], model,
-                        warm.next_generation(), shipped,
-                    )
-                    arenas.append(arena)
-                    stats.arena_bytes += arena.handle.size
-                    group: list[Cell] = [
-                        ((i, si), points[i], seeds[si]) for i in pending
-                    ]
-                    for lo in range(0, len(group), chunk_size):
-                        futures.add(
-                            executor.submit(
-                                pool_mod._warm_run_chunk,
-                                arena.handle,
-                                group[lo : lo + chunk_size],
-                                model,
-                                with_obs,
-                            )
-                        )
-                    # Opportunistic drain between seed groups keeps the
-                    # result dict and progress log current without
-                    # blocking the next arena build.
-                    finished = {f for f in futures if f.done()}
-                    futures -= finished
-                    collect(finished)
-                while futures:
-                    done, futures = wait(futures, return_when=FIRST_COMPLETED)
-                    collect(done)
-            except BrokenProcessPool as exc:
-                warm.mark_broken()
-                unfinished = sorted(
-                    (i, si)
-                    for si in range(len(seeds))
-                    for i in pending
-                    if (i, si) not in reports
-                )
-                shown = ", ".join(
-                    f"(point {pi}, seed#{si})" for pi, si in unfinished[:8]
-                )
-                if len(unfinished) > 8:
-                    shown += f", ... {len(unfinished) - 8} more"
-                raise ExperimentError(
-                    f"warm-pool sweep worker process died before finishing its "
-                    f"cells (killed or crashed); {len(reports)}/{n_cells} "
-                    f"cells completed; unfinished after 1 attempt: {shown}; "
-                    f"the warm pool will respawn on the next sweep; pass "
-                    f"retry=RetryPolicy(...) to run_sweep for automatic "
-                    f"resubmission, or rerun with workers=1 to isolate"
-                ) from exc
-        finally:
-            # All futures have resolved (success path drained them; the
-            # breakage path shut the pool down), so no worker can still
-            # attach these arenas.
-            for arena in arenas:
-                arena.unlink()
-        elapsed = time.monotonic() - started
-        pool_mod.observe_cell_cost(elapsed / n_cells if n_cells else 0.0)
-        logger.info(
-            "sweep complete: %d cells in %.1fs (%.2f cells/s, "
-            "chunk_size=%d, arena=%dB, pool %s)",
-            n_cells,
-            elapsed,
-            n_cells / elapsed if elapsed > 0 else float("inf"),
-            chunk_size,
-            stats.arena_bytes,
-            "reused" if stats.pool_reused else "spawned",
-        )
-        return reports, observations
-
-    # ------------------------------------------------------------------
-    # resilient path: checkpoint restore, per-cell retry, quarantine
-    # ------------------------------------------------------------------
-    def _run_resilient(
-        self,
-        points: Sequence[SweepPoint],
-        pending: Sequence[int],
-        seeds: tuple[int, ...],
-        model: BurstFailureModel,
-        n_workers: int,
-        collector: SweepObsCollector | None,
-        results: list[SweepResult | None],
-        stats: SweepRunStats,
-    ) -> ResilientSweepOutcome:
-        policy = self.retry or RetryPolicy()
         store = (
             CellStore(self.checkpoint_dir)
             if self.checkpoint_dir is not None
             else None
         )
-        quarantine = Quarantine()
-        with_obs = collector is not None
-        cells: list[Cell] = [
-            ((i, si), points[i], seeds[si])
-            for si in range(len(seeds))
-            for i in pending
-        ]
-        reports: dict[tuple[int, int], SimulationReport] = {}
-        observations: dict[tuple[int, int], CellObs] = {}
         keys: dict[tuple[int, int], str] = {}
+        reports: dict[tuple[int, int], SimulationReport] = {}
         if store is not None:
             for cell_id, point, seed in cells:
                 keys[cell_id] = cell_key(point, seed, model)
-            if self.resume:
-                for cell_id, point, seed in cells:
-                    restored = store.get(keys[cell_id])
-                    if restored is not None:
-                        reports[cell_id] = restored
-                if reports:
-                    logger.info(
-                        "checkpoint resume: restored %d/%d cells from %s",
-                        len(reports),
-                        len(cells),
-                        store.root,
-                    )
-                    if with_obs:
-                        logger.info(
-                            "restored cells were not executed and "
-                            "contribute no metrics/trace to the collector"
-                        )
+                restored = store.get(keys[cell_id]) if self.resume else None
+                if restored is not None:
+                    reports[cell_id] = restored
+            if reports:
+                logger.info(
+                    "checkpoint resume: restored %d/%d cells from %s "
+                    "(restored cells are not executed and contribute no "
+                    "metrics/trace)",
+                    len(reports),
+                    len(cells),
+                    store.root,
+                )
 
+        quarantine = Quarantine()
         remaining = [cell for cell in cells if cell[0] not in reports]
-        if not remaining:
-            stats.mode = "cached"
-        elif n_workers > 1 and len(remaining) > 1 and fork_available():
-            stats.mode = "parallel"
-            stats.workers_used = n_workers
-        else:
-            stats.mode = "serial"
         if remaining:
-            if stats.mode == "parallel":
-                self._execute_resilient(
-                    remaining, model, n_workers, with_obs, policy, store,
-                    keys, stats, quarantine, reports, observations,
-                )
-            else:
-                self._run_cells_inprocess(
-                    remaining, model, with_obs, policy, store,
-                    keys, stats, quarantine, reports, observations,
-                )
+            self._dispatch(
+                points, remaining, model, n_workers, collector, store, keys,
+                stats, quarantine, reports,
+            )
+        else:
+            stats.mode = "cached"
 
         if store is not None:
             stats.checkpoint_hits = store.hits
             stats.checkpoint_misses = store.misses
             stats.checkpoint_corrupt = store.corrupt
             quarantine.write(store.quarantine_path)
-        if collector is not None:
-            for (i, si), obs in sorted(observations.items()):
-                collector.add_cell(i, si, obs)
-
-        for i in pending:
-            present = [
-                reports[(i, si)]
-                for si in range(len(seeds))
-                if (i, si) in reports
-            ]
-            if not present:
-                logger.warning(
-                    "sweep point %d lost every seed to quarantine; its "
-                    "result is None",
-                    i,
-                )
-                results[i] = None
-                continue
-            result = SweepResult.from_reports(points[i], present)
-            if len(present) == len(seeds):
-                # Only complete points enter the in-memory memo: a
-                # partial average must never masquerade as the real one.
-                _result_cache[(points[i], seeds, model)] = result
+        for i, result in zip(
+            pending, merge_reports(points, pending, seeds, model, reports)
+        ):
             results[i] = result
-
         stats.quarantined = len(quarantine)
         if quarantine:
             logger.warning(
@@ -697,232 +296,268 @@ class SweepExecutor:
             )
         return ResilientSweepOutcome(results, tuple(quarantine.entries), stats)
 
-    def _submit_cell(
+    # ------------------------------------------------------------------
+    def _dispatch(
         self,
-        pool: ProcessPoolExecutor,
-        cell: Cell,
-        model: BurstFailureModel,
-        attempt: int,
-        policy: RetryPolicy,
-        with_obs: bool,
-    ):
-        cell_id, point, seed = cell
-        return pool.submit(
-            _run_cell_task,
-            cell_id,
-            point,
-            seed,
-            model,
-            attempt,
-            self.chaos,
-            policy.cell_timeout_s,
-            with_obs,
-        )
-
-    def _execute_resilient(
-        self,
+        points: Sequence[SweepPoint],
         cells: list[Cell],
         model: BurstFailureModel,
         n_workers: int,
-        with_obs: bool,
-        policy: RetryPolicy,
+        collector: SweepObsCollector | None,
         store: CellStore | None,
         keys: dict[tuple[int, int], str],
         stats: SweepRunStats,
         quarantine: Quarantine,
         reports: dict[tuple[int, int], SimulationReport],
-        observations: dict[tuple[int, int], CellObs],
     ) -> None:
-        """Pooled execution with one cell per task.
-
-        A cell that raises is resubmitted (after backoff) into the same
-        pool until it succeeds or exhausts its attempts.  A broken pool
-        loses exactly the unfinished cells: the pool is rebuilt and they
-        are resubmitted with an incremented attempt count; after
-        ``policy.max_pool_rebuilds`` breakages the remaining cells
-        degrade to in-process execution.
-        """
-        ctx = multiprocessing.get_context("fork")
-        attempts = {cell[0]: 0 for cell in cells}
-        queue: list[Cell] = list(cells)
-        n_total = len(cells)
-        started = time.monotonic()
-        last_log = started
-        logger.info(
-            "resilient sweep fan-out: %d cells (one per task) over %d workers",
-            n_total,
-            n_workers,
-        )
-        while queue:
-            pool = ProcessPoolExecutor(
-                max_workers=min(n_workers, len(queue)), mp_context=ctx
+        """Run ``cells`` to completion (or quarantine), filling ``reports``."""
+        n_cells = len(cells)
+        policy = (self.retry or RetryPolicy()) if self.resilient else None
+        inprocess = _InProcessExecutor()
+        executor: Executor = inprocess
+        # The backend is chosen here, before any pool is touched: a
+        # sub-cutover grid must never pay a warm-pool spawn.
+        if n_workers <= 1 or n_cells <= 1:
+            pass  # nothing to fan out
+        elif not fork_available():
+            logger.info(
+                "platform lacks fork start method; running %d cells "
+                "in-process",
+                n_cells,
             )
-            future_cells: dict = {}
-            try:
-                for cell in queue:
-                    future_cells[
-                        self._submit_cell(
-                            pool, cell, model, attempts[cell[0]], policy,
-                            with_obs,
-                        )
-                    ] = cell
-                queue = []
-                while future_cells:
-                    done, _ = wait(
-                        set(future_cells), return_when=FIRST_COMPLETED
-                    )
-                    for future in done:
-                        # Pop only after a non-breakage outcome: a future
-                        # that surfaces BrokenProcessPool must stay in
-                        # future_cells so its cell is counted as lost.
-                        cell = future_cells[future]
-                        cell_id = cell[0]
-                        try:
-                            _, report, obs = future.result()
-                        except BrokenProcessPool:
-                            raise
-                        except Exception as exc:
-                            del future_cells[future]
-                            attempts[cell_id] += 1
-                            if not self._quarantine_or_backoff(
-                                cell, exc, attempts[cell_id], policy,
-                                quarantine, keys, stats,
-                            ):
-                                stats.retries += 1
-                                count_active("resilience.cell.retries")
-                                future_cells[
-                                    self._submit_cell(
-                                        pool, cell, model,
-                                        attempts[cell_id], policy, with_obs,
-                                    )
-                                ] = cell
-                        else:
-                            del future_cells[future]
-                            self._record_success(
-                                cell, report, obs, store, keys,
-                                stats, reports, observations,
-                            )
-                    now = time.monotonic()
-                    if (
-                        now - last_log >= self.log_interval_s
-                        and stats.cells_computed
-                    ):
-                        last_log = now
-                        elapsed = now - started
-                        rate = stats.cells_computed / elapsed
-                        logger.info(
-                            "resilient sweep progress: %d/%d cells "
-                            "(%.2f cells/s)",
-                            stats.cells_computed,
-                            n_total,
-                            rate,
-                        )
-            except BrokenProcessPool:
-                lost = list(future_cells.values()) + queue
-                stats.pool_rebuilds += 1
-                count_active("resilience.pool.rebuilds")
-                survivors: list[Cell] = []
-                for cell in lost:
-                    cell_id = cell[0]
-                    attempts[cell_id] += 1
-                    crash = ExperimentError(
-                        "worker process died while this cell was "
-                        "in flight (pool breakage)"
-                    )
-                    if not self._quarantine_or_backoff(
-                        cell, crash, attempts[cell_id], policy,
-                        quarantine, keys, stats, wait_backoff=False,
-                    ):
-                        stats.resubmits += 1
-                        count_active("resilience.cell.resubmits")
-                        survivors.append(cell)
-                if not survivors:
-                    return
-                if stats.pool_rebuilds > policy.max_pool_rebuilds:
-                    stats.degraded = True
-                    count_active("resilience.pool.degraded")
-                    logger.warning(
-                        "worker pool broke %d times (> max_pool_rebuilds="
-                        "%d); degrading %d remaining cells to in-process "
-                        "execution",
-                        stats.pool_rebuilds,
-                        policy.max_pool_rebuilds,
-                        len(survivors),
-                    )
-                    self._run_cells_inprocess(
-                        survivors, model, with_obs, policy, store,
-                        keys, stats, quarantine, reports, observations,
-                    )
-                    return
-                logger.warning(
-                    "worker pool broke (rebuild %d/%d); resubmitting %d "
-                    "lost cells",
-                    stats.pool_rebuilds,
-                    policy.max_pool_rebuilds,
-                    len(survivors),
-                )
-                self.sleep(
-                    policy.backoff_s((-1, stats.pool_rebuilds),
-                                     stats.pool_rebuilds)
-                )
-                queue = survivors
-            finally:
-                # wait=True is cheap even for a broken pool (workers are
-                # already dead) and keeps atexit from touching stale fds.
-                pool.shutdown(wait=True, cancel_futures=True)
+        elif n_cells < self.min_cells_per_worker * n_workers:
+            logger.info(
+                "%d cells is below the parallel cutover "
+                "(min_cells_per_worker=%d x %d workers); running in-process",
+                n_cells,
+                self.min_cells_per_worker,
+                n_workers,
+            )
+        else:
+            warm = pool_mod.get_warm_pool()
+            spawns_before = warm.spawns
+            executor = warm.ensure(n_workers)
+            stats.pool_reused = warm.spawns == spawns_before
+        pooled = executor is not inprocess
+        stats.mode = "warm" if pooled else "serial"
+        stats.workers_used = n_workers if pooled else 1
+        # One cell per task under a policy, so a failure names its cell.
+        stats.chunk_size = chunk_size = (
+            pool_mod.adaptive_chunk_size(
+                n_cells, n_workers, pool_mod.cell_cost_estimate_s()
+            )
+            if pooled and policy is None
+            else 1
+        )
+        logger.info(
+            "sweep mode: %s — %d cells in chunks of %d over %d workers",
+            stats.mode,
+            n_cells,
+            chunk_size,
+            stats.workers_used,
+        )
 
-    def _run_cells_inprocess(
+        groups = {
+            si: list(group)
+            for si, group in itertools.groupby(cells, key=lambda cell: cell[0][1])
+        }
+        backlog = deque(
+            group[lo : lo + chunk_size]
+            for group in groups.values()
+            for lo in range(0, len(group), chunk_size)
+        )
+        attempts = {cell[0]: 0 for cell in cells}
+        with_obs = collector is not None
+        timeout_s = policy.cell_timeout_s if policy else None
+        in_flight: dict[Future, list[Cell]] = {}
+        arenas: dict[int, pool_mod.SharedArena] = {}
+        shipped: set = set()
+        started = last_log = time.monotonic()
+        try:
+            while backlog or in_flight:
+                if backlog:
+                    chunk = backlog.popleft()
+                    handle = None
+                    if executor is not inprocess:
+                        # Arenas are built as their seed group comes up,
+                        # so seed k+1's inputs generate in the parent
+                        # while the workers crunch seed k.
+                        si = chunk[0][0][1]
+                        if si not in arenas:
+                            arenas[si] = pool_mod.build_seed_arena(
+                                points,
+                                [cell_id[0] for cell_id, _, _ in groups[si]],
+                                chunk[0][2],
+                                model,
+                                warm.next_generation(),
+                                shipped,
+                            )
+                            stats.arena_bytes += arenas[si].handle.size
+                        handle = arenas[si].handle
+                    try:
+                        future = executor.submit(
+                            pool_mod.run_chunk,
+                            handle,
+                            [(*cell, attempts[cell[0]]) for cell in chunk],
+                            model,
+                            with_obs,
+                            self.chaos,
+                            timeout_s,
+                        )
+                    except BrokenProcessPool as exc:
+                        future = Future()
+                        future.set_exception(exc)
+                    in_flight[future] = chunk
+                # Harvest without blocking while there is more to
+                # submit: checkpoints land as cells finish and the next
+                # arena build is never held up.
+                done, _ = wait(
+                    in_flight,
+                    timeout=0 if backlog else None,
+                    return_when=FIRST_COMPLETED,
+                )
+                # Successes first: a dying pool resolves all its futures
+                # at once, and cells that did finish must not be charged
+                # as lost with it.
+                for future in sorted(done, key=lambda f: f.exception() is not None):
+                    if future not in in_flight:
+                        continue  # lost with the pool; already requeued
+                    chunk = in_flight.pop(future)
+                    try:
+                        finished = future.result()
+                    except BrokenProcessPool as exc:
+                        lost = chunk + [
+                            cell for other in in_flight.values() for cell in other
+                        ]
+                        in_flight.clear()
+                        warm.mark_broken()
+                        if policy is None:
+                            raise _broken_pool_error(cells, reports) from exc
+                        backlog.extendleft(
+                            [cell]
+                            for cell in reversed(
+                                self._charge_pool_breakage(
+                                    lost, attempts, policy, quarantine, keys, stats
+                                )
+                            )
+                        )
+                        if not backlog:
+                            continue
+                        if stats.pool_rebuilds > policy.max_pool_rebuilds:
+                            stats.degraded = True
+                            count_active("resilience.pool.degraded")
+                            logger.warning(
+                                "worker pool broke %d times (> max_pool_rebuilds="
+                                "%d); degrading the %d cells left to in-process "
+                                "execution",
+                                stats.pool_rebuilds,
+                                policy.max_pool_rebuilds,
+                                len(backlog),
+                            )
+                            executor = inprocess
+                        else:
+                            logger.warning(
+                                "worker pool broke (respawn %d/%d); %d cells "
+                                "left to run",
+                                stats.pool_rebuilds,
+                                policy.max_pool_rebuilds,
+                                len(backlog),
+                            )
+                            self.sleep(
+                                policy.backoff_s(
+                                    (-1, stats.pool_rebuilds), stats.pool_rebuilds
+                                )
+                            )
+                            executor = warm.ensure(n_workers)
+                    except Exception as exc:
+                        if policy is None:
+                            raise
+                        (cell,) = chunk
+                        attempts[cell[0]] += 1
+                        if not self._quarantine_or_backoff(
+                            cell, exc, attempts[cell[0]], policy, quarantine,
+                            keys, stats,
+                        ):
+                            stats.retries += 1
+                            count_active("resilience.cell.retries")
+                            backlog.appendleft(chunk)
+                    else:
+                        for (cell_id, _, seed), (report, obs) in zip(chunk, finished):
+                            reports[cell_id] = report
+                            if obs is not None:
+                                collector.add_cell(*cell_id, obs)
+                            stats.cells_computed += 1
+                            count_active("resilience.cell.computed")
+                            if store is not None:
+                                path = store.put(
+                                    keys[cell_id], report,
+                                    point_index=cell_id[0], seed=seed,
+                                )
+                                if self.chaos is not None and self.chaos.should_corrupt(
+                                    cell_id
+                                ):
+                                    corrupt_checkpoint(path, self.chaos, cell_id)
+                now = time.monotonic()
+                if now - last_log >= _LOG_INTERVAL_S and stats.cells_computed:
+                    last_log = now
+                    rate = stats.cells_computed / (now - started)
+                    logger.info(
+                        "sweep progress: %d/%d cells (%.2f cells/s, ETA %.0fs)",
+                        stats.cells_computed,
+                        n_cells,
+                        rate,
+                        (n_cells - stats.cells_computed) / rate,
+                    )
+        finally:
+            # However the loop was left, no chunk of this sweep may
+            # outlive it: cancel what has not started, wait for what
+            # has, and only then unlink the arenas those chunks attach.
+            for future in in_flight:
+                future.cancel()
+            wait(in_flight)
+            for arena in arenas.values():
+                arena.unlink()
+        elapsed = time.monotonic() - started
+        if pooled and policy is None:
+            pool_mod.observe_cell_cost(elapsed / n_cells)
+        logger.info(
+            "sweep complete: %d cells in %.1fs (%.2f cells/s); %s",
+            n_cells,
+            elapsed,
+            n_cells / elapsed if elapsed > 0 else float("inf"),
+            stats.summary_line(),
+        )
+
+    def _charge_pool_breakage(
         self,
-        cells: list[Cell],
-        model: BurstFailureModel,
-        with_obs: bool,
+        lost: list[Cell],
+        attempts: dict[tuple[int, int], int],
         policy: RetryPolicy,
-        store: CellStore | None,
+        quarantine: Quarantine,
         keys: dict[tuple[int, int], str],
         stats: SweepRunStats,
-        quarantine: Quarantine,
-        reports: dict[tuple[int, int], SimulationReport],
-        observations: dict[tuple[int, int], CellObs],
-    ) -> None:
-        """In-process execution with the same retry/quarantine contract.
+    ) -> list[Cell]:
+        """Charge one attempt to every cell a broken pool lost; returns
+        those with attempts left (the rest are quarantined)."""
+        stats.pool_rebuilds += 1
+        count_active("resilience.pool.rebuilds")
+        crash = ExperimentError(
+            "worker process died while this cell was in flight (pool breakage)"
+        )
+        survivors: list[Cell] = []
+        for cell in lost:
+            attempts[cell[0]] += 1
+            # The pool respawn's own backoff is the wait; don't also
+            # sleep once per lost cell.
+            if not self._quarantine_or_backoff(
+                cell, crash, attempts[cell[0]], policy, quarantine, keys,
+                stats, wait_backoff=False,
+            ):
+                stats.resubmits += 1
+                count_active("resilience.cell.resubmits")
+                survivors.append(cell)
+        return survivors
 
-        Serves three roles: resilient serial sweeps (``workers<=1``),
-        platforms without ``fork``, and the degradation target when the
-        pool keeps breaking.  Chaos kills are skipped here by design
-        (see :func:`repro.resilience.inject_pre_cell`).
-        """
-        attempts = {cell[0]: 0 for cell in cells}
-        for cell in cells:
-            cell_id, point, seed = cell
-            while True:
-                attempt = attempts[cell_id]
-                try:
-                    with cell_timeout(policy.cell_timeout_s):
-                        inject_pre_cell(
-                            self.chaos, cell_id, attempt, in_worker=False
-                        )
-                        if with_obs:
-                            report, obs = simulate_cell_obs(point, seed, model)
-                        else:
-                            report = simulate_cell(point, seed, model)
-                            obs = None
-                except Exception as exc:
-                    attempts[cell_id] += 1
-                    if self._quarantine_or_backoff(
-                        cell, exc, attempts[cell_id], policy,
-                        quarantine, keys, stats,
-                    ):
-                        break
-                    stats.retries += 1
-                    count_active("resilience.cell.retries")
-                else:
-                    self._record_success(
-                        cell, report, obs, store, keys,
-                        stats, reports, observations,
-                    )
-                    break
-
-    # ------------------------------------------------------------------
     def _quarantine_or_backoff(
         self,
         cell: Cell,
@@ -937,7 +572,7 @@ class SweepExecutor:
         """Handle one cell failure; True when the cell was quarantined.
 
         Otherwise logs, sleeps the deterministic backoff (unless the
-        caller batches the wait, as the pool-rebuild path does) and lets
+        caller batches the wait, as the pool-respawn path does) and lets
         the caller resubmit.
         """
         cell_id, _, seed = cell
@@ -980,26 +615,22 @@ class SweepExecutor:
             self.sleep(delay)
         return False
 
-    def _record_success(
-        self,
-        cell: Cell,
-        report: SimulationReport,
-        obs: CellObs | None,
-        store: CellStore | None,
-        keys: dict[tuple[int, int], str],
-        stats: SweepRunStats,
-        reports: dict[tuple[int, int], SimulationReport],
-        observations: dict[tuple[int, int], CellObs],
-    ) -> None:
-        cell_id, _, seed = cell
-        reports[cell_id] = report
-        if obs is not None:
-            observations[cell_id] = obs
-        stats.cells_computed += 1
-        count_active("resilience.cell.computed")
-        if store is not None:
-            path = store.put(
-                keys[cell_id], report, point_index=cell_id[0], seed=seed
-            )
-            if self.chaos is not None and self.chaos.should_corrupt(cell_id):
-                corrupt_checkpoint(path, self.chaos, cell_id)
+
+def _broken_pool_error(
+    cells: list[Cell], reports: dict[tuple[int, int], SimulationReport]
+) -> ExperimentError:
+    """The fail-fast error for a dead worker, naming every unfinished cell."""
+    unfinished = sorted(
+        cell_id for cell_id, _, _ in cells if cell_id not in reports
+    )
+    shown = ", ".join(f"(point {pi}, seed#{si})" for pi, si in unfinished[:8])
+    if len(unfinished) > 8:
+        shown += f", ... {len(unfinished) - 8} more"
+    return ExperimentError(
+        f"sweep worker process died before finishing its cells (killed or "
+        f"crashed); {len(cells) - len(unfinished)}/{len(cells)} cells "
+        f"completed; unfinished after 1 attempt: {shown}; the warm pool will "
+        f"respawn on the next sweep; pass retry=RetryPolicy(...) to "
+        f"run_sweep for automatic resubmission, or rerun with workers=1 to "
+        f"isolate"
+    )

@@ -1,12 +1,11 @@
 """Persistent warm worker pool with shared-memory payload shipping.
 
-The cold :class:`~concurrent.futures.ProcessPoolExecutor` path that
-PR 2 introduced pays three taxes on every ``run_sweep`` call: pool
-spawn, per-worker regeneration of the expensive per-seed inputs
-(workload draw, master failure log), and re-pickling of those inputs'
-derivatives with every chunk.  On small-to-medium grids those taxes
-exceeded the parallel win — the committed ``BENCH_core.json`` had
-``sweep_parallel`` *losing* to ``sweep_serial``.  This module removes
+A process pool built per ``run_sweep`` call pays three taxes every
+time: pool spawn, per-worker regeneration of the expensive per-seed
+inputs (workload draw, master failure log), and re-pickling of those
+inputs' derivatives with every chunk.  On small-to-medium grids those
+taxes exceeded the parallel win.  This module is the pool backend of
+the sweep dispatch loop (:mod:`repro.experiments.parallel`) and removes
 all three:
 
 * **Warm pool** — one forked :class:`WarmPool` per process lifetime,
@@ -24,10 +23,13 @@ all three:
   attach-many protocol.  Arenas are built *per seed group* and chunks
   are submitted as soon as their seed's arena exists, so input
   generation for seed *k+1* overlaps cell execution for seed *k*.
-* **Adaptive chunking** — the measured per-cell cost of previous warm
-  sweeps (an EMA fed back through ``SweepRunStats``) sizes chunks to a
-  wall-clock target: cheap cells get big chunks to amortise IPC,
-  expensive cells get small ones to load-balance.
+* **Adaptive chunking** — the measured per-cell cost of previous
+  pooled sweeps (an EMA) sizes chunks to a wall-clock target: cheap
+  cells get big chunks to amortise IPC, expensive cells get small ones
+  to load-balance.
+
+:func:`run_chunk` is the one entry point that runs cells, in a worker
+or in the calling process.
 
 Determinism contract: workers run the exact objects the parent built
 (the arena *is* the parent's cache image), through the same
@@ -47,13 +49,15 @@ import pickle
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from multiprocessing import resource_tracker
 from typing import Sequence
 
-from repro.errors import ExperimentError
+from repro.errors import ExperimentError, ReproError
 from repro.experiments import sweep as sweep_mod
 from repro.failures.synthetic import BurstFailureModel
 from repro.obs.log import get_logger
 from repro.obs.metrics import count_active
+from repro.resilience import ChaosConfig, cell_timeout, inject_pre_cell
 
 logger = get_logger(__name__)
 
@@ -62,8 +66,8 @@ logger = get_logger(__name__)
 #: straggler chunk cannot idle the other workers for long.
 TARGET_CHUNK_S = 0.25
 
-#: Upper bound on chunks per worker when no cost estimate exists yet
-#: (mirrors the cold path's constant).
+#: Upper bound on chunks per worker: small enough to amortise IPC, large
+#: enough to load-balance uneven cell costs.
 _CHUNKS_PER_WORKER = 4
 
 #: EMA weight of the newest per-cell cost measurement.
@@ -191,7 +195,7 @@ def _read_arena(handle: ArenaHandle) -> bytes:
 
 
 # ----------------------------------------------------------------------
-# worker-side entry points
+# the entry point that runs cells
 # ----------------------------------------------------------------------
 
 #: Generations this worker process has already installed.
@@ -225,21 +229,34 @@ def _install_arena(handle: ArenaHandle) -> None:
     count_active("pool.warm.arena.installs")
 
 
-def _warm_run_chunk(
-    handle: ArenaHandle,
-    chunk: Sequence[tuple[tuple[int, int], "sweep_mod.SweepPoint", int]],
+def run_chunk(
+    handle: ArenaHandle | None,
+    chunk: Sequence[tuple[tuple[int, int], "sweep_mod.SweepPoint", int, int]],
     model: BurstFailureModel,
     with_obs: bool,
+    chaos: ChaosConfig | None,
+    timeout_s: float | None,
 ):
-    """Warm-path worker entry point: install the arena, run the cells."""
-    _install_arena(handle)
+    """Run ``(cell_id, point, seed, attempt)`` cells; one ``(report,
+    obs)`` pair per cell, in order.
+
+    A pool worker is handed the arena its cells' inputs ship in; the
+    calling process itself is not (``handle`` is ``None``: its caches
+    are the ones the arena would have been built from), and chaos kills
+    only fire in the former.  Chaos injection and the per-cell
+    wall-clock timeout live here so they apply identically either way.
+    ``with_obs`` adds each cell's picklable observability payload.
+    """
+    if handle is not None:
+        _install_arena(handle)
     out = []
-    for cell_id, point, seed in chunk:
-        if with_obs:
-            report, obs = sweep_mod.simulate_cell_obs(point, seed, model)
-        else:
-            report, obs = sweep_mod.simulate_cell(point, seed, model), None
-        out.append((cell_id, report, obs))
+    for cell_id, point, seed, attempt in chunk:
+        with cell_timeout(timeout_s):
+            inject_pre_cell(chaos, cell_id, attempt, in_worker=handle is not None)
+            if with_obs:
+                out.append(sweep_mod.simulate_cell_obs(point, seed, model))
+            else:
+                out.append((sweep_mod.simulate_cell(point, seed, model), None))
     return out
 
 
@@ -268,9 +285,15 @@ def build_seed_arena(
     for i in pending:
         point = points[i]
         wkey = sweep_mod.workload_cache_key(point, seed)
-        workload = sweep_mod._workload_for(point, seed)
-        mkey = sweep_mod.master_log_cache_key(point, workload, seed, model)
-        sweep_mod._failures_for(point, workload, seed, model)
+        try:
+            workload = sweep_mod._workload_for(point, seed)
+            mkey = sweep_mod.master_log_cache_key(point, workload, seed, model)
+            sweep_mod._failures_for(point, workload, seed, model)
+        except ReproError:
+            # Ship nothing for a point whose inputs cannot be built: its
+            # cells raise the same error where it is attributable to
+            # them (and retried or quarantined under a policy).
+            continue
         if wkey not in shipped:
             workloads[wkey] = workload
             shipped.add(wkey)
@@ -320,6 +343,12 @@ class WarmPool:
             count_active("pool.warm.reuse")
             return self._executor
         self._shutdown_executor()
+        # Workers must fork from a process whose resource tracker is
+        # already running, so they share it (as the arena attach in
+        # _read_arena assumes); a worker forked earlier would start a
+        # private tracker on its first attach, which outlives the pool
+        # and reports the parent's unlinked segments as leaked.
+        resource_tracker.ensure_running()
         ctx = multiprocessing.get_context("fork")
         self._executor = ProcessPoolExecutor(max_workers=n_workers, mp_context=ctx)
         self._workers = n_workers
@@ -421,10 +450,10 @@ def reset_cell_cost_estimate() -> None:
 def adaptive_chunk_size(
     n_cells: int, n_workers: int, per_cell_s: float | None
 ) -> int:
-    """Cells per warm chunk.
+    """Cells per pooled chunk.
 
-    The load-balance bound (``workers x _CHUNKS_PER_WORKER`` chunks,
-    the cold path's sizing) is the ceiling; when a per-cell cost
+    The load-balance bound (``workers x _CHUNKS_PER_WORKER`` chunks) is
+    the ceiling; when a per-cell cost
     estimate exists, chunks shrink toward :data:`TARGET_CHUNK_S` of wall
     time each so expensive cells cannot straggle a whole worker's queue
     behind one chunk.

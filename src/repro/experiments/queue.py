@@ -58,8 +58,8 @@ from repro.errors import ExperimentError, ResilienceError
 from repro.experiments import sweep as sweep_mod
 from repro.experiments.sweep import (
     SweepPoint,
-    SweepResult,
-    _result_cache,
+    enumerate_cells,
+    merge_reports,
     simulate_cell,
 )
 from repro.failures.synthetic import BurstFailureModel
@@ -187,31 +187,32 @@ class WorkQueue:
         Returns the keys actually enqueued.
         """
         enqueued: list[str] = []
-        for si, seed in enumerate(seeds):
-            for i, point in enumerate(points):
-                key = cell_key(point, seed, model)
-                if (
-                    self.store.has(key)
-                    or (self.tasks_dir / f"{key}.json").exists()
-                    or (self.claims_dir / f"{key}.json").exists()
-                    or (self.dead_dir / f"{key}.json").exists()
-                ):
-                    continue
-                _write_record(
-                    self.tasks_dir,
-                    key,
-                    {
-                        "key": key,
-                        "point_index": i,
-                        "seed_index": si,
-                        "seed": seed,
-                        "attempt": 1,
-                        "point": describe_point(point),
-                        "model": describe_model(model),
-                    },
-                )
-                enqueued.append(key)
-                count_active("queue.task.enqueued")
+        for (i, si), point, seed in enumerate_cells(
+            points, range(len(points)), seeds
+        ):
+            key = cell_key(point, seed, model)
+            if (
+                self.store.has(key)
+                or (self.tasks_dir / f"{key}.json").exists()
+                or (self.claims_dir / f"{key}.json").exists()
+                or (self.dead_dir / f"{key}.json").exists()
+            ):
+                continue
+            _write_record(
+                self.tasks_dir,
+                key,
+                {
+                    "key": key,
+                    "point_index": i,
+                    "seed_index": si,
+                    "seed": seed,
+                    "attempt": 1,
+                    "point": describe_point(point),
+                    "model": describe_model(model),
+                },
+            )
+            enqueued.append(key)
+            count_active("queue.task.enqueued")
         return enqueued
 
     # ------------------------------------------------------------------
@@ -594,9 +595,10 @@ def run_queue_sweep(
     )
     stats = SweepRunStats(mode="queue", workers_used=workers)
     keys = {
-        (i, si): cell_key(points[i], seed, model)
-        for si, seed in enumerate(seeds)
-        for i in range(len(points))
+        cell_id: cell_key(point, seed, model)
+        for cell_id, point, seed in enumerate_cells(
+            points, range(len(points)), seeds
+        )
     }
     enqueued = queue.enqueue(points, seeds, model)
     already_done = sum(1 for key in keys.values() if queue.store.has(key))
@@ -716,22 +718,7 @@ def run_queue_sweep(
         )
     stats.quarantined = len(quarantined)
 
-    results: list[SweepResult | None] = [None] * len(points)
-    for i in range(len(points)):
-        present = [
-            reports[(i, si)]
-            for si in range(len(seeds))
-            if (i, si) in reports
-        ]
-        if not present:
-            logger.warning(
-                "queue sweep point %d lost every seed; its result is None", i
-            )
-            continue
-        result = SweepResult.from_reports(points[i], present)
-        if len(present) == len(seeds):
-            _result_cache[(points[i], seeds, model)] = result
-        results[i] = result
+    results = merge_reports(points, range(len(points)), seeds, model, reports)
 
     if quarantined:
         logger.warning(

@@ -189,6 +189,59 @@ _result_cache: dict[tuple, SweepResult] = {}
 
 logger = get_logger(__name__)
 
+#: One sweep cell: ``((point_index, seed_index), point, seed)``.
+Cell = tuple[tuple[int, int], SweepPoint, int]
+
+
+def enumerate_cells(
+    points: Sequence[SweepPoint], indices: Iterable[int], seeds: Sequence[int]
+) -> list[Cell]:
+    """The cells of ``points[indices] x seeds``, seed-major.
+
+    The expensive per-cell inputs (workload draw, master failure log)
+    depend on the seed but not on the swept parameter, so neighbouring
+    cells share a seed and hit the caches above.
+    """
+    indices = list(indices)
+    return [
+        ((i, si), points[i], seed)
+        for si, seed in enumerate(seeds)
+        for i in indices
+    ]
+
+
+def merge_reports(
+    points: Sequence[SweepPoint],
+    indices: Iterable[int],
+    seeds: tuple[int, ...],
+    model: BurstFailureModel,
+    reports: dict[tuple[int, int], SimulationReport],
+) -> list[SweepResult | None]:
+    """Average ``(point_index, seed_index)``-keyed reports per point.
+
+    One result per index, in order, aggregated in seed order whatever
+    order the cells finished in.  A point missing some seeds (lost to
+    quarantine) averages over the ones present; one missing all of them
+    is ``None``.  Only complete points enter the in-memory memo: a
+    partial average must never masquerade as the real one.
+    """
+    merged: list[SweepResult | None] = []
+    for i in indices:
+        present = [
+            reports[(i, si)] for si in range(len(seeds)) if (i, si) in reports
+        ]
+        if not present:
+            logger.warning(
+                "sweep point %d lost every seed; its result is None", i
+            )
+            merged.append(None)
+            continue
+        result = SweepResult.from_reports(points[i], present)
+        if len(present) == len(seeds):
+            _result_cache[(points[i], seeds, model)] = result
+        merged.append(result)
+    return merged
+
 
 def _build_cell(
     point: SweepPoint, seed: int, model: BurstFailureModel, with_obs: bool
@@ -221,10 +274,11 @@ def simulate_cell(
 ) -> SimulationReport:
     """Run one ``(point, seed)`` simulation cell.
 
-    The single code path behind both serial :func:`run_point` and the
-    parallel executor's workers — the per-cell inputs (workload draw,
-    master failure log) come from the module-level caches above, which
-    act as worker-side memoisation under ``multiprocessing`` fan-out.
+    The single code path behind :func:`run_point`, the sweep executor
+    (in-process and in pool workers) and the queue workers — the
+    per-cell inputs (workload draw, master failure log) come from the
+    module-level caches above, which act as worker-side memoisation
+    under ``multiprocessing`` fan-out.
     """
     return _build_cell(point, seed, model, with_obs=False).run()
 
@@ -265,20 +319,18 @@ def run_point(
     """
     model = failure_model or BurstFailureModel()
     seeds = tuple(seeds)
-    cache_key = (point, seeds, model)
+    reports = {}
     if collector is None:
-        cached = _result_cache.get(cache_key)
+        cached = _result_cache.get((point, seeds, model))
         if cached is not None:
             return cached
-        reports = [simulate_cell(point, seed, model) for seed in seeds]
-    else:
-        reports = []
         for seed_index, seed in enumerate(seeds):
-            report, obs = simulate_cell_obs(point, seed, model)
+            reports[(0, seed_index)] = simulate_cell(point, seed, model)
+    else:
+        for seed_index, seed in enumerate(seeds):
+            reports[(0, seed_index)], obs = simulate_cell_obs(point, seed, model)
             collector.add_cell(point_index, seed_index, obs)
-            reports.append(report)
-    result = SweepResult.from_reports(point, reports)
-    _result_cache[cache_key] = result
+    (result,) = merge_reports([point], [0], seeds, model, reports)
     return result
 
 
@@ -298,12 +350,13 @@ def run_sweep(
 ) -> list[SweepResult]:
     """Run every cell of a sweep.
 
-    ``workers`` > 1 fans the ``(point, seed)`` cells out over a process
-    pool (see :mod:`repro.experiments.parallel`); results are collected
-    in point order and are bitwise-identical to the serial path.  ``None``
-    or ``1`` runs in-process, as does any platform without ``fork`` or
-    any sweep smaller than the executor's ``min_cells_per_worker``
-    cutover (override it here; 0 forces the pool).
+    ``workers`` > 1 fans the ``(point, seed)`` cells out over the warm
+    process pool (see :mod:`repro.experiments.parallel`); results are
+    collected in point order and are bitwise-identical to the serial
+    path.  ``None`` or ``1`` runs in-process, as does any platform
+    without ``fork`` or any sweep smaller than the executor's
+    ``min_cells_per_worker`` cutover (override it here; 0 forces the
+    pool).
 
     A :class:`~repro.obs.aggregate.SweepObsCollector` receives every
     cell's metrics registry (and trace, when ``point.config.trace`` is
@@ -311,11 +364,11 @@ def run_sweep(
     serial sweeps aggregate to identical metrics.  The collector is
     finalized before this function returns.
 
-    ``checkpoint_dir``/``retry``/``chaos``/``resume`` select the
-    resilient execution path (see :func:`run_sweep_outcome`, which also
-    returns the quarantine and resilience stats).  With resilience on,
-    a result entry is ``None`` only when every seed of that point was
-    quarantined as poison.
+    ``checkpoint_dir``/``retry``/``chaos``/``resume`` turn on
+    checkpointing, retry and quarantine (see :func:`run_sweep_outcome`,
+    which also returns the quarantine and resilience stats).  With
+    resilience on, a result entry is ``None`` only when every seed of
+    that point was quarantined as poison.
     """
     return run_sweep_outcome(
         points,
@@ -349,14 +402,16 @@ def run_sweep_outcome(
     """Run a sweep and return the full
     :class:`~repro.resilience.ResilientSweepOutcome`.
 
-    The resilient path engages when any of ``checkpoint_dir`` (durable
-    per-cell checkpoints; a killed sweep resumes bitwise-identically),
-    ``retry`` (a :class:`~repro.resilience.RetryPolicy`; worker crashes
-    and in-cell exceptions are retried with deterministic backoff, and
-    poison cells are quarantined into ``quarantine.json`` instead of
-    aborting) or ``chaos`` (deterministic fault injection, tests only)
-    is set — with ``workers`` 1 or ``None`` it runs in-process but keeps
-    the full checkpoint/retry contract.
+    Every sweep runs through the one dispatch loop of
+    :class:`~repro.experiments.parallel.SweepExecutor`; the options are
+    data it carries.  ``checkpoint_dir`` gives durable per-cell
+    checkpoints (a killed sweep resumes bitwise-identically); ``retry``
+    (a :class:`~repro.resilience.RetryPolicy`) retries worker crashes
+    and in-cell exceptions with deterministic backoff and quarantines
+    poison cells into ``quarantine.json`` instead of aborting; ``chaos``
+    is deterministic fault injection (tests only).  With ``workers`` 1
+    or ``None``, or below the cutover, cells run in-process under the
+    same checkpoint/retry contract.
 
     ``queue_dir`` selects the shared-directory multi-host backend
     instead (see :mod:`repro.experiments.queue`): cells are pulled by
@@ -368,7 +423,6 @@ def run_sweep_outcome(
     processes whose observability is not shipped back).
     """
     from repro.experiments.parallel import SweepExecutor
-    from repro.resilience import ResilientSweepOutcome
 
     seeds = tuple(seeds)
     if queue_dir is not None:
@@ -400,36 +454,21 @@ def run_sweep_outcome(
             workers=workers if workers is not None else 2,
             **queue_kwargs,
         )
-    resilient = (
-        checkpoint_dir is not None
-        or retry is not None
-        or (chaos is not None and chaos.enabled)
+    executor_kwargs = {}
+    if min_cells_per_worker is not None:
+        executor_kwargs["min_cells_per_worker"] = min_cells_per_worker
+    executor = SweepExecutor(
+        workers=workers if workers is not None else 1,
+        checkpoint_dir=checkpoint_dir,
+        retry=retry,
+        chaos=chaos,
+        resume=resume,
+        **executor_kwargs,
     )
     try:
-        if len(points) > 0 and (
-            resilient or (workers is not None and workers > 1)
-        ):
-            executor_kwargs = {}
-            if min_cells_per_worker is not None:
-                executor_kwargs["min_cells_per_worker"] = min_cells_per_worker
-            executor = SweepExecutor(
-                workers=workers if workers is not None else (1 if resilient else None),
-                checkpoint_dir=checkpoint_dir,
-                retry=retry,
-                chaos=chaos,
-                resume=resume,
-                **executor_kwargs,
-            )
-            return executor.run_outcome(
-                points, seeds, failure_model, collector=collector
-            )
-        results = [
-            run_point(p, seeds, failure_model, collector=collector, point_index=i)
-            for i, p in enumerate(points)
-        ]
-        from repro.resilience import SweepRunStats
-
-        return ResilientSweepOutcome(results, (), SweepRunStats(mode="serial"))
+        return executor.run_outcome(
+            points, seeds, failure_model, collector=collector
+        )
     finally:
         if collector is not None:
             collector.finalize()

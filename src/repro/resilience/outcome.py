@@ -18,17 +18,19 @@ class SweepRunStats:
     Checkpoint counters mirror the :class:`CellStore` instance counters;
     retry counters separate *in-cell failures* (the cell itself raised)
     from *resubmits* (the cell was lost when its worker pool broke).
-    ``mode`` records how the executor actually ran the cells —
-    ``"warm"`` (persistent warm pool with shared-memory arenas, the
-    fast-path default), ``"parallel"`` (cold per-sweep worker pool),
-    ``"queue"`` (directory-backed multi-host work queue),
-    ``"serial"`` (in-process, whether by request, platform limits, or
-    the small-sweep parallel cutover) or ``"cached"`` (every cell
-    restored/memoised, nothing executed).  ``workers_used`` is the
-    worker count the chosen mode actually employed (1 for serial),
-    ``chunk_size`` the cells-per-task the fan-out used, and
-    ``arena_bytes`` the total shared-memory payload shipped by the warm
-    path — benches record all three so a run's regime is auditable.
+    ``mode`` records how the cells were actually run — ``"warm"``
+    (the persistent warm pool with shared-memory arenas; resilient
+    sweeps included), ``"queue"`` (directory-backed multi-host work
+    queue), ``"serial"`` (in-process, whether by request, platform
+    limits, or the small-sweep parallel cutover) or ``"cached"`` (every
+    cell restored/memoised, nothing executed).  A warm run whose pool
+    kept breaking finishes in-process with ``degraded`` set.
+    ``workers_used`` is the worker count the chosen mode employed (1
+    for serial), ``chunk_size`` the cells-per-task of the fan-out (1
+    whenever a retry policy is in force, so failures stay attributable),
+    ``arena_bytes`` the total shared-memory payload shipped and
+    ``pool_reused`` whether the warm pool was already up — benches
+    record them so a run's regime is auditable.
     """
 
     checkpoint_hits: int = 0

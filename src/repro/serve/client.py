@@ -16,7 +16,7 @@ from typing import Any, Sequence
 
 from repro.errors import ProtocolError, ServeError
 from repro.serve.engine import ServeEngine
-from repro.serve.protocol import MAX_LINE_BYTES, decode_line, encode
+from repro.serve.protocol import MAX_RESPONSE_BYTES, decode_line, encode
 
 
 class _RequestHelpers:
@@ -112,14 +112,18 @@ class SocketClient(_RequestHelpers):
         return [self._read_response() for _ in messages]
 
     def _read_response(self) -> dict[str, Any]:
-        line = self._reader.readline(MAX_LINE_BYTES + 1)
+        line = self._reader.readline(MAX_RESPONSE_BYTES + 1)
         if not line:
             raise ServeError("service closed the connection")
-        if len(line) > MAX_LINE_BYTES:
+        if len(line) > MAX_RESPONSE_BYTES:
             raise ProtocolError(
-                f"response line exceeds {MAX_LINE_BYTES} bytes"
+                f"response line exceeds {MAX_RESPONSE_BYTES} bytes"
             )
-        return decode_line(line)
+        try:
+            # As text: decode_line holds *bytes* to the request-line cap.
+            return decode_line(line.decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise ProtocolError(f"response is not valid UTF-8: {exc}") from exc
 
     def close(self) -> None:
         try:

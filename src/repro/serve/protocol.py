@@ -36,6 +36,13 @@ PROTOCOL_VERSION = 1
 #: never an unbounded buffer.
 MAX_LINE_BYTES = 1 << 16
 
+#: Cap a client puts on one *response* line.  A ``drain`` response
+#: carries the whole schedule report (~200 B per job), so this is sized
+#: for a full report of a few hundred thousand jobs rather than for a
+#: request; it still bounds what a misbehaving server can make a client
+#: buffer.
+MAX_RESPONSE_BYTES = 1 << 26
+
 #: Known operations and the fields each requires beyond ``op``.
 _REQUIRED_FIELDS: dict[str, tuple[str, ...]] = {
     "submit": ("id", "size", "runtime"),

@@ -4,7 +4,9 @@ The contract under test: ``run_sweep(points, workers=N)`` returns a
 result list *bitwise identical* to ``run_sweep(points, workers=1)`` —
 same ordering, exact float equality — because each ``(point, seed)``
 cell is a deterministic function of its inputs and aggregation happens
-in the parent in serial seed order.
+in the parent in serial seed order.  One matrix
+(``test_every_backend_matches_serial``) holds every way a sweep can be
+executed to that contract.
 
 The CI ``bench-smoke`` job treats a skip of this module as a failure, so
 keep the skip conditions honest (fork genuinely unavailable).
@@ -19,10 +21,12 @@ import pytest
 import repro.experiments.parallel as parallel_mod
 import repro.experiments.pool as pool_mod
 import repro.experiments.sweep as sweep_mod
-from repro.errors import ExperimentError, ReproError
+from repro.core.config import SimulationConfig
+from repro.errors import ExperimentError, ReproError, SimulationError
 from repro.experiments.parallel import SweepExecutor, default_workers, fork_available
 from repro.experiments.pool import shutdown_warm_pool
-from repro.experiments.sweep import SweepPoint, run_sweep
+from repro.experiments.sweep import SweepPoint, run_sweep, run_sweep_outcome
+from repro.resilience import ChaosConfig, RetryPolicy
 
 needs_fork = pytest.mark.skipif(
     not fork_available(), reason="platform lacks the fork start method"
@@ -81,6 +85,55 @@ GRIDS = {
 }
 
 
+_FAST_RETRY = RetryPolicy(base_delay_s=0.0, jitter_fraction=0.0)
+
+#: Every way a sweep can be executed: the options (given a scratch
+#: directory), then the ``mode`` and ``workers_used`` an honest
+#: ``SweepRunStats`` must report.
+BACKENDS = {
+    "in-process": (lambda tmp: dict(workers=1), "serial", 1),
+    "warm-pool": (
+        lambda tmp: dict(workers=2, min_cells_per_worker=0), "warm", 2,
+    ),
+    "warm-pool+retry+checkpoint": (
+        lambda tmp: dict(
+            workers=2, min_cells_per_worker=0, retry=_FAST_RETRY,
+            checkpoint_dir=tmp,
+        ),
+        "warm", 2,
+    ),
+    "warm-pool+transient-kill": (
+        lambda tmp: dict(
+            workers=2, min_cells_per_worker=0, retry=_FAST_RETRY,
+            chaos=ChaosConfig(kill_cells=((0, 0),), kill_attempts=1),
+        ),
+        "warm", 2,
+    ),
+    "queue": (lambda tmp: dict(workers=2, queue_dir=tmp), "queue", 2),
+}
+
+
+@needs_fork
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
+def test_every_backend_matches_serial(backend, tmp_path):
+    """One grid through every execution path: results ``==`` serial
+    (exact floats) and the stats say what really ran."""
+    options, mode, workers_used = BACKENDS[backend]
+    points, seeds = _mixed_grid()
+    # The backend under test goes first, against cold caches, so it
+    # cannot piggyback on serially computed results.
+    outcome = run_sweep_outcome(points, seeds, **options(tmp_path))
+    sweep_mod._result_cache.clear()
+    assert outcome.results == run_sweep(points, seeds, workers=1)
+    assert outcome.complete
+    assert outcome.stats.mode == mode
+    assert outcome.stats.workers_used == workers_used
+    assert outcome.stats.cells_computed == len(points) * len(seeds)
+    if "kill" in backend:
+        assert outcome.stats.pool_rebuilds >= 1
+        assert not outcome.stats.degraded
+
+
 @needs_fork
 class TestSerialParallelEquivalence:
     @pytest.mark.parametrize("grid", sorted(GRIDS))
@@ -120,9 +173,9 @@ class TestWorkerFailure:
     def test_warm_worker_crash_surfaces_as_experiment_error(self, monkeypatch):
         """A warm-pool worker that dies mid-cell must raise, not hang.
 
-        Warm workers reach ``simulate_cell`` through the sweep module
-        (via :func:`repro.experiments.pool._warm_run_chunk`), so that is
-        the patch target; the autouse fixture's pool teardown guarantees
+        Workers reach ``simulate_cell`` through the sweep module (via
+        :func:`repro.experiments.pool.run_chunk`), so that is the patch
+        target; the autouse fixture's pool teardown guarantees
         the workers fork after the patch.  The breakage must also mark
         the pool so the *next* sweep respawns instead of reusing a dead
         executor.
@@ -134,19 +187,6 @@ class TestWorkerFailure:
         with pytest.raises(ExperimentError, match="worker process died"):
             SweepExecutor(workers=2, min_cells_per_worker=0).run(points, seeds)
         assert not pool_mod.get_warm_pool().alive
-
-    def test_cold_worker_crash_surfaces_as_experiment_error(self, monkeypatch):
-        """Same contract on the cold per-sweep pool (``warm=False``),
-        whose workers reach ``simulate_cell`` through the parallel
-        module's import."""
-        monkeypatch.setattr(
-            parallel_mod, "simulate_cell", lambda *a: os._exit(13)
-        )
-        points, seeds = _parameter_axis_grid()
-        with pytest.raises(ExperimentError, match="worker process died"):
-            SweepExecutor(
-                workers=2, min_cells_per_worker=0, warm=False
-            ).run(points, seeds)
 
     def test_worker_exception_propagates_type(self):
         """Ordinary worker exceptions keep their ReproError type.
@@ -160,6 +200,39 @@ class TestWorkerFailure:
         ]
         with pytest.raises(ReproError):
             run_sweep(bad, (0, 1), workers=2, min_cells_per_worker=0)
+
+    def test_fail_fast_exit_drains_the_pool_before_raising(self):
+        """Regression: the first failing chunk used to surface while the
+        sweep's other chunks were still running in the persistent pool,
+        and their arenas were unlinked under them.  When the exception
+        reaches the caller the pool must be alive and idle, with every
+        arena of the failed sweep gone."""
+        points = [
+            SweepPoint(
+                "nasa", 100, 1.0, 2, "balancing", 0.3,
+                config=SimulationConfig(max_events=1),
+            )
+        ] + [
+            SweepPoint("nasa", 100 + i, 1.0, 2, "balancing", 0.3)
+            for i in range(1, 8)
+        ]
+        with pytest.raises(SimulationError):
+            SweepExecutor(workers=2, min_cells_per_worker=0).run(
+                points, (0, 1, 2)
+            )
+        warm = pool_mod.get_warm_pool()
+        assert warm.alive
+        spawns = warm.spawns
+        executor = warm.ensure(2)
+        assert warm.spawns == spawns  # same pool, not a respawn
+        # Nothing of the failed sweep is queued or running (the pool may
+        # not have swept out the cancelled items yet; those are done).
+        assert all(
+            item.future.done()
+            for item in list(executor._pending_work_items.values())
+        )
+        assert not pool_mod._live_arenas
+        assert executor.submit(max, 1, 2).result(timeout=30) == 2
 
 
 class TestAutoSerialCutover:
@@ -183,15 +256,6 @@ class TestAutoSerialCutover:
         assert outcome.stats.mode == "warm"
         assert outcome.stats.workers_used == 2
         assert outcome.stats.chunk_size >= 1
-
-    @needs_fork
-    def test_cold_pool_mode_is_parallel(self):
-        points, seeds = _parameter_axis_grid()
-        outcome = SweepExecutor(
-            workers=2, min_cells_per_worker=0, warm=False
-        ).run_outcome(points, seeds)
-        assert outcome.stats.mode == "parallel"
-        assert outcome.stats.workers_used == 2
 
     @needs_fork
     def test_sub_cutover_grid_never_touches_warm_pool(self):

@@ -1,15 +1,20 @@
 """Warm-pool engine unit and integration tests.
 
-Covers the three mechanisms :mod:`repro.experiments.pool` adds over the
-cold path — pool persistence across ``run_sweep`` calls, shared-memory
-arena shipping (both backends), adaptive chunk sizing fed by the
-per-cell cost EMA — plus their cleanup contracts (arena unlink, broken
-pool respawn, idempotent shutdown).
+Covers the three mechanisms of :mod:`repro.experiments.pool` — pool
+persistence across ``run_sweep`` calls (resilient ones included),
+shared-memory arena shipping (both backends), adaptive chunk sizing fed
+by the per-cell cost EMA — plus their cleanup contracts (arena unlink,
+broken pool respawn, idempotent shutdown, one shared resource tracker).
 """
 
 from __future__ import annotations
 
+import os
 import pickle
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -23,7 +28,8 @@ from repro.experiments.pool import (
     get_warm_pool,
     shutdown_warm_pool,
 )
-from repro.experiments.sweep import SweepPoint, run_sweep
+from repro.experiments.sweep import SweepPoint, run_sweep, run_sweep_outcome
+from repro.resilience import RetryPolicy
 
 needs_fork = pytest.mark.skipif(
     not fork_available(), reason="platform lacks the fork start method"
@@ -166,6 +172,28 @@ class TestPoolLifecycle:
         outcome = executor.run_outcome(points, seeds)
         assert outcome.stats.pool_reused
 
+    def test_resilient_sweeps_reuse_the_warm_pool(self):
+        """Resilience is data carried by the one loop, not a pool of its
+        own: a sweep with a retry policy runs on (and keeps) the
+        process-wide warm pool."""
+        points, seeds = _grid()
+        retry = RetryPolicy(base_delay_s=0.0, jitter_fraction=0.0)
+        warm = get_warm_pool()
+        first = run_sweep_outcome(
+            points, seeds, workers=2, min_cells_per_worker=0, retry=retry
+        )
+        assert first.stats.mode == "warm"
+        assert first.stats.chunk_size == 1  # failures stay attributable
+        assert first.stats.arena_bytes > 0
+        spawns = warm.spawns
+        second = run_sweep_outcome(
+            points, seeds, workers=2, min_cells_per_worker=0, retry=retry
+        )
+        assert warm.spawns == spawns
+        assert second.stats.pool_reused
+        assert second.results == first.results
+        assert not pool_mod._live_arenas
+
     def test_size_change_respawns(self):
         warm = get_warm_pool()
         spawns_before = warm.spawns
@@ -209,6 +237,47 @@ class TestPoolLifecycle:
         assert outcome.stats.arena_bytes > 0
         assert pool_mod.cell_cost_estimate_s() > 0
         assert "workers=2" in outcome.stats.summary_line()
+
+
+_PREWARMED_POOL_SCRIPT = textwrap.dedent(
+    """
+    import time
+    from concurrent.futures import wait
+
+    import repro.experiments.sweep as sweep_mod
+    sweep_mod.MASTER_FAILURE_COUNT = 64
+    from repro.experiments.pool import get_warm_pool
+    from repro.experiments.sweep import SweepPoint, run_sweep
+
+    # Workers exist before the first arena does.
+    executor = get_warm_pool().ensure(2)
+    wait([executor.submit(time.sleep, 0.05) for _ in range(2)])
+    points = [
+        SweepPoint("nasa", 20, 1.0, f, "balancing", 0.3) for f in (0, 2, 4)
+    ]
+    assert len(run_sweep(points, (0, 1), workers=2, min_cells_per_worker=0)) == 3
+    """
+)
+
+
+@needs_fork
+def test_prewarmed_pool_shares_one_resource_tracker():
+    """Regression: workers forked before the parent's resource tracker
+    existed each started a private one on their first arena attach, and
+    those reported the parent's (already unlinked) segments as leaked
+    at exit.  ``WarmPool.ensure`` now starts the tracker first."""
+    env = dict(os.environ)
+    src_root = str(Path(pool_mod.__file__).resolve().parents[2])
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src_root, env.get("PYTHONPATH")])
+    )
+    env.pop("REPRO_ARENA_BACKEND", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", _PREWARMED_POOL_SCRIPT],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "resource_tracker" not in proc.stderr, proc.stderr
 
 
 # ----------------------------------------------------------------------

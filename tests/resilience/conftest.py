@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import pytest
 
+import repro.experiments.pool as pool_mod
 import repro.experiments.sweep as sweep_mod
 from repro.experiments.parallel import fork_available
 from repro.experiments.sweep import SweepPoint
@@ -30,6 +31,22 @@ def small_master_log(monkeypatch):
     yield
     sweep_mod._result_cache.clear()
     sweep_mod._master_log_cache.clear()
+
+
+@pytest.fixture(autouse=True)
+def fresh_pool():
+    """Fork the warm pool *after* the test's patches land.
+
+    Pooled sweeps — resilient ones included — run on the process-wide
+    warm pool: workers forked by an earlier test predate this test's
+    monkeypatching (shrunken master logs, ``os._exit`` cells) and would
+    compute cells from the unpatched image.  Shutting down on both
+    sides forces the fork to inherit the patch and keeps a poisoned
+    image out of later tests.
+    """
+    pool_mod.shutdown_warm_pool()
+    yield
+    pool_mod.shutdown_warm_pool()
 
 
 @pytest.fixture

@@ -12,28 +12,12 @@ import os
 
 import pytest
 
-import repro.experiments.pool as pool_mod
 import repro.experiments.sweep as sweep_mod
 from repro.errors import ExperimentError
 from repro.experiments.parallel import SweepExecutor
 from repro.experiments.sweep import SweepPoint
 
 from tests.resilience.conftest import needs_fork
-
-
-@pytest.fixture(autouse=True)
-def fresh_pool():
-    """Fork the warm pool *after* the kill patch lands.
-
-    The pool is a process-wide singleton: workers forked by an earlier
-    test predate this module's monkeypatching and would compute cells
-    normally instead of dying. Shutting down on both sides forces the
-    fork to inherit the patch and keeps the poisoned image out of
-    later tests.
-    """
-    pool_mod.shutdown_warm_pool()
-    yield
-    pool_mod.shutdown_warm_pool()
 
 
 @needs_fork

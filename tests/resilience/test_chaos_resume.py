@@ -31,7 +31,8 @@ class TestKillAndResume:
         ref = _serial_reference(points, seeds)
         chaos = ChaosConfig(kill_cells=((0, 0),), kill_attempts=1)
         outcome = run_sweep_outcome(
-            points, seeds, workers=2, retry=fast_retry, chaos=chaos
+            points, seeds, workers=2, min_cells_per_worker=0,
+            retry=fast_retry, chaos=chaos,
         )
         assert outcome.results == ref
         assert outcome.stats.pool_rebuilds >= 1
@@ -46,7 +47,8 @@ class TestKillAndResume:
         ref = _serial_reference(points, seeds)
         poison = ChaosConfig(raise_cells=((1, 0),), raise_attempts=99)
         first = run_sweep_outcome(
-            points, seeds, workers=2, checkpoint_dir=tmp_path,
+            points, seeds, workers=2, min_cells_per_worker=0,
+            checkpoint_dir=tmp_path,
             retry=fast_retry, chaos=poison,
         )
         assert not first.complete
@@ -55,7 +57,8 @@ class TestKillAndResume:
 
         sweep_mod._result_cache.clear()
         second = run_sweep_outcome(
-            points, seeds, workers=2, checkpoint_dir=tmp_path,
+            points, seeds, workers=2, min_cells_per_worker=0,
+            checkpoint_dir=tmp_path,
             retry=fast_retry,
         )
         assert second.complete

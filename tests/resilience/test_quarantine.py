@@ -87,7 +87,8 @@ class TestQuarantine:
         ref = _serial_reference(points, seeds)
         chaos = ChaosConfig(raise_cells=((1, 0),), raise_attempts=99)
         outcome = run_sweep_outcome(
-            points, seeds, workers=2, retry=fast_retry, chaos=chaos
+            points, seeds, workers=2, min_cells_per_worker=0,
+            retry=fast_retry, chaos=chaos,
         )
         assert outcome.results[0] == ref[0]
         assert outcome.results[1].n_seeds == 1
@@ -118,7 +119,8 @@ class TestDegradation:
             max_pool_rebuilds=1,
         )
         outcome = run_sweep_outcome(
-            points, seeds, workers=2, retry=policy, chaos=chaos
+            points, seeds, workers=2, min_cells_per_worker=0,
+            retry=policy, chaos=chaos,
         )
         assert outcome.results == ref
         assert outcome.stats.degraded
@@ -130,7 +132,8 @@ class TestDegradation:
         ref = _serial_reference(points, seeds)
         chaos = ChaosConfig(kill_cells=((0, 0),), kill_attempts=1)
         outcome = run_sweep_outcome(
-            points, seeds, workers=2, retry=fast_retry, chaos=chaos
+            points, seeds, workers=2, min_cells_per_worker=0,
+            retry=fast_retry, chaos=chaos,
         )
         assert outcome.results == ref
         assert outcome.stats.pool_rebuilds >= 1
@@ -147,8 +150,30 @@ class TestDegradation:
             max_pool_rebuilds=0,
         )
         outcome = run_sweep_outcome(
-            points, seeds, workers=2, retry=policy, chaos=chaos
+            points, seeds, workers=2, min_cells_per_worker=0,
+            retry=policy, chaos=chaos,
         )
         assert outcome.results == ref
         assert outcome.stats.degraded
         assert outcome.stats.pool_rebuilds == 1
+
+
+@needs_fork
+def test_pooled_point_with_unbuildable_inputs_is_quarantined(grid, fast_retry):
+    """A point whose inputs cannot even be generated (here: an unknown
+    site) must cost a pooled resilient sweep only its own cells — the
+    parent's per-seed arena build must not turn it into an abort."""
+    from repro.experiments.sweep import SweepPoint
+
+    points, seeds = grid
+    ref = _serial_reference(points, seeds)
+    bad = SweepPoint("no-such-site", 10, 1.0, 0, "krevat", 0.0)
+    outcome = run_sweep_outcome(
+        [*points, bad], seeds, workers=2, min_cells_per_worker=0,
+        retry=fast_retry,
+    )
+    assert outcome.stats.mode == "warm"
+    assert outcome.results[:2] == ref
+    assert outcome.results[2] is None
+    assert {(e.point_index, e.seed_index) for e in outcome.quarantined} \
+        == {(2, 0), (2, 1)}

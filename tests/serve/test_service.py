@@ -112,3 +112,23 @@ class TestUnixService:
         thread.join(timeout=10.0)
         # Graceful shutdown removes the socket file.
         assert not (tmp_path / "serve.sock").exists()
+
+    def test_drain_report_larger_than_a_request_line(self, tmp_path):
+        """Regression: the client held *responses* to the 64 KiB
+        *request*-line cap, so ``drain`` failed once a session held more
+        than ~335 jobs.  A 400-job session must drain through the socket
+        client byte-identically to the batch simulator."""
+        from repro.serve.protocol import MAX_LINE_BYTES, encode
+
+        from tests.serve.test_engine import batch_report
+
+        setup = SimulationSetup(site="sdsc", n_jobs=400, seed=13)
+        engine = ServeEngine.from_setup(setup)
+        address, thread = start_service(tmp_path, engine, unix=True)
+        with SocketClient.connect(address) as client:
+            report = run_load(client, setup.build_workload(), pipeline_depth=16)
+            client.shutdown()
+        thread.join(timeout=10.0)
+        assert report.dropped == 0 and report.errors == 0
+        assert len(encode(report.final_report)) > MAX_LINE_BYTES
+        assert encode(report.final_report) == encode(batch_report(setup))
