@@ -55,6 +55,7 @@ from repro.experiments import parallel as parallel_mod
 from repro.experiments import pool as pool_mod
 from repro.experiments import sweep as sweep_mod
 from repro.experiments.sweep import SweepPoint, run_sweep_outcome
+from repro.failures.synthetic import generate_failures
 from repro.geometry.coords import BGL_SUPERNODE_DIMS
 from repro.geometry.torus import Torus
 from repro.workloads.job import Job
@@ -314,6 +315,16 @@ TRACE_BENCH_JOBS = 100
 TRACE_BENCH_FAILURES = 24
 
 
+def bench_master_log_generate(scale: Scale):
+    """One full-size (8 192-event) master failure log on the BG/L dims,
+    as every sweep seed draws once per process (logs/s)."""
+
+    def run():
+        generate_failures(D, 8192, 1e6, seed=1)
+
+    return run, 1
+
+
 def bench_sim_trace(scale: Scale, trace: bool):
     """End-to-end single simulation with tracing on or off.
 
@@ -543,6 +554,7 @@ def run_benchmarks(scale_name: str, workers: int, out_path: Path) -> list[dict]:
         ("finder_fast", lambda s: _bench_finder("fast", s)),
         ("index_incremental_update", lambda s: _bench_index_update(s, True)),
         ("index_rebuild_oracle", lambda s: _bench_index_update(s, False)),
+        ("master_log_generate", bench_master_log_generate),
     ]
     for name, factory in micro:
         run, ops = factory(scale)

@@ -15,7 +15,7 @@ from repro.core.config import SimulationConfig
 from repro.core.policies.registry import make_policy
 from repro.core.simulator import Simulator, simulate
 from repro.failures.events import FailureLog
-from repro.failures.synthetic import BurstFailureModel, generate_failures
+from repro.failures.synthetic import BurstFailureModel, failure_horizon_s, generate_failures
 from repro.geometry.coords import BGL_SUPERNODE_DIMS
 from repro.metrics.report import SimulationReport
 from repro.prediction.base import PartitionFailureRule
@@ -55,11 +55,10 @@ class SimulationSetup:
     def build_failures(self, workload: Workload) -> FailureLog:
         """Failure log spanning the workload (plus tail slack for jobs
         still running after the last arrival)."""
-        horizon = max(workload.span * 1.5, 3600.0)
         return generate_failures(
             self.config.dims,
             self.n_failures,
-            horizon,
+            failure_horizon_s(workload.span),
             model=self.failure_model,
             seed=self.seed + 1,  # decorrelated from the workload draw
         )

@@ -132,7 +132,7 @@ def _scenario_pipeline(args: argparse.Namespace):
     from repro.api import SimulationSetup
     from repro.core.config import SimulationConfig
     from repro.core.policies.registry import make_policy
-    from repro.failures.synthetic import generate_failures
+    from repro.failures.synthetic import failure_horizon_s, generate_failures
     from repro.workloads.scaling import fit_to_machine
     from repro.workloads.swf import read_swf
 
@@ -142,7 +142,7 @@ def _scenario_pipeline(args: argparse.Namespace):
         if args.head:
             workload = workload.head(args.head)
         workload = fit_to_machine(workload, config.dims)
-        horizon = max(workload.span * 1.5, 3600.0)
+        horizon = failure_horizon_s(workload.span)
         failures = generate_failures(
             config.dims, args.failures, horizon, seed=args.seed + 1
         )
@@ -726,7 +726,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 def _cmd_characterize(args: argparse.Namespace) -> int:
     from repro.analysis import characterize_failures, characterize_workload
     from repro.core.config import SimulationConfig
-    from repro.failures.synthetic import generate_failures
+    from repro.failures.synthetic import failure_horizon_s, generate_failures
     from repro.workloads.scaling import fit_to_machine
     from repro.workloads.swf import read_swf
     from repro.workloads.synthetic import generate_workload
@@ -744,7 +744,7 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
     print("Workload profile:")
     for field_name in profile.__dataclass_fields__:
         print(f"  {field_name:<24} {getattr(profile, field_name)}")
-    horizon = max(workload.span * 1.5, 3600.0)
+    horizon = failure_horizon_s(workload.span)
     failures = generate_failures(config.dims, args.failures, horizon, seed=args.seed + 1)
     fprofile = characterize_failures(failures)
     print("\nMatched synthetic failure-trace profile:")
@@ -778,7 +778,7 @@ def _cmd_swf(args: argparse.Namespace) -> int:
     from repro.core.config import SimulationConfig
     from repro.core.policies.registry import make_policy
     from repro.core.simulator import simulate
-    from repro.failures.synthetic import generate_failures
+    from repro.failures.synthetic import failure_horizon_s, generate_failures
     from repro.workloads.scaling import fit_to_machine
     from repro.workloads.swf import read_swf
 
@@ -787,7 +787,7 @@ def _cmd_swf(args: argparse.Namespace) -> int:
     if args.head:
         workload = workload.head(args.head)
     workload = fit_to_machine(workload, config.dims)
-    horizon = max(workload.span * 1.5, 3600.0)
+    horizon = failure_horizon_s(workload.span)
     failures = generate_failures(config.dims, args.failures, horizon, seed=args.seed)
     policy = make_policy(
         args.policy, failure_log=failures, parameter=args.parameter, seed=args.seed
@@ -980,8 +980,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _dispatch(args)
     except KeyboardInterrupt:
         # Ctrl-C is an answer, not a crash: shut the warm pool down (it
-        # holds worker processes and shared-memory arenas), say so once
-        # on stderr, and exit with the conventional 128+SIGINT code.
+        # holds worker processes), say so once on stderr, and exit with
+        # the conventional 128+SIGINT code.
         try:
             from repro.experiments.pool import shutdown_warm_pool
 

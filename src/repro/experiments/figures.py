@@ -30,14 +30,16 @@ import os
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from repro.core.config import SimulationConfig
 from repro.errors import ExperimentError
 from repro.experiments.parallel import default_workers
-from repro.experiments.sweep import SweepPoint, SweepResult, run_sweep_outcome
+from repro.experiments.sweep import (
+    SweepPoint,
+    SweepResult,
+    _workload_for,
+    run_sweep_outcome,
+)
+from repro.failures.synthetic import failure_horizon_s
 from repro.resilience import RetryPolicy, incomplete_points
-from repro.workloads.models import site_model
-from repro.workloads.scaling import fit_to_machine, scale_load
-from repro.workloads.synthetic import generate_workload
 
 #: Paper failure-count axis for the failure-rate studies (Figs. 3-5).
 PAPER_FAILURE_AXIS = tuple(range(0, 4001, 500))
@@ -60,12 +62,11 @@ def default_seeds() -> tuple[int, ...]:
 
 
 def _horizon_s(site: str, n_jobs: int, load_scale: float, seed: int = 0) -> float:
-    """Failure-injection horizon of a run (must match sweep internals)."""
-    workload = fit_to_machine(
-        scale_load(generate_workload(site_model(site), n_jobs, seed=seed), load_scale),
-        SimulationConfig().dims,
-    )
-    return max(workload.span * 1.5, 3600.0)
+    """Failure-injection horizon of a run: that of the workload the
+    sweep's own cells will replay (only a point's workload axes matter
+    here)."""
+    point = SweepPoint(site, n_jobs, load_scale, 0, "krevat", 0.0)
+    return failure_horizon_s(_workload_for(point, seed).span)
 
 
 def paper_failures_to_sim(paper_count: int, horizon_s: float) -> int:

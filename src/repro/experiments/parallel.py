@@ -16,9 +16,9 @@ Backend (one rule for every sweep)
     platform lacks ``fork``, at most one cell is left to run, or the
     grid is below the ``min_cells_per_worker`` cutover.  Otherwise the
     persistent **warm pool** (:mod:`repro.experiments.pool`): workers
-    forked once per process lifetime, each seed group's workload and
-    master-log inputs built once in the parent and shipped through a
-    shared-memory arena while the workers crunch the previous group.
+    forked once per process lifetime, each building the workload and
+    master-log inputs of the cells it is handed — as the in-process
+    backend does — and keeping them cached from one sweep to the next.
 
 Resilience (data carried by the loop, not a second path)
     ``checkpoint_dir`` attaches a store: every completed cell is
@@ -38,20 +38,18 @@ Resilience (data carried by the loop, not a second path)
 
 Whichever way the loop is left — done, a cell's exception, a dead
 worker, Ctrl-C — futures not yet started are cancelled and running ones
-awaited *before* the arenas are unlinked, so no worker is left
-attaching a segment that is gone and no chunk of a failed sweep is
-still occupying the pool when the caller sees the error.
+awaited, so no chunk of a failed sweep is still occupying the shared
+pool when the caller sees the error.
 
 Cells are enumerated **seed-major** because the expensive inputs depend
-on the seed, not the swept parameter: neighbouring cells share an arena
-and hit the worker-side caches in :mod:`repro.experiments.sweep`.
+on the seed, not the swept parameter: neighbouring cells hit the input
+caches in :mod:`repro.experiments.sweep` of whichever process runs them.
 Results are keyed by cell id and re-ordered before averaging, so
 neither completion order nor retry order can affect the output.
 """
 
 from __future__ import annotations
 
-import itertools
 import multiprocessing
 import os
 import time
@@ -64,6 +62,7 @@ from typing import Callable, Sequence
 
 from repro.errors import ExperimentError
 from repro.experiments import pool as pool_mod
+from repro.experiments import sweep as sweep_mod
 from repro.experiments.sweep import (
     Cell,
     SweepPoint,
@@ -71,6 +70,7 @@ from repro.experiments.sweep import (
     _result_cache,
     enumerate_cells,
     merge_reports,
+    result_cache_key,
 )
 from repro.failures.synthetic import BurstFailureModel
 from repro.metrics.report import SimulationReport
@@ -235,7 +235,7 @@ class SweepExecutor:
             # cannot say which cells are durably checkpointed, and a
             # resumable sweep must leave a complete on-disk record.
             cached = (
-                _result_cache.get((point, seeds, model))
+                _result_cache.get(result_cache_key(point, seeds, model))
                 if collector is None and not self.resilient
                 else None
             )
@@ -272,8 +272,8 @@ class SweepExecutor:
         remaining = [cell for cell in cells if cell[0] not in reports]
         if remaining:
             self._dispatch(
-                points, remaining, model, n_workers, collector, store, keys,
-                stats, quarantine, reports,
+                remaining, model, n_workers, collector, store, keys, stats,
+                quarantine, reports,
             )
         else:
             stats.mode = "cached"
@@ -299,7 +299,6 @@ class SweepExecutor:
     # ------------------------------------------------------------------
     def _dispatch(
         self,
-        points: Sequence[SweepPoint],
         cells: list[Cell],
         model: BurstFailureModel,
         n_workers: int,
@@ -357,60 +356,35 @@ class SweepExecutor:
             stats.workers_used,
         )
 
-        groups = {
-            si: list(group)
-            for si, group in itertools.groupby(cells, key=lambda cell: cell[0][1])
-        }
         backlog = deque(
-            group[lo : lo + chunk_size]
-            for group in groups.values()
-            for lo in range(0, len(group), chunk_size)
+            cells[lo : lo + chunk_size] for lo in range(0, n_cells, chunk_size)
         )
         attempts = {cell[0]: 0 for cell in cells}
         with_obs = collector is not None
         timeout_s = policy.cell_timeout_s if policy else None
         in_flight: dict[Future, list[Cell]] = {}
-        arenas: dict[int, pool_mod.SharedArena] = {}
-        shipped: set = set()
         started = last_log = time.monotonic()
         try:
             while backlog or in_flight:
                 if backlog:
                     chunk = backlog.popleft()
-                    handle = None
-                    if executor is not inprocess:
-                        # Arenas are built as their seed group comes up,
-                        # so seed k+1's inputs generate in the parent
-                        # while the workers crunch seed k.
-                        si = chunk[0][0][1]
-                        if si not in arenas:
-                            arenas[si] = pool_mod.build_seed_arena(
-                                points,
-                                [cell_id[0] for cell_id, _, _ in groups[si]],
-                                chunk[0][2],
-                                model,
-                                warm.next_generation(),
-                                shipped,
-                            )
-                            stats.arena_bytes += arenas[si].handle.size
-                        handle = arenas[si].handle
                     try:
                         future = executor.submit(
                             pool_mod.run_chunk,
-                            handle,
                             [(*cell, attempts[cell[0]]) for cell in chunk],
                             model,
                             with_obs,
                             self.chaos,
                             timeout_s,
+                            executor is not inprocess,
+                            sweep_mod.MASTER_FAILURE_COUNT,
                         )
                     except BrokenProcessPool as exc:
                         future = Future()
                         future.set_exception(exc)
                     in_flight[future] = chunk
                 # Harvest without blocking while there is more to
-                # submit: checkpoints land as cells finish and the next
-                # arena build is never held up.
+                # submit, so checkpoints land as cells finish.
                 done, _ = wait(
                     in_flight,
                     timeout=0 if backlog else None,
@@ -510,13 +484,11 @@ class SweepExecutor:
                     )
         finally:
             # However the loop was left, no chunk of this sweep may
-            # outlive it: cancel what has not started, wait for what
-            # has, and only then unlink the arenas those chunks attach.
+            # outlive it in the shared pool: cancel what has not
+            # started, wait for what has.
             for future in in_flight:
                 future.cancel()
             wait(in_flight)
-            for arena in arenas.values():
-                arena.unlink()
         elapsed = time.monotonic() - started
         if pooled and policy is None:
             pool_mod.observe_cell_cost(elapsed / n_cells)

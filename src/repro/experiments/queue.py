@@ -209,6 +209,10 @@ class WorkQueue:
                     "attempt": 1,
                     "point": describe_point(point),
                     "model": describe_model(model),
+                    # The driver's master-log size travels with the
+                    # work, so a worker on any host thins from the log
+                    # the driver will verify against.
+                    "master_failure_count": sweep_mod.MASTER_FAILURE_COUNT,
                 },
             )
             enqueued.append(key)
@@ -449,19 +453,15 @@ def run_worker(
     """
     from repro.resilience.chaos import KILL_EXIT_CODE
 
-    # Spawned workers must thin failures from master logs of the same
-    # length as the driver that enqueued (and will serially verify) the
-    # cells; the driver exports its count when it spawns us.
-    master_count = os.environ.get("REPRO_MASTER_FAILURE_COUNT")
-    if master_count is not None:
-        sweep_mod.MASTER_FAILURE_COUNT = int(master_count)
-
     queue = WorkQueue(
         queue_dir,
         lease_s=lease_s,
         max_attempts=max_attempts,
         worker_id=worker_id,
     )
+    # Each task record names its driver's master-log size; one written
+    # before the field existed runs under this process's own.
+    own_master_count = sweep_mod.MASTER_FAILURE_COUNT
     completed = 0
     claims_made = 0
     idle_since: float | None = None
@@ -499,6 +499,9 @@ def run_worker(
             queue.release_duplicate(task)
             continue
         try:
+            sweep_mod.MASTER_FAILURE_COUNT = int(
+                task.record.get("master_failure_count", own_master_count)
+            )
             report = simulate_cell(task.point(), task.seed, task.model())
         except BaseException as exc:
             queue.fail(task, exc)
@@ -554,7 +557,6 @@ def spawn_worker_process(
     env["PYTHONPATH"] = src_root + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
     )
-    env["REPRO_MASTER_FAILURE_COUNT"] = str(sweep_mod.MASTER_FAILURE_COUNT)
     return subprocess.Popen(cmd, env=env)
 
 

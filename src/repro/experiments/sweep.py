@@ -26,7 +26,11 @@ from repro.obs.aggregate import CellObs, SweepObsCollector
 from repro.obs.log import get_logger
 from repro.failures.events import FailureLog
 from repro.failures.scaling import rescale_failures
-from repro.failures.synthetic import BurstFailureModel, generate_failures
+from repro.failures.synthetic import (
+    BurstFailureModel,
+    failure_horizon_s,
+    generate_failures,
+)
 from repro.metrics.report import SimulationReport
 from repro.prediction.base import PartitionFailureRule
 from repro.workloads.job import Workload
@@ -132,51 +136,47 @@ def _check_report_consistency(report: SimulationReport) -> None:
 _workload_cache: dict[tuple, Workload] = {}
 _master_log_cache: dict[tuple, FailureLog] = {}
 
+#: Entries an input cache holds before it is emptied: bounds memory in
+#: the long-lived processes that fill them (the calling process, warm
+#: pool workers, queue workers).
+_MAX_CACHE_ENTRIES = 64
 
-def workload_cache_key(point: SweepPoint, seed: int) -> tuple:
-    """Cache key of the workload one ``(point, seed)`` cell replays.
+#: Master failure logs are generated at this count and thinned down, so a
+#: failure-count axis is nested (monotone by construction).  Tests and
+#: benches shrink it, so everything cached below is keyed by it.
+MASTER_FAILURE_COUNT = 8192
 
-    Exposed (with :func:`master_log_cache_key`) so the warm-pool arena
-    builder in :mod:`repro.experiments.pool` can snapshot exactly the
-    cache entries a sweep's cells will look up.
-    """
-    return (point.site, point.n_jobs, point.load_scale, seed, point.config.dims.as_tuple())
+
+def _cache_put(cache: dict, key: tuple, value) -> None:
+    if len(cache) >= _MAX_CACHE_ENTRIES:
+        cache.clear()
+    cache[key] = value
 
 
 def _workload_for(point: SweepPoint, seed: int) -> Workload:
-    key = workload_cache_key(point, seed)
+    key = (point.site, point.n_jobs, point.load_scale, seed, point.config.dims.as_tuple())
     workload = _workload_cache.get(key)
     if workload is None:
         raw = generate_workload(site_model(point.site), point.n_jobs, seed=seed)
         workload = fit_to_machine(scale_load(raw, point.load_scale), point.config.dims)
-        _workload_cache[key] = workload
+        _cache_put(_workload_cache, key, workload)
     return workload
-
-
-#: Master failure logs are generated at this count and thinned down, so a
-#: failure-count axis is nested (monotone by construction).
-MASTER_FAILURE_COUNT = 8192
-
-
-def master_log_cache_key(
-    point: SweepPoint, workload: Workload, seed: int, model: BurstFailureModel
-) -> tuple:
-    """Cache key of the master failure log a cell thins its failures from."""
-    horizon = max(workload.span * 1.5, 3600.0)
-    return (point.config.dims.as_tuple(), round(horizon, 3), seed, model)
 
 
 def _failures_for(
     point: SweepPoint, workload: Workload, seed: int, model: BurstFailureModel
 ) -> FailureLog:
-    key = master_log_cache_key(point, workload, seed, model)
+    horizon = failure_horizon_s(workload.span)
+    key = (
+        point.config.dims.as_tuple(), round(horizon, 3), seed, model,
+        MASTER_FAILURE_COUNT,
+    )
     master = _master_log_cache.get(key)
     if master is None:
-        horizon = max(workload.span * 1.5, 3600.0)
         master = generate_failures(
             point.config.dims, MASTER_FAILURE_COUNT, horizon, model=model, seed=seed + 1
         )
-        _master_log_cache[key] = master
+        _cache_put(_master_log_cache, key, master)
     if point.n_failures > MASTER_FAILURE_COUNT:
         raise ExperimentError(
             f"n_failures {point.n_failures} exceeds master log size "
@@ -186,6 +186,14 @@ def _failures_for(
 
 
 _result_cache: dict[tuple, SweepResult] = {}
+
+
+def result_cache_key(
+    point: SweepPoint, seeds: tuple[int, ...], model: BurstFailureModel
+) -> tuple:
+    """Key of one seed-averaged result in the in-memory memo."""
+    return (point, seeds, model, MASTER_FAILURE_COUNT)
+
 
 logger = get_logger(__name__)
 
@@ -238,7 +246,7 @@ def merge_reports(
             continue
         result = SweepResult.from_reports(points[i], present)
         if len(present) == len(seeds):
-            _result_cache[(points[i], seeds, model)] = result
+            _result_cache[result_cache_key(points[i], seeds, model)] = result
         merged.append(result)
     return merged
 
@@ -321,7 +329,7 @@ def run_point(
     seeds = tuple(seeds)
     reports = {}
     if collector is None:
-        cached = _result_cache.get((point, seeds, model))
+        cached = _result_cache.get(result_cache_key(point, seeds, model))
         if cached is not None:
             return cached
         for seed_index, seed in enumerate(seeds):

@@ -20,6 +20,7 @@ times jitter within a short window around the epoch.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -64,15 +65,34 @@ class BurstFailureModel:
             raise FailureModelError("burst_window_s must be >= 0")
 
 
+def failure_horizon_s(workload_span_s: float) -> float:
+    """Failure-injection horizon of a run over a workload of that span:
+    tail slack for jobs still running after the last arrival, and at
+    least an hour."""
+    return max(workload_span_s * 1.5, 3600.0)
+
+
+# A master log draws thousands of bursts but one torus has only
+# ``dims.volume`` distinct balls per radius (128 on BG/L), so they are
+# memoised; the bound is generous for every machine the tests build.
+@lru_cache(maxsize=4096)
 def _neighbourhood(dims: TorusDims, centre_id: int, radius: int) -> np.ndarray:
-    """Linear ids of all nodes within Manhattan torus distance ``radius``."""
+    """Linear ids of all nodes within Manhattan torus distance ``radius``.
+
+    The array is shared by every burst with that epicentre, hence
+    read-only.
+    """
     centre = dims.coord(centre_id)
-    ids = [
-        dims.index(c)
-        for c in dims.iter_coords()
-        if manhattan_torus_distance(dims, centre, c) <= radius
-    ]
-    return np.array(ids, dtype=np.int64)
+    ids = np.array(
+        [
+            dims.index(c)
+            for c in dims.iter_coords()
+            if manhattan_torus_distance(dims, centre, c) <= radius
+        ],
+        dtype=np.int64,
+    )
+    ids.flags.writeable = False
+    return ids
 
 
 def generate_failures(

@@ -19,17 +19,15 @@ class SweepRunStats:
     retry counters separate *in-cell failures* (the cell itself raised)
     from *resubmits* (the cell was lost when its worker pool broke).
     ``mode`` records how the cells were actually run — ``"warm"``
-    (the persistent warm pool with shared-memory arenas; resilient
-    sweeps included), ``"queue"`` (directory-backed multi-host work
-    queue), ``"serial"`` (in-process, whether by request, platform
+    (the persistent warm pool; resilient sweeps included), ``"queue"``
+    (directory-backed multi-host work queue), ``"serial"`` (in-process, whether by request, platform
     limits, or the small-sweep parallel cutover) or ``"cached"`` (every
     cell restored/memoised, nothing executed).  A warm run whose pool
     kept breaking finishes in-process with ``degraded`` set.
     ``workers_used`` is the worker count the chosen mode employed (1
     for serial), ``chunk_size`` the cells-per-task of the fan-out (1
-    whenever a retry policy is in force, so failures stay attributable),
-    ``arena_bytes`` the total shared-memory payload shipped and
-    ``pool_reused`` whether the warm pool was already up — benches
+    whenever a retry policy is in force, so failures stay attributable)
+    and ``pool_reused`` whether the warm pool was already up — benches
     record them so a run's regime is auditable.
     """
 
@@ -45,7 +43,6 @@ class SweepRunStats:
     mode: str = ""
     workers_used: int = 1
     chunk_size: int = 0
-    arena_bytes: int = 0
     pool_reused: bool = False
 
     def summary_line(self) -> str:

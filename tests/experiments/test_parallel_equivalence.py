@@ -15,6 +15,8 @@ keep the skip conditions honest (fork genuinely unavailable).
 from __future__ import annotations
 
 import os
+import time
+from concurrent.futures import wait
 
 import pytest
 
@@ -37,12 +39,11 @@ needs_fork = pytest.mark.skipif(
 def small_master_log(monkeypatch):
     """Shrink master failure logs and isolate every sweep-level cache.
 
-    The patched ``MASTER_FAILURE_COUNT`` changes what ``_failures_for``
-    generates, and the master-log cache is not keyed on the count, so
-    both caches must be emptied on entry *and* exit to keep other test
-    modules honest.  The warm pool is torn down around every test so
-    each test's workers fork *after* its monkeypatches — the persistent
-    pool would otherwise keep workers from before the patch.
+    The caches are emptied on entry so every test computes its cells
+    (they are keyed by the count, so this is for coldness, not
+    correctness).  The warm pool is torn down around every test so each
+    test's workers fork *after* its monkeypatches — the persistent pool
+    would otherwise keep workers from before a patched function.
     """
     shutdown_warm_pool()
     monkeypatch.setattr(sweep_mod, "MASTER_FAILURE_COUNT", 64)
@@ -109,17 +110,35 @@ BACKENDS = {
         ),
         "warm", 2,
     ),
+    "warm-pool+stale-workers": (
+        lambda tmp: dict(workers=2, min_cells_per_worker=0), "warm", 2,
+    ),
     "queue": (lambda tmp: dict(workers=2, queue_dir=tmp), "queue", 2),
 }
 
 
+def _leave_stale_workers(monkeypatch, points, seeds):
+    """A pool whose workers forked, and filled their input caches, under
+    the full-size master log — before the calling process shrank it."""
+    monkeypatch.setattr(sweep_mod, "MASTER_FAILURE_COUNT", 8192)
+    executor = pool_mod.get_warm_pool().ensure(2)
+    wait([executor.submit(time.sleep, 0.05) for _ in range(2)])
+    run_sweep(points, seeds, workers=2, min_cells_per_worker=0)
+    monkeypatch.setattr(sweep_mod, "MASTER_FAILURE_COUNT", 64)
+    sweep_mod._result_cache.clear()
+    sweep_mod._workload_cache.clear()
+    sweep_mod._master_log_cache.clear()
+
+
 @needs_fork
 @pytest.mark.parametrize("backend", sorted(BACKENDS))
-def test_every_backend_matches_serial(backend, tmp_path):
+def test_every_backend_matches_serial(backend, tmp_path, monkeypatch):
     """One grid through every execution path: results ``==`` serial
     (exact floats) and the stats say what really ran."""
     options, mode, workers_used = BACKENDS[backend]
     points, seeds = _mixed_grid()
+    if "stale" in backend:
+        _leave_stale_workers(monkeypatch, points, seeds)
     # The backend under test goes first, against cold caches, so it
     # cannot piggyback on serially computed results.
     outcome = run_sweep_outcome(points, seeds, **options(tmp_path))
@@ -159,7 +178,9 @@ class TestSerialParallelEquivalence:
         serial = run_sweep(points, seeds, workers=1)
         # Keep only the middle point cached; the executor must compute
         # the other two and preserve order.
-        model_key = (points[1], seeds, sweep_mod.BurstFailureModel())
+        model_key = sweep_mod.result_cache_key(
+            points[1], seeds, sweep_mod.BurstFailureModel()
+        )
         keep = sweep_mod._result_cache[model_key]
         sweep_mod._result_cache.clear()
         sweep_mod._result_cache[model_key] = keep
@@ -203,10 +224,9 @@ class TestWorkerFailure:
 
     def test_fail_fast_exit_drains_the_pool_before_raising(self):
         """Regression: the first failing chunk used to surface while the
-        sweep's other chunks were still running in the persistent pool,
-        and their arenas were unlinked under them.  When the exception
-        reaches the caller the pool must be alive and idle, with every
-        arena of the failed sweep gone."""
+        sweep's other chunks were still running in the persistent pool.
+        When the exception reaches the caller the pool must be alive
+        and idle."""
         points = [
             SweepPoint(
                 "nasa", 100, 1.0, 2, "balancing", 0.3,
@@ -231,7 +251,6 @@ class TestWorkerFailure:
             item.future.done()
             for item in list(executor._pending_work_items.values())
         )
-        assert not pool_mod._live_arenas
         assert executor.submit(max, 1, 2).result(timeout=30) == 2
 
 

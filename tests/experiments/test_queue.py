@@ -6,16 +6,19 @@ unlink-as-arbiter reclaim, re-enqueue-then-dead-letter attempt
 accounting, and a driver whose merged results are bitwise identical to
 a serial sweep of the same grid — including across resumed runs.
 
-Worker *processes* inherit the driver's ``MASTER_FAILURE_COUNT`` via the
-``REPRO_MASTER_FAILURE_COUNT`` environment export, so the shrunken logs
-the fixture installs apply on both sides of the queue directory.
+Workers take the driver's ``MASTER_FAILURE_COUNT`` from the task records,
+so the shrunken logs the fixture installs apply on both sides of the
+queue directory, whoever started the worker.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -229,6 +232,54 @@ class TestWorkerLoop:
         assert outcome.results == ref
         assert outcome.complete
         assert outcome.stats.mode == "queue"
+
+    def test_hand_started_worker_follows_the_enqueued_master_count(
+        self, tmp_path, grid
+    ):
+        """A ``bgl-sim sweep-worker`` on another host shares nothing with
+        the driver but the queue directory — no module state, no
+        environment — and must still thin from master logs of the
+        driver's size: the count travels in the task record."""
+        points, seeds = grid
+        ref = _serial_reference(points, seeds)
+        WorkQueue(tmp_path).enqueue(points, seeds, BurstFailureModel())
+        env = {
+            k: v for k, v in os.environ.items()
+            if k != "REPRO_MASTER_FAILURE_COUNT"
+        }
+        src_root = str(Path(queue_mod.__file__).resolve().parents[2])
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src_root, env.get("PYTHONPATH")])
+        )
+        subprocess.run(
+            [
+                sys.executable, "-m", "repro.cli", "sweep-worker",
+                "--queue-dir", str(tmp_path), "--idle-exit-s", "1",
+            ],
+            env=env, check=True, timeout=120,
+        )
+        outcome = run_queue_sweep(
+            points, seeds, queue_dir=tmp_path, spawn_workers=False
+        )
+        assert outcome.results == ref
+        assert outcome.complete
+
+    def test_record_without_master_count_keeps_the_module_default(
+        self, tmp_path, grid
+    ):
+        """Task records written before the field existed still run."""
+        points, seeds = grid
+        ref = _serial_reference(points, seeds)
+        queue = WorkQueue(tmp_path)
+        for key in queue.enqueue(points, seeds, BurstFailureModel()):
+            record = json.loads((queue.tasks_dir / f"{key}.json").read_text())
+            del record["master_failure_count"]
+            queue_mod._write_record(queue.tasks_dir, key, record)
+        assert run_worker(tmp_path) == len(points) * len(seeds)
+        outcome = run_queue_sweep(
+            points, seeds, queue_dir=tmp_path, spawn_workers=False
+        )
+        assert outcome.results == ref
 
     def test_duplicate_task_released_not_recomputed(self, tmp_path, grid):
         points, seeds = grid

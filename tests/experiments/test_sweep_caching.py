@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+import repro.experiments.sweep as sweep_mod
 from repro.experiments.figures import default_n_jobs, default_seeds, _horizon_s
 from repro.experiments.sweep import SweepPoint, run_point, run_sweep
 
@@ -30,6 +31,23 @@ class TestResultCaching:
         assert len(results) == 2
         assert results[0].point.n_failures == 0
         assert results[1].point.n_failures == 3
+
+
+    def test_caches_are_keyed_by_the_master_log_size(self, monkeypatch):
+        """Neither the result memo nor the master-log cache may hand a
+        run under one ``MASTER_FAILURE_COUNT`` what was built under
+        another (tests and benches shrink the constant)."""
+        points = [SweepPoint("sdsc", 30, 1.0, 30, "krevat", 0.0)]
+        monkeypatch.setattr(sweep_mod, "MASTER_FAILURE_COUNT", 64)
+        (small,) = run_sweep(points, (0,))
+        monkeypatch.setattr(sweep_mod, "MASTER_FAILURE_COUNT", 8192)
+        (full,) = run_sweep(points, (0,))
+        assert full is not small
+        sweep_mod._result_cache.clear()
+        sweep_mod._workload_cache.clear()
+        sweep_mod._master_log_cache.clear()
+        assert run_sweep(points, (0,)) == [full]  # what a cold process gets
+        assert full != small  # the point does tell the two logs apart
 
 
 class TestEnvKnobs:

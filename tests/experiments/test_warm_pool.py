@@ -1,16 +1,14 @@
 """Warm-pool engine unit and integration tests.
 
-Covers the three mechanisms of :mod:`repro.experiments.pool` — pool
+Covers the mechanisms of :mod:`repro.experiments.pool` — pool
 persistence across ``run_sweep`` calls (resilient ones included),
-shared-memory arena shipping (both backends), adaptive chunk sizing fed
-by the per-cell cost EMA — plus their cleanup contracts (arena unlink,
-broken pool respawn, idempotent shutdown, one shared resource tracker).
+adaptive chunk sizing fed by the per-cell cost EMA — plus their cleanup
+contracts (broken pool respawn, idempotent shutdown, a silent exit).
 """
 
 from __future__ import annotations
 
 import os
-import pickle
 import subprocess
 import sys
 import textwrap
@@ -22,8 +20,6 @@ import repro.experiments.pool as pool_mod
 import repro.experiments.sweep as sweep_mod
 from repro.experiments.parallel import SweepExecutor, fork_available
 from repro.experiments.pool import (
-    ArenaHandle,
-    SharedArena,
     adaptive_chunk_size,
     get_warm_pool,
     shutdown_warm_pool,
@@ -61,48 +57,6 @@ def _grid() -> tuple[list[SweepPoint], tuple[int, ...]]:
         SweepPoint("nasa", 20, 1.0, f, "balancing", 0.3) for f in (0, 2, 4)
     ]
     return points, (0, 1)
-
-
-# ----------------------------------------------------------------------
-# arenas
-# ----------------------------------------------------------------------
-
-class TestSharedArena:
-    @pytest.mark.parametrize("backend", ["shm", "file"])
-    def test_roundtrip(self, backend):
-        payload = pickle.dumps({"k": list(range(100))})
-        arena = SharedArena(payload, generation=1, backend=backend)
-        try:
-            assert arena.handle.size == len(payload)
-            assert pool_mod._read_arena(arena.handle) == payload
-        finally:
-            arena.unlink()
-
-    def test_unlink_is_idempotent_and_reaps_tracking(self):
-        arena = SharedArena(b"x" * 16, generation=2)
-        assert arena in pool_mod._live_arenas
-        arena.unlink()
-        assert arena not in pool_mod._live_arenas
-        arena.unlink()  # second unlink is a no-op, not an error
-
-    def test_file_backend_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ARENA_BACKEND", "file")
-        arena = SharedArena(b"payload", generation=3)
-        try:
-            assert arena.handle.backend == "file"
-            assert pool_mod._read_arena(arena.handle) == b"payload"
-        finally:
-            arena.unlink()
-
-    def test_unknown_backend_rejected(self):
-        from repro.errors import ExperimentError
-
-        with pytest.raises(ExperimentError, match="arena backend"):
-            SharedArena(b"x", generation=4, backend="carrier-pigeon")
-        with pytest.raises(ExperimentError, match="arena backend"):
-            pool_mod._read_arena(
-                ArenaHandle(backend="bogus", name="x", size=1, generation=5)
-            )
 
 
 # ----------------------------------------------------------------------
@@ -184,7 +138,6 @@ class TestPoolLifecycle:
         )
         assert first.stats.mode == "warm"
         assert first.stats.chunk_size == 1  # failures stay attributable
-        assert first.stats.arena_bytes > 0
         spawns = warm.spawns
         second = run_sweep_outcome(
             points, seeds, workers=2, min_cells_per_worker=0, retry=retry
@@ -192,7 +145,6 @@ class TestPoolLifecycle:
         assert warm.spawns == spawns
         assert second.stats.pool_reused
         assert second.results == first.results
-        assert not pool_mod._live_arenas
 
     def test_size_change_respawns(self):
         warm = get_warm_pool()
@@ -221,11 +173,6 @@ class TestPoolLifecycle:
         assert not warm.alive
         shutdown_warm_pool()  # never-used / already-down: no error
 
-    def test_sweep_unlinks_every_arena(self):
-        points, seeds = _grid()
-        run_sweep(points, seeds, workers=2, min_cells_per_worker=0)
-        assert not pool_mod._live_arenas
-
     def test_sweep_feeds_cost_ema_and_stats(self):
         points, seeds = _grid()
         outcome = SweepExecutor(
@@ -234,7 +181,6 @@ class TestPoolLifecycle:
         assert outcome.stats.mode == "warm"
         assert outcome.stats.workers_used == 2
         assert outcome.stats.chunk_size >= 1
-        assert outcome.stats.arena_bytes > 0
         assert pool_mod.cell_cost_estimate_s() > 0
         assert "workers=2" in outcome.stats.summary_line()
 
@@ -249,7 +195,7 @@ _PREWARMED_POOL_SCRIPT = textwrap.dedent(
     from repro.experiments.pool import get_warm_pool
     from repro.experiments.sweep import SweepPoint, run_sweep
 
-    # Workers exist before the first arena does.
+    # Workers exist before the first sweep does.
     executor = get_warm_pool().ensure(2)
     wait([executor.submit(time.sleep, 0.05) for _ in range(2)])
     points = [
@@ -262,16 +208,15 @@ _PREWARMED_POOL_SCRIPT = textwrap.dedent(
 
 @needs_fork
 def test_prewarmed_pool_shares_one_resource_tracker():
-    """Regression: workers forked before the parent's resource tracker
-    existed each started a private one on their first arena attach, and
-    those reported the parent's (already unlinked) segments as leaked
-    at exit.  ``WarmPool.ensure`` now starts the tracker first."""
+    """A process that pre-warms the pool and then sweeps on it exits
+    cleanly with nothing from a resource tracker on stderr (workers
+    forked before the first sweep used to start private trackers that
+    reported leaks at exit)."""
     env = dict(os.environ)
     src_root = str(Path(pool_mod.__file__).resolve().parents[2])
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [src_root, env.get("PYTHONPATH")])
     )
-    env.pop("REPRO_ARENA_BACKEND", None)
     proc = subprocess.run(
         [sys.executable, "-c", _PREWARMED_POOL_SCRIPT],
         env=env, capture_output=True, text=True, timeout=120,
@@ -281,13 +226,12 @@ def test_prewarmed_pool_shares_one_resource_tracker():
 
 
 # ----------------------------------------------------------------------
-# warm results equivalence (file backend + obs collector)
+# warm results equivalence
 # ----------------------------------------------------------------------
 
 @needs_fork
 class TestWarmEquivalence:
-    def test_file_backend_bitwise_identical(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ARENA_BACKEND", "file")
+    def test_file_backend_bitwise_identical(self):
         points, seeds = _grid()
         warm_results = run_sweep(
             points, seeds, workers=2, min_cells_per_worker=0
@@ -295,7 +239,6 @@ class TestWarmEquivalence:
         sweep_mod._result_cache.clear()
         serial = run_sweep(points, seeds, workers=1)
         assert warm_results == serial
-        assert not pool_mod._live_arenas  # file arenas reaped too
 
     def test_collector_parity_with_serial(self):
         from repro.obs.aggregate import SweepObsCollector

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +12,11 @@ from repro.errors import FailureModelError
 from repro.failures.events import FailureEvent, FailureLog
 from repro.failures.mapping import map_node_ids
 from repro.failures.scaling import failures_for_rate, rescale_failures
-from repro.failures.synthetic import BurstFailureModel, generate_failures
+from repro.failures.synthetic import (
+    BurstFailureModel,
+    _neighbourhood,
+    generate_failures,
+)
 from repro.geometry.coords import BGL_SUPERNODE_DIMS, TorusDims
 
 D = BGL_SUPERNODE_DIMS
@@ -85,6 +91,36 @@ class TestGenerateFailures:
                 a = D.coord(int(log.nodes[i]))
                 b = D.coord(int(log.nodes[i + 1]))
                 assert manhattan_torus_distance(D, a, b) <= 2
+
+    @pytest.mark.parametrize(
+        "model, seed, digest",
+        [
+            (
+                None, 1,
+                "2fe8f984b5774100437ef1cc7c117e0c87641dc59616159098dc35cb64b84db3",
+            ),
+            (
+                BurstFailureModel(
+                    mean_burst_interarrival_s=1800.0, burst_size_p=0.2,
+                    locality_radius=3, burst_window_s=60.0,
+                ),
+                7,
+                "8159899bbcec3ad739c98b9b7e74728e0b500de038a973a492c8b527cc291063",
+            ),
+        ],
+    )
+    def test_output_bytes_pinned(self, model, seed, digest):
+        """The generator's RNG stream is part of every result byte
+        downstream; digests recorded before the balls were memoised."""
+        log = generate_failures(D, 8192, 1e6, model=model, seed=seed)
+        got = hashlib.sha256(log.times.tobytes() + log.nodes.tobytes())
+        assert got.hexdigest() == digest
+
+    def test_memoised_ball_is_read_only_and_shared(self):
+        ball = _neighbourhood(D, 5, 2)
+        assert ball is _neighbourhood(D, 5, 2)
+        with pytest.raises(ValueError):
+            ball[0] = 99
 
 
 class TestRescale:

@@ -161,8 +161,8 @@ class TestDegradation:
 @needs_fork
 def test_pooled_point_with_unbuildable_inputs_is_quarantined(grid, fast_retry):
     """A point whose inputs cannot even be generated (here: an unknown
-    site) must cost a pooled resilient sweep only its own cells — the
-    parent's per-seed arena build must not turn it into an abort."""
+    site) must cost a pooled resilient sweep only its own cells: they
+    fail in the worker that tries to build them, like any other cell."""
     from repro.experiments.sweep import SweepPoint
 
     points, seeds = grid
