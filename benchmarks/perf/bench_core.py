@@ -47,7 +47,7 @@ if str(REPO_ROOT / "src") not in sys.path:  # direct-script convenience
 
 import numpy as np
 
-from repro.allocation.mfp import PlacementIndex
+from repro.allocation.mfp import IndexCache, PlacementIndex
 from repro.allocation.registry import get_finder
 from repro.core.backfill import ShadowTimeEngine, shadow_time_naive
 from repro.core.jobstate import JobState
@@ -226,12 +226,16 @@ def bench_shadow_time_engine(scale: Scale):
     torus = loaded_torus()
     running = running_states(torus)
     n = scale.micro_number
+    # Wired as ``Simulator.__init__`` wires it: the engine replays on
+    # the scheduler pass's own (incremental, already repaired) index.
+    index_cache = IndexCache(torus, incremental=True)
+    index_cache.get()
 
     def run():
-        # Fresh engine per pass: measures scratch-reuse + the per-pass
-        # cache exactly as one scheduler pass would see them.
+        # Fresh engine per pass: measures the release replay + the
+        # per-pass cache exactly as one scheduler pass would see them.
         for _ in range(n):
-            engine = ShadowTimeEngine(torus)
+            engine = ShadowTimeEngine(torus, index_cache=index_cache)
             for size in SHADOW_SIZES:
                 engine.shadow_time(running, size, 0.0)
                 engine.shadow_time(running, size, 10.0)  # cache hit
@@ -251,6 +255,60 @@ def bench_shadow_time_naive(scale: Scale):
                 shadow_time_naive(torus, running, size, 10.0)
 
     return run, n * 2 * len(SHADOW_SIZES)
+
+
+def bench_migration_plan(scale: Scale):
+    """Compaction planning on a fragmented machine: ~20 small running
+    jobs scattered over the 4x4x8 torus, a 32-node head."""
+    from repro.core.migration import plan_compaction
+    from repro.testing.random_state import random_partition
+
+    torus = Torus(D)
+    rng = np.random.default_rng(5)
+    while torus.n_jobs < 20:
+        part = random_partition(D, rng)
+        if part.size <= 6 and torus.is_free(part):
+            torus.allocate(torus.n_jobs, part)
+    running = running_states(torus)
+    head = JobState(Job(10_000, 0.0, 32, 100.0, 100.0))
+    if plan_compaction(torus, running, head) is None:
+        raise AssertionError("migration_plan fixture must be plannable")
+    n = scale.micro_number
+
+    def run():
+        for _ in range(n):
+            plan_compaction(torus, running, head)
+
+    return run, n
+
+
+def bench_backfill_walk_deep_queue(scale: Scale):
+    """One scheduler pass over a deep queue in which nothing fits: 120
+    waiting jobs of 8 distinct sizes behind a head, 16 nodes free."""
+    from repro.core.policies import KrevatPolicy
+    from repro.core.simulator import Simulator
+    from repro.failures.events import FailureLog
+    from repro.workloads.job import Workload
+
+    sizes = (24, 32, 40, 48, 64, 80, 96, 128)
+    jobs = [Job(0, 0.0, 112, 1e6, 1e6)] + [
+        Job(i, 1.0, sizes[i % len(sizes)], 100.0, 100.0) for i in range(1, 121)
+    ]
+    sim = Simulator(
+        Workload("deep_queue", D.volume, tuple(jobs)),
+        FailureLog(D.volume),
+        KrevatPolicy(),
+    )
+    sim.pump(horizon=2.0)
+    if len(sim.wait) != 120:
+        raise AssertionError("backfill_walk_deep_queue fixture must keep 120 waiting")
+    n = scale.micro_number * 10
+
+    def run():
+        for _ in range(n):
+            sim._schedule_pass(2.0)
+
+    return run, n
 
 
 def _bench_finder(name: str, scale: Scale):
@@ -549,6 +607,8 @@ def run_benchmarks(scale_name: str, workers: int, out_path: Path) -> list[dict]:
         ("scored_candidates_batch", lambda s: _bench_scored_candidates(s, True)),
         ("shadow_time_engine", bench_shadow_time_engine),
         ("shadow_time_naive", bench_shadow_time_naive),
+        ("migration_plan", bench_migration_plan),
+        ("backfill_walk_deep_queue", bench_backfill_walk_deep_queue),
         ("finder_naive", lambda s: _bench_finder("naive", s)),
         ("finder_pop", lambda s: _bench_finder("pop", s)),
         ("finder_fast", lambda s: _bench_finder("fast", s)),

@@ -39,6 +39,7 @@ batch-vs-scalar contract of DESIGN.md §5.11/§5.12).
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -318,6 +319,7 @@ class IncrementalPlacementIndex(PlacementIndex):
         "_ne_idx",
         "_fmask",
         "_fall",
+        "_feasible",
     )
 
     def __init__(self, torus: Torus) -> None:
@@ -356,6 +358,7 @@ class IncrementalPlacementIndex(PlacementIndex):
         cx = fr @ t.ones[3]                                        # (S, X)
         self._tot = (cx @ t.ones[0]).astype(np.int64)              # (S,)
         self._ne_idx = np.flatnonzero(self._tot)
+        self._feasible: frozenset[int] | None = None
         cyz = np.matmul(t.ones[0], fr)                             # (S, YZ)
         cy = cyz.reshape(S, Y, Z) @ t.ones[2]                      # (S, Y)
         cz = np.matmul(t.ones[1], cyz.reshape(S, Y, Z))            # (S, Z)
@@ -538,8 +541,38 @@ class IncrementalPlacementIndex(PlacementIndex):
         )
 
     def has_candidate(self, size: int) -> bool:
-        rows = self._tables.size_rows(size)
-        return bool(self._tot[rows].any()) if rows.size else False
+        # The volumes of the non-empty shape rows, once per state: the
+        # backfill walk asks this for every distinct waiting size.
+        feasible = self._feasible
+        if feasible is None:
+            feasible = self._feasible = frozenset(
+                self._tables.vol[self._ne_idx].tolist()
+            )
+        return size in feasible
+
+    def first_fit_release(
+        self, size: int, releases: Sequence[Partition]
+    ) -> int | None:
+        # Freeing a box lowers ``sums`` by its separable overlap patch
+        # (exactly what :meth:`apply` subtracts), so the replay is the
+        # size's rows of ``_sums`` minus a running sum of patches — every
+        # release at once, no integral and no window rebuild.
+        t = self._tables
+        rows = t.size_rows(size)
+        if not rows.size or not releases:
+            return None
+        wrap = self.dims.wrap
+        box = np.array([wrap(p.base) + p.shape for p in releases])   # (K, 6)
+        r = rows[None, :]
+        ox = t.overlap[0][box[:, 3, None] - 1, box[:, 0, None], r]   # (K, R, X)
+        oy = t.overlap[1][box[:, 4, None] - 1, box[:, 1, None], r]
+        oz = t.overlap[2][box[:, 5, None] - 1, box[:, 2, None], r]
+        freed = (ox[:, :, :, None] * oy[:, :, None, :])[..., None] \
+            * oz[:, :, None, None, :]                                # (K,R,X,Y,Z)
+        np.cumsum(freed, axis=0, out=freed)
+        fits = (freed == self._sums[rows]).reshape(len(releases), -1).any(axis=1)
+        k = int(fits.argmax())
+        return k if fits[k] else None
 
     def candidate_batch(self, size: int) -> CandidateBatch:
         # Same enumeration contract as the base implementation (shape

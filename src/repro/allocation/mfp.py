@@ -37,7 +37,7 @@ instead of rebuilding per loop iteration.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -328,6 +328,37 @@ class PlacementIndex:
                 return True
         return False
 
+    def first_fit_release(
+        self, size: int, releases: Sequence[Partition]
+    ) -> int | None:
+        """Index of the first of ``releases`` after which ``size`` fits.
+
+        ``releases`` are allocated partitions freed hypothetically, in
+        order, on top of this index's state (the EASY shadow-time replay);
+        ``None`` when no free partition of ``size`` exists even after the
+        last one.  This rebuild form re-derives the busy integral and the
+        windows of the size's shapes after each release.
+        """
+        dims = self.dims
+        shapes = shapes_for_size(size, dims)
+        if not shapes:
+            return None
+        dims_shape = dims.as_tuple()
+        busy = window_sums_from_integral(self._busy_integral, dims_shape, (1, 1, 1))
+        free_now = dims.volume - int(busy.sum())
+        for k, partition in enumerate(releases):
+            busy[np.ix_(*partition.axis_ranges(dims))] = 0
+            free_now += partition.size
+            # No box of ``size`` nodes can exist with fewer free nodes;
+            # skip the window rebuild until releases reach that mass.
+            if free_now < size:
+                continue
+            integral = wrap_pad_integral(busy)
+            for shape in shapes:
+                if not window_sums_from_integral(integral, dims_shape, shape).all():
+                    return k
+        return None
+
     # ------------------------------------------------------------------
     def mfp_size(self) -> int:
         """Size of the maximal free partition (0 on a full machine)."""
@@ -537,11 +568,13 @@ _MAX_PATCH_ENTRIES = 8
 class IndexCache:
     """``torus.version``-checked reuse of one :class:`PlacementIndex`.
 
-    The scheduler's inner loops (dispatch scan, backfill probes,
-    migration planning) repeatedly need "the index for the current
-    machine state".  Building one per loop iteration discards every lazy
-    placement grid and score cache the previous iteration warmed; this
-    handle rebuilds only when the torus actually mutated.
+    The scheduler's inner loops repeatedly need "the index for the
+    current machine state": the dispatch scan, the backfill walk's
+    feasible-size gate and the shadow-time release replay share the
+    simulator's cache, and the compaction planner keeps one over its
+    scratch torus.  Building an index per loop iteration discards every
+    lazy placement grid and score cache the previous iteration warmed;
+    this handle rebuilds only when the torus actually mutated.
 
     With ``incremental=True`` the cache holds an
     :class:`~repro.allocation.incremental.IncrementalPlacementIndex`

@@ -63,10 +63,12 @@ def plan_compaction(
         key=lambda js: (-js.size, js.job.arrival, js.job_id),
     )
     scratch = Torus(torus.dims)
-    cache = IndexCache(scratch)
+    # One incremental index for the whole plan: each placement below is
+    # one journal entry, patched onto the index by the next ``get``.
+    cache = IndexCache(scratch, incremental=True)
     placements: list[tuple[int, Partition]] = []
     for js in todo:
-        # First-occurrence argmin == the old strict-`<` keep-first walk.
+        # First-occurrence argmin: the first candidate at minimal L_MFP.
         batch, losses = cache.get().batch_mfp_losses(js.size)
         if not len(batch):
             return None

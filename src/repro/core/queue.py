@@ -8,7 +8,7 @@ queue rather than the tail, matching the paper's restart semantics.
 from __future__ import annotations
 
 import bisect
-from typing import Iterator
+from typing import Iterator, KeysView
 
 from repro.errors import SimulationError
 from repro.core.jobstate import JobState
@@ -17,12 +17,13 @@ from repro.core.jobstate import JobState
 class WaitQueue:
     """Priority-ordered wait queue keyed by (arrival, job_id)."""
 
-    __slots__ = ("_keys", "_jobs", "_requested")
+    __slots__ = ("_keys", "_jobs", "_requested", "_sizes")
 
     def __init__(self) -> None:
         self._keys: list[tuple[float, int]] = []
         self._jobs: list[JobState] = []
         self._requested = 0
+        self._sizes: dict[int, int] = {}  # size -> number of waiting jobs
 
     def __len__(self) -> int:
         return len(self._jobs)
@@ -42,6 +43,10 @@ class WaitQueue:
         unused-capacity integral."""
         return self._requested
 
+    def sizes(self) -> KeysView[int]:
+        """The distinct sizes waiting jobs request (a live view)."""
+        return self._sizes.keys()
+
     def push(self, state: JobState) -> None:
         """Insert preserving FCFS order; duplicates are rejected."""
         key = (state.job.arrival, state.job_id)
@@ -51,6 +56,7 @@ class WaitQueue:
         self._keys.insert(i, key)
         self._jobs.insert(i, state)
         self._requested += state.size
+        self._sizes[state.size] = self._sizes.get(state.size, 0) + 1
 
     def head(self) -> JobState:
         """The highest-priority waiting job."""
@@ -77,6 +83,11 @@ class WaitQueue:
         del self._keys[i]
         del self._jobs[i]
         self._requested -= state.size
+        left = self._sizes[state.size] - 1
+        if left:
+            self._sizes[state.size] = left
+        else:
+            del self._sizes[state.size]
         return True
 
     def find(self, job_id: int) -> JobState | None:

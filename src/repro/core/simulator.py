@@ -17,6 +17,7 @@ on free nodes are harmless (the simulated repair time is zero).
 from __future__ import annotations
 
 import math
+from itertools import islice
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -492,18 +493,31 @@ class Simulator:
         self, index: PlacementIndex, head: JobState, now: float
     ) -> bool:
         """Start one lower-priority job if the mode permits; True if any
-        job started (the caller rebuilds the index and loops)."""
-        if self.config.backfill is BackfillMode.EASY:
-            running = [self.states[i] for i in self._running_ids]
-            shadow = self._shadow.shadow_time(running, head.size, now)
-            if math.isinf(shadow):
-                raise SimulationError(
-                    f"job {head.job_id} (size {head.size}) cannot fit even "
-                    f"an empty machine"
-                )
-        else:
-            shadow = math.inf
-        for state in list(self.wait)[1:]:
+        job started (the caller refreshes the index and loops).
+
+        The walk asks the index once per *distinct* waiting size and
+        visits only jobs whose size has a free partition; the EASY shadow
+        is computed for the first such job.  A trace carries the policy's
+        empty ``candidates`` record for every job that passes the shadow
+        filter, so with the recorder on every waiting job is visited.
+        """
+        fits = self.wait.sizes()
+        if not self.recorder.enabled:
+            fits = {s for s in fits if index.has_candidate(s)}
+            if not fits:
+                return False
+        shadow = None if self.config.backfill is BackfillMode.EASY else math.inf
+        for state in islice(self.wait, 1, None):
+            if state.size not in fits:
+                continue
+            if shadow is None:
+                running = [self.states[i] for i in self._running_ids]
+                shadow = self._shadow.shadow_time(running, head.size, now)
+                if math.isinf(shadow):
+                    raise SimulationError(
+                        f"job {head.job_id} (size {head.size}) cannot fit even "
+                        f"an empty machine"
+                    )
             est_wall = self.checkpoint.wall_duration(
                 max(state.remaining_estimate, MIN_ESTIMATE_S)
             )

@@ -28,7 +28,7 @@ from repro.allocation.incremental import IncrementalPlacementIndex
 from repro.allocation.mfp import IndexCache, PlacementIndex
 from repro.geometry.coords import TorusDims
 from repro.geometry.partition import Partition
-from repro.geometry.shapes import all_shapes
+from repro.geometry.shapes import all_shapes, shapes_for_size
 from repro.geometry.torus import Torus
 from repro.obs import metrics as obs_metrics
 from repro.obs.metrics import MetricsRegistry
@@ -93,6 +93,62 @@ def assert_matches_rebuild(inc: IncrementalPlacementIndex, torus: Torus) -> None
         assert got.shapes == ref.shapes
         assert got.starts == ref.starts
         np.testing.assert_array_equal(got.bases, ref.bases)
+
+
+class TestPerPassLookups:
+    """The questions the backfill walk and the shadow replay ask the
+    patched tensor: which sizes fit now, and after which release."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dims=dims_strategy,
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        steps=st.integers(min_value=1, max_value=10),
+    )
+    def test_feasible_sizes_after_journal_replay(self, dims, seed, steps):
+        rng = np.random.default_rng(seed)
+        torus = Torus(dims)
+        inc = IncrementalPlacementIndex(torus)
+        live: dict[int, Partition] = {}
+        next_id = 0
+        for _ in range(steps):
+            next_id = mutate(torus, rng, live, next_id)
+            inc.apply(torus.journal_since(inc.torus_version), torus.version)
+            # Asked before and after the per-state set is materialised.
+            for _ in range(2):
+                for size in range(1, dims.volume + 2):
+                    expected = any(
+                        inc.count_placements(shape)
+                        for shape in shapes_for_size(size, dims)
+                    )
+                    assert inc.has_candidate(size) == expected, size
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dims=dims_strategy,
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        steps=st.integers(min_value=1, max_value=10),
+    )
+    def test_first_fit_release_equals_rebuild_form(self, dims, seed, steps):
+        rng = np.random.default_rng(seed)
+        torus = Torus(dims)
+        inc = IncrementalPlacementIndex(torus)
+        live: dict[int, Partition] = {}
+        next_id = 0
+        for _ in range(steps):
+            next_id = mutate(torus, rng, live, next_id)
+        inc.apply(torus.journal_since(inc.torus_version), torus.version)
+        fresh = PlacementIndex(torus)
+        order = [live[j] for j in rng.permutation(sorted(live))]
+        before = inc._sums.copy()
+        for size in range(1, dims.volume + 2):
+            for releases in (order, order[:1], []):
+                assert inc.first_fit_release(size, releases) == (
+                    fresh.first_fit_release(size, releases)
+                ), (size, releases)
+        # A hypothetical replay: the live tensor is untouched.
+        np.testing.assert_array_equal(inc._sums, before)
+        assert_matches_rebuild(inc, torus)
 
 
 class TestIncrementalTracksMutations:

@@ -4,14 +4,24 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.allocation.mfp import IndexCache
 from repro.core.backfill import shadow_time
 from repro.core.jobstate import JobState
-from repro.core.migration import apply_compaction, head_partition, plan_compaction
+from repro.core.migration import (
+    CompactionPlan,
+    apply_compaction,
+    head_partition,
+    plan_compaction,
+)
 from repro.geometry.coords import BGL_SUPERNODE_DIMS
 from repro.geometry.partition import Partition
 from repro.geometry.torus import Torus
+from repro.testing.random_state import random_torus
 from repro.workloads.job import Job
 
 D = BGL_SUPERNODE_DIMS
@@ -113,3 +123,51 @@ class TestCompaction:
         for i in range(len(parts)):
             for j in range(i + 1, len(parts)):
                 assert not parts[i].overlaps(D, parts[j])
+
+
+def reference_plan(torus, running, head):
+    """The planner as it was before it moved onto the incremental
+    index: a from-scratch :class:`PlacementIndex` per re-placed job."""
+    todo = sorted(
+        [js for js in running if js.running] + [head],
+        key=lambda js: (-js.size, js.job.arrival, js.job_id),
+    )
+    scratch = Torus(torus.dims)
+    cache = IndexCache(scratch, incremental=False)
+    placements = []
+    for js in todo:
+        batch, losses = cache.get().batch_mfp_losses(js.size)
+        if not len(batch):
+            return None
+        best = batch.partition(int(np.argmin(losses)))
+        scratch.allocate(js.job_id, best)
+        placements.append((js.job_id, best))
+    moved = tuple(
+        job_id
+        for job_id, part in placements
+        if job_id != head.job_id
+        and torus.allocation_of(job_id).canonical(torus.dims)
+        != part.canonical(torus.dims)
+    )
+    return CompactionPlan(tuple(placements), moved)
+
+
+class TestPlannerMatchesRebuildReference:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        attempts=st.integers(min_value=1, max_value=40),
+        head_size=st.sampled_from((1, 2, 6, 8, 16, 32, 64, 128)),
+    )
+    def test_identical_plan_on_random_running_sets(self, seed, attempts, head_size):
+        torus = random_torus(D, rng=seed, attempts=attempts)
+        running = []
+        for job_id, partition in torus.allocations():
+            js = JobState(Job(job_id, float(job_id % 3), partition.size, 100.0, 100.0))
+            js.dispatch(0.0, 100.0)
+            running.append(js)
+        head = JobState(Job(10_000, 0.0, head_size, 100.0, 100.0))
+        # Dataclass equality: placements and moved_job_ids, or both None.
+        assert plan_compaction(torus, running, head) == reference_plan(
+            torus, running, head
+        )

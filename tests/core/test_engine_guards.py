@@ -76,3 +76,26 @@ class TestSimulatorConstruction:
             Workload("t", N, (Job(0, 0.0, 1, 10.0),)), log, KrevatPolicy()
         )
         assert len(sim.events) == 3
+
+
+
+class TestUnplaceableHead:
+    """``submit_job`` refuses sizes without a box shape, so the EASY
+    shadow can only be infinite for a head injected past it."""
+
+    def test_shadow_filter_raises_once_a_waiting_job_needs_it(self):
+        jobs = (Job(0, 0.0, N, 100.0), Job(2, 1.0, N, 10.0))
+        sim = Simulator(Workload("t", N, jobs), FailureLog(N), KrevatPolicy())
+        # 11 is prime and exceeds every axis of 4x4x8: no shape exists.
+        head = JobState(Job(1, 0.0, 11, 10.0))
+        sim.states[1] = head
+        sim.wait.push(head)
+        sim._target += 1
+        # While job 0 fills the machine no waiting size fits, so the
+        # backfill walk returns before it needs the head's shadow.
+        assert sim.pump(horizon=50.0) == 2
+        assert [js.job_id for js in sim.wait] == [1, 2]
+        # Job 0 finishes: job 2 fits, the walk asks for the shadow, and
+        # an infinite one is a hard error rather than a filter.
+        with pytest.raises(SimulationError, match="cannot fit even an empty machine"):
+            sim.drain()

@@ -106,6 +106,76 @@ class TestWaitQueue:
         assert len(list(q)) == 2
 
 
+class TestWaitQueueSizeMultiset:
+    """``sizes()`` is the set of distinct sizes currently waiting."""
+
+    @staticmethod
+    def check(q: WaitQueue) -> None:
+        assert sorted(q.sizes()) == sorted({s.size for s in q})
+        assert q.requested_nodes == sum(s.size for s in q)
+        assert all(count > 0 for count in q._sizes.values())
+        assert sum(q._sizes.values()) == len(q)
+
+    def test_push_and_discard(self):
+        q = WaitQueue()
+        self.check(q)
+        a, b, c = state(0, size=4), state(1, size=8), state(2, size=4)
+        for s in (a, b, c):
+            q.push(s)
+            self.check(q)
+        assert sorted(q.sizes()) == [4, 8]
+        q.remove(a)
+        assert sorted(q.sizes()) == [4, 8]  # job 2 still wants 4
+        q.remove(c)
+        assert sorted(q.sizes()) == [8]
+        assert not q.discard(c)  # absent: multiset untouched
+        self.check(q)
+        q.remove(b)
+        assert not q.sizes()
+        self.check(q)
+
+    def test_duplicate_push_leaves_multiset_alone(self):
+        q = WaitQueue()
+        q.push(state(0, size=4))
+        with pytest.raises(SimulationError):
+            q.push(state(0, size=4))
+        self.check(q)
+
+    def test_kill_and_repush(self):
+        """A killed job re-enters with its original arrival and size."""
+        q = WaitQueue()
+        s = state(3, arrival=5.0, size=16)
+        q.push(s)
+        q.push(state(4, arrival=6.0, size=2))
+        q.remove(s)  # dispatched
+        assert sorted(q.sizes()) == [2]
+        s.dispatch(10.0, 100.0)
+        s.kill(20.0, 0.0)
+        q.push(s)
+        assert q.head() is s
+        assert sorted(q.sizes()) == [2, 16]
+        self.check(q)
+
+    def test_cancel_path_random_walk(self):
+        """Random pushes and discards (the cancellation path) keep the
+        multiset equal to a recount."""
+        import random
+
+        rng = random.Random(7)
+        q = WaitQueue()
+        pool = [state(i, arrival=float(i % 5), size=rng.choice((1, 2, 4, 8, 32))) for i in range(40)]
+        queued: set[int] = set()
+        for _ in range(400):
+            s = rng.choice(pool)
+            if s.job_id in queued:
+                assert q.discard(s)
+                queued.discard(s.job_id)
+            else:
+                q.push(s)
+                queued.add(s.job_id)
+            self.check(q)
+
+
 class TestJobState:
     def test_initial_state(self):
         s = state(runtime=100.0, estimate=150.0)

@@ -1,11 +1,13 @@
-"""Cross-validation of the incremental shadow-time engine.
+"""Cross-validation of the shadow-time engine.
 
-:class:`~repro.core.backfill.ShadowTimeEngine` (reusable scratch grid,
-head-shapes-only window rebuilds, per-``(version, size)`` memoisation)
+:class:`~repro.core.backfill.ShadowTimeEngine` (release replay answered
+by the placement index — on the incremental index a cumulative sum of
+overlap patches against the window-sum tensor, on the rebuild index an
+integral rebuild per release — plus per-``(version, size)`` memoisation)
 must agree exactly with :func:`~repro.core.backfill.shadow_time_naive`
 (full grid copy + fresh PlacementIndex per hypothetical release) on
-every machine state.  The hypothesis sweep below pins its own
-``max_examples`` so at least 100 random torus states are exercised
+every machine state.  The hypothesis sweeps below pin their own
+``max_examples`` so at least 120 random torus states are exercised
 regardless of the active profile.
 """
 
@@ -18,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.allocation.mfp import IndexCache
 from repro.core.backfill import ShadowTimeEngine, shadow_time, shadow_time_naive
 from repro.core.jobstate import JobState
 from repro.geometry.coords import BGL_SUPERNODE_DIMS, TorusDims
@@ -73,6 +76,50 @@ class TestEngineMatchesNaive:
         assert engine.shadow_time(running, head_size, now) == expected
         # The one-shot wrapper is the same computation.
         assert shadow_time(torus, running, head_size, now) == expected
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        est_finishes=st.lists(
+            st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    def test_both_index_kinds_agree_on_every_head_size(self, seed, est_finishes):
+        """Tensor replay (incremental cache) and integral-rebuild replay
+        (rebuild cache) both equal the naive oracle — impossible size 11
+        and the full-span shapes of 32/64/128 included."""
+        torus = random_torus(D, rng=seed)
+        running = running_states(torus, est_finishes)
+        for incremental in (True, False):
+            engine = ShadowTimeEngine(
+                torus, IndexCache(torus, incremental=incremental)
+            )
+            for size in HEAD_SIZES:
+                assert engine.shadow_time(
+                    running, size, 0.0
+                ) == shadow_time_naive(torus, running, size, 0.0), (
+                    incremental, size,
+                )
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
+    def test_replay_on_a_patched_index(self, seed):
+        """The shared cache repairs its index by journal replay between
+        queries; the replay must read the patched tensor, not a stale
+        one."""
+        torus = random_torus(D, rng=seed)
+        cache = IndexCache(torus, incremental=True)
+        engine = ShadowTimeEngine(torus, cache)
+        running = running_states(torus, [10.0, 40.0, 90.0, 20.0])
+        for js in sorted(running, key=lambda js: js.job_id)[:3]:
+            for size in HEAD_SIZES:
+                assert engine.shadow_time(
+                    running, size, 5.0
+                ) == shadow_time_naive(torus, running, size, 5.0)
+            torus.release(js.job_id)
+            js.complete(5.0)
 
     @settings(max_examples=30, deadline=None)
     @given(
