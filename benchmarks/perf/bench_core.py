@@ -1,10 +1,10 @@
 """Core perf-trajectory harness: microbenches + serial-vs-parallel sweep.
 
-Times the scheduler's hot kernels (PlacementIndex build, incremental MFP
-queries, shadow-time — both the production engine and the naive
-reference, so the caching win stays visible), the three partition
-finders, and one end-to-end sweep executed serially and in parallel.
-Results land in ``BENCH_core.json`` at the repo root so subsequent PRs
+Times the scheduler's hot kernels (PlacementIndex build, MFP queries,
+candidate scoring on the production index, shadow-time — both the
+production engine and the naive reference, so the caching win stays
+visible), the three partition finders, and one end-to-end sweep
+executed serially and in parallel.  Results land in ``BENCH_core.json`` at the repo root so subsequent PRs
 have a machine-readable perf trajectory to regress against.
 
 Record schema (one object per benchmark)::
@@ -19,11 +19,12 @@ wall time of one measured batch.  Sweep records carry an extra
 (``serial``/``parallel``/``warm``/``queue``), and their ``workers``
 field is the executor's *actual* ``stats.workers_used`` — 1 whenever
 the auto-serial cutover refused the pool — never the requested count.
-``check_sweep_speedup.py`` gates on the sweep pair, and
-``check_serve_throughput.py`` gates on ``serve_inproc_submit``.  The
-last record, ``src_loc``, is not a timing: its ``lines`` key counts the
-non-blank, non-comment lines under ``src/repro`` so the ledger tracks
-code size next to speed (ROADMAP aim 2).
+The records are a trajectory, not gates (speed is gated end to end by
+the ``benchmarks/e2e`` workloads); the one consumer is
+``check_serve_throughput.py``, which gates on ``serve_inproc_submit``.
+The last record, ``src_loc``, is not a timing: its ``lines`` key counts
+the non-blank, non-comment lines under ``src/repro`` so the ledger
+tracks code size next to speed (ROADMAP aim 2).
 
 Usage::
 
@@ -47,6 +48,7 @@ if str(REPO_ROOT / "src") not in sys.path:  # direct-script convenience
 
 import numpy as np
 
+from repro.allocation.incremental import IncrementalPlacementIndex
 from repro.allocation.mfp import IndexCache, PlacementIndex
 from repro.allocation.registry import get_finder
 from repro.core.backfill import ShadowTimeEngine, shadow_time_naive
@@ -198,26 +200,23 @@ def bench_mfp_excluding(scale: Scale):
     return run, n * len(candidates)
 
 
-def _bench_scored_candidates(scale: Scale, batch: bool):
-    """Full candidate scoring, scalar oracle vs batch kernel.
+def bench_scored_candidates_batch(scale: Scale):
+    """Full candidate scoring as production runs it: the bit-mask
+    kernel of an :class:`IncrementalPlacementIndex`.
 
-    A fresh index per pass: both paths cache their per-size results, so
-    reusing one index would time the first iteration only.  The pair
-    feeds ``check_scoring_speedup.py``, which gates on their ratio.
-    The lightly loaded fixture maximises the candidate count — the
-    post-drain machine states where scoring dominates a scheduler pass.
+    A fresh index per pass: scores are cached per size, so reusing one
+    index would time the first iteration only.  The lightly loaded
+    fixture maximises the candidate count — the post-drain machine
+    states where scoring dominates a scheduler pass.
     """
     torus = loaded_torus(0.2, seed=3)
     n = scale.micro_number
 
     def run():
         for _ in range(n):
-            index = PlacementIndex(torus)
+            index = IncrementalPlacementIndex(torus)
             for size in SCORING_SIZES:
-                if batch:
-                    index.batch_mfp_losses(size)
-                else:
-                    index.scored_candidates(size)
+                index.batch_mfp_losses(size)
 
     return run, n * len(SCORING_SIZES)
 
@@ -227,8 +226,8 @@ def bench_shadow_time_engine(scale: Scale):
     running = running_states(torus)
     n = scale.micro_number
     # Wired as ``Simulator.__init__`` wires it: the engine replays on
-    # the scheduler pass's own (incremental, already repaired) index.
-    index_cache = IndexCache(torus, incremental=True)
+    # the scheduler pass's own (already repaired) index.
+    index_cache = IndexCache(torus)
     index_cache.get()
 
     def run():
@@ -328,16 +327,13 @@ def _bench_index_update(scale: Scale, incremental: bool):
     """Index maintenance across a mutation churn, patch vs rebuild.
 
     Each step allocates or frees one box, brings the index up to date
-    (journal replay for the incremental path, from-scratch build for the
-    oracle), and then performs the queries one scheduler pass issues —
-    ``mfp_size`` plus batch losses for a few sizes.  The query half is
-    the point: a bare rebuild is cheap, but it discards every lazily
-    derived grid and probe integral, and re-deriving those is what the
-    incremental index's O(box) patch avoids.  The pair feeds
-    ``check_sim_speedup.py``.
+    (journal replay for the incremental path, from-scratch
+    ``PlacementIndex`` build for the reference), and then performs the
+    queries one scheduler pass issues — ``mfp_size`` plus batch losses
+    for a few sizes.  The query half is the point: a bare rebuild is
+    cheap, but it discards every lazily derived grid and placement
+    integral and scores with the scalar walk.
     """
-    from repro.allocation.incremental import IncrementalPlacementIndex
-
     torus = loaded_torus(0.3, seed=5)
     part = PlacementIndex(torus).candidate_batch(8).partition(0)
     index = IncrementalPlacementIndex(torus) if incremental else None
@@ -365,103 +361,12 @@ def _bench_index_update(scale: Scale, incremental: bool):
     return run, 2 * n
 
 
-#: Fixed workload for the tracing-cost benches — deliberately NOT scale
-#: dependent, so ``sim_trace_off / placement_index_build`` is a
-#: dimensionless ratio comparable across scales and (to first order)
-#: machines; ``check_trace_overhead.py`` gates on it.
-TRACE_BENCH_JOBS = 100
-TRACE_BENCH_FAILURES = 24
-
-
 def bench_master_log_generate(scale: Scale):
     """One full-size (8 192-event) master failure log on the BG/L dims,
     as every sweep seed draws once per process (logs/s)."""
 
     def run():
         generate_failures(D, 8192, 1e6, seed=1)
-
-    return run, 1
-
-
-def bench_sim_trace(scale: Scale, trace: bool):
-    """End-to-end single simulation with tracing on or off.
-
-    The off/on pair quantifies the observability subsystem's cost: the
-    ``off`` variant is the production path (null recorder, no metrics)
-    and must track the pre-instrumentation throughput;
-    ``check_trace_overhead.py`` gates on it.  Workload/failures are
-    pre-built so only the engine is timed.
-    """
-    from repro.api import SimulationSetup
-    from repro.core.config import SimulationConfig
-    from repro.core.policies.registry import make_policy
-    from repro.core.simulator import Simulator
-
-    config = SimulationConfig(trace=trace)
-    setup = SimulationSetup(
-        site="sdsc",
-        n_jobs=TRACE_BENCH_JOBS,
-        n_failures=TRACE_BENCH_FAILURES,
-        policy="balancing",
-        parameter=0.1,
-        seed=0,
-        config=config,
-    )
-    workload = setup.build_workload()
-    failures = setup.build_failures(workload)
-
-    def run():
-        policy = make_policy(
-            "balancing",
-            failure_log=failures,
-            parameter=0.1,
-            pf_rule=setup.pf_rule,
-            seed=setup.seed + 2,
-        )
-        Simulator(workload, failures, policy, config).run()
-
-    return run, 1
-
-
-def bench_sim_modes(scale: Scale, incremental: bool, batch: bool):
-    """End-to-end simulation with the core's fast/oracle modes pinned.
-
-    ``sim_event_batched`` (incremental index + same-timestamp event
-    batching, the production defaults) against ``sim_event_unbatched``
-    (from-scratch index rebuild after *every* event handler — the
-    retained oracle semantics).  Same fixed workload as the tracing
-    pair, so all four sim benches are mutually comparable;
-    ``check_sim_speedup.py`` gates on the within-file ratio.
-    """
-    from repro.api import SimulationSetup
-    from repro.core.config import SimulationConfig
-    from repro.core.policies.registry import make_policy
-    from repro.core.simulator import Simulator
-
-    config = SimulationConfig(
-        incremental_index=incremental, batch_events=batch
-    )
-    setup = SimulationSetup(
-        site="sdsc",
-        n_jobs=TRACE_BENCH_JOBS,
-        n_failures=TRACE_BENCH_FAILURES,
-        policy="balancing",
-        parameter=0.1,
-        seed=0,
-        config=config,
-    )
-    workload = setup.build_workload()
-    failures = setup.build_failures(workload)
-
-    def run():
-        policy = make_policy(
-            "balancing",
-            failure_log=failures,
-            parameter=0.1,
-            pf_rule=setup.pf_rule,
-            seed=setup.seed + 2,
-        )
-        Simulator(workload, failures, policy, config).run()
 
     return run, 1
 
@@ -603,8 +508,7 @@ def run_benchmarks(scale_name: str, workers: int, out_path: Path) -> list[dict]:
     micro = [
         ("placement_index_build", bench_placement_index_build),
         ("mfp_excluding", bench_mfp_excluding),
-        ("scored_candidates_scalar", lambda s: _bench_scored_candidates(s, False)),
-        ("scored_candidates_batch", lambda s: _bench_scored_candidates(s, True)),
+        ("scored_candidates_batch", bench_scored_candidates_batch),
         ("shadow_time_engine", bench_shadow_time_engine),
         ("shadow_time_naive", bench_shadow_time_naive),
         ("migration_plan", bench_migration_plan),
@@ -618,23 +522,6 @@ def run_benchmarks(scale_name: str, workers: int, out_path: Path) -> list[dict]:
     ]
     for name, factory in micro:
         run, ops = factory(scale)
-        record(name, best_of(run, scale.repeats), ops)
-
-    # Observability cost: one full simulation, tracing off vs on.
-    for trace in (False, True):
-        run, ops = bench_sim_trace(scale, trace)
-        record(
-            "sim_trace_on" if trace else "sim_trace_off",
-            best_of(run, scale.repeats),
-            ops,
-        )
-
-    # Simulator-core modes: incremental+batched vs per-event rebuild.
-    for name, incremental, batch in (
-        ("sim_event_batched", True, True),
-        ("sim_event_unbatched", False, False),
-    ):
-        run, ops = bench_sim_modes(scale, incremental, batch)
         record(name, best_of(run, scale.repeats), ops)
 
     # Service submission path: in-process (the CI throughput bar) and
@@ -665,9 +552,9 @@ def run_benchmarks(scale_name: str, workers: int, out_path: Path) -> list[dict]:
     )
     serial = serial_outcome.results
 
-    # The parallel bench is the warm-pool large-grid fixture that
-    # check_sweep_speedup.py gates on: the cutover is lowered so the
-    # grid genuinely exercises the pool even at smoke scale, and the
+    # The parallel bench is the warm-pool large-grid fixture: the
+    # cutover is lowered so the grid genuinely exercises the pool even
+    # at smoke scale, and the
     # pool is pre-spawned so the record measures the steady state a
     # figure regeneration (many sweeps, one pool) actually sees.
     parallel_workers = max(2, workers)

@@ -11,8 +11,8 @@ Three checks, run against a live overload fixture plus the committed
        bar = min(--target, --efficiency x baseline_rate x machine_factor)
 
    ``machine_factor`` is a freshly measured ``placement_index_build``
-   rate divided by the committed baseline's — the same within-run
-   normalizer ``check_sweep_speedup.py`` uses — so a slow CI container
+   rate divided by the committed baseline's — a within-run
+   normalizer — so a slow CI container
    is held to what *this* machine can plausibly do, while fast machines
    are held to the full ``--target`` (default 10,000/s).
 2. **Backpressure honesty** — under the 2x overload the fixture must

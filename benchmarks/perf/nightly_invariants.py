@@ -1,19 +1,19 @@
-"""Nightly invariant-oracle sweep for the incremental simulator core.
+"""Nightly invariant-oracle sweep for the simulator core.
 
 Runs one real sweep three ways, every cell with ``check_invariants`` on
-(per-event conservation checks against the torus's independent
+(per-batch conservation checks against the torus's independent
 occupancy oracles) and decision tracing enabled:
 
-1. **fast / serial** — incremental placement index + event batching,
-   in-process;
-2. **fast / workers=2** — same configuration through the process pool
-   (cutover pinned off so the pool genuinely runs);
-3. **oracle / serial** — from-scratch index rebuilds and per-event
-   index refresh, the retained reference semantics.
+1. **serial** — the production engine, in-process;
+2. **workers=2** — the same cells through the process pool (cutover
+   pinned off so the pool genuinely runs);
+3. **oracle** — the same cells on the reference engine a test builds,
+   ``repro.testing.oracle_simulator``: every index query answered by a
+   from-scratch ``PlacementIndex`` rebuild and its scalar scoring walk.
 
 All three must agree: identical ``SweepResult`` rows, byte-identical
-per-cell NDJSON traces between the serial and pooled fast runs, and no
-decision divergence between fast and oracle.  On any disagreement the
+per-cell NDJSON traces between the serial and pooled runs, and no
+decision divergence between production and oracle.  On any disagreement the
 first divergent decision (cell, stream index, differing fields, both
 records) is written to ``first_divergence.json`` in the output
 directory — CI uploads it as the failure artifact — and the run exits
@@ -39,23 +39,16 @@ if str(REPO_ROOT / "src") not in sys.path:  # direct-script convenience
 
 from repro.core.config import SimulationConfig
 from repro.experiments import sweep as sweep_mod
-from repro.experiments.sweep import SweepPoint, run_sweep
-from repro.obs.aggregate import SweepObsCollector
+from repro.experiments.sweep import SweepPoint, SweepResult, run_sweep
+from repro.failures.synthetic import BurstFailureModel
+from repro.obs.aggregate import SweepObsCollector, trace_filename
 from repro.obs.tools import diff_traces
-from repro.obs.trace import read_trace
+from repro.obs.trace import read_trace, write_trace
+from repro.testing import oracle_simulator
 
 
-def _config(incremental: bool) -> SimulationConfig:
-    return SimulationConfig(
-        check_invariants=True,
-        trace=True,
-        incremental_index=incremental,
-        batch_events=incremental,
-    )
-
-
-def build_grid(jobs: int, incremental: bool) -> list[SweepPoint]:
-    config = _config(incremental)
+def build_grid(jobs: int) -> list[SweepPoint]:
+    config = SimulationConfig(check_invariants=True, trace=True)
     return [
         SweepPoint("sdsc", jobs, 1.0, 8, "balancing", 0.1, config=config),
         SweepPoint("nasa", jobs, 1.0, 16, "balancing", 0.5, config=config),
@@ -71,6 +64,23 @@ def run_leg(points, seeds, workers, trace_dir, **kwargs):
     )
     sweep_mod._result_cache.clear()  # every leg recomputes from scratch
     return results, sorted(Path(trace_dir).iterdir())
+
+
+def run_oracle_leg(points, seeds, trace_dir: Path):
+    """The sweep's own cells, each on the reference engine."""
+    trace_dir.mkdir(parents=True, exist_ok=True)
+    model = BurstFailureModel()
+    results = []
+    for i, point in enumerate(points):
+        reports = []
+        for si, seed in enumerate(seeds):
+            sim = oracle_simulator(
+                *sweep_mod.cell_inputs(point, seed, model, with_obs=True)
+            )
+            reports.append(sim.run())
+            write_trace(sim.recorder.records, trace_dir / trace_filename(i, si))
+        results.append(SweepResult.from_reports(point, reports))
+    return results, sorted(trace_dir.iterdir())
 
 
 def fail(out_dir: Path, payload: dict) -> int:
@@ -90,20 +100,15 @@ def main(argv=None) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     seeds = tuple(range(args.seeds))
 
-    fast_points = build_grid(args.jobs, incremental=True)
-    oracle_points = build_grid(args.jobs, incremental=False)
-    n_cells = len(fast_points) * len(seeds)
+    points = build_grid(args.jobs)
+    n_cells = len(points) * len(seeds)
     print(f"nightly invariant-oracle sweep: {n_cells} cells x 3 legs")
 
-    serial, serial_files = run_leg(
-        fast_points, seeds, 1, out_dir / "serial"
-    )
+    serial, serial_files = run_leg(points, seeds, 1, out_dir / "serial")
     pooled, pooled_files = run_leg(
-        fast_points, seeds, 2, out_dir / "workers2", min_cells_per_worker=0
+        points, seeds, 2, out_dir / "workers2", min_cells_per_worker=0
     )
-    oracle, oracle_files = run_leg(
-        oracle_points, seeds, 1, out_dir / "oracle"
-    )
+    oracle, oracle_files = run_oracle_leg(points, seeds, out_dir / "oracle")
 
     # 1. Pooled execution is bitwise the serial run.
     if serial != pooled:
@@ -123,13 +128,12 @@ def main(argv=None) -> int:
             })
     print(f"OK: workers=2 identical to serial ({len(serial_files)} traces)")
 
-    # 2. The incremental/batched core matches the rebuild oracle
-    #    decision for decision.
+    # 2. The production engine matches the rebuild oracle decision for
+    #    decision.
     for i, (fast_res, oracle_res) in enumerate(zip(serial, oracle)):
-        fast_cmp = dataclasses.replace(fast_res, point=oracle_points[i])
-        if fast_cmp != oracle_res:
+        if fast_res != oracle_res:
             return fail(out_dir, {
-                "what": f"point {i}: fast vs oracle sweep metrics differ",
+                "what": f"point {i}: production vs oracle sweep metrics differ",
                 "fast": dataclasses.asdict(fast_res),
                 "oracle": dataclasses.asdict(oracle_res),
             })
@@ -137,11 +141,11 @@ def main(argv=None) -> int:
         divergence = diff_traces(read_trace(a), read_trace(b))
         if divergence is not None:
             return fail(out_dir, {
-                "what": f"fast vs oracle decision divergence: {a.name}",
+                "what": f"production vs oracle decision divergence: {a.name}",
                 "divergence": dataclasses.asdict(divergence),
                 "describe": divergence.describe(),
             })
-    print(f"OK: incremental core matches rebuild oracle ({len(oracle_files)} traces)")
+    print(f"OK: production engine matches rebuild oracle ({len(oracle_files)} traces)")
     print("nightly invariant-oracle sweep: all green")
     return 0
 

@@ -1,11 +1,13 @@
-"""Incrementally maintained :class:`~repro.allocation.mfp.PlacementIndex`.
+"""The production placement index: patched across mutations, scored by
+bit masks.
 
-The base index derives everything lazily from one wrap-padded busy
-integral, rebuilt from scratch on every torus mutation.  At BG/L
-scheduler scale (a 4x4x8 supernode torus, 128 shapes) the cost of a
-rebuild is not the arithmetic — it is the *number of numpy dispatches*
-the lazy per-shape scan issues while re-deriving placement grids and
-probe-row integrals the previous state had already materialised.
+The base :class:`~repro.allocation.mfp.PlacementIndex` derives
+everything lazily from one wrap-padded busy integral and answers for the
+one state it was built on.  At BG/L scheduler scale (a 4x4x8 supernode
+torus, 128 shapes) the cost of a rebuild per mutation is not the
+arithmetic — it is the *number of numpy dispatches* the lazy per-shape
+scan issues while re-deriving placement grids the previous state had
+already materialised.
 
 :class:`IncrementalPlacementIndex` instead keeps the all-shapes
 busy-window-sum tensor ``sums[s, x, y, z]`` — the number of busy nodes
@@ -25,15 +27,16 @@ state and patches it in O(1) numpy ops per box mutation:
 * the wrap-padded busy integral is patched with the same separability
   trick (per-axis padded occupancy cumsums), keeping it bitwise equal
   to a fresh :func:`~repro.geometry.torus.wrap_pad_integral`;
-* probe-row placement integrals are rebuilt lazily per state, but for
-  a whole block of shapes in one stacked gather + three cumsums.
+* candidate scoring (``_batch_excluding``) reads bit-packed per-axis
+  projections of the free grids — no placement integrals at all.
 
-All patches are exact integer arithmetic, so every derived field is
-**bitwise equal** to a from-scratch rebuild — the from-scratch
-:class:`~repro.allocation.mfp.PlacementIndex` is retained as the
-cross-validation oracle (``tests/allocation/test_incremental_index.py``
-asserts field-for-field equality after every mutation, mirroring the
-batch-vs-scalar contract of DESIGN.md §5.11/§5.12).
+This is the only index the engine runs on
+(:class:`~repro.allocation.mfp.IndexCache` builds nothing else).  All
+patches are exact integer arithmetic, so every derived field is
+**bitwise equal** to a from-scratch rebuild: the differential suite
+under ``tests/allocation`` builds a fresh ``PlacementIndex`` after every
+mutation and asserts field-for-field equality, and scores every
+candidate with both the bit-mask kernel and the reference's scalar walk.
 """
 
 from __future__ import annotations
@@ -75,7 +78,6 @@ class _DimsTables:
         "oxy",
         "fxy",
         "fvec",
-        "pads",
         "coords",
         "flat8",
         "signs",
@@ -179,10 +181,6 @@ class _DimsTables:
         else:
             self.oxy = None
             self.fxy = None
-        # Wrap-pad gather indices (arange(2P-1) % P per axis).
-        self.pads = tuple(
-            np.arange(2 * p - 1) % p for p in dims_tuple
-        )
         # Row-major base coordinates: coords[flat_index] == unravel.
         x, y, z = np.unravel_index(
             np.arange(int(np.prod(dims_tuple))), dims_tuple
@@ -305,10 +303,10 @@ class IncrementalPlacementIndex(PlacementIndex):
     Construction is a full (exact) build; :meth:`apply` replays a torus
     journal slice — O(1) numpy dispatches per box — and invalidates the
     per-state caches.  Every query override returns values bitwise equal
-    to the inherited lazy path; the batch/scalar scoring kernels, probe
-    blocks and candidate enumeration are inherited unchanged and consume
-    the patched state through the same ``_placements`` /
-    ``count_placements`` / ``_ensure_rows`` surface.
+    to the inherited lazy path; the inherited scalar walk
+    (``mfp_excluding`` / ``scored_candidates``, which production never
+    calls) consumes the patched state through the ``_placements`` /
+    ``count_placements`` overrides.
     """
 
     __slots__ = (
@@ -374,7 +372,6 @@ class IncrementalPlacementIndex(PlacementIndex):
         self._fall = (
             (fx << t.bitoff[0]) | (fy << t.bitoff[1]) | fz
         ).astype(np.uint16)
-        self._scan_pos = len(self._shape_order)
 
     def apply(
         self, entries: list[tuple[str, Coord, Coord]], target_version: int
@@ -414,12 +411,9 @@ class IncrementalPlacementIndex(PlacementIndex):
                 np.subtract(sums, patch, out=sums)
                 np.subtract(busy, busy_patch, out=busy)
         self._refresh()
-        self._grids.clear()
-        self._totals.clear()
-        self._grid_integrals.clear()
         self._mfp_size = None
         self._nonempty_rows = []
-        self._probe_blocks.clear()
+        self._scan_pos = 0
         self._candidate_cache.clear()
         self._scored_cache.clear()
         self._batch_cache.clear()
@@ -446,11 +440,11 @@ class IncrementalPlacementIndex(PlacementIndex):
         zy | zz))`` distributes over the OR into three per-axis tests
         against the cached bit-packed ``_fmask`` projections, so the
         whole resolve is a handful of 2-D integer dispatches on
-        ``(n, S)`` arrays — no probe integrals, no blocks, no scalar
-        walk.  The answer per candidate is the first surviving row in
-        the decreasing-volume shape order, exactly the scalar walk's
-        early exit (the differential suite asserts equality for both
-        paths).
+        ``(n, S)`` arrays — no probe integrals, no scalar walk.  The
+        answer per candidate is the first surviving row in the
+        decreasing-volume shape order, exactly the reference walk's
+        early exit (the differential suite asserts equality on every
+        candidate).
         """
         n = bases.shape[0]
         if n == 0:
@@ -473,55 +467,6 @@ class IncrementalPlacementIndex(PlacementIndex):
             ) != 0
         first = np.argmax(survive, axis=1)
         return np.where(survive.any(axis=1), t.vol[first], 0)
-
-    def _stack_integrals(self, rows: np.ndarray) -> np.ndarray:
-        """Wrap-pad integrals of the placement grids of ``rows``, built
-        in one stacked gather + three cumsums; ``out[j]`` is bitwise
-        equal to ``wrap_pad_integral(self._free[rows[j]].astype(int64))``.
-        """
-        px, py, pz = self._tables.pads
-        X, Y, Z = self.dims.as_tuple()
-        padded = self._free[
-            np.asarray(rows)[:, None, None, None],
-            px[None, :, None, None],
-            py[None, None, :, None],
-            pz[None, None, None, :],
-        ].astype(np.int64)
-        np.cumsum(padded, axis=1, out=padded)
-        np.cumsum(padded, axis=2, out=padded)
-        np.cumsum(padded, axis=3, out=padded)
-        out = np.zeros((len(rows), 2 * X, 2 * Y, 2 * Z), dtype=np.int64)
-        out[:, 1:, 1:, 1:] = padded
-        return out
-
-    def _placement_integral(self, shape: Coord) -> np.ndarray:
-        integral = self._grid_integrals.get(shape)
-        if integral is None:
-            row = self._tables.row_of[shape]
-            integral = self._stack_integrals(np.array([row]))[0]
-            self._grid_integrals[shape] = integral
-        return integral
-
-    def _ensure_rows(self, count: int) -> list[tuple[int, Coord, int, np.ndarray]]:
-        rows = self._nonempty_rows
-        idx = self._ne_idx
-        have = len(rows)
-        hi = min(count, idx.size)
-        if have < hi:
-            # Grow geometrically: the scalar walk asks for rows one at a
-            # time, and a stacked build's cost is dominated by its fixed
-            # dispatch count, not the row count — over-materialising a
-            # small chunk is much cheaper than one build per row.
-            hi = min(idx.size, max(hi, 2 * have, self._PROBE_BLOCK))
-            sel = idx[have:hi]
-            integrals = self._stack_integrals(sel)
-            t = self._tables
-            tot = self._tot
-            for j, r in enumerate(sel.tolist()):
-                rows.append(
-                    (int(t.vol[r]), t.shapes[r], int(tot[r]), integrals[j])
-                )
-        return rows
 
     def mfp_size(self) -> int:
         if self._mfp_size is None:

@@ -5,33 +5,33 @@ how much it shrinks the size of the largest free contiguous rectangular
 partition (``L_MFP``), because the next job in the FCFS queue may need a
 partition that large.
 
-:class:`PlacementIndex` precomputes one wrap-padded integral image of
-the occupancy grid; the free-placement grid of any shape then costs 8
-array slices, and the scheduler's "MFP after hypothetically placing job
-J here" query (:meth:`mfp_excluding`) reduces to box-sum lookups on
-lazily-built per-shape placement integrals: a placement of shape ``T``
-survives partition ``P`` iff its base lies outside the modular box of
-bases whose window would intersect ``P``.
+:class:`PlacementIndex` is the **plain reference**: it precomputes one
+wrap-padded integral image of the occupancy grid, derives the
+free-placement grid of any shape lazily (8 array slices), and answers
+the scheduler's "MFP after hypothetically placing job J here" query
+(:meth:`mfp_excluding`) with a scalar early-exit walk over the
+non-empty shapes in decreasing-volume order — one box-sum lookup per
+shape on its placement integral: a placement of shape ``T`` survives
+partition ``P`` iff its base lies outside the modular box of bases
+whose window would intersect ``P``.
 
-Candidate scoring comes in two shapes:
+Production never scores on it.  The engine runs on
+:class:`~repro.allocation.incremental.IncrementalPlacementIndex`, which
+inherits the query surface, patches its state across torus mutations
+and overrides the one scoring kernel (``_batch_excluding``) with a
+bit-mask resolve; :class:`IndexCache` hands the scheduler that index.
+The reference stays because the tests build it — a fresh
+``PlacementIndex`` per machine state, and
+:class:`repro.testing.RebuildIndexCache` to run a whole simulation on
+from-scratch rebuilds — and compare the production index with it field
+for field and loss for loss.
 
-* the **batch path** (:meth:`PlacementIndex.batch_mfp_losses`) holds all
-  candidates of one size as a struct-of-arrays
-  (:class:`CandidateBatch`) and scores every candidate against every
-  probe shape with one vectorised modular box-sum gather per
-  (candidate-shape, probe-shape) pair — this is what the policies run;
-* the **scalar path** (:meth:`PlacementIndex.scored_candidates` /
-  :meth:`PlacementIndex.mfp_loss`) walks candidates one Python loop
-  iteration at a time.  It is retained as the independently-simple
-  cross-validation oracle (the same pattern ``shadow_time_naive`` serves
-  for the shadow-time engine) and must stay bitwise-aligned with the
-  batch path — ``tests/allocation/test_batch_scoring.py`` enforces it.
-
-An index answers for the occupancy state it was built on.  Build one per
-machine state and query it many times; :class:`IndexCache` gives the
-scheduler a ``torus.version``-checked handle so consecutive queries
-against an unchanged machine reuse one index (and all its lazy caches)
-instead of rebuilding per loop iteration.
+Candidates of one size are held as a struct-of-arrays
+(:class:`CandidateBatch`); :meth:`PlacementIndex.batch_mfp_losses`
+scores them all (what the policies call),
+:meth:`PlacementIndex.scored_candidates` pairs each materialised
+:class:`Partition` with an independent per-candidate :meth:`mfp_loss`
+walk (what the ``choose_partition_scalar`` reference walks call).
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ from repro.geometry.torus import (
     FREE,
     Torus,
     box_sum_at,
-    stacked_box_sums,
     window_sums_from_integral,
     wrap_pad_integral,
 )
@@ -64,13 +63,7 @@ def intersect_window(
     ``(p_base, p_shape)`` iff, on every axis, ``q`` lies in the modular
     interval ``[p - T + 1, p + P - 1]`` of length ``min(extent,
     P + T - 1)``.  Returns that box as ``(base, extents)``, ready for
-    one :func:`~repro.geometry.torus.box_sum_at` lookup (or, with
-    ``p_base = (0, 0, 0)``, as the shared offset of a vectorised
-    :func:`~repro.geometry.torus.batch_box_sums` gather).
-
-    This is the single home of the interval arithmetic previously
-    duplicated between ``_intersecting_base_count`` and an inlined copy
-    in ``mfp_excluding``.
+    one :func:`~repro.geometry.torus.box_sum_at` lookup.
     """
     return (
         (
@@ -170,11 +163,9 @@ class PlacementIndex:
         "_busy_integral",
         "_grids",
         "_totals",
-        "_grid_integrals",
         "_mfp_size",
         "_nonempty_rows",
         "_scan_pos",
-        "_probe_blocks",
         "_candidate_cache",
         "_scored_cache",
         "_batch_cache",
@@ -192,11 +183,9 @@ class PlacementIndex:
         # 15 us-per-shape laziness.
         self._grids: dict[Coord, np.ndarray] = {}
         self._totals: dict[Coord, int] = {}
-        self._grid_integrals: dict[Coord, np.ndarray] = {}
         self._mfp_size: int | None = None
         self._nonempty_rows: list[tuple[int, Coord, int, np.ndarray]] = []
         self._scan_pos = 0
-        self._probe_blocks: dict[tuple[int, int], tuple] = {}
         self._candidate_cache: dict[int, list[Partition]] = {}
         self._scored_cache: dict[int, list[tuple[Partition, int]]] = {}
         self._batch_cache: dict[int, CandidateBatch] = {}
@@ -219,14 +208,6 @@ class PlacementIndex:
             self._grids[shape] = grid
             self._totals[shape] = int(np.count_nonzero(grid))
         return grid
-
-    def _placement_integral(self, shape: Coord) -> np.ndarray:
-        """Integral image over the placement grid (intersect counting)."""
-        integral = self._grid_integrals.get(shape)
-        if integral is None:
-            integral = wrap_pad_integral(self._placements(shape).astype(np.int64))
-            self._grid_integrals[shape] = integral
-        return integral
 
     def count_placements(self, shape: Coord) -> int:
         """Number of free placements of ``shape`` (bases, not node sets)."""
@@ -287,12 +268,11 @@ class PlacementIndex:
         return cached
 
     def scored_candidates(self, size: int) -> list[tuple[Partition, int]]:
-        """Candidates paired with their ``L_MFP`` via the *scalar* path.
+        """Candidates paired with their ``L_MFP`` via the scalar walk.
 
-        This is the cross-validation oracle for
-        :meth:`batch_mfp_losses`: every loss comes from an independent
-        per-candidate :meth:`mfp_loss` walk.  Cached per size — several
-        same-size jobs scanned in one backfill pass share this work.
+        The reference :meth:`batch_mfp_losses` is compared against:
+        every loss comes from an independent per-candidate
+        :meth:`mfp_loss` walk.  Cached per size.
         """
         cached = self._scored_cache.get(size)
         if cached is None:
@@ -301,19 +281,17 @@ class PlacementIndex:
         return cached
 
     def batch_mfp_losses(self, size: int) -> tuple[CandidateBatch, np.ndarray]:
-        """Every candidate of ``size`` with its ``L_MFP``, vectorised.
+        """Every candidate of ``size`` with its ``L_MFP``, as arrays.
 
         Returns ``(batch, losses)`` where ``losses[i]`` is the MFP
         shrinkage caused by allocating ``batch.partition(i)`` — aligned
-        with, and bitwise equal to, ``scored_candidates(size)``.  Cached
-        per size, like the scalar form.
+        with, and bitwise equal to, ``scored_candidates(size)``.  One
+        ``_batch_excluding`` resolve for the whole size, candidates of
+        every shape together; cached per size, like the scalar form.
         """
         cached = self._batch_scored_cache.get(size)
         if cached is None:
             batch = self.candidate_batch(size)
-            # One resolve for the whole size: candidates of every shape
-            # share the probe blocks, so mixing shapes costs nothing and
-            # keeps the per-block gathers large.
             losses = self.mfp_size() - self._batch_excluding(
                 batch.bases, batch.shape_rows()
             )
@@ -384,76 +362,40 @@ class PlacementIndex:
         return None
 
     # ------------------------------------------------------------------
-    def _intersecting_base_count(self, shape: Coord, partition: Partition) -> int:
-        """Number of free placements of ``shape`` whose box intersects
-        ``partition`` — one box-sum lookup on the placement-grid integral
-        over the :func:`intersect_window` box.
-        """
-        base, extents = intersect_window(
-            self.dims, partition.base, partition.shape, shape
-        )
-        return box_sum_at(self._placement_integral(shape), base, extents)
+    def _iter_nonempty_shapes(self) -> Iterator[tuple[int, Coord, int, np.ndarray]]:
+        """Yield ``(volume, shape, total, placement_integral)`` probe rows
+        in decreasing-volume order.
 
-    def _ensure_rows(self, count: int) -> list[tuple[int, Coord, int, np.ndarray]]:
-        """Materialise at least ``count`` non-empty probe rows.
-
-        Rows are ``(volume, shape, total, placement_integral)`` in
-        decreasing-volume order.  They memoise as the all-shapes scan
-        first reaches them, and the scan resumes where earlier calls
-        stopped — every ``mfp_excluding`` query walks this list from the
-        top, and re-deriving the prefix per query (a dict lookup per
-        shape, including the many empty shapes between non-empty rows)
-        was the single hottest line of the scalar scoring path.
-        Returns the full row list, which may stay shorter than ``count``
-        once the scan is exhausted.
+        ``placement_integral`` is the wrap-padded integral image of the
+        shape's free-placement grid (intersect counting).  Rows memoise
+        as the all-shapes scan first reaches them and the scan resumes
+        where earlier walks stopped: every ``mfp_excluding`` query walks
+        this list from the top, and most resolve within the first few
+        non-empty shapes.
         """
         rows = self._nonempty_rows
         order = self._shape_order
-        while len(rows) < count and self._scan_pos < len(order):
-            shape = order[self._scan_pos]
-            self._scan_pos += 1
-            if self.count_placements(shape) > 0:
-                rows.append(
-                    (
-                        shape[0] * shape[1] * shape[2],
-                        shape,
-                        self._totals[shape],
-                        self._placement_integral(shape),
-                    )
-                )
-        return rows
-
-    def _iter_nonempty_shapes(self):
-        """Yield the probe rows of :meth:`_ensure_rows` lazily."""
         i = 0
         while True:
-            rows = self._ensure_rows(i + 1)
+            while i >= len(rows) and self._scan_pos < len(order):
+                shape = order[self._scan_pos]
+                self._scan_pos += 1
+                total = self.count_placements(shape)
+                if total > 0:
+                    rows.append(
+                        (
+                            shape[0] * shape[1] * shape[2],
+                            shape,
+                            total,
+                            wrap_pad_integral(
+                                self._placements(shape).astype(np.int64)
+                            ),
+                        )
+                    )
             if i >= len(rows):
                 return
             yield rows[i]
             i += 1
-
-    def _probe_block(self, k0: int, k1: int) -> tuple:
-        """Probe rows ``[k0, k1)`` as stacked arrays for one gather.
-
-        Returns ``(volumes, t_shapes, totals, integrals)`` with the
-        integral images stacked along a leading axis, ready for
-        :func:`~repro.geometry.torus.stacked_box_sums`.  Cached per
-        index — block boundaries are deterministic, so every size's
-        scoring pass reuses the same stacks.
-        """
-        key = (k0, k1)
-        block = self._probe_blocks.get(key)
-        if block is None:
-            rows = self._nonempty_rows[k0:k1]
-            block = (
-                np.array([r[0] for r in rows], dtype=np.int64),
-                np.array([r[1] for r in rows], dtype=np.int64),
-                np.array([r[2] for r in rows], dtype=np.int64),
-                np.stack([r[3] for r in rows]),
-            )
-            self._probe_blocks[key] = block
-        return block
 
     def mfp_excluding(self, partition: Partition) -> int:
         """MFP size after hypothetically allocating ``partition``.
@@ -472,88 +414,24 @@ class PlacementIndex:
                 return volume
         return 0
 
-    #: First probe-block size; blocks then double.  Most candidates
-    #: resolve within the first few probe shapes, so the first block is
-    #: small; stragglers pay one geometrically larger gather each.
-    _PROBE_BLOCK = 4
-    #: Below this many candidates the batch kernel delegates to the
-    #: scalar walk — a stacked gather's fixed dispatch cost only pays
-    #: for itself on bigger groups.
-    _SCALAR_CUTOVER = 24
-
-    def batch_mfp_excluding(self, bases: np.ndarray, shape: Coord) -> np.ndarray:
-        """:meth:`mfp_excluding` for many same-shape candidates at once.
-
-        ``bases`` is an ``(n, 3)`` integer array of candidate bases (any
-        integers; wrapped into the primary cell here).
-        """
-        shape_arr = np.array(shape, dtype=np.int64)
-        return self._batch_excluding(
-            bases, np.broadcast_to(shape_arr, (bases.shape[0], 3))
-        )
-
     def _batch_excluding(
         self, bases: np.ndarray, cand_shapes: np.ndarray
     ) -> np.ndarray:
         """``mfp_excluding`` for ``n`` candidates, each with its own shape.
 
-        Probe shapes are scanned in decreasing-volume order in
-        geometrically growing blocks: each block resolves every
-        still-unresolved candidate against all its probe shapes in one
-        :func:`~repro.geometry.torus.stacked_box_sums` gather, and a
-        candidate's answer is the *first* surviving row — the aggregate
-        of the scalar path's per-candidate early exit, at eight fancy
-        lookups per block instead of eight per probe shape.  Small
-        candidate sets short-circuit to the scalar walk, which beats the
-        gathers' fixed numpy dispatch cost there; both branches return
-        identical values (the batch property suite covers both).
+        ``bases`` is an ``(n, 3)`` integer array (any integers; wrapped
+        into the primary cell here), ``cand_shapes`` the matching
+        ``(n, 3)`` shapes.  The reference form is the scalar walk, one
+        candidate at a time; the production index overrides it.
         """
-        n = bases.shape[0]
-        excl = np.zeros(n, dtype=np.int64)
-        if n == 0:
-            return excl
-        dims = self.dims
-        dims_arr = np.array(dims.as_tuple(), dtype=np.int64)
-        if n < self._SCALAR_CUTOVER:
-            wrapped = (bases % dims_arr).tolist()
-            shapes = cand_shapes.tolist()
-            for j, (base, shape) in enumerate(zip(wrapped, shapes)):
-                excl[j] = self._mfp_excluding_at(tuple(base), tuple(shape))
-            return excl
-        # Only unresolved candidates stay in the gather: most resolve in
-        # the first block, so the per-block work shrinks fast.
-        active = np.arange(n)
-        act_bases = bases % dims_arr
-        act_shapes = cand_shapes
-        k0, span = 0, self._PROBE_BLOCK
-        while active.size:
-            k1 = min(len(self._ensure_rows(k0 + span)), k0 + span)
-            if k1 <= k0:
-                break  # probes exhausted: leftovers drop the MFP to 0
-            volumes, t_shapes, totals, integrals = self._probe_block(k0, k1)
-            # The modular-interval boxes of ``intersect_window``, all
-            # (probe shape, candidate) pairs at once, anchored at the
-            # origin so one offset row serves every candidate base.
-            origin = (1 - t_shapes) % dims_arr                      # (k, 3)
-            extents = np.minimum(                                   # (k, n, 3)
-                dims_arr, act_shapes[None, :, :] + t_shapes[:, None, :] - 1
-            )
-            x = (act_bases[None, :, 0] + origin[:, 0:1]) % dims_arr[0]
-            y = (act_bases[None, :, 1] + origin[:, 1:2]) % dims_arr[1]
-            z = (act_bases[None, :, 2] + origin[:, 2:3]) % dims_arr[2]
-            counts = stacked_box_sums(integrals, x, y, z, extents)
-            survive = counts < totals[:, None]                      # (k, n)
-            resolved = survive.any(axis=0)
-            if resolved.any():
-                # argmax finds the first surviving (largest-volume) row.
-                first = np.argmax(survive, axis=0)
-                excl[active[resolved]] = volumes[first[resolved]]
-                keep = ~resolved
-                active = active[keep]
-                act_bases = act_bases[keep]
-                act_shapes = act_shapes[keep]
-            k0, span = k1, span * 2
-        return excl
+        wrapped = (bases % np.array(self.dims.as_tuple(), dtype=np.int64)).tolist()
+        return np.array(
+            [
+                self._mfp_excluding_at(tuple(base), tuple(shape))
+                for base, shape in zip(wrapped, cand_shapes.tolist())
+            ],
+            dtype=np.int64,
+        )
 
     def mfp_loss(self, partition: Partition) -> int:
         """``L_MFP``: MFP shrinkage caused by allocating ``partition``."""
@@ -566,56 +444,42 @@ _MAX_PATCH_ENTRIES = 8
 
 
 class IndexCache:
-    """``torus.version``-checked reuse of one :class:`PlacementIndex`.
+    """The placement index for one torus's *current* state.
 
     The scheduler's inner loops repeatedly need "the index for the
     current machine state": the dispatch scan, the backfill walk's
     feasible-size gate and the shadow-time release replay share the
     simulator's cache, and the compaction planner keeps one over its
-    scratch torus.  Building an index per loop iteration discards every
-    lazy placement grid and score cache the previous iteration warmed;
-    this handle rebuilds only when the torus actually mutated.
+    scratch torus.  The cache holds one
+    :class:`~repro.allocation.incremental.IncrementalPlacementIndex`;
+    an unchanged ``torus.version`` returns it as is, and when the
+    version moved the torus journal's mutations in between are
+    *replayed* onto it (O(box) patching).  A missing or unreplayable
+    journal (whole-grid mutation, entries aged out, version from the
+    future, more than ``_MAX_PATCH_ENTRIES`` entries) falls back to a
+    fresh build.  Observability counters ``index.incremental.hit`` /
+    ``repair`` / ``fallback`` record which path each lookup took.
 
-    With ``incremental=True`` the cache holds an
-    :class:`~repro.allocation.incremental.IncrementalPlacementIndex`
-    and, when the torus version moved, asks the torus journal for the
-    mutations in between: a short journal slice is *replayed* onto the
-    existing index (O(box) patching) instead of rebuilding from scratch.
-    A missing or unreplayable journal (whole-grid mutation, entries aged
-    out, version from the future) falls back to a fresh build — the
-    retained oracle path.  Observability counters
-    ``index.incremental.hit`` / ``repair`` / ``fallback`` record which
-    path each lookup took.
+    :class:`repro.testing.RebuildIndexCache` is the reference twin the
+    tests substitute: a from-scratch :class:`PlacementIndex` per state.
     """
 
-    __slots__ = ("torus", "incremental", "_index")
+    __slots__ = ("torus", "_index")
 
-    def __init__(self, torus: Torus, incremental: bool = False) -> None:
+    def __init__(self, torus: Torus) -> None:
         self.torus = torus
-        self.incremental = incremental
         self._index: PlacementIndex | None = None
 
-    def invalidate(self) -> None:
-        """Drop the cached index; the next :meth:`get` builds fresh."""
-        self._index = None
-
     def get(self) -> PlacementIndex:
-        """The index for the torus's current state (rebuilt on demand)."""
+        """The index for the torus's current state."""
         index = self._index
         torus = self.torus
-        if index is not None and index.torus_version == torus.version:
-            if self.incremental:
-                registry = obs_metrics.ACTIVE
-                if registry is not None:
-                    registry.counter("index.incremental.hit").inc()
-            return index
-        if not self.incremental:
-            index = self._index = PlacementIndex(torus)
-            return index
-        from repro.allocation.incremental import IncrementalPlacementIndex
-
         registry = obs_metrics.ACTIVE
         if index is not None:
+            if index.torus_version == torus.version:
+                if registry is not None:
+                    registry.counter("index.incremental.hit").inc()
+                return index
             entries = torus.journal_since(index.torus_version)
             if entries is not None and len(entries) <= _MAX_PATCH_ENTRIES:
                 index.apply(entries, torus.version)  # type: ignore[attr-defined]
@@ -624,6 +488,8 @@ class IndexCache:
                 return index
             if registry is not None:
                 registry.counter("index.incremental.fallback").inc()
+        from repro.allocation.incremental import IncrementalPlacementIndex
+
         index = self._index = IncrementalPlacementIndex(torus)
         return index
 

@@ -63,14 +63,9 @@ class SimulationSetup:
             seed=self.seed + 1,  # decorrelated from the workload draw
         )
 
-    def build_simulator(self, recorder=None) -> Simulator:
-        """Assemble the full pipeline into a ready-to-run simulator.
-
-        Exposed so callers that need the engine's observability surfaces
-        (``Simulator.recorder``, ``Simulator.metrics``) — the traced CLI
-        run, the obs test suites — share the exact seeding conventions
-        of :meth:`run`.
-        """
+    def build_inputs(self):
+        """``(workload, failure log, policy)`` under this setup's seeding
+        conventions — the positional arguments of a simulator."""
         workload = self.build_workload()
         failures = self.build_failures(workload)
         policy = make_policy(
@@ -80,9 +75,17 @@ class SimulationSetup:
             pf_rule=self.pf_rule,
             seed=self.seed + 2,
         )
-        return Simulator(
-            workload, failures, policy, self.config, recorder=recorder
-        )
+        return workload, failures, policy
+
+    def build_simulator(self, recorder=None) -> Simulator:
+        """Assemble the full pipeline into a ready-to-run simulator.
+
+        Exposed so callers that need the engine's observability surfaces
+        (``Simulator.recorder``, ``Simulator.metrics``) — the traced CLI
+        run, the obs test suites — share the exact seeding conventions
+        of :meth:`run`.
+        """
+        return Simulator(*self.build_inputs(), self.config, recorder=recorder)
 
     def run(self) -> SimulationReport:
         """Execute this experiment point."""

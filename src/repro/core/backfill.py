@@ -92,7 +92,7 @@ class ShadowTimeEngine:
         self._cache_version = -1
         # The simulator passes its own cache, so the replay reads the
         # index the scheduler pass already repaired.
-        self._index_cache = index_cache or IndexCache(torus, incremental=True)
+        self._index_cache = index_cache or IndexCache(torus)
 
     def shadow_time(
         self, running: Iterable[JobState], head_size: int, now: float

@@ -33,6 +33,12 @@ class BackfillMode(enum.Enum):
 class SimulationConfig:
     """Everything configurable about one simulation run.
 
+    Nine fields change the schedule (and enter sweep cell keys); three —
+    ``check_invariants``, ``trace``, ``profile`` — only observe it.  There
+    is no engine selector: every run uses the incremental placement index
+    and same-timestamp event batches, and the from-scratch reference is
+    something tests build (:func:`repro.testing.oracle_simulator`).
+
     Defaults reproduce the paper's setup: the 4x4x8 supernode torus,
     EASY backfilling, migration on (the balancing scheduler "includes
     backfilling and migration"), zero migration cost (no checkpoint
@@ -50,15 +56,13 @@ class SimulationConfig:
     checkpoint: CheckpointConfig = field(default_factory=CheckpointConfig)
     #: Seed for engine-internal randomness (checkpoint prediction hits).
     seed: int = 0
-    #: Re-verify torus invariants after every scheduler pass (slow; for
-    #: tests and debugging).
-    strict_invariants: bool = False
-    #: Attach the full :mod:`repro.testing` oracle harness: occupancy
-    #: invariants, event-ordering checks and an independent recomputation
-    #: of the unused-capacity integral.  Strictly observational — the
-    #: report is bit-for-bit identical with the flag on or off.  Slower
-    #: than ``strict_invariants``; default off, on throughout the test
-    #: suite.
+    #: Attach the full :mod:`repro.testing` oracle harness after every
+    #: scheduler pass: both independent occupancy checkers
+    #: (``Torus.check_invariants`` and the node-index-set
+    #: ``InvariantChecker``), event-ordering checks and an independent
+    #: recomputation of the unused-capacity integral.  Strictly
+    #: observational — the report is bit-for-bit identical with the flag
+    #: on or off.  Slow; default off, on throughout the test suite.
     check_invariants: bool = False
     #: Emit one :mod:`repro.obs` decision-trace record per scheduler
     #: decision (arrival, candidate enumeration, dispatch, backfill,
@@ -71,19 +75,6 @@ class SimulationConfig:
     #: histograms and hot-path timers for the run (available as
     #: ``Simulator.metrics``).  Observational, like ``trace``.
     profile: bool = False
-    #: Maintain the scheduler's :class:`~repro.allocation.mfp.PlacementIndex`
-    #: incrementally: alloc/free mutations are patched onto the live
-    #: index via the torus journal instead of forcing a from-scratch
-    #: rebuild.  Bitwise-equivalent to the rebuild path (the retained
-    #: oracle; DESIGN.md §5.12) — off reproduces the old always-rebuild
-    #: behaviour for cross-validation and benchmarking.
-    incremental_index: bool = True
-    #: Coalesce same-timestamp events into one batch: one index repair
-    #: and one scheduler pass per burst of simultaneous finishes /
-    #: failures / arrivals.  Off retains the naive per-event oracle
-    #: (identical reports and traces; the index is refreshed after every
-    #: event) for the differential suite and the event-batching bench.
-    batch_events: bool = True
     #: Hard cap on processed events, guarding against livelock bugs.
     max_events: int = 50_000_000
 

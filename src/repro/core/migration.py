@@ -65,7 +65,7 @@ def plan_compaction(
     scratch = Torus(torus.dims)
     # One incremental index for the whole plan: each placement below is
     # one journal entry, patched onto the index by the next ``get``.
-    cache = IndexCache(scratch, incremental=True)
+    cache = IndexCache(scratch)
     placements: list[tuple[int, Partition]] = []
     for js in todo:
         # First-occurrence argmin: the first candidate at minimal L_MFP.

@@ -121,9 +121,7 @@ class Simulator:
             else min((j.arrival for j in workload.jobs), default=0.0)
         )
         self._running_ids: set[int] = set()
-        self._index_cache = IndexCache(
-            self.torus, incremental=self.config.incremental_index
-        )
+        self._index_cache = self._make_index_cache()
         self._shadow = ShadowTimeEngine(self.torus, index_cache=self._index_cache)
 
         for job in workload.jobs:
@@ -132,6 +130,13 @@ class Simulator:
             self.events.push(
                 float(failure_log.times[i]), EventKind.FAILURE, int(failure_log.nodes[i])
             )
+
+    def _make_index_cache(self) -> IndexCache:
+        """The placement-index cache the scheduler pass and the shadow
+        engine share.  The one seam of the engine:
+        :func:`repro.testing.oracle_simulator` overrides it to run the
+        same simulator on from-scratch reference rebuilds."""
+        return IndexCache(self.torus)
 
     # ------------------------------------------------------------------
     # arrival intake (shared by the batch ctor and the online drivers)
@@ -295,16 +300,6 @@ class Simulator:
                 self._on_failure(event.payload, now)
             else:
                 self._on_arrival(event.payload, event.epoch, now)
-            if not self.config.batch_events:
-                # Naive per-event oracle: refresh the placement
-                # index after every event instead of once per
-                # coalesced batch.  The refreshed index is not
-                # consulted between events, so reports and traces
-                # stay byte-identical to the batched path (the
-                # differential suite in tests/core/
-                # test_event_batching.py enforces this).
-                self._index_cache.invalidate()
-                self._index_cache.get()
         self._schedule_pass(now)
         if now >= self._min_arrival:
             self.tracker.record(
@@ -314,8 +309,6 @@ class Simulator:
                 self.oracles.record_capacity(
                     now, self.torus.free_count, self.wait.requested_nodes
                 )
-        if self.config.strict_invariants:
-            self.torus.check_invariants()
         if self.oracles is not None:
             self.oracles.check_torus(self.torus)
         self._last_time = now

@@ -18,9 +18,10 @@ Figure fidelity scales with ``REPRO_FIG_JOBS`` (jobs per run, default
 500) and ``REPRO_FIG_SEEDS`` (seeds averaged per point, default 2) —
 environment variables so the pytest-benchmark suite stays
 argument-free.  ``REPRO_FIG_WORKERS`` (default: all cores but one)
-parallelises the sweep cells; every ``figN`` function also takes an
-explicit ``workers`` argument.  Parallel results are bitwise-identical
-to serial ones (see :mod:`repro.experiments.parallel`).
+parallelises the sweep cells; ``run_figure`` and every ``figN``
+(``run_figure`` with the name bound) also take an explicit ``workers``
+argument, with every other sweep option.  Parallel results are
+bitwise-identical to serial ones (see :mod:`repro.experiments.parallel`).
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from functools import partial
+from typing import Sequence
 
 from repro.errors import ExperimentError
 from repro.experiments.parallel import default_workers
@@ -39,7 +41,7 @@ from repro.experiments.sweep import (
     run_sweep_outcome,
 )
 from repro.failures.synthetic import failure_horizon_s
-from repro.resilience import RetryPolicy, incomplete_points
+from repro.resilience import incomplete_points
 
 #: Paper failure-count axis for the failure-rate studies (Figs. 3-5).
 PAPER_FAILURE_AXIS = tuple(range(0, 4001, 500))
@@ -101,377 +103,128 @@ class FigureResult:
 
 
 # ----------------------------------------------------------------------
-# shared sweep shapes
+# Figures 3-10: one table, one runner
 # ----------------------------------------------------------------------
 
-def _assemble_series(
-    result: FigureResult,
-    series_points: list[tuple[str, list[tuple[float, SweepPoint]]]],
-    seeds: tuple[int, ...],
-    workers: int | None,
-    checkpoint_dir: str | None = None,
-    retry: RetryPolicy | None = None,
-    resume: bool = True,
-    queue_dir: str | None = None,
-) -> FigureResult:
-    """Run every series' points as one flat sweep and slice them back.
+@dataclass(frozen=True)
+class _FigureSpec:
+    """One row of the figure table.
 
-    Flattening across series before fanning out maximises parallelism —
-    a figure's whole grid saturates the pool instead of one series at a
-    time.  With ``checkpoint_dir`` the flat sweep checkpoints each cell
-    (content-addressed, so a re-run resumes exactly); a figure whose
-    sweep quarantined cells is an error — every point of a figure is
-    required — but the completed cells are already durable, so the
-    retry costs only the quarantined cells.
+    ``kind`` is the sweep shape: ``"failure_rate"`` plots ``metric``
+    against the paper failure-count axis on ``sites[0]``, one series per
+    ``(label, a, c)`` of ``series``; ``"parameter"`` plots it against the
+    prediction parameter at the site's paper failure count, one series
+    per ``sites x loads``.
     """
-    flat = [p for _, rows in series_points for _, p in rows]
-    workers = workers if workers is not None else default_workers()
-    outcome = run_sweep_outcome(
-        flat,
-        seeds,
-        workers=workers,
-        checkpoint_dir=checkpoint_dir,
-        retry=retry,
-        resume=resume,
-        queue_dir=queue_dir,
-    )
-    short = incomplete_points(outcome, seeds)
-    if short:
-        raise ExperimentError(
-            f"figure {result.figure} sweep quarantined cells of "
-            f"{len(short)} points (indices {short[:8]}); completed cells "
-            f"are checkpointed{' in ' + str(checkpoint_dir) if checkpoint_dir else ''} "
-            f"— inspect quarantine.json and rerun"
-        )
-    sweep_results = outcome.results
-    cursor = 0
-    for label, rows in series_points:
-        result.series[label] = [
-            (x, sweep_results[cursor + k]) for k, (x, _) in enumerate(rows)
-        ]
-        cursor += len(rows)
-    return result
+
+    kind: str
+    title: str
+    metric: str
+    policy: str = "balancing"
+    series: tuple[tuple[str, float, float], ...] = ()
+    sites: tuple[str, ...] = ("sdsc",)
+    loads: tuple[float, ...] = (1.0, 1.2)
 
 
-def _failure_rate_sweep(
-    figure: str,
-    title: str,
-    series_spec: Sequence[tuple[str, float, float]],  # (label, a, c)
-    metric: str,
-    site: str = "sdsc",
-    n_jobs: int | None = None,
-    seeds: Sequence[int] | None = None,
-    policy: str = "balancing",
-    workers: int | None = None,
-    checkpoint_dir: str | None = None,
-    retry: RetryPolicy | None = None,
-    resume: bool = True,
-    queue_dir: str | None = None,
-) -> FigureResult:
-    n_jobs = n_jobs or default_n_jobs()
-    seeds = tuple(seeds or default_seeds())
-    result = FigureResult(figure, title, "paper failure count", metric)
-    series_points: list[tuple[str, list[tuple[float, SweepPoint]]]] = []
-    for label, a, c in series_spec:
-        horizon = _horizon_s(site, n_jobs, c, seed=seeds[0])
-        rows = [
+_FIGURES: dict[str, _FigureSpec] = {
+    # Fig. 3: a in {0 (no prediction), 0.1, 0.9}.
+    "fig3": _FigureSpec(
+        "failure_rate",
+        "Slowdown vs failure rate, with/without prediction (SDSC)",
+        "bounded_slowdown",
+        series=(("a=0.0", 0.0, 1.0), ("a=0.1", 0.1, 1.0), ("a=0.9", 0.9, 1.0)),
+    ),
+    # Fig. 4: loads c=1.0/1.2 (the paper does not state the confidence —
+    # we use a=0.1, its headline operating point).
+    "fig4": _FigureSpec(
+        "failure_rate",
+        "Slowdown vs failure rate under load scaling (SDSC)",
+        "bounded_slowdown",
+        series=(("c=1.0", 0.1, 1.0), ("c=1.2", 0.1, 1.2)),
+    ),
+    # Fig. 5: a=0.1, panels c=1.0 and c=1.2.
+    "fig5": _FigureSpec(
+        "failure_rate",
+        "Utilization vs failure rate (SDSC)",
+        "utilized",
+        series=(("c=1.0", 0.1, 1.0), ("c=1.2", 0.1, 1.2)),
+    ),
+    # Figs. 6-8: balancing, x = confidence.
+    "fig6": _FigureSpec(
+        "parameter",
+        "Slowdown vs prediction confidence (balancing)",
+        "bounded_slowdown",
+        sites=("sdsc", "nasa", "llnl"),
+    ),
+    "fig7": _FigureSpec(
+        "parameter", "Utilization vs confidence (SDSC, balancing)", "utilized"
+    ),
+    "fig8": _FigureSpec(
+        "parameter",
+        "Utilization vs confidence (NASA, balancing)",
+        "utilized",
+        sites=("nasa",),
+    ),
+    # Figs. 9-10: tie-breaking, x = accuracy.
+    "fig9": _FigureSpec(
+        "parameter",
+        "Slowdown vs prediction accuracy (tie-breaking)",
+        "bounded_slowdown",
+        policy="tiebreak",
+        sites=("sdsc", "nasa", "llnl"),
+    ),
+    "fig10": _FigureSpec(
+        "parameter",
+        "Utilization vs accuracy (LLNL, tie-breaking)",
+        "utilized",
+        policy="tiebreak",
+        sites=("llnl",),
+    ),
+}
+
+
+def _series_points(
+    spec: _FigureSpec, n_jobs: int, seed: int
+) -> list[tuple[str, list[tuple[float, SweepPoint]]]]:
+    """``(label, [(x, point), ...])`` per series of the figure."""
+
+    def rows(site: str, c: float, axis) -> list[tuple[float, SweepPoint]]:
+        horizon = _horizon_s(site, n_jobs, c, seed=seed)
+        return [
             (
-                float(paper_count),
+                x,
                 SweepPoint(
                     site=site,
                     n_jobs=n_jobs,
                     load_scale=c,
                     n_failures=paper_failures_to_sim(paper_count, horizon),
-                    policy=policy,
+                    policy=spec.policy,
                     parameter=a,
                 ),
             )
-            for paper_count in PAPER_FAILURE_AXIS
+            for x, paper_count, a in axis
         ]
-        series_points.append((label, rows))
-    return _assemble_series(
-        result, series_points, seeds, workers,
-        checkpoint_dir=checkpoint_dir, retry=retry, resume=resume,
-        queue_dir=queue_dir,
-    )
 
-
-def _parameter_sweep(
-    figure: str,
-    title: str,
-    policy: str,
-    metric: str,
-    sites: Sequence[str],
-    loads: Sequence[float],
-    n_jobs: int | None = None,
-    seeds: Sequence[int] | None = None,
-    workers: int | None = None,
-    checkpoint_dir: str | None = None,
-    retry: RetryPolicy | None = None,
-    resume: bool = True,
-    queue_dir: str | None = None,
-) -> FigureResult:
-    n_jobs = n_jobs or default_n_jobs()
-    seeds = tuple(seeds or default_seeds())
-    x_label = "confidence" if policy == "balancing" else "accuracy"
-    result = FigureResult(figure, title, x_label, metric)
-    series_points: list[tuple[str, list[tuple[float, SweepPoint]]]] = []
-    for site in sites:
-        for c in loads:
-            horizon = _horizon_s(site, n_jobs, c, seed=seeds[0])
-            n_failures = paper_failures_to_sim(PAPER_SITE_FAILURES[site], horizon)
-            rows = [
-                (
-                    a,
-                    SweepPoint(
-                        site=site,
-                        n_jobs=n_jobs,
-                        load_scale=c,
-                        n_failures=n_failures,
-                        policy=policy,
-                        parameter=a,
-                    ),
-                )
-                for a in PAPER_PARAMETER_AXIS
-            ]
-            series_points.append((f"{site} c={c}", rows))
-    return _assemble_series(
-        result, series_points, seeds, workers,
-        checkpoint_dir=checkpoint_dir, retry=retry, resume=resume,
-        queue_dir=queue_dir,
-    )
-
-
-# ----------------------------------------------------------------------
-# Figures 3-10
-# ----------------------------------------------------------------------
-
-def fig3(
-    n_jobs: int | None = None,
-    seeds: Sequence[int] | None = None,
-    workers: int | None = None,
-    checkpoint_dir: str | None = None,
-    retry: RetryPolicy | None = None,
-    resume: bool = True,
-    queue_dir: str | None = None,
-) -> FigureResult:
-    """Fig. 3: avg bounded slowdown vs failure rate, SDSC, balancing,
-    a in {0 (no prediction), 0.1, 0.9}."""
-    return _failure_rate_sweep(
-        "fig3",
-        "Slowdown vs failure rate, with/without prediction (SDSC)",
-        [("a=0.0", 0.0, 1.0), ("a=0.1", 0.1, 1.0), ("a=0.9", 0.9, 1.0)],
-        "bounded_slowdown",
-        n_jobs=n_jobs,
-        seeds=seeds,
-        workers=workers,
-        checkpoint_dir=checkpoint_dir,
-        retry=retry,
-        resume=resume,
-        queue_dir=queue_dir,
-    )
-
-
-def fig4(
-    n_jobs: int | None = None,
-    seeds: Sequence[int] | None = None,
-    workers: int | None = None,
-    checkpoint_dir: str | None = None,
-    retry: RetryPolicy | None = None,
-    resume: bool = True,
-    queue_dir: str | None = None,
-) -> FigureResult:
-    """Fig. 4: avg bounded slowdown vs failure rate for loads c=1.0/1.2
-    (SDSC, balancing; the paper does not state the confidence — we use
-    a=0.1, its headline operating point)."""
-    return _failure_rate_sweep(
-        "fig4",
-        "Slowdown vs failure rate under load scaling (SDSC)",
-        [("c=1.0", 0.1, 1.0), ("c=1.2", 0.1, 1.2)],
-        "bounded_slowdown",
-        n_jobs=n_jobs,
-        seeds=seeds,
-        workers=workers,
-        checkpoint_dir=checkpoint_dir,
-        retry=retry,
-        resume=resume,
-        queue_dir=queue_dir,
-    )
-
-
-def fig5(
-    n_jobs: int | None = None,
-    seeds: Sequence[int] | None = None,
-    workers: int | None = None,
-    checkpoint_dir: str | None = None,
-    retry: RetryPolicy | None = None,
-    resume: bool = True,
-    queue_dir: str | None = None,
-) -> FigureResult:
-    """Fig. 5: utilization vs failure rate, SDSC, balancing (a=0.1),
-    panels c=1.0 and c=1.2."""
-    return _failure_rate_sweep(
-        "fig5",
-        "Utilization vs failure rate (SDSC)",
-        [("c=1.0", 0.1, 1.0), ("c=1.2", 0.1, 1.2)],
-        "utilized",
-        n_jobs=n_jobs,
-        seeds=seeds,
-        workers=workers,
-        checkpoint_dir=checkpoint_dir,
-        retry=retry,
-        resume=resume,
-        queue_dir=queue_dir,
-    )
-
-
-def fig6(
-    n_jobs: int | None = None,
-    seeds: Sequence[int] | None = None,
-    workers: int | None = None,
-    checkpoint_dir: str | None = None,
-    retry: RetryPolicy | None = None,
-    resume: bool = True,
-    queue_dir: str | None = None,
-) -> FigureResult:
-    """Fig. 6: avg bounded slowdown vs confidence, balancing, panels
-    SDSC/NASA/LLNL, loads c=1.0 and c=1.2."""
-    return _parameter_sweep(
-        "fig6",
-        "Slowdown vs prediction confidence (balancing)",
-        "balancing",
-        "bounded_slowdown",
-        sites=("sdsc", "nasa", "llnl"),
-        loads=(1.0, 1.2),
-        n_jobs=n_jobs,
-        seeds=seeds,
-        workers=workers,
-        checkpoint_dir=checkpoint_dir,
-        retry=retry,
-        resume=resume,
-        queue_dir=queue_dir,
-    )
-
-
-def fig7(
-    n_jobs: int | None = None,
-    seeds: Sequence[int] | None = None,
-    workers: int | None = None,
-    checkpoint_dir: str | None = None,
-    retry: RetryPolicy | None = None,
-    resume: bool = True,
-    queue_dir: str | None = None,
-) -> FigureResult:
-    """Fig. 7: utilization vs confidence, SDSC, balancing, c=1.0/1.2."""
-    return _parameter_sweep(
-        "fig7",
-        "Utilization vs confidence (SDSC, balancing)",
-        "balancing",
-        "utilized",
-        sites=("sdsc",),
-        loads=(1.0, 1.2),
-        n_jobs=n_jobs,
-        seeds=seeds,
-        workers=workers,
-        checkpoint_dir=checkpoint_dir,
-        retry=retry,
-        resume=resume,
-        queue_dir=queue_dir,
-    )
-
-
-def fig8(
-    n_jobs: int | None = None,
-    seeds: Sequence[int] | None = None,
-    workers: int | None = None,
-    checkpoint_dir: str | None = None,
-    retry: RetryPolicy | None = None,
-    resume: bool = True,
-    queue_dir: str | None = None,
-) -> FigureResult:
-    """Fig. 8: utilization vs confidence, NASA, balancing, c=1.0/1.2."""
-    return _parameter_sweep(
-        "fig8",
-        "Utilization vs confidence (NASA, balancing)",
-        "balancing",
-        "utilized",
-        sites=("nasa",),
-        loads=(1.0, 1.2),
-        n_jobs=n_jobs,
-        seeds=seeds,
-        workers=workers,
-        checkpoint_dir=checkpoint_dir,
-        retry=retry,
-        resume=resume,
-        queue_dir=queue_dir,
-    )
-
-
-def fig9(
-    n_jobs: int | None = None,
-    seeds: Sequence[int] | None = None,
-    workers: int | None = None,
-    checkpoint_dir: str | None = None,
-    retry: RetryPolicy | None = None,
-    resume: bool = True,
-    queue_dir: str | None = None,
-) -> FigureResult:
-    """Fig. 9: avg bounded slowdown vs accuracy, tie-breaking, panels
-    SDSC/NASA/LLNL, loads c=1.0 and c=1.2."""
-    return _parameter_sweep(
-        "fig9",
-        "Slowdown vs prediction accuracy (tie-breaking)",
-        "tiebreak",
-        "bounded_slowdown",
-        sites=("sdsc", "nasa", "llnl"),
-        loads=(1.0, 1.2),
-        n_jobs=n_jobs,
-        seeds=seeds,
-        workers=workers,
-        checkpoint_dir=checkpoint_dir,
-        retry=retry,
-        resume=resume,
-        queue_dir=queue_dir,
-    )
-
-
-def fig10(
-    n_jobs: int | None = None,
-    seeds: Sequence[int] | None = None,
-    workers: int | None = None,
-    checkpoint_dir: str | None = None,
-    retry: RetryPolicy | None = None,
-    resume: bool = True,
-    queue_dir: str | None = None,
-) -> FigureResult:
-    """Fig. 10: utilization vs accuracy, LLNL, tie-breaking, c=1.0/1.2."""
-    return _parameter_sweep(
-        "fig10",
-        "Utilization vs accuracy (LLNL, tie-breaking)",
-        "tiebreak",
-        "utilized",
-        sites=("llnl",),
-        loads=(1.0, 1.2),
-        n_jobs=n_jobs,
-        seeds=seeds,
-        workers=workers,
-        checkpoint_dir=checkpoint_dir,
-        retry=retry,
-        resume=resume,
-        queue_dir=queue_dir,
-    )
-
-
-_FIGURES: dict[str, Callable[..., FigureResult]] = {
-    "fig3": fig3,
-    "fig4": fig4,
-    "fig5": fig5,
-    "fig6": fig6,
-    "fig7": fig7,
-    "fig8": fig8,
-    "fig9": fig9,
-    "fig10": fig10,
-}
+    if spec.kind == "failure_rate":
+        return [
+            (
+                label,
+                rows(spec.sites[0], c, [(float(n), n, a) for n in PAPER_FAILURE_AXIS]),
+            )
+            for label, a, c in spec.series
+        ]
+    return [
+        (
+            f"{site} c={c}",
+            rows(
+                site,
+                c,
+                [(a, PAPER_SITE_FAILURES[site], a) for a in PAPER_PARAMETER_AXIS],
+            ),
+        )
+        for site in spec.sites
+        for c in spec.loads
+    ]
 
 
 def figure_registry() -> tuple[str, ...]:
@@ -483,25 +236,66 @@ def run_figure(
     name: str,
     n_jobs: int | None = None,
     seeds: Sequence[int] | None = None,
-    workers: int | None = None,
-    checkpoint_dir: str | None = None,
-    retry: RetryPolicy | None = None,
-    resume: bool = True,
-    queue_dir: str | None = None,
+    **sweep_options,
 ) -> FigureResult:
-    """Regenerate one figure by name (``fig3`` .. ``fig10``)."""
+    """Regenerate one figure by name (``fig3`` .. ``fig10``).
+
+    ``sweep_options`` (``workers``, ``checkpoint_dir``, ``retry``,
+    ``resume``, ``queue_dir``, ...) go to
+    :func:`~repro.experiments.sweep.run_sweep_outcome`, the one place
+    they are declared; ``workers`` defaults to all cores but one.
+
+    Every series' points run as one flat sweep and are sliced back:
+    flattening before fanning out lets a figure's whole grid saturate
+    the pool instead of one series at a time.  With ``checkpoint_dir``
+    the flat sweep checkpoints each cell (content-addressed, so a re-run
+    resumes exactly); a figure whose sweep quarantined cells is an error
+    — every point of a figure is required — but the completed cells are
+    already durable, so the retry costs only the quarantined cells.
+    """
+    figure = name.lower()
     try:
-        fn = _FIGURES[name.lower()]
+        spec = _FIGURES[figure]
     except KeyError:
         raise ExperimentError(
             f"unknown figure {name!r}; available: {', '.join(_FIGURES)}"
         ) from None
-    return fn(
-        n_jobs=n_jobs,
-        seeds=seeds,
-        workers=workers,
-        checkpoint_dir=checkpoint_dir,
-        retry=retry,
-        resume=resume,
-        queue_dir=queue_dir,
+    n_jobs = n_jobs or default_n_jobs()
+    seeds = tuple(seeds or default_seeds())
+    if spec.kind == "failure_rate":
+        x_label = "paper failure count"
+    else:
+        x_label = "confidence" if spec.policy == "balancing" else "accuracy"
+    result = FigureResult(figure, spec.title, x_label, spec.metric)
+    series_points = _series_points(spec, n_jobs, seeds[0])
+    if sweep_options.get("workers") is None:
+        sweep_options["workers"] = default_workers()
+    outcome = run_sweep_outcome(
+        [p for _, rows in series_points for _, p in rows], seeds, **sweep_options
     )
+    short = incomplete_points(outcome, seeds)
+    if short:
+        checkpoint_dir = sweep_options.get("checkpoint_dir")
+        raise ExperimentError(
+            f"figure {figure} sweep quarantined cells of "
+            f"{len(short)} points (indices {short[:8]}); completed cells "
+            f"are checkpointed{' in ' + str(checkpoint_dir) if checkpoint_dir else ''} "
+            f"— inspect quarantine.json and rerun"
+        )
+    cursor = 0
+    for label, rows in series_points:
+        result.series[label] = [
+            (x, outcome.results[cursor + k]) for k, (x, _) in enumerate(rows)
+        ]
+        cursor += len(rows)
+    return result
+
+
+fig3 = partial(run_figure, "fig3")
+fig4 = partial(run_figure, "fig4")
+fig5 = partial(run_figure, "fig5")
+fig6 = partial(run_figure, "fig6")
+fig7 = partial(run_figure, "fig7")
+fig8 = partial(run_figure, "fig8")
+fig9 = partial(run_figure, "fig9")
+fig10 = partial(run_figure, "fig10")

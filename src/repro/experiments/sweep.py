@@ -19,6 +19,7 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 from repro.core.config import SimulationConfig
+from repro.core.policies.base import SchedulingPolicy
 from repro.core.policies.registry import make_policy
 from repro.core.simulator import Simulator
 from repro.errors import ExperimentError
@@ -251,10 +252,10 @@ def merge_reports(
     return merged
 
 
-def _build_cell(
+def cell_inputs(
     point: SweepPoint, seed: int, model: BurstFailureModel, with_obs: bool
-) -> Simulator:
-    """Assemble one ``(point, seed)`` cell's simulator.
+) -> tuple[Workload, FailureLog, SchedulingPolicy, SimulationConfig]:
+    """The simulator arguments of one ``(point, seed)`` cell.
 
     ``with_obs`` forces metrics collection (``profile=True``) so sweep
     observability works even when the point's config only asks for
@@ -274,7 +275,7 @@ def _build_cell(
     config = replace(point.config, seed=seed + 4)
     if with_obs:
         config = replace(config, profile=True)
-    return Simulator(workload, failures, policy, config)
+    return workload, failures, policy, config
 
 
 def simulate_cell(
@@ -288,7 +289,7 @@ def simulate_cell(
     module-level caches above, which act as worker-side memoisation
     under ``multiprocessing`` fan-out.
     """
-    return _build_cell(point, seed, model, with_obs=False).run()
+    return Simulator(*cell_inputs(point, seed, model, with_obs=False)).run()
 
 
 def simulate_cell_obs(
@@ -300,7 +301,7 @@ def simulate_cell_obs(
     point's config enables tracing) is picklable, so parallel workers
     ship it back to the parent for deterministic aggregation.
     """
-    simulator = _build_cell(point, seed, model, with_obs=True)
+    simulator = Simulator(*cell_inputs(point, seed, model, with_obs=True))
     report = simulator.run()
     metrics = simulator.metrics.to_dict() if simulator.metrics is not None else None
     trace_records = (

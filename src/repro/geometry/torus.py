@@ -123,38 +123,6 @@ def batch_box_sums(
     )
 
 
-def stacked_box_sums(
-    integrals: np.ndarray, x: np.ndarray, y: np.ndarray, z: np.ndarray,
-    extents: np.ndarray,
-) -> np.ndarray:
-    """Box sums across a *stack* of integrals, one window shape each.
-
-    ``integrals`` is ``(k, ...)`` — one :func:`wrap_pad_integral` result
-    per window shape — with corners ``x``/``y``/``z`` of shape ``(k, n)``
-    (or broadcastable) and ``extents`` broadcastable to ``(k, n, 3)``:
-    ``(k, 1, 3)`` for one window per integral, ``(k, n, 3)`` when every
-    (integral, base) pair has its own window.  Returns the ``(k, n)``
-    box sums: the whole stack against every base in eight fancy-indexed
-    lookups total, instead of eight per shape.  This lets the batch
-    scorer probe a whole block of shapes per numpy dispatch.
-    """
-    k = np.arange(integrals.shape[0])[:, None]
-    a = extents[..., 0]
-    b = extents[..., 1]
-    c = extents[..., 2]
-    i = integrals
-    return (
-        i[k, x + a, y + b, z + c]
-        - i[k, x, y + b, z + c]
-        - i[k, x + a, y, z + c]
-        - i[k, x + a, y + b, z]
-        + i[k, x, y, z + c]
-        + i[k, x, y + b, z]
-        + i[k, x + a, y, z]
-        - i[k, x, y, z]
-    )
-
-
 def circular_window_sum(grid: np.ndarray, shape: Coord) -> np.ndarray:
     """Box sums over every wrap-around window of ``shape``.
 
@@ -181,9 +149,9 @@ class Torus:
     * ``version`` increments on every mutation; finders use it to
       invalidate per-state caches.
     * a bounded *mutation journal* records each box-level mutation so
-      version-checked consumers (:class:`repro.allocation.mfp.IndexCache`
-      in incremental mode) can patch their state forward instead of
-      rebuilding; see :meth:`journal_since`.
+      version-checked consumers (:class:`repro.allocation.mfp.IndexCache`)
+      can patch their state forward instead of rebuilding; see
+      :meth:`journal_since`.
     """
 
     __slots__ = (
@@ -365,8 +333,7 @@ class Torus:
         the requested version is in the future, entries have aged out of
         the bounded journal, or an opaque whole-grid mutation
         (:meth:`clear` / :meth:`restore`) lies in between.  ``None``
-        tells the caller to rebuild from scratch (the retained oracle
-        path).
+        tells the caller to build afresh.
         """
         if version == self.version:
             return []
@@ -387,7 +354,8 @@ class Torus:
     def check_invariants(self) -> None:
         """Assert the occupancy grid and the allocation map agree.
 
-        Used by tests and the simulator's debug mode.  The richer (and
+        Used by tests and, beside it, by the oracle harness
+        (``SimulationConfig.check_invariants``).  The richer (and
         independently implemented) oracle is
         :class:`repro.testing.InvariantChecker`; this quick form rebuilds
         the expected grid from the map and additionally checks node-count

@@ -15,9 +15,11 @@ Three properties carry the design:
   ``SimulationConfig`` field), the seed and the failure model.  Any
   change to an input that could change the report changes the key, so a
   stale checkpoint directory can never poison a different sweep.
-  Observational flags (``trace``/``profile``/invariant checking) are
-  excluded: the report is bit-identical either way, so toggling them
-  between runs still hits the cache.
+  The three observational flags (``trace``/``profile``/
+  ``check_invariants``) are excluded: the report is bit-identical
+  either way, so toggling them between runs still hits the cache.
+  Every other config field is in the key — there are no engine toggles
+  to carve out.
 * **Atomic writes** — each cell is written to a temp file in the same
   directory, flushed, fsynced and ``os.replace``d into place (and the
   directory fsynced).  A reader never observes a partial cell file; an
@@ -73,10 +75,9 @@ def describe_point(point: "SweepPoint") -> dict[str, Any]:
     """Canonical JSON-able description of a sweep point.
 
     Covers every field that feeds the simulation, including the nested
-    :class:`SimulationConfig` — but only its *behavioural* fields; the
-    observational flags (``trace``, ``profile``, ``check_invariants``,
-    ``strict_invariants``) are excluded because the report is
-    bit-identical with them on or off.
+    :class:`SimulationConfig` — every field but the observational
+    flags (``trace``, ``profile``, ``check_invariants``), excluded
+    because the report is bit-identical with them on or off.
     """
     config = point.config
     return {
@@ -114,13 +115,12 @@ def describe_model(model: "BurstFailureModel") -> dict[str, Any]:
 def point_from_dict(data: dict[str, Any]) -> "SweepPoint":
     """Reconstruct a :class:`SweepPoint` from :func:`describe_point` output.
 
-    The inverse covers exactly the behavioural fields the description
-    carries; observational config flags (``trace``/``profile``/invariant
-    checking) and the bitwise-equivalent engine toggles
-    (``incremental_index``/``batch_events``) come back as defaults —
-    by the store's own contract the report is bit-identical regardless,
-    which is what lets queue workers rebuild a cell from its task record
-    and still land a checkpoint the driver merges bitwise with serial.
+    The inverse covers exactly the fields the description carries; the
+    observational config flags (``trace``/``profile``/
+    ``check_invariants``) come back as defaults — by the store's own
+    contract the report is bit-identical regardless, which is what lets
+    queue workers rebuild a cell from its task record and still land a
+    checkpoint the driver merges bitwise with serial.
     """
     from repro.checkpoint.model import CheckpointConfig, CheckpointMode
     from repro.core.config import BackfillMode, SimulationConfig

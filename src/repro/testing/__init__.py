@@ -15,6 +15,13 @@ headline claims rest on:
   must return identical canonical partition sets on any machine state;
 * :class:`SimulationOracleHarness` — the bundle the simulator wires in.
 
+It is also where the **reference engine** is built.  Production runs one
+engine and has no option to pick another; a test that wants the
+independent answer constructs it: :class:`RebuildIndexCache` (a fresh
+plain ``PlacementIndex`` per machine state) for index-level comparisons,
+:func:`oracle_simulator` for a whole run on it — same arguments as
+``Simulator``, reports and traces byte-identical by contract.
+
 :func:`random_torus` / :func:`corrupt_random_node` supply random and
 deliberately broken machine states for property and negative tests.
 """
@@ -35,6 +42,7 @@ from repro.testing.random_state import (
     random_partition,
     random_torus,
 )
+from repro.testing.reference import RebuildIndexCache, oracle_simulator
 
 __all__ = [
     "CapacityOracle",
@@ -44,10 +52,12 @@ __all__ = [
     "InvariantChecker",
     "InvariantViolationError",
     "OracleError",
+    "RebuildIndexCache",
     "SimulationOracleHarness",
     "assert_raises_oracle",
     "corrupt_random_node",
     "default_finders",
+    "oracle_simulator",
     "random_partition",
     "random_torus",
 ]

@@ -1,7 +1,8 @@
 """The bundle of runtime oracles the simulator attaches.
 
 :class:`SimulationOracleHarness` packages the three per-run oracles —
-occupancy invariants, event ordering, capacity accounting — behind the
+occupancy invariants (twice over: :class:`InvariantChecker` and
+``Torus.check_invariants``), event ordering, capacity accounting — behind the
 four hooks :class:`~repro.core.simulator.Simulator` calls when
 ``SimulationConfig.check_invariants`` is on.  The harness is strictly
 observational: it never mutates simulator state, so an instrumented run
@@ -38,8 +39,10 @@ class SimulationOracleHarness:
         self.events.observe_batch(batch)
 
     def check_torus(self, torus: Torus) -> None:
-        """Called after every scheduler pass (all allocs/frees applied)."""
+        """Called after every scheduler pass (all allocs/frees applied):
+        both occupancy checkers, which share no code."""
         self.invariants.check(torus)
+        torus.check_invariants()
 
     def record_capacity(self, time: float, free: int, queued: int) -> None:
         """Mirror of every ``CapacityTracker.record`` call."""

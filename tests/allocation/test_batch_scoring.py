@@ -1,7 +1,9 @@
-"""Property-based cross-validation of the batch scoring kernel.
+"""Property-based cross-validation of the production scoring kernel.
 
-The batch path (:meth:`PlacementIndex.batch_mfp_losses` and friends)
-must be *bitwise* interchangeable with the retained scalar oracle
+What the policies run — ``batch_mfp_losses`` on an
+:class:`IncrementalPlacementIndex`, i.e. the bit-mask
+``_batch_excluding`` kernel — must be *bitwise* interchangeable with the
+scalar reference on a fresh plain :class:`PlacementIndex`
 (:meth:`PlacementIndex.scored_candidates` / :meth:`mfp_excluding`): same
 candidates, same enumeration order, same losses.  The headline sweep
 pins ``max_examples=100`` regardless of the active hypothesis profile,
@@ -20,7 +22,8 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.allocation.mfp import IndexCache, PlacementIndex
+from repro.allocation.incremental import IncrementalPlacementIndex
+from repro.allocation.mfp import PlacementIndex
 from repro.geometry.coords import TorusDims
 from repro.geometry.partition import Partition
 from repro.geometry.shapes import schedulable_sizes, shapes_for_size
@@ -30,7 +33,7 @@ from repro.geometry.torus import (
     window_sums_from_integral,
     wrap_pad_integral,
 )
-from repro.testing import random_torus
+from repro.testing import RebuildIndexCache, random_torus
 
 dims_strategy = st.builds(
     TorusDims, st.integers(1, 4), st.integers(1, 4), st.integers(1, 5)
@@ -76,13 +79,11 @@ class TestBatchVsScalar:
     @settings(max_examples=100, deadline=None)
     @given(torus_states(), st.data())
     def test_losses_bitwise_equal(self, torus, data):
-        """≥100 random states: batch losses == scalar oracle losses,
-        candidate for candidate, in enumeration order."""
+        """≥100 random states: production losses == scalar reference
+        losses, candidate for candidate, in enumeration order."""
         size = data.draw(st.sampled_from(schedulable_sizes(torus.dims)))
-        batch_index = PlacementIndex(torus)
-        scalar_index = PlacementIndex(torus)
-        batch, losses = batch_index.batch_mfp_losses(size)
-        scored = scalar_index.scored_candidates(size)
+        batch, losses = IncrementalPlacementIndex(torus).batch_mfp_losses(size)
+        scored = PlacementIndex(torus).scored_candidates(size)
         assert len(batch) == len(scored)
         assert batch.partitions() == [p for p, _ in scored]
         assert losses.dtype == np.int64
@@ -91,8 +92,9 @@ class TestBatchVsScalar:
     @settings(max_examples=50, deadline=None)
     @given(torus_states(), st.data())
     def test_excluding_matches_scalar_on_arbitrary_bases(self, torus, data):
-        """``batch_mfp_excluding`` accepts *any* bases (not only free
-        candidates) and must agree with per-partition ``mfp_excluding``."""
+        """The kernel accepts *any* bases (not only free candidates, not
+        only in the primary cell) and must agree with the reference's
+        per-partition ``mfp_excluding``."""
         dims = torus.dims
         shape = data.draw(
             st.tuples(
@@ -105,21 +107,25 @@ class TestBatchVsScalar:
         bases = np.stack(
             [
                 data.draw(
-                    st.lists(st.integers(0, d - 1), min_size=n, max_size=n)
+                    st.lists(st.integers(-d, 2 * d), min_size=n, max_size=n)
                 )
                 for d in dims.as_tuple()
             ],
             axis=1,
         ).astype(np.int64)
-        index = PlacementIndex(torus)
-        got = index.batch_mfp_excluding(bases, shape)
+        shapes = np.broadcast_to(np.array(shape, dtype=np.int64), (n, 3))
+        got = IncrementalPlacementIndex(torus)._batch_excluding(bases, shapes)
+        reference = PlacementIndex(torus)
         want = [
-            index.mfp_excluding(
-                Partition((int(b[0]), int(b[1]), int(b[2])), shape)
+            reference.mfp_excluding(
+                Partition(dims.wrap((int(b[0]), int(b[1]), int(b[2]))), shape)
             )
             for b in bases
         ]
+        assert got.dtype == np.int64
         assert got.tolist() == want
+        # The reference's own array form is that same walk.
+        assert reference._batch_excluding(bases, shapes).tolist() == want
 
 
 class TestEnumeration:
@@ -172,10 +178,15 @@ class TestEnumeration:
 
 
 class TestIndexCache:
+    """The reference cache of ``repro.testing``: one fresh plain index
+    per machine state (the production cache's repair/fallback contract
+    is covered with the incremental index's differential suite)."""
+
     def test_reuses_until_version_bump(self):
         torus = Torus(TorusDims(4, 4, 4))
-        cache = IndexCache(torus)
+        cache = RebuildIndexCache(torus)
         first = cache.get()
+        assert type(first) is PlacementIndex
         assert cache.get() is first
         torus.allocate(1, Partition((0, 0, 0), (2, 2, 2)))
         second = cache.get()
@@ -187,7 +198,7 @@ class TestIndexCache:
 
     def test_rebuilt_index_answers_for_new_state(self):
         torus = Torus(TorusDims(4, 4, 4))
-        cache = IndexCache(torus)
+        cache = RebuildIndexCache(torus)
         assert cache.get().mfp_size() == 64
         torus.allocate(1, Partition((0, 0, 0), (4, 4, 2)))
         assert cache.get().mfp_size() == 32

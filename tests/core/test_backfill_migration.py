@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.allocation.mfp import IndexCache
 from repro.core.backfill import shadow_time
 from repro.core.jobstate import JobState
 from repro.core.migration import (
@@ -21,7 +20,7 @@ from repro.core.migration import (
 from repro.geometry.coords import BGL_SUPERNODE_DIMS
 from repro.geometry.partition import Partition
 from repro.geometry.torus import Torus
-from repro.testing.random_state import random_torus
+from repro.testing import RebuildIndexCache, random_torus
 from repro.workloads.job import Job
 
 D = BGL_SUPERNODE_DIMS
@@ -126,14 +125,14 @@ class TestCompaction:
 
 
 def reference_plan(torus, running, head):
-    """The planner as it was before it moved onto the incremental
-    index: a from-scratch :class:`PlacementIndex` per re-placed job."""
+    """The planner on the reference index: a from-scratch plain
+    ``PlacementIndex`` (scalar scoring walk) per re-placed job."""
     todo = sorted(
         [js for js in running if js.running] + [head],
         key=lambda js: (-js.size, js.job.arrival, js.job_id),
     )
     scratch = Torus(torus.dims)
-    cache = IndexCache(scratch, incremental=False)
+    cache = RebuildIndexCache(scratch)
     placements = []
     for js in todo:
         batch, losses = cache.get().batch_mfp_losses(js.size)

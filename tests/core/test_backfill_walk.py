@@ -6,23 +6,25 @@ does not fit, and almost none of them fit either.  The walk asks the
 placement index once per distinct waiting size and calls the policy only
 for sizes with a free partition; with the recorder on it visits every
 job so the trace keeps the policy's empty ``candidates`` records.  Both
-forms must produce the same schedule, on the incremental index and on
-the rebuild oracle, batched and per-event.
+forms must produce the same schedule, on the production engine and on
+the reference one a test builds (``repro.testing.oracle_simulator``:
+from-scratch index rebuilds, scalar scoring, integral release replay).
 """
 
 from __future__ import annotations
 
 import json
-from itertools import product
 
 import pytest
 
 from repro.api import SimulationSetup
 from repro.core.config import SimulationConfig
+from repro.core.simulator import Simulator
 from repro.metrics.serialize import report_to_dict
 from repro.obs.trace import TraceRecorder
+from repro.testing import oracle_simulator
 
-MODES = list(product((True, False), (True, False)))
+ENGINES = {"production": Simulator, "reference": oracle_simulator}
 
 
 def deep_queue_setup(**config) -> SimulationSetup:
@@ -35,6 +37,10 @@ def deep_queue_setup(**config) -> SimulationSetup:
         seed=0,
         config=SimulationConfig(check_invariants=True, **config),
     )
+
+
+def build(engine: str, setup: SimulationSetup, recorder=None):
+    return ENGINES[engine](*setup.build_inputs(), setup.config, recorder=recorder)
 
 
 def report_bytes(sim) -> bytes:
@@ -60,35 +66,29 @@ class CountingPolicy:
 
 @pytest.fixture(scope="module")
 def traced_runs(tmp_path_factory):
-    """(report bytes, trace bytes) per (incremental_index, batch_events)."""
+    """(report bytes, trace file bytes) per engine."""
     tmp = tmp_path_factory.mktemp("walk")
     out = {}
-    for incremental, batch in MODES:
-        path = tmp / f"trace_{incremental}_{batch}.ndjson"
-        setup = deep_queue_setup(
-            trace=True, incremental_index=incremental, batch_events=batch
-        )
+    for engine in ENGINES:
+        path = tmp / f"trace_{engine}.ndjson"
         with path.open("w", encoding="utf-8") as sink:
-            report = report_bytes(setup.build_simulator(TraceRecorder(sink=sink)))
-        out[incremental, batch] = (report, path.read_bytes())
+            sim = build(engine, deep_queue_setup(trace=True), TraceRecorder(sink=sink))
+            report = report_bytes(sim)
+        out[engine] = (report, path.read_bytes())
     return out
 
 
 class TestDeepQueueEquivalence:
     def test_report_and_trace_file_identical_in_every_mode(self, traced_runs):
-        report, trace = traced_runs[True, True]
+        report, trace = traced_runs["production"]
         assert trace.count(b"\n") > 10_000  # the empty records are there
-        for mode in MODES[1:]:
-            assert traced_runs[mode][0] == report, mode
-            assert traced_runs[mode][1] == trace, mode
+        assert traced_runs["reference"] == (report, trace)
 
-    @pytest.mark.parametrize("incremental,batch", MODES)
-    def test_gated_walk_schedules_like_the_traced_walk(
-        self, traced_runs, incremental, batch
-    ):
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_gated_walk_schedules_like_the_traced_walk(self, traced_runs, engine):
         """Recorder off: the size gate and the lazy shadow are active."""
-        setup = deep_queue_setup(incremental_index=incremental, batch_events=batch)
-        assert report_bytes(setup.build_simulator()) == traced_runs[True, True][0]
+        sim = build(engine, deep_queue_setup())
+        assert report_bytes(sim) == traced_runs["production"][0]
 
 
 class TestGateCutsPolicyCalls:

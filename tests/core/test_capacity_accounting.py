@@ -25,7 +25,7 @@ def run(jobs, failures=(), **cfg_kw):
     log = FailureLog(N, [FailureEvent(t, n) for t, n in failures])
     return simulate(
         workload, log, KrevatPolicy(),
-        SimulationConfig(strict_invariants=True, **cfg_kw),
+        SimulationConfig(check_invariants=True, **cfg_kw),
     )
 
 

@@ -1,12 +1,14 @@
-"""Event-batching equivalence: batched vs per-event simulator core.
+"""Same-timestamp event batches, and production vs the reference engine.
 
-With ``batch_events=True`` the simulator drains every event sharing the
-next timestamp (kind order FINISH < FAILURE < ARRIVAL), repairs the
-placement index once, and runs one scheduling pass.  With
-``batch_events=False`` the index is refreshed after *every* handler —
-the oracle semantics.  The two must be indistinguishable: identical
-reports and byte-identical NDJSON decision traces, across randomized
-workloads and failure mixes (DESIGN.md §5.12).
+The simulator drains every event sharing the next timestamp (kind order
+FINISH < FAILURE < ARRIVAL), repairs the placement index once, and runs
+one scheduling pass.  There is one engine; what it is compared with is
+the reference a test builds — :func:`repro.testing.oracle_simulator`,
+the same simulator answering every index query from a from-scratch
+``PlacementIndex`` rebuild.  The two must be indistinguishable:
+identical reports and byte-identical NDJSON decision traces, across
+randomized workloads and failure mixes, with every runtime oracle
+attached (DESIGN.md §5.12).
 """
 
 from __future__ import annotations
@@ -19,48 +21,35 @@ from repro.api import SimulationSetup
 from repro.core.config import SimulationConfig
 from repro.core.events import EventKind, EventQueue
 from repro.core.policies import KrevatPolicy
-from repro.core.policies.registry import make_policy
 from repro.core.simulator import Simulator, simulate
 from repro.failures.events import FailureEvent, FailureLog
 from repro.geometry.coords import BGL_SUPERNODE_DIMS
 from repro.obs.tools import diff_traces
 from repro.obs.trace import _encode, write_trace
+from repro.testing import oracle_simulator
 from repro.workloads.job import Job, Workload
 
 D = BGL_SUPERNODE_DIMS
 N = D.volume
 
+CONFIG = SimulationConfig(trace=True, check_invariants=True)
 
-def run_traced(setup: SimulationSetup, batch_events: bool):
+
+def run_traced(setup: SimulationSetup, engine=Simulator):
     """One traced simulation; returns (report, trace records)."""
-    config = SimulationConfig(trace=True, batch_events=batch_events)
-    workload = setup.build_workload()
-    failures = setup.build_failures(workload)
-    policy = make_policy(
-        setup.policy,
-        failure_log=failures,
-        parameter=setup.parameter,
-        pf_rule=setup.pf_rule,
-        seed=setup.seed + 2,
-    )
-    sim = Simulator(workload, failures, policy, config)
+    sim = engine(*setup.build_inputs(), CONFIG)
     report = sim.run()
     return report, sim.recorder.records
 
 
 def assert_equivalent(setup: SimulationSetup) -> None:
-    batched_report, batched_trace = run_traced(setup, batch_events=True)
-    oracle_report, oracle_trace = run_traced(setup, batch_events=False)
-    assert batched_report.records == oracle_report.records
-    assert batched_report.timing == oracle_report.timing
-    assert batched_report.capacity == oracle_report.capacity
-    assert batched_report.counters == oracle_report.counters
+    report, trace = run_traced(setup)
+    oracle_report, oracle_trace = run_traced(setup, oracle_simulator)
+    assert report == oracle_report
     # Byte-identical NDJSON: _encode produces exactly the serialized
     # line each record becomes on disk.
-    assert [_encode(r) for r in batched_trace] == [
-        _encode(r) for r in oracle_trace
-    ]
-    assert diff_traces(batched_trace, oracle_trace) is None
+    assert [_encode(r) for r in trace] == [_encode(r) for r in oracle_trace]
+    assert diff_traces(trace, oracle_trace) is None
 
 
 class TestRandomizedEquivalence:
@@ -75,7 +64,7 @@ class TestRandomizedEquivalence:
         parameter=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
         seed=st.integers(min_value=0, max_value=2**31 - 1),
     )
-    def test_batched_equals_unbatched(
+    def test_production_equals_oracle_simulator(
         self, site, n_jobs, n_failures, policy, parameter, seed
     ):
         assert_equivalent(
@@ -95,10 +84,10 @@ class TestRandomizedEquivalence:
             site="sdsc", n_jobs=30, n_failures=10,
             policy="balancing", parameter=0.3, seed=11,
         )
-        _, batched = run_traced(setup, batch_events=True)
-        _, oracle = run_traced(setup, batch_events=False)
-        a, b = tmp_path / "batched.ndjson", tmp_path / "oracle.ndjson"
-        write_trace(batched, a)
+        _, production = run_traced(setup)
+        _, oracle = run_traced(setup, oracle_simulator)
+        a, b = tmp_path / "production.ndjson", tmp_path / "oracle.ndjson"
+        write_trace(production, a)
         write_trace(oracle, b)
         assert a.read_bytes() == b.read_bytes()
 
@@ -123,36 +112,30 @@ class TestIntraTimestampOrdering:
 
     def test_finish_before_simultaneous_arrival(self):
         """A partition freed at t is visible to a job arriving at t."""
-        for batch_events in (True, False):
-            report = simulate(
-                Workload("test", N, (
-                    Job(0, 0.0, N, 100.0),
-                    Job(1, 100.0, N, 50.0),
-                )),
-                FailureLog(N),
-                KrevatPolicy(),
-                SimulationConfig(
-                    strict_invariants=True, batch_events=batch_events
-                ),
-            )
-            recs = {r.job_id: r for r in report.records}
-            assert recs[1].start == 100.0
-            assert recs[1].wait == 0.0
+        report = simulate(
+            Workload("test", N, (
+                Job(0, 0.0, N, 100.0),
+                Job(1, 100.0, N, 50.0),
+            )),
+            FailureLog(N),
+            KrevatPolicy(),
+            SimulationConfig(check_invariants=True),
+        )
+        recs = {r.job_id: r for r in report.records}
+        assert recs[1].start == 100.0
+        assert recs[1].wait == 0.0
 
     def test_finish_before_simultaneous_failure(self):
         """A job completing at exactly the failure instant has already
-        finished — no restart in either mode."""
-        for batch_events in (True, False):
-            report = simulate(
-                Workload("test", N, (Job(0, 0.0, N, 100.0),)),
-                FailureLog(N, [FailureEvent(100.0, 0)]),
-                KrevatPolicy(),
-                SimulationConfig(
-                    strict_invariants=True, batch_events=batch_events
-                ),
-            )
-            assert report.records[0].restarts == 0
-            assert report.records[0].response == 100.0
+        finished — no restart."""
+        report = simulate(
+            Workload("test", N, (Job(0, 0.0, N, 100.0),)),
+            FailureLog(N, [FailureEvent(100.0, 0)]),
+            KrevatPolicy(),
+            SimulationConfig(check_invariants=True),
+        )
+        assert report.records[0].restarts == 0
+        assert report.records[0].response == 100.0
 
 
 if __name__ == "__main__":

@@ -26,7 +26,7 @@ from repro.core.jobstate import JobState
 from repro.geometry.coords import BGL_SUPERNODE_DIMS, TorusDims
 from repro.geometry.partition import Partition
 from repro.geometry.torus import Torus
-from repro.testing.random_state import random_torus
+from repro.testing import RebuildIndexCache, random_torus
 from repro.workloads.job import Job
 
 D = BGL_SUPERNODE_DIMS
@@ -92,15 +92,13 @@ class TestEngineMatchesNaive:
         and the full-span shapes of 32/64/128 included."""
         torus = random_torus(D, rng=seed)
         running = running_states(torus, est_finishes)
-        for incremental in (True, False):
-            engine = ShadowTimeEngine(
-                torus, IndexCache(torus, incremental=incremental)
-            )
+        for cache_type in (IndexCache, RebuildIndexCache):
+            engine = ShadowTimeEngine(torus, cache_type(torus))
             for size in HEAD_SIZES:
                 assert engine.shadow_time(
                     running, size, 0.0
                 ) == shadow_time_naive(torus, running, size, 0.0), (
-                    incremental, size,
+                    cache_type, size,
                 )
 
     @settings(max_examples=40, deadline=None)
@@ -110,7 +108,7 @@ class TestEngineMatchesNaive:
         queries; the replay must read the patched tensor, not a stale
         one."""
         torus = random_torus(D, rng=seed)
-        cache = IndexCache(torus, incremental=True)
+        cache = IndexCache(torus)
         engine = ShadowTimeEngine(torus, cache)
         running = running_states(torus, [10.0, 40.0, 90.0, 20.0])
         for js in sorted(running, key=lambda js: js.job_id)[:3]:

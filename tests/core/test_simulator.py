@@ -31,7 +31,7 @@ def no_failures() -> FailureLog:
 
 
 def cfg(**kw) -> SimulationConfig:
-    return SimulationConfig(**{"strict_invariants": True, **kw})
+    return SimulationConfig(**{"check_invariants": True, **kw})
 
 
 class TestBasicRuns:

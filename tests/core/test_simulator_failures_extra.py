@@ -21,7 +21,7 @@ def wl(*jobs: Job) -> Workload:
 
 
 def cfg(**kw) -> SimulationConfig:
-    return SimulationConfig(**{"strict_invariants": True, **kw})
+    return SimulationConfig(**{"check_invariants": True, **kw})
 
 
 class TestBurstSemantics:

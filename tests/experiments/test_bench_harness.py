@@ -49,9 +49,10 @@ def test_smoke_scale_produces_trajectory_file(bench_core, tmp_path):
     # The before/after shadow-time pair must both be present.
     assert "shadow_time_engine" in names
     assert "shadow_time_naive" in names
-    # Likewise the scalar/batch scoring pair the speedup gate consumes.
-    assert "scored_candidates_scalar" in names
+    # Scoring as production runs it, and index upkeep patch vs rebuild.
     assert "scored_candidates_batch" in names
+    assert "index_incremental_update" in names
+    assert "index_rebuild_oracle" in names
     assert "sweep_serial" in names and "sweep_parallel" in names
     for r in records:
         assert REQUIRED_KEYS <= r.keys()

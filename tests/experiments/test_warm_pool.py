@@ -231,15 +231,6 @@ def test_prewarmed_pool_shares_one_resource_tracker():
 
 @needs_fork
 class TestWarmEquivalence:
-    def test_file_backend_bitwise_identical(self):
-        points, seeds = _grid()
-        warm_results = run_sweep(
-            points, seeds, workers=2, min_cells_per_worker=0
-        )
-        sweep_mod._result_cache.clear()
-        serial = run_sweep(points, seeds, workers=1)
-        assert warm_results == serial
-
     def test_collector_parity_with_serial(self):
         from repro.obs.aggregate import SweepObsCollector
 

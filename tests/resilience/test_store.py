@@ -26,7 +26,7 @@ from repro.experiments.sweep import SweepPoint, simulate_cell
 from repro.failures.synthetic import BurstFailureModel
 from repro.metrics.serialize import report_to_dict
 from repro.resilience import CellStore, cell_key
-from repro.resilience.store import TMP_PREFIX
+from repro.resilience.store import TMP_PREFIX, describe_point
 
 POINT = SweepPoint("nasa", 12, 1.0, 2, "balancing", 0.3)
 MODEL = BurstFailureModel()
@@ -196,10 +196,18 @@ class TestCellKey:
             dict(trace=True),
             dict(profile=True),
             dict(check_invariants=True),
-            dict(trace=True, profile=True, check_invariants=True,
-                 strict_invariants=True),
+            dict(trace=True, profile=True, check_invariants=True),
         ):
             toggled = dataclasses.replace(
                 POINT, config=SimulationConfig(**flags)
             )
             assert cell_key(toggled, 0, MODEL) == base
+
+    def test_every_config_field_is_classified(self):
+        """A ``SimulationConfig`` field is either in the cell key or one
+        of the three observational flags — a new field cannot silently
+        stay out of the key."""
+        observational = {"trace", "profile", "check_invariants"}
+        fields = {f.name for f in dataclasses.fields(SimulationConfig)}
+        assert observational < fields
+        assert set(describe_point(POINT)["config"]) == fields - observational
