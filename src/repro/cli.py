@@ -511,10 +511,20 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 trace=bool(args.trace), profile=args.metrics
             ),
         )
-        simulator = setup.build_simulator()
-        report = simulator.run()
+        from contextlib import nullcontext
+
+        from repro.obs.trace import TraceRecorder
+
+        # Stream the trace as the run goes (a buffered run holds every
+        # record as a dict until the end).
+        with (
+            open(args.trace, "w", encoding="utf-8") if args.trace else nullcontext()
+        ) as sink:
+            simulator = setup.build_simulator(
+                recorder=TraceRecorder(sink=sink) if sink is not None else None
+            )
+            report = simulator.run()
         if args.trace:
-            simulator.recorder.write(args.trace)
             print(f"trace: {len(simulator.recorder)} records -> {args.trace}")
         if args.metrics and simulator.metrics is not None:
             for line in simulator.metrics.summary_lines():

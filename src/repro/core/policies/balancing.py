@@ -53,7 +53,7 @@ class BalancingPolicy(SchedulingPolicy):
         batch, losses = self.batch_scored(index, state.size)
         if not len(batch):
             if self.recorder.enabled:
-                self.trace_decision(state, now, [], 0, None)
+                self.trace_decision(state, now, batch, None)
             return None
         window_end = now + max(state.remaining_estimate, 1.0)
         probs = np.empty(len(batch), dtype=np.float64)
@@ -61,22 +61,16 @@ class BalancingPolicy(SchedulingPolicy):
             probs[sl] = self.predictor.partition_failure_probabilities(
                 bases, shape, index.dims, now, window_end
             )
-        e_loss = losses + probs * state.size
+        l_pf = probs * state.size
+        e_loss = losses + l_pf
         tied = np.flatnonzero(e_loss == e_loss.min())
         winner = int(tied[int(np.argmin(probs[tied]))])
         chosen = batch.partition(winner)
         if self.recorder.enabled:
-            considered = [
-                self.describe_candidate(
-                    batch.partition(i),
-                    l_mfp=int(losses[i]),
-                    p_f=float(probs[i]),
-                    l_pf=float(probs[i]) * state.size,
-                    e_loss=float(e_loss[i]),
-                )
-                for i in range(len(batch))
-            ]
-            self.trace_decision(state, now, considered, len(batch), chosen)
+            self.trace_decision(
+                state, now, batch, chosen,
+                l_mfp=losses, p_f=probs, l_pf=l_pf, e_loss=e_loss,
+            )
         return chosen
 
     def choose_partition_scalar(

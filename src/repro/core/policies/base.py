@@ -31,8 +31,12 @@ class SchedulingPolicy(abc.ABC):
 
     #: Decision-trace recorder; the simulator swaps in its own when
     #: tracing is enabled.  Policies emit one ``candidates`` record per
-    #: placement decision with the scoring inputs of every considered
-    #: partition.
+    #: placement decision they are asked for, with the scoring inputs of
+    #: the considered partitions (:meth:`trace_decision`).  The backfill
+    #: walk does not ask about a size with no free partition; it writes
+    #: that decision's record — the fixed empty shape ``trace_decision``
+    #: gives an empty batch — itself, in bulk
+    #: (:meth:`repro.obs.trace.TraceRecorder.emit_no_fit`).
     recorder = NULL_RECORDER
 
     def begin_pass(self, now: float) -> None:
@@ -86,20 +90,39 @@ class SchedulingPolicy(abc.ABC):
         self,
         state: JobState,
         now: float,
-        considered: list[dict],
-        n_candidates: int,
+        batch: CandidateBatch,
         chosen: Partition | None,
+        rows: np.ndarray | None = None,
+        **scores: np.ndarray,
     ) -> None:
-        """Emit one ``candidates`` decision record (tracing only)."""
+        """Emit one ``candidates`` decision record (tracing only).
+
+        ``rows`` are the batch rows the policy examined, in the order it
+        examined them (default: every candidate, enumeration order) and
+        each of ``scores`` is an array aligned with them.  Only the
+        first :data:`MAX_TRACED_CANDIDATES` become ``considered``
+        entries, built column-wise from the batch arrays — no
+        :class:`Partition` per candidate; ``truncated`` says whether any
+        were left out and ``n_candidates`` is the whole batch.
+        """
+        n_examined = len(batch) if rows is None else len(rows)
+        shown = slice(0, MAX_TRACED_CANDIDATES)
+        examined = shown if rows is None else rows[shown]
+        columns = [
+            batch.bases[examined].tolist(),
+            batch.shape_rows()[examined].tolist(),
+            *(column[shown].tolist() for column in scores.values()),
+        ]
+        keys = ("base", "shape", *scores)
         self.recorder.emit(
             "candidates",
             now,
             job=state.job_id,
             size=state.size,
             policy=self.name,
-            n_candidates=n_candidates,
-            considered=considered[:MAX_TRACED_CANDIDATES],
-            truncated=len(considered) > MAX_TRACED_CANDIDATES,
+            n_candidates=len(batch),
+            considered=[dict(zip(keys, entry)) for entry in zip(*columns)],
+            truncated=n_examined > MAX_TRACED_CANDIDATES,
             chosen=(
                 None
                 if chosen is None
@@ -109,12 +132,3 @@ class SchedulingPolicy(abc.ABC):
                 }
             ),
         )
-
-    @staticmethod
-    def describe_candidate(partition: Partition, **scores) -> dict:
-        """One considered-candidate entry for :meth:`trace_decision`."""
-        return {
-            "base": [int(x) for x in partition.base],
-            "shape": [int(x) for x in partition.shape],
-            **scores,
-        }

@@ -33,17 +33,13 @@ class KrevatPolicy(SchedulingPolicy):
         batch, losses = self.batch_scored(index, state.size)
         if not len(batch):
             if self.recorder.enabled:
-                self.trace_decision(state, now, [], 0, None)
+                self.trace_decision(state, now, batch, None)
             return None
         # np.argmin returns the first occurrence of the minimum — exactly
         # the scalar walk's "first candidate at min loss" tie order.
         chosen = batch.partition(int(np.argmin(losses)))
         if self.recorder.enabled:
-            considered = [
-                self.describe_candidate(batch.partition(i), l_mfp=int(losses[i]))
-                for i in range(len(batch))
-            ]
-            self.trace_decision(state, now, considered, len(batch), chosen)
+            self.trace_decision(state, now, batch, chosen, l_mfp=losses)
         return chosen
 
     def choose_partition_scalar(

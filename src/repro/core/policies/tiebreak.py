@@ -48,7 +48,7 @@ class TieBreakPolicy(SchedulingPolicy):
         batch, losses = self.batch_scored(index, state.size)
         if not len(batch):
             if self.recorder.enabled:
-                self.trace_decision(state, now, [], 0, None)
+                self.trace_decision(state, now, batch, None)
             return None
         window_end = now + max(state.remaining_estimate, 1.0)
         tied = np.flatnonzero(losses == losses.min())
@@ -75,16 +75,12 @@ class TieBreakPolicy(SchedulingPolicy):
         if self.recorder.enabled:
             # The scalar walk examines tied candidates up to and
             # including the first unpredicted one; mirror that.
-            last = int(unpredicted[0]) if unpredicted.size else tied.size - 1
-            considered = [
-                self.describe_candidate(
-                    batch.partition(int(tied[k])),
-                    l_mfp=int(losses[tied[k]]),
-                    predicted_failure=bool(predicted[k]),
-                )
-                for k in range(last + 1)
-            ]
-            self.trace_decision(state, now, considered, len(batch), chosen)
+            examined = tied[: int(unpredicted[0]) + 1] if unpredicted.size else tied
+            self.trace_decision(
+                state, now, batch, chosen, rows=examined,
+                l_mfp=losses[examined],
+                predicted_failure=predicted[: examined.size],
+            )
         return chosen
 
     def choose_partition_scalar(

@@ -488,20 +488,28 @@ class Simulator:
         """Start one lower-priority job if the mode permits; True if any
         job started (the caller refreshes the index and loops).
 
-        The walk asks the index once per *distinct* waiting size and
-        visits only jobs whose size has a free partition; the EASY shadow
-        is computed for the first such job.  A trace carries the policy's
-        empty ``candidates`` record for every job that passes the shadow
-        filter, so with the recorder on every waiting job is visited.
+        One walk, traced or not: the index is asked once per *distinct*
+        waiting size, and the policy is called only for a job whose size
+        has a free partition and whose estimate clears the EASY shadow.
+        A trace also carries an empty ``candidates`` record for every
+        job that clears the shadow but whose size does not fit; with the
+        recorder on the walk visits those jobs too and writes their
+        records itself — collected, and handed to the recorder as one
+        run before any policy call, so record order and ``seq`` are what
+        a per-job policy call would have produced.
         """
-        fits = self.wait.sizes()
-        if not self.recorder.enabled:
-            fits = {s for s in fits if index.has_candidate(s)}
-            if not fits:
-                return False
-        shadow = None if self.config.backfill is BackfillMode.EASY else math.inf
+        tracing = self.recorder.enabled
+        sizes = self.wait.sizes()
+        fits = {s for s in sizes if index.has_candidate(s)}
+        visit = sizes if tracing else fits
+        if not visit:
+            return False
+        no_fit: list[tuple[int, int]] = []
+        easy = self.config.backfill is BackfillMode.EASY
+        shadow = None if easy else math.inf
         for state in islice(self.wait, 1, None):
-            if state.size not in fits:
+            size = state.size
+            if size not in visit:
                 continue
             if shadow is None:
                 running = [self.states[i] for i in self._running_ids]
@@ -516,16 +524,24 @@ class Simulator:
             )
             if now + est_wall > shadow + _SHADOW_EPS:
                 continue
+            if size not in fits:  # reached only with the recorder on
+                no_fit.append((state.job_id, size))
+                continue
+            if no_fit:
+                self.recorder.emit_no_fit(now, self.policy.name, no_fit)
+                no_fit = []
             partition = self.policy.choose_partition(index, state, now)
             if partition is not None:
-                if self.recorder.enabled:
+                if tracing:
                     self.recorder.emit(
-                        "backfill", now, job=state.job_id,
-                        head_job=head.job_id, shadow=shadow, est_wall=est_wall,
+                        "backfill", now, job=state.job_id, head_job=head.job_id,
+                        shadow=shadow if easy else None, est_wall=est_wall,
                     )
                 self._dispatch(state, partition, now, via="backfill")
                 self.counters.backfills += 1
                 return True
+        if no_fit:
+            self.recorder.emit_no_fit(now, self.policy.name, no_fit)
         return False
 
     def _dispatch(

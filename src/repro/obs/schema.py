@@ -41,7 +41,9 @@ KIND_FIELDS: dict[str, frozenset[str]] = {
     # A job started on a partition.
     "dispatch": frozenset({"job", "size", "base", "shape", "via", "wall"}),
     # A waiting job was promoted past the queue head, with the
-    # shadow-time inputs that justified it.
+    # shadow-time inputs that justified it.  ``shadow`` is null under
+    # ``BackfillMode.AGGRESSIVE``, which has no shadow (never
+    # ``Infinity``: the recorder refuses non-finite numbers).
     "backfill": frozenset({"job", "head_job", "shadow", "est_wall"}),
     # A committed compaction episode.
     "migration": frozenset({"head_job", "moved_jobs", "n_placements"}),
@@ -51,6 +53,9 @@ KIND_FIELDS: dict[str, frozenset[str]] = {
     "checkpoint": frozenset({"job", "saved_before", "saved_after"}),
     # A job completed.
     "finish": frozenset({"job"}),
+    # A job was withdrawn (online service only); ``caught`` says where
+    # the cancellation found it: pending, waiting or running.
+    "cancel": frozenset({"job", "caught"}),
 }
 
 #: Kinds that represent scheduler *decisions* (what ``trace diff``

@@ -3,7 +3,19 @@
 :class:`TraceRecorder` buffers records in memory (the sweep engine ships
 them between processes) or streams them straight to a text sink; either
 way the on-disk form is newline-delimited JSON with compact separators
-and sorted keys, so identical runs produce byte-identical files.
+and sorted keys, so identical runs produce byte-identical files.  There
+is one encode path: the module-level :data:`_ENCODER` serialises every
+record, streamed by :meth:`TraceRecorder.emit` or written later by
+:func:`write_trace`, and it refuses non-finite numbers (``NaN`` and
+``Infinity`` are not RFC 8259 JSON), so every line a recorder writes is
+parseable by a strict reader.
+
+Most records of a deep-queue run are the empty ``candidates`` records of
+backfill probes whose size has no free partition.  The backfill walk
+hands those to :meth:`TraceRecorder.emit_no_fit` one run per walk; in
+sink mode the run is formatted from a key-sorted template and written
+with a single ``sink.write`` — the same bytes ``emit`` would produce,
+without a dict, an encoder pass and a write per record.
 
 :class:`NullRecorder` is the default wired into the simulator: a
 singleton whose :meth:`~NullRecorder.emit` is a no-op ``pass``.  Callers
@@ -16,14 +28,23 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import IO, Any, Iterator
+from typing import IO, Any, Iterator, Sequence
 
 from repro.errors import SimulationError
 from repro.obs.schema import TRACE_SCHEMA_VERSION
 
+#: The one encoder behind every trace line, built once: the ``json``
+#: module's ``dumps`` shortcut constructs a new ``JSONEncoder`` on every
+#: call with non-default options, and a trace is 10^5 records.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
+_encode = _ENCODER.encode
 
-def _encode(record: dict[str, Any]) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+#: An empty ``candidates`` record as ``_encode`` writes it, keys sorted;
+#: ``%s`` slots take pre-encoded JSON text, ``%d`` slots plain ints.
+_NO_FIT_LINE = (
+    '{"chosen":null,"considered":[],"job":%%d,"kind":"candidates",'
+    '"n_candidates":0,"policy":%s,"seq":%%d,"size":%%d,"t":%s,"truncated":false}\n'
+)
 
 
 class TraceRecorder:
@@ -55,6 +76,35 @@ class TraceRecorder:
             self._sink.write(_encode(record) + "\n")
         else:
             self._records.append(record)
+
+    def emit_no_fit(
+        self, t: float, policy: str, jobs: Sequence[tuple[int, int]]
+    ) -> None:
+        """Record one run of empty ``candidates`` decisions at time ``t``.
+
+        ``jobs`` are ``(job_id, size)`` pairs, one per waiting job the
+        backfill walk probed whose size has no free partition; the
+        result is exactly what one ``emit("candidates", t, job=...,
+        size=..., policy=policy, n_candidates=0, considered=[],
+        truncated=False, chosen=None)`` per pair would have recorded.
+        """
+        t = float(t)
+        numbered = enumerate(jobs, self._seq)
+        if self._sink is not None:
+            line = _NO_FIT_LINE % (_encode(policy).replace("%", "%%"), _encode(t))
+            self._sink.write(
+                "".join([line % (job, seq, size) for seq, (job, size) in numbered])
+            )
+        else:
+            self._records.extend(
+                {
+                    "kind": "candidates", "t": t, "seq": seq, "job": job,
+                    "size": size, "policy": policy, "n_candidates": 0,
+                    "considered": [], "truncated": False, "chosen": None,
+                }
+                for seq, (job, size) in numbered
+            )
+        self._seq += len(jobs)
 
     def header(self, **fields: Any) -> None:
         """Emit the stream header (must be the first record)."""
@@ -95,6 +145,11 @@ class NullRecorder:
     enabled = False
 
     def emit(self, kind: str, t: float, **fields: Any) -> None:
+        pass
+
+    def emit_no_fit(
+        self, t: float, policy: str, jobs: Sequence[tuple[int, int]]
+    ) -> None:
         pass
 
     def header(self, **fields: Any) -> None:

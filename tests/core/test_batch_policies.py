@@ -17,10 +17,12 @@ from repro.allocation.mfp import PlacementIndex
 from repro.core.config import BackfillMode, SimulationConfig
 from repro.core.jobstate import JobState
 from repro.core.policies import BalancingPolicy, KrevatPolicy, TieBreakPolicy
+from repro.core.policies.base import MAX_TRACED_CANDIDATES
 from repro.core.simulator import simulate
 from repro.failures.events import FailureEvent, FailureLog
 from repro.geometry.coords import TorusDims
 from repro.geometry.shapes import schedulable_sizes
+from repro.obs.trace import TraceRecorder
 from repro.prediction import (
     BalancingPredictor,
     PartitionFailureRule,
@@ -87,6 +89,83 @@ class TestPerDecision:
             assert policy.choose_partition(
                 index, state, now
             ) == policy.choose_partition_scalar(index, state, now), policy.name
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        torus_states(),
+        failure_logs(),
+        st.floats(0.0, 1.0, allow_nan=False),
+        st.integers(0, 2**31 - 1),
+        st.data(),
+    )
+    def test_traced_candidate_table_equals_the_per_candidate_loop(
+        self, torus, log, accuracy, seed, data
+    ):
+        """The ``considered`` table is built column-wise from the batch
+        arrays; the reference builds it one ``Partition`` and one scalar
+        predictor query at a time, then caps it."""
+        size = data.draw(st.sampled_from(schedulable_sizes(D)))
+        now = data.draw(st.floats(0.0, 700.0, allow_nan=False))
+        state = JobState(
+            Job(0, 0.0, size, data.draw(st.floats(1.0, 300.0, allow_nan=False)))
+        )
+        window_end = now + max(state.remaining_estimate, 1.0)
+        krevat, balancing, _, tiebreak = policies(log, accuracy, seed)
+        index = PlacementIndex(torus)
+        scored = index.scored_candidates(size)
+        min_loss = min((loss for _, loss in scored), default=0)
+
+        def entry(partition, **scores):
+            return {
+                "base": list(partition.base), "shape": list(partition.shape), **scores
+            }
+
+        def balancing_entry(partition, loss):
+            p_f = balancing.predictor.partition_failure_probability(
+                partition, D, now, window_end
+            )
+            return entry(
+                partition, l_mfp=loss, p_f=p_f, l_pf=p_f * size,
+                e_loss=loss + p_f * size,
+            )
+
+        def tiebreak_entries():
+            for partition, loss in scored:
+                if loss != min_loss:
+                    continue
+                predicted = tiebreak.predictor.predicts_failure(
+                    partition, D, now, window_end
+                )
+                yield entry(partition, l_mfp=loss, predicted_failure=predicted)
+                if not predicted:
+                    return
+
+        for policy in (krevat, balancing, tiebreak):
+            policy.begin_pass(now)
+        references = {
+            krevat: [entry(p, l_mfp=loss) for p, loss in scored],
+            balancing: [balancing_entry(p, loss) for p, loss in scored],
+            tiebreak: list(tiebreak_entries()),
+        }
+        for policy, reference in references.items():
+            policy.recorder = TraceRecorder()
+            chosen = policy.choose_partition(index, state, now)
+            (record,) = policy.recorder.records
+            assert record["n_candidates"] == len(scored), policy.name
+            assert record["considered"] == reference[:MAX_TRACED_CANDIDATES], policy.name
+            assert record["truncated"] == (
+                len(reference) > MAX_TRACED_CANDIDATES
+            ), policy.name
+            assert record["chosen"] == (
+                None if chosen is None
+                else {"base": list(chosen.base), "shape": list(chosen.shape)}
+            ), policy.name
+            # Plain Python scalars only: what the JSON encoder accepts.
+            for considered in record["considered"]:
+                assert all(
+                    type(v) in (int, float, bool, list) for v in considered.values()
+                )
 
 
 # Scalar-oracle policy variants: same class, production entry point

@@ -9,12 +9,15 @@ the first divergent scheduler decision.
 from __future__ import annotations
 
 import dataclasses
+import io
+import json
 
 import pytest
 
-from repro.api import SimulationSetup
-from repro.core.config import SimulationConfig
-from repro.obs.schema import DECISION_KINDS
+from repro.api import SimulationSetup, connect, serve
+from repro.checkpoint.model import CheckpointConfig, CheckpointMode
+from repro.core.config import BackfillMode, SimulationConfig
+from repro.obs.schema import DECISION_KINDS, KIND_FIELDS, validate_stream
 from repro.obs.tools import diff_traces, validate_trace
 from repro.obs.trace import NULL_RECORDER, TraceRecorder, _encode
 
@@ -133,3 +136,77 @@ class TestDeterminism:
         assert divergence.fields
         for field in divergence.fields:
             assert divergence.record_a.get(field) != divergence.record_b.get(field)
+
+
+class TestSchemaCoversEveryEmittedKind:
+    """Whatever the engine writes, ``bgl-sim trace validate`` accepts:
+    a batch run with failures, migration and checkpointing plus a served
+    session with a cancel together emit every kind the schema lists,
+    and nothing it does not."""
+
+    @staticmethod
+    def batch_records():
+        sim = setup(
+            site="sdsc", n_jobs=60, n_failures=60, parameter=0.1, seed=3,
+            config=SimulationConfig(
+                trace=True,
+                checkpoint=CheckpointConfig(
+                    mode=CheckpointMode.PERIODIC, interval_s=600.0, overhead_s=30.0
+                ),
+            ),
+        ).build_simulator()
+        sim.run()
+        return sim.recorder.records
+
+    @staticmethod
+    def served_records():
+        sink = io.StringIO()
+        engine = serve(
+            SimulationSetup(site="sdsc", n_jobs=20, n_failures=5, seed=1),
+            recorder=TraceRecorder(sink=sink),
+        )
+        client = connect(engine)
+        for job in range(3):
+            assert client.submit(
+                id=job, arrival=10.0 * job, size=8, runtime=600.0
+            )["ok"]
+        assert client.cancel(1)["ok"]
+        assert client.drain()["ok"]
+        return [json.loads(line) for line in sink.getvalue().splitlines()]
+
+    def test_both_streams_validate_and_cover_the_schema(self):
+        batch, served = self.batch_records(), self.served_records()
+        assert validate_stream(batch) == []
+        assert validate_stream(served) == []
+        served_kinds = {r["kind"] for r in served}
+        assert "cancel" in served_kinds
+        emitted = {r["kind"] for r in batch} | served_kinds
+        assert emitted == set(KIND_FIELDS)
+        # EASY backfill records carry the finite shadow they were held to.
+        assert all(
+            isinstance(r["shadow"], float) for r in batch if r["kind"] == "backfill"
+        )
+
+
+class TestAggressiveBackfillTrace:
+    def test_every_line_is_strict_json_and_shadow_is_null(self, tmp_path):
+        """AGGRESSIVE backfilling has no shadow; the record says ``null``
+        (it used to say ``Infinity``, which ``jq`` and any RFC 8259
+        parser reject)."""
+        path = tmp_path / "aggressive.ndjson"
+        with path.open("w", encoding="utf-8") as sink:
+            setup(
+                site="sdsc", n_jobs=60, n_failures=10, seed=0,
+                config=SimulationConfig(backfill=BackfillMode.AGGRESSIVE),
+            ).build_simulator(recorder=TraceRecorder(sink=sink)).run()
+
+        def refuse(token):
+            raise AssertionError(f"non-RFC 8259 constant {token!r} in a trace line")
+
+        records = [
+            json.loads(line, parse_constant=refuse)
+            for line in path.read_text(encoding="utf-8").splitlines()
+        ]
+        backfills = [r for r in records if r["kind"] == "backfill"]
+        assert backfills and all(r["shadow"] is None for r in backfills)
+        assert validate_stream(records) == []

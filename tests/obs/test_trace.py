@@ -68,6 +68,80 @@ class TestTraceRecorder:
         assert len(rec) == 0
 
 
+class TestNoFitRun:
+    """``emit_no_fit`` is a bulk form of ``emit``: same records, same
+    bytes, same ``seq``, in both recorder modes."""
+
+    JOBS = [(7, 64), (12, 8), (3, 128)]
+    #: A name no policy has, but one the template must survive: quotes,
+    #: a backslash, a percent sign and a non-ASCII letter.
+    POLICY = 'bal"anc\\ing %d é'
+
+    def one_by_one(self, rec: TraceRecorder) -> None:
+        rec.emit("arrival", 1.0, job=0, size=4)
+        for job, size in self.JOBS:
+            rec.emit(
+                "candidates", 2.5, job=job, size=size, policy=self.POLICY,
+                n_candidates=0, considered=[], truncated=False, chosen=None,
+            )
+        rec.emit("finish", 3.0, job=0)
+
+    def in_bulk(self, rec: TraceRecorder) -> None:
+        rec.emit("arrival", 1.0, job=0, size=4)
+        rec.emit_no_fit(2.5, self.POLICY, self.JOBS)
+        rec.emit_no_fit(2.5, self.POLICY, [])
+        rec.emit("finish", 3.0, job=0)
+
+    def test_sink_bytes_equal_per_record_emit(self):
+        a, b = io.StringIO(), io.StringIO()
+        self.one_by_one(TraceRecorder(sink=a))
+        bulk = TraceRecorder(sink=b)
+        self.in_bulk(bulk)
+        assert b.getvalue() == a.getvalue()
+        assert len(bulk) == 5
+
+    def test_buffered_records_equal_per_record_emit(self, tmp_path):
+        a, b = TraceRecorder(), TraceRecorder()
+        self.one_by_one(a)
+        self.in_bulk(b)
+        assert b.records == a.records
+        assert [list(r) for r in b.records] == [list(r) for r in a.records]
+        assert len(b) == 5
+        sink = io.StringIO()
+        self.in_bulk(TraceRecorder(sink=sink))
+        assert b.write(tmp_path / "t.ndjson").read_text() == sink.getvalue()
+
+    def test_integer_time_is_written_as_a_float(self):
+        sink = io.StringIO()
+        TraceRecorder(sink=sink).emit_no_fit(3, "krevat", [(1, 2)])
+        assert '"t":3.0,' in sink.getvalue()
+
+    def test_null_recorder_ignores_it(self):
+        NULL_RECORDER.emit_no_fit(0.0, "krevat", [(1, 2)])
+        assert len(NULL_RECORDER) == 0
+
+
+class TestStrictJson:
+    """``NaN``/``Infinity`` are not RFC 8259 JSON: the recorder raises
+    rather than write a line a strict parser rejects."""
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+    def test_sink_refuses_non_finite_numbers(self, bad):
+        sink = io.StringIO()
+        rec = TraceRecorder(sink=sink)
+        with pytest.raises(ValueError):
+            rec.emit("backfill", 0.0, job=1, head_job=0, shadow=bad, est_wall=1.0)
+        with pytest.raises(ValueError):
+            rec.emit_no_fit(bad, "krevat", [(1, 2)])
+        assert sink.getvalue() == ""
+
+    def test_buffered_write_refuses_non_finite_numbers(self, tmp_path):
+        rec = TraceRecorder()
+        rec.emit("backfill", 0.0, job=1, head_job=0, shadow=float("inf"), est_wall=1.0)
+        with pytest.raises(ValueError):
+            rec.write(tmp_path / "t.ndjson")
+
+
 class TestNdjsonIO:
     def test_round_trip(self, tmp_path):
         rec = TraceRecorder()

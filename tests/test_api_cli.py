@@ -7,6 +7,7 @@ import pytest
 import repro
 from repro.api import SimulationSetup, quick_simulate, run_simulation
 from repro.cli import main
+from repro.core.config import SimulationConfig
 from repro.errors import SimulationError
 from repro.workloads.job import Job, Workload
 from repro.workloads.swf import write_swf
@@ -137,6 +138,40 @@ class TestCliObservability:
         assert "trace:" in capsys.readouterr().out
         assert main(["trace", "validate", str(path)]) == 0
         assert "OK" in capsys.readouterr().out
+
+    def test_run_trace_streams_the_bytes_a_buffered_run_writes(
+        self, tmp_path, capsys
+    ):
+        path = self.run_traced(tmp_path, "t.ndjson")
+        out = capsys.readouterr().out
+        sim = SimulationSetup(
+            site="nasa", n_jobs=15, n_failures=2, policy="balancing",
+            parameter=0.1, seed=0, config=SimulationConfig(trace=True),
+        ).build_simulator()
+        sim.run()
+        buffered = sim.recorder.write(tmp_path / "buffered.ndjson")
+        assert path.read_bytes() == buffered.read_bytes()
+        assert f"trace: {len(sim.recorder)} records -> {path}" in out
+
+    def test_run_trace_closes_the_file_when_the_run_fails(
+        self, tmp_path, monkeypatch
+    ):
+        opened = []
+        real_open = open
+
+        def tracking_open(*args, **kwargs):
+            handle = real_open(*args, **kwargs)
+            opened.append(handle)
+            return handle
+
+        monkeypatch.setattr("builtins.open", tracking_open)
+        path = tmp_path / "t.ndjson"
+        with pytest.raises(SimulationError):
+            main(["run", "--site", "nasa", "--jobs", "15", "--policy", "nope",
+                  "--trace", str(path)])
+        monkeypatch.undo()
+        sinks = [h for h in opened if h.name == str(path)]
+        assert sinks and all(h.closed for h in sinks)
 
     def test_run_metrics_prints_counters(self, capsys):
         assert main(
