@@ -8,6 +8,11 @@ to the engine: each release advances the tenant's pass by
 ``STRIDE_SCALE / weight``, and the tenant with the smallest pass goes
 next, so long-run release rates are proportional to weights.
 
+Job ids are unique across the queues, and an id index beside them
+answers "is this id queued, and where" in one lookup: every ``submit``
+asks it before the cap can turn the job away, so on an overloaded
+service it is the hottest question admission gets.
+
 Two clock disciplines, chosen at engine construction:
 
 ``trace``
@@ -80,6 +85,9 @@ class FairShareAdmission:
         self.clock = clock
         self.tenant_cap = tenant_cap
         self._tenants: dict[str, TenantQueue] = {}
+        #: Every queued job by id, with the queue holding it: what makes
+        #: ``find``, ``withdraw`` and ``backlog`` independent of depth.
+        self._queued: dict[int, tuple[TenantQueue, Job]] = {}
         self._weights = dict(weights or {})
         self.total_admitted = 0
         self.total_rejected = 0
@@ -116,27 +124,27 @@ class FairShareAdmission:
             tq.rejected += 1
             self.total_rejected += 1
             return tq.depth * _RETRY_PER_QUEUED
+        if job.job_id in self._queued:
+            raise ServeError(f"job {job.job_id} is already queued")
         tq.queue.append(job)
+        self._queued[job.job_id] = (tq, job)
         tq.admitted += 1
         self.total_admitted += 1
         return None
 
     def withdraw(self, job_id: int) -> bool:
         """Remove a still-queued submission (the cancel fast path)."""
-        for tq in self._tenants.values():
-            for job in tq.queue:
-                if job.job_id == job_id:
-                    tq.queue.remove(job)
-                    return True
-        return False
+        entry = self._queued.pop(job_id, None)
+        if entry is None:
+            return False
+        tq, job = entry
+        tq.queue.remove(job)
+        return True
 
     def find(self, job_id: int) -> Job | None:
         """The queued job with this id, or None."""
-        for tq in self._tenants.values():
-            for job in tq.queue:
-                if job.job_id == job_id:
-                    return job
-        return None
+        entry = self._queued.get(job_id)
+        return None if entry is None else entry[1]
 
     # ------------------------------------------------------------------
     def release_next(self) -> Job | None:
@@ -160,6 +168,7 @@ class FairShareAdmission:
         if best is None:
             return None
         job = best.queue.popleft()
+        del self._queued[job.job_id]
         best.pass_value += best.stride
         return job
 
@@ -171,7 +180,7 @@ class FairShareAdmission:
     @property
     def backlog(self) -> int:
         """Jobs queued across all tenants, awaiting release."""
-        return sum(tq.depth for tq in self._tenants.values())
+        return len(self._queued)
 
     def depths(self) -> dict[str, int]:
         """Per-tenant queue depths (stats endpoint)."""

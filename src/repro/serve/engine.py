@@ -28,6 +28,7 @@ engine pumps to free room and otherwise admits anyway, counting a
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import replace
 from typing import Any
@@ -271,6 +272,9 @@ class ServeEngine:
         return {"ok": True, "state": state}
 
     def _stats(self) -> dict[str, Any]:
+        # -inf before the first submission and +inf once the stream is
+        # closed are not JSON numbers: "no finite watermark" is null.
+        watermark = self.stream.watermark
         return {
             "ok": True,
             "version": PROTOCOL_VERSION,
@@ -281,7 +285,7 @@ class ServeEngine:
             "queue_depth": self.admission.backlog,
             "outstanding": self.sim.outstanding,
             "completed": self.sim.completed_count,
-            "watermark": self.stream.watermark,
+            "watermark": watermark if math.isfinite(watermark) else None,
             "drained": self._drained is not None,
             "tenants": self.admission.shares(),
         }

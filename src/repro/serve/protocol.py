@@ -7,6 +7,14 @@ well-formed response (``ok=false, rejected=true, retry_after=<s>``),
 not a transport error: the connection stays open and the client is
 expected to back off and resubmit.
 
+Numbers are finite.  Python's parser reads ``NaN``, ``Infinity`` and
+``1e999``, so a ``submit`` whose ``runtime``, ``estimate`` or
+``arrival`` is not finite is refused as a protocol error.  Every line
+this module writes is RFC 8259 JSON: one strict encoder raises on a
+non-finite number instead of writing it, and ``stats`` reports
+``"watermark": null`` while the arrival watermark is not finite (before
+the first submission, and once the stream is drained).
+
 Requests
 --------
 ``{"op": "submit", "id": 7, "size": 4, "runtime": 120.0,
@@ -25,6 +33,7 @@ Requests
 from __future__ import annotations
 
 import json
+import math
 from typing import Any
 
 from repro.errors import ProtocolError
@@ -54,13 +63,18 @@ _REQUIRED_FIELDS: dict[str, tuple[str, ...]] = {
     "shutdown": (),
 }
 
+#: The one encoder, built once: compact, key-sorted (identical sessions
+#: produce byte-identical transcripts) and strict — a NaN or infinity
+#: anywhere in a message raises ``ValueError`` instead of reaching the
+#: wire as a token RFC 8259 parsers refuse.
+_ENCODE = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), allow_nan=False
+).encode
+
 
 def encode(message: dict[str, Any]) -> bytes:
-    """One message as a compact NDJSON line (sorted keys, so identical
-    sessions produce byte-identical transcripts)."""
-    return (
-        json.dumps(message, sort_keys=True, separators=(",", ":")) + "\n"
-    ).encode("utf-8")
+    """One message as a compact NDJSON line."""
+    return (_ENCODE(message) + "\n").encode("utf-8")
 
 
 def decode_line(line: bytes | str) -> dict[str, Any]:
@@ -114,6 +128,12 @@ def validate_request(message: dict[str, Any]) -> str:
             value = message[name]
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise ProtocolError(f"{name!r} must be a number, got {value!r}")
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:  # an integer beyond float range
+                finite = False
+            if not finite:
+                raise ProtocolError(f"{name!r} must be finite, got {value!r}")
         if "tenant" in message and not isinstance(message["tenant"], str):
             raise ProtocolError("'tenant' must be a string")
     return op

@@ -5,13 +5,25 @@ number of clients may connect over TCP or a unix socket; each
 connection is a line-oriented request/response stream, and clients may
 pipeline requests.  Engine calls are synchronous and run on the event
 loop — they are microsecond-scale per request, and single-threaded
-dispatch is what keeps the session deterministic (requests are applied
-in exactly the order lines arrive).
+dispatch is what keeps the session deterministic.
+
+Framing is by burst: a connection takes whatever bytes one wake-up
+finds in its socket (a pipelining client leaves dozens of lines there),
+answers every complete line of it in order, and hands the answers to
+the socket in one write followed by one ``drain()``; an incomplete last
+line is carried to the next read.  Requests of one connection are
+applied in the order their lines arrive and answered in that order;
+connections take turns a wake-up at a time, each running through what
+it finds buffered.  No response byte depends on how the lines were
+grouped.  A line of more than
+:data:`~repro.serve.protocol.MAX_LINE_BYTES` (its newline included),
+terminated or not, is answered with a protocol error and the connection
+is closed; the reader's own buffer limit bounds what is held beyond it.
 
 Graceful shutdown (``shutdown`` op, :meth:`SchedulerService.stop`, or
 SIGINT in :func:`run_service`) stops accepting connections, drains the
 engine — every admitted job runs to completion and the final report is
-computed — then closes remaining connections.
+computed — then closes the connections still open.
 """
 
 from __future__ import annotations
@@ -27,6 +39,18 @@ from repro.serve.engine import ServeEngine
 from repro.serve.protocol import MAX_LINE_BYTES, decode_line, encode, error_response
 
 logger = get_logger(__name__)
+
+#: Bytes asked of the socket per wake-up; a burst is what one read returns.
+_READ_BYTES = 1 << 16
+
+
+def _line_too_long() -> bytes:
+    return encode(
+        error_response(
+            ProtocolError(f"request line exceeds {MAX_LINE_BYTES} bytes"),
+            protocol_error=True,
+        )
+    )
 
 
 class SchedulerService:
@@ -46,7 +70,7 @@ class SchedulerService:
         self.unix_path = Path(unix_path) if unix_path is not None else None
         self._server: asyncio.AbstractServer | None = None
         self._shutdown = asyncio.Event()
-        self._connections = 0
+        self._writers: set[asyncio.StreamWriter] = set()
 
     # ------------------------------------------------------------------
     @property
@@ -65,16 +89,11 @@ class SchedulerService:
             raise ServeError("service already started")
         if self.unix_path is not None:
             self._server = await asyncio.start_unix_server(
-                self._handle_connection,
-                path=str(self.unix_path),
-                limit=MAX_LINE_BYTES,
+                self._handle_connection, path=str(self.unix_path)
             )
         else:
             self._server = await asyncio.start_server(
-                self._handle_connection,
-                host=self.host,
-                port=self.port,
-                limit=MAX_LINE_BYTES,
+                self._handle_connection, host=self.host, port=self.port
             )
         logger.info("serving on %s", self.address)
 
@@ -86,12 +105,17 @@ class SchedulerService:
         await self.stop()
 
     async def stop(self, drain: bool = True) -> None:
-        """Stop accepting, optionally drain the engine, close up."""
+        """Stop accepting, optionally drain the engine, close every
+        connection still open."""
         if self._server is None:
             return
         self._server.close()
         if drain:
             self.engine.handle({"op": "drain"})
+        # From Python 3.12 ``wait_closed`` waits for every accepted
+        # connection, so an idle client would hold the server up forever.
+        for writer in self._writers:
+            writer.close()
         await self._server.wait_closed()
         self._server = None
         if self.unix_path is not None:
@@ -102,49 +126,61 @@ class SchedulerService:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        self._connections += 1
+        self._writers.add(writer)
+        tail = b""
+        closing = False
         try:
-            while True:
+            while not closing:
+                data = await reader.read(_READ_BYTES)
+                if data:
+                    *lines, tail = (tail + data).split(b"\n")
+                else:  # EOF: an unterminated last line is still a request
+                    lines, tail, closing = [tail], b"", True
+                out: list[bytes] = []
                 try:
-                    line = await reader.readline()
-                except (asyncio.LimitOverrunError, ValueError):
-                    writer.write(
-                        encode(
-                            error_response(
-                                ProtocolError(
-                                    f"request line exceeds {MAX_LINE_BYTES} bytes"
-                                ),
-                                protocol_error=True,
-                            )
-                        )
-                    )
-                    await writer.drain()
-                    break
-                if not line:
-                    break
-                if not line.strip():
-                    continue
-                try:
-                    message = decode_line(line)
-                except ProtocolError as exc:
-                    writer.write(encode(error_response(exc, protocol_error=True)))
-                    await writer.drain()
-                    continue
-                response = self.engine.handle(message)
-                writer.write(encode(response))
+                    if not self._answer(lines, out):
+                        closing = True
+                    elif len(tail) >= MAX_LINE_BYTES:
+                        out.append(_line_too_long())
+                        closing = True
+                finally:
+                    # Also when a line of the burst raised: the answers
+                    # computed before it are never lost to it.
+                    if out:
+                        writer.write(b"".join(out))
                 await writer.drain()
-                if response.get("shutdown"):
-                    self._shutdown.set()
-                    break
         except ConnectionResetError:
             pass
         finally:
-            self._connections -= 1
+            self._writers.discard(writer)
             writer.close()
             try:
                 await writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError):
                 pass
+
+    def _answer(self, lines: list[bytes], out: list[bytes]) -> bool:
+        """Append the response to every request among ``lines`` (they
+        carry no newline) to ``out``; ``False`` once the connection is
+        to be closed, the lines after that one unanswered."""
+        handle = self.engine.handle
+        for line in lines:
+            if len(line) >= MAX_LINE_BYTES:
+                out.append(_line_too_long())
+                return False
+            if not line or line.isspace():
+                continue
+            try:
+                message = decode_line(line)
+            except ProtocolError as exc:
+                out.append(encode(error_response(exc, protocol_error=True)))
+                continue
+            response = handle(message)
+            out.append(encode(response))
+            if response.get("shutdown"):
+                self._shutdown.set()
+                return False
+        return True
 
 
 def run_service(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.errors import ServeError
@@ -92,6 +94,13 @@ class TestBoundedQueues:
         assert adm.withdraw(1) is False
         assert adm.backlog == 2
 
+    def test_duplicate_queued_id_refused(self):
+        adm = FairShareAdmission()
+        fill(adm, "a", 1)
+        with pytest.raises(ServeError, match="already queued"):
+            adm.offer("b", Job(0, 0.0, 2, 60.0))
+        assert adm.backlog == 1 and adm.depths() == {"a": 1, "b": 0}
+
     def test_head_arrival_across_tenants(self):
         adm = FairShareAdmission()
         assert adm.head_arrival() is None
@@ -102,3 +111,59 @@ class TestBoundedQueues:
     def test_bad_clock_rejected(self):
         with pytest.raises(ServeError, match="clock"):
             FairShareAdmission(clock="wallclock")
+
+
+class TestQueuedIndex:
+    """``_queued`` answers ``find`` / ``withdraw`` / ``backlog`` without
+    walking the queues; the walk it replaced is the reference here."""
+
+    @staticmethod
+    def scan(adm: FairShareAdmission, job_id: int) -> Job | None:
+        for tq in adm._tenants.values():
+            for job in tq.queue:
+                if job.job_id == job_id:
+                    return job
+        return None
+
+    def check(self, adm: FairShareAdmission, ids_seen: range) -> None:
+        in_queues = [job.job_id for tq in adm._tenants.values() for job in tq.queue]
+        assert sorted(adm._queued) == sorted(in_queues)
+        assert adm.backlog == sum(tq.depth for tq in adm._tenants.values())
+        for job_id in ids_seen:
+            assert adm.find(job_id) is self.scan(adm, job_id)
+        for job_id, (tq, job) in adm._queued.items():
+            assert job.job_id == job_id and job in tq.queue
+
+    @pytest.mark.parametrize("clock", ["trace", "logical"])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_sequences_keep_index_equal_to_queues(self, clock, seed):
+        rng = random.Random(seed)
+        adm = FairShareAdmission({"a": 2.0, "b": 1.0}, tenant_cap=6, clock=clock)
+        next_id = 0
+        gone: list[int] = []
+        for _ in range(400):
+            action = rng.random()
+            if action < 0.5:
+                tenant = rng.choice(["a", "b", "c", "d"])
+                job = Job(next_id, float(next_id), 2, 60.0)
+                full = adm.tenant(tenant).depth >= 6
+                assert (adm.offer(tenant, job) is not None) == full
+                if full:
+                    gone.append(next_id)
+                next_id += 1
+            elif action < 0.75:
+                backlog = adm.backlog
+                job = adm.release_next()
+                assert (job is None) == (backlog == 0)
+                if job is not None:
+                    gone.append(job.job_id)
+            elif next_id:
+                job_id = rng.randrange(next_id)
+                was_queued = self.scan(adm, job_id) is not None
+                assert adm.withdraw(job_id) is was_queued
+                if was_queued:
+                    gone.append(job_id)
+            self.check(adm, range(next_id))
+            for job_id in gone:
+                assert adm.find(job_id) is None
+        assert gone and adm.backlog  # the run exercised both ends

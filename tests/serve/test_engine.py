@@ -126,6 +126,31 @@ class TestLifecycle:
         reply = client.submit(id=2, arrival=50.0, size=4, runtime=60.0)
         assert not reply["ok"] and "simulated past" in reply["error"]
 
+    @pytest.mark.parametrize("field", ["runtime", "estimate", "arrival"])
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_submit_refused_and_session_continues(self, field, value):
+        """An infinite ``arrival`` used to lift the watermark to ``inf``
+        (every later submission "in the simulated past"), a NaN time to
+        corrupt the event heap's order; both were acknowledged."""
+        client = InprocClient(ServeEngine.from_setup(small_setup()))
+        message = {"id": 1, "arrival": 0.0, "size": 4, "runtime": 60.0, field: value}
+        reply = client.submit(**message)
+        assert not reply["ok"] and reply["protocol_error"]
+        assert f"'{field}' must be finite" in reply["error"]
+        assert client.submit(id=1, arrival=5.0, size=4, runtime=60.0)["ok"]
+        assert client.submit(id=2, arrival=6.0, size=4, runtime=60.0)["ok"]
+        assert len(client.drain()["report"]["records"]) == 2
+
+    def test_stats_watermark_is_null_unless_finite(self):
+        """-inf before the first submission and +inf once drained are
+        not JSON numbers; the response says ``null``."""
+        client = InprocClient(ServeEngine.from_setup(small_setup()))
+        assert client.stats()["watermark"] is None
+        assert client.submit(id=1, arrival=5.0, size=4, runtime=60.0)["ok"]
+        assert client.stats()["watermark"] == 5.0
+        assert client.drain()["stats"]["watermark"] is None
+        assert client.stats()["watermark"] is None
+
     def test_duplicate_submit_refused(self):
         client = InprocClient(ServeEngine.from_setup(small_setup()))
         assert client.submit(id=1, arrival=0.0, size=4, runtime=60.0)["ok"]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
@@ -27,6 +28,24 @@ class TestFraming:
         a = encode({"b": 1, "a": 2})
         b = encode({"a": 2, "b": 1})
         assert a == b
+
+    def test_encode_bytes_are_compact_sorted_json_dumps(self):
+        """The shared encoder writes what ``json.dumps`` wrote before it."""
+        for msg in (
+            {"ok": True, "queued": 0, "id": 7},
+            {"ok": False, "rejected": True, "retry_after": 0.064,
+             "error": "tenant 't\u00e9' queue is full", "id": 3},
+            {"ok": True, "tenants": {"b": {"weight": 1.0}, "a": {"depth": 2}},
+             "watermark": None, "values": [1, 2.5, 1e-7, 1e22]},
+        ):
+            expected = json.dumps(msg, sort_keys=True, separators=(",", ":"))
+            assert encode(msg) == expected.encode("utf-8") + b"\n"
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_encode_refuses_non_finite_numbers(self, value):
+        """``Infinity`` / ``NaN`` are not RFC 8259 JSON: raise, never write."""
+        with pytest.raises(ValueError):
+            encode({"ok": True, "stats": {"watermark": value}})
 
     def test_round_trip(self):
         msg = {"op": "submit", "id": 1, "size": 4, "runtime": 60.0}
@@ -85,6 +104,25 @@ class TestValidation:
         msg[field] = value
         with pytest.raises(ProtocolError, match=field):
             validate_request(msg)
+
+    @pytest.mark.parametrize("field", ["runtime", "estimate", "arrival"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_numbers_rejected(self, field, value):
+        msg = {"op": "submit", "id": 1, "size": 2, "runtime": 1.0}
+        msg[field] = value
+        with pytest.raises(ProtocolError, match=f"'{field}' must be finite"):
+            validate_request(msg)
+
+    @pytest.mark.parametrize(
+        "number",
+        ["1e999", "-1e999", "NaN", "Infinity", pytest.param("1" + "0" * 400, id="1e400-as-int")],
+    )
+    def test_non_finite_numbers_rejected_as_they_arrive(self, number):
+        """The wire spellings Python's parser accepts, and an integer
+        too large for a float (``float()`` of it would overflow)."""
+        line = '{"op":"submit","id":1,"size":4,"runtime":%s,"arrival":0}' % number
+        with pytest.raises(ProtocolError, match="'runtime' must be finite"):
+            validate_request(decode_line(line))
 
     def test_error_response_envelope(self):
         resp = error_response(ServeError("boom"), id=4)

@@ -3,21 +3,31 @@
 Each test runs ``run_service`` in a daemon thread, discovers the
 ephemeral address through the ready-file handshake, and drives it with
 the blocking :class:`SocketClient` — the same topology as the CI
-serve-smoke job.
+serve-smoke job — or, where the framing itself is under test, with a
+raw socket.
 """
 
 from __future__ import annotations
 
+import asyncio
+import json
+import os
+import random
+import socket
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
 from repro.api import SimulationSetup
-from repro.serve.client import SocketClient, connect
+from repro.serve.client import InprocClient, SocketClient, connect
 from repro.serve.engine import ServeEngine
 from repro.serve.load import run_load
-from repro.serve.service import run_service
+from repro.serve.protocol import MAX_LINE_BYTES, encode
+from repro.serve.service import SchedulerService, run_service
 
 
 def start_service(tmp_path, engine, *, unix=False):
@@ -35,6 +45,44 @@ def start_service(tmp_path, engine, *, unix=False):
             raise TimeoutError("service never wrote its ready file")
         time.sleep(0.01)
     return ready.read_text().strip(), thread
+
+
+def raw_connect(address: str) -> socket.socket:
+    host, _, port = address.rpartition(":")
+    sock = socket.create_connection((host, int(port)), timeout=10.0)
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    return sock
+
+
+def read_lines(sock: socket.socket, n: int | None = None) -> list[bytes]:
+    """``n`` response lines (fewer if the service hangs up first), or
+    every line until it does.  A service that closes with request bytes
+    still unread resets the connection; what it wrote before that is
+    delivered first."""
+    data = b""
+    while n is None or data.count(b"\n") < n:
+        try:
+            chunk = sock.recv(1 << 16)
+        except ConnectionResetError:
+            break
+        if not chunk:
+            break
+        data += chunk
+    lines = data.split(b"\n")
+    assert lines.pop() == b"", "response bytes past the last newline"
+    assert n is None or len(lines) <= n, "more responses than requests"
+    return lines
+
+
+def ping(i: int) -> bytes:
+    return encode({"op": "ping", "id": i})
+
+
+def stop_service(address: str, thread: threading.Thread) -> None:
+    with SocketClient.connect(address) as client:
+        client.shutdown()
+    thread.join(timeout=10.0)
+    assert not thread.is_alive()
 
 
 @pytest.fixture
@@ -98,6 +146,306 @@ class TestTcpService:
         engine = ServeEngine.from_setup(setup)
         client = connect(engine)
         assert client.ping()["pong"]
+
+
+class TestBurstFraming:
+    """The transport reads what has arrived, answers every complete
+    line of it in order and writes the answers at once; none of that may
+    show in what a client receives."""
+
+    def test_request_split_across_two_sends(self, tmp_path, setup):
+        address, thread = start_service(tmp_path, ServeEngine.from_setup(setup))
+        with raw_connect(address) as sock:
+            request = ping(7)
+            sock.sendall(request[:9])
+            time.sleep(0.05)  # the first half is read on its own
+            sock.sendall(request[9:])
+            (line,) = read_lines(sock, 1)
+            assert json.loads(line) == {"ok": True, "pong": True, "version": 1, "id": 7}
+        stop_service(address, thread)
+
+    def test_large_burst_with_blank_and_malformed_lines(self, tmp_path, setup):
+        address, thread = start_service(tmp_path, ServeEngine.from_setup(setup))
+        burst = []
+        for i in range(200):
+            burst.append(ping(i))
+            if i % 7 == 0:
+                burst.append(b"\n" if i % 2 else b"  \r\n")
+            if i == 99:
+                burst.append(b"this is not json\n")
+        with raw_connect(address) as sock:
+            sock.sendall(b"".join(burst))
+            replies = [json.loads(line) for line in read_lines(sock, 201)]
+            assert len(replies) == 201
+            bad = replies.pop(100)
+            assert not bad["ok"] and bad["protocol_error"]
+            assert [r["id"] for r in replies] == list(range(200))
+            assert all(r["pong"] for r in replies)
+            sock.sendall(ping(1000))  # still serving
+            assert json.loads(read_lines(sock, 1)[0])["id"] == 1000
+        stop_service(address, thread)
+
+    @staticmethod
+    def overload_session():
+        """An engine whose caps fill at once and ~300 requests against
+        it: submits (most of them rejected) with status reads between."""
+        engine = ServeEngine.from_setup(
+            SimulationSetup(n_jobs=10, seed=5),
+            clock="logical",
+            tenant_cap=8,
+            engine_cap=4,
+        )
+        rng = random.Random(17)
+        messages, next_id = [], 0
+        for _ in range(300):
+            if next_id and rng.random() < 0.2:
+                messages.append({"op": "status", "id": rng.randrange(next_id + 3)})
+            else:
+                messages.append(
+                    {
+                        "op": "submit",
+                        "id": next_id,
+                        "size": 64,
+                        "runtime": 1e6,
+                        "tenant": f"t{rng.randrange(3)}",
+                    }
+                )
+                next_id += 1
+        return engine, messages
+
+    @pytest.mark.parametrize("depth", [1, 16, 64])
+    def test_pipelined_bytes_equal_inprocess_engine(self, tmp_path, depth):
+        """Coalescing must not change one response byte, at any depth."""
+        oracle, messages = self.overload_session()
+        expected = b"".join(
+            encode(r) for r in InprocClient(oracle).request_many(messages)
+        )
+        assert b'"rejected":true' in expected and b'"state":' in expected
+        engine, _ = self.overload_session()
+        address, thread = start_service(tmp_path, engine)
+        received = []
+        with raw_connect(address) as sock:
+            for lo in range(0, len(messages), depth):
+                window = messages[lo : lo + depth]
+                sock.sendall(b"".join(encode(m) for m in window))
+                received.extend(read_lines(sock, len(window)))
+        assert b"".join(line + b"\n" for line in received) == expected
+        stop_service(address, thread)
+
+    def test_overlong_unterminated_line_is_refused_then_closed(self, tmp_path, setup):
+        address, thread = start_service(tmp_path, ServeEngine.from_setup(setup))
+        with raw_connect(address) as sock:
+            sock.sendall(b"x" * (MAX_LINE_BYTES + 1))
+            (line,) = read_lines(sock)
+            reply = json.loads(line)
+            assert not reply["ok"] and reply["protocol_error"]
+            assert "exceeds" in reply["error"]
+        stop_service(address, thread)
+
+    def test_overlong_line_behind_valid_lines(self, tmp_path, setup):
+        address, thread = start_service(tmp_path, ServeEngine.from_setup(setup))
+        with raw_connect(address) as sock:
+            sock.sendall(ping(1) + ping(2) + b"x" * MAX_LINE_BYTES + b"\n" + ping(3))
+            replies = [json.loads(line) for line in read_lines(sock)]
+            assert [r.get("id") for r in replies] == [1, 2, None]
+            assert replies[2]["protocol_error"] and "exceeds" in replies[2]["error"]
+        stop_service(address, thread)
+
+    def test_longest_allowed_line_is_served(self, tmp_path, setup):
+        """The cap counts the newline: ``MAX_LINE_BYTES`` bytes in all."""
+        address, thread = start_service(tmp_path, ServeEngine.from_setup(setup))
+        request = b'{"op":"ping","id":4,"pad":"' + b"p" * MAX_LINE_BYTES
+        request = request[: MAX_LINE_BYTES - 3] + b'"}\n'
+        assert len(request) == MAX_LINE_BYTES
+        with raw_connect(address) as sock:
+            sock.sendall(request + ping(5))
+            replies = [json.loads(line) for line in read_lines(sock, 2)]
+            assert [r["id"] for r in replies] == [4, 5] and replies[0]["pong"]
+        stop_service(address, thread)
+
+    def test_unterminated_last_line_is_answered_at_eof(self, tmp_path, setup):
+        address, thread = start_service(tmp_path, ServeEngine.from_setup(setup))
+        with raw_connect(address) as sock:
+            sock.sendall(ping(1) + ping(2).rstrip(b"\n"))
+            sock.shutdown(socket.SHUT_WR)
+            replies = [json.loads(line) for line in read_lines(sock)]
+            assert [r["id"] for r in replies] == [1, 2]
+        stop_service(address, thread)
+
+    def test_shutdown_in_the_middle_of_a_burst(self, tmp_path, setup):
+        address, thread = start_service(tmp_path, ServeEngine.from_setup(setup))
+        with raw_connect(address) as sock:
+            sock.sendall(ping(1) + encode({"op": "shutdown"}) + ping(2) + ping(3))
+            replies = [json.loads(line) for line in read_lines(sock)]
+            assert len(replies) == 2  # nothing after the shutdown is answered
+            assert replies[0]["id"] == 1 and replies[1]["shutdown"]
+        thread.join(timeout=10.0)
+        assert not thread.is_alive()
+
+    def test_answers_before_a_crashing_line_still_arrive(
+        self, tmp_path, setup, monkeypatch
+    ):
+        engine = ServeEngine.from_setup(setup)
+        handle = engine.handle
+
+        def crash_on_third(message):
+            if message.get("id") == 3:
+                raise RuntimeError("engine bug")
+            return handle(message)
+
+        monkeypatch.setattr(engine, "handle", crash_on_third)
+        address, thread = start_service(tmp_path, engine)
+        with raw_connect(address) as sock:
+            sock.sendall(ping(1) + ping(2) + ping(3) + ping(4))
+            replies = [json.loads(line) for line in read_lines(sock)]
+            assert [r["id"] for r in replies] == [1, 2]
+        stop_service(address, thread)  # other connections are still served
+
+
+class TestStrictJson:
+    def test_every_response_line_is_rfc_8259_json(self, tmp_path, setup):
+        """``stats`` before the first submission used to answer
+        ``"watermark":-Infinity`` and every ``drain`` / ``shutdown``
+        ``"watermark":Infinity`` — tokens ``jq`` and ``JSON.parse``
+        refuse."""
+
+        def refuse(token):
+            raise AssertionError(f"non-JSON constant {token} in a response")
+
+        address, thread = start_service(tmp_path, ServeEngine.from_setup(setup))
+        session = [
+            {"op": "stats"},
+            {"op": "submit", "id": 1, "arrival": 0.0, "size": 4, "runtime": 60.0},
+            {"op": "submit", "id": 2, "arrival": 1e999, "size": 4, "runtime": 60.0},
+            {"op": "stats"},
+            {"op": "drain"},
+            {"op": "stats"},
+            {"op": "shutdown"},
+        ]
+        with raw_connect(address) as sock:
+            # Python's encoder writes 1e999 as Infinity; a client in
+            # another language would send the former.
+            sock.sendall(
+                b"".join(
+                    json.dumps(m).replace("Infinity", "1e999").encode() + b"\n"
+                    for m in session
+                )
+            )
+            lines = read_lines(sock)
+        thread.join(timeout=10.0)
+        assert not thread.is_alive()
+        replies = [json.loads(line, parse_constant=refuse) for line in lines]
+        assert len(replies) == len(session)
+        assert replies[0]["watermark"] is None
+        assert replies[2]["protocol_error"]
+        assert replies[3]["watermark"] == 0.0
+        for drained in (replies[4], replies[6]):
+            assert drained["stats"]["watermark"] is None
+            assert len(drained["report"]["records"]) == 1
+
+
+class TestStop:
+    def test_stop_closes_the_connections_it_accepted(self, setup):
+        """``stop()`` promised to "close remaining connections" and only
+        closed the listener."""
+
+        async def scenario() -> bytes:
+            service = SchedulerService(ServeEngine.from_setup(setup))
+            await service.start()
+            host, _, port = service.address.rpartition(":")
+            reader, writer = await asyncio.open_connection(host, int(port))
+            try:
+                writer.write(ping(1))
+                assert json.loads(await reader.readline())["pong"]
+                await asyncio.wait_for(service.stop(), timeout=10.0)
+                return await asyncio.wait_for(reader.read(), timeout=10.0)
+            finally:
+                writer.close()
+
+        assert asyncio.run(scenario()) == b""  # EOF, not a timeout
+
+    def test_shutdown_with_an_idle_second_client(self, tmp_path, setup):
+        """Two clients, one silent; ``shutdown`` from the other.  From
+        Python 3.12 ``Server.wait_closed()`` waits for every accepted
+        connection, so a ``stop()`` that closes only the listener hangs
+        there forever and the join below times out.  On 3.10 / 3.11 that
+        ``stop()`` returns and ``asyncio.run`` cancels the idle handler
+        on its way out, so this test passes at the parent commit on
+        those versions and bites on CI's 3.12 leg."""
+        address, thread = start_service(tmp_path, ServeEngine.from_setup(setup))
+        with raw_connect(address) as silent, raw_connect(address) as talker:
+            silent.sendall(ping(1))
+            assert len(read_lines(silent, 1)) == 1  # accepted, now idle
+            talker.sendall(encode({"op": "shutdown"}))
+            assert json.loads(read_lines(talker)[0])["shutdown"]
+            assert read_lines(silent) == []
+        thread.join(timeout=10.0)
+        assert not thread.is_alive()
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux"), reason="reads /proc/<pid>/status"
+)
+class TestServerMemory:
+    def test_rejected_requests_leave_nothing_behind(self, tmp_path):
+        """The server's own high-water mark is flat in requests answered.
+
+        The e2e benchmark's ``peak_rss_mb`` on ``serve_overload`` grows
+        with the request count, but that is the load generator's request
+        list: ``ru_maxrss`` of a child starts from its parent's resident
+        set across fork/exec.  ``VmHWM`` is per address space and is what
+        the service itself reached."""
+        ready = tmp_path / "ready"
+        src = Path(__file__).resolve().parents[2] / "src"
+        env = dict(os.environ, PYTHONPATH=f"{src}{os.pathsep}" + os.environ.get("PYTHONPATH", ""))
+        child = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro", "serve",
+                "--site", "sdsc", "--jobs", "10", "--seed", "3",
+                "--clock", "logical", "--tenant-cap", "8", "--engine-cap", "4",
+                "--ready-file", str(ready),
+            ],
+            env=env,
+            stdin=subprocess.DEVNULL,
+            stdout=subprocess.DEVNULL,
+        )
+
+        def high_water_kib() -> int:
+            status = Path(f"/proc/{child.pid}/status").read_text()
+            return int(status.split("VmHWM:")[1].split()[0])
+
+        try:
+            deadline = time.time() + 30.0
+            while not (ready.exists() and ready.read_text().strip()):
+                assert child.poll() is None, "serve exited before listening"
+                assert time.time() < deadline, "serve never wrote its ready file"
+                time.sleep(0.01)
+            next_id = 0
+            marks = []
+            with raw_connect(ready.read_text().strip()) as sock:
+                for n_requests in (10_000, 40_000):
+                    rejected = 0
+                    for _ in range(n_requests // 50):
+                        window = [
+                            {"op": "submit", "id": next_id + k, "size": 64,
+                             "runtime": 1e6, "tenant": f"t{k % 4}"}
+                            for k in range(50)
+                        ]
+                        next_id += 50
+                        sock.sendall(b"".join(encode(m) for m in window))
+                        rejected += sum(
+                            b'"rejected":true' in line for line in read_lines(sock, 50)
+                        )
+                    assert rejected >= n_requests - 36  # 4 running + 4 x 8 queued
+                    marks.append(high_water_kib())
+                sock.sendall(encode({"op": "shutdown"}))
+                read_lines(sock)
+            assert child.wait(timeout=30.0) == 0
+            assert marks[1] - marks[0] <= 2048, f"VmHWM grew {marks} KiB"
+        finally:
+            if child.poll() is None:
+                child.kill()
+                child.wait()
 
 
 class TestUnixService:
