@@ -361,6 +361,30 @@ def _bench_index_update(scale: Scale, incremental: bool):
     return run, 2 * n
 
 
+def bench_index_apply_refresh(scale: Scale):
+    """Index maintenance and nothing else: allocate a box, replay the
+    journal, free it, replay again — no query in between.
+
+    ``index_incremental_update`` asks ``mfp_size`` and batch losses for
+    several sizes after every mutation, so scoring owns that record;
+    this one moves only with ``apply`` / ``_refresh``.
+    """
+    torus = loaded_torus(0.3)
+    part = PlacementIndex(torus).candidate_batch(8).partition(0)
+    index = IncrementalPlacementIndex(torus)
+    n = scale.micro_number * 10
+    job_id = 10**6
+
+    def run():
+        for _ in range(n):
+            torus.allocate(job_id, part)
+            index.apply(torus.journal_since(index.torus_version), torus.version)
+            torus.release(job_id)
+            index.apply(torus.journal_since(index.torus_version), torus.version)
+
+    return run, 2 * n
+
+
 def bench_master_log_generate(scale: Scale):
     """One full-size (8 192-event) master failure log on the BG/L dims,
     as every sweep seed draws once per process (logs/s)."""
@@ -518,6 +542,7 @@ def run_benchmarks(scale_name: str, workers: int, out_path: Path) -> list[dict]:
         ("finder_fast", lambda s: _bench_finder("fast", s)),
         ("index_incremental_update", lambda s: _bench_index_update(s, True)),
         ("index_rebuild_oracle", lambda s: _bench_index_update(s, False)),
+        ("index_apply_refresh", bench_index_apply_refresh),
         ("master_log_generate", bench_master_log_generate),
     ]
     for name, factory in micro:

@@ -10,25 +10,32 @@ scan issues while re-deriving placement grids the previous state had
 already materialised.
 
 :class:`IncrementalPlacementIndex` instead keeps the all-shapes
-busy-window-sum tensor ``sums[s, x, y, z]`` — the number of busy nodes
+busy-window-sum tensor ``sums[x, y, z, s]`` — the number of busy nodes
 inside the window of shape ``s`` based at ``(x, y, z)`` — as its core
-state and patches it in O(1) numpy ops per box mutation:
+state and patches it in O(1) numpy ops per box mutation.  The layout is
+**shape-minor**: the shape axis (128 long on the BG/L torus, against 4,
+4 and 8 for the base axes) is innermost and contiguous, so every ufunc
+the hot path issues runs its inner loop over a full row of shapes
+instead of over eight ``z`` positions:
 
 * allocating or freeing a box ``B`` changes ``sums`` by
   ``±overlap(B, window)``, and the overlap volume of two wrapped boxes
   is *separable* — the product of three per-axis modular interval
   overlaps.  Those per-axis overlap rows depend only on the torus
   dimensions, so they are precomputed once per dims
-  (:func:`_tables`) and a mutation costs three table lookups and one
-  outer-product accumulate;
+  (:func:`_tables`) and a mutation costs two table lookups, one
+  broadcast multiply and one accumulate;
 * the free-placement grids of every shape are then just
-  ``sums == 0``, and per-shape totals one vectorised count — no lazy
+  ``sums == 0``, per-shape totals one add-reduce over the base axis,
+  and the per-axis projections of every grid one multiply by a
+  per-base bit word plus one OR-reduce (:meth:`_refresh`) — no lazy
   per-shape scan ever runs;
-* the wrap-padded busy integral is patched with the same separability
-  trick (per-axis padded occupancy cumsums), keeping it bitwise equal
-  to a fresh :func:`~repro.geometry.torus.wrap_pad_integral`;
-* candidate scoring (``_batch_excluding``) reads bit-packed per-axis
-  projections of the free grids — no placement integrals at all.
+* candidate scoring (``_batch_excluding``) reads those bit-packed
+  projections — no placement integrals at all.
+
+The busy integral the base class builds is read once, by the
+constructor's full build of ``sums``, and dropped: every query the base
+class answers from it is overridden here to answer from ``sums``.
 
 This is the only index the engine runs on
 (:class:`~repro.allocation.mfp.IndexCache` builds nothing else).  All
@@ -59,6 +66,9 @@ class _DimsTables:
     Everything here depends only on the torus dimensions (and the fixed
     decreasing-volume shape order of
     :func:`~repro.geometry.shapes.all_shapes`), never on occupancy.
+    Every table that meets the window-sum tensor is **shape-minor** like
+    it: the shape axis comes last, so a gathered row is a stack of
+    contiguous ``(S,)`` vectors.
     """
 
     __slots__ = (
@@ -72,12 +82,10 @@ class _DimsTables:
         "zmask",
         "zall",
         "keyw",
-        "bitw",
         "bitoff",
-        "ones",
+        "basebits",
+        "cnt_dtype",
         "oxy",
-        "fxy",
-        "fvec",
         "coords",
         "flat8",
         "signs",
@@ -89,6 +97,12 @@ class _DimsTables:
         self.dims_tuple = dims_tuple
         from repro.geometry.coords import TorusDims
 
+        X, Y, Z = dims_tuple
+        if X + Y + Z > 64:
+            raise ValueError(
+                f"torus {dims_tuple} needs {X + Y + Z} projection bits; "
+                "the incremental index packs them into one 64-bit word"
+            )
         dims = TorusDims(*dims_tuple)
         shapes = all_shapes(dims)
         n_shapes = len(shapes)
@@ -100,34 +114,35 @@ class _DimsTables:
             self.ext == np.array(dims_tuple, dtype=np.int64)[None, :]
         ).any(axis=1)                                           # (S,)
         # Per-axis modular interval overlaps: overlap[axis][a-1, b] is
-        # the (S, P) table of |[q, q+t_s) ∩ [b, b+a)| on the circle of
-        # period P, for every shape row s and window base q.  A box
-        # mutation's effect on ``sums`` is the outer product of its
-        # three axis rows.
+        # the (P, S) table of |[q, q+t_s) ∩ [b, b+a)| on the circle of
+        # period P, for every window base q and shape row s.  A box
+        # mutation's effect on ``sums`` is the outer product (over the
+        # base axes, shape by shape) of its three axis rows.
         self.overlap = tuple(
             self._axis_overlap(dims_tuple[axis], self.ext[:, axis])
             for axis in range(3)
         )
         # Bit-packed zero-overlap masks: bit ``q`` of ``zmask[axis][a-1,
-        # b, s]`` is set iff ``overlap[axis][a-1, b, s, q] == 0``.  Axis
-        # reductions over a tiny trailing dimension are pathologically
-        # slow in numpy relative to 2-D integer ops, so the disjointness
-        # test in ``_batch_excluding`` is phrased as bitmask ANDs.
-        self.bitw = tuple(
-            (1 << np.arange(p)).astype(np.int64) for p in dims_tuple
-        )
+        # b, s]`` is set iff ``overlap[axis][a-1, b, q, s] == 0``.  Axis
+        # reductions over a tiny dimension are pathologically slow in
+        # numpy relative to 2-D integer ops, so the disjointness test in
+        # ``_batch_excluding`` is phrased as bitmask ANDs.
         self.zmask = tuple(
-            ((ov == 0) * w[None, None, None, :]).sum(axis=-1)
-            for ov, w in zip(self.overlap, self.bitw)
+            (
+                (ov == 0)
+                * (1 << np.arange(p, dtype=np.int64))[None, None, :, None]
+            ).sum(axis=2)
+            for ov, p in zip(self.overlap, dims_tuple)
         )
+        # The three per-axis masks of one shape packed into disjoint bit
+        # ranges of one word (z low, then y, then x).
+        self.bitoff = (Z + Y, Z, 0)                              # x, y, z
+        word = np.min_scalar_type((1 << (X + Y + Z)) - 1)
         # One fused table for the three axes: row ``key(c)`` holds, per
         # probe shape, all three zero-overlap masks of candidate ``c``
-        # packed into disjoint bit ranges (z low, then y, then x), so a
-        # resolve costs one gather instead of three.  Only built when
-        # the packed word fits an int64 and the table stays small; the
-        # per-axis ``zmask`` path remains as fallback.
-        X, Y, Z = dims_tuple
-        self.bitoff = (Z + Y, Z, 0)                              # x, y, z
+        # in that packing, so a resolve costs one gather instead of
+        # three.  Only built when the table stays small; the per-axis
+        # ``zmask`` path remains as fallback.
         n_keys = (X * X) * (Y * Y) * (Z * Z)
         if X + Y + Z <= 16 and n_keys * n_shapes <= 1 << 22:
             zx = self.zmask[0].reshape(X * X, 1, 1, n_shapes)
@@ -135,7 +150,7 @@ class _DimsTables:
             zz = self.zmask[2].reshape(1, 1, Z * Z, n_shapes)
             self.zall = (
                 (zx << self.bitoff[0]) | (zy << self.bitoff[1]) | zz
-            ).reshape(n_keys, n_shapes).astype(np.uint16)
+            ).reshape(n_keys, n_shapes).astype(word)
             # key(c) = kx * Y²Z² + ky * Z² + kz with k_axis = a*P + b:
             # two (n, 3) @ (3,) products against these stride vectors.
             self.keyw = (
@@ -147,74 +162,57 @@ class _DimsTables:
         else:
             self.zall = None
             self.keyw = None
-        # uint8 contraction vectors for `_refresh`: integer matmuls
-        # avoid this numpy build's slow small-axis reductions, and the
-        # uint8 kernel skips the int64 upcast copy of the bool operand.
-        # Counts are bounded by the machine volume, so uint8 is exact
-        # whenever the volume fits; bigger machines get int64.
-        cnt_dtype = np.uint8 if int(self.vol[0]) <= 255 else np.int64
-        self.ones = (
-            np.ones(X, cnt_dtype),
-            np.ones(Y, cnt_dtype),
-            np.ones(Z, cnt_dtype),
-            np.ones(Y * Z, cnt_dtype),
-        )
-        # Per-axis padded-occupancy prefix sums: fvec[axis][a-1, b] is
-        # the (2P,) cumulative count of box positions (with their
-        # wrap-pad copies at pos+P for pos <= P-2) below each padded
-        # index — the separable factor of a busy-integral patch.
-        self.fvec = tuple(
-            self._axis_fvec(dims_tuple[axis]) for axis in range(3)
-        )
-        # Pairwise x*y product tables, one row per (kx, ky) key: an
-        # `apply` patch then costs one multiply+accumulate instead of
-        # two multiplies (the z factor is applied on the fly).
-        if (X * X) * (Y * Y) * n_shapes * X * Y <= 1 << 23:
-            self.oxy = (
-                self.overlap[0].reshape(X * X, 1, n_shapes, X, 1)
-                * self.overlap[1].reshape(1, Y * Y, n_shapes, 1, Y)
-            ).reshape((X * X) * (Y * Y), n_shapes, X, Y)
-            self.fxy = (
-                self.fvec[0].reshape(X * X, 1, 2 * X, 1)
-                * self.fvec[1].reshape(1, Y * Y, 1, 2 * Y)
-            ).reshape((X * X) * (Y * Y), 2 * X, 2 * Y)
-        else:
-            self.oxy = None
-            self.fxy = None
         # Row-major base coordinates: coords[flat_index] == unravel.
         x, y, z = np.unravel_index(
             np.arange(int(np.prod(dims_tuple))), dims_tuple
         )
         self.coords = np.stack([x, y, z], axis=1).astype(np.int64)
-        # Eight-corner gather for a full sums rebuild from the busy
-        # integral: flat8[t, s, x, y, z] indexes the raveled padded
+        # The word of one base: its own ``x``, ``y`` and ``z`` bit in
+        # the packing above.  ``_refresh`` multiplies the free grids by
+        # this column and OR-reduces over the bases, which projects
+        # every grid onto all three axes at once.
+        self.basebits = (
+            (1 << (x + self.bitoff[0])) | (1 << (y + self.bitoff[1])) | (1 << z)
+        ).astype(word)[:, None]                                 # (XYZ, 1)
+        # Per-shape placement counts are bounded by the number of bases,
+        # so a byte accumulator is exact whenever the volume fits one;
+        # bigger machines count in int64.
+        self.cnt_dtype = np.uint8 if int(self.vol[0]) <= 255 else np.int64
+        # Pairwise x*y product tables, one (X, Y, S) block per (kx, ky)
+        # key: an `apply` patch then costs one multiply+accumulate
+        # instead of two multiplies (the z factor is applied on the fly).
+        if (X * X) * (Y * Y) * n_shapes * X * Y <= 1 << 23:
+            self.oxy = (
+                self.overlap[0].reshape(X * X, 1, X, 1, n_shapes)
+                * self.overlap[1].reshape(1, Y * Y, 1, Y, n_shapes)
+            ).reshape((X * X) * (Y * Y), X, Y, n_shapes)
+        else:
+            self.oxy = None
+        # Eight-corner gather for a full sums build from the busy
+        # integral: flat8[t, x, y, z, s] indexes the raveled padded
         # integral; signs[t] is +1 when the corner offsets an odd number
         # of axes by the shape extent.
-        X, Y, Z = dims_tuple
-        arx = np.arange(X, dtype=np.int64)
-        ary = np.arange(Y, dtype=np.int64)
-        arz = np.arange(Z, dtype=np.int64)
+        ix0 = np.arange(X, dtype=np.int64)[:, None, None, None]
+        iy0 = np.arange(Y, dtype=np.int64)[None, :, None, None]
+        iz0 = np.arange(Z, dtype=np.int64)[None, None, :, None]
+        ex, ey, ez = self.ext.T                                  # (S,) each
         terms, signs = [], []
         for bx in (0, 1):
             for by in (0, 1):
                 for bz in (0, 1):
-                    ix = arx[None, :] + bx * self.ext[:, 0:1]   # (S, X)
-                    iy = ary[None, :] + by * self.ext[:, 1:2]
-                    iz = arz[None, :] + bz * self.ext[:, 2:3]
-                    idx = (
-                        ix[:, :, None, None] * (2 * Y)
-                        + iy[:, None, :, None]
-                    ) * (2 * Z) + iz[:, None, None, :]
-                    terms.append(np.broadcast_to(idx, (n_shapes, X, Y, Z)))
+                    terms.append(
+                        ((ix0 + bx * ex) * (2 * Y) + (iy0 + by * ey)) * (2 * Z)
+                        + (iz0 + bz * ez)
+                    )
                     signs.append(1 if (bx + by + bz) % 2 == 1 else -1)
-        self.flat8 = np.ascontiguousarray(np.stack(terms))
+        self.flat8 = np.stack(terms)                             # (8,X,Y,Z,S)
         self.signs = tuple(signs)
         self._size_rows: dict[int, np.ndarray] = {}
         self._canon: dict[int, tuple[tuple, np.ndarray]] = {}
 
     @staticmethod
     def _axis_overlap(period: int, extents: np.ndarray) -> np.ndarray:
-        """``(P, P, S, P)`` table: ``[a-1, b, s, q]`` is the modular
+        """``(P, P, P, S)`` table: ``[a-1, b, q, s]`` is the modular
         interval overlap ``|[q, q+extents[s]) ∩ [b, b+a)| (mod P)``."""
         p = np.arange(period)
         # member[pos, q, t-1]: is position ``pos`` inside [q, q+t)?
@@ -226,26 +224,12 @@ class _DimsTables:
         # int32 throughout: window sums are bounded by the machine
         # volume, and the narrower dtype halves patch bandwidth.
         out = np.empty(
-            (period, period, extents.shape[0], period), dtype=np.int32
+            (period, period, period, extents.shape[0]), dtype=np.int32
         )
         for a in range(1, period + 1):
             for b in range(period):
                 pos = (b + np.arange(a)) % period
-                acc = member[pos].sum(axis=0)                    # (q, t)
-                out[a - 1, b] = acc[:, t_idx].T                  # (S, q)
-        return out
-
-    @staticmethod
-    def _axis_fvec(period: int) -> np.ndarray:
-        """``(P, P, 2P)`` table of padded-occupancy prefix sums."""
-        out = np.zeros((period, period, 2 * period), dtype=np.int64)
-        for a in range(1, period + 1):
-            for b in range(period):
-                occ = np.zeros(2 * period, dtype=np.int64)
-                pos = (b + np.arange(a)) % period
-                np.add.at(occ, pos, 1)
-                np.add.at(occ, pos[pos <= period - 2] + period, 1)
-                out[a - 1, b, 1:] = occ[: 2 * period - 1].cumsum()
+                out[a - 1, b] = member[pos].sum(axis=0)[:, t_idx]  # (q, S)
         return out
 
     def canon(self, row: int) -> tuple[tuple, np.ndarray]:
@@ -315,7 +299,6 @@ class IncrementalPlacementIndex(PlacementIndex):
         "_free",
         "_tot",
         "_ne_idx",
-        "_fmask",
         "_fall",
         "_feasible",
     )
@@ -335,43 +318,41 @@ class IncrementalPlacementIndex(PlacementIndex):
             else:
                 sums -= term
         assert sums is not None
-        self._sums = sums.astype(np.int32)                       # (S,X,Y,Z)
+        self._sums = sums.astype(np.int32)                       # (X,Y,Z,S)
+        # Only ``_sums`` is patched from here on, and every query that
+        # the base class answers from the integral is overridden below:
+        # an inherited reader must fail, not read a stale integral.
+        self._busy_integral = None  # type: ignore[assignment]
         self._refresh()
 
     # ------------------------------------------------------------------
     # incremental maintenance
     # ------------------------------------------------------------------
     def _refresh(self) -> None:
+        """Re-derive the per-state fields from ``_sums``.
+
+        Each step is one ufunc over ``(bases, S)`` rows — the add- and
+        OR-reduce run over the leading (base) axis, i.e. as whole-row
+        accumulates, never as reductions along a short trailing axis.
+        """
         t = self._tables
-        X, Y, Z = t.dims_tuple
-        S = len(t.shapes)
         free = self._sums == 0
-        self._free = free
-        # Every reduction below is a matmul: this numpy build's
-        # reductions over small trailing axes cost an order of magnitude
-        # more than an equivalent (tiny) matrix product.  The uint8
-        # view of the bool grid keeps the kernel integer-exact (counts
-        # are volume-bounded) without an upcast copy.
-        fr = free.view(np.uint8).reshape(S, X, Y * Z)
-        cx = fr @ t.ones[3]                                        # (S, X)
-        self._tot = (cx @ t.ones[0]).astype(np.int64)              # (S,)
+        self._free = free                                          # (X,Y,Z,S)
+        fr = free.view(np.uint8).reshape(-1, len(t.shapes))        # (XYZ, S)
+        self._tot = np.add.reduce(fr, axis=0, dtype=t.cnt_dtype).astype(
+            np.int64, copy=False
+        )                                                          # (S,)
         self._ne_idx = np.flatnonzero(self._tot)
         self._feasible: frozenset[int] | None = None
-        cyz = np.matmul(t.ones[0], fr)                             # (S, YZ)
-        cy = cyz.reshape(S, Y, Z) @ t.ones[2]                      # (S, Y)
-        cz = np.matmul(t.ones[1], cyz.reshape(S, Y, Z))            # (S, Z)
-        # Bit-packed per-axis projections of the free grids: bit ``v``
-        # of ``_fmask[axis][s]`` is set iff some free placement of shape
-        # ``s`` has axis coordinate ``v`` — the whole state
-        # :meth:`_batch_excluding` needs.  ``_fall`` fuses all three
-        # into the ``zall`` bit layout.
-        fx = (cx > 0) @ t.bitw[0]                                  # (S,)
-        fy = (cy > 0) @ t.bitw[1]
-        fz = (cz > 0) @ t.bitw[2]
-        self._fmask = (fx, fy, fz)
-        self._fall = (
-            (fx << t.bitoff[0]) | (fy << t.bitoff[1]) | fz
-        ).astype(np.uint16)
+        # Bit-packed per-axis projections of the free grids, fused in
+        # the ``zall`` layout: bit ``bitoff[axis] + v`` of ``_fall[s]``
+        # is set iff some free placement of shape ``s`` has coordinate
+        # ``v`` on that axis — the whole state :meth:`_batch_excluding`
+        # needs.  A free base contributes its own three bits (widened
+        # first: a mixed-width multiply costs twice the two steps).
+        proj = fr.astype(t.basebits.dtype)
+        proj *= t.basebits
+        self._fall = np.bitwise_or.reduce(proj, axis=0)            # (S,)
 
     def apply(
         self, entries: list[tuple[str, Coord, Coord]], target_version: int
@@ -380,36 +361,28 @@ class IncrementalPlacementIndex(PlacementIndex):
 
         ``entries`` come from :meth:`Torus.journal_since`; after the
         call the index answers for ``target_version`` exactly as a fresh
-        build would.
+        build would.  One entry is one patch of ``_sums``: the box's
+        ``(X, Y, S)`` x·y overlap block times its ``(Z, S)`` z overlap
+        rows, added for an allocation and subtracted for a release.
         """
         t = self._tables
         sums = self._sums
-        busy = self._busy_integral
         X, Y, _ = t.dims_tuple
         for op, base, shape in entries:
             bx, by, bz = base
             ax, ay, az = shape
-            oz = t.overlap[2][az - 1, bz]                        # (S, Z)
-            fz = t.fvec[2][az - 1, bz]                           # (2Z,)
             if t.oxy is not None:
-                kxy = ((ax - 1) * X + bx) * (Y * Y) + (ay - 1) * Y + by
-                patch = t.oxy[kxy][:, :, :, None] * oz[:, None, None, :]
-                busy_patch = t.fxy[kxy][:, :, None] * fz[None, None, :]
+                oxy = t.oxy[((ax - 1) * X + bx) * (Y * Y) + (ay - 1) * Y + by]
             else:
-                ox = t.overlap[0][ax - 1, bx]                    # (S, X)
-                oy = t.overlap[1][ay - 1, by]                    # (S, Y)
-                patch = (ox[:, :, None] * oy[:, None, :])[:, :, :, None] \
-                    * oz[:, None, None, :]
-                fx = t.fvec[0][ax - 1, bx]                       # (2X,)
-                fy = t.fvec[1][ay - 1, by]
-                busy_patch = (fx[:, None] * fy[None, :])[:, :, None] \
-                    * fz[None, None, :]
+                oxy = (
+                    t.overlap[0][ax - 1, bx][:, None, :]
+                    * t.overlap[1][ay - 1, by][None, :, :]
+                )                                                # (X, Y, S)
+            patch = oxy[:, :, None, :] * t.overlap[2][az - 1, bz]
             if op == "alloc":
                 np.add(sums, patch, out=sums)
-                np.add(busy, busy_patch, out=busy)
             else:
                 np.subtract(sums, patch, out=sums)
-                np.subtract(busy, busy_patch, out=busy)
         self._refresh()
         self._mfp_size = None
         self._nonempty_rows = []
@@ -424,7 +397,7 @@ class IncrementalPlacementIndex(PlacementIndex):
     # query overrides (bitwise equal to the inherited lazy path)
     # ------------------------------------------------------------------
     def _placements(self, shape: Coord) -> np.ndarray:
-        return self._free[self._tables.row_of[shape]]
+        return self._free[..., self._tables.row_of[shape]]
 
     def count_placements(self, shape: Coord) -> int:
         return int(self._tot[self._tables.row_of[shape]])
@@ -438,7 +411,7 @@ class IncrementalPlacementIndex(PlacementIndex):
         candidate ``c`` iff the wrapped boxes are disjoint, i.e. the
         per-axis overlap is zero on *some* axis.  ``any(free & (zx |
         zy | zz))`` distributes over the OR into three per-axis tests
-        against the cached bit-packed ``_fmask`` projections, so the
+        against the cached bit-packed ``_fall`` projections, so the
         whole resolve is a handful of 2-D integer dispatches on
         ``(n, S)`` arrays — no probe integrals, no scalar walk.  The
         answer per candidate is the first surviving row in the
@@ -458,13 +431,17 @@ class IncrementalPlacementIndex(PlacementIndex):
             key = a @ t.keyw[0] + b @ t.keyw[1]                  # (n,)
             survive = (t.zall[key] & self._fall[None, :]) != 0   # (n, S)
         else:
-            fx, fy, fz = self._fmask
-            mx = t.zmask[0][a[:, 0], b[:, 0]]                    # (n, S)
-            my = t.zmask[1][a[:, 1], b[:, 1]]
-            mz = t.zmask[2][a[:, 2], b[:, 2]]
+            # No fused table for these dims: test axis by axis.  A
+            # per-axis mask has no bit at or above its period, so
+            # shifting ``_fall`` down to an axis's range is all the
+            # unpacking the AND needs.
+            ox, oy, _ = t.bitoff
+            fall = self._fall.astype(np.int64)[None, :]
             survive = (
-                (mx & fx[None, :]) | (my & fy[None, :]) | (mz & fz[None, :])
-            ) != 0
+                (t.zmask[0][a[:, 0], b[:, 0]] & (fall >> ox))
+                | (t.zmask[1][a[:, 1], b[:, 1]] & (fall >> oy))
+                | (t.zmask[2][a[:, 2], b[:, 2]] & fall)
+            ) != 0                                               # (n, S)
         first = np.argmax(survive, axis=1)
         return np.where(survive.any(axis=1), t.vol[first], 0)
 
@@ -479,8 +456,8 @@ class IncrementalPlacementIndex(PlacementIndex):
         if idx.size == 0:
             return None
         row = int(idx[0])
-        grid = self._free[row]
-        base = np.unravel_index(int(grid.argmax()), grid.shape)
+        # First free base in row-major order, as the base class's argmax.
+        base = self._tables.coords[int(self._free[..., row].argmax())]
         return Partition(
             (int(base[0]), int(base[1]), int(base[2])), self._tables.shapes[row]
         )
@@ -501,23 +478,36 @@ class IncrementalPlacementIndex(PlacementIndex):
         # Freeing a box lowers ``sums`` by its separable overlap patch
         # (exactly what :meth:`apply` subtracts), so the replay is the
         # size's rows of ``_sums`` minus a running sum of patches — every
-        # release at once, no integral and no window rebuild.
+        # release at once, no integral and no window rebuild.  A size
+        # has a handful of shape rows, so here the shape axis is the
+        # short one: the replay runs ``(K, R, bases)``, gathered in that
+        # order straight from the shape-minor tables.
         t = self._tables
         rows = t.size_rows(size)
         if not rows.size or not releases:
             return None
+        n_rel = len(releases)
         wrap = self.dims.wrap
         box = np.array([wrap(p.base) + p.shape for p in releases])   # (K, 6)
         r = rows[None, :]
-        ox = t.overlap[0][box[:, 3, None] - 1, box[:, 0, None], r]   # (K, R, X)
-        oy = t.overlap[1][box[:, 4, None] - 1, box[:, 1, None], r]
-        oz = t.overlap[2][box[:, 5, None] - 1, box[:, 2, None], r]
+        ox = t.overlap[0][box[:, 3, None] - 1, box[:, 0, None], :, r]  # (K, R, X)
+        oy = t.overlap[1][box[:, 4, None] - 1, box[:, 1, None], :, r]
+        oz = t.overlap[2][box[:, 5, None] - 1, box[:, 2, None], :, r]
         freed = (ox[:, :, :, None] * oy[:, :, None, :])[..., None] \
             * oz[:, :, None, None, :]                                # (K,R,X,Y,Z)
-        np.cumsum(freed, axis=0, out=freed)
-        fits = (freed == self._sums[rows]).reshape(len(releases), -1).any(axis=1)
-        k = int(fits.argmax())
-        return k if fits[k] else None
+        # Running sum over the releases as one whole-block add each: an
+        # accumulate along the leading axis would run a K-long strided
+        # inner loop per cell.
+        total = freed[0]
+        for patch in freed[1:]:
+            patch += total
+            total = patch
+        busy = self._sums.reshape(-1, len(t.shapes)).T[rows]         # (R, XYZ)
+        # Release-major, so the first hit in flat order names the first
+        # release that empties a window (bool argmax stops there).
+        hit = (freed.reshape(n_rel, rows.size, -1) == busy).ravel()
+        first = int(hit.argmax())
+        return first // (hit.size // n_rel) if hit[first] else None
 
     def candidate_batch(self, size: int) -> CandidateBatch:
         # Same enumeration contract as the base implementation (shape
@@ -534,7 +524,9 @@ class IncrementalPlacementIndex(PlacementIndex):
         rows = rows[self._tot[rows] > 0] if rows.size else rows
         plain = rows[~t.fullspan[rows]] if rows.size else rows
         if plain.size:
-            flat = self._free[plain].reshape(plain.size, -1)
+            # (bases, S) transposed and gathered: one row of bases per
+            # plain shape, so nonzero walks shape-major, base-minor.
+            flat = self._free.reshape(-1, len(t.shapes)).T[plain]
             bases_all = t.coords[np.nonzero(flat)[1]]
             bounds = np.cumsum(self._tot[plain]).tolist()
         else:
@@ -549,7 +541,7 @@ class IncrementalPlacementIndex(PlacementIndex):
                 # to slicing those axes at 0 (see _DimsTables.canon).
                 slicer, coords = t.canon(row)
                 groups.append(
-                    coords[np.flatnonzero(self._free[row][slicer])]
+                    coords[np.flatnonzero(self._free[..., row][slicer])]
                 )
             else:
                 hi = bounds[k]

@@ -1,8 +1,9 @@
 """Differential harness: incremental index vs from-scratch rebuild.
 
 :class:`~repro.allocation.incremental.IncrementalPlacementIndex` patches
-its window-sum tensor and busy integral in place as the torus mutates;
-the from-scratch :class:`~repro.allocation.mfp.PlacementIndex` is the
+its shape-minor window-sum tensor in place as the torus mutates (the
+busy integral is read once, by the build, and dropped); the
+from-scratch :class:`~repro.allocation.mfp.PlacementIndex` is the
 retained oracle (DESIGN.md §5.12).  The property tests here drive random
 alloc/free sequences — including wraparound boxes and full-axis-span
 shapes whose aliased bases must canonicalise — through the public torus
@@ -25,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.allocation.incremental import IncrementalPlacementIndex
-from repro.allocation.mfp import IndexCache, PlacementIndex
+from repro.allocation.mfp import _MAX_PATCH_ENTRIES, IndexCache, PlacementIndex
 from repro.geometry.coords import TorusDims
 from repro.geometry.partition import Partition
 from repro.geometry.shapes import all_shapes, shapes_for_size
@@ -69,19 +70,36 @@ def mutate(torus: Torus, rng: np.random.Generator, live: dict, next_id: int) -> 
     return next_id
 
 
+def axis_bits(grid: np.ndarray, axis: int) -> int:
+    """Bit ``v`` set iff ``grid`` is true somewhere at coordinate ``v``
+    of ``axis`` — the projection ``_fall`` packs, by definition."""
+    other = tuple(a for a in range(3) if a != axis)
+    return sum(1 << int(v) for v in np.flatnonzero(grid.any(axis=other)))
+
+
 def assert_matches_rebuild(inc: IncrementalPlacementIndex, torus: Torus) -> None:
     """Field-for-field bitwise equality with a fresh oracle rebuild."""
     fresh = PlacementIndex(torus)
     assert inc.torus_version == torus.version
-    np.testing.assert_array_equal(inc._busy_integral, fresh._busy_integral)
+    assert inc._busy_integral is None  # dropped after the build
+    t = inc._tables
+    _, Y, Z = torus.dims.as_tuple()
+    off_x, off_y, _ = t.bitoff
     shapes = all_shapes(torus.dims)
     sizes = set()
     for shape in shapes:
         sizes.add(shape[0] * shape[1] * shape[2])
         assert inc.count_placements(shape) == fresh.count_placements(shape)
-        np.testing.assert_array_equal(
-            inc._placements(shape), fresh._placements(shape)
-        )
+        grid = fresh._placements(shape)
+        np.testing.assert_array_equal(inc._placements(shape), grid)
+        # The derived state the scoring kernel and the candidate
+        # enumeration read, checked against its definition.
+        row = t.row_of[shape]
+        assert inc._tot[row] == np.count_nonzero(grid)
+        word = int(inc._fall[row])
+        assert word >> off_x == axis_bits(grid, 0)
+        assert (word >> off_y) & ((1 << Y) - 1) == axis_bits(grid, 1)
+        assert word & ((1 << Z) - 1) == axis_bits(grid, 2)
     assert inc.mfp_size() == fresh.mfp_size()
     assert inc.mfp_partition() == fresh.mfp_partition()
     for size in sorted(sizes):
@@ -285,6 +303,47 @@ class TestZallFallback:
         np.testing.assert_array_equal(fast, slow)
 
 
+class TestBeyondTheFusedTables:
+    def test_8x8x4_patches_and_scores_like_rebuild(self):
+        """8x8x4 is past every table gate at once — no pairwise ``oxy``
+        blocks (``apply`` multiplies the x and y rows itself), no fused
+        ``zall`` (scoring unpacks ``_fall`` per axis), 256 bases (counts
+        no longer fit a byte) — none of which ``dims_strategy`` reaches."""
+        dims = TorusDims(8, 8, 4)
+        torus = Torus(dims)
+        inc = IncrementalPlacementIndex(torus)
+        t = inc._tables
+        assert t.oxy is None and t.zall is None
+        assert t.cnt_dtype is np.int64
+        assert_matches_rebuild(inc, torus)
+        rng = np.random.default_rng(19)
+        live: dict[int, Partition] = {}
+        next_id = 0
+        for _ in range(30):
+            next_id = mutate(torus, rng, live, next_id)
+            inc.apply(torus.journal_since(inc.torus_version), torus.version)
+            assert_matches_rebuild(inc, torus)
+        assert live and next_id > len(live)  # both ops were replayed
+        fresh = PlacementIndex(torus)
+        seen = set()
+        # The MFP size, and a smaller one whose candidates do not all
+        # cost the same.
+        for size in (inc.mfp_size(), 4):
+            batch, losses = inc.batch_mfp_losses(size)
+            scored = fresh.scored_candidates(size)
+            assert batch.partitions() == [p for p, _ in scored]
+            assert losses.tolist() == [loss for _, loss in scored]
+            seen.update(losses.tolist())
+        assert len(seen) > 1
+
+
+    def test_dims_past_the_packed_word_are_refused(self):
+        """65 projection bits do not fit the word ``_fall`` packs them
+        into: refused up front, not scored with wrapped shifts."""
+        with pytest.raises(ValueError, match="65 projection bits"):
+            IncrementalPlacementIndex(Torus(TorusDims(1, 1, 63)))
+
+
 class TestStaleVersionPoisoning:
     def test_opaque_mutation_forces_fallback(self):
         """snapshot/restore logs an opaque entry: the journal refuses to
@@ -319,21 +378,32 @@ class TestStaleVersionPoisoning:
         assert_matches_rebuild(rebuilt, torus)
 
     def test_long_gap_exceeding_repair_budget_falls_back(self):
-        """More journal entries than the repair budget: IndexCache must
-        prefer a rebuild over a long replay."""
-        torus = Torus(TorusDims(3, 3, 4))
+        """A gap of exactly the repair budget is still replayed; one
+        entry more and IndexCache prefers a rebuild over the replay."""
+        dims = TorusDims(4, 4, 8)
+        torus = Torus(dims)
+        cells = iter(np.ndindex(*dims.as_tuple()))
         registry = MetricsRegistry()
+
+        def allocate_cells(n: int) -> None:
+            for _ in range(n):
+                torus.allocate(torus.n_jobs, Partition(next(cells), (1, 1, 1)))
+
         with obs_metrics.activate(registry):
             cache = IndexCache(torus)
             index = cache.get()
-            for job in range(10):  # > _MAX_PATCH_ENTRIES
-                torus.allocate(
-                    job, Partition((job % 3, (job // 3) % 3, job // 9), (1, 1, 1))
-                )
+            allocate_cells(_MAX_PATCH_ENTRIES)
+            assert cache.get() is index
+            assert registry.counters["index.incremental.repair"].value == 1
+            assert "index.incremental.fallback" not in registry.counters
+            assert_matches_rebuild(index, torus)
+            allocate_cells(_MAX_PATCH_ENTRIES + 1)
+            gap = torus.journal_since(index.torus_version)
+            assert gap is not None and len(gap) == _MAX_PATCH_ENTRIES + 1
             rebuilt = cache.get()
             assert rebuilt is not index
             assert registry.counters["index.incremental.fallback"].value == 1
-            assert "index.incremental.repair" not in registry.counters
+            assert registry.counters["index.incremental.repair"].value == 1
         assert_matches_rebuild(rebuilt, torus)
 
     def test_future_version_returns_none(self):

@@ -53,6 +53,8 @@ def test_smoke_scale_produces_trajectory_file(bench_core, tmp_path):
     assert "scored_candidates_batch" in names
     assert "index_incremental_update" in names
     assert "index_rebuild_oracle" in names
+    # ... and index upkeep alone, with no query to hide it behind.
+    assert "index_apply_refresh" in names
     assert "sweep_serial" in names and "sweep_parallel" in names
     for r in records:
         assert REQUIRED_KEYS <= r.keys()
