@@ -17,9 +17,14 @@ failure story on a small real sweep:
 Exit code 0 means the whole chain held.  ``quarantine.json`` is left in
 the checkpoint directory for CI to upload as an artifact.
 
+``--queue-dir DIR`` rehearses the same chain, same ``ChaosConfig``,
+through the directory-queue backend (two spawned ``sweep-worker``
+processes, a short lease so the killed worker's claim is noticed fast);
+the queue directory is the checkpoint directory.
+
 Usage::
 
-    python benchmarks/perf/resilience_smoke.py [--checkpoint-dir DIR]
+    python benchmarks/perf/resilience_smoke.py [--checkpoint-dir DIR | --queue-dir DIR]
 """
 
 from __future__ import annotations
@@ -50,15 +55,29 @@ POISON_CELL = (1, 1)
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
+    where = parser.add_mutually_exclusive_group()
+    where.add_argument(
         "--checkpoint-dir",
         default=None,
         help="checkpoint directory (default: a fresh temp dir)",
     )
+    where.add_argument(
+        "--queue-dir",
+        default=None,
+        help="run the chain through the directory-queue backend rooted here",
+    )
     args = parser.parse_args(argv)
     checkpoint_dir = Path(
-        args.checkpoint_dir or tempfile.mkdtemp(prefix="resilience-smoke-")
+        args.queue_dir
+        or args.checkpoint_dir
+        or tempfile.mkdtemp(prefix="resilience-smoke-")
     )
+    if args.queue_dir:
+        backend = dict(queue_dir=checkpoint_dir, lease_s=2.0)
+    else:
+        # The grid is below the parallel cutover; kills only fire in a
+        # pool worker, so force the pool.
+        backend = dict(checkpoint_dir=checkpoint_dir, min_cells_per_worker=0)
     policy = RetryPolicy(base_delay_s=0.01, jitter_fraction=0.0, max_attempts=3)
 
     print(f"[1/3] serial reference: {len(POINTS)} points x {len(SEEDS)} seeds")
@@ -76,15 +95,7 @@ def main(argv: list[str] | None = None) -> int:
         f"poison {POISON_CELL}; checkpoints -> {checkpoint_dir}"
     )
     chaotic = run_sweep_outcome(
-        POINTS,
-        SEEDS,
-        workers=2,
-        # The grid is below the parallel cutover; kills only fire in a
-        # pool worker, so force the pool.
-        min_cells_per_worker=0,
-        checkpoint_dir=checkpoint_dir,
-        retry=policy,
-        chaos=chaos,
+        POINTS, SEEDS, workers=2, retry=policy, chaos=chaos, **backend
     )
     print(f"      {chaotic.stats.summary_line()}")
     quarantined = {(e.point_index, e.seed_index) for e in chaotic.quarantined}
@@ -100,13 +111,7 @@ def main(argv: list[str] | None = None) -> int:
 
     sweep_mod._result_cache.clear()
     print("[3/3] resume with chaos off against the same checkpoint dir")
-    resumed = run_sweep_outcome(
-        POINTS,
-        SEEDS,
-        workers=2,
-        checkpoint_dir=checkpoint_dir,
-        retry=policy,
-    )
+    resumed = run_sweep_outcome(POINTS, SEEDS, workers=2, retry=policy, **backend)
     print(f"      {resumed.stats.summary_line()}")
 
     n_cells = len(POINTS) * len(SEEDS)

@@ -145,41 +145,6 @@ def resilient_sweep(
     )
 
 
-def queue_sweep(
-    points,
-    seeds=(0, 1, 2),
-    *,
-    queue_dir,
-    workers: int = 2,
-    lease_s: float | None = None,
-    spawn_workers: bool = True,
-    failure_model: BurstFailureModel | None = None,
-):
-    """Multi-host sweep through a shared-directory work queue, one call.
-
-    Enqueues every not-yet-checkpointed ``(point, seed)`` cell into
-    ``queue_dir`` under its content-addressed key, optionally spawns
-    ``workers`` local ``sweep-worker`` processes (set
-    ``spawn_workers=False`` when workers were started elsewhere — any
-    host sharing the directory, via ``bgl-sim sweep-worker``), reclaims
-    expired claims, and merges completed checkpoints through the
-    verified resume path — results are bitwise-identical to a serial
-    run of the same grid, including across driver restarts and worker
-    crashes.  See :mod:`repro.experiments.queue` for the protocol.
-    """
-    from repro.experiments.queue import DEFAULT_LEASE_S, run_queue_sweep
-
-    return run_queue_sweep(
-        points,
-        seeds,
-        failure_model,
-        queue_dir=queue_dir,
-        workers=workers,
-        lease_s=lease_s if lease_s is not None else DEFAULT_LEASE_S,
-        spawn_workers=spawn_workers,
-    )
-
-
 def quick_simulate(
     site: str = "sdsc",
     n_jobs: int = 500,

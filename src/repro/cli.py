@@ -4,7 +4,7 @@
 
     bgl-sim run     --site sdsc --policy balancing --parameter 0.1 ...
     bgl-sim sweep   --parameters 0.0 0.1 0.3 [--checkpoint-dir DIR] ...
-    bgl-sim sweep   --backend queue --queue-dir DIR ...   # multi-host driver
+    bgl-sim sweep   --queue-dir DIR ...                   # multi-host driver
     bgl-sim sweep-worker --queue-dir DIR                  # one queue worker
     bgl-sim figure  fig3 [--jobs 500] [--seeds 2]
     bgl-sim figures            # list regenerable figures
@@ -254,22 +254,15 @@ def _build_parser() -> argparse.ArgumentParser:
         help="parallel sweep workers (default 1; results identical either way)",
     )
     sweep.add_argument(
-        "--backend",
-        choices=("local", "queue"),
-        default="local",
-        help=(
-            "local (default): in-process / warm-pool execution; queue: "
-            "drive the sweep through a shared-directory work queue "
-            "(--queue-dir) so sweep-worker processes on any host sharing "
-            "the directory can pull cells — results are bitwise-identical "
-            "either way"
-        ),
-    )
-    sweep.add_argument(
         "--queue-dir",
         default=None,
         metavar="DIR",
-        help="shared work-queue directory (required with --backend queue)",
+        help=(
+            "drive the sweep through this shared work-queue directory, so "
+            "sweep-worker processes on any host sharing it can pull cells "
+            "(checkpoints live there too; results are bitwise-identical "
+            "to a local run)"
+        ),
     )
     sweep.add_argument(
         "--lease-s",
@@ -277,17 +270,16 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SECONDS",
         help=(
-            "queue-backend claim lease: a claimed cell not completed "
-            "within this window is reclaimed and re-enqueued"
+            "with --queue-dir: a claimed cell not completed within this "
+            "window counts as a failed attempt and is retried"
         ),
     )
     sweep.add_argument(
         "--no-spawn-workers",
         action="store_true",
         help=(
-            "queue backend: do not start local sweep-worker processes; "
-            "only supervise and merge (workers run elsewhere against "
-            "the shared directory)"
+            "with --queue-dir: do not start local sweep-worker processes "
+            "(workers run elsewhere against the shared directory)"
         ),
     )
     _add_resilience_flags(sweep)
@@ -297,7 +289,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help=(
             "pull-and-run sweep cells from a shared work-queue directory "
             "(start any number of these, on any hosts sharing the "
-            "directory; drive with `bgl-sim sweep --backend queue`)"
+            "directory; drive with `bgl-sim sweep --queue-dir`)"
         ),
     )
     worker.add_argument(
@@ -306,30 +298,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     worker.add_argument(
         "--lease-s", type=float, default=None, metavar="SECONDS",
-        help="claim lease before other workers may reclaim a cell",
-    )
-    worker.add_argument(
-        "--max-attempts", type=_positive_int, default=None, metavar="N",
-        help="attempts per cell before it is dead-lettered",
-    )
-    worker.add_argument(
-        "--max-cells", type=_positive_int, default=None, metavar="N",
-        help="exit after completing N cells",
+        help="how long a claim of this worker stands before it counts as lost",
     )
     worker.add_argument(
         "--idle-exit-s", type=float, default=None, metavar="SECONDS",
         help="exit after this long without claimable work (default: wait)",
-    )
-    worker.add_argument(
-        "--poll-s", type=float, default=0.05, metavar="SECONDS",
-        help="sleep between polls of an empty queue",
-    )
-    worker.add_argument(
-        "--kill-after-claims", type=int, default=None, metavar="N",
-        help=argparse.SUPPRESS,  # chaos-testing hook: die mid-cell N+1
-    )
-    worker.add_argument(
-        "--worker-id", default=None, help=argparse.SUPPRESS
     )
 
     fig = sub.add_parser("figure", help="regenerate one paper figure")
@@ -586,42 +559,27 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         for n_failures in args.failures
         for parameter in args.parameters
     ]
-    if args.backend == "queue":
-        if args.queue_dir is None:
-            raise SystemExit("--backend queue requires --queue-dir")
-        if args.checkpoint_dir is not None:
-            raise SystemExit(
-                "--backend queue stores checkpoints inside --queue-dir; "
-                "drop --checkpoint-dir"
-            )
-        from repro.experiments.queue import DEFAULT_LEASE_S, run_queue_sweep
-
-        queue_kwargs = {}
-        retry = _retry_policy(args)
-        if retry is not None:
-            queue_kwargs["max_attempts"] = retry.max_attempts
-        outcome = run_queue_sweep(
-            points,
-            seeds=tuple(range(args.seeds)),
-            queue_dir=args.queue_dir,
-            workers=args.workers or 2,
-            lease_s=args.lease_s if args.lease_s is not None else DEFAULT_LEASE_S,
-            spawn_workers=not args.no_spawn_workers,
-            **queue_kwargs,
+    if args.queue_dir is None:
+        if args.lease_s is not None or args.no_spawn_workers:
+            raise SystemExit("--lease-s/--no-spawn-workers need --queue-dir")
+    elif args.checkpoint_dir is not None:
+        raise SystemExit(
+            "--queue-dir stores checkpoints inside the queue directory; "
+            "drop --checkpoint-dir"
         )
-    else:
-        if args.queue_dir is not None or args.no_spawn_workers:
-            raise SystemExit(
-                "--queue-dir/--no-spawn-workers need --backend queue"
-            )
-        outcome = run_sweep_outcome(
-            points,
-            seeds=tuple(range(args.seeds)),
-            workers=args.workers,
-            checkpoint_dir=args.checkpoint_dir,
-            retry=_retry_policy(args),
-            resume=args.resume,
-        )
+    elif args.lease_s is not None and args.lease_s <= 0:
+        raise SystemExit("--lease-s must be positive")
+    outcome = run_sweep_outcome(
+        points,
+        seeds=tuple(range(args.seeds)),
+        workers=args.workers,
+        checkpoint_dir=args.checkpoint_dir,
+        retry=_retry_policy(args),
+        resume=args.resume,
+        queue_dir=args.queue_dir,
+        lease_s=args.lease_s,
+        spawn_workers=not args.no_spawn_workers,
+    )
     header = (
         f"{'failures':>8} {'param':>6} {'slowdown':>9} {'response':>9} "
         f"{'wait':>8} {'util':>6} {'kills':>6} {'seeds':>5}"
@@ -647,37 +605,21 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             for e in outcome.quarantined
         )
         print(f"quarantined cells: {cells}")
-        if args.checkpoint_dir:
+        if args.checkpoint_dir or args.queue_dir:
             from repro.resilience import CellStore
 
-            print(
-                f"details: {CellStore(args.checkpoint_dir).quarantine_path}"
-            )
+            root = args.checkpoint_dir or args.queue_dir
+            print(f"details: {CellStore(root).quarantine_path}")
     return 0 if outcome.complete else 1
 
 
 def _cmd_sweep_worker(args: argparse.Namespace) -> int:
-    from repro.experiments.queue import (
-        DEFAULT_LEASE_S,
-        DEFAULT_MAX_ATTEMPTS,
-        run_worker,
-    )
+    from repro.experiments.queue import run_worker
 
     if args.lease_s is not None and args.lease_s <= 0:
         raise SystemExit("--lease-s must be positive")
     run_worker(
-        args.queue_dir,
-        lease_s=args.lease_s if args.lease_s is not None else DEFAULT_LEASE_S,
-        max_attempts=(
-            args.max_attempts
-            if args.max_attempts is not None
-            else DEFAULT_MAX_ATTEMPTS
-        ),
-        max_cells=args.max_cells,
-        idle_exit_s=args.idle_exit_s,
-        poll_s=args.poll_s,
-        kill_after_claims=args.kill_after_claims,
-        worker_id=args.worker_id,
+        args.queue_dir, lease_s=args.lease_s, idle_exit_s=args.idle_exit_s
     )
     return 0
 

@@ -15,7 +15,7 @@ from repro.experiments.pool import (
     get_warm_pool,
     shutdown_warm_pool,
 )
-from repro.experiments.queue import WorkQueue, run_queue_sweep, run_worker
+from repro.experiments.queue import WorkQueue, run_worker
 from repro.experiments.figures import (
     FigureResult,
     figure_registry,
@@ -37,7 +37,6 @@ __all__ = [
     "default_workers",
     "get_warm_pool",
     "run_point",
-    "run_queue_sweep",
     "run_sweep",
     "run_worker",
     "shutdown_warm_pool",

@@ -10,15 +10,20 @@ completed future in one place, and merge the reports in the parent in
 serial seed order — so ``run_sweep(points, workers=N)`` is **bitwise
 identical** to the serial result however the cells were executed.
 
-Backend (one rule for every sweep)
-    In-process — a synchronous ``Executor`` whose ``submit`` runs the
+Backend (one rule for every sweep, three executors)
+    With ``queue_dir``, the **directory queue**
+    (:mod:`repro.experiments.queue`, imported only then): ``submit``
+    writes the call as a task file for ``bgl-sim sweep-worker``
+    processes on any host sharing the directory, and a settle thread
+    resolves the futures from what they leave there.  Otherwise
+    in-process — a synchronous ``Executor`` whose ``submit`` runs the
     call and returns a resolved future — when ``workers <= 1``, the
     platform lacks ``fork``, at most one cell is left to run, or the
-    grid is below the ``min_cells_per_worker`` cutover.  Otherwise the
+    grid is below the ``min_cells_per_worker`` cutover; else the
     persistent **warm pool** (:mod:`repro.experiments.pool`): workers
-    forked once per process lifetime, each building the workload and
-    master-log inputs of the cells it is handed — as the in-process
-    backend does — and keeping them cached from one sweep to the next.
+    forked once per process lifetime, each building the inputs of the
+    cells it is handed — as the in-process backend does — and keeping
+    them cached from one sweep to the next.
 
 Resilience (data carried by the loop, not a second path)
     ``checkpoint_dir`` attaches a store: every completed cell is
@@ -26,20 +31,22 @@ Resilience (data carried by the loop, not a second path)
     Without a :class:`~repro.resilience.RetryPolicy` the loop fails
     fast: a cell's own exception propagates unchanged and a dead worker
     raises an error naming every unfinished cell.  With one (any of
-    ``checkpoint_dir`` / ``retry`` / ``chaos`` implies the default
-    policy) chunks hold one cell so failures stay attributable, a
-    failing cell is resubmitted after its deterministic backoff and
-    quarantined once its attempts are spent, a broken pool is respawned
-    and its lost cells resubmitted, and a pool that keeps breaking is
-    swapped for the in-process executor.  Chaos injection and the
-    per-cell timeout live inside the one worker entry point
+    ``checkpoint_dir`` / ``queue_dir`` / ``retry`` / ``chaos`` implies
+    the default policy) chunks hold one cell so failures stay
+    attributable, a failing cell (it raised, timed out, or its queue
+    lease ran out) is resubmitted after its deterministic backoff and
+    quarantined once its attempts are spent, a broken pool (for the
+    queue: every local worker dead) is respawned and its lost cells
+    resubmitted, and a pool that keeps breaking is swapped for the
+    in-process executor.  Chaos injection and the per-cell timeout live
+    inside the one worker entry point
     (:func:`repro.experiments.pool.run_chunk`), so they apply
     identically in workers and in-process.
 
 Whichever way the loop is left — done, a cell's exception, a dead
 worker, Ctrl-C — futures not yet started are cancelled and running ones
 awaited, so no chunk of a failed sweep is still occupying the shared
-pool when the caller sees the error.
+pool (or left runnable in the queue) when the caller sees the error.
 
 Cells are enumerated **seed-major** because the expensive inputs depend
 on the seed, not the swept parameter: neighbouring cells hit the input
@@ -166,6 +173,13 @@ class SweepExecutor:
         than serial).  Set to 0 to force the pool whenever workers > 1.
         The cutover is decided *before* any pool exists, so sub-cutover
         grids never spin up (or touch) the warm pool.
+    queue_dir / lease_s / spawn_workers:
+        Run the cells through the shared-directory queue rooted here
+        (:mod:`repro.experiments.queue`), which is then the checkpoint
+        store too (no ``checkpoint_dir`` beside it).  ``workers`` local
+        ``sweep-worker`` processes are spawned unless ``spawn_workers``
+        is off; a claimed cell not completed within ``lease_s`` seconds
+        (``None``: the queue's default) counts as a failed attempt.
     sleep:
         Backoff clock, injectable so tests can fake it.
     """
@@ -176,6 +190,9 @@ class SweepExecutor:
     chaos: ChaosConfig | None = None
     resume: bool = True
     min_cells_per_worker: int = 10
+    queue_dir: str | Path | None = None
+    lease_s: float | None = None
+    spawn_workers: bool = True
     sleep: Callable[[float], None] = field(default=time.sleep)
 
     @property
@@ -185,6 +202,7 @@ class SweepExecutor:
         in-memory result memo."""
         return (
             self.checkpoint_dir is not None
+            or self.queue_dir is not None
             or self.retry is not None
             or (self.chaos is not None and self.chaos.enabled)
         )
@@ -245,11 +263,10 @@ class SweepExecutor:
                 pending.append(i)
         cells = enumerate_cells(points, pending, seeds)
 
-        store = (
-            CellStore(self.checkpoint_dir)
-            if self.checkpoint_dir is not None
-            else None
-        )
+        if self.queue_dir is not None and self.checkpoint_dir is not None:
+            raise ExperimentError("queue_dir is the checkpoint_dir too: pass one")
+        root = self.queue_dir if self.queue_dir is not None else self.checkpoint_dir
+        store = CellStore(root) if root is not None else None
         keys: dict[tuple[int, int], str] = {}
         reports: dict[tuple[int, int], SimulationReport] = {}
         if store is not None:
@@ -314,9 +331,14 @@ class SweepExecutor:
         policy = (self.retry or RetryPolicy()) if self.resilient else None
         inprocess = _InProcessExecutor()
         executor: Executor = inprocess
+        backend = None
         # The backend is chosen here, before any pool is touched: a
         # sub-cutover grid must never pay a warm-pool spawn.
-        if n_workers <= 1 or n_cells <= 1:
+        if self.queue_dir is not None:
+            from repro.experiments.queue import QueueExecutor
+
+            backend = QueueExecutor(self.queue_dir, self.lease_s, self.spawn_workers)
+        elif n_workers <= 1 or n_cells <= 1:
             pass  # nothing to fan out
         elif not fork_available():
             logger.info(
@@ -333,12 +355,13 @@ class SweepExecutor:
                 n_workers,
             )
         else:
-            warm = pool_mod.get_warm_pool()
-            spawns_before = warm.spawns
-            executor = warm.ensure(n_workers)
-            stats.pool_reused = warm.spawns == spawns_before
+            backend = pool_mod.get_warm_pool()
+        if backend is not None:
+            spawns_before = backend.spawns
+            executor = backend.ensure(n_workers)
+            stats.pool_reused = backend.spawns == spawns_before
         pooled = executor is not inprocess
-        stats.mode = "warm" if pooled else "serial"
+        stats.mode = backend.mode if pooled else "serial"
         stats.workers_used = n_workers if pooled else 1
         # One cell per task under a policy, so a failure names its cell.
         stats.chunk_size = chunk_size = (
@@ -404,7 +427,7 @@ class SweepExecutor:
                             cell for other in in_flight.values() for cell in other
                         ]
                         in_flight.clear()
-                        warm.mark_broken()
+                        backend.mark_broken()
                         if policy is None:
                             raise _broken_pool_error(cells, reports) from exc
                         backlog.extendleft(
@@ -442,7 +465,7 @@ class SweepExecutor:
                                     (-1, stats.pool_rebuilds), stats.pool_rebuilds
                                 )
                             )
-                            executor = warm.ensure(n_workers)
+                            executor = backend.ensure(n_workers)
                     except Exception as exc:
                         if policy is None:
                             raise
@@ -485,7 +508,10 @@ class SweepExecutor:
         finally:
             # However the loop was left, no chunk of this sweep may
             # outlive it in the shared pool: cancel what has not
-            # started, wait for what has.
+            # started, wait for what has.  The queue's workers and
+            # settle thread are this sweep's own and go with it.
+            if self.queue_dir is not None:
+                backend.shutdown()
             for future in in_flight:
                 future.cancel()
             wait(in_flight)

@@ -76,14 +76,16 @@ def run_chunk(
     """Run ``(cell_id, point, seed, attempt)`` cells; one ``(report,
     obs)`` pair per cell, in order.
 
-    ``in_worker`` says whether this is a pool worker (chaos kills only
-    fire there, never in the calling process); ``master_failure_count``
-    is the dispatching process's ``sweep.MASTER_FAILURE_COUNT``, which a
-    persistent worker forked before a test or bench shrank the constant
-    must follow — its caches are keyed by the count, so following is all
-    it takes.  Chaos injection and the per-cell wall-clock timeout live
-    here so they apply identically either way.  ``with_obs`` adds each
-    cell's picklable observability payload.
+    ``in_worker`` says whether this is a pool or queue worker (chaos
+    kills only fire there, never in the calling process);
+    ``master_failure_count`` is the dispatching process's
+    ``sweep.MASTER_FAILURE_COUNT``, which a persistent worker forked
+    before a test or bench shrank the constant must follow, as must a
+    queue worker started on another host — its caches are keyed by the
+    count, so following is all it takes.  Chaos injection and the
+    per-cell wall-clock timeout live here so they apply identically
+    either way.  ``with_obs`` adds each cell's picklable observability
+    payload.
     """
     sweep_mod.MASTER_FAILURE_COUNT = master_failure_count
     out = []
@@ -108,8 +110,12 @@ class WarmPool:
     only when there is none, the size changed, or the previous pool
     broke.  ``spawns``/``reuses`` counters (also exported through
     ``pool.warm.*`` metrics) let tests assert the pool genuinely
-    persisted.
+    persisted.  ``ensure`` / ``mark_broken`` / ``spawns`` / ``mode`` are
+    all the dispatch loop asks of a backend (the queue's has the same).
     """
+
+    #: What ``SweepRunStats.mode`` reports for cells run here.
+    mode = "warm"
 
     def __init__(self) -> None:
         self._executor: ProcessPoolExecutor | None = None

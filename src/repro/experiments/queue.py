@@ -1,78 +1,71 @@
-"""Directory-backed multi-host work queue for sweep cells.
+"""Directory-backed multi-host backend of the sweep dispatch loop.
 
 The warm pool (:mod:`repro.experiments.pool`) scales a sweep across the
 cores of one machine; this module scales it across *machines* that share
 nothing but a directory (NFS mount, fuse-mounted object store, plain
-disk for same-host tests).  The design leans entirely on properties the
-resilience layer already guarantees:
+disk for same-host tests).  It is a file protocol plus the ``Executor``
+that puts it behind ``SweepExecutor._dispatch`` — attempt counting,
+backoff, quarantine, respawn, degradation, restore and merge are the
+loop's, exactly as for the other two executors.
 
-* **Content-addressed tasks** — every ``(point, seed)`` cell is
-  enqueued under its :func:`~repro.resilience.cell_key` SHA-256, the
-  same key its checkpoint will use, so "is this cell done?" is a file
-  existence probe and duplicate execution is *harmless by construction*:
-  a second worker computing the same cell atomically writes the same
-  bytes to the same checkpoint path.
+* **The task record is the call** — ``submit`` writes the arguments of
+  :func:`~repro.experiments.pool.run_chunk` under the cell's
+  :func:`~repro.resilience.cell_key`; a worker decodes them and runs the
+  cell through ``run_chunk``, the entry point of every backend.  A
+  record that does not decode to that call is reported as a failed
+  attempt, never half-read.
 * **Claim by atomic rename** — a worker claims a task by renaming
   ``tasks/<key>.json`` to ``claims/<key>.json``.  ``os.rename`` is
   atomic on POSIX, so exactly one racer wins; the losers get
   ``FileNotFoundError`` and move on.
 * **Deterministic lease expiry** — after winning, the worker rewrites
   the claim in place with a lease (worker id, claim time, deadline).
-  Any observer reclaims a claim past its recorded deadline; a claim
-  whose worker died *between rename and lease write* falls back to the
-  file's mtime plus the queue's lease.  Reclaim uses ``unlink`` as the
-  arbiter — whoever's unlink succeeds re-enqueues (attempt + 1) or
-  dead-letters; every other racer gets ``FileNotFoundError``.
+  A claim past its recorded deadline is lost; a claim whose worker died
+  *between rename and lease write* falls back to the file's mtime plus
+  the queue's lease.  ``unlink`` is the arbiter — whoever's unlink
+  succeeds reports the loss; every other racer gets
+  ``FileNotFoundError``.
 * **Checkpoints as results** — a completed cell is an ordinary
   :class:`~repro.resilience.CellStore` checkpoint under the queue
-  directory, so the driver's merge is exactly the resume path: verified
-  reads, bitwise-identical aggregation against the *original* in-memory
-  points.
+  directory, which the driver reads back through the verified ``get``;
+  a failed attempt (the cell raised, or its lease expired) is a small
+  record in ``failed/`` that the driver consumes and charges.
 
 Layout::
 
     <queue-dir>/tasks/<key>.json    runnable cells (rename source)
     <queue-dir>/claims/<key>.json   leased cells (rename target)
-    <queue-dir>/dead/<key>.json     cells that exhausted their attempts
+    <queue-dir>/failed/<key>.json   failed attempts not yet charged
     <queue-dir>/cells/<key>.json    completed cells (ordinary CellStore)
 
 Workers are started with ``bgl-sim sweep-worker --queue-dir <dir>`` (as
-many processes, on as many hosts, as the directory is shared with);
-``bgl-sim sweep --backend queue`` runs the driver, which can also spawn
-same-host workers itself.
+many processes, on as many hosts, as the directory is shared with) and
+wait for work; ``bgl-sim sweep --queue-dir <dir>`` runs the driver,
+which can also spawn same-host workers itself.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import socket
 import subprocess
 import sys
+import threading
 import time
-from dataclasses import dataclass
+from concurrent.futures import Executor, Future
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterator
 
 from repro.errors import ExperimentError, ResilienceError
-from repro.experiments import sweep as sweep_mod
-from repro.experiments.sweep import (
-    SweepPoint,
-    enumerate_cells,
-    merge_reports,
-    simulate_cell,
-)
-from repro.failures.synthetic import BurstFailureModel
+from repro.experiments.pool import run_chunk
 from repro.obs.log import get_logger
 from repro.obs.metrics import count_active
-from repro.resilience import (
-    CellStore,
-    QuarantineEntry,
-    ResilientSweepOutcome,
-    SweepRunStats,
-    cell_key,
-)
+from repro.resilience import CellStore, ChaosConfig, cell_key
 from repro.resilience.store import (
+    TMP_PREFIX,
     describe_model,
     describe_point,
     model_from_dict,
@@ -81,57 +74,43 @@ from repro.resilience.store import (
 
 logger = get_logger(__name__)
 
-#: Default seconds a claim may go without completing before any
-#: observer may reclaim it.  Cells are seconds-scale; a minute of grace
-#: tolerates slow hosts without stalling recovery for long.
+#: Default seconds a claim may go without completing before it counts
+#: as lost.  Cells are seconds-scale; a minute of grace tolerates slow
+#: hosts without stalling recovery for long.
 DEFAULT_LEASE_S = 60.0
 
-#: Attempts (initial + re-enqueues) before a cell is dead-lettered.
-DEFAULT_MAX_ATTEMPTS = 3
+#: Seconds between looks at the directory (idle workers, the driver's
+#: settle thread).
+_POLL_S = 0.05
 
-_TMP_PREFIX = ".tmp-"
 
-
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class QueueTask:
-    """One claimed (or inspectable) cell of queued work."""
+    """One claimed cell: its key and the ``run_chunk`` arguments."""
 
     key: str
-    point_index: int
-    seed_index: int
-    seed: int
-    attempt: int
-    record: dict[str, Any]
-
-    def point(self) -> SweepPoint:
-        return point_from_dict(self.record["point"])
-
-    def model(self) -> BurstFailureModel:
-        return model_from_dict(self.record["model"])
+    call: tuple
 
 
-def _write_record(directory: Path, key: str, record: dict[str, Any]) -> Path:
-    """Atomically write one task/claim/dead record."""
-    path = directory / f"{key}.json"
-    tmp = directory / f"{_TMP_PREFIX}{key}-{os.getpid()}.json"
+def _write_record(directory: Path, key: str, record: dict[str, Any]) -> None:
+    """Atomically write one task/claim/failure record."""
+    tmp = directory / f"{TMP_PREFIX}{key}-{os.getpid()}.json"
     try:
         with open(tmp, "w", encoding="utf-8") as handle:
             json.dump(record, handle, sort_keys=True)
             handle.flush()
             os.fsync(handle.fileno())
-        os.replace(tmp, path)
+        os.replace(tmp, directory / f"{key}.json")
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-    return path
 
 
 def _read_record(path: Path) -> dict[str, Any] | None:
-    """Read one record; ``None`` when it vanished or is unparseable yet.
+    """Read one record; ``None`` when it vanished or does not parse.
 
     A reader can race a writer's ``os.replace`` (seeing the old complete
-    file) but never sees a partial file; a genuinely garbled record is
-    surfaced to the caller as ``None`` and handled like a lost race.
+    file) but never sees a partial file.
     """
     try:
         return json.loads(path.read_text(encoding="utf-8"))
@@ -139,88 +118,110 @@ def _read_record(path: Path) -> dict[str, Any] | None:
         return None
 
 
-class WorkQueue:
-    """One shared-directory work queue of sweep cells."""
+def _records(directory: Path) -> Iterator[Path]:
+    """The record files of one queue directory, in sorted key order."""
+    try:
+        names = sorted(os.listdir(directory))
+    except OSError:
+        return
+    for name in names:
+        if name.endswith(".json") and not name.startswith(TMP_PREFIX):
+            yield directory / name
 
-    def __init__(
-        self,
-        root: str | Path,
-        *,
-        lease_s: float = DEFAULT_LEASE_S,
-        max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-        worker_id: str | None = None,
-    ) -> None:
-        if lease_s <= 0:
+
+def encode_call(
+    chunk, model, with_obs, chaos, timeout_s, in_worker, master_failure_count
+) -> dict[str, Any]:
+    """The arguments of one ``run_chunk`` call as a JSON-able task record.
+
+    The driver's master-log size travels with the work, so a worker on
+    any host thins from the log the driver will verify against.
+    """
+    return {
+        "chunk": [
+            [cell_id, describe_point(point), seed, attempt]
+            for cell_id, point, seed, attempt in chunk
+        ],
+        "model": describe_model(model),
+        "with_obs": with_obs,
+        "chaos": None if chaos is None else dataclasses.asdict(chaos),
+        "timeout_s": timeout_s,
+        "in_worker": in_worker,
+        "master_failure_count": master_failure_count,
+    }
+
+
+def decode_call(record: dict[str, Any]) -> tuple:
+    """Inverse of :func:`encode_call`; raises on any other shape."""
+    chaos = record["chaos"]
+    if chaos is not None:
+        # JSON flattened the cell-id tuples ChaosConfig matches against.
+        chaos = ChaosConfig(**{
+            name: tuple(map(tuple, value)) if isinstance(value, list) else value
+            for name, value in chaos.items()
+        })
+    return (
+        [
+            (tuple(cell_id), point_from_dict(point), seed, attempt)
+            for cell_id, point, seed, attempt in record["chunk"]
+        ],
+        model_from_dict(record["model"]),
+        record["with_obs"],
+        chaos,
+        record["timeout_s"],
+        record["in_worker"],
+        record["master_failure_count"],
+    )
+
+
+class WorkQueue:
+    """The file protocol of one shared-directory queue of sweep cells."""
+
+    def __init__(self, root: str | Path, *, lease_s: float | None = None) -> None:
+        self.lease_s = DEFAULT_LEASE_S if lease_s is None else lease_s
+        if self.lease_s <= 0:
             raise ExperimentError("lease_s must be positive")
-        if max_attempts < 1:
-            raise ExperimentError("max_attempts must be >= 1")
         self.root = Path(root)
         self.tasks_dir = self.root / "tasks"
         self.claims_dir = self.root / "claims"
-        self.dead_dir = self.root / "dead"
+        self.failed_dir = self.root / "failed"
         try:
-            for directory in (self.tasks_dir, self.claims_dir, self.dead_dir):
+            for directory in (self.tasks_dir, self.claims_dir, self.failed_dir):
                 directory.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ResilienceError(
                 f"cannot create queue directory {self.root}: {exc}"
             ) from exc
-        self.lease_s = lease_s
-        self.max_attempts = max_attempts
-        self.worker_id = worker_id or f"{socket.gethostname()}-{os.getpid()}"
+        self.worker_id = f"{socket.gethostname()}-{os.getpid()}"
         self.store = CellStore(self.root)
 
     # ------------------------------------------------------------------
-    # enqueue
+    # driver side: put / withdraw
     # ------------------------------------------------------------------
-    def enqueue(
-        self,
-        points: Sequence[SweepPoint],
-        seeds: Sequence[int],
-        model: BurstFailureModel,
-    ) -> list[str]:
-        """Enqueue every cell of a grid that is not already accounted for.
+    def put(self, key: str, record: dict[str, Any]) -> None:
+        """Make one cell runnable for a caller about to wait on it.
 
-        Idempotent: cells with an existing checkpoint, task, claim or
-        dead-letter are skipped, so re-running a driver against a
-        half-finished queue directory resumes instead of duplicating.
-        Returns the keys actually enqueued.
+        The dispatch loop has already restored every checkpoint it
+        trusts, so a same-key checkpoint (corrupt, or ``resume`` off) or
+        failure record is stale and dropped first.  A task or claim
+        already there — a previous driver's — stays: whoever runs it
+        settles this caller too.
         """
-        enqueued: list[str] = []
-        for (i, si), point, seed in enumerate_cells(
-            points, range(len(points)), seeds
-        ):
-            key = cell_key(point, seed, model)
-            if (
-                self.store.has(key)
-                or (self.tasks_dir / f"{key}.json").exists()
-                or (self.claims_dir / f"{key}.json").exists()
-                or (self.dead_dir / f"{key}.json").exists()
-            ):
-                continue
-            _write_record(
-                self.tasks_dir,
-                key,
-                {
-                    "key": key,
-                    "point_index": i,
-                    "seed_index": si,
-                    "seed": seed,
-                    "attempt": 1,
-                    "point": describe_point(point),
-                    "model": describe_model(model),
-                    # The driver's master-log size travels with the
-                    # work, so a worker on any host thins from the log
-                    # the driver will verify against.
-                    "master_failure_count": sweep_mod.MASTER_FAILURE_COUNT,
-                },
-            )
-            enqueued.append(key)
-            count_active("queue.task.enqueued")
-        return enqueued
+        name = f"{key}.json"
+        self.store.path_for(key).unlink(missing_ok=True)
+        (self.failed_dir / name).unlink(missing_ok=True)
+        # Tasks before claims: a concurrent claim rename moves that way.
+        if (self.tasks_dir / name).exists() or (self.claims_dir / name).exists():
+            return
+        _write_record(self.tasks_dir, key, record)
+        count_active("queue.task.enqueued")
+
+    def withdraw(self, key: str) -> None:
+        """Take back a task nobody waits on any more (a no-op once claimed)."""
+        (self.tasks_dir / f"{key}.json").unlink(missing_ok=True)
 
     # ------------------------------------------------------------------
-    # claim / complete / fail
+    # worker side: claim / complete / fail
     # ------------------------------------------------------------------
     def claim(self) -> QueueTask | None:
         """Claim one runnable task, or ``None`` when none is claimable.
@@ -230,14 +231,7 @@ class WorkQueue:
         rewrites the claim with its lease so expiry is observable by
         key content, not clock guesswork.
         """
-        try:
-            candidates = sorted(
-                p for p in self.tasks_dir.iterdir()
-                if p.suffix == ".json" and not p.name.startswith(_TMP_PREFIX)
-            )
-        except OSError:
-            return None
-        for path in candidates:
+        for path in _records(self.tasks_dir):
             target = self.claims_dir / path.name
             try:
                 os.rename(path, target)
@@ -248,10 +242,14 @@ class WorkQueue:
             except OSError:
                 continue
             record = _read_record(target)
-            if record is None:
-                # Garbled task file: nobody can run it; dead-letter the
-                # raw claim so the driver surfaces it.
-                target.rename(self.dead_dir / path.name)
+            try:
+                call = decode_call(record)
+                ((_, point, seed, _),) = call[0]
+                if cell_key(point, seed, call[1]) != path.stem:
+                    raise ValueError("record is not the cell it is filed under")
+            except (KeyError, TypeError, ValueError, ResilienceError) as exc:
+                # Nobody can run it: surface it as a failed attempt.
+                self._lose(target, "GarbledTask", f"task record unusable: {exc!r}")
                 count_active("queue.task.garbled")
                 continue
             now = time.time()
@@ -260,16 +258,9 @@ class WorkQueue:
                 "claimed_at": now,
                 "deadline": now + self.lease_s,
             }
-            _write_record(self.claims_dir, record["key"], record)
+            _write_record(self.claims_dir, path.stem, record)
             count_active("queue.claim.won")
-            return QueueTask(
-                key=record["key"],
-                point_index=record["point_index"],
-                seed_index=record["seed_index"],
-                seed=record["seed"],
-                attempt=record["attempt"],
-                record=record,
-            )
+            return QueueTask(path.stem, call)
         return None
 
     def complete(self, task: QueueTask, report) -> None:
@@ -279,9 +270,8 @@ class WorkQueue:
         leaves a claim whose work is done; reclaim notices the existing
         checkpoint and simply drops the claim.
         """
-        self.store.put(
-            task.key, report, point_index=task.point_index, seed=task.seed
-        )
+        (((point_index, _), _, seed, _),) = task.call[0]
+        self.store.put(task.key, report, point_index=point_index, seed=seed)
         (self.claims_dir / f"{task.key}.json").unlink(missing_ok=True)
         count_active("queue.claim.completed")
 
@@ -291,29 +281,27 @@ class WorkQueue:
         count_active("queue.claim.duplicate")
 
     def fail(self, task: QueueTask, exc: BaseException) -> None:
-        """Record a failed attempt: re-enqueue or dead-letter the cell."""
-        (self.claims_dir / f"{task.key}.json").unlink(missing_ok=True)
-        record = dict(task.record)
-        record.pop("lease", None)
-        record["error_type"] = type(exc).__name__
-        record["error"] = str(exc)
-        if task.attempt >= self.max_attempts:
-            _write_record(self.dead_dir, task.key, record)
-            count_active("queue.task.dead")
-            logger.warning(
-                "queue cell %s dead-lettered after %d attempts: %s: %s",
-                task.key[:12],
-                task.attempt,
-                type(exc).__name__,
-                exc,
-            )
-        else:
-            record["attempt"] = task.attempt + 1
-            _write_record(self.tasks_dir, task.key, record)
-            count_active("queue.claim.failed")
+        """Record a failed attempt for the driver to charge."""
+        self._lose(self.claims_dir / f"{task.key}.json", type(exc).__name__, str(exc))
+        count_active("queue.claim.failed")
+
+    def _lose(self, claim: Path, error_type: str, error: str) -> bool:
+        """Give up one claim and say why in ``failed/``.
+
+        ``unlink`` is the arbiter: of the claim's worker and any number
+        of lease observers exactly one unlink succeeds, and only that
+        caller reports — one lost attempt is charged once.
+        """
+        try:
+            claim.unlink()
+        except OSError:
+            return False
+        record = {"error_type": error_type, "error": error}
+        _write_record(self.failed_dir, claim.stem, record)
+        return True
 
     # ------------------------------------------------------------------
-    # lease expiry / reclaim
+    # lease expiry
     # ------------------------------------------------------------------
     def _claim_expiry(self, path: Path, record: dict[str, Any] | None) -> float:
         """Deterministic expiry instant of one claim.
@@ -322,109 +310,57 @@ class WorkQueue:
         the rename and the lease write has no deadline, so the rename's
         mtime plus the queue lease bounds it instead.
         """
-        if record is not None and isinstance(record.get("lease"), dict):
-            deadline = record["lease"].get("deadline")
-            if isinstance(deadline, (int, float)):
-                return float(deadline)
+        deadline = _lease(record).get("deadline")
+        if isinstance(deadline, (int, float)):
+            return float(deadline)
         try:
             return path.stat().st_mtime + self.lease_s
         except OSError:
             return float("-inf")  # vanished: treat as expired, unlink loses
 
     def reclaim_expired(self, now: float | None = None) -> int:
-        """Re-enqueue (or dead-letter) every claim past its lease.
+        """Report every claim past its lease as a lost attempt.
 
-        ``unlink`` is the arbiter: of any number of concurrent
-        reclaimers (and the original worker's own completion), exactly
-        one unlink succeeds and only that caller re-enqueues — so a cell
-        can never fork into two live tasks.  Returns how many claims
-        were reclaimed.
+        A claim whose checkpoint exists (the worker finished but died
+        before dropping it) is just dropped.  Returns how many claims
+        this caller reclaimed.
         """
         now = time.time() if now is None else now
         reclaimed = 0
-        try:
-            claims = sorted(
-                p for p in self.claims_dir.iterdir()
-                if p.suffix == ".json" and not p.name.startswith(_TMP_PREFIX)
-            )
-        except OSError:
-            return 0
-        for path in claims:
+        for path in _records(self.claims_dir):
             record = _read_record(path)
             if self._claim_expiry(path, record) > now:
                 continue
-            try:
-                path.unlink()
-            except FileNotFoundError:
-                continue  # completer or rival reclaimer won
-            except OSError:
-                continue
-            key = path.stem
-            if self.store.has(key):
-                # The worker finished but died before dropping its claim.
+            if self.store.has(path.stem):
+                path.unlink(missing_ok=True)
                 count_active("queue.claim.orphan_completed")
-                reclaimed += 1
-                continue
-            if record is None:
-                # Expired claim with an unreadable record: nothing can
-                # rebuild the cell description, so surface it.
-                _write_record(
-                    self.dead_dir,
-                    key,
-                    {"key": key, "error_type": "GarbledClaim",
-                     "error": "claim record unreadable at reclaim"},
-                )
-                count_active("queue.task.garbled")
-                reclaimed += 1
-                continue
-            attempt = int(record.get("attempt", 1))
-            lease = record.pop("lease", None) or {}
-            record["error_type"] = "LeaseExpired"
-            record["error"] = (
-                f"worker {lease.get('worker', 'unknown')} lease expired "
-                f"mid-cell"
-            )
-            if attempt >= self.max_attempts:
-                _write_record(self.dead_dir, key, record)
-                count_active("queue.task.dead")
+            elif self._lose(
+                path, "LeaseExpired",
+                f"worker {_lease(record).get('worker')} lease expired mid-cell",
+            ):
+                count_active("queue.claim.reclaimed")
             else:
-                record["attempt"] = attempt + 1
-                _write_record(self.tasks_dir, key, record)
-            count_active("queue.claim.reclaimed")
+                continue  # the completer or a rival observer won
             reclaimed += 1
-        if reclaimed:
-            logger.info("reclaimed %d expired queue claims", reclaimed)
         return reclaimed
 
-    # ------------------------------------------------------------------
-    # inspection
-    # ------------------------------------------------------------------
-    def _count(self, directory: Path) -> int:
-        try:
-            return sum(
-                1 for p in directory.iterdir()
-                if p.suffix == ".json" and not p.name.startswith(_TMP_PREFIX)
-            )
-        except OSError:
-            return 0
+    def release_claims_of(self, workers: set[str]) -> None:
+        """Drop, unreported, the claims leased to ``workers`` — processes
+        the caller knows are dead and whose loss it charges itself."""
+        for path in _records(self.claims_dir):
+            if _lease(_read_record(path)).get("worker") in workers:
+                path.unlink(missing_ok=True)
 
     def counts(self) -> dict[str, int]:
-        return {
-            "tasks": self._count(self.tasks_dir),
-            "claims": self._count(self.claims_dir),
-            "dead": self._count(self.dead_dir),
-            "cells": self._count(self.store.cells_dir),
-        }
+        dirs = (self.tasks_dir, self.claims_dir, self.failed_dir, self.store.cells_dir)
+        return {d.name: sum(1 for _ in _records(d)) for d in dirs}
 
-    def dead_records(self) -> list[dict[str, Any]]:
-        records = []
-        for path in sorted(self.dead_dir.iterdir()):
-            if path.suffix != ".json" or path.name.startswith(_TMP_PREFIX):
-                continue
-            record = _read_record(path)
-            if record is not None:
-                records.append(record)
-        return records
+
+def _lease(record: Any) -> dict[str, Any]:
+    """The lease of one claim record; empty when it has none (the worker
+    died before writing it, or the record is unreadable)."""
+    lease = record.get("lease") if isinstance(record, dict) else None
+    return lease if isinstance(lease, dict) else {}
 
 
 # ----------------------------------------------------------------------
@@ -434,102 +370,46 @@ class WorkQueue:
 def run_worker(
     queue_dir: str | Path,
     *,
-    lease_s: float = DEFAULT_LEASE_S,
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-    max_cells: int | None = None,
+    lease_s: float | None = None,
     idle_exit_s: float | None = None,
-    poll_s: float = 0.05,
-    kill_after_claims: int | None = None,
-    worker_id: str | None = None,
 ) -> int:
     """Pull-and-run loop of one queue worker; returns cells completed.
 
-    The worker exits when the queue is drained (no tasks *and* no
-    claims), after ``max_cells`` completions, or after ``idle_exit_s``
-    seconds without claimable work.  ``kill_after_claims=N`` is the
-    chaos hook: the worker processes ``N`` claims normally, then dies
-    via ``os._exit`` *between claiming and computing* its next cell —
-    the deterministic "crash mid-cell" the lease-expiry tests rehearse.
+    A worker waits for work: an empty directory, or one whose driver is
+    sleeping out a backoff, is not a reason to leave.  It exits after
+    ``idle_exit_s`` seconds without claimable work when that is given
+    (hand-started fleets), otherwise when it is terminated — the driver
+    reaps the workers it spawned.
     """
-    from repro.resilience.chaos import KILL_EXIT_CODE
-
-    queue = WorkQueue(
-        queue_dir,
-        lease_s=lease_s,
-        max_attempts=max_attempts,
-        worker_id=worker_id,
-    )
-    # Each task record names its driver's master-log size; one written
-    # before the field existed runs under this process's own.
-    own_master_count = sweep_mod.MASTER_FAILURE_COUNT
+    queue = WorkQueue(queue_dir, lease_s=lease_s)
     completed = 0
-    claims_made = 0
-    idle_since: float | None = None
-    logger.info(
-        "sweep worker %s polling %s (lease %.1fs)",
-        queue.worker_id,
-        queue.root,
-        lease_s,
-    )
+    idle_since = time.monotonic()
+    logger.info("sweep worker %s polling %s", queue.worker_id, queue.root)
     while True:
         task = queue.claim()
         if task is None:
-            queue.reclaim_expired()
-            task = queue.claim()
-        if task is None:
-            counts = queue.counts()
-            if counts["tasks"] == 0 and counts["claims"] == 0:
+            if idle_exit_s is not None and time.monotonic() - idle_since >= idle_exit_s:
                 break
-            now = time.monotonic()
-            if idle_since is None:
-                idle_since = now
-            elif idle_exit_s is not None and now - idle_since >= idle_exit_s:
-                logger.info(
-                    "worker %s idle for %.1fs; exiting", queue.worker_id,
-                    idle_exit_s,
-                )
-                break
-            time.sleep(poll_s)
+            time.sleep(_POLL_S)
             continue
-        idle_since = None
-        claims_made += 1
-        if kill_after_claims is not None and claims_made > kill_after_claims:
-            os._exit(KILL_EXIT_CODE)
         if queue.store.has(task.key):
             queue.release_duplicate(task)
-            continue
-        try:
-            sweep_mod.MASTER_FAILURE_COUNT = int(
-                task.record.get("master_failure_count", own_master_count)
-            )
-            report = simulate_cell(task.point(), task.seed, task.model())
-        except BaseException as exc:
-            queue.fail(task, exc)
-            if not isinstance(exc, Exception):  # KeyboardInterrupt etc.
-                raise
-            continue
-        queue.complete(task, report)
-        completed += 1
-        if max_cells is not None and completed >= max_cells:
-            break
-    logger.info(
-        "sweep worker %s done: %d cells completed", queue.worker_id, completed
-    )
+        else:
+            try:
+                ((report, _),) = run_chunk(*task.call)
+            except BaseException as exc:
+                queue.fail(task, exc)
+                if not isinstance(exc, Exception):  # KeyboardInterrupt etc.
+                    raise
+            else:
+                queue.complete(task, report)
+                completed += 1
+        idle_since = time.monotonic()
+    logger.info("sweep worker %s idle; done after %d cells", queue.worker_id, completed)
     return completed
 
 
-# ----------------------------------------------------------------------
-# driver
-# ----------------------------------------------------------------------
-
-def spawn_worker_process(
-    queue_dir: str | Path,
-    *,
-    lease_s: float = DEFAULT_LEASE_S,
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-    idle_exit_s: float = 2.0,
-    kill_after_claims: int | None = None,
-) -> subprocess.Popen:
+def spawn_worker_process(queue_dir: str | Path, lease_s: float) -> subprocess.Popen:
     """Start one same-host ``sweep-worker`` subprocess via the CLI.
 
     This is deliberately the same entry a multi-host deployment uses
@@ -537,21 +417,9 @@ def spawn_worker_process(
     workers and remotely started ones are indistinguishable.
     """
     cmd = [
-        sys.executable,
-        "-m",
-        "repro.cli",
-        "sweep-worker",
-        "--queue-dir",
-        str(queue_dir),
-        "--lease-s",
-        str(lease_s),
-        "--max-attempts",
-        str(max_attempts),
-        "--idle-exit-s",
-        str(idle_exit_s),
+        sys.executable, "-m", "repro.cli", "sweep-worker",
+        "--queue-dir", str(queue_dir), "--lease-s", str(lease_s),
     ]
-    if kill_after_claims is not None:
-        cmd += ["--kill-after-claims", str(kill_after_claims)]
     env = dict(os.environ)
     src_root = str(Path(__file__).resolve().parents[2])
     env["PYTHONPATH"] = src_root + (
@@ -560,171 +428,154 @@ def spawn_worker_process(
     return subprocess.Popen(cmd, env=env)
 
 
-def run_queue_sweep(
-    points: Sequence[SweepPoint],
-    seeds: Sequence[int],
-    failure_model: BurstFailureModel | None = None,
-    *,
-    queue_dir: str | Path,
-    workers: int = 2,
-    lease_s: float = DEFAULT_LEASE_S,
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-    spawn_workers: bool = True,
-    max_respawns: int = 3,
-    poll_s: float = 0.05,
-    timeout_s: float | None = None,
-) -> ResilientSweepOutcome:
-    """Drive one sweep through a shared-directory work queue.
+# ----------------------------------------------------------------------
+# the executor the dispatch loop submits to
+# ----------------------------------------------------------------------
 
-    Enqueues every not-yet-checkpointed cell, optionally spawns
-    ``workers`` same-host worker subprocesses (set
-    ``spawn_workers=False`` when workers run elsewhere against the same
-    directory), then supervises: reclaiming expired leases, respawning
-    a fully-dead local worker fleet (up to ``max_respawns`` times, each
-    counted as a pool rebuild), and finally merging checkpoints into
-    :class:`~repro.resilience.ResilientSweepOutcome` **against the
-    original in-memory points** — the same verified-read resume path a
-    single-host resilient sweep uses, so results are bitwise-identical
-    to serial.  Dead-lettered cells surface as quarantine entries,
-    mirroring the poison-cell contract.
+class QueueExecutor(Executor):
+    """The queue as the dispatch loop sees it: ``submit`` and a future.
+
+    ``submit`` enqueues the call; a settle thread resolves its future
+    from what workers leave in the directory — a checkpoint, read back
+    verified, is the result; a ``failed/`` record (the cell raised, or
+    its lease expired) is an exception carrying the worker-side error
+    type; every locally spawned worker dead with futures outstanding is
+    :class:`~concurrent.futures.process.BrokenProcessPool`.  The loop
+    answers each as it does for the warm pool, whose ``ensure`` /
+    ``mark_broken`` / ``spawns`` / ``mode`` this class mirrors.
     """
-    model = failure_model or BurstFailureModel()
-    seeds = tuple(seeds)
-    if not seeds:
-        raise ExperimentError("cannot run a sweep across zero seeds")
-    queue = WorkQueue(
-        queue_dir, lease_s=lease_s, max_attempts=max_attempts
-    )
-    stats = SweepRunStats(mode="queue", workers_used=workers)
-    keys = {
-        cell_id: cell_key(point, seed, model)
-        for cell_id, point, seed in enumerate_cells(
-            points, range(len(points)), seeds
-        )
-    }
-    enqueued = queue.enqueue(points, seeds, model)
-    already_done = sum(1 for key in keys.values() if queue.store.has(key))
-    logger.info(
-        "queue sweep: %d cells (%d enqueued, %d already checkpointed) "
-        "under %s with %d workers",
-        len(keys),
-        len(enqueued),
-        already_done,
-        queue.root,
-        workers,
-    )
 
-    procs: list[subprocess.Popen] = []
-    respawns = 0
-    started = time.monotonic()
-    initial = queue.counts()
-    # Workers are needed for newly enqueued cells AND for work already
-    # outstanding in the directory — a resumed run may enqueue nothing
-    # yet still face leftover tasks or stale claims from a killed fleet.
-    outstanding = bool(enqueued) or initial["tasks"] > 0 or initial["claims"] > 0
-    try:
-        if spawn_workers and outstanding:
-            procs = [
-                spawn_worker_process(
-                    queue_dir, lease_s=lease_s, max_attempts=max_attempts
-                )
-                for _ in range(workers)
+    mode = "queue"
+
+    def __init__(
+        self,
+        queue_dir: str | Path,
+        lease_s: float | None = None,
+        spawn_workers: bool = True,
+    ) -> None:
+        self.queue = WorkQueue(queue_dir, lease_s=lease_s)
+        self.spawn_workers = spawn_workers
+        self.spawns = 0
+        # Rebound by the submitting thread only (ensure / mark_broken /
+        # shutdown); the settle thread reads whichever list is current.
+        self._procs: list[subprocess.Popen] = []
+        # Shared with the settle thread: touched under the lock.
+        self._pending: dict[str, Future] = {}
+        self._lock = threading.Lock()
+        self._stop = threading.Event()
+        # What a previous run lost is not this run's failed attempt:
+        # report it now, before any caller waits on those keys.
+        self.queue.reclaim_expired()
+        self._thread = threading.Thread(
+            target=self._settle_loop, name="queue-settle", daemon=True
+        )
+        self._thread.start()
+
+    def ensure(self, n_workers: int) -> "QueueExecutor":
+        """Self, with ``n_workers`` local workers up (when spawning)."""
+        if self.spawn_workers and not self._procs:
+            self._procs = [
+                spawn_worker_process(self.queue.root, self.queue.lease_s)
+                for _ in range(n_workers)
             ]
-        while True:
-            counts = queue.counts()
-            done = all(
-                queue.store.has(key) or (queue.dead_dir / f"{key}.json").exists()
-                for key in keys.values()
+            self.spawns += 1
+            count_active("queue.worker.spawn")
+        return self
+
+    def submit(self, fn, /, *args, **kwargs) -> Future:
+        if fn is not run_chunk or kwargs:
+            raise ExperimentError("the queue backend runs run_chunk calls only")
+        chunk, model, with_obs = args[:3]
+        if with_obs:
+            raise ExperimentError(
+                "observability collectors are not supported on the queue backend"
             )
-            if done and counts["claims"] == 0:
-                break
-            queue.reclaim_expired()
-            if spawn_workers and procs:
-                alive = [p for p in procs if p.poll() is None]
-                if not alive and (counts["tasks"] > 0 or counts["claims"] > 0):
-                    # The whole local fleet died with work outstanding.
-                    # Expired claims were just reclaimed; claims still
-                    # inside their lease will be on the next pass.
-                    if respawns >= max_respawns:
-                        raise ExperimentError(
-                            f"queue sweep workers died {respawns + 1} times "
-                            f"with work outstanding "
-                            f"({counts['tasks']} tasks, {counts['claims']} "
-                            f"claims); inspect {queue.root}"
-                        )
-                    respawns += 1
-                    stats.pool_rebuilds += 1
-                    count_active("queue.worker.respawn")
-                    logger.warning(
-                        "all %d queue workers exited with work outstanding; "
-                        "respawning fleet (%d/%d)",
-                        workers,
-                        respawns,
-                        max_respawns,
-                    )
-                    procs = [
-                        spawn_worker_process(
-                            queue_dir, lease_s=lease_s,
-                            max_attempts=max_attempts,
-                        )
-                        for _ in range(workers)
-                    ]
-            if timeout_s is not None and time.monotonic() - started > timeout_s:
-                raise ExperimentError(
-                    f"queue sweep did not drain within {timeout_s}s "
-                    f"({queue.counts()})"
-                )
-            time.sleep(poll_s)
-    finally:
-        for proc in procs:
+        ((_, point, seed, _),) = chunk
+        key = cell_key(point, seed, model)
+        future: Future = Future()
+        with self._lock:
+            self.queue.put(key, encode_call(*args))
+            self._pending[key] = future
+        return future
+
+    def mark_broken(self) -> None:
+        """The local fleet died: reap it and free the claims it held, or
+        each would cost a second charged attempt and a lease of waiting."""
+        count_active("queue.worker.broken")
+        self._reap()
+
+    def shutdown(self, wait: bool = True, *, cancel_futures: bool = True) -> None:
+        """Stop settling, cancel and withdraw what is still pending,
+        reap the spawned workers.  No future is left unsettled."""
+        self._stop.set()
+        self._thread.join()
+        with self._lock:
+            for key, future in list(self._pending.items()):
+                future.cancel()
+                self._settle(key)
+        self._reap()
+
+    # ------------------------------------------------------------------
+    def _reap(self) -> None:
+        for proc in self._procs:
             if proc.poll() is None:
                 proc.terminate()
-        for proc in procs:
+        for proc in self._procs:
             try:
                 proc.wait(timeout=10)
             except subprocess.TimeoutExpired:  # pragma: no cover
                 proc.kill()
                 proc.wait()
+        host = socket.gethostname()
+        self.queue.release_claims_of({f"{host}-{p.pid}" for p in self._procs})
+        self._procs = []
 
-    # ------------------------------------------------------------------
-    # merge: the ordinary verified-checkpoint resume path
-    # ------------------------------------------------------------------
-    reports: dict[tuple[int, int], Any] = {}
-    for cell_id, key in keys.items():
-        restored = queue.store.get(key)
-        if restored is not None:
-            reports[cell_id] = restored
-    stats.checkpoint_hits = queue.store.hits
-    stats.checkpoint_misses = queue.store.misses
-    stats.checkpoint_corrupt = queue.store.corrupt
-    stats.cells_computed = len(reports) - already_done
+    def _settle(self, key: str, report=None, error: BaseException | None = None):
+        """Resolve and forget the pending future of ``key`` (the error
+        if given, else the report as ``run_chunk`` returns it) and
+        withdraw its task; a future cancelled meanwhile is only told so."""
+        future = self._pending.pop(key)
+        self.queue.withdraw(key)
+        if not future.set_running_or_notify_cancel():
+            return
+        if error is None:
+            future.set_result([(report, None)])
+        else:
+            future.set_exception(error)
 
-    dead_by_key = {
-        record.get("key"): record for record in queue.dead_records()
-    }
-    quarantined: list[QuarantineEntry] = []
-    for cell_id, key in sorted(keys.items()):
-        if cell_id in reports or key not in dead_by_key:
-            continue
-        record = dead_by_key[key]
-        quarantined.append(
-            QuarantineEntry(
-                point_index=record.get("point_index", cell_id[0]),
-                seed_index=record.get("seed_index", cell_id[1]),
-                seed=record.get("seed", seeds[cell_id[1]]),
-                attempts=record.get("attempt", max_attempts),
-                error_type=record.get("error_type", "QueueDeadLetter"),
-                error=record.get("error", "cell dead-lettered by queue"),
-                key=key,
-            )
-        )
-    stats.quarantined = len(quarantined)
+    def _settle_loop(self) -> None:
+        while not self._stop.wait(_POLL_S):
+            with self._lock:
+                try:
+                    self._settle_once()
+                except Exception as exc:  # never strand the loop's wait()
+                    logger.exception("queue settle pass failed")
+                    for key in list(self._pending):
+                        self._settle(key, error=exc)
 
-    results = merge_reports(points, range(len(points)), seeds, model, reports)
-
-    if quarantined:
-        logger.warning(
-            "queue sweep finished with %d dead-lettered cells", len(quarantined)
-        )
-    logger.info("queue sweep complete: %s", stats.summary_line())
-    return ResilientSweepOutcome(results, tuple(quarantined), stats)
+    def _settle_once(self) -> None:
+        queue, pending = self.queue, self._pending
+        queue.reclaim_expired()
+        for key in queue.store.keys():
+            if key in pending:
+                report = queue.store.get(key)
+                if report is None:
+                    damaged = ResilienceError("worker checkpoint failed verification")
+                    self._settle(key, error=damaged)
+                else:
+                    self._settle(key, report)
+        for path in _records(queue.failed_dir):
+            if path.stem in pending:
+                record = _read_record(path) or {}
+                path.unlink(missing_ok=True)
+                # The loop quarantines under type(exc).__name__: give it
+                # the worker-side name, not a wrapper's.
+                name = str(record.get("error_type", "QueueFailure"))
+                error = type(name, (ExperimentError,), {})
+                self._settle(path.stem, error=error(record.get("error", "")))
+        if pending and self._procs and all(
+            proc.poll() is not None for proc in self._procs
+        ):
+            broken = BrokenProcessPool("every local sweep-worker died, cells pending")
+            for key in list(pending):
+                self._settle(key, error=broken)

@@ -349,13 +349,7 @@ def run_sweep(
     failure_model: BurstFailureModel | None = None,
     workers: int | None = None,
     collector: SweepObsCollector | None = None,
-    *,
-    checkpoint_dir=None,
-    retry=None,
-    chaos=None,
-    resume: bool = True,
-    min_cells_per_worker: int | None = None,
-    queue_dir=None,
+    **options,
 ) -> list[SweepResult]:
     """Run every cell of a sweep.
 
@@ -373,24 +367,15 @@ def run_sweep(
     serial sweeps aggregate to identical metrics.  The collector is
     finalized before this function returns.
 
-    ``checkpoint_dir``/``retry``/``chaos``/``resume`` turn on
-    checkpointing, retry and quarantine (see :func:`run_sweep_outcome`,
-    which also returns the quarantine and resilience stats).  With
+    ``options`` (``checkpoint_dir``, ``retry``, ``chaos``, ``resume``,
+    ``min_cells_per_worker``, ``queue_dir``, ...) go to
+    :func:`run_sweep_outcome`, the one place they are declared and
+    which also returns the quarantine and resilience stats.  With
     resilience on, a result entry is ``None`` only when every seed of
     that point was quarantined as poison.
     """
     return run_sweep_outcome(
-        points,
-        seeds,
-        failure_model,
-        workers,
-        collector,
-        checkpoint_dir=checkpoint_dir,
-        retry=retry,
-        chaos=chaos,
-        resume=resume,
-        min_cells_per_worker=min_cells_per_worker,
-        queue_dir=queue_dir,
+        points, seeds, failure_model, workers, collector, **options
     ).results
 
 
@@ -407,6 +392,8 @@ def run_sweep_outcome(
     resume: bool = True,
     min_cells_per_worker: int | None = None,
     queue_dir=None,
+    lease_s: float | None = None,
+    spawn_workers: bool = True,
 ):
     """Run a sweep and return the full
     :class:`~repro.resilience.ResilientSweepOutcome`.
@@ -422,47 +409,19 @@ def run_sweep_outcome(
     or ``None``, or below the cutover, cells run in-process under the
     same checkpoint/retry contract.
 
-    ``queue_dir`` selects the shared-directory multi-host backend
-    instead (see :mod:`repro.experiments.queue`): cells are pulled by
-    ``bgl-sim sweep-worker`` processes (``workers`` of them spawned
-    locally) and merged from their checkpoints — still
-    bitwise-identical to serial.  It subsumes ``checkpoint_dir`` (the
-    queue directory *is* the checkpoint store) and does not combine
-    with ``chaos`` or a ``collector`` (queue cells run in separate
-    processes whose observability is not shipped back).
+    ``queue_dir`` makes the loop's executor the shared-directory
+    multi-host queue (see :mod:`repro.experiments.queue`): cells are
+    pulled by ``bgl-sim sweep-worker`` processes — ``workers`` of them
+    spawned locally unless ``spawn_workers`` is off — under the same
+    retry, chaos, timeout and ``resume`` contract, still
+    bitwise-identical to serial.  A claimed cell not completed within
+    ``lease_s`` seconds counts as a failed attempt.  The queue directory
+    *is* the checkpoint store, so ``checkpoint_dir`` does not combine
+    with it, and neither does a ``collector`` (queue cells run in
+    separate processes whose observability is not shipped back).
     """
     from repro.experiments.parallel import SweepExecutor
 
-    seeds = tuple(seeds)
-    if queue_dir is not None:
-        if checkpoint_dir is not None:
-            raise ExperimentError(
-                "queue_dir subsumes checkpoint_dir (checkpoints live in "
-                "the queue directory); pass only queue_dir"
-            )
-        if chaos is not None and chaos.enabled:
-            raise ExperimentError(
-                "chaos injection is not supported on the queue backend; "
-                "use a worker's kill_after_claims hook instead"
-            )
-        if collector is not None:
-            raise ExperimentError(
-                "observability collectors are not supported on the "
-                "queue backend (cells run in unattached processes)"
-            )
-        from repro.experiments.queue import run_queue_sweep
-
-        queue_kwargs = {}
-        if retry is not None:
-            queue_kwargs["max_attempts"] = retry.max_attempts
-        return run_queue_sweep(
-            points,
-            seeds,
-            failure_model,
-            queue_dir=queue_dir,
-            workers=workers if workers is not None else 2,
-            **queue_kwargs,
-        )
     executor_kwargs = {}
     if min_cells_per_worker is not None:
         executor_kwargs["min_cells_per_worker"] = min_cells_per_worker
@@ -472,6 +431,9 @@ def run_sweep_outcome(
         retry=retry,
         chaos=chaos,
         resume=resume,
+        queue_dir=queue_dir,
+        lease_s=lease_s,
+        spawn_workers=spawn_workers,
         **executor_kwargs,
     )
     try:

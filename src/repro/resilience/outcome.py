@@ -19,11 +19,14 @@ class SweepRunStats:
     retry counters separate *in-cell failures* (the cell itself raised)
     from *resubmits* (the cell was lost when its worker pool broke).
     ``mode`` records how the cells were actually run — ``"warm"``
-    (the persistent warm pool; resilient sweeps included), ``"queue"``
-    (directory-backed multi-host work queue), ``"serial"`` (in-process, whether by request, platform
-    limits, or the small-sweep parallel cutover) or ``"cached"`` (every
-    cell restored/memoised, nothing executed).  A warm run whose pool
-    kept breaking finishes in-process with ``degraded`` set.
+    (the persistent warm pool), ``"queue"`` (the directory-backed
+    multi-host queue), ``"serial"`` (in-process, whether by request,
+    platform limits, or the small-sweep parallel cutover) or
+    ``"cached"`` (every cell restored/memoised, nothing executed).  A
+    warm or queue run whose workers kept dying finishes in-process with
+    ``degraded`` set; for the queue a resubmit is a cell lost with the
+    whole local fleet and a retry covers an expired lease as well as an
+    in-cell failure.
     ``workers_used`` is the worker count the chosen mode employed (1
     for serial), ``chunk_size`` the cells-per-task of the fan-out (1
     whenever a retry policy is in force, so failures stay attributable)

@@ -231,9 +231,9 @@ class CellStore:
         """Cheap existence probe (no verification, no counter traffic).
 
         Queue workers use this to skip cells another worker already
-        completed; the driver's merge still goes through the verified
-        :meth:`get`, so a corrupt file can only cost a recomputation,
-        never poison a result.
+        completed; the driver still reads every result through the
+        verified :meth:`get`, so a corrupt file can only cost a
+        recomputation, never poison a result.
         """
         return self.path_for(key).exists()
 

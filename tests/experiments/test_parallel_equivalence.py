@@ -114,6 +114,16 @@ BACKENDS = {
         lambda tmp: dict(workers=2, min_cells_per_worker=0), "warm", 2,
     ),
     "queue": (lambda tmp: dict(workers=2, queue_dir=tmp), "queue", 2),
+    "queue+transient-kill": (
+        lambda tmp: dict(
+            workers=2, queue_dir=tmp, lease_s=1.0, retry=_FAST_RETRY,
+            chaos=ChaosConfig(kill_cells=((0, 0),), kill_attempts=1),
+        ),
+        "queue", 2,
+    ),
+    "queue+corrupt-resume": (
+        lambda tmp: dict(workers=2, queue_dir=tmp), "queue", 2,
+    ),
 }
 
 
@@ -137,8 +147,17 @@ def test_every_backend_matches_serial(backend, tmp_path, monkeypatch):
     (exact floats) and the stats say what really ran."""
     options, mode, workers_used = BACKENDS[backend]
     points, seeds = _mixed_grid()
+    n_computed = len(points) * len(seeds)
     if "stale" in backend:
         _leave_stale_workers(monkeypatch, points, seeds)
+    if "corrupt-resume" in backend:
+        # A finished directory with one damaged cell file: the rerun
+        # must recompute exactly that cell, not average around it.
+        run_sweep_outcome(points, seeds, **options(tmp_path))
+        sweep_mod._result_cache.clear()
+        damaged = sorted((tmp_path / "cells").iterdir())[0]
+        damaged.write_bytes(damaged.read_bytes()[:100])
+        n_computed = 1
     # The backend under test goes first, against cold caches, so it
     # cannot piggyback on serially computed results.
     outcome = run_sweep_outcome(points, seeds, **options(tmp_path))
@@ -147,10 +166,31 @@ def test_every_backend_matches_serial(backend, tmp_path, monkeypatch):
     assert outcome.complete
     assert outcome.stats.mode == mode
     assert outcome.stats.workers_used == workers_used
-    assert outcome.stats.cells_computed == len(points) * len(seeds)
+    assert outcome.stats.cells_computed == n_computed
+    assert outcome.stats.checkpoint_corrupt == ("corrupt" in backend)
     if "kill" in backend:
-        assert outcome.stats.pool_rebuilds >= 1
+        # A dead pool worker takes the pool with it (a rebuild, and
+        # resubmits); a dead queue worker costs its one claim a lease
+        # (a retry) while its fleet-mate carries on.
+        assert outcome.stats.retries + outcome.stats.resubmits >= 1
+        assert outcome.stats.pool_rebuilds >= ("warm" in backend)
         assert not outcome.stats.degraded
+
+
+@needs_fork
+def test_no_resume_recomputes_a_finished_queue_directory(tmp_path):
+    """``resume=False`` reaches the queue like every other backend:
+    nothing already in the directory is trusted or left standing."""
+    points, seeds = _parameter_axis_grid()
+    ref = run_sweep(points, seeds, workers=1)
+    for resume, hits, computed in ((True, 0, 3), (True, 3, 0), (False, 0, 3)):
+        sweep_mod._result_cache.clear()
+        outcome = run_sweep_outcome(
+            points, seeds, workers=2, queue_dir=tmp_path, resume=resume
+        )
+        assert outcome.results == ref
+        assert outcome.stats.checkpoint_hits == hits
+        assert outcome.stats.cells_computed == computed
 
 
 @needs_fork

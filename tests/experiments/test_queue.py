@@ -1,10 +1,15 @@
-"""Work-queue protocol and driver tests.
+"""Work-queue protocol, worker-loop and executor tests.
 
-The protocol under test (:mod:`repro.experiments.queue`): claim by
-atomic rename (exactly one racer wins), deterministic lease expiry with
-unlink-as-arbiter reclaim, re-enqueue-then-dead-letter attempt
-accounting, and a driver whose merged results are bitwise identical to
-a serial sweep of the same grid — including across resumed runs.
+The protocol under test (:mod:`repro.experiments.queue`): the task
+record is a ``run_chunk`` call, claim by atomic rename (exactly one
+racer wins), deterministic lease expiry with ``unlink`` as the arbiter
+of who reports the loss, checkpoints as results — and the
+``QueueExecutor`` that turns what workers leave in the directory into
+settled futures for the one dispatch loop.  What the loop then does
+with a failed or lost cell (retry, backoff, quarantine, respawn,
+degrade) is asserted where it is asserted for every backend:
+``test_parallel_equivalence.py::BACKENDS`` and
+``tests/resilience/test_quarantine.py``.
 
 Workers take the driver's ``MASTER_FAILURE_COUNT`` from the task records,
 so the shrunken logs the fixture installs apply on both sides of the
@@ -17,7 +22,10 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import time
+from concurrent.futures import wait
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
@@ -25,16 +33,27 @@ import pytest
 import repro.experiments.queue as queue_mod
 import repro.experiments.sweep as sweep_mod
 from repro.errors import ExperimentError
+from repro.experiments.parallel import SweepExecutor
+from repro.experiments.pool import run_chunk
 from repro.experiments.queue import (
+    QueueExecutor,
     WorkQueue,
-    run_queue_sweep,
+    encode_call,
     run_worker,
     spawn_worker_process,
 )
-from repro.experiments.sweep import SweepPoint, run_sweep
+from repro.experiments.sweep import (
+    SweepPoint,
+    enumerate_cells,
+    run_sweep,
+    run_sweep_outcome,
+    simulate_cell,
+)
 from repro.failures.synthetic import BurstFailureModel
-from repro.resilience import cell_key
+from repro.resilience import ChaosConfig, RetryPolicy, cell_key
 from repro.resilience.chaos import KILL_EXIT_CODE
+
+MODEL = BurstFailureModel()
 
 
 @pytest.fixture(autouse=True)
@@ -63,40 +82,91 @@ def _serial_reference(points, seeds):
     return ref
 
 
+def _calls(points, seeds, chaos=None):
+    """``(key, run_chunk arguments)`` of every cell, as the dispatch loop
+    would submit its first attempt."""
+    return [
+        (
+            cell_key(point, seed, MODEL),
+            ([(cell_id, point, seed, 0)], MODEL, False, chaos, None, True, 64),
+        )
+        for cell_id, point, seed in enumerate_cells(
+            points, range(len(points)), seeds
+        )
+    ]
+
+
+def _put_grid(queue, points, seeds, chaos=None):
+    calls = _calls(points, seeds, chaos)
+    for key, args in calls:
+        queue.put(key, encode_call(*args))
+    return [key for key, _ in calls]
+
+
 # ----------------------------------------------------------------------
-# protocol: enqueue / claim / lease / reclaim
+# protocol: put / claim / lease / reclaim
 # ----------------------------------------------------------------------
 
 class TestQueueProtocol:
     def test_validation(self, tmp_path):
         with pytest.raises(ExperimentError, match="lease_s"):
             WorkQueue(tmp_path, lease_s=0.0)
-        with pytest.raises(ExperimentError, match="max_attempts"):
-            WorkQueue(tmp_path, max_attempts=0)
 
     def test_enqueue_idempotent(self, tmp_path, grid):
+        """``put`` leaves a task or claim already there in place, and
+        drops the stale checkpoint / failure record of the key it is
+        about to make runnable."""
         points, seeds = grid
-        model = BurstFailureModel()
         queue = WorkQueue(tmp_path)
-        first = queue.enqueue(points, seeds, model)
-        assert len(first) == len(points) * len(seeds)
-        assert queue.enqueue(points, seeds, model) == []
-        assert queue.counts()["tasks"] == len(first)
+        keys = _put_grid(queue, points, seeds)
+        assert queue.counts()["tasks"] == len(keys) == 4
+        _put_grid(queue, points, seeds)
+        assert queue.counts()["tasks"] == 4
+        task = queue.claim()
+        _put_grid(queue, points, seeds)
+        assert queue.counts() == {"tasks": 3, "claims": 1, "failed": 0, "cells": 0}
+        # A finished cell put again (corrupt, or resume off): recomputed.
+        queue.complete(task, simulate_cell(*task.call[0][0][1:3], MODEL))
+        queue_mod._write_record(queue.failed_dir, task.key, {"error": "stale"})
+        _put_grid(queue, points, seeds)
+        assert queue.counts() == {"tasks": 4, "claims": 0, "failed": 0, "cells": 0}
+
+    def test_record_write_interrupted_leaves_no_temp_file(
+        self, tmp_path, monkeypatch
+    ):
+        queue = WorkQueue(tmp_path)
+
+        def interrupted(src, dst):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(os, "replace", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            queue_mod._write_record(queue.tasks_dir, "feedface", {"a": 1})
+        assert list(queue.tasks_dir.iterdir()) == []
 
     def test_claim_then_drain(self, tmp_path, grid):
         points, seeds = grid
         queue = WorkQueue(tmp_path)
-        queue.enqueue(points, seeds, BurstFailureModel())
+        calls = dict(_calls(points, seeds))
+        _put_grid(queue, points, seeds)
         claimed = set()
         while (task := queue.claim()) is not None:
             claimed.add(task.key)
-            assert task.attempt == 1
-            # The rebuilt point runs the same cell as the original.
-            assert task.point().site == points[task.point_index].site
-        assert len(claimed) == len(points) * len(seeds)
+            # The decoded record is the call that was submitted.
+            assert task.call == calls[task.key]
+        assert claimed == set(calls)
         counts = queue.counts()
         assert counts["tasks"] == 0
         assert counts["claims"] == len(claimed)
+
+    def test_chaos_survives_the_record(self, tmp_path, grid):
+        """``ChaosConfig`` matches cell ids as tuples; JSON's lists must
+        come back as tuples or no fault would ever fire in a worker."""
+        points, seeds = grid
+        chaos = ChaosConfig(kill_cells=((0, 0),), raise_cells=((1, 1),), seed=3)
+        queue = WorkQueue(tmp_path)
+        _put_grid(queue, points[:1], seeds[:1], chaos)
+        assert queue.claim().call[3] == chaos
 
     def test_lost_rename_race_moves_to_next_task(
         self, tmp_path, grid, monkeypatch
@@ -105,7 +175,7 @@ class TestQueueProtocol:
         the next candidate instead of failing the claim."""
         points, seeds = grid
         queue = WorkQueue(tmp_path)
-        queue.enqueue(points, seeds, BurstFailureModel())
+        _put_grid(queue, points, seeds)
         real_rename = os.rename
         failed = []
 
@@ -120,95 +190,128 @@ class TestQueueProtocol:
         assert task is not None
         assert str(failed[0]) != str(queue.tasks_dir / f"{task.key}.json")
 
+    def test_concurrent_claimers_take_each_task_exactly_once(self, tmp_path, grid):
+        """More claimers than cores on one directory: the rename lets
+        exactly one of them have each task."""
+        points, seeds = grid
+        keys = _put_grid(WorkQueue(tmp_path), points, seeds)
+        taken: list[str] = []
+
+        def drain():
+            queue = WorkQueue(tmp_path)
+            while (task := queue.claim()) is not None:
+                taken.append(task.key)
+
+        threads = [threading.Thread(target=drain) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(taken) == sorted(keys)
+
     def test_unexpired_claim_not_reclaimed(self, tmp_path, grid):
         points, seeds = grid
         queue = WorkQueue(tmp_path, lease_s=60.0)
-        queue.enqueue(points, seeds, BurstFailureModel())
+        _put_grid(queue, points, seeds)
         queue.claim()
         assert queue.reclaim_expired() == 0
         assert queue.counts()["claims"] == 1
+        assert queue.counts()["failed"] == 0
 
-    def test_expired_claim_reenqueued_with_next_attempt(
-        self, tmp_path, grid
-    ):
+    def test_expired_claim_reenqueued_with_next_attempt(self, tmp_path, grid):
+        """An expired claim is reported lost exactly once — a
+        ``LeaseExpired`` failure on the future of whoever waits for the
+        cell — and re-enqueueing it with the next attempt is that
+        caller's move (the dispatch loop's, as for any failed cell)."""
         points, seeds = grid
-        queue = WorkQueue(tmp_path, lease_s=5.0)
-        queue.enqueue(points, seeds, BurstFailureModel())
-        task = queue.claim()
-        # Deterministic expiry: pass a clock already past the deadline.
-        assert queue.reclaim_expired(now=time.time() + 10.0) == 1
-        counts = queue.counts()
-        assert counts["claims"] == 0
-        record = json.loads(
-            (queue.tasks_dir / f"{task.key}.json").read_text()
-        )
-        assert record["attempt"] == 2
-        assert record["error_type"] == "LeaseExpired"
+        (key, args), *_ = _calls(points, seeds)
+        executor = QueueExecutor(tmp_path, lease_s=5.0, spawn_workers=False)
+        queue = executor.queue
+        try:
+            future = executor.ensure(2).submit(run_chunk, *args)
+            task = queue.claim()  # a worker that then goes silent
+            assert task.key == key
+            # Deterministic expiry: a clock already past the deadline.
+            # A second observer (and the settle thread) find nothing left.
+            assert queue.reclaim_expired(now=time.time() + 10.0) == 1
+            assert queue.reclaim_expired(now=time.time() + 10.0) == 0
+            error = future.exception(timeout=30)
+            assert type(error).__name__ == "LeaseExpired"
+            assert isinstance(error, ExperimentError)
+            assert queue.counts() == {
+                "tasks": 0, "claims": 0, "failed": 0, "cells": 0,
+            }
+            (cell_id, point, seed, attempt), = args[0]
+            executor.submit(
+                run_chunk, [(cell_id, point, seed, attempt + 1)], *args[1:]
+            )
+            retry = queue.claim()
+            assert retry.key == key
+            assert retry.call[0][0][3] == 1
+        finally:
+            executor.shutdown()
 
     def test_mtime_fallback_when_lease_never_written(self, tmp_path, grid):
         """A worker that died between rename and lease write leaves a
         claim with no lease; its expiry falls back to mtime + lease."""
         points, seeds = grid
         queue = WorkQueue(tmp_path, lease_s=5.0)
-        queue.enqueue(points, seeds, BurstFailureModel())
+        _put_grid(queue, points, seeds)
         task = queue.claim()
         claim_path = queue.claims_dir / f"{task.key}.json"
         record = json.loads(claim_path.read_text())
         del record["lease"]
         claim_path.write_text(json.dumps(record))
+        assert queue.reclaim_expired() == 0  # mtime is now: inside the lease
         past = time.time() - 60.0
         os.utime(claim_path, (past, past))
         assert queue.reclaim_expired() == 1
-        assert (queue.tasks_dir / f"{task.key}.json").exists()
+        lost = json.loads((queue.failed_dir / f"{task.key}.json").read_text())
+        assert lost["error_type"] == "LeaseExpired"
 
     def test_reclaim_drops_orphan_completed_claim(self, tmp_path, grid):
         """Crash between checkpoint write and claim unlink: reclaim sees
-        the finished cell and drops the claim without re-enqueueing."""
+        the finished cell and drops the claim without reporting a loss."""
         points, seeds = grid
         queue = WorkQueue(tmp_path, lease_s=5.0)
-        queue.enqueue(points, seeds, BurstFailureModel())
+        _put_grid(queue, points, seeds)
         task = queue.claim()
-        report = queue_mod.simulate_cell(task.point(), task.seed, task.model())
+        ((cell_id, point, seed, _),) = task.call[0]
         queue.store.put(
-            task.key, report, point_index=task.point_index, seed=task.seed
+            task.key, simulate_cell(point, seed, MODEL),
+            point_index=cell_id[0], seed=seed,
         )
         assert queue.reclaim_expired(now=time.time() + 10.0) == 1
         counts = queue.counts()
         assert counts["claims"] == 0
+        assert counts["failed"] == 0
         assert not (queue.tasks_dir / f"{task.key}.json").exists()
 
-    def test_fail_reenqueues_then_dead_letters(self, tmp_path, grid):
+    def test_late_failure_of_a_reclaimed_claim_is_not_charged_twice(
+        self, tmp_path, grid
+    ):
+        """``unlink`` arbitrates between a lease observer and the slow
+        worker's own failure report: one loss, one record."""
         points, seeds = grid
-        queue = WorkQueue(tmp_path, max_attempts=2)
-        queue.enqueue(points[:1], seeds[:1], BurstFailureModel())
+        queue = WorkQueue(tmp_path, lease_s=5.0)
+        _put_grid(queue, points[:1], seeds[:1])
         task = queue.claim()
-        queue.fail(task, ValueError("boom"))
-        retry = queue.claim()
-        assert retry.key == task.key
-        assert retry.attempt == 2
-        queue.fail(retry, ValueError("boom again"))
-        assert queue.claim() is None
-        dead = queue.dead_records()
-        assert len(dead) == 1
-        assert dead[0]["error_type"] == "ValueError"
-        assert queue.counts() == {
-            "tasks": 0, "claims": 0, "dead": 1, "cells": 0,
-        }
+        assert queue.reclaim_expired(now=time.time() + 10.0) == 1
+        (queue.failed_dir / f"{task.key}.json").unlink()  # driver consumed it
+        queue.fail(task, ValueError("boom, but too late"))
+        assert queue.counts()["failed"] == 0
 
     def test_garbled_task_dead_lettered(self, tmp_path):
+        """A task nobody can decode is moved aside, not left for every
+        worker to trip over: its claim is dropped and a ``failed/``
+        record surfaces it to the driver as a failed attempt."""
         queue = WorkQueue(tmp_path)
         (queue.tasks_dir / "feedface.json").write_text("{not json")
         assert queue.claim() is None
-        assert queue.counts()["dead"] == 1
-
-    def test_reclaimed_expiry_respects_max_attempts(self, tmp_path, grid):
-        points, seeds = grid
-        queue = WorkQueue(tmp_path, lease_s=5.0, max_attempts=1)
-        queue.enqueue(points[:1], seeds[:1], BurstFailureModel())
-        queue.claim()
-        assert queue.reclaim_expired(now=time.time() + 10.0) == 1
-        assert queue.counts()["tasks"] == 0  # straight to dead-letter
-        assert queue.dead_records()[0]["error_type"] == "LeaseExpired"
+        assert queue.counts() == {"tasks": 0, "claims": 0, "failed": 1, "cells": 0}
+        record = json.loads((queue.failed_dir / "feedface.json").read_text())
+        assert record["error_type"] == "GarbledTask"
 
 
 # ----------------------------------------------------------------------
@@ -222,106 +325,229 @@ class TestWorkerLoop:
         points, seeds = grid
         ref = _serial_reference(points, seeds)
         queue = WorkQueue(tmp_path)
-        queue.enqueue(points, seeds, BurstFailureModel())
-        completed = run_worker(tmp_path)
+        _put_grid(queue, points, seeds)
+        completed = run_worker(tmp_path, idle_exit_s=0.0)
         assert completed == len(points) * len(seeds)
         assert queue.counts()["cells"] == completed
-        outcome = run_queue_sweep(
+        # A driver arriving afterwards restores all of it, verified.
+        outcome = run_sweep_outcome(
             points, seeds, queue_dir=tmp_path, spawn_workers=False
         )
         assert outcome.results == ref
         assert outcome.complete
-        assert outcome.stats.mode == "queue"
+        assert outcome.stats.checkpoint_hits == completed
+        assert outcome.stats.cells_computed == 0
 
     def test_hand_started_worker_follows_the_enqueued_master_count(
         self, tmp_path, grid
     ):
         """A ``bgl-sim sweep-worker`` on another host shares nothing with
         the driver but the queue directory — no module state, no
-        environment — and must still thin from master logs of the
-        driver's size: the count travels in the task record."""
+        environment — and may well be started first, on a directory that
+        is still empty.  It must wait for work, then thin from master
+        logs of the driver's size: the count travels in the task record."""
         points, seeds = grid
         ref = _serial_reference(points, seeds)
-        WorkQueue(tmp_path).enqueue(points, seeds, BurstFailureModel())
-        env = {
-            k: v for k, v in os.environ.items()
-            if k != "REPRO_MASTER_FAILURE_COUNT"
-        }
+        env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
         src_root = str(Path(queue_mod.__file__).resolve().parents[2])
         env["PYTHONPATH"] = os.pathsep.join(
             filter(None, [src_root, env.get("PYTHONPATH")])
         )
-        subprocess.run(
+        worker = subprocess.Popen(
             [
                 sys.executable, "-m", "repro.cli", "sweep-worker",
-                "--queue-dir", str(tmp_path), "--idle-exit-s", "1",
+                "--queue-dir", str(tmp_path), "--idle-exit-s", "2",
             ],
-            env=env, check=True, timeout=120,
+            env=env,
         )
-        outcome = run_queue_sweep(
-            points, seeds, queue_dir=tmp_path, spawn_workers=False
-        )
+        try:
+            deadline = time.monotonic() + 60
+            while not (tmp_path / "tasks").is_dir():  # the worker is up
+                assert time.monotonic() < deadline
+                time.sleep(0.05)
+            time.sleep(0.5)
+            assert worker.poll() is None  # an empty queue is not "drained"
+            outcome = run_sweep_outcome(
+                points, seeds, queue_dir=tmp_path, spawn_workers=False
+            )
+            assert worker.wait(timeout=60) == 0  # --idle-exit-s, nothing else
+        finally:
+            worker.kill()
+            worker.wait()
         assert outcome.results == ref
         assert outcome.complete
+        assert outcome.stats.mode == "queue"
+        assert outcome.stats.cells_computed == len(points) * len(seeds)
 
-    def test_record_without_master_count_keeps_the_module_default(
-        self, tmp_path, grid
-    ):
-        """Task records written before the field existed still run."""
+    def test_old_format_record_is_garbled_not_half_read(self, tmp_path, grid):
+        """A task in the record format of the driver this executor
+        replaced (cell fields at the top level, no ``chunk``) is refused
+        whole — never run from the fields that happen to be there."""
         points, seeds = grid
-        ref = _serial_reference(points, seeds)
         queue = WorkQueue(tmp_path)
-        for key in queue.enqueue(points, seeds, BurstFailureModel()):
-            record = json.loads((queue.tasks_dir / f"{key}.json").read_text())
-            del record["master_failure_count"]
-            queue_mod._write_record(queue.tasks_dir, key, record)
-        assert run_worker(tmp_path) == len(points) * len(seeds)
-        outcome = run_queue_sweep(
-            points, seeds, queue_dir=tmp_path, spawn_workers=False
-        )
-        assert outcome.results == ref
+        key = cell_key(points[0], seeds[0], MODEL)
+        queue_mod._write_record(queue.tasks_dir, key, {
+            "key": key, "point_index": 0, "seed_index": 0, "seed": seeds[0],
+            "attempt": 1, "point": queue_mod.describe_point(points[0]),
+            "model": queue_mod.describe_model(MODEL),
+            "master_failure_count": 64,
+        })
+        assert run_worker(tmp_path, idle_exit_s=0.0) == 0
+        assert queue.counts() == {"tasks": 0, "claims": 0, "failed": 1, "cells": 0}
+        record = json.loads((queue.failed_dir / f"{key}.json").read_text())
+        assert record["error_type"] == "GarbledTask"
+
+    def test_record_filed_under_the_wrong_key_is_garbled(self, tmp_path, grid):
+        """A checkpoint is trusted by key, so a worker must never write
+        one cell's report under another cell's key."""
+        points, seeds = grid
+        queue = WorkQueue(tmp_path)
+        (_, args), (other_key, _), *_ = _calls(points, seeds)
+        queue_mod._write_record(queue.tasks_dir, other_key, encode_call(*args))
+        assert run_worker(tmp_path, idle_exit_s=0.0) == 0
+        assert queue.counts()["cells"] == 0
+        assert queue.counts()["failed"] == 1
 
     def test_duplicate_task_released_not_recomputed(self, tmp_path, grid):
         points, seeds = grid
         queue = WorkQueue(tmp_path)
-        model = BurstFailureModel()
-        queue.enqueue(points[:1], seeds[:1], model)
-        assert run_worker(tmp_path) == 1
+        (key,) = _put_grid(queue, points[:1], seeds[:1])
+        assert run_worker(tmp_path, idle_exit_s=0.0) == 1
         # A rival host re-enqueues the finished cell (e.g. raced the
         # checkpoint write); the worker must release, not recompute.
-        key = cell_key(points[0], seeds[0], model)
-        task_record = {
-            "key": key, "point_index": 0, "seed_index": 0,
-            "seed": seeds[0], "attempt": 1,
-            "point": queue_mod.describe_point(points[0]),
-            "model": queue_mod.describe_model(model),
-        }
-        queue_mod._write_record(queue.tasks_dir, key, task_record)
-        assert run_worker(tmp_path) == 0
+        ((_, args),) = _calls(points[:1], seeds[:1])
+        queue_mod._write_record(queue.tasks_dir, key, encode_call(*args))
+        assert run_worker(tmp_path, idle_exit_s=0.0) == 0
         assert queue.counts()["tasks"] == 0
         assert queue.counts()["claims"] == 0
 
-    def test_poison_cell_dead_letters_and_quarantines(self, tmp_path, grid):
+    def test_failing_cell_leaves_the_worker_side_error(
+        self, tmp_path, grid, monkeypatch
+    ):
         points, seeds = grid
-        queue = WorkQueue(tmp_path, max_attempts=2)
-        queue.enqueue(points[:1], (seeds[0],), BurstFailureModel())
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(
-                queue_mod,
-                "simulate_cell",
-                lambda *a: (_ for _ in ()).throw(ValueError("poison")),
-            )
-            assert run_worker(tmp_path, max_attempts=2) == 0
-        assert queue.counts()["dead"] == 1
-        outcome = run_queue_sweep(
-            points[:1], (seeds[0],), queue_dir=tmp_path,
-            spawn_workers=False, max_attempts=2,
+        queue = WorkQueue(tmp_path)
+        (key,) = _put_grid(queue, points[:1], seeds[:1])
+        monkeypatch.setattr(
+            sweep_mod, "simulate_cell",
+            lambda *a: (_ for _ in ()).throw(ValueError("poison")),
         )
-        assert not outcome.complete
-        assert outcome.results == [None]
-        assert len(outcome.quarantined) == 1
-        assert outcome.quarantined[0].error_type == "ValueError"
-        assert outcome.stats.quarantined == 1
+        assert run_worker(tmp_path, idle_exit_s=0.0) == 0
+        assert queue.counts() == {"tasks": 0, "claims": 0, "failed": 1, "cells": 0}
+        record = json.loads((queue.failed_dir / f"{key}.json").read_text())
+        assert record == {"error_type": "ValueError", "error": "poison"}
+
+
+# ----------------------------------------------------------------------
+# the executor: futures settled from the directory
+# ----------------------------------------------------------------------
+
+class TestQueueExecutor:
+    def test_futures_settle_from_checkpoints_and_failure_records(
+        self, tmp_path, grid
+    ):
+        points, seeds = grid
+        executor = QueueExecutor(tmp_path, spawn_workers=False).ensure(2)
+        queue = executor.queue
+        try:
+            futures = {
+                key: executor.submit(run_chunk, *args)
+                for key, args in _calls(points, seeds)
+            }
+            good, bad = queue.claim(), queue.claim()
+            ((_, point, seed, _),) = good.call[0]
+            report = simulate_cell(point, seed, MODEL)
+            queue.complete(good, report)
+            queue.fail(bad, ValueError("poison"))
+            assert futures[good.key].result(timeout=30) == [(report, None)]
+            error = futures[bad.key].exception(timeout=30)
+            # The worker-side type name, for the quarantine entry.
+            assert type(error).__name__ == "ValueError"
+            assert str(error) == "poison"
+            assert queue.counts()["failed"] == 0  # consumed: charged once
+        finally:
+            executor.shutdown()
+        # Nothing is left unsettled and nothing stays runnable.
+        done, not_done = wait(futures.values(), timeout=30)
+        assert not not_done
+        assert sum(f.cancelled() for f in done) == 2
+        assert queue.counts()["tasks"] == 0
+
+    def test_corrupt_worker_checkpoint_is_a_failed_attempt(self, tmp_path, grid):
+        """The result is read back through the verified ``get``: damage
+        between the worker's write and the driver's read costs a retry,
+        never a wrong number."""
+        points, seeds = grid
+        (key, args), *_ = _calls(points, seeds)
+        executor = QueueExecutor(tmp_path, spawn_workers=False).ensure(1)
+        try:
+            future = executor.submit(run_chunk, *args)
+            executor.queue.store.path_for(key).write_text('{"schema": 1, "trunc')
+            assert "verification" in str(future.exception(timeout=30))
+            # The resubmission drops the damaged file and runs the cell.
+            again = executor.submit(run_chunk, *args)
+            assert run_worker(tmp_path, idle_exit_s=0.0) == 1
+            ((report, _),) = again.result(timeout=30)
+            assert report == simulate_cell(*args[0][0][1:3], MODEL)
+        finally:
+            executor.shutdown()
+
+    def test_dead_local_fleet_is_a_broken_pool(self, tmp_path, grid):
+        """Every spawned worker dead with futures outstanding resolves
+        them with ``BrokenProcessPool`` and frees the claim the fleet
+        died holding, at once — not a lease later."""
+        points, seeds = grid
+        chaos = ChaosConfig(kill_cells=((0, 0), (1, 0)), kill_attempts=99)
+        executor = QueueExecutor(tmp_path, lease_s=600.0).ensure(1)
+        try:
+            futures = [
+                executor.submit(run_chunk, *args)
+                for _, args in _calls(points, seeds[:1], chaos)
+            ]
+            for future in futures:
+                assert isinstance(future.exception(timeout=120), BrokenProcessPool)
+            assert executor.queue.counts()["tasks"] == 0  # withdrawn
+            executor.mark_broken()
+            assert executor.queue.counts()["claims"] == 0
+            assert executor.ensure(1) is executor
+            assert executor.spawns == 2
+        finally:
+            executor.shutdown()
+
+    def test_collector_is_refused(self, tmp_path, grid):
+        points, seeds = grid
+        ((_, args),) = _calls(points[:1], seeds[:1])
+        executor = QueueExecutor(tmp_path, spawn_workers=False)
+        with pytest.raises(ExperimentError, match="collectors"):
+            executor.submit(run_chunk, args[0], args[1], True, *args[3:])
+        executor.shutdown()
+
+    def test_interrupted_loop_cancels_withdraws_and_reaps(
+        self, tmp_path, grid, monkeypatch
+    ):
+        """Ctrl-C while the loop sleeps out a backoff: the sweep's own
+        workers are reaped and no task of it stays runnable."""
+        points, seeds = grid
+        spawned = []
+        real_spawn = queue_mod.spawn_worker_process
+
+        def recording_spawn(*args, **kwargs):
+            spawned.append(real_spawn(*args, **kwargs))
+            return spawned[-1]
+
+        def interrupt(delay):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(queue_mod, "spawn_worker_process", recording_spawn)
+        executor = SweepExecutor(
+            workers=2, queue_dir=tmp_path, sleep=interrupt,
+            retry=RetryPolicy(base_delay_s=0.0, jitter_fraction=0.0),
+            chaos=ChaosConfig(raise_cells=((0, 0),), raise_attempts=1),
+        )
+        with pytest.raises(KeyboardInterrupt):
+            executor.run_outcome(points, seeds)
+        assert len(spawned) == 2
+        assert all(proc.poll() is not None for proc in spawned)
+        assert WorkQueue(tmp_path).counts()["tasks"] == 0
 
 
 # ----------------------------------------------------------------------
@@ -334,19 +560,16 @@ class TestQueueSweepDriver:
     ):
         points, seeds = grid
         ref = _serial_reference(points, seeds)
-        outcome = run_queue_sweep(
-            points, seeds, queue_dir=tmp_path, workers=2, timeout_s=120.0
-        )
+        outcome = run_sweep_outcome(points, seeds, queue_dir=tmp_path, workers=2)
         assert outcome.results == ref
         assert outcome.stats.mode == "queue"
         assert outcome.stats.workers_used == 2
         assert outcome.stats.cells_computed == len(points) * len(seeds)
+        assert (tmp_path / "quarantine.json").is_file()
         # Re-running against the drained directory restores everything
         # from checkpoints and computes nothing.
         sweep_mod._result_cache.clear()
-        resumed = run_queue_sweep(
-            points, seeds, queue_dir=tmp_path, workers=2, timeout_s=120.0
-        )
+        resumed = run_sweep_outcome(points, seeds, queue_dir=tmp_path, workers=2)
         assert resumed.results == ref
         assert resumed.stats.cells_computed == 0
         assert resumed.stats.checkpoint_hits == len(points) * len(seeds)
@@ -354,24 +577,22 @@ class TestQueueSweepDriver:
     def test_killed_worker_claim_reclaimed_and_resumed_bitwise(
         self, tmp_path, grid
     ):
-        """The acceptance scenario: a worker dies *holding a claim*; the
-        claim's lease expires; a resumed driver reclaims it and the
-        merged results equal serial exactly."""
+        """The acceptance scenario: a worker dies *holding a claim*
+        (chaos kill, carried in the task record); the driver that
+        enqueued it is gone; a resumed driver finds the claim, lets its
+        lease run out and the merged results equal serial exactly."""
         points, seeds = grid
         ref = _serial_reference(points, seeds)
         queue = WorkQueue(tmp_path, lease_s=1.0)
-        enqueued = queue.enqueue(points, seeds, BurstFailureModel())
-        assert len(enqueued) == 4
-        proc = spawn_worker_process(
-            tmp_path, lease_s=1.0, kill_after_claims=1
-        )
+        chaos = ChaosConfig(kill_cells=((1, 1),), kill_attempts=1)
+        keys = _put_grid(queue, points, seeds, chaos)
+        proc = spawn_worker_process(tmp_path, lease_s=1.0)
         assert proc.wait(timeout=120) == KILL_EXIT_CODE
         counts = queue.counts()
-        assert counts["cells"] == 1  # one completed before the kill
-        assert counts["claims"] == 1  # died holding the second claim
-        outcome = run_queue_sweep(
-            points, seeds, queue_dir=tmp_path, workers=2,
-            lease_s=1.0, timeout_s=120.0,
+        assert counts["claims"] == 1  # died holding one
+        assert counts["cells"] + counts["tasks"] == len(keys) - 1
+        outcome = run_sweep_outcome(
+            points, seeds, queue_dir=tmp_path, workers=2, lease_s=1.0
         )
         assert outcome.results == ref
         assert outcome.complete

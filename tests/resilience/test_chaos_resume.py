@@ -8,8 +8,6 @@ exact float equality through the frozen-dataclass ``==``.
 
 from __future__ import annotations
 
-import time
-
 import repro.experiments.sweep as sweep_mod
 from repro.experiments.sweep import run_sweep, run_sweep_outcome
 from repro.obs.metrics import MetricsRegistry, activate
@@ -151,45 +149,37 @@ class TestResumeSemantics:
 
 
 class TestKilledQueueWorker:
-    def test_killed_queue_worker_reclaim_resume_bitwise(self, grid, tmp_path):
+    def test_killed_queue_worker_reclaim_resume_bitwise(
+        self, grid, fast_retry, tmp_path
+    ):
         """Multi-host variant of kill-and-resume: a queue worker dies
-        deterministically *between claiming and computing* a cell
-        (``kill_after_claims``, exiting with the chaos harness's
-        ``KILL_EXIT_CODE``); the orphaned claim's lease expires; the
-        resumed driver reclaims it and the merged results are bitwise
+        deterministically *between claiming and computing* a cell (the
+        same ``ChaosConfig`` kill the warm pool is rehearsed with,
+        carried in the task record, exiting with ``KILL_EXIT_CODE``);
+        the orphaned claim's lease expires; the dispatch loop charges
+        the attempt and resubmits, and the merged results are bitwise
         identical to serial, with the reclaim visible in metrics."""
-        from repro.experiments.queue import (
-            WorkQueue,
-            run_queue_sweep,
-            spawn_worker_process,
-        )
-        from repro.failures.synthetic import BurstFailureModel
-        from repro.resilience.chaos import KILL_EXIT_CODE
-
         points, seeds = grid
         ref = _serial_reference(points, seeds)
-        queue = WorkQueue(tmp_path, lease_s=1.0)
-        queue.enqueue(points, seeds, BurstFailureModel())
-        proc = spawn_worker_process(tmp_path, lease_s=1.0, kill_after_claims=1)
-        assert proc.wait(timeout=120) == KILL_EXIT_CODE
-        assert queue.counts()["claims"] == 1  # died holding a claim
-
+        chaos = ChaosConfig(kill_cells=((0, 0),), kill_attempts=1)
         registry = MetricsRegistry()
         with activate(registry):
-            # Any observer may reclaim; do it here deterministically
-            # (clock already past the deadline) so the metric lands in
-            # this process's registry instead of racing the workers.
-            assert queue.reclaim_expired(now=time.time() + 10.0) == 1
-            outcome = run_queue_sweep(
-                points, seeds, queue_dir=tmp_path, workers=2,
-                lease_s=1.0, timeout_s=120.0,
+            outcome = run_sweep_outcome(
+                points, seeds, workers=2, queue_dir=tmp_path, lease_s=1.0,
+                retry=fast_retry, chaos=chaos,
             )
         assert outcome.results == ref
         assert outcome.complete
         assert not outcome.quarantined
         assert outcome.stats.mode == "queue"
+        assert outcome.stats.retries == 1
         counters = {k: c.value for k, c in registry.counters.items()}
         assert counters["queue.claim.reclaimed"] == 1
+        # A second driver on the finished directory restores, verified.
+        sweep_mod._result_cache.clear()
+        resumed = run_sweep_outcome(points, seeds, workers=2, queue_dir=tmp_path)
+        assert resumed.results == ref
+        assert resumed.stats.cells_computed == 0
 
 
 class TestObsIntegration:

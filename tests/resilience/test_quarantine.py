@@ -27,6 +27,16 @@ def _serial_reference(points, seeds):
     return ref
 
 
+def _pooled_backends(tmp_path):
+    """``(mode, options)`` of each backend that runs cells in other
+    processes.  The tests below loop over them rather than parametrise,
+    so their ids stay what they were when the warm pool was the only
+    one.  A short lease, because a queue worker that dies alone is
+    noticed by its lease running out."""
+    yield "warm", dict(workers=2, min_cells_per_worker=0)
+    yield "queue", dict(workers=2, queue_dir=tmp_path, lease_s=1.0)
+
+
 class TestQuarantine:
     def test_poison_cell_quarantined_partial_point(
         self, grid, fast_retry, tmp_path
@@ -82,18 +92,23 @@ class TestQuarantine:
         assert not outcome.complete
 
     @needs_fork
-    def test_pooled_poison_cell_quarantined(self, grid, fast_retry):
+    def test_pooled_poison_cell_quarantined(self, grid, fast_retry, tmp_path):
         points, seeds = grid
         ref = _serial_reference(points, seeds)
         chaos = ChaosConfig(raise_cells=((1, 0),), raise_attempts=99)
-        outcome = run_sweep_outcome(
-            points, seeds, workers=2, min_cells_per_worker=0,
-            retry=fast_retry, chaos=chaos,
-        )
-        assert outcome.results[0] == ref[0]
-        assert outcome.results[1].n_seeds == 1
-        assert {(e.point_index, e.seed_index) for e in outcome.quarantined} \
-            == {(1, 0)}
+        for mode, options in _pooled_backends(tmp_path):
+            outcome = run_sweep_outcome(
+                points, seeds, retry=fast_retry, chaos=chaos, **options
+            )
+            assert outcome.stats.mode == mode
+            assert outcome.results[0] == ref[0]
+            assert outcome.results[1].n_seeds == 1
+            (entry,) = outcome.quarantined
+            assert (entry.point_index, entry.seed_index) == (1, 0)
+            # The error the worker saw, not the name of what carried it.
+            assert entry.error_type == "ChaosError", mode
+            assert entry.attempts == fast_retry.max_attempts
+        assert Quarantine.load(tmp_path / "quarantine.json").cells() == {(1, 0)}
 
     def test_partial_point_never_enters_memo_cache(self, grid, fast_retry):
         """A partial average must not be served to a later clean sweep."""
@@ -107,10 +122,11 @@ class TestQuarantine:
 
 @needs_fork
 class TestDegradation:
-    def test_persistent_killer_degrades_to_inprocess(self, grid):
+    def test_persistent_killer_degrades_to_inprocess(self, grid, tmp_path):
         """A cell that kills its worker on every attempt forces the pool
         to degrade; kills don't fire in-process, so the sweep completes
-        with results bitwise identical to serial."""
+        with results bitwise identical to serial.  (The queue's two
+        workers die one at a time: each rebuild is the second death.)"""
         points, seeds = grid
         ref = _serial_reference(points, seeds)
         chaos = ChaosConfig(kill_cells=((0, 0),), kill_attempts=99)
@@ -118,28 +134,36 @@ class TestDegradation:
             base_delay_s=0.0, jitter_fraction=0.0, max_attempts=8,
             max_pool_rebuilds=1,
         )
-        outcome = run_sweep_outcome(
-            points, seeds, workers=2, min_cells_per_worker=0,
-            retry=policy, chaos=chaos,
-        )
-        assert outcome.results == ref
-        assert outcome.stats.degraded
-        assert outcome.stats.pool_rebuilds == 2
-        assert not outcome.quarantined
+        for mode, options in _pooled_backends(tmp_path):
+            outcome = run_sweep_outcome(
+                points, seeds, retry=policy, chaos=chaos, **options
+            )
+            assert outcome.stats.mode == mode
+            assert outcome.results == ref
+            assert outcome.stats.degraded
+            assert outcome.stats.pool_rebuilds == 2, mode
+            assert not outcome.quarantined
 
-    def test_transient_kill_recovers_without_degrading(self, grid, fast_retry):
+    def test_transient_kill_recovers_without_degrading(
+        self, grid, fast_retry, tmp_path
+    ):
         points, seeds = grid
         ref = _serial_reference(points, seeds)
         chaos = ChaosConfig(kill_cells=((0, 0),), kill_attempts=1)
-        outcome = run_sweep_outcome(
-            points, seeds, workers=2, min_cells_per_worker=0,
-            retry=fast_retry, chaos=chaos,
-        )
-        assert outcome.results == ref
-        assert outcome.stats.pool_rebuilds >= 1
-        assert not outcome.stats.degraded
-        assert not outcome.quarantined
-        assert outcome.stats.resubmits >= 1
+        for mode, options in _pooled_backends(tmp_path):
+            outcome = run_sweep_outcome(
+                points, seeds, retry=fast_retry, chaos=chaos, **options
+            )
+            assert outcome.results == ref
+            assert not outcome.stats.degraded
+            assert not outcome.quarantined
+            if mode == "warm":
+                # The dead worker took the pool, and every cell in it, along.
+                assert outcome.stats.pool_rebuilds >= 1
+                assert outcome.stats.resubmits >= 1
+            else:
+                # The dead worker's one claim ran out its lease.
+                assert outcome.stats.retries >= 1
 
     def test_zero_rebuild_budget_degrades_immediately(self, grid):
         points, seeds = grid

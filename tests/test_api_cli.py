@@ -220,3 +220,108 @@ class TestCliObservability:
     def test_verbose_flag_accepted(self, capsys):
         assert main(["-v", "sites"]) == 0
         assert "nasa" in capsys.readouterr().out
+
+
+class TestSweepQueueCli:
+    """``--queue-dir`` selects the queue; everything else about the sweep
+    is the one ``run_sweep_outcome`` call every backend gets."""
+
+    @pytest.fixture
+    def sweep_call(self, monkeypatch):
+        """Capture the ``run_sweep_outcome`` call instead of running it."""
+        import repro.experiments.sweep as sweep_mod
+        from repro.resilience import QuarantineEntry, ResilientSweepOutcome
+
+        captured = {}
+
+        def fake(points, **options):
+            captured.update(options)
+            entry = QuarantineEntry(0, 0, 0, 3, "ChaosError", "boom", "k")
+            return ResilientSweepOutcome([None] * len(points), (entry,))
+
+        monkeypatch.setattr(sweep_mod, "run_sweep_outcome", fake)
+        return captured
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--backend", "queue", "--queue-dir", "q"],
+            ["sweep-worker", "--queue-dir", "q", "--max-attempts", "3"],
+            ["sweep-worker", "--queue-dir", "q", "--poll-s", "0.1"],
+            ["sweep-worker", "--queue-dir", "q", "--kill-after-claims", "1"],
+            ["sweep-worker", "--queue-dir", "q", "--max-cells", "2"],
+            ["sweep-worker", "--queue-dir", "q", "--worker-id", "w"],
+        ],
+        ids=["--backend", "--max-attempts", "--poll-s", "--kill-after-claims",
+             "--max-cells", "--worker-id"],
+    )
+    def test_removed_flag_is_refused(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            main(argv)
+        assert exc_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, option, value",
+        [
+            ([], "queue_dir", "q"),
+            (["--lease-s", "5"], "lease_s", 5.0),
+            (["--no-spawn-workers"], "spawn_workers", False),
+            (["--no-resume"], "resume", False),
+            (["--workers", "3"], "workers", 3),
+        ],
+        ids=["--queue-dir", "--lease-s", "--no-spawn-workers", "--no-resume",
+             "--workers"],
+    )
+    def test_kept_flag_reaches_the_one_call(
+        self, flags, option, value, sweep_call, capsys
+    ):
+        assert main(["sweep", "--queue-dir", "q", *flags]) == 1
+        assert sweep_call[option] == value
+        assert sweep_call["checkpoint_dir"] is None
+
+    def test_retry_flags_reach_the_queue(self, sweep_call, capsys):
+        main(["sweep", "--queue-dir", "q", "--max-retries", "2",
+              "--cell-timeout", "30"])
+        assert sweep_call["retry"].max_attempts == 2
+        assert sweep_call["retry"].cell_timeout_s == 30.0
+
+    def test_quarantine_details_line_names_the_queue_directory(
+        self, sweep_call, tmp_path, capsys
+    ):
+        assert main(["sweep", "--queue-dir", str(tmp_path)]) == 1
+        out = capsys.readouterr().out
+        assert "quarantined cells: (point 0, seed#0)" in out
+        assert f"details: {tmp_path / 'quarantine.json'}" in out
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--lease-s", "5"], "need --queue-dir"),
+            (["--no-spawn-workers"], "need --queue-dir"),
+            (["--queue-dir", "q", "--checkpoint-dir", "c"], "drop --checkpoint-dir"),
+            (["--queue-dir", "q", "--lease-s", "0"], "must be positive"),
+        ],
+        ids=["lease-s", "no-spawn-workers", "checkpoint-dir", "lease-s=0"],
+    )
+    def test_usage_errors(self, argv, message, sweep_call):
+        with pytest.raises(SystemExit, match=message):
+            main(["sweep", *argv])
+        assert not sweep_call
+
+    def test_sweep_worker_keeps_three_flags(self, monkeypatch):
+        import repro.experiments.queue as queue_mod
+
+        calls = []
+        monkeypatch.setattr(
+            queue_mod, "run_worker", lambda *a, **kw: calls.append((a, kw))
+        )
+        assert main(["sweep-worker", "--queue-dir", "q", "--lease-s", "5",
+                     "--idle-exit-s", "1"]) == 0
+        assert main(["sweep-worker", "--queue-dir", "q"]) == 0
+        assert calls == [
+            (("q",), {"lease_s": 5.0, "idle_exit_s": 1.0}),
+            (("q",), {"lease_s": None, "idle_exit_s": None}),
+        ]
+        with pytest.raises(SystemExit, match="must be positive"):
+            main(["sweep-worker", "--queue-dir", "q", "--lease-s", "0"])
