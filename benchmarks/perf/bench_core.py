@@ -1,10 +1,9 @@
 """Core perf-trajectory harness: microbenches + serial-vs-parallel sweep.
 
 Times the scheduler's hot kernels (PlacementIndex build, MFP queries,
-candidate scoring on the production index, shadow-time — both the
-production engine and the naive reference, so the caching win stays
-visible), the three partition finders, and one end-to-end sweep
-executed serially and in parallel.  Results land in ``BENCH_core.json`` at the repo root so subsequent PRs
+candidate scoring on the production index, the shadow-time engine),
+the three partition finders, and one end-to-end sweep executed serially
+and in parallel.  Results land in ``BENCH_core.json`` at the repo root so subsequent PRs
 have a machine-readable perf trajectory to regress against.
 
 Record schema (one object per benchmark)::
@@ -19,9 +18,8 @@ wall time of one measured batch.  Sweep records carry an extra
 (``serial``/``parallel``/``warm``/``queue``), and their ``workers``
 field is the executor's *actual* ``stats.workers_used`` — 1 whenever
 the auto-serial cutover refused the pool — never the requested count.
-The records are a trajectory, not gates (speed is gated end to end by
-the ``benchmarks/e2e`` workloads); the one consumer is
-``check_serve_throughput.py``, which gates on ``serve_inproc_submit``.
+The records are a trajectory, not gates: speed is gated end to end by
+the ``benchmarks/e2e`` workloads.
 The last record, ``src_loc``, is not a timing: its ``lines`` key counts
 the non-blank, non-comment lines under ``src/repro`` so the ledger
 tracks code size next to speed (ROADMAP aim 2).
@@ -51,7 +49,7 @@ import numpy as np
 from repro.allocation.incremental import IncrementalPlacementIndex
 from repro.allocation.mfp import IndexCache, PlacementIndex
 from repro.allocation.registry import get_finder
-from repro.core.backfill import ShadowTimeEngine, shadow_time_naive
+from repro.core.backfill import ShadowTimeEngine
 from repro.core.jobstate import JobState
 from repro.experiments import parallel as parallel_mod
 from repro.experiments import pool as pool_mod
@@ -242,20 +240,6 @@ def bench_shadow_time_engine(scale: Scale):
     return run, n * 2 * len(SHADOW_SIZES)
 
 
-def bench_shadow_time_naive(scale: Scale):
-    torus = loaded_torus()
-    running = running_states(torus)
-    n = scale.micro_number
-
-    def run():
-        for _ in range(n):
-            for size in SHADOW_SIZES:
-                shadow_time_naive(torus, running, size, 0.0)
-                shadow_time_naive(torus, running, size, 10.0)
-
-    return run, n * 2 * len(SHADOW_SIZES)
-
-
 def bench_migration_plan(scale: Scale):
     """Compaction planning on a fragmented machine: ~20 small running
     jobs scattered over the 4x4x8 torus, a 32-node head."""
@@ -398,8 +382,8 @@ def bench_master_log_generate(scale: Scale):
 #: Serve-bench overload fixture: size-64 jobs against a 32-job engine
 #: cap, logical clock.  Caps fill almost immediately, so the bench
 #: measures the sustained submission path — admission bookkeeping plus
-#: the bounded-queue reject fast path — which is exactly the regime the
-#: >10k submissions/s bar (check_serve_throughput.py) is about.  Size-64
+#: the bounded-queue reject fast path (the regime the e2e
+#: ``serve_overload`` workload gates through the real socket).  Size-64
 #: jobs keep the simulator passes cheap; a machine packed with tiny jobs
 #: would time compaction planning instead of the service.
 SERVE_BENCH_JOB_SIZE = 64
@@ -534,7 +518,6 @@ def run_benchmarks(scale_name: str, workers: int, out_path: Path) -> list[dict]:
         ("mfp_excluding", bench_mfp_excluding),
         ("scored_candidates_batch", bench_scored_candidates_batch),
         ("shadow_time_engine", bench_shadow_time_engine),
-        ("shadow_time_naive", bench_shadow_time_naive),
         ("migration_plan", bench_migration_plan),
         ("backfill_walk_deep_queue", bench_backfill_walk_deep_queue),
         ("finder_naive", lambda s: _bench_finder("naive", s)),
@@ -549,8 +532,8 @@ def run_benchmarks(scale_name: str, workers: int, out_path: Path) -> list[dict]:
         run, ops = factory(scale)
         record(name, best_of(run, scale.repeats), ops)
 
-    # Service submission path: in-process (the CI throughput bar) and
-    # over the TCP transport, both on the overload fixture.
+    # Service submission path: in-process and over the TCP transport,
+    # both on the overload fixture.
     for name, factory in (
         ("serve_inproc_submit", bench_serve_inproc),
         ("serve_tcp_submit", bench_serve_tcp),

@@ -31,7 +31,7 @@ Candidates of one size are held as a struct-of-arrays
 scores them all (what the policies call),
 :meth:`PlacementIndex.scored_candidates` pairs each materialised
 :class:`Partition` with an independent per-candidate :meth:`mfp_loss`
-walk (what the ``choose_partition_scalar`` reference walks call).
+walk (what the ``repro.testing.choose_partition_scalar`` reference calls).
 """
 
 from __future__ import annotations

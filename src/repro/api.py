@@ -13,15 +13,15 @@ from dataclasses import dataclass, field
 from repro.errors import SimulationError
 from repro.core.config import SimulationConfig
 from repro.core.policies.registry import make_policy
-from repro.core.simulator import Simulator, simulate
+from repro.core.simulator import Simulator
 from repro.failures.events import FailureLog
 from repro.failures.synthetic import BurstFailureModel, failure_horizon_s, generate_failures
-from repro.geometry.coords import BGL_SUPERNODE_DIMS
 from repro.metrics.report import SimulationReport
 from repro.prediction.base import PartitionFailureRule
 from repro.workloads.job import Workload
 from repro.workloads.models import site_model
 from repro.workloads.scaling import fit_to_machine, scale_load
+from repro.workloads.swf import read_swf
 from repro.workloads.synthetic import generate_workload
 
 
@@ -31,7 +31,11 @@ class SimulationSetup:
 
     Parameters mirror the paper's sweep axes: workload site, job count,
     load scale ``c``, failure count, policy and its prediction parameter
-    ``a`` (confidence for balancing, accuracy for tie-break).
+    ``a`` (confidence for balancing, accuracy for tie-break).  With
+    ``swf`` the job log is that trace file (its first ``head`` jobs when
+    nonzero) instead of a ``site`` draw of ``n_jobs``; ``c`` scales it
+    the same way.  One seeding convention for every source: workload
+    ``seed``, failures ``seed + 1``, policy ``seed + 2``.
     """
 
     site: str = "sdsc"
@@ -44,11 +48,19 @@ class SimulationSetup:
     seed: int = 0
     failure_model: BurstFailureModel = field(default_factory=BurstFailureModel)
     config: SimulationConfig = field(default_factory=SimulationConfig)
+    swf: str | None = None
+    head: int = 0
 
     def build_workload(self) -> Workload:
-        """Synthesize, load-scale and machine-fit the workload."""
-        model = site_model(self.site)
-        workload = generate_workload(model, self.n_jobs, seed=self.seed)
+        """Synthesize (or read), load-scale and machine-fit the workload."""
+        if self.swf:
+            workload = read_swf(self.swf)
+            if self.head:
+                workload = workload.head(self.head)
+        else:
+            workload = generate_workload(
+                site_model(self.site), self.n_jobs, seed=self.seed
+            )
         workload = scale_load(workload, self.load_scale)
         return fit_to_machine(workload, self.config.dims)
 
@@ -103,46 +115,6 @@ class SimulationSetup:
 def run_simulation(setup: SimulationSetup) -> SimulationReport:
     """Run one fully-specified experiment point."""
     return setup.run()
-
-
-def resilient_sweep(
-    points,
-    seeds=(0, 1, 2),
-    *,
-    checkpoint_dir,
-    workers: int | None = None,
-    retry=None,
-    chaos=None,
-    resume: bool = True,
-    failure_model: BurstFailureModel | None = None,
-):
-    """Checkpointed, retrying sweep in one call.
-
-    Persists every completed ``(point, seed)`` cell under
-    ``checkpoint_dir`` (atomic, content-addressed, schema-versioned), so
-    a killed run re-invoked with the same arguments resumes where it
-    stopped and produces results bitwise-identical to an uninterrupted
-    run.  Worker crashes are retried under ``retry`` (a
-    :class:`~repro.resilience.RetryPolicy`, defaulted when ``None``) and
-    persistently failing cells are quarantined into
-    ``<checkpoint_dir>/quarantine.json`` instead of aborting the sweep.
-
-    Returns a :class:`~repro.resilience.ResilientSweepOutcome`:
-    ``.results`` (one per point, ``None`` only if every seed was
-    quarantined), ``.quarantined`` and ``.stats``.
-    """
-    from repro.experiments.sweep import run_sweep_outcome
-
-    return run_sweep_outcome(
-        points,
-        seeds,
-        failure_model,
-        workers,
-        checkpoint_dir=checkpoint_dir,
-        retry=retry,
-        chaos=chaos,
-        resume=resume,
-    )
 
 
 def quick_simulate(

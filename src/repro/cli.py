@@ -2,28 +2,37 @@
 
 ::
 
-    bgl-sim run     --site sdsc --policy balancing --parameter 0.1 ...
-    bgl-sim sweep   --parameters 0.0 0.1 0.3 [--checkpoint-dir DIR] ...
-    bgl-sim sweep   --queue-dir DIR ...                   # multi-host driver
-    bgl-sim sweep-worker --queue-dir DIR                  # one queue worker
-    bgl-sim figure  fig3 [--jobs 500] [--seeds 2]
-    bgl-sim figures            # list regenerable figures
-    bgl-sim sites              # list workload site models
-    bgl-sim swf PATH ...       # simulate a real SWF trace file
-    bgl-sim trace   summarize|diff|validate PATH...
-    bgl-sim serve   --port 9753 ...           # scheduler-as-a-service
-    bgl-sim load    --address HOST:PORT ...   # replay/load-test a service
+    bgl-sim run          --site sdsc --policy balancing --parameter 0.1 ...
+    bgl-sim run          --swf PATH [--head N] ...   # replay a real SWF trace
+    bgl-sim swf          PATH ...                    # the same: run --swf PATH
+    bgl-sim sweep        --parameters 0.0 0.1 0.3 [--checkpoint-dir DIR] ...
+    bgl-sim sweep        --queue-dir DIR ...         # multi-host driver
+    bgl-sim sweep-worker --queue-dir DIR             # one queue worker
+    bgl-sim figure       fig3 [--jobs 500] [--seeds 2]
+    bgl-sim figures      # list regenerable figures
+    bgl-sim sites        # list workload site models
+    bgl-sim compare      --baseline krevat --candidate balancing ...
+    bgl-sim characterize --site nasa | --swf PATH    # workload/failure profile
+    bgl-sim trace        summarize|diff|validate PATH...
+    bgl-sim serve        --port 9753 ...             # scheduler-as-a-service
+    bgl-sim load         --address HOST:PORT ...     # replay/load-test a service
 
-(`python -m repro` is equivalent.)
+(`python -m repro` is equivalent.)  Every subcommand is one row of
+``_COMMANDS``; every scenario flag is one row of ``_SCENARIO_FLAGS`` and
+reaches the simulator through :func:`_setup_from_args`, so ``run``,
+``swf``, ``compare``, ``characterize``, ``serve`` and ``load`` build the
+same scenario from the same flags.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from typing import Sequence
 
 from repro._version import __version__
+from repro.errors import ReproError
 
 
 def _positive_int(value: str) -> int:
@@ -31,18 +40,26 @@ def _positive_int(value: str) -> int:
     try:
         parsed = int(value)
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive integer, got {value!r}"
-        ) from None
+        parsed = 0
     if parsed < 1:
         raise argparse.ArgumentTypeError(
-            f"must be a positive integer (>= 1), got {parsed}"
+            f"expected a positive integer (>= 1), got {value!r}"
         )
     return parsed
 
 
-def _add_resilience_flags(parser: argparse.ArgumentParser) -> None:
-    """Checkpoint/retry options shared by ``sweep`` and ``figure``."""
+def _add_execution_flags(parser: argparse.ArgumentParser) -> None:
+    """Worker/checkpoint/retry options shared by ``sweep`` and ``figure``."""
+    parser.add_argument(
+        "--workers",
+        type=_positive_int,
+        default=None,
+        help=(
+            "parallel sweep workers (sweep: default 1; figure: "
+            "REPRO_FIG_WORKERS, else all cores but one); results are "
+            "identical to --workers 1"
+        ),
+    )
     parser.add_argument(
         "--checkpoint-dir",
         default=None,
@@ -82,151 +99,145 @@ def _add_resilience_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _retry_policy(args: argparse.Namespace):
-    """Build a RetryPolicy from CLI flags, or None when none were given."""
-    if args.max_retries is None and args.cell_timeout is None:
-        return None
-    from repro.resilience import RetryPolicy
+def _execution_options(args: argparse.Namespace) -> dict:
+    """What :func:`_add_execution_flags` collected, as the keywords
+    ``run_sweep_outcome`` and ``run_figure`` take."""
+    retry = None
+    if args.max_retries is not None or args.cell_timeout is not None:
+        from repro.resilience import RetryPolicy
 
-    kwargs = {}
-    if args.max_retries is not None:
-        kwargs["max_attempts"] = args.max_retries
-    if args.cell_timeout is not None:
-        if args.cell_timeout <= 0:
-            raise SystemExit("--cell-timeout must be positive")
-        kwargs["cell_timeout_s"] = args.cell_timeout
-    return RetryPolicy(**kwargs)
-
-
-def _add_scenario_flags(parser: argparse.ArgumentParser) -> None:
-    """Simulation-scenario options shared by ``serve`` and ``load``.
-
-    Both sides must build the identical scenario — same workload, same
-    failure log, same policy seeding — for a replay through the service
-    to reproduce the batch run, so they share one flag set.
-    """
-    parser.add_argument("--site", default="sdsc", help="workload model (nasa/sdsc/llnl)")
-    parser.add_argument("--jobs", type=int, default=500, help="number of jobs")
-    parser.add_argument("--failures", type=int, default=50, help="failure events")
-    parser.add_argument(
-        "--policy", default="balancing", help="krevat / balancing / tiebreak"
+        given = {"max_attempts": args.max_retries, "cell_timeout_s": args.cell_timeout}
+        retry = RetryPolicy(**{k: v for k, v in given.items() if v is not None})
+    return dict(
+        workers=args.workers,
+        checkpoint_dir=args.checkpoint_dir,
+        retry=retry,
+        resume=args.resume,
     )
-    parser.add_argument(
-        "--parameter", type=float, default=0.1,
+
+
+#: The scenario flags, declared once: flag -> (SimulationSetup field,
+#: argparse keywords).  The ``dest`` is the flag's own name.
+_SCENARIO_FLAGS = {
+    "--site": ("site", dict(default="sdsc", help="workload model (nasa/sdsc/llnl)")),
+    "--jobs": ("n_jobs", dict(type=int, default=500, help="number of jobs")),
+    "--failures": ("n_failures", dict(type=int, default=50, help="failure events")),
+    "--policy": (
+        "policy", dict(default="balancing", help="krevat / balancing / tiebreak")
+    ),
+    "--parameter": ("parameter", dict(
+        type=float, default=0.1,
         help="prediction confidence (balancing) or accuracy (tiebreak)",
-    )
-    parser.add_argument("--load", type=float, default=1.0, help="load scale c")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--swf", default=None, metavar="PATH",
+    )),
+    "--load": ("load_scale", dict(type=float, default=1.0, help="load scale c")),
+    "--seed": ("seed", dict(
+        type=int, default=0,
+        help="workload seed (failures draw from seed+1, the policy from seed+2)",
+    )),
+    "--swf": ("swf", dict(
+        default=None, metavar="PATH",
         help="replay this SWF trace instead of a synthetic site workload",
-    )
-    parser.add_argument(
-        "--head", type=int, default=0,
-        help="with --swf: only the first N jobs",
-    )
+    )),
+    "--head": ("head", dict(
+        type=int, default=0, help="with --swf: only the first N jobs"
+    )),
+}
 
 
-def _scenario_pipeline(args: argparse.Namespace):
-    """(workload, failures, config, policy) for serve/load flags."""
+def _add_scenario_flags(
+    parser: argparse.ArgumentParser, flags: str | None = None, **defaults
+) -> None:
+    """Attach the scenario flags named in ``flags`` (all nine when
+    ``None``), with this subcommand's ``defaults`` over the table's."""
+    for flag, (_, keywords) in _SCENARIO_FLAGS.items():
+        if flags is None or flag[2:] in flags.split():
+            parser.add_argument(flag, **keywords)
+    parser.set_defaults(**defaults)
+
+
+def _setup_from_args(args: argparse.Namespace, **overrides):
+    """The :class:`~repro.api.SimulationSetup` the scenario flags say.
+
+    Both sides of a served replay, and every batch subcommand, must
+    build the identical scenario — same workload, same failure log, same
+    policy seeding — so this is the one place flags become a setup.  A
+    flag the subcommand does not take (or left at ``None``) keeps the
+    setup's own default; ``overrides`` win.
+    """
     from repro.api import SimulationSetup
-    from repro.core.config import SimulationConfig
-    from repro.core.policies.registry import make_policy
-    from repro.failures.synthetic import failure_horizon_s, generate_failures
-    from repro.workloads.scaling import fit_to_machine
-    from repro.workloads.swf import read_swf
 
-    config = SimulationConfig()
-    if args.swf:
-        workload = read_swf(args.swf)
-        if args.head:
-            workload = workload.head(args.head)
-        workload = fit_to_machine(workload, config.dims)
-        horizon = failure_horizon_s(workload.span)
-        failures = generate_failures(
-            config.dims, args.failures, horizon, seed=args.seed + 1
-        )
-    else:
-        setup = SimulationSetup(
-            site=args.site,
-            n_jobs=args.jobs,
-            load_scale=args.load,
-            n_failures=args.failures,
-            policy=args.policy,
-            parameter=args.parameter,
-            seed=args.seed,
-            config=config,
-        )
-        workload = setup.build_workload()
-        failures = setup.build_failures(workload)
-    policy = make_policy(
-        args.policy,
-        failure_log=failures,
-        parameter=args.parameter,
-        seed=args.seed + 2,
-    )
-    return workload, failures, config, policy
+    given = {
+        field: getattr(args, flag[2:])
+        for flag, (field, _) in _SCENARIO_FLAGS.items()
+        if getattr(args, flag[2:], None) is not None
+    }
+    return SimulationSetup(**{**given, **overrides})
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="bgl-sim",
-        description=(
-            "Fault-aware BlueGene/L job-scheduling simulator "
-            "(reproduction of Oliner et al., IPPS 2004)"
-        ),
-    )
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+@contextmanager
+def _trace_recorder(path: str | None):
+    """A recorder streaming every decision to ``path`` as the run goes
+    (a buffered run holds every record as a dict until the end), the
+    file closed on the way out; ``None`` without a path."""
+    if not path:
+        yield None
+        return
+    from repro.obs.trace import TraceRecorder
+
+    with open(path, "w", encoding="utf-8") as sink:
+        yield TraceRecorder(sink=sink)
+
+
+def _flags_run(parser: argparse.ArgumentParser, scenario: str | None = None) -> None:
+    _add_scenario_flags(parser, scenario)
     parser.add_argument(
-        "-v",
-        "--verbose",
-        action="count",
-        default=0,
-        help="log progress to stderr (-v info, -vv debug)",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    run = sub.add_parser("run", help="run one simulation point")
-    run.add_argument("--site", default="sdsc", help="workload model (nasa/sdsc/llnl)")
-    run.add_argument("--jobs", type=int, default=500, help="number of jobs")
-    run.add_argument("--failures", type=int, default=50, help="failure events")
-    run.add_argument(
-        "--policy", default="balancing", help="krevat / balancing / tiebreak"
-    )
-    run.add_argument(
-        "--parameter",
-        type=float,
-        default=0.1,
-        help="prediction confidence (balancing) or accuracy (tiebreak)",
-    )
-    run.add_argument("--load", type=float, default=1.0, help="load scale c")
-    run.add_argument("--seed", type=int, default=0)
-    run.add_argument(
         "--detail",
         action="store_true",
         help="print slowdown/wait distributions and per-size breakdown",
     )
-    run.add_argument(
+    parser.add_argument(
         "--trace",
         metavar="PATH",
         default=None,
         help="record every scheduler decision to an NDJSON trace file",
     )
-    run.add_argument(
+    parser.add_argument(
         "--metrics",
         action="store_true",
         help="collect and print internal counters/timings for the run",
     )
 
-    sweep = sub.add_parser(
-        "sweep",
-        help="run a sweep grid with optional checkpoint/resume and retry",
+
+def _flags_swf(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "swf", metavar="path", help="SWF file (Parallel Workloads Archive format)"
     )
-    sweep.add_argument("--site", default="sdsc", help="workload model (nasa/sdsc/llnl)")
-    sweep.add_argument(
-        "--policy", default="balancing", help="krevat / balancing / tiebreak"
+    _flags_run(parser, "head failures policy parameter load seed")
+
+
+def _add_queue_flags(parser: argparse.ArgumentParser, required: bool = False) -> None:
+    """The directory-queue options ``sweep`` and ``sweep-worker`` share."""
+    parser.add_argument(
+        "--queue-dir", required=required, default=None, metavar="DIR",
+        help=(
+            "shared work-queue directory: `sweep` drives its cells through "
+            "it and `sweep-worker` processes on any host sharing it pull "
+            "them (checkpoints live there too; results are "
+            "bitwise-identical to a local run)"
+        ),
     )
-    sweep.add_argument(
+    parser.add_argument(
+        "--lease-s", type=float, default=None, metavar="SECONDS",
+        help=(
+            "with --queue-dir: a claimed cell not completed within this "
+            "window counts as a failed attempt and is retried"
+        ),
+    )
+
+
+def _flags_sweep(parser: argparse.ArgumentParser) -> None:
+    _add_scenario_flags(parser, "site policy jobs load", jobs=200)
+    parser.add_argument(
         "--parameters",
         type=float,
         nargs="+",
@@ -234,7 +245,7 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="A",
         help="prediction parameter values to sweep",
     )
-    sweep.add_argument(
+    parser.add_argument(
         "--failures",
         type=int,
         nargs="+",
@@ -242,39 +253,11 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="failure counts to sweep (crossed with --parameters)",
     )
-    sweep.add_argument("--jobs", type=int, default=200, help="jobs per cell")
-    sweep.add_argument("--load", type=float, default=1.0, help="load scale c")
-    sweep.add_argument(
+    parser.add_argument(
         "--seeds", type=_positive_int, default=2, help="number of seeds per point"
     )
-    sweep.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=None,
-        help="parallel sweep workers (default 1; results identical either way)",
-    )
-    sweep.add_argument(
-        "--queue-dir",
-        default=None,
-        metavar="DIR",
-        help=(
-            "drive the sweep through this shared work-queue directory, so "
-            "sweep-worker processes on any host sharing it can pull cells "
-            "(checkpoints live there too; results are bitwise-identical "
-            "to a local run)"
-        ),
-    )
-    sweep.add_argument(
-        "--lease-s",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help=(
-            "with --queue-dir: a claimed cell not completed within this "
-            "window counts as a failed attempt and is retried"
-        ),
-    )
-    sweep.add_argument(
+    _add_queue_flags(parser)
+    parser.add_argument(
         "--no-spawn-workers",
         action="store_true",
         help=(
@@ -282,91 +265,51 @@ def _build_parser() -> argparse.ArgumentParser:
             "(workers run elsewhere against the shared directory)"
         ),
     )
-    _add_resilience_flags(sweep)
+    _add_execution_flags(parser)
 
-    worker = sub.add_parser(
-        "sweep-worker",
-        help=(
-            "pull-and-run sweep cells from a shared work-queue directory "
-            "(start any number of these, on any hosts sharing the "
-            "directory; drive with `bgl-sim sweep --queue-dir`)"
-        ),
-    )
-    worker.add_argument(
-        "--queue-dir", required=True, metavar="DIR",
-        help="shared work-queue directory",
-    )
-    worker.add_argument(
-        "--lease-s", type=float, default=None, metavar="SECONDS",
-        help="how long a claim of this worker stands before it counts as lost",
-    )
-    worker.add_argument(
+
+def _flags_sweep_worker(parser: argparse.ArgumentParser) -> None:
+    _add_queue_flags(parser, required=True)
+    parser.add_argument(
         "--idle-exit-s", type=float, default=None, metavar="SECONDS",
         help="exit after this long without claimable work (default: wait)",
     )
 
-    fig = sub.add_parser("figure", help="regenerate one paper figure")
-    fig.add_argument("name", help="fig3 .. fig10")
-    fig.add_argument("--jobs", type=int, default=None)
-    fig.add_argument("--seeds", type=int, default=None, help="number of seeds")
-    fig.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=None,
-        help=(
-            "parallel sweep workers (default: REPRO_FIG_WORKERS, else "
-            "all cores but one); results are identical to --workers 1"
-        ),
+
+def _flags_figure(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("name", help="fig3 .. fig10")
+    _add_scenario_flags(parser, "jobs", jobs=None)
+    parser.add_argument("--seeds", type=int, default=None, help="number of seeds")
+    parser.add_argument("--chart", action="store_true", help="render an ASCII chart")
+    _add_execution_flags(parser)
+
+
+def _flags_compare(parser: argparse.ArgumentParser) -> None:
+    _add_scenario_flags(
+        parser, "site jobs failures parameter load", jobs=300, failures=30
     )
-    fig.add_argument("--chart", action="store_true", help="render an ASCII chart")
-    _add_resilience_flags(fig)
+    parser.add_argument("--baseline", default="krevat")
+    parser.add_argument("--candidate", default="balancing")
+    parser.add_argument("--seeds", type=int, default=3)
 
-    sub.add_parser("figures", help="list regenerable figures")
-    sub.add_parser("sites", help="list bundled workload site models")
 
-    cmp = sub.add_parser(
-        "compare", help="paired comparison of two policies on one scenario"
+def _flags_characterize(parser: argparse.ArgumentParser) -> None:
+    _add_scenario_flags(
+        parser, "site swf jobs failures seed", site=None, jobs=1000, failures=200
     )
-    cmp.add_argument("--site", default="sdsc")
-    cmp.add_argument("--jobs", type=int, default=300)
-    cmp.add_argument("--failures", type=int, default=30)
-    cmp.add_argument("--baseline", default="krevat")
-    cmp.add_argument("--candidate", default="balancing")
-    cmp.add_argument("--parameter", type=float, default=0.1,
-                     help="prediction parameter for the candidate policy")
-    cmp.add_argument("--seeds", type=int, default=3)
-    cmp.add_argument("--load", type=float, default=1.0)
 
-    char = sub.add_parser(
-        "characterize", help="profile a workload model or SWF trace"
-    )
-    char.add_argument("--site", default=None, help="bundled site model to profile")
-    char.add_argument("--swf", default=None, help="SWF file to profile")
-    char.add_argument("--jobs", type=int, default=1000)
-    char.add_argument("--failures", type=int, default=200)
-    char.add_argument("--seed", type=int, default=0)
 
-    swf = sub.add_parser("swf", help="simulate a real SWF trace file")
-    swf.add_argument("path", help="SWF file (Parallel Workloads Archive format)")
-    swf.add_argument("--head", type=int, default=0, help="only the first N jobs")
-    swf.add_argument("--failures", type=int, default=50)
-    swf.add_argument("--policy", default="balancing")
-    swf.add_argument("--parameter", type=float, default=0.1)
-    swf.add_argument("--seed", type=int, default=0)
-
-    serve = sub.add_parser(
-        "serve", help="serve the scheduler over newline-delimited JSON"
-    )
-    _add_scenario_flags(serve)
-    serve.add_argument("--host", default="127.0.0.1", help="bind address")
-    serve.add_argument(
+def _flags_serve(parser: argparse.ArgumentParser) -> None:
+    _add_scenario_flags(parser)
+    parser.add_argument("--host", default="127.0.0.1", help="bind address")
+    parser.add_argument(
         "--port", type=int, default=0, help="TCP port (0 = ephemeral)"
     )
-    serve.add_argument(
+    parser.add_argument(
         "--unix", default=None, metavar="PATH",
         help="serve on a unix socket instead of TCP",
     )
-    serve.add_argument(
+    parser.add_argument(
         "--clock",
         choices=("trace", "logical"),
         default="trace",
@@ -376,83 +319,81 @@ def _build_parser() -> argparse.ArgumentParser:
             "monotonic arrival ticks (fair-share weights shape the schedule)"
         ),
     )
-    serve.add_argument(
+    parser.add_argument(
         "--tenant-weight", action="append", default=None, metavar="NAME=W",
         help="fair-share weight for a tenant (repeatable; default 1)",
     )
-    serve.add_argument(
+    parser.add_argument(
         "--tenant-cap", type=_positive_int, default=256,
         help="per-tenant admission-queue depth before rejects",
     )
-    serve.add_argument(
+    parser.add_argument(
         "--engine-cap", type=_positive_int, default=512,
         help="released-but-uncompleted jobs the engine holds",
     )
-    serve.add_argument(
+    parser.add_argument(
         "--pump-interval", type=_positive_int, default=32,
         help="submissions between event-loop pump passes",
     )
-    serve.add_argument(
+    parser.add_argument(
         "--ready-file", default=None, metavar="PATH",
         help="write the bound address here once listening",
     )
-    serve.add_argument(
+    parser.add_argument(
         "--metrics-file", default=None, metavar="PATH",
         help="write the final metrics snapshot here on shutdown",
     )
-    serve.add_argument(
+    parser.add_argument(
         "--trace", default=None, metavar="PATH",
         help="stream every scheduler decision to an NDJSON file",
     )
 
-    load = sub.add_parser(
-        "load", help="replay a workload against a service and measure it"
-    )
-    _add_scenario_flags(load)
-    load.add_argument(
+
+def _flags_load(parser: argparse.ArgumentParser) -> None:
+    _add_scenario_flags(parser)
+    parser.add_argument(
         "--address", required=True, metavar="HOST:PORT|PATH",
         help="service address (TCP host:port or unix-socket path)",
     )
-    load.add_argument(
+    parser.add_argument(
         "--acceleration", type=float, default=None, metavar="X",
         help="replay at trace time divided by X (default: full speed)",
     )
-    load.add_argument(
+    parser.add_argument(
         "--rate", type=float, default=None, metavar="PER_S",
         help="open-loop submissions per second (overrides trace spacing)",
     )
-    load.add_argument(
+    parser.add_argument(
         "--pipeline", type=_positive_int, default=32,
         help="requests in flight per transport round trip",
     )
-    load.add_argument(
+    parser.add_argument(
         "--tenant", action="append", default=None, metavar="NAME",
         help="tenant names to round-robin submissions over (repeatable)",
     )
-    load.add_argument(
+    parser.add_argument(
         "--no-drain", action="store_true",
         help="skip the final drain (leave the service running hot)",
     )
-    load.add_argument(
+    parser.add_argument(
         "--check", action="store_true",
         help=(
             "run the same scenario through the batch simulator locally "
             "and require the drained report to match byte-for-byte"
         ),
     )
-    load.add_argument(
+    parser.add_argument(
         "--shutdown", action="store_true",
         help="send a shutdown request after the run",
     )
-    load.add_argument(
+    parser.add_argument(
         "--output", default=None, metavar="PATH",
         help="write the load report as JSON",
     )
 
-    trace = sub.add_parser(
-        "trace", help="inspect NDJSON decision traces (from `run --trace`)"
-    )
-    trace_sub = trace.add_subparsers(dest="trace_command", required=True)
+
+def _flags_trace(parser: argparse.ArgumentParser) -> None:
+    trace_sub = parser.add_subparsers(dest="trace_command", required=True)
     summ = trace_sub.add_parser("summarize", help="per-kind record counts and span")
     summ.add_argument("path", help="trace file")
     diff = trace_sub.add_parser(
@@ -464,56 +405,22 @@ def _build_parser() -> argparse.ArgumentParser:
         "validate", help="check schema, seq density and time monotonicity"
     )
     val.add_argument("path", help="trace file")
-    return parser
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    if args.trace or args.metrics:
-        from repro.api import SimulationSetup
-        from repro.core.config import SimulationConfig
+    from repro.core.config import SimulationConfig
 
-        setup = SimulationSetup(
-            site=args.site,
-            n_jobs=args.jobs,
-            n_failures=args.failures,
-            policy=args.policy,
-            parameter=args.parameter,
-            load_scale=args.load,
-            seed=args.seed,
-            config=SimulationConfig(
-                trace=bool(args.trace), profile=args.metrics
-            ),
-        )
-        from contextlib import nullcontext
-
-        from repro.obs.trace import TraceRecorder
-
-        # Stream the trace as the run goes (a buffered run holds every
-        # record as a dict until the end).
-        with (
-            open(args.trace, "w", encoding="utf-8") if args.trace else nullcontext()
-        ) as sink:
-            simulator = setup.build_simulator(
-                recorder=TraceRecorder(sink=sink) if sink is not None else None
-            )
-            report = simulator.run()
-        if args.trace:
-            print(f"trace: {len(simulator.recorder)} records -> {args.trace}")
-        if args.metrics and simulator.metrics is not None:
-            for line in simulator.metrics.summary_lines():
-                print(f"  {line}")
-    else:
-        from repro.api import quick_simulate
-
-        report = quick_simulate(
-            site=args.site,
-            n_jobs=args.jobs,
-            n_failures=args.failures,
-            policy=args.policy,
-            confidence=args.parameter,
-            load_scale=args.load,
-            seed=args.seed,
-        )
+    setup = _setup_from_args(
+        args, config=SimulationConfig(trace=bool(args.trace), profile=args.metrics)
+    )
+    with _trace_recorder(args.trace) as recorder:
+        simulator = setup.build_simulator(recorder=recorder)
+        report = simulator.run()
+    if args.trace:
+        print(f"trace: {len(simulator.recorder)} records -> {args.trace}")
+    if args.metrics and simulator.metrics is not None:
+        for line in simulator.metrics.summary_lines():
+            print(f"  {line}")
     print(report.summary_line())
     t, c = report.timing, report.capacity
     print(
@@ -572,13 +479,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     outcome = run_sweep_outcome(
         points,
         seeds=tuple(range(args.seeds)),
-        workers=args.workers,
-        checkpoint_dir=args.checkpoint_dir,
-        retry=_retry_policy(args),
-        resume=args.resume,
         queue_dir=args.queue_dir,
         lease_s=args.lease_s,
         spawn_workers=not args.no_spawn_workers,
+        **_execution_options(args),
     )
     header = (
         f"{'failures':>8} {'param':>6} {'slowdown':>9} {'response':>9} "
@@ -626,18 +530,13 @@ def _cmd_sweep_worker(args: argparse.Namespace) -> int:
 
 def _cmd_figure(args: argparse.Namespace) -> int:
     from repro.experiments import format_figure, run_figure
-
     from repro.experiments.validate import validate_figure
 
-    seeds = tuple(range(args.seeds)) if args.seeds else None
     result = run_figure(
         args.name,
         n_jobs=args.jobs,
-        seeds=seeds,
-        workers=args.workers,
-        checkpoint_dir=args.checkpoint_dir,
-        retry=_retry_policy(args),
-        resume=args.resume,
+        seeds=tuple(range(args.seeds)) if args.seeds else None,
+        **_execution_options(args),
     )
     print(format_figure(result))
     print()
@@ -655,18 +554,13 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     from repro.analysis.compare import compare_reports, mean_paired_comparison
-    from repro.api import SimulationSetup
 
     comparisons = []
     for seed in range(args.seeds):
-        common = dict(
-            site=args.site, n_jobs=args.jobs, n_failures=args.failures,
-            load_scale=args.load, seed=seed,
-        )
-        base = SimulationSetup(policy=args.baseline, parameter=0.0, **common).run()
-        cand = SimulationSetup(
-            policy=args.candidate, parameter=args.parameter, **common
+        base = _setup_from_args(
+            args, policy=args.baseline, parameter=0.0, seed=seed
         ).run()
+        cand = _setup_from_args(args, policy=args.candidate, seed=seed).run()
         pair = compare_reports(base, cand)
         comparisons.append(pair)
         print(f"seed {seed}: {pair.summary()}")
@@ -677,43 +571,29 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 def _cmd_characterize(args: argparse.Namespace) -> int:
     from repro.analysis import characterize_failures, characterize_workload
-    from repro.core.config import SimulationConfig
-    from repro.failures.synthetic import failure_horizon_s, generate_failures
-    from repro.workloads.scaling import fit_to_machine
-    from repro.workloads.swf import read_swf
-    from repro.workloads.synthetic import generate_workload
-    from repro.workloads.models import site_model
 
-    config = SimulationConfig()
-    if args.swf:
-        workload = read_swf(args.swf)
-    else:
-        workload = generate_workload(
-            site_model(args.site or "sdsc"), args.jobs, seed=args.seed
-        )
-    workload = fit_to_machine(workload, config.dims)
-    profile = characterize_workload(workload)
-    print("Workload profile:")
-    for field_name in profile.__dataclass_fields__:
-        print(f"  {field_name:<24} {getattr(profile, field_name)}")
-    horizon = failure_horizon_s(workload.span)
-    failures = generate_failures(config.dims, args.failures, horizon, seed=args.seed + 1)
-    fprofile = characterize_failures(failures)
-    print("\nMatched synthetic failure-trace profile:")
-    for field_name in fprofile.__dataclass_fields__:
-        print(f"  {field_name:<24} {getattr(fprofile, field_name)}")
+    workload, failures, _ = _setup_from_args(args).build_inputs()
+    for title, profile in (
+        ("Workload profile:", characterize_workload(workload)),
+        (
+            "\nMatched synthetic failure-trace profile:",
+            characterize_failures(failures),
+        ),
+    ):
+        print(title)
+        for field_name in profile.__dataclass_fields__:
+            print(f"  {field_name:<24} {getattr(profile, field_name)}")
     return 0
 
 
-def _cmd_figures() -> int:
+def _cmd_figures(args: argparse.Namespace) -> int:
     from repro.experiments import figure_registry
 
-    for name in figure_registry():
-        print(name)
+    print("\n".join(figure_registry()))
     return 0
 
 
-def _cmd_sites() -> int:
+def _cmd_sites(args: argparse.Namespace) -> int:
     from repro.workloads import available_sites, site_model
 
     for name in available_sites():
@@ -726,34 +606,10 @@ def _cmd_sites() -> int:
     return 0
 
 
-def _cmd_swf(args: argparse.Namespace) -> int:
-    from repro.core.config import SimulationConfig
-    from repro.core.policies.registry import make_policy
-    from repro.core.simulator import simulate
-    from repro.failures.synthetic import failure_horizon_s, generate_failures
-    from repro.workloads.scaling import fit_to_machine
-    from repro.workloads.swf import read_swf
-
-    config = SimulationConfig()
-    workload = read_swf(args.path)
-    if args.head:
-        workload = workload.head(args.head)
-    workload = fit_to_machine(workload, config.dims)
-    horizon = failure_horizon_s(workload.span)
-    failures = generate_failures(config.dims, args.failures, horizon, seed=args.seed)
-    policy = make_policy(
-        args.policy, failure_log=failures, parameter=args.parameter, seed=args.seed
-    )
-    report = simulate(workload, failures, policy, config)
-    print(report.summary_line())
-    return 0
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve.engine import ServeEngine
     from repro.serve.service import run_service
 
-    workload, failures, config, policy = _scenario_pipeline(args)
     weights = {}
     for entry in args.tenant_weight or ():
         name, sep, weight_text = entry.partition("=")
@@ -765,22 +621,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             raise SystemExit(
                 f"--tenant-weight {entry!r}: weight must be a number"
             ) from None
-    sink = open(args.trace, "w", encoding="utf-8") if args.trace else None
-    try:
-        from repro.obs.trace import TraceRecorder
-
-        engine = ServeEngine(
-            workload.name,
-            workload.machine_nodes,
-            failures,
-            policy,
-            config,
+    with _trace_recorder(args.trace) as recorder:
+        engine = ServeEngine.from_setup(
+            _setup_from_args(args),
             clock=args.clock,
             weights=weights or None,
             tenant_cap=args.tenant_cap,
             engine_cap=args.engine_cap,
             pump_interval=args.pump_interval,
-            recorder=TraceRecorder(sink=sink) if sink is not None else None,
+            recorder=recorder,
         )
         run_service(
             engine,
@@ -790,9 +639,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             ready_file=args.ready_file,
             metrics_file=args.metrics_file,
         )
-    finally:
-        if sink is not None:
-            sink.close()
     stats = engine.handle({"op": "stats"})
     print(
         f"served {stats['submitted']} submissions: "
@@ -810,12 +656,13 @@ def _cmd_load(args: argparse.Namespace) -> int:
 
     if args.check and args.no_drain:
         raise SystemExit("--check needs the drained report; drop --no-drain")
-    workload, failures, config, policy = _scenario_pipeline(args)
+    setup = _setup_from_args(args)
+    inputs = setup.build_inputs()
     client = SocketClient.connect(args.address)
     try:
         result = run_load(
             client,
-            workload,
+            inputs[0],
             acceleration=args.acceleration,
             rate=args.rate,
             tenants=tuple(args.tenant) if args.tenant else ("default",),
@@ -832,7 +679,7 @@ def _cmd_load(args: argparse.Namespace) -> int:
             from repro.metrics.serialize import report_to_dict
             from repro.core.simulator import simulate
 
-            expected = report_to_dict(simulate(workload, failures, policy, config))
+            expected = report_to_dict(simulate(*inputs, setup.config))
             if result.final_report == expected:
                 print("check: service report matches batch simulator")
             else:
@@ -873,52 +720,90 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             return 1
         print(f"{args.path}: OK")
         return 0
-    if args.trace_command == "diff":
-        trace_a = read_trace(args.path_a)
-        trace_b = read_trace(args.path_b)
-        header_delta = headers_differ(trace_a, trace_b)
-        if header_delta:
-            print(f"headers differ in: {', '.join(header_delta)}")
-        divergence = diff_traces(trace_a, trace_b)
-        if divergence is None:
-            print(
-                f"identical decision streams "
-                f"({sum(1 for r in trace_a if r.get('kind') != 'header')} records)"
-            )
-            return 1 if header_delta else 0
-        print(divergence.describe())
-        return 1
-    raise AssertionError(
-        f"unhandled trace command {args.trace_command!r}"
-    )  # pragma: no cover
+    trace_a = read_trace(args.path_a)  # diff: the one command left
+    trace_b = read_trace(args.path_b)
+    header_delta = headers_differ(trace_a, trace_b)
+    if header_delta:
+        print(f"headers differ in: {', '.join(header_delta)}")
+    divergence = diff_traces(trace_a, trace_b)
+    if divergence is None:
+        print(
+            f"identical decision streams "
+            f"({sum(1 for r in trace_a if r.get('kind') != 'header')} records)"
+        )
+        return 1 if header_delta else 0
+    print(divergence.describe())
+    return 1
 
 
-def _dispatch(args: argparse.Namespace) -> int:
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "sweep":
-        return _cmd_sweep(args)
-    if args.command == "sweep-worker":
-        return _cmd_sweep_worker(args)
-    if args.command == "figure":
-        return _cmd_figure(args)
-    if args.command == "figures":
-        return _cmd_figures()
-    if args.command == "sites":
-        return _cmd_sites()
-    if args.command == "compare":
-        return _cmd_compare(args)
-    if args.command == "characterize":
-        return _cmd_characterize(args)
-    if args.command == "swf":
-        return _cmd_swf(args)
-    if args.command == "serve":
-        return _cmd_serve(args)
-    if args.command == "load":
-        return _cmd_load(args)
-    if args.command == "trace":
-        return _cmd_trace(args)
-    raise AssertionError(f"unhandled command {args.command!r}")  # pragma: no cover
+#: The command table: ``(name, help, add_flags, handler)``.  A row is
+#: all there is to a subcommand — ``add_flags(subparser)`` declares what
+#: it takes (``None``: nothing) and ``handler(args)`` returns its exit
+#: code.  ``swf PATH`` is ``run --swf PATH`` with the path filled in.
+_COMMANDS = (
+    ("run", "run one simulation point", _flags_run, _cmd_run),
+    ("swf", "simulate a real SWF trace file (= run --swf PATH)", _flags_swf, _cmd_run),
+    (
+        "sweep", "run a sweep grid with optional checkpoint/resume and retry",
+        _flags_sweep, _cmd_sweep,
+    ),
+    (
+        "sweep-worker",
+        "pull-and-run sweep cells from a shared work-queue directory "
+        "(start any number of these, on any hosts sharing the "
+        "directory; drive with `bgl-sim sweep --queue-dir`)",
+        _flags_sweep_worker, _cmd_sweep_worker,
+    ),
+    ("figure", "regenerate one paper figure", _flags_figure, _cmd_figure),
+    ("figures", "list regenerable figures", None, _cmd_figures),
+    ("sites", "list bundled workload site models", None, _cmd_sites),
+    (
+        "compare", "paired comparison of two policies on one scenario",
+        _flags_compare, _cmd_compare,
+    ),
+    (
+        "characterize", "profile a workload model or SWF trace",
+        _flags_characterize, _cmd_characterize,
+    ),
+    (
+        "serve", "serve the scheduler over newline-delimited JSON",
+        _flags_serve, _cmd_serve,
+    ),
+    (
+        "load", "replay a workload against a service and measure it",
+        _flags_load, _cmd_load,
+    ),
+    (
+        "trace", "inspect NDJSON decision traces (from `run --trace`)",
+        _flags_trace, _cmd_trace,
+    ),
+)
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="bgl-sim",
+        description=(
+            "Fault-aware BlueGene/L job-scheduling simulator "
+            "(reproduction of Oliner et al., IPPS 2004)"
+        ),
+    )
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    parser.add_argument(
+        "-v",
+        "--verbose",
+        action="count",
+        default=0,
+        help="log progress to stderr (-v info, -vv debug)",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    for name, help_text, add_flags, handler in _COMMANDS:
+        command = sub.add_parser(name, help=help_text)
+        if add_flags is not None:
+            add_flags(command)
+        command.set_defaults(handler=handler)
+    return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -929,7 +814,12 @@ def main(argv: Sequence[str] | None = None) -> int:
 
         configure_logging(args.verbose)
     try:
-        return _dispatch(args)
+        return args.handler(args)
+    except (ReproError, OSError) as exc:
+        # Bad input — an unknown policy, a missing or malformed file, a
+        # port in use — is an answer too: one line, usage-error code.
+        print(f"bgl-sim: error: {exc}", file=sys.stderr)
+        return 2
     except KeyboardInterrupt:
         # Ctrl-C is an answer, not a crash: shut the warm pool down (it
         # holds worker processes), say so once on stderr, and exit with

@@ -30,40 +30,10 @@ from __future__ import annotations
 import math
 from typing import Iterable
 
-import numpy as np
-
-from repro.allocation.mfp import IndexCache, PlacementIndex
+from repro.allocation.mfp import IndexCache
 from repro.core.jobstate import JobState
-from repro.geometry.torus import FREE, Torus
+from repro.geometry.torus import Torus
 from repro.obs import metrics as obs_metrics
-
-
-def shadow_time_naive(
-    torus: Torus,
-    running: Iterable[JobState],
-    head_size: int,
-    now: float,
-) -> float:
-    """Reference shadow-time: full grid copy + fresh index per release.
-
-    Kept as the independently-simple oracle the engine is cross-validated
-    (and benchmarked) against; production code uses
-    :class:`ShadowTimeEngine` / :func:`shadow_time`.
-    """
-    scratch = Torus(torus.dims)
-    scratch.grid[...] = torus.grid
-    if PlacementIndex(scratch).has_candidate(head_size):
-        return now
-    ordered = sorted(
-        (js for js in running if js.running),
-        key=lambda js: (js.est_finish, js.job_id),
-    )
-    for js in ordered:
-        partition = torus.allocation_of(js.job_id)
-        scratch.grid[np.ix_(*partition.axis_ranges(torus.dims))] = FREE
-        if PlacementIndex(scratch).has_candidate(head_size):
-            return max(now, js.est_finish)
-    return math.inf
 
 
 class ShadowTimeEngine:

@@ -72,22 +72,3 @@ class BalancingPolicy(SchedulingPolicy):
                 l_mfp=losses, p_f=probs, l_pf=l_pf, e_loss=e_loss,
             )
         return chosen
-
-    def choose_partition_scalar(
-        self, index: PlacementIndex, state: JobState, now: float
-    ) -> Partition | None:
-        """Per-candidate scalar walk — the cross-validation oracle."""
-        scored, _ = self.min_loss_candidates(index, state.size)
-        if not scored:
-            return None
-        window_end = now + max(state.remaining_estimate, 1.0)
-        best: Partition | None = None
-        best_key: tuple[float, float] | None = None
-        for partition, mfp_loss in scored:
-            p_f = self.predictor.partition_failure_probability(
-                partition, index.dims, now, window_end
-            )
-            key = (mfp_loss + p_f * state.size, p_f)
-            if best_key is None or key < best_key:
-                best, best_key = partition, key
-        return best

@@ -67,24 +67,6 @@ class SchedulingPolicy(abc.ABC):
             registry.histogram("policy.candidate_set_size").observe(len(batch))
         return batch, losses
 
-    @staticmethod
-    def min_loss_candidates(
-        index: PlacementIndex, size: int
-    ) -> tuple[list[tuple[Partition, int]], int]:
-        """All candidates paired with their ``L_MFP``, plus the minimum.
-
-        Scalar counterpart of :meth:`batch_scored`, retained as the
-        cross-validation oracle behind every policy's
-        ``choose_partition_scalar``.
-        """
-        scored = index.scored_candidates(size)
-        registry = obs_metrics.ACTIVE
-        if registry is not None:
-            registry.histogram("policy.candidate_set_size").observe(len(scored))
-        if not scored:
-            return [], 0
-        return scored, min(loss for _, loss in scored)
-
     # ------------------------------------------------------------------
     def trace_decision(
         self,

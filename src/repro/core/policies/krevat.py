@@ -8,8 +8,9 @@ base order) so runs are reproducible.
 
 The production path scores the whole candidate set with the batch MFP
 kernel and picks the winner with one first-occurrence ``argmin`` — the
-same partition the retained scalar walk (``choose_partition_scalar``)
-selects, which the batch-vs-scalar property suite enforces.
+same partition the scalar walk
+(``repro.testing.choose_partition_scalar``) selects, which the
+batch-vs-scalar property suite enforces.
 """
 
 from __future__ import annotations
@@ -41,15 +42,3 @@ class KrevatPolicy(SchedulingPolicy):
         if self.recorder.enabled:
             self.trace_decision(state, now, batch, chosen, l_mfp=losses)
         return chosen
-
-    def choose_partition_scalar(
-        self, index: PlacementIndex, state: JobState, now: float
-    ) -> Partition | None:
-        """Per-candidate scalar walk — the cross-validation oracle."""
-        scored, min_loss = self.min_loss_candidates(index, state.size)
-        if not scored:
-            return None
-        for partition, loss in scored:
-            if loss == min_loss:
-                return partition
-        return None  # pragma: no cover - min_loss comes from scored

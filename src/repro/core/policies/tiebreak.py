@@ -14,7 +14,7 @@ baseline.
 The production path batches: tied candidates are gathered per shape and
 put to the predictor in one vectorised query each, then the winner is
 the first unpredicted tied candidate (first tied overall as fallback) —
-the same choice as the retained scalar walk.  The batch path may query
+the same choice as the scalar reference walk.  The batch path may query
 the predictor for tied candidates the scalar walk's early exit skips;
 that is observationally free, because per-node responses are drawn once
 per window, not per query.
@@ -82,23 +82,3 @@ class TieBreakPolicy(SchedulingPolicy):
                 predicted_failure=predicted[: examined.size],
             )
         return chosen
-
-    def choose_partition_scalar(
-        self, index: PlacementIndex, state: JobState, now: float
-    ) -> Partition | None:
-        """Per-candidate scalar walk — the cross-validation oracle."""
-        scored, min_loss = self.min_loss_candidates(index, state.size)
-        if not scored:
-            return None
-        window_end = now + max(state.remaining_estimate, 1.0)
-        fallback: Partition | None = None
-        for partition, loss in scored:
-            if loss != min_loss:
-                continue
-            if fallback is None:
-                fallback = partition
-            if not self.predictor.predicts_failure(
-                partition, index.dims, now, window_end
-            ):
-                return partition
-        return fallback

@@ -237,11 +237,9 @@ class Simulator:
         """Submitted, not cancelled, not yet completed."""
         return self._target - self._completed
 
-    # ------------------------------------------------------------------
-    # main loop
-    # ------------------------------------------------------------------
-    def run(self) -> SimulationReport:
-        """Run to completion and return the report."""
+    def write_trace_header(self, **extra) -> None:
+        """Open the decision trace (a no-op when tracing is off): what a
+        batch run and a served session both state, plus ``extra``."""
         if self.recorder.enabled:
             dims = self.config.dims
             self.recorder.header(
@@ -249,11 +247,19 @@ class Simulator:
                 workload=self.workload.name,
                 dims=[dims.x, dims.y, dims.z],
                 seed=self.config.seed,
-                n_jobs=len(self.workload),
-                n_failures=len(self.failure_log),
                 backfill=self.config.backfill.value,
                 migration=self.config.migration,
+                **extra,
             )
+
+    # ------------------------------------------------------------------
+    # main loop
+    # ------------------------------------------------------------------
+    def run(self) -> SimulationReport:
+        """Run to completion and return the report."""
+        self.write_trace_header(
+            n_jobs=len(self.workload), n_failures=len(self.failure_log)
+        )
         if self.metrics is None:
             return self._run()
         logger.debug(

@@ -283,11 +283,11 @@ def simulate_cell(
 ) -> SimulationReport:
     """Run one ``(point, seed)`` simulation cell.
 
-    The single code path behind :func:`run_point`, the sweep executor
-    (in-process and in pool workers) and the queue workers — the
-    per-cell inputs (workload draw, master failure log) come from the
-    module-level caches above, which act as worker-side memoisation
-    under ``multiprocessing`` fan-out.
+    The single code path behind the sweep executor (in-process and in
+    pool workers) and the queue workers — the per-cell inputs (workload
+    draw, master failure log) come from the module-level caches above,
+    which act as worker-side memoisation under ``multiprocessing``
+    fan-out.
     """
     return Simulator(*cell_inputs(point, seed, model, with_obs=False)).run()
 
@@ -315,32 +315,18 @@ def run_point(
     seeds: Iterable[int] = (0, 1, 2),
     failure_model: BurstFailureModel | None = None,
     collector: SweepObsCollector | None = None,
-    point_index: int = 0,
 ) -> SweepResult:
-    """Run one sweep cell across ``seeds`` and average.
+    """Run one sweep cell across ``seeds`` and average: a one-point
+    :func:`run_sweep`.
 
     Results are memoised on ``(point, seeds, model)`` — different paper
     figures share many cells (e.g. Figs. 4 and 5 plot different metrics
     of the same sweep), so a full benchmark session reuses them.  An
     observability ``collector`` bypasses the memo on read (a cached
-    result has no metrics or trace to contribute) and feeds every cell's
-    payload keyed by ``(point_index, seed index)``.
+    result has no metrics or trace to contribute), receives every cell's
+    payload keyed by ``(0, seed index)`` and is finalized on return.
     """
-    model = failure_model or BurstFailureModel()
-    seeds = tuple(seeds)
-    reports = {}
-    if collector is None:
-        cached = _result_cache.get(result_cache_key(point, seeds, model))
-        if cached is not None:
-            return cached
-        for seed_index, seed in enumerate(seeds):
-            reports[(0, seed_index)] = simulate_cell(point, seed, model)
-    else:
-        for seed_index, seed in enumerate(seeds):
-            reports[(0, seed_index)], obs = simulate_cell_obs(point, seed, model)
-            collector.add_cell(point_index, seed_index, obs)
-    (result,) = merge_reports([point], [0], seeds, model, reports)
-    return result
+    return run_sweep([point], seeds, failure_model, collector=collector)[0]
 
 
 def run_sweep(

@@ -38,7 +38,7 @@ from repro.failures.events import FailureLog
 from repro.geometry.shapes import shapes_for_size
 from repro.metrics.serialize import report_to_dict
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import NULL_RECORDER, NullRecorder, TraceRecorder
+from repro.obs.trace import NullRecorder, TraceRecorder
 from repro.serve.admission import FairShareAdmission
 from repro.serve.protocol import PROTOCOL_VERSION, error_response, validate_request
 from repro.core.arrivals import OnlineArrivalStream
@@ -93,38 +93,18 @@ class ServeEngine:
         self._since_pump = 0
         self._drained: dict[str, Any] | None = None
         self._submitted = 0
-        if self.sim.recorder.enabled:
-            dims = self.sim.config.dims
-            self.sim.recorder.header(
-                policy=policy.name,
-                workload=workload_name,
-                dims=[dims.x, dims.y, dims.z],
-                seed=self.sim.config.seed,
-                serve_clock=clock,
-                backfill=self.sim.config.backfill.value,
-                migration=self.sim.config.migration,
-            )
+        self.sim.write_trace_header(serve_clock=clock)
 
     @classmethod
     def from_setup(cls, setup: Any, **kwargs: Any) -> "ServeEngine":
         """Build from an :class:`~repro.api.SimulationSetup`.
 
-        The full workload is synthesized and *discarded* — only its name
-        and the failure log derived from its span are kept — so a client
+        The full workload is built and *discarded* — only its name and
+        the failure log derived from its span are kept — so a client
         replaying that same workload reproduces the batch run exactly
         (same failures, same policy seeding).
         """
-        from repro.core.policies.registry import make_policy
-
-        workload = setup.build_workload()
-        failures = setup.build_failures(workload)
-        policy = make_policy(
-            setup.policy,
-            failure_log=failures,
-            parameter=setup.parameter,
-            pf_rule=setup.pf_rule,
-            seed=setup.seed + 2,
-        )
+        workload, failures, policy = setup.build_inputs()
         return cls(
             workload.name,
             workload.machine_nodes,

@@ -20,7 +20,9 @@ engine and has no option to pick another; a test that wants the
 independent answer constructs it: :class:`RebuildIndexCache` (a fresh
 plain ``PlacementIndex`` per machine state) for index-level comparisons,
 :func:`oracle_simulator` for a whole run on it — same arguments as
-``Simulator``, reports and traces byte-identical by contract.
+``Simulator``, reports and traces byte-identical by contract;
+:func:`choose_partition_scalar` and :func:`shadow_time_naive` for one
+placement decision and one backfill reservation.
 
 :func:`random_torus` / :func:`corrupt_random_node` supply random and
 deliberately broken machine states for property and negative tests.
@@ -42,7 +44,12 @@ from repro.testing.random_state import (
     random_partition,
     random_torus,
 )
-from repro.testing.reference import RebuildIndexCache, oracle_simulator
+from repro.testing.reference import (
+    RebuildIndexCache,
+    choose_partition_scalar,
+    oracle_simulator,
+    shadow_time_naive,
+)
 
 __all__ = [
     "CapacityOracle",
@@ -55,9 +62,11 @@ __all__ = [
     "RebuildIndexCache",
     "SimulationOracleHarness",
     "assert_raises_oracle",
+    "choose_partition_scalar",
     "corrupt_random_node",
     "default_finders",
     "oracle_simulator",
     "random_partition",
     "random_torus",
+    "shadow_time_naive",
 ]

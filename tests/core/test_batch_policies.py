@@ -1,8 +1,8 @@
 """Batch policy paths must pick exactly what the scalar oracles pick.
 
 Each policy's production ``choose_partition`` is a vectorised argmin
-over the batch-scored candidate set; ``choose_partition_scalar`` is the
-retained per-candidate walk.  Identical choices — including tie order —
+over the batch-scored candidate set;
+``repro.testing.choose_partition_scalar`` is the per-candidate walk.  Identical choices — including tie order —
 are what make the whole batch refactor observationally invisible, so
 this suite asserts them per decision over random machine states and
 end-to-end over whole simulations (bitwise-identical reports).
@@ -28,7 +28,7 @@ from repro.prediction import (
     PartitionFailureRule,
     TieBreakPredictor,
 )
-from repro.testing import random_torus
+from repro.testing import choose_partition_scalar, random_torus
 from repro.workloads.job import Job, Workload
 
 D = TorusDims(4, 4, 5)
@@ -88,7 +88,7 @@ class TestPerDecision:
             index = PlacementIndex(torus)
             assert policy.choose_partition(
                 index, state, now
-            ) == policy.choose_partition_scalar(index, state, now), policy.name
+            ) == choose_partition_scalar(policy, index, state, now), policy.name
 
 
     @settings(max_examples=60, deadline=None)
@@ -169,18 +169,18 @@ class TestPerDecision:
 
 
 # Scalar-oracle policy variants: same class, production entry point
-# swapped for the retained scalar walk.  Used to run whole simulations
+# swapped for the reference scalar walk.  Used to run whole simulations
 # down the scalar path.
 class ScalarKrevat(KrevatPolicy):
-    choose_partition = KrevatPolicy.choose_partition_scalar
+    choose_partition = choose_partition_scalar
 
 
 class ScalarBalancing(BalancingPolicy):
-    choose_partition = BalancingPolicy.choose_partition_scalar
+    choose_partition = choose_partition_scalar
 
 
 class ScalarTieBreak(TieBreakPolicy):
-    choose_partition = TieBreakPolicy.choose_partition_scalar
+    choose_partition = choose_partition_scalar
 
 
 SCALAR_VARIANTS = {

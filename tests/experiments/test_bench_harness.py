@@ -46,9 +46,7 @@ def test_smoke_scale_produces_trajectory_file(bench_core, tmp_path):
     assert len(records) >= 6
     names = [r["bench"] for r in records]
     assert len(names) == len(set(names))
-    # The before/after shadow-time pair must both be present.
     assert "shadow_time_engine" in names
-    assert "shadow_time_naive" in names
     # Scoring as production runs it, and index upkeep patch vs rebuild.
     assert "scored_candidates_batch" in names
     assert "index_incremental_update" in names

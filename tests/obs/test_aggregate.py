@@ -122,7 +122,11 @@ class TestSerialParallelParity:
             ).read_bytes()
 
     def test_run_point_feeds_collector(self):
+        """``run_point`` is a one-point ``run_sweep``: the collector gets
+        both cells and is finalized on return, and the result is the
+        sweep's."""
+        point = make_points(1)[0]
         collector = SweepObsCollector()
-        run_point(make_points(1)[0], seeds=(0, 1), collector=collector, point_index=3)
-        collector.finalize()
+        result = run_point(point, seeds=(0, 1), collector=collector)
         assert collector.n_cells == 2
+        assert [result] == run_sweep([point], seeds=(0, 1))

@@ -17,20 +17,30 @@ class TestKeyboardInterrupt:
     """Satellite: Ctrl-C exits with code 130 and one stderr line, no
     traceback (the sweep/figure pools are shut down on the way out)."""
 
-    def test_sigint_exit_code_and_message(self, monkeypatch, capsys):
+    @staticmethod
+    def interrupt(monkeypatch, command):
+        """Make ``command``'s table row raise ``KeyboardInterrupt``."""
+
         def boom(args):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(cli, "_dispatch", boom)
+        monkeypatch.setattr(
+            cli, "_COMMANDS",
+            tuple(
+                (name, help_text, add_flags, boom if name == command else handler)
+                for name, help_text, add_flags, handler in cli._COMMANDS
+            ),
+        )
+
+    def test_sigint_exit_code_and_message(self, monkeypatch, capsys):
+        self.interrupt(monkeypatch, "sites")
         assert main(["sites"]) == 130
         captured = capsys.readouterr()
         assert captured.err.strip() == "interrupted"
         assert "Traceback" not in captured.err
 
     def test_sigint_survives_pool_cleanup_failure(self, monkeypatch, capsys):
-        monkeypatch.setattr(
-            cli, "_dispatch", lambda args: (_ for _ in ()).throw(KeyboardInterrupt)
-        )
+        self.interrupt(monkeypatch, "sweep")
 
         import repro.experiments.pool as pool
 
@@ -42,14 +52,11 @@ class TestKeyboardInterrupt:
 
 
 class TestServeLoadCli:
-    def serve_in_thread(self, tmp_path, extra=()):
+    SCENARIO = ("--site", "sdsc", "--jobs", "40", "--seed", "9")
+
+    def serve_in_thread(self, tmp_path, extra=(), scenario=SCENARIO):
         ready = tmp_path / "ready"
-        argv = [
-            "serve",
-            "--site", "sdsc", "--jobs", "40", "--seed", "9",
-            "--ready-file", str(ready),
-            *extra,
-        ]
+        argv = ["serve", *scenario, "--ready-file", str(ready), *extra]
         thread = threading.Thread(target=main, args=(argv,), daemon=True)
         thread.start()
         import time
@@ -89,6 +96,49 @@ class TestServeLoadCli:
         assert report["submitted"] == 40 and report["dropped"] == 0
         metrics = json.loads(metrics_file.read_text())
         assert metrics["counters"]["serve.submitted"] == 40
+
+    def test_swf_scenario_round_trip_with_load_scale(self, tmp_path, capsys):
+        """The one builder's other source through the real CLI and
+        socket: ``--swf`` checks out, and ``--load`` scales the trace —
+        the drained report is the batch run of the log scaled by hand
+        (both subcommands used to drop ``--load`` beside ``--swf``)."""
+        from repro.core.simulator import simulate
+        from repro.metrics.serialize import report_to_dict
+        from repro.workloads.models import site_model
+        from repro.workloads.scaling import fit_to_machine, scale_load
+        from repro.workloads.swf import read_swf, write_swf
+        from repro.workloads.synthetic import generate_workload
+
+        path = tmp_path / "trace.swf"
+        write_swf(generate_workload(site_model("sdsc"), 60, seed=3), path)
+        scenario = ("--swf", str(path), "--seed", "7", "--load", "1.2")
+        address, thread = self.serve_in_thread(tmp_path, scenario=scenario)
+        output = tmp_path / "report.json"
+        code = main(
+            ["load", *scenario, "--address", address, "--check", "--shutdown",
+             "--output", str(output)]
+        )
+        captured = capsys.readouterr()
+        assert code == 0, captured.out + captured.err
+        assert "check: service report matches batch simulator" in captured.out
+        thread.join(timeout=15.0)
+        assert not thread.is_alive()
+
+        setup = SimulationSetup(
+            swf=str(path), load_scale=1.2, n_failures=50, parameter=0.1, seed=7
+        )
+        _, failures, policy = setup.build_inputs()
+        dims = setup.config.dims
+        scaled, plain = (
+            report_to_dict(
+                simulate(
+                    fit_to_machine(scale_load(read_swf(path), c), dims),
+                    failures, policy, setup.config,
+                )
+            )
+            for c in (1.2, 1.0)
+        )
+        assert json.loads(output.read_text())["final_report"] == scaled != plain
 
     def test_check_requires_drain(self, capsys):
         with pytest.raises(SystemExit):

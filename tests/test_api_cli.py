@@ -2,15 +2,25 @@
 
 from __future__ import annotations
 
+import argparse
+from pathlib import Path
+
 import pytest
 
 import repro
-from repro.api import SimulationSetup, quick_simulate, run_simulation
+import repro.cli as cli
+from repro.api import SimulationSetup, connect, quick_simulate, run_simulation, serve
 from repro.cli import main
 from repro.core.config import SimulationConfig
+from repro.core.simulator import simulate
 from repro.errors import SimulationError
+from repro.metrics.serialize import report_to_dict
+from repro.serve.load import run_load
 from repro.workloads.job import Job, Workload
-from repro.workloads.swf import write_swf
+from repro.workloads.models import site_model
+from repro.workloads.scaling import fit_to_machine, scale_load
+from repro.workloads.swf import read_swf, write_swf
+from repro.workloads.synthetic import generate_workload
 
 
 class TestPackageSurface:
@@ -166,12 +176,31 @@ class TestCliObservability:
 
         monkeypatch.setattr("builtins.open", tracking_open)
         path = tmp_path / "t.ndjson"
-        with pytest.raises(SimulationError):
-            main(["run", "--site", "nasa", "--jobs", "15", "--policy", "nope",
-                  "--trace", str(path)])
+        assert main(["run", "--site", "nasa", "--jobs", "15", "--policy", "nope",
+                     "--trace", str(path)]) == 2
         monkeypatch.undo()
         sinks = [h for h in opened if h.name == str(path)]
         assert sinks and all(h.closed for h in sinks)
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["run", "--policy", "nope"], "unknown policy 'nope'"),
+            (["swf", "missing.swf"], "missing.swf"),
+            (["run", "--jobs", "-1"], "n_jobs must be non-negative"),
+            (["trace", "validate", "missing.ndjson"], "missing.ndjson"),
+        ],
+        ids=["unknown-policy", "missing-swf", "negative-jobs", "missing-trace"],
+    )
+    def test_bad_input_is_one_stderr_line_and_exit_code_2(
+        self, argv, message, capsys
+    ):
+        """``ReproError`` / ``OSError`` are answers, not tracebacks."""
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert line.startswith("bgl-sim: error: ") and message in line
+        assert captured.out == ""
 
     def test_run_metrics_prints_counters(self, capsys):
         assert main(
@@ -325,3 +354,351 @@ class TestSweepQueueCli:
         ]
         with pytest.raises(SystemExit, match="must be positive"):
             main(["sweep-worker", "--queue-dir", "q", "--lease-s", "0"])
+
+
+def flag_surface(parser, prefix=()):
+    """``(subcommand, flag, default, type)`` of every argument a parser
+    tree takes: a long option by its first ``--`` spelling, a positional
+    by the name its usage line shows."""
+    rows = []
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                rows += flag_surface(sub, prefix + (name,))
+        elif not isinstance(action, (argparse._HelpAction, argparse._VersionAction)):
+            longs = [o for o in action.option_strings if o.startswith("--")]
+            rows.append((
+                " ".join(prefix),
+                longs[0] if longs else action.metavar or action.dest,
+                action.default,
+                action.type.__name__ if action.type else None,
+            ))
+    return rows
+
+
+#: The flag surface of the parent of the entry-surface fold (ISSUE 21),
+#: recorded by ``flag_surface(_build_parser())`` there *before* the nine
+#: scenario flags and twelve subcommands became tables.  Hand-kept on
+#: purpose: a row that disappears or changes is a user-visible break, so
+#: this list is never regenerated from the code it checks.
+PARENT_SURFACE = [
+    ("", "--verbose", 0, None),
+    ("run", "--site", "sdsc", None),
+    ("run", "--jobs", 500, "int"),
+    ("run", "--failures", 50, "int"),
+    ("run", "--policy", "balancing", None),
+    ("run", "--parameter", 0.1, "float"),
+    ("run", "--load", 1.0, "float"),
+    ("run", "--seed", 0, "int"),
+    ("run", "--detail", False, None),
+    ("run", "--trace", None, None),
+    ("run", "--metrics", False, None),
+    ("sweep", "--site", "sdsc", None),
+    ("sweep", "--policy", "balancing", None),
+    ("sweep", "--parameters", [0.0, 0.1, 0.3], "float"),
+    ("sweep", "--failures", [50], "int"),
+    ("sweep", "--jobs", 200, "int"),
+    ("sweep", "--load", 1.0, "float"),
+    ("sweep", "--seeds", 2, "_positive_int"),
+    ("sweep", "--workers", None, "_positive_int"),
+    ("sweep", "--queue-dir", None, None),
+    ("sweep", "--lease-s", None, "float"),
+    ("sweep", "--no-spawn-workers", False, None),
+    ("sweep", "--checkpoint-dir", None, None),
+    ("sweep", "--resume", True, None),
+    ("sweep", "--max-retries", None, "_positive_int"),
+    ("sweep", "--cell-timeout", None, "float"),
+    ("sweep-worker", "--queue-dir", None, None),
+    ("sweep-worker", "--lease-s", None, "float"),
+    ("sweep-worker", "--idle-exit-s", None, "float"),
+    ("figure", "name", None, None),
+    ("figure", "--jobs", None, "int"),
+    ("figure", "--seeds", None, "int"),
+    ("figure", "--workers", None, "_positive_int"),
+    ("figure", "--chart", False, None),
+    ("figure", "--checkpoint-dir", None, None),
+    ("figure", "--resume", True, None),
+    ("figure", "--max-retries", None, "_positive_int"),
+    ("figure", "--cell-timeout", None, "float"),
+    ("compare", "--site", "sdsc", None),
+    ("compare", "--jobs", 300, "int"),
+    ("compare", "--failures", 30, "int"),
+    ("compare", "--baseline", "krevat", None),
+    ("compare", "--candidate", "balancing", None),
+    ("compare", "--parameter", 0.1, "float"),
+    ("compare", "--seeds", 3, "int"),
+    ("compare", "--load", 1.0, "float"),
+    ("characterize", "--site", None, None),
+    ("characterize", "--swf", None, None),
+    ("characterize", "--jobs", 1000, "int"),
+    ("characterize", "--failures", 200, "int"),
+    ("characterize", "--seed", 0, "int"),
+    ("swf", "path", None, None),
+    ("swf", "--head", 0, "int"),
+    ("swf", "--failures", 50, "int"),
+    ("swf", "--policy", "balancing", None),
+    ("swf", "--parameter", 0.1, "float"),
+    ("swf", "--seed", 0, "int"),
+    ("serve", "--site", "sdsc", None),
+    ("serve", "--jobs", 500, "int"),
+    ("serve", "--failures", 50, "int"),
+    ("serve", "--policy", "balancing", None),
+    ("serve", "--parameter", 0.1, "float"),
+    ("serve", "--load", 1.0, "float"),
+    ("serve", "--seed", 0, "int"),
+    ("serve", "--swf", None, None),
+    ("serve", "--head", 0, "int"),
+    ("serve", "--host", "127.0.0.1", None),
+    ("serve", "--port", 0, "int"),
+    ("serve", "--unix", None, None),
+    ("serve", "--clock", "trace", None),
+    ("serve", "--tenant-weight", None, None),
+    ("serve", "--tenant-cap", 256, "_positive_int"),
+    ("serve", "--engine-cap", 512, "_positive_int"),
+    ("serve", "--pump-interval", 32, "_positive_int"),
+    ("serve", "--ready-file", None, None),
+    ("serve", "--metrics-file", None, None),
+    ("serve", "--trace", None, None),
+    ("load", "--site", "sdsc", None),
+    ("load", "--jobs", 500, "int"),
+    ("load", "--failures", 50, "int"),
+    ("load", "--policy", "balancing", None),
+    ("load", "--parameter", 0.1, "float"),
+    ("load", "--load", 1.0, "float"),
+    ("load", "--seed", 0, "int"),
+    ("load", "--swf", None, None),
+    ("load", "--head", 0, "int"),
+    ("load", "--address", None, None),
+    ("load", "--acceleration", None, "float"),
+    ("load", "--rate", None, "float"),
+    ("load", "--pipeline", 32, "_positive_int"),
+    ("load", "--tenant", None, None),
+    ("load", "--no-drain", False, None),
+    ("load", "--check", False, None),
+    ("load", "--shutdown", False, None),
+    ("load", "--output", None, None),
+    ("trace summarize", "path", None, None),
+    ("trace diff", "path_a", None, None),
+    ("trace diff", "path_b", None, None),
+    ("trace validate", "path", None, None),
+]
+
+#: What the fold added, each row on purpose: ``run`` takes the trace
+#: source ``serve``/``load`` already had, and ``swf PATH`` — now ``run
+#: --swf PATH`` — takes what ``run`` takes.
+ADDED_SURFACE = [
+    ("run", "--swf", None, None),
+    ("run", "--head", 0, "int"),
+    ("swf", "--load", 1.0, "float"),
+    ("swf", "--detail", False, None),
+    ("swf", "--trace", None, None),
+    ("swf", "--metrics", False, None),
+]
+
+#: The least each subcommand needs on its command line to parse.
+REQUIRED_ARGV = {
+    "swf": ["t.swf"],
+    "sweep-worker": ["--queue-dir", "q"],
+    "figure": ["fig3"],
+    "load": ["--address", "127.0.0.1:1"],
+    "trace": ["summarize", "t.ndjson"],
+    "trace summarize": ["t.ndjson"],
+    "trace diff": ["a.ndjson", "b.ndjson"],
+    "trace validate": ["t.ndjson"],
+}
+
+
+class TestFlagSurface:
+    """The surface cannot shrink silently."""
+
+    def test_surface_is_the_parents_plus_the_listed_additions(self):
+        surface = flag_surface(cli._build_parser())
+        assert len(surface) == len(set(map(repr, surface)))
+        assert sorted(map(repr, surface)) == sorted(
+            map(repr, PARENT_SURFACE + ADDED_SURFACE)
+        )
+
+    @pytest.mark.parametrize(
+        "command",
+        sorted({row[0] for row in PARENT_SURFACE if row[0]}),
+    )
+    def test_every_parent_default_still_parses_to_the_same_value(self, command):
+        """Not just declared: the namespace a bare invocation yields
+        carries the parent's value under the flag's own name."""
+        required = REQUIRED_ARGV.get(command, [])
+        args = cli._build_parser().parse_args([*command.split(), *required])
+        for row_command, flag, default, _ in PARENT_SURFACE:
+            if row_command == command and flag.startswith("--"):
+                if flag not in required:
+                    dest = flag[2:].replace("-", "_")
+                    assert getattr(args, dest) == default, flag
+
+    @pytest.mark.parametrize(
+        "argv, dest, value",
+        [
+            (["run", "--jobs", "7"], "jobs", 7),
+            (["run", "--parameter", "0.25"], "parameter", 0.25),
+            (["sweep", "--failures", "5", "9"], "failures", [5, 9]),
+            (["figure", "fig3", "--jobs", "40"], "jobs", 40),
+            (["compare", "--load", "1.2"], "load", 1.2),
+            (["characterize", "--swf", "x.swf"], "swf", "x.swf"),
+            (["swf", "x.swf", "--head", "3"], "head", 3),
+            (["swf", "x.swf"], "swf", "x.swf"),
+            (["serve", "--seed", "4"], "seed", 4),
+            (["load", "--address", "a:1", "--site", "nasa"], "site", "nasa"),
+        ],
+    )
+    def test_scenario_flags_convert_as_before(self, argv, dest, value):
+        assert getattr(cli._build_parser().parse_args(argv), dest) == value
+
+    def test_each_scenario_flag_is_declared_once(self):
+        """One declaration: the literal of each of the nine scenario
+        flags occurs once in ``cli.py`` (``sweep``'s list-valued
+        ``--failures`` axis is the one allowed second spelling)."""
+        source = Path(cli.__file__).read_text(encoding="utf-8")
+        for flag in cli._SCENARIO_FLAGS:
+            allowed = 2 if flag == "--failures" else 1
+            assert source.count(f'"{flag}"') == allowed, flag
+
+
+class TestCommandTable:
+    """Every subcommand is a row of ``cli._COMMANDS``; there is no
+    dispatch chain (and so no "unhandled command") to fall out of."""
+
+    def test_the_table_is_the_parsers_whole_command_set(self):
+        (subparsers,) = [
+            a for a in cli._build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)
+        ]
+        names = [row[0] for row in cli._COMMANDS]
+        assert list(subparsers.choices) == names
+        assert len(names) == len(set(names)) == 12
+
+    @pytest.mark.parametrize("row", cli._COMMANDS, ids=lambda row: row[0])
+    def test_handler_is_reached_through_the_table(self, row, monkeypatch):
+        name, help_text, add_flags, _ = row
+        seen = []
+
+        def handler(args):
+            seen.append(args.command)
+            return 7
+
+        monkeypatch.setattr(
+            cli, "_COMMANDS", ((name, help_text, add_flags, handler),)
+        )
+        assert main([name, *REQUIRED_ARGV.get(name, ())]) == 7
+        assert seen == [name]
+
+    @pytest.mark.parametrize("row", cli._COMMANDS, ids=lambda row: row[0])
+    def test_command_is_documented(self, row):
+        """The module docstring and the README list every row."""
+        readme = (Path(__file__).parents[1] / "README.md").read_text(
+            encoding="utf-8"
+        )
+        assert f"bgl-sim {row[0]} " in " ".join(cli.__doc__.split())
+        assert f"bgl-sim {row[0]}" in readme
+
+
+@pytest.fixture
+def swf_trace(tmp_path):
+    """A 120-job SDSC-model trace on disk."""
+    path = tmp_path / "trace.swf"
+    write_swf(generate_workload(site_model("sdsc"), 120, seed=3), path)
+    return str(path)
+
+
+class TestSwfScenario:
+    """One builder: an SWF source is the same scenario from every entry
+    point, under the one seeding convention (``s / s+1 / s+2``)."""
+
+    FLAGS = ["--failures", "60", "--seed", "0"]
+
+    def cli_output(self, argv, capsys):
+        assert main(argv) == 0
+        return capsys.readouterr().out
+
+    def test_batch_equals_pumped_equals_served(self, swf_trace, capsys):
+        """``run --swf`` == ``swf PATH`` == ``SimulationSetup(swf=).run()``
+        == the drained report of an engine served from the same setup
+        (``bgl-sim swf`` used to seed failures and policy with ``s, s``
+        and reported a different schedule than ``serve --swf``)."""
+        setup = SimulationSetup(
+            swf=swf_trace, n_failures=60, policy="balancing", parameter=0.1, seed=0
+        )
+        report = setup.run()
+        via_run = self.cli_output(["run", "--swf", swf_trace, *self.FLAGS], capsys)
+        via_swf = self.cli_output(["swf", swf_trace, *self.FLAGS], capsys)
+        assert via_run == via_swf
+        assert via_run.splitlines()[0] == report.summary_line()
+        assert report.counters.job_kills > 0  # the seeding matters here
+
+        client = connect(serve(setup))
+        served = run_load(client, setup.build_workload(), pipeline_depth=8)
+        assert served.dropped == 0 and served.errors == 0
+        batch = setup.build_simulator().run()
+        assert batch.timing == report.timing and batch.counters == report.counters
+        assert served.final_report == report_to_dict(batch)
+
+    def test_the_seeding_convention_spelled_out_by_hand(self, swf_trace):
+        """Workload ``s`` (nothing to draw for a trace), failures
+        ``s + 1``, policy ``s + 2`` — for the SWF source as for the
+        synthetic one, checked against inputs built without the setup."""
+        from repro.core.policies.registry import make_policy
+        from repro.failures.synthetic import failure_horizon_s, generate_failures
+
+        for source in (dict(swf=swf_trace), dict(site="sdsc", n_jobs=80)):
+            setup = SimulationSetup(
+                n_failures=40, policy="tiebreak", parameter=0.6, seed=5, **source
+            )
+            workload = setup.build_workload()
+            failures = generate_failures(
+                setup.config.dims, 40, failure_horizon_s(workload.span), seed=6
+            )
+            built = setup.build_failures(workload)
+            assert built.times.tolist() == failures.times.tolist()
+            assert built.nodes.tolist() == failures.nodes.tolist()
+            policy = make_policy(
+                "tiebreak", failure_log=failures, parameter=0.6, seed=7
+            )
+            by_hand = simulate(workload, failures, policy, setup.config)
+            assert setup.build_simulator().run() == by_hand
+
+    def test_head_limits_the_trace(self, swf_trace):
+        setup = SimulationSetup(swf=swf_trace, head=30, n_failures=0)
+        assert len(setup.build_workload()) == 30
+        assert setup.run().timing.n_jobs == 30
+
+    def test_load_scales_the_trace_as_the_paper_does(self, swf_trace, capsys):
+        """``--load c`` with ``--swf`` is ``scale_load`` on the real log
+        (it used to be dropped); ``--load 1.0`` is omitting it."""
+        config = SimulationConfig()
+        by_hand = fit_to_machine(scale_load(read_swf(swf_trace), 1.2), config.dims)
+        setup = SimulationSetup(swf=swf_trace, load_scale=1.2, n_failures=60, seed=0)
+        assert setup.build_workload() == by_hand
+        assert by_hand != SimulationSetup(swf=swf_trace).build_workload()
+
+        scaled = self.cli_output(
+            ["run", "--swf", swf_trace, *self.FLAGS, "--load", "1.2"], capsys
+        )
+        workload, failures, policy = SimulationSetup(
+            swf=swf_trace, load_scale=1.2, n_failures=60, parameter=0.1, seed=0
+        ).build_inputs()
+        assert workload == by_hand
+        expected = simulate(by_hand, failures, policy, config)
+        assert scaled.splitlines()[0] == expected.summary_line()
+
+        plain = self.cli_output(["run", "--swf", swf_trace, *self.FLAGS], capsys)
+        unit = self.cli_output(
+            ["swf", swf_trace, *self.FLAGS, "--load", "1.0"], capsys
+        )
+        assert unit == plain != scaled
+
+    def test_swf_takes_what_run_takes(self, swf_trace, tmp_path, capsys):
+        trace = tmp_path / "t.ndjson"
+        out = self.cli_output(
+            ["swf", swf_trace, "--head", "40", "--failures", "5", "--detail",
+             "--metrics", "--trace", str(trace)],
+            capsys,
+        )
+        assert "Distributions:" in out and "sim.dispatches" in out
+        assert main(["trace", "validate", str(trace)]) == 0
