@@ -254,13 +254,14 @@ def bench_migration_plan(scale: Scale):
             torus.allocate(torus.n_jobs, part)
     running = running_states(torus)
     head = JobState(Job(10_000, 0.0, 32, 100.0, 100.0))
-    if plan_compaction(torus, running, head) is None:
+    live = IndexCache(torus)
+    if plan_compaction(live, running, head) is None:
         raise AssertionError("migration_plan fixture must be plannable")
     n = scale.micro_number
 
     def run():
         for _ in range(n):
-            plan_compaction(torus, running, head)
+            plan_compaction(live, running, head)
 
     return run, n
 

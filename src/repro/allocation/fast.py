@@ -24,7 +24,6 @@ from repro.geometry.partition import Partition
 from repro.geometry.shapes import shapes_for_size
 from repro.geometry.torus import FREE, Torus, circular_window_sum
 from repro.allocation.base import PartitionFinder, partitions_from_bases
-from repro.obs import metrics as obs_metrics
 
 
 class FastFinder(PartitionFinder):
@@ -37,19 +36,9 @@ class FastFinder(PartitionFinder):
 
     def find_free(self, torus: Torus, size: int) -> list[Partition]:
         self._check_size(torus, size)
-        registry = obs_metrics.ACTIVE
-        if registry is None:
-            if self.vectorized:
-                return self._find_vectorized(torus, size)
-            return self._find_scan(torus, size)
-        with registry.timer("finder.fast.find_free"):
-            found = (
-                self._find_vectorized(torus, size)
-                if self.vectorized
-                else self._find_scan(torus, size)
-            )
-        registry.histogram("finder.fast.results").observe(len(found))
-        return found
+        if self.vectorized:
+            return self._find_vectorized(torus, size)
+        return self._find_scan(torus, size)
 
     # ------------------------------------------------------------------
     def _find_vectorized(self, torus: Torus, size: int) -> list[Partition]:

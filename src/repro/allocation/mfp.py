@@ -51,7 +51,7 @@ from repro.geometry.torus import (
     window_sums_from_integral,
     wrap_pad_integral,
 )
-from repro.obs import metrics as obs_metrics
+from repro.obs.metrics import MetricsRegistry
 
 
 def intersect_window(
@@ -190,9 +190,6 @@ class PlacementIndex:
         self._scored_cache: dict[int, list[tuple[Partition, int]]] = {}
         self._batch_cache: dict[int, CandidateBatch] = {}
         self._batch_scored_cache: dict[int, tuple[CandidateBatch, np.ndarray]] = {}
-        registry = obs_metrics.ACTIVE
-        if registry is not None:
-            registry.counter("index.builds").inc()
 
     # ------------------------------------------------------------------
     def _placements(self, shape: Coord) -> np.ndarray:
@@ -459,24 +456,27 @@ class IndexCache:
     *replayed* onto it (O(box) patching).  A missing or unreplayable
     journal (whole-grid mutation, entries aged out, version from the
     future, more than ``_MAX_PATCH_ENTRIES`` entries) falls back to a
-    fresh build.  Observability counters ``index.incremental.hit`` /
-    ``repair`` / ``fallback`` record which path each lookup took.
+    fresh build.  On the ``metrics`` registry the cache was handed (none:
+    nothing is counted) ``index.incremental.hit`` / ``repair`` /
+    ``fallback`` record which path each lookup took and ``index.builds``
+    every build.
 
     :class:`repro.testing.RebuildIndexCache` is the reference twin the
     tests substitute: a from-scratch :class:`PlacementIndex` per state.
     """
 
-    __slots__ = ("torus", "_index")
+    __slots__ = ("torus", "metrics", "_index")
 
-    def __init__(self, torus: Torus) -> None:
+    def __init__(self, torus: Torus, metrics: MetricsRegistry | None = None) -> None:
         self.torus = torus
+        self.metrics = metrics
         self._index: PlacementIndex | None = None
 
     def get(self) -> PlacementIndex:
         """The index for the torus's current state."""
         index = self._index
         torus = self.torus
-        registry = obs_metrics.ACTIVE
+        registry = self.metrics
         if index is not None:
             if index.torus_version == torus.version:
                 if registry is not None:
@@ -493,6 +493,8 @@ class IndexCache:
         from repro.allocation.incremental import IncrementalPlacementIndex
 
         index = self._index = IncrementalPlacementIndex(torus)
+        if registry is not None:
+            registry.counter("index.builds").inc()
         return index
 
 

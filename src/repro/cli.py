@@ -510,10 +510,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         )
         print(f"quarantined cells: {cells}")
         if args.checkpoint_dir or args.queue_dir:
-            from repro.resilience import CellStore
+            from repro.resilience.store import quarantine_path
 
             root = args.checkpoint_dir or args.queue_dir
-            print(f"details: {CellStore(root).quarantine_path}")
+            print(f"details: {quarantine_path(root)}")
     return 0 if outcome.complete else 1
 
 

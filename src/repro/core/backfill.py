@@ -33,7 +33,7 @@ from typing import Iterable
 from repro.allocation.mfp import IndexCache
 from repro.core.jobstate import JobState
 from repro.geometry.torus import Torus
-from repro.obs import metrics as obs_metrics
+from repro.obs.metrics import MetricsRegistry
 
 
 class ShadowTimeEngine:
@@ -54,10 +54,16 @@ class ShadowTimeEngine:
     ``est_finish`` and bumps ``torus.version`` before the next query.
     """
 
-    __slots__ = ("torus", "_fit_times", "_cache_version", "_index_cache")
+    __slots__ = ("torus", "metrics", "_fit_times", "_cache_version", "_index_cache")
 
-    def __init__(self, torus: Torus, index_cache: IndexCache | None = None) -> None:
+    def __init__(
+        self,
+        torus: Torus,
+        index_cache: IndexCache | None = None,
+        metrics: MetricsRegistry | None = None,
+    ) -> None:
         self.torus = torus
+        self.metrics = metrics
         self._fit_times: dict[int, float] = {}
         self._cache_version = -1
         # The simulator passes its own cache, so the replay reads the
@@ -73,7 +79,7 @@ class ShadowTimeEngine:
             self._fit_times.clear()
             self._cache_version = version
         t_fit = self._fit_times.get(head_size)
-        registry = obs_metrics.ACTIVE
+        registry = self.metrics
         if registry is not None:
             registry.counter("shadow.queries").inc()
             if t_fit is not None:

@@ -49,15 +49,19 @@ class CompactionPlan:
 
 
 def plan_compaction(
-    torus: Torus, running: list[JobState], head: JobState
+    index_cache: IndexCache, running: list[JobState], head: JobState
 ) -> CompactionPlan | None:
     """Try to re-place all running jobs plus ``head`` on an empty machine.
 
-    Jobs are placed largest-first (ties: earlier arrival first) with the
-    MFP heuristic.  Returns None when no full placement is found — the
-    greedy planner is not exhaustive, so rare feasible packings may be
-    missed; the engine simply leaves the head waiting then.
+    ``index_cache`` is the scheduler's cache over the live machine; the
+    plan scores on a scratch twin of it (empty torus, same metrics
+    registry).  Jobs are placed largest-first (ties: earlier arrival
+    first) with the MFP heuristic.  Returns None when no full placement
+    is found — the greedy planner is not exhaustive, so rare feasible
+    packings may be missed; the engine simply leaves the head waiting
+    then.
     """
+    torus = index_cache.torus
     todo = sorted(
         [js for js in running if js.running] + [head],
         key=lambda js: (-js.size, js.job.arrival, js.job_id),
@@ -65,7 +69,7 @@ def plan_compaction(
     scratch = Torus(torus.dims)
     # One incremental index for the whole plan: each placement below is
     # one journal entry, patched onto the index by the next ``get``.
-    cache = IndexCache(scratch)
+    cache = IndexCache(scratch, index_cache.metrics)
     placements: list[tuple[int, Partition]] = []
     for js in todo:
         # First-occurrence argmin: the first candidate at minimal L_MFP.

@@ -15,7 +15,7 @@ import numpy as np
 from repro.allocation.mfp import CandidateBatch, PlacementIndex
 from repro.core.jobstate import JobState
 from repro.geometry.partition import Partition
-from repro.obs import metrics as obs_metrics
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_RECORDER
 
 #: Per-decision cap on candidates detailed in one trace record; the
@@ -39,6 +39,10 @@ class SchedulingPolicy(abc.ABC):
     #: (:meth:`repro.obs.trace.TraceRecorder.emit_no_fit`).
     recorder = NULL_RECORDER
 
+    #: Profile registry; the simulator hands over its own beside the
+    #: recorder.  ``None``: nothing is observed.
+    metrics: MetricsRegistry | None = None
+
     def begin_pass(self, now: float) -> None:
         """Hook invoked once per scheduler pass (reset per-pass caches)."""
 
@@ -51,9 +55,8 @@ class SchedulingPolicy(abc.ABC):
         policies always place when they can)."""
 
     # ------------------------------------------------------------------
-    @staticmethod
     def batch_scored(
-        index: PlacementIndex, size: int
+        self, index: PlacementIndex, size: int
     ) -> tuple[CandidateBatch, np.ndarray]:
         """All candidates of ``size`` with batch-kernel ``L_MFP`` scores.
 
@@ -62,7 +65,7 @@ class SchedulingPolicy(abc.ABC):
         from the same scored batch.
         """
         batch, losses = index.batch_mfp_losses(size)
-        registry = obs_metrics.ACTIVE
+        registry = self.metrics
         if registry is not None:
             registry.histogram("policy.candidate_set_size").observe(len(batch))
         return batch, losses

@@ -32,8 +32,6 @@ from repro.geometry.torus import Torus
 from repro.metrics.capacity import CapacitySummary, CapacityTracker
 from repro.metrics.report import Counters, SimulationReport
 from repro.metrics.timing import JobRecord
-from repro.obs import metrics as obs_metrics
-from repro.obs.log import get_logger
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_RECORDER, NullRecorder, TraceRecorder
 from repro.workloads.job import Job, Workload
@@ -50,8 +48,6 @@ if TYPE_CHECKING:  # deferred: repro.testing imports repro.core.events
 
 #: Tolerance when comparing estimated finishes against the shadow time.
 _SHADOW_EPS = 1e-9
-
-logger = get_logger(__name__)
 
 
 class Simulator:
@@ -97,13 +93,16 @@ class Simulator:
             self.recorder = TraceRecorder()
         else:
             self.recorder = NULL_RECORDER
-        # Policies emit their own candidate-enumeration records.
-        self.policy.recorder = self.recorder
         self.metrics: MetricsRegistry | None = (
             MetricsRegistry()
             if (self.config.profile or self.config.trace or self.recorder.enabled)
             else None
         )
+        # Policies emit their own candidate-enumeration records and count
+        # on the run's registry, as the index cache and the shadow engine
+        # built below do: whoever drives the run, the metrics are the same.
+        self.policy.recorder = self.recorder
+        self.policy.metrics = self.metrics
         self._completed = 0
         self._target = 0
         self._processed = 0
@@ -122,7 +121,9 @@ class Simulator:
         )
         self._running_ids: set[int] = set()
         self._index_cache = self._make_index_cache()
-        self._shadow = ShadowTimeEngine(self.torus, index_cache=self._index_cache)
+        self._shadow = ShadowTimeEngine(
+            self.torus, index_cache=self._index_cache, metrics=self.metrics
+        )
 
         for job in workload.jobs:
             self.submit_job(job)
@@ -136,7 +137,7 @@ class Simulator:
         engine share.  The one seam of the engine:
         :func:`repro.testing.oracle_simulator` overrides it to run the
         same simulator on from-scratch reference rebuilds."""
-        return IndexCache(self.torus)
+        return IndexCache(self.torus, self.metrics)
 
     # ------------------------------------------------------------------
     # arrival intake (shared by the batch ctor and the online drivers)
@@ -261,18 +262,9 @@ class Simulator:
             n_jobs=len(self.workload), n_failures=len(self.failure_log)
         )
         if self.metrics is None:
-            return self._run()
-        logger.debug(
-            "instrumented run: %s on %s (%d jobs, %d failures)",
-            self.policy.name, self.workload.name,
-            len(self.workload), len(self.failure_log),
-        )
-        with obs_metrics.activate(self.metrics):
-            with self.metrics.timer("sim.run"):
-                return self._run()
-
-    def _run(self) -> SimulationReport:
-        return self.drain()
+            return self.drain()
+        with self.metrics.timer("sim.run"):
+            return self.drain()
 
     def _begin(self) -> None:
         """Record the opening capacity sample (idempotent)."""
@@ -457,7 +449,7 @@ class Simulator:
         if self.torus.free_count < head.size:
             return False
         running = [self.states[i] for i in self._running_ids]
-        plan = plan_compaction(self.torus, running, head)
+        plan = plan_compaction(self._index_cache, running, head)
         if plan is None:
             return False
         apply_compaction(self.torus, plan, head.job_id)

@@ -83,7 +83,6 @@ from repro.failures.synthetic import BurstFailureModel
 from repro.metrics.report import SimulationReport
 from repro.obs.aggregate import SweepObsCollector
 from repro.obs.log import get_logger
-from repro.obs.metrics import count_active
 from repro.resilience import (
     CellStore,
     ChaosConfig,
@@ -442,7 +441,6 @@ class SweepExecutor:
                             continue
                         if stats.pool_rebuilds > policy.max_pool_rebuilds:
                             stats.degraded = True
-                            count_active("resilience.pool.degraded")
                             logger.warning(
                                 "worker pool broke %d times (> max_pool_rebuilds="
                                 "%d); degrading the %d cells left to in-process "
@@ -476,7 +474,6 @@ class SweepExecutor:
                             keys, stats,
                         ):
                             stats.retries += 1
-                            count_active("resilience.cell.retries")
                             backlog.appendleft(chunk)
                     else:
                         for (cell_id, _, seed), (report, obs) in zip(chunk, finished):
@@ -484,7 +481,6 @@ class SweepExecutor:
                             if obs is not None:
                                 collector.add_cell(*cell_id, obs)
                             stats.cells_computed += 1
-                            count_active("resilience.cell.computed")
                             if store is not None:
                                 path = store.put(
                                     keys[cell_id], report,
@@ -538,7 +534,6 @@ class SweepExecutor:
         """Charge one attempt to every cell a broken pool lost; returns
         those with attempts left (the rest are quarantined)."""
         stats.pool_rebuilds += 1
-        count_active("resilience.pool.rebuilds")
         crash = ExperimentError(
             "worker process died while this cell was in flight (pool breakage)"
         )
@@ -552,7 +547,6 @@ class SweepExecutor:
                 stats, wait_backoff=False,
             ):
                 stats.resubmits += 1
-                count_active("resilience.cell.resubmits")
                 survivors.append(cell)
         return survivors
 
@@ -586,7 +580,6 @@ class SweepExecutor:
                     key=keys.get(cell_id),
                 )
             )
-            count_active("resilience.cell.quarantined")
             logger.warning(
                 "quarantining poison cell (point %d, seed#%d) after %d "
                 "attempts: %s: %s",

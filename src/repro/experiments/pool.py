@@ -6,9 +6,9 @@ grids that exceeded the parallel win.  This module is the pool backend
 of the sweep dispatch loop (:mod:`repro.experiments.parallel`):
 
 * **Warm pool** — one forked :class:`WarmPool` per process lifetime,
-  reused across ``run_sweep`` calls (``pool.warm.spawn`` vs
-  ``pool.warm.reuse`` counters tell the story).  A broken pool is
-  respawned on next use; an ``atexit`` hook reaps it.
+  reused across ``run_sweep`` calls (its ``spawns`` vs ``reuses``
+  counters tell the story).  A broken pool is respawned on next use;
+  an ``atexit`` hook reaps it.
 * **Worker-side input caches** — nothing but the cells is shipped.  A
   worker builds a cell's workload and master failure log as the calling
   process and the queue workers do, through the module caches of
@@ -42,7 +42,6 @@ from typing import Sequence
 from repro.experiments import sweep as sweep_mod
 from repro.failures.synthetic import BurstFailureModel
 from repro.obs.log import get_logger
-from repro.obs.metrics import count_active
 from repro.resilience import ChaosConfig, cell_timeout, inject_pre_cell
 
 logger = get_logger(__name__)
@@ -108,9 +107,8 @@ class WarmPool:
 
     ``ensure(n)`` returns a live executor with ``n`` workers, spawning
     only when there is none, the size changed, or the previous pool
-    broke.  ``spawns``/``reuses`` counters (also exported through
-    ``pool.warm.*`` metrics) let tests assert the pool genuinely
-    persisted.  ``ensure`` / ``mark_broken`` / ``spawns`` / ``mode`` are
+    broke.  The ``spawns``/``reuses`` counters let tests assert the
+    pool genuinely persisted.  ``ensure`` / ``mark_broken`` / ``spawns`` / ``mode`` are
     all the dispatch loop asks of a backend (the queue's has the same).
     """
 
@@ -131,7 +129,6 @@ class WarmPool:
             and self._workers == n_workers
         ):
             self.reuses += 1
-            count_active("pool.warm.reuse")
             return self._executor
         self._shutdown_executor()
         ctx = multiprocessing.get_context("fork")
@@ -139,14 +136,12 @@ class WarmPool:
         self._workers = n_workers
         self._broken = False
         self.spawns += 1
-        count_active("pool.warm.spawn")
         logger.info("warm pool spawned with %d workers", n_workers)
         return self._executor
 
     def mark_broken(self) -> None:
         """A worker died: the executor is unusable; respawn on next use."""
         self._broken = True
-        count_active("pool.warm.broken")
         self._shutdown_executor()
 
     def _shutdown_executor(self) -> None:

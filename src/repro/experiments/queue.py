@@ -62,7 +62,6 @@ from typing import Any, Iterator
 from repro.errors import ExperimentError, ResilienceError
 from repro.experiments.pool import run_chunk
 from repro.obs.log import get_logger
-from repro.obs.metrics import count_active
 from repro.resilience import CellStore, ChaosConfig, cell_key
 from repro.resilience.store import (
     TMP_PREFIX,
@@ -214,7 +213,6 @@ class WorkQueue:
         if (self.tasks_dir / name).exists() or (self.claims_dir / name).exists():
             return
         _write_record(self.tasks_dir, key, record)
-        count_active("queue.task.enqueued")
 
     def withdraw(self, key: str) -> None:
         """Take back a task nobody waits on any more (a no-op once claimed)."""
@@ -237,7 +235,6 @@ class WorkQueue:
                 os.rename(path, target)
             except FileNotFoundError:
                 # Another worker renamed it first.
-                count_active("queue.claim.lost")
                 continue
             except OSError:
                 continue
@@ -250,7 +247,6 @@ class WorkQueue:
             except (KeyError, TypeError, ValueError, ResilienceError) as exc:
                 # Nobody can run it: surface it as a failed attempt.
                 self._lose(target, "GarbledTask", f"task record unusable: {exc!r}")
-                count_active("queue.task.garbled")
                 continue
             now = time.time()
             record["lease"] = {
@@ -259,7 +255,6 @@ class WorkQueue:
                 "deadline": now + self.lease_s,
             }
             _write_record(self.claims_dir, path.stem, record)
-            count_active("queue.claim.won")
             return QueueTask(path.stem, call)
         return None
 
@@ -273,17 +268,14 @@ class WorkQueue:
         (((point_index, _), _, seed, _),) = task.call[0]
         self.store.put(task.key, report, point_index=point_index, seed=seed)
         (self.claims_dir / f"{task.key}.json").unlink(missing_ok=True)
-        count_active("queue.claim.completed")
 
     def release_duplicate(self, task: QueueTask) -> None:
         """Drop a claim whose cell some other worker already completed."""
         (self.claims_dir / f"{task.key}.json").unlink(missing_ok=True)
-        count_active("queue.claim.duplicate")
 
     def fail(self, task: QueueTask, exc: BaseException) -> None:
         """Record a failed attempt for the driver to charge."""
         self._lose(self.claims_dir / f"{task.key}.json", type(exc).__name__, str(exc))
-        count_active("queue.claim.failed")
 
     def _lose(self, claim: Path, error_type: str, error: str) -> bool:
         """Give up one claim and say why in ``failed/``.
@@ -333,13 +325,10 @@ class WorkQueue:
                 continue
             if self.store.has(path.stem):
                 path.unlink(missing_ok=True)
-                count_active("queue.claim.orphan_completed")
-            elif self._lose(
+            elif not self._lose(
                 path, "LeaseExpired",
                 f"worker {_lease(record).get('worker')} lease expired mid-cell",
             ):
-                count_active("queue.claim.reclaimed")
-            else:
                 continue  # the completer or a rival observer won
             reclaimed += 1
         return reclaimed
@@ -479,7 +468,6 @@ class QueueExecutor(Executor):
                 for _ in range(n_workers)
             ]
             self.spawns += 1
-            count_active("queue.worker.spawn")
         return self
 
     def submit(self, fn, /, *args, **kwargs) -> Future:
@@ -501,7 +489,6 @@ class QueueExecutor(Executor):
     def mark_broken(self) -> None:
         """The local fleet died: reap it and free the claims it held, or
         each would cost a second charged attempt and a lease of waiting."""
-        count_active("queue.worker.broken")
         self._reap()
 
     def shutdown(self, wait: bool = True, *, cancel_futures: bool = True) -> None:

@@ -12,9 +12,9 @@ This package makes those decisions observable without perturbing them:
     path pays nothing.
 :mod:`repro.obs.metrics`
     :class:`MetricsRegistry` of counters, gauges, histograms and wall
-    -clock timers, plus a module-level *active registry* that hot paths
-    (shadow-time engine, placement index, finders) feed when profiling
-    is enabled.
+    -clock timers.  The simulator hands its registry to the hot paths
+    (placement index cache, shadow-time engine, policy) it builds, so
+    every driver of a run collects the same metrics.
 :mod:`repro.obs.aggregate`
     Deterministic cross-process merge of per-cell registries and trace
     streams for parallel sweeps.
@@ -30,7 +30,7 @@ identical with tracing on or off, which the test suite asserts.
 from __future__ import annotations
 
 from repro.obs.log import configure_logging, get_logger
-from repro.obs.metrics import MetricsRegistry, activate
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.schema import TRACE_SCHEMA_VERSION, validate_record
 from repro.obs.trace import (
     NULL_RECORDER,
@@ -46,7 +46,6 @@ __all__ = [
     "NullRecorder",
     "TRACE_SCHEMA_VERSION",
     "TraceRecorder",
-    "activate",
     "configure_logging",
     "get_logger",
     "read_trace",

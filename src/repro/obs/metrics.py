@@ -9,16 +9,19 @@ profile data and are therefore segregated: :meth:`MetricsRegistry.to_dict`
 can exclude them (``include_timings=False``) when comparing registries
 for determinism.
 
-Hot paths that have no simulator reference (the shadow-time engine, the
-placement index, the finders) report through the module-level *active
-registry*: :func:`activate` installs one for the duration of a run, and
-instrumentation sites read the :data:`ACTIVE` attribute and skip all
-work when it is ``None`` — one attribute load and branch on the
-disabled path.
+There is no ambient registry: a counter is incremented on a registry
+its owner was handed.  The simulator passes ``Simulator.metrics`` to the
+collaborators it builds (the index cache, the shadow-time engine, the
+policy, the compaction planner's scratch cache); each keeps it as a
+``metrics`` attribute and skips all work when that is ``None`` — one
+attribute load and branch on the disabled path — so a run collects the
+same metrics whether it is driven by ``run()``, ``pump()``/``drain()``
+or the service.  This module holds no mutable state.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from contextlib import contextmanager
 from typing import Any, Iterator
@@ -29,7 +32,8 @@ from repro.errors import SimulationError
 METRICS_SCHEMA_VERSION = 1
 
 #: Geometric bucket upper bounds for histograms (plus an overflow
-#: bucket); fixed so merged histograms are deterministic.
+#: bucket); fixed so merged histograms are deterministic.  Powers of
+#: two from 1, which is what makes :meth:`Histogram.observe` O(1).
 HISTOGRAM_BOUNDS: tuple[float, ...] = (
     1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0,
     1024.0, 2048.0, 4096.0,
@@ -81,11 +85,15 @@ class Histogram:
             self.min = value
         if self.max is None or value > self.max:
             self.max = value
-        for i, bound in enumerate(HISTOGRAM_BOUNDS):
-            if value <= bound:
-                self.buckets[i] += 1
-                return
-        self.buckets[-1] += 1
+        # First bound >= value.  The bounds are 2**0 .. 2**12, so inside
+        # them that is the bit length of ceil(value) - 1.
+        if value <= 1.0:
+            bucket = 0
+        elif value <= HISTOGRAM_BOUNDS[-1]:
+            bucket = (math.ceil(value) - 1).bit_length()
+        else:  # overflow (and NaN, which no bound admits)
+            bucket = len(HISTOGRAM_BOUNDS)
+        self.buckets[bucket] += 1
 
     @property
     def mean(self) -> float:
@@ -278,40 +286,3 @@ class MetricsRegistry:
                 f"{dispatches.value / run.total_s:.1f}"
             )
         return lines
-
-
-# ----------------------------------------------------------------------
-# the active registry (module-level profiling hook)
-# ----------------------------------------------------------------------
-
-#: Registry currently collecting hot-path metrics, or None (disabled).
-#: Instrumentation sites read this attribute directly: the disabled cost
-#: is one module-attribute load and an ``is None`` branch.
-ACTIVE: MetricsRegistry | None = None
-
-
-def count_active(name: str, n: float = 1.0) -> None:
-    """Increment a counter on the active registry, if one is installed.
-
-    The one-liner instrumentation sites outside the simulator (the
-    resilience layer, the sweep executor) use: a no-op when profiling is
-    off, so callers never need their own ``is None`` branch.
-    """
-    registry = ACTIVE
-    if registry is not None:
-        registry.counter(name).inc(n)
-
-
-@contextmanager
-def activate(registry: MetricsRegistry) -> Iterator[MetricsRegistry]:
-    """Install ``registry`` as the active hot-path registry.
-
-    Nests: the previous registry (possibly None) is restored on exit.
-    """
-    global ACTIVE
-    previous = ACTIVE
-    ACTIVE = registry
-    try:
-        yield registry
-    finally:
-        ACTIVE = previous

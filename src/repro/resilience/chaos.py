@@ -29,7 +29,6 @@ from dataclasses import dataclass
 
 from repro.errors import ChaosError, ResilienceError
 from repro.obs.log import get_logger
-from repro.obs.metrics import count_active
 from repro.resilience.retry import _unit_hash
 
 logger = get_logger(__name__)
@@ -122,14 +121,12 @@ def inject_pre_cell(
         return
     delay = chaos.delay_for(cell)
     if delay > 0.0:
-        count_active("resilience.chaos.delays")
         time.sleep(delay)
     if chaos.should_kill(cell, attempt):
         if in_worker:
             os._exit(KILL_EXIT_CODE)
         logger.debug("chaos kill of cell %s skipped (in-process)", cell)
     if chaos.should_raise(cell, attempt):
-        count_active("resilience.chaos.raises")
         raise ChaosError(
             f"chaos: injected failure in cell {tuple(cell)} attempt {attempt}"
         )
@@ -155,5 +152,4 @@ def corrupt_checkpoint(path: os.PathLike | str, chaos: ChaosConfig, cell: CellId
         data[offset] ^= 0x5A
     with open(path, "wb") as handle:
         handle.write(data)
-    count_active("resilience.chaos.corruptions")
     logger.debug("chaos corrupted checkpoint for cell %s", cell)

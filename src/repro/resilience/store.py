@@ -44,7 +44,6 @@ from repro.errors import ResilienceError
 from repro.metrics.report import SimulationReport
 from repro.metrics.serialize import report_from_dict, report_to_dict
 from repro.obs.log import get_logger
-from repro.obs.metrics import count_active
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle is type-only
     from repro.experiments.sweep import SweepPoint
@@ -193,6 +192,11 @@ def cell_key(point: "SweepPoint", seed: int, model: "BurstFailureModel") -> str:
     return hashlib.sha256(_canonical_json(material).encode("utf-8")).hexdigest()
 
 
+def quarantine_path(root: str | Path) -> Path:
+    """Where a sweep checkpointing under ``root`` writes its poison cells."""
+    return Path(root) / "quarantine.json"
+
+
 class CellStore:
     """One checkpoint directory of completed sweep cells.
 
@@ -202,8 +206,8 @@ class CellStore:
         <root>/quarantine.json           poison cells (see retry module)
 
     Instance counters (``hits``/``misses``/``corrupt``) track the
-    store's resume behaviour for the run; the same events flow into the
-    active :mod:`repro.obs` metrics registry when one is installed.
+    store's resume behaviour for the run; ``SweepRunStats`` is filled
+    from them.
     """
 
     def __init__(self, root: str | Path) -> None:
@@ -222,7 +226,7 @@ class CellStore:
     # ------------------------------------------------------------------
     @property
     def quarantine_path(self) -> Path:
-        return self.root / "quarantine.json"
+        return quarantine_path(self.root)
 
     def path_for(self, key: str) -> Path:
         return self.cells_dir / f"{key}.json"
@@ -262,7 +266,6 @@ class CellStore:
             text = path.read_text(encoding="utf-8")
         except FileNotFoundError:
             self.misses += 1
-            count_active("resilience.checkpoint.miss")
             return None
         except OSError as exc:
             return self._reject(key, f"unreadable ({exc})")
@@ -292,14 +295,11 @@ class CellStore:
         except Exception as exc:  # schema'd but unrestorable payload
             return self._reject(key, f"payload does not restore ({exc})")
         self.hits += 1
-        count_active("resilience.checkpoint.hit")
         return report
 
     def _reject(self, key: str, reason: str) -> None:
         self.corrupt += 1
         self.misses += 1
-        count_active("resilience.checkpoint.corrupt")
-        count_active("resilience.checkpoint.miss")
         logger.warning(
             "checkpoint cell %s rejected: %s; recomputing", key[:12], reason
         )
@@ -343,7 +343,6 @@ class CellStore:
             tmp.unlink(missing_ok=True)
             raise
         self._fsync_dir()
-        count_active("resilience.checkpoint.write")
         return path
 
     def _fsync_dir(self) -> None:

@@ -152,7 +152,6 @@ class ServeEngine:
     def _submit(self, message: dict[str, Any]) -> dict[str, Any]:
         if self._drained is not None:
             raise ServeError("service is drained; no further submissions")
-        self.metrics.counter("serve.submitted").inc()
         self._submitted += 1
         job_id = message["id"]
         size = message["size"]
@@ -191,21 +190,17 @@ class ServeEngine:
         tenant = message.get("tenant", "default")
         retry_after = self.admission.offer(tenant, job)
         if retry_after is not None:
-            self.metrics.counter("serve.rejected").inc()
             return {
                 "ok": False,
                 "rejected": True,
                 "retry_after": round(retry_after, 6),
                 "error": f"tenant {tenant!r} queue is full",
             }
-        self.metrics.counter("serve.admitted").inc()
         self._release()
         self._since_pump += 1
         if self._since_pump >= self.pump_interval:
             self._since_pump = 0
             self.sim.pump(horizon=self.stream.watermark)
-        self.metrics.gauge("serve.queue_depth").set(self.admission.backlog)
-        self.metrics.gauge("serve.outstanding").set(self.sim.outstanding)
         return {"ok": True, "queued": self.admission.backlog}
 
     def _release(self) -> None:
@@ -298,8 +293,22 @@ class ServeEngine:
 
     # ------------------------------------------------------------------
     def metrics_snapshot(self) -> dict[str, Any]:
-        """Service-layer metrics plus the simulator's own registry."""
+        """Service-layer metrics plus the simulator's own registry.
+
+        The request counts and the two depth gauges are read here from
+        the fields the ``stats`` op answers from — their one home — so
+        the two views cannot disagree.
+        """
         snapshot = self.metrics.to_dict()
+        snapshot["counters"].update({
+            "serve.admitted": float(self.admission.total_admitted),
+            "serve.rejected": float(self.admission.total_rejected),
+            "serve.submitted": float(self._submitted),
+        })
+        snapshot["gauges"].update({
+            "serve.outstanding": float(self.sim.outstanding),
+            "serve.queue_depth": float(self.admission.backlog),
+        })
         if self.sim.metrics is not None:
             snapshot["sim"] = self.sim.metrics.to_dict()
         return snapshot

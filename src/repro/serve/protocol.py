@@ -91,7 +91,9 @@ def decode_line(line: bytes | str) -> dict[str, Any]:
             raise ProtocolError(f"request is not valid UTF-8: {exc}") from exc
     try:
         message = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError: bad JSON, or an integer literal past the int/str
+        # digit limit; RecursionError: brackets nested too deep to parse.
         raise ProtocolError(f"request is not valid JSON: {exc}") from exc
     if not isinstance(message, dict):
         raise ProtocolError(

@@ -51,12 +51,14 @@ class RebuildIndexCache(IndexCache):
         index = self._index
         if index is None or index.torus_version != self.torus.version:
             index = self._index = PlacementIndex(self.torus)
+            if self.metrics is not None:
+                self.metrics.counter("index.builds").inc()
         return index
 
 
 class _RebuildSimulator(Simulator):
     def _make_index_cache(self) -> IndexCache:
-        return RebuildIndexCache(self.torus)
+        return RebuildIndexCache(self.torus, self.metrics)
 
 
 def oracle_simulator(*args, **kwargs) -> Simulator:

@@ -31,7 +31,6 @@ from repro.geometry.coords import TorusDims
 from repro.geometry.partition import Partition
 from repro.geometry.shapes import all_shapes, shapes_for_size
 from repro.geometry.torus import Torus
-from repro.obs import metrics as obs_metrics
 from repro.obs.metrics import MetricsRegistry
 from repro.testing import random_partition, random_torus
 
@@ -350,21 +349,21 @@ class TestStaleVersionPoisoning:
         replay across it, and IndexCache rebuilds (counter proves it)."""
         torus = Torus(TorusDims(3, 3, 4))
         registry = MetricsRegistry()
-        with obs_metrics.activate(registry):
-            cache = IndexCache(torus)
-            first = cache.get()
-            assert isinstance(first, IncrementalPlacementIndex)
-            torus.allocate(0, Partition((2, 2, 3), (2, 2, 2)))  # wraps
-            repaired = cache.get()
-            assert repaired is first  # patched in place
-            assert registry.counters["index.incremental.repair"].value == 1
-            snap = torus.snapshot()
-            torus.allocate(1, Partition((1, 1, 1), (1, 1, 1)))
-            torus.restore(snap)
-            assert torus.journal_since(repaired.torus_version) is None
-            rebuilt = cache.get()
-            assert rebuilt is not repaired
-            assert registry.counters["index.incremental.fallback"].value == 1
+        cache = IndexCache(torus, metrics=registry)
+        first = cache.get()
+        assert isinstance(first, IncrementalPlacementIndex)
+        torus.allocate(0, Partition((2, 2, 3), (2, 2, 2)))  # wraps
+        repaired = cache.get()
+        assert repaired is first  # patched in place
+        assert registry.counters["index.incremental.repair"].value == 1
+        snap = torus.snapshot()
+        torus.allocate(1, Partition((1, 1, 1), (1, 1, 1)))
+        torus.restore(snap)
+        assert torus.journal_since(repaired.torus_version) is None
+        rebuilt = cache.get()
+        assert rebuilt is not repaired
+        assert registry.counters["index.incremental.fallback"].value == 1
+        assert registry.counters["index.builds"].value == 2
         assert_matches_rebuild(rebuilt, torus)
 
     def test_clear_is_opaque(self):
@@ -389,21 +388,20 @@ class TestStaleVersionPoisoning:
             for _ in range(n):
                 torus.allocate(torus.n_jobs, Partition(next(cells), (1, 1, 1)))
 
-        with obs_metrics.activate(registry):
-            cache = IndexCache(torus)
-            index = cache.get()
-            allocate_cells(_MAX_PATCH_ENTRIES)
-            assert cache.get() is index
-            assert registry.counters["index.incremental.repair"].value == 1
-            assert "index.incremental.fallback" not in registry.counters
-            assert_matches_rebuild(index, torus)
-            allocate_cells(_MAX_PATCH_ENTRIES + 1)
-            gap = torus.journal_since(index.torus_version)
-            assert gap is not None and len(gap) == _MAX_PATCH_ENTRIES + 1
-            rebuilt = cache.get()
-            assert rebuilt is not index
-            assert registry.counters["index.incremental.fallback"].value == 1
-            assert registry.counters["index.incremental.repair"].value == 1
+        cache = IndexCache(torus, metrics=registry)
+        index = cache.get()
+        allocate_cells(_MAX_PATCH_ENTRIES)
+        assert cache.get() is index
+        assert registry.counters["index.incremental.repair"].value == 1
+        assert "index.incremental.fallback" not in registry.counters
+        assert_matches_rebuild(index, torus)
+        allocate_cells(_MAX_PATCH_ENTRIES + 1)
+        gap = torus.journal_since(index.torus_version)
+        assert gap is not None and len(gap) == _MAX_PATCH_ENTRIES + 1
+        rebuilt = cache.get()
+        assert rebuilt is not index
+        assert registry.counters["index.incremental.fallback"].value == 1
+        assert registry.counters["index.incremental.repair"].value == 1
         assert_matches_rebuild(rebuilt, torus)
 
     def test_future_version_returns_none(self):
@@ -413,11 +411,10 @@ class TestStaleVersionPoisoning:
     def test_hit_counter_on_unchanged_torus(self):
         torus = Torus(TorusDims(2, 2, 2))
         registry = MetricsRegistry()
-        with obs_metrics.activate(registry):
-            cache = IndexCache(torus)
-            index = cache.get()
-            assert cache.get() is index
-            assert registry.counters["index.incremental.hit"].value == 1
+        cache = IndexCache(torus, metrics=registry)
+        index = cache.get()
+        assert cache.get() is index
+        assert registry.counters["index.incremental.hit"].value == 1
 
 
 if __name__ == "__main__":

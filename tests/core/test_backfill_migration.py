@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.allocation.mfp import IndexCache
 from repro.core.backfill import shadow_time
 from repro.core.jobstate import JobState
 from repro.core.migration import (
@@ -74,7 +75,7 @@ class TestCompaction:
         b = running_state(2, 32, 100.0, t, Partition((0, 0, 4), (4, 4, 2)))
         head = JobState(Job(3, 0.0, 64, 100.0, 100.0))
         # Free nodes: z in {2,3,6,7} -> 64 nodes, but max box is 4x4x2=32.
-        plan = plan_compaction(t, [a, b], head)
+        plan = plan_compaction(IndexCache(t), [a, b], head)
         assert plan is not None
         part = head_partition(plan, 3)
         assert part.size == 64
@@ -87,13 +88,13 @@ class TestCompaction:
         t = Torus(D)
         a = running_state(1, 128, 100.0, t, Partition((0, 0, 0), (4, 4, 8)))
         head = JobState(Job(2, 0.0, 8, 100.0, 100.0))
-        assert plan_compaction(t, [a], head) is None
+        assert plan_compaction(IndexCache(t), [a], head) is None
 
     def test_moved_ids_exclude_unmoved(self):
         t = Torus(D)
         a = running_state(1, 64, 100.0, t, Partition((0, 0, 0), (4, 4, 4)))
         head = JobState(Job(2, 0.0, 64, 100.0, 100.0))
-        plan = plan_compaction(t, [a], head)
+        plan = plan_compaction(IndexCache(t), [a], head)
         assert plan is not None
         # Largest-first places job 1 at its current corner: not moved.
         assert 2 not in plan.moved_job_ids
@@ -101,7 +102,7 @@ class TestCompaction:
     def test_head_partition_lookup_error(self):
         t = Torus(D)
         head = JobState(Job(5, 0.0, 8, 100.0, 100.0))
-        plan = plan_compaction(t, [], head)
+        plan = plan_compaction(IndexCache(t), [], head)
         with pytest.raises(LookupError):
             head_partition(plan, 999)
 
@@ -113,7 +114,7 @@ class TestCompaction:
             running_state(3, 16, 200.0, t, Partition((0, 0, 4), (4, 4, 1))),
         ]
         head = JobState(Job(4, 0.0, 32, 100.0, 100.0))
-        plan = plan_compaction(t, states, head)
+        plan = plan_compaction(IndexCache(t), states, head)
         assert plan is not None
         placed_ids = {job_id for job_id, _ in plan.placements}
         assert placed_ids == {1, 2, 3, 4}
@@ -167,6 +168,6 @@ class TestPlannerMatchesRebuildReference:
             running.append(js)
         head = JobState(Job(10_000, 0.0, head_size, 100.0, 100.0))
         # Dataclass equality: placements and moved_job_ids, or both None.
-        assert plan_compaction(torus, running, head) == reference_plan(
+        assert plan_compaction(IndexCache(torus), running, head) == reference_plan(
             torus, running, head
         )

@@ -9,10 +9,14 @@ import pytest
 
 from repro.api import SimulationSetup
 from repro.core.arrivals import ArrivalStream, OnlineArrivalStream, TraceArrivalStream
+from repro.core.config import SimulationConfig
 from repro.core.policies.registry import make_policy
 from repro.core.simulator import Simulator
 from repro.errors import SimulationError
 from repro.metrics.serialize import report_to_dict
+from repro.serve.client import InprocClient
+from repro.serve.engine import ServeEngine
+from repro.serve.load import run_load
 from repro.workloads.job import Job, Workload
 
 
@@ -71,6 +75,48 @@ class TestEquivalence:
         driver.bind(sim)
         assert driver.closed and math.isinf(driver.watermark)
         assert report_to_dict(sim.drain()) == batch
+
+    def test_batch_pumped_and_served_runs_collect_the_same_metrics(self):
+        """One faulty ``balancing`` scenario driven three ways — ``run()``,
+        ``pump`` + ``drain`` behind an online stream, the service — fills
+        the simulator's registry identically (wall-clock timers aside):
+        every collaborator counts on the registry the simulator handed
+        it, so no driver has to install anything."""
+        setup = SimulationSetup(
+            site="sdsc", n_jobs=150, n_failures=150, policy="balancing",
+            parameter=0.1, seed=4, config=SimulationConfig(profile=True),
+        )
+        workload = setup.build_workload()
+
+        batch = setup.build_simulator()
+        batch.run()
+
+        _, failures, policy = setup.build_inputs()
+        empty = Workload(workload.name, workload.machine_nodes, ())
+        pumped = Simulator(empty, failures, policy, setup.config, open_ended=True)
+        stream = OnlineArrivalStream()
+        stream.bind(pumped)
+        for i, job in enumerate(workload.jobs):
+            stream.submit(job)
+            if i % 7 == 0:
+                pumped.pump(horizon=stream.watermark)
+        stream.close()
+        pumped.drain()
+
+        engine = ServeEngine.from_setup(setup)
+        load = run_load(InprocClient(engine), workload)
+        assert load.dropped == 0 and load.errors == 0
+
+        metrics = [
+            sim.metrics.to_dict(include_timings=False)
+            for sim in (batch, pumped, engine.sim)
+        ]
+        assert metrics[0] == metrics[1] == metrics[2]
+        for name in ("index.builds", "index.incremental.hit",
+                     "index.incremental.repair", "shadow.queries",
+                     "sim.dispatches", "sim.job_kills"):
+            assert metrics[0]["counters"][name] > 0, name
+        assert metrics[0]["histograms"]["policy.candidate_set_size"]["count"] > 0
 
     def test_run_is_drain_on_batch_path(self):
         setup, workload, failures, policy = scenario(n_jobs=40)

@@ -2,16 +2,27 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
+from hypothesis import example, given, strategies as st
 
 from repro.errors import SimulationError
-from repro.obs import metrics as obs_metrics
 from repro.obs.metrics import (
     HISTOGRAM_BOUNDS,
     METRICS_SCHEMA_VERSION,
+    Histogram,
     MetricsRegistry,
-    activate,
 )
+
+
+def bucket_by_linear_walk(value: float) -> int:
+    """The reference ``Histogram.observe`` replaced: the first bound that
+    admits the value, else the overflow slot."""
+    for i, bound in enumerate(HISTOGRAM_BOUNDS):
+        if value <= bound:
+            return i
+    return len(HISTOGRAM_BOUNDS)
 
 
 class TestAccessors:
@@ -43,6 +54,36 @@ class TestAccessors:
         hist = reg.histogram("h")
         hist.observe(HISTOGRAM_BOUNDS[-1] + 1)
         assert hist.buckets[-1] == 1
+
+    def test_bounds_are_the_powers_of_two_the_bucket_rule_assumes(self):
+        assert HISTOGRAM_BOUNDS == tuple(float(2 ** k) for k in range(13))
+
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    @example(0.0)
+    @example(-3.5)
+    @example(1e300)
+    def test_bucket_is_the_linear_walks(self, value):
+        hist = Histogram()
+        hist.observe(value)
+        expected = [0] * (len(HISTOGRAM_BOUNDS) + 1)
+        expected[bucket_by_linear_walk(value)] = 1
+        assert hist.buckets == expected
+
+    def test_bucket_at_every_bound_and_its_neighbours(self):
+        for bound in HISTOGRAM_BOUNDS:
+            for value in (
+                math.nextafter(bound, 0.0), bound, math.nextafter(bound, math.inf),
+                bound - 0.5, bound + 0.5,
+            ):
+                hist = Histogram()
+                hist.observe(value)
+                assert hist.buckets.index(1) == bucket_by_linear_walk(value), value
+
+    def test_non_finite_values_land_where_the_walk_put_them(self):
+        for value in (math.inf, -math.inf, math.nan):
+            hist = Histogram()
+            hist.observe(value)
+            assert hist.buckets.index(1) == bucket_by_linear_walk(value)
 
     def test_empty_histogram_mean(self):
         assert MetricsRegistry().histogram("h").mean == 0.0
@@ -142,29 +183,6 @@ class TestMerge:
         b.counter("c").inc(4)
         a.merge_dict(b.to_dict())
         assert a.counter("c").value == 4.0
-
-
-class TestActivate:
-    def test_activate_installs_and_restores(self):
-        assert obs_metrics.ACTIVE is None
-        reg = MetricsRegistry()
-        with activate(reg) as active:
-            assert active is reg
-            assert obs_metrics.ACTIVE is reg
-        assert obs_metrics.ACTIVE is None
-
-    def test_activate_nests(self):
-        outer, inner = MetricsRegistry(), MetricsRegistry()
-        with activate(outer):
-            with activate(inner):
-                assert obs_metrics.ACTIVE is inner
-            assert obs_metrics.ACTIVE is outer
-
-    def test_restored_on_exception(self):
-        with pytest.raises(RuntimeError):
-            with activate(MetricsRegistry()):
-                raise RuntimeError
-        assert obs_metrics.ACTIVE is None
 
 
 class TestSummary:

@@ -210,6 +210,39 @@ class TestLifecycle:
         assert snapshot["counters"]["serve.submitted"] == 20
         assert snapshot["counters"]["serve.admitted"] == 20
 
+    def test_snapshot_and_stats_read_the_same_homes(self):
+        """``serve.submitted/admitted/rejected`` and the two gauges have
+        no storage of their own: after accepts, rejects and cancels the
+        snapshot says what the ``stats`` op says."""
+        engine = ServeEngine.from_setup(
+            small_setup(), clock="logical", tenant_cap=8, engine_cap=4
+        )
+        client = InprocClient(engine)
+        replies = [client.submit(id=i, size=64, runtime=1e6) for i in range(40)]
+        assert client.cancel(11)["caught"] == "admission"
+        assert client.cancel(0)["caught"] in ("pending", "waiting", "running")
+        stats = client.stats()
+        snapshot = engine.metrics_snapshot()
+        counters, gauges = snapshot["counters"], snapshot["gauges"]
+        assert stats["rejected"] == sum(r.get("rejected", False) for r in replies) > 0
+        assert stats["submitted"] == 40
+        assert (
+            counters["serve.submitted"],
+            counters["serve.admitted"],
+            counters["serve.rejected"],
+            gauges["serve.queue_depth"],
+            gauges["serve.outstanding"],
+        ) == (
+            stats["submitted"], stats["admitted"], stats["rejected"],
+            stats["queue_depth"], stats["outstanding"],
+        )
+        assert counters["serve.cancelled"] == 2
+        # ... and the engine's own registry does not hold a second copy.
+        assert not {"serve.submitted", "serve.admitted", "serve.rejected"} & set(
+            engine.metrics.counters
+        )
+        assert not engine.metrics.gauges
+
     def test_bad_engine_params_rejected(self):
         from repro.errors import ServeError
 

@@ -64,6 +64,16 @@ class TestFraming:
         with pytest.raises(ProtocolError, match="not valid JSON"):
             decode_line(b"{nope")
 
+    def test_integer_past_the_digit_limit_rejected(self):
+        """``json.loads`` raises a bare ``ValueError`` on it."""
+        line = b'{"op":"status","id":' + b"9" * 5000 + b"}"
+        with pytest.raises(ProtocolError, match="not valid JSON.*4300 digits"):
+            decode_line(line)
+
+    def test_brackets_nested_past_the_recursion_limit_rejected(self):
+        with pytest.raises(ProtocolError, match="not valid JSON.*recursion"):
+            decode_line(b"[" * 30_000)
+
     def test_non_object_rejected(self):
         with pytest.raises(ProtocolError, match="object"):
             decode_line(b"[1,2,3]")

@@ -135,9 +135,16 @@ class TestTcpService:
         engine = ServeEngine.from_setup(setup)
         address, thread = start_service(tmp_path, engine)
         with SocketClient.connect(address) as client:
-            client._sock.sendall(b"this is not json\n")
-            reply = client._read_response()
-            assert not reply["ok"] and reply["protocol_error"]
+            client._sock.sendall(
+                b"this is not json\n"
+                + b'{"op":"status","id":' + b"9" * 5000 + b"}\n"  # ValueError
+                + b"[" * 30_000 + b"\n"  # RecursionError
+                + b'{"op":"ping"}\n'  # later in the same burst: answered
+            )
+            for _ in range(3):
+                reply = client._read_response()
+                assert not reply["ok"] and reply["protocol_error"]
+            assert client._read_response()["pong"]
             assert client.ping()["pong"]  # still serving
             client.shutdown()
         thread.join(timeout=10.0)

@@ -255,6 +255,15 @@ class TestSweepQueueCli:
     """``--queue-dir`` selects the queue; everything else about the sweep
     is the one ``run_sweep_outcome`` call every backend gets."""
 
+    @pytest.fixture(autouse=True)
+    def leaves_the_working_directory_empty(self, tmp_path_factory, monkeypatch):
+        """``--queue-dir q`` is a relative path: parsing it, refusing it
+        or printing where its quarantine file is must not create it."""
+        cwd = tmp_path_factory.mktemp("cwd")
+        monkeypatch.chdir(cwd)
+        yield
+        assert list(cwd.iterdir()) == []
+
     @pytest.fixture
     def sweep_call(self, monkeypatch):
         """Capture the ``run_sweep_outcome`` call instead of running it."""
