@@ -2,8 +2,9 @@
 
 These wrap the full pipeline — synthesize (or load) a workload, generate
 a matched failure log, build a policy, run the simulator — behind two
-functions.  The experiment harness in :mod:`repro.experiments` is built
-on the same :class:`SimulationSetup`.
+functions; the CLI and the service build on the same
+:class:`SimulationSetup`.  Sweep cells have their own builder (DESIGN.md,
+"Entry surface", says why the two cannot be one).
 """
 
 from __future__ import annotations

@@ -649,8 +649,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_load(args: argparse.Namespace) -> int:
-    import json
-
+    from repro.records import pretty_json
     from repro.serve.client import SocketClient
     from repro.serve.load import run_load
 
@@ -690,8 +689,7 @@ def _cmd_load(args: argparse.Namespace) -> int:
                 exit_code = 1
         if args.output:
             with open(args.output, "w", encoding="utf-8") as handle:
-                json.dump(result.to_dict(), handle, indent=2, sort_keys=True)
-                handle.write("\n")
+                handle.write(pretty_json(result.to_dict()))
         if args.shutdown:
             client.shutdown()
     finally:

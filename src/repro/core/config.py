@@ -29,12 +29,18 @@ class BackfillMode(enum.Enum):
     AGGRESSIVE = "aggressive"
 
 
+#: Mark of a field that only observes the run: the report is bit-for-bit
+#: identical whatever its value, so sweep cell keys hash it at its
+#: default (:func:`repro.resilience.store.cell_key` reads the mark).
+_OBSERVATIONAL = {"observational": True}
+
+
 @dataclass(frozen=True)
 class SimulationConfig:
     """Everything configurable about one simulation run.
 
-    Nine fields change the schedule (and enter sweep cell keys); three —
-    ``check_invariants``, ``trace``, ``profile`` — only observe it.  There
+    Nine fields change the schedule (and enter sweep cell keys); the
+    three declared ``_OBSERVATIONAL`` only observe it.  There
     is no engine selector: every run uses the incremental placement index
     and same-timestamp event batches, and the from-scratch reference is
     something tests build (:func:`repro.testing.oracle_simulator`).
@@ -63,18 +69,18 @@ class SimulationConfig:
     #: recomputation of the unused-capacity integral.  Strictly
     #: observational — the report is bit-for-bit identical with the flag
     #: on or off.  Slow; default off, on throughout the test suite.
-    check_invariants: bool = False
+    check_invariants: bool = field(default=False, metadata=_OBSERVATIONAL)
     #: Emit one :mod:`repro.obs` decision-trace record per scheduler
     #: decision (arrival, candidate enumeration, dispatch, backfill,
     #: migration, failure, checkpoint).  Strictly observational — the
     #: report is bit-for-bit identical with the flag on or off — and
     #: zero-cost when off (decisions route through a no-op recorder).
     #: Implies ``profile``.
-    trace: bool = False
+    trace: bool = field(default=False, metadata=_OBSERVATIONAL)
     #: Collect a :class:`repro.obs.metrics.MetricsRegistry` of counters,
     #: histograms and hot-path timers for the run (available as
     #: ``Simulator.metrics``).  Observational, like ``trace``.
-    profile: bool = False
+    profile: bool = field(default=False, metadata=_OBSERVATIONAL)
     #: Hard cap on processed events, guarding against livelock bugs.
     max_events: int = 50_000_000
 

@@ -175,7 +175,8 @@ class SweepExecutor:
     queue_dir / lease_s / spawn_workers:
         Run the cells through the shared-directory queue rooted here
         (:mod:`repro.experiments.queue`), which is then the checkpoint
-        store too (no ``checkpoint_dir`` beside it).  ``workers`` local
+        store too (no ``checkpoint_dir`` beside it, and no ``collector``:
+        workers' observability is not shipped back).  ``workers`` local
         ``sweep-worker`` processes are spawned unless ``spawn_workers``
         is off; a claimed cell not completed within ``lease_s`` seconds
         (``None``: the queue's default) counts as a failed attempt.

@@ -8,11 +8,13 @@ that puts it behind ``SweepExecutor._dispatch`` — attempt counting,
 backoff, quarantine, respawn, degradation, restore and merge are the
 loop's, exactly as for the other two executors.
 
-* **The task record is the call** — ``submit`` writes the arguments of
-  :func:`~repro.experiments.pool.run_chunk` under the cell's
-  :func:`~repro.resilience.cell_key`; a worker decodes them and runs the
-  cell through ``run_chunk``, the entry point of every backend.  A
-  record that does not decode to that call is reported as a failed
+* **The task record is the call** — ``submit`` files the arguments of
+  :func:`~repro.experiments.pool.run_chunk` as one :class:`QueueTask`
+  (:func:`repro.records.to_plain` of the dataclass, written durably)
+  under the cell's :func:`~repro.resilience.cell_key`; a worker decodes
+  it and runs the cell through ``run_chunk``, the entry point of every
+  backend.  A record that does not decode to exactly that dataclass —
+  unreadable, garbled, another format — is reported as a failed
   attempt, never half-read.
 * **Claim by atomic rename** — a worker claims a task by renaming
   ``tasks/<key>.json`` to ``claims/<key>.json``.  ``os.rename`` is
@@ -47,7 +49,6 @@ which can also spawn same-host workers itself.
 from __future__ import annotations
 
 import dataclasses
-import json
 import os
 import socket
 import subprocess
@@ -57,19 +58,20 @@ import time
 from concurrent.futures import Executor, Future
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
-from typing import Any, Iterator
 
 from repro.errors import ExperimentError, ResilienceError
 from repro.experiments.pool import run_chunk
+from repro.experiments.sweep import SweepPoint
+from repro.failures.synthetic import BurstFailureModel
 from repro.obs.log import get_logger
-from repro.resilience import CellStore, ChaosConfig, cell_key
-from repro.resilience.store import (
-    TMP_PREFIX,
-    describe_model,
-    describe_point,
-    model_from_dict,
-    point_from_dict,
+from repro.records import (
+    atomic_write_json,
+    from_plain,
+    read_json,
+    record_files,
+    to_plain,
 )
+from repro.resilience import CellStore, ChaosConfig, cell_key
 
 logger = get_logger(__name__)
 
@@ -84,93 +86,57 @@ _POLL_S = 0.05
 
 
 @dataclasses.dataclass(frozen=True)
+class Lease:
+    """Who holds a claim, and until when."""
+
+    worker: str
+    claimed_at: float
+    deadline: float
+
+
+@dataclasses.dataclass(frozen=True)
 class QueueTask:
-    """One claimed cell: its key and the ``run_chunk`` arguments."""
+    """One cell as filed in ``tasks/`` and ``claims/``: the arguments of
+    its ``run_chunk`` call, in order (the driver's master-log size
+    travels with the work, so a worker on any host thins from the log
+    the driver will verify against), then the lease once claimed."""
 
-    key: str
-    call: tuple
+    chunk: tuple[tuple[tuple[int, int], SweepPoint, int, int], ...]
+    model: BurstFailureModel
+    with_obs: bool
+    chaos: ChaosConfig | None
+    timeout_s: float | None
+    in_worker: bool
+    master_failure_count: int
+    lease: Lease | None = None
+
+    @property
+    def call(self) -> tuple:
+        """The ``run_chunk`` arguments."""
+        return tuple(getattr(self, f.name) for f in dataclasses.fields(self)[:-1])
+
+    @property
+    def key(self) -> str:
+        """The key the (one) cell is filed and checkpointed under."""
+        ((_, point, seed, _),) = self.chunk
+        return cell_key(point, seed, self.model)
 
 
-def _write_record(directory: Path, key: str, record: dict[str, Any]) -> None:
-    """Atomically write one task/claim/failure record."""
-    tmp = directory / f"{TMP_PREFIX}{key}-{os.getpid()}.json"
+@dataclasses.dataclass(frozen=True)
+class FailedAttempt:
+    """One ``failed/`` record: the worker-side error of a lost attempt."""
+
+    error_type: str
+    error: str
+
+
+def _lease(claim: Path) -> Lease | None:
+    """The lease of one claim; ``None`` when it has none (the worker
+    died before writing it) or the record is unreadable."""
     try:
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(record, handle, sort_keys=True)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, directory / f"{key}.json")
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
-def _read_record(path: Path) -> dict[str, Any] | None:
-    """Read one record; ``None`` when it vanished or does not parse.
-
-    A reader can race a writer's ``os.replace`` (seeing the old complete
-    file) but never sees a partial file.
-    """
-    try:
-        return json.loads(path.read_text(encoding="utf-8"))
-    except (FileNotFoundError, json.JSONDecodeError, OSError):
+        return from_plain(Lease, read_json(claim)["lease"])
+    except (KeyError, TypeError, ValueError):
         return None
-
-
-def _records(directory: Path) -> Iterator[Path]:
-    """The record files of one queue directory, in sorted key order."""
-    try:
-        names = sorted(os.listdir(directory))
-    except OSError:
-        return
-    for name in names:
-        if name.endswith(".json") and not name.startswith(TMP_PREFIX):
-            yield directory / name
-
-
-def encode_call(
-    chunk, model, with_obs, chaos, timeout_s, in_worker, master_failure_count
-) -> dict[str, Any]:
-    """The arguments of one ``run_chunk`` call as a JSON-able task record.
-
-    The driver's master-log size travels with the work, so a worker on
-    any host thins from the log the driver will verify against.
-    """
-    return {
-        "chunk": [
-            [cell_id, describe_point(point), seed, attempt]
-            for cell_id, point, seed, attempt in chunk
-        ],
-        "model": describe_model(model),
-        "with_obs": with_obs,
-        "chaos": None if chaos is None else dataclasses.asdict(chaos),
-        "timeout_s": timeout_s,
-        "in_worker": in_worker,
-        "master_failure_count": master_failure_count,
-    }
-
-
-def decode_call(record: dict[str, Any]) -> tuple:
-    """Inverse of :func:`encode_call`; raises on any other shape."""
-    chaos = record["chaos"]
-    if chaos is not None:
-        # JSON flattened the cell-id tuples ChaosConfig matches against.
-        chaos = ChaosConfig(**{
-            name: tuple(map(tuple, value)) if isinstance(value, list) else value
-            for name, value in chaos.items()
-        })
-    return (
-        [
-            (tuple(cell_id), point_from_dict(point), seed, attempt)
-            for cell_id, point, seed, attempt in record["chunk"]
-        ],
-        model_from_dict(record["model"]),
-        record["with_obs"],
-        chaos,
-        record["timeout_s"],
-        record["in_worker"],
-        record["master_failure_count"],
-    )
 
 
 class WorkQueue:
@@ -197,8 +163,9 @@ class WorkQueue:
     # ------------------------------------------------------------------
     # driver side: put / withdraw
     # ------------------------------------------------------------------
-    def put(self, key: str, record: dict[str, Any]) -> None:
-        """Make one cell runnable for a caller about to wait on it.
+    def put(self, task: QueueTask) -> str:
+        """Make one cell runnable for a caller about to wait on it;
+        returns its key.
 
         The dispatch loop has already restored every checkpoint it
         trusts, so a same-key checkpoint (corrupt, or ``resume`` off) or
@@ -206,13 +173,14 @@ class WorkQueue:
         already there — a previous driver's — stays: whoever runs it
         settles this caller too.
         """
+        key = task.key
         name = f"{key}.json"
         self.store.path_for(key).unlink(missing_ok=True)
         (self.failed_dir / name).unlink(missing_ok=True)
         # Tasks before claims: a concurrent claim rename moves that way.
-        if (self.tasks_dir / name).exists() or (self.claims_dir / name).exists():
-            return
-        _write_record(self.tasks_dir, key, record)
+        if not ((self.tasks_dir / name).exists() or (self.claims_dir / name).exists()):
+            atomic_write_json(self.tasks_dir / name, to_plain(task))
+        return key
 
     def withdraw(self, key: str) -> None:
         """Take back a task nobody waits on any more (a no-op once claimed)."""
@@ -229,7 +197,7 @@ class WorkQueue:
         rewrites the claim with its lease so expiry is observable by
         key content, not clock guesswork.
         """
-        for path in _records(self.tasks_dir):
+        for path in record_files(self.tasks_dir):
             target = self.claims_dir / path.name
             try:
                 os.rename(path, target)
@@ -238,24 +206,19 @@ class WorkQueue:
                 continue
             except OSError:
                 continue
-            record = _read_record(target)
             try:
-                call = decode_call(record)
-                ((_, point, seed, _),) = call[0]
-                if cell_key(point, seed, call[1]) != path.stem:
+                task = from_plain(QueueTask, read_json(target))
+                if task.key != path.stem:
                     raise ValueError("record is not the cell it is filed under")
-            except (KeyError, TypeError, ValueError, ResilienceError) as exc:
+            except ValueError as exc:
                 # Nobody can run it: surface it as a failed attempt.
-                self._lose(target, "GarbledTask", f"task record unusable: {exc!r}")
+                self._lose(target, "GarbledTask", f"task record unusable: {exc}")
                 continue
             now = time.time()
-            record["lease"] = {
-                "worker": self.worker_id,
-                "claimed_at": now,
-                "deadline": now + self.lease_s,
-            }
-            _write_record(self.claims_dir, path.stem, record)
-            return QueueTask(path.stem, call)
+            lease = Lease(self.worker_id, now, now + self.lease_s)
+            task = dataclasses.replace(task, lease=lease)
+            atomic_write_json(target, to_plain(task))
+            return task
         return None
 
     def complete(self, task: QueueTask, report) -> None:
@@ -265,7 +228,7 @@ class WorkQueue:
         leaves a claim whose work is done; reclaim notices the existing
         checkpoint and simply drops the claim.
         """
-        (((point_index, _), _, seed, _),) = task.call[0]
+        (((point_index, _), _, seed, _),) = task.chunk
         self.store.put(task.key, report, point_index=point_index, seed=seed)
         (self.claims_dir / f"{task.key}.json").unlink(missing_ok=True)
 
@@ -288,23 +251,24 @@ class WorkQueue:
             claim.unlink()
         except OSError:
             return False
-        record = {"error_type": error_type, "error": error}
-        _write_record(self.failed_dir, claim.stem, record)
+        atomic_write_json(
+            self.failed_dir / claim.name, to_plain(FailedAttempt(error_type, error))
+        )
         return True
 
     # ------------------------------------------------------------------
     # lease expiry
     # ------------------------------------------------------------------
-    def _claim_expiry(self, path: Path, record: dict[str, Any] | None) -> float:
+    def _claim_expiry(self, path: Path, lease: Lease | None) -> float:
         """Deterministic expiry instant of one claim.
 
         The recorded deadline governs; a claim whose worker died between
-        the rename and the lease write has no deadline, so the rename's
-        mtime plus the queue lease bounds it instead.
+        the rename and the lease write (or whose record is garbled) has
+        no deadline, so the rename's mtime plus the queue lease bounds
+        it instead.
         """
-        deadline = _lease(record).get("deadline")
-        if isinstance(deadline, (int, float)):
-            return float(deadline)
+        if lease is not None:
+            return lease.deadline
         try:
             return path.stat().st_mtime + self.lease_s
         except OSError:
@@ -319,15 +283,15 @@ class WorkQueue:
         """
         now = time.time() if now is None else now
         reclaimed = 0
-        for path in _records(self.claims_dir):
-            record = _read_record(path)
-            if self._claim_expiry(path, record) > now:
+        for path in record_files(self.claims_dir):
+            lease = _lease(path)
+            if self._claim_expiry(path, lease) > now:
                 continue
             if self.store.has(path.stem):
                 path.unlink(missing_ok=True)
             elif not self._lose(
                 path, "LeaseExpired",
-                f"worker {_lease(record).get('worker')} lease expired mid-cell",
+                f"worker {lease and lease.worker} lease expired mid-cell",
             ):
                 continue  # the completer or a rival observer won
             reclaimed += 1
@@ -336,20 +300,14 @@ class WorkQueue:
     def release_claims_of(self, workers: set[str]) -> None:
         """Drop, unreported, the claims leased to ``workers`` — processes
         the caller knows are dead and whose loss it charges itself."""
-        for path in _records(self.claims_dir):
-            if _lease(_read_record(path)).get("worker") in workers:
+        for path in record_files(self.claims_dir):
+            lease = _lease(path)
+            if lease is not None and lease.worker in workers:
                 path.unlink(missing_ok=True)
 
     def counts(self) -> dict[str, int]:
         dirs = (self.tasks_dir, self.claims_dir, self.failed_dir, self.store.cells_dir)
-        return {d.name: sum(1 for _ in _records(d)) for d in dirs}
-
-
-def _lease(record: Any) -> dict[str, Any]:
-    """The lease of one claim record; empty when it has none (the worker
-    died before writing it, or the record is unreadable)."""
-    lease = record.get("lease") if isinstance(record, dict) else None
-    return lease if isinstance(lease, dict) else {}
+        return {d.name: sum(1 for _ in record_files(d)) for d in dirs}
 
 
 # ----------------------------------------------------------------------
@@ -473,17 +431,14 @@ class QueueExecutor(Executor):
     def submit(self, fn, /, *args, **kwargs) -> Future:
         if fn is not run_chunk or kwargs:
             raise ExperimentError("the queue backend runs run_chunk calls only")
-        chunk, model, with_obs = args[:3]
-        if with_obs:
+        task = QueueTask(tuple(args[0]), *args[1:])
+        if task.with_obs:
             raise ExperimentError(
                 "observability collectors are not supported on the queue backend"
             )
-        ((_, point, seed, _),) = chunk
-        key = cell_key(point, seed, model)
         future: Future = Future()
         with self._lock:
-            self.queue.put(key, encode_call(*args))
-            self._pending[key] = future
+            self._pending[self.queue.put(task)] = future
         return future
 
     def mark_broken(self) -> None:
@@ -551,15 +506,17 @@ class QueueExecutor(Executor):
                     self._settle(key, error=damaged)
                 else:
                     self._settle(key, report)
-        for path in _records(queue.failed_dir):
+        for path in record_files(queue.failed_dir):
             if path.stem in pending:
-                record = _read_record(path) or {}
+                try:
+                    failed = from_plain(FailedAttempt, read_json(path))
+                except ValueError:
+                    failed = FailedAttempt("QueueFailure", "unreadable failure record")
                 path.unlink(missing_ok=True)
                 # The loop quarantines under type(exc).__name__: give it
                 # the worker-side name, not a wrapper's.
-                name = str(record.get("error_type", "QueueFailure"))
-                error = type(name, (ExperimentError,), {})
-                self._settle(path.stem, error=error(record.get("error", "")))
+                error = type(failed.error_type, (ExperimentError,), {})
+                self._settle(path.stem, error=error(failed.error))
         if pending and self._procs and all(
             proc.poll() is not None for proc in self._procs
         ):

@@ -353,12 +353,11 @@ def run_sweep(
     serial sweeps aggregate to identical metrics.  The collector is
     finalized before this function returns.
 
-    ``options`` (``checkpoint_dir``, ``retry``, ``chaos``, ``resume``,
-    ``min_cells_per_worker``, ``queue_dir``, ...) go to
-    :func:`run_sweep_outcome`, the one place they are declared and
-    which also returns the quarantine and resilience stats.  With
-    resilience on, a result entry is ``None`` only when every seed of
-    that point was quarantined as poison.
+    ``options`` are the fields of
+    :class:`~repro.experiments.parallel.SweepExecutor`, forwarded by
+    :func:`run_sweep_outcome`, which also returns the quarantine and
+    resilience stats.  With resilience on, a result entry is ``None``
+    only when every seed of that point was quarantined as poison.
     """
     return run_sweep_outcome(
         points, seeds, failure_model, workers, collector, **options
@@ -371,57 +370,22 @@ def run_sweep_outcome(
     failure_model: BurstFailureModel | None = None,
     workers: int | None = None,
     collector: SweepObsCollector | None = None,
-    *,
-    checkpoint_dir=None,
-    retry=None,
-    chaos=None,
-    resume: bool = True,
-    min_cells_per_worker: int | None = None,
-    queue_dir=None,
-    lease_s: float | None = None,
-    spawn_workers: bool = True,
+    **options,
 ):
     """Run a sweep and return the full
     :class:`~repro.resilience.ResilientSweepOutcome`.
 
     Every sweep runs through the one dispatch loop of
-    :class:`~repro.experiments.parallel.SweepExecutor`; the options are
-    data it carries.  ``checkpoint_dir`` gives durable per-cell
-    checkpoints (a killed sweep resumes bitwise-identically); ``retry``
-    (a :class:`~repro.resilience.RetryPolicy`) retries worker crashes
-    and in-cell exceptions with deterministic backoff and quarantines
-    poison cells into ``quarantine.json`` instead of aborting; ``chaos``
-    is deterministic fault injection (tests only).  With ``workers`` 1
-    or ``None``, or below the cutover, cells run in-process under the
-    same checkpoint/retry contract.
-
-    ``queue_dir`` makes the loop's executor the shared-directory
-    multi-host queue (see :mod:`repro.experiments.queue`): cells are
-    pulled by ``bgl-sim sweep-worker`` processes — ``workers`` of them
-    spawned locally unless ``spawn_workers`` is off — under the same
-    retry, chaos, timeout and ``resume`` contract, still
-    bitwise-identical to serial.  A claimed cell not completed within
-    ``lease_s`` seconds counts as a failed attempt.  The queue directory
-    *is* the checkpoint store, so ``checkpoint_dir`` does not combine
-    with it, and neither does a ``collector`` (queue cells run in
-    separate processes whose observability is not shipped back).
+    :class:`~repro.experiments.parallel.SweepExecutor`; ``options`` are
+    that class's fields, declared and documented there and nowhere else.
+    Here ``workers=None`` means 1, and ``min_cells_per_worker=None`` the
+    executor's default.  The ``collector`` is finalized on the way out.
     """
     from repro.experiments.parallel import SweepExecutor
 
-    executor_kwargs = {}
-    if min_cells_per_worker is not None:
-        executor_kwargs["min_cells_per_worker"] = min_cells_per_worker
-    executor = SweepExecutor(
-        workers=workers if workers is not None else 1,
-        checkpoint_dir=checkpoint_dir,
-        retry=retry,
-        chaos=chaos,
-        resume=resume,
-        queue_dir=queue_dir,
-        lease_s=lease_s,
-        spawn_workers=spawn_workers,
-        **executor_kwargs,
-    )
+    if options.get("min_cells_per_worker", 0) is None:
+        del options["min_cells_per_worker"]
+    executor = SweepExecutor(workers=1 if workers is None else workers, **options)
     try:
         return executor.run_outcome(
             points, seeds, failure_model, collector=collector

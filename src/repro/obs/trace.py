@@ -4,8 +4,8 @@
 them between processes) or streams them straight to a text sink; either
 way the on-disk form is newline-delimited JSON with compact separators
 and sorted keys, so identical runs produce byte-identical files.  There
-is one encode path: the module-level :data:`_ENCODER` serialises every
-record, streamed by :meth:`TraceRecorder.emit` or written later by
+is one encode path: :data:`repro.records.canonical_json` serialises
+every record, streamed by :meth:`TraceRecorder.emit` or written later by
 :func:`write_trace`, and it refuses non-finite numbers (``NaN`` and
 ``Infinity`` are not RFC 8259 JSON), so every line a recorder writes is
 parseable by a strict reader.
@@ -32,12 +32,7 @@ from typing import IO, Any, Iterator, Sequence
 
 from repro.errors import SimulationError
 from repro.obs.schema import TRACE_SCHEMA_VERSION
-
-#: The one encoder behind every trace line, built once: the ``json``
-#: module's ``dumps`` shortcut constructs a new ``JSONEncoder`` on every
-#: call with non-default options, and a trace is 10^5 records.
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
-_encode = _ENCODER.encode
+from repro.records import canonical_json as _encode
 
 #: An empty ``candidates`` record as ``_encode`` writes it, keys sorted;
 #: ``%s`` slots take pre-encoded JSON text, ``%d`` slots plain ints.

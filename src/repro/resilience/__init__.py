@@ -32,10 +32,6 @@ from repro.resilience.store import (
     CHECKPOINT_SCHEMA_VERSION,
     CellStore,
     cell_key,
-    describe_model,
-    describe_point,
-    model_from_dict,
-    point_from_dict,
 )
 
 __all__ = [
@@ -52,10 +48,6 @@ __all__ = [
     "cell_key",
     "cell_timeout",
     "corrupt_checkpoint",
-    "describe_model",
-    "describe_point",
     "incomplete_points",
     "inject_pre_cell",
-    "model_from_dict",
-    "point_from_dict",
 ]

@@ -17,8 +17,6 @@ simulations they run.
 from __future__ import annotations
 
 import hashlib
-import json
-import os
 import signal
 import threading
 from contextlib import contextmanager
@@ -27,6 +25,7 @@ from pathlib import Path
 from typing import Any, Iterator
 
 from repro.errors import CellTimeoutError, ResilienceError
+from repro.records import atomic_write_json, from_plain, read_json, to_plain
 
 #: Version of the quarantine.json document; bump on breaking change.
 QUARANTINE_SCHEMA_VERSION = 1
@@ -159,20 +158,13 @@ class QuarantineEntry:
     error: str
     key: str | None = None
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "point_index": self.point_index,
-            "seed_index": self.seed_index,
-            "seed": self.seed,
-            "attempts": self.attempts,
-            "error_type": self.error_type,
-            "error": self.error,
-            "key": self.key,
-        }
 
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "QuarantineEntry":
-        return cls(**data)
+@dataclass(frozen=True)
+class _Document:
+    """``quarantine.json`` as written."""
+
+    schema: int
+    entries: tuple[QuarantineEntry, ...]
 
 
 class Quarantine:
@@ -191,37 +183,22 @@ class Quarantine:
         return {(e.point_index, e.seed_index) for e in self.entries}
 
     def write(self, path: str | Path) -> Path:
-        """Write ``quarantine.json`` atomically (written even when
-        empty, so tooling can rely on its existence after a
+        """Write ``quarantine.json`` atomically and durably (written
+        even when empty, so tooling can rely on its existence after a
         checkpointed sweep)."""
-        path = Path(path)
-        document = {
-            "schema": QUARANTINE_SCHEMA_VERSION,
-            "entries": [
-                e.to_dict()
-                for e in sorted(
-                    self.entries, key=lambda e: (e.point_index, e.seed_index)
-                )
-            ],
-        }
-        tmp = path.with_name(f".tmp-{path.name}-{os.getpid()}")
-        try:
-            tmp.write_text(json.dumps(document, indent=2), encoding="utf-8")
-            os.replace(tmp, path)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
-        return path
+        entries = sorted(self.entries, key=lambda e: (e.point_index, e.seed_index))
+        document = _Document(QUARANTINE_SCHEMA_VERSION, tuple(entries))
+        return atomic_write_json(path, to_plain(document))
 
     @classmethod
     def load(cls, path: str | Path) -> "Quarantine":
         """Inverse of :meth:`write`."""
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-        if data.get("schema") != QUARANTINE_SCHEMA_VERSION:
-            raise ResilienceError(
-                f"unsupported quarantine schema {data.get('schema')!r}"
-            )
+        try:
+            document = from_plain(_Document, read_json(path))
+        except ValueError as exc:
+            raise ResilienceError(f"{path}: not a quarantine document: {exc}") from exc
+        if document.schema != QUARANTINE_SCHEMA_VERSION:
+            raise ResilienceError(f"unsupported quarantine schema {document.schema!r}")
         quarantine = cls()
-        for entry in data.get("entries", []):
-            quarantine.add(QuarantineEntry.from_dict(entry))
+        quarantine.entries = list(document.entries)
         return quarantine

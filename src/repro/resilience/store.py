@@ -10,21 +10,18 @@ are bitwise-identical to an uninterrupted run's.
 
 Three properties carry the design:
 
-* **Content-addressed keys** — :func:`cell_key` hashes a canonical
-  description of the point (including every *behavioural*
-  ``SimulationConfig`` field), the seed and the failure model.  Any
-  change to an input that could change the report changes the key, so a
-  stale checkpoint directory can never poison a different sweep.
-  The three observational flags (``trace``/``profile``/
-  ``check_invariants``) are excluded: the report is bit-identical
-  either way, so toggling them between runs still hits the cache.
-  Every other config field is in the key — there are no engine toggles
-  to carve out.
-* **Atomic writes** — each cell is written to a temp file in the same
-  directory, flushed, fsynced and ``os.replace``d into place (and the
-  directory fsynced).  A reader never observes a partial cell file; an
-  interrupt between write and rename leaves at most a ``.tmp-`` file,
-  which is removed on the error path and ignored by readers.
+* **Content-addressed keys** — :func:`cell_key` hashes the point, the
+  seed and the failure model as their dataclasses declare them, so any
+  change to an input that could change the report — a new config field
+  included, with no edit here — changes the key, and a stale checkpoint
+  directory can never poison a different sweep.  Only the config fields
+  ``SimulationConfig`` itself marks observational are hashed at their
+  defaults: the report is bit-identical either way, so toggling them
+  between runs still hits the cache.
+* **Atomic writes** — every cell goes through
+  :func:`repro.records.atomic_write_json`.  A reader never observes a
+  partial cell file; an interrupt leaves no ``.tmp-`` file, and readers
+  ignore one a power cut left.
 * **Verified reads** — every file carries a schema version, its own key
   and a SHA-256 checksum of the canonical payload.  Truncated, garbled
   or tampered files (and files renamed to the wrong key) are *detected
@@ -35,15 +32,22 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import json
-import os
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterator
+from typing import TYPE_CHECKING, Any
 
 from repro.errors import ResilienceError
 from repro.metrics.report import SimulationReport
+from repro.metrics.serialize import SCHEMA_VERSION as REPORT_SCHEMA_VERSION
 from repro.metrics.serialize import report_from_dict, report_to_dict
 from repro.obs.log import get_logger
+from repro.records import (
+    TMP_PREFIX,
+    atomic_write_json,
+    canonical_json,
+    read_json,
+    record_files,
+    to_plain,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle is type-only
     from repro.experiments.sweep import SweepPoint
@@ -51,145 +55,39 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle is type-only
 
 logger = get_logger(__name__)
 
-#: Version of the on-disk cell envelope; bump on breaking change.  Old
-#: checkpoints are recomputed, not migrated — cells are cheap relative
-#: to the cost of a wrong migration.
-CHECKPOINT_SCHEMA_VERSION = 1
-
-#: Prefix of in-flight temp files inside the cells directory; readers
-#: skip these and :meth:`CellStore.validate` reports leftovers.
-TMP_PREFIX = ".tmp-"
+#: Version of the on-disk cell envelope and of the key material; bump on
+#: breaking change.  Old checkpoints are recomputed, not migrated —
+#: cells are cheap relative to the cost of a wrong migration.  (2: key
+#: material is ``to_plain`` of the point and model.)
+CHECKPOINT_SCHEMA_VERSION = 2
 
 
-def _canonical_json(data: Any) -> str:
-    """Deterministic JSON encoding (sorted keys, no whitespace)."""
-    return json.dumps(data, sort_keys=True, separators=(",", ":"))
-
-
-def _payload_digest(payload: dict[str, Any]) -> str:
-    return hashlib.sha256(_canonical_json(payload).encode("utf-8")).hexdigest()
-
-
-def describe_point(point: "SweepPoint") -> dict[str, Any]:
-    """Canonical JSON-able description of a sweep point.
-
-    Covers every field that feeds the simulation, including the nested
-    :class:`SimulationConfig` — every field but the observational
-    flags (``trace``, ``profile``, ``check_invariants``), excluded
-    because the report is bit-identical with them on or off.
-    """
-    config = point.config
-    return {
-        "site": point.site,
-        "n_jobs": point.n_jobs,
-        "load_scale": point.load_scale,
-        "n_failures": point.n_failures,
-        "policy": point.policy,
-        "parameter": point.parameter,
-        "pf_rule": point.pf_rule.name,
-        "config": {
-            "dims": list(config.dims.as_tuple()),
-            "backfill": config.backfill.value,
-            "migration": config.migration,
-            "migration_cost_s": config.migration_cost_s,
-            "gamma": config.gamma,
-            "slowdown_rule": config.slowdown_rule.value,
-            "checkpoint": {
-                "mode": config.checkpoint.mode.value,
-                "interval_s": config.checkpoint.interval_s,
-                "overhead_s": config.checkpoint.overhead_s,
-                "hit_probability": config.checkpoint.hit_probability,
-            },
-            "seed": config.seed,
-            "max_events": config.max_events,
-        },
-    }
-
-
-def describe_model(model: "BurstFailureModel") -> dict[str, Any]:
-    """Canonical description of the failure model."""
-    return dataclasses.asdict(model)
-
-
-def point_from_dict(data: dict[str, Any]) -> "SweepPoint":
-    """Reconstruct a :class:`SweepPoint` from :func:`describe_point` output.
-
-    The inverse covers exactly the fields the description carries; the
-    observational config flags (``trace``/``profile``/
-    ``check_invariants``) come back as defaults — by the store's own
-    contract the report is bit-identical regardless, which is what lets
-    queue workers rebuild a cell from its task record and still land a
-    checkpoint the driver merges bitwise with serial.
-    """
-    from repro.checkpoint.model import CheckpointConfig, CheckpointMode
-    from repro.core.config import BackfillMode, SimulationConfig
-    from repro.experiments.sweep import SweepPoint
-    from repro.geometry.coords import TorusDims
-    from repro.metrics.timing import BoundedSlowdownRule
-    from repro.prediction.base import PartitionFailureRule
-
-    try:
-        cfg = data["config"]
-        config = SimulationConfig(
-            dims=TorusDims(*cfg["dims"]),
-            backfill=BackfillMode(cfg["backfill"]),
-            migration=cfg["migration"],
-            migration_cost_s=cfg["migration_cost_s"],
-            gamma=cfg["gamma"],
-            slowdown_rule=BoundedSlowdownRule(cfg["slowdown_rule"]),
-            checkpoint=CheckpointConfig(
-                mode=CheckpointMode(cfg["checkpoint"]["mode"]),
-                interval_s=cfg["checkpoint"]["interval_s"],
-                overhead_s=cfg["checkpoint"]["overhead_s"],
-                hit_probability=cfg["checkpoint"]["hit_probability"],
-            ),
-            seed=cfg["seed"],
-            max_events=cfg["max_events"],
-        )
-        return SweepPoint(
-            site=data["site"],
-            n_jobs=data["n_jobs"],
-            load_scale=data["load_scale"],
-            n_failures=data["n_failures"],
-            policy=data["policy"],
-            parameter=data["parameter"],
-            pf_rule=PartitionFailureRule[data["pf_rule"]],
-            config=config,
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ResilienceError(
-            f"cannot reconstruct sweep point from record: {exc}"
-        ) from exc
-
-
-def model_from_dict(data: dict[str, Any]) -> "BurstFailureModel":
-    """Reconstruct a failure model from :func:`describe_model` output."""
-    from repro.failures.synthetic import BurstFailureModel
-
-    try:
-        return BurstFailureModel(**data)
-    except TypeError as exc:
-        raise ResilienceError(
-            f"cannot reconstruct failure model from record: {exc}"
-        ) from exc
+def _digest(data: Any) -> str:
+    return hashlib.sha256(canonical_json(data).encode("utf-8")).hexdigest()
 
 
 def cell_key(point: "SweepPoint", seed: int, model: "BurstFailureModel") -> str:
     """Content hash identifying one ``(point, seed)`` cell's inputs.
 
-    Includes the report schema version: a serialisation change
-    invalidates old checkpoints instead of restoring them wrongly.
+    Includes both schema versions: a serialisation change invalidates
+    old checkpoints instead of restoring them wrongly.
     """
-    from repro.metrics.serialize import SCHEMA_VERSION as REPORT_SCHEMA_VERSION
-
-    material = {
+    config = point.config
+    defaults = {
+        f.name: f.default
+        for f in dataclasses.fields(config)
+        if f.metadata.get("observational")
+    }
+    behavioural = dataclasses.replace(
+        point, config=dataclasses.replace(config, **defaults)
+    )
+    return _digest({
         "checkpoint_schema": CHECKPOINT_SCHEMA_VERSION,
         "report_schema": REPORT_SCHEMA_VERSION,
-        "point": describe_point(point),
+        "point": to_plain(behavioural),
         "seed": seed,
-        "model": describe_model(model),
-    }
-    return hashlib.sha256(_canonical_json(material).encode("utf-8")).hexdigest()
+        "model": to_plain(model),
+    })
 
 
 def quarantine_path(root: str | Path) -> Path:
@@ -242,16 +140,11 @@ class CellStore:
         return self.path_for(key).exists()
 
     def __len__(self) -> int:
-        return sum(1 for _ in self._cell_files())
+        return sum(1 for _ in record_files(self.cells_dir))
 
     def keys(self) -> list[str]:
         """Keys of every (not necessarily valid) stored cell."""
-        return sorted(path.stem for path in self._cell_files())
-
-    def _cell_files(self) -> Iterator[Path]:
-        for path in self.cells_dir.iterdir():
-            if path.suffix == ".json" and not path.name.startswith(TMP_PREFIX):
-                yield path
+        return [path.stem for path in record_files(self.cells_dir)]
 
     # ------------------------------------------------------------------
     def get(self, key: str) -> SimulationReport | None:
@@ -262,21 +155,12 @@ class CellStore:
         as a miss — the caller recomputes the cell.
         """
         path = self.path_for(key)
-        try:
-            text = path.read_text(encoding="utf-8")
-        except FileNotFoundError:
+        envelope = read_json(path)
+        if envelope is None and not path.exists():
             self.misses += 1
             return None
-        except OSError as exc:
-            return self._reject(key, f"unreadable ({exc})")
-        except UnicodeDecodeError:
-            return self._reject(key, "not valid UTF-8 (garbled)")
-        try:
-            envelope = json.loads(text)
-        except (json.JSONDecodeError, UnicodeDecodeError):
-            return self._reject(key, "not valid JSON (truncated or garbled)")
         if not isinstance(envelope, dict):
-            return self._reject(key, "envelope is not an object")
+            return self._reject(key, "not a JSON object (truncated or garbled)")
         if envelope.get("schema") != CHECKPOINT_SCHEMA_VERSION:
             return self._reject(
                 key, f"unsupported schema {envelope.get('schema')!r}"
@@ -288,11 +172,11 @@ class CellStore:
         payload = envelope.get("payload")
         if not isinstance(payload, dict):
             return self._reject(key, "missing report payload")
-        if envelope.get("payload_sha256") != _payload_digest(payload):
-            return self._reject(key, "payload checksum mismatch")
         try:
+            if envelope.get("payload_sha256") != _digest(payload):
+                return self._reject(key, "payload checksum mismatch")
             report = report_from_dict(payload)
-        except Exception as exc:  # schema'd but unrestorable payload
+        except Exception as exc:  # non-finite number, unrestorable payload
             return self._reject(key, f"payload does not restore ({exc})")
         self.hits += 1
         return report
@@ -327,35 +211,9 @@ class CellStore:
             "point_index": point_index,
             "seed": seed,
             "payload": payload,
-            "payload_sha256": _payload_digest(payload),
+            "payload_sha256": _digest(payload),
         }
-        path = self.path_for(key)
-        tmp = self.cells_dir / f"{TMP_PREFIX}{key}-{os.getpid()}.json"
-        try:
-            with open(tmp, "w", encoding="utf-8") as handle:
-                json.dump(envelope, handle)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, path)
-        except BaseException:
-            # SIGINT lands as KeyboardInterrupt between bytecodes, so
-            # this cleanup runs: no stray temp files after an interrupt.
-            tmp.unlink(missing_ok=True)
-            raise
-        self._fsync_dir()
-        return path
-
-    def _fsync_dir(self) -> None:
-        try:
-            fd = os.open(self.cells_dir, os.O_RDONLY)
-        except OSError:  # pragma: no cover - platform without dir fds
-            return
-        try:
-            os.fsync(fd)
-        except OSError:  # pragma: no cover
-            pass
-        finally:
-            os.close(fd)
+        return atomic_write_json(self.path_for(key), envelope)
 
     # ------------------------------------------------------------------
     def validate(self) -> list[str]:

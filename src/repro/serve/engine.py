@@ -203,10 +203,12 @@ class ServeEngine:
             self.sim.pump(horizon=self.stream.watermark)
         return {"ok": True, "queued": self.admission.backlog}
 
-    def _release(self) -> None:
-        """Move admitted jobs from tenant queues into the simulator."""
+    def _release(self, capped: bool = True) -> None:
+        """Move admitted jobs from tenant queues into the simulator, up to
+        the engine cap — or all of them: a drain honours all admitted work.
+        The one hand-over, so the one place a ``logical`` arrival is stamped."""
         while self.admission.backlog:
-            if self.sim.outstanding >= self.engine_cap:
+            if capped and self.sim.outstanding >= self.engine_cap:
                 if self.clock == "logical":
                     return  # hard cap: jobs wait in their tenant queues
                 # Trace clock: history cannot wait.  Pump up to the next
@@ -267,7 +269,7 @@ class ServeEngine:
 
     def _drain(self) -> dict[str, Any]:
         if self._drained is None:
-            self._release_all()
+            self._release(capped=False)
             self.stream.close()
             report = self.sim.drain()
             self._drained = {
@@ -278,18 +280,6 @@ class ServeEngine:
             # _stats() above ran before "drained" flipped observable.
             self._drained["stats"]["drained"] = True
         return self._drained
-
-    def _release_all(self) -> None:
-        """Flush every tenant queue into the engine, caps waived — a
-        drain honours all admitted work."""
-        while self.admission.backlog:
-            job = self.admission.release_next()
-            if job is None:
-                return
-            if self.clock == "logical":
-                job = replace(job, arrival=self._tick)
-                self._tick += 1.0
-            self.stream.submit(job)
 
     # ------------------------------------------------------------------
     def metrics_snapshot(self) -> dict[str, Any]:

@@ -38,6 +38,12 @@ from typing import Any
 
 from repro.errors import ProtocolError
 
+# The one encoder: compact, key-sorted (identical sessions produce
+# byte-identical transcripts) and strict — a NaN or infinity anywhere in
+# a message raises ``ValueError`` instead of reaching the wire as a
+# token RFC 8259 parsers refuse.
+from repro.records import canonical_json as _ENCODE
+
 #: Protocol revision; servers echo it from ``ping`` and ``stats``.
 PROTOCOL_VERSION = 1
 
@@ -62,15 +68,6 @@ _REQUIRED_FIELDS: dict[str, tuple[str, ...]] = {
     "drain": (),
     "shutdown": (),
 }
-
-#: The one encoder, built once: compact, key-sorted (identical sessions
-#: produce byte-identical transcripts) and strict — a NaN or infinity
-#: anywhere in a message raises ``ValueError`` instead of reaching the
-#: wire as a token RFC 8259 parsers refuse.
-_ENCODE = json.JSONEncoder(
-    sort_keys=True, separators=(",", ":"), allow_nan=False
-).encode
-
 
 def encode(message: dict[str, Any]) -> bytes:
     """One message as a compact NDJSON line."""

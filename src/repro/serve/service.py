@@ -29,12 +29,12 @@ computed — then closes the connections still open.
 from __future__ import annotations
 
 import asyncio
-import json
 from pathlib import Path
 from typing import Any
 
 from repro.errors import ProtocolError, ServeError
 from repro.obs.log import get_logger
+from repro.records import pretty_json
 from repro.serve.engine import ServeEngine
 from repro.serve.protocol import MAX_LINE_BYTES, decode_line, encode, error_response
 
@@ -211,7 +211,5 @@ def run_service(
     asyncio.run(_main())
     snapshot = engine.metrics_snapshot()
     if metrics_file is not None:
-        Path(metrics_file).write_text(
-            json.dumps(snapshot, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        Path(metrics_file).write_text(pretty_json(snapshot), encoding="utf-8")
     return snapshot

@@ -37,8 +37,8 @@ from repro.experiments.parallel import SweepExecutor
 from repro.experiments.pool import run_chunk
 from repro.experiments.queue import (
     QueueExecutor,
+    QueueTask,
     WorkQueue,
-    encode_call,
     run_worker,
     spawn_worker_process,
 )
@@ -50,6 +50,7 @@ from repro.experiments.sweep import (
     simulate_cell,
 )
 from repro.failures.synthetic import BurstFailureModel
+from repro.records import atomic_write_json, to_plain
 from repro.resilience import ChaosConfig, RetryPolicy, cell_key
 from repro.resilience.chaos import KILL_EXIT_CODE
 
@@ -88,7 +89,7 @@ def _calls(points, seeds, chaos=None):
     return [
         (
             cell_key(point, seed, MODEL),
-            ([(cell_id, point, seed, 0)], MODEL, False, chaos, None, True, 64),
+            (((cell_id, point, seed, 0),), MODEL, False, chaos, None, True, 64),
         )
         for cell_id, point, seed in enumerate_cells(
             points, range(len(points)), seeds
@@ -99,8 +100,13 @@ def _calls(points, seeds, chaos=None):
 def _put_grid(queue, points, seeds, chaos=None):
     calls = _calls(points, seeds, chaos)
     for key, args in calls:
-        queue.put(key, encode_call(*args))
+        assert queue.put(QueueTask(*args)) == key
     return [key for key, _ in calls]
+
+
+def _file_record(directory, key, record):
+    """Write one record file as the queue does, bypassing ``put``."""
+    atomic_write_json(directory / f"{key}.json", record)
 
 
 # ----------------------------------------------------------------------
@@ -127,21 +133,23 @@ class TestQueueProtocol:
         assert queue.counts() == {"tasks": 3, "claims": 1, "failed": 0, "cells": 0}
         # A finished cell put again (corrupt, or resume off): recomputed.
         queue.complete(task, simulate_cell(*task.call[0][0][1:3], MODEL))
-        queue_mod._write_record(queue.failed_dir, task.key, {"error": "stale"})
+        _file_record(queue.failed_dir, task.key, {"error": "stale"})
         _put_grid(queue, points, seeds)
         assert queue.counts() == {"tasks": 4, "claims": 0, "failed": 0, "cells": 0}
 
     def test_record_write_interrupted_leaves_no_temp_file(
-        self, tmp_path, monkeypatch
+        self, tmp_path, grid, monkeypatch
     ):
+        points, seeds = grid
         queue = WorkQueue(tmp_path)
+        ((_, args), *_) = _calls(points, seeds)
 
         def interrupted(src, dst):
             raise KeyboardInterrupt
 
         monkeypatch.setattr(os, "replace", interrupted)
         with pytest.raises(KeyboardInterrupt):
-            queue_mod._write_record(queue.tasks_dir, "feedface", {"a": 1})
+            queue.put(QueueTask(*args))
         assert list(queue.tasks_dir.iterdir()) == []
 
     def test_claim_then_drain(self, tmp_path, grid):
@@ -154,6 +162,7 @@ class TestQueueProtocol:
             claimed.add(task.key)
             # The decoded record is the call that was submitted.
             assert task.call == calls[task.key]
+            assert task.lease.worker == queue.worker_id
         assert claimed == set(calls)
         counts = queue.counts()
         assert counts["tasks"] == 0
@@ -314,6 +323,66 @@ class TestQueueProtocol:
         assert record["error_type"] == "GarbledTask"
 
 
+    # One non-UTF-8 byte (``UnicodeDecodeError`` is a ``ValueError``, not
+    # a ``JSONDecodeError``) used to escape the record reader: out of
+    # ``claim()`` in a worker, and in the driver out of the settle pass,
+    # whose catch-all then failed every pending future of the sweep.
+    NOT_UTF8 = b'{"error_type": "\xff\xfe"}'
+
+    def test_non_utf8_task_is_one_garbled_attempt(self, tmp_path, grid):
+        points, seeds = grid
+        queue = WorkQueue(tmp_path)
+        (key,) = _put_grid(queue, points[:1], seeds[:1])
+        (queue.tasks_dir / f"{key}.json").write_bytes(self.NOT_UTF8)
+        assert queue.claim() is None
+        assert queue.counts() == {"tasks": 0, "claims": 0, "failed": 1, "cells": 0}
+        record = json.loads((queue.failed_dir / f"{key}.json").read_text())
+        assert record["error_type"] == "GarbledTask"
+
+    def test_non_utf8_claim_is_reclaimed_like_an_unreadable_one(
+        self, tmp_path, grid
+    ):
+        points, seeds = grid
+        queue = WorkQueue(tmp_path, lease_s=5.0)
+        _put_grid(queue, points[:1], seeds[:1])
+        task = queue.claim()
+        claim = queue.claims_dir / f"{task.key}.json"
+        claim.write_bytes(self.NOT_UTF8)
+        queue.release_claims_of({queue.worker_id})  # no lease readable: kept
+        assert queue.reclaim_expired() == 0  # mtime is now: inside the lease
+        assert queue.reclaim_expired(now=time.time() + 10.0) == 1
+        lost = json.loads((queue.failed_dir / f"{task.key}.json").read_text())
+        assert lost["error_type"] == "LeaseExpired"
+        assert queue.counts()["claims"] == 0
+
+    def test_non_utf8_failure_record_fails_its_own_future_only(
+        self, tmp_path, grid
+    ):
+        points, seeds = grid
+        executor = QueueExecutor(tmp_path, spawn_workers=False).ensure(1)
+        queue = executor.queue
+        try:
+            (bad_key, bad), (good_key, good), *_ = [
+                (key, executor.submit(run_chunk, *args))
+                for key, args in _calls(points, seeds)
+            ]
+            (queue.failed_dir / f"{bad_key}.json").write_bytes(self.NOT_UTF8)
+            error = bad.exception(timeout=30)
+            assert type(error).__name__ == "QueueFailure"
+            assert isinstance(error, ExperimentError)
+            assert queue.counts()["failed"] == 0
+            # The settle thread is alive and the rest of the sweep waits on.
+            assert not good.done()
+            while (task := queue.claim()).key != good_key:
+                pass
+            ((_, point, seed, _),) = task.chunk
+            report = simulate_cell(point, seed, MODEL)
+            queue.complete(task, report)
+            assert good.result(timeout=30) == [(report, None)]
+        finally:
+            executor.shutdown()
+
+
 # ----------------------------------------------------------------------
 # worker loop (in-process)
 # ----------------------------------------------------------------------
@@ -380,22 +449,39 @@ class TestWorkerLoop:
         assert outcome.stats.cells_computed == len(points) * len(seeds)
 
     def test_old_format_record_is_garbled_not_half_read(self, tmp_path, grid):
-        """A task in the record format of the driver this executor
-        replaced (cell fields at the top level, no ``chunk``) is refused
-        whole — never run from the fields that happen to be there."""
+        """A task in a record format this one replaced — the schema-1
+        record (hand-mirrored point: ``pf_rule`` by name, ``dims`` as a
+        list, no observational flags), or the one before it (cell fields
+        at the top level, no ``chunk``) — is refused whole, never run
+        from the fields that happen to be there."""
         points, seeds = grid
         queue = WorkQueue(tmp_path)
         key = cell_key(points[0], seeds[0], MODEL)
-        queue_mod._write_record(queue.tasks_dir, key, {
-            "key": key, "point_index": 0, "seed_index": 0, "seed": seeds[0],
-            "attempt": 1, "point": queue_mod.describe_point(points[0]),
-            "model": queue_mod.describe_model(MODEL),
-            "master_failure_count": 64,
-        })
-        assert run_worker(tmp_path, idle_exit_s=0.0) == 0
-        assert queue.counts() == {"tasks": 0, "claims": 0, "failed": 1, "cells": 0}
-        record = json.loads((queue.failed_dir / f"{key}.json").read_text())
-        assert record["error_type"] == "GarbledTask"
+        plain = to_plain(points[0])
+        schema_1_point = {
+            **plain, "pf_rule": "MAX",
+            "config": {
+                name: value for name, value in plain["config"].items()
+                if name not in ("trace", "profile", "check_invariants")
+            } | {"dims": [4, 4, 8]},
+        }
+        for old in (
+            {
+                "chunk": [[[0, 0], schema_1_point, seeds[0], 0]],
+                "model": to_plain(MODEL), "with_obs": False, "chaos": None,
+                "timeout_s": None, "in_worker": True, "master_failure_count": 64,
+            },
+            {
+                "key": key, "point_index": 0, "seed_index": 0, "seed": seeds[0],
+                "attempt": 1, "point": plain, "model": to_plain(MODEL),
+                "master_failure_count": 64,
+            },
+        ):
+            _file_record(queue.tasks_dir, key, old)
+            assert run_worker(tmp_path, idle_exit_s=0.0) == 0
+            assert queue.counts() == {"tasks": 0, "claims": 0, "failed": 1, "cells": 0}
+            record = json.loads((queue.failed_dir / f"{key}.json").read_text())
+            assert record["error_type"] == "GarbledTask"
 
     def test_record_filed_under_the_wrong_key_is_garbled(self, tmp_path, grid):
         """A checkpoint is trusted by key, so a worker must never write
@@ -403,7 +489,7 @@ class TestWorkerLoop:
         points, seeds = grid
         queue = WorkQueue(tmp_path)
         (_, args), (other_key, _), *_ = _calls(points, seeds)
-        queue_mod._write_record(queue.tasks_dir, other_key, encode_call(*args))
+        _file_record(queue.tasks_dir, other_key, to_plain(QueueTask(*args)))
         assert run_worker(tmp_path, idle_exit_s=0.0) == 0
         assert queue.counts()["cells"] == 0
         assert queue.counts()["failed"] == 1
@@ -416,7 +502,7 @@ class TestWorkerLoop:
         # A rival host re-enqueues the finished cell (e.g. raced the
         # checkpoint write); the worker must release, not recompute.
         ((_, args),) = _calls(points[:1], seeds[:1])
-        queue_mod._write_record(queue.tasks_dir, key, encode_call(*args))
+        _file_record(queue.tasks_dir, key, to_plain(QueueTask(*args)))
         assert run_worker(tmp_path, idle_exit_s=0.0) == 0
         assert queue.counts()["tasks"] == 0
         assert queue.counts()["claims"] == 0

@@ -15,6 +15,8 @@ The properties a resumable sweep leans on:
 from __future__ import annotations
 
 import dataclasses
+import enum
+import hashlib
 import json
 
 import pytest
@@ -26,7 +28,7 @@ from repro.experiments.sweep import SweepPoint, simulate_cell
 from repro.failures.synthetic import BurstFailureModel
 from repro.metrics.serialize import report_to_dict
 from repro.resilience import CellStore, cell_key
-from repro.resilience.store import TMP_PREFIX, describe_point
+from repro.resilience.store import TMP_PREFIX
 
 POINT = SweepPoint("nasa", 12, 1.0, 2, "balancing", 0.3)
 MODEL = BurstFailureModel()
@@ -132,6 +134,34 @@ class TestCorruptionDetection:
         assert store.get(key) is None
         assert store.corrupt == 1
 
+    def test_schema_1_cell_is_a_counted_miss_never_restored(self, tmp_path, report):
+        """A cell file exactly as the pre-schema-2 store wrote it — valid
+        checksum and all — is recomputed, not migrated."""
+        store = CellStore(tmp_path)
+        key = cell_key(POINT, 0, MODEL)
+        payload = report_to_dict(report)
+        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        store.path_for(key).write_text(json.dumps({
+            "schema": 1, "key": key, "point_index": 0, "seed": 0,
+            "payload": payload,
+            "payload_sha256": hashlib.sha256(canonical.encode()).hexdigest(),
+        }))
+        assert store.get(key) is None
+        assert (store.hits, store.misses, store.corrupt) == (0, 1, 1)
+        assert store.validate() == [f"{key}.json: fails integrity check"]
+
+    def test_non_finite_number_is_a_miss_not_an_exception(self, tmp_path, report):
+        """``1e999`` parses to infinity; the strict digest must reject
+        the file, not raise out of ``get``."""
+        store = CellStore(tmp_path)
+        key = cell_key(POINT, 0, MODEL)
+        path = store.put(key, report)
+        text = path.read_text().replace('"n_failures":2', '"n_failures":1e999')
+        assert text != path.read_text()
+        path.write_text(text)
+        assert store.get(key) is None
+        assert store.corrupt == 1
+
     def test_tampered_payload_fails_checksum(self, tmp_path, report):
         store = CellStore(tmp_path)
         key = cell_key(POINT, 0, MODEL)
@@ -203,11 +233,39 @@ class TestCellKey:
             )
             assert cell_key(toggled, 0, MODEL) == base
 
-    def test_every_config_field_is_classified(self):
-        """A ``SimulationConfig`` field is either in the cell key or one
-        of the three observational flags — a new field cannot silently
-        stay out of the key."""
-        observational = {"trace", "profile", "check_invariants"}
-        fields = {f.name for f in dataclasses.fields(SimulationConfig)}
-        assert observational < fields
-        assert set(describe_point(POINT)["config"]) == fields - observational
+    @pytest.mark.parametrize(
+        "field", dataclasses.fields(SimulationConfig), ids=lambda f: f.name
+    )
+    def test_every_config_field_is_classified(self, field):
+        """The dataclass is the schema: a ``SimulationConfig`` field is in
+        the cell key by being declared, and out of it only by carrying
+        the ``observational`` mark — a new field cannot silently stay
+        out of the key."""
+        config = dataclasses.replace(
+            POINT.config, **{field.name: _perturbed(getattr(POINT.config, field.name))}
+        )
+        changed = cell_key(dataclasses.replace(POINT, config=config), 0, MODEL)
+        if field.metadata.get("observational"):
+            assert changed == cell_key(POINT, 0, MODEL)
+        else:
+            assert changed != cell_key(POINT, 0, MODEL)
+
+    def test_three_fields_are_marked_observational(self):
+        marked = {
+            f.name
+            for f in dataclasses.fields(SimulationConfig)
+            if f.metadata.get("observational")
+        }
+        assert marked == {"trace", "profile", "check_invariants"}
+
+
+def _perturbed(value):
+    """A different valid value of the same type, for any config field."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, enum.Enum):
+        return next(member for member in type(value) if member is not value)
+    if dataclasses.is_dataclass(value):
+        first = dataclasses.fields(value)[0].name
+        return dataclasses.replace(value, **{first: _perturbed(getattr(value, first))})
+    return value + 1
