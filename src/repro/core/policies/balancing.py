@@ -52,8 +52,6 @@ class BalancingPolicy(SchedulingPolicy):
     ) -> Partition | None:
         batch, losses = self.batch_scored(index, state.size)
         if not len(batch):
-            if self.recorder.enabled:
-                self.trace_decision(state, now, batch, None)
             return None
         window_end = now + max(state.remaining_estimate, 1.0)
         probs = np.empty(len(batch), dtype=np.float64)

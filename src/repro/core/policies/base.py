@@ -31,12 +31,9 @@ class SchedulingPolicy(abc.ABC):
 
     #: Decision-trace recorder; the simulator swaps in its own when
     #: tracing is enabled.  Policies emit one ``candidates`` record per
-    #: placement decision they are asked for, with the scoring inputs of
-    #: the considered partitions (:meth:`trace_decision`).  The backfill
-    #: walk does not ask about a size with no free partition; it writes
-    #: that decision's record — the fixed empty shape ``trace_decision``
-    #: gives an empty batch — itself, in bulk
-    #: (:meth:`repro.obs.trace.TraceRecorder.emit_no_fit`).
+    #: placement they make, with the scoring inputs of the considered
+    #: partitions (:meth:`trace_decision`).  The engine asks only about
+    #: a size with a free partition, so a trace holds no empty record.
     recorder = NULL_RECORDER
 
     #: Profile registry; the simulator hands over its own beside the
@@ -76,7 +73,7 @@ class SchedulingPolicy(abc.ABC):
         state: JobState,
         now: float,
         batch: CandidateBatch,
-        chosen: Partition | None,
+        chosen: Partition,
         rows: np.ndarray | None = None,
         **scores: np.ndarray,
     ) -> None:
@@ -108,12 +105,8 @@ class SchedulingPolicy(abc.ABC):
             n_candidates=len(batch),
             considered=[dict(zip(keys, entry)) for entry in zip(*columns)],
             truncated=n_examined > MAX_TRACED_CANDIDATES,
-            chosen=(
-                None
-                if chosen is None
-                else {
-                    "base": [int(x) for x in chosen.base],
-                    "shape": [int(x) for x in chosen.shape],
-                }
-            ),
+            chosen={
+                "base": [int(x) for x in chosen.base],
+                "shape": [int(x) for x in chosen.shape],
+            },
         )

@@ -33,8 +33,6 @@ class KrevatPolicy(SchedulingPolicy):
     ) -> Partition | None:
         batch, losses = self.batch_scored(index, state.size)
         if not len(batch):
-            if self.recorder.enabled:
-                self.trace_decision(state, now, batch, None)
             return None
         # np.argmin returns the first occurrence of the minimum — exactly
         # the scalar walk's "first candidate at min loss" tie order.

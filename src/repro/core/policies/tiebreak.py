@@ -47,8 +47,6 @@ class TieBreakPolicy(SchedulingPolicy):
     ) -> Partition | None:
         batch, losses = self.batch_scored(index, state.size)
         if not len(batch):
-            if self.recorder.enabled:
-                self.trace_decision(state, now, batch, None)
             return None
         window_end = now + max(state.remaining_estimate, 1.0)
         tied = np.flatnonzero(losses == losses.min())

@@ -427,15 +427,18 @@ class Simulator:
         self.policy.begin_pass(now)
         while self.wait:
             # Version-checked reuse: loop iterations that did not mutate
-            # the torus (choose → dispatch bumps the version; a failed
-            # choose does not) share one index, as do back-to-back
+            # the torus (choose → dispatch bumps the version; a head that
+            # does not fit does not) share one index, as do back-to-back
             # scheduler passes over an unchanged machine.
             index = self._index_cache.get()
             head = self.wait.head()
-            partition = self.policy.choose_partition(index, head, now)
-            if partition is not None:
-                self._dispatch(head, partition, now)
-                continue
+            # The policy is asked only about a size with a free partition,
+            # here as in the backfill walk.
+            if index.has_candidate(head.size):
+                partition = self.policy.choose_partition(index, head, now)
+                if partition is not None:
+                    self._dispatch(head, partition, now)
+                    continue
             if self._try_migration(head, now):
                 continue
             if self.config.backfill is BackfillMode.NONE:
@@ -489,25 +492,14 @@ class Simulator:
         One walk, traced or not: the index is asked once per *distinct*
         waiting size, and the policy is called only for a job whose size
         has a free partition and whose estimate clears the EASY shadow.
-        A trace also carries an empty ``candidates`` record for every
-        job that clears the shadow but whose size does not fit; with the
-        recorder on the walk visits those jobs too and writes their
-        records itself — collected, and handed to the recorder as one
-        run before any policy call, so record order and ``seq`` are what
-        a per-job policy call would have produced.
         """
-        tracing = self.recorder.enabled
-        sizes = self.wait.sizes()
-        fits = {s for s in sizes if index.has_candidate(s)}
-        visit = sizes if tracing else fits
-        if not visit:
+        fits = {s for s in self.wait.sizes() if index.has_candidate(s)}
+        if not fits:
             return False
-        no_fit: list[tuple[int, int]] = []
         easy = self.config.backfill is BackfillMode.EASY
         shadow = None if easy else math.inf
         for state in islice(self.wait, 1, None):
-            size = state.size
-            if size not in visit:
+            if state.size not in fits:
                 continue
             if shadow is None:
                 running = [self.states[i] for i in self._running_ids]
@@ -522,15 +514,9 @@ class Simulator:
             )
             if now + est_wall > shadow + _SHADOW_EPS:
                 continue
-            if size not in fits:  # reached only with the recorder on
-                no_fit.append((state.job_id, size))
-                continue
-            if no_fit:
-                self.recorder.emit_no_fit(now, self.policy.name, no_fit)
-                no_fit = []
             partition = self.policy.choose_partition(index, state, now)
             if partition is not None:
-                if tracing:
+                if self.recorder.enabled:
                     self.recorder.emit(
                         "backfill", now, job=state.job_id, head_job=head.job_id,
                         shadow=shadow if easy else None, est_wall=est_wall,
@@ -538,8 +524,6 @@ class Simulator:
                 self._dispatch(state, partition, now, via="backfill")
                 self.counters.backfills += 1
                 return True
-        if no_fit:
-            self.recorder.emit_no_fit(now, self.policy.name, no_fit)
         return False
 
     def _dispatch(

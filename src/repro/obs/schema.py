@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Any, Iterable
 
 #: Version embedded in every trace header; bump on breaking change.
-TRACE_SCHEMA_VERSION = 1
+TRACE_SCHEMA_VERSION = 2
 
 #: Common envelope present on every record.
 COMMON_FIELDS = frozenset({"kind", "t", "seq"})
@@ -36,8 +36,13 @@ KIND_FIELDS: dict[str, frozenset[str]] = {
     "arrival": frozenset({"job", "size"}),
     # One placement decision's candidate enumeration, with the scoring
     # inputs (L_MFP, and for fault-aware policies P_f / L_PF / E_loss)
-    # of every considered partition.
-    "candidates": frozenset({"job", "size", "policy", "n_candidates", "considered"}),
+    # of every considered partition.  A decision exists only where a
+    # candidate does: ``n_candidates >= 1`` and ``chosen`` is never null.
+    # That a waiting job's size did not fit is not recorded — it follows
+    # from the dispatch / finish / failure / migration / cancel records.
+    "candidates": frozenset(
+        {"job", "size", "policy", "n_candidates", "considered", "truncated", "chosen"}
+    ),
     # A job started on a partition.
     "dispatch": frozenset({"job", "size", "base", "shape", "via", "wall"}),
     # A waiting job was promoted past the queue head, with the
@@ -84,6 +89,12 @@ def validate_record(record: Any, seq: int | None = None) -> list[str]:
             errors.append(
                 f"{kind} record has seq {record['seq']}, expected {seq}"
             )
+    if kind == "candidates":  # absent fields are reported as missing above
+        n = record.get("n_candidates", 1)
+        if not isinstance(n, int) or n < 1:
+            errors.append(f"candidates record has n_candidates {n!r}, expected >= 1")
+        if record.get("chosen", {}) is None:
+            errors.append("candidates record has a null chosen")
     if kind == "header" and record.get("schema") != TRACE_SCHEMA_VERSION:
         errors.append(
             f"unsupported trace schema {record.get('schema')!r} "

@@ -28,8 +28,6 @@ def summarize_trace(records: Sequence[dict[str, Any]]) -> dict[str, Any]:
     t_max: float | None = None
     kills = 0
     candidate_total = 0
-    candidate_decisions = 0
-    no_fit = 0
     header: dict[str, Any] | None = None
     for record in records:
         kind = record.get("kind", "?")
@@ -47,12 +45,7 @@ def summarize_trace(records: Sequence[dict[str, Any]]) -> dict[str, Any]:
         if kind == "failure" and record.get("killed_job") is not None:
             kills += 1
         if kind == "candidates":
-            n_candidates = int(record.get("n_candidates", 0))
-            if n_candidates:
-                candidate_decisions += 1
-                candidate_total += n_candidates
-            else:
-                no_fit += 1
+            candidate_total += int(record.get("n_candidates", 0))
     return {
         "header": header,
         "n_records": len(records),
@@ -60,13 +53,7 @@ def summarize_trace(records: Sequence[dict[str, Any]]) -> dict[str, Any]:
         "n_jobs_seen": len(jobs),
         "t_span": (t_min, t_max),
         "job_kills": kills,
-        # Probes that found no free partition (on a deep queue ~97 % of
-        # all ``candidates`` records) are counted on their own; the
-        # average is over decisions that had something to choose from.
-        "no_fit": no_fit,
-        "avg_candidates": (
-            candidate_total / candidate_decisions if candidate_decisions else 0.0
-        ),
+        "avg_candidates": candidate_total / max(kinds.get("candidates", 0), 1),
     }
 
 
@@ -88,10 +75,8 @@ def format_summary(summary: dict[str, Any]) -> str:
     )
     lines.append(
         f"kills={summary['job_kills']} "
-        f"avg_candidate_set={summary['avg_candidates']:.1f} "
-        f"(over decisions with candidates)"
+        f"avg_candidate_set={summary['avg_candidates']:.1f}"
     )
-    lines.append(f"no_fit={summary['no_fit']} (probes that found no free partition)")
     lines.append("records by kind:")
     for kind, count in summary["kinds"].items():
         lines.append(f"  {kind:<12} {count}")

@@ -10,13 +10,6 @@ every record, streamed by :meth:`TraceRecorder.emit` or written later by
 ``Infinity`` are not RFC 8259 JSON), so every line a recorder writes is
 parseable by a strict reader.
 
-Most records of a deep-queue run are the empty ``candidates`` records of
-backfill probes whose size has no free partition.  The backfill walk
-hands those to :meth:`TraceRecorder.emit_no_fit` one run per walk; in
-sink mode the run is formatted from a key-sorted template and written
-with a single ``sink.write`` — the same bytes ``emit`` would produce,
-without a dict, an encoder pass and a write per record.
-
 :class:`NullRecorder` is the default wired into the simulator: a
 singleton whose :meth:`~NullRecorder.emit` is a no-op ``pass``.  Callers
 that build nontrivial record payloads guard on ``recorder.enabled`` so
@@ -28,18 +21,11 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import IO, Any, Iterator, Sequence
+from typing import IO, Any, Iterator
 
 from repro.errors import SimulationError
 from repro.obs.schema import TRACE_SCHEMA_VERSION
 from repro.records import canonical_json as _encode
-
-#: An empty ``candidates`` record as ``_encode`` writes it, keys sorted;
-#: ``%s`` slots take pre-encoded JSON text, ``%d`` slots plain ints.
-_NO_FIT_LINE = (
-    '{"chosen":null,"considered":[],"job":%%d,"kind":"candidates",'
-    '"n_candidates":0,"policy":%s,"seq":%%d,"size":%%d,"t":%s,"truncated":false}\n'
-)
 
 
 class TraceRecorder:
@@ -71,35 +57,6 @@ class TraceRecorder:
             self._sink.write(_encode(record) + "\n")
         else:
             self._records.append(record)
-
-    def emit_no_fit(
-        self, t: float, policy: str, jobs: Sequence[tuple[int, int]]
-    ) -> None:
-        """Record one run of empty ``candidates`` decisions at time ``t``.
-
-        ``jobs`` are ``(job_id, size)`` pairs, one per waiting job the
-        backfill walk probed whose size has no free partition; the
-        result is exactly what one ``emit("candidates", t, job=...,
-        size=..., policy=policy, n_candidates=0, considered=[],
-        truncated=False, chosen=None)`` per pair would have recorded.
-        """
-        t = float(t)
-        numbered = enumerate(jobs, self._seq)
-        if self._sink is not None:
-            line = _NO_FIT_LINE % (_encode(policy).replace("%", "%%"), _encode(t))
-            self._sink.write(
-                "".join([line % (job, seq, size) for seq, (job, size) in numbered])
-            )
-        else:
-            self._records.extend(
-                {
-                    "kind": "candidates", "t": t, "seq": seq, "job": job,
-                    "size": size, "policy": policy, "n_candidates": 0,
-                    "considered": [], "truncated": False, "chosen": None,
-                }
-                for seq, (job, size) in numbered
-            )
-        self._seq += len(jobs)
 
     def header(self, **fields: Any) -> None:
         """Emit the stream header (must be the first record)."""
@@ -142,11 +99,6 @@ class NullRecorder:
     def emit(self, kind: str, t: float, **fields: Any) -> None:
         pass
 
-    def emit_no_fit(
-        self, t: float, policy: str, jobs: Sequence[tuple[int, int]]
-    ) -> None:
-        pass
-
     def header(self, **fields: Any) -> None:
         pass
 
@@ -170,18 +122,24 @@ def write_trace(records: list[dict[str, Any]], path: str | Path) -> None:
 
 
 def iter_trace(path: str | Path) -> Iterator[dict[str, Any]]:
-    """Yield records from an NDJSON trace file, skipping blank lines."""
-    with open(path, "r", encoding="utf-8") as handle:
+    """Yield records from an NDJSON trace file, skipping blank lines.
+
+    A line that is not UTF-8, not JSON or not a JSON object raises
+    :class:`SimulationError` naming the file and line.
+    """
+    with open(path, "rb") as handle:
         for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
-            try:
-                yield json.loads(line)
-            except json.JSONDecodeError as exc:
+            try:  # UnicodeDecodeError and JSONDecodeError are ValueErrors
+                record = json.loads(line.decode("utf-8"))
+            except ValueError as exc:
                 raise SimulationError(
                     f"{path}:{lineno}: not valid JSON: {exc}"
                 ) from exc
+            if not isinstance(record, dict):
+                raise SimulationError(f"{path}:{lineno}: not a JSON object")
+            yield record
 
 
 def read_trace(path: str | Path) -> list[dict[str, Any]]:

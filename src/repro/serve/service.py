@@ -21,14 +21,16 @@ terminated or not, is answered with a protocol error and the connection
 is closed; the reader's own buffer limit bounds what is held beyond it.
 
 Graceful shutdown (``shutdown`` op, :meth:`SchedulerService.stop`, or
-SIGINT in :func:`run_service`) stops accepting connections, drains the
-engine — every admitted job runs to completion and the final report is
-computed — then closes the connections still open.
+SIGINT / SIGTERM in :func:`run_service`) stops accepting connections,
+drains the engine — every admitted job runs to completion and the final
+report is computed — then closes the connections still open.  A second
+signal stops the process at once.
 """
 
 from __future__ import annotations
 
 import asyncio
+import signal
 from pathlib import Path
 from typing import Any
 
@@ -70,7 +72,7 @@ class SchedulerService:
         self.unix_path = Path(unix_path) if unix_path is not None else None
         self._server: asyncio.AbstractServer | None = None
         self._shutdown = asyncio.Event()
-        self._writers: set[asyncio.StreamWriter] = set()
+        self._connections: dict[asyncio.Task[None], asyncio.StreamWriter] = {}
 
     # ------------------------------------------------------------------
     @property
@@ -114,9 +116,14 @@ class SchedulerService:
             self.engine.handle({"op": "drain"})
         # From Python 3.12 ``wait_closed`` waits for every accepted
         # connection, so an idle client would hold the server up forever.
-        for writer in self._writers:
+        for writer in self._connections.values():
             writer.close()
         await self._server.wait_closed()
+        # Each handler reads its close as EOF and returns; before 3.12 one
+        # still pending when the loop ends is cancelled with a traceback.
+        handlers = self._connections.keys() - {asyncio.current_task()}
+        if handlers:
+            await asyncio.wait(handlers)
         self._server = None
         if self.unix_path is not None:
             self.unix_path.unlink(missing_ok=True)
@@ -126,7 +133,9 @@ class SchedulerService:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        self._writers.add(writer)
+        task = asyncio.current_task()
+        self._connections[task] = writer
+        task.add_done_callback(self._connections.pop)
         tail = b""
         closing = False
         try:
@@ -152,7 +161,6 @@ class SchedulerService:
         except ConnectionResetError:
             pass
         finally:
-            self._writers.discard(writer)
             writer.close()
             try:
                 await writer.wait_closed()
@@ -203,6 +211,19 @@ def run_service(
         service = SchedulerService(
             engine, host=host, port=port, unix_path=unix_path
         )
+        loop = asyncio.get_running_loop()
+        signals = (signal.SIGINT, signal.SIGTERM)
+
+        def on_signal() -> None:
+            for signum in signals:  # the next one is not caught
+                loop.remove_signal_handler(signum)
+            service._shutdown.set()
+
+        for signum in signals:
+            try:
+                loop.add_signal_handler(signum, on_signal)
+            except (NotImplementedError, RuntimeError):
+                pass  # no loop signal support here, or not the main thread
         await service.start()
         if ready_file is not None:
             Path(ready_file).write_text(service.address + "\n", encoding="utf-8")

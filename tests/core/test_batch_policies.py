@@ -151,16 +151,18 @@ class TestPerDecision:
         for policy, reference in references.items():
             policy.recorder = TraceRecorder()
             chosen = policy.choose_partition(index, state, now)
+            if not scored:  # asked about a size that does not fit: no record
+                assert chosen is None and not policy.recorder.records, policy.name
+                continue
             (record,) = policy.recorder.records
             assert record["n_candidates"] == len(scored), policy.name
             assert record["considered"] == reference[:MAX_TRACED_CANDIDATES], policy.name
             assert record["truncated"] == (
                 len(reference) > MAX_TRACED_CANDIDATES
             ), policy.name
-            assert record["chosen"] == (
-                None if chosen is None
-                else {"base": list(chosen.base), "shape": list(chosen.shape)}
-            ), policy.name
+            assert record["chosen"] == {
+                "base": list(chosen.base), "shape": list(chosen.shape)
+            }, policy.name
             # Plain Python scalars only: what the JSON encoder accepts.
             for considered in record["considered"]:
                 assert all(

@@ -54,34 +54,21 @@ class TestSummarize:
         assert "policy=balancing" in text
         assert "5 records" in text
 
-    def test_no_fit_probes_do_not_dilute_the_candidate_average(self):
+    def test_candidate_average_is_over_every_decision(self):
         def candidates(seq, n):
             return {"kind": "candidates", "t": 2.0, "seq": seq, "job": seq,
                     "size": 4, "policy": "balancing", "n_candidates": n,
-                    "considered": []}
+                    "considered": [], "truncated": False,
+                    "chosen": {"base": [0, 0, 0], "shape": [1, 2, 2]}}
 
-        trace = [header(), candidates(1, 10), candidates(2, 30)]
-        trace += [candidates(seq, 0) for seq in range(3, 101)]
-        summary = summarize_trace(trace)
-        assert summary["no_fit"] == 98
+        summary = summarize_trace([header(), candidates(1, 10), candidates(2, 30)])
         assert summary["avg_candidates"] == 20.0
-        lines = format_summary(summary).splitlines()
-        assert any("avg_candidate_set=20.0" in line for line in lines)
-        assert any(line.startswith("no_fit=98") for line in lines)
-
-    def test_trace_of_only_no_fit_probes(self):
-        summary = summarize_trace(
-            [header(), {"kind": "candidates", "t": 1.0, "seq": 1, "job": 1,
-                        "size": 4, "policy": "p", "n_candidates": 0,
-                        "considered": []}]
-        )
-        assert summary["no_fit"] == 1
-        assert summary["avg_candidates"] == 0.0
+        assert "avg_candidate_set=20.0" in format_summary(summary)
 
     def test_empty_trace(self):
         summary = summarize_trace([])
         assert summary["n_records"] == 0
-        assert summary["no_fit"] == 0
+        assert summary["avg_candidates"] == 0.0
         assert summary["t_span"] == (None, None)
         assert "(empty)" in format_summary(summary)
 

@@ -57,6 +57,11 @@ class TestTraceRecorder:
         with pytest.raises(SimulationError, match="sink"):
             rec.records
 
+    def test_integer_time_is_written_as_a_float(self):
+        sink = io.StringIO()
+        TraceRecorder(sink=sink).emit("finish", 3, job=1)
+        assert '"t":3.0}' in sink.getvalue()
+
     def test_enabled_flags(self):
         assert TraceRecorder().enabled is True
         assert NULL_RECORDER.enabled is False
@@ -66,59 +71,6 @@ class TestTraceRecorder:
         rec.header(policy="x")
         rec.emit("arrival", 0.0, job=0, size=1)
         assert len(rec) == 0
-
-
-class TestNoFitRun:
-    """``emit_no_fit`` is a bulk form of ``emit``: same records, same
-    bytes, same ``seq``, in both recorder modes."""
-
-    JOBS = [(7, 64), (12, 8), (3, 128)]
-    #: A name no policy has, but one the template must survive: quotes,
-    #: a backslash, a percent sign and a non-ASCII letter.
-    POLICY = 'bal"anc\\ing %d é'
-
-    def one_by_one(self, rec: TraceRecorder) -> None:
-        rec.emit("arrival", 1.0, job=0, size=4)
-        for job, size in self.JOBS:
-            rec.emit(
-                "candidates", 2.5, job=job, size=size, policy=self.POLICY,
-                n_candidates=0, considered=[], truncated=False, chosen=None,
-            )
-        rec.emit("finish", 3.0, job=0)
-
-    def in_bulk(self, rec: TraceRecorder) -> None:
-        rec.emit("arrival", 1.0, job=0, size=4)
-        rec.emit_no_fit(2.5, self.POLICY, self.JOBS)
-        rec.emit_no_fit(2.5, self.POLICY, [])
-        rec.emit("finish", 3.0, job=0)
-
-    def test_sink_bytes_equal_per_record_emit(self):
-        a, b = io.StringIO(), io.StringIO()
-        self.one_by_one(TraceRecorder(sink=a))
-        bulk = TraceRecorder(sink=b)
-        self.in_bulk(bulk)
-        assert b.getvalue() == a.getvalue()
-        assert len(bulk) == 5
-
-    def test_buffered_records_equal_per_record_emit(self, tmp_path):
-        a, b = TraceRecorder(), TraceRecorder()
-        self.one_by_one(a)
-        self.in_bulk(b)
-        assert b.records == a.records
-        assert [list(r) for r in b.records] == [list(r) for r in a.records]
-        assert len(b) == 5
-        sink = io.StringIO()
-        self.in_bulk(TraceRecorder(sink=sink))
-        assert b.write(tmp_path / "t.ndjson").read_text() == sink.getvalue()
-
-    def test_integer_time_is_written_as_a_float(self):
-        sink = io.StringIO()
-        TraceRecorder(sink=sink).emit_no_fit(3, "krevat", [(1, 2)])
-        assert '"t":3.0,' in sink.getvalue()
-
-    def test_null_recorder_ignores_it(self):
-        NULL_RECORDER.emit_no_fit(0.0, "krevat", [(1, 2)])
-        assert len(NULL_RECORDER) == 0
 
 
 class TestStrictJson:
@@ -131,8 +83,6 @@ class TestStrictJson:
         rec = TraceRecorder(sink=sink)
         with pytest.raises(ValueError):
             rec.emit("backfill", 0.0, job=1, head_job=0, shadow=bad, est_wall=1.0)
-        with pytest.raises(ValueError):
-            rec.emit_no_fit(bad, "krevat", [(1, 2)])
         assert sink.getvalue() == ""
 
     def test_buffered_write_refuses_non_finite_numbers(self, tmp_path):
@@ -185,6 +135,35 @@ class TestSchema:
             {"kind": "arrival", "t": 0.0, "seq": 0, "job": 1}
         )
         assert any("size" in e for e in errors)
+
+    CANDIDATES = {
+        "kind": "candidates", "t": 2.0, "seq": 3, "job": 1, "size": 8,
+        "policy": "krevat", "n_candidates": 1, "truncated": False,
+        "considered": [{"base": [0, 0, 0], "shape": [2, 2, 2], "l_mfp": 0}],
+        "chosen": {"base": [0, 0, 0], "shape": [2, 2, 2]},
+    }
+
+    def test_candidates_record_is_a_decision(self):
+        assert validate_record(self.CANDIDATES) == []
+        for field in ("chosen", "truncated"):
+            record = {k: v for k, v in self.CANDIDATES.items() if k != field}
+            assert any(field in e for e in validate_record(record))
+
+    @pytest.mark.parametrize("n_candidates", [0, -1, None, 1.5])
+    def test_candidates_without_a_candidate_refused(self, n_candidates):
+        errors = validate_record({**self.CANDIDATES, "n_candidates": n_candidates})
+        assert any("n_candidates" in e for e in errors)
+
+    def test_candidates_with_null_chosen_refused(self):
+        errors = validate_record({**self.CANDIDATES, "chosen": None})
+        assert any("null chosen" in e for e in errors)
+
+    def test_schema_1_header_refused(self):
+        errors = validate_record(
+            {"kind": "header", "t": 0.0, "seq": 0, "schema": 1, "policy": "p",
+             "workload": "w", "dims": [2, 2, 2], "seed": 0}
+        )
+        assert errors == ["unsupported trace schema 1 (expected 2)"]
 
     def test_decision_kinds_exclude_header(self):
         assert "header" not in DECISION_KINDS

@@ -1,20 +1,28 @@
 """Pinned decision-trace bytes.
 
 ``tests/failures/test_synthetic.py`` pins the failure generator's output
-bytes — the inputs of every run; this file pins what a run writes.  The
-digests were recorded from the commit *before* the backfill walk started
-writing the no-fit ``candidates`` records itself and the policies started
-building their candidate tables from the batch arrays, so they hold the
-recorder, the walk and all three policies to the historical trace, byte
-for byte, through both recorder modes: streamed to a file sink, and
-buffered then written by ``recorder.write()``.
+bytes — the inputs of every run; this file pins what a run writes, and
+holds the recorder, the engine and all three policies to it, byte for
+byte, through both recorder modes: streamed to a file sink, and buffered
+then written by ``recorder.write()``.
+
+The digests are derived, not observed.  Schema 1 traces (pinned here
+until the commit that stopped writing them) also held an empty
+``candidates`` record for every waiting job a backfill walk or a head
+probe found no partition for; schema 2 records decisions only.  Each pin
+is the SHA-256 of the schema-1 trace the parent commit wrote for the
+scenario with every ``candidates`` line of ``"n_candidates":0`` dropped,
+``seq`` renumbered densely from 0, the header's ``schema`` set to 2 and
+every record re-encoded with ``records.canonical_json`` — so the
+decisions, their order and their scoring tables are the historical ones
+(schema 1 → 2: 57 840 → 1 225, 515 → 345 and 4 830 → 2 564 records).
 
 Scenarios: the 160-job deep-queue balancing run of
-``tests/core/test_backfill_walk.py`` (≈97 % of its records are no-fit
-backfill probes), a Krevat run whose early decisions see hundreds of
-candidates (``truncated`` records), and a tie-break run with a migration
-cost where a block of periodically failing nodes keeps more than 64 tied
-candidates "predicted to fail" ahead of the first stable one.
+``tests/core/test_backfill_walk.py``, a Krevat run whose early decisions
+see hundreds of candidates (``truncated`` records), and a tie-break run
+with a migration cost where a block of periodically failing nodes keeps
+more than 64 tied candidates "predicted to fail" ahead of the first
+stable one.
 """
 
 from __future__ import annotations
@@ -80,15 +88,15 @@ def tiebreak_inputs():
 SCENARIOS = {
     "deep_queue_balancing": (
         deep_queue_inputs,
-        "0e53e5174a6bccfa7c17bfc923c217521da4eddc7e82b5c0ccd1ac9c106639f0",
+        "6d35a82a0795d9162604338f999df7a662914707043dd1a796077d20b5ddc850",
     ),
     "krevat_wide": (
         krevat_inputs,
-        "4854d02efc33ee67f7067fb2632bf87d7f0fd3e8cdf63f96c7298c5974ffaf2c",
+        "ad7a33fd541e7515e909c98de927f976ced070f6f471e991cdfc909d9385eebd",
     ),
     "tiebreak_migration_cost": (
         tiebreak_inputs,
-        "376ea6cc6174b6d0b81cc326ed490ffcccf53941d29fadd105a5134db458bf16",
+        "68a60388ff73300923c026d0b79f2fc72a8ad8acbf5b4d6333ff4c2e64dd1fa5",
     ),
 }
 
@@ -123,13 +131,15 @@ def test_buffered_records_are_the_written_lines(written):
 
 
 def test_scenarios_cover_truncation_and_no_fit(written):
+    """Two scenarios write ``truncated`` tables, and none writes a
+    no-fit record: every ``candidates`` has a candidate and a choice."""
     _, _, _, records = written
     candidates = [r for r in records if r["kind"] == "candidates"]
     header = records[0]
-    if header["policy"] == "balancing":
-        no_fit = sum(r["n_candidates"] == 0 for r in candidates)
-        assert no_fit > 10_000 and no_fit > 0.9 * len(candidates)
-    else:
+    assert header["schema"] == 2
+    assert candidates
+    assert all(r["n_candidates"] >= 1 and r["chosen"] for r in candidates)
+    if header["policy"] != "balancing":
         assert max(r["n_candidates"] for r in candidates) > MAX_TRACED_CANDIDATES
         truncated = [r for r in candidates if r["truncated"]]
         assert truncated

@@ -3,13 +3,22 @@
 from __future__ import annotations
 
 import json
+import os
+import signal
+import subprocess
+import sys
 import threading
+import time
+from pathlib import Path
 
 import pytest
 
 import repro.cli as cli
 from repro.api import SimulationSetup, connect, serve
 from repro.cli import main
+from repro.obs.tools import validate_trace
+from repro.obs.trace import read_trace
+from repro.serve.client import SocketClient
 from repro.serve.engine import ServeEngine
 
 
@@ -59,8 +68,6 @@ class TestServeLoadCli:
         argv = ["serve", *scenario, "--ready-file", str(ready), *extra]
         thread = threading.Thread(target=main, args=(argv,), daemon=True)
         thread.start()
-        import time
-
         deadline = time.time() + 15.0
         while not ready.exists():
             if time.time() > deadline:
@@ -165,6 +172,56 @@ class TestServeLoadCli:
         assert code == 1
         assert "FAIL" in captured.err
         thread.join(timeout=15.0)
+
+
+class TestSignals:
+    """SIGINT / SIGTERM take the ``shutdown`` op's path: drain every
+    admitted job, flush the trace, write the metrics file, remove the
+    socket, exit 0 — with no traceback."""
+
+    @pytest.mark.parametrize(
+        "signum", [signal.SIGINT, signal.SIGTERM], ids=lambda s: s.name
+    )
+    def test_signal_drains_and_exits_clean(self, tmp_path, signum):
+        sock, trace, metrics, ready = (
+            tmp_path / name for name in ("s.sock", "t.ndjson", "m.json", "ready")
+        )
+        src = Path(__file__).resolve().parents[2] / "src"
+        server = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--unix", str(sock),
+             "--trace", str(trace), "--metrics-file", str(metrics),
+             "--ready-file", str(ready)],
+            env=dict(
+                os.environ,
+                PYTHONPATH=f"{src}{os.pathsep}" + os.environ.get("PYTHONPATH", ""),
+            ),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        try:
+            deadline = time.time() + 15.0
+            while not ready.exists():
+                assert server.poll() is None and time.time() < deadline
+                time.sleep(0.01)
+            client = SocketClient.connect(str(sock))
+            for job in range(5):
+                assert client.request(
+                    {"op": "submit", "id": job, "size": 8, "runtime": 100.0,
+                     "arrival": float(job), "tenant": "a"}
+                )["ok"]
+            server.send_signal(signum)  # the client is still connected
+            out, err = server.communicate(timeout=30.0)
+            client.close()
+        finally:
+            server.kill()
+            server.wait()
+        assert server.returncode == 0, err
+        assert "Traceback" not in err
+        assert "5 admitted, 0 rejected, 5 completed" in out
+        assert json.loads(metrics.read_text())["counters"]["serve.submitted"] == 5
+        records = read_trace(trace)
+        assert validate_trace(records) == []
+        assert sum(r["kind"] == "finish" for r in records) == 5
+        assert not sock.exists()
 
 
 class TestApiGlue:

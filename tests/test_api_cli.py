@@ -239,6 +239,39 @@ class TestCliObservability:
         assert main(["trace", "validate", str(path)]) == 1
         assert "header" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["summarize", "validate", "diff"])
+    @pytest.mark.parametrize(
+        "bad_line, message",
+        [(b'{"kind":"arr\xffval"}', "not valid JSON"), (b"[1,2]", "not a JSON object")],
+        ids=["non-utf8", "non-object"],
+    )
+    def test_trace_unreadable_line_is_one_stderr_line(
+        self, tmp_path, capsys, command, bad_line, message
+    ):
+        good = self.run_traced(tmp_path, "good.ndjson")
+        bad = tmp_path / "bad.ndjson"
+        bad.write_bytes(good.read_bytes() + bad_line + b"\n")
+        lineno = bad.read_bytes().count(b"\n")
+        capsys.readouterr()
+        paths = [str(good), str(bad)] if command == "diff" else [str(bad)]
+        assert main(["trace", command, *paths]) == 2
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"bgl-sim: error: {bad}:{lineno}: ") and message in line
+        assert captured.out == ""
+
+    def test_trace_schema_1_file_is_refused_not_read(self, tmp_path, capsys):
+        """No compatibility reader: ``validate`` names the schema, and
+        ``diff`` names the header field before the first divergence."""
+        new = self.run_traced(tmp_path, "new.ndjson")
+        old = tmp_path / "old.ndjson"
+        old.write_bytes(new.read_bytes().replace(b'"schema":2', b'"schema":1', 1))
+        capsys.readouterr()
+        assert main(["trace", "validate", str(old)]) == 1
+        assert "unsupported trace schema 1" in capsys.readouterr().out
+        assert main(["trace", "diff", str(old), str(new)]) == 1
+        assert capsys.readouterr().out.startswith("headers differ in: schema\n")
+
     def test_workers_must_be_positive(self, capsys):
         for bad in ("0", "-3", "abc"):
             with pytest.raises(SystemExit) as exc_info:
