@@ -26,12 +26,29 @@ instead of over eight ``z`` positions:
   (:func:`_tables`) and a mutation costs two table lookups, one
   broadcast multiply and one accumulate;
 * the free-placement grids of every shape are then just
-  ``sums == 0``, per-shape totals one add-reduce over the base axis,
-  and the per-axis projections of every grid one multiply by a
-  per-base bit word plus one OR-reduce (:meth:`_refresh`) — no lazy
-  per-shape scan ever runs;
-* candidate scoring (``_batch_excluding``) reads those bit-packed
-  projections — no placement integrals at all.
+  ``sums == 0`` and the per-shape totals one add-reduce over the base
+  axis (:meth:`_refresh`) — no lazy per-shape scan ever runs;
+* candidate scoring (:meth:`_candidates_excluding`) reads bit-packed
+  per-axis projections of those grids — no placement integrals at all.
+
+Each state pays only for what it is asked:
+
+* **Narrow tensor.**  ``sums`` and the overlap tables it is patched
+  from are stored in the smallest unsigned dtype that holds the machine
+  volume, ``np.min_scalar_type(volume)`` — ``uint8`` on the 4x4x8
+  torus.  A window sum or an overlap never exceeds the volume, and a
+  release subtracts exactly the patch its allocation added, so the
+  arithmetic stays exact with no wrap-around while patching and
+  ``sums == 0`` touch a quarter of the bytes an ``int32`` tensor does.
+* **Lazy projections.**  The projections (a multiply and an OR-reduce
+  over the whole free tensor) are built on the first scoring of a state
+  (:meth:`_projections`), not by every repair: the simulator repairs the
+  index once per event batch but scores only when a job fits.
+* **One enumerate-and-score pass per size.**  The candidates of every
+  shape of a size come out of one ``nonzero`` over the size's free
+  grids masked to canonical bases (full-span shapes included), and each
+  candidate's fused scoring-table row is read from a per-dims key table
+  — no base wrap, no per-candidate shape array, no per-shape loop.
 
 The busy integral the base class builds is read once, by the
 constructor's full build of ``sums``, and dropped: every query the base
@@ -68,7 +85,10 @@ class _DimsTables:
     :func:`~repro.geometry.shapes.all_shapes`), never on occupancy.
     Every table that meets the window-sum tensor is **shape-minor** like
     it: the shape axis comes last, so a gathered row is a stack of
-    contiguous ``(S,)`` vectors.
+    contiguous ``(S,)`` vectors.  The scoring masks carry one column
+    more, ``S``: the *empty shape*, of volume 0, which survives every
+    candidate — so the first surviving column always exists and its
+    volume is the answer.
     """
 
     __slots__ = (
@@ -77,20 +97,19 @@ class _DimsTables:
         "row_of",
         "ext",
         "vol",
-        "fullspan",
+        "sum_dtype",
         "overlap",
         "zmask",
         "zall",
-        "keyw",
+        "keys",
+        "canon",
         "bitoff",
         "basebits",
-        "cnt_dtype",
         "oxy",
         "coords",
         "flat8",
         "signs",
         "_size_rows",
-        "_canon",
     )
 
     def __init__(self, dims_tuple: Coord) -> None:
@@ -109,75 +128,87 @@ class _DimsTables:
         self.shapes = shapes
         self.row_of = {shape: row for row, shape in enumerate(shapes)}
         self.ext = np.array(shapes, dtype=np.int64)            # (S, 3)
-        self.vol = self.ext.prod(axis=1)                        # (S,)
-        self.fullspan = (
-            self.ext == np.array(dims_tuple, dtype=np.int64)[None, :]
-        ).any(axis=1)                                           # (S,)
+        # Shape volumes, then 0 for the empty shape.
+        self.vol = np.append(self.ext.prod(axis=1), 0)          # (S+1,)
+        # Window sums, overlaps and per-shape placement counts are all
+        # bounded by the machine volume: one unsigned dtype that holds
+        # it is exact for every table that meets ``sums``.
+        self.sum_dtype = np.min_scalar_type(X * Y * Z)
         # Per-axis modular interval overlaps: overlap[axis][a-1, b] is
         # the (P, S) table of |[q, q+t_s) ∩ [b, b+a)| on the circle of
         # period P, for every window base q and shape row s.  A box
         # mutation's effect on ``sums`` is the outer product (over the
         # base axes, shape by shape) of its three axis rows.
         self.overlap = tuple(
-            self._axis_overlap(dims_tuple[axis], self.ext[:, axis])
+            self._axis_overlap(dims_tuple[axis], self.ext[:, axis], self.sum_dtype)
             for axis in range(3)
         )
         # Bit-packed zero-overlap masks: bit ``q`` of ``zmask[axis][a-1,
         # b, s]`` is set iff ``overlap[axis][a-1, b, q, s] == 0``.  Axis
         # reductions over a tiny dimension are pathologically slow in
         # numpy relative to 2-D integer ops, so the disjointness test in
-        # ``_batch_excluding`` is phrased as bitmask ANDs.
+        # ``_excluded`` is phrased as bitmask ANDs.  The empty shape's
+        # column holds z bit 0, which its projection also sets.
         self.zmask = tuple(
-            (
-                (ov == 0)
-                * (1 << np.arange(p, dtype=np.int64))[None, None, :, None]
-            ).sum(axis=2)
-            for ov, p in zip(self.overlap, dims_tuple)
+            np.concatenate(
+                [
+                    (
+                        (ov == 0)
+                        * (1 << np.arange(p, dtype=np.int64))[None, None, :, None]
+                    ).sum(axis=2),
+                    np.full((p, p, 1), int(axis == 2), dtype=np.int64),
+                ],
+                axis=2,
+            )
+            for axis, (ov, p) in enumerate(zip(self.overlap, dims_tuple))
         )
         # The three per-axis masks of one shape packed into disjoint bit
         # ranges of one word (z low, then y, then x).
         self.bitoff = (Z + Y, Z, 0)                              # x, y, z
         word = np.min_scalar_type((1 << (X + Y + Z)) - 1)
-        # One fused table for the three axes: row ``key(c)`` holds, per
-        # probe shape, all three zero-overlap masks of candidate ``c``
-        # in that packing, so a resolve costs one gather instead of
-        # three.  Only built when the table stays small; the per-axis
-        # ``zmask`` path remains as fallback.
+        # Row-major base coordinates: coords[flat_index] == unravel.
+        x, y, z = np.unravel_index(np.arange(X * Y * Z), dims_tuple)
+        self.coords = np.stack([x, y, z], axis=1).astype(np.int64)
+        # canon[s, b]: base ``b`` is shape ``s``'s canonical
+        # representative of its node set — 0 on every fully-spanned
+        # axis.  The free grid is constant along such an axis (the
+        # window covers all of it), so masking to canonical bases is
+        # the reference's first-occurrence dedup, in the same order.
+        spanned = self.ext == np.array(dims_tuple, dtype=np.int64)
+        self.canon = ~(
+            spanned[:, None, :] & (self.coords[None, :, :] != 0)
+        ).any(axis=2)                                            # (S, XYZ)
+        # One fused table for the three axes: row ``key`` holds, per
+        # probe shape, all three zero-overlap masks of one candidate
+        # (shape extents and base) in that packing, so a resolve costs
+        # one gather instead of three; ``keys[s, b]`` is the row of
+        # shape ``s`` based at ``b``.  Only built when the table stays
+        # small; the per-axis ``zmask`` path remains as fallback.
         n_keys = (X * X) * (Y * Y) * (Z * Z)
         if X + Y + Z <= 16 and n_keys * n_shapes <= 1 << 22:
-            zx = self.zmask[0].reshape(X * X, 1, 1, n_shapes)
-            zy = self.zmask[1].reshape(1, Y * Y, 1, n_shapes)
-            zz = self.zmask[2].reshape(1, 1, Z * Z, n_shapes)
+            # Assembled in the word dtype: an int64 intermediate would
+            # be four times the table.
+            zx = self.zmask[0].astype(word).reshape(X * X, 1, 1, n_shapes + 1)
+            zy = self.zmask[1].astype(word).reshape(1, Y * Y, 1, n_shapes + 1)
+            zz = self.zmask[2].astype(word).reshape(1, 1, Z * Z, n_shapes + 1)
             self.zall = (
                 (zx << self.bitoff[0]) | (zy << self.bitoff[1]) | zz
-            ).reshape(n_keys, n_shapes).astype(word)
-            # key(c) = kx * Y²Z² + ky * Z² + kz with k_axis = a*P + b:
-            # two (n, 3) @ (3,) products against these stride vectors.
-            self.keyw = (
-                np.array(
-                    [X * Y * Y * Z * Z, Y * Z * Z, Z], dtype=np.int64
-                ),
-                np.array([Y * Y * Z * Z, Z * Z, 1], dtype=np.int64),
-            )
+            ).reshape(n_keys, n_shapes + 1)
+            # key = kx * Y²Z² + ky * Z² + kz with k_axis = (t-1)*P + b.
+            a = self.ext - 1
+            self.keys = (
+                (a[:, 0, None] * X + x) * (Y * Y) + (a[:, 1, None] * Y + y)
+            ) * (Z * Z) + (a[:, 2, None] * Z + z)                # (S, XYZ)
         else:
             self.zall = None
-            self.keyw = None
-        # Row-major base coordinates: coords[flat_index] == unravel.
-        x, y, z = np.unravel_index(
-            np.arange(int(np.prod(dims_tuple))), dims_tuple
-        )
-        self.coords = np.stack([x, y, z], axis=1).astype(np.int64)
+            self.keys = None
         # The word of one base: its own ``x``, ``y`` and ``z`` bit in
-        # the packing above.  ``_refresh`` multiplies the free grids by
-        # this column and OR-reduces over the bases, which projects
+        # the packing above.  ``_projections`` multiplies the free grids
+        # by this column and OR-reduces over the bases, which projects
         # every grid onto all three axes at once.
         self.basebits = (
             (1 << (x + self.bitoff[0])) | (1 << (y + self.bitoff[1])) | (1 << z)
         ).astype(word)[:, None]                                 # (XYZ, 1)
-        # Per-shape placement counts are bounded by the number of bases,
-        # so a byte accumulator is exact whenever the volume fits one;
-        # bigger machines count in int64.
-        self.cnt_dtype = np.uint8 if int(self.vol[0]) <= 255 else np.int64
         # Pairwise x*y product tables, one (X, Y, S) block per (kx, ky)
         # key: an `apply` patch then costs one multiply+accumulate
         # instead of two multiplies (the z factor is applied on the fly).
@@ -208,10 +239,11 @@ class _DimsTables:
         self.flat8 = np.stack(terms)                             # (8,X,Y,Z,S)
         self.signs = tuple(signs)
         self._size_rows: dict[int, np.ndarray] = {}
-        self._canon: dict[int, tuple[tuple, np.ndarray]] = {}
 
     @staticmethod
-    def _axis_overlap(period: int, extents: np.ndarray) -> np.ndarray:
+    def _axis_overlap(
+        period: int, extents: np.ndarray, dtype: np.dtype
+    ) -> np.ndarray:
         """``(P, P, P, S)`` table: ``[a-1, b, q, s]`` is the modular
         interval overlap ``|[q, q+extents[s]) ∩ [b, b+a)| (mod P)``."""
         p = np.arange(period)
@@ -221,43 +253,11 @@ class _DimsTables:
             < np.arange(1, period + 1)[None, None, :]
         ).astype(np.int32)
         t_idx = extents - 1                                      # (S,)
-        # int32 throughout: window sums are bounded by the machine
-        # volume, and the narrower dtype halves patch bandwidth.
-        out = np.empty(
-            (period, period, period, extents.shape[0]), dtype=np.int32
-        )
+        out = np.empty((period, period, period, extents.shape[0]), dtype=dtype)
         for a in range(1, period + 1):
             for b in range(period):
                 pos = (b + np.arange(a)) % period
                 out[a - 1, b] = member[pos].sum(axis=0)[:, t_idx]  # (q, S)
-        return out
-
-    def canon(self, row: int) -> tuple[tuple, np.ndarray]:
-        """Full-span canonicalisation helpers for shape ``row``.
-
-        Returns ``(slicer, coords)``: indexing a free grid with
-        ``slicer`` pins every fully-spanned axis at 0 (the free grid is
-        constant along such axes — the window covers the whole axis, so
-        every base sees the same occupancy), and ``coords[i]`` is the
-        canonical base of the ``i``-th surviving cell in row-major
-        order.  Equivalent to, and much cheaper than, zeroing the
-        spanned axes and first-occurrence dedup.
-        """
-        out = self._canon.get(row)
-        if out is None:
-            shape = self.shapes[row]
-            full = [shape[a] == self.dims_tuple[a] for a in range(3)]
-            slicer = tuple(0 if f else slice(None) for f in full)
-            axes = [
-                np.arange(p) if not f else np.zeros(1, dtype=np.int64)
-                for f, p in zip(full, self.dims_tuple)
-            ]
-            gx, gy, gz = np.meshgrid(*axes, indexing="ij")
-            coords = np.stack(
-                [gx.ravel(), gy.ravel(), gz.ravel()], axis=1
-            ).astype(np.int64)
-            out = (slicer, coords)
-            self._canon[row] = out
         return out
 
     def size_rows(self, size: int) -> np.ndarray:
@@ -318,7 +318,7 @@ class IncrementalPlacementIndex(PlacementIndex):
             else:
                 sums -= term
         assert sums is not None
-        self._sums = sums.astype(np.int32)                       # (X,Y,Z,S)
+        self._sums = sums.astype(t.sum_dtype)                    # (X,Y,Z,S)
         # Only ``_sums`` is patched from here on, and every query that
         # the base class answers from the integral is overridden below:
         # an inherited reader must fail, not read a stale integral.
@@ -329,30 +329,45 @@ class IncrementalPlacementIndex(PlacementIndex):
     # incremental maintenance
     # ------------------------------------------------------------------
     def _refresh(self) -> None:
-        """Re-derive the per-state fields from ``_sums``.
+        """Re-derive the per-state fields every query needs from ``_sums``.
 
-        Each step is one ufunc over ``(bases, S)`` rows — the add- and
-        OR-reduce run over the leading (base) axis, i.e. as whole-row
-        accumulates, never as reductions along a short trailing axis.
+        ``sums == 0`` and one add-reduce over the leading (base) axis —
+        a whole-row accumulate, never a reduction along a short trailing
+        axis.  The projections only scoring reads are dropped here and
+        rebuilt on demand by :meth:`_projections`.
         """
         t = self._tables
         free = self._sums == 0
         self._free = free                                          # (X,Y,Z,S)
         fr = free.view(np.uint8).reshape(-1, len(t.shapes))        # (XYZ, S)
-        self._tot = np.add.reduce(fr, axis=0, dtype=t.cnt_dtype).astype(
-            np.int64, copy=False
-        )                                                          # (S,)
+        self._tot = np.add.reduce(fr, axis=0, dtype=t.sum_dtype)  # (S,)
         self._ne_idx = np.flatnonzero(self._tot)
         self._feasible: frozenset[int] | None = None
-        # Bit-packed per-axis projections of the free grids, fused in
-        # the ``zall`` layout: bit ``bitoff[axis] + v`` of ``_fall[s]``
-        # is set iff some free placement of shape ``s`` has coordinate
-        # ``v`` on that axis — the whole state :meth:`_batch_excluding`
-        # needs.  A free base contributes its own three bits (widened
-        # first: a mixed-width multiply costs twice the two steps).
-        proj = fr.astype(t.basebits.dtype)
-        proj *= t.basebits
-        self._fall = np.bitwise_or.reduce(proj, axis=0)            # (S,)
+        self._fall: np.ndarray | None = None
+
+    def _projections(self) -> np.ndarray:
+        """Bit-packed per-axis projections of the free grids, built on
+        the first scoring of a state.
+
+        In the ``zall`` layout: bit ``bitoff[axis] + v`` of ``fall[s]``
+        is set iff some free placement of shape ``s`` has coordinate
+        ``v`` on that axis — the whole state :meth:`_excluded` needs.
+        A free base contributes its own three bits, so one multiply by
+        a per-base word and one OR-reduce project every grid at once.
+        ``fall[S]``, the empty shape, is z bit 0.
+        """
+        fall = self._fall
+        if fall is None:
+            t = self._tables
+            n_shapes = len(t.shapes)
+            proj = self._free.view(np.uint8).reshape(-1, n_shapes)
+            proj = proj.astype(t.basebits.dtype)
+            proj *= t.basebits
+            fall = np.empty(n_shapes + 1, dtype=t.basebits.dtype)
+            np.bitwise_or.reduce(proj, axis=0, out=fall[:n_shapes])
+            fall[n_shapes] = 1
+            self._fall = fall
+        return fall
 
     def apply(
         self, entries: list[tuple[str, Coord, Coord]], target_version: int
@@ -363,7 +378,9 @@ class IncrementalPlacementIndex(PlacementIndex):
         call the index answers for ``target_version`` exactly as a fresh
         build would.  One entry is one patch of ``_sums``: the box's
         ``(X, Y, S)`` x·y overlap block times its ``(Z, S)`` z overlap
-        rows, added for an allocation and subtracted for a release.
+        rows, added for an allocation and subtracted for a release (the
+        very patch its allocation added, so the unsigned tensor never
+        wraps).
         """
         t = self._tables
         sums = self._sums
@@ -402,48 +419,83 @@ class IncrementalPlacementIndex(PlacementIndex):
     def count_placements(self, shape: Coord) -> int:
         return int(self._tot[self._tables.row_of[shape]])
 
-    def _batch_excluding(
-        self, bases: np.ndarray, cand_shapes: np.ndarray
-    ) -> np.ndarray:
-        """``mfp_excluding`` for ``n`` candidates via the overlap tables.
+    def _excluded(self, rows: np.ndarray, flat: np.ndarray) -> np.ndarray:
+        """``mfp_excluding`` of the candidates of shape rows ``rows``
+        based at row-major flat bases ``flat`` (primary cell).
 
         A free placement of probe shape ``s`` at ``q`` survives
         candidate ``c`` iff the wrapped boxes are disjoint, i.e. the
         per-axis overlap is zero on *some* axis.  ``any(free & (zx |
         zy | zz))`` distributes over the OR into three per-axis tests
-        against the cached bit-packed ``_fall`` projections, so the
-        whole resolve is a handful of 2-D integer dispatches on
-        ``(n, S)`` arrays — no probe integrals, no scalar walk.  The
-        answer per candidate is the first surviving row in the
-        decreasing-volume shape order, exactly the reference walk's
-        early exit (the differential suite asserts equality on every
-        candidate).
+        against the bit-packed projections, so the whole resolve is a
+        handful of 2-D integer dispatches on ``(n, S+1)`` arrays — no
+        probe integrals, no scalar walk.  The answer per candidate is
+        the volume of the first surviving column in the decreasing-volume
+        shape order, exactly the reference walk's early exit (the
+        differential suite asserts equality on every candidate); the
+        empty shape's column always survives, so a candidate that
+        leaves nothing free answers 0 with no special case.
         """
-        n = bases.shape[0]
-        if n == 0:
-            return np.zeros(0, dtype=np.int64)
         t = self._tables
-        X, Y, Z = t.dims_tuple
-        dims_arr = np.array((X, Y, Z), dtype=np.int64)
-        b = bases % dims_arr
-        a = cand_shapes - 1
+        fall = self._projections()
         if t.zall is not None:
-            key = a @ t.keyw[0] + b @ t.keyw[1]                  # (n,)
-            survive = (t.zall[key] & self._fall[None, :]) != 0   # (n, S)
+            survive = (t.zall[t.keys[rows, flat]] & fall) != 0   # (n, S+1)
         else:
             # No fused table for these dims: test axis by axis.  A
             # per-axis mask has no bit at or above its period, so
-            # shifting ``_fall`` down to an axis's range is all the
-            # unpacking the AND needs.
+            # shifting the projections down to an axis's range is all
+            # the unpacking the AND needs.
+            a = t.ext[rows] - 1
+            b = t.coords[flat]
             ox, oy, _ = t.bitoff
-            fall = self._fall.astype(np.int64)[None, :]
+            fall = fall.astype(np.int64)
             survive = (
                 (t.zmask[0][a[:, 0], b[:, 0]] & (fall >> ox))
                 | (t.zmask[1][a[:, 1], b[:, 1]] & (fall >> oy))
                 | (t.zmask[2][a[:, 2], b[:, 2]] & fall)
-            ) != 0                                               # (n, S)
-        first = np.argmax(survive, axis=1)
-        return np.where(survive.any(axis=1), t.vol[first], 0)
+            ) != 0                                               # (n, S+1)
+        return t.vol[survive.argmax(axis=1)]
+
+    def _enumerate(
+        self, size: int
+    ) -> tuple[CandidateBatch, np.ndarray, np.ndarray]:
+        """Every free partition of ``size`` in one pass, as the batch
+        (cached) plus each candidate's shape row and flat base.
+
+        Same enumeration contract as the base implementation (shape
+        order of shapes_for_size, row-major bases, full-span axes
+        canonicalised to 0 with first-occurrence dedup): the size's
+        free grids, one row of bases per shape and masked to canonical
+        bases, go through one ``nonzero`` that walks them shape-major,
+        base-minor.
+        """
+        t = self._tables
+        rows = t.size_rows(size)
+        hits = self._free.reshape(-1, len(t.shapes)).T[rows]      # (R, XYZ)
+        hits &= t.canon[rows]
+        r, flat = np.nonzero(hits)
+        shapes: list[Coord] = []
+        starts = [0]
+        counts = np.bincount(r, minlength=rows.size).tolist()
+        for row, count in zip(rows.tolist(), counts):
+            if count:
+                shapes.append(t.shapes[row])
+                starts.append(starts[-1] + count)
+        batch = CandidateBatch.packed(
+            self.dims, tuple(shapes), tuple(starts), t.coords[flat]
+        )
+        self._batch_cache[size] = batch
+        return batch, rows[r], flat
+
+    def candidate_batch(self, size: int) -> CandidateBatch:
+        batch = self._batch_cache.get(size)
+        return batch if batch is not None else self._enumerate(size)[0]
+
+    def _candidates_excluding(
+        self, size: int
+    ) -> tuple[CandidateBatch, np.ndarray]:
+        batch, rows, flat = self._enumerate(size)
+        return batch, self._excluded(rows, flat)
 
     def mfp_size(self) -> int:
         if self._mfp_size is None:
@@ -475,13 +527,19 @@ class IncrementalPlacementIndex(PlacementIndex):
     def first_fit_release(
         self, size: int, releases: Sequence[Partition]
     ) -> int | None:
-        # Freeing a box lowers ``sums`` by its separable overlap patch
-        # (exactly what :meth:`apply` subtracts), so the replay is the
-        # size's rows of ``_sums`` minus a running sum of patches — every
-        # release at once, no integral and no window rebuild.  A size
-        # has a handful of shape rows, so here the shape axis is the
-        # short one: the replay runs ``(K, R, bases)``, gathered in that
-        # order straight from the shape-minor tables.
+        """First of ``releases`` after which ``size`` fits, from patches.
+
+        Freeing a box lowers ``sums`` by its separable overlap patch
+        (exactly what :meth:`apply` subtracts), so the replay is the
+        size's rows of ``_sums`` against a running sum of patches — every
+        release at once, no integral and no window rebuild.  The running
+        sum stays in the narrow dtype: it counts nodes of one window
+        freed by disjoint allocated boxes, so it never exceeds the
+        window's volume, let alone the machine's.  A size has a handful
+        of shape rows, so here the shape axis is the short one: the
+        replay runs ``(K, R, bases)``, gathered in that order straight
+        from the shape-minor tables.
+        """
         t = self._tables
         rows = t.size_rows(size)
         if not rows.size or not releases:
@@ -508,46 +566,3 @@ class IncrementalPlacementIndex(PlacementIndex):
         hit = (freed.reshape(n_rel, rows.size, -1) == busy).ravel()
         first = int(hit.argmax())
         return first // (hit.size // n_rel) if hit[first] else None
-
-    def candidate_batch(self, size: int) -> CandidateBatch:
-        # Same enumeration contract as the base implementation (shape
-        # order of shapes_for_size, row-major bases, full-span axes
-        # canonicalised to 0 with first-occurrence dedup) — but the
-        # bases of every shape of the size come from one stacked
-        # nonzero over the free grids instead of one scan per shape.
-        batch = self._batch_cache.get(size)
-        if batch is not None:
-            return batch
-        dims = self.dims
-        t = self._tables
-        rows = t.size_rows(size)
-        rows = rows[self._tot[rows] > 0] if rows.size else rows
-        plain = rows[~t.fullspan[rows]] if rows.size else rows
-        if plain.size:
-            # (bases, S) transposed and gathered: one row of bases per
-            # plain shape, so nonzero walks shape-major, base-minor.
-            flat = self._free.reshape(-1, len(t.shapes)).T[plain]
-            bases_all = t.coords[np.nonzero(flat)[1]]
-            bounds = np.cumsum(self._tot[plain]).tolist()
-        else:
-            bases_all, bounds = None, []
-        shapes: list[Coord] = []
-        groups: list[np.ndarray] = []
-        k = lo = 0
-        for row in rows.tolist():
-            if t.fullspan[row]:
-                # The free grid is constant along fully-spanned axes, so
-                # first-occurrence dedup of canonicalised bases reduces
-                # to slicing those axes at 0 (see _DimsTables.canon).
-                slicer, coords = t.canon(row)
-                groups.append(
-                    coords[np.flatnonzero(self._free[..., row][slicer])]
-                )
-            else:
-                hi = bounds[k]
-                groups.append(bases_all[lo:hi])
-                lo, k = hi, k + 1
-            shapes.append(t.shapes[row])
-        batch = CandidateBatch(dims, tuple(shapes), groups)
-        self._batch_cache[size] = batch
-        return batch

@@ -18,8 +18,9 @@ whose window would intersect ``P``.
 Production never scores on it.  The engine runs on
 :class:`~repro.allocation.incremental.IncrementalPlacementIndex`, which
 inherits the query surface, patches its state across torus mutations
-and overrides the one scoring kernel (``_batch_excluding``) with a
-bit-mask resolve; :class:`IndexCache` hands the scheduler that index.
+and overrides the one scoring kernel (``_candidates_excluding``, the
+hook :meth:`PlacementIndex.batch_mfp_losses` calls) with a bit-mask
+resolve; :class:`IndexCache` hands the scheduler that index.
 The reference stays because the tests build it — a fresh
 ``PlacementIndex`` per machine state, and
 :class:`repro.testing.RebuildIndexCache` to run a whole simulation on
@@ -111,6 +112,24 @@ class CandidateBatch:
             else np.empty((0, 3), dtype=np.int64)
         )
         self._shape_rows: np.ndarray | None = None
+
+    @classmethod
+    def packed(
+        cls,
+        dims: TorusDims,
+        shapes: tuple[Coord, ...],
+        starts: tuple[int, ...],
+        bases: np.ndarray,
+    ) -> "CandidateBatch":
+        """A batch whose groups arrive already concatenated: group ``g``
+        is ``bases[starts[g]:starts[g+1]]``."""
+        batch = cls.__new__(cls)
+        batch.dims = dims
+        batch.shapes = shapes
+        batch.starts = starts
+        batch.bases = bases
+        batch._shape_rows = None
+        return batch
 
     def __len__(self) -> int:
         return self.starts[-1]
@@ -283,18 +302,26 @@ class PlacementIndex:
         Returns ``(batch, losses)`` where ``losses[i]`` is the MFP
         shrinkage caused by allocating ``batch.partition(i)`` — aligned
         with, and bitwise equal to, ``scored_candidates(size)``.  One
-        ``_batch_excluding`` resolve for the whole size, candidates of
-        every shape together; cached per size, like the scalar form.
+        :meth:`_candidates_excluding` resolve for the whole size,
+        candidates of every shape together; cached per size, like the
+        scalar form.
         """
         cached = self._batch_scored_cache.get(size)
         if cached is None:
-            batch = self.candidate_batch(size)
-            losses = self.mfp_size() - self._batch_excluding(
-                batch.bases, batch.shape_rows()
-            )
-            cached = (batch, losses)
+            batch, excluding = self._candidates_excluding(size)
+            cached = (batch, self.mfp_size() - excluding)
             self._batch_scored_cache[size] = cached
         return cached
+
+    def _candidates_excluding(
+        self, size: int
+    ) -> tuple[CandidateBatch, np.ndarray]:
+        """``candidate_batch(size)`` with every candidate's
+        ``mfp_excluding``: the kernel behind :meth:`batch_mfp_losses`.
+        The production index overrides this hook (one enumerate-and-score
+        pass), never ``batch_mfp_losses`` itself."""
+        batch = self.candidate_batch(size)
+        return batch, self._batch_excluding(batch.bases, batch.shape_rows())
 
     def has_candidate(self, size: int) -> bool:
         """True when at least one free partition of ``size`` exists."""
@@ -418,8 +445,9 @@ class PlacementIndex:
 
         ``bases`` is an ``(n, 3)`` integer array (any integers; wrapped
         into the primary cell here), ``cand_shapes`` the matching
-        ``(n, 3)`` shapes.  The reference form is the scalar walk, one
-        candidate at a time; the production index overrides it.
+        ``(n, 3)`` shapes.  The scalar walk, one candidate at a time;
+        the production index scores through its own
+        :meth:`_candidates_excluding` instead.
         """
         wrapped = (bases % np.array(self.dims.as_tuple(), dtype=np.int64)).tolist()
         return np.array(

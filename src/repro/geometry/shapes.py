@@ -9,6 +9,7 @@ enumeration with memoisation, shared by all three finders.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import lru_cache
 from typing import Iterator
 
@@ -103,14 +104,20 @@ def max_partition_volume(dims: TorusDims) -> int:
     return dims.volume
 
 
+@lru_cache(maxsize=256)
+def _schedulable_cached(dims_tuple: Coord) -> tuple[int, ...]:
+    return tuple(sorted({a * b * c for (a, b, c) in _all_shapes_cached(dims_tuple)}))
+
+
 def schedulable_sizes(dims: TorusDims) -> tuple[int, ...]:
-    """Sorted set of sizes ``s`` for which at least one shape exists.
+    """Sorted set of sizes ``s`` for which at least one shape exists
+    (memoised per dims).
 
     A job whose size is not in this set (e.g. a prime larger than every
     axis) can never be placed; workload adapters round sizes up to the
     next schedulable size.
     """
-    return tuple(sorted({a * b * c for (a, b, c) in all_shapes(dims)}))
+    return _schedulable_cached(dims.as_tuple())
 
 
 def round_to_schedulable(size: int, dims: TorusDims) -> int:
@@ -124,7 +131,7 @@ def round_to_schedulable(size: int, dims: TorusDims) -> int:
         raise GeometryError(
             f"job size {size} exceeds machine capacity {dims.volume}"
         )
-    for s in schedulable_sizes(dims):
-        if s >= size:
-            return s
-    raise GeometryError(f"no schedulable size >= {size}")  # pragma: no cover
+    sizes = schedulable_sizes(dims)
+    # The whole machine is always a shape, so a size within it has a
+    # schedulable size at or above it.
+    return sizes[bisect_left(sizes, size)]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from operator import attrgetter
 from typing import Any
 
 from repro.errors import SimulationError
@@ -20,6 +21,12 @@ from repro.metrics.timing import JobRecord, TimingSummary
 
 #: Schema version embedded in every export; bump on breaking change.
 SCHEMA_VERSION = 1
+
+#: ``JobRecord`` fields are primitives, so a record's dict is its field
+#: values zipped with the names — ``dataclasses.asdict`` without the
+#: recursive deep copy, for the one list that grows with the run.
+_RECORD_FIELDS = tuple(f.name for f in dataclasses.fields(JobRecord))
+_record_values = attrgetter(*_RECORD_FIELDS)
 
 
 def report_to_dict(report: SimulationReport) -> dict[str, Any]:
@@ -33,7 +40,9 @@ def report_to_dict(report: SimulationReport) -> dict[str, Any]:
         "timing": dataclasses.asdict(report.timing),
         "capacity": dataclasses.asdict(report.capacity),
         "counters": dataclasses.asdict(report.counters),
-        "records": [dataclasses.asdict(r) for r in report.records],
+        "records": [
+            dict(zip(_RECORD_FIELDS, _record_values(r))) for r in report.records
+        ],
     }
 
 

@@ -1,8 +1,9 @@
 """Property-based cross-validation of the production scoring kernel.
 
 What the policies run — ``batch_mfp_losses`` on an
-:class:`IncrementalPlacementIndex`, i.e. the bit-mask
-``_batch_excluding`` kernel — must be *bitwise* interchangeable with the
+:class:`IncrementalPlacementIndex`, i.e. its one enumerate-and-score
+pass and the bit-mask ``_excluded`` kernel — must be *bitwise*
+interchangeable with the
 scalar reference on a fresh plain :class:`PlacementIndex`
 (:meth:`PlacementIndex.scored_candidates` / :meth:`mfp_excluding`): same
 candidates, same enumeration order, same losses.  The headline sweep
@@ -89,12 +90,31 @@ class TestBatchVsScalar:
         assert losses.dtype == np.int64
         assert losses.tolist() == [loss for _, loss in scored]
 
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.builds(TorusDims, st.integers(1, 8), st.integers(1, 6), st.integers(2, 9)),
+        st.integers(0, 2**32 - 1),
+        st.data(),
+    )
+    def test_losses_bitwise_equal_on_wide_dims(self, dims, seed, data):
+        """Dims past the fused table (X+Y+Z > 16: per-axis resolve) and
+        past a byte (volume > 255: ``uint16`` window sums), which the
+        headline sweep never draws."""
+        torus = random_torus(dims, np.random.default_rng(seed), attempts=10)
+        size = data.draw(st.sampled_from(schedulable_sizes(dims)))
+        index = IncrementalPlacementIndex(torus)
+        assert index._sums.dtype == np.min_scalar_type(dims.volume)
+        batch, losses = index.batch_mfp_losses(size)
+        scored = PlacementIndex(torus).scored_candidates(size)
+        assert batch.partitions() == [p for p, _ in scored]
+        assert losses.tolist() == [loss for _, loss in scored]
+
     @settings(max_examples=50, deadline=None)
     @given(torus_states(), st.data())
     def test_excluding_matches_scalar_on_arbitrary_bases(self, torus, data):
-        """The kernel accepts *any* bases (not only free candidates, not
-        only in the primary cell) and must agree with the reference's
-        per-partition ``mfp_excluding``."""
+        """The kernel accepts *any* candidate (not only a free one) and
+        must agree with the reference's per-partition ``mfp_excluding``;
+        bases outside the primary cell name their wrapped box."""
         dims = torus.dims
         shape = data.draw(
             st.tuples(
@@ -114,7 +134,10 @@ class TestBatchVsScalar:
             axis=1,
         ).astype(np.int64)
         shapes = np.broadcast_to(np.array(shape, dtype=np.int64), (n, 3))
-        got = IncrementalPlacementIndex(torus)._batch_excluding(bases, shapes)
+        index = IncrementalPlacementIndex(torus)
+        flat = np.ravel_multi_index(tuple(bases.T), dims.as_tuple(), mode="wrap")
+        rows = np.full(n, index._tables.row_of[shape])
+        got = index._excluded(rows, flat)
         reference = PlacementIndex(torus)
         want = [
             reference.mfp_excluding(

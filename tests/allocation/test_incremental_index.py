@@ -29,7 +29,7 @@ from repro.allocation.incremental import IncrementalPlacementIndex
 from repro.allocation.mfp import _MAX_PATCH_ENTRIES, IndexCache, PlacementIndex
 from repro.geometry.coords import TorusDims
 from repro.geometry.partition import Partition
-from repro.geometry.shapes import all_shapes, shapes_for_size
+from repro.geometry.shapes import all_shapes, schedulable_sizes, shapes_for_size
 from repro.geometry.torus import Torus
 from repro.obs.metrics import MetricsRegistry
 from repro.testing import random_partition, random_torus
@@ -82,9 +82,13 @@ def assert_matches_rebuild(inc: IncrementalPlacementIndex, torus: Torus) -> None
     assert inc.torus_version == torus.version
     assert inc._busy_integral is None  # dropped after the build
     t = inc._tables
+    assert inc._sums.dtype == np.min_scalar_type(torus.dims.volume)
     _, Y, Z = torus.dims.as_tuple()
     off_x, off_y, _ = t.bitoff
     shapes = all_shapes(torus.dims)
+    # Read through the lazy build, as scoring does.
+    fall = inc._projections()
+    assert fall.shape == (len(shapes) + 1,)
     sizes = set()
     for shape in shapes:
         sizes.add(shape[0] * shape[1] * shape[2])
@@ -95,7 +99,7 @@ def assert_matches_rebuild(inc: IncrementalPlacementIndex, torus: Torus) -> None
         # enumeration read, checked against its definition.
         row = t.row_of[shape]
         assert inc._tot[row] == np.count_nonzero(grid)
-        word = int(inc._fall[row])
+        word = int(fall[row])
         assert word >> off_x == axis_bits(grid, 0)
         assert (word >> off_y) & ((1 << Y) - 1) == axis_bits(grid, 1)
         assert word & ((1 << Z) - 1) == axis_bits(grid, 2)
@@ -216,8 +220,8 @@ class TestIncrementalTracksMutations:
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
     def test_scoring_kernels_match_oracle(self, dims, seed):
-        """The bit-mask ``_batch_excluding`` on a patched index vs the
-        reference's scalar early-exit walk, on every candidate."""
+        """The bit-mask kernel on a patched index vs the reference's
+        scalar early-exit walk, on every candidate."""
         rng = np.random.default_rng(seed)
         torus = Torus(dims)
         inc = IncrementalPlacementIndex(torus)
@@ -235,7 +239,7 @@ class TestIncrementalTracksMutations:
         batch = inc.candidate_batch(size)
         if len(batch) == 0:
             return
-        got = inc._batch_excluding(batch.bases, batch.shape_rows())
+        _, got = inc._candidates_excluding(size)
         scalar = [fresh.mfp_excluding(p) for p in batch.partitions()]
         np.testing.assert_array_equal(got, scalar)
         # The scalar walk the patched index inherits (lazy placement
@@ -291,14 +295,14 @@ class TestZallFallback:
         assert len(batch) > 0
         t = inc._tables
         assert t.zall is not None
-        fast = inc._batch_excluding(batch.bases, batch.shape_rows())
-        saved = (t.zall, t.keyw)
+        _, fast = inc._candidates_excluding(size)
+        saved = (t.zall, t.keys)
         t.zall = None
-        t.keyw = None
+        t.keys = None
         try:
-            slow = inc._batch_excluding(batch.bases, batch.shape_rows())
+            _, slow = inc._candidates_excluding(size)
         finally:
-            t.zall, t.keyw = saved
+            t.zall, t.keys = saved
         np.testing.assert_array_equal(fast, slow)
 
 
@@ -306,14 +310,15 @@ class TestBeyondTheFusedTables:
     def test_8x8x4_patches_and_scores_like_rebuild(self):
         """8x8x4 is past every table gate at once — no pairwise ``oxy``
         blocks (``apply`` multiplies the x and y rows itself), no fused
-        ``zall`` (scoring unpacks ``_fall`` per axis), 256 bases (counts
-        no longer fit a byte) — none of which ``dims_strategy`` reaches."""
+        ``zall`` (scoring unpacks the projections per axis), 256 bases
+        (window sums no longer fit a byte) — none of which
+        ``dims_strategy`` reaches."""
         dims = TorusDims(8, 8, 4)
         torus = Torus(dims)
         inc = IncrementalPlacementIndex(torus)
         t = inc._tables
         assert t.oxy is None and t.zall is None
-        assert t.cnt_dtype is np.int64
+        assert inc._sums.dtype == np.uint16
         assert_matches_rebuild(inc, torus)
         rng = np.random.default_rng(19)
         live: dict[int, Partition] = {}
@@ -341,6 +346,88 @@ class TestBeyondTheFusedTables:
         into: refused up front, not scored with wrapped shifts."""
         with pytest.raises(ValueError, match="65 projection bits"):
             IncrementalPlacementIndex(Torus(TorusDims(1, 1, 63)))
+
+
+def assert_scores_like_scalar_walk(inc: IncrementalPlacementIndex, torus: Torus) -> int:
+    """The fused enumerate-and-score pass against the reference's
+    scalar walk, for every schedulable size; returns how many
+    candidates of full-span shapes it met."""
+    fresh = PlacementIndex(torus)
+    dims = torus.dims.as_tuple()
+    full_span = 0
+    for size in schedulable_sizes(torus.dims):
+        batch, losses = inc.batch_mfp_losses(size)
+        scored = fresh.scored_candidates(size)
+        assert batch.partitions() == [p for p, _ in scored], size
+        assert losses.tolist() == [loss for _, loss in scored], size
+        for shape, rows, _ in batch.groups():
+            if any(e == d for e, d in zip(shape, dims)):
+                full_span += rows.stop - rows.start
+    return full_span
+
+
+class TestFusedPassAndNarrowTensor:
+    """The one-``nonzero`` enumeration, the key-table / per-axis
+    resolve and the narrow window-sum dtype on dims the hypothesis
+    strategies do not single out."""
+
+    def test_full_span_shapes_on_asymmetric_dims(self):
+        dims = TorusDims(2, 3, 5)
+        torus = Torus(dims)
+        inc = IncrementalPlacementIndex(torus)
+        assert inc._tables.zall is not None
+        rng = np.random.default_rng(5)
+        live: dict[int, Partition] = {}
+        next_id = full_span = 0
+        for _ in range(12):
+            next_id = mutate(torus, rng, live, next_id)
+            inc.apply(torus.journal_since(inc.torus_version), torus.version)
+            full_span += assert_scores_like_scalar_walk(inc, torus)
+        assert full_span > 0
+
+    def test_per_axis_fallback_dims(self):
+        """X+Y+Z = 18 > 16: no fused table, so every resolve takes the
+        per-axis masks (volume 192 still sums in one byte)."""
+        dims = TorusDims(4, 6, 8)
+        torus = random_torus(dims, np.random.default_rng(3), attempts=8)
+        inc = IncrementalPlacementIndex(torus)
+        assert inc._tables.zall is None and inc._tables.keys is None
+        assert inc._sums.dtype == np.uint8
+        assert_matches_rebuild(inc, torus)
+        assert assert_scores_like_scalar_walk(inc, torus) > 0
+
+    def test_two_byte_sums_fill_and_release_to_empty(self):
+        """Volume 256: the whole-machine window of a full machine holds
+        256, one past a byte.  Fill the machine slab by slab, replay the
+        releases hypothetically, then release everything: the ``uint16``
+        tensor patches up to 256 and back to exactly zero."""
+        dims = TorusDims(4, 4, 16)
+        torus = Torus(dims)
+        inc = IncrementalPlacementIndex(torus)
+        assert inc._sums.dtype == np.uint16
+        slabs = [Partition((0, 0, z), (4, 4, 1)) for z in range(16)]
+        for job, slab in enumerate(slabs):
+            torus.allocate(job, slab)
+        inc.apply(torus.journal_since(inc.torus_version), torus.version)
+        assert int(inc._sums.max()) == dims.volume
+        assert inc.mfp_size() == 0 and len(inc.batch_mfp_losses(1)[0]) == 0
+        assert_matches_rebuild(inc, torus)
+        fresh = PlacementIndex(torus)
+        for size, releases in (
+            (dims.volume, slabs),
+            (32, slabs[5:7]),
+            (32, slabs[::2]),
+            (16, slabs[3:4]),
+        ):
+            got = inc.first_fit_release(size, releases)
+            assert got == fresh.first_fit_release(size, releases), size
+        assert inc.first_fit_release(dims.volume, slabs) == len(slabs) - 1
+        for job in range(len(slabs)):
+            torus.release(job)
+            inc.apply(torus.journal_since(inc.torus_version), torus.version)
+        assert not inc._sums.any()
+        assert inc.mfp_size() == dims.volume
+        assert_matches_rebuild(inc, torus)
 
 
 class TestStaleVersionPoisoning:

@@ -119,6 +119,16 @@ class TestSchedulableSizes:
         assert 11 not in sizes
         assert 127 not in sizes
 
+    @given(st.builds(TorusDims, st.integers(1, 5), st.integers(1, 5), st.integers(1, 5)))
+    def test_memoised_per_dims_and_equal_to_definition(self, d):
+        sizes = schedulable_sizes(d)
+        assert schedulable_sizes(TorusDims(*d.as_tuple())) is sizes
+        assert sizes == tuple(sorted({a * b * c for a, b, c in all_shapes(d)}))
+        assert sizes[-1] == d.volume
+        # Every size up to the machine rounds to its first size above.
+        for s in range(1, d.volume + 1):
+            assert round_to_schedulable(s, d) == min(t for t in sizes if t >= s)
+
     def test_round_to_schedulable(self):
         d = BGL_SUPERNODE_DIMS
         assert round_to_schedulable(1, d) == 1

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -33,6 +34,13 @@ class TestRoundTrip:
         assert restored.timing == sample_report.timing
         assert restored.capacity == sample_report.capacity
         assert restored.parameters == sample_report.parameters
+
+    def test_records_as_asdict_builds_them(self, sample_report):
+        data = report_to_dict(sample_report)
+        want = [dataclasses.asdict(r) for r in sample_report.records]
+        assert data["records"] == want
+        # Same keys in the same order, so the JSON text is unchanged too.
+        assert [list(r) for r in data["records"]] == [list(r) for r in want]
 
     def test_json_round_trip(self, sample_report):
         text = report_to_json(sample_report)
