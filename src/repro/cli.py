@@ -466,16 +466,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         for n_failures in args.failures
         for parameter in args.parameters
     ]
-    if args.queue_dir is None:
-        if args.lease_s is not None or args.no_spawn_workers:
-            raise SystemExit("--lease-s/--no-spawn-workers need --queue-dir")
-    elif args.checkpoint_dir is not None:
-        raise SystemExit(
-            "--queue-dir stores checkpoints inside the queue directory; "
-            "drop --checkpoint-dir"
-        )
-    elif args.lease_s is not None and args.lease_s <= 0:
-        raise SystemExit("--lease-s must be positive")
     outcome = run_sweep_outcome(
         points,
         seeds=tuple(range(args.seeds)),
@@ -520,8 +510,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_sweep_worker(args: argparse.Namespace) -> int:
     from repro.experiments.queue import run_worker
 
-    if args.lease_s is not None and args.lease_s <= 0:
-        raise SystemExit("--lease-s must be positive")
     run_worker(
         args.queue_dir, lease_s=args.lease_s, idle_exit_s=args.idle_exit_s
     )

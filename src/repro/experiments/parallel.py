@@ -4,7 +4,7 @@ Every paper figure is a grid of independent ``(SweepPoint, seed)``
 simulation cells.  :class:`SweepExecutor` runs such a grid through
 **one** loop, whatever the options: enumerate the pending cells
 seed-major, restore what a :class:`~repro.resilience.CellStore` already
-holds, pick a backend, submit chunks through the plain
+holds, pick a backend, submit one call per cell through the plain
 :meth:`concurrent.futures.Executor.submit` protocol, handle each
 completed future in one place, and merge the reports in the parent in
 serial seed order — so ``run_sweep(points, workers=N)`` is **bitwise
@@ -32,20 +32,19 @@ Resilience (data carried by the loop, not a second path)
     fast: a cell's own exception propagates unchanged and a dead worker
     raises an error naming every unfinished cell.  With one (any of
     ``checkpoint_dir`` / ``queue_dir`` / ``retry`` / ``chaos`` implies
-    the default policy) chunks hold one cell so failures stay
-    attributable, a failing cell (it raised, timed out, or its queue
+    the default policy) a failing cell (it raised, timed out, or its queue
     lease ran out) is resubmitted after its deterministic backoff and
     quarantined once its attempts are spent, a broken pool (for the
     queue: every local worker dead) is respawned and its lost cells
     resubmitted, and a pool that keeps breaking is swapped for the
     in-process executor.  Chaos injection and the per-cell timeout live
     inside the one worker entry point
-    (:func:`repro.experiments.pool.run_chunk`), so they apply
+    (:func:`repro.experiments.pool.run_cell`), so they apply
     identically in workers and in-process.
 
 Whichever way the loop is left — done, a cell's exception, a dead
 worker, Ctrl-C — futures not yet started are cancelled and running ones
-awaited, so no chunk of a failed sweep is still occupying the shared
+awaited, so no cell of a failed sweep is still occupying the shared
 pool (or left runnable in the queue) when the caller sees the error.
 
 Cells are enumerated **seed-major** because the expensive inputs depend
@@ -180,6 +179,8 @@ class SweepExecutor:
         ``sweep-worker`` processes are spawned unless ``spawn_workers``
         is off; a claimed cell not completed within ``lease_s`` seconds
         (``None``: the queue's default) counts as a failed attempt.
+        ``lease_s`` or ``spawn_workers=False`` without ``queue_dir`` is
+        refused, as is ``checkpoint_dir`` with it.
     sleep:
         Backoff clock, injectable so tests can fake it.
     """
@@ -243,6 +244,11 @@ class SweepExecutor:
         seeds = tuple(seeds)
         if not seeds:
             raise ExperimentError("cannot run a sweep across zero seeds")
+        if self.queue_dir is None:
+            if self.lease_s is not None or not self.spawn_workers:
+                raise ExperimentError("lease_s and spawn_workers=False need queue_dir")
+        elif self.checkpoint_dir is not None:
+            raise ExperimentError("queue_dir is the checkpoint_dir too: pass one")
         n_workers = self.workers if self.workers is not None else default_workers()
         stats = SweepRunStats()
 
@@ -263,10 +269,14 @@ class SweepExecutor:
                 pending.append(i)
         cells = enumerate_cells(points, pending, seeds)
 
-        if self.queue_dir is not None and self.checkpoint_dir is not None:
-            raise ExperimentError("queue_dir is the checkpoint_dir too: pass one")
-        root = self.queue_dir if self.queue_dir is not None else self.checkpoint_dir
-        store = CellStore(root) if root is not None else None
+        store = None
+        if self.queue_dir is not None:
+            from repro.experiments.queue import WorkQueue
+
+            # Refuses a bad lease before anything is created on disk.
+            store = WorkQueue(self.queue_dir, lease_s=self.lease_s).store
+        elif self.checkpoint_dir is not None:
+            store = CellStore(self.checkpoint_dir)
         keys: dict[tuple[int, int], str] = {}
         reports: dict[tuple[int, int], SimulationReport] = {}
         if store is not None:
@@ -363,38 +373,30 @@ class SweepExecutor:
         pooled = executor is not inprocess
         stats.mode = backend.mode if pooled else "serial"
         stats.workers_used = n_workers if pooled else 1
-        # One cell per task under a policy, so a failure names its cell.
-        stats.chunk_size = chunk_size = (
-            pool_mod.adaptive_chunk_size(
-                n_cells, n_workers, pool_mod.cell_cost_estimate_s()
-            )
-            if pooled and policy is None
-            else 1
-        )
+        # One cell per task on every backend, so a failure names its cell.
+        stats.chunk_size = 1
         logger.info(
-            "sweep mode: %s — %d cells in chunks of %d over %d workers",
+            "sweep mode: %s — %d cells over %d workers",
             stats.mode,
             n_cells,
-            chunk_size,
             stats.workers_used,
         )
 
-        backlog = deque(
-            cells[lo : lo + chunk_size] for lo in range(0, n_cells, chunk_size)
-        )
+        backlog = deque(cells)
         attempts = {cell[0]: 0 for cell in cells}
         with_obs = collector is not None
         timeout_s = policy.cell_timeout_s if policy else None
-        in_flight: dict[Future, list[Cell]] = {}
+        in_flight: dict[Future, Cell] = {}
         started = last_log = time.monotonic()
         try:
             while backlog or in_flight:
                 if backlog:
-                    chunk = backlog.popleft()
+                    cell = backlog.popleft()
                     try:
                         future = executor.submit(
-                            pool_mod.run_chunk,
-                            [(*cell, attempts[cell[0]]) for cell in chunk],
+                            pool_mod.run_cell,
+                            *cell,
+                            attempts[cell[0]],
                             model,
                             with_obs,
                             self.chaos,
@@ -405,7 +407,7 @@ class SweepExecutor:
                     except BrokenProcessPool as exc:
                         future = Future()
                         future.set_exception(exc)
-                    in_flight[future] = chunk
+                    in_flight[future] = cell
                 # Harvest without blocking while there is more to
                 # submit, so checkpoints land as cells finish.
                 done, _ = wait(
@@ -419,20 +421,17 @@ class SweepExecutor:
                 for future in sorted(done, key=lambda f: f.exception() is not None):
                     if future not in in_flight:
                         continue  # lost with the pool; already requeued
-                    chunk = in_flight.pop(future)
+                    cell = in_flight.pop(future)
                     try:
-                        finished = future.result()
+                        report, obs = future.result()
                     except BrokenProcessPool as exc:
-                        lost = chunk + [
-                            cell for other in in_flight.values() for cell in other
-                        ]
+                        lost = [cell, *in_flight.values()]
                         in_flight.clear()
                         backend.mark_broken()
                         if policy is None:
                             raise _broken_pool_error(cells, reports) from exc
                         backlog.extendleft(
-                            [cell]
-                            for cell in reversed(
+                            reversed(
                                 self._charge_pool_breakage(
                                     lost, attempts, policy, quarantine, keys, stats
                                 )
@@ -468,29 +467,28 @@ class SweepExecutor:
                     except Exception as exc:
                         if policy is None:
                             raise
-                        (cell,) = chunk
                         attempts[cell[0]] += 1
                         if not self._quarantine_or_backoff(
                             cell, exc, attempts[cell[0]], policy, quarantine,
                             keys, stats,
                         ):
                             stats.retries += 1
-                            backlog.appendleft(chunk)
+                            backlog.appendleft(cell)
                     else:
-                        for (cell_id, _, seed), (report, obs) in zip(chunk, finished):
-                            reports[cell_id] = report
-                            if obs is not None:
-                                collector.add_cell(*cell_id, obs)
-                            stats.cells_computed += 1
-                            if store is not None:
-                                path = store.put(
-                                    keys[cell_id], report,
-                                    point_index=cell_id[0], seed=seed,
-                                )
-                                if self.chaos is not None and self.chaos.should_corrupt(
-                                    cell_id
-                                ):
-                                    corrupt_checkpoint(path, self.chaos, cell_id)
+                        cell_id, _, seed = cell
+                        reports[cell_id] = report
+                        if obs is not None:
+                            collector.add_cell(*cell_id, obs)
+                        stats.cells_computed += 1
+                        if store is not None:
+                            path = store.put(
+                                keys[cell_id], report,
+                                point_index=cell_id[0], seed=seed,
+                            )
+                            if self.chaos is not None and self.chaos.should_corrupt(
+                                cell_id
+                            ):
+                                corrupt_checkpoint(path, self.chaos, cell_id)
                 now = time.monotonic()
                 if now - last_log >= _LOG_INTERVAL_S and stats.cells_computed:
                     last_log = now
@@ -503,7 +501,7 @@ class SweepExecutor:
                         (n_cells - stats.cells_computed) / rate,
                     )
         finally:
-            # However the loop was left, no chunk of this sweep may
+            # However the loop was left, no cell of this sweep may
             # outlive it in the shared pool: cancel what has not
             # started, wait for what has.  The queue's workers and
             # settle thread are this sweep's own and go with it.
@@ -513,8 +511,6 @@ class SweepExecutor:
                 future.cancel()
             wait(in_flight)
         elapsed = time.monotonic() - started
-        if pooled and policy is None:
-            pool_mod.observe_cell_cost(elapsed / n_cells)
         logger.info(
             "sweep complete: %d cells in %.1fs (%.2f cells/s); %s",
             n_cells,

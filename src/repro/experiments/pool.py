@@ -15,13 +15,9 @@ of the sweep dispatch loop (:mod:`repro.experiments.parallel`):
   :mod:`repro.experiments.sweep`; the workers build in parallel, and
   because they persist so do their caches: the next sweep over the same
   seeds finds its inputs already there.
-* **Adaptive chunking** — the measured per-cell cost of previous
-  pooled sweeps (an EMA) sizes chunks to a wall-clock target: cheap
-  cells get big chunks to amortise IPC, expensive cells get small ones
-  to load-balance.
 
-:func:`run_chunk` is the one entry point that runs cells, in a worker
-or in the calling process.
+:func:`run_cell` is the one entry point that runs a cell, in a worker
+or in the calling process; every backend submits one call per cell.
 
 Determinism contract: a cell's inputs are pure functions of ``(point,
 seed, model, master-log size)``, so every process regenerates them
@@ -34,10 +30,8 @@ results remain bitwise identical to serial ones.
 from __future__ import annotations
 
 import atexit
-import math
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
-from typing import Sequence
 
 from repro.experiments import sweep as sweep_mod
 from repro.failures.synthetic import BurstFailureModel
@@ -46,25 +40,15 @@ from repro.resilience import ChaosConfig, cell_timeout, inject_pre_cell
 
 logger = get_logger(__name__)
 
-#: Wall-clock target per warm chunk once a per-cell cost estimate
-#: exists: big enough to amortise submit/result IPC, small enough that a
-#: straggler chunk cannot idle the other workers for long.
-TARGET_CHUNK_S = 0.25
-
-#: Upper bound on chunks per worker: small enough to amortise IPC, large
-#: enough to load-balance uneven cell costs.
-_CHUNKS_PER_WORKER = 4
-
-#: EMA weight of the newest per-cell cost measurement.
-_EMA_ALPHA = 0.5
-
-
 # ----------------------------------------------------------------------
 # the entry point that runs cells
 # ----------------------------------------------------------------------
 
-def run_chunk(
-    chunk: Sequence[tuple[tuple[int, int], "sweep_mod.SweepPoint", int, int]],
+def run_cell(
+    cell_id: tuple[int, int],
+    point: sweep_mod.SweepPoint,
+    seed: int,
+    attempt: int,
     model: BurstFailureModel,
     with_obs: bool,
     chaos: ChaosConfig | None,
@@ -72,30 +56,26 @@ def run_chunk(
     in_worker: bool,
     master_failure_count: int,
 ):
-    """Run ``(cell_id, point, seed, attempt)`` cells; one ``(report,
-    obs)`` pair per cell, in order.
+    """Run one ``(point, seed)`` cell; its ``(report, obs)`` pair.
 
-    ``in_worker`` says whether this is a pool or queue worker (chaos
-    kills only fire there, never in the calling process);
-    ``master_failure_count`` is the dispatching process's
-    ``sweep.MASTER_FAILURE_COUNT``, which a persistent worker forked
-    before a test or bench shrank the constant must follow, as must a
-    queue worker started on another host — its caches are keyed by the
-    count, so following is all it takes.  Chaos injection and the
+    ``attempt`` counts the cell's earlier failed attempts (chaos faults
+    fire on chosen attempts only); ``in_worker`` says whether this is a
+    pool or queue worker (chaos kills only fire there, never in the
+    calling process); ``master_failure_count`` is the dispatching
+    process's ``sweep.MASTER_FAILURE_COUNT``, which a persistent worker
+    forked before a test or bench shrank the constant must follow, as
+    must a queue worker started on another host — its caches are keyed
+    by the count, so following is all it takes.  Chaos injection and the
     per-cell wall-clock timeout live here so they apply identically
-    either way.  ``with_obs`` adds each cell's picklable observability
-    payload.
+    either way.  With ``with_obs`` the second element is the cell's
+    picklable observability payload, else ``None``.
     """
     sweep_mod.MASTER_FAILURE_COUNT = master_failure_count
-    out = []
-    for cell_id, point, seed, attempt in chunk:
-        with cell_timeout(timeout_s):
-            inject_pre_cell(chaos, cell_id, attempt, in_worker=in_worker)
-            if with_obs:
-                out.append(sweep_mod.simulate_cell_obs(point, seed, model))
-            else:
-                out.append((sweep_mod.simulate_cell(point, seed, model), None))
-    return out
+    with cell_timeout(timeout_s):
+        inject_pre_cell(chaos, cell_id, attempt, in_worker=in_worker)
+        if with_obs:
+            return sweep_mod.simulate_cell_obs(point, seed, model)
+        return sweep_mod.simulate_cell(point, seed, model), None
 
 
 # ----------------------------------------------------------------------
@@ -166,10 +146,6 @@ class WarmPool:
 
 _pool: WarmPool | None = None
 
-#: Parent-process EMA of measured per-cell wall seconds, fed back from
-#: each warm sweep; sizes the next sweep's chunks.
-_cell_cost_ema_s: float | None = None
-
 
 def get_warm_pool() -> WarmPool:
     """The process-wide warm pool (created on first use)."""
@@ -196,43 +172,10 @@ def _atexit_cleanup() -> None:  # pragma: no cover - process teardown
         pass
 
 
-def observe_cell_cost(per_cell_s: float) -> None:
-    """Feed one sweep's measured per-cell wall cost into the EMA."""
-    global _cell_cost_ema_s
-    if not math.isfinite(per_cell_s) or per_cell_s <= 0:
-        return
-    if _cell_cost_ema_s is None:
-        _cell_cost_ema_s = per_cell_s
-    else:
-        _cell_cost_ema_s = (
-            _EMA_ALPHA * per_cell_s + (1.0 - _EMA_ALPHA) * _cell_cost_ema_s
-        )
-
-
-def cell_cost_estimate_s() -> float | None:
-    """Current per-cell cost EMA (``None`` until a warm sweep ran)."""
-    return _cell_cost_ema_s
-
-
 def reset_cell_cost_estimate() -> None:
-    """Forget the per-cell cost EMA (tests)."""
-    global _cell_cost_ema_s
-    _cell_cost_ema_s = None
+    """No-op: there is no per-cell cost estimate to forget.
 
-
-def adaptive_chunk_size(
-    n_cells: int, n_workers: int, per_cell_s: float | None
-) -> int:
-    """Cells per pooled chunk.
-
-    The load-balance bound (``workers x _CHUNKS_PER_WORKER`` chunks) is
-    the ceiling; when a per-cell cost
-    estimate exists, chunks shrink toward :data:`TARGET_CHUNK_S` of wall
-    time each so expensive cells cannot straggle a whole worker's queue
-    behind one chunk.
+    Every backend runs one cell per task, so nothing sizes tasks from
+    measured cost; the name stays for callers that reset sweep state
+    between runs (the end-to-end benchmark harness among them).
     """
-    balance_bound = max(1, math.ceil(n_cells / (n_workers * _CHUNKS_PER_WORKER)))
-    if per_cell_s is None or per_cell_s <= 0:
-        return balance_bound
-    target = max(1, round(TARGET_CHUNK_S / per_cell_s))
-    return max(1, min(balance_bound, target))

@@ -9,10 +9,10 @@ backoff, quarantine, respawn, degradation, restore and merge are the
 loop's, exactly as for the other two executors.
 
 * **The task record is the call** — ``submit`` files the arguments of
-  :func:`~repro.experiments.pool.run_chunk` as one :class:`QueueTask`
+  :func:`~repro.experiments.pool.run_cell` as one :class:`QueueTask`
   (:func:`repro.records.to_plain` of the dataclass, written durably)
   under the cell's :func:`~repro.resilience.cell_key`; a worker decodes
-  it and runs the cell through ``run_chunk``, the entry point of every
+  it and runs the cell through ``run_cell``, the entry point of every
   backend.  A record that does not decode to exactly that dataclass —
   unreadable, garbled, another format — is reported as a failed
   attempt, never half-read.
@@ -60,7 +60,7 @@ from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 from repro.errors import ExperimentError, ResilienceError
-from repro.experiments.pool import run_chunk
+from repro.experiments.pool import run_cell
 from repro.experiments.sweep import SweepPoint
 from repro.failures.synthetic import BurstFailureModel
 from repro.obs.log import get_logger
@@ -97,11 +97,14 @@ class Lease:
 @dataclasses.dataclass(frozen=True)
 class QueueTask:
     """One cell as filed in ``tasks/`` and ``claims/``: the arguments of
-    its ``run_chunk`` call, in order (the driver's master-log size
+    its ``run_cell`` call, in order (the driver's master-log size
     travels with the work, so a worker on any host thins from the log
     the driver will verify against), then the lease once claimed."""
 
-    chunk: tuple[tuple[tuple[int, int], SweepPoint, int, int], ...]
+    cell_id: tuple[int, int]
+    point: SweepPoint
+    seed: int
+    attempt: int
     model: BurstFailureModel
     with_obs: bool
     chaos: ChaosConfig | None
@@ -112,14 +115,13 @@ class QueueTask:
 
     @property
     def call(self) -> tuple:
-        """The ``run_chunk`` arguments."""
+        """The ``run_cell`` arguments."""
         return tuple(getattr(self, f.name) for f in dataclasses.fields(self)[:-1])
 
     @property
     def key(self) -> str:
-        """The key the (one) cell is filed and checkpointed under."""
-        ((_, point, seed, _),) = self.chunk
-        return cell_key(point, seed, self.model)
+        """The key the cell is filed and checkpointed under."""
+        return cell_key(self.point, self.seed, self.model)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -228,8 +230,9 @@ class WorkQueue:
         leaves a claim whose work is done; reclaim notices the existing
         checkpoint and simply drops the claim.
         """
-        (((point_index, _), _, seed, _),) = task.chunk
-        self.store.put(task.key, report, point_index=point_index, seed=seed)
+        self.store.put(
+            task.key, report, point_index=task.cell_id[0], seed=task.seed
+        )
         (self.claims_dir / f"{task.key}.json").unlink(missing_ok=True)
 
     def release_duplicate(self, task: QueueTask) -> None:
@@ -343,7 +346,7 @@ def run_worker(
             queue.release_duplicate(task)
         else:
             try:
-                ((report, _),) = run_chunk(*task.call)
+                report, _ = run_cell(*task.call)
             except BaseException as exc:
                 queue.fail(task, exc)
                 if not isinstance(exc, Exception):  # KeyboardInterrupt etc.
@@ -429,9 +432,9 @@ class QueueExecutor(Executor):
         return self
 
     def submit(self, fn, /, *args, **kwargs) -> Future:
-        if fn is not run_chunk or kwargs:
-            raise ExperimentError("the queue backend runs run_chunk calls only")
-        task = QueueTask(tuple(args[0]), *args[1:])
+        if fn is not run_cell or kwargs:
+            raise ExperimentError("the queue backend runs run_cell calls only")
+        task = QueueTask(*args)
         if task.with_obs:
             raise ExperimentError(
                 "observability collectors are not supported on the queue backend"
@@ -474,14 +477,14 @@ class QueueExecutor(Executor):
 
     def _settle(self, key: str, report=None, error: BaseException | None = None):
         """Resolve and forget the pending future of ``key`` (the error
-        if given, else the report as ``run_chunk`` returns it) and
+        if given, else the report as ``run_cell`` returns it) and
         withdraw its task; a future cancelled meanwhile is only told so."""
         future = self._pending.pop(key)
         self.queue.withdraw(key)
         if not future.set_running_or_notify_cancel():
             return
         if error is None:
-            future.set_result([(report, None)])
+            future.set_result((report, None))
         else:
             future.set_exception(error)
 

@@ -378,13 +378,11 @@ def run_sweep_outcome(
     Every sweep runs through the one dispatch loop of
     :class:`~repro.experiments.parallel.SweepExecutor`; ``options`` are
     that class's fields, declared and documented there and nowhere else.
-    Here ``workers=None`` means 1, and ``min_cells_per_worker=None`` the
-    executor's default.  The ``collector`` is finalized on the way out.
+    Here ``workers=None`` means 1.  The ``collector`` is finalized on the
+    way out.
     """
     from repro.experiments.parallel import SweepExecutor
 
-    if options.get("min_cells_per_worker", 0) is None:
-        del options["min_cells_per_worker"]
     executor = SweepExecutor(workers=1 if workers is None else workers, **options)
     try:
         return executor.run_outcome(

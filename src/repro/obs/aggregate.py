@@ -6,7 +6,7 @@ enabled) its in-memory trace records into a picklable :class:`CellObs`
 payload that rides back to the parent next to the cell's report.
 
 The parent buffers payloads in a :class:`SweepObsCollector` as they
-arrive — in whatever order chunks complete — and merges them in
+arrive — in whatever order cells complete — and merges them in
 :meth:`~SweepObsCollector.finalize` in sorted ``(point, seed)`` order,
 so ``workers=N`` produces the same aggregated metrics and the same
 per-cell trace files as ``workers=1`` (wall-clock timers excepted; they

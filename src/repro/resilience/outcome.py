@@ -28,10 +28,11 @@ class SweepRunStats:
     whole local fleet and a retry covers an expired lease as well as an
     in-cell failure.
     ``workers_used`` is the worker count the chosen mode employed (1
-    for serial), ``chunk_size`` the cells-per-task of the fan-out (1
-    whenever a retry policy is in force, so failures stay attributable)
-    and ``pool_reused`` whether the warm pool was already up — benches
-    record them so a run's regime is auditable.
+    for serial), ``chunk_size`` the cells per task (1 whenever cells
+    were dispatched — every backend runs one cell per task, so a
+    failure names its cell — and 0 when none was) and ``pool_reused``
+    whether the warm pool was already up — benches record them so a
+    run's regime is auditable.
     """
 
     checkpoint_hits: int = 0

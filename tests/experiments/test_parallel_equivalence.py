@@ -235,7 +235,7 @@ class TestWorkerFailure:
         """A warm-pool worker that dies mid-cell must raise, not hang.
 
         Workers reach ``simulate_cell`` through the sweep module (via
-        :func:`repro.experiments.pool.run_chunk`), so that is the patch
+        :func:`repro.experiments.pool.run_cell`), so that is the patch
         target; the autouse fixture's pool teardown guarantees
         the workers fork after the patch.  The breakage must also mark
         the pool so the *next* sweep respawns instead of reusing a dead
@@ -263,8 +263,8 @@ class TestWorkerFailure:
             run_sweep(bad, (0, 1), workers=2, min_cells_per_worker=0)
 
     def test_fail_fast_exit_drains_the_pool_before_raising(self):
-        """Regression: the first failing chunk used to surface while the
-        sweep's other chunks were still running in the persistent pool.
+        """Regression: the first failing cell used to surface while the
+        sweep's other cells were still running in the persistent pool.
         When the exception reaches the caller the pool must be alive
         and idle."""
         points = [
@@ -314,7 +314,7 @@ class TestAutoSerialCutover:
         ).run_outcome(points, seeds)
         assert outcome.stats.mode == "warm"
         assert outcome.stats.workers_used == 2
-        assert outcome.stats.chunk_size >= 1
+        assert outcome.stats.chunk_size == 1
 
     @needs_fork
     def test_sub_cutover_grid_never_touches_warm_pool(self):

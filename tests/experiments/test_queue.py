@@ -1,7 +1,7 @@
 """Work-queue protocol, worker-loop and executor tests.
 
 The protocol under test (:mod:`repro.experiments.queue`): the task
-record is a ``run_chunk`` call, claim by atomic rename (exactly one
+record is a ``run_cell`` call, claim by atomic rename (exactly one
 racer wins), deterministic lease expiry with ``unlink`` as the arbiter
 of who reports the loss, checkpoints as results — and the
 ``QueueExecutor`` that turns what workers leave in the directory into
@@ -34,7 +34,7 @@ import repro.experiments.queue as queue_mod
 import repro.experiments.sweep as sweep_mod
 from repro.errors import ExperimentError
 from repro.experiments.parallel import SweepExecutor
-from repro.experiments.pool import run_chunk
+from repro.experiments.pool import run_cell
 from repro.experiments.queue import (
     QueueExecutor,
     QueueTask,
@@ -84,12 +84,12 @@ def _serial_reference(points, seeds):
 
 
 def _calls(points, seeds, chaos=None):
-    """``(key, run_chunk arguments)`` of every cell, as the dispatch loop
+    """``(key, run_cell arguments)`` of every cell, as the dispatch loop
     would submit its first attempt."""
     return [
         (
             cell_key(point, seed, MODEL),
-            (((cell_id, point, seed, 0),), MODEL, False, chaos, None, True, 64),
+            (cell_id, point, seed, 0, MODEL, False, chaos, None, True, 64),
         )
         for cell_id, point, seed in enumerate_cells(
             points, range(len(points)), seeds
@@ -132,7 +132,7 @@ class TestQueueProtocol:
         _put_grid(queue, points, seeds)
         assert queue.counts() == {"tasks": 3, "claims": 1, "failed": 0, "cells": 0}
         # A finished cell put again (corrupt, or resume off): recomputed.
-        queue.complete(task, simulate_cell(*task.call[0][0][1:3], MODEL))
+        queue.complete(task, simulate_cell(task.point, task.seed, MODEL))
         _file_record(queue.failed_dir, task.key, {"error": "stale"})
         _put_grid(queue, points, seeds)
         assert queue.counts() == {"tasks": 4, "claims": 0, "failed": 0, "cells": 0}
@@ -175,7 +175,7 @@ class TestQueueProtocol:
         chaos = ChaosConfig(kill_cells=((0, 0),), raise_cells=((1, 1),), seed=3)
         queue = WorkQueue(tmp_path)
         _put_grid(queue, points[:1], seeds[:1], chaos)
-        assert queue.claim().call[3] == chaos
+        assert queue.claim().chaos == chaos
 
     def test_lost_rename_race_moves_to_next_task(
         self, tmp_path, grid, monkeypatch
@@ -238,7 +238,7 @@ class TestQueueProtocol:
         executor = QueueExecutor(tmp_path, lease_s=5.0, spawn_workers=False)
         queue = executor.queue
         try:
-            future = executor.ensure(2).submit(run_chunk, *args)
+            future = executor.ensure(2).submit(run_cell, *args)
             task = queue.claim()  # a worker that then goes silent
             assert task.key == key
             # Deterministic expiry: a clock already past the deadline.
@@ -251,13 +251,11 @@ class TestQueueProtocol:
             assert queue.counts() == {
                 "tasks": 0, "claims": 0, "failed": 0, "cells": 0,
             }
-            (cell_id, point, seed, attempt), = args[0]
-            executor.submit(
-                run_chunk, [(cell_id, point, seed, attempt + 1)], *args[1:]
-            )
+            cell_id, point, seed, attempt, *rest = args
+            executor.submit(run_cell, cell_id, point, seed, attempt + 1, *rest)
             retry = queue.claim()
             assert retry.key == key
-            assert retry.call[0][0][3] == 1
+            assert retry.attempt == 1
         finally:
             executor.shutdown()
 
@@ -286,10 +284,9 @@ class TestQueueProtocol:
         queue = WorkQueue(tmp_path, lease_s=5.0)
         _put_grid(queue, points, seeds)
         task = queue.claim()
-        ((cell_id, point, seed, _),) = task.call[0]
         queue.store.put(
-            task.key, simulate_cell(point, seed, MODEL),
-            point_index=cell_id[0], seed=seed,
+            task.key, simulate_cell(task.point, task.seed, MODEL),
+            point_index=task.cell_id[0], seed=task.seed,
         )
         assert queue.reclaim_expired(now=time.time() + 10.0) == 1
         counts = queue.counts()
@@ -363,7 +360,7 @@ class TestQueueProtocol:
         queue = executor.queue
         try:
             (bad_key, bad), (good_key, good), *_ = [
-                (key, executor.submit(run_chunk, *args))
+                (key, executor.submit(run_cell, *args))
                 for key, args in _calls(points, seeds)
             ]
             (queue.failed_dir / f"{bad_key}.json").write_bytes(self.NOT_UTF8)
@@ -375,10 +372,9 @@ class TestQueueProtocol:
             assert not good.done()
             while (task := queue.claim()).key != good_key:
                 pass
-            ((_, point, seed, _),) = task.chunk
-            report = simulate_cell(point, seed, MODEL)
+            report = simulate_cell(task.point, task.seed, MODEL)
             queue.complete(task, report)
-            assert good.result(timeout=30) == [(report, None)]
+            assert good.result(timeout=30) == (report, None)
         finally:
             executor.shutdown()
 
@@ -449,11 +445,14 @@ class TestWorkerLoop:
         assert outcome.stats.cells_computed == len(points) * len(seeds)
 
     def test_old_format_record_is_garbled_not_half_read(self, tmp_path, grid):
-        """A task in a record format this one replaced — the schema-1
-        record (hand-mirrored point: ``pf_rule`` by name, ``dims`` as a
+        """A task in a record format this one replaced — the chunked
+        record (the cell nested in a one-element ``chunk``, every field
+        of it otherwise current), the schema-1 record (the same nesting
+        around a hand-mirrored point: ``pf_rule`` by name, ``dims`` as a
         list, no observational flags), or the one before it (cell fields
-        at the top level, no ``chunk``) — is refused whole, never run
-        from the fields that happen to be there."""
+        at the top level, an ``attempt`` but no ``cell_id``) — is
+        refused whole, never run from the fields that happen to be
+        there."""
         points, seeds = grid
         queue = WorkQueue(tmp_path)
         key = cell_key(points[0], seeds[0], MODEL)
@@ -466,6 +465,12 @@ class TestWorkerLoop:
             } | {"dims": [4, 4, 8]},
         }
         for old in (
+            {
+                "chunk": [[[0, 0], plain, seeds[0], 0]],
+                "model": to_plain(MODEL), "with_obs": False, "chaos": None,
+                "timeout_s": None, "in_worker": True, "master_failure_count": 64,
+                "lease": None,
+            },
             {
                 "chunk": [[[0, 0], schema_1_point, seeds[0], 0]],
                 "model": to_plain(MODEL), "with_obs": False, "chaos": None,
@@ -536,15 +541,14 @@ class TestQueueExecutor:
         queue = executor.queue
         try:
             futures = {
-                key: executor.submit(run_chunk, *args)
+                key: executor.submit(run_cell, *args)
                 for key, args in _calls(points, seeds)
             }
             good, bad = queue.claim(), queue.claim()
-            ((_, point, seed, _),) = good.call[0]
-            report = simulate_cell(point, seed, MODEL)
+            report = simulate_cell(good.point, good.seed, MODEL)
             queue.complete(good, report)
             queue.fail(bad, ValueError("poison"))
-            assert futures[good.key].result(timeout=30) == [(report, None)]
+            assert futures[good.key].result(timeout=30) == (report, None)
             error = futures[bad.key].exception(timeout=30)
             # The worker-side type name, for the quarantine entry.
             assert type(error).__name__ == "ValueError"
@@ -566,14 +570,14 @@ class TestQueueExecutor:
         (key, args), *_ = _calls(points, seeds)
         executor = QueueExecutor(tmp_path, spawn_workers=False).ensure(1)
         try:
-            future = executor.submit(run_chunk, *args)
+            future = executor.submit(run_cell, *args)
             executor.queue.store.path_for(key).write_text('{"schema": 1, "trunc')
             assert "verification" in str(future.exception(timeout=30))
             # The resubmission drops the damaged file and runs the cell.
-            again = executor.submit(run_chunk, *args)
+            again = executor.submit(run_cell, *args)
             assert run_worker(tmp_path, idle_exit_s=0.0) == 1
-            ((report, _),) = again.result(timeout=30)
-            assert report == simulate_cell(*args[0][0][1:3], MODEL)
+            report, _ = again.result(timeout=30)
+            assert report == simulate_cell(*args[1:3], MODEL)
         finally:
             executor.shutdown()
 
@@ -586,7 +590,7 @@ class TestQueueExecutor:
         executor = QueueExecutor(tmp_path, lease_s=600.0).ensure(1)
         try:
             futures = [
-                executor.submit(run_chunk, *args)
+                executor.submit(run_cell, *args)
                 for _, args in _calls(points, seeds[:1], chaos)
             ]
             for future in futures:
@@ -604,7 +608,7 @@ class TestQueueExecutor:
         ((_, args),) = _calls(points[:1], seeds[:1])
         executor = QueueExecutor(tmp_path, spawn_workers=False)
         with pytest.raises(ExperimentError, match="collectors"):
-            executor.submit(run_chunk, args[0], args[1], True, *args[3:])
+            executor.submit(run_cell, *args[:5], True, *args[6:])
         executor.shutdown()
 
     def test_interrupted_loop_cancels_withdraws_and_reaps(

@@ -49,6 +49,25 @@ class TestResultCaching:
         assert run_sweep(points, (0,)) == [full]  # what a cold process gets
         assert full != small  # the point does tell the two logs apart
 
+    def test_fig5_after_fig4_in_one_process_computes_no_cell(self, monkeypatch):
+        """Figs. 4 and 5 plot two metrics of one sweep, so the memo makes
+        the second free wherever both run in one process (a
+        ``benchmarks/test_fig*.py`` session, a library caller)."""
+        from repro.experiments.figures import run_figure
+
+        sweep_mod._result_cache.clear()
+        fig4 = run_figure("fig4", n_jobs=20, seeds=(0,), workers=1)
+        computed = []
+        simulate_cell = sweep_mod.simulate_cell
+        monkeypatch.setattr(
+            sweep_mod, "simulate_cell",
+            lambda *args: computed.append(args) or simulate_cell(*args),
+        )
+        fig5 = run_figure("fig5", n_jobs=20, seeds=(0,), workers=1)
+        assert computed == []
+        assert fig5.series == fig4.series
+        sweep_mod._result_cache.clear()
+
 
 class TestEnvKnobs:
     def test_default_n_jobs(self, monkeypatch):

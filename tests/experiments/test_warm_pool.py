@@ -1,9 +1,9 @@
 """Warm-pool engine unit and integration tests.
 
 Covers the mechanisms of :mod:`repro.experiments.pool` — pool
-persistence across ``run_sweep`` calls (resilient ones included),
-adaptive chunk sizing fed by the per-cell cost EMA — plus their cleanup
-contracts (broken pool respawn, idempotent shutdown, a silent exit).
+persistence across ``run_sweep`` calls (resilient ones included), one
+task per cell — plus their cleanup contracts (broken pool respawn,
+idempotent shutdown, a silent exit).
 """
 
 from __future__ import annotations
@@ -19,11 +19,7 @@ import pytest
 import repro.experiments.pool as pool_mod
 import repro.experiments.sweep as sweep_mod
 from repro.experiments.parallel import SweepExecutor, fork_available
-from repro.experiments.pool import (
-    adaptive_chunk_size,
-    get_warm_pool,
-    shutdown_warm_pool,
-)
+from repro.experiments.pool import get_warm_pool, shutdown_warm_pool
 from repro.experiments.sweep import SweepPoint, run_sweep, run_sweep_outcome
 from repro.resilience import RetryPolicy
 
@@ -34,20 +30,18 @@ needs_fork = pytest.mark.skipif(
 
 @pytest.fixture(autouse=True)
 def pool_isolation(monkeypatch):
-    """Small master logs, cold caches, fresh pool and EMA per test.
+    """Small master logs, cold caches and a fresh pool per test.
 
     The pool teardown before the patch guarantees every test's workers
     fork *after* ``MASTER_FAILURE_COUNT`` is shrunk (a persistent pool
     would otherwise carry workers from before the patch).
     """
     shutdown_warm_pool()
-    pool_mod.reset_cell_cost_estimate()
     monkeypatch.setattr(sweep_mod, "MASTER_FAILURE_COUNT", 64)
     sweep_mod._result_cache.clear()
     sweep_mod._master_log_cache.clear()
     yield
     shutdown_warm_pool()
-    pool_mod.reset_cell_cost_estimate()
     sweep_mod._result_cache.clear()
     sweep_mod._master_log_cache.clear()
 
@@ -57,45 +51,6 @@ def _grid() -> tuple[list[SweepPoint], tuple[int, ...]]:
         SweepPoint("nasa", 20, 1.0, f, "balancing", 0.3) for f in (0, 2, 4)
     ]
     return points, (0, 1)
-
-
-# ----------------------------------------------------------------------
-# adaptive chunking + cost EMA
-# ----------------------------------------------------------------------
-
-class TestAdaptiveChunking:
-    def test_no_estimate_uses_balance_bound(self):
-        # 64 cells / (2 workers * 4 chunks each) = 8 cells per chunk.
-        assert adaptive_chunk_size(64, 2, None) == 8
-        assert adaptive_chunk_size(3, 2, None) == 1
-
-    def test_expensive_cells_shrink_chunks(self):
-        # 1s cells against a 0.25s target: one cell per chunk.
-        assert adaptive_chunk_size(64, 2, 1.0) == 1
-
-    def test_cheap_cells_capped_by_balance_bound(self):
-        # 1ms cells would target 250-cell chunks; the balance bound wins
-        # so no worker's queue hides behind one straggler chunk.
-        assert adaptive_chunk_size(64, 2, 0.001) == 8
-
-    def test_intermediate_cost_targets_wall_clock(self):
-        # 50ms cells: 0.25 / 0.05 = 5 cells per chunk, under the bound.
-        assert adaptive_chunk_size(640, 2, 0.05) == 5
-
-    def test_ema_feedback(self):
-        assert pool_mod.cell_cost_estimate_s() is None
-        pool_mod.observe_cell_cost(0.1)
-        assert pool_mod.cell_cost_estimate_s() == pytest.approx(0.1)
-        pool_mod.observe_cell_cost(0.3)
-        # alpha=0.5: 0.5*0.3 + 0.5*0.1
-        assert pool_mod.cell_cost_estimate_s() == pytest.approx(0.2)
-
-    def test_ema_rejects_degenerate_samples(self):
-        pool_mod.observe_cell_cost(0.0)
-        pool_mod.observe_cell_cost(-1.0)
-        pool_mod.observe_cell_cost(float("nan"))
-        pool_mod.observe_cell_cost(float("inf"))
-        assert pool_mod.cell_cost_estimate_s() is None
 
 
 # ----------------------------------------------------------------------
@@ -180,9 +135,29 @@ class TestPoolLifecycle:
         ).run_outcome(points, seeds)
         assert outcome.stats.mode == "warm"
         assert outcome.stats.workers_used == 2
-        assert outcome.stats.chunk_size >= 1
-        assert pool_mod.cell_cost_estimate_s() > 0
+        assert outcome.stats.chunk_size == 1
         assert "workers=2" in outcome.stats.summary_line()
+
+    def test_every_cell_is_its_own_task(self, monkeypatch):
+        """A warm sweep with no retry policy still submits one future
+        per cell: 24 cells on 2 workers are 24 tasks, not chunks."""
+        points = [
+            SweepPoint("nasa", 12, 1.0, f, "krevat", 0.0) for f in range(12)
+        ]
+        executor = get_warm_pool().ensure(2)
+        submitted = []
+        real_submit = type(executor).submit
+
+        def counting_submit(self, fn, /, *args, **kwargs):
+            submitted.append(args[0])
+            return real_submit(self, fn, *args, **kwargs)
+
+        monkeypatch.setattr(type(executor), "submit", counting_submit)
+        outcome = run_sweep_outcome(points, (0, 1), workers=2, min_cells_per_worker=0)
+        assert outcome.stats.mode == "warm"
+        assert outcome.stats.chunk_size == 1
+        assert outcome.stats.cells_computed == 24
+        assert sorted(submitted) == [(i, si) for i in range(12) for si in range(2)]
 
 
 _PREWARMED_POOL_SCRIPT = textwrap.dedent(

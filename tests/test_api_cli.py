@@ -368,21 +368,27 @@ class TestSweepQueueCli:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["--lease-s", "5"], "need --queue-dir"),
-            (["--no-spawn-workers"], "need --queue-dir"),
-            (["--queue-dir", "q", "--checkpoint-dir", "c"], "drop --checkpoint-dir"),
-            (["--queue-dir", "q", "--lease-s", "0"], "must be positive"),
+            (["--lease-s", "5"], "lease_s and spawn_workers=False need queue_dir"),
+            (["--no-spawn-workers"], "lease_s and spawn_workers=False need queue_dir"),
+            (["--queue-dir", "q", "--checkpoint-dir", "c"],
+             "queue_dir is the checkpoint_dir too: pass one"),
+            (["--queue-dir", "q", "--lease-s", "0"], "lease_s must be positive"),
         ],
         ids=["lease-s", "no-spawn-workers", "checkpoint-dir", "lease-s=0"],
     )
-    def test_usage_errors(self, argv, message, sweep_call):
-        with pytest.raises(SystemExit, match=message):
-            main(["sweep", *argv])
-        assert not sweep_call
+    def test_usage_errors(self, argv, message, capsys):
+        """The library refuses the combination before any cell runs or
+        any directory is made; the CLI prints its message."""
+        assert main(["sweep", "--jobs", "10", "--seeds", "1", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"bgl-sim: error: {message}\n"
+        assert captured.out == ""
 
-    def test_sweep_worker_keeps_three_flags(self, monkeypatch):
+    def test_sweep_worker_keeps_three_flags(self, monkeypatch, capsys):
         import repro.experiments.queue as queue_mod
 
+        assert main(["sweep-worker", "--queue-dir", "q", "--lease-s", "0"]) == 2
+        assert "lease_s must be positive" in capsys.readouterr().err
         calls = []
         monkeypatch.setattr(
             queue_mod, "run_worker", lambda *a, **kw: calls.append((a, kw))
@@ -394,8 +400,6 @@ class TestSweepQueueCli:
             (("q",), {"lease_s": 5.0, "idle_exit_s": 1.0}),
             (("q",), {"lease_s": None, "idle_exit_s": None}),
         ]
-        with pytest.raises(SystemExit, match="must be positive"):
-            main(["sweep-worker", "--queue-dir", "q", "--lease-s", "0"])
 
 
 def flag_surface(parser, prefix=()):

@@ -126,10 +126,13 @@ class TestCodecRoundTrip:
 
     @given(point=points, model=models, chaos=st.none() | chaos_configs)
     def test_task_record_keeps_its_call_and_its_key(self, point, model, chaos):
-        task = QueueTask((((3, 1), point, 7, 2),), model, False, chaos, None, True, 64)
-        restored = from_plain(QueueTask, json.loads(canonical_json(to_plain(task))))
+        call = ((3, 1), point, 7, 2, model, False, chaos, None, True, 64)
+        task = QueueTask(*call)
+        plain = json.loads(canonical_json(to_plain(task)))
+        assert plain["cell_id"] == [3, 1] and plain["attempt"] == 2
+        restored = from_plain(QueueTask, plain)
         assert restored == task
-        assert restored.call == task.call
+        assert restored.call == call
         assert restored.key == cell_key(point, 7, model)
 
     def test_an_int_in_a_float_field_comes_back_an_int(self):
@@ -226,8 +229,8 @@ class TestDeclaredOnce:
         assert cell_key(traced, 0, model) == cell_key(turned, 0, model)
 
         queue = WorkQueue(tmp_path)
-        queue.put(QueueTask((((0, 0), traced, 0, 0),), model, False, None, None, True, 64))
-        ((_, point, _, _),) = queue.claim().chunk
+        queue.put(QueueTask((0, 0), traced, 0, 0, model, False, None, None, True, 64))
+        point = queue.claim().point
         assert point == traced and point.config.knob == 7
 
 
@@ -273,7 +276,7 @@ class TestDurableWrite:
         report = sweep_mod.simulate_cell(POINT, 0, model)
         key = cell_key(POINT, 0, model)
         queue = WorkQueue(tmp_path)
-        task = QueueTask((((0, 0), POINT, 0, 0),), model, False, None, None, True, 64)
+        task = QueueTask((0, 0), POINT, 0, 0, model, False, None, None, True, 64)
         for write, name in (
             (lambda: CellStore(tmp_path).put(key, report), f"{key}.json"),
             (lambda: queue.put(task), f"{key}.json"),
