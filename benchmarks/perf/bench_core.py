@@ -219,6 +219,41 @@ def bench_scored_candidates_batch(scale: Scale):
     return run, n * len(SCORING_SIZES)
 
 
+def _bench_choose_partition(scale: Scale, torus: Torus, size: int):
+    """One balancing (a=0.1) placement decision per op, as the engine
+    asks it: a new prediction window per decision and per-state caches
+    dropped first (an empty journal replay, what a repair leaves)."""
+    from repro.core.policies import BalancingPolicy
+    from repro.prediction import BalancingPredictor
+
+    policy = BalancingPolicy(
+        BalancingPredictor(generate_failures(D, 1024, 1e6, seed=1), 0.1)
+    )
+    index = IncrementalPlacementIndex(torus)
+    state = JobState(Job(0, 0.0, size, 3600.0, 3600.0))
+    n = scale.micro_number * 10
+
+    def run():
+        for i in range(n):
+            now = 1000.0 * i
+            policy.begin_pass(now)
+            index.apply([], index.torus_version)
+            policy.choose_partition(index, state, now)
+
+    return run, n
+
+
+def bench_choose_partition_forced(scale: Scale):
+    """A full-machine job on an empty torus: one candidate, so the
+    decision runs neither the scoring kernel nor the predictor."""
+    return _bench_choose_partition(scale, Torus(D), D.volume)
+
+
+def bench_choose_partition_scored(scale: Scale):
+    """A size-8 job on a half-loaded torus: a real choice, scored."""
+    return _bench_choose_partition(scale, loaded_torus(0.5), 8)
+
+
 def bench_shadow_time_engine(scale: Scale):
     torus = loaded_torus()
     running = running_states(torus)
@@ -518,6 +553,8 @@ def run_benchmarks(scale_name: str, workers: int, out_path: Path) -> list[dict]:
         ("placement_index_build", bench_placement_index_build),
         ("mfp_excluding", bench_mfp_excluding),
         ("scored_candidates_batch", bench_scored_candidates_batch),
+        ("choose_partition_forced", bench_choose_partition_forced),
+        ("choose_partition_scored", bench_choose_partition_scored),
         ("shadow_time_engine", bench_shadow_time_engine),
         ("migration_plan", bench_migration_plan),
         ("backfill_walk_deep_queue", bench_backfill_walk_deep_queue),

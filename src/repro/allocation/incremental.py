@@ -301,6 +301,7 @@ class IncrementalPlacementIndex(PlacementIndex):
         "_ne_idx",
         "_fall",
         "_feasible",
+        "_enumerated",
     )
 
     def __init__(self, torus: Torus) -> None:
@@ -323,6 +324,9 @@ class IncrementalPlacementIndex(PlacementIndex):
         # the base class answers from the integral is overridden below:
         # an inherited reader must fail, not read a stale integral.
         self._busy_integral = None  # type: ignore[assignment]
+        self._enumerated: dict[
+            int, tuple[CandidateBatch, np.ndarray, np.ndarray]
+        ] = {}
         self._refresh()
 
     # ------------------------------------------------------------------
@@ -406,7 +410,7 @@ class IncrementalPlacementIndex(PlacementIndex):
         self._scan_pos = 0
         self._candidate_cache.clear()
         self._scored_cache.clear()
-        self._batch_cache.clear()
+        self._enumerated.clear()
         self._batch_scored_cache.clear()
         self.torus_version = target_version
 
@@ -460,14 +464,16 @@ class IncrementalPlacementIndex(PlacementIndex):
         self, size: int
     ) -> tuple[CandidateBatch, np.ndarray, np.ndarray]:
         """Every free partition of ``size`` in one pass, as the batch
-        (cached) plus each candidate's shape row and flat base.
+        plus each candidate's shape row and flat base.
 
         Same enumeration contract as the base implementation (shape
         order of shapes_for_size, row-major bases, full-span axes
         canonicalised to 0 with first-occurrence dedup): the size's
         free grids, one row of bases per shape and masked to canonical
         bases, go through one ``nonzero`` that walks them shape-major,
-        base-minor.
+        base-minor.  The triple is kept until :meth:`apply`, so a
+        policy's ``candidate_batch`` and the scoring kernel after it
+        share one pass.
         """
         t = self._tables
         rows = t.size_rows(size)
@@ -484,17 +490,16 @@ class IncrementalPlacementIndex(PlacementIndex):
         batch = CandidateBatch.packed(
             self.dims, tuple(shapes), tuple(starts), t.coords[flat]
         )
-        self._batch_cache[size] = batch
-        return batch, rows[r], flat
+        enumerated = self._enumerated[size] = (batch, rows[r], flat)
+        return enumerated
 
     def candidate_batch(self, size: int) -> CandidateBatch:
-        batch = self._batch_cache.get(size)
-        return batch if batch is not None else self._enumerate(size)[0]
+        return (self._enumerated.get(size) or self._enumerate(size))[0]
 
     def _candidates_excluding(
         self, size: int
     ) -> tuple[CandidateBatch, np.ndarray]:
-        batch, rows, flat = self._enumerate(size)
+        batch, rows, flat = self._enumerated.get(size) or self._enumerate(size)
         return batch, self._excluded(rows, flat)
 
     def mfp_size(self) -> int:

@@ -463,10 +463,11 @@ class PlacementIndex:
         return self.mfp_size() - self.mfp_excluding(partition)
 
 
-#: Journal length beyond which replaying patches loses to one fresh
-#: incremental build.  Measured on the 4x4x8 torus: ``apply`` costs
-#: ≈15 µs plus ≈10 µs per entry (90–105 µs for 8 entries, 170–200 for
-#: 16, 200–250 for 20), a build 200–220 µs.
+#: Journal length beyond which the cache builds afresh instead of
+#: replaying patches.  Measured on the 4x4x8 torus (2-core x86-64 Xeon):
+#: ``apply`` costs ≈9 µs of refresh plus ≈6–7 µs per entry (≈17 µs for
+#: one entry in ``bench_index_apply_refresh``, 110–120 µs for 16), a
+#: build 210–235 µs, so a replay at the bound is about half a build.
 _MAX_PATCH_ENTRIES = 16
 
 

@@ -51,8 +51,11 @@ class BalancingPolicy(SchedulingPolicy):
         self, index: PlacementIndex, state: JobState, now: float
     ) -> Partition | None:
         batch, losses = self.batch_scored(index, state.size)
-        if not len(batch):
-            return None
+        if losses is None:
+            # Nothing fits, or the choice is forced.  The predictor is a
+            # pure cache of the failure log, so leaving it unasked
+            # changes no later answer.
+            return batch.partition(0) if len(batch) else None
         window_end = now + max(state.remaining_estimate, 1.0)
         probs = np.empty(len(batch), dtype=np.float64)
         for shape, sl, bases in batch.groups():

@@ -54,18 +54,26 @@ class SchedulingPolicy(abc.ABC):
     # ------------------------------------------------------------------
     def batch_scored(
         self, index: PlacementIndex, size: int
-    ) -> tuple[CandidateBatch, np.ndarray]:
-        """All candidates of ``size`` with batch-kernel ``L_MFP`` scores.
+    ) -> tuple[CandidateBatch, np.ndarray | None]:
+        """All candidates of ``size``, with batch-kernel ``L_MFP`` scores
+        when there is a choice to rank.
 
         Shared by every policy's production path: the Krevat heuristic
         prefers minimal MFP loss, and both fault-aware policies start
-        from the same scored batch.
+        from the same scored batch.  The scores are ``None`` when no
+        ranking can matter: no candidate, or exactly one with the
+        recorder off — a *forced* choice, which every policy places
+        without the kernel.  A traced run scores a forced choice too,
+        so its ``candidates`` record keeps the lone candidate's scores.
+        ``policy.candidate_set_size`` observes the batch either way.
         """
-        batch, losses = index.batch_mfp_losses(size)
+        batch = index.candidate_batch(size)
         registry = self.metrics
         if registry is not None:
             registry.histogram("policy.candidate_set_size").observe(len(batch))
-        return batch, losses
+        if len(batch) > 1 or (len(batch) and self.recorder.enabled):
+            return index.batch_mfp_losses(size)
+        return batch, None
 
     # ------------------------------------------------------------------
     def trace_decision(

@@ -32,8 +32,8 @@ class KrevatPolicy(SchedulingPolicy):
         self, index: PlacementIndex, state: JobState, now: float
     ) -> Partition | None:
         batch, losses = self.batch_scored(index, state.size)
-        if not len(batch):
-            return None
+        if losses is None:  # nothing fits, or the choice is forced
+            return batch.partition(0) if len(batch) else None
         # np.argmin returns the first occurrence of the minimum — exactly
         # the scalar walk's "first candidate at min loss" tie order.
         chosen = batch.partition(int(np.argmin(losses)))

@@ -49,6 +49,15 @@ class TieBreakPolicy(SchedulingPolicy):
         if not len(batch):
             return None
         window_end = now + max(state.remaining_estimate, 1.0)
+        if losses is None:
+            # A forced choice: the lone candidate wins whatever the
+            # answer, but the predictor is still asked.  Its per-window
+            # draws come from a seeded RNG in call order, so a skipped
+            # query would shift every later draw.
+            self.predictor.predict_failures(
+                batch.bases, batch.shapes[0], index.dims, now, window_end
+            )
+            return batch.partition(0)
         tied = np.flatnonzero(losses == losses.min())
         predicted = np.empty(tied.size, dtype=bool)
         for shape, sl, bases in batch.groups():

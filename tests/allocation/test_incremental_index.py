@@ -430,6 +430,36 @@ class TestFusedPassAndNarrowTensor:
         assert_matches_rebuild(inc, torus)
 
 
+class TestEnumerateOnce:
+    def test_batch_then_scoring_share_one_pass_per_state(self, monkeypatch):
+        """A policy asks ``candidate_batch`` before scoring: the kernel
+        reuses that enumeration instead of running its own, and
+        ``apply`` drops it with the state it described."""
+        runs = []
+        enumerate_ = IncrementalPlacementIndex._enumerate
+
+        def counted(self, size):
+            runs.append(size)
+            return enumerate_(self, size)
+
+        monkeypatch.setattr(IncrementalPlacementIndex, "_enumerate", counted)
+        torus = random_torus(TorusDims(4, 4, 8), np.random.default_rng(2), attempts=6)
+        inc = IncrementalPlacementIndex(torus)
+        batch = inc.candidate_batch(8)
+        assert len(batch) > 1
+        scored, _ = inc.batch_mfp_losses(8)
+        assert scored is batch and runs == [8]
+        part = batch.partition(0)
+        torus.allocate(torus.n_jobs, part)
+        inc.apply(torus.journal_since(inc.torus_version), torus.version)
+        after = inc.candidate_batch(8)
+        assert runs == [8, 8]
+        assert part not in after.partitions()
+        inc.batch_mfp_losses(8)
+        assert runs == [8, 8]
+        assert_matches_rebuild(inc, torus)
+
+
 class TestStaleVersionPoisoning:
     def test_opaque_mutation_forces_fallback(self):
         """snapshot/restore logs an opaque entry: the journal refuses to

@@ -7,7 +7,10 @@ the production index, or an index built or repaired behind the cache's
 back, would leave those counts at 0 while the work still happened.  The
 test wraps both the same way and runs short simulations: every scoring
 kernel run must happen inside a wrapped ``batch_mfp_losses`` and every
-index build or repair inside a wrapped ``IndexCache.get``.
+index build or repair inside a wrapped ``IndexCache.get``.  A
+``choose_partition`` call either passes through ``batch_mfp_losses`` or
+is *forced* — its size has exactly one free partition and the recorder
+is off — and then runs no kernel at all.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from repro.allocation.mfp import IndexCache, PlacementIndex
 from repro.api import SimulationSetup
 from repro.core.policies.balancing import BalancingPolicy
 from repro.core.policies.krevat import KrevatPolicy
+from repro.core.policies.tiebreak import TieBreakPolicy
 
 
 def test_batch_mfp_losses_is_not_overridden():
@@ -31,7 +35,11 @@ def test_batch_mfp_losses_is_not_overridden():
 
 @pytest.mark.parametrize(
     "policy, policy_class",
-    [("krevat", KrevatPolicy), ("balancing", BalancingPolicy)],
+    [
+        ("krevat", KrevatPolicy),
+        ("balancing", BalancingPolicy),
+        ("tiebreak", TieBreakPolicy),
+    ],
 )
 def test_every_scoring_and_lookup_passes_the_span_targets(
     monkeypatch, policy, policy_class
@@ -64,11 +72,19 @@ def test_every_scoring_and_lookup_passes_the_span_targets(
     wrap(IncrementalPlacementIndex, "__init__", "build", "get")
     choose = vars(policy_class)["choose_partition"]
 
-    def scored_choose(self, *args, **kwargs):
+    def scored_choose(self, index, state, now):
         calls["choose"] += 1
-        before = calls["score"]
-        result = choose(self, *args, **kwargs)
-        assert calls["score"] > before, "a placement was scored unseen"
+        before = calls["score"], calls["kernel"]
+        result = choose(self, index, state, now)
+        if calls["score"] > before[0]:
+            calls["scored"] += 1
+        else:
+            assert len(index.candidate_batch(state.size)) == 1, (
+                "a placement with a choice was scored unseen"
+            )
+            assert not self.recorder.enabled, "a traced placement went unscored"
+            assert calls["kernel"] == before[1]
+            calls["forced"] += 1
         return result
 
     monkeypatch.setattr(policy_class, "choose_partition", scored_choose)
@@ -79,6 +95,8 @@ def test_every_scoring_and_lookup_passes_the_span_targets(
     report = setup.run()
 
     assert report.timing.n_jobs == 80
-    assert calls["choose"] > 0 and calls["kernel"] > 0
+    assert calls["choose"] == calls["scored"] + calls["forced"]
+    assert calls["scored"] > 0 and calls["forced"] > 0
+    assert calls["kernel"] > 0
     assert calls["repair"] > 0 and calls["build"] > 0
     assert calls["repair"] + calls["build"] <= calls["get"]

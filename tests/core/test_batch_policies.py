@@ -1,7 +1,8 @@
 """Batch policy paths must pick exactly what the scalar oracles pick.
 
 Each policy's production ``choose_partition`` is a vectorised argmin
-over the batch-scored candidate set;
+over the batch-scored candidate set, or — for a forced choice, a size
+with one free partition — that partition, unscored;
 ``repro.testing.choose_partition_scalar`` is the per-candidate walk.  Identical choices — including tie order —
 are what make the whole batch refactor observationally invisible, so
 this suite asserts them per decision over random machine states and
@@ -10,25 +11,32 @@ end-to-end over whole simulations (bitwise-identical reports).
 
 from __future__ import annotations
 
-import numpy as np
-from hypothesis import given, settings, strategies as st
+from unittest import mock
 
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from repro.allocation.incremental import IncrementalPlacementIndex
 from repro.allocation.mfp import PlacementIndex
+from repro.api import SimulationSetup
 from repro.core.config import BackfillMode, SimulationConfig
 from repro.core.jobstate import JobState
 from repro.core.policies import BalancingPolicy, KrevatPolicy, TieBreakPolicy
 from repro.core.policies.base import MAX_TRACED_CANDIDATES
 from repro.core.simulator import simulate
 from repro.failures.events import FailureEvent, FailureLog
-from repro.geometry.coords import TorusDims
+from repro.geometry.coords import BGL_SUPERNODE_DIMS, TorusDims
+from repro.geometry.partition import Partition
 from repro.geometry.shapes import schedulable_sizes
+from repro.geometry.torus import FREE, Torus
 from repro.obs.trace import TraceRecorder
 from repro.prediction import (
     BalancingPredictor,
     PartitionFailureRule,
     TieBreakPredictor,
 )
-from repro.testing import choose_partition_scalar, random_torus
+from repro.testing import choose_partition_scalar, random_partition, random_torus
 from repro.workloads.job import Job, Workload
 
 D = TorusDims(4, 4, 5)
@@ -168,6 +176,133 @@ class TestPerDecision:
                 assert all(
                     type(v) in (int, float, bool, list) for v in considered.values()
                 )
+
+
+def forced_policies(log: FailureLog, seed: int):
+    """Every policy flavour the forced path must agree on."""
+    return [
+        KrevatPolicy(),
+        *(
+            BalancingPolicy(BalancingPredictor(log, a, PartitionFailureRule.MAX))
+            for a in (0.0, 0.1, 1.0)
+        ),
+        *(TieBreakPolicy(TieBreakPredictor(log, a, seed=seed)) for a in (0.0, 0.5)),
+    ]
+
+
+@st.composite
+def one_free_box(draw) -> tuple[Torus, int]:
+    """A machine busy everywhere but one random box (plus, perhaps, a
+    few stray free nodes), and that box's size — which then has exactly
+    one free partition, the box itself."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    box = random_partition(D, rng)
+    torus = Torus(D)
+    torus.grid[...] = 999
+    torus.grid[np.ix_(*box.axis_ranges(D))] = FREE
+    for node in draw(st.lists(st.integers(0, D.volume - 1), max_size=4)):
+        torus.grid[np.unravel_index(node, D.as_tuple())] = FREE
+    assume(len(PlacementIndex(torus).candidate_batch(box.size)) == 1)
+    return torus, box.size
+
+
+class TestForcedChoice:
+    """A size with one free partition leaves nothing to rank: every
+    policy places it without the scoring kernel, and still picks what
+    the scalar walk picks."""
+
+    @staticmethod
+    def assert_forced_like_scalar(torus, size, log, seed, now, runtime):
+        state = JobState(Job(0, 0.0, size, runtime))
+
+        def no_kernel(self, size):
+            raise AssertionError("a forced choice ran the scoring kernel")
+
+        for policy in forced_policies(log, seed):
+            policy.begin_pass(now)
+            index = IncrementalPlacementIndex(torus)
+            assert len(index.candidate_batch(size)) == 1
+            with mock.patch.object(
+                IncrementalPlacementIndex, "_candidates_excluding", no_kernel
+            ):
+                chosen = policy.choose_partition(index, state, now)
+            assert chosen is not None and chosen == choose_partition_scalar(
+                policy, PlacementIndex(torus), state, now
+            ), policy.name
+
+    @pytest.mark.parametrize("dims", [D, BGL_SUPERNODE_DIMS])
+    def test_whole_machine_job_on_an_empty_torus(self, dims):
+        torus = Torus(dims)
+        assert PlacementIndex(torus).candidates(dims.volume) == [
+            Partition((0, 0, 0), dims.as_tuple())
+        ]
+        log = FailureLog(dims.volume, [FailureEvent(5.0, 3), FailureEvent(9.0, 0)])
+        self.assert_forced_like_scalar(torus, dims.volume, log, 11, 0.0, 50.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        one_free_box(),
+        failure_logs(),
+        st.integers(0, 2**31 - 1),
+        st.floats(0.0, 700.0, allow_nan=False),
+        st.floats(1.0, 300.0, allow_nan=False),
+    )
+    def test_one_free_box_of_a_size(self, state, log, seed, now, runtime):
+        torus, size = state
+        self.assert_forced_like_scalar(torus, size, log, seed, now, runtime)
+
+    def test_tiebreak_forced_choice_keeps_the_draw_sequence(self):
+        """The forced path still asks the tie-break predictor, so its
+        RNG stands where the scoring path leaves it, decision after
+        decision."""
+        log = FailureLog(
+            D.volume, [FailureEvent(float(t), (7 * t) % D.volume) for t in range(40)]
+        )
+        forced = TieBreakPolicy(TieBreakPredictor(log, 0.5, seed=3))
+        scored = TieBreakPolicy(TieBreakPredictor(log, 0.5, seed=3))
+        scored.recorder = TraceRecorder()  # a traced run scores every choice
+        empty, loaded = Torus(D), random_torus(D, np.random.default_rng(1), attempts=6)
+        decisions = [(empty, D.volume), (loaded, 4), (empty, D.volume), (loaded, 2)]
+        for step, (torus, size) in enumerate(decisions):
+            now = 10.0 * step
+            state = JobState(Job(step, 0.0, size, 25.0))
+            picks = []
+            for policy in (forced, scored):
+                policy.begin_pass(now)
+                picks.append(
+                    policy.choose_partition(IncrementalPlacementIndex(torus), state, now)
+                )
+            assert picks[0] == picks[1]
+            assert (
+                forced.predictor._rng.bit_generator.state
+                == scored.predictor._rng.bit_generator.state
+            ), step
+        assert len(scored.recorder.records) == len(decisions)
+
+    def test_profiled_histogram_counts_every_decision(self, monkeypatch):
+        """``policy.candidate_set_size`` observes forced and scored
+        decisions alike: one observation per ``choose_partition`` call,
+        the forced ones in the ≤1 bucket."""
+        calls = []
+        choose = BalancingPolicy.choose_partition
+
+        def counted(self, index, state, now):
+            calls.append(len(index.candidate_batch(state.size)))
+            return choose(self, index, state, now)
+
+        monkeypatch.setattr(BalancingPolicy, "choose_partition", counted)
+        setup = SimulationSetup(
+            site="sdsc", n_jobs=80, n_failures=15, policy="balancing",
+            parameter=0.1, seed=4, config=SimulationConfig(profile=True),
+        )
+        sim = setup.build_simulator()
+        sim.run()
+        histogram = sim.metrics.to_dict(include_timings=False)["histograms"][
+            "policy.candidate_set_size"
+        ]
+        assert histogram["count"] == len(calls)
+        assert histogram["buckets"][0] == calls.count(1) > 0
+        assert min(calls) == 1 < max(calls)
 
 
 # Scalar-oracle policy variants: same class, production entry point
