@@ -222,7 +222,7 @@ def bench_scored_candidates_batch(scale: Scale):
 def _bench_choose_partition(scale: Scale, torus: Torus, size: int):
     """One balancing (a=0.1) placement decision per op, as the engine
     asks it: a new prediction window per decision and per-state caches
-    dropped first (an empty journal replay, what a repair leaves)."""
+    dropped first (a sync with nothing to patch, what a repair leaves)."""
     from repro.core.policies import BalancingPolicy
     from repro.prediction import BalancingPredictor
 
@@ -237,7 +237,7 @@ def _bench_choose_partition(scale: Scale, torus: Torus, size: int):
         for i in range(n):
             now = 1000.0 * i
             policy.begin_pass(now)
-            index.apply([], index.torus_version)
+            index.sync(torus)
             policy.choose_partition(index, state, now)
 
     return run, n
@@ -347,7 +347,7 @@ def _bench_index_update(scale: Scale, incremental: bool):
     """Index maintenance across a mutation churn, patch vs rebuild.
 
     Each step allocates or frees one box, brings the index up to date
-    (journal replay for the incremental path, from-scratch
+    (a sync for the incremental path, from-scratch
     ``PlacementIndex`` build for the reference), and then performs the
     queries one scheduler pass issues — ``mfp_size`` plus batch losses
     for a few sizes.  The query half is the point: a bare rebuild is
@@ -368,9 +368,7 @@ def _bench_index_update(scale: Scale, incremental: bool):
             ):
                 mutate()
                 if index is not None:
-                    index.apply(
-                        torus.journal_since(index.torus_version), torus.version
-                    )
+                    index.sync(torus)
                     idx = index
                 else:
                     idx = PlacementIndex(torus)
@@ -382,12 +380,12 @@ def _bench_index_update(scale: Scale, incremental: bool):
 
 
 def bench_index_apply_refresh(scale: Scale):
-    """Index maintenance and nothing else: allocate a box, replay the
-    journal, free it, replay again — no query in between.
+    """Index maintenance and nothing else: allocate a box, sync the
+    index, free it, sync again — no query in between.
 
     ``index_incremental_update`` asks ``mfp_size`` and batch losses for
     several sizes after every mutation, so scoring owns that record;
-    this one moves only with ``apply`` / ``_refresh``.
+    this one moves only with ``sync`` / ``_refresh``.
     """
     torus = loaded_torus(0.3)
     part = PlacementIndex(torus).candidate_batch(8).partition(0)
@@ -398,9 +396,9 @@ def bench_index_apply_refresh(scale: Scale):
     def run():
         for _ in range(n):
             torus.allocate(job_id, part)
-            index.apply(torus.journal_since(index.torus_version), torus.version)
+            index.sync(torus)
             torus.release(job_id)
-            index.apply(torus.journal_since(index.torus_version), torus.version)
+            index.sync(torus)
 
     return run, 2 * n
 

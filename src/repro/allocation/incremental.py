@@ -50,9 +50,11 @@ Each state pays only for what it is asked:
   candidate's fused scoring-table row is read from a per-dims key table
   — no base wrap, no per-candidate shape array, no per-shape loop.
 
-The busy integral the base class builds is read once, by the
-constructor's full build of ``sums``, and dropped: every query the base
-class answers from it is overridden here to answer from ``sums``.
+There is no busy integral.  The index remembers which allocations its
+tensor holds, and :meth:`IncrementalPlacementIndex.sync` diffs that map
+against the torus's: a build is a zero tensor plus one sync, a repair is
+one more, and every query the base class answers from the integral is
+overridden here to answer from ``sums``.
 
 This is the only index the engine runs on
 (:class:`~repro.allocation.mfp.IndexCache` builds nothing else).  All
@@ -107,8 +109,6 @@ class _DimsTables:
         "basebits",
         "oxy",
         "coords",
-        "flat8",
-        "signs",
         "_size_rows",
     )
 
@@ -210,7 +210,7 @@ class _DimsTables:
             (1 << (x + self.bitoff[0])) | (1 << (y + self.bitoff[1])) | (1 << z)
         ).astype(word)[:, None]                                 # (XYZ, 1)
         # Pairwise x*y product tables, one (X, Y, S) block per (kx, ky)
-        # key: an `apply` patch then costs one multiply+accumulate
+        # key: a box patch then costs one multiply+accumulate
         # instead of two multiplies (the z factor is applied on the fly).
         if (X * X) * (Y * Y) * n_shapes * X * Y <= 1 << 23:
             self.oxy = (
@@ -219,25 +219,6 @@ class _DimsTables:
             ).reshape((X * X) * (Y * Y), X, Y, n_shapes)
         else:
             self.oxy = None
-        # Eight-corner gather for a full sums build from the busy
-        # integral: flat8[t, x, y, z, s] indexes the raveled padded
-        # integral; signs[t] is +1 when the corner offsets an odd number
-        # of axes by the shape extent.
-        ix0 = np.arange(X, dtype=np.int64)[:, None, None, None]
-        iy0 = np.arange(Y, dtype=np.int64)[None, :, None, None]
-        iz0 = np.arange(Z, dtype=np.int64)[None, None, :, None]
-        ex, ey, ez = self.ext.T                                  # (S,) each
-        terms, signs = [], []
-        for bx in (0, 1):
-            for by in (0, 1):
-                for bz in (0, 1):
-                    terms.append(
-                        ((ix0 + bx * ex) * (2 * Y) + (iy0 + by * ey)) * (2 * Z)
-                        + (iz0 + bz * ez)
-                    )
-                    signs.append(1 if (bx + by + bz) % 2 == 1 else -1)
-        self.flat8 = np.stack(terms)                             # (8,X,Y,Z,S)
-        self.signs = tuple(signs)
         self._size_rows: dict[int, np.ndarray] = {}
 
     @staticmethod
@@ -282,20 +263,25 @@ def _tables(dims_tuple: Coord) -> _DimsTables:
 
 
 class IncrementalPlacementIndex(PlacementIndex):
-    """A :class:`PlacementIndex` that can patch itself across mutations.
+    """A :class:`PlacementIndex` that patches itself across mutations.
 
-    Construction is a full (exact) build; :meth:`apply` replays a torus
-    journal slice — O(1) numpy dispatches per box — and invalidates the
-    per-state caches.  Every query override returns values bitwise equal
-    to the inherited lazy path; the inherited scalar walk
-    (``mfp_excluding`` / ``scored_candidates``, which production never
-    calls) consumes the patched state through the ``_placements`` /
-    ``count_placements`` overrides.
+    ``_applied`` (job id → partition) names the allocations ``_sums``
+    holds.  :meth:`sync` diffs it against the torus's allocation map and
+    patches one box per job that left or arrived — O(1) numpy dispatches
+    per box — then drops the per-state caches.  Construction is a zero
+    tensor plus one :meth:`sync`, so a build and a repair run the same
+    patches.  Every query override returns values bitwise equal to the
+    inherited lazy path; the inherited scalar walk (``mfp_excluding`` /
+    ``scored_candidates``, which production never calls) consumes the
+    patched state through the ``_placements`` / ``count_placements``
+    overrides.  ``_busy_integral`` is never set, so an inherited reader
+    of it fails instead of answering for some other state.
     """
 
     __slots__ = (
         "_tables",
         "_sums",
+        "_applied",
         "_free",
         "_tot",
         "_ne_idx",
@@ -305,40 +291,60 @@ class IncrementalPlacementIndex(PlacementIndex):
     )
 
     def __init__(self, torus: Torus) -> None:
-        super().__init__(torus)
-        t = _tables(self.dims.as_tuple())
+        t = _tables(torus.dims.as_tuple())
         self._tables = t
-        raveled = self._busy_integral.ravel()
-        sums: np.ndarray | None = None
-        for sign, idx in zip(t.signs, t.flat8):
-            term = raveled.take(idx)
-            if sums is None:
-                sums = term if sign > 0 else -term
-            elif sign > 0:
-                sums += term
-            else:
-                sums -= term
-        assert sums is not None
-        self._sums = sums.astype(t.sum_dtype)                    # (X,Y,Z,S)
-        # Only ``_sums`` is patched from here on, and every query that
-        # the base class answers from the integral is overridden below:
-        # an inherited reader must fail, not read a stale integral.
-        self._busy_integral = None  # type: ignore[assignment]
-        self._enumerated: dict[
-            int, tuple[CandidateBatch, np.ndarray, np.ndarray]
-        ] = {}
-        self._refresh()
+        self.dims = torus.dims
+        self._shape_order = t.shapes
+        self._sums = np.zeros(t.dims_tuple + (len(t.shapes),), t.sum_dtype)
+        self._applied: dict[int, Partition] = {}
+        self.sync(torus)
 
     # ------------------------------------------------------------------
     # incremental maintenance
     # ------------------------------------------------------------------
+    def sync(self, torus: Torus) -> None:
+        """Bring the index to ``torus``'s current state.
+
+        The allocations ``_sums`` holds are diffed against
+        ``torus.allocations()`` by identity: a partition no longer held
+        by its job (released, or moved by a migration) is patched out,
+        one newly held is patched in.  One patch is the box's ``(X, Y,
+        S)`` x·y overlap block times its ``(Z, S)`` z overlap rows.  The
+        frees go first, so every intermediate tensor is a real occupancy
+        and the unsigned sums never wrap.  Afterwards the index answers
+        exactly as a fresh build would.
+        """
+        t = self._tables
+        sums = self._sums
+        X, Y, _ = t.dims_tuple
+        applied = self._applied
+        held = dict(torus.allocations())
+        changes = [
+            (np.subtract, p) for j, p in applied.items() if held.get(j) is not p
+        ]
+        changes += [(np.add, p) for j, p in held.items() if applied.get(j) is not p]
+        for op, partition in changes:
+            bx, by, bz = partition.base
+            ax, ay, az = partition.shape
+            if t.oxy is not None:
+                oxy = t.oxy[((ax - 1) * X + bx) * (Y * Y) + (ay - 1) * Y + by]
+            else:
+                oxy = (
+                    t.overlap[0][ax - 1, bx][:, None, :]
+                    * t.overlap[1][ay - 1, by][None, :, :]
+                )                                                # (X, Y, S)
+            op(sums, oxy[:, :, None, :] * t.overlap[2][az - 1, bz], out=sums)
+        self._applied = held
+        self._reset(torus)
+        self._refresh()
+
     def _refresh(self) -> None:
         """Re-derive the per-state fields every query needs from ``_sums``.
 
         ``sums == 0`` and one add-reduce over the leading (base) axis —
         a whole-row accumulate, never a reduction along a short trailing
-        axis.  The projections only scoring reads are dropped here and
-        rebuilt on demand by :meth:`_projections`.
+        axis.  The projections and enumerations only scoring reads are
+        dropped here and rebuilt on demand.
         """
         t = self._tables
         free = self._sums == 0
@@ -348,6 +354,9 @@ class IncrementalPlacementIndex(PlacementIndex):
         self._ne_idx = np.flatnonzero(self._tot)
         self._feasible: frozenset[int] | None = None
         self._fall: np.ndarray | None = None
+        self._enumerated: dict[
+            int, tuple[CandidateBatch, np.ndarray, np.ndarray]
+        ] = {}
 
     def _projections(self) -> np.ndarray:
         """Bit-packed per-axis projections of the free grids, built on
@@ -372,47 +381,6 @@ class IncrementalPlacementIndex(PlacementIndex):
             fall[n_shapes] = 1
             self._fall = fall
         return fall
-
-    def apply(
-        self, entries: list[tuple[str, Coord, Coord]], target_version: int
-    ) -> None:
-        """Replay journal entries, then invalidate per-state caches.
-
-        ``entries`` come from :meth:`Torus.journal_since`; after the
-        call the index answers for ``target_version`` exactly as a fresh
-        build would.  One entry is one patch of ``_sums``: the box's
-        ``(X, Y, S)`` x·y overlap block times its ``(Z, S)`` z overlap
-        rows, added for an allocation and subtracted for a release (the
-        very patch its allocation added, so the unsigned tensor never
-        wraps).
-        """
-        t = self._tables
-        sums = self._sums
-        X, Y, _ = t.dims_tuple
-        for op, base, shape in entries:
-            bx, by, bz = base
-            ax, ay, az = shape
-            if t.oxy is not None:
-                oxy = t.oxy[((ax - 1) * X + bx) * (Y * Y) + (ay - 1) * Y + by]
-            else:
-                oxy = (
-                    t.overlap[0][ax - 1, bx][:, None, :]
-                    * t.overlap[1][ay - 1, by][None, :, :]
-                )                                                # (X, Y, S)
-            patch = oxy[:, :, None, :] * t.overlap[2][az - 1, bz]
-            if op == "alloc":
-                np.add(sums, patch, out=sums)
-            else:
-                np.subtract(sums, patch, out=sums)
-        self._refresh()
-        self._mfp_size = None
-        self._nonempty_rows = []
-        self._scan_pos = 0
-        self._candidate_cache.clear()
-        self._scored_cache.clear()
-        self._enumerated.clear()
-        self._batch_scored_cache.clear()
-        self.torus_version = target_version
 
     # ------------------------------------------------------------------
     # query overrides (bitwise equal to the inherited lazy path)
@@ -471,7 +439,7 @@ class IncrementalPlacementIndex(PlacementIndex):
         canonicalised to 0 with first-occurrence dedup): the size's
         free grids, one row of bases per shape and masked to canonical
         bases, go through one ``nonzero`` that walks them shape-major,
-        base-minor.  The triple is kept until :meth:`apply`, so a
+        base-minor.  The triple is kept until :meth:`sync`, so a
         policy's ``candidate_batch`` and the scoring kernel after it
         share one pass.
         """
@@ -535,7 +503,7 @@ class IncrementalPlacementIndex(PlacementIndex):
         """First of ``releases`` after which ``size`` fits, from patches.
 
         Freeing a box lowers ``sums`` by its separable overlap patch
-        (exactly what :meth:`apply` subtracts), so the replay is the
+        (exactly what :meth:`sync` subtracts), so the replay is the
         size's rows of ``_sums`` against a running sum of patches — every
         release at once, no integral and no window rebuild.  The running
         sum stays in the narrow dtype: it counts nodes of one window

@@ -193,9 +193,16 @@ class PlacementIndex:
 
     def __init__(self, torus: Torus) -> None:
         self.dims: TorusDims = torus.dims
-        self.torus_version = torus.version
         self._shape_order = all_shapes(torus.dims)  # decreasing volume
         self._busy_integral = wrap_pad_integral((torus.grid != FREE).astype(np.int64))
+        self._reset(torus)
+
+    def _reset(self, torus: Torus) -> None:
+        """Drop every per-state answer: the index now stands for
+        ``torus``'s current state.  The constructor calls it, and so does
+        every :meth:`~repro.allocation.incremental.IncrementalPlacementIndex.sync`.
+        """
+        self.torus_version = torus.version
         # Lazy per-shape placement grids: a typical index build touches
         # only the handful of shapes the current queue asks about, so an
         # eager all-shapes batch (tried; ~4x slower end-to-end) loses to
@@ -463,14 +470,6 @@ class PlacementIndex:
         return self.mfp_size() - self.mfp_excluding(partition)
 
 
-#: Journal length beyond which the cache builds afresh instead of
-#: replaying patches.  Measured on the 4x4x8 torus (2-core x86-64 Xeon):
-#: ``apply`` costs ≈9 µs of refresh plus ≈6–7 µs per entry (≈17 µs for
-#: one entry in ``bench_index_apply_refresh``, 110–120 µs for 16), a
-#: build 210–235 µs, so a replay at the bound is about half a build.
-_MAX_PATCH_ENTRIES = 16
-
-
 class IndexCache:
     """The placement index for one torus's *current* state.
 
@@ -479,16 +478,14 @@ class IndexCache:
     feasible-size gate and the shadow-time release replay share the
     simulator's cache, and the compaction planner keeps one over its
     scratch torus.  The cache holds one
-    :class:`~repro.allocation.incremental.IncrementalPlacementIndex`;
-    an unchanged ``torus.version`` returns it as is, and when the
-    version moved the torus journal's mutations in between are
-    *replayed* onto it (O(box) patching).  A missing or unreplayable
-    journal (whole-grid mutation, entries aged out, version from the
-    future, more than ``_MAX_PATCH_ENTRIES`` entries) falls back to a
-    fresh build.  On the ``metrics`` registry the cache was handed (none:
-    nothing is counted) ``index.incremental.hit`` / ``repair`` /
-    ``fallback`` record which path each lookup took and ``index.builds``
-    every build.
+    :class:`~repro.allocation.incremental.IncrementalPlacementIndex`,
+    built on the first lookup; an unchanged ``torus.version`` returns it
+    as is, and when the version moved it is *synced* to the torus's
+    allocation map (one O(box) patch per job that left or arrived), however
+    many mutations lie in between.  On the ``metrics`` registry the cache
+    was handed (none: nothing is counted) ``index.incremental.hit`` /
+    ``repair`` record which path each lookup took and ``index.builds``
+    the one build.
 
     :class:`repro.testing.RebuildIndexCache` is the reference twin the
     tests substitute: a from-scratch :class:`PlacementIndex` per state.
@@ -506,24 +503,18 @@ class IndexCache:
         index = self._index
         torus = self.torus
         registry = self.metrics
-        if index is not None:
-            if index.torus_version == torus.version:
-                if registry is not None:
-                    registry.counter("index.incremental.hit").inc()
-                return index
-            entries = torus.journal_since(index.torus_version)
-            if entries is not None and len(entries) <= _MAX_PATCH_ENTRIES:
-                index.apply(entries, torus.version)  # type: ignore[attr-defined]
-                if registry is not None:
-                    registry.counter("index.incremental.repair").inc()
-                return index
-            if registry is not None:
-                registry.counter("index.incremental.fallback").inc()
-        from repro.allocation.incremental import IncrementalPlacementIndex
+        if index is None:
+            from repro.allocation.incremental import IncrementalPlacementIndex
 
-        index = self._index = IncrementalPlacementIndex(torus)
+            index = self._index = IncrementalPlacementIndex(torus)
+            counter = "index.builds"
+        elif index.torus_version == torus.version:
+            counter = "index.incremental.hit"
+        else:
+            index.sync(torus)  # type: ignore[attr-defined]
+            counter = "index.incremental.repair"
         if registry is not None:
-            registry.counter("index.builds").inc()
+            registry.counter(counter).inc()
         return index
 
 

@@ -67,8 +67,8 @@ def plan_compaction(
         key=lambda js: (-js.size, js.job.arrival, js.job_id),
     )
     scratch = Torus(torus.dims)
-    # One incremental index for the whole plan: each placement below is
-    # one journal entry, patched onto the index by the next ``get``.
+    # One incremental index for the whole plan: the next ``get`` after
+    # each placement below syncs it, one box patch.
     cache = IndexCache(scratch, index_cache.metrics)
     placements: list[tuple[int, Partition]] = []
     for js in todo:

@@ -28,11 +28,6 @@ from repro.geometry.partition import Partition
 #: Sentinel for "node is free" in the occupancy grid.
 FREE: int = -1
 
-#: Journal capacity: enough to replay any realistic scheduler burst
-#: (index consumers fall back to a fresh build past a handful of
-#: entries anyway), small enough to never matter for memory.
-_JOURNAL_MAX = 128
-
 
 def wrap_pad_integral(grid: np.ndarray) -> np.ndarray:
     """Zero-led 3-D integral image of the wrap-padded grid.
@@ -148,10 +143,10 @@ class Torus:
     * ``grid[x, y, z]`` holds the owning job id or :data:`FREE`.
     * ``version`` increments on every mutation; finders use it to
       invalidate per-state caches.
-    * a bounded *mutation journal* records each box-level mutation so
-      version-checked consumers (:class:`repro.allocation.mfp.IndexCache`)
-      can patch their state forward instead of rebuilding; see
-      :meth:`journal_since`.
+    * the allocation map (:meth:`allocations`) and the grid describe one
+      state; the production placement index reads the map and patches
+      itself forward by diffing it
+      (:meth:`repro.allocation.incremental.IncrementalPlacementIndex.sync`).
     """
 
     __slots__ = (
@@ -159,7 +154,6 @@ class Torus:
         "grid",
         "_allocations",
         "version",
-        "_journal",
         "_flat_ids",
     )
 
@@ -172,10 +166,6 @@ class Torus:
         # allocations of the same partition skip the axis-range/np.ix_
         # machinery.  Bounded; keys are few on real machines anyway.
         self._flat_ids: dict[tuple[Coord, Coord], np.ndarray] = {}
-        # Entries are (resulting version, op, base, shape) where op is
-        # "alloc" or "free"; whole-grid mutations (clear/restore) log an
-        # "opaque" entry, which journal_since refuses to replay across.
-        self._journal: list[tuple[int, str, Coord | None, Coord | None]] = []
 
     # ------------------------------------------------------------------
     # queries
@@ -259,7 +249,6 @@ class Torus:
         flat[ids] = job_id
         self._allocations[job_id] = partition
         self.version += 1
-        self._log("alloc", partition)
 
     def release(self, job_id: int) -> Partition:
         """Free the partition held by ``job_id`` and return it."""
@@ -267,7 +256,6 @@ class Torus:
         self.grid.reshape(-1)[self._box_ids(partition)] = FREE
         del self._allocations[job_id]
         self.version += 1
-        self._log("free", partition)
         return partition
 
     def _box_ids(self, partition: Partition) -> np.ndarray:
@@ -285,71 +273,6 @@ class Torus:
                 self._flat_ids.clear()
             self._flat_ids[key] = ids
         return ids
-
-    def clear(self) -> None:
-        """Free the whole machine."""
-        self.grid.fill(FREE)
-        self._allocations.clear()
-        self.version += 1
-        self._log("opaque", None)
-
-    # ------------------------------------------------------------------
-    # snapshots (used by migration rollback)
-    # ------------------------------------------------------------------
-    def snapshot(self) -> tuple[np.ndarray, dict[int, Partition]]:
-        """Capture the full machine state."""
-        return self.grid.copy(), dict(self._allocations)
-
-    def restore(self, state: tuple[np.ndarray, dict[int, Partition]]) -> None:
-        """Restore a state captured with :meth:`snapshot`."""
-        grid, allocations = state
-        self.grid[...] = grid
-        self._allocations = dict(allocations)
-        self.version += 1
-        self._log("opaque", None)
-
-    # ------------------------------------------------------------------
-    # mutation journal (incremental index maintenance)
-    # ------------------------------------------------------------------
-    def _log(self, op: str, partition: Partition | None) -> None:
-        journal = self._journal
-        if partition is None:
-            journal.append((self.version, op, None, None))
-        else:
-            journal.append(
-                (self.version, op, self.dims.wrap(partition.base), partition.shape)
-            )
-        if len(journal) > _JOURNAL_MAX:
-            del journal[: _JOURNAL_MAX // 2]
-
-    def journal_since(
-        self, version: int
-    ) -> list[tuple[str, Coord, Coord]] | None:
-        """Box mutations taking state ``version`` to the current state.
-
-        Returns ``(op, base, shape)`` entries in application order —
-        ``op`` is ``"alloc"`` or ``"free"``, ``base`` is wrapped into the
-        primary cell — or ``None`` when the interval cannot be replayed:
-        the requested version is in the future, entries have aged out of
-        the bounded journal, or an opaque whole-grid mutation
-        (:meth:`clear` / :meth:`restore`) lies in between.  ``None``
-        tells the caller to build afresh.
-        """
-        if version == self.version:
-            return []
-        if version > self.version:
-            return None
-        out: list[tuple[str, Coord, Coord]] = []
-        for tag, op, base, shape in reversed(self._journal):
-            if tag <= version:
-                break
-            if op == "opaque":
-                return None
-            out.append((op, base, shape))  # type: ignore[arg-type]
-        if len(out) != self.version - version:
-            return None  # entries aged out of the bounded journal
-        out.reverse()
-        return out
 
     def check_invariants(self) -> None:
         """Assert the occupancy grid and the allocation map agree.

@@ -8,8 +8,8 @@ differential suites compare it with is built here, by tests:
 * :class:`RebuildIndexCache` hands out a fresh plain
   :class:`~repro.allocation.mfp.PlacementIndex` (lazy grids, scalar
   early-exit scoring walk, integral-rebuild release replay) whenever the
-  torus changed — no journal, no patching, none of the production
-  kernels;
+  torus changed — read from the occupancy grid, not synced to the
+  allocation map; no patching, none of the production kernels;
 * :func:`oracle_simulator` is :class:`~repro.core.simulator.Simulator`
   with that cache behind its one seam (``_make_index_cache``), shared by
   the scheduler pass, the backfill gate and the shadow-time engine

@@ -202,8 +202,8 @@ class TestEnumeration:
 
 class TestIndexCache:
     """The reference cache of ``repro.testing``: one fresh plain index
-    per machine state (the production cache's repair/fallback contract
-    is covered with the incremental index's differential suite)."""
+    per machine state (the production cache's repair contract is
+    covered with the incremental index's differential suite)."""
 
     def test_reuses_until_version_bump(self):
         torus = Torus(TorusDims(4, 4, 4))

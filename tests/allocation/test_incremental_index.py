@@ -1,20 +1,21 @@
 """Differential harness: incremental index vs from-scratch rebuild.
 
 :class:`~repro.allocation.incremental.IncrementalPlacementIndex` patches
-its shape-minor window-sum tensor in place as the torus mutates (the
-busy integral is read once, by the build, and dropped); the
-from-scratch :class:`~repro.allocation.mfp.PlacementIndex` is the
-retained oracle (DESIGN.md §5.12).  The property tests here drive random
-alloc/free sequences — including wraparound boxes and full-axis-span
-shapes whose aliased bases must canonicalise — through the public torus
-API so the mutation journal records them, replay the journal onto one
-long-lived incremental index, and assert **bitwise** field-for-field
-equality with a fresh rebuild after every mutation.
+its shape-minor window-sum tensor in place as the torus mutates (it
+never builds a busy integral: a build is a zero tensor synced to the
+allocation map); the from-scratch
+:class:`~repro.allocation.mfp.PlacementIndex` is the retained oracle
+(DESIGN.md §5.12).  The property tests here drive random alloc/free
+sequences — including wraparound boxes and full-axis-span shapes whose
+aliased bases must canonicalise — through the public torus API, sync
+one long-lived incremental index to the allocation map, and assert
+**bitwise** field-for-field equality with a fresh rebuild after every
+mutation.
 
-The poisoning tests prove the fallback contract: an opaque whole-grid
-mutation (or a journal gap longer than the repair budget) makes
-:class:`~repro.allocation.mfp.IndexCache` abandon the patch path and
-rebuild, with the ``index.incremental.*`` counters recording which path
+The stale-version tests prove the repair contract: however many
+mutations lie between two lookups — a migration moves every job — one
+:class:`~repro.allocation.mfp.IndexCache` lookup repairs the same index
+object, with the ``index.incremental.*`` counters recording which path
 ran.
 """
 
@@ -26,7 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.allocation.incremental import IncrementalPlacementIndex
-from repro.allocation.mfp import _MAX_PATCH_ENTRIES, IndexCache, PlacementIndex
+from repro.allocation.mfp import IndexCache, PlacementIndex
 from repro.geometry.coords import TorusDims
 from repro.geometry.partition import Partition
 from repro.geometry.shapes import all_shapes, schedulable_sizes, shapes_for_size
@@ -46,7 +47,8 @@ def mutate(torus: Torus, rng: np.random.Generator, live: dict, next_id: int) -> 
     """One random mutation through the public torus API.
 
     Going through ``allocate``/``release`` (never direct grid writes) is
-    what makes the journal record the step.  Roughly 40% of steps free a
+    what puts the step in the allocation map the index syncs to.
+    Roughly 40% of steps free a
     live job; the rest try a random allocation, with a bias towards
     full-axis-span shapes so the aliased-base canonicalisation path gets
     exercised (wraparound bases come free from ``random_partition``).
@@ -80,7 +82,8 @@ def assert_matches_rebuild(inc: IncrementalPlacementIndex, torus: Torus) -> None
     """Field-for-field bitwise equality with a fresh oracle rebuild."""
     fresh = PlacementIndex(torus)
     assert inc.torus_version == torus.version
-    assert inc._busy_integral is None  # dropped after the build
+    assert inc._applied == dict(torus.allocations())
+    assert not hasattr(inc, "_busy_integral")  # never built
     t = inc._tables
     assert inc._sums.dtype == np.min_scalar_type(torus.dims.volume)
     _, Y, Z = torus.dims.as_tuple()
@@ -134,7 +137,7 @@ class TestPerPassLookups:
         next_id = 0
         for _ in range(steps):
             next_id = mutate(torus, rng, live, next_id)
-            inc.apply(torus.journal_since(inc.torus_version), torus.version)
+            inc.sync(torus)
             # Asked before and after the per-state set is materialised.
             for _ in range(2):
                 for size in range(1, dims.volume + 2):
@@ -158,7 +161,7 @@ class TestPerPassLookups:
         next_id = 0
         for _ in range(steps):
             next_id = mutate(torus, rng, live, next_id)
-        inc.apply(torus.journal_since(inc.torus_version), torus.version)
+        inc.sync(torus)
         fresh = PlacementIndex(torus)
         order = [live[j] for j in rng.permutation(sorted(live))]
         before = inc._sums.copy()
@@ -187,9 +190,7 @@ class TestIncrementalTracksMutations:
         next_id = 0
         for _ in range(steps):
             next_id = mutate(torus, rng, live, next_id)
-            entries = torus.journal_since(inc.torus_version)
-            assert entries is not None
-            inc.apply(entries, torus.version)
+            inc.sync(torus)
             assert_matches_rebuild(inc, torus)
 
     @settings(max_examples=30, deadline=None)
@@ -200,7 +201,7 @@ class TestIncrementalTracksMutations:
         burst=st.integers(min_value=2, max_value=5),
     )
     def test_multi_entry_replay(self, dims, seed, rounds, burst):
-        """One ``apply`` spanning several journal entries is still exact."""
+        """One ``sync`` spanning several mutations is still exact."""
         rng = np.random.default_rng(seed)
         torus = Torus(dims)
         inc = IncrementalPlacementIndex(torus)
@@ -209,9 +210,7 @@ class TestIncrementalTracksMutations:
         for _ in range(rounds):
             for _ in range(burst):
                 next_id = mutate(torus, rng, live, next_id)
-            entries = torus.journal_since(inc.torus_version)
-            assert entries is not None
-            inc.apply(entries, torus.version)
+            inc.sync(torus)
             assert_matches_rebuild(inc, torus)
 
     @settings(max_examples=30, deadline=None)
@@ -229,9 +228,7 @@ class TestIncrementalTracksMutations:
         next_id = 0
         for _ in range(4):
             next_id = mutate(torus, rng, live, next_id)
-        entries = torus.journal_since(inc.torus_version)
-        assert entries is not None
-        inc.apply(entries, torus.version)
+        inc.sync(torus)
         fresh = PlacementIndex(torus)
         size = inc.mfp_size()
         if size == 0:
@@ -277,7 +274,7 @@ class TestFullSpanAliasing:
         assert len(batch) == 1
         np.testing.assert_array_equal(batch.bases, [[0, 0, 0]])
         torus.allocate(0, Partition((1, 1, 2), (1, 1, 1)))
-        inc.apply(torus.journal_since(inc.torus_version), torus.version)
+        inc.sync(torus)
         assert_matches_rebuild(inc, torus)
         assert len(inc.candidate_batch(dims.volume)) == 0
 
@@ -309,7 +306,7 @@ class TestZallFallback:
 class TestBeyondTheFusedTables:
     def test_8x8x4_patches_and_scores_like_rebuild(self):
         """8x8x4 is past every table gate at once — no pairwise ``oxy``
-        blocks (``apply`` multiplies the x and y rows itself), no fused
+        blocks (``sync`` multiplies the x and y rows itself), no fused
         ``zall`` (scoring unpacks the projections per axis), 256 bases
         (window sums no longer fit a byte) — none of which
         ``dims_strategy`` reaches."""
@@ -325,7 +322,7 @@ class TestBeyondTheFusedTables:
         next_id = 0
         for _ in range(30):
             next_id = mutate(torus, rng, live, next_id)
-            inc.apply(torus.journal_since(inc.torus_version), torus.version)
+            inc.sync(torus)
             assert_matches_rebuild(inc, torus)
         assert live and next_id > len(live)  # both ops were replayed
         fresh = PlacementIndex(torus)
@@ -381,7 +378,7 @@ class TestFusedPassAndNarrowTensor:
         next_id = full_span = 0
         for _ in range(12):
             next_id = mutate(torus, rng, live, next_id)
-            inc.apply(torus.journal_since(inc.torus_version), torus.version)
+            inc.sync(torus)
             full_span += assert_scores_like_scalar_walk(inc, torus)
         assert full_span > 0
 
@@ -408,7 +405,7 @@ class TestFusedPassAndNarrowTensor:
         slabs = [Partition((0, 0, z), (4, 4, 1)) for z in range(16)]
         for job, slab in enumerate(slabs):
             torus.allocate(job, slab)
-        inc.apply(torus.journal_since(inc.torus_version), torus.version)
+        inc.sync(torus)
         assert int(inc._sums.max()) == dims.volume
         assert inc.mfp_size() == 0 and len(inc.batch_mfp_losses(1)[0]) == 0
         assert_matches_rebuild(inc, torus)
@@ -424,7 +421,7 @@ class TestFusedPassAndNarrowTensor:
         assert inc.first_fit_release(dims.volume, slabs) == len(slabs) - 1
         for job in range(len(slabs)):
             torus.release(job)
-            inc.apply(torus.journal_since(inc.torus_version), torus.version)
+            inc.sync(torus)
         assert not inc._sums.any()
         assert inc.mfp_size() == dims.volume
         assert_matches_rebuild(inc, torus)
@@ -434,7 +431,7 @@ class TestEnumerateOnce:
     def test_batch_then_scoring_share_one_pass_per_state(self, monkeypatch):
         """A policy asks ``candidate_batch`` before scoring: the kernel
         reuses that enumeration instead of running its own, and
-        ``apply`` drops it with the state it described."""
+        ``sync`` drops it with the state it described."""
         runs = []
         enumerate_ = IncrementalPlacementIndex._enumerate
 
@@ -451,7 +448,7 @@ class TestEnumerateOnce:
         assert scored is batch and runs == [8]
         part = batch.partition(0)
         torus.allocate(torus.n_jobs, part)
-        inc.apply(torus.journal_since(inc.torus_version), torus.version)
+        inc.sync(torus)
         after = inc.candidate_batch(8)
         assert runs == [8, 8]
         assert part not in after.partitions()
@@ -461,69 +458,50 @@ class TestEnumerateOnce:
 
 
 class TestStaleVersionPoisoning:
-    def test_opaque_mutation_forces_fallback(self):
-        """snapshot/restore logs an opaque entry: the journal refuses to
-        replay across it, and IndexCache rebuilds (counter proves it)."""
-        torus = Torus(TorusDims(3, 3, 4))
-        registry = MetricsRegistry()
-        cache = IndexCache(torus, metrics=registry)
-        first = cache.get()
-        assert isinstance(first, IncrementalPlacementIndex)
-        torus.allocate(0, Partition((2, 2, 3), (2, 2, 2)))  # wraps
-        repaired = cache.get()
-        assert repaired is first  # patched in place
-        assert registry.counters["index.incremental.repair"].value == 1
-        snap = torus.snapshot()
-        torus.allocate(1, Partition((1, 1, 1), (1, 1, 1)))
-        torus.restore(snap)
-        assert torus.journal_since(repaired.torus_version) is None
-        rebuilt = cache.get()
-        assert rebuilt is not repaired
-        assert registry.counters["index.incremental.fallback"].value == 1
-        assert registry.counters["index.builds"].value == 2
-        assert_matches_rebuild(rebuilt, torus)
+    """However far the torus moved since the index last answered, one
+    lookup syncs the same index object to the allocation map."""
 
-    def test_clear_is_opaque(self):
-        torus = Torus(TorusDims(2, 2, 2))
-        cache = IndexCache(torus)
-        index = cache.get()
-        torus.clear()
-        assert torus.journal_since(index.torus_version) is None
-        rebuilt = cache.get()
-        assert rebuilt is not index
-        assert_matches_rebuild(rebuilt, torus)
-
-    def test_long_gap_exceeding_repair_budget_falls_back(self):
-        """A gap of exactly the repair budget is still replayed; one
-        entry more and IndexCache prefers a rebuild over the replay."""
+    def test_migration_burst_is_one_repair(self):
+        """A compaction-shaped burst: release every job, then re-place
+        each one moved (24 mutations between two lookups) — one repair
+        of the one index, never a second build."""
         dims = TorusDims(4, 4, 8)
         torus = Torus(dims)
-        cells = iter(np.ndindex(*dims.as_tuple()))
+        # Twelve 1x1x2 jobs on distinct (x, y) columns.
+        for job in range(12):
+            torus.allocate(job, Partition((job % 4, job // 4, 2 * (job % 3)), (1, 1, 2)))
         registry = MetricsRegistry()
-
-        def allocate_cells(n: int) -> None:
-            for _ in range(n):
-                torus.allocate(torus.n_jobs, Partition(next(cells), (1, 1, 1)))
-
         cache = IndexCache(torus, metrics=registry)
         index = cache.get()
-        allocate_cells(_MAX_PATCH_ENTRIES)
+        held = dict(torus.allocations())
+        for job in held:
+            torus.release(job)
+        # The same translation of every box keeps them disjoint; +7 on z
+        # wraps some of them.
+        for job, part in held.items():
+            x, y, z = part.base
+            torus.allocate(job, Partition(dims.wrap((x, y, z + 7)), part.shape))
+        assert torus.version - index.torus_version == 2 * len(held) > 16
         assert cache.get() is index
         assert registry.counters["index.incremental.repair"].value == 1
-        assert "index.incremental.fallback" not in registry.counters
+        assert registry.counters["index.builds"].value == 1
         assert_matches_rebuild(index, torus)
-        allocate_cells(_MAX_PATCH_ENTRIES + 1)
-        gap = torus.journal_since(index.torus_version)
-        assert gap is not None and len(gap) == _MAX_PATCH_ENTRIES + 1
-        rebuilt = cache.get()
-        assert rebuilt is not index
-        assert registry.counters["index.incremental.fallback"].value == 1
-        assert registry.counters["index.incremental.repair"].value == 1
-        assert_matches_rebuild(rebuilt, torus)
 
-    def test_future_version_returns_none(self):
-        torus = Torus(TorusDims(2, 2, 2))
-        assert torus.journal_since(torus.version + 1) is None
+    def test_alloc_then_release_between_lookups(self):
+        """A job that arrives and leaves between two lookups nets out of
+        the diff: the tensor is untouched, the answers are a fresh
+        rebuild's for the new version."""
+        torus = random_torus(TorusDims(3, 3, 4), np.random.default_rng(5), attempts=6)
+        cache = IndexCache(torus)
+        index = cache.get()
+        before = index._sums.copy()
+        part = PlacementIndex(torus).mfp_partition()
+        assert part is not None
+        torus.allocate(99, part)
+        torus.release(99)
+        assert cache.get() is index
+        np.testing.assert_array_equal(index._sums, before)
+        assert_matches_rebuild(index, torus)
 
     def test_hit_counter_on_unchanged_torus(self):
         torus = Torus(TorusDims(2, 2, 2))

@@ -29,7 +29,7 @@ from repro.failures.events import FailureEvent, FailureLog
 from repro.geometry.coords import BGL_SUPERNODE_DIMS, TorusDims
 from repro.geometry.partition import Partition
 from repro.geometry.shapes import schedulable_sizes
-from repro.geometry.torus import FREE, Torus
+from repro.geometry.torus import Torus
 from repro.obs.trace import TraceRecorder
 from repro.prediction import (
     BalancingPredictor,
@@ -194,14 +194,18 @@ def forced_policies(log: FailureLog, seed: int):
 def one_free_box(draw) -> tuple[Torus, int]:
     """A machine busy everywhere but one random box (plus, perhaps, a
     few stray free nodes), and that box's size — which then has exactly
-    one free partition, the box itself."""
+    one free partition, the box itself.  Every busy node is a 1x1x1
+    job, so the production index reads the state from the allocation
+    map like any other."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     box = random_partition(D, rng)
+    free = set(box.node_indices(D).tolist())
+    free.update(draw(st.lists(st.integers(0, D.volume - 1), max_size=4)))
     torus = Torus(D)
-    torus.grid[...] = 999
-    torus.grid[np.ix_(*box.axis_ranges(D))] = FREE
-    for node in draw(st.lists(st.integers(0, D.volume - 1), max_size=4)):
-        torus.grid[np.unravel_index(node, D.as_tuple())] = FREE
+    for node in range(D.volume):
+        if node not in free:
+            x, y, z = np.unravel_index(node, D.as_tuple())
+            torus.allocate(node, Partition((int(x), int(y), int(z)), (1, 1, 1)))
     assume(len(PlacementIndex(torus).candidate_batch(box.size)) == 1)
     return torus, box.size
 

@@ -132,13 +132,6 @@ class TestAllocation:
         assert t.owner_by_index(idx) == 9
         assert t.owner_by_index(0) is None
 
-    def test_clear(self):
-        t = make_torus()
-        t.allocate(1, Partition((0, 0, 0), (2, 2, 2)))
-        t.clear()
-        assert t.free_count == 128
-        assert t.n_jobs == 0
-
     def test_version_bumps_on_mutation(self):
         t = make_torus()
         v0 = t.version
@@ -146,18 +139,6 @@ class TestAllocation:
         v1 = t.version
         t.release(1)
         assert v1 > v0 and t.version > v1
-
-    def test_snapshot_restore(self):
-        t = make_torus()
-        t.allocate(1, Partition((0, 0, 0), (2, 2, 2)))
-        snap = t.snapshot()
-        t.allocate(2, Partition((2, 2, 2), (2, 2, 2)))
-        t.release(1)
-        t.restore(snap)
-        assert t.n_jobs == 1
-        assert t.allocation_of(1) == Partition((0, 0, 0), (2, 2, 2))
-        assert t.free_count == 120
-        t.check_invariants()
 
 
 @st.composite
