@@ -23,6 +23,8 @@ minimum ``e_loss`` is found by exact float comparison, the tied subset
 is reduced by first-occurrence ``argmin`` on ``p_f``, and both paths
 compute ``e_loss`` with the identical two IEEE operations
 (``p_f * s_j`` then ``l_mfp + ·``), so equal keys are equal bitwise.
+For the same reason a trace records the inputs ``l_mfp`` and ``p_f``
+only: any reader recomputes ``L_PF`` and ``E_loss`` bit-exactly.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ class BalancingPolicy(SchedulingPolicy):
             # Nothing fits, or the choice is forced.  The predictor is a
             # pure cache of the failure log, so leaving it unasked
             # changes no later answer.
-            return batch.partition(0) if len(batch) else None
+            return self.place_unscored(state, now, batch)
         window_end = now + max(state.remaining_estimate, 1.0)
         probs = np.empty(len(batch), dtype=np.float64)
         for shape, sl, bases in batch.groups():
@@ -67,9 +69,6 @@ class BalancingPolicy(SchedulingPolicy):
         tied = np.flatnonzero(e_loss == e_loss.min())
         winner = int(tied[int(np.argmin(probs[tied]))])
         chosen = batch.partition(winner)
-        if self.recorder.enabled:
-            self.trace_decision(
-                state, now, batch, chosen,
-                l_mfp=losses, p_f=probs, l_pf=l_pf, e_loss=e_loss,
-            )
+        if self.recorder.enabled:  # inputs only (module docstring)
+            self.trace_decision(state, now, batch, chosen, l_mfp=losses, p_f=probs)
         return chosen

@@ -31,9 +31,10 @@ class SchedulingPolicy(abc.ABC):
 
     #: Decision-trace recorder; the simulator swaps in its own when
     #: tracing is enabled.  Policies emit one ``candidates`` record per
-    #: placement they make, with the scoring inputs of the considered
-    #: partitions (:meth:`trace_decision`).  The engine asks only about
-    #: a size with a free partition, so a trace holds no empty record.
+    #: placement they make, with the scoring inputs they computed for the
+    #: considered partitions (:meth:`trace_decision`).  The engine asks
+    #: only about a size with a free partition, so a trace holds no empty
+    #: record.  The recorder never changes what a policy computes.
     recorder = NULL_RECORDER
 
     #: Profile registry; the simulator hands over its own beside the
@@ -61,19 +62,34 @@ class SchedulingPolicy(abc.ABC):
         Shared by every policy's production path: the Krevat heuristic
         prefers minimal MFP loss, and both fault-aware policies start
         from the same scored batch.  The scores are ``None`` when no
-        ranking can matter: no candidate, or exactly one with the
-        recorder off — a *forced* choice, which every policy places
-        without the kernel.  A traced run scores a forced choice too,
-        so its ``candidates`` record keeps the lone candidate's scores.
+        ranking can matter: no candidate, or exactly one — a *forced*
+        choice, which every policy places without the kernel
+        (:meth:`place_unscored`), traced or not.
         ``policy.candidate_set_size`` observes the batch either way.
         """
         batch = index.candidate_batch(size)
         registry = self.metrics
         if registry is not None:
             registry.histogram("policy.candidate_set_size").observe(len(batch))
-        if len(batch) > 1 or (len(batch) and self.recorder.enabled):
+        if len(batch) > 1:
             return index.batch_mfp_losses(size)
         return batch, None
+
+    def place_unscored(
+        self, state: JobState, now: float, batch: CandidateBatch, **scores: np.ndarray
+    ) -> Partition | None:
+        """The lone candidate of an unscored batch, or ``None`` if empty.
+
+        A forced choice's ``candidates`` record names that candidate with
+        no ``L_MFP`` column; ``scores`` holds whatever the policy did
+        compute for it (tie-break's predictor answer).
+        """
+        if not len(batch):
+            return None
+        chosen = batch.partition(0)
+        if self.recorder.enabled:
+            self.trace_decision(state, now, batch, chosen, **scores)
+        return chosen
 
     # ------------------------------------------------------------------
     def trace_decision(
@@ -89,21 +105,23 @@ class SchedulingPolicy(abc.ABC):
 
         ``rows`` are the batch rows the policy examined, in the order it
         examined them (default: every candidate, enumeration order) and
-        each of ``scores`` is an array aligned with them.  Only the
-        first :data:`MAX_TRACED_CANDIDATES` become ``considered``
-        entries, built column-wise from the batch arrays — no
-        :class:`Partition` per candidate; ``truncated`` says whether any
-        were left out and ``n_candidates`` is the whole batch.
+        each of ``scores`` is an array aligned with them: the inputs the
+        policy computed, never a value derived from them.  The first
+        :data:`MAX_TRACED_CANDIDATES` rows become ``considered``, a
+        column table ``{"base": [...], "shape": [...], <score>: [...]}``
+        built from the batch arrays — no :class:`Partition` per
+        candidate; ``truncated`` says whether any were left out and
+        ``n_candidates`` is the whole batch.
         """
         n_examined = len(batch) if rows is None else len(rows)
         shown = slice(0, MAX_TRACED_CANDIDATES)
         examined = shown if rows is None else rows[shown]
-        columns = [
-            batch.bases[examined].tolist(),
-            batch.shape_rows()[examined].tolist(),
-            *(column[shown].tolist() for column in scores.values()),
-        ]
-        keys = ("base", "shape", *scores)
+        considered = {
+            "base": batch.bases[examined].tolist(),
+            "shape": batch.shape_rows()[examined].tolist(),
+        }
+        for key, column in scores.items():
+            considered[key] = column[shown].tolist()
         self.recorder.emit(
             "candidates",
             now,
@@ -111,7 +129,7 @@ class SchedulingPolicy(abc.ABC):
             size=state.size,
             policy=self.name,
             n_candidates=len(batch),
-            considered=[dict(zip(keys, entry)) for entry in zip(*columns)],
+            considered=considered,
             truncated=n_examined > MAX_TRACED_CANDIDATES,
             chosen={
                 "base": [int(x) for x in chosen.base],

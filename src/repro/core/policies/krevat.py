@@ -33,7 +33,7 @@ class KrevatPolicy(SchedulingPolicy):
     ) -> Partition | None:
         batch, losses = self.batch_scored(index, state.size)
         if losses is None:  # nothing fits, or the choice is forced
-            return batch.partition(0) if len(batch) else None
+            return self.place_unscored(state, now, batch)
         # np.argmin returns the first occurrence of the minimum — exactly
         # the scalar walk's "first candidate at min loss" tie order.
         chosen = batch.partition(int(np.argmin(losses)))

@@ -54,10 +54,10 @@ class TieBreakPolicy(SchedulingPolicy):
             # answer, but the predictor is still asked.  Its per-window
             # draws come from a seeded RNG in call order, so a skipped
             # query would shift every later draw.
-            self.predictor.predict_failures(
+            predicted = self.predictor.predict_failures(
                 batch.bases, batch.shapes[0], index.dims, now, window_end
             )
-            return batch.partition(0)
+            return self.place_unscored(state, now, batch, predicted_failure=predicted)
         tied = np.flatnonzero(losses == losses.min())
         predicted = np.empty(tied.size, dtype=bool)
         for shape, sl, bases in batch.groups():

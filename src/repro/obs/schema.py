@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Any, Iterable
 
 #: Version embedded in every trace header; bump on breaking change.
-TRACE_SCHEMA_VERSION = 2
+TRACE_SCHEMA_VERSION = 3
 
 #: Common envelope present on every record.
 COMMON_FIELDS = frozenset({"kind", "t", "seq"})
@@ -34,12 +34,16 @@ KIND_FIELDS: dict[str, frozenset[str]] = {
     "header": frozenset({"schema", "policy", "workload", "dims", "seed"}),
     # A job joined the wait queue.
     "arrival": frozenset({"job", "size"}),
-    # One placement decision's candidate enumeration, with the scoring
-    # inputs (L_MFP, and for fault-aware policies P_f / L_PF / E_loss)
-    # of every considered partition.  A decision exists only where a
-    # candidate does: ``n_candidates >= 1`` and ``chosen`` is never null.
-    # That a waiting job's size did not fit is not recorded — it follows
-    # from the dispatch / finish / failure / migration / cancel records.
+    # One placement decision's candidate enumeration.  ``considered`` is
+    # a column table of equal-length lists, ``base`` and ``shape`` plus
+    # the scoring inputs the policy computed for those partitions:
+    # ``l_mfp`` (and balancing's ``p_f``, tie-break's
+    # ``predicted_failure``).  A forced choice (``n_candidates == 1``) is
+    # placed unscored, so it has no ``l_mfp`` / ``p_f`` column.  A
+    # decision exists only where a candidate does: ``n_candidates >= 1``
+    # and ``chosen`` is never null.  That a waiting job's size did not
+    # fit is not recorded — it follows from the dispatch / finish /
+    # failure / migration / cancel records.
     "candidates": frozenset(
         {"job", "size", "policy", "n_candidates", "considered", "truncated", "chosen"}
     ),
@@ -95,11 +99,33 @@ def validate_record(record: Any, seq: int | None = None) -> list[str]:
             errors.append(f"candidates record has n_candidates {n!r}, expected >= 1")
         if record.get("chosen", {}) is None:
             errors.append("candidates record has a null chosen")
+        if "considered" in record:
+            errors.extend(_table_errors(record["considered"], n))
     if kind == "header" and record.get("schema") != TRACE_SCHEMA_VERSION:
         errors.append(
             f"unsupported trace schema {record.get('schema')!r} "
             f"(expected {TRACE_SCHEMA_VERSION})"
         )
+    return errors
+
+
+def _table_errors(considered: Any, n_candidates: Any) -> list[str]:
+    """Problems with a ``candidates`` record's ``considered`` table."""
+    if not isinstance(considered, dict) or not all(
+        isinstance(column, list) for column in considered.values()
+    ):
+        return ["candidates record's considered is not an object of lists"]
+    errors = []
+    missing = {"base", "shape"} - considered.keys()
+    if missing:
+        errors.append(f"candidates record's considered lacks {sorted(missing)}")
+    lengths = {len(column) for column in considered.values()}
+    if len(lengths) > 1:
+        errors.append(
+            f"candidates record's considered has columns of lengths {sorted(lengths)}"
+        )
+    elif lengths and isinstance(n_candidates, int) and lengths.pop() > n_candidates:
+        errors.append("candidates record considers more than n_candidates")
     return errors
 
 

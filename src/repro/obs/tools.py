@@ -28,6 +28,7 @@ def summarize_trace(records: Sequence[dict[str, Any]]) -> dict[str, Any]:
     t_max: float | None = None
     kills = 0
     candidate_total = 0
+    forced = 0
     header: dict[str, Any] | None = None
     for record in records:
         kind = record.get("kind", "?")
@@ -45,7 +46,10 @@ def summarize_trace(records: Sequence[dict[str, Any]]) -> dict[str, Any]:
         if kind == "failure" and record.get("killed_job") is not None:
             kills += 1
         if kind == "candidates":
-            candidate_total += int(record.get("n_candidates", 0))
+            n = int(record.get("n_candidates", 0))
+            candidate_total += n
+            forced += n == 1
+    decisions = kinds.get("candidates", 0)
     return {
         "header": header,
         "n_records": len(records),
@@ -53,7 +57,10 @@ def summarize_trace(records: Sequence[dict[str, Any]]) -> dict[str, Any]:
         "n_jobs_seen": len(jobs),
         "t_span": (t_min, t_max),
         "job_kills": kills,
-        "avg_candidates": candidate_total / max(kinds.get("candidates", 0), 1),
+        "avg_candidates": candidate_total / max(decisions, 1),
+        # Decisions with one free partition, placed unscored.
+        "forced": forced,
+        "forced_share": forced / max(decisions, 1),
     }
 
 
@@ -75,7 +82,8 @@ def format_summary(summary: dict[str, Any]) -> str:
     )
     lines.append(
         f"kills={summary['job_kills']} "
-        f"avg_candidate_set={summary['avg_candidates']:.1f}"
+        f"avg_candidate_set={summary['avg_candidates']:.1f} "
+        f"forced={summary['forced']} ({summary['forced_share']:.0%})"
     )
     lines.append("records by kind:")
     for kind, count in summary["kinds"].items():

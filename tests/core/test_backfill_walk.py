@@ -22,13 +22,14 @@ import json
 
 import pytest
 
-from repro.allocation.mfp import IndexCache
+from repro.allocation.mfp import IndexCache, PlacementIndex
 from repro.api import SimulationSetup
 from repro.core.backfill import ShadowTimeEngine
 from repro.core.config import SimulationConfig
 from repro.core.simulator import Simulator
 from repro.metrics.serialize import report_to_dict
 from repro.obs.trace import TraceRecorder
+from repro.prediction import BalancingPredictor
 from repro.testing import oracle_simulator
 
 ENGINES = {"production": Simulator, "reference": oracle_simulator}
@@ -56,12 +57,16 @@ def report_bytes(sim) -> bytes:
 
 def engine_calls(monkeypatch, **config) -> tuple[list[tuple], Simulator]:
     """Run the production engine; every ``choose_partition``,
-    ``IndexCache.get`` and ``ShadowTimeEngine.shadow_time`` call it
-    made, in order, with what the call was about."""
+    ``IndexCache.get``, ``ShadowTimeEngine.shadow_time``,
+    ``PlacementIndex.batch_mfp_losses`` and
+    ``BalancingPredictor.partition_failure_probabilities`` call it made,
+    in order, with what the call was about."""
     calls: list[tuple] = []
     sim = deep_queue_setup(**config).build_simulator()
     choose = sim.policy.choose_partition
     get, shadow_time = IndexCache.get, ShadowTimeEngine.shadow_time
+    score = PlacementIndex.batch_mfp_losses
+    predict = BalancingPredictor.partition_failure_probabilities
 
     def counted_choose(index, state, now):
         partition = choose(index, state, now)
@@ -76,10 +81,22 @@ def engine_calls(monkeypatch, **config) -> tuple[list[tuple], Simulator]:
         calls.append(("shadow", head_size, now))
         return shadow_time(engine, running, head_size, now)
 
+    def counted_score(index, size):
+        calls.append(("score", size))
+        return score(index, size)
+
+    def counted_predict(predictor, bases, shape, dims, t0, t1):
+        calls.append(("predict", shape, len(bases), t0, t1))
+        return predict(predictor, bases, shape, dims, t0, t1)
+
     sim.policy.choose_partition = counted_choose
     with monkeypatch.context() as patch:
         patch.setattr(IndexCache, "get", counted_get)
         patch.setattr(ShadowTimeEngine, "shadow_time", counted_shadow_time)
+        patch.setattr(PlacementIndex, "batch_mfp_losses", counted_score)
+        patch.setattr(
+            BalancingPredictor, "partition_failure_probabilities", counted_predict
+        )
         sim.run()
     return calls, sim
 
@@ -114,17 +131,23 @@ class TestOneWalkTracedOrNot:
     def test_traced_run_calls_the_policy_exactly_as_the_untraced_run(
         self, traced_runs, monkeypatch
     ):
-        """The recorder changes nothing the engine does: the same
-        ``choose_partition``, ``IndexCache.get`` and ``shadow_time``
-        calls in the same order; no call returns ``None``; and the trace
-        holds one ``candidates`` record per call."""
+        """The recorder changes nothing the engine or the policy does:
+        the same ``choose_partition``, ``IndexCache.get`` and
+        ``shadow_time`` calls, and the same scorings and predictor
+        queries (none for a forced choice), in the same order; no call
+        returns ``None``; and the trace holds one ``candidates`` record
+        per call."""
         plain, _ = engine_calls(monkeypatch)
         traced, traced_sim = engine_calls(monkeypatch, trace=True)
         assert traced == plain
         chosen = [call for call in plain if call[0] == "choose"]
         assert len(chosen) > 160  # kills re-place jobs
         assert all(partition is not None for *_, partition in chosen)
-        assert {call[0] for call in plain} == {"choose", "index", "shadow"}
+        assert {call[0] for call in plain} == {
+            "choose", "index", "shadow", "score", "predict"
+        }
+        scored = sum(call[0] == "score" for call in plain)
+        assert 0 < scored < len(chosen)  # forced choices stay unscored
         candidates = [
             r for r in traced_sim.recorder.records if r["kind"] == "candidates"
         ]

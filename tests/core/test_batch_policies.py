@@ -112,7 +112,8 @@ class TestPerDecision:
     ):
         """The ``considered`` table is built column-wise from the batch
         arrays; the reference builds it one ``Partition`` and one scalar
-        predictor query at a time, then caps it."""
+        predictor query at a time, caps it and transposes it.  A forced
+        choice has no ``l_mfp`` / ``p_f`` column: it was not scored."""
         size = data.draw(st.sampled_from(schedulable_sizes(D)))
         now = data.draw(st.floats(0.0, 700.0, allow_nan=False))
         state = JobState(
@@ -133,10 +134,7 @@ class TestPerDecision:
             p_f = balancing.predictor.partition_failure_probability(
                 partition, D, now, window_end
             )
-            return entry(
-                partition, l_mfp=loss, p_f=p_f, l_pf=p_f * size,
-                e_loss=loss + p_f * size,
-            )
+            return entry(partition, l_mfp=loss, p_f=p_f)
 
         def tiebreak_entries():
             for partition, loss in scored:
@@ -162,9 +160,16 @@ class TestPerDecision:
             if not scored:  # asked about a size that does not fit: no record
                 assert chosen is None and not policy.recorder.records, policy.name
                 continue
+            shown = reference[:MAX_TRACED_CANDIDATES]
+            unscored = ("l_mfp", "p_f") if len(scored) == 1 else ()
+            columns = {
+                key: [entry[key] for entry in shown]
+                for key in shown[0]
+                if key not in unscored
+            }
             (record,) = policy.recorder.records
             assert record["n_candidates"] == len(scored), policy.name
-            assert record["considered"] == reference[:MAX_TRACED_CANDIDATES], policy.name
+            assert record["considered"] == columns, policy.name
             assert record["truncated"] == (
                 len(reference) > MAX_TRACED_CANDIDATES
             ), policy.name
@@ -172,10 +177,8 @@ class TestPerDecision:
                 "base": list(chosen.base), "shape": list(chosen.shape)
             }, policy.name
             # Plain Python scalars only: what the JSON encoder accepts.
-            for considered in record["considered"]:
-                assert all(
-                    type(v) in (int, float, bool, list) for v in considered.values()
-                )
+            for column in record["considered"].values():
+                assert all(type(v) in (int, float, bool, list) for v in column)
 
 
 def forced_policies(log: FailureLog, seed: int):
@@ -212,8 +215,8 @@ def one_free_box(draw) -> tuple[Torus, int]:
 
 class TestForcedChoice:
     """A size with one free partition leaves nothing to rank: every
-    policy places it without the scoring kernel, and still picks what
-    the scalar walk picks."""
+    policy places it without the scoring kernel, traced or not, and
+    still picks what the scalar walk picks."""
 
     @staticmethod
     def assert_forced_like_scalar(torus, size, log, seed, now, runtime):
@@ -222,17 +225,33 @@ class TestForcedChoice:
         def no_kernel(self, size):
             raise AssertionError("a forced choice ran the scoring kernel")
 
-        for policy in forced_policies(log, seed):
-            policy.begin_pass(now)
-            index = IncrementalPlacementIndex(torus)
-            assert len(index.candidate_batch(size)) == 1
-            with mock.patch.object(
-                IncrementalPlacementIndex, "_candidates_excluding", no_kernel
-            ):
-                chosen = policy.choose_partition(index, state, now)
-            assert chosen is not None and chosen == choose_partition_scalar(
-                policy, PlacementIndex(torus), state, now
-            ), policy.name
+        for traced in (False, True):
+            for policy in forced_policies(log, seed):
+                if traced:
+                    policy.recorder = TraceRecorder()
+                policy.begin_pass(now)
+                index = IncrementalPlacementIndex(torus)
+                assert len(index.candidate_batch(size)) == 1
+                with mock.patch.object(
+                    IncrementalPlacementIndex, "_candidates_excluding", no_kernel
+                ):
+                    chosen = policy.choose_partition(index, state, now)
+                assert chosen is not None and chosen == choose_partition_scalar(
+                    policy, PlacementIndex(torus), state, now
+                ), policy.name
+                if traced:
+                    # The record names the lone candidate and carries no
+                    # score column; tie-break keeps the predictor answer
+                    # it asked for anyway.
+                    (record,) = policy.recorder.records
+                    assert record["n_candidates"] == 1
+                    considered = dict(record["considered"])
+                    assert considered.pop("base") == [list(chosen.base)]
+                    assert considered.pop("shape") == [list(chosen.shape)]
+                    if policy.name == "tiebreak":
+                        assert considered.keys() == {"predicted_failure"}
+                    else:
+                        assert considered == {}, policy.name
 
     @pytest.mark.parametrize("dims", [D, BGL_SUPERNODE_DIMS])
     def test_whole_machine_job_on_an_empty_torus(self, dims):
@@ -256,15 +275,17 @@ class TestForcedChoice:
         self.assert_forced_like_scalar(torus, size, log, seed, now, runtime)
 
     def test_tiebreak_forced_choice_keeps_the_draw_sequence(self):
-        """The forced path still asks the tie-break predictor, so its
-        RNG stands where the scoring path leaves it, decision after
-        decision."""
+        """The forced path still asks the tie-break predictor, traced or
+        not, so its RNG stands where the scoring path leaves it,
+        decision after decision."""
         log = FailureLog(
             D.volume, [FailureEvent(float(t), (7 * t) % D.volume) for t in range(40)]
         )
         forced = TieBreakPolicy(TieBreakPredictor(log, 0.5, seed=3))
+        forced.recorder = TraceRecorder()
         scored = TieBreakPolicy(TieBreakPredictor(log, 0.5, seed=3))
-        scored.recorder = TraceRecorder()  # a traced run scores every choice
+        # Score every choice, a forced one too.
+        scored.batch_scored = lambda index, size: index.batch_mfp_losses(size)
         empty, loaded = Torus(D), random_torus(D, np.random.default_rng(1), attempts=6)
         decisions = [(empty, D.volume), (loaded, 4), (empty, D.volume), (loaded, 2)]
         for step, (torus, size) in enumerate(decisions):
@@ -281,7 +302,7 @@ class TestForcedChoice:
                 forced.predictor._rng.bit_generator.state
                 == scored.predictor._rng.bit_generator.state
             ), step
-        assert len(scored.recorder.records) == len(decisions)
+        assert len(forced.recorder.records) == len(decisions)
 
     def test_profiled_histogram_counts_every_decision(self, monkeypatch):
         """``policy.candidate_set_size`` observes forced and scored

@@ -88,13 +88,16 @@ class TestTraceContent:
         assert {r["job"] for r in dispatches} == {r["job"] for r in arrivals}
 
     def test_candidate_records_carry_scores(self, traced_sim):
+        """A decision with a choice records the balancing inputs per
+        candidate, one column each."""
         candidates = [
             r for r in traced_sim.recorder.records
-            if r["kind"] == "candidates" and r["considered"]
+            if r["kind"] == "candidates" and r["n_candidates"] > 1
         ]
         assert candidates
-        entry = candidates[0]["considered"][0]
-        assert {"base", "shape", "l_mfp"} <= entry.keys()
+        table = candidates[0]["considered"]
+        assert table.keys() == {"base", "shape", "l_mfp", "p_f"}
+        assert len({len(column) for column in table.values()}) == 1
 
     def test_injected_recorder_wins_over_config(self):
         rec = TraceRecorder()

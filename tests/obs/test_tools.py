@@ -54,21 +54,35 @@ class TestSummarize:
         assert "policy=balancing" in text
         assert "5 records" in text
 
-    def test_candidate_average_is_over_every_decision(self):
-        def candidates(seq, n):
-            return {"kind": "candidates", "t": 2.0, "seq": seq, "job": seq,
-                    "size": 4, "policy": "balancing", "n_candidates": n,
-                    "considered": [], "truncated": False,
-                    "chosen": {"base": [0, 0, 0], "shape": [1, 2, 2]}}
+    @staticmethod
+    def candidates(seq, n):
+        return {"kind": "candidates", "t": 2.0, "seq": seq, "job": seq,
+                "size": 4, "policy": "balancing", "n_candidates": n,
+                "considered": {"base": [[0, 0, 0]], "shape": [[1, 2, 2]]},
+                "truncated": False,
+                "chosen": {"base": [0, 0, 0], "shape": [1, 2, 2]}}
 
+    def test_candidate_average_is_over_every_decision(self):
+        candidates = self.candidates
         summary = summarize_trace([header(), candidates(1, 10), candidates(2, 30)])
         assert summary["avg_candidates"] == 20.0
         assert "avg_candidate_set=20.0" in format_summary(summary)
+
+    def test_forced_decisions_counted(self):
+        """A decision with one candidate was placed unscored; the summary
+        counts them and their share of all decisions."""
+        trace = [header(), *(self.candidates(seq, n) for seq, n in
+                             enumerate([1, 5, 1, 1], start=1))]
+        assert validate_trace(trace) == []
+        summary = summarize_trace(trace)
+        assert (summary["forced"], summary["forced_share"]) == (3, 0.75)
+        assert "forced=3 (75%)" in format_summary(summary)
 
     def test_empty_trace(self):
         summary = summarize_trace([])
         assert summary["n_records"] == 0
         assert summary["avg_candidates"] == 0.0
+        assert (summary["forced"], summary["forced_share"]) == (0, 0.0)
         assert summary["t_span"] == (None, None)
         assert "(empty)" in format_summary(summary)
 

@@ -138,8 +138,11 @@ class TestSchema:
 
     CANDIDATES = {
         "kind": "candidates", "t": 2.0, "seq": 3, "job": 1, "size": 8,
-        "policy": "krevat", "n_candidates": 1, "truncated": False,
-        "considered": [{"base": [0, 0, 0], "shape": [2, 2, 2], "l_mfp": 0}],
+        "policy": "krevat", "n_candidates": 2, "truncated": False,
+        "considered": {
+            "base": [[0, 0, 0], [2, 0, 0]], "shape": [[2, 2, 2], [2, 2, 2]],
+            "l_mfp": [0, 8],
+        },
         "chosen": {"base": [0, 0, 0], "shape": [2, 2, 2]},
     }
 
@@ -148,6 +151,35 @@ class TestSchema:
         for field in ("chosen", "truncated"):
             record = {k: v for k, v in self.CANDIDATES.items() if k != field}
             assert any(field in e for e in validate_record(record))
+
+    def test_forced_choice_record_has_no_score_column(self):
+        forced = {
+            **self.CANDIDATES, "n_candidates": 1,
+            "considered": {"base": [[0, 0, 0]], "shape": [[2, 2, 2]]},
+        }
+        assert validate_record(forced) == []
+
+    def test_ragged_table_refused(self):
+        considered = {**self.CANDIDATES["considered"], "l_mfp": [0]}
+        errors = validate_record({**self.CANDIDATES, "considered": considered})
+        assert errors == [
+            "candidates record's considered has columns of lengths [1, 2]"
+        ]
+
+    def test_list_form_table_refused(self):
+        """A schema-2 ``considered`` (one object per candidate)."""
+        rows = [{"base": [0, 0, 0], "shape": [2, 2, 2], "l_mfp": 0}]
+        errors = validate_record({**self.CANDIDATES, "considered": rows})
+        assert errors == ["candidates record's considered is not an object of lists"]
+
+    def test_table_needs_base_and_shape(self):
+        considered = {"l_mfp": [0, 8], "shape": [[2, 2, 2], [2, 2, 2]]}
+        errors = validate_record({**self.CANDIDATES, "considered": considered})
+        assert errors == ["candidates record's considered lacks ['base']"]
+
+    def test_table_longer_than_the_batch_refused(self):
+        errors = validate_record({**self.CANDIDATES, "n_candidates": 1})
+        assert errors == ["candidates record considers more than n_candidates"]
 
     @pytest.mark.parametrize("n_candidates", [0, -1, None, 1.5])
     def test_candidates_without_a_candidate_refused(self, n_candidates):
@@ -163,7 +195,14 @@ class TestSchema:
             {"kind": "header", "t": 0.0, "seq": 0, "schema": 1, "policy": "p",
              "workload": "w", "dims": [2, 2, 2], "seed": 0}
         )
-        assert errors == ["unsupported trace schema 1 (expected 2)"]
+        assert errors == ["unsupported trace schema 1 (expected 3)"]
+
+    def test_schema_2_header_refused(self):
+        errors = validate_record(
+            {"kind": "header", "t": 0.0, "seq": 0, "schema": 2, "policy": "p",
+             "workload": "w", "dims": [2, 2, 2], "seed": 0}
+        )
+        assert errors == ["unsupported trace schema 2 (expected 3)"]
 
     def test_decision_kinds_exclude_header(self):
         assert "header" not in DECISION_KINDS

@@ -6,16 +6,28 @@ holds the recorder, the engine and all three policies to it, byte for
 byte, through both recorder modes: streamed to a file sink, and buffered
 then written by ``recorder.write()``.
 
-The digests are derived, not observed.  Schema 1 traces (pinned here
-until the commit that stopped writing them) also held an empty
-``candidates`` record for every waiting job a backfill walk or a head
-probe found no partition for; schema 2 records decisions only.  Each pin
-is the SHA-256 of the schema-1 trace the parent commit wrote for the
-scenario with every ``candidates`` line of ``"n_candidates":0`` dropped,
-``seq`` renumbered densely from 0, the header's ``schema`` set to 2 and
-every record re-encoded with ``records.canonical_json`` — so the
-decisions, their order and their scoring tables are the historical ones
-(schema 1 → 2: 57 840 → 1 225, 515 → 345 and 4 830 → 2 564 records).
+The digests are derived, not observed.  Schema 1 traces also held an
+empty ``candidates`` record for every waiting job a backfill walk or a
+head probe found no partition for; schema 2 records decisions only.  The
+schema-2 pins were the SHA-256 of the schema-1 trace with every
+``candidates`` line of ``"n_candidates":0`` dropped, ``seq`` renumbered
+densely from 0, the header's ``schema`` set to 2 and every record
+re-encoded with ``records.canonical_json`` (schema 1 → 2: 57 840 → 1 225,
+515 → 345 and 4 830 → 2 564 records).
+
+Schema 3 records what the policy computed: a forced choice (one free
+partition) is placed unscored with the recorder on too, ``considered``
+is a column table, and balancing records its inputs ``l_mfp`` / ``p_f``
+but not the derived ``l_pf`` / ``e_loss``.  Each pin is the SHA-256 of
+the schema-2 trace (pinned here until the commit that stopped writing
+it) with, in every ``candidates`` record, ``l_pf`` / ``e_loss`` dropped,
+``l_mfp`` / ``p_f`` dropped too where ``n_candidates`` is 1 (tie-break's
+``predicted_failure`` stays), the ``considered`` list of per-candidate
+objects transposed to one object of columns, the header's ``schema`` set
+to 3 and every record re-encoded with ``records.canonical_json`` — so
+the decisions, their order and every recorded score are the historical
+ones (same record counts; 347 341 → 220 122, 186 174 → 105 937 and
+521 120 → 435 949 bytes).
 
 Scenarios: the 160-job deep-queue balancing run of
 ``tests/core/test_backfill_walk.py``, a Krevat run whose early decisions
@@ -88,15 +100,15 @@ def tiebreak_inputs():
 SCENARIOS = {
     "deep_queue_balancing": (
         deep_queue_inputs,
-        "6d35a82a0795d9162604338f999df7a662914707043dd1a796077d20b5ddc850",
+        "0fc247c30d4adf64138c836928d0269aacafcd697911e7e0f293bd643ebd236a",
     ),
     "krevat_wide": (
         krevat_inputs,
-        "ad7a33fd541e7515e909c98de927f976ced070f6f471e991cdfc909d9385eebd",
+        "459317a43fae016c433214c75d1f30b4ecf30f95e4016ff7dc829d7baf2a7bc2",
     ),
     "tiebreak_migration_cost": (
         tiebreak_inputs,
-        "68a60388ff73300923c026d0b79f2fc72a8ad8acbf5b4d6333ff4c2e64dd1fa5",
+        "6cd0620d5f85ea26c1cfb5eab40ded9c3ca05161720e752af63ec0c3dfb39cf6",
     ),
 }
 
@@ -136,7 +148,7 @@ def test_scenarios_cover_truncation_and_no_fit(written):
     _, _, _, records = written
     candidates = [r for r in records if r["kind"] == "candidates"]
     header = records[0]
-    assert header["schema"] == 2
+    assert header["schema"] == 3
     assert candidates
     assert all(r["n_candidates"] >= 1 and r["chosen"] for r in candidates)
     if header["policy"] != "balancing":
@@ -144,7 +156,7 @@ def test_scenarios_cover_truncation_and_no_fit(written):
         truncated = [r for r in candidates if r["truncated"]]
         assert truncated
         assert all(
-            len(r["considered"]) == MAX_TRACED_CANDIDATES for r in truncated
+            len(r["considered"]["base"]) == MAX_TRACED_CANDIDATES for r in truncated
         )
     if header["policy"] == "tiebreak":
         assert any(r["kind"] == "migration" for r in records)

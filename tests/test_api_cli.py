@@ -15,6 +15,7 @@ from repro.core.config import SimulationConfig
 from repro.core.simulator import simulate
 from repro.errors import SimulationError
 from repro.metrics.serialize import report_to_dict
+from repro.obs.schema import TRACE_SCHEMA_VERSION
 from repro.serve.load import run_load
 from repro.workloads.job import Job, Workload
 from repro.workloads.models import site_model
@@ -265,7 +266,8 @@ class TestCliObservability:
         ``diff`` names the header field before the first divergence."""
         new = self.run_traced(tmp_path, "new.ndjson")
         old = tmp_path / "old.ndjson"
-        old.write_bytes(new.read_bytes().replace(b'"schema":2', b'"schema":1', 1))
+        current = f'"schema":{TRACE_SCHEMA_VERSION}'.encode()
+        old.write_bytes(new.read_bytes().replace(current, b'"schema":1', 1))
         capsys.readouterr()
         assert main(["trace", "validate", str(old)]) == 1
         assert "unsupported trace schema 1" in capsys.readouterr().out
