@@ -500,42 +500,60 @@ class IncrementalPlacementIndex(PlacementIndex):
     def first_fit_release(
         self, size: int, releases: Sequence[Partition]
     ) -> int | None:
-        """First of ``releases`` after which ``size`` fits, from patches.
+        """First of ``releases`` after which ``size`` fits, replayed from
+        the jobs that stay (DESIGN §5.15).
 
-        Freeing a box lowers ``sums`` by its separable overlap patch
-        (exactly what :meth:`sync` subtracts), so the replay is the
-        size's rows of ``_sums`` against a running sum of patches — every
-        release at once, no integral and no window rebuild.  The running
-        sum stays in the narrow dtype: it counts nodes of one window
-        freed by disjoint allocated boxes, so it never exceeds the
-        window's volume, let alone the machine's.  A size has a handful
-        of shape rows, so here the shape axis is the short one: the
-        replay runs ``(K, R, bases)``, gathered in that order straight
-        from the shape-minor tables.
+        After release ``k`` a window is free exactly when no allocation
+        still held — in ``releases[k+1:]`` or not listed at all — overlaps
+        it.  The sums stay in the narrow dtype: they count busy nodes of
+        one window.  The replay runs ``(n, R, bases)``, gathered in that
+        order straight from the shape-minor tables.
         """
         t = self._tables
         rows = t.size_rows(size)
-        if not rows.size or not releases:
+        if not rows.size:
             return None
-        n_rel = len(releases)
+        # Node-count bound: no box of ``size`` nodes exists before the
+        # free nodes (the 1x1x1 row of ``_tot``) plus the nodes released
+        # reach ``size``, so the answer is at least ``k0``.
+        free = int(self._tot[t.row_of[(1, 1, 1)]])
+        for k0, partition in enumerate(releases):
+            free += partition.size
+            if free >= size:
+                break
+        else:
+            return None
+        # Patch only what is still held at ``k0``.  The shadow replay
+        # lists every running job, so it never searches for unlisted
+        # ones; when nothing stays (a full-machine head) ``k0`` is the
+        # answer with no numpy call.
+        n_tail = len(releases) - 1 - k0
+        stay = list(releases[k0 + 1:])
+        if len(releases) < len(self._applied):
+            listed = set(releases)
+            stay += [p for p in self._applied.values() if p not in listed]
+        if not stay:
+            return k0
         wrap = self.dims.wrap
-        box = np.array([wrap(p.base) + p.shape for p in releases])   # (K, 6)
+        box = np.array([wrap(p.base) + p.shape for p in stay])       # (n, 6)
         r = rows[None, :]
-        ox = t.overlap[0][box[:, 3, None] - 1, box[:, 0, None], :, r]  # (K, R, X)
+        ox = t.overlap[0][box[:, 3, None] - 1, box[:, 0, None], :, r]  # (n, R, X)
         oy = t.overlap[1][box[:, 4, None] - 1, box[:, 1, None], :, r]
         oz = t.overlap[2][box[:, 5, None] - 1, box[:, 2, None], :, r]
-        freed = (ox[:, :, :, None] * oy[:, :, None, :])[..., None] \
-            * oz[:, :, None, None, :]                                # (K,R,X,Y,Z)
-        # Running sum over the releases as one whole-block add each: an
-        # accumulate along the leading axis would run a K-long strided
-        # inner loop per cell.
-        total = freed[0]
-        for patch in freed[1:]:
+        busy = (ox[:, :, :, None] * oy[:, :, None, :])[..., None] \
+            * oz[:, :, None, None, :]                                # (n,R,X,Y,Z)
+        # Running sums from the end, so ``busy[i]`` is the busy count
+        # after release ``k0 + i``; one whole-block add each, since an
+        # accumulate along the leading axis runs a strided loop per cell.
+        total = busy[-1]
+        for patch in busy[-2::-1]:
             patch += total
             total = patch
-        busy = self._sums.reshape(-1, len(t.shapes)).T[rows]         # (R, XYZ)
         # Release-major, so the first hit in flat order names the first
-        # release that empties a window (bool argmax stops there).
-        hit = (freed.reshape(n_rel, rows.size, -1) == busy).ravel()
+        # release that empties a window (bool argmax stops there).  With
+        # no unlisted job the last release drains the machine.
+        hit = (busy[: n_tail + 1] == 0).ravel()
         first = int(hit.argmax())
-        return first // (hit.size // n_rel) if hit[first] else None
+        if hit[first]:
+            return k0 + first // busy[0].size
+        return None if len(stay) > n_tail else k0 + n_tail

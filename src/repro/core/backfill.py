@@ -15,14 +15,14 @@ partition machinery after each release.
 :class:`ShadowTimeEngine` is the production path: it asks the scheduler
 pass's own placement index (through the shared
 :class:`~repro.allocation.mfp.IndexCache`) for the first release after
-which the head fits — on the incremental index one cumulative sum of
-overlap patches against the window-sum tensor, no scratch grid — and
-memoises the answer per ``(torus.version, head_size)`` so scheduler
-passes that did not mutate the machine — arrival batches, repeated
-same-size heads — skip the replay entirely.  The answer is a pure
-function of machine state and running estimates, both of which only
-change together with a ``torus.version`` bump, so the cache is
-semantics-preserving.
+which the head fits — on the incremental index a node-count bound and
+then running sums of the overlap patches of the jobs that stay, no
+scratch grid — and memoises the answer per ``(torus.version,
+head_size)`` so scheduler passes that did not mutate the machine —
+arrival batches, repeated same-size heads — skip the replay entirely.
+The answer is a pure function of machine state and running estimates,
+both of which only change together with a ``torus.version`` bump, so
+the cache is semantics-preserving.
 """
 
 from __future__ import annotations

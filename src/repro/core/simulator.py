@@ -120,6 +120,8 @@ class Simulator:
             else min((j.arrival for j in workload.jobs), default=0.0)
         )
         self._running_ids: set[int] = set()
+        # (head, walk position, shadow) a backfill left standing this pass.
+        self._reservation: tuple[JobState, int, float] | None = None
         self._index_cache = self._make_index_cache()
         self._shadow = ShadowTimeEngine(
             self.torus, index_cache=self._index_cache, metrics=self.metrics
@@ -425,6 +427,7 @@ class Simulator:
         if self.metrics is not None:
             self.metrics.counter("sim.scheduler_passes").inc()
         self.policy.begin_pass(now)
+        self._reservation = None
         while self.wait:
             # Version-checked reuse: loop iterations that did not mutate
             # the torus (choose → dispatch bumps the version; a head that
@@ -440,6 +443,7 @@ class Simulator:
                     self._dispatch(head, partition, now)
                     continue
             if self._try_migration(head, now):
+                self._reservation = None
                 continue
             if self.config.backfill is BackfillMode.NONE:
                 break
@@ -492,13 +496,23 @@ class Simulator:
         One walk, traced or not: the index is asked once per *distinct*
         waiting size, and the policy is called only for a job whose size
         has a free partition and whose estimate clears the EASY shadow.
+
+        One reservation per pass: after a backfill due by the shadow,
+        the next call this pass resumes where the walk stopped, on the
+        same shadow (exact: DESIGN §5.15).
         """
         fits = {s for s in self.wait.sizes() if index.has_candidate(s)}
         if not fits:
             return False
         easy = self.config.backfill is BackfillMode.EASY
-        shadow = None if easy else math.inf
-        for state in islice(self.wait, 1, None):
+        kept = self._reservation
+        if kept is not None and kept[0] is head:
+            _, start, shadow = kept
+            if easy and self.metrics is not None:
+                self.metrics.counter("shadow.kept").inc()
+        else:
+            start, shadow = 1, None if easy else math.inf
+        for position, state in enumerate(islice(self.wait, start, None), start):
             if state.size not in fits:
                 continue
             if shadow is None:
@@ -523,6 +537,10 @@ class Simulator:
                     )
                 self._dispatch(state, partition, now, via="backfill")
                 self.counters.backfills += 1
+                # A job due in (shadow, shadow + _SHADOW_EPS] may move the
+                # reservation: the next walk starts over.
+                holds = now + est_wall <= shadow
+                self._reservation = (head, position, shadow) if holds else None
                 return True
         return False
 

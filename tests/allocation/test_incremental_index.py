@@ -154,6 +154,9 @@ class TestPerPassLookups:
         steps=st.integers(min_value=1, max_value=10),
     )
     def test_first_fit_release_equals_rebuild_form(self, dims, seed, steps):
+        """Every allocation in a random order (the shadow replay's
+        case, up to ``size == volume``), its suffixes and random strict
+        subsets, whose unlisted allocations stay held all replay long."""
         rng = np.random.default_rng(seed)
         torus = Torus(dims)
         inc = IncrementalPlacementIndex(torus)
@@ -164,15 +167,38 @@ class TestPerPassLookups:
         inc.sync(torus)
         fresh = PlacementIndex(torus)
         order = [live[j] for j in rng.permutation(sorted(live))]
+        subset = [p for p in order if rng.random() < 0.5]
+        variants = [order, order[:1], [], subset]
+        variants += [order[k:] for k in range(1, len(order))]
         before = inc._sums.copy()
         for size in range(1, dims.volume + 2):
-            for releases in (order, order[:1], []):
+            for releases in variants:
                 assert inc.first_fit_release(size, releases) == (
                     fresh.first_fit_release(size, releases)
                 ), (size, releases)
+        if order:
+            assert inc.first_fit_release(dims.volume, order) == len(order) - 1
         # A hypothetical replay: the live tensor is untouched.
         np.testing.assert_array_equal(inc._sums, before)
         assert_matches_rebuild(inc, torus)
+
+    def test_node_count_bound_before_the_answer(self):
+        """On a ring of four single nodes, releasing nodes 0 and 2
+        frees two nodes but no pair of neighbours: the node-count bound
+        stops at release 1, the answer is release 2 — for the full order
+        and for a subset that leaves node 3 held."""
+        torus = Torus(TorusDims(1, 1, 4))
+        nodes = [Partition((0, 0, z), (1, 1, 1)) for z in (0, 2, 1, 3)]
+        for job, node in enumerate(nodes):
+            torus.allocate(job, node)
+        inc = IncrementalPlacementIndex(torus)
+        fresh = PlacementIndex(torus)
+        for releases in (nodes, nodes[:3]):
+            assert inc.first_fit_release(2, releases) == 2
+            assert fresh.first_fit_release(2, releases) == 2
+        assert inc.first_fit_release(3, nodes[:3]) == 2
+        assert inc.first_fit_release(4, nodes[:3]) is None
+        assert inc.first_fit_release(4, nodes) == fresh.first_fit_release(4, nodes) == 3
 
 
 class TestIncrementalTracksMutations:

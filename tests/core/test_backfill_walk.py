@@ -14,23 +14,36 @@ and on the reference one a test builds
 (``repro.testing.oracle_simulator``: from-scratch index rebuilds, scalar
 scoring, integral release replay), and the trace bytes must be the same
 on both engines.
+
+The walk computes one EASY reservation per scheduler pass and resumes
+on it after a backfill that ends by the shadow; a test-local subclass
+that restarts every walk at position 1 and asks the shadow engine again
+must make the same decisions.
 """
 
 from __future__ import annotations
 
+import io
 import json
+import math
+from itertools import islice
 
 import pytest
 
 from repro.allocation.mfp import IndexCache, PlacementIndex
 from repro.api import SimulationSetup
 from repro.core.backfill import ShadowTimeEngine
-from repro.core.config import SimulationConfig
-from repro.core.simulator import Simulator
+from repro.core.config import BackfillMode, SimulationConfig
+from repro.core.jobstate import MIN_ESTIMATE_S
+from repro.core.policies.krevat import KrevatPolicy
+from repro.core.simulator import _SHADOW_EPS, Simulator
+from repro.failures.events import FailureLog
+from repro.geometry.coords import BGL_SUPERNODE_DIMS
 from repro.metrics.serialize import report_to_dict
 from repro.obs.trace import TraceRecorder
 from repro.prediction import BalancingPredictor
 from repro.testing import oracle_simulator
+from repro.workloads.job import Job, Workload
 
 ENGINES = {"production": Simulator, "reference": oracle_simulator}
 
@@ -170,3 +183,117 @@ class TestOneWalkTracedOrNot:
         traced, profiled = metrics(trace=True), metrics(profile=True)
         assert traced == profiled
         assert traced["histograms"]["policy.candidate_set_size"]["min"] >= 1
+
+
+class RestartWalkSimulator(Simulator):
+    """The walk without a kept reservation: every call starts again at
+    position 1 and asks the shadow engine again."""
+
+    def _try_backfill(self, index, head, now):
+        fits = {s for s in self.wait.sizes() if index.has_candidate(s)}
+        if not fits:
+            return False
+        easy = self.config.backfill is BackfillMode.EASY
+        shadow = None if easy else math.inf
+        for state in islice(self.wait, 1, None):
+            if state.size not in fits:
+                continue
+            if shadow is None:
+                running = [self.states[i] for i in self._running_ids]
+                shadow = self._shadow.shadow_time(running, head.size, now)
+            est_wall = self.checkpoint.wall_duration(
+                max(state.remaining_estimate, MIN_ESTIMATE_S)
+            )
+            if now + est_wall > shadow + _SHADOW_EPS:
+                continue
+            partition = self.policy.choose_partition(index, state, now)
+            if partition is not None:
+                if self.recorder.enabled:
+                    self.recorder.emit(
+                        "backfill", now, job=state.job_id, head_job=head.job_id,
+                        shadow=shadow if easy else None, est_wall=est_wall,
+                    )
+                self._dispatch(state, partition, now, via="backfill")
+                self.counters.backfills += 1
+                return True
+        return False
+
+
+def traced_run(engine, setup: SimulationSetup) -> tuple[bytes, bytes, list, Simulator]:
+    """Report bytes, trace bytes and every ``choose_partition`` call."""
+    sink = io.StringIO()
+    sim = engine(*setup.build_inputs(), setup.config, recorder=TraceRecorder(sink=sink))
+    calls = []
+    choose = sim.policy.choose_partition
+
+    def counted_choose(index, state, now):
+        partition = choose(index, state, now)
+        calls.append((state.job_id, now, partition))
+        return partition
+
+    sim.policy.choose_partition = counted_choose
+    report = report_bytes(sim)
+    return report, sink.getvalue().encode(), calls, sim
+
+
+def first_fit_count(monkeypatch) -> list[int]:
+    """A one-cell counter of reservation replays."""
+    count = [0]
+    replay = ShadowTimeEngine._first_fit_time
+
+    def counted(engine, running, head_size):
+        count[0] += 1
+        return replay(engine, running, head_size)
+
+    monkeypatch.setattr(ShadowTimeEngine, "_first_fit_time", counted)
+    return count
+
+
+def one_pass_setup(*small: Job) -> tuple[Workload, FailureLog, SimulationConfig]:
+    """Job 0 holds half the machine until t = 100; at t = 1 a
+    full-machine head arrives with ``small`` behind it, all in one
+    scheduler pass."""
+    n = BGL_SUPERNODE_DIMS.volume
+    jobs = (Job(0, 0.0, n // 2, 100.0), Job(1, 1.0, n, 10.0)) + small
+    return Workload("one-pass", n, jobs), FailureLog(n), SimulationConfig(migration=False)
+
+
+class TestOneReservationPerPass:
+    @pytest.mark.parametrize("migration", [True, False])
+    @pytest.mark.parametrize("backfill", [BackfillMode.EASY, BackfillMode.AGGRESSIVE])
+    def test_kept_reservation_decides_like_the_restart_walk(self, backfill, migration):
+        setup = deep_queue_setup(trace=True, backfill=backfill, migration=migration)
+        report, trace, calls, sim = traced_run(Simulator, setup)
+        assert traced_run(RestartWalkSimulator, setup)[:3] == (report, trace, calls)
+        assert sim.counters.backfills > 0
+        kept = sim.metrics.to_dict(include_timings=False)["counters"].get("shadow.kept")
+        if backfill is BackfillMode.EASY:
+            assert kept > 0
+        else:
+            assert not kept
+
+    def test_one_replay_for_three_backfills(self, monkeypatch):
+        inputs = one_pass_setup(*(Job(j, 1.0, 8, 10.0) for j in (2, 3, 4)))
+        count = first_fit_count(monkeypatch)
+        sim = Simulator(*inputs[:2], KrevatPolicy(), inputs[2])
+        report = sim.run()
+        assert sim.counters.backfills == 3
+        assert count == [1]
+        reference = RestartWalkSimulator(*inputs[:2], KrevatPolicy(), inputs[2])
+        assert reference.run() == report
+        assert count == [1 + 3]
+
+    def test_backfill_due_just_past_the_shadow_recomputes(self, monkeypatch):
+        """Job 2 is due at 100 + 5e-10: inside the tolerance, so it
+        backfills, but past the shadow, so the walk asks again for job 3."""
+        inputs = one_pass_setup(
+            Job(2, 1.0, 8, 10.0, estimate=99.0 + 5e-10), Job(3, 1.0, 8, 10.0)
+        )
+        count = first_fit_count(monkeypatch)
+        sim = Simulator(*inputs[:2], KrevatPolicy(), inputs[2])
+        report = sim.run()
+        assert 100.0 < sim.states[2].est_finish <= 100.0 + _SHADOW_EPS
+        assert sim.counters.backfills == 2
+        assert count == [2]
+        reference = RestartWalkSimulator(*inputs[:2], KrevatPolicy(), inputs[2])
+        assert reference.run() == report
