@@ -2,14 +2,16 @@
 
 The paper does not run a real prediction algorithm online; instead both
 predictors peek at the failure log with a controlled degradation
-parameter ``a`` (§4):
+parameter ``a`` (§4).  Each *flags* nodes for a window; a partition's
+answer depends only on how many flagged nodes it holds:
 
-* :class:`BalancingPredictor` — returns failure *probability* ``a`` for a
-  node with a logged failure inside the query window, else 0 (the
-  *confidence* parameter of the balancing scheduler).
-* :class:`TieBreakPredictor` — boolean oracle with false-negative rate
-  ``1-a`` and no false positives (the *accuracy* parameter of the
-  tie-breaking scheduler).
+* :class:`BalancingPredictor` — flags every node with a logged failure
+  in the window, with probability ``a`` (the *confidence* parameter of
+  the balancing scheduler; ``a = 1`` is the perfect oracle, ``a = 0``
+  predicts nothing).
+* :class:`TieBreakPredictor` — flags each such node with probability
+  ``a``: a boolean oracle with false-negative rate ``1-a`` and no false
+  positives (the *accuracy* parameter of the tie-breaking scheduler).
 """
 
 from __future__ import annotations
@@ -17,13 +19,10 @@ from __future__ import annotations
 from repro.prediction.base import PartitionFailureRule, Predictor
 from repro.prediction.balancing import BalancingPredictor
 from repro.prediction.tiebreak import TieBreakPredictor
-from repro.prediction.perfect import PerfectPredictor, NullPredictor
 
 __all__ = [
     "PartitionFailureRule",
     "Predictor",
     "BalancingPredictor",
     "TieBreakPredictor",
-    "PerfectPredictor",
-    "NullPredictor",
 ]

@@ -4,9 +4,6 @@ For a node ``n`` and window ``[t0, t1)`` the predicted failure
 probability is ``a`` when the failure log contains an event for ``n`` in
 the window and 0 otherwise; partition probabilities combine per the
 configured :class:`~repro.prediction.base.PartitionFailureRule`.
-
-The hot path caches the per-window flagged-node mask: one scheduling
-pass asks about many candidate partitions over the *same* window.
 """
 
 from __future__ import annotations
@@ -16,7 +13,6 @@ import numpy as np
 from repro.errors import PredictionError
 from repro.failures.events import FailureLog
 from repro.geometry.coords import TorusDims
-from repro.geometry.partition import Partition
 from repro.prediction.base import (
     PartitionFailureRule,
     Predictor,
@@ -50,121 +46,33 @@ class BalancingPredictor(Predictor):
     ) -> None:
         if not 0.0 <= confidence <= 1.0:
             raise PredictionError(f"confidence must be in [0, 1], got {confidence}")
+        super().__init__()
         self.log = log
         self.confidence = confidence
         self.rule = rule
-        self._mask_cache: dict[tuple[float, float], np.ndarray] = {}
-        self._integral_cache: dict[tuple[float, float], np.ndarray] = {}
-        self._flagged_cache: dict[tuple[float, float], np.ndarray] = {}
 
-    def begin_pass(self, now: float) -> None:
-        # Windows are keyed on (t0, t1); bound the cache so week-long
-        # simulations do not accumulate one mask per job.
-        if len(self._mask_cache) > 64:
-            self._mask_cache.clear()
-            self._integral_cache.clear()
-            self._flagged_cache.clear()
-
-    def _mask(self, t0: float, t1: float) -> np.ndarray:
-        key = (t0, t1)
-        mask = self._mask_cache.get(key)
-        if mask is None:
-            mask = self.log.failure_mask(t0, t1)
-            self._mask_cache[key] = mask
-        return mask
-
-    def _integral(self, dims: TorusDims, t0: float, t1: float) -> np.ndarray:
-        from repro.geometry.torus import wrap_pad_integral
-
-        key = (t0, t1)
-        integral = self._integral_cache.get(key)
-        if integral is None:
-            grid = self._mask(t0, t1).reshape(dims.as_tuple()).astype(np.int64)
-            integral = wrap_pad_integral(grid)
-            self._integral_cache[key] = integral
-        return integral
-
-    def _flagged(self, t0: float, t1: float) -> np.ndarray:
-        """Linear ids of the nodes flagged in the window (cached)."""
-        key = (t0, t1)
-        nodes = self._flagged_cache.get(key)
-        if nodes is None:
-            nodes = np.flatnonzero(self._mask(t0, t1))
-            self._flagged_cache[key] = nodes
-        return nodes
-
-    def node_failure_probability(self, node: int, t0: float, t1: float) -> float:
-        """``p_n^f`` for one linear node id."""
-        return self.confidence if self._mask(t0, t1)[node] else 0.0
-
-    def partition_failure_probability(
-        self, partition: Partition, dims: TorusDims, t0: float, t1: float
-    ) -> float:
+    def _flag(self, t0: float, t1: float) -> np.ndarray:
         if self.confidence == 0.0:
-            return 0.0
-        flagged = self.count_in_partition(
-            self._integral(dims, t0, t1), partition, dims
-        )
-        return combine_probabilities(self.confidence, flagged, self.rule)
+            return np.empty(0, dtype=np.int64)
+        return self.log.nodes_failing_in(t0, t1)
 
     def partition_failure_probabilities(
         self, bases: np.ndarray, shape, dims: TorusDims, t0: float, t1: float
     ) -> np.ndarray:
-        """Batch ``P_f``: one gather for the flagged counts, then one
+        """Batch ``P_f``: one flagged count per candidate, then one
         scalar :func:`combine_probabilities` per *distinct* count.
 
         Going through the scalar combiner (counts are tiny integers, so
-        distinct values are few) keeps the batch path bitwise equal to
-        the scalar one even for the complement-product rule, where a
-        vectorised power could round differently than Python's ``**``.
+        distinct values are few) keeps every ``P_f`` the value Python's
+        ``**`` gives for the complement-product rule, where a vectorised
+        power could round differently.
         """
-        if self.confidence == 0.0:
-            return np.zeros(bases.shape[0], dtype=np.float64)
-        flagged = self._flagged(t0, t1)
-        if flagged.size == 0:
-            # The common case for sparse failure logs: nothing flagged
-            # in the window, so every candidate's P_f is exactly 0 —
-            # skip the count gather entirely.
-            return np.zeros(bases.shape[0], dtype=np.float64)
-        if flagged.size <= self._MEMBERSHIP_CUTOVER:
-            counts = self._membership_counts(flagged, bases, shape, dims)
-        else:
-            counts = self.counts_in_partitions(
-                self._integral(dims, t0, t1), bases, shape, dims
-            )
-        probs = np.zeros(bases.shape[0], dtype=np.float64)
-        for count in np.unique(counts):
-            if count > 0:
-                probs[counts == count] = combine_probabilities(
-                    self.confidence, int(count), self.rule
-                )
+        counts = self._counts(bases, shape, dims, t0, t1)
+        probs = np.zeros(counts.shape[0], dtype=np.float64)
+        if np.count_nonzero(counts):
+            for count in np.unique(counts):
+                if count > 0:
+                    probs[counts == count] = combine_probabilities(
+                        self.confidence, int(count), self.rule
+                    )
         return probs
-
-    #: Flagged-node count up to which per-candidate counts come from
-    #: direct membership tests instead of a wrap-pad integral.  The
-    #: integral costs a fresh build per distinct window (window ends
-    #: vary per job, so it almost never amortises), while membership is
-    #: one broadcast over (candidates x flagged nodes); both produce
-    #: identical integer counts (``tests/prediction`` cross-validates).
-    _MEMBERSHIP_CUTOVER = 48
-
-    @staticmethod
-    def _membership_counts(
-        flagged: np.ndarray,
-        bases: np.ndarray,
-        shape,
-        dims: TorusDims,
-    ) -> np.ndarray:
-        """Flagged nodes inside each candidate box, by membership test.
-
-        A node ``p`` lies in the wrapped box ``(b, shape)`` iff
-        ``(p - b) mod P < extent`` on every axis — the same predicate
-        the integral's box sums count, evaluated directly.
-        """
-        fx, fy, fz = np.unravel_index(flagged, dims.as_tuple())
-        inside = (
-            (((fx[None, :] - bases[:, 0:1]) % dims.x) < shape[0])
-            & (((fy[None, :] - bases[:, 1:2]) % dims.y) < shape[1])
-            & (((fz[None, :] - bases[:, 2:3]) % dims.z) < shape[2])
-        )
-        return inside.sum(axis=1)

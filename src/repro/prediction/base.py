@@ -1,4 +1,10 @@
-"""Predictor interfaces and the partition failure-probability rules."""
+"""Predictor interfaces and the partition failure-probability rules.
+
+Both paper predictors work the same way: for a window ``[t0, t1)`` they
+*flag* a set of nodes, and a partition's answer depends only on how many
+flagged nodes it holds.  A predictor implements :meth:`Predictor._flag`;
+the per-pass window cache and the one count kernel live here.
+"""
 
 from __future__ import annotations
 
@@ -10,6 +16,7 @@ import numpy as np
 from repro.errors import PredictionError
 from repro.geometry.coords import TorusDims
 from repro.geometry.partition import Partition
+from repro.geometry.torus import batch_box_sums, wrap_pad_integral
 
 
 class PartitionFailureRule(enum.Enum):
@@ -47,28 +54,68 @@ class Predictor(abc.ABC):
     A predictor is queried about one *window* ``[t0, t1)`` at a time —
     the estimated execution interval of the job being placed.  Queries
     inside one scheduling pass must be mutually consistent (the
-    tie-breaking predictor's random responses are cached per node and
-    window), so the simulator calls :meth:`begin_pass` before each pass.
+    tie-breaking predictor's random responses are drawn once per
+    window), so the simulator calls :meth:`begin_pass` before each pass
+    and the flagged set of a window is cached until the next one.
     """
 
+    #: Flagged-node count up to which per-candidate counts come from a
+    #: direct membership test; above it, from a wrap-pad integral built
+    #: once per window.  Both give identical integer counts.
+    _MEMBERSHIP_CUTOVER = 48
+
+    def __init__(self) -> None:
+        # (t0, t1) -> [flagged linear ids, wrap-pad integral or None]
+        self._windows: dict[tuple[float, float], list] = {}
+
     def begin_pass(self, now: float) -> None:
-        """Reset per-pass caches.  Default: nothing to reset."""
+        """Drop the window cache: a new pass asks about new windows."""
+        self._windows.clear()
 
     @abc.abstractmethod
-    def partition_failure_probability(
-        self, partition: Partition, dims: TorusDims, t0: float, t1: float
-    ) -> float:
-        """Estimated probability that ``partition`` fails in ``[t0, t1)``."""
+    def _flag(self, t0: float, t1: float) -> np.ndarray:
+        """Sorted linear ids of the nodes flagged in ``[t0, t1)``.
 
-    def predicts_failure(
-        self, partition: Partition, dims: TorusDims, t0: float, t1: float
-    ) -> bool:
-        """Boolean form: does the predictor expect the partition to fail?"""
-        return self.partition_failure_probability(partition, dims, t0, t1) > 0.0
+        Called once per window and pass.
+        """
+
+    def _counts(
+        self,
+        bases: np.ndarray,
+        shape: tuple[int, int, int],
+        dims: TorusDims,
+        t0: float,
+        t1: float,
+    ) -> np.ndarray:
+        """Flagged nodes inside each of the ``(n, 3)`` candidate bases."""
+        window = self._windows.get((t0, t1))
+        if window is None:
+            window = self._windows[(t0, t1)] = [self._flag(t0, t1), None]
+        flagged, integral = window
+        if flagged.size == 0:
+            return np.zeros(bases.shape[0], dtype=np.int64)
+        if flagged.size <= self._MEMBERSHIP_CUTOVER:
+            # Node p lies in the wrapped box (b, shape) iff
+            # (p - b) mod P < extent on every axis.
+            fx, fy, fz = np.unravel_index(flagged, dims.as_tuple())
+            inside = (
+                (((fx[None, :] - bases[:, 0:1]) % dims.x) < shape[0])
+                & (((fy[None, :] - bases[:, 1:2]) % dims.y) < shape[1])
+                & (((fz[None, :] - bases[:, 2:3]) % dims.z) < shape[2])
+            )
+            return inside.sum(axis=1)
+        if integral is None:
+            grid = np.zeros(dims.volume, dtype=np.int64)
+            grid[flagged] = 1
+            integral = window[1] = wrap_pad_integral(grid.reshape(dims.as_tuple()))
+        return batch_box_sums(
+            integral, bases % np.array(dims.as_tuple(), dtype=np.int64), shape
+        )
 
     # ------------------------------------------------------------------
     # batch surface (candidate scoring hot path)
     # ------------------------------------------------------------------
+    @abc.abstractmethod
     def partition_failure_probabilities(
         self,
         bases: np.ndarray,
@@ -81,24 +128,8 @@ class Predictor(abc.ABC):
 
         ``bases`` is an ``(n, 3)`` integer array of partition bases; the
         result is the ``(n,)`` float array of per-candidate failure
-        probabilities, bitwise equal to ``n`` scalar
-        :meth:`partition_failure_probability` calls.  This default loops
-        the scalar form (correct for any predictor); the log-peeking
-        predictors override it with one vectorised box-sum gather on
-        their flagged-node integral.
+        probabilities.
         """
-        return np.array(
-            [
-                self.partition_failure_probability(
-                    Partition((int(b[0]), int(b[1]), int(b[2])), shape),
-                    dims,
-                    t0,
-                    t1,
-                )
-                for b in bases
-            ],
-            dtype=np.float64,
-        )
 
     def predict_failures(
         self,
@@ -108,45 +139,25 @@ class Predictor(abc.ABC):
         t0: float,
         t1: float,
     ) -> np.ndarray:
-        """Boolean batch form of :meth:`predicts_failure`.
-
-        Default derives from :meth:`partition_failure_probabilities`
-        (``> 0``), mirroring the scalar default; the tie-breaking
-        predictor overrides both with its reported-failure integral.
-        """
+        """Boolean batch form: does the predictor expect each candidate
+        to fail?  Default: ``P_f > 0``."""
         return self.partition_failure_probabilities(bases, shape, dims, t0, t1) > 0.0
 
-    @staticmethod
-    def _flagged_in_partition(
-        mask: np.ndarray, partition: Partition, dims: TorusDims
-    ) -> int:
-        """Count flagged nodes (by linear id mask) inside a partition."""
-        grid = mask.reshape(dims.as_tuple())
-        sel = grid[np.ix_(*partition.axis_ranges(dims))]
-        return int(np.count_nonzero(sel))
-
-    @staticmethod
-    def count_in_partition(
-        integral: np.ndarray, partition: Partition, dims: TorusDims
-    ) -> int:
-        """Flagged-node count via a wrap-pad integral (hot path: one
-        scalar lookup instead of fancy indexing)."""
-        from repro.geometry.torus import box_sum_at
-
-        return box_sum_at(
-            integral, dims.wrap(partition.base), partition.shape
+    # ------------------------------------------------------------------
+    # scalar surface: one-row calls of the batch entry points
+    # ------------------------------------------------------------------
+    def partition_failure_probability(
+        self, partition: Partition, dims: TorusDims, t0: float, t1: float
+    ) -> float:
+        """Estimated probability that ``partition`` fails in ``[t0, t1)``."""
+        bases = np.array([partition.base], dtype=np.int64)
+        return float(
+            self.partition_failure_probabilities(bases, partition.shape, dims, t0, t1)[0]
         )
 
-    @staticmethod
-    def counts_in_partitions(
-        integral: np.ndarray,
-        bases: np.ndarray,
-        shape: tuple[int, int, int],
-        dims: TorusDims,
-    ) -> np.ndarray:
-        """Flagged-node counts for many same-shape partitions: one
-        vectorised gather on the wrap-pad integral."""
-        from repro.geometry.torus import batch_box_sums
-
-        dims_arr = np.array(dims.as_tuple(), dtype=np.int64)
-        return batch_box_sums(integral, bases % dims_arr, shape)
+    def predicts_failure(
+        self, partition: Partition, dims: TorusDims, t0: float, t1: float
+    ) -> bool:
+        """Boolean form: does the predictor expect the partition to fail?"""
+        bases = np.array([partition.base], dtype=np.int64)
+        return bool(self.predict_failures(bases, partition.shape, dims, t0, t1)[0])

@@ -8,8 +8,8 @@ answers *yes* with probability ``a`` (so the false-negative rate is
 
 Responses must be consistent within one scheduling pass — the same node
 asked twice (via two overlapping candidate partitions) must answer the
-same — so per-node draws are cached per ``(node, window)`` and cleared
-at :meth:`begin_pass`.
+same — so each window's draws are made once and cached until
+:meth:`begin_pass`.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import numpy as np
 from repro.errors import PredictionError
 from repro.failures.events import FailureLog
 from repro.geometry.coords import TorusDims
-from repro.geometry.partition import Partition
 from repro.prediction.base import Predictor
 
 
@@ -40,80 +39,28 @@ class TieBreakPredictor(Predictor):
     def __init__(self, log: FailureLog, accuracy: float, seed: int | None = 0) -> None:
         if not 0.0 <= accuracy <= 1.0:
             raise PredictionError(f"accuracy must be in [0, 1], got {accuracy}")
+        super().__init__()
         self.log = log
         self.accuracy = accuracy
         self._rng = np.random.default_rng(seed)
-        self._draws: dict[tuple[float, float], np.ndarray] = {}
-        self._masks: dict[tuple[float, float], np.ndarray] = {}
-        self._integrals: dict[tuple[float, float], np.ndarray] = {}
 
-    def begin_pass(self, now: float) -> None:
-        """Drop cached draws: a new pass re-rolls the response noise."""
-        self._draws.clear()
-        self._masks.clear()
-        self._integrals.clear()
-
-    def _window(self, t0: float, t1: float) -> tuple[np.ndarray, np.ndarray]:
-        key = (t0, t1)
-        mask = self._masks.get(key)
-        if mask is None:
-            mask = self.log.failure_mask(t0, t1)
-            self._masks[key] = mask
-            # One Bernoulli(a) response per node, drawn up-front so every
-            # partition sharing this window sees consistent answers.
-            self._draws[key] = self._rng.random(self.log.n_nodes) < self.accuracy
-        return mask, self._draws[key]
-
-    def node_predicts_failure(self, node: int, t0: float, t1: float) -> bool:
-        """Boolean response for one node."""
-        mask, draws = self._window(t0, t1)
-        return bool(mask[node] and draws[node])
-
-    def _reported_integral(
-        self, dims: TorusDims, t0: float, t1: float
-    ) -> np.ndarray:
-        from repro.geometry.torus import wrap_pad_integral
-
-        key = (t0, t1)
-        integral = self._integrals.get(key)
-        if integral is None:
-            mask, draws = self._window(t0, t1)
-            grid = (mask & draws).reshape(dims.as_tuple()).astype(np.int64)
-            integral = wrap_pad_integral(grid)
-            self._integrals[key] = integral
-        return integral
-
-    def predicts_failure(
-        self, partition: Partition, dims: TorusDims, t0: float, t1: float
-    ) -> bool:
-        count = self.count_in_partition(
-            self._reported_integral(dims, t0, t1), partition, dims
-        )
-        return count > 0
-
-    def partition_failure_probability(
-        self, partition: Partition, dims: TorusDims, t0: float, t1: float
-    ) -> float:
-        """Degenerate probability view: 1.0 when predicted to fail."""
-        return 1.0 if self.predicts_failure(partition, dims, t0, t1) else 0.0
+    def _flag(self, t0: float, t1: float) -> np.ndarray:
+        # One Bernoulli(a) response per node for every new window, drawn
+        # whether or not the window holds a failure: the seeded stream
+        # then depends only on the sequence of windows asked about.
+        draws = self._rng.random(self.log.n_nodes) < self.accuracy
+        failing = self.log.nodes_failing_in(t0, t1)
+        return failing[draws[failing]]
 
     def predict_failures(
         self, bases: np.ndarray, shape, dims: TorusDims, t0: float, t1: float
     ) -> np.ndarray:
-        """Batch boolean responses: one gather on the reported integral.
-
-        Consistency with the scalar path is free — the per-node Bernoulli
-        draws are made once per window (in :meth:`_window`), so batch and
-        scalar queries read the same reported-failure grid.
-        """
-        counts = self.counts_in_partitions(
-            self._reported_integral(dims, t0, t1), bases, shape, dims
-        )
-        return counts > 0
+        return self._counts(bases, shape, dims, t0, t1) > 0
 
     def partition_failure_probabilities(
         self, bases: np.ndarray, shape, dims: TorusDims, t0: float, t1: float
     ) -> np.ndarray:
+        """Degenerate probability view: 1.0 where predicted to fail."""
         return np.where(
             self.predict_failures(bases, shape, dims, t0, t1), 1.0, 0.0
         )

@@ -11,6 +11,13 @@ index build or repair inside a wrapped ``IndexCache.get``.  A
 ``choose_partition`` call either passes through ``batch_mfp_losses`` or
 is *forced* — its size has exactly one free partition — and then runs no
 kernel at all, traced or not.
+
+The same holds for prediction: the span table wraps
+``BalancingPredictor.partition_failure_probabilities``,
+``TieBreakPredictor.predict_failures`` and ``FailureLog.nodes_failing_in``
+on their classes.  Every scored fault-aware choice must pass through the
+predictor's entry point, and every failure-window query must run inside
+one.
 """
 
 from __future__ import annotations
@@ -26,11 +33,27 @@ from repro.api import SimulationSetup
 from repro.core.policies.balancing import BalancingPolicy
 from repro.core.policies.krevat import KrevatPolicy
 from repro.core.policies.tiebreak import TieBreakPolicy
+from repro.failures.events import FailureLog
+from repro.prediction import BalancingPredictor, TieBreakPredictor
+
+#: Span targets of ``prediction.score`` / ``failures.window_query``.
+PREDICTION_TARGETS = (
+    (BalancingPredictor, "partition_failure_probabilities"),
+    (TieBreakPredictor, "predict_failures"),
+    (TieBreakPredictor, "partition_failure_probabilities"),
+    (FailureLog, "nodes_failing_in"),
+    (FailureLog, "failure_mask"),
+)
 
 
 def test_batch_mfp_losses_is_not_overridden():
     assert "batch_mfp_losses" not in vars(IncrementalPlacementIndex)
     assert "_candidates_excluding" in vars(IncrementalPlacementIndex)
+
+
+@pytest.mark.parametrize("owner, attr", PREDICTION_TARGETS)
+def test_prediction_span_targets_are_defined_on_their_classes(owner, attr):
+    assert attr in vars(owner)
 
 
 @pytest.mark.parametrize(
@@ -70,14 +93,19 @@ def test_every_scoring_and_lookup_passes_the_span_targets(
     wrap(IncrementalPlacementIndex, "_candidates_excluding", "kernel", "score")
     wrap(IncrementalPlacementIndex, "sync", "repair", "get")
     wrap(IncrementalPlacementIndex, "__init__", "build", "get")
+    wrap(BalancingPredictor, "partition_failure_probabilities", "predict")
+    wrap(TieBreakPredictor, "predict_failures", "predict")
+    wrap(FailureLog, "nodes_failing_in", "window", "predict")
     choose = vars(policy_class)["choose_partition"]
 
     def scored_choose(self, index, state, now):
         calls["choose"] += 1
-        before = calls["score"], calls["kernel"]
+        before = calls["score"], calls["kernel"], calls["predict"]
         result = choose(self, index, state, now)
         if calls["score"] > before[0]:
             calls["scored"] += 1
+            if policy != "krevat":
+                assert calls["predict"] > before[2], "a scored choice skipped the predictor"
         else:
             assert len(index.candidate_batch(state.size)) == 1, (
                 "a placement with a choice was scored unseen"
@@ -101,3 +129,8 @@ def test_every_scoring_and_lookup_passes_the_span_targets(
     # too, and a lookup runs at most one.
     assert calls["repair"] > calls["build"] > 0
     assert calls["repair"] <= calls["get"]
+    if policy == "krevat":
+        assert calls["predict"] == calls["window"] == 0
+    else:
+        assert calls["predict"] >= calls["scored"] > 0
+        assert calls["window"] > 0

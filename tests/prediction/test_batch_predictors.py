@@ -1,11 +1,17 @@
-"""Batch predictor APIs must be bitwise-equal to their scalar forms.
+"""Both log-peeking predictors against one brute-force oracle.
 
-Every predictor now answers for many same-shape candidate bases in one
-vectorised call (``partition_failure_probabilities`` /
-``predict_failures``).  The policies' batch paths are only bitwise
-compatible with the scalar oracles if these agree *exactly* — float
-equality, not approx — so that is what this suite asserts, over random
-failure logs, windows and candidate sets.
+A predictor flags nodes for a window and counts them per candidate with
+the one kernel in ``repro.prediction.base``: a membership test up to 48
+flagged nodes, a wrap-pad integral above.  The oracle here is neither —
+an ``np.ix_`` count over a boolean node mask, then
+``combine_probabilities`` (balancing) or ``> 0`` (tie-break).  For
+tie-break the mask is the window's failure mask ANDed with the draws a
+fresh ``default_rng(seed)`` makes, one ``random(volume)`` per window in
+the order the pass first asks about them.
+
+The cases put flagged counts on both sides of the cutover (0, 1, 48,
+49 and every node), on an even and an odd torus, with every base (so
+wrapping ones) and full-span shapes, and assert exact float equality.
 """
 
 from __future__ import annotations
@@ -18,144 +24,204 @@ from repro.geometry.coords import TorusDims
 from repro.geometry.partition import Partition
 from repro.prediction import (
     BalancingPredictor,
-    NullPredictor,
     PartitionFailureRule,
-    PerfectPredictor,
+    Predictor,
     TieBreakPredictor,
 )
+from repro.prediction.base import combine_probabilities
 
-D = TorusDims(4, 4, 5)
-
-
-@st.composite
-def failure_logs(draw) -> FailureLog:
-    n = draw(st.integers(0, 12))
-    events = [
-        FailureEvent(
-            draw(st.floats(0.0, 1000.0, allow_nan=False)),
-            draw(st.integers(0, D.volume - 1)),
-        )
-        for _ in range(n)
-    ]
-    return FailureLog(D.volume, events)
+DIMS = (TorusDims(4, 4, 8), TorusDims(4, 4, 5))
+T0, T1 = 100.0, 300.0
 
 
-@st.composite
-def windows(draw) -> tuple[float, float]:
-    t0 = draw(st.floats(0.0, 900.0, allow_nan=False))
-    t1 = t0 + draw(st.floats(0.0, 500.0, allow_nan=False))
-    return t0, t1
+def flagged_counts(dims: TorusDims) -> tuple[int, ...]:
+    return (0, 1, 48, 49, dims.volume)
 
 
-@st.composite
-def candidate_sets(draw) -> tuple[tuple[int, int, int], np.ndarray]:
-    shape = (
-        draw(st.integers(1, D.x)),
-        draw(st.integers(1, D.y)),
-        draw(st.integers(1, D.z)),
-    )
-    n = draw(st.integers(1, 10))
-    bases = np.stack(
+def flagged_in_partition(mask: np.ndarray, base, shape, dims: TorusDims) -> int:
+    """Flagged nodes (by linear-id mask) inside one partition."""
+    grid = mask.reshape(dims.as_tuple())
+    sel = grid[np.ix_(*Partition(tuple(base), shape).axis_ranges(dims))]
+    return int(np.count_nonzero(sel))
+
+
+def shapes_of(dims: TorusDims) -> list[tuple[int, int, int]]:
+    """Small, odd and full-span shapes (a full span wraps from any base)."""
+    x, y, z = dims.as_tuple()
+    return [(1, 1, 1), (2, 2, 2), (3, 1, z - 1), (x, y, 1), (1, 1, z), (x, y, z)]
+
+
+def all_bases(dims: TorusDims) -> np.ndarray:
+    return np.argwhere(np.ones(dims.as_tuple(), dtype=bool)).astype(np.int64)
+
+
+def log_flagging(dims: TorusDims, k: int, rng: np.random.Generator) -> FailureLog:
+    """A log with exactly ``k`` distinct nodes failing in ``[T0, T1)``,
+    repeats among them, and events just outside the window."""
+    inside = rng.choice(dims.volume, size=k, replace=False)
+    nodes = np.concatenate([inside, inside[: k // 2], rng.integers(0, dims.volume, 6)])
+    times = np.concatenate(
         [
-            draw(st.lists(st.integers(0, d - 1), min_size=n, max_size=n))
-            for d in D.as_tuple()
-        ],
-        axis=1,
-    ).astype(np.int64)
-    return shape, bases
+            rng.uniform(T0, T1, k + k // 2),
+            [T0 - 1.0, T0 - 0.5, T1, T1, T1 + 1.0, 0.0],
+        ]
+    )
+    return FailureLog.from_arrays(dims.volume, times, nodes)
 
 
-def scalar_probs(pred, bases, shape, t0, t1) -> list[float]:
-    return [
-        pred.partition_failure_probability(
-            Partition((int(b[0]), int(b[1]), int(b[2])), shape), D, t0, t1
-        )
-        for b in bases
-    ]
+def cases():
+    rng = np.random.default_rng(2024)
+    for dims in DIMS:
+        for k in flagged_counts(dims):
+            yield dims, k, log_flagging(dims, k, rng)
 
 
-def scalar_predictions(pred, bases, shape, t0, t1) -> list[bool]:
-    return [
-        pred.predicts_failure(
-            Partition((int(b[0]), int(b[1]), int(b[2])), shape), D, t0, t1
-        )
-        for b in bases
-    ]
+def integral_built(pred: Predictor, t0: float, t1: float) -> bool:
+    return pred._windows[(t0, t1)][1] is not None
 
 
 class TestBalancingBatch:
-    @settings(max_examples=100, deadline=None)
-    @given(
-        failure_logs(),
-        windows(),
-        candidate_sets(),
-        st.floats(0.0, 1.0, allow_nan=False),
-        st.sampled_from(list(PartitionFailureRule)),
-    )
-    def test_bitwise_equal_to_scalar(self, log, window, cands, confidence, rule):
-        t0, t1 = window
-        shape, bases = cands
-        pred = BalancingPredictor(log, confidence, rule)
-        probs = pred.partition_failure_probabilities(bases, shape, D, t0, t1)
-        assert probs.dtype == np.float64
-        assert probs.tolist() == scalar_probs(pred, bases, shape, t0, t1)
+    def test_matches_mask_oracle(self):
+        for dims, k, log in cases():
+            mask = log.failure_mask(T0, T1)
+            assert int(mask.sum()) == k
+            for rule in PartitionFailureRule:
+                for confidence in (0.1, 0.9):
+                    pred = BalancingPredictor(log, confidence, rule)
+                    for shape in shapes_of(dims):
+                        bases = all_bases(dims)
+                        probs = pred.partition_failure_probabilities(
+                            bases, shape, dims, T0, T1
+                        )
+                        assert probs.dtype == np.float64
+                        expected = [
+                            combine_probabilities(
+                                confidence,
+                                flagged_in_partition(mask, b, shape, dims),
+                                rule,
+                            )
+                            for b in bases
+                        ]
+                        assert probs.tolist() == expected, (dims, k, rule, shape)
+                        one = Partition(tuple(int(c) for c in bases[-1]), shape)
+                        assert pred.partition_failure_probability(
+                            one, dims, T0, T1
+                        ) == expected[-1]
+                    # Both sides of the cutover ran.
+                    assert integral_built(pred, T0, T1) == (
+                        k > Predictor._MEMBERSHIP_CUTOVER
+                    )
 
     @settings(max_examples=25, deadline=None)
-    @given(failure_logs(), windows(), candidate_sets())
-    def test_perfect_predictor(self, log, window, cands):
-        t0, t1 = window
-        shape, bases = cands
-        pred = PerfectPredictor(log)
-        probs = pred.partition_failure_probabilities(bases, shape, D, t0, t1)
-        assert probs.tolist() == scalar_probs(pred, bases, shape, t0, t1)
-        assert set(probs.tolist()) <= {0.0, 1.0}
+    @given(
+        st.sampled_from(DIMS),
+        st.integers(0, 128),
+        st.floats(0.0, 1.0, allow_nan=False),
+        st.sampled_from(list(PartitionFailureRule)),
+        st.integers(0, 2**31 - 1),
+    )
+    def test_matches_mask_oracle_on_random_logs(self, dims, k, confidence, rule, seed):
+        rng = np.random.default_rng(seed)
+        log = log_flagging(dims, min(k, dims.volume), rng)
+        mask = log.failure_mask(T0, T1)
+        pred = BalancingPredictor(log, confidence, rule)
+        shape = shapes_of(dims)[int(rng.integers(len(shapes_of(dims))))]
+        bases = all_bases(dims)
+        probs = pred.partition_failure_probabilities(bases, shape, dims, T0, T1)
+        assert probs.tolist() == [
+            combine_probabilities(
+                confidence, flagged_in_partition(mask, b, shape, dims), rule
+            )
+            for b in bases
+        ]
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from(DIMS), st.integers(0, 128), st.integers(0, 2**31 - 1))
+    def test_perfect_predictor(self, dims, k, seed):
+        """``a = 1`` is the perfect oracle: P_f is 1 exactly on the
+        partitions holding a failing node."""
+        rng = np.random.default_rng(seed)
+        log = log_flagging(dims, min(k, dims.volume), rng)
+        mask = log.failure_mask(T0, T1)
+        pred = BalancingPredictor(log, 1.0)
+        for shape in shapes_of(dims):
+            bases = all_bases(dims)
+            probs = pred.partition_failure_probabilities(bases, shape, dims, T0, T1)
+            assert probs.tolist() == [
+                1.0 if flagged_in_partition(mask, b, shape, dims) else 0.0
+                for b in bases
+            ]
 
 
 class TestTieBreakBatch:
-    @settings(max_examples=100, deadline=None)
-    @given(
-        failure_logs(),
-        windows(),
-        candidate_sets(),
-        st.floats(0.0, 1.0, allow_nan=False),
-        st.integers(0, 2**31 - 1),
-    )
-    def test_bitwise_equal_to_scalar(self, log, window, cands, accuracy, seed):
-        """Batch and scalar answers agree within one pass regardless of
-        query order — responses are drawn once per (t0, t1) window."""
-        t0, t1 = window
-        shape, bases = cands
-        pred = TieBreakPredictor(log, accuracy, seed=seed)
-        pred.begin_pass(t0)
-        batch_first = pred.predict_failures(bases, shape, D, t0, t1)
-        assert batch_first.dtype == np.bool_
-        assert batch_first.tolist() == scalar_predictions(pred, bases, shape, t0, t1)
-        # And the reverse order, after a fresh pass with the same seed:
-        # scalar queries must not perturb what the batch then sees.
-        pred2 = TieBreakPredictor(log, accuracy, seed=seed)
-        pred2.begin_pass(t0)
-        scalar_first = scalar_predictions(pred2, bases, shape, t0, t1)
-        assert pred2.predict_failures(bases, shape, D, t0, t1).tolist() == scalar_first
-        assert batch_first.tolist() == scalar_first
+    def test_matches_drawn_mask_oracle(self):
+        """Two windows in one pass read two consecutive draws; a
+        one-row query first does not perturb what the batch then sees."""
+        for dims, k, log in cases():
+            for accuracy in (0.5, 1.0):
+                seed = 7 * k + dims.z
+                rng = np.random.default_rng(seed)
+                first = log.failure_mask(T0, T1) & (rng.random(dims.volume) < accuracy)
+                second = log.failure_mask(T0, T1 + 50.0) & (
+                    rng.random(dims.volume) < accuracy
+                )
+                pred = TieBreakPredictor(log, accuracy, seed=seed)
+                pred.begin_pass(T0)
+                for t1, reported in ((T1, first), (T1 + 50.0, second)):
+                    for shape in shapes_of(dims):
+                        bases = all_bases(dims)
+                        one = Partition(tuple(int(c) for c in bases[3]), shape)
+                        lone = pred.predicts_failure(one, dims, T0, t1)
+                        predicted = pred.predict_failures(bases, shape, dims, T0, t1)
+                        assert predicted.dtype == np.bool_
+                        expected = [
+                            flagged_in_partition(reported, b, shape, dims) > 0
+                            for b in bases
+                        ]
+                        assert predicted.tolist() == expected, (dims, k, shape, t1)
+                        assert lone == expected[3]
+                    assert integral_built(pred, T0, t1) == (
+                        int(reported.sum()) > Predictor._MEMBERSHIP_CUTOVER
+                    )
+
+    def test_draw_is_made_for_an_empty_window(self):
+        """Every new window of a pass takes one draw, failure or not, so
+        the stream does not depend on where failures fall."""
+        dims = DIMS[1]
+        log = FailureLog(dims.volume, [FailureEvent(500.0, n) for n in range(dims.volume)])
+        pred = TieBreakPredictor(log, 0.5, seed=5)
+        pred.begin_pass(0.0)
+        bases = all_bases(dims)
+        assert not pred.predict_failures(bases, (1, 1, 1), dims, 0.0, 100.0).any()
+        rng = np.random.default_rng(5)
+        rng.random(dims.volume)  # the empty window's draw
+        expected = rng.random(dims.volume) < 0.5
+        predicted = pred.predict_failures(bases, (1, 1, 1), dims, 0.0, 1000.0)
+        assert predicted.tolist() == expected.tolist()
 
     @settings(max_examples=25, deadline=None)
-    @given(failure_logs(), windows(), candidate_sets())
-    def test_probabilities_are_indicator_of_predictions(self, log, window, cands):
-        t0, t1 = window
-        shape, bases = cands
+    @given(st.sampled_from(DIMS), st.integers(0, 128), st.integers(0, 2**31 - 1))
+    def test_probabilities_are_indicator_of_predictions(self, dims, k, seed):
+        log = log_flagging(dims, min(k, dims.volume), np.random.default_rng(seed))
         pred = TieBreakPredictor(log, 1.0, seed=0)
-        pred.begin_pass(t0)
-        predicted = pred.predict_failures(bases, shape, D, t0, t1)
-        probs = pred.partition_failure_probabilities(bases, shape, D, t0, t1)
-        assert probs.tolist() == [1.0 if p else 0.0 for p in predicted]
+        pred.begin_pass(T0)
+        bases = all_bases(dims)
+        for shape in shapes_of(dims):
+            predicted = pred.predict_failures(bases, shape, dims, T0, T1)
+            probs = pred.partition_failure_probabilities(bases, shape, dims, T0, T1)
+            assert probs.tolist() == [1.0 if p else 0.0 for p in predicted]
 
 
 class TestNullBatch:
     @settings(max_examples=10, deadline=None)
-    @given(windows(), candidate_sets())
-    def test_all_zero(self, window, cands):
-        t0, t1 = window
-        shape, bases = cands
-        pred = NullPredictor()
-        assert not pred.partition_failure_probabilities(bases, shape, D, t0, t1).any()
-        assert not pred.predict_failures(bases, shape, D, t0, t1).any()
+    @given(st.sampled_from(DIMS), st.integers(0, 128), st.integers(0, 2**31 - 1))
+    def test_all_zero(self, dims, k, seed):
+        """``a = 0`` predicts nothing, however many nodes fail."""
+        log = log_flagging(dims, min(k, dims.volume), np.random.default_rng(seed))
+        pred = BalancingPredictor(log, 0.0)
+        bases = all_bases(dims)
+        for shape in shapes_of(dims):
+            assert not pred.partition_failure_probabilities(
+                bases, shape, dims, T0, T1
+            ).any()
+            assert not pred.predict_failures(bases, shape, dims, T0, T1).any()

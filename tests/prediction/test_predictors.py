@@ -12,9 +12,7 @@ from repro.geometry.coords import BGL_SUPERNODE_DIMS
 from repro.geometry.partition import Partition
 from repro.prediction import (
     BalancingPredictor,
-    NullPredictor,
     PartitionFailureRule,
-    PerfectPredictor,
     TieBreakPredictor,
 )
 from repro.prediction.base import combine_probabilities
@@ -68,9 +66,11 @@ class TestBalancingPredictor:
     def test_flagged_node_gets_confidence(self):
         node = D.index((1, 2, 3))
         pred = BalancingPredictor(log_with_failures((node, 500.0)), 0.4)
-        assert pred.node_failure_probability(node, 0.0, 1000.0) == 0.4
-        assert pred.node_failure_probability(node, 600.0, 1000.0) == 0.0
-        assert pred.node_failure_probability(0, 0.0, 1000.0) == 0.0
+        flagged = Partition((1, 2, 3), (1, 1, 1))
+        assert pred.partition_failure_probability(flagged, D, 0.0, 1000.0) == 0.4
+        assert pred.partition_failure_probability(flagged, D, 600.0, 1000.0) == 0.0
+        clean = Partition((0, 0, 0), (1, 1, 1))
+        assert pred.partition_failure_probability(clean, D, 0.0, 1000.0) == 0.0
 
     def test_partition_probability_max_rule(self):
         node = D.index((0, 0, 0))
@@ -115,17 +115,23 @@ class TestBalancingPredictor:
         assert pred.partition_failure_probability(wrapping, D, 0.0, 100.0) > 0
 
     def test_integral_matches_mask_counting(self):
+        """A window dense enough for the integral branch (more than 48
+        flagged nodes) counts what an ``np.ix_`` over the mask counts."""
         rng = np.random.default_rng(0)
-        events = [(int(rng.integers(128)), float(rng.uniform(0, 1000))) for _ in range(60)]
-        pred = BalancingPredictor(log_with_failures(*events), 0.5)
-        mask = pred._mask(0.0, 500.0)
+        events = [(int(rng.integers(128)), float(rng.uniform(0, 1000))) for _ in range(160)]
+        log = log_with_failures(*events)
+        mask = log.failure_mask(0.0, 500.0)
+        assert mask.sum() > 48
+        pred = BalancingPredictor(log, 0.5, PartitionFailureRule.COMPLEMENT_PRODUCT)
         for _ in range(20):
             base = (int(rng.integers(4)), int(rng.integers(4)), int(rng.integers(8)))
             shape = (int(rng.integers(1, 5)), int(rng.integers(1, 5)), int(rng.integers(1, 9)))
             part = Partition(base, shape)
-            expected = pred._flagged_in_partition(mask, part, D)
-            got = pred.count_in_partition(pred._integral(D, 0.0, 500.0), part, D)
-            assert got == expected
+            grid = mask.reshape(D.as_tuple())
+            expected = int(np.count_nonzero(grid[np.ix_(*part.axis_ranges(D))]))
+            assert pred.partition_failure_probability(part, D, 0.0, 500.0) == (
+                combine_probabilities(0.5, expected, PartitionFailureRule.COMPLEMENT_PRODUCT)
+            )
 
 
 class TestTieBreakPredictor:
@@ -194,14 +200,14 @@ class TestTieBreakPredictor:
 
 class TestDegeneratePredictors:
     def test_null_predicts_nothing(self):
-        pred = NullPredictor()
+        pred = BalancingPredictor(log_with_failures((D.index((0, 0, 0)), 10.0)), 0.0)
         part = Partition((0, 0, 0), (4, 4, 8))
         assert pred.partition_failure_probability(part, D, 0.0, 1e9) == 0.0
         assert not pred.predicts_failure(part, D, 0.0, 1e9)
 
     def test_perfect_is_confidence_one(self):
         node = D.index((0, 0, 0))
-        pred = PerfectPredictor(log_with_failures((node, 10.0)))
+        pred = BalancingPredictor(log_with_failures((node, 10.0)), 1.0)
         assert pred.confidence == 1.0
         hit = Partition((0, 0, 0), (1, 1, 1))
         assert pred.partition_failure_probability(hit, D, 0.0, 100.0) == 1.0

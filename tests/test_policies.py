@@ -25,6 +25,7 @@ from repro.core.policies.krevat import KrevatPolicy
 from repro.core.policies.tiebreak import TieBreakPolicy
 from repro.failures.events import FailureEvent, FailureLog
 from repro.geometry.coords import TorusDims
+from repro.geometry.partition import Partition
 from repro.geometry.shapes import schedulable_sizes
 from repro.geometry.torus import Torus
 from repro.prediction.balancing import BalancingPredictor
@@ -47,12 +48,17 @@ def make_state(size: int, runtime: float = 100.0) -> JobState:
 
 def line_torus(busy: tuple[int, ...]) -> Torus:
     """Ring of 8 nodes with the given z positions occupied."""
-    from repro.geometry.partition import Partition
-
     torus = Torus(LINE)
     for i, z in enumerate(busy):
         torus.allocate(500 + i, Partition((0, 0, z), (1, 1, 1)))
     return torus
+
+
+def node_predicted(predictor, dims: TorusDims, node: int) -> bool:
+    """The predictor's answer for one node in ``[0, 100)``: a query
+    about the 1x1x1 partition at that node."""
+    base = tuple(int(c) for c in np.unravel_index(node, dims.as_tuple()))
+    return predictor.predicts_failure(Partition(base, (1, 1, 1)), dims, 0.0, 100.0)
 
 
 class TestMfpLoss:
@@ -248,7 +254,7 @@ class TestTieBreakFalseNegatives:
             index, make_state(1), 0.0
         )
         assert choice.base == (0, 0, 1)  # Krevat's pick, failure ignored
-        assert not predictor.node_predicts_failure(1, 0.0, 100.0)
+        assert not node_predicted(predictor, LINE, 1)
 
     def test_a1_has_no_false_negatives(self):
         """Accuracy 1: the doomed tied candidate is always dodged."""
@@ -266,7 +272,7 @@ class TestTieBreakFalseNegatives:
         predictor = TieBreakPredictor(failure_log(1), accuracy=1.0, seed=0)
         for node in range(8):
             if node != 1:
-                assert not predictor.node_predicts_failure(node, 0.0, 100.0)
+                assert not node_predicted(predictor, LINE, node)
 
     def test_all_tied_doomed_falls_back_to_first(self):
         """When every minimal-loss candidate is predicted to fail the
@@ -307,7 +313,7 @@ class TestTieBreakFalseNegatives:
         log = FailureLog(64, [FailureEvent(10.0, n) for n in range(64)])
         predictor = TieBreakPredictor(log, accuracy=accuracy, seed=123)
         hits = sum(
-            predictor.node_predicts_failure(n, 0.0, 100.0) for n in range(64)
+            node_predicted(predictor, TorusDims(4, 4, 4), n) for n in range(64)
         )
         if accuracy == 0.0:
             assert hits == 0
