@@ -18,6 +18,8 @@ wall time of one measured batch.  Sweep records carry an extra
 (``serial``/``parallel``/``warm``/``queue``), and their ``workers``
 field is the executor's *actual* ``stats.workers_used`` — 1 whenever
 the auto-serial cutover refused the pool — never the requested count.
+Index benches carry an ``index`` key naming the class they time: the
+production ``PlacementIndex`` or the test-only ``ReferencePlacementIndex``.
 The records are a trajectory, not gates: speed is gated end to end by
 the ``benchmarks/e2e`` workloads.
 The last record, ``src_loc``, is not a timing: its ``lines`` key counts
@@ -46,7 +48,6 @@ if str(REPO_ROOT / "src") not in sys.path:  # direct-script convenience
 
 import numpy as np
 
-from repro.allocation.incremental import IncrementalPlacementIndex
 from repro.allocation.mfp import IndexCache, PlacementIndex
 from repro.allocation.registry import get_finder
 from repro.core.backfill import ShadowTimeEngine
@@ -58,6 +59,7 @@ from repro.experiments.sweep import SweepPoint, run_sweep_outcome
 from repro.failures.synthetic import generate_failures
 from repro.geometry.coords import BGL_SUPERNODE_DIMS
 from repro.geometry.torus import Torus
+from repro.testing import ReferencePlacementIndex
 from repro.workloads.job import Job
 
 D = BGL_SUPERNODE_DIMS
@@ -70,6 +72,17 @@ FINDER_SIZES = (4, 8, 16, 32)
 SCORING_SIZES = (4, 8, 16, 32)
 #: Sizes the index-maintenance benches query after every mutation.
 INDEX_UPDATE_SIZES = (4, 8, 16)
+#: The index class each index bench times, recorded as its ``index`` key.
+INDEX_CLASS = {
+    "placement_index_build": PlacementIndex,
+    "mfp_excluding": ReferencePlacementIndex,
+    "scored_candidates_batch": PlacementIndex,
+    "choose_partition_forced": PlacementIndex,
+    "choose_partition_scored": PlacementIndex,
+    "index_incremental_update": PlacementIndex,
+    "index_rebuild_oracle": ReferencePlacementIndex,
+    "index_apply_refresh": PlacementIndex,
+}
 
 
 @dataclass(frozen=True)
@@ -173,6 +186,8 @@ def running_states(torus: Torus) -> list[JobState]:
 # ----------------------------------------------------------------------
 
 def bench_placement_index_build(scale: Scale):
+    """A production index built on a half-loaded torus: a zero tensor
+    plus one sync that patches every allocation in."""
     torus = loaded_torus()
     n = scale.micro_number * 10
 
@@ -184,8 +199,9 @@ def bench_placement_index_build(scale: Scale):
 
 
 def bench_mfp_excluding(scale: Scale):
+    """The reference's scalar early-exit walk, one candidate at a time."""
     torus = loaded_torus(0.3)
-    index = PlacementIndex(torus)
+    index = ReferencePlacementIndex(torus)
     candidates = index.candidates(8)[:16]
     index.mfp_size()
     n = scale.micro_number * 10
@@ -200,7 +216,7 @@ def bench_mfp_excluding(scale: Scale):
 
 def bench_scored_candidates_batch(scale: Scale):
     """Full candidate scoring as production runs it: the bit-mask
-    kernel of an :class:`IncrementalPlacementIndex`.
+    kernel of a :class:`PlacementIndex`.
 
     A fresh index per pass: scores are cached per size, so reusing one
     index would time the first iteration only.  The lightly loaded
@@ -212,7 +228,7 @@ def bench_scored_candidates_batch(scale: Scale):
 
     def run():
         for _ in range(n):
-            index = IncrementalPlacementIndex(torus)
+            index = PlacementIndex(torus)
             for size in SCORING_SIZES:
                 index.batch_mfp_losses(size)
 
@@ -229,7 +245,7 @@ def _bench_choose_partition(scale: Scale, torus: Torus, size: int):
     policy = BalancingPolicy(
         BalancingPredictor(generate_failures(D, 1024, 1e6, seed=1), 0.1)
     )
-    index = IncrementalPlacementIndex(torus)
+    index = PlacementIndex(torus)
     state = JobState(Job(0, 0.0, size, 3600.0, 3600.0))
     n = scale.micro_number * 10
 
@@ -347,8 +363,8 @@ def _bench_index_update(scale: Scale, incremental: bool):
     """Index maintenance across a mutation churn, patch vs rebuild.
 
     Each step allocates or frees one box, brings the index up to date
-    (a sync for the incremental path, from-scratch
-    ``PlacementIndex`` build for the reference), and then performs the
+    (a sync of one :class:`PlacementIndex`, or a from-scratch
+    :class:`ReferencePlacementIndex` build), and then performs the
     queries one scheduler pass issues — ``mfp_size`` plus batch losses
     for a few sizes.  The query half is the point: a bare rebuild is
     cheap, but it discards every lazily derived grid and placement
@@ -356,7 +372,7 @@ def _bench_index_update(scale: Scale, incremental: bool):
     """
     torus = loaded_torus(0.3, seed=5)
     part = PlacementIndex(torus).candidate_batch(8).partition(0)
-    index = IncrementalPlacementIndex(torus) if incremental else None
+    index = PlacementIndex(torus) if incremental else None
     n = scale.micro_number
     job_id = 10**6
 
@@ -371,7 +387,7 @@ def _bench_index_update(scale: Scale, incremental: bool):
                     index.sync(torus)
                     idx = index
                 else:
-                    idx = PlacementIndex(torus)
+                    idx = ReferencePlacementIndex(torus)
                 idx.mfp_size()
                 for size in INDEX_UPDATE_SIZES:
                     idx.batch_mfp_losses(size)
@@ -389,7 +405,7 @@ def bench_index_apply_refresh(scale: Scale):
     """
     torus = loaded_torus(0.3)
     part = PlacementIndex(torus).candidate_batch(8).partition(0)
-    index = IncrementalPlacementIndex(torus)
+    index = PlacementIndex(torus)
     n = scale.micro_number * 10
     job_id = 10**6
 
@@ -566,7 +582,9 @@ def run_benchmarks(scale_name: str, workers: int, out_path: Path) -> list[dict]:
     ]
     for name, factory in micro:
         run, ops = factory(scale)
-        record(name, best_of(run, scale.repeats), ops)
+        index = INDEX_CLASS.get(name)
+        extra = {"index": index.__name__} if index else {}
+        record(name, best_of(run, scale.repeats), ops, **extra)
 
     # Service submission path: in-process and over the TCP transport,
     # both on the overload fixture.

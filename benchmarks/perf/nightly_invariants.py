@@ -9,7 +9,7 @@ occupancy oracles) and decision tracing enabled:
    pinned off so the pool genuinely runs);
 3. **oracle** — the same cells on the reference engine a test builds,
    ``repro.testing.oracle_simulator``: every index query answered by a
-   from-scratch ``PlacementIndex`` rebuild and its scalar scoring walk.
+   from-scratch ``ReferencePlacementIndex`` and its scalar scoring walk.
 
 All three must agree: identical ``SweepResult`` rows, byte-identical
 per-cell NDJSON traces between the serial and pooled runs, and no

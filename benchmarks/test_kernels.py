@@ -15,7 +15,9 @@ from repro.core.policies import KrevatPolicy
 from repro.core.simulator import Simulator
 from repro.failures.events import FailureLog
 from repro.geometry.coords import BGL_SUPERNODE_DIMS
+from repro.geometry.partition import Partition
 from repro.geometry.torus import Torus, circular_window_sum, wrap_pad_integral
+from repro.testing import ReferencePlacementIndex
 from repro.workloads.models import SDSC_SP
 from repro.workloads.scaling import fit_to_machine
 from repro.workloads.synthetic import generate_workload
@@ -24,9 +26,13 @@ D = BGL_SUPERNODE_DIMS
 
 
 def loaded_torus(fill: float = 0.5, seed: int = 0) -> Torus:
+    """Each node busy with probability ``fill``, as one 1x1x1 job: the
+    production index reads the allocation map, not the grid."""
     t = Torus(D)
     rng = np.random.default_rng(seed)
-    t.grid[rng.random(D.as_tuple()) < fill] = 999
+    for node in np.flatnonzero(rng.random(D.as_tuple()) < fill).tolist():
+        x, y, z = np.unravel_index(node, D.as_tuple())
+        t.allocate(node, Partition((int(x), int(y), int(z)), (1, 1, 1)))
     return t
 
 
@@ -55,8 +61,9 @@ def test_mfp_size(benchmark):
 
 
 def test_mfp_excluding(benchmark):
+    """The reference's scalar walk, one candidate at a time."""
     torus = loaded_torus(0.3)
-    index = PlacementIndex(torus)
+    index = ReferencePlacementIndex(torus)
     candidates = index.candidates(8)
     index.mfp_size()
 

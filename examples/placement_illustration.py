@@ -40,6 +40,13 @@ def render(torus: Torus, flagged: set[tuple[int, int, int]] = frozenset()) -> st
     return "\n".join(lines)
 
 
+def l_mfp(index: PlacementIndex, size: int) -> dict[Partition, int]:
+    """Every free placement of ``size`` nodes with its ``L_MFP``, in the
+    index's enumeration order."""
+    batch, losses = index.batch_mfp_losses(size)
+    return dict(zip(batch.partitions(), losses.tolist()))
+
+
 def figure1() -> None:
     print("=" * 60)
     print("Figure 1 - the MFP heuristic")
@@ -51,17 +58,17 @@ def figure1() -> None:
     print("\nMachine with jobs A and B (MFP =", index.mfp_size(), "):")
     print(render(torus))
 
-    # Enumerate every placement of a 2x2 job and keep the extremes the
+    # Score every placement of a 4-node job and keep the extremes the
     # paper's Figure 1 contrasts: the placement that butchers the MFP
     # versus the one that preserves it.
-    scored = index.scored_candidates(4)
-    worst = max(scored, key=lambda pl: pl[1])
-    best = min(scored, key=lambda pl: pl[1])
+    scored = l_mfp(index, 4)
+    worst = max(scored.items(), key=lambda pl: pl[1])
+    best = min(scored.items(), key=lambda pl: pl[1])
     for label, (part, loss) in (("(a) worst", worst), ("(b) best", best)):
         print(
             f"\nPlacement {label}: base {part.base[:2]}, shape "
             f"{part.shape[:2]}, L_MFP = {loss} "
-            f"(MFP after = {index.mfp_excluding(part)})"
+            f"(MFP after = {index.mfp_size() - loss})"
         )
     print("\nThe scheduler prefers (b): it leaves the larger MFP intact.")
 
@@ -76,7 +83,7 @@ def figure2() -> None:
     failing = (1, 3, 0)
     log = FailureLog(DIMS.volume, [FailureEvent(500.0, DIMS.index(failing))])
     predictor = BalancingPredictor(log, confidence=0.9)
-    index = PlacementIndex(torus)
+    scored = l_mfp(PlacementIndex(torus), 4)
 
     print("\nSame machine; node marked X is predicted to fail soon:")
     print(render(torus, flagged={failing}))
@@ -86,9 +93,9 @@ def figure2() -> None:
     for label, part in (("(c) over the X node", c), ("(d) stable twin", d)):
         p_f = predictor.partition_failure_probability(part, DIMS, 0.0, 1000.0)
         print(
-            f"\nPlacement {label}: L_MFP = {index.mfp_loss(part)}, "
+            f"\nPlacement {label}: L_MFP = {scored[part]}, "
             f"P_f = {p_f:.2f}, "
-            f"E_loss = {index.mfp_loss(part) + p_f * part.size:.2f}"
+            f"E_loss = {scored[part] + p_f * part.size:.2f}"
         )
     print(
         "\nEqual MFP loss -> the failure term decides: the scheduler takes"

@@ -10,14 +10,14 @@ partition of a requested size on the torus:
 * :class:`FastFinder` — the paper's Appendix-9 divisor-driven finder
   (``O(M^3 · s^3 · f(s)^3)``), vectorised with circular window sums.
 
-:class:`PlacementIndex` builds, for one occupancy state, the free-placement
-grid of *every* shape; it answers MFP queries and the scheduler's
-"MFP after hypothetically placing job J here" queries in near-constant
-time, which is what makes the balancing policy tractable.  The batch
-scoring surface (:class:`CandidateBatch` /
-:meth:`PlacementIndex.batch_mfp_losses`) scores all candidates of one
-size in a handful of NumPy gathers; :class:`IndexCache` reuses one index
-per machine state across scheduler loop iterations.
+:class:`PlacementIndex` holds, for one occupancy state, the free-placement
+grid of *every* shape, patched across allocations and releases; it
+answers MFP queries and scores every candidate of one size by its
+``L_MFP`` (:class:`CandidateBatch` /
+:meth:`PlacementIndex.batch_mfp_losses`) in a handful of NumPy ops,
+which is what makes the balancing policy tractable.  :class:`IndexCache`
+keeps one index in step with the torus across scheduler loop
+iterations.
 """
 
 from __future__ import annotations

@@ -1,43 +1,71 @@
-"""Maximal Free Partition (MFP) queries.
+"""Maximal Free Partition (MFP) queries: the production placement index.
 
 The MFP heuristic drives all three schedulers: a placement is judged by
 how much it shrinks the size of the largest free contiguous rectangular
 partition (``L_MFP``), because the next job in the FCFS queue may need a
 partition that large.
 
-:class:`PlacementIndex` is the **plain reference**: it precomputes one
-wrap-padded integral image of the occupancy grid, derives the
-free-placement grid of any shape lazily (8 array slices), and answers
-the scheduler's "MFP after hypothetically placing job J here" query
-(:meth:`mfp_excluding`) with a scalar early-exit walk over the
-non-empty shapes in decreasing-volume order — one box-sum lookup per
-shape on its placement integral: a placement of shape ``T`` survives
-partition ``P`` iff its base lies outside the modular box of bases
-whose window would intersect ``P``.
+:class:`PlacementIndex` answers every question the engine asks of one
+machine state.  Its core state is the all-shapes busy-window-sum tensor
+``sums[x, y, z, s]`` — the number of busy nodes inside the window of
+shape ``s`` based at ``(x, y, z)`` — patched in O(1) numpy ops per box
+mutation.  At BG/L scheduler scale (a 4x4x8 supernode torus, 128 shapes)
+the cost of a rebuild is not the arithmetic but the *number of numpy
+dispatches*, so the layout is **shape-minor**: the shape axis (128 long,
+against 4, 4 and 8 for the base axes) is innermost and contiguous, and
+every ufunc of the hot path runs its inner loop over a full row of
+shapes:
 
-Production never scores on it.  The engine runs on
-:class:`~repro.allocation.incremental.IncrementalPlacementIndex`, which
-inherits the query surface, patches its state across torus mutations
-and overrides the one scoring kernel (``_candidates_excluding``, the
-hook :meth:`PlacementIndex.batch_mfp_losses` calls) with a bit-mask
-resolve; :class:`IndexCache` hands the scheduler that index.
-The reference stays because the tests build it — a fresh
-``PlacementIndex`` per machine state, and
-:class:`repro.testing.RebuildIndexCache` to run a whole simulation on
-from-scratch rebuilds — and compare the production index with it field
-for field and loss for loss.
+* allocating or freeing a box ``B`` changes ``sums`` by
+  ``±overlap(B, window)``, and the overlap volume of two wrapped boxes
+  is *separable* — the product of three per-axis modular interval
+  overlaps.  Those per-axis overlap rows depend only on the torus
+  dimensions, so they are precomputed once per dims (:func:`_tables`)
+  and a mutation costs two table lookups, one broadcast multiply and
+  one accumulate;
+* the free-placement grids of every shape are then just ``sums == 0``
+  and the per-shape totals one add-reduce over the base axis
+  (:meth:`PlacementIndex._refresh`);
+* candidate scoring (:meth:`PlacementIndex.batch_mfp_losses`) reads
+  bit-packed per-axis projections of those grids — no placement
+  integrals at all.
 
-Candidates of one size are held as a struct-of-arrays
-(:class:`CandidateBatch`); :meth:`PlacementIndex.batch_mfp_losses`
-scores them all (what the policies call),
-:meth:`PlacementIndex.scored_candidates` pairs each materialised
-:class:`Partition` with an independent per-candidate :meth:`mfp_loss`
-walk (what the ``repro.testing.choose_partition_scalar`` reference calls).
+Each state pays only for what it is asked:
+
+* **Narrow tensor.**  ``sums`` and the overlap tables it is patched
+  from are stored in ``np.min_scalar_type(volume)`` — ``uint8`` on the
+  4x4x8 torus.  A window sum or an overlap never exceeds the volume,
+  and a release subtracts exactly the patch its allocation added, so
+  the arithmetic stays exact with no wrap-around.
+* **Lazy projections.**  The projections are built on the first scoring
+  of a state (:meth:`PlacementIndex._projections`), not by every sync:
+  the simulator syncs the index once per event batch but scores only
+  when a job fits.
+* **One enumerate-and-score pass per size.**  The candidates of every
+  shape of a size come out of one ``nonzero`` over the size's free
+  grids masked to canonical bases, and each candidate's fused
+  scoring-table row is read from a per-dims key table.  The enumeration
+  and its losses are kept per size until the next sync.
+
+There is no busy integral and the index never reads ``torus.grid``: it
+remembers which allocations its tensor holds, and
+:meth:`PlacementIndex.sync` diffs that map against the torus's.  A build
+is a zero tensor plus one sync; :class:`IndexCache` hands the scheduler
+one index and syncs it whenever ``torus.version`` moved.
+
+All patches are exact integer arithmetic, so every answer is **bitwise
+equal** to a from-scratch rebuild.  That rebuild is
+:class:`repro.testing.ReferencePlacementIndex` — lazy per-shape grids
+from a busy integral of ``torus.grid`` and a scalar early-exit scoring
+walk — which the differential suites under ``tests/allocation`` compare
+with this index field for field and loss for loss.  The two share only
+:class:`CandidateBatch`.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from functools import lru_cache
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -45,39 +73,8 @@ import numpy as np
 from repro.geometry.coords import Coord, TorusDims
 from repro.geometry.partition import Partition
 from repro.geometry.shapes import all_shapes, shapes_for_size
-from repro.geometry.torus import (
-    FREE,
-    Torus,
-    box_sum_at,
-    window_sums_from_integral,
-    wrap_pad_integral,
-)
+from repro.geometry.torus import Torus
 from repro.obs.metrics import MetricsRegistry
-
-
-def intersect_window(
-    dims: TorusDims, p_base: Coord, p_shape: Coord, t_shape: Coord
-) -> tuple[Coord, Coord]:
-    """Modular box of ``t_shape``-placement bases intersecting a partition.
-
-    A placement of shape ``T`` based at ``q`` intersects the partition
-    ``(p_base, p_shape)`` iff, on every axis, ``q`` lies in the modular
-    interval ``[p - T + 1, p + P - 1]`` of length ``min(extent,
-    P + T - 1)``.  Returns that box as ``(base, extents)``, ready for
-    one :func:`~repro.geometry.torus.box_sum_at` lookup.
-    """
-    return (
-        (
-            (p_base[0] - t_shape[0] + 1) % dims.x,
-            (p_base[1] - t_shape[1] + 1) % dims.y,
-            (p_base[2] - t_shape[2] + 1) % dims.z,
-        ),
-        (
-            min(dims.x, p_shape[0] + t_shape[0] - 1),
-            min(dims.y, p_shape[1] + t_shape[1] - 1),
-            min(dims.z, p_shape[2] + t_shape[2] - 1),
-        ),
-    )
 
 
 class CandidateBatch:
@@ -85,33 +82,14 @@ class CandidateBatch:
 
     Candidates are grouped by shape in enumeration order (shape order of
     :func:`~repro.geometry.shapes.shapes_for_size`, then base order —
-    row-major over ``(x, y, z)``), exactly the order of
-    :meth:`PlacementIndex.candidates`.  Bases along fully-spanned axes
-    are canonicalised to 0 and deduplicated (first occurrence wins), so
-    each node set appears once.  :class:`~repro.geometry.partition.Partition`
+    row-major over ``(x, y, z)``).  Bases along fully-spanned axes are
+    canonicalised to 0 and deduplicated (first occurrence wins), so each
+    node set appears once.  :class:`~repro.geometry.partition.Partition`
     objects are materialised lazily — only for the winning candidate and
     for trace records — via :meth:`partition`.
     """
 
     __slots__ = ("dims", "shapes", "starts", "bases", "_shape_rows")
-
-    def __init__(
-        self, dims: TorusDims, shapes: tuple[Coord, ...], groups: list[np.ndarray]
-    ) -> None:
-        self.dims = dims
-        self.shapes = shapes
-        starts = [0]
-        for group in groups:
-            starts.append(starts[-1] + group.shape[0])
-        #: Row offsets: group ``g`` occupies rows ``starts[g]:starts[g+1]``.
-        self.starts: tuple[int, ...] = tuple(starts)
-        #: ``(n, 3)`` canonical bases, all groups concatenated.
-        self.bases: np.ndarray = (
-            np.concatenate(groups, axis=0)
-            if groups
-            else np.empty((0, 3), dtype=np.int64)
-        )
-        self._shape_rows: np.ndarray | None = None
 
     @classmethod
     def packed(
@@ -121,8 +99,9 @@ class CandidateBatch:
         starts: tuple[int, ...],
         bases: np.ndarray,
     ) -> "CandidateBatch":
-        """A batch whose groups arrive already concatenated: group ``g``
-        is ``bases[starts[g]:starts[g+1]]``."""
+        """The batch whose group ``g`` (shape ``shapes[g]``) is
+        ``bases[starts[g]:starts[g+1]]``, ``bases`` an ``(n, 3)`` array
+        of canonical bases."""
         batch = cls.__new__(cls)
         batch.dims = dims
         batch.shapes = shapes
@@ -172,302 +151,491 @@ class CandidateBatch:
         return out
 
 
+class _DimsTables:
+    """Static per-dims lookup tables shared by every placement index.
+
+    Everything here depends only on the torus dimensions (and the fixed
+    decreasing-volume shape order of
+    :func:`~repro.geometry.shapes.all_shapes`), never on occupancy.
+    Every table that meets the window-sum tensor is **shape-minor** like
+    it: the shape axis comes last, so a gathered row is a stack of
+    contiguous ``(S,)`` vectors.  The scoring masks carry one column
+    more, ``S``: the *empty shape*, of volume 0, which survives every
+    candidate — so the first surviving column always exists and its
+    volume is the answer.
+    """
+
+    __slots__ = (
+        "dims_tuple",
+        "shapes",
+        "row_of",
+        "ext",
+        "vol",
+        "sum_dtype",
+        "overlap",
+        "zmask",
+        "zall",
+        "keys",
+        "canon",
+        "bitoff",
+        "basebits",
+        "oxy",
+        "coords",
+        "_size_rows",
+    )
+
+    def __init__(self, dims_tuple: Coord) -> None:
+        self.dims_tuple = dims_tuple
+        X, Y, Z = dims_tuple
+        if X + Y + Z > 64:
+            raise ValueError(
+                f"torus {dims_tuple} needs {X + Y + Z} projection bits; "
+                "the placement index packs them into one 64-bit word"
+            )
+        dims = TorusDims(*dims_tuple)
+        shapes = all_shapes(dims)
+        n_shapes = len(shapes)
+        self.shapes = shapes
+        self.row_of = {shape: row for row, shape in enumerate(shapes)}
+        self.ext = np.array(shapes, dtype=np.int64)            # (S, 3)
+        # Shape volumes, then 0 for the empty shape.
+        self.vol = np.append(self.ext.prod(axis=1), 0)          # (S+1,)
+        # Window sums, overlaps and per-shape placement counts are all
+        # bounded by the machine volume: one unsigned dtype that holds
+        # it is exact for every table that meets ``sums``.
+        self.sum_dtype = np.min_scalar_type(X * Y * Z)
+        # Per-axis modular interval overlaps: overlap[axis][a-1, b] is
+        # the (P, S) table of |[q, q+t_s) ∩ [b, b+a)| on the circle of
+        # period P, for every window base q and shape row s.  A box
+        # mutation's effect on ``sums`` is the outer product (over the
+        # base axes, shape by shape) of its three axis rows.
+        self.overlap = tuple(
+            self._axis_overlap(dims_tuple[axis], self.ext[:, axis], self.sum_dtype)
+            for axis in range(3)
+        )
+        # Bit-packed zero-overlap masks: bit ``q`` of ``zmask[axis][a-1,
+        # b, s]`` is set iff ``overlap[axis][a-1, b, q, s] == 0``.  Axis
+        # reductions over a tiny dimension are pathologically slow in
+        # numpy relative to 2-D integer ops, so the disjointness test in
+        # ``_excluded`` is phrased as bitmask ANDs.  The empty shape's
+        # column holds z bit 0, which its projection also sets.
+        self.zmask = tuple(
+            np.concatenate(
+                [
+                    (
+                        (ov == 0)
+                        * (1 << np.arange(p, dtype=np.int64))[None, None, :, None]
+                    ).sum(axis=2),
+                    np.full((p, p, 1), int(axis == 2), dtype=np.int64),
+                ],
+                axis=2,
+            )
+            for axis, (ov, p) in enumerate(zip(self.overlap, dims_tuple))
+        )
+        # The three per-axis masks of one shape packed into disjoint bit
+        # ranges of one word (z low, then y, then x).
+        self.bitoff = (Z + Y, Z, 0)                              # x, y, z
+        word = np.min_scalar_type((1 << (X + Y + Z)) - 1)
+        # Row-major base coordinates: coords[flat_index] == unravel.
+        x, y, z = np.unravel_index(np.arange(X * Y * Z), dims_tuple)
+        self.coords = np.stack([x, y, z], axis=1).astype(np.int64)
+        # canon[s, b]: base ``b`` is shape ``s``'s canonical
+        # representative of its node set — 0 on every fully-spanned
+        # axis.  The free grid is constant along such an axis (the
+        # window covers all of it), so masking to canonical bases is
+        # the reference's first-occurrence dedup, in the same order.
+        spanned = self.ext == np.array(dims_tuple, dtype=np.int64)
+        self.canon = ~(
+            spanned[:, None, :] & (self.coords[None, :, :] != 0)
+        ).any(axis=2)                                            # (S, XYZ)
+        # One fused table for the three axes: row ``key`` holds, per
+        # probe shape, all three zero-overlap masks of one candidate
+        # (shape extents and base) in that packing, so a resolve costs
+        # one gather instead of three; ``keys[s, b]`` is the row of
+        # shape ``s`` based at ``b``.  Only built when the table stays
+        # small; the per-axis ``zmask`` path remains as fallback.
+        n_keys = (X * X) * (Y * Y) * (Z * Z)
+        if X + Y + Z <= 16 and n_keys * n_shapes <= 1 << 22:
+            # Assembled in the word dtype: an int64 intermediate would
+            # be four times the table.
+            zx = self.zmask[0].astype(word).reshape(X * X, 1, 1, n_shapes + 1)
+            zy = self.zmask[1].astype(word).reshape(1, Y * Y, 1, n_shapes + 1)
+            zz = self.zmask[2].astype(word).reshape(1, 1, Z * Z, n_shapes + 1)
+            self.zall = (
+                (zx << self.bitoff[0]) | (zy << self.bitoff[1]) | zz
+            ).reshape(n_keys, n_shapes + 1)
+            # key = kx * Y²Z² + ky * Z² + kz with k_axis = (t-1)*P + b.
+            a = self.ext - 1
+            self.keys = (
+                (a[:, 0, None] * X + x) * (Y * Y) + (a[:, 1, None] * Y + y)
+            ) * (Z * Z) + (a[:, 2, None] * Z + z)                # (S, XYZ)
+        else:
+            self.zall = None
+            self.keys = None
+        # The word of one base: its own ``x``, ``y`` and ``z`` bit in
+        # the packing above.  ``_projections`` multiplies the free grids
+        # by this column and OR-reduces over the bases, which projects
+        # every grid onto all three axes at once.
+        self.basebits = (
+            (1 << (x + self.bitoff[0])) | (1 << (y + self.bitoff[1])) | (1 << z)
+        ).astype(word)[:, None]                                 # (XYZ, 1)
+        # Pairwise x*y product tables, one (X, Y, S) block per (kx, ky)
+        # key: a box patch then costs one multiply+accumulate
+        # instead of two multiplies (the z factor is applied on the fly).
+        if (X * X) * (Y * Y) * n_shapes * X * Y <= 1 << 23:
+            self.oxy = (
+                self.overlap[0].reshape(X * X, 1, X, 1, n_shapes)
+                * self.overlap[1].reshape(1, Y * Y, 1, Y, n_shapes)
+            ).reshape((X * X) * (Y * Y), X, Y, n_shapes)
+        else:
+            self.oxy = None
+        self._size_rows: dict[int, np.ndarray] = {}
+
+    @staticmethod
+    def _axis_overlap(
+        period: int, extents: np.ndarray, dtype: np.dtype
+    ) -> np.ndarray:
+        """``(P, P, P, S)`` table: ``[a-1, b, q, s]`` is the modular
+        interval overlap ``|[q, q+extents[s]) ∩ [b, b+a)| (mod P)``."""
+        p = np.arange(period)
+        # member[pos, q, t-1]: is position ``pos`` inside [q, q+t)?
+        member = (
+            ((p[:, None] - p[None, :]) % period)[:, :, None]
+            < np.arange(1, period + 1)[None, None, :]
+        ).astype(np.int32)
+        t_idx = extents - 1                                      # (S,)
+        out = np.empty((period, period, period, extents.shape[0]), dtype=dtype)
+        for a in range(1, period + 1):
+            for b in range(period):
+                pos = (b + np.arange(a)) % period
+                out[a - 1, b] = member[pos].sum(axis=0)[:, t_idx]  # (q, S)
+        return out
+
+    def size_rows(self, size: int) -> np.ndarray:
+        """Shape rows of every shape with volume ``size`` that fits,
+        in :func:`~repro.geometry.shapes.shapes_for_size` order."""
+        rows = self._size_rows.get(size)
+        if rows is None:
+            rows = np.array(
+                [
+                    self.row_of[s]
+                    for s in shapes_for_size(size, TorusDims(*self.dims_tuple))
+                ],
+                dtype=np.intp,
+            )
+            self._size_rows[size] = rows
+        return rows
+
+
+@lru_cache(maxsize=8)
+def _tables(dims_tuple: Coord) -> _DimsTables:
+    return _DimsTables(dims_tuple)
+
+
+@lru_cache(maxsize=8)
+def _tables(dims_tuple: Coord) -> _DimsTables:
+    return _DimsTables(dims_tuple)
+
+
 class PlacementIndex:
-    """Free-placement grids for every shape, for one occupancy state."""
+    """Every shape's free placements for one torus state, patched across
+    mutations and scored by bit masks.
+
+    ``_applied`` (job id → partition) names the allocations ``_sums``
+    holds.  :meth:`sync` diffs it against the torus's allocation map and
+    patches one box per job that left or arrived — O(1) numpy dispatches
+    per box — then :meth:`_refresh` re-derives the per-state fields.
+    Construction is a zero tensor plus one :meth:`sync`, so a build and a
+    repair run the same patches.
+    """
 
     __slots__ = (
         "dims",
         "torus_version",
-        "_shape_order",
-        "_busy_integral",
-        "_grids",
-        "_totals",
-        "_mfp_size",
-        "_nonempty_rows",
-        "_scan_pos",
-        "_candidate_cache",
-        "_scored_cache",
-        "_batch_cache",
-        "_batch_scored_cache",
+        "_tables",
+        "_sums",
+        "_applied",
+        "_free",
+        "_tot",
+        "_ne_idx",
+        "_fall",
+        "_feasible",
+        "_sizes",
     )
 
     def __init__(self, torus: Torus) -> None:
+        t = _tables(torus.dims.as_tuple())
+        self._tables = t
         self.dims: TorusDims = torus.dims
-        self._shape_order = all_shapes(torus.dims)  # decreasing volume
-        self._busy_integral = wrap_pad_integral((torus.grid != FREE).astype(np.int64))
-        self._reset(torus)
+        self._sums = np.zeros(t.dims_tuple + (len(t.shapes),), t.sum_dtype)
+        self._applied: dict[int, Partition] = {}
+        self.sync(torus)
 
-    def _reset(self, torus: Torus) -> None:
-        """Drop every per-state answer: the index now stands for
-        ``torus``'s current state.  The constructor calls it, and so does
-        every :meth:`~repro.allocation.incremental.IncrementalPlacementIndex.sync`.
+    # ------------------------------------------------------------------
+    # maintenance
+    # ------------------------------------------------------------------
+    def sync(self, torus: Torus) -> None:
+        """Bring the index to ``torus``'s current state.
+
+        The allocations ``_sums`` holds are diffed against
+        ``torus.allocations()`` by identity: a partition no longer held
+        by its job (released, or moved by a migration) is patched out,
+        one newly held is patched in.  One patch is the box's ``(X, Y,
+        S)`` x·y overlap block times its ``(Z, S)`` z overlap rows.  The
+        frees go first, so every intermediate tensor is a real occupancy
+        and the unsigned sums never wrap.  Afterwards the index answers
+        exactly as a fresh build would.
         """
+        t = self._tables
+        sums = self._sums
+        X, Y, _ = t.dims_tuple
+        applied = self._applied
+        held = dict(torus.allocations())
+        changes = [
+            (np.subtract, p) for j, p in applied.items() if held.get(j) is not p
+        ]
+        changes += [(np.add, p) for j, p in held.items() if applied.get(j) is not p]
+        for op, partition in changes:
+            bx, by, bz = partition.base
+            ax, ay, az = partition.shape
+            if t.oxy is not None:
+                oxy = t.oxy[((ax - 1) * X + bx) * (Y * Y) + (ay - 1) * Y + by]
+            else:
+                oxy = (
+                    t.overlap[0][ax - 1, bx][:, None, :]
+                    * t.overlap[1][ay - 1, by][None, :, :]
+                )                                                # (X, Y, S)
+            op(sums, oxy[:, :, None, :] * t.overlap[2][az - 1, bz], out=sums)
+        self._applied = held
         self.torus_version = torus.version
-        # Lazy per-shape placement grids: a typical index build touches
-        # only the handful of shapes the current queue asks about, so an
-        # eager all-shapes batch (tried; ~4x slower end-to-end) loses to
-        # 15 us-per-shape laziness.
-        self._grids: dict[Coord, np.ndarray] = {}
-        self._totals: dict[Coord, int] = {}
-        self._mfp_size: int | None = None
-        self._nonempty_rows: list[tuple[int, Coord, int, np.ndarray]] = []
-        self._scan_pos = 0
-        self._candidate_cache: dict[int, list[Partition]] = {}
-        self._scored_cache: dict[int, list[tuple[Partition, int]]] = {}
-        self._batch_cache: dict[int, CandidateBatch] = {}
-        self._batch_scored_cache: dict[int, tuple[CandidateBatch, np.ndarray]] = {}
+        self._refresh()
 
-    # ------------------------------------------------------------------
-    def _placements(self, shape: Coord) -> np.ndarray:
-        """Boolean grid: True where a free placement of ``shape`` is based."""
-        grid = self._grids.get(shape)
-        if grid is None:
-            grid = (
-                window_sums_from_integral(
-                    self._busy_integral, self.dims.as_tuple(), shape
-                )
-                == 0
-            )
-            self._grids[shape] = grid
-            self._totals[shape] = int(np.count_nonzero(grid))
-        return grid
+    def _refresh(self) -> None:
+        """Re-derive every per-state field from ``_sums``.
 
-    def count_placements(self, shape: Coord) -> int:
-        """Number of free placements of ``shape`` (bases, not node sets)."""
-        self._placements(shape)
-        return self._totals[shape]
-
-    # ------------------------------------------------------------------
-    def candidate_batch(self, size: int) -> CandidateBatch:
-        """All free partitions of exactly ``size`` nodes as arrays.
-
-        Same enumeration order and canonical dedup as :meth:`candidates`
-        (which materialises its list from this batch), but the bases stay
-        struct-of-arrays so the batch scoring kernels can gather them
-        without touching Python objects.
+        ``sums == 0`` and one add-reduce over the leading (base) axis —
+        a whole-row accumulate, never a reduction along a short trailing
+        axis.  What only scoring and the backfill walk read (projections,
+        feasible sizes, per-size enumerations and losses) is dropped here
+        and rebuilt on demand.
         """
-        batch = self._batch_cache.get(size)
-        if batch is not None:
-            return batch
-        dims = self.dims
-        dims_shape = dims.as_tuple()
+        t = self._tables
+        free = self._sums == 0
+        self._free = free                                          # (X,Y,Z,S)
+        fr = free.view(np.uint8).reshape(-1, len(t.shapes))        # (XYZ, S)
+        self._tot = np.add.reduce(fr, axis=0, dtype=t.sum_dtype)  # (S,)
+        self._ne_idx = np.flatnonzero(self._tot)
+        self._feasible: frozenset[int] | None = None
+        self._fall: np.ndarray | None = None
+        #: size → [batch, shape rows, flat bases, losses or None].
+        self._sizes: dict[int, list] = {}
+
+    def _projections(self) -> np.ndarray:
+        """Bit-packed per-axis projections of the free grids, built on
+        the first scoring of a state.
+
+        In the ``zall`` layout: bit ``bitoff[axis] + v`` of ``fall[s]``
+        is set iff some free placement of shape ``s`` has coordinate
+        ``v`` on that axis — the whole state :meth:`_excluded` needs.
+        A free base contributes its own three bits, so one multiply by
+        a per-base word and one OR-reduce project every grid at once.
+        ``fall[S]``, the empty shape, is z bit 0.
+        """
+        fall = self._fall
+        if fall is None:
+            t = self._tables
+            n_shapes = len(t.shapes)
+            proj = self._free.view(np.uint8).reshape(-1, n_shapes)
+            proj = proj.astype(t.basebits.dtype)
+            proj *= t.basebits
+            fall = np.empty(n_shapes + 1, dtype=t.basebits.dtype)
+            np.bitwise_or.reduce(proj, axis=0, out=fall[:n_shapes])
+            fall[n_shapes] = 1
+            self._fall = fall
+        return fall
+
+    # ------------------------------------------------------------------
+    # candidates and scoring
+    # ------------------------------------------------------------------
+    def _excluded(self, rows: np.ndarray, flat: np.ndarray) -> np.ndarray:
+        """MFP size after hypothetically allocating each candidate of
+        shape rows ``rows`` based at row-major flat bases ``flat``
+        (primary cell).
+
+        A free placement of probe shape ``s`` at ``q`` survives
+        candidate ``c`` iff the wrapped boxes are disjoint, i.e. the
+        per-axis overlap is zero on *some* axis.  ``any(free & (zx |
+        zy | zz))`` distributes over the OR into three per-axis tests
+        against the bit-packed projections, so the whole resolve is a
+        handful of 2-D integer dispatches on ``(n, S+1)`` arrays — no
+        probe integrals, no scalar walk.  The answer per candidate is
+        the volume of the first surviving column in the decreasing-volume
+        shape order, exactly the reference walk's early exit; the empty
+        shape's column always survives, so a candidate that leaves
+        nothing free answers 0 with no special case.
+        """
+        t = self._tables
+        fall = self._projections()
+        if t.zall is not None:
+            survive = (t.zall[t.keys[rows, flat]] & fall) != 0   # (n, S+1)
+        else:
+            # No fused table for these dims: test axis by axis.  A
+            # per-axis mask has no bit at or above its period, so
+            # shifting the projections down to an axis's range is all
+            # the unpacking the AND needs.
+            a = t.ext[rows] - 1
+            b = t.coords[flat]
+            ox, oy, _ = t.bitoff
+            fall = fall.astype(np.int64)
+            survive = (
+                (t.zmask[0][a[:, 0], b[:, 0]] & (fall >> ox))
+                | (t.zmask[1][a[:, 1], b[:, 1]] & (fall >> oy))
+                | (t.zmask[2][a[:, 2], b[:, 2]] & fall)
+            ) != 0                                               # (n, S+1)
+        return t.vol[survive.argmax(axis=1)]
+
+    def _enumerate(self, size: int) -> list:
+        """Every free partition of ``size`` in one pass: the per-size
+        entry ``[batch, shape rows, flat bases, None]``.
+
+        The size's free grids, one row of bases per shape and masked to
+        canonical bases (0 on every fully-spanned axis — the free grid
+        is constant along such an axis, so this is first-occurrence
+        dedup), go through one ``nonzero`` that walks them shape-major,
+        base-minor: the shape order of ``shapes_for_size``, row-major
+        bases.  The entry is kept until :meth:`sync`, so a policy's
+        ``candidate_batch`` and the scoring after it share one pass.
+        """
+        t = self._tables
+        rows = t.size_rows(size)
+        hits = self._free.reshape(-1, len(t.shapes)).T[rows]      # (R, XYZ)
+        hits &= t.canon[rows]
+        r, flat = np.nonzero(hits)
         shapes: list[Coord] = []
-        groups: list[np.ndarray] = []
-        for shape in shapes_for_size(size, dims):
-            if self.count_placements(shape) == 0:
-                continue
-            grid = self._placements(shape)
-            bases = np.stack(
-                np.unravel_index(np.flatnonzero(grid), dims_shape), axis=1
-            ).astype(np.int64, copy=False)
-            if shape[0] == dims.x or shape[1] == dims.y or shape[2] == dims.z:
-                # Only full-span shapes can alias node sets across bases:
-                # pin spanned axes to 0 and keep each node set's first
-                # occurrence (flatnonzero order is row-major, matching
-                # the scalar scan).
-                for axis in range(3):
-                    if shape[axis] == dims_shape[axis]:
-                        bases[:, axis] = 0
-                keys = (bases[:, 0] * dims.y + bases[:, 1]) * dims.z + bases[:, 2]
-                _, first = np.unique(keys, return_index=True)
-                bases = bases[np.sort(first)]
-            shapes.append(shape)
-            groups.append(bases)
-        batch = CandidateBatch(dims, tuple(shapes), groups)
-        self._batch_cache[size] = batch
-        return batch
+        starts = [0]
+        counts = np.bincount(r, minlength=rows.size).tolist()
+        for row, count in zip(rows.tolist(), counts):
+            if count:
+                shapes.append(t.shapes[row])
+                starts.append(starts[-1] + count)
+        batch = CandidateBatch.packed(
+            self.dims, tuple(shapes), tuple(starts), t.coords[flat]
+        )
+        entry = self._sizes[size] = [batch, rows[r], flat, None]
+        return entry
 
-    def candidates(self, size: int) -> list[Partition]:
-        """All free partitions of exactly ``size`` nodes, deduplicated.
-
-        Bases along fully-spanned axes are canonicalised to 0 so each node
-        set appears once.  Materialised from :meth:`candidate_batch`, so
-        list and batch enumeration can never drift apart.
-        """
-        cached = self._candidate_cache.get(size)
-        if cached is None:
-            cached = self.candidate_batch(size).partitions()
-            self._candidate_cache[size] = cached
-        return cached
-
-    def scored_candidates(self, size: int) -> list[tuple[Partition, int]]:
-        """Candidates paired with their ``L_MFP`` via the scalar walk.
-
-        The reference :meth:`batch_mfp_losses` is compared against:
-        every loss comes from an independent per-candidate
-        :meth:`mfp_loss` walk.  Cached per size.
-        """
-        cached = self._scored_cache.get(size)
-        if cached is None:
-            cached = [(p, self.mfp_loss(p)) for p in self.candidates(size)]
-            self._scored_cache[size] = cached
-        return cached
+    def candidate_batch(self, size: int) -> CandidateBatch:
+        """All free partitions of exactly ``size`` nodes as arrays."""
+        return (self._sizes.get(size) or self._enumerate(size))[0]
 
     def batch_mfp_losses(self, size: int) -> tuple[CandidateBatch, np.ndarray]:
         """Every candidate of ``size`` with its ``L_MFP``, as arrays.
 
         Returns ``(batch, losses)`` where ``losses[i]`` is the MFP
-        shrinkage caused by allocating ``batch.partition(i)`` — aligned
-        with, and bitwise equal to, ``scored_candidates(size)``.  One
-        :meth:`_candidates_excluding` resolve for the whole size,
-        candidates of every shape together; cached per size, like the
-        scalar form.
+        shrinkage caused by allocating ``batch.partition(i)`` — bitwise
+        equal to the reference's per-candidate scalar walk.  One resolve
+        for the whole size, candidates of every shape together, kept
+        with the size's enumeration until :meth:`sync`.
         """
-        cached = self._batch_scored_cache.get(size)
-        if cached is None:
-            batch, excluding = self._candidates_excluding(size)
-            cached = (batch, self.mfp_size() - excluding)
-            self._batch_scored_cache[size] = cached
-        return cached
-
-    def _candidates_excluding(
-        self, size: int
-    ) -> tuple[CandidateBatch, np.ndarray]:
-        """``candidate_batch(size)`` with every candidate's
-        ``mfp_excluding``: the kernel behind :meth:`batch_mfp_losses`.
-        The production index overrides this hook (one enumerate-and-score
-        pass), never ``batch_mfp_losses`` itself."""
-        batch = self.candidate_batch(size)
-        return batch, self._batch_excluding(batch.bases, batch.shape_rows())
+        entry = self._sizes.get(size) or self._enumerate(size)
+        if entry[3] is None:
+            entry[3] = self.mfp_size() - self._excluded(entry[1], entry[2])
+        return entry[0], entry[3]
 
     def has_candidate(self, size: int) -> bool:
         """True when at least one free partition of ``size`` exists."""
-        for shape in shapes_for_size(size, self.dims):
-            if self.count_placements(shape) > 0:
-                return True
-        return False
+        # The volumes of the non-empty shape rows, once per state: the
+        # backfill walk asks this for every distinct waiting size.
+        feasible = self._feasible
+        if feasible is None:
+            feasible = self._feasible = frozenset(
+                self._tables.vol[self._ne_idx].tolist()
+            )
+        return size in feasible
 
+    def mfp_size(self) -> int:
+        """Size of the maximal free partition (0 on a full machine)."""
+        idx = self._ne_idx
+        return int(self._tables.vol[idx[0]]) if idx.size else 0
+
+    def mfp_partition(self) -> Partition | None:
+        """One witness maximal free partition, or None on a full machine:
+        the first free base, row-major, of the largest free shape."""
+        idx = self._ne_idx
+        if idx.size == 0:
+            return None
+        row = int(idx[0])
+        base = self._tables.coords[int(self._free[..., row].argmax())]
+        return Partition(
+            (int(base[0]), int(base[1]), int(base[2])), self._tables.shapes[row]
+        )
+
+    # ------------------------------------------------------------------
+    # EASY reservation
+    # ------------------------------------------------------------------
     def first_fit_release(
         self, size: int, releases: Sequence[Partition]
     ) -> int | None:
         """Index of the first of ``releases`` after which ``size`` fits.
 
         ``releases`` are allocated partitions freed hypothetically, in
-        order, on top of this index's state (the EASY shadow-time replay);
-        ``None`` when no free partition of ``size`` exists even after the
-        last one.  This rebuild form re-derives the busy integral and the
-        windows of the size's shapes after each release.
+        order, on top of this state (the EASY shadow-time replay);
+        ``None`` when no free partition of ``size`` exists even after
+        the last one.  Replayed from the jobs that stay (DESIGN §5.15):
+        after release ``k`` a window is free exactly when no allocation
+        still held — in ``releases[k+1:]`` or not listed at all — overlaps
+        it.  The sums stay in the narrow dtype: they count busy nodes of
+        one window.  The replay runs ``(n, R, bases)``, gathered in that
+        order straight from the shape-minor tables.
         """
-        dims = self.dims
-        shapes = shapes_for_size(size, dims)
-        if not shapes:
+        t = self._tables
+        rows = t.size_rows(size)
+        if not rows.size:
             return None
-        dims_shape = dims.as_tuple()
-        busy = window_sums_from_integral(self._busy_integral, dims_shape, (1, 1, 1))
-        free_now = dims.volume - int(busy.sum())
-        for k, partition in enumerate(releases):
-            busy[np.ix_(*partition.axis_ranges(dims))] = 0
-            free_now += partition.size
-            # No box of ``size`` nodes can exist with fewer free nodes;
-            # skip the window rebuild until releases reach that mass.
-            if free_now < size:
-                continue
-            integral = wrap_pad_integral(busy)
-            for shape in shapes:
-                if not window_sums_from_integral(integral, dims_shape, shape).all():
-                    return k
-        return None
-
-    # ------------------------------------------------------------------
-    def mfp_size(self) -> int:
-        """Size of the maximal free partition (0 on a full machine)."""
-        if self._mfp_size is None:
-            self._mfp_size = 0
-            for shape in self._shape_order:
-                if self.count_placements(shape) > 0:
-                    self._mfp_size = shape[0] * shape[1] * shape[2]
-                    break
-        return self._mfp_size
-
-    def mfp_partition(self) -> Partition | None:
-        """One witness maximal free partition, or None on a full machine."""
-        for shape in self._shape_order:
-            if self.count_placements(shape) > 0:
-                grid = self._placements(shape)
-                # First-hit lookup: argmax short-circuits at the first
-                # True base — no (n, 3) argwhere materialisation.
-                base = np.unravel_index(int(grid.argmax()), grid.shape)
-                return Partition(
-                    (int(base[0]), int(base[1]), int(base[2])), shape
-                )
-        return None
-
-    # ------------------------------------------------------------------
-    def _iter_nonempty_shapes(self) -> Iterator[tuple[int, Coord, int, np.ndarray]]:
-        """Yield ``(volume, shape, total, placement_integral)`` probe rows
-        in decreasing-volume order.
-
-        ``placement_integral`` is the wrap-padded integral image of the
-        shape's free-placement grid (intersect counting).  Rows memoise
-        as the all-shapes scan first reaches them and the scan resumes
-        where earlier walks stopped: every ``mfp_excluding`` query walks
-        this list from the top, and most resolve within the first few
-        non-empty shapes.
-        """
-        rows = self._nonempty_rows
-        order = self._shape_order
-        i = 0
-        while True:
-            while i >= len(rows) and self._scan_pos < len(order):
-                shape = order[self._scan_pos]
-                self._scan_pos += 1
-                total = self.count_placements(shape)
-                if total > 0:
-                    rows.append(
-                        (
-                            shape[0] * shape[1] * shape[2],
-                            shape,
-                            total,
-                            wrap_pad_integral(
-                                self._placements(shape).astype(np.int64)
-                            ),
-                        )
-                    )
-            if i >= len(rows):
-                return
-            yield rows[i]
-            i += 1
-
-    def mfp_excluding(self, partition: Partition) -> int:
-        """MFP size after hypothetically allocating ``partition``.
-
-        Equivalent to allocating, rebuilding the index and asking
-        :meth:`mfp_size`, but costs scalar lookups instead of a rebuild.
-        """
-        return self._mfp_excluding_at(partition.base, partition.shape)
-
-    def _mfp_excluding_at(self, p_base: Coord, p_shape: Coord) -> int:
-        """Scalar :meth:`mfp_excluding` walk on raw base/shape tuples."""
-        dims = self.dims
-        for volume, shape, total, integral in self._iter_nonempty_shapes():
-            base, extents = intersect_window(dims, p_base, p_shape, shape)
-            if total > box_sum_at(integral, base, extents):
-                return volume
-        return 0
-
-    def _batch_excluding(
-        self, bases: np.ndarray, cand_shapes: np.ndarray
-    ) -> np.ndarray:
-        """``mfp_excluding`` for ``n`` candidates, each with its own shape.
-
-        ``bases`` is an ``(n, 3)`` integer array (any integers; wrapped
-        into the primary cell here), ``cand_shapes`` the matching
-        ``(n, 3)`` shapes.  The scalar walk, one candidate at a time;
-        the production index scores through its own
-        :meth:`_candidates_excluding` instead.
-        """
-        wrapped = (bases % np.array(self.dims.as_tuple(), dtype=np.int64)).tolist()
-        return np.array(
-            [
-                self._mfp_excluding_at(tuple(base), tuple(shape))
-                for base, shape in zip(wrapped, cand_shapes.tolist())
-            ],
-            dtype=np.int64,
-        )
-
-    def mfp_loss(self, partition: Partition) -> int:
-        """``L_MFP``: MFP shrinkage caused by allocating ``partition``."""
-        return self.mfp_size() - self.mfp_excluding(partition)
+        # Node-count bound: no box of ``size`` nodes exists before the
+        # free nodes (the 1x1x1 row of ``_tot``) plus the nodes released
+        # reach ``size``, so the answer is at least ``k0``.
+        free = int(self._tot[t.row_of[(1, 1, 1)]])
+        for k0, partition in enumerate(releases):
+            free += partition.size
+            if free >= size:
+                break
+        else:
+            return None
+        # Patch only what is still held at ``k0``.  The shadow replay
+        # lists every running job, so it never searches for unlisted
+        # ones; when nothing stays (a full-machine head) ``k0`` is the
+        # answer with no numpy call.
+        n_tail = len(releases) - 1 - k0
+        stay = list(releases[k0 + 1:])
+        if len(releases) < len(self._applied):
+            listed = set(releases)
+            stay += [p for p in self._applied.values() if p not in listed]
+        if not stay:
+            return k0
+        wrap = self.dims.wrap
+        box = np.array([wrap(p.base) + p.shape for p in stay])       # (n, 6)
+        r = rows[None, :]
+        ox = t.overlap[0][box[:, 3, None] - 1, box[:, 0, None], :, r]  # (n, R, X)
+        oy = t.overlap[1][box[:, 4, None] - 1, box[:, 1, None], :, r]
+        oz = t.overlap[2][box[:, 5, None] - 1, box[:, 2, None], :, r]
+        busy = (ox[:, :, :, None] * oy[:, :, None, :])[..., None] \
+            * oz[:, :, None, None, :]                                # (n,R,X,Y,Z)
+        # Running sums from the end, so ``busy[i]`` is the busy count
+        # after release ``k0 + i``; one whole-block add each, since an
+        # accumulate along the leading axis runs a strided loop per cell.
+        total = busy[-1]
+        for patch in busy[-2::-1]:
+            patch += total
+            total = patch
+        # Release-major, so the first hit in flat order names the first
+        # release that empties a window (bool argmax stops there).  With
+        # no unlisted job the last release drains the machine.
+        hit = (busy[: n_tail + 1] == 0).ravel()
+        first = int(hit.argmax())
+        if hit[first]:
+            return k0 + first // busy[0].size
+        return None if len(stay) > n_tail else k0 + n_tail
 
 
 class IndexCache:
@@ -477,18 +645,18 @@ class IndexCache:
     current machine state": the dispatch scan, the backfill walk's
     feasible-size gate and the shadow-time release replay share the
     simulator's cache, and the compaction planner keeps one over its
-    scratch torus.  The cache holds one
-    :class:`~repro.allocation.incremental.IncrementalPlacementIndex`,
-    built on the first lookup; an unchanged ``torus.version`` returns it
-    as is, and when the version moved it is *synced* to the torus's
-    allocation map (one O(box) patch per job that left or arrived), however
-    many mutations lie in between.  On the ``metrics`` registry the cache
-    was handed (none: nothing is counted) ``index.incremental.hit`` /
+    scratch torus.  The cache holds one :class:`PlacementIndex`, built on
+    the first lookup; an unchanged ``torus.version`` returns it as is,
+    and when the version moved it is *synced* to the torus's allocation
+    map (one O(box) patch per job that left or arrived), however many
+    mutations lie in between.  On the ``metrics`` registry the cache was
+    handed (none: nothing is counted) ``index.incremental.hit`` /
     ``repair`` record which path each lookup took and ``index.builds``
     the one build.
 
     :class:`repro.testing.RebuildIndexCache` is the reference twin the
-    tests substitute: a from-scratch :class:`PlacementIndex` per state.
+    tests substitute: a from-scratch
+    :class:`~repro.testing.ReferencePlacementIndex` per state.
     """
 
     __slots__ = ("torus", "metrics", "_index")
@@ -504,14 +672,12 @@ class IndexCache:
         torus = self.torus
         registry = self.metrics
         if index is None:
-            from repro.allocation.incremental import IncrementalPlacementIndex
-
-            index = self._index = IncrementalPlacementIndex(torus)
+            index = self._index = PlacementIndex(torus)
             counter = "index.builds"
         elif index.torus_version == torus.version:
             counter = "index.incremental.hit"
         else:
-            index.sync(torus)  # type: ignore[attr-defined]
+            index.sync(torus)
             counter = "index.incremental.repair"
         if registry is not None:
             registry.counter(counter).inc()

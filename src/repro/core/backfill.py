@@ -15,7 +15,7 @@ partition machinery after each release.
 :class:`ShadowTimeEngine` is the production path: it asks the scheduler
 pass's own placement index (through the shared
 :class:`~repro.allocation.mfp.IndexCache`) for the first release after
-which the head fits — on the incremental index a node-count bound and
+which the head fits — on the placement index a node-count bound and
 then running sums of the overlap patches of the jobs that stay, no
 scratch grid — and memoises the answer per ``(torus.version,
 head_size)`` so scheduler passes that did not mutate the machine —

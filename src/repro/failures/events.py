@@ -42,43 +42,38 @@ class FailureLog:
     __slots__ = ("n_nodes", "times", "nodes")
 
     def __init__(self, n_nodes: int, events: Sequence[FailureEvent] = ()) -> None:
-        if n_nodes < 1:
-            raise FailureModelError(f"n_nodes must be positive, got {n_nodes}")
-        self.n_nodes = n_nodes
-        order = sorted(range(len(events)), key=lambda i: (events[i].time, events[i].node))
-        times = np.array([events[i].time for i in order], dtype=np.float64)
-        nodes = np.array([events[i].node for i in order], dtype=np.int64)
-        if nodes.size and int(nodes.max()) >= n_nodes:
-            raise FailureModelError(
-                f"node id {int(nodes.max())} out of range for {n_nodes} nodes"
-            )
-        times.setflags(write=False)
-        nodes.setflags(write=False)
-        self.times = times
-        self.nodes = nodes
+        self._validate(
+            n_nodes,
+            np.array([e.time for e in events], dtype=np.float64),
+            np.array([e.node for e in events], dtype=np.int64),
+        )
 
-    # ------------------------------------------------------------------
     @classmethod
     def from_arrays(cls, n_nodes: int, times: np.ndarray, nodes: np.ndarray) -> "FailureLog":
         """Build a log from parallel arrays (no per-event objects)."""
-        if times.shape != nodes.shape:
-            raise FailureModelError("times and nodes must have equal shapes")
         log = cls.__new__(cls)
+        log._validate(n_nodes, times, nodes)
+        return log
+
+    def _validate(self, n_nodes: int, times: np.ndarray, nodes: np.ndarray) -> None:
+        """The one path into a log: range checks, a ``(time, node)``
+        sort and read-only copies of both arrays."""
         if n_nodes < 1:
             raise FailureModelError(f"n_nodes must be positive, got {n_nodes}")
-        order = np.lexsort((nodes, times))
-        t = np.asarray(times, dtype=np.float64)[order]
-        n = np.asarray(nodes, dtype=np.int64)[order]
-        if t.size and float(t.min()) < 0:
+        times = np.asarray(times, dtype=np.float64)
+        nodes = np.asarray(nodes, dtype=np.int64)
+        if times.shape != nodes.shape:
+            raise FailureModelError("times and nodes must have equal shapes")
+        if times.size and float(times.min()) < 0:
             raise FailureModelError("failure times must be >= 0")
-        if n.size and (int(n.min()) < 0 or int(n.max()) >= n_nodes):
-            raise FailureModelError("node ids out of range")
-        t.setflags(write=False)
-        n.setflags(write=False)
-        log.n_nodes = n_nodes
-        log.times = t
-        log.nodes = n
-        return log
+        if nodes.size and (int(nodes.min()) < 0 or int(nodes.max()) >= n_nodes):
+            raise FailureModelError(f"node ids out of range for {n_nodes} nodes")
+        order = np.lexsort((nodes, times))
+        self.n_nodes = n_nodes
+        self.times = times[order]
+        self.nodes = nodes[order]
+        self.times.setflags(write=False)
+        self.nodes.setflags(write=False)
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:

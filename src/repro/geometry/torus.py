@@ -146,7 +146,7 @@ class Torus:
     * the allocation map (:meth:`allocations`) and the grid describe one
       state; the production placement index reads the map and patches
       itself forward by diffing it
-      (:meth:`repro.allocation.incremental.IncrementalPlacementIndex.sync`).
+      (:meth:`repro.allocation.mfp.PlacementIndex.sync`).
     """
 
     __slots__ = (

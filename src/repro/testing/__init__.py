@@ -17,8 +17,10 @@ headline claims rest on:
 
 It is also where the **reference engine** is built.  Production runs one
 engine and has no option to pick another; a test that wants the
-independent answer constructs it: :class:`RebuildIndexCache` (a fresh
-plain ``PlacementIndex`` per machine state) for index-level comparisons,
+independent answer constructs it: :class:`ReferencePlacementIndex` (the
+from-scratch index of one machine state, read from the occupancy grid)
+and :class:`RebuildIndexCache` (a fresh one per machine state) for
+index-level comparisons,
 :func:`oracle_simulator` for a whole run on it — same arguments as
 ``Simulator``, reports and traces byte-identical by contract;
 :func:`choose_partition_scalar` and :func:`shadow_time_naive` for one
@@ -46,6 +48,7 @@ from repro.testing.random_state import (
 )
 from repro.testing.reference import (
     RebuildIndexCache,
+    ReferencePlacementIndex,
     choose_partition_scalar,
     oracle_simulator,
     shadow_time_naive,
@@ -60,6 +63,7 @@ __all__ = [
     "InvariantViolationError",
     "OracleError",
     "RebuildIndexCache",
+    "ReferencePlacementIndex",
     "SimulationOracleHarness",
     "assert_raises_oracle",
     "choose_partition_scalar",

@@ -1,21 +1,20 @@
 """Property-based cross-validation of the production scoring kernel.
 
-What the policies run — ``batch_mfp_losses`` on an
-:class:`IncrementalPlacementIndex`, i.e. its one enumerate-and-score
-pass and the bit-mask ``_excluded`` kernel — must be *bitwise*
-interchangeable with the
-scalar reference on a fresh plain :class:`PlacementIndex`
-(:meth:`PlacementIndex.scored_candidates` / :meth:`mfp_excluding`): same
-candidates, same enumeration order, same losses.  The headline sweep
+What the policies run — ``batch_mfp_losses`` on the production
+:class:`PlacementIndex`, i.e. its one enumerate-and-score pass and the
+bit-mask ``_excluded`` kernel — must be *bitwise* interchangeable with
+the scalar reference on a fresh :class:`ReferencePlacementIndex`
+(``scored_candidates`` / ``mfp_excluding``): same candidates, same
+enumeration order, same losses.  The headline sweep
 pins ``max_examples=100`` regardless of the active hypothesis profile,
 so every run (including CI) cross-validates at least 100 generated
 machine states.
 
 Enumeration is additionally checked against an independent
 ``argwhere``-based reference that rebuilds the candidate list straight
-from the busy integral image — :meth:`candidates` materialises from
-:meth:`candidate_batch` in production, so only an outside reference can
-catch both drifting together.
+from the busy integral image — the reference's ``candidates``
+materialises from its own ``candidate_batch``, so only an outside
+reference can catch both drifting together.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.allocation.incremental import IncrementalPlacementIndex
 from repro.allocation.mfp import PlacementIndex
 from repro.geometry.coords import TorusDims
 from repro.geometry.partition import Partition
@@ -34,7 +32,7 @@ from repro.geometry.torus import (
     window_sums_from_integral,
     wrap_pad_integral,
 )
-from repro.testing import RebuildIndexCache, random_torus
+from repro.testing import RebuildIndexCache, ReferencePlacementIndex, random_torus
 
 dims_strategy = st.builds(
     TorusDims, st.integers(1, 4), st.integers(1, 4), st.integers(1, 5)
@@ -83,8 +81,8 @@ class TestBatchVsScalar:
         """≥100 random states: production losses == scalar reference
         losses, candidate for candidate, in enumeration order."""
         size = data.draw(st.sampled_from(schedulable_sizes(torus.dims)))
-        batch, losses = IncrementalPlacementIndex(torus).batch_mfp_losses(size)
-        scored = PlacementIndex(torus).scored_candidates(size)
+        batch, losses = PlacementIndex(torus).batch_mfp_losses(size)
+        scored = ReferencePlacementIndex(torus).scored_candidates(size)
         assert len(batch) == len(scored)
         assert batch.partitions() == [p for p, _ in scored]
         assert losses.dtype == np.int64
@@ -102,10 +100,10 @@ class TestBatchVsScalar:
         headline sweep never draws."""
         torus = random_torus(dims, np.random.default_rng(seed), attempts=10)
         size = data.draw(st.sampled_from(schedulable_sizes(dims)))
-        index = IncrementalPlacementIndex(torus)
+        index = PlacementIndex(torus)
         assert index._sums.dtype == np.min_scalar_type(dims.volume)
         batch, losses = index.batch_mfp_losses(size)
-        scored = PlacementIndex(torus).scored_candidates(size)
+        scored = ReferencePlacementIndex(torus).scored_candidates(size)
         assert batch.partitions() == [p for p, _ in scored]
         assert losses.tolist() == [loss for _, loss in scored]
 
@@ -133,12 +131,11 @@ class TestBatchVsScalar:
             ],
             axis=1,
         ).astype(np.int64)
-        shapes = np.broadcast_to(np.array(shape, dtype=np.int64), (n, 3))
-        index = IncrementalPlacementIndex(torus)
+        index = PlacementIndex(torus)
         flat = np.ravel_multi_index(tuple(bases.T), dims.as_tuple(), mode="wrap")
         rows = np.full(n, index._tables.row_of[shape])
         got = index._excluded(rows, flat)
-        reference = PlacementIndex(torus)
+        reference = ReferencePlacementIndex(torus)
         want = [
             reference.mfp_excluding(
                 Partition(dims.wrap((int(b[0]), int(b[1]), int(b[2]))), shape)
@@ -147,20 +144,20 @@ class TestBatchVsScalar:
         ]
         assert got.dtype == np.int64
         assert got.tolist() == want
-        # The reference's own array form is that same walk.
-        assert reference._batch_excluding(bases, shapes).tolist() == want
 
 
 class TestEnumeration:
     @settings(max_examples=100, deadline=None)
     @given(torus_states(), st.data())
     def test_matches_independent_reference(self, torus, data):
-        """Batch and list enumeration both equal the argwhere reference."""
+        """The production batch and the reference's batch and list
+        enumerations all equal the argwhere reference."""
         size = data.draw(st.sampled_from(schedulable_sizes(torus.dims)))
-        index = PlacementIndex(torus)
+        reference = ReferencePlacementIndex(torus)
         want = reference_candidates(torus, size)
-        assert index.candidates(size) == want
-        assert index.candidate_batch(size).partitions() == want
+        assert PlacementIndex(torus).candidate_batch(size).partitions() == want
+        assert reference.candidates(size) == want
+        assert reference.candidate_batch(size).partitions() == want
 
     @settings(max_examples=50, deadline=None)
     @given(torus_states(), st.data())
@@ -203,13 +200,13 @@ class TestEnumeration:
 class TestIndexCache:
     """The reference cache of ``repro.testing``: one fresh plain index
     per machine state (the production cache's repair contract is
-    covered with the incremental index's differential suite)."""
+    covered by the production index's differential suite)."""
 
     def test_reuses_until_version_bump(self):
         torus = Torus(TorusDims(4, 4, 4))
         cache = RebuildIndexCache(torus)
         first = cache.get()
-        assert type(first) is PlacementIndex
+        assert type(first) is ReferencePlacementIndex
         assert cache.get() is first
         torus.allocate(1, Partition((0, 0, 0), (2, 2, 2)))
         second = cache.get()

@@ -1,14 +1,14 @@
-"""Differential harness: incremental index vs from-scratch rebuild.
+"""Differential harness: the patched production index vs a from-scratch
+rebuild.
 
-:class:`~repro.allocation.incremental.IncrementalPlacementIndex` patches
-its shape-minor window-sum tensor in place as the torus mutates (it
-never builds a busy integral: a build is a zero tensor synced to the
-allocation map); the from-scratch
-:class:`~repro.allocation.mfp.PlacementIndex` is the retained oracle
-(DESIGN.md §5.12).  The property tests here drive random alloc/free
+:class:`~repro.allocation.mfp.PlacementIndex` patches its shape-minor
+window-sum tensor in place as the torus mutates (it never builds a busy
+integral: a build is a zero tensor synced to the allocation map); the
+from-scratch :class:`~repro.testing.ReferencePlacementIndex` is the
+retained oracle (DESIGN.md §5.12).  The property tests here drive random alloc/free
 sequences — including wraparound boxes and full-axis-span shapes whose
 aliased bases must canonicalise — through the public torus API, sync
-one long-lived incremental index to the allocation map, and assert
+one long-lived production index to the allocation map, and assert
 **bitwise** field-for-field equality with a fresh rebuild after every
 mutation.
 
@@ -26,14 +26,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.allocation.incremental import IncrementalPlacementIndex
 from repro.allocation.mfp import IndexCache, PlacementIndex
 from repro.geometry.coords import TorusDims
 from repro.geometry.partition import Partition
 from repro.geometry.shapes import all_shapes, schedulable_sizes, shapes_for_size
 from repro.geometry.torus import Torus
 from repro.obs.metrics import MetricsRegistry
-from repro.testing import random_partition, random_torus
+from repro.testing import ReferencePlacementIndex, random_partition, random_torus
 
 dims_strategy = st.builds(
     TorusDims,
@@ -78,9 +77,9 @@ def axis_bits(grid: np.ndarray, axis: int) -> int:
     return sum(1 << int(v) for v in np.flatnonzero(grid.any(axis=other)))
 
 
-def assert_matches_rebuild(inc: IncrementalPlacementIndex, torus: Torus) -> None:
+def assert_matches_rebuild(inc: PlacementIndex, torus: Torus) -> None:
     """Field-for-field bitwise equality with a fresh oracle rebuild."""
-    fresh = PlacementIndex(torus)
+    fresh = ReferencePlacementIndex(torus)
     assert inc.torus_version == torus.version
     assert inc._applied == dict(torus.allocations())
     assert not hasattr(inc, "_busy_integral")  # never built
@@ -95,12 +94,11 @@ def assert_matches_rebuild(inc: IncrementalPlacementIndex, torus: Torus) -> None
     sizes = set()
     for shape in shapes:
         sizes.add(shape[0] * shape[1] * shape[2])
-        assert inc.count_placements(shape) == fresh.count_placements(shape)
         grid = fresh._placements(shape)
-        np.testing.assert_array_equal(inc._placements(shape), grid)
         # The derived state the scoring kernel and the candidate
         # enumeration read, checked against its definition.
         row = t.row_of[shape]
+        np.testing.assert_array_equal(inc._free[..., row], grid)
         assert inc._tot[row] == np.count_nonzero(grid)
         word = int(fall[row])
         assert word >> off_x == axis_bits(grid, 0)
@@ -132,7 +130,7 @@ class TestPerPassLookups:
     def test_feasible_sizes_after_journal_replay(self, dims, seed, steps):
         rng = np.random.default_rng(seed)
         torus = Torus(dims)
-        inc = IncrementalPlacementIndex(torus)
+        inc = PlacementIndex(torus)
         live: dict[int, Partition] = {}
         next_id = 0
         for _ in range(steps):
@@ -142,7 +140,7 @@ class TestPerPassLookups:
             for _ in range(2):
                 for size in range(1, dims.volume + 2):
                     expected = any(
-                        inc.count_placements(shape)
+                        inc._tot[inc._tables.row_of[shape]]
                         for shape in shapes_for_size(size, dims)
                     )
                     assert inc.has_candidate(size) == expected, size
@@ -159,13 +157,13 @@ class TestPerPassLookups:
         subsets, whose unlisted allocations stay held all replay long."""
         rng = np.random.default_rng(seed)
         torus = Torus(dims)
-        inc = IncrementalPlacementIndex(torus)
+        inc = PlacementIndex(torus)
         live: dict[int, Partition] = {}
         next_id = 0
         for _ in range(steps):
             next_id = mutate(torus, rng, live, next_id)
         inc.sync(torus)
-        fresh = PlacementIndex(torus)
+        fresh = ReferencePlacementIndex(torus)
         order = [live[j] for j in rng.permutation(sorted(live))]
         subset = [p for p in order if rng.random() < 0.5]
         variants = [order, order[:1], [], subset]
@@ -191,8 +189,8 @@ class TestPerPassLookups:
         nodes = [Partition((0, 0, z), (1, 1, 1)) for z in (0, 2, 1, 3)]
         for job, node in enumerate(nodes):
             torus.allocate(job, node)
-        inc = IncrementalPlacementIndex(torus)
-        fresh = PlacementIndex(torus)
+        inc = PlacementIndex(torus)
+        fresh = ReferencePlacementIndex(torus)
         for releases in (nodes, nodes[:3]):
             assert inc.first_fit_release(2, releases) == 2
             assert fresh.first_fit_release(2, releases) == 2
@@ -211,7 +209,7 @@ class TestIncrementalTracksMutations:
     def test_equal_to_rebuild_after_every_mutation(self, dims, seed, steps):
         rng = np.random.default_rng(seed)
         torus = Torus(dims)
-        inc = IncrementalPlacementIndex(torus)
+        inc = PlacementIndex(torus)
         live: dict[int, Partition] = {}
         next_id = 0
         for _ in range(steps):
@@ -230,7 +228,7 @@ class TestIncrementalTracksMutations:
         """One ``sync`` spanning several mutations is still exact."""
         rng = np.random.default_rng(seed)
         torus = Torus(dims)
-        inc = IncrementalPlacementIndex(torus)
+        inc = PlacementIndex(torus)
         live: dict[int, Partition] = {}
         next_id = 0
         for _ in range(rounds):
@@ -249,26 +247,22 @@ class TestIncrementalTracksMutations:
         scalar early-exit walk, on every candidate."""
         rng = np.random.default_rng(seed)
         torus = Torus(dims)
-        inc = IncrementalPlacementIndex(torus)
+        inc = PlacementIndex(torus)
         live: dict[int, Partition] = {}
         next_id = 0
         for _ in range(4):
             next_id = mutate(torus, rng, live, next_id)
         inc.sync(torus)
-        fresh = PlacementIndex(torus)
+        fresh = ReferencePlacementIndex(torus)
         size = inc.mfp_size()
         if size == 0:
             return
         batch = inc.candidate_batch(size)
         if len(batch) == 0:
             return
-        _, got = inc._candidates_excluding(size)
-        scalar = [fresh.mfp_excluding(p) for p in batch.partitions()]
-        np.testing.assert_array_equal(got, scalar)
-        # The scalar walk the patched index inherits (lazy placement
-        # integrals over its own free grids) answers the same.
-        assert [inc.mfp_excluding(p) for p in batch.partitions()] == scalar
         _, inc_losses = inc.batch_mfp_losses(size)
+        scalar = [fresh.mfp_excluding(p) for p in batch.partitions()]
+        np.testing.assert_array_equal(size - inc_losses, scalar)
         assert inc_losses.tolist() == [
             loss for _, loss in fresh.scored_candidates(size)
         ]
@@ -283,7 +277,7 @@ class TestFullSpanAliasing:
         torus = Torus(dims)
         # Spans x fully, wraps on y (base 2 + extent 2 > 3).
         torus.allocate(0, Partition((3, 2, 0), (4, 2, 1)))
-        inc = IncrementalPlacementIndex(torus)
+        inc = PlacementIndex(torus)
         assert_matches_rebuild(inc, torus)
         batch = inc.candidate_batch(dims.x)  # x-spanning shapes exist
         for shape, _, bases in batch.groups():
@@ -294,7 +288,7 @@ class TestFullSpanAliasing:
     def test_whole_machine_shape(self):
         dims = TorusDims(2, 2, 3)
         torus = Torus(dims)
-        inc = IncrementalPlacementIndex(torus)
+        inc = PlacementIndex(torus)
         assert_matches_rebuild(inc, torus)
         batch = inc.candidate_batch(dims.volume)
         assert len(batch) == 1
@@ -311,19 +305,20 @@ class TestZallFallback:
         table is not built for the dims) is bitwise equal to it."""
         dims = TorusDims(4, 4, 5)
         torus = random_torus(dims, np.random.default_rng(7), attempts=10)
-        inc = IncrementalPlacementIndex(torus)
+        inc = PlacementIndex(torus)
         size = inc.mfp_size()
         assert size > 0
         batch = inc.candidate_batch(size)
         assert len(batch) > 0
         t = inc._tables
         assert t.zall is not None
-        _, fast = inc._candidates_excluding(size)
+        _, rows, flat, _ = inc._sizes[size]
+        fast = inc._excluded(rows, flat)
         saved = (t.zall, t.keys)
         t.zall = None
         t.keys = None
         try:
-            _, slow = inc._candidates_excluding(size)
+            slow = inc._excluded(rows, flat)
         finally:
             t.zall, t.keys = saved
         np.testing.assert_array_equal(fast, slow)
@@ -338,7 +333,7 @@ class TestBeyondTheFusedTables:
         ``dims_strategy`` reaches."""
         dims = TorusDims(8, 8, 4)
         torus = Torus(dims)
-        inc = IncrementalPlacementIndex(torus)
+        inc = PlacementIndex(torus)
         t = inc._tables
         assert t.oxy is None and t.zall is None
         assert inc._sums.dtype == np.uint16
@@ -351,7 +346,7 @@ class TestBeyondTheFusedTables:
             inc.sync(torus)
             assert_matches_rebuild(inc, torus)
         assert live and next_id > len(live)  # both ops were replayed
-        fresh = PlacementIndex(torus)
+        fresh = ReferencePlacementIndex(torus)
         seen = set()
         # The MFP size, and a smaller one whose candidates do not all
         # cost the same.
@@ -368,14 +363,14 @@ class TestBeyondTheFusedTables:
         """65 projection bits do not fit the word ``_fall`` packs them
         into: refused up front, not scored with wrapped shifts."""
         with pytest.raises(ValueError, match="65 projection bits"):
-            IncrementalPlacementIndex(Torus(TorusDims(1, 1, 63)))
+            PlacementIndex(Torus(TorusDims(1, 1, 63)))
 
 
-def assert_scores_like_scalar_walk(inc: IncrementalPlacementIndex, torus: Torus) -> int:
+def assert_scores_like_scalar_walk(inc: PlacementIndex, torus: Torus) -> int:
     """The fused enumerate-and-score pass against the reference's
     scalar walk, for every schedulable size; returns how many
     candidates of full-span shapes it met."""
-    fresh = PlacementIndex(torus)
+    fresh = ReferencePlacementIndex(torus)
     dims = torus.dims.as_tuple()
     full_span = 0
     for size in schedulable_sizes(torus.dims):
@@ -397,7 +392,7 @@ class TestFusedPassAndNarrowTensor:
     def test_full_span_shapes_on_asymmetric_dims(self):
         dims = TorusDims(2, 3, 5)
         torus = Torus(dims)
-        inc = IncrementalPlacementIndex(torus)
+        inc = PlacementIndex(torus)
         assert inc._tables.zall is not None
         rng = np.random.default_rng(5)
         live: dict[int, Partition] = {}
@@ -413,7 +408,7 @@ class TestFusedPassAndNarrowTensor:
         per-axis masks (volume 192 still sums in one byte)."""
         dims = TorusDims(4, 6, 8)
         torus = random_torus(dims, np.random.default_rng(3), attempts=8)
-        inc = IncrementalPlacementIndex(torus)
+        inc = PlacementIndex(torus)
         assert inc._tables.zall is None and inc._tables.keys is None
         assert inc._sums.dtype == np.uint8
         assert_matches_rebuild(inc, torus)
@@ -426,7 +421,7 @@ class TestFusedPassAndNarrowTensor:
         tensor patches up to 256 and back to exactly zero."""
         dims = TorusDims(4, 4, 16)
         torus = Torus(dims)
-        inc = IncrementalPlacementIndex(torus)
+        inc = PlacementIndex(torus)
         assert inc._sums.dtype == np.uint16
         slabs = [Partition((0, 0, z), (4, 4, 1)) for z in range(16)]
         for job, slab in enumerate(slabs):
@@ -435,7 +430,7 @@ class TestFusedPassAndNarrowTensor:
         assert int(inc._sums.max()) == dims.volume
         assert inc.mfp_size() == 0 and len(inc.batch_mfp_losses(1)[0]) == 0
         assert_matches_rebuild(inc, torus)
-        fresh = PlacementIndex(torus)
+        fresh = ReferencePlacementIndex(torus)
         for size, releases in (
             (dims.volume, slabs),
             (32, slabs[5:7]),
@@ -459,15 +454,15 @@ class TestEnumerateOnce:
         reuses that enumeration instead of running its own, and
         ``sync`` drops it with the state it described."""
         runs = []
-        enumerate_ = IncrementalPlacementIndex._enumerate
+        enumerate_ = PlacementIndex._enumerate
 
         def counted(self, size):
             runs.append(size)
             return enumerate_(self, size)
 
-        monkeypatch.setattr(IncrementalPlacementIndex, "_enumerate", counted)
+        monkeypatch.setattr(PlacementIndex, "_enumerate", counted)
         torus = random_torus(TorusDims(4, 4, 8), np.random.default_rng(2), attempts=6)
-        inc = IncrementalPlacementIndex(torus)
+        inc = PlacementIndex(torus)
         batch = inc.candidate_batch(8)
         assert len(batch) > 1
         scored, _ = inc.batch_mfp_losses(8)

@@ -1,4 +1,5 @@
-"""Tests for MFP computation and the incremental PlacementIndex."""
+"""Tests for MFP computation: the production PlacementIndex and the
+scalar walk of the reference index."""
 
 from __future__ import annotations
 
@@ -11,14 +12,19 @@ from repro.geometry.partition import Partition
 from repro.geometry.torus import Torus
 from repro.allocation import FastFinder, PlacementIndex, mfp_partition, mfp_size
 from repro.geometry.shapes import all_shapes
+from repro.testing import ReferencePlacementIndex
 
 D = BGL_SUPERNODE_DIMS
 
 
 def random_torus(dims: TorusDims, fill: float, seed: int) -> Torus:
+    """Each node busy with probability ``fill``: one 1x1x1 job per busy
+    node, allocated so the production index sees it too."""
     t = Torus(dims)
     rng = np.random.default_rng(seed)
-    t.grid[rng.random(dims.as_tuple()) < fill] = 999
+    for node in np.flatnonzero(rng.random(dims.as_tuple()) < fill).tolist():
+        x, y, z = np.unravel_index(node, dims.as_tuple())
+        t.allocate(node, Partition((int(x), int(y), int(z)), (1, 1, 1)))
     return t
 
 
@@ -78,14 +84,13 @@ class TestPlacementIndex:
         finder = FastFinder()
         for size in (1, 4, 8, 16, 32):
             expected = {p.node_set(D) for p in finder.find_free_unique(t, size)}
-            got = {p.node_set(D) for p in index.candidates(size)}
+            got = {p.node_set(D) for p in index.candidate_batch(size).partitions()}
             assert got == expected
 
     def test_candidates_deduplicated(self):
         t = Torus(D)
         index = PlacementIndex(t)
-        parts = index.candidates(128)
-        assert len(parts) == 1
+        assert len(index.candidate_batch(128)) == 1
 
     def test_has_candidate(self):
         t = Torus(D)
@@ -96,38 +101,35 @@ class TestPlacementIndex:
         assert not index.has_candidate(11)
 
     def test_count_placements_empty_machine(self):
-        index = PlacementIndex(Torus(D))
+        index = ReferencePlacementIndex(Torus(D))
         # On an empty torus every base hosts every shape.
         assert index.count_placements((1, 1, 1)) == 128
         assert index.count_placements((4, 4, 8)) == 128
 
     def test_mfp_excluding_matches_real_allocation(self):
         t = random_torus(D, 0.3, 21)
-        index = PlacementIndex(t)
+        index = ReferencePlacementIndex(t)
         for p in index.candidates(8)[:20]:
             predicted = index.mfp_excluding(p)
-            t2 = Torus(D)
-            t2.grid[...] = t.grid
-            t2.grid[np.ix_(*p.axis_ranges(D))] = 998
-            assert predicted == mfp_size(t2), p
+            t.allocate(998, p)
+            assert predicted == mfp_size(t), p
+            t.release(998)
 
     @given(st.integers(0, 10_000), st.floats(0.0, 0.8), st.sampled_from([1, 2, 4, 6, 8]))
     @settings(max_examples=30, deadline=None)
     def test_mfp_excluding_property(self, seed, fill, size):
         dims = TorusDims(3, 3, 4)
         t = random_torus(dims, fill, seed)
-        index = PlacementIndex(t)
+        index = ReferencePlacementIndex(t)
         cands = index.candidates(size)
         if not cands:
             return
         p = cands[seed % len(cands)]
-        t2 = Torus(dims)
-        t2.grid[...] = t.grid
-        t2.grid[np.ix_(*p.axis_ranges(dims))] = 998
-        assert index.mfp_excluding(p) == mfp_size(t2)
+        t.allocate(998, p)
+        assert index.mfp_excluding(p) == mfp_size(t)
 
     def test_mfp_loss_nonnegative(self):
         t = random_torus(D, 0.3, 33)
-        index = PlacementIndex(t)
+        index = ReferencePlacementIndex(t)
         for p in index.candidates(4)[:30]:
             assert 0 <= index.mfp_loss(p) <= index.mfp_size()

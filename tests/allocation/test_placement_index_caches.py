@@ -1,7 +1,9 @@
-"""Cache-consistency tests for PlacementIndex.
+"""Cache-consistency tests for the reference placement index.
 
-The scheduler leans on several layers of per-state memoisation; these
-tests pin that the caches never change answers, only cost.
+:class:`~repro.testing.ReferencePlacementIndex` memoises per state
+(grids, candidate lists, scalar scores); these tests pin that the caches
+never change answers, only cost.  The states are written into
+``torus.grid`` directly, which only the reference reads.
 """
 
 from __future__ import annotations
@@ -9,9 +11,9 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.allocation import PlacementIndex
 from repro.geometry.coords import BGL_SUPERNODE_DIMS, TorusDims
 from repro.geometry.torus import Torus
+from repro.testing import ReferencePlacementIndex
 
 D = BGL_SUPERNODE_DIMS
 
@@ -25,18 +27,18 @@ def random_torus(fill: float, seed: int, dims: TorusDims = D) -> Torus:
 
 class TestCaches:
     def test_candidates_cached_identical(self):
-        index = PlacementIndex(random_torus(0.4, 0))
+        index = ReferencePlacementIndex(random_torus(0.4, 0))
         a = index.candidates(8)
         b = index.candidates(8)
         assert a is b
 
     def test_scored_candidates_match_direct_scoring(self):
-        index = PlacementIndex(random_torus(0.4, 1))
+        index = ReferencePlacementIndex(random_torus(0.4, 1))
         for partition, loss in index.scored_candidates(8):
             assert loss == index.mfp_loss(partition)
 
     def test_mfp_size_stable_across_queries(self):
-        index = PlacementIndex(random_torus(0.5, 2))
+        index = ReferencePlacementIndex(random_torus(0.5, 2))
         first = index.mfp_size()
         index.candidates(4)
         index.scored_candidates(2)
@@ -45,7 +47,7 @@ class TestCaches:
     def test_index_isolated_from_torus_mutation(self):
         """An index snapshot answers for the state it was built on."""
         torus = random_torus(0.3, 3)
-        index = PlacementIndex(torus)
+        index = ReferencePlacementIndex(torus)
         before = index.mfp_size()
         # Mutate the torus afterwards; the index must not change.
         from repro.geometry.partition import Partition
@@ -58,13 +60,13 @@ class TestCaches:
     @given(st.integers(0, 10_000), st.sampled_from([1, 2, 4, 8, 16]))
     @settings(max_examples=25, deadline=None)
     def test_has_candidate_agrees_with_candidates(self, seed, size):
-        index = PlacementIndex(random_torus(0.6, seed))
+        index = ReferencePlacementIndex(random_torus(0.6, seed))
         assert index.has_candidate(size) == bool(index.candidates(size))
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)
     def test_mfp_loss_zero_only_when_mfp_preserved(self, seed):
-        index = PlacementIndex(random_torus(0.4, seed))
+        index = ReferencePlacementIndex(random_torus(0.4, seed))
         for partition in index.candidates(4)[:10]:
             loss = index.mfp_loss(partition)
             assert (loss == 0) == (index.mfp_excluding(partition) == index.mfp_size())

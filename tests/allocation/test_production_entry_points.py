@@ -2,9 +2,13 @@
 
 Outside timing wrappers (``benchmarks/e2e/spans.py``) replace
 ``PlacementIndex.batch_mfp_losses`` and ``IndexCache.get`` on the class
-and count what passes through.  An override of ``batch_mfp_losses`` on
-the production index, or an index built or repaired behind the cache's
-back, would leave those counts at 0 while the work still happened.  The
+and count what passes through.  An index class that scored through
+another name, or an index built or repaired behind the cache's back,
+would leave those counts at 0 while the work still happened.  So the
+production index is :class:`PlacementIndex` itself — what
+``IndexCache.get`` hands out, with ``batch_mfp_losses`` defined on it —
+and neither it nor the test-only ``ReferencePlacementIndex`` inherits
+from the other.  The
 test wraps both the same way and runs short simulations: every scoring
 kernel run must happen inside a wrapped ``batch_mfp_losses`` and every
 index build or repair inside a wrapped ``IndexCache.get``.  A
@@ -27,14 +31,16 @@ from collections import Counter
 
 import pytest
 
-from repro.allocation.incremental import IncrementalPlacementIndex
 from repro.allocation.mfp import IndexCache, PlacementIndex
 from repro.api import SimulationSetup
 from repro.core.policies.balancing import BalancingPolicy
 from repro.core.policies.krevat import KrevatPolicy
 from repro.core.policies.tiebreak import TieBreakPolicy
 from repro.failures.events import FailureLog
+from repro.geometry.coords import BGL_SUPERNODE_DIMS
+from repro.geometry.torus import Torus
 from repro.prediction import BalancingPredictor, TieBreakPredictor
+from repro.testing import ReferencePlacementIndex
 
 #: Span targets of ``prediction.score`` / ``failures.window_query``.
 PREDICTION_TARGETS = (
@@ -47,8 +53,13 @@ PREDICTION_TARGETS = (
 
 
 def test_batch_mfp_losses_is_not_overridden():
-    assert "batch_mfp_losses" not in vars(IncrementalPlacementIndex)
-    assert "_candidates_excluding" in vars(IncrementalPlacementIndex)
+    assert type(IndexCache(Torus(BGL_SUPERNODE_DIMS)).get()) is PlacementIndex
+    assert "batch_mfp_losses" in vars(PlacementIndex)
+    assert "candidate_batch" in vars(PlacementIndex)
+    assert PlacementIndex.__bases__ == (object,)
+    assert ReferencePlacementIndex.__bases__ == (object,)
+    assert not issubclass(PlacementIndex, ReferencePlacementIndex)
+    assert not issubclass(ReferencePlacementIndex, PlacementIndex)
 
 
 @pytest.mark.parametrize("owner, attr", PREDICTION_TARGETS)
@@ -90,9 +101,9 @@ def test_every_scoring_and_lookup_passes_the_span_targets(
 
     wrap(PlacementIndex, "batch_mfp_losses", "score")
     wrap(IndexCache, "get", "get")
-    wrap(IncrementalPlacementIndex, "_candidates_excluding", "kernel", "score")
-    wrap(IncrementalPlacementIndex, "sync", "repair", "get")
-    wrap(IncrementalPlacementIndex, "__init__", "build", "get")
+    wrap(PlacementIndex, "_excluded", "kernel", "score")
+    wrap(PlacementIndex, "sync", "repair", "get")
+    wrap(PlacementIndex, "__init__", "build", "get")
     wrap(BalancingPredictor, "partition_failure_probabilities", "predict")
     wrap(TieBreakPredictor, "predict_failures", "predict")
     wrap(FailureLog, "nodes_failing_in", "window", "predict")

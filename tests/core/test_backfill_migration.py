@@ -126,8 +126,8 @@ class TestCompaction:
 
 
 def reference_plan(torus, running, head):
-    """The planner on the reference index: a from-scratch plain
-    ``PlacementIndex`` (scalar scoring walk) per re-placed job."""
+    """The planner on the reference index: a from-scratch
+    ``ReferencePlacementIndex`` (scalar scoring walk) per re-placed job."""
     todo = sorted(
         [js for js in running if js.running] + [head],
         key=lambda js: (-js.size, js.job.arrival, js.job_id),

@@ -1,12 +1,15 @@
 """Batch policy paths must pick exactly what the scalar oracles pick.
 
 Each policy's production ``choose_partition`` is a vectorised argmin
-over the batch-scored candidate set, or — for a forced choice, a size
-with one free partition — that partition, unscored;
-``repro.testing.choose_partition_scalar`` is the per-candidate walk.  Identical choices — including tie order —
-are what make the whole batch refactor observationally invisible, so
-this suite asserts them per decision over random machine states and
-end-to-end over whole simulations (bitwise-identical reports).
+over the batch-scored candidate set of the production
+:class:`PlacementIndex`, or — for a forced choice, a size with one free
+partition — that partition, unscored;
+``repro.testing.choose_partition_scalar`` is the per-candidate walk over
+a :class:`ReferencePlacementIndex`.  Identical choices — including tie
+order — are what make the whole batch refactor observationally
+invisible, so this suite asserts them per decision over random machine
+states and end-to-end over whole simulations (bitwise-identical reports,
+the scalar side run by ``oracle_simulator``).
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from repro.allocation.incremental import IncrementalPlacementIndex
 from repro.allocation.mfp import PlacementIndex
 from repro.api import SimulationSetup
 from repro.core.config import BackfillMode, SimulationConfig
@@ -36,7 +38,13 @@ from repro.prediction import (
     PartitionFailureRule,
     TieBreakPredictor,
 )
-from repro.testing import choose_partition_scalar, random_partition, random_torus
+from repro.testing import (
+    ReferencePlacementIndex,
+    choose_partition_scalar,
+    oracle_simulator,
+    random_partition,
+    random_torus,
+)
 from repro.workloads.job import Job, Workload
 
 D = TorusDims(4, 4, 5)
@@ -93,10 +101,11 @@ class TestPerDecision:
         )
         for policy in policies(log, accuracy, seed):
             policy.begin_pass(now)
-            index = PlacementIndex(torus)
             assert policy.choose_partition(
-                index, state, now
-            ) == choose_partition_scalar(policy, index, state, now), policy.name
+                PlacementIndex(torus), state, now
+            ) == choose_partition_scalar(
+                policy, ReferencePlacementIndex(torus), state, now
+            ), policy.name
 
 
     @settings(max_examples=60, deadline=None)
@@ -122,7 +131,7 @@ class TestPerDecision:
         window_end = now + max(state.remaining_estimate, 1.0)
         krevat, balancing, _, tiebreak = policies(log, accuracy, seed)
         index = PlacementIndex(torus)
-        scored = index.scored_candidates(size)
+        scored = ReferencePlacementIndex(torus).scored_candidates(size)
         min_loss = min((loss for _, loss in scored), default=0)
 
         def entry(partition, **scores):
@@ -222,7 +231,7 @@ class TestForcedChoice:
     def assert_forced_like_scalar(torus, size, log, seed, now, runtime):
         state = JobState(Job(0, 0.0, size, runtime))
 
-        def no_kernel(self, size):
+        def no_kernel(self, *args):
             raise AssertionError("a forced choice ran the scoring kernel")
 
         for traced in (False, True):
@@ -230,14 +239,12 @@ class TestForcedChoice:
                 if traced:
                     policy.recorder = TraceRecorder()
                 policy.begin_pass(now)
-                index = IncrementalPlacementIndex(torus)
+                index = PlacementIndex(torus)
                 assert len(index.candidate_batch(size)) == 1
-                with mock.patch.object(
-                    IncrementalPlacementIndex, "_candidates_excluding", no_kernel
-                ):
+                with mock.patch.object(PlacementIndex, "_excluded", no_kernel):
                     chosen = policy.choose_partition(index, state, now)
                 assert chosen is not None and chosen == choose_partition_scalar(
-                    policy, PlacementIndex(torus), state, now
+                    policy, ReferencePlacementIndex(torus), state, now
                 ), policy.name
                 if traced:
                     # The record names the lone candidate and carries no
@@ -256,7 +263,7 @@ class TestForcedChoice:
     @pytest.mark.parametrize("dims", [D, BGL_SUPERNODE_DIMS])
     def test_whole_machine_job_on_an_empty_torus(self, dims):
         torus = Torus(dims)
-        assert PlacementIndex(torus).candidates(dims.volume) == [
+        assert PlacementIndex(torus).candidate_batch(dims.volume).partitions() == [
             Partition((0, 0, 0), dims.as_tuple())
         ]
         log = FailureLog(dims.volume, [FailureEvent(5.0, 3), FailureEvent(9.0, 0)])
@@ -295,7 +302,7 @@ class TestForcedChoice:
             for policy in (forced, scored):
                 policy.begin_pass(now)
                 picks.append(
-                    policy.choose_partition(IncrementalPlacementIndex(torus), state, now)
+                    policy.choose_partition(PlacementIndex(torus), state, now)
                 )
             assert picks[0] == picks[1]
             assert (
@@ -332,7 +339,8 @@ class TestForcedChoice:
 
 # Scalar-oracle policy variants: same class, production entry point
 # swapped for the reference scalar walk.  Used to run whole simulations
-# down the scalar path.
+# down the scalar path, on the reference index ``oracle_simulator``
+# hands out.
 class ScalarKrevat(KrevatPolicy):
     choose_partition = choose_partition_scalar
 
@@ -411,5 +419,5 @@ class TestEndToEnd:
         )
         for batch_policy, scalar_policy in policy_pairs(log, accuracy, seed):
             batch_report = simulate(workload, log, batch_policy, config)
-            scalar_report = simulate(workload, log, scalar_policy, config)
+            scalar_report = oracle_simulator(workload, log, scalar_policy, config).run()
             assert batch_report == scalar_report, batch_policy.name

@@ -5,7 +5,7 @@ FINISH < FAILURE < ARRIVAL), repairs the placement index once, and runs
 one scheduling pass.  There is one engine; what it is compared with is
 the reference a test builds — :func:`repro.testing.oracle_simulator`,
 the same simulator answering every index query from a from-scratch
-``PlacementIndex`` rebuild.  The two must be indistinguishable:
+``ReferencePlacementIndex`` rebuild.  The two must be indistinguishable:
 identical reports and byte-identical NDJSON decision traces, across
 randomized workloads and failure mixes, with every runtime oracle
 attached (DESIGN.md §5.12).

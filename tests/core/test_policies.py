@@ -13,6 +13,7 @@ from repro.geometry.coords import BGL_SUPERNODE_DIMS
 from repro.geometry.partition import Partition
 from repro.geometry.torus import Torus
 from repro.prediction import BalancingPredictor, TieBreakPredictor
+from repro.testing import ReferencePlacementIndex
 from repro.workloads.job import Job
 
 D = BGL_SUPERNODE_DIMS
@@ -45,8 +46,8 @@ class TestKrevatPolicy:
         """With one corner occupied, placing next to it preserves MFP."""
         t = Torus(D)
         t.allocate(99, Partition((0, 0, 0), (4, 4, 4)))  # half machine busy
-        index = PlacementIndex(t)
-        part = KrevatPolicy().choose_partition(index, js(8), 0.0)
+        index = ReferencePlacementIndex(t)
+        part = KrevatPolicy().choose_partition(PlacementIndex(t), js(8), 0.0)
         assert index.mfp_loss(part) == min(
             loss for _, loss in index.scored_candidates(8)
         )
@@ -114,10 +115,10 @@ class TestTieBreakPolicy:
         """Unlike balancing, tie-break never trades MFP for stability."""
         t = Torus(D)
         t.allocate(99, Partition((0, 0, 0), (4, 4, 4)))
-        index = PlacementIndex(t)
+        index = ReferencePlacementIndex(t)
         min_loss = min(loss for _, loss in index.scored_candidates(8))
         policy = TieBreakPolicy(TieBreakPredictor(log_at((2, 2, 6)), 1.0, seed=0))
-        part = policy.choose_partition(index, js(8, estimate=1000.0), 0.0)
+        part = policy.choose_partition(PlacementIndex(t), js(8, estimate=1000.0), 0.0)
         assert index.mfp_loss(part) == min_loss
 
     def test_all_tied_doomed_falls_back_to_first(self):

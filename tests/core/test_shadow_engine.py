@@ -5,7 +5,7 @@ by the placement index — on the incremental index a cumulative sum of
 overlap patches against the window-sum tensor, on the rebuild index an
 integral rebuild per release — plus per-``(version, size)`` memoisation)
 must agree exactly with :func:`~repro.testing.shadow_time_naive`
-(full grid copy + fresh PlacementIndex per hypothetical release) on
+(full grid copy + fresh ReferencePlacementIndex per release) on
 every machine state.  The hypothesis sweeps below pin their own
 ``max_examples`` so at least 120 random torus states are exercised
 regardless of the active profile.

@@ -31,6 +31,8 @@ class TestFailureLog:
     def test_node_range_checked(self):
         with pytest.raises(FailureModelError):
             log_of((0.0, 8), n_nodes=8)
+        with pytest.raises(FailureModelError):
+            FailureLog(0)
 
     def test_from_arrays_matches_constructor(self):
         times = np.array([5.0, 1.0, 3.0])
@@ -49,6 +51,21 @@ class TestFailureLog:
             FailureLog.from_arrays(8, np.array([-1.0]), np.array([0]))
         with pytest.raises(FailureModelError):
             FailureLog.from_arrays(8, np.array([1.0]), np.array([9]))
+        with pytest.raises(FailureModelError):
+            FailureLog.from_arrays(0, np.array([]), np.array([]))
+
+    def test_ties_sorted_by_node_read_only_copies(self):
+        """Both constructors take one path: a ``(time, node)`` sort into
+        read-only copies, the caller's arrays untouched."""
+        times, nodes = np.array([2.0, 1.0, 1.0]), np.array([0, 5, 3])
+        for log in (
+            FailureLog.from_arrays(8, times, nodes),
+            log_of((2.0, 0), (1.0, 5), (1.0, 3)),
+        ):
+            assert log.times.tolist() == [1.0, 1.0, 2.0]
+            assert log.nodes.tolist() == [3, 5, 0]
+            assert not log.times.flags.writeable and not log.nodes.flags.writeable
+        assert times.flags.writeable and times.tolist() == [2.0, 1.0, 1.0]
 
     def test_immutable_arrays(self):
         log = log_of((1.0, 0))

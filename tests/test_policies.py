@@ -2,8 +2,8 @@
 
 Independent re-derivations of the paper's scoring rules:
 
-* ``L_MFP`` — verified against a brute-force allocate-and-rebuild MFP
-  recomputation rather than the incremental ``mfp_excluding`` path;
+* ``L_MFP`` — the production index's batch losses, verified against a
+  brute-force allocate-and-rebuild MFP recomputation;
 * ``L_PF = P_f · s_j`` — the balancing policy's choice re-derived from
   predictor queries outside the policy;
 * tie-break false-negative behaviour at the ``a = 0`` and ``a = 1``
@@ -54,6 +54,12 @@ def line_torus(busy: tuple[int, ...]) -> Torus:
     return torus
 
 
+def scored_candidates(torus: Torus, size: int) -> list[tuple[Partition, int]]:
+    """The production index's candidates of ``size`` with their L_MFP."""
+    batch, losses = PlacementIndex(torus).batch_mfp_losses(size)
+    return list(zip(batch.partitions(), losses.tolist()))
+
+
 def node_predicted(predictor, dims: TorusDims, node: int) -> bool:
     """The predictor's answer for one node in ``[0, 100)``: a query
     about the 1x1x1 partition at that node."""
@@ -70,7 +76,7 @@ class TestMfpLoss:
         size = data.draw(st.sampled_from(schedulable_sizes(dims)))
         index = PlacementIndex(torus)
         before = index.mfp_size()
-        for partition, loss in index.scored_candidates(size):
+        for partition, loss in scored_candidates(torus, size):
             torus.allocate(999_999, partition)
             after = mfp_size(torus)  # fresh index: independent path
             torus.release(999_999)
@@ -84,7 +90,7 @@ class TestMfpLoss:
         assert index.mfp_size() == 7
         expected = {0: 2, 1: 1, 3: 1, 4: 2, 5: 3, 6: 4, 7: 3}
         got = {
-            p.base[2]: loss for p, loss in index.scored_candidates(1)
+            p.base[2]: loss for p, loss in scored_candidates(torus, 1)
         }
         assert got == expected
 
@@ -92,7 +98,7 @@ class TestMfpLoss:
         """Placing inside the smaller arc never shrinks the MFP."""
         torus = line_torus(busy=(0, 4))  # arcs 1-3 and 5-7, MFP = 3
         index = PlacementIndex(torus)
-        losses = {p.base[2]: loss for p, loss in index.scored_candidates(3)}
+        losses = {p.base[2]: loss for p, loss in scored_candidates(torus, 3)}
         # Allocating one whole arc keeps the other intact: loss 0.
         assert losses[1] == 0 and losses[5] == 0
 
@@ -117,7 +123,7 @@ class TestKrevatSelection:
         size = data.draw(st.sampled_from(schedulable_sizes(dims)))
         index = PlacementIndex(torus)
         choice = KrevatPolicy().choose_partition(index, make_state(size), 0.0)
-        scored = index.scored_candidates(size)
+        scored = scored_candidates(torus, size)
         if not scored:
             assert choice is None
         else:
@@ -201,7 +207,7 @@ class TestBalancingScoring:
         state = make_state(size, runtime=100.0)
         index = PlacementIndex(torus)
         choice = BalancingPolicy(predictor).choose_partition(index, state, 0.0)
-        scored = index.scored_candidates(size)
+        scored = scored_candidates(torus, size)
         if not scored:
             assert choice is None
             return
