@@ -332,11 +332,6 @@ def _tables(dims_tuple: Coord) -> _DimsTables:
     return _DimsTables(dims_tuple)
 
 
-@lru_cache(maxsize=8)
-def _tables(dims_tuple: Coord) -> _DimsTables:
-    return _DimsTables(dims_tuple)
-
-
 class PlacementIndex:
     """Every shape's free placements for one torus state, patched across
     mutations and scored by bit masks.

@@ -423,12 +423,16 @@ class Simulator:
     # scheduling
     # ------------------------------------------------------------------
     def _schedule_pass(self, now: float) -> None:
+        """One FCFS pass with migration and backfill; it stops first where
+        no waiting job fits the free node count (exact: DESIGN §5.15)."""
         self.counters.scheduler_passes += 1
         if self.metrics is not None:
             self.metrics.counter("sim.scheduler_passes").inc()
         self.policy.begin_pass(now)
         self._reservation = None
         while self.wait:
+            if min(self.wait.sizes()) > self.torus.free_count:
+                break
             # Version-checked reuse: loop iterations that did not mutate
             # the torus (choose → dispatch bumps the version; a head that
             # does not fit does not) share one index, as do back-to-back
@@ -493,15 +497,16 @@ class Simulator:
         """Start one lower-priority job if the mode permits; True if any
         job started (the caller refreshes the index and loops).
 
-        One walk, traced or not: the index is asked once per *distinct*
-        waiting size, and the policy is called only for a job whose size
-        has a free partition and whose estimate clears the EASY shadow.
+        One walk, traced or not: the index is asked once per distinct
+        waiting size no larger than the free nodes, the policy only for a
+        job with a free partition whose estimate clears the EASY shadow.
 
         One reservation per pass: after a backfill due by the shadow,
         the next call this pass resumes where the walk stopped, on the
         same shadow (exact: DESIGN §5.15).
         """
-        fits = {s for s in self.wait.sizes() if index.has_candidate(s)}
+        free = self.torus.free_count
+        fits = {s for s in self.wait.sizes() if s <= free and index.has_candidate(s)}
         if not fits:
             return False
         easy = self.config.backfill is BackfillMode.EASY

@@ -154,6 +154,7 @@ class Torus:
         "grid",
         "_allocations",
         "version",
+        "_free",
         "_flat_ids",
     )
 
@@ -162,6 +163,7 @@ class Torus:
         self.grid = np.full(dims.as_tuple(), FREE, dtype=np.int64)
         self._allocations: dict[int, Partition] = {}
         self.version = 0
+        self._free = dims.volume
         # (base, shape) -> flat node ids of the wrapped box, so repeat
         # allocations of the same partition skip the axis-range/np.ix_
         # machinery.  Bounded; keys are few on real machines anyway.
@@ -172,8 +174,9 @@ class Torus:
     # ------------------------------------------------------------------
     @property
     def free_count(self) -> int:
-        """Number of free nodes."""
-        return int(np.count_nonzero(self.grid == FREE))
+        """Free nodes: a counter :meth:`allocate` / :meth:`release` keep; a
+        direct ``grid`` write does not move it (both checkers scan the grid)."""
+        return self._free
 
     @property
     def busy_count(self) -> int:
@@ -248,6 +251,7 @@ class Torus:
             )
         flat[ids] = job_id
         self._allocations[job_id] = partition
+        self._free -= partition.size
         self.version += 1
 
     def release(self, job_id: int) -> Partition:
@@ -255,6 +259,7 @@ class Torus:
         partition = self.allocation_of(job_id)
         self.grid.reshape(-1)[self._box_ids(partition)] = FREE
         del self._allocations[job_id]
+        self._free += partition.size
         self.version += 1
         return partition
 
@@ -282,7 +287,7 @@ class Torus:
         independently implemented) oracle is
         :class:`repro.testing.InvariantChecker`; this quick form rebuilds
         the expected grid from the map and additionally checks node-count
-        conservation (``free_count + Σ partition sizes == volume``).
+        conservation (``free_count == free grid cells == volume − Σ sizes``).
         """
         expected = np.full(self.dims.as_tuple(), FREE, dtype=np.int64)
         allocated_total = 0
@@ -296,10 +301,12 @@ class Torus:
             allocated_total += partition.size
         if not np.array_equal(expected, self.grid):
             raise GeometryError("occupancy grid disagrees with allocation map")
-        if self.free_count + allocated_total != self.dims.volume:
+        scanned = int(np.count_nonzero(self.grid == FREE))
+        if not self.free_count == scanned == self.dims.volume - allocated_total:
             raise GeometryError(
-                f"node-count conservation broken: free={self.free_count} + "
-                f"allocated={allocated_total} != volume={self.dims.volume}"
+                f"node-count conservation broken: free={self.free_count}, "
+                f"free grid cells={scanned}, allocated={allocated_total}, "
+                f"volume={self.dims.volume}"
             )
 
     def __str__(self) -> str:  # pragma: no cover - repr sugar

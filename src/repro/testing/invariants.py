@@ -11,8 +11,8 @@ Checked invariants:
 
 * **No overlap** — the node-index sets of all allocated partitions are
   pairwise disjoint.
-* **Node-count conservation** — ``free_count + Σ partition sizes`` equals
-  the machine volume, and ``busy_count`` agrees.
+* **Node-count conservation** — the ``free_count`` counter, the number
+  of free grid cells and ``volume − Σ sizes`` agree, as does ``busy_count``.
 * **Grid/map agreement** — every node of every allocated partition holds
   exactly its owner's job id in the grid, and every node outside all
   partitions is :data:`~repro.geometry.torus.FREE`.
@@ -89,10 +89,11 @@ class InvariantChecker:
             )
 
         free = torus.free_count
-        if free != volume - allocated_total:
+        scanned = int(np.count_nonzero(flat == FREE))
+        if not free == scanned == volume - allocated_total:
             raise InvariantViolationError(
-                f"free-count mismatch: free_count={free} but "
-                f"volume - Σ sizes = {volume - allocated_total}"
+                f"free-count mismatch: free_count={free}, {scanned} free grid "
+                f"cells, volume - Σ sizes = {volume - allocated_total}"
             )
         if torus.busy_count != allocated_total:
             raise InvariantViolationError(

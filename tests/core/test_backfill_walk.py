@@ -19,6 +19,11 @@ The walk computes one EASY reservation per scheduler pass and resumes
 on it after a backfill that ends by the shadow; a test-local subclass
 that restarts every walk at position 1 and asks the shadow engine again
 must make the same decisions.
+
+A pass stops before its index lookup once no waiting job fits the free
+node count, and the backfill walk asks the index only about sizes no
+larger than it; a test-local subclass without that gate must make the
+same decisions.
 """
 
 from __future__ import annotations
@@ -296,4 +301,127 @@ class TestOneReservationPerPass:
         assert sim.counters.backfills == 2
         assert count == [2]
         reference = RestartWalkSimulator(*inputs[:2], KrevatPolicy(), inputs[2])
+        assert reference.run() == report
+
+
+class UngatedSimulator(Simulator):
+    """The pass without the node-count gate: every iteration looks the
+    index up, and the backfill walk asks it about every waiting size."""
+
+    def _schedule_pass(self, now):
+        self.counters.scheduler_passes += 1
+        if self.metrics is not None:
+            self.metrics.counter("sim.scheduler_passes").inc()
+        self.policy.begin_pass(now)
+        self._reservation = None
+        while self.wait:
+            index = self._index_cache.get()
+            head = self.wait.head()
+            if index.has_candidate(head.size):
+                partition = self.policy.choose_partition(index, head, now)
+                if partition is not None:
+                    self._dispatch(head, partition, now)
+                    continue
+            if self._try_migration(head, now):
+                self._reservation = None
+                continue
+            if self.config.backfill is BackfillMode.NONE:
+                break
+            if not self._try_backfill(index, head, now):
+                break
+
+    def _try_backfill(self, index, head, now):
+        fits = {s for s in self.wait.sizes() if index.has_candidate(s)}
+        if not fits:
+            return False
+        easy = self.config.backfill is BackfillMode.EASY
+        kept = self._reservation
+        if kept is not None and kept[0] is head:
+            _, start, shadow = kept
+            if easy and self.metrics is not None:
+                self.metrics.counter("shadow.kept").inc()
+        else:
+            start, shadow = 1, None if easy else math.inf
+        for position, state in enumerate(islice(self.wait, start, None), start):
+            if state.size not in fits:
+                continue
+            if shadow is None:
+                running = [self.states[i] for i in self._running_ids]
+                shadow = self._shadow.shadow_time(running, head.size, now)
+            est_wall = self.checkpoint.wall_duration(
+                max(state.remaining_estimate, MIN_ESTIMATE_S)
+            )
+            if now + est_wall > shadow + _SHADOW_EPS:
+                continue
+            partition = self.policy.choose_partition(index, state, now)
+            if partition is not None:
+                if self.recorder.enabled:
+                    self.recorder.emit(
+                        "backfill", now, job=state.job_id, head_job=head.job_id,
+                        shadow=shadow if easy else None, est_wall=est_wall,
+                    )
+                self._dispatch(state, partition, now, via="backfill")
+                self.counters.backfills += 1
+                holds = now + est_wall <= shadow
+                self._reservation = (head, position, shadow) if holds else None
+                return True
+        return False
+
+
+def index_lookups(sim) -> int:
+    counters = sim.metrics.to_dict(include_timings=False)["counters"]
+    return sum(
+        counters.get(name, 0)
+        for name in ("index.builds", "index.incremental.hit", "index.incremental.repair")
+    )
+
+
+class TestNodeCountGate:
+    @pytest.mark.parametrize("migration", [True, False])
+    @pytest.mark.parametrize("backfill", list(BackfillMode))
+    def test_gated_pass_decides_like_the_ungated_pass(self, backfill, migration):
+        setup = deep_queue_setup(trace=True, backfill=backfill, migration=migration)
+        report, trace, calls, sim = traced_run(Simulator, setup)
+        ungated = traced_run(UngatedSimulator, setup)
+        assert ungated[:3] == (report, trace, calls)
+        # The gate binds on this queue: it skips lookups the ungated
+        # pass makes.
+        assert index_lookups(sim) < index_lookups(ungated[3])
+
+    @pytest.mark.parametrize("engine", [Simulator, UngatedSimulator])
+    def test_pass_where_nothing_fits_by_count_looks_nothing_up(
+        self, engine, monkeypatch
+    ):
+        """At t = 1 a full-machine head and a 96-node job wait while 64
+        nodes are free: the gated pass stops before its index lookup, its
+        migration and its backfill walk; the ungated one makes all three."""
+        n = BGL_SUPERNODE_DIMS.volume
+        jobs = (Job(0, 0.0, n // 2, 100.0), Job(1, 1.0, n, 10.0), Job(2, 1.0, 96, 10.0))
+        workload, log = Workload("count-gate", n, jobs), FailureLog(n)
+        config = SimulationConfig(backfill=BackfillMode.EASY, migration=True)
+        sim = engine(workload, log, KrevatPolicy(), config)
+        assert sim.pump(max_batches=1) == 1  # t = 0: job 0 starts
+        calls = []
+        for owner, name in (
+            (IndexCache, "get"),
+            (engine, "_try_migration"),
+            (engine, "_try_backfill"),
+        ):
+            method = getattr(owner, name)
+
+            def counted(*args, _method=method, _name=name):
+                calls.append(_name)
+                return _method(*args)
+
+            monkeypatch.setattr(owner, name, counted)
+        assert sim.pump(max_batches=1) == 1  # t = 1: nothing can start
+        assert len(sim.wait) == 2 and sim.torus.free_count == n // 2
+        assert sim.counters.scheduler_passes == 2
+        if engine is Simulator:
+            assert calls == []
+        else:
+            assert calls == ["get", "_try_migration", "_try_backfill"]
+        monkeypatch.undo()
+        report = sim.drain()
+        reference = UngatedSimulator(workload, log, KrevatPolicy(), config)
         assert reference.run() == report

@@ -6,10 +6,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import GeometryError, PartitionOverlapError, UnknownJobError
+from repro.core.migration import CompactionPlan, apply_compaction
+from repro.errors import (
+    GeometryError,
+    InvariantViolationError,
+    PartitionOverlapError,
+    UnknownJobError,
+)
 from repro.geometry.coords import BGL_SUPERNODE_DIMS, TorusDims
 from repro.geometry.partition import Partition
 from repro.geometry.torus import FREE, Torus, circular_window_sum
+from repro.testing import InvariantChecker
 
 D = BGL_SUPERNODE_DIMS
 
@@ -162,12 +169,34 @@ def allocation_sequences(draw):
     return dims, parts
 
 
+def assert_counter_matches_grid(t: Torus) -> None:
+    assert t.free_count == np.count_nonzero(t.grid == FREE)
+
+
+class GridCheckedTorus(Torus):
+    """A torus that compares its free-node counter with a count of the
+    grid after every allocate and release."""
+
+    __slots__ = ()
+
+    def allocate(self, job_id, partition):
+        try:
+            super().allocate(job_id, partition)
+        finally:
+            assert_counter_matches_grid(self)
+
+    def release(self, job_id):
+        partition = super().release(job_id)
+        assert_counter_matches_grid(self)
+        return partition
+
+
 class TestAllocationProperties:
     @given(allocation_sequences())
     @settings(max_examples=60)
     def test_free_count_conservation(self, seq):
         dims, parts = seq
-        t = Torus(dims)
+        t = GridCheckedTorus(dims)
         placed = []
         for i, p in enumerate(parts):
             try:
@@ -177,7 +206,28 @@ class TestAllocationProperties:
                 pass
         t.check_invariants()
         assert t.busy_count == sum(p.size for _, p in placed)
+        # A compaction releases every job, then re-places each one (here
+        # all shifted by one along z: a translation keeps them disjoint).
+        shifted = tuple(
+            (i, Partition((p.base[0], p.base[1], (p.base[2] + 1) % dims.z), p.shape))
+            for i, p in placed
+        )
+        apply_compaction(t, CompactionPlan(shifted, ()), head_id=-1)
+        t.check_invariants()
+        InvariantChecker().check(t)
+        assert t.busy_count == sum(p.size for _, p in placed)
         for i, p in reversed(placed):
             t.release(i)
         assert t.free_count == dims.volume
         t.check_invariants()
+
+    def test_counter_moved_behind_the_maps_back_fails_both_checkers(self):
+        t = make_torus()
+        t.allocate(0, Partition((0, 0, 0), (2, 2, 2)))
+        t.check_invariants()
+        InvariantChecker().check(t)
+        t._free += 1
+        with pytest.raises(GeometryError, match="conservation"):
+            t.check_invariants()
+        with pytest.raises(InvariantViolationError, match="free-count"):
+            InvariantChecker().check(t)
