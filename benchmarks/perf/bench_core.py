@@ -238,7 +238,8 @@ def bench_scored_candidates_batch(scale: Scale):
 def _bench_choose_partition(scale: Scale, torus: Torus, size: int):
     """One balancing (a=0.1) placement decision per op, as the engine
     asks it: a new prediction window per decision and per-state caches
-    dropped first (a sync with nothing to patch, what a repair leaves)."""
+    dropped first (``_refresh``, what a repair that patched leaves; a
+    sync with nothing to patch keeps them)."""
     from repro.core.policies import BalancingPolicy
     from repro.prediction import BalancingPredictor
 
@@ -253,7 +254,7 @@ def _bench_choose_partition(scale: Scale, torus: Torus, size: int):
         for i in range(n):
             now = 1000.0 * i
             policy.begin_pass(now)
-            index.sync(torus)
+            index._refresh()
             policy.choose_partition(index, state, now)
 
     return run, n

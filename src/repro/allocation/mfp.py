@@ -45,7 +45,12 @@ Each state pays only for what it is asked:
   shape of a size come out of one ``nonzero`` over the size's free
   grids masked to canonical bases, and each candidate's fused
   scoring-table row is read from a per-dims key table.  The enumeration
-  and its losses are kept per size until the next sync.
+  and its losses are kept per size until the next sync that patches.
+* **A state come back to is not re-derived.**  A sync whose diff is
+  empty — a job allocated and released between two lookups — patches
+  nothing and skips the refresh: every per-state field, projection,
+  enumeration and loss is a pure function of ``sums``, so what the
+  index holds is still bitwise a fresh rebuild's answer.
 
 There is no busy integral and the index never reads ``torus.grid``: it
 remembers which allocations its tensor holds, and
@@ -339,9 +344,10 @@ class PlacementIndex:
     ``_applied`` (job id → partition) names the allocations ``_sums``
     holds.  :meth:`sync` diffs it against the torus's allocation map and
     patches one box per job that left or arrived — O(1) numpy dispatches
-    per box — then :meth:`_refresh` re-derives the per-state fields.
-    Construction is a zero tensor plus one :meth:`sync`, so a build and a
-    repair run the same patches.
+    per box — then :meth:`_refresh` re-derives the per-state fields; a
+    sync with nothing to patch keeps them.  Construction is a zero
+    tensor plus one :meth:`sync`, so a build and a repair run the same
+    patches.
     """
 
     __slots__ = (
@@ -364,13 +370,15 @@ class PlacementIndex:
         self.dims: TorusDims = torus.dims
         self._sums = np.zeros(t.dims_tuple + (len(t.shapes),), t.sum_dtype)
         self._applied: dict[int, Partition] = {}
-        self.sync(torus)
+        if not self.sync(torus):
+            self._refresh()  # an empty machine: nothing patched or derived yet
 
     # ------------------------------------------------------------------
     # maintenance
     # ------------------------------------------------------------------
-    def sync(self, torus: Torus) -> None:
-        """Bring the index to ``torus``'s current state.
+    def sync(self, torus: Torus) -> int:
+        """Bring the index to ``torus``'s current state; returns the
+        number of boxes patched.
 
         The allocations ``_sums`` holds are diffed against
         ``torus.allocations()`` by identity: a partition no longer held
@@ -378,8 +386,12 @@ class PlacementIndex:
         one newly held is patched in.  One patch is the box's ``(X, Y,
         S)`` x·y overlap block times its ``(Z, S)`` z overlap rows.  The
         frees go first, so every intermediate tensor is a real occupancy
-        and the unsigned sums never wrap.  Afterwards the index answers
-        exactly as a fresh build would.
+        and the unsigned sums never wrap.  Only a patch is followed by
+        :meth:`_refresh`: every per-state field is a pure function of
+        ``_sums``, so when the diff is empty (a job came and went since
+        the last sync) the cached fields, enumerations and losses are
+        still bitwise a fresh rebuild's and are kept.  Either way the
+        index afterwards answers exactly as a fresh build would.
         """
         t = self._tables
         sums = self._sums
@@ -390,6 +402,9 @@ class PlacementIndex:
             (np.subtract, p) for j, p in applied.items() if held.get(j) is not p
         ]
         changes += [(np.add, p) for j, p in held.items() if applied.get(j) is not p]
+        self.torus_version = torus.version
+        if not changes:
+            return 0
         for op, partition in changes:
             bx, by, bz = partition.base
             ax, ay, az = partition.shape
@@ -402,8 +417,8 @@ class PlacementIndex:
                 )                                                # (X, Y, S)
             op(sums, oxy[:, :, None, :] * t.overlap[2][az - 1, bz], out=sums)
         self._applied = held
-        self.torus_version = torus.version
         self._refresh()
+        return len(changes)
 
     def _refresh(self) -> None:
         """Re-derive every per-state field from ``_sums``.
@@ -498,8 +513,9 @@ class PlacementIndex:
         is constant along such an axis, so this is first-occurrence
         dedup), go through one ``nonzero`` that walks them shape-major,
         base-minor: the shape order of ``shapes_for_size``, row-major
-        bases.  The entry is kept until :meth:`sync`, so a policy's
-        ``candidate_batch`` and the scoring after it share one pass.
+        bases.  The entry is kept until a :meth:`sync` patches, so a
+        policy's ``candidate_batch`` and the scoring after it share one
+        pass.
         """
         t = self._tables
         rows = t.size_rows(size)
@@ -530,7 +546,7 @@ class PlacementIndex:
         shrinkage caused by allocating ``batch.partition(i)`` — bitwise
         equal to the reference's per-candidate scalar walk.  One resolve
         for the whole size, candidates of every shape together, kept
-        with the size's enumeration until :meth:`sync`.
+        with the size's enumeration until a :meth:`sync` patches.
         """
         entry = self._sizes.get(size) or self._enumerate(size)
         if entry[3] is None:
@@ -644,10 +660,13 @@ class IndexCache:
     the first lookup; an unchanged ``torus.version`` returns it as is,
     and when the version moved it is *synced* to the torus's allocation
     map (one O(box) patch per job that left or arrived), however many
-    mutations lie in between.  On the ``metrics`` registry the cache was
-    handed (none: nothing is counted) ``index.incremental.hit`` /
-    ``repair`` record which path each lookup took and ``index.builds``
-    the one build.
+    mutations lie in between; mutations that cancel out patch nothing
+    and keep the index's caches.  On the ``metrics`` registry the cache
+    was handed (none: nothing is counted) one counter per lookup
+    records the path it took: ``index.builds`` the one build,
+    ``index.incremental.hit`` an unchanged version,
+    ``index.incremental.repair`` a sync that patched and
+    ``index.incremental.kept`` one that patched nothing.
 
     :class:`repro.testing.RebuildIndexCache` is the reference twin the
     tests substitute: a from-scratch
@@ -671,9 +690,10 @@ class IndexCache:
             counter = "index.builds"
         elif index.torus_version == torus.version:
             counter = "index.incremental.hit"
-        else:
-            index.sync(torus)
+        elif index.sync(torus):
             counter = "index.incremental.repair"
+        else:
+            counter = "index.incremental.kept"
         if registry is not None:
             registry.counter(counter).inc()
         return index

@@ -141,12 +141,15 @@ class Torus:
     Notes
     -----
     * ``grid[x, y, z]`` holds the owning job id or :data:`FREE`.
-    * ``version`` increments on every mutation; finders use it to
-      invalidate per-state caches.
+    * ``version`` increments on every mutation; an index cache uses it
+      to tell that the state *may* have moved (an unchanged version is
+      the same state).
     * the allocation map (:meth:`allocations`) and the grid describe one
       state; the production placement index reads the map and patches
       itself forward by diffing it
-      (:meth:`repro.allocation.mfp.PlacementIndex.sync`).
+      (:meth:`repro.allocation.mfp.PlacementIndex.sync`), so a version
+      that moved through mutations that cancel out (an allocate and
+      its release) leaves its per-state caches in place.
     """
 
     __slots__ = (

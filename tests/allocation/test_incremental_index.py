@@ -16,7 +16,8 @@ The stale-version tests prove the repair contract: however many
 mutations lie between two lookups — a migration moves every job — one
 :class:`~repro.allocation.mfp.IndexCache` lookup repairs the same index
 object, with the ``index.incremental.*`` counters recording which path
-ran.
+ran; a lookup whose mutations cancel out (a job allocated and released
+in between) patches nothing and keeps every per-state cache.
 """
 
 from __future__ import annotations
@@ -510,19 +511,99 @@ class TestStaleVersionPoisoning:
 
     def test_alloc_then_release_between_lookups(self):
         """A job that arrives and leaves between two lookups nets out of
-        the diff: the tensor is untouched, the answers are a fresh
-        rebuild's for the new version."""
+        the diff: the tensor is untouched and the lookup keeps every
+        per-state cache — the same batch and losses objects — which are
+        a fresh rebuild's answers for the new version.  A sync that does
+        patch drops them."""
         torus = random_torus(TorusDims(3, 3, 4), np.random.default_rng(5), attempts=6)
-        cache = IndexCache(torus)
+        registry = MetricsRegistry()
+        cache = IndexCache(torus, metrics=registry)
         index = cache.get()
+        size = 2
+        batch = index.candidate_batch(size)
+        assert len(batch) > 1
+        scored, losses = index.batch_mfp_losses(size)
+        assert scored is batch and index.has_candidate(size)
+        feasible, fall = index._feasible, index._projections()
         before = index._sums.copy()
         part = PlacementIndex(torus).mfp_partition()
         assert part is not None
         torus.allocate(99, part)
         torus.release(99)
         assert cache.get() is index
+        assert index.torus_version == torus.version
+        assert registry.counters["index.incremental.kept"].value == 1
+        assert "index.incremental.repair" not in registry.counters
         np.testing.assert_array_equal(index._sums, before)
+        assert index.candidate_batch(size) is batch
+        kept_batch, kept_losses = index.batch_mfp_losses(size)
+        assert kept_batch is batch and kept_losses is losses
+        assert index._feasible is feasible and index._projections() is fall
         assert_matches_rebuild(index, torus)
+        # A lookup that patches a box re-derives the state.
+        torus.allocate(99, part)
+        assert cache.get() is index
+        assert registry.counters["index.incremental.repair"].value == 1
+        assert registry.counters["index.incremental.kept"].value == 1
+        assert index._sizes == {} and index._fall is None
+        assert index._feasible is None
+        assert index.candidate_batch(size) is not batch
+        assert index.batch_mfp_losses(size)[1] is not losses
+        assert_matches_rebuild(index, torus)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        dims=dims_strategy,
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        steps=st.integers(min_value=1, max_value=8),
+    )
+    def test_cancelled_pairs_keep_exact_caches(self, dims, seed, steps):
+        """Random mutations interleaved with allocate-and-release pairs
+        that cancel out, every feasible size scored before each lookup:
+        after every lookup, kept or repaired, each size's losses are the
+        reference's scalar walk and every field a fresh rebuild's."""
+        rng = np.random.default_rng(seed)
+        torus = Torus(dims)
+        registry = MetricsRegistry()
+        cache = IndexCache(torus, metrics=registry)
+        live: dict[int, Partition] = {}
+        next_id = 0
+        sizes = schedulable_sizes(dims)
+        for _ in range(steps):
+            index = cache.get()
+            for size in sizes:
+                if index.has_candidate(size):
+                    index.batch_mfp_losses(size)
+            if rng.random() < 0.5:
+                next_id = mutate(torus, rng, live, next_id)
+            fresh = ReferencePlacementIndex(torus)
+            for _ in range(int(rng.integers(1, 3))):
+                free = [s for s in sizes if fresh.has_candidate(s)]
+                if not free:
+                    break
+                batch = fresh.candidate_batch(free[int(rng.integers(len(free)))])
+                torus.allocate(next_id, batch.partition(int(rng.integers(len(batch)))))
+                torus.release(next_id)
+                next_id += 1
+            index = cache.get()
+            fresh = ReferencePlacementIndex(torus)
+            for size in sizes:
+                batch, losses = index.batch_mfp_losses(size)
+                scored = fresh.scored_candidates(size)
+                assert batch.partitions() == [p for p, _ in scored], size
+                assert losses.tolist() == [loss for _, loss in scored], size
+            assert_matches_rebuild(index, torus)
+        counters = registry.counters
+        assert sum(
+            counters[name].value
+            for name in (
+                "index.builds",
+                "index.incremental.hit",
+                "index.incremental.kept",
+                "index.incremental.repair",
+            )
+            if name in counters
+        ) == 2 * steps
 
     def test_hit_counter_on_unchanged_torus(self):
         torus = Torus(TorusDims(2, 2, 2))

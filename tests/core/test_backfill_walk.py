@@ -372,7 +372,12 @@ def index_lookups(sim) -> int:
     counters = sim.metrics.to_dict(include_timings=False)["counters"]
     return sum(
         counters.get(name, 0)
-        for name in ("index.builds", "index.incremental.hit", "index.incremental.repair")
+        for name in (
+            "index.builds",
+            "index.incremental.hit",
+            "index.incremental.kept",
+            "index.incremental.repair",
+        )
     )
 
 
