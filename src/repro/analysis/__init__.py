@@ -34,13 +34,13 @@ from repro.analysis.ascii_chart import render_series, render_histogram
 from repro.analysis.compare import (
     PairedComparison,
     compare_reports,
-    mean_paired_comparison,
+    seed_sign_counts,
 )
 
 __all__ = [
     "PairedComparison",
     "compare_reports",
-    "mean_paired_comparison",
+    "seed_sign_counts",
     "DistributionSummary",
     "slowdown_distribution",
     "wait_distribution",

@@ -2,11 +2,12 @@
 
 The statistically sound way to compare schedulers on noisy workloads is
 *paired*: run both policies on the identical workload and failure trace
-(same seed), difference the per-job metrics, and aggregate the deltas.
-Between-seed variance — which dwarfs the policy effect at small scale —
-cancels out of the pairing.  This module wraps that procedure and is
-what `examples/policy_comparison.py` and ad-hoc studies should use
-instead of eyeballing two independent averages.
+(same seed) and difference the per-job metrics; between-seed variance —
+which dwarfs the policy effect at small scale — cancels out.  Across
+seeds the reader is a sign count (in how many seeds is the candidate
+lower?), never a mean of deltas, which one lucky seed can swing.  The
+`compare` command, the figure claims and `examples/policy_comparison.py`
+read it instead of eyeballing two independent averages.
 """
 
 from __future__ import annotations
@@ -112,29 +113,40 @@ def compare_reports(
     )
 
 
-def mean_paired_comparison(
-    comparisons: Sequence[PairedComparison],
-) -> PairedComparison:
-    """Average paired comparisons across seeds (same policy pair)."""
-    if not comparisons:
-        raise ExperimentError("need at least one comparison")
-    first = comparisons[0]
-    for c in comparisons[1:]:
-        if (c.baseline_policy, c.candidate_policy) != (
-            first.baseline_policy,
-            first.candidate_policy,
-        ):
-            raise ExperimentError("comparisons mix different policy pairs")
-    n = len(comparisons)
-    return PairedComparison(
-        baseline_policy=first.baseline_policy,
-        candidate_policy=first.candidate_policy,
-        n_jobs=round(sum(c.n_jobs for c in comparisons) / n),
-        mean_response_delta=math.fsum(c.mean_response_delta for c in comparisons) / n,
-        mean_slowdown_delta=math.fsum(c.mean_slowdown_delta for c in comparisons) / n,
-        jobs_improved=round(sum(c.jobs_improved for c in comparisons) / n),
-        jobs_regressed=round(sum(c.jobs_regressed for c in comparisons) / n),
-        kills_delta=round(sum(c.kills_delta for c in comparisons) / n),
-        lost_work_delta=math.fsum(c.lost_work_delta for c in comparisons) / n,
-        utilized_delta=math.fsum(c.utilized_delta for c in comparisons) / n,
-    )
+@dataclass(frozen=True)
+class SignCount:
+    """Signs of one paired statistic over seeds: seeds below zero (for
+    ``candidate - baseline``, the candidate lower), above zero, and tied."""
+
+    lower: int
+    higher: int
+    tied: int
+
+    @property
+    def verdict(self) -> str:
+        """A one-sided sign test on the untied seeds at p <= 0.05:
+        ``holds`` (lower), ``refuted`` (higher) or ``unresolved``.  At 6
+        seeds that takes 6/6, or 5/5 and one tie."""
+        n = self.lower + self.higher
+        p = lambda k: math.fsum(math.comb(n, i) for i in range(k, n + 1)) / 2**n
+        return ("holds" if p(self.lower) <= 0.05
+                else "refuted" if p(self.higher) <= 0.05 else "unresolved")
+
+    def __str__(self) -> str:
+        return (f"lower in {self.lower} of {self.lower + self.higher + self.tied} "
+                f"seeds, higher in {self.higher}, tied {self.tied}")
+
+
+def sign_count(deltas: Sequence[float]) -> SignCount:
+    """Count the signs of per-seed paired deltas."""
+    return SignCount(sum(d < 0 for d in deltas), sum(d > 0 for d in deltas),
+                     sum(d == 0 for d in deltas))
+
+
+def seed_sign_counts(comparisons: Sequence[PairedComparison]) -> dict[str, SignCount]:
+    """Per-field sign counts over one policy pair's per-seed comparisons."""
+    if len({(c.baseline_policy, c.candidate_policy) for c in comparisons}) != 1:
+        raise ExperimentError("need the comparisons of exactly one policy pair")
+    return {field: sign_count([getattr(c, field) for c in comparisons]) for field in (
+        "kills_delta", "lost_work_delta", "mean_response_delta", "mean_slowdown_delta",
+        "utilized_delta")}

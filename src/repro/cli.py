@@ -8,7 +8,7 @@
     bgl-sim sweep        --parameters 0.0 0.1 0.3 [--checkpoint-dir DIR] ...
     bgl-sim sweep        --queue-dir DIR ...         # multi-host driver
     bgl-sim sweep-worker --queue-dir DIR             # one queue worker
-    bgl-sim figure       fig3 [--jobs 500] [--seeds 2]
+    bgl-sim figure       fig3 [--jobs 500] [--seeds 6] # series + claim verdicts
     bgl-sim figures      # list regenerable figures
     bgl-sim sites        # list workload site models
     bgl-sim compare      --baseline krevat --candidate balancing ...
@@ -517,8 +517,7 @@ def _cmd_sweep_worker(args: argparse.Namespace) -> int:
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
-    from repro.experiments import format_figure, run_figure
-    from repro.experiments.validate import validate_figure
+    from repro.experiments import evaluate_claims, format_claims, format_figure, run_figure
 
     result = run_figure(
         args.name,
@@ -528,7 +527,7 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     )
     print(format_figure(result))
     print()
-    print(validate_figure(result).summary())
+    print(format_claims(evaluate_claims({result.figure: result})))
     if args.chart:
         from repro.analysis import render_series
 
@@ -541,7 +540,7 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    from repro.analysis.compare import compare_reports, mean_paired_comparison
+    from repro.analysis.compare import compare_reports, seed_sign_counts
 
     comparisons = []
     for seed in range(args.seeds):
@@ -552,8 +551,9 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         pair = compare_reports(base, cand)
         comparisons.append(pair)
         print(f"seed {seed}: {pair.summary()}")
-    print("\nmean over seeds:")
-    print(" ", mean_paired_comparison(comparisons).summary())
+    print(f"\n{args.candidate} minus {args.baseline} per seed:")
+    for metric, signs in seed_sign_counts(comparisons).items():
+        print(f"  {metric:<20} {signs}: {signs.verdict}")
     return 0
 
 

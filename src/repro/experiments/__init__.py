@@ -18,17 +18,18 @@ from repro.experiments.pool import (
 from repro.experiments.queue import WorkQueue, run_worker
 from repro.experiments.figures import (
     FigureResult,
+    evaluate_claims,
     figure_registry,
     run_figure,
     paper_failures_to_sim,
 )
-from repro.experiments.format import format_table, format_series, format_figure
-from repro.experiments.validate import ValidationReport, validate_figure
+from repro.experiments.format import (
+    format_claims, format_figure, format_series, format_table,
+)
 
 __all__ = [
+    "format_claims",
     "format_figure",
-    "ValidationReport",
-    "validate_figure",
     "SweepPoint",
     "SweepResult",
     "SweepExecutor",
@@ -41,6 +42,7 @@ __all__ = [
     "run_worker",
     "shutdown_warm_pool",
     "FigureResult",
+    "evaluate_claims",
     "figure_registry",
     "run_figure",
     "paper_failures_to_sim",

@@ -15,12 +15,12 @@ paper's, which is what its phenomena depend on; see EXPERIMENTS.md.
 Knobs
 -----
 Figure fidelity scales with ``REPRO_FIG_JOBS`` (jobs per run, default
-500) and ``REPRO_FIG_SEEDS`` (seeds averaged per point, default 2) —
+500) and ``REPRO_FIG_SEEDS`` (seeds averaged per point, default 6, the
+fewest at which a claim's sign test can resolve) —
 environment variables so the pytest-benchmark suite stays
 argument-free.  ``REPRO_FIG_WORKERS`` (default: all cores but one)
-parallelises the sweep cells; ``run_figure`` and every ``figN``
-(``run_figure`` with the name bound) also take an explicit ``workers``
-argument, with every other sweep option.  Parallel results are
+parallelises the sweep cells; ``run_figure`` also takes an explicit
+``workers`` argument, with every other sweep option.  Parallel results are
 bitwise-identical to serial ones (see :mod:`repro.experiments.parallel`).
 """
 
@@ -28,10 +28,10 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
-from functools import partial
-from typing import Sequence
+from dataclasses import dataclass, field, replace
+from typing import Callable, Mapping, NamedTuple, Sequence
 
+from repro.analysis.compare import SignCount, sign_count
 from repro.errors import ExperimentError
 from repro.experiments.parallel import default_workers
 from repro.experiments.sweep import (
@@ -60,7 +60,7 @@ def default_n_jobs() -> int:
 
 def default_seeds() -> tuple[int, ...]:
     """Seeds averaged per sweep point (env-tunable)."""
-    return tuple(range(int(os.environ.get("REPRO_FIG_SEEDS", "2"))))
+    return tuple(range(int(os.environ.get("REPRO_FIG_SEEDS", "6"))))
 
 
 def _horizon_s(site: str, n_jobs: int, load_scale: float, seed: int = 0) -> float:
@@ -94,12 +94,7 @@ class FigureResult:
 
     def metric_values(self, label: str) -> list[tuple[float, float]]:
         """(x, metric) pairs for one series."""
-        getter = {
-            "bounded_slowdown": lambda r: r.avg_bounded_slowdown,
-            "response": lambda r: r.avg_response,
-            "utilized": lambda r: r.utilized,
-        }[self.metric]
-        return [(x, getter(r)) for x, r in self.series[label]]
+        return [(x, getattr(r, self.metric)) for x, r in self.series[label]]
 
 
 # ----------------------------------------------------------------------
@@ -131,7 +126,7 @@ _FIGURES: dict[str, _FigureSpec] = {
     "fig3": _FigureSpec(
         "failure_rate",
         "Slowdown vs failure rate, with/without prediction (SDSC)",
-        "bounded_slowdown",
+        "avg_bounded_slowdown",
         series=(("a=0.0", 0.0, 1.0), ("a=0.1", 0.1, 1.0), ("a=0.9", 0.9, 1.0)),
     ),
     # Fig. 4: loads c=1.0/1.2 (the paper does not state the confidence —
@@ -139,7 +134,7 @@ _FIGURES: dict[str, _FigureSpec] = {
     "fig4": _FigureSpec(
         "failure_rate",
         "Slowdown vs failure rate under load scaling (SDSC)",
-        "bounded_slowdown",
+        "avg_bounded_slowdown",
         series=(("c=1.0", 0.1, 1.0), ("c=1.2", 0.1, 1.2)),
     ),
     # Fig. 5: a=0.1, panels c=1.0 and c=1.2.
@@ -153,7 +148,7 @@ _FIGURES: dict[str, _FigureSpec] = {
     "fig6": _FigureSpec(
         "parameter",
         "Slowdown vs prediction confidence (balancing)",
-        "bounded_slowdown",
+        "avg_bounded_slowdown",
         sites=("sdsc", "nasa", "llnl"),
     ),
     "fig7": _FigureSpec(
@@ -169,7 +164,7 @@ _FIGURES: dict[str, _FigureSpec] = {
     "fig9": _FigureSpec(
         "parameter",
         "Slowdown vs prediction accuracy (tie-breaking)",
-        "bounded_slowdown",
+        "avg_bounded_slowdown",
         policy="tiebreak",
         sites=("sdsc", "nasa", "llnl"),
     ),
@@ -181,6 +176,146 @@ _FIGURES: dict[str, _FigureSpec] = {
         sites=("llnl",),
     ),
 }
+
+
+# ----------------------------------------------------------------------
+# The paper's claims: one table, one evaluator
+# ----------------------------------------------------------------------
+# A row names the figures it reads, the SweepResult metric, its per-seed
+# statistic, the verdict recorded at smoke scale (200 jobs x 6 seeds; the
+# test suite asserts it) and ``delta(v, cells)``: the statistic in one
+# seed, negative where the claim holds.  ``v(label, x, figure)`` reads
+# the metric in that seed (``figure`` defaults to the row's first), and
+# ``cells`` lists every cell at hand as ``(figure, label, x, one-seed
+# result)``.  A claim's verdict is ``SignCount.verdict`` over the seeds.
+# An invariant row's ``delta`` returns whether the seed satisfies it, and
+# the row is ``violated`` unless every seed does; one that names no
+# figures reads every figure at hand.
+
+#: x values of Figs. 3-5 with failures on.
+_FAILING = tuple(float(n) for n in PAPER_FAILURE_AXIS[1:])
+_PANELS = tuple(f"{site} c={c}" for site in ("sdsc", "nasa", "llnl") for c in (1.0, 1.2))
+
+
+class _Claim(NamedTuple):
+    figures: tuple[str, ...]
+    metric: str
+    statistic: str
+    smoke: str
+    delta: Callable
+    invariant: bool = False
+
+
+_CLAIMS: dict[str, _Claim] = {
+    "capacity-conserved": _Claim((), "utilized+unused+lost", "sum to 1 in each cell", "holds",
+        lambda v, c: all(abs(r.utilized + r.unused + r.lost - 1) < 1e-6 for *_, r in c), True),
+    "metrics-non-negative": _Claim((), "utilized, unused, kills", "none negative", "holds",
+        lambda v, c: all(min(r.utilized, r.unused, r.job_kills) >= 0 for *_, r in c), True),
+    "x-axis-sorted": _Claim((), "x", "strictly increasing along each series", "holds",
+        lambda v, c: all(a[2] < b[2] for a, b in zip(c, c[1:]) if a[:2] == b[:2]), True),
+    "no-failures-no-kills": _Claim((), "job_kills", "zero at x=0 of Figs. 3-5", "holds",
+        lambda v, c: all(r.job_kills == 0 for f, _, x, r in c
+                         if x == 0 and _FIGURES[f].kind == "failure_rate"), True),
+    # Balancing at confidence 0 and tie-break at accuracy 0 are both
+    # Krevat: one distinct a=0 result per panel across the two figures.
+    "a0-is-krevat": _Claim(("fig6", "fig9"), "every metric", "fig6 equals fig9 at a=0", "holds",
+        lambda v, c: len({(label, replace(r, point=None)) for f, label, x, r in c
+                          if x == 0 and f in ("fig6", "fig9")}) == len(_PANELS), True),
+    "failures-degrade-slowdown": _Claim(("fig3",), "avg_bounded_slowdown",
+        "x=0 minus x=4000, largest over a", "holds",
+        lambda v, _: max(v(a, 0.0) - v(a, 4000.0) for a in ("a=0.0", "a=0.1", "a=0.9"))),
+    "slowdown-saturates": _Claim(("fig3",), "avg_bounded_slowdown",
+        "a=0 rise over 2000..4000 minus rise over 0..2000", "unresolved",
+        lambda v, _: v("a=0.0", 4000.0) - 2 * v("a=0.0", 2000.0) + v("a=0.0", 0.0)),
+    **{
+        f"a0.1-recovers-{name}": _Claim(("fig3",), metric,
+            "a=0.1 minus a=0, summed over x>0", smoke,
+            lambda v, _: sum(v("a=0.1", x) - v("a=0.0", x) for x in _FAILING))
+        for name, metric, smoke in (("kills", "job_kills", "holds"), ("lost", "lost", "unresolved"),
+                                    ("slowdown", "avg_bounded_slowdown", "unresolved"))
+    },
+    "a0.9-adds-little": _Claim(("fig3",), "job_kills",
+        "gain a=0.1 -> a=0.9 minus gain a=0 -> a=0.1, summed over x>0", "holds",
+        lambda v, _: sum(2 * v("a=0.1", x) - v("a=0.9", x) - v("a=0.0", x) for x in _FAILING)),
+    "load-raises-slowdown": _Claim(("fig4",), "avg_bounded_slowdown",
+        "c=1.0 minus c=1.2, summed over x", "unresolved",
+        lambda v, _: sum(v("c=1.0", x) - v("c=1.2", x) for x in (0.0, *_FAILING))),
+    "load-raises-slowdown-everywhere": _Claim(("fig4",), "avg_bounded_slowdown",
+        "c=1.0 minus c=1.2, largest over x", "unresolved",
+        lambda v, _: max(v("c=1.0", x) - v("c=1.2", x) for x in (0.0, *_FAILING))),
+    "failures-lose-capacity": _Claim(("fig5",), "lost",
+        "x=0 minus x=4000, largest over c", "holds",
+        lambda v, _: max(v(c, 0.0) - v(c, 4000.0) for c in ("c=1.0", "c=1.2"))),
+    "load-leaves-less-unused": _Claim(("fig5",), "unused",
+        "c=1.2 minus c=1.0, summed over x", "holds",
+        lambda v, _: sum(v("c=1.2", x) - v("c=1.0", x) for x in (0.0, *_FAILING))),
+    **{
+        f"balancing-lowers-{name}-{site}": _Claim((fig,), metric,
+            "a=1.0 minus a=0, summed over c", smoke,
+            lambda v, _, site=site: sum(v(p, 1.0) - v(p, 0.0) for p in _PANELS if site in p))
+        for fig, name, metric, site, smoke in (
+            ("fig6", "kills", "job_kills", "sdsc", "holds"),
+            ("fig6", "kills", "job_kills", "nasa", "unresolved"),
+            ("fig6", "kills", "job_kills", "llnl", "unresolved"),
+            ("fig7", "lost", "lost", "sdsc", "holds"),
+            ("fig8", "lost", "lost", "nasa", "unresolved"),
+        )
+    },
+    "balancing-lowers-slowdown-sdsc": _Claim(("fig6",), "avg_bounded_slowdown",
+        "a=0.1 minus a=0, summed over c", "unresolved",
+        lambda v, _: sum(v(p, 0.1) - v(p, 0.0) for p in _PANELS[:2])),
+    "load-raises-utilization-nasa": _Claim(("fig8",), "utilized",
+        "c=1.0 minus c=1.2, summed over a", "unresolved",
+        lambda v, _: sum(v("nasa c=1.0", a) - v("nasa c=1.2", a) for a in PAPER_PARAMETER_AXIS)),
+    "tiebreak-lowers-kills": _Claim(("fig9",), "job_kills",
+        "a=1.0 minus a=0, summed over the six panels", "holds",
+        lambda v, _: sum(v(p, 1.0) - v(p, 0.0) for p in _PANELS)),
+    "tiebreak-helps-less-than-balancing": _Claim(("fig6", "fig9"), "job_kills",
+        "balancing minus tie-break, summed over a>0 and the six panels", "holds",
+        lambda v, _: sum(v(p, a) - v(p, a, "fig9") for p in _PANELS
+                         for a in PAPER_PARAMETER_AXIS[1:])),
+    "tiebreak-load-leaves-less-unused": _Claim(("fig10",), "unused",
+        "c=1.2 minus c=1.0, summed over a", "holds",
+        lambda v, _: sum(v("llnl c=1.2", a) - v("llnl c=1.0", a) for a in PAPER_PARAMETER_AXIS)),
+}
+
+
+class ClaimVerdict(NamedTuple):
+    """One row's per-seed sign count and the verdict it gives."""
+
+    name: str
+    claim: _Claim
+    signs: SignCount
+    verdict: str
+
+
+def evaluate_claims(figures: Mapping[str, FigureResult]) -> list[ClaimVerdict]:
+    """Verdict of every claim whose figures are all at hand, each cell
+    paired with the same seed's cells through ``SweepResult.per_seed``."""
+    seeds = {len(r.per_seed) for f in figures.values() for rows in f.series.values()
+             for _, r in rows} | {0 for f in figures.values() if not f.series}
+    if set(figures) - set(_FIGURES) or len(seeds) > 1 or 0 in seeds:
+        raise ExperimentError(f"claims read registry figures with series over one seed "
+                              f"set, not {sorted(figures)} over {sorted(seeds)} seeds")
+    by_seed = [[(f, label, x, r.per_seed[s]) for f, result in figures.items()
+                for label, rows in result.series.items() for x, r in rows]
+               for s in range(max(seeds, default=0))]
+    verdicts = []
+    for name, claim in _CLAIMS.items():
+        if figures and set(claim.figures) <= figures.keys():
+            deltas = [claim.delta(_reader(claim, cells), cells) for cells in by_seed]
+            signs = sign_count([1 - 2 * ok for ok in deltas] if claim.invariant else deltas)
+            verdict = signs.verdict if not claim.invariant else (
+                "violated" if signs.higher else "holds")
+            verdicts.append(ClaimVerdict(name, claim, signs, verdict))
+    return verdicts
+
+
+def _reader(claim: _Claim, cells) -> Callable:
+    index = {cell[:3]: cell[3] for cell in cells}
+    return lambda label, x, figure=(*claim.figures, "")[0]: getattr(
+        index[figure, label, x], claim.metric
+    )
 
 
 def _series_points(
@@ -289,13 +424,3 @@ def run_figure(
         ]
         cursor += len(rows)
     return result
-
-
-fig3 = partial(run_figure, "fig3")
-fig4 = partial(run_figure, "fig4")
-fig5 = partial(run_figure, "fig5")
-fig6 = partial(run_figure, "fig6")
-fig7 = partial(run_figure, "fig7")
-fig8 = partial(run_figure, "fig8")
-fig9 = partial(run_figure, "fig9")
-fig10 = partial(run_figure, "fig10")

@@ -69,3 +69,14 @@ def format_figure(result) -> str:
     for label, rows in result.series.items():
         parts.append(format_series(label, rows, result.metric))
     return "\n".join(parts)
+
+
+def format_claims(verdicts) -> str:
+    """One line per claim verdict, beside the verdict recorded at smoke scale."""
+    lines = ["claims (one-sided sign test over seeds, p <= 0.05, ties dropped):"]
+    for v in verdicts:
+        signs = v.signs if not v.claim.invariant else (
+            f"satisfied in {v.signs.lower} of {v.signs.lower + v.signs.higher} seeds")
+        lines.append(f"  {v.verdict:<10} {v.name}: {v.claim.metric}, {v.claim.statistic}"
+                     f" -- {signs} (smoke: {v.claim.smoke})")
+    return "\n".join(lines)

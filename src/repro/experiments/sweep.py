@@ -56,7 +56,8 @@ class SweepPoint:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Seed-averaged metrics for one sweep point."""
+    """Seed-averaged metrics for one sweep point; ``per_seed`` holds the
+    one-seed results (in seed order) that claims pair across series."""
 
     point: SweepPoint
     n_seeds: int
@@ -68,6 +69,7 @@ class SweepResult:
     lost: float
     job_kills: float
     failures_hit_jobs: float
+    per_seed: tuple["SweepResult", ...] = ()
 
     @classmethod
     def from_reports(cls, point: SweepPoint, reports: Sequence[SimulationReport]) -> "SweepResult":
@@ -91,7 +93,7 @@ class SweepResult:
             )
         # Row columns mirror the metric-field declaration order above.
         means = [math.fsum(col) / n for col in zip(*rows)]
-        return cls(point, n, *means)
+        return cls(point, n, *means, per_seed=tuple(cls(point, 1, *row) for row in rows))
 
 
 #: Float-error tolerance on capacity fractions (matches the

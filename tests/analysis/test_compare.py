@@ -7,7 +7,7 @@ import pytest
 from repro.analysis.compare import (
     PairedComparison,
     compare_reports,
-    mean_paired_comparison,
+    seed_sign_counts,
 )
 from repro.api import SimulationSetup
 from repro.errors import ExperimentError
@@ -81,24 +81,43 @@ class TestCompareReports:
         assert cmp.kills_delta <= 0  # prediction never adds kills here
 
 
-class TestMeanPaired:
-    def _cmp(self, delta, pair=("a", "b")):
+class TestSeedSignCounts:
+    def _cmp(self, delta, pair=("a", "b"), kills=-1):
         return PairedComparison(
             baseline_policy=pair[0], candidate_policy=pair[1], n_jobs=10,
             mean_response_delta=delta, mean_slowdown_delta=delta / 10,
-            jobs_improved=3, jobs_regressed=2, kills_delta=-1,
-            lost_work_delta=-100.0, utilized_delta=0.01,
+            jobs_improved=3, jobs_regressed=2, kills_delta=kills,
+            lost_work_delta=-100.0, utilized_delta=0.0,
         )
 
-    def test_averaging(self):
-        mean = mean_paired_comparison([self._cmp(-10.0), self._cmp(-30.0)])
-        assert mean.mean_response_delta == pytest.approx(-20.0)
-        assert mean.kills_delta == -1
+    def test_counts_signs_per_field(self):
+        counts = seed_sign_counts(
+            [self._cmp(-10.0), self._cmp(-30.0, kills=0), self._cmp(5.0)]
+        )
+        response = counts["mean_response_delta"]
+        assert (response.lower, response.higher, response.tied) == (2, 1, 0)
+        kills = counts["kills_delta"]
+        assert (kills.lower, kills.higher, kills.tied) == (2, 0, 1)
+        assert counts["utilized_delta"].tied == 3
+        assert str(kills) == "lower in 2 of 3 seeds, higher in 0, tied 1"
+
+    def test_a_mean_cannot_hide_the_sign(self):
+        """One huge win and five small losses average to a win; the sign
+        count says the candidate was lower in one seed of six."""
+        comparisons = [self._cmp(-1000.0)] + [self._cmp(10.0)] * 5
+        response = seed_sign_counts(comparisons)["mean_response_delta"]
+        assert (response.lower, response.higher) == (1, 5)
+        assert response.verdict == "unresolved"
+
+    def test_verdict_needs_enough_seeds(self):
+        assert seed_sign_counts([self._cmp(-1.0)] * 6)["kills_delta"].verdict == "holds"
+        assert seed_sign_counts([self._cmp(-1.0)] * 4)["kills_delta"].verdict == "unresolved"
+        assert seed_sign_counts([self._cmp(1.0, kills=1)] * 6)["kills_delta"].verdict == "refuted"
 
     def test_mixed_pairs_rejected(self):
         with pytest.raises(ExperimentError):
-            mean_paired_comparison([self._cmp(-10.0), self._cmp(-10.0, pair=("a", "c"))])
+            seed_sign_counts([self._cmp(-10.0), self._cmp(-10.0, pair=("a", "c"))])
 
     def test_empty_rejected(self):
         with pytest.raises(ExperimentError):
-            mean_paired_comparison([])
+            seed_sign_counts([])

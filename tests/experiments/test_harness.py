@@ -101,7 +101,7 @@ class TestFigureSmoke:
         import repro.experiments.figures as figures
 
         monkeypatch.setattr(figures, "PAPER_FAILURE_AXIS", (0, 4000))
-        result = figures.fig3()
+        result = figures.run_figure("fig3")
         assert set(result.series) == {"a=0.0", "a=0.1", "a=0.9"}
         for label in result.series:
             xs = [x for x, _ in result.series[label]]

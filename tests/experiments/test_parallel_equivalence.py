@@ -389,9 +389,9 @@ class TestFigureParallelism:
         import repro.experiments.figures as figures
 
         monkeypatch.setattr(figures, "PAPER_FAILURE_AXIS", (0, 2000))
-        parallel = figures.fig4(workers=2)
+        parallel = figures.run_figure("fig4", workers=2)
         sweep_mod._result_cache.clear()
-        serial = figures.fig4(workers=1)
+        serial = figures.run_figure("fig4", workers=1)
         assert parallel.series.keys() == serial.series.keys()
         for label in serial.series:
             assert parallel.series[label] == serial.series[label]

@@ -121,7 +121,8 @@ class TestCli:
         ) == 0
         out = capsys.readouterr().out
         assert "balancing vs krevat" in out
-        assert "mean over seeds" in out
+        assert "balancing minus krevat per seed:" in out
+        assert "kills_delta" in out and "of 2 seeds" in out
 
     def test_characterize_swf(self, tmp_path, capsys):
         workload = Workload(

@@ -61,4 +61,4 @@ class TestExamples:
     def test_policy_comparison_small(self):
         out = run_example("policy_comparison.py", "nasa", "50", "5")
         assert "vs krevat" in out
-        assert "mean  :" in out
+        assert "kills_delta" in out and "of 6 seeds" in out
