@@ -175,8 +175,7 @@ def running_states(torus: Torus) -> list[JobState]:
     states = []
     for i, (job_id, partition) in enumerate(torus.allocations()):
         js = JobState(Job(job_id, 0.0, partition.size, 100.0, 100.0))
-        js.dispatch(0.0, 100.0)
-        js.est_finish = 50.0 + 25.0 * i
+        js.dispatch(0.0, 100.0, 50.0 + 25.0 * i)
         states.append(js)
     return states
 

@@ -1,8 +1,8 @@
-"""Post-simulation analysis: distributions, timelines and trace stats.
+"""Post-simulation analysis: distributions, comparisons and profiles.
 
 The paper reports averages; real scheduler studies need distributions
-(slowdown is famously heavy-tailed), per-class breakdowns and
-machine-state timelines to explain *why* a policy wins.  This package
+(slowdown is famously heavy-tailed), per-class breakdowns and paired
+per-seed comparisons to explain *why* a policy wins.  This package
 provides those tools over :class:`~repro.metrics.report.SimulationReport`
 objects plus characterisation reports for workloads and failure logs —
 the summaries EXPERIMENTS.md quotes when comparing synthetic traces to
@@ -17,12 +17,6 @@ from repro.analysis.distributions import (
     wait_distribution,
     response_distribution,
     per_size_class_summary,
-)
-from repro.analysis.timeline import (
-    TimelineEvent,
-    build_timeline,
-    queue_length_trace,
-    busy_nodes_trace,
 )
 from repro.analysis.characterize import (
     WorkloadProfile,
@@ -46,10 +40,6 @@ __all__ = [
     "wait_distribution",
     "response_distribution",
     "per_size_class_summary",
-    "TimelineEvent",
-    "build_timeline",
-    "queue_length_trace",
-    "busy_nodes_trace",
     "WorkloadProfile",
     "FailureProfile",
     "characterize_workload",

@@ -52,16 +52,6 @@ class DistributionSummary:
             percentiles={p: float(np.percentile(arr, p)) for p in PERCENTILES},
         )
 
-    def tail_share(self) -> float:
-        """Fraction of the metric's total mass above the 90th percentile
-        — a heavy-tail indicator (10% of jobs holding >> 10% of mass)."""
-        if self.n == 0 or self.mean == 0:
-            return 0.0
-        p90 = self.percentiles[90]
-        # mean * n is the total; approximate the tail by the summary we
-        # have: callers needing exact mass should use raw values.
-        return max(0.0, 1.0 - p90 / max(self.maximum, 1e-12)) if self.maximum else 0.0
-
     def __str__(self) -> str:  # pragma: no cover - display sugar
         ps = " ".join(f"p{p}={v:.1f}" for p, v in self.percentiles.items())
         return f"{self.metric}: n={self.n} mean={self.mean:.2f} {ps}"

@@ -279,7 +279,7 @@ def _flags_sweep_worker(parser: argparse.ArgumentParser) -> None:
 def _flags_figure(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("name", help="fig3 .. fig10")
     _add_scenario_flags(parser, "jobs", jobs=None)
-    parser.add_argument("--seeds", type=int, default=None, help="number of seeds")
+    parser.add_argument("--seeds", type=_positive_int, default=None, help="number of seeds")
     parser.add_argument("--chart", action="store_true", help="render an ASCII chart")
     _add_execution_flags(parser)
 
@@ -290,7 +290,7 @@ def _flags_compare(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--baseline", default="krevat")
     parser.add_argument("--candidate", default="balancing")
-    parser.add_argument("--seeds", type=int, default=3)
+    parser.add_argument("--seeds", type=_positive_int, default=3)
 
 
 def _flags_characterize(parser: argparse.ArgumentParser) -> None:
@@ -522,7 +522,7 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     result = run_figure(
         args.name,
         n_jobs=args.jobs,
-        seeds=tuple(range(args.seeds)) if args.seeds else None,
+        seeds=None if args.seeds is None else tuple(range(args.seeds)),
         **_execution_options(args),
     )
     print(format_figure(result))

@@ -59,21 +59,26 @@ class ShadowTimeEngine:
     def __init__(
         self,
         torus: Torus,
-        index_cache: IndexCache | None = None,
+        index_cache: IndexCache,
         metrics: MetricsRegistry | None = None,
     ) -> None:
         self.torus = torus
         self.metrics = metrics
         self._fit_times: dict[int, float] = {}
         self._cache_version = -1
-        # The simulator passes its own cache, so the replay reads the
-        # index the scheduler pass already repaired.
-        self._index_cache = index_cache or IndexCache(torus)
+        # The scheduler pass's own cache: the replay reads the index the
+        # pass already repaired.
+        self._index_cache = index_cache
 
     def shadow_time(
         self, running: Iterable[JobState], head_size: int, now: float
     ) -> float:
-        """Earliest estimated time a free partition of ``head_size`` exists."""
+        """Earliest estimated time a free partition of ``head_size`` exists.
+
+        ``now`` when one already exists, ``math.inf`` when even a fully
+        drained machine has none (an unschedulable size, which the
+        simulator treats as a hard error).
+        """
         version = self.torus.version
         if version != self._cache_version:
             self._fit_times.clear()
@@ -113,21 +118,3 @@ class ShadowTimeEngine:
         )
         return math.inf if k is None else ordered[k].est_finish
 
-
-def shadow_time(
-    torus: Torus,
-    running: Iterable[JobState],
-    head_size: int,
-    now: float,
-) -> float:
-    """Earliest estimated time a free partition of ``head_size`` exists.
-
-    Returns ``now`` when one already exists, ``math.inf`` when even a
-    fully drained machine has none (an unschedulable size — the engine
-    treats that as a hard error upstream).
-
-    One-shot convenience over :class:`ShadowTimeEngine`; the simulator
-    keeps a long-lived engine instead so repeated queries share the
-    placement index and the per-version cache.
-    """
-    return ShadowTimeEngine(torus).shadow_time(running, head_size, now)

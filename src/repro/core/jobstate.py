@@ -68,7 +68,7 @@ class JobState:
         return self.finished_at is not None
 
     # ------------------------------------------------------------------
-    def dispatch(self, now: float, wall_duration: float) -> int:
+    def dispatch(self, now: float, wall_duration: float, est_finish: float) -> int:
         """Mark the job started at ``now``; returns the new epoch."""
         if self.running:
             raise SimulationError(f"job {self.job_id} dispatched while running")
@@ -81,7 +81,7 @@ class JobState:
         self.epoch += 1
         self.start_time = now
         self.wall_duration = wall_duration
-        self.est_finish = now + max(self.remaining_estimate, MIN_ESTIMATE_S)
+        self.est_finish = est_finish
         return self.epoch
 
     def kill(self, now: float, new_saved_progress: float) -> None:

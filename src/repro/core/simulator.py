@@ -72,7 +72,6 @@ class Simulator:
         self.workload = workload
         self.failure_log = failure_log
         self.policy = policy
-        self.open_ended = open_ended
         self.torus = Torus(dims)
         self.states: dict[int, JobState] = {}
         self.wait = WaitQueue()
@@ -103,7 +102,6 @@ class Simulator:
         # built below do: whoever drives the run, the metrics are the same.
         self.policy.recorder = self.recorder
         self.policy.metrics = self.metrics
-        self._completed = 0
         self._target = 0
         self._processed = 0
         self._begun = False
@@ -119,7 +117,6 @@ class Simulator:
             if open_ended
             else min((j.arrival for j in workload.jobs), default=0.0)
         )
-        self._running_ids: set[int] = set()
         # (head, walk position, shadow) a backfill left standing this pass.
         self._reservation: tuple[JobState, int, float] | None = None
         self._index_cache = self._make_index_cache()
@@ -200,9 +197,8 @@ class Simulator:
             return "completed"
         self._cancelled.add(job_id)
         self._target -= 1
-        if job_id in self._running_ids:
+        if state.running:
             self.torus.release(job_id)
-            self._running_ids.discard(job_id)
             state.abort_dispatch()
             outcome = "running"
         elif self.wait.discard(state):
@@ -233,12 +229,12 @@ class Simulator:
     @property
     def completed_count(self) -> int:
         """Jobs that have run to completion so far."""
-        return self._completed
+        return len(self.records)
 
     @property
     def outstanding(self) -> int:
         """Submitted, not cancelled, not yet completed."""
-        return self._target - self._completed
+        return self._target - len(self.records)
 
     def write_trace_header(self, **extra) -> None:
         """Open the decision trace (a no-op when tracing is off): what a
@@ -332,7 +328,7 @@ class Simulator:
             return 0
         self._begin()
         steps = 0
-        while self._completed < self._target and (
+        while len(self.records) < self._target and (
             max_batches is None or steps < max_batches
         ):
             next_time = self.events.next_time()
@@ -356,9 +352,9 @@ class Simulator:
             self._final_report = self._report(end_time=end)
             return self._final_report
         self.pump()
-        if self._completed < self._target:
+        if self.outstanding:
             raise SimulationError(
-                f"simulation stalled: {self._target - self._completed} jobs "
+                f"simulation stalled: {self.outstanding} jobs "
                 f"never completed (event queue drained at t={self._last_time})"
             )
         self._final_report = self._report(end_time=self._last_time)
@@ -386,10 +382,8 @@ class Simulator:
         if self.recorder.enabled:
             self.recorder.emit("finish", now, job=job_id)
         self.torus.release(job_id)
-        self._running_ids.discard(job_id)
         state.complete(now)
         self.records.append(state.to_record())
-        self._completed += 1
 
     def _on_failure(self, node: int, now: float) -> None:
         self.counters.failures_total += 1
@@ -401,8 +395,6 @@ class Simulator:
             return
         self.counters.failures_hit_jobs += 1
         self.counters.job_kills += 1
-        if self.metrics is not None:
-            self.metrics.counter("sim.job_kills").inc()
         state = self.states[owner]
         new_saved = self.checkpoint.progress_at_kill(
             state.saved_progress, now - state.start_time, state.job.runtime, self.rng
@@ -415,7 +407,6 @@ class Simulator:
                     saved_before=state.saved_progress, saved_after=new_saved,
                 )
         self.torus.release(owner)
-        self._running_ids.discard(owner)
         state.kill(now, new_saved)
         self.wait.push(state)
 
@@ -426,8 +417,6 @@ class Simulator:
         """One FCFS pass with migration and backfill; it stops first where
         no waiting job fits the free node count (exact: DESIGN §5.15)."""
         self.counters.scheduler_passes += 1
-        if self.metrics is not None:
-            self.metrics.counter("sim.scheduler_passes").inc()
         self.policy.begin_pass(now)
         self._reservation = None
         while self.wait:
@@ -459,8 +448,7 @@ class Simulator:
             return False
         if self.torus.free_count < head.size:
             return False
-        running = [self.states[i] for i in self._running_ids]
-        plan = plan_compaction(self._index_cache, running, head)
+        plan = plan_compaction(self._index_cache, self._running(), head)
         if plan is None:
             return False
         apply_compaction(self.torus, plan, head.job_id)
@@ -468,8 +456,6 @@ class Simulator:
             self.recorder.emit(
                 "migration", now, head_job=head.job_id, **plan.summary()
             )
-        if self.metrics is not None:
-            self.metrics.counter("sim.migrations").inc()
         self.counters.migrations += 1
         self.counters.jobs_migrated += len(plan.moved_job_ids)
         cost = self.config.migration_cost_s
@@ -521,8 +507,7 @@ class Simulator:
             if state.size not in fits:
                 continue
             if shadow is None:
-                running = [self.states[i] for i in self._running_ids]
-                shadow = self._shadow.shadow_time(running, head.size, now)
+                shadow = self._shadow.shadow_time(self._running(), head.size, now)
                 if math.isinf(shadow):
                     raise SimulationError(
                         f"job {head.job_id} (size {head.size}) cannot fit even "
@@ -552,12 +537,11 @@ class Simulator:
     def _dispatch(
         self, state: JobState, partition: Partition, now: float, via: str = "fcfs"
     ) -> None:
-        wall = self.checkpoint.wall_duration(state.remaining_work)
-        wall = max(wall, 1e-9)
-        epoch = state.dispatch(now, wall)
-        state.est_finish = now + self.checkpoint.wall_duration(
+        wall = max(self.checkpoint.wall_duration(state.remaining_work), 1e-9)
+        est_finish = now + self.checkpoint.wall_duration(
             max(state.remaining_estimate, MIN_ESTIMATE_S)
         )
+        epoch = state.dispatch(now, wall, est_finish)
         if self.recorder.enabled:
             self.recorder.emit(
                 "dispatch", now, job=state.job_id, size=state.size,
@@ -568,9 +552,13 @@ class Simulator:
         if self.metrics is not None:
             self.metrics.counter("sim.dispatches").inc()
         self.torus.allocate(state.job_id, partition)
-        self._running_ids.add(state.job_id)
         self.wait.remove(state)
         self.events.push(now + wall, EventKind.FINISH, state.job_id, epoch)
+
+    def _running(self) -> list[JobState]:
+        """The running jobs, read off the torus allocation map."""
+        # In map order: migration and the shadow replay both sort them.
+        return [self.states[job_id] for job_id, _ in self.torus.allocations()]
 
     # ------------------------------------------------------------------
     def _report(self, end_time: float) -> SimulationReport:

@@ -395,8 +395,12 @@ def run_figure(
         raise ExperimentError(
             f"unknown figure {name!r}; available: {', '.join(_FIGURES)}"
         ) from None
-    n_jobs = n_jobs or default_n_jobs()
-    seeds = tuple(seeds or default_seeds())
+    n_jobs = default_n_jobs() if n_jobs is None else n_jobs
+    seeds = default_seeds() if seeds is None else tuple(seeds)
+    if n_jobs < 1:
+        raise ExperimentError(f"figure {figure}: n_jobs must be >= 1, got {n_jobs}")
+    if not seeds:
+        raise ExperimentError(f"figure {figure}: needs at least one seed")
     if spec.kind == "failure_rate":
         x_label = "paper failure count"
     else:

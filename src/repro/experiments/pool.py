@@ -21,10 +21,9 @@ or in the calling process; every backend submits one call per cell.
 
 Determinism contract: a cell's inputs are pure functions of ``(point,
 seed, model, master-log size)``, so every process regenerates them
-bitwise identically; workers run the same
-:func:`~repro.experiments.sweep.simulate_cell` the serial path uses, and
-the parent reassembles results keyed by cell index — so warm-pool
-results remain bitwise identical to serial ones.
+bitwise identically; workers run the same :func:`run_cell` the serial
+path uses, and the parent reassembles results keyed by cell index — so
+warm-pool results remain bitwise identical to serial ones.
 """
 
 from __future__ import annotations
@@ -33,8 +32,10 @@ import atexit
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 
+from repro.core.simulator import Simulator
 from repro.experiments import sweep as sweep_mod
 from repro.failures.synthetic import BurstFailureModel
+from repro.obs.aggregate import CellObs
 from repro.obs.log import get_logger
 from repro.resilience import ChaosConfig, cell_timeout, inject_pre_cell
 
@@ -68,14 +69,18 @@ def run_cell(
     by the count, so following is all it takes.  Chaos injection and the
     per-cell wall-clock timeout live here so they apply identically
     either way.  With ``with_obs`` the second element is the cell's
-    picklable observability payload, else ``None``.
+    picklable observability payload (metrics snapshot, plus the buffered
+    trace records when the point's config traces), else ``None``.
     """
     sweep_mod.MASTER_FAILURE_COUNT = master_failure_count
     with cell_timeout(timeout_s):
         inject_pre_cell(chaos, cell_id, attempt, in_worker=in_worker)
-        if with_obs:
-            return sweep_mod.simulate_cell_obs(point, seed, model)
-        return sweep_mod.simulate_cell(point, seed, model), None
+        simulator = Simulator(*sweep_mod.cell_inputs(point, seed, model, with_obs))
+        report = simulator.run()
+    if not with_obs:
+        return report, None
+    records = simulator.recorder.records if simulator.recorder.enabled else None
+    return report, CellObs(simulator.metrics.to_dict(), records)
 
 
 # ----------------------------------------------------------------------

@@ -49,6 +49,7 @@ which can also spawn same-host workers itself.
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 import socket
 import subprocess
@@ -146,7 +147,7 @@ class WorkQueue:
 
     def __init__(self, root: str | Path, *, lease_s: float | None = None) -> None:
         self.lease_s = DEFAULT_LEASE_S if lease_s is None else lease_s
-        if self.lease_s <= 0:
+        if not 0 < self.lease_s < math.inf:
             raise ExperimentError("lease_s must be positive")
         self.root = Path(root)
         self.tasks_dir = self.root / "tasks"

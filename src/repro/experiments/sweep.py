@@ -21,9 +21,8 @@ from typing import Iterable, Sequence
 from repro.core.config import SimulationConfig
 from repro.core.policies.base import SchedulingPolicy
 from repro.core.policies.registry import make_policy
-from repro.core.simulator import Simulator
 from repro.errors import ExperimentError
-from repro.obs.aggregate import CellObs, SweepObsCollector
+from repro.obs.aggregate import SweepObsCollector
 from repro.obs.log import get_logger
 from repro.failures.events import FailureLog
 from repro.failures.scaling import rescale_failures
@@ -259,11 +258,12 @@ def cell_inputs(
 ) -> tuple[Workload, FailureLog, SchedulingPolicy, SimulationConfig]:
     """The simulator arguments of one ``(point, seed)`` cell.
 
-    ``with_obs`` forces metrics collection (``profile=True``) so sweep
-    observability works even when the point's config only asks for
-    traces — or for neither; tracing itself stays governed by
-    ``point.config.trace``.  Profiling is observational, so the report
-    is identical either way.
+    :func:`repro.experiments.pool.run_cell` runs every cell on them; the
+    module caches above memoise the inputs in each worker.  ``with_obs``
+    forces metrics collection (``profile=True``) so sweep observability
+    works even when the point's config only asks for traces — or for
+    neither; tracing itself stays governed by ``point.config.trace``.
+    Profiling is observational, so the report is identical either way.
     """
     workload = _workload_for(point, seed)
     failures = _failures_for(point, workload, seed, model)
@@ -278,38 +278,6 @@ def cell_inputs(
     if with_obs:
         config = replace(config, profile=True)
     return workload, failures, policy, config
-
-
-def simulate_cell(
-    point: SweepPoint, seed: int, model: BurstFailureModel
-) -> SimulationReport:
-    """Run one ``(point, seed)`` simulation cell.
-
-    The single code path behind the sweep executor (in-process and in
-    pool workers) and the queue workers — the per-cell inputs (workload
-    draw, master failure log) come from the module-level caches above,
-    which act as worker-side memoisation under ``multiprocessing``
-    fan-out.
-    """
-    return Simulator(*cell_inputs(point, seed, model, with_obs=False)).run()
-
-
-def simulate_cell_obs(
-    point: SweepPoint, seed: int, model: BurstFailureModel
-) -> tuple[SimulationReport, CellObs]:
-    """Run one cell and capture its observability payload.
-
-    The payload (metrics snapshot, plus buffered trace records when the
-    point's config enables tracing) is picklable, so parallel workers
-    ship it back to the parent for deterministic aggregation.
-    """
-    simulator = Simulator(*cell_inputs(point, seed, model, with_obs=True))
-    report = simulator.run()
-    metrics = simulator.metrics.to_dict() if simulator.metrics is not None else None
-    trace_records = (
-        simulator.recorder.records if simulator.recorder.enabled else None
-    )
-    return report, CellObs(metrics=metrics, trace_records=trace_records)
 
 
 def run_point(

@@ -17,6 +17,7 @@ simulations they run.
 from __future__ import annotations
 
 import hashlib
+import math
 import signal
 import threading
 from contextlib import contextmanager
@@ -87,8 +88,8 @@ class RetryPolicy:
             raise ResilienceError("backoff_factor must be >= 1")
         if not 0.0 <= self.jitter_fraction < 1.0:
             raise ResilienceError("jitter_fraction must be in [0, 1)")
-        if self.cell_timeout_s is not None and self.cell_timeout_s <= 0:
-            raise ResilienceError("cell_timeout_s must be positive")
+        if self.cell_timeout_s is not None and not 0 < self.cell_timeout_s < math.inf:
+            raise ResilienceError("cell_timeout_s must be positive and finite")
         if self.max_pool_rebuilds < 0:
             raise ResilienceError("max_pool_rebuilds must be >= 0")
 

@@ -29,6 +29,7 @@ Two clock disciplines, chosen at engine construction:
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -55,9 +56,10 @@ class TenantQueue:
     rejected: int = 0
 
     def __post_init__(self) -> None:
-        if self.weight <= 0:
+        if not 0 < self.weight < math.inf:
             raise ServeError(
-                f"tenant {self.name!r}: weight must be positive, got {self.weight}"
+                f"tenant {self.name!r}: weight must be positive and finite, "
+                f"got {self.weight}"
             )
         if self.cap < 1:
             raise ServeError(

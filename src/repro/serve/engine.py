@@ -287,7 +287,8 @@ class ServeEngine:
 
         The request counts and the two depth gauges are read here from
         the fields the ``stats`` op answers from — their one home — so
-        the two views cannot disagree.
+        the two views cannot disagree; the simulator's pass, kill and
+        migration counts likewise come from its report ``Counters``.
         """
         snapshot = self.metrics.to_dict()
         snapshot["counters"].update({
@@ -300,5 +301,9 @@ class ServeEngine:
             "serve.queue_depth": float(self.admission.backlog),
         })
         if self.sim.metrics is not None:
-            snapshot["sim"] = self.sim.metrics.to_dict()
+            snapshot["sim"] = sim = self.sim.metrics.to_dict()
+            for name in ("job_kills", "migrations", "scheduler_passes"):
+                # Listed once it fired, as a registry counter is.
+                if count := getattr(self.sim.counters, name):
+                    sim["counters"][f"sim.{name}"] = float(count)
         return snapshot

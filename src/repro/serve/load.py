@@ -14,6 +14,7 @@ latency is then the batch round trip amortised over its members.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Any, Sequence
@@ -132,10 +133,10 @@ def run_load(
     """
     if acceleration is not None and rate is not None:
         raise ServeError("acceleration and rate are mutually exclusive")
-    if acceleration is not None and acceleration <= 0:
-        raise ServeError(f"acceleration must be positive, got {acceleration}")
-    if rate is not None and rate <= 0:
-        raise ServeError(f"rate must be positive, got {rate}")
+    if acceleration is not None and not 0 < acceleration < math.inf:
+        raise ServeError(f"acceleration must be positive and finite, got {acceleration}")
+    if rate is not None and not 0 < rate < math.inf:
+        raise ServeError(f"rate must be positive and finite, got {rate}")
     if pipeline_depth < 1:
         raise ServeError(f"pipeline_depth must be >= 1, got {pipeline_depth}")
 

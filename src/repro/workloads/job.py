@@ -10,6 +10,7 @@ one once the job completes).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Iterator, Sequence
 
@@ -44,19 +45,22 @@ class Job:
     def __post_init__(self) -> None:
         if self.job_id < 0:
             raise WorkloadError(f"job id must be non-negative, got {self.job_id}")
-        if self.arrival < 0:
-            raise WorkloadError(f"job {self.job_id}: negative arrival {self.arrival}")
+        # Comparisons NaN fails, so a NaN is refused with the rest.
+        if not 0 <= self.arrival < math.inf:
+            raise WorkloadError(
+                f"job {self.job_id}: arrival must be finite and >= 0, got {self.arrival}"
+            )
         if self.size < 1:
             raise WorkloadError(f"job {self.job_id}: size must be >= 1, got {self.size}")
-        if self.runtime <= 0:
+        if not 0 < self.runtime < math.inf:
             raise WorkloadError(
-                f"job {self.job_id}: runtime must be positive, got {self.runtime}"
+                f"job {self.job_id}: runtime must be positive and finite, got {self.runtime}"
             )
         if self.estimate == -1.0:
             object.__setattr__(self, "estimate", self.runtime)
-        elif self.estimate <= 0:
+        elif not 0 < self.estimate < math.inf:
             raise WorkloadError(
-                f"job {self.job_id}: estimate must be positive, got {self.estimate}"
+                f"job {self.job_id}: estimate must be positive and finite, got {self.estimate}"
             )
 
     @property
@@ -67,8 +71,8 @@ class Job:
     def with_runtime_scaled(self, c: float) -> "Job":
         """Paper's load scaling: multiply execution time (and the
         estimate, proportionally) by ``c``."""
-        if c <= 0:
-            raise WorkloadError(f"load scale must be positive, got {c}")
+        if not 0 < c < math.inf:
+            raise WorkloadError(f"load scale must be positive and finite, got {c}")
         return replace(self, runtime=self.runtime * c, estimate=self.estimate * c)
 
     def with_size(self, size: int) -> "Job":

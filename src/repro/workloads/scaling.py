@@ -9,6 +9,8 @@ up to the nearest size for which a rectangular partition shape exists.
 
 from __future__ import annotations
 
+import math
+
 from repro.errors import WorkloadError
 from repro.geometry.coords import TorusDims
 from repro.geometry.shapes import round_to_schedulable
@@ -21,8 +23,8 @@ def scale_load(workload: Workload, c: float) -> Workload:
     This is the paper's load-scale coefficient: higher ``c`` means more
     induced load on the same arrival pattern.
     """
-    if c <= 0:
-        raise WorkloadError(f"load scale must be positive, got {c}")
+    if not 0 < c < math.inf:
+        raise WorkloadError(f"load scale must be positive and finite, got {c}")
     if c == 1.0:
         return workload
     return workload.replace_jobs([j.with_runtime_scaled(c) for j in workload.jobs])

@@ -23,8 +23,9 @@ Jobs with non-positive size or runtime (cancelled / failed submissions)
 are skipped, matching common simulator practice.  Records that are
 *wrong* rather than merely incomplete — duplicate job numbers, size
 fields that are explicitly zero/negative instead of the ``-1`` unknown
-sentinel, short or non-numeric lines, malformed headers — raise
-:class:`~repro.errors.SWFParseError` naming the offending line.
+sentinel, short or non-numeric lines, ``nan``/``inf`` times, malformed
+headers — raise :class:`~repro.errors.SWFParseError` naming the
+offending line.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import io
 from pathlib import Path
 from typing import TextIO
 
-from repro.errors import SWFParseError
+from repro.errors import SWFParseError, WorkloadError
 from repro.workloads.job import Job, Workload
 
 #: Number of whitespace-separated fields in a canonical SWF record.
@@ -68,7 +69,10 @@ def _parse_line(line: str, lineno: int) -> Job | None:
     if size <= 0 or runtime <= 0 or submit < 0 or job_id < 0:
         return None  # cancelled / failed / incomplete submission records
     estimate = requested_time if requested_time > 0 else runtime
-    return Job(job_id=job_id, arrival=submit, size=size, runtime=runtime, estimate=estimate)
+    try:
+        return Job(job_id=job_id, arrival=submit, size=size, runtime=runtime, estimate=estimate)
+    except WorkloadError as exc:  # a non-finite time field
+        raise SWFParseError(f"line {lineno}: {exc}") from None
 
 
 def parse_swf(stream: TextIO, name: str = "swf") -> Workload:

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.allocation.mfp import IndexCache
-from repro.core.backfill import shadow_time
+from repro.core.backfill import ShadowTimeEngine
 from repro.core.jobstate import JobState
 from repro.core.migration import (
     CompactionPlan,
@@ -29,8 +29,7 @@ D = BGL_SUPERNODE_DIMS
 
 def running_state(job_id, size, est_finish, torus, partition) -> JobState:
     s = JobState(Job(job_id, 0.0, size, 100.0, 100.0))
-    s.dispatch(0.0, est_finish)
-    s.est_finish = est_finish
+    s.dispatch(0.0, est_finish, est_finish)
     torus.allocate(job_id, partition)
     return s
 
@@ -38,7 +37,7 @@ def running_state(job_id, size, est_finish, torus, partition) -> JobState:
 class TestShadowTime:
     def test_immediate_when_fits(self):
         t = Torus(D)
-        assert shadow_time(t, [], 8, now=50.0) == 50.0
+        assert ShadowTimeEngine(t, IndexCache(t)).shadow_time([], 8, now=50.0) == 50.0
 
     def test_waits_for_first_sufficient_release(self):
         t = Torus(D)
@@ -46,24 +45,24 @@ class TestShadowTime:
         # enough space for a 64-node job.
         a = running_state(1, 64, est_finish=100.0, torus=t, partition=Partition((0, 0, 0), (4, 4, 4)))
         b = running_state(2, 64, est_finish=200.0, torus=t, partition=Partition((0, 0, 4), (4, 4, 4)))
-        assert shadow_time(t, [a, b], 64, now=0.0) == 100.0
+        assert ShadowTimeEngine(t, IndexCache(t)).shadow_time([a, b], 64, now=0.0) == 100.0
 
     def test_needs_multiple_releases(self):
         t = Torus(D)
         a = running_state(1, 64, est_finish=100.0, torus=t, partition=Partition((0, 0, 0), (4, 4, 4)))
         b = running_state(2, 64, est_finish=200.0, torus=t, partition=Partition((0, 0, 4), (4, 4, 4)))
         # Full machine needed: both must finish.
-        assert shadow_time(t, [a, b], 128, now=0.0) == 200.0
+        assert ShadowTimeEngine(t, IndexCache(t)).shadow_time([a, b], 128, now=0.0) == 200.0
 
     def test_infinite_for_impossible_size(self):
         t = Torus(D)
         # 11 supernodes never form a box on 4x4x8.
-        assert math.isinf(shadow_time(t, [], 11, now=0.0))
+        assert math.isinf(ShadowTimeEngine(t, IndexCache(t)).shadow_time([], 11, now=0.0))
 
     def test_shadow_never_before_now(self):
         t = Torus(D)
         a = running_state(1, 128, est_finish=10.0, torus=t, partition=Partition((0, 0, 0), (4, 4, 8)))
-        assert shadow_time(t, [a], 8, now=50.0) == 50.0
+        assert ShadowTimeEngine(t, IndexCache(t)).shadow_time([a], 8, now=50.0) == 50.0
 
 
 class TestCompaction:
@@ -164,7 +163,7 @@ class TestPlannerMatchesRebuildReference:
         running = []
         for job_id, partition in torus.allocations():
             js = JobState(Job(job_id, float(job_id % 3), partition.size, 100.0, 100.0))
-            js.dispatch(0.0, 100.0)
+            js.dispatch(0.0, 100.0, 100.0)
             running.append(js)
         head = JobState(Job(10_000, 0.0, head_size, 100.0, 100.0))
         # Dataclass equality: placements and moved_job_ids, or both None.

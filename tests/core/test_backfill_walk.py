@@ -204,8 +204,7 @@ class RestartWalkSimulator(Simulator):
             if state.size not in fits:
                 continue
             if shadow is None:
-                running = [self.states[i] for i in self._running_ids]
-                shadow = self._shadow.shadow_time(running, head.size, now)
+                shadow = self._shadow.shadow_time(self._running(), head.size, now)
             est_wall = self.checkpoint.wall_duration(
                 max(state.remaining_estimate, MIN_ESTIMATE_S)
             )
@@ -310,8 +309,6 @@ class UngatedSimulator(Simulator):
 
     def _schedule_pass(self, now):
         self.counters.scheduler_passes += 1
-        if self.metrics is not None:
-            self.metrics.counter("sim.scheduler_passes").inc()
         self.policy.begin_pass(now)
         self._reservation = None
         while self.wait:
@@ -346,8 +343,7 @@ class UngatedSimulator(Simulator):
             if state.size not in fits:
                 continue
             if shadow is None:
-                running = [self.states[i] for i in self._running_ids]
-                shadow = self._shadow.shadow_time(running, head.size, now)
+                shadow = self._shadow.shadow_time(self._running(), head.size, now)
             est_wall = self.checkpoint.wall_duration(
                 max(state.remaining_estimate, MIN_ESTIMATE_S)
             )

@@ -1,8 +1,7 @@
 """End-to-end capacity-accounting cross-checks.
 
 ω_util is useful work over span; these tests verify the simulator's
-tracker against values computable by hand and against the
-timeline-reconstruction module.
+tracker against values computable by hand.
 """
 
 from __future__ import annotations

@@ -48,7 +48,7 @@ class TestTorusAllocationsView:
 class TestAbortDispatch:
     def test_abort_rolls_back(self):
         s = JobState(Job(0, 0.0, 4, 100.0))
-        epoch = s.dispatch(10.0, 100.0)
+        epoch = s.dispatch(10.0, 100.0, 110.0)
         s.abort_dispatch()
         assert not s.running
         assert s.restarts == 0

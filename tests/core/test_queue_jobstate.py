@@ -149,7 +149,7 @@ class TestWaitQueueSizeMultiset:
         q.push(state(4, arrival=6.0, size=2))
         q.remove(s)  # dispatched
         assert sorted(q.sizes()) == [2]
-        s.dispatch(10.0, 100.0)
+        s.dispatch(10.0, 100.0, 110.0)
         s.kill(20.0, 0.0)
         q.push(s)
         assert q.head() is s
@@ -185,7 +185,7 @@ class TestJobState:
 
     def test_dispatch_and_complete(self):
         s = state(runtime=100.0)
-        epoch = s.dispatch(50.0, 100.0)
+        epoch = s.dispatch(50.0, 100.0, 150.0)
         assert epoch == 1 and s.running
         assert s.est_finish == 150.0
         s.complete(150.0)
@@ -195,13 +195,13 @@ class TestJobState:
 
     def test_double_dispatch_rejected(self):
         s = state()
-        s.dispatch(0.0, 100.0)
+        s.dispatch(0.0, 100.0, 100.0)
         with pytest.raises(SimulationError):
-            s.dispatch(1.0, 100.0)
+            s.dispatch(1.0, 100.0, 101.0)
 
     def test_kill_without_checkpoint_restores_full_work(self):
         s = state(runtime=100.0)
-        s.dispatch(0.0, 100.0)
+        s.dispatch(0.0, 100.0, 100.0)
         s.kill(60.0, new_saved_progress=0.0)
         assert not s.running
         assert s.restarts == 1
@@ -210,7 +210,7 @@ class TestJobState:
 
     def test_kill_with_checkpoint_keeps_progress(self):
         s = state(runtime=100.0, estimate=120.0)
-        s.dispatch(0.0, 100.0)
+        s.dispatch(0.0, 100.0, 100.0)
         s.kill(60.0, new_saved_progress=50.0)
         assert s.remaining_work == 50.0
         assert s.remaining_estimate == 70.0
@@ -218,23 +218,23 @@ class TestJobState:
 
     def test_checkpoint_cannot_regress(self):
         s = state(runtime=100.0)
-        s.dispatch(0.0, 100.0)
+        s.dispatch(0.0, 100.0, 100.0)
         s.kill(60.0, new_saved_progress=50.0)
-        s.dispatch(70.0, 50.0)
+        s.dispatch(70.0, 50.0, 120.0)
         with pytest.raises(SimulationError):
             s.kill(80.0, new_saved_progress=20.0)
 
     def test_estimate_floor_after_deep_checkpoint(self):
         s = state(runtime=100.0, estimate=100.0)
-        s.dispatch(0.0, 100.0)
+        s.dispatch(0.0, 100.0, 100.0)
         s.kill(99.9, new_saved_progress=99.9)
         assert s.remaining_estimate >= MIN_ESTIMATE_S
 
     def test_kill_invalidates_epoch(self):
         s = state()
-        e1 = s.dispatch(0.0, 100.0)
+        e1 = s.dispatch(0.0, 100.0, 100.0)
         s.kill(10.0, 0.0)
-        e2 = s.dispatch(20.0, 100.0)
+        e2 = s.dispatch(20.0, 100.0, 120.0)
         assert e2 > e1 + 1  # kill also bumped the epoch
 
     def test_kill_while_idle_rejected(self):
@@ -252,9 +252,9 @@ class TestJobState:
 
     def test_record_after_restart(self):
         s = state(runtime=100.0)
-        s.dispatch(0.0, 100.0)
+        s.dispatch(0.0, 100.0, 100.0)
         s.kill(60.0, 0.0)
-        s.dispatch(200.0, 100.0)
+        s.dispatch(200.0, 100.0, 300.0)
         s.complete(300.0)
         r = s.to_record()
         assert r.start == 200.0

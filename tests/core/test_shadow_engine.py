@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.allocation.mfp import IndexCache
-from repro.core.backfill import ShadowTimeEngine, shadow_time
+from repro.core.backfill import ShadowTimeEngine
 from repro.core.jobstate import JobState
 from repro.geometry.coords import BGL_SUPERNODE_DIMS, TorusDims
 from repro.geometry.partition import Partition
@@ -43,8 +43,9 @@ def running_states(
     states = []
     for i, (job_id, partition) in enumerate(torus.allocations()):
         js = JobState(Job(job_id, 0.0, partition.size, 100.0, 100.0))
-        js.dispatch(0.0, 100.0)
-        js.est_finish = est_finishes[i % len(est_finishes)] if est_finishes else 50.0
+        js.dispatch(
+            0.0, 100.0, est_finishes[i % len(est_finishes)] if est_finishes else 50.0
+        )
         states.append(js)
     return states
 
@@ -70,12 +71,10 @@ class TestEngineMatchesNaive:
         torus = random_torus(D, rng=seed)
         running = running_states(torus, est_finishes)
         expected = shadow_time_naive(torus, running, head_size, now)
-        engine = ShadowTimeEngine(torus)
+        engine = ShadowTimeEngine(torus, IndexCache(torus))
         assert engine.shadow_time(running, head_size, now) == expected
         # Cached repeat (same torus version) must return the same value.
         assert engine.shadow_time(running, head_size, now) == expected
-        # The one-shot wrapper is the same computation.
-        assert shadow_time(torus, running, head_size, now) == expected
 
     @settings(max_examples=120, deadline=None)
     @given(
@@ -129,36 +128,33 @@ class TestEngineMatchesNaive:
         torus = random_torus(D, rng=seed)
         running = running_states(torus, [250.0])
         expected = shadow_time_naive(torus, running, head_size, 0.0)
-        assert ShadowTimeEngine(torus).shadow_time(running, head_size, 0.0) == expected
+        assert ShadowTimeEngine(torus, IndexCache(torus)).shadow_time(running, head_size, 0.0) == expected
 
     def test_non_running_states_ignored(self):
         torus = Torus(D)
         torus.allocate(1, Partition((0, 0, 0), (4, 4, 8)))
         js = JobState(Job(1, 0.0, 128, 100.0, 100.0))
-        js.dispatch(0.0, 100.0)
-        js.est_finish = 75.0
+        js.dispatch(0.0, 100.0, 75.0)
         js.complete(75.0)
         torus.release(1)
         # A completed job in the running list must not be replayed.
-        assert ShadowTimeEngine(torus).shadow_time([js], 8, 10.0) == 10.0
+        assert ShadowTimeEngine(torus, IndexCache(torus)).shadow_time([js], 8, 10.0) == 10.0
 
 
 class TestEngineCache:
     def _machine_with_two_jobs(self):
         torus = Torus(D)
         a = JobState(Job(1, 0.0, 64, 100.0, 100.0))
-        a.dispatch(0.0, 100.0)
-        a.est_finish = 100.0
+        a.dispatch(0.0, 100.0, 100.0)
         torus.allocate(1, Partition((0, 0, 0), (4, 4, 4)))
         b = JobState(Job(2, 0.0, 64, 200.0, 200.0))
-        b.dispatch(0.0, 200.0)
-        b.est_finish = 200.0
+        b.dispatch(0.0, 200.0, 200.0)
         torus.allocate(2, Partition((0, 0, 4), (4, 4, 4)))
         return torus, [a, b]
 
     def test_replay_runs_once_per_version_and_size(self, monkeypatch):
         torus, running = self._machine_with_two_jobs()
-        engine = ShadowTimeEngine(torus)
+        engine = ShadowTimeEngine(torus, IndexCache(torus))
         calls = []
         inner = ShadowTimeEngine._first_fit_time
 
@@ -176,7 +172,7 @@ class TestEngineCache:
 
     def test_cache_invalidated_on_torus_mutation(self):
         torus, running = self._machine_with_two_jobs()
-        engine = ShadowTimeEngine(torus)
+        engine = ShadowTimeEngine(torus, IndexCache(torus))
         assert engine.shadow_time(running, 64, 0.0) == 100.0
         # Job 1 finishes early: release frees a 64-box immediately.
         torus.release(1)
@@ -188,13 +184,13 @@ class TestEngineCache:
 
     def test_impossible_size_is_inf(self):
         torus, running = self._machine_with_two_jobs()
-        assert math.isinf(ShadowTimeEngine(torus).shadow_time(running, 11, 0.0))
+        assert math.isinf(ShadowTimeEngine(torus, IndexCache(torus)).shadow_time(running, 11, 0.0))
 
     def test_scratch_never_mutates_the_torus(self):
         torus, running = self._machine_with_two_jobs()
         before = torus.grid.copy()
         version = torus.version
-        ShadowTimeEngine(torus).shadow_time(running, 128, 0.0)
+        ShadowTimeEngine(torus, IndexCache(torus)).shadow_time(running, 128, 0.0)
         assert np.array_equal(torus.grid, before)
         assert torus.version == version
 
@@ -206,6 +202,6 @@ class TestEngineCache:
             running = running_states(torus, [30.0, 60.0, 90.0])
             for size in (1, 2, 6, 12, 24, 7):
                 for now in (0.0, 45.0):
-                    assert ShadowTimeEngine(torus).shadow_time(
+                    assert ShadowTimeEngine(torus, IndexCache(torus)).shadow_time(
                         running, size, now
                     ) == shadow_time_naive(torus, running, size, now)

@@ -49,6 +49,26 @@ class TestAxes:
         with pytest.raises(ExperimentError, match="unknown figure"):
             run_figure("fig99")
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(n_jobs=20, seeds=()), "at least one seed"),
+            (dict(n_jobs=0, seeds=(0,)), "n_jobs must be >= 1"),
+            (dict(n_jobs=-3, seeds=(0,)), "n_jobs must be >= 1"),
+        ],
+        ids=["no-seeds", "zero-jobs", "negative-jobs"],
+    )
+    def test_empty_values_are_refused_not_defaulted(self, kwargs, message, monkeypatch):
+        """Only ``None`` means "the default": ``()`` and ``0`` used to
+        run 6 seeds and 500 jobs."""
+        import repro.experiments.figures as figures_mod
+
+        monkeypatch.setattr(
+            figures_mod, "run_sweep_outcome", lambda *a, **k: pytest.fail("a sweep ran")
+        )
+        with pytest.raises(ExperimentError, match=message):
+            run_figure("fig5", **kwargs)
+
 
 class TestRunPoint:
     def test_seed_averaging(self):

@@ -234,7 +234,7 @@ class TestWorkerFailure:
     def test_warm_worker_crash_surfaces_as_experiment_error(self, monkeypatch):
         """A warm-pool worker that dies mid-cell must raise, not hang.
 
-        Workers reach ``simulate_cell`` through the sweep module (via
+        Workers reach ``cell_inputs`` through the sweep module (via
         :func:`repro.experiments.pool.run_cell`), so that is the patch
         target; the autouse fixture's pool teardown guarantees
         the workers fork after the patch.  The breakage must also mark
@@ -242,7 +242,7 @@ class TestWorkerFailure:
         executor.
         """
         monkeypatch.setattr(
-            sweep_mod, "simulate_cell", lambda *a: os._exit(13)
+            sweep_mod, "cell_inputs", lambda *a: os._exit(13)
         )
         points, seeds = _parameter_axis_grid()
         with pytest.raises(ExperimentError, match="worker process died"):

@@ -32,6 +32,7 @@ import pytest
 
 import repro.experiments.queue as queue_mod
 import repro.experiments.sweep as sweep_mod
+from repro.core.simulator import Simulator
 from repro.errors import ExperimentError
 from repro.experiments.parallel import SweepExecutor
 from repro.experiments.pool import run_cell
@@ -47,7 +48,6 @@ from repro.experiments.sweep import (
     enumerate_cells,
     run_sweep,
     run_sweep_outcome,
-    simulate_cell,
 )
 from repro.failures.synthetic import BurstFailureModel
 from repro.records import atomic_write_json, to_plain
@@ -55,6 +55,11 @@ from repro.resilience import ChaosConfig, RetryPolicy, cell_key
 from repro.resilience.chaos import KILL_EXIT_CODE
 
 MODEL = BurstFailureModel()
+
+
+def cell_report(point, seed):
+    """One cell's report, computed as ``pool.run_cell`` computes it."""
+    return Simulator(*sweep_mod.cell_inputs(point, seed, MODEL, with_obs=False)).run()
 
 
 @pytest.fixture(autouse=True)
@@ -118,6 +123,13 @@ class TestQueueProtocol:
         with pytest.raises(ExperimentError, match="lease_s"):
             WorkQueue(tmp_path, lease_s=0.0)
 
+    @pytest.mark.parametrize("lease_s", [float("nan"), float("inf")])
+    def test_non_finite_lease_rejected(self, tmp_path, lease_s):
+        """A NaN lease made every claim's deadline NaN, so every claim
+        counted as expired at once."""
+        with pytest.raises(ExperimentError, match="lease_s"):
+            WorkQueue(tmp_path, lease_s=lease_s)
+
     def test_enqueue_idempotent(self, tmp_path, grid):
         """``put`` leaves a task or claim already there in place, and
         drops the stale checkpoint / failure record of the key it is
@@ -132,7 +144,7 @@ class TestQueueProtocol:
         _put_grid(queue, points, seeds)
         assert queue.counts() == {"tasks": 3, "claims": 1, "failed": 0, "cells": 0}
         # A finished cell put again (corrupt, or resume off): recomputed.
-        queue.complete(task, simulate_cell(task.point, task.seed, MODEL))
+        queue.complete(task, cell_report(task.point, task.seed))
         _file_record(queue.failed_dir, task.key, {"error": "stale"})
         _put_grid(queue, points, seeds)
         assert queue.counts() == {"tasks": 4, "claims": 0, "failed": 0, "cells": 0}
@@ -285,7 +297,7 @@ class TestQueueProtocol:
         _put_grid(queue, points, seeds)
         task = queue.claim()
         queue.store.put(
-            task.key, simulate_cell(task.point, task.seed, MODEL),
+            task.key, cell_report(task.point, task.seed),
             point_index=task.cell_id[0], seed=task.seed,
         )
         assert queue.reclaim_expired(now=time.time() + 10.0) == 1
@@ -372,7 +384,7 @@ class TestQueueProtocol:
             assert not good.done()
             while (task := queue.claim()).key != good_key:
                 pass
-            report = simulate_cell(task.point, task.seed, MODEL)
+            report = cell_report(task.point, task.seed)
             queue.complete(task, report)
             assert good.result(timeout=30) == (report, None)
         finally:
@@ -519,7 +531,7 @@ class TestWorkerLoop:
         queue = WorkQueue(tmp_path)
         (key,) = _put_grid(queue, points[:1], seeds[:1])
         monkeypatch.setattr(
-            sweep_mod, "simulate_cell",
+            sweep_mod, "cell_inputs",
             lambda *a: (_ for _ in ()).throw(ValueError("poison")),
         )
         assert run_worker(tmp_path, idle_exit_s=0.0) == 0
@@ -545,7 +557,7 @@ class TestQueueExecutor:
                 for key, args in _calls(points, seeds)
             }
             good, bad = queue.claim(), queue.claim()
-            report = simulate_cell(good.point, good.seed, MODEL)
+            report = cell_report(good.point, good.seed)
             queue.complete(good, report)
             queue.fail(bad, ValueError("poison"))
             assert futures[good.key].result(timeout=30) == (report, None)
@@ -577,7 +589,7 @@ class TestQueueExecutor:
             again = executor.submit(run_cell, *args)
             assert run_worker(tmp_path, idle_exit_s=0.0) == 1
             report, _ = again.result(timeout=30)
-            assert report == simulate_cell(*args[1:3], MODEL)
+            assert report == cell_report(*args[1:3])
         finally:
             executor.shutdown()
 

@@ -58,10 +58,10 @@ class TestResultCaching:
         sweep_mod._result_cache.clear()
         fig4 = run_figure("fig4", n_jobs=20, seeds=(0,), workers=1)
         computed = []
-        simulate_cell = sweep_mod.simulate_cell
+        cell_inputs = sweep_mod.cell_inputs
         monkeypatch.setattr(
-            sweep_mod, "simulate_cell",
-            lambda *args: computed.append(args) or simulate_cell(*args),
+            sweep_mod, "cell_inputs",
+            lambda *args: computed.append(args) or cell_inputs(*args),
         )
         fig5 = run_figure("fig5", n_jobs=20, seeds=(0,), workers=1)
         assert computed == []

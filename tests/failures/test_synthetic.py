@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -115,6 +116,77 @@ class TestGenerateFailures:
         log = generate_failures(D, 8192, 1e6, model=model, seed=seed)
         got = hashlib.sha256(log.times.tobytes() + log.nodes.tobytes())
         assert got.hexdigest() == digest
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize(
+        "model",
+        [
+            BurstFailureModel(),
+            BurstFailureModel(
+                mean_burst_interarrival_s=3600.0, burst_size_p=0.25,
+                locality_radius=2, burst_window_s=60.0,
+            ),
+        ],
+        ids=["default", "small-bursts-often"],
+    )
+    def test_burst_statistics_match_the_model(self, model, seed):
+        """The premise of the saturation claim (DESIGN §4), checked on
+        the bytes the pins above fix rather than assumed: bursts of
+        geometric size, Poisson burst starts, members near each other.
+
+        Bursts are recovered by splitting the sorted log at gaps of at
+        least the rescaled window.  Members of one burst lie within one
+        window, so a burst is never split; two bursts merge only when
+        their epochs are under two windows apart, so at most a share
+        ``q`` of bursts are merged.  Every tolerance is ``q`` plus four
+        standard errors of the statistic.
+        """
+        from repro.geometry.coords import manhattan_torus_distance
+
+        n, horizon = 8192, 1e6
+        p, mu, w, r = (
+            model.burst_size_p, model.mean_burst_interarrival_s,
+            model.burst_window_s, model.locality_radius,
+        )
+        log = generate_failures(D, n, horizon, model=model, seed=seed)
+        # The generator maps its raw span, about (n p) bursts of mean
+        # gap mu, onto the horizon; 10 % slack covers the estimate.
+        window = 1.1 * w * horizon / (n * p * mu)
+        q = 1.0 - math.exp(-2.1 * w / mu)
+        starts = np.flatnonzero(np.diff(log.times, prepend=-np.inf) >= window)
+        sizes = np.diff(np.append(starts, n))
+        bursts = len(sizes)
+
+        # A burst draws min(Geometric(p), ball) members; the ball is
+        # large enough that the mean is 1/p to well inside the tolerance.
+        ball = len(_neighbourhood(D, 0, r))
+        mean = (1.0 - (1.0 - p) ** ball) / p
+        assert abs(1.0 / p - mean) < 0.01 / p
+        tol = q + 4.0 * math.sqrt(1.0 - p) / math.sqrt(bursts)
+        assert abs(sizes.mean() * p - 1.0) < tol, (sizes.mean(), 1.0 / p)
+
+        tail = (1.0 - p) ** 3
+        tol = q + 4.0 * math.sqrt(tail * (1.0 - tail) / bursts)
+        assert abs(float((sizes >= 4).mean()) - tail) < tol, tail
+
+        # Exponential gaps: coefficient of variation 1, standard error
+        # 1/sqrt(m) (delta method on the sample mean and variance).
+        gaps = np.diff(log.times[starts])
+        cv = float(gaps.std() / gaps.mean())
+        assert abs(cv - 1.0) < q + 4.0 / math.sqrt(len(gaps)), cv
+
+        # Members share one ball of radius r, so lie within 2r of each
+        # other; only a merged group may hold a pair further apart.
+        coords = [D.coord(int(node)) for node in log.nodes]
+        spread = 0
+        for start, size in zip(starts, sizes):
+            members = coords[start:start + size]
+            if any(
+                manhattan_torus_distance(D, a, b) > 2 * r
+                for i, a in enumerate(members) for b in members[i + 1:]
+            ):
+                spread += 1
+        assert spread <= q * bursts + 4.0 * math.sqrt(q * bursts), spread
 
     def test_memoised_ball_is_read_only_and_shared(self):
         ball = _neighbourhood(D, 5, 2)

@@ -24,7 +24,7 @@ from tests.resilience.conftest import needs_fork
 class TestBrokenPoolMessage:
     def test_names_cells_and_attempt_count(self, monkeypatch):
         monkeypatch.setattr(
-            sweep_mod, "simulate_cell", lambda *a: os._exit(13)
+            sweep_mod, "cell_inputs", lambda *a: os._exit(13)
         )
         points = [
             SweepPoint("sdsc", 10, 1.0, 2, "krevat", 0.0),
@@ -45,7 +45,7 @@ class TestBrokenPoolMessage:
 
     def test_long_cell_list_elided(self, monkeypatch):
         monkeypatch.setattr(
-            sweep_mod, "simulate_cell", lambda *a: os._exit(13)
+            sweep_mod, "cell_inputs", lambda *a: os._exit(13)
         )
         points = [
             SweepPoint("sdsc", 10 + i, 1.0, 2, "krevat", 0.0)

@@ -81,6 +81,9 @@ class TestBackoffSchedule:
             dict(jitter_fraction=1.0),
             dict(cell_timeout_s=0.0),
             dict(max_pool_rebuilds=-1),
+            # --cell-timeout nan used to fail every cell until quarantine.
+            dict(cell_timeout_s=float("nan")),
+            dict(cell_timeout_s=float("inf")),
         ],
     )
     def test_invalid_parameters_rejected(self, kwargs):

@@ -24,7 +24,8 @@ from hypothesis import given, strategies as st
 
 from repro.core.config import SimulationConfig
 from repro.errors import ResilienceError
-from repro.experiments.sweep import SweepPoint, simulate_cell
+from repro.core.simulator import Simulator
+from repro.experiments.sweep import SweepPoint, cell_inputs
 from repro.failures.synthetic import BurstFailureModel
 from repro.metrics.serialize import report_to_dict
 from repro.resilience import CellStore, cell_key
@@ -37,7 +38,7 @@ MODEL = BurstFailureModel()
 @pytest.fixture(scope="module")
 def report():
     """One real simulated report (module-scoped: cells are not free)."""
-    return simulate_cell(POINT, 0, MODEL)
+    return Simulator(*cell_inputs(POINT, 0, MODEL, with_obs=False)).run()
 
 
 class TestRoundTrip:

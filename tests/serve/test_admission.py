@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -25,6 +26,15 @@ class TestTenantQueue:
             TenantQueue("a", weight=0.0)
         with pytest.raises(ServeError, match="cap"):
             TenantQueue("a", cap=0)
+
+    @pytest.mark.parametrize("weight", [math.nan, math.inf])
+    def test_non_finite_weight_rejected(self, weight):
+        """A NaN weight made every ``stats`` reply unencodable; an
+        infinite one a zero stride that always wins the logical clock."""
+        with pytest.raises(ServeError, match="weight"):
+            TenantQueue("a", weight=weight)
+        with pytest.raises(ServeError, match="weight"):
+            FairShareAdmission({"a": weight})
 
 
 class TestStrideFairness:

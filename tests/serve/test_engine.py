@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.api import SimulationSetup
+from repro.core.config import SimulationConfig
 from repro.core.policies.registry import make_policy
 from repro.core.simulator import Simulator
 from repro.metrics.serialize import report_to_dict
@@ -242,6 +243,25 @@ class TestLifecycle:
             engine.metrics.counters
         )
         assert not engine.metrics.gauges
+
+    def test_snapshot_reads_sim_counts_from_the_report_counters(self):
+        """Passes, kills and migrations have one home, the report's
+        ``Counters``; the snapshot's ``sim`` section reads them there."""
+        setup = SimulationSetup(
+            site="sdsc", n_jobs=60, n_failures=60, seed=11,
+            config=SimulationConfig(profile=True),
+        )
+        engine = ServeEngine.from_setup(setup)
+        run_load(InprocClient(engine), setup.build_workload())
+        counters = engine.sim.counters
+        sim = engine.metrics_snapshot()["sim"]["counters"]
+        assert counters.job_kills > 0
+        for name in ("job_kills", "migrations", "scheduler_passes"):
+            # A count is listed once it fired, as a registry counter is.
+            assert sim.get(f"sim.{name}", 0) == getattr(counters, name), name
+        assert not {"sim.job_kills", "sim.migrations", "sim.scheduler_passes"} & set(
+            engine.sim.metrics.counters
+        )
 
     def test_bad_engine_params_rejected(self):
         from repro.errors import ServeError

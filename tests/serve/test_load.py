@@ -37,7 +37,18 @@ class TestRunLoadValidation:
         with pytest.raises(ServeError, match="mutually exclusive"):
             run_load(self.client(), tiny_workload(), acceleration=10.0, rate=5.0)
 
-    @pytest.mark.parametrize("kwargs", [{"acceleration": 0.0}, {"rate": -1.0}])
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"acceleration": 0.0},
+            {"rate": -1.0},
+            # A NaN or infinite pace used to run the load at full speed.
+            {"acceleration": float("nan")},
+            {"rate": float("nan")},
+            {"acceleration": float("inf")},
+            {"rate": float("inf")},
+        ],
+    )
     def test_pacing_must_be_positive(self, kwargs):
         with pytest.raises(ServeError, match="positive"):
             run_load(self.client(), tiny_workload(), **kwargs)

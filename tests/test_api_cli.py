@@ -191,8 +191,9 @@ class TestCliObservability:
             (["swf", "missing.swf"], "missing.swf"),
             (["run", "--jobs", "-1"], "n_jobs must be non-negative"),
             (["trace", "validate", "missing.ndjson"], "missing.ndjson"),
+            (["run", "--jobs", "20", "--load", "nan"], "load scale must be positive and finite"),
         ],
-        ids=["unknown-policy", "missing-swf", "negative-jobs", "missing-trace"],
+        ids=["unknown-policy", "missing-swf", "negative-jobs", "missing-trace", "nan-load"],
     )
     def test_bad_input_is_one_stderr_line_and_exit_code_2(
         self, argv, message, capsys
@@ -281,6 +282,40 @@ class TestCliObservability:
                 main(["figure", "fig3", "--workers", bad])
             assert exc_info.value.code == 2
         assert "positive integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["figure", "fig5", "--jobs", "20", "--seeds", "0"],
+            ["figure", "fig5", "--jobs", "20", "--seeds", "-2"],
+            ["compare", "--jobs", "20", "--seeds", "0"],
+            ["compare", "--jobs", "20", "--seeds", "-2"],
+        ],
+        ids=["figure-0", "figure-negative", "compare-0", "compare-negative"],
+    )
+    def test_seed_counts_must_be_positive(self, argv, monkeypatch, capsys):
+        """A seed count below 1 is a usage error, not "the default" (the
+        figure used to run 6 seeds) nor an empty comparison."""
+        import repro.experiments.figures as figures_mod
+
+        monkeypatch.setattr(
+            figures_mod, "run_sweep_outcome", lambda *a, **k: pytest.fail("a sweep ran")
+        )
+        with pytest.raises(SystemExit) as exc_info:
+            main(argv)
+        assert exc_info.value.code == 2
+        assert "positive integer" in capsys.readouterr().err
+
+    def test_figure_refuses_zero_jobs(self, monkeypatch, capsys):
+        """``--jobs 0`` used to run the 500-job default."""
+        import repro.experiments.figures as figures_mod
+
+        monkeypatch.setattr(
+            figures_mod, "run_sweep_outcome", lambda *a, **k: pytest.fail("a sweep ran")
+        )
+        assert main(["figure", "fig5", "--jobs", "0"]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("bgl-sim: error: ") and "n_jobs must be >= 1" in line
 
     def test_verbose_flag_accepted(self, capsys):
         assert main(["-v", "sites"]) == 0
@@ -462,7 +497,7 @@ PARENT_SURFACE = [
     ("sweep-worker", "--idle-exit-s", None, "float"),
     ("figure", "name", None, None),
     ("figure", "--jobs", None, "int"),
-    ("figure", "--seeds", None, "int"),
+    ("figure", "--seeds", None, "_positive_int"),
     ("figure", "--workers", None, "_positive_int"),
     ("figure", "--chart", False, None),
     ("figure", "--checkpoint-dir", None, None),
@@ -475,7 +510,7 @@ PARENT_SURFACE = [
     ("compare", "--baseline", "krevat", None),
     ("compare", "--candidate", "balancing", None),
     ("compare", "--parameter", 0.1, "float"),
-    ("compare", "--seeds", 3, "int"),
+    ("compare", "--seeds", 3, "_positive_int"),
     ("compare", "--load", 1.0, "float"),
     ("characterize", "--site", None, None),
     ("characterize", "--swf", None, None),

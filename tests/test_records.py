@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import repro.experiments.sweep as sweep_mod
+from repro.core.simulator import Simulator
 from repro.checkpoint.model import CheckpointConfig, CheckpointMode
 from repro.core.config import BackfillMode, SimulationConfig
 from repro.experiments.queue import QueueTask, WorkQueue
@@ -273,7 +274,7 @@ class TestDurableWrite:
         self, tmp_path, syscalls
     ):
         model = BurstFailureModel()
-        report = sweep_mod.simulate_cell(POINT, 0, model)
+        report = Simulator(*sweep_mod.cell_inputs(POINT, 0, model, with_obs=False)).run()
         key = cell_key(POINT, 0, model)
         queue = WorkQueue(tmp_path)
         task = QueueTask((0, 0), POINT, 0, 0, model, False, None, None, True, 64)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -34,11 +36,23 @@ class TestJob:
             dict(runtime=0.0),
             dict(runtime=-5.0),
             dict(estimate=0.0),
+            # ``x <= 0`` is False for NaN: the checks must be ones NaN fails.
+            dict(arrival=math.nan),
+            dict(runtime=math.nan),
+            dict(estimate=math.nan),
+            dict(arrival=math.inf),
+            dict(runtime=math.inf),
+            dict(estimate=math.inf),
         ],
     )
     def test_validation(self, kwargs):
         with pytest.raises(WorkloadError):
             job(**kwargs)
+
+    @pytest.mark.parametrize("c", [math.nan, math.inf])
+    def test_runtime_scaling_rejects_non_finite(self, c):
+        with pytest.raises(WorkloadError, match="load scale"):
+            job().with_runtime_scaled(c)
 
     def test_runtime_scaling(self):
         j = job(runtime=100.0, estimate=200.0)

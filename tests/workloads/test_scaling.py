@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -39,6 +41,12 @@ class TestScaleLoad:
     def test_rejects_nonpositive(self):
         with pytest.raises(WorkloadError):
             scale_load(wl(Job(0, 0.0, 1, 1.0)), 0.0)
+
+    @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, c):
+        """``bgl-sim run --load nan`` used to die deep in the engine."""
+        with pytest.raises(WorkloadError, match="load scale"):
+            scale_load(wl(Job(0, 0.0, 1, 1.0)), c)
 
     @given(st.floats(0.5, 1.5))
     def test_offered_load_scales_linearly(self, c):

@@ -53,6 +53,20 @@ class TestParse:
         with pytest.raises(SWFParseError, match="expected >= 9"):
             parse_swf(io.StringIO("1 2 3\n"))
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "1 0 -1 nan 16 -1 -1 16 600 -1 1 1 1 1 1 -1 -1 -1",
+            "1 nan -1 300 16 -1 -1 16 600 -1 1 1 1 1 1 -1 -1 -1",
+            "1 0 -1 inf 16 -1 -1 16 600 -1 1 1 1 1 1 -1 -1 -1",
+            "1 0 -1 300 16 -1 -1 16 inf -1 1 1 1 1 1 -1 -1 -1",
+        ],
+        ids=["nan-runtime", "nan-submit", "inf-runtime", "inf-requested-time"],
+    )
+    def test_non_finite_time_rejected_with_its_line(self, line):
+        with pytest.raises(SWFParseError, match="line 2: job 1"):
+            parse_swf(io.StringIO("; MaxProcs: 128\n" + line + "\n"))
+
     def test_non_numeric_rejected(self):
         with pytest.raises(SWFParseError, match="non-numeric"):
             parse_swf(io.StringIO("a b c d e f g h i\n"))
