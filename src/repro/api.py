@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.errors import SimulationError
+from repro.errors import SimulationError, WorkloadError
 from repro.core.config import SimulationConfig
 from repro.core.policies.registry import make_policy
 from repro.core.simulator import Simulator
@@ -51,6 +51,12 @@ class SimulationSetup:
     config: SimulationConfig = field(default_factory=SimulationConfig)
     swf: str | None = None
     head: int = 0
+
+    def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise SimulationError(f"seed must be non-negative, got {self.seed}")
+        if self.head < 0:
+            raise WorkloadError(f"head must be non-negative, got {self.head}")
 
     def build_workload(self) -> Workload:
         """Synthesize (or read), load-scale and machine-fit the workload."""

@@ -108,13 +108,12 @@ class ShadowTimeEngine:
         index = self._index_cache.get()
         if index.has_candidate(head_size):
             return -math.inf
-        ordered = sorted(
-            (js for js in running if js.running),
-            key=lambda js: (js.est_finish, js.job_id),
-        )
+        # (est_finish, job_id) pairs: the job id is unique, so the tuple
+        # order is the replay order without a key function.
+        ordered = sorted((js.est_finish, js.job_id) for js in running if js.running)
         allocation_of = self.torus.allocation_of
         k = index.first_fit_release(
-            head_size, [allocation_of(js.job_id) for js in ordered]
+            head_size, [allocation_of(job_id) for _, job_id in ordered]
         )
-        return math.inf if k is None else ordered[k].est_finish
+        return math.inf if k is None else ordered[k][0]
 

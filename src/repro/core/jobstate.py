@@ -43,22 +43,24 @@ class JobState:
     restarts: int = 0
     lost_work: float = 0.0
     finished_at: float | None = None
+    #: Planned wall of the next dispatch: the checkpoint model's wall for
+    #: ``max(remaining_estimate, MIN_ESTIMATE_S)``.  The simulator sets it
+    #: each time the job enters the wait queue (DESIGN §5.15).
+    est_wall: float = 0.0
+    #: Copies of the frozen job's id and size, read in the scheduler's
+    #: inner loops.
+    job_id: int = field(init=False)
+    size: int = field(init=False)
 
     def __post_init__(self) -> None:
+        self.job_id = self.job.job_id
+        self.size = self.job.size
         if self.remaining_work < 0:
             self.remaining_work = self.job.runtime
         if self.remaining_estimate < 0:
             self.remaining_estimate = self.job.estimate
 
     # ------------------------------------------------------------------
-    @property
-    def job_id(self) -> int:
-        return self.job.job_id
-
-    @property
-    def size(self) -> int:
-        return self.job.size
-
     @property
     def running(self) -> bool:
         return self.start_time is not None and self.finished_at is None

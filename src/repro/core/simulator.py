@@ -373,7 +373,7 @@ class Simulator:
             self.recorder.emit(
                 "arrival", now, job=job_id, size=self.states[job_id].size
             )
-        self.wait.push(self.states[job_id])
+        self._enqueue(self.states[job_id])
 
     def _on_finish(self, job_id: int, epoch: int, now: float) -> None:
         state = self.states[job_id]
@@ -408,6 +408,15 @@ class Simulator:
                 )
         self.torus.release(owner)
         state.kill(now, new_saved)
+        self._enqueue(state)
+
+    def _enqueue(self, state: JobState) -> None:
+        """Queue ``state`` with its planned wall, the one derivation of it:
+        ``remaining_estimate`` moves only in a kill, and a killed job
+        comes back through here (exact: DESIGN §5.15)."""
+        state.est_wall = self.checkpoint.wall_duration(
+            max(state.remaining_estimate, MIN_ESTIMATE_S)
+        )
         self.wait.push(state)
 
     # ------------------------------------------------------------------
@@ -513,9 +522,7 @@ class Simulator:
                         f"job {head.job_id} (size {head.size}) cannot fit even "
                         f"an empty machine"
                     )
-            est_wall = self.checkpoint.wall_duration(
-                max(state.remaining_estimate, MIN_ESTIMATE_S)
-            )
+            est_wall = state.est_wall
             if now + est_wall > shadow + _SHADOW_EPS:
                 continue
             partition = self.policy.choose_partition(index, state, now)
@@ -538,10 +545,7 @@ class Simulator:
         self, state: JobState, partition: Partition, now: float, via: str = "fcfs"
     ) -> None:
         wall = max(self.checkpoint.wall_duration(state.remaining_work), 1e-9)
-        est_finish = now + self.checkpoint.wall_duration(
-            max(state.remaining_estimate, MIN_ESTIMATE_S)
-        )
-        epoch = state.dispatch(now, wall, est_finish)
+        epoch = state.dispatch(now, wall, now + state.est_wall)
         if self.recorder.enabled:
             self.recorder.emit(
                 "dispatch", now, job=state.job_id, size=state.size,

@@ -8,8 +8,7 @@ from different jobs never shares links).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
@@ -38,17 +37,16 @@ class Partition:
 
     base: Coord
     shape: Coord
+    #: Number of nodes in the partition (derived from ``shape``; not part
+    #: of equality or hashing).
+    size: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if min(self.shape) < 1:
             raise GeometryError(f"partition shape must be positive, got {self.shape}")
         if min(self.base) < 0:
             raise GeometryError(f"partition base must be non-negative, got {self.base}")
-
-    @cached_property
-    def size(self) -> int:
-        """Number of nodes in the partition."""
-        return self.shape[0] * self.shape[1] * self.shape[2]
+        object.__setattr__(self, "size", self.shape[0] * self.shape[1] * self.shape[2])
 
     def validate(self, dims: TorusDims) -> None:
         """Raise :class:`GeometryError` unless this partition fits ``dims``."""

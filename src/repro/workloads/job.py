@@ -131,4 +131,6 @@ class Workload:
 
     def head(self, n: int) -> "Workload":
         """First ``n`` jobs by arrival order (for quick experiments)."""
+        if n < 0:
+            raise WorkloadError(f"head must be non-negative, got {n}")
         return self.replace_jobs(self.jobs[:n])

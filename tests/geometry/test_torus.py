@@ -231,3 +231,59 @@ class TestAllocationProperties:
             t.check_invariants()
         with pytest.raises(InvariantViolationError, match="free-count"):
             InvariantChecker().check(t)
+
+
+@st.composite
+def grids_and_partitions(draw):
+    """A torus whose grid holds allocated jobs plus cells written
+    straight into ``grid`` (free, foreign ids 0 and 999, a live job's id),
+    and a partition that may wrap any axis."""
+    dims = TorusDims(
+        draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    )
+    t = Torus(dims)
+    for job_id in range(1, draw(st.integers(0, 3)) + 1):
+        base = tuple(draw(st.integers(0, n - 1)) for n in dims.as_tuple())
+        shape = tuple(draw(st.integers(1, n)) for n in dims.as_tuple())
+        try:
+            t.allocate(job_id, Partition(base, shape))
+        except PartitionOverlapError:
+            pass
+    writes = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, dims.volume - 1), st.sampled_from([FREE, 0, 1, 999])
+            ),
+            max_size=6,
+        )
+    )
+    for node, value in writes:
+        t.grid.reshape(-1)[node] = value
+    base = tuple(draw(st.integers(0, n - 1)) for n in dims.as_tuple())
+    shape = tuple(draw(st.integers(1, n)) for n in dims.as_tuple())
+    return t, Partition(base, shape)
+
+
+class TestOverlapCheck:
+    @given(grids_and_partitions())
+    @settings(max_examples=300, deadline=None)
+    def test_allocate_refuses_exactly_an_occupied_box(self, case):
+        """``allocate`` raises exactly when some node of the box is not
+        FREE in the grid, whoever wrote it, and a refusal changes
+        nothing."""
+        t, partition = case
+        occupied = bool((t.grid[np.ix_(*partition.axis_ranges(t.dims))] != FREE).any())
+        grid = t.grid.copy()
+        allocations = dict(t.allocations())
+        free, version = t.free_count, t.version
+        if occupied:
+            with pytest.raises(PartitionOverlapError):
+                t.allocate(4242, partition)
+            assert np.array_equal(t.grid, grid)
+            assert dict(t.allocations()) == allocations
+            assert (t.free_count, t.version) == (free, version)
+        else:
+            t.allocate(4242, partition)
+            assert t.allocation_of(4242) == partition
+            assert t.free_count == free - partition.size
+            assert set(np.unique(t.grid[np.ix_(*partition.axis_ranges(t.dims))])) == {4242}

@@ -13,7 +13,7 @@ from repro.api import SimulationSetup, connect, quick_simulate, run_simulation, 
 from repro.cli import main
 from repro.core.config import SimulationConfig
 from repro.core.simulator import simulate
-from repro.errors import SimulationError
+from repro.errors import SimulationError, WorkloadError
 from repro.metrics.serialize import report_to_dict
 from repro.obs.schema import TRACE_SCHEMA_VERSION
 from repro.serve.load import run_load
@@ -55,6 +55,15 @@ class TestQuickSimulate:
     def test_validation(self):
         with pytest.raises(SimulationError):
             quick_simulate(n_jobs=-1)
+
+    @pytest.mark.parametrize(
+        "field, error", [("seed", SimulationError), ("head", WorkloadError)]
+    )
+    def test_setup_refuses_negative_seed_and_head(self, field, error, tmp_path):
+        path = tmp_path / "t.swf"
+        write_swf(Workload("t", 128, tuple(Job(i, i * 60.0, 2, 60.0) for i in range(30))), path)
+        with pytest.raises(error, match=f"{field} must be non-negative"):
+            SimulationSetup(swf=str(path), **{field: -3})
 
     def test_setup_equivalent(self):
         a = quick_simulate(site="nasa", n_jobs=25, n_failures=3, confidence=0.3, seed=5)
@@ -192,8 +201,14 @@ class TestCliObservability:
             (["run", "--jobs", "-1"], "n_jobs must be non-negative"),
             (["trace", "validate", "missing.ndjson"], "missing.ndjson"),
             (["run", "--jobs", "20", "--load", "nan"], "load scale must be positive and finite"),
+            (["run", "--seed", "-1"], "seed must be non-negative, got -1"),
+            (["serve", "--seed", "-1"], "seed must be non-negative, got -1"),
+            (["swf", "missing.swf", "--head", "-3"], "head must be non-negative, got -3"),
         ],
-        ids=["unknown-policy", "missing-swf", "negative-jobs", "missing-trace", "nan-load"],
+        ids=[
+            "unknown-policy", "missing-swf", "negative-jobs", "missing-trace", "nan-load",
+            "negative-seed-run", "negative-seed-serve", "negative-head",
+        ],
     )
     def test_bad_input_is_one_stderr_line_and_exit_code_2(
         self, argv, message, capsys

@@ -98,6 +98,12 @@ class TestWorkload:
         w = Workload("t", 128, tuple(job(i, float(i)) for i in range(10)))
         assert [j.job_id for j in w.head(3)] == [0, 1, 2]
 
+    def test_negative_head_is_refused(self):
+        """``jobs[:-3]`` would keep all but the last three."""
+        w = Workload("t", 128, tuple(job(i, float(i)) for i in range(10)))
+        with pytest.raises(WorkloadError, match="head must be non-negative"):
+            w.head(-3)
+
     def test_machine_nodes_validation(self):
         with pytest.raises(WorkloadError):
             Workload("t", 0)
