@@ -28,6 +28,9 @@ from repro.geometry.partition import Partition
 #: Sentinel for "node is free" in the occupancy grid.
 FREE: int = -1
 
+#: Largest job id the ``int64`` occupancy grid can hold.
+MAX_JOB_ID: int = 2**63 - 1
+
 
 def wrap_pad_integral(grid: np.ndarray) -> np.ndarray:
     """Zero-led 3-D integral image of the wrap-padded grid.
@@ -239,10 +242,14 @@ class Torus:
         PartitionOverlapError
             If any node is already taken.
         AllocationError
-            If ``job_id`` already holds an allocation or is negative.
+            If ``job_id`` already holds an allocation, is negative or
+            exceeds :data:`MAX_JOB_ID`.
         """
-        if job_id < 0:
-            raise GeometryError(f"job id must be non-negative, got {job_id}")
+        if not 0 <= job_id <= MAX_JOB_ID:
+            raise GeometryError(
+                f"job id must be in [0, {MAX_JOB_ID}] (the int64 occupancy "
+                f"grid), got {job_id}"
+            )
         if job_id in self._allocations:
             raise PartitionOverlapError(f"job {job_id} already allocated")
         partition.validate(self.dims)

@@ -4,11 +4,12 @@
 them between processes) or streams them straight to a text sink; either
 way the on-disk form is newline-delimited JSON with compact separators
 and sorted keys, so identical runs produce byte-identical files.  There
-is one encode path: :data:`repro.records.canonical_json` serialises
+is one encode path: :func:`repro.records.canonical_json` serialises
 every record, streamed by :meth:`TraceRecorder.emit` or written later by
 :func:`write_trace`, and it refuses non-finite numbers (``NaN`` and
 ``Infinity`` are not RFC 8259 JSON), so every line a recorder writes is
-parseable by a strict reader.
+parseable by a strict reader.  :func:`iter_trace` reads lines back
+through the one line decoder, :func:`repro.records.parse_json_line`.
 
 :class:`NullRecorder` is the default wired into the simulator: a
 singleton whose :meth:`~NullRecorder.emit` is a no-op ``pass``.  Callers
@@ -19,13 +20,12 @@ more.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import IO, Any, Iterator
 
 from repro.errors import SimulationError
 from repro.obs.schema import TRACE_SCHEMA_VERSION
-from repro.records import canonical_json as _encode
+from repro.records import canonical_json as _encode, parse_json_line
 
 
 class TraceRecorder:
@@ -132,7 +132,7 @@ def iter_trace(path: str | Path) -> Iterator[dict[str, Any]]:
             if not line.strip():
                 continue
             try:  # UnicodeDecodeError and JSONDecodeError are ValueErrors
-                record = json.loads(line.decode("utf-8"))
+                record = parse_json_line(line.decode("utf-8"))
             except ValueError as exc:
                 raise SimulationError(
                     f"{path}:{lineno}: not valid JSON: {exc}"

@@ -7,10 +7,15 @@ Three decisions, each made here and nowhere else:
   and type hints (nested dataclasses, ``Enum`` by value, ``tuple[...]``,
   ``X | None``): a new field enters every key, task record and round
   trip by being declared.  Anything but the declared shape is refused.
-* **Canonical JSON** — :data:`canonical_json`, the one encoder: sorted
-  keys, compact, strict (``NaN``/``Infinity`` raise).  Equal values give
-  equal bytes, which cell keys, payload checksums, trace files and
-  service transcripts all rest on.
+* **One JSON codec, built once** — :func:`canonical_json`, the one
+  encoder: sorted keys, compact, strict (``NaN``/``Infinity`` raise).
+  Equal values give equal bytes, which cell keys, payload checksums,
+  trace files and service transcripts all rest on.  It is one C encoder
+  made at import, not a ``JSONEncoder`` that builds one per call.
+  :func:`parse_json_line`, the one line decoder, calls the C scanner
+  directly and hands anything but a bare value to ``json.loads``, so
+  every answer and every error is the stdlib's.  Wire lines and trace
+  lines go through these two and nothing else.
 * **A durable write** — :func:`atomic_write_json` never lets a reader
   (or a power cut) see a partial file; :func:`read_json` answers ``None``
   for every way a file can be unusable.
@@ -25,6 +30,7 @@ import json
 import os
 import types
 import typing
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Iterator
 
@@ -33,10 +39,38 @@ from repro.errors import ReproError
 #: Prefix of in-flight temp files; :func:`record_files` skips these.
 TMP_PREFIX = ".tmp-"
 
-#: Bound once: ``json.dumps`` with options builds a new encoder per call.
-canonical_json = json.JSONEncoder(
-    sort_keys=True, separators=(",", ":"), allow_nan=False
-).encode
+# The arguments ``JSONEncoder.iterencode`` passes (3.10 to 3.13), but made
+# once.  ``markers=None`` leaves no per-call state, so threads share it;
+# a cyclic value raises ``RecursionError``.
+_ENCODER = c_make_encoder(
+    None, json.JSONEncoder().default, encode_basestring_ascii, None, ":", ",",
+    True, False, False,
+)
+
+
+def canonical_json(obj: Any) -> str:
+    """``obj`` as sorted, compact, strict JSON text."""
+    return "".join(_ENCODER(obj, 0))
+
+
+_SCAN = json.JSONDecoder().scan_once
+
+
+def parse_json_line(text: str) -> Any:
+    """The value of one NDJSON line (its newline optional), exactly as
+    ``json.loads(text)`` gives it or raises.
+
+    The scanner alone reads a value and its trailing JSON whitespace;
+    leading padding, trailing data and every error go to ``json.loads``
+    itself (a second parse), so its messages stand.
+    """
+    try:
+        obj, end = _SCAN(text, 0)
+    except Exception:  # StopIteration, ValueError, RecursionError
+        return json.loads(text)
+    if end == len(text) or not text[end:].strip(" \t\n\r"):
+        return obj
+    return json.loads(text)
 
 
 def pretty_json(obj: Any) -> str:

@@ -32,17 +32,16 @@ Requests
 
 from __future__ import annotations
 
-import json
 import math
 from typing import Any
 
 from repro.errors import ProtocolError
 
-# The one encoder: compact, key-sorted (identical sessions produce
-# byte-identical transcripts) and strict — a NaN or infinity anywhere in
-# a message raises ``ValueError`` instead of reaching the wire as a
-# token RFC 8259 parsers refuse.
-from repro.records import canonical_json as _ENCODE
+# The one codec: the encoder is compact, key-sorted (identical sessions
+# produce byte-identical transcripts) and strict — a NaN or infinity
+# anywhere in a message raises ``ValueError`` instead of reaching the
+# wire as a token RFC 8259 parsers refuse.
+from repro.records import canonical_json as _ENCODE, parse_json_line
 
 #: Protocol revision; servers echo it from ``ping`` and ``stats``.
 PROTOCOL_VERSION = 1
@@ -87,7 +86,7 @@ def decode_line(line: bytes | str) -> dict[str, Any]:
         except UnicodeDecodeError as exc:
             raise ProtocolError(f"request is not valid UTF-8: {exc}") from exc
     try:
-        message = json.loads(line)
+        message = parse_json_line(line)
     except (ValueError, RecursionError) as exc:
         # ValueError: bad JSON, or an integer literal past the int/str
         # digit limit; RecursionError: brackets nested too deep to parse.

@@ -184,7 +184,13 @@ class SchedulerService:
                 out.append(encode(error_response(exc, protocol_error=True)))
                 continue
             response = handle(message)
-            out.append(encode(response))
+            try:
+                out.append(encode(response))
+            except ValueError as exc:  # a non-finite number: one error line
+                error = error_response(exc)
+                if "id" in response:
+                    error["id"] = response["id"]
+                out.append(encode(error))
             if response.get("shutdown"):
                 self._shutdown.set()
                 return False

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, replace
 from typing import Iterator, Sequence
 
 from repro.errors import WorkloadError
+from repro.geometry.torus import MAX_JOB_ID
 
 
 @dataclass(frozen=True, slots=True)
@@ -24,7 +25,7 @@ class Job:
     Parameters
     ----------
     job_id:
-        Unique non-negative identifier within the workload.
+        Unique identifier within the workload, in ``[0, MAX_JOB_ID]``.
     arrival:
         Submit time ``t_j^a`` in seconds from the trace origin.
     size:
@@ -45,6 +46,11 @@ class Job:
     def __post_init__(self) -> None:
         if self.job_id < 0:
             raise WorkloadError(f"job id must be non-negative, got {self.job_id}")
+        if self.job_id > MAX_JOB_ID:
+            raise WorkloadError(
+                f"job id {self.job_id} exceeds {MAX_JOB_ID}, the largest the "
+                f"int64 occupancy grid holds"
+            )
         # Comparisons NaN fails, so a NaN is refused with the rest.
         if not 0 <= self.arrival < math.inf:
             raise WorkloadError(

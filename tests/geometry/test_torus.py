@@ -108,6 +108,14 @@ class TestAllocation:
         with pytest.raises(GeometryError):
             t.allocate(-1, Partition((0, 0, 0), (1, 1, 1)))
 
+    def test_job_id_past_the_int64_grid_rejected(self):
+        t = make_torus()
+        with pytest.raises(GeometryError, match="int64"):
+            t.allocate(2**63, Partition((0, 0, 0), (1, 1, 1)))
+        assert t.free_count == D.volume and not dict(t.allocations())
+        t.allocate(2**63 - 1, Partition((0, 0, 0), (1, 1, 1)))
+        assert t.grid[0, 0, 0] == 2**63 - 1
+
     def test_release_unknown_job(self):
         t = make_torus()
         with pytest.raises(UnknownJobError):

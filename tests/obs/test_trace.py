@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import json
 
 import pytest
 
@@ -118,6 +119,64 @@ class TestNdjsonIO:
         path.write_text('{"kind":"arrival","t":0.0,"seq":0}\nnot-json\n')
         with pytest.raises(SimulationError, match=r"bad\.ndjson:2"):
             list(iter_trace(path))
+
+
+def json_loads_iter_trace(path):
+    """``iter_trace`` as it was over ``json.loads``: the reference the
+    scanner-first reader must match record for record, message for
+    message."""
+    with open(path, "rb") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line.decode("utf-8"))
+            except ValueError as exc:
+                raise SimulationError(
+                    f"{path}:{lineno}: not valid JSON: {exc}"
+                ) from exc
+            if not isinstance(record, dict):
+                raise SimulationError(f"{path}:{lineno}: not a JSON object")
+            yield record
+
+
+def read_outcome(reader, path):
+    try:
+        return "records", repr(list(reader(path)))
+    except (SimulationError, RecursionError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+_GOOD = b'{"kind":"arrival","seq":0,"size":2,"t":0.0,"x":[-0.0,1e16,"\\u00e9"]}'
+TRACE_LINES = [
+    _GOOD,
+    b"  " + _GOOD + b"\t",
+    _GOOD + b"\r",
+    _GOOD + _GOOD,
+    _GOOD + b" x",
+    _GOOD[:-1],
+    _GOOD[:20],
+    b'{"kind":',
+    b'{"kind":"\xff"}',
+    b'{"kind":"\xe2\x82',
+    b"\xef\xbb\xbf" + _GOOD,
+    b'{"t":NaN,"u":Infinity,"v":-Infinity}',
+    b'{"seq":' + b"7" * 5000 + b"}",
+    b"[" * 30_000 + b"]" * 30_000,
+    b"[1,2]",
+    b"not-json",
+]
+
+
+class TestLineDecoderEquivalence:
+    @pytest.mark.parametrize("line", TRACE_LINES, ids=range(len(TRACE_LINES)))
+    @pytest.mark.parametrize("newline", [b"\n", b""], ids=["terminated", "last"])
+    def test_iter_trace_reads_what_json_loads_read(self, tmp_path, line, newline):
+        path = tmp_path / "t.ndjson"
+        path.write_bytes(_GOOD + b"\n" + line + newline)
+        assert read_outcome(iter_trace, path) == read_outcome(
+            json_loads_iter_trace, path
+        )
 
 
 class TestSchema:

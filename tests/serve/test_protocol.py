@@ -6,6 +6,7 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ProtocolError, ServeError
 from repro.serve.protocol import (
@@ -81,6 +82,121 @@ class TestFraming:
     def test_bad_utf8_rejected(self):
         with pytest.raises(ProtocolError):
             decode_line(b'\xff\xfe{"op":"ping"}')
+
+
+def json_loads_decode_line(line):
+    """``decode_line`` as it was over ``json.loads``: the reference the
+    scanner-first decoder must match value for value, message for message."""
+    if isinstance(line, bytes):
+        if len(line) > MAX_LINE_BYTES:
+            raise ProtocolError(f"request line exceeds {MAX_LINE_BYTES} bytes")
+        try:
+            line = line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ProtocolError(f"request is not valid UTF-8: {exc}") from exc
+    try:
+        message = json.loads(line)
+    except (ValueError, RecursionError) as exc:
+        raise ProtocolError(f"request is not valid JSON: {exc}") from exc
+    if not isinstance(message, dict):
+        raise ProtocolError(
+            f"request must be a JSON object, got {type(message).__name__}"
+        )
+    return message
+
+
+def outcome(decode, line):
+    """What ``decode`` makes of ``line``: the value's repr (``NaN`` and
+    ``-0.0`` compare by it) or the refusal's message."""
+    try:
+        return "value", repr(decode(line))
+    except ProtocolError as exc:
+        return "refused", str(exc)
+
+
+CANONICAL = encode(
+    {"op": "submit", "id": 7, "size": 4, "runtime": 120.0, "arrival": 0.5,
+     "estimate": 1e16, "tenant": "t\u00e9\u4e2d\U0001f600", "x": [None, True, -0.0]}
+).rstrip(b"\n")
+DECODER_LINES = [
+    CANONICAL,
+    CANONICAL + b"\n",
+    b'{"op":"ping"}',
+    b"{}",
+    b'{"a":"\\u00e9\\ud800\\n","b":{"c":[1,2.5e-3,-4E+2]}}',
+    # padded
+    b" " + CANONICAL,
+    CANONICAL + b" ",
+    b"\t" + CANONICAL + b"\n\n",
+    CANONICAL + b"\r",
+    CANONICAL + b"\r\n",
+    b"\r" + CANONICAL,
+    # trailing data
+    CANONICAL + CANONICAL,
+    CANONICAL + b" x",
+    CANONICAL + b"\nx",
+    CANONICAL + b"\n" + CANONICAL,
+    b'{"op":"ping"}]',
+    # truncated
+    CANONICAL[:-1],
+    CANONICAL[: len(CANONICAL) // 2],
+    CANONICAL[: len(CANONICAL) // 2] + b"\n",
+    b'{"op":',
+    b'{"op":\n',
+    b"{",
+    b"",
+    b"\n",
+    b'{"op":"pi',
+    # not UTF-8, and a byte-order mark
+    b'{"op":"\xff"}',
+    b'{"op":"\xe2\x82"}',
+    b'{"op":"\xe2\x82',
+    b"\xef\xbb\xbf" + CANONICAL,
+    # the parser's non-standard constants
+    b'{"runtime":NaN}',
+    b'{"runtime":Infinity,"arrival":-Infinity}',
+    b'{"runtime":1e999}',
+    b'{"runtime":nan}',
+    # an int past the 4300-digit limit, and one just inside it
+    b'{"op":"status","id":' + b"9" * 5000 + b"}",
+    b'{"op":"status","id":' + b"9" * 4300 + b"}",
+    # nesting past the recursion limit
+    b"[" * 30_000 + b"]" * 30_000,
+    b'{"a":' * 30_000 + b"1" + b"}" * 30_000,
+    b"[" * 30_000,
+    # not an object
+    b"[1,2,3]",
+    b'"op"',
+    b"3",
+    b"null",
+    # duplicate keys: the last wins
+    b'{"op":"ping","op":"stats"}',
+]
+
+
+class TestDecoderEquivalence:
+    """The scanner-first ``decode_line`` against ``json.loads``."""
+
+    @pytest.mark.parametrize("line", DECODER_LINES, ids=range(len(DECODER_LINES)))
+    def test_every_line_decodes_or_is_refused_as_json_loads_did(self, line):
+        assert outcome(decode_line, line) == outcome(json_loads_decode_line, line)
+        try:
+            text = line.decode("utf-8")
+        except UnicodeDecodeError:
+            return
+        assert outcome(decode_line, text) == outcome(json_loads_decode_line, text)
+
+    @settings(max_examples=300)
+    @given(
+        st.binary(max_size=40)
+        | st.sampled_from(DECODER_LINES[:5]).flatmap(
+            lambda line: st.tuples(st.binary(max_size=3), st.binary(max_size=3)).map(
+                lambda pad: pad[0] + line + pad[1]
+            )
+        )
+    )
+    def test_arbitrary_bytes_decode_as_json_loads_did(self, line):
+        assert outcome(decode_line, line) == outcome(json_loads_decode_line, line)
 
 
 class TestValidation:

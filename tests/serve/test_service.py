@@ -309,6 +309,51 @@ class TestBurstFraming:
         stop_service(address, thread)  # other connections are still served
 
 
+def answer(engine: ServeEngine, messages: list[dict]) -> list[dict]:
+    """What one burst of ``messages`` gets back from the transport."""
+    out: list[bytes] = []
+    SchedulerService(engine)._answer([encode(m).rstrip(b"\n") for m in messages], out)
+    return [json.loads(line) for line in out]
+
+
+class TestEveryLineAnswered:
+    def test_a_job_id_past_the_int64_grid_is_refused_not_fatal(self, setup):
+        """Acked, it used to crash the next pump (``OverflowError`` in
+        ``Torus.allocate``) and take the connection with it."""
+        replies = answer(
+            ServeEngine.from_setup(setup),
+            [
+                {"op": "submit", "id": 2**63, "size": 4, "runtime": 60.0,
+                 "arrival": 0.0},
+                {"op": "drain"},
+                {"op": "ping", "id": 1},
+            ],
+        )
+        assert len(replies) == 3
+        assert not replies[0]["ok"] and "int64" in replies[0]["error"]
+        assert replies[1]["ok"] and replies[1]["report"]["records"] == []
+        assert replies[2]["pong"]
+
+    def test_a_response_that_cannot_be_encoded_is_an_error_line(self, setup):
+        """A finite 1e308 runtime makes the drain report's shares NaN;
+        the strict encoder's ``ValueError`` used to kill the connection
+        with the drain unanswered."""
+        replies = answer(
+            ServeEngine.from_setup(setup),
+            [
+                {"op": "submit", "id": 1, "size": 4, "runtime": 1e308,
+                 "arrival": 0.0},
+                {"op": "drain", "id": 5},
+                {"op": "ping", "id": 2},
+            ],
+        )
+        assert len(replies) == 3
+        assert replies[0]["ok"]
+        assert not replies[1]["ok"] and "JSON compliant" in replies[1]["error"]
+        assert replies[1]["id"] == 5  # the client can still match it
+        assert replies[2]["pong"] and replies[2]["id"] == 2
+
+
 class TestStrictJson:
     def test_every_response_line_is_rfc_8259_json(self, tmp_path, setup):
         """``stats`` before the first submission used to answer

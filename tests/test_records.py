@@ -15,6 +15,7 @@ import json
 import os
 import stat
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -235,6 +236,30 @@ class TestDeclaredOnce:
         assert point == traced and point.config.knob == 7
 
 
+#: Every code point, lone surrogates and control characters included.
+any_text = st.text(
+    st.characters(min_codepoint=0, max_codepoint=0x10FFFF, categories=None)
+)
+json_trees = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2**80), max_value=2**80)
+    | finite
+    | finite.map(np.float64)
+    | st.sampled_from([-0.0, 1e16, 5e-324, 2**64, -(2**64) - 1])
+    | any_text,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(any_text, children, max_size=4),
+    max_leaves=24,
+)
+#: Encoded after each refusal: a failed call must leave nothing behind.
+_AFTER = {"z": [1, 2.5, None, True], "a": "\u00e9\x01", "m": -0.0}
+
+
+def _dumps(value):
+    return json.dumps(value, sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
 class TestCanonicalEncoder:
     def test_sorted_compact_and_strict(self):
         assert canonical_json({"b": [1, 2.5], "a": None}) == '{"a":null,"b":[1,2.5]}'
@@ -248,6 +273,38 @@ class TestCanonicalEncoder:
 
         assert trace_mod._encode is canonical_json
         assert protocol_mod._ENCODE is canonical_json
+
+    @given(json_trees)
+    def test_the_prebuilt_encoder_writes_what_json_dumps_writes(self, value):
+        assert canonical_json(value) == _dumps(value)
+
+    @pytest.mark.parametrize(
+        "bad, error",
+        [
+            (float("nan"), ValueError),
+            (float("inf"), ValueError),
+            ({"x": [float("-inf")]}, ValueError),
+            ({1, 2}, TypeError),
+            ({"x": np.int64(3)}, TypeError),
+        ],
+    )
+    def test_refusals_carry_the_stdlib_message_and_leave_no_state(
+        self, bad, error
+    ):
+        with pytest.raises(error) as ours:
+            canonical_json(bad)
+        with pytest.raises(error) as stdlib:
+            _dumps(bad)
+        assert str(ours.value) == str(stdlib.value)
+        assert canonical_json(_AFTER) == _dumps(_AFTER)
+
+    def test_a_cyclic_value_raises_and_leaves_no_state(self):
+        cyclic: list = [1]
+        cyclic.append(cyclic)
+        # The prebuilt C encoder keeps no markers, so it recurses out.
+        with pytest.raises(RecursionError):
+            canonical_json(cyclic)
+        assert canonical_json(_AFTER) == _dumps(_AFTER)
 
 
 class TestDurableWrite:

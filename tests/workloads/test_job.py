@@ -49,6 +49,13 @@ class TestJob:
         with pytest.raises(WorkloadError):
             job(**kwargs)
 
+    def test_an_id_past_the_int64_grid_is_refused(self):
+        """The occupancy grid is ``int64``: such a job used to be accepted
+        and then crash ``Torus.allocate`` with ``OverflowError``."""
+        assert job(job_id=2**63 - 1).job_id == 2**63 - 1
+        with pytest.raises(WorkloadError, match="int64 occupancy grid"):
+            job(job_id=2**63)
+
     @pytest.mark.parametrize("c", [math.nan, math.inf])
     def test_runtime_scaling_rejects_non_finite(self, c):
         with pytest.raises(WorkloadError, match="load scale"):
