@@ -69,6 +69,12 @@ class WaitQueue:
         if not self.discard(state):
             raise SimulationError(f"job {state.job_id} not in wait queue")
 
+    def __contains__(self, state: JobState) -> bool:
+        """Whether this very state is queued: a bisect on its
+        ``(arrival, job_id)`` key, as :meth:`discard` finds it."""
+        i = bisect.bisect_left(self._keys, (state.job.arrival, state.job_id))
+        return i < len(self._jobs) and self._jobs[i] is state
+
     def discard(self, state: JobState) -> bool:
         """Remove a job if present; returns whether it was queued.
 
@@ -90,10 +96,3 @@ class WaitQueue:
             del self._sizes[state.size]
         return True
 
-    def find(self, job_id: int) -> JobState | None:
-        """The queued state with this id, or ``None`` (linear scan —
-        cancellation/status paths only, never the scheduler hot path)."""
-        for js in self._jobs:
-            if js.job_id == job_id:
-                return js
-        return None

@@ -224,7 +224,7 @@ class Simulator:
             return "completed"
         if state.running:
             return "running"
-        return "waiting" if self.wait.find(job_id) is not None else "pending"
+        return "waiting" if state in self.wait else "pending"
 
     @property
     def completed_count(self) -> int:

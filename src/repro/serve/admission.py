@@ -88,8 +88,9 @@ class FairShareAdmission:
         self.tenant_cap = tenant_cap
         self._tenants: dict[str, TenantQueue] = {}
         #: Every queued job by id, with the queue holding it: what makes
-        #: ``find``, ``withdraw`` and ``backlog`` independent of depth.
-        self._queued: dict[int, tuple[TenantQueue, Job]] = {}
+        #: "is this id queued" (``id in queued``, read-only to callers),
+        #: ``withdraw`` and ``backlog`` independent of depth.
+        self.queued: dict[int, tuple[TenantQueue, Job]] = {}
         self._weights = dict(weights or {})
         self.total_admitted = 0
         self.total_rejected = 0
@@ -121,32 +122,30 @@ class FairShareAdmission:
     def offer(self, tenant_name: str, job: Job) -> float | None:
         """Queue a submission; ``None`` on success, else a retry-after
         hint in seconds (the queue is full)."""
-        tq = self.tenant(tenant_name)
-        if tq.depth >= tq.cap:
+        tq = self._tenants.get(tenant_name)
+        if tq is None:
+            tq = self.tenant(tenant_name)
+        depth = len(tq.queue)
+        if depth >= tq.cap:
             tq.rejected += 1
             self.total_rejected += 1
-            return tq.depth * _RETRY_PER_QUEUED
-        if job.job_id in self._queued:
+            return depth * _RETRY_PER_QUEUED
+        if job.job_id in self.queued:
             raise ServeError(f"job {job.job_id} is already queued")
         tq.queue.append(job)
-        self._queued[job.job_id] = (tq, job)
+        self.queued[job.job_id] = (tq, job)
         tq.admitted += 1
         self.total_admitted += 1
         return None
 
     def withdraw(self, job_id: int) -> bool:
         """Remove a still-queued submission (the cancel fast path)."""
-        entry = self._queued.pop(job_id, None)
+        entry = self.queued.pop(job_id, None)
         if entry is None:
             return False
         tq, job = entry
         tq.queue.remove(job)
         return True
-
-    def find(self, job_id: int) -> Job | None:
-        """The queued job with this id, or None."""
-        entry = self._queued.get(job_id)
-        return None if entry is None else entry[1]
 
     # ------------------------------------------------------------------
     def release_next(self) -> Job | None:
@@ -170,7 +169,7 @@ class FairShareAdmission:
         if best is None:
             return None
         job = best.queue.popleft()
-        del self._queued[job.job_id]
+        del self.queued[job.job_id]
         best.pass_value += best.stride
         return job
 
@@ -182,7 +181,7 @@ class FairShareAdmission:
     @property
     def backlog(self) -> int:
         """Jobs queued across all tenants, awaiting release."""
-        return len(self._queued)
+        return len(self.queued)
 
     def depths(self) -> dict[str, int]:
         """Per-tenant queue depths (stats endpoint)."""

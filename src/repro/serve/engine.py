@@ -35,12 +35,17 @@ from typing import Any
 
 from repro.errors import ProtocolError, ReproError, ServeError
 from repro.failures.events import FailureLog
-from repro.geometry.shapes import shapes_for_size
+from repro.geometry.shapes import all_shapes
 from repro.metrics.serialize import report_to_dict
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.trace import NullRecorder, TraceRecorder
 from repro.serve.admission import FairShareAdmission
-from repro.serve.protocol import PROTOCOL_VERSION, error_response, validate_request
+from repro.serve.protocol import (
+    PROTOCOL_VERSION,
+    REQUIRED_FIELDS,
+    error_response,
+    validate_request,
+)
 from repro.core.arrivals import OnlineArrivalStream
 from repro.core.config import SimulationConfig
 from repro.core.policies.base import SchedulingPolicy
@@ -93,6 +98,15 @@ class ServeEngine:
         self._since_pump = 0
         self._drained: dict[str, Any] | None = None
         self._submitted = 0
+        # What every request would otherwise recompute, built once: the
+        # op table (op -> its ``_<op>`` method, one per protocol op), each
+        # op's latency histogram and each tenant's refusal (added at
+        # first use), and the job sizes some box of the torus holds.
+        self._ops = {op: getattr(self, f"_{op}") for op in REQUIRED_FIELDS}
+        self._latency: dict[str, Histogram] = {}
+        self._refusals: dict[tuple[str, float], dict[str, Any]] = {}
+        shapes = all_shapes(self.sim.config.dims)
+        self._placeable = frozenset(a * b * c for a, b, c in shapes)
         self.sim.write_trace_header(serve_clock=clock)
 
     @classmethod
@@ -125,25 +139,15 @@ class ServeEngine:
         except ProtocolError as exc:
             return error_response(exc, protocol_error=True)
         try:
-            if op == "submit":
-                response = self._submit(message)
-            elif op == "cancel":
-                response = self._cancel(message)
-            elif op == "status":
-                response = self._status(message)
-            elif op == "stats":
-                response = self._stats()
-            elif op == "ping":
-                response = {"ok": True, "pong": True, "version": PROTOCOL_VERSION}
-            elif op == "drain":
-                response = self._drain()
-            else:  # shutdown: drain now, transport stops afterwards
-                response = self._drain()
-                response["shutdown"] = True
+            response = self._ops[op](message)
         except ReproError as exc:
             response = error_response(exc)
         elapsed_us = (time.perf_counter() - start) * 1e6
-        self.metrics.histogram(f"serve.{op}_latency_us").observe(elapsed_us)
+        latency = self._latency.get(op)
+        if latency is None:
+            name = f"serve.{op}_latency_us"
+            latency = self._latency[op] = self.metrics.histogram(name)
+        latency.observe(elapsed_us)
         if "id" in message and "id" not in response:
             response["id"] = message["id"]
         return response
@@ -155,11 +159,10 @@ class ServeEngine:
         self._submitted += 1
         job_id = message["id"]
         size = message["size"]
-        dims = self.sim.config.dims
-        if size > dims.volume or not shapes_for_size(size, dims):
+        if size not in self._placeable:
             raise ServeError(
                 f"job {job_id} size {size} has no rectangular partition "
-                f"on {dims.as_tuple()}"
+                f"on {self.sim.config.dims.as_tuple()}"
             )
         if self.clock == "trace":
             if "arrival" not in message:
@@ -175,27 +178,31 @@ class ServeEngine:
                 )
         else:
             arrival = float(message.get("arrival", 0.0))
-        job = Job(
-            job_id=job_id,
-            arrival=max(arrival, 0.0),
-            size=size,
-            runtime=float(message["runtime"]),
-            estimate=float(message.get("estimate", -1.0)),
-        )
-        existing = self.sim.job_status(job_id)
-        if existing not in ("unknown", "cancelled") or (
-            self.admission.find(job_id) is not None
-        ):
-            raise ServeError(f"job {job_id} already submitted ({existing})")
+        runtime = float(message["runtime"])
+        estimate = float(message.get("estimate", -1.0))
+        job = Job(job_id, max(arrival, 0.0), size, runtime, estimate)
+        # Two dict lookups settle a new id; only a known one is asked
+        # for its phase.
+        if job_id in self.sim.states or job_id in self.admission.queued:
+            existing = self.sim.job_status(job_id)
+            if existing not in ("unknown", "cancelled") or (
+                job_id in self.admission.queued
+            ):
+                raise ServeError(f"job {job_id} already submitted ({existing})")
         tenant = message.get("tenant", "default")
         retry_after = self.admission.offer(tenant, job)
         if retry_after is not None:
-            return {
-                "ok": False,
-                "rejected": True,
-                "retry_after": round(retry_after, 6),
-                "error": f"tenant {tenant!r} queue is full",
-            }
+            # A full queue is refused at its cap, so one tenant's
+            # refusals are all alike: build each once, hand out copies.
+            refusal = self._refusals.get((tenant, retry_after))
+            if refusal is None:
+                refusal = self._refusals[tenant, retry_after] = {
+                    "ok": False,
+                    "rejected": True,
+                    "retry_after": round(retry_after, 6),
+                    "error": f"tenant {tenant!r} queue is full",
+                }
+            return dict(refusal)
         self._release()
         self._since_pump += 1
         if self._since_pump >= self.pump_interval:
@@ -241,14 +248,14 @@ class ServeEngine:
 
     def _status(self, message: dict[str, Any]) -> dict[str, Any]:
         job_id = message["id"]
-        if self.admission.find(job_id) is not None:
+        if job_id in self.admission.queued:
             return {"ok": True, "state": "admitted"}
         state = self.sim.job_status(job_id)
         if state == "unknown":
             raise ServeError(f"job {job_id} is not known to this session")
         return {"ok": True, "state": state}
 
-    def _stats(self) -> dict[str, Any]:
+    def _stats(self, message: dict[str, Any] | None = None) -> dict[str, Any]:
         # -inf before the first submission and +inf once the stream is
         # closed are not JSON numbers: "no finite watermark" is null.
         watermark = self.stream.watermark
@@ -267,7 +274,12 @@ class ServeEngine:
             "tenants": self.admission.shares(),
         }
 
-    def _drain(self) -> dict[str, Any]:
+    def _ping(self, message: dict[str, Any]) -> dict[str, Any]:
+        return {"ok": True, "pong": True, "version": PROTOCOL_VERSION}
+
+    def _drain(self, message: dict[str, Any] | None = None) -> dict[str, Any]:
+        # Computed once; each answer is a fresh copy, since ``handle``
+        # adds the request's id to it (nothing writes to the report).
         if self._drained is None:
             self._release(capped=False)
             self.stream.close()
@@ -279,7 +291,13 @@ class ServeEngine:
             }
             # _stats() above ran before "drained" flipped observable.
             self._drained["stats"]["drained"] = True
-        return self._drained
+        return dict(self._drained)
+
+    def _shutdown(self, message: dict[str, Any]) -> dict[str, Any]:
+        # Drain now; the transport stops after this answer.
+        response = self._drain()
+        response["shutdown"] = True
+        return response
 
     # ------------------------------------------------------------------
     def metrics_snapshot(self) -> dict[str, Any]:

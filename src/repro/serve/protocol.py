@@ -9,7 +9,8 @@ expected to back off and resubmit.
 
 Numbers are finite.  Python's parser reads ``NaN``, ``Infinity`` and
 ``1e999``, so a ``submit`` whose ``runtime``, ``estimate`` or
-``arrival`` is not finite is refused as a protocol error.  Every line
+``arrival`` is not finite is refused as a protocol error, and so is a
+``runtime`` or ``estimate`` that is not positive.  Every line
 this module writes is RFC 8259 JSON: one strict encoder raises on a
 non-finite number instead of writing it, and ``stats`` reports
 ``"watermark": null`` while the arrival watermark is not finite (before
@@ -58,7 +59,7 @@ MAX_LINE_BYTES = 1 << 16
 MAX_RESPONSE_BYTES = 1 << 26
 
 #: Known operations and the fields each requires beyond ``op``.
-_REQUIRED_FIELDS: dict[str, tuple[str, ...]] = {
+REQUIRED_FIELDS: dict[str, tuple[str, ...]] = {
     "submit": ("id", "size", "runtime"),
     "cancel": ("id",),
     "status": ("id",),
@@ -98,33 +99,44 @@ def decode_line(line: bytes | str) -> dict[str, Any]:
     return message
 
 
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def validate_request(message: dict[str, Any]) -> str:
-    """Check ``op`` and its required fields; returns the op name."""
+    """Check ``op`` and its required fields; returns the op name.
+
+    A type test asks for the exact type the JSON parser makes first
+    (``type(v) is int``), then for the ``isinstance`` verdict it always
+    gave: a subclass passes where it passed, a ``bool`` is no number."""
     op = message.get("op")
-    if not isinstance(op, str):
+    if type(op) is not str and not isinstance(op, str):
         raise ProtocolError("request has no 'op' field")
-    required = _REQUIRED_FIELDS.get(op)
+    required = REQUIRED_FIELDS.get(op)
     if required is None:
-        known = ", ".join(sorted(_REQUIRED_FIELDS))
+        known = ", ".join(sorted(REQUIRED_FIELDS))
         raise ProtocolError(f"unknown op {op!r}; known ops: {known}")
     for name in required:
         if name not in message:
             raise ProtocolError(f"op {op!r} requires field {name!r}")
     if "id" in message:
         job_id = message["id"]
-        if not isinstance(job_id, int) or isinstance(job_id, bool) or job_id < 0:
+        if type(job_id) is not int and not _is_int(job_id) or job_id < 0:
             raise ProtocolError(
                 f"'id' must be a non-negative integer, got {job_id!r}"
             )
     if op == "submit":
         size = message["size"]
-        if not isinstance(size, int) or isinstance(size, bool) or size < 1:
+        if type(size) is not int and not _is_int(size) or size < 1:
             raise ProtocolError(f"'size' must be a positive integer, got {size!r}")
         for name in ("runtime", "estimate", "arrival"):
             if name not in message:
                 continue
             value = message[name]
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
+            kind = type(value)
+            if kind is not float and kind is not int and not (
+                isinstance(value, float) or _is_int(value)
+            ):
                 raise ProtocolError(f"{name!r} must be a number, got {value!r}")
             try:
                 finite = math.isfinite(value)
@@ -132,7 +144,12 @@ def validate_request(message: dict[str, Any]) -> str:
                 finite = False
             if not finite:
                 raise ProtocolError(f"{name!r} must be finite, got {value!r}")
-        if "tenant" in message and not isinstance(message["tenant"], str):
+            # Durations are positive, so the wire cannot reach the
+            # ``Job`` default -1 that stands for "no estimate".
+            if value <= 0 and name != "arrival":
+                raise ProtocolError(f"{name!r} must be positive, got {value!r}")
+        tenant = message.get("tenant", "")
+        if type(tenant) is not str and not isinstance(tenant, str):
             raise ProtocolError("'tenant' must be a string")
     return op
 

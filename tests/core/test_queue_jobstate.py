@@ -88,15 +88,20 @@ class TestWaitQueue:
         q.push(resubmitted)
         old_life = state(3, arrival=10.0)
         assert q.discard(old_life) is False
-        assert q.find(3) is resubmitted
+        assert resubmitted in q
+        assert old_life not in q
 
-    def test_find_by_id(self):
+    def test_membership_is_by_state(self):
         q = WaitQueue()
         a, b = state(1, arrival=10.0), state(2, arrival=20.0)
         q.push(a)
         q.push(b)
-        assert q.find(2) is b
-        assert q.find(99) is None
+        assert b in q
+        assert state(99, arrival=5.0) not in q
+        # Same key, another object: not the queued state.
+        assert state(2, arrival=20.0) not in q
+        q.discard(b)
+        assert b not in q and a in q
 
     def test_indexing_and_iteration(self):
         q = WaitQueue()

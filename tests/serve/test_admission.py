@@ -95,12 +95,12 @@ class TestBoundedQueues:
         shares = adm.shares()
         assert shares["a"]["admitted"] == 3 and shares["a"]["depth"] == 3
 
-    def test_withdraw_and_find(self):
+    def test_withdraw_leaves_the_id_index(self):
         adm = FairShareAdmission()
         fill(adm, "a", 3)
-        assert adm.find(1).job_id == 1
+        assert adm.queued[1][1].job_id == 1
         assert adm.withdraw(1) is True
-        assert adm.find(1) is None
+        assert 1 not in adm.queued
         assert adm.withdraw(1) is False
         assert adm.backlog == 2
 
@@ -124,8 +124,9 @@ class TestBoundedQueues:
 
 
 class TestQueuedIndex:
-    """``_queued`` answers ``find`` / ``withdraw`` / ``backlog`` without
-    walking the queues; the walk it replaced is the reference here."""
+    """``queued`` answers membership, ``withdraw`` and ``backlog``
+    without walking the queues; the walk it replaced is the reference
+    here."""
 
     @staticmethod
     def scan(adm: FairShareAdmission, job_id: int) -> Job | None:
@@ -137,11 +138,12 @@ class TestQueuedIndex:
 
     def check(self, adm: FairShareAdmission, ids_seen: range) -> None:
         in_queues = [job.job_id for tq in adm._tenants.values() for job in tq.queue]
-        assert sorted(adm._queued) == sorted(in_queues)
+        assert sorted(adm.queued) == sorted(in_queues)
         assert adm.backlog == sum(tq.depth for tq in adm._tenants.values())
         for job_id in ids_seen:
-            assert adm.find(job_id) is self.scan(adm, job_id)
-        for job_id, (tq, job) in adm._queued.items():
+            entry = adm.queued.get(job_id)
+            assert (entry and entry[1]) is self.scan(adm, job_id)
+        for job_id, (tq, job) in adm.queued.items():
             assert job.job_id == job_id and job in tq.queue
 
     @pytest.mark.parametrize("clock", ["trace", "logical"])
@@ -175,5 +177,5 @@ class TestQueuedIndex:
                     gone.append(job_id)
             self.check(adm, range(next_id))
             for job_id in gone:
-                assert adm.find(job_id) is None
+                assert job_id not in adm.queued
         assert gone and adm.backlog  # the run exercised both ends

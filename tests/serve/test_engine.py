@@ -189,9 +189,62 @@ class TestLifecycle:
         run_load(client, setup.build_workload(), drain=False)
         first = client.drain()
         assert first["ok"] and first["stats"]["drained"] is True
-        assert client.drain() is first  # cached
+        again = client.drain()  # cached: the same report, a fresh envelope
+        assert again == first and again is not first
+        assert again["report"] is first["report"]
         refused = client.submit(id=10**6, arrival=0.0, size=4, runtime=60.0)
         assert not refused["ok"] and "drained" in refused["error"]
+
+    def test_drain_answers_carry_their_own_id(self):
+        """The cached drain answer used to be handed out itself, so the
+        first drain's id and a shutdown's flag stuck to every later one."""
+        client = InprocClient(ServeEngine.from_setup(small_setup()))
+        assert client.submit(id=1, arrival=0.0, size=4, runtime=60.0)["ok"]
+        answers = [
+            client.request({"op": "drain", "id": 7}),
+            client.request({"op": "drain", "id": 8}),
+            client.request({"op": "drain"}),
+            client.request({"op": "shutdown", "id": 9}),
+            client.request({"op": "drain"}),
+        ]
+        assert [a.get("id") for a in answers] == [7, 8, None, 9, None]
+        assert [a.get("shutdown") for a in answers] == [None, None, None, True, None]
+        assert all(a["report"] == answers[0]["report"] for a in answers)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("estimate", -1), ("estimate", -1.0), ("estimate", 0), ("estimate", -2),
+         ("runtime", 0), ("runtime", -1.0)],
+    )
+    def test_non_positive_duration_is_a_protocol_error(self, field, value):
+        """``estimate: -1`` was acknowledged as "no estimate" (the ``Job``
+        default leaked through the wire); every non-positive duration is
+        now refused before the engine, as a protocol error."""
+        engine = ServeEngine.from_setup(small_setup())
+        client = InprocClient(engine)
+        message = {"id": 1, "arrival": 0.0, "size": 4, "runtime": 60.0, field: value}
+        reply = client.submit(**message)
+        assert reply == {
+            "ok": False,
+            "protocol_error": True,
+            "error": f"'{field}' must be positive, got {value!r}",
+        }
+        assert client.stats()["submitted"] == 0
+        assert client.submit(id=1, arrival=0.0, size=4, runtime=60.0)["ok"]
+
+    @pytest.mark.parametrize("dims", [(4, 4, 8), (2, 3, 5), (1, 1, 7)])
+    def test_placeable_sizes_are_those_with_a_shape(self, dims):
+        from repro.geometry.coords import TorusDims
+        from repro.geometry.shapes import shapes_for_size
+
+        engine = ServeEngine.from_setup(
+            SimulationSetup(
+                site="sdsc", n_jobs=10, seed=1, config=SimulationConfig(dims=TorusDims(*dims))
+            )
+        )
+        volume = dims[0] * dims[1] * dims[2]
+        expected = {s for s in range(1, volume + 1) if shapes_for_size(s, TorusDims(*dims))}
+        assert engine._placeable == expected
 
     def test_protocol_errors_are_flagged(self):
         client = InprocClient(ServeEngine.from_setup(small_setup()))

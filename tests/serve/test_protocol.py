@@ -250,6 +250,46 @@ class TestValidation:
         with pytest.raises(ProtocolError, match="'runtime' must be finite"):
             validate_request(decode_line(line))
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("estimate", -1), ("estimate", 0), ("estimate", -2.5), ("runtime", 0),
+         ("runtime", -1), ("runtime", -0.0)],
+    )
+    def test_non_positive_durations_rejected(self, field, value):
+        msg = {"op": "submit", "id": 1, "size": 2, "runtime": 1.0}
+        msg[field] = value
+        with pytest.raises(ProtocolError, match=f"'{field}' must be positive"):
+            validate_request(msg)
+
+    def test_arrival_may_be_zero_or_negative(self):
+        for arrival in (0, 0.0, -5.0):
+            msg = {"op": "submit", "id": 1, "size": 2, "runtime": 1.0, "arrival": arrival}
+            assert validate_request(msg) == "submit"
+
+    def test_subclasses_get_the_isinstance_verdict(self):
+        """The exact-type fast path must not change a verdict: an int or
+        str subclass passes where ``isinstance`` passed it, a bool never
+        counts as a number."""
+
+        class Count(int):
+            pass
+
+        class Name(str):
+            pass
+
+        class Seconds(float):
+            pass
+
+        msg = {"op": Name("submit"), "id": Count(3), "size": Count(2),
+               "runtime": Seconds(1.5), "estimate": Count(2), "tenant": Name("a")}
+        assert validate_request(msg) == "submit"
+        for field in ("id", "size", "runtime", "estimate", "arrival"):
+            bad = {"op": "submit", "id": 1, "size": 2, "runtime": 1.0, field: False}
+            with pytest.raises(ProtocolError, match=field):
+                validate_request(bad)
+        with pytest.raises(ProtocolError, match="non-negative"):
+            validate_request({"op": "status", "id": Count(-1)})
+
     def test_error_response_envelope(self):
         resp = error_response(ServeError("boom"), id=4)
         assert resp["ok"] is False
