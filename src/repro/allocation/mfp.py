@@ -41,11 +41,12 @@ Each state pays only for what it is asked:
   of a state (:meth:`PlacementIndex._projections`), not by every sync:
   the simulator syncs the index once per event batch but scores only
   when a job fits.
-* **One enumerate-and-score pass per size.**  The candidates of every
-  shape of a size come out of one ``nonzero`` over the size's free
-  grids masked to canonical bases, and each candidate's fused
-  scoring-table row is read from a per-dims key table.  The enumeration
-  and its losses are kept per size until the next sync that patches.
+* **Candidates selected from a table built once per size.**  Which
+  ``(shape, canonical base)`` pairs a size has, in what order and at
+  which fused scoring-table row depends on the dims alone
+  (:class:`_SizeTable`), so a state's candidates are one ``take`` of the
+  free grid and one ``nonzero``, and scoring gathers their rows
+  with one 1-D gather.  Both are kept until the next sync that patches.
 * **A state come back to is not re-derived.**  A sync whose diff is
   empty — a job allocated and released between two lookups — patches
   nothing and skips the refresh: every per-state field, projection,
@@ -92,9 +93,16 @@ class CandidateBatch:
     node set appears once.  :class:`~repro.geometry.partition.Partition`
     objects are materialised lazily — only for the winning candidate and
     for trace records — via :meth:`partition`.
+
+    The production index hands out a *selection* (:meth:`selected`): the
+    ascending rows ``sel`` of its size's :class:`_SizeTable`.  ``len``
+    and :meth:`partition` read the table; ``shapes`` / ``starts`` /
+    ``bases`` are derived on first read (balancing, tie-break, tracing —
+    never Krevat).  The reference index packs its own enumeration
+    eagerly (:meth:`packed`), sharing no table with production.
     """
 
-    __slots__ = ("dims", "shapes", "starts", "bases", "_shape_rows")
+    __slots__ = ("dims", "shapes", "starts", "bases", "_n", "_table", "_sel", "_shape_rows")
 
     @classmethod
     def packed(
@@ -108,15 +116,36 @@ class CandidateBatch:
         ``bases[starts[g]:starts[g+1]]``, ``bases`` an ``(n, 3)`` array
         of canonical bases."""
         batch = cls.__new__(cls)
-        batch.dims = dims
-        batch.shapes = shapes
-        batch.starts = starts
-        batch.bases = bases
+        batch.dims, batch._n, batch._table, batch._sel = dims, starts[-1], None, None
+        batch.shapes, batch.starts, batch.bases = shapes, starts, bases
         batch._shape_rows = None
         return batch
 
+    @classmethod
+    def selected(cls, dims: TorusDims, table: _SizeTable, sel: np.ndarray) -> CandidateBatch:
+        """The batch of the entries ``sel`` (ascending) of ``table``."""
+        batch = cls.__new__(cls)
+        batch.dims, batch._n, batch._table, batch._sel = dims, sel.size, table, sel
+        batch._shape_rows = None
+        return batch
+
+    def __getattr__(self, name: str):
+        # Only an unset slot gets here: a selection's derived fields.
+        if name not in ("shapes", "starts", "bases") or self._table is None:
+            raise AttributeError(name)
+        table = self._table
+        if name == "bases":
+            self.bases = table.bases[self._sel]
+        else:
+            # The table's group bounds located in ``sel``; empty groups go.
+            cut = np.searchsorted(self._sel, table.bounds).tolist()
+            kept = [(s, hi) for s, lo, hi in zip(table.shapes, cut, cut[1:]) if hi > lo]
+            self.shapes = tuple(s for s, _ in kept)
+            self.starts = (0, *(hi for _, hi in kept))
+        return getattr(self, name)
+
     def __len__(self) -> int:
-        return self.starts[-1]
+        return self._n
 
     def groups(self) -> Iterator[tuple[Coord, slice, np.ndarray]]:
         """Yield ``(shape, row_slice, bases_view)`` per candidate shape."""
@@ -140,20 +169,51 @@ class CandidateBatch:
 
     def partition(self, i: int) -> Partition:
         """Materialise candidate row ``i`` as a :class:`Partition`."""
-        base = self.bases[i]
-        return Partition(
-            (int(base[0]), int(base[1]), int(base[2])), self.shape_of(i)
-        )
+        table = self._table
+        if table is None:
+            x, y, z = self.bases[i].tolist()
+            return Partition((x, y, z), self.shape_of(i))
+        j = self._sel[i]
+        x, y, z = table.bases[j].tolist()
+        return Partition((x, y, z), table.all_shapes[table.rows[j]])
 
     def partitions(self) -> list[Partition]:
         """Materialise every candidate (enumeration order)."""
         out: list[Partition] = []
         for shape, _, bases in self.groups():
-            out.extend(
-                Partition((int(bx), int(by), int(bz)), shape)
-                for bx, by, bz in bases.tolist()
-            )
+            out.extend(Partition((x, y, z), shape) for x, y, z in bases.tolist())
         return out
+
+
+class _SizeTable:
+    """Every ``(shape, canonical base)`` of one size in enumeration order
+    (:func:`~repro.geometry.shapes.shapes_for_size` order, then
+    row-major bases): a function of the dims, built once per size by
+    :meth:`_DimsTables.size_table`.  Per entry: ``idx``, its flat index
+    into the shape-minor free grid; ``keys``, its fused scoring-table row
+    (``None`` without ``zall``); ``rows``, its shape row; ``bases``, its
+    base.  Group ``g`` (shape ``shapes[g]``) is entries
+    ``bounds[g]:bounds[g+1]``.
+    """
+
+    __slots__ = ("idx", "keys", "rows", "bases", "bounds", "shapes", "all_shapes")
+
+    def __init__(self, t: _DimsTables, rows: np.ndarray, flat: np.ndarray) -> None:
+        self.rows = rows.astype(np.int32)
+        self.idx = flat.astype(np.int32) * len(t.shapes) + self.rows
+        base = t.coords[flat]
+        if t.zall is None:
+            self.keys = None
+        else:
+            # The ``zall`` row: kx * Y²Z² + ky * Z² + kz with k_axis =
+            # (extent-1) * P + base.
+            _, Y, Z = t.dims_tuple
+            k = (t.ext[rows] - 1) * np.array(t.dims_tuple) + base
+            self.keys = ((k[:, 0] * (Y * Y) + k[:, 1]) * (Z * Z) + k[:, 2]).astype(np.int32)
+        self.bases = base.astype(np.min_scalar_type(-max(t.dims_tuple)))
+        self.bounds = np.append(np.flatnonzero(np.diff(self.rows, prepend=-1)), rows.size)
+        self.shapes = tuple(t.shapes[r] for r in rows[self.bounds[:-1]].tolist())
+        self.all_shapes = t.shapes
 
 
 class _DimsTables:
@@ -180,13 +240,12 @@ class _DimsTables:
         "overlap",
         "zmask",
         "zall",
-        "keys",
-        "canon",
         "bitoff",
         "basebits",
         "oxy",
         "coords",
         "_size_rows",
+        "_size_tables",
     )
 
     def __init__(self, dims_tuple: Coord) -> None:
@@ -244,21 +303,12 @@ class _DimsTables:
         # Row-major base coordinates: coords[flat_index] == unravel.
         x, y, z = np.unravel_index(np.arange(X * Y * Z), dims_tuple)
         self.coords = np.stack([x, y, z], axis=1).astype(np.int64)
-        # canon[s, b]: base ``b`` is shape ``s``'s canonical
-        # representative of its node set — 0 on every fully-spanned
-        # axis.  The free grid is constant along such an axis (the
-        # window covers all of it), so masking to canonical bases is
-        # the reference's first-occurrence dedup, in the same order.
-        spanned = self.ext == np.array(dims_tuple, dtype=np.int64)
-        self.canon = ~(
-            spanned[:, None, :] & (self.coords[None, :, :] != 0)
-        ).any(axis=2)                                            # (S, XYZ)
         # One fused table for the three axes: row ``key`` holds, per
         # probe shape, all three zero-overlap masks of one candidate
         # (shape extents and base) in that packing, so a resolve costs
-        # one gather instead of three; ``keys[s, b]`` is the row of
-        # shape ``s`` based at ``b``.  Only built when the table stays
-        # small; the per-axis ``zmask`` path remains as fallback.
+        # one gather instead of three; a size table holds each of its
+        # candidates' row.  Only built when the table stays small; the
+        # per-axis ``zmask`` path remains as fallback.
         n_keys = (X * X) * (Y * Y) * (Z * Z)
         if X + Y + Z <= 16 and n_keys * n_shapes <= 1 << 22:
             # Assembled in the word dtype: an int64 intermediate would
@@ -269,14 +319,8 @@ class _DimsTables:
             self.zall = (
                 (zx << self.bitoff[0]) | (zy << self.bitoff[1]) | zz
             ).reshape(n_keys, n_shapes + 1)
-            # key = kx * Y²Z² + ky * Z² + kz with k_axis = (t-1)*P + b.
-            a = self.ext - 1
-            self.keys = (
-                (a[:, 0, None] * X + x) * (Y * Y) + (a[:, 1, None] * Y + y)
-            ) * (Z * Z) + (a[:, 2, None] * Z + z)                # (S, XYZ)
         else:
             self.zall = None
-            self.keys = None
         # The word of one base: its own ``x``, ``y`` and ``z`` bit in
         # the packing above.  ``_projections`` multiplies the free grids
         # by this column and OR-reduces over the bases, which projects
@@ -295,6 +339,7 @@ class _DimsTables:
         else:
             self.oxy = None
         self._size_rows: dict[int, np.ndarray] = {}
+        self._size_tables: dict[int, _SizeTable] = {}
 
     @staticmethod
     def _axis_overlap(
@@ -330,6 +375,19 @@ class _DimsTables:
             )
             self._size_rows[size] = rows
         return rows
+
+    def size_table(self, size: int) -> _SizeTable:
+        """The :class:`_SizeTable` of ``size``, built on first use."""
+        table = self._size_tables.get(size)
+        if table is None:
+            rows = self.size_rows(size)
+            # A canonical base is 0 on every axis the shape spans fully:
+            # the free grid is constant along such an axis, so this is
+            # the reference's first-occurrence dedup, in the same order.
+            spanned = self.ext[rows] == np.array(self.dims_tuple)
+            r, flat = np.nonzero(~(spanned[:, None, :] & (self.coords != 0)).any(axis=2))
+            table = self._size_tables[size] = _SizeTable(self, rows[r], flat)
+        return table
 
 
 @lru_cache(maxsize=8)
@@ -437,7 +495,7 @@ class PlacementIndex:
         self._ne_idx = np.flatnonzero(self._tot)
         self._feasible: frozenset[int] | None = None
         self._fall: np.ndarray | None = None
-        #: size → [batch, shape rows, flat bases, losses or None].
+        #: size → [batch, size table, selected rows, losses or None].
         self._sizes: dict[int, list] = {}
 
     def _projections(self) -> np.ndarray:
@@ -467,10 +525,9 @@ class PlacementIndex:
     # ------------------------------------------------------------------
     # candidates and scoring
     # ------------------------------------------------------------------
-    def _excluded(self, rows: np.ndarray, flat: np.ndarray) -> np.ndarray:
-        """MFP size after hypothetically allocating each candidate of
-        shape rows ``rows`` based at row-major flat bases ``flat``
-        (primary cell).
+    def _excluded(self, table: _SizeTable, sel: np.ndarray) -> np.ndarray:
+        """MFP size after hypothetically allocating each candidate
+        ``table`` entry of ``sel``.
 
         A free placement of probe shape ``s`` at ``q`` survives
         candidate ``c`` iff the wrapped boxes are disjoint, i.e. the
@@ -486,15 +543,15 @@ class PlacementIndex:
         """
         t = self._tables
         fall = self._projections()
-        if t.zall is not None:
-            survive = (t.zall[t.keys[rows, flat]] & fall) != 0   # (n, S+1)
+        if table.keys is not None:
+            survive = (t.zall.take(table.keys.take(sel), axis=0) & fall) != 0  # (n, S+1)
         else:
             # No fused table for these dims: test axis by axis.  A
             # per-axis mask has no bit at or above its period, so
             # shifting the projections down to an axis's range is all
             # the unpacking the AND needs.
-            a = t.ext[rows] - 1
-            b = t.coords[flat]
+            a = t.ext[table.rows.take(sel)] - 1
+            b = table.bases.take(sel, axis=0)
             ox, oy, _ = t.bitoff
             fall = fall.astype(np.int64)
             survive = (
@@ -505,34 +562,17 @@ class PlacementIndex:
         return t.vol[survive.argmax(axis=1)]
 
     def _enumerate(self, size: int) -> list:
-        """Every free partition of ``size`` in one pass: the per-size
-        entry ``[batch, shape rows, flat bases, None]``.
-
-        The size's free grids, one row of bases per shape and masked to
-        canonical bases (0 on every fully-spanned axis — the free grid
-        is constant along such an axis, so this is first-occurrence
-        dedup), go through one ``nonzero`` that walks them shape-major,
-        base-minor: the shape order of ``shapes_for_size``, row-major
-        bases.  The entry is kept until a :meth:`sync` patches, so a
-        policy's ``candidate_batch`` and the scoring after it share one
-        pass.
+        """Every free partition of ``size``, the per-size entry ``[batch,
+        table, sel, None]``: ``sel`` the rows of the size's
+        :class:`_SizeTable` that are free (one ``take``, one
+        ``nonzero``).  Kept until a :meth:`sync` patches, so
+        ``candidate_batch`` and the scoring after it share it.
         """
-        t = self._tables
-        rows = t.size_rows(size)
-        hits = self._free.reshape(-1, len(t.shapes)).T[rows]      # (R, XYZ)
-        hits &= t.canon[rows]
-        r, flat = np.nonzero(hits)
-        shapes: list[Coord] = []
-        starts = [0]
-        counts = np.bincount(r, minlength=rows.size).tolist()
-        for row, count in zip(rows.tolist(), counts):
-            if count:
-                shapes.append(t.shapes[row])
-                starts.append(starts[-1] + count)
-        batch = CandidateBatch.packed(
-            self.dims, tuple(shapes), tuple(starts), t.coords[flat]
-        )
-        entry = self._sizes[size] = [batch, rows[r], flat, None]
+        table = self._tables.size_table(size)
+        sel = self._free.take(table.idx).nonzero()[0]
+        entry = self._sizes[size] = [
+            CandidateBatch.selected(self.dims, table, sel), table, sel, None,
+        ]
         return entry
 
     def candidate_batch(self, size: int) -> CandidateBatch:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 from repro.checkpoint.model import CheckpointConfig
@@ -85,9 +86,9 @@ class SimulationConfig:
     max_events: int = 50_000_000
 
     def __post_init__(self) -> None:
-        if self.migration_cost_s < 0:
-            raise SimulationError("migration_cost_s must be >= 0")
-        if self.gamma <= 0:
-            raise SimulationError("gamma must be positive")
+        if not 0 <= self.migration_cost_s < math.inf:
+            raise SimulationError("migration_cost_s must be finite and >= 0")
+        if not 0 < self.gamma < math.inf:
+            raise SimulationError("gamma must be finite and positive")
         if self.max_events < 1:
             raise SimulationError("max_events must be positive")

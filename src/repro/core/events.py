@@ -9,15 +9,21 @@ Events at the same timestamp are processed in a fixed kind order:
 ``FINISH`` before ``FAILURE`` before ``ARRIVAL`` — a job that completes
 at exactly the moment a node fails has already finished, and freshly
 freed partitions must be visible to jobs arriving at the same instant.
+
+An :class:`Event` is a tuple the heap compares in C: ``seq`` is unique
+per queue, so ``payload`` and ``epoch`` are never compared.
 """
 
 from __future__ import annotations
 
 import enum
 import heapq
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.errors import SimulationError
+
+
+_INF = float("inf")
 
 
 class EventKind(enum.IntEnum):
@@ -28,8 +34,7 @@ class EventKind(enum.IntEnum):
     ARRIVAL = 2
 
 
-@dataclass(frozen=True, slots=True, order=True)
-class Event:
+class Event(NamedTuple):
     """One scheduled simulator event.
 
     ``payload`` is the job id for FINISH/ARRIVAL and the linear node id
@@ -40,9 +45,9 @@ class Event:
 
     time: float
     kind: EventKind
-    seq: int = field(compare=True)
-    payload: int = field(compare=False, default=0)
-    epoch: int = field(compare=False, default=0)
+    seq: int
+    payload: int = 0
+    epoch: int = 0
 
 
 class EventQueue:
@@ -62,8 +67,8 @@ class EventQueue:
 
     def push(self, time: float, kind: EventKind, payload: int, epoch: int = 0) -> Event:
         """Schedule an event; returns the stored record."""
-        if time < 0:
-            raise SimulationError(f"event time must be >= 0, got {time}")
+        if not 0 <= time < _INF:
+            raise SimulationError(f"event time must be finite and >= 0, got {time}")
         event = Event(time, kind, self._seq, payload, epoch)
         self._seq += 1
         heapq.heappush(self._heap, event)

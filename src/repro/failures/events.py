@@ -30,8 +30,8 @@ class FailureEvent:
     node: int
 
     def __post_init__(self) -> None:
-        if self.time < 0:
-            raise FailureModelError(f"failure time must be >= 0, got {self.time}")
+        if not 0 <= self.time < np.inf:
+            raise FailureModelError(f"failure time must be in [0, inf), got {self.time}")
         if self.node < 0:
             raise FailureModelError(f"node id must be >= 0, got {self.node}")
 
@@ -64,8 +64,8 @@ class FailureLog:
         nodes = np.asarray(nodes, dtype=np.int64)
         if times.shape != nodes.shape:
             raise FailureModelError("times and nodes must have equal shapes")
-        if times.size and float(times.min()) < 0:
-            raise FailureModelError("failure times must be >= 0")
+        if times.size and not 0 <= float(times.min()) <= float(times.max()) < np.inf:
+            raise FailureModelError("failure times must be finite and >= 0")
         if nodes.size and (int(nodes.min()) < 0 or int(nodes.max()) >= n_nodes):
             raise FailureModelError(f"node ids out of range for {n_nodes} nodes")
         order = np.lexsort((nodes, times))

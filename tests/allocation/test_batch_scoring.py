@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.allocation.mfp import PlacementIndex
+from repro.allocation.mfp import PlacementIndex, _SizeTable
 from repro.geometry.coords import TorusDims
 from repro.geometry.partition import Partition
 from repro.geometry.shapes import schedulable_sizes, shapes_for_size
@@ -110,9 +110,10 @@ class TestBatchVsScalar:
     @settings(max_examples=50, deadline=None)
     @given(torus_states(), st.data())
     def test_excluding_matches_scalar_on_arbitrary_bases(self, torus, data):
-        """The kernel accepts *any* candidate (not only a free one) and
-        must agree with the reference's per-partition ``mfp_excluding``;
-        bases outside the primary cell name their wrapped box."""
+        """The kernel accepts a table of *any* candidates (not only free
+        ones, repeats allowed) and must agree with the reference's
+        per-partition ``mfp_excluding``; bases outside the primary cell
+        name their wrapped box."""
         dims = torus.dims
         shape = data.draw(
             st.tuples(
@@ -134,7 +135,8 @@ class TestBatchVsScalar:
         index = PlacementIndex(torus)
         flat = np.ravel_multi_index(tuple(bases.T), dims.as_tuple(), mode="wrap")
         rows = np.full(n, index._tables.row_of[shape])
-        got = index._excluded(rows, flat)
+        table = _SizeTable(index._tables, rows, flat)
+        got = index._excluded(table, np.arange(n))
         reference = ReferencePlacementIndex(torus)
         want = [
             reference.mfp_excluding(

@@ -303,7 +303,8 @@ class TestFullSpanAliasing:
 class TestZallFallback:
     def test_fallback_path_matches_fused_table(self):
         """The per-axis zmask fallback (taken when the fused ``zall``
-        table is not built for the dims) is bitwise equal to it."""
+        table is not built for the dims) is bitwise equal to it.  Forcing
+        it nulls the size table's cached keys too."""
         dims = TorusDims(4, 4, 5)
         torus = random_torus(dims, np.random.default_rng(7), attempts=10)
         inc = PlacementIndex(torus)
@@ -313,15 +314,15 @@ class TestZallFallback:
         assert len(batch) > 0
         t = inc._tables
         assert t.zall is not None
-        _, rows, flat, _ = inc._sizes[size]
-        fast = inc._excluded(rows, flat)
-        saved = (t.zall, t.keys)
-        t.zall = None
-        t.keys = None
+        _, table, sel, _ = inc._sizes[size]
+        assert table.keys is not None
+        fast = inc._excluded(table, sel)
+        saved = (t.zall, table.keys)
+        t.zall = table.keys = None
         try:
-            slow = inc._excluded(rows, flat)
+            slow = inc._excluded(table, sel)
         finally:
-            t.zall, t.keys = saved
+            t.zall, table.keys = saved
         np.testing.assert_array_equal(fast, slow)
 
 
@@ -410,7 +411,7 @@ class TestFusedPassAndNarrowTensor:
         dims = TorusDims(4, 6, 8)
         torus = random_torus(dims, np.random.default_rng(3), attempts=8)
         inc = PlacementIndex(torus)
-        assert inc._tables.zall is None and inc._tables.keys is None
+        assert inc._tables.zall is None
         assert inc._sums.dtype == np.uint8
         assert_matches_rebuild(inc, torus)
         assert assert_scores_like_scalar_walk(inc, torus) > 0

@@ -37,6 +37,16 @@ class TestValidation:
         with pytest.raises(SimulationError):
             SimulationConfig(gamma=0.0)
 
+    @pytest.mark.parametrize("cost", [float("nan"), float("inf")])
+    def test_non_finite_migration_cost(self, cost):
+        with pytest.raises(SimulationError):
+            SimulationConfig(migration_cost_s=cost)
+
+    @pytest.mark.parametrize("gamma", [float("nan"), float("inf")])
+    def test_non_finite_gamma(self, gamma):
+        with pytest.raises(SimulationError):
+            SimulationConfig(gamma=gamma)
+
     def test_max_events(self):
         with pytest.raises(SimulationError):
             SimulationConfig(max_events=0)

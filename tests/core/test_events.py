@@ -53,6 +53,13 @@ class TestEventQueue:
         with pytest.raises(SimulationError):
             EventQueue().push(-1.0, EventKind.ARRIVAL, 0)
 
+    @pytest.mark.parametrize("time", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_time_rejected(self, time):
+        q = EventQueue()
+        with pytest.raises(SimulationError):
+            q.push(time, EventKind.FAILURE, 0)
+        assert not q
+
     def test_bool_and_len(self):
         q = EventQueue()
         assert not q and len(q) == 0

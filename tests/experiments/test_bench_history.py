@@ -77,3 +77,54 @@ def test_check_names_the_bad_line(tmp_path):
         done = history("--history", str(target), "check")
         assert done.returncode == 1
         assert f"{target}:3:" in done.stderr
+
+
+def pairs_file(path: Path, verdict: str = "faster") -> Path:
+    """The part of a ``benchmarks/perf/pairs.py --out`` record that is read."""
+    record = {
+        "workload": "sim_faulty",
+        "seed": 0,
+        "seconds": 8.0,
+        "metric": "ops_per_s",
+        "base": {"rev": "97b0a94", "dirty": False},
+        "change": {"rev": "9cd66c3", "dirty": False},
+        "digests_equal": True,
+        "calls_equal": True,
+        "summary": {
+            "n": 10, "wins": 10, "losses": 0, "ties": 0, "base_median": 3794.123456,
+            "change_median": 4194.0, "base_iqr": 134.2, "ratio": 1.105, "verdict": verdict,
+            "clears_iqr": True, "meets_claim": True,
+        },  # fmt: skip
+    }
+    path.write_text(json.dumps(record))
+    return path
+
+
+def test_append_pairs_files_one_verdict_line_beside_suite_lines(tmp_path):
+    target = tmp_path / "history.ndjson"
+    assert history("--history", str(target), "append", str(run_file(tmp_path / "run.json"))).returncode == 0
+    done = history("--history", str(target), "append-pairs", str(pairs_file(tmp_path / "p.json")))
+    assert done.returncode == 0, done.stderr
+    lines = [json.loads(raw) for raw in target.read_text().splitlines()]
+    assert len(lines) == 3 and "kind" not in lines[0]
+    pair = lines[2]
+    assert (pair["kind"], pair["base_rev"], pair["change_rev"], pair["verdict"]) == (
+        "pairs", "97b0a94", "9cd66c3", "faster",
+    )  # fmt: skip
+    assert (pair["n"], pair["wins"], pair["base_median"]) == (10, 10, 3794.1235)
+    assert pair["clears_iqr"] is True and pair["meets_claim"] is True
+    assert history("--history", str(target), "check").returncode == 0
+
+
+def test_check_names_a_bad_pairs_line(tmp_path):
+    target = tmp_path / "history.ndjson"
+    assert history("--history", str(target), "append-pairs", str(pairs_file(tmp_path / "p.json"))).returncode == 0
+    good = target.read_text()
+    line = json.loads(good)
+    for bad in ({**line, "verdict": "quicker"}, {**line, "kind": "suite"},
+                {k: v for k, v in line.items() if k != "ratio"}, {**line, "wins": "10"},
+                {k: v for k, v in line.items() if k != "meets_claim"}):  # fmt: skip
+        target.write_text(good + json.dumps(bad) + "\n")
+        done = history("--history", str(target), "check")
+        assert done.returncode == 1
+        assert f"{target}:2:" in done.stderr

@@ -21,6 +21,11 @@ class TestFailureEvent:
         with pytest.raises(FailureModelError):
             FailureEvent(0.0, -1)
 
+    @pytest.mark.parametrize("time", [float("nan"), float("inf")])
+    def test_non_finite_time_rejected(self, time):
+        with pytest.raises(FailureModelError):
+            FailureEvent(time, 0)
+
 
 class TestFailureLog:
     def test_sorted_by_time(self):
@@ -53,6 +58,28 @@ class TestFailureLog:
             FailureLog.from_arrays(8, np.array([1.0]), np.array([9]))
         with pytest.raises(FailureModelError):
             FailureLog.from_arrays(0, np.array([]), np.array([]))
+
+    @pytest.mark.parametrize("time", [float("nan"), float("inf")])
+    def test_non_finite_times_rejected(self, time):
+        """A NaN or infinite time must not reach the sorted log: NaN
+        sorts last, is never due, and corrupts the engine's event heap."""
+        with pytest.raises(FailureModelError, match="finite"):
+            FailureLog.from_arrays(8, np.array([5.0, time, 1.0]), np.array([0, 1, 2]))
+
+    def test_a_nan_failure_time_is_refused_before_a_run(self):
+        """A 40-job run with one NaN failure time died mid-run with
+        ``capacity record time went backwards``; it is refused where the
+        log is built."""
+        from repro.api import SimulationSetup
+        from repro.core.simulator import Simulator
+
+        setup = SimulationSetup(n_jobs=40, n_failures=20, seed=0)
+        workload, failures, policy = setup.build_inputs()
+        times = failures.times.copy()
+        times[len(times) // 2] = float("nan")
+        with pytest.raises(FailureModelError):
+            bad = FailureLog.from_arrays(failures.n_nodes, times, failures.nodes)
+            Simulator(workload, bad, policy, setup.config).run()
 
     def test_ties_sorted_by_node_read_only_copies(self):
         """Both constructors take one path: a ``(time, node)`` sort into
