@@ -11,13 +11,14 @@ Unlike the balancing policy this never trades free space for stability:
 with accuracy 0 (or no upcoming failures) it is bit-for-bit the Krevat
 baseline.
 
-The production path batches: tied candidates are gathered per shape and
-put to the predictor in one vectorised query each, then the winner is
-the first unpredicted tied candidate (first tied overall as fallback) —
-the same choice as the scalar reference walk.  The batch path may query
-the predictor for tied candidates the scalar walk's early exit skips;
-that is observationally free, because per-node responses are drawn once
-per window, not per query.
+The production path batches: every tied candidate, whatever its shape,
+goes to the predictor in one vectorised query (its bases beside its
+per-row extents), then the winner is the first unpredicted tied
+candidate (first tied overall as fallback) — the same choice as the
+scalar reference walk.  The batch path may query the predictor for
+tied candidates the scalar walk's early exit skips; that is
+observationally free, because per-node responses are drawn once per
+window, not per query.
 """
 
 from __future__ import annotations
@@ -55,24 +56,13 @@ class TieBreakPolicy(SchedulingPolicy):
             # draws come from a seeded RNG in call order, so a skipped
             # query would shift every later draw.
             predicted = self.predictor.predict_failures(
-                batch.bases, batch.shapes[0], index.dims, now, window_end
+                batch.bases, batch.shape_rows(), index.dims, now, window_end
             )
             return self.place_unscored(state, now, batch, predicted_failure=predicted)
         tied = np.flatnonzero(losses == losses.min())
-        predicted = np.empty(tied.size, dtype=bool)
-        for shape, sl, bases in batch.groups():
-            # ``tied`` is ascending, so this group's members are one
-            # contiguous run of it.
-            lo = int(np.searchsorted(tied, sl.start))
-            hi = int(np.searchsorted(tied, sl.stop))
-            if hi > lo:
-                predicted[lo:hi] = self.predictor.predict_failures(
-                    bases[tied[lo:hi] - sl.start],
-                    shape,
-                    index.dims,
-                    now,
-                    window_end,
-                )
+        predicted = self.predictor.predict_failures(
+            batch.bases[tied], batch.shape_rows()[tied], index.dims, now, window_end
+        )
         unpredicted = np.flatnonzero(~predicted)
         if unpredicted.size:
             pick = int(unpredicted[0])

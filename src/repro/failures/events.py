@@ -92,14 +92,14 @@ class FailureLog:
 
     def window_slice(self, t0: float, t1: float) -> tuple[int, int]:
         """Index range ``[lo, hi)`` of events with ``t0 <= time < t1``."""
-        lo = int(np.searchsorted(self.times, t0, side="left"))
-        hi = int(np.searchsorted(self.times, t1, side="left"))
-        return lo, hi
+        times = self.times
+        return int(times.searchsorted(t0)), int(times.searchsorted(t1))
 
     def nodes_failing_in(self, t0: float, t1: float) -> np.ndarray:
-        """Unique node ids with at least one failure in ``[t0, t1)``."""
+        """Unique node ids with at least one failure in ``[t0, t1)``,
+        ascending: the nonzero bins of the window's per-node counts."""
         lo, hi = self.window_slice(t0, t1)
-        return np.unique(self.nodes[lo:hi])
+        return np.flatnonzero(np.bincount(self.nodes[lo:hi], minlength=self.n_nodes))
 
     def failure_mask(self, t0: float, t1: float) -> np.ndarray:
         """Boolean array over node ids: True where a failure falls in

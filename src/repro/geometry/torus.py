@@ -96,18 +96,20 @@ def box_sum_at(integral: np.ndarray, base: Coord, extents: Coord) -> int:
 
 
 def batch_box_sums(
-    integral: np.ndarray, bases: np.ndarray, extents: Coord
+    integral: np.ndarray, bases: np.ndarray, extents: Coord | np.ndarray
 ) -> np.ndarray:
-    """Wrap-around box sums of one ``extents`` window at many bases.
+    """Wrap-around box sums of windows at many bases.
 
     Vectorised counterpart of :func:`box_sum_at`: ``bases`` is an
     ``(n, 3)`` integer array of primary-cell corners and the result is
     the ``(n,)`` array of box sums, gathered with eight fancy-indexed
-    lookups on the integral instead of ``8 n`` scalar ones.  This is the
-    kernel behind the scheduler's batch candidate scoring.
+    lookups on the integral instead of ``8 n`` scalar ones.  ``extents``
+    is one window shape for every base, or an ``(n, 3)`` array of one
+    per base.  This is the kernel behind the predictors' batch counts.
     """
     x, y, z = bases[:, 0], bases[:, 1], bases[:, 2]
-    a, b, c = extents
+    ext = np.asarray(extents)
+    a, b, c = ext[..., 0], ext[..., 1], ext[..., 2]
     i = integral
     return (
         i[x + a, y + b, z + c]

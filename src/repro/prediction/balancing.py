@@ -36,6 +36,9 @@ class BalancingPredictor(Predictor):
         Per-partition combination rule; default is the §4.1 ``max`` form
         (the §5.2.1 complement-product is available for ablation — see
         DESIGN.md §5.2).
+
+    ``confidence`` and ``rule`` are fixed at construction: the per-count
+    ``P_f`` table is built from them there.
     """
 
     def __init__(
@@ -50,6 +53,17 @@ class BalancingPredictor(Predictor):
         self.log = log
         self.confidence = confidence
         self.rule = rule
+        # ``P_f`` by flagged count, for every count a partition can hold.
+        # Each entry is the scalar combiner's value, so the complement
+        # product keeps the bits Python's ``**`` gives, where a
+        # vectorised power could round differently.
+        self._pf = np.array(
+            [
+                combine_probabilities(confidence, count, rule)
+                for count in range(log.n_nodes + 1)
+            ],
+            dtype=np.float64,
+        )
 
     def _flag(self, t0: float, t1: float) -> np.ndarray:
         if self.confidence == 0.0:
@@ -57,22 +71,8 @@ class BalancingPredictor(Predictor):
         return self.log.nodes_failing_in(t0, t1)
 
     def partition_failure_probabilities(
-        self, bases: np.ndarray, shape, dims: TorusDims, t0: float, t1: float
+        self, bases: np.ndarray, extents, dims: TorusDims, t0: float, t1: float
     ) -> np.ndarray:
         """Batch ``P_f``: one flagged count per candidate, then one
-        scalar :func:`combine_probabilities` per *distinct* count.
-
-        Going through the scalar combiner (counts are tiny integers, so
-        distinct values are few) keeps every ``P_f`` the value Python's
-        ``**`` gives for the complement-product rule, where a vectorised
-        power could round differently.
-        """
-        counts = self._counts(bases, shape, dims, t0, t1)
-        probs = np.zeros(counts.shape[0], dtype=np.float64)
-        if np.count_nonzero(counts):
-            for count in np.unique(counts):
-                if count > 0:
-                    probs[counts == count] = combine_probabilities(
-                        self.confidence, int(count), self.rule
-                    )
-        return probs
+        ``take`` from the per-count table built with the predictor."""
+        return self._pf.take(self._counts(bases, extents, dims, t0, t1))

@@ -4,6 +4,12 @@ Both paper predictors work the same way: for a window ``[t0, t1)`` they
 *flag* a set of nodes, and a partition's answer depends only on how many
 flagged nodes it holds.  A predictor implements :meth:`Predictor._flag`;
 the per-pass window cache and the one count kernel live here.
+
+A fault-aware placement asks one query per decision: the bases of every
+candidate it weighs, whatever their shapes, with each candidate's
+extents as an ``(n, 3)`` array beside them (a single 3-tuple still
+stands for "this shape at every base").  The count kernel broadcasts
+over either form, so mixing shapes costs no extra pass.
 """
 
 from __future__ import annotations
@@ -82,12 +88,14 @@ class Predictor(abc.ABC):
     def _counts(
         self,
         bases: np.ndarray,
-        shape: tuple[int, int, int],
+        extents: tuple[int, int, int] | np.ndarray,
         dims: TorusDims,
         t0: float,
         t1: float,
     ) -> np.ndarray:
-        """Flagged nodes inside each of the ``(n, 3)`` candidate bases."""
+        """Flagged nodes inside each of the ``(n, 3)`` candidate bases,
+        box ``i`` having extents ``extents`` (a 3-tuple) or ``extents[i]``
+        (an ``(n, 3)`` array)."""
         window = self._windows.get((t0, t1))
         if window is None:
             window = self._windows[(t0, t1)] = [self._flag(t0, t1), None]
@@ -95,13 +103,14 @@ class Predictor(abc.ABC):
         if flagged.size == 0:
             return np.zeros(bases.shape[0], dtype=np.int64)
         if flagged.size <= self._MEMBERSHIP_CUTOVER:
-            # Node p lies in the wrapped box (b, shape) iff
-            # (p - b) mod P < extent on every axis.
+            # Node p lies in the wrapped box (b, e) iff
+            # (p - b) mod P < e on every axis.
+            ext = np.asarray(extents).reshape(-1, 3)
             fx, fy, fz = np.unravel_index(flagged, dims.as_tuple())
             inside = (
-                (((fx[None, :] - bases[:, 0:1]) % dims.x) < shape[0])
-                & (((fy[None, :] - bases[:, 1:2]) % dims.y) < shape[1])
-                & (((fz[None, :] - bases[:, 2:3]) % dims.z) < shape[2])
+                (((fx[None, :] - bases[:, 0:1]) % dims.x) < ext[:, 0:1])
+                & (((fy[None, :] - bases[:, 1:2]) % dims.y) < ext[:, 1:2])
+                & (((fz[None, :] - bases[:, 2:3]) % dims.z) < ext[:, 2:3])
             )
             return inside.sum(axis=1)
         if integral is None:
@@ -109,7 +118,7 @@ class Predictor(abc.ABC):
             grid[flagged] = 1
             integral = window[1] = wrap_pad_integral(grid.reshape(dims.as_tuple()))
         return batch_box_sums(
-            integral, bases % np.array(dims.as_tuple(), dtype=np.int64), shape
+            integral, bases % np.array(dims.as_tuple(), dtype=np.int64), extents
         )
 
     # ------------------------------------------------------------------
@@ -119,29 +128,31 @@ class Predictor(abc.ABC):
     def partition_failure_probabilities(
         self,
         bases: np.ndarray,
-        shape: tuple[int, int, int],
+        extents: tuple[int, int, int] | np.ndarray,
         dims: TorusDims,
         t0: float,
         t1: float,
     ) -> np.ndarray:
-        """``P_f`` for many same-shape candidate partitions at once.
+        """``P_f`` for many candidate partitions at once.
 
-        ``bases`` is an ``(n, 3)`` integer array of partition bases; the
-        result is the ``(n,)`` float array of per-candidate failure
+        ``bases`` is an ``(n, 3)`` integer array of partition bases and
+        ``extents`` their shapes: one 3-tuple for all, or an ``(n, 3)``
+        array, so candidates of every shape go in one call.  The result
+        is the ``(n,)`` float array of per-candidate failure
         probabilities.
         """
 
     def predict_failures(
         self,
         bases: np.ndarray,
-        shape: tuple[int, int, int],
+        extents: tuple[int, int, int] | np.ndarray,
         dims: TorusDims,
         t0: float,
         t1: float,
     ) -> np.ndarray:
         """Boolean batch form: does the predictor expect each candidate
         to fail?  Default: ``P_f > 0``."""
-        return self.partition_failure_probabilities(bases, shape, dims, t0, t1) > 0.0
+        return self.partition_failure_probabilities(bases, extents, dims, t0, t1) > 0.0
 
     # ------------------------------------------------------------------
     # scalar surface: one-row calls of the batch entry points

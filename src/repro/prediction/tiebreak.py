@@ -53,14 +53,14 @@ class TieBreakPredictor(Predictor):
         return failing[draws[failing]]
 
     def predict_failures(
-        self, bases: np.ndarray, shape, dims: TorusDims, t0: float, t1: float
+        self, bases: np.ndarray, extents, dims: TorusDims, t0: float, t1: float
     ) -> np.ndarray:
-        return self._counts(bases, shape, dims, t0, t1) > 0
+        return self._counts(bases, extents, dims, t0, t1) > 0
 
     def partition_failure_probabilities(
-        self, bases: np.ndarray, shape, dims: TorusDims, t0: float, t1: float
+        self, bases: np.ndarray, extents, dims: TorusDims, t0: float, t1: float
     ) -> np.ndarray:
         """Degenerate probability view: 1.0 where predicted to fail."""
         return np.where(
-            self.predict_failures(bases, shape, dims, t0, t1), 1.0, 0.0
+            self.predict_failures(bases, extents, dims, t0, t1), 1.0, 0.0
         )

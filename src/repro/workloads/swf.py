@@ -56,6 +56,10 @@ def _parse_line(line: str, lineno: int) -> Job | None:
         requested_time = float(fields[8])
     except ValueError as exc:
         raise SWFParseError(f"line {lineno}: non-numeric field ({exc})") from None
+    except OverflowError:  # ``inf`` / ``1e400`` as a processor count
+        raise SWFParseError(
+            f"line {lineno}: job {job_id} has a non-finite processor count"
+        ) from None
     # The archive's "unknown" sentinel is exactly -1; a size that is
     # zero or some other negative number is a corrupt record, not a
     # cancelled submission.

@@ -33,6 +33,7 @@ import json
 import math
 from itertools import islice
 
+import numpy as np
 import pytest
 
 from repro.allocation.mfp import IndexCache, PlacementIndex
@@ -103,9 +104,9 @@ def engine_calls(monkeypatch, **config) -> tuple[list[tuple], Simulator]:
         calls.append(("score", size))
         return score(index, size)
 
-    def counted_predict(predictor, bases, shape, dims, t0, t1):
-        calls.append(("predict", shape, len(bases), t0, t1))
-        return predict(predictor, bases, shape, dims, t0, t1)
+    def counted_predict(predictor, bases, extents, dims, t0, t1):
+        calls.append(("predict", np.asarray(extents).tolist(), len(bases), t0, t1))
+        return predict(predictor, bases, extents, dims, t0, t1)
 
     sim.policy.choose_partition = counted_choose
     with monkeypatch.context() as patch:

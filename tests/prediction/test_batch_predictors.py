@@ -12,11 +12,19 @@ the order the pass first asks about them.
 The cases put flagged counts on both sides of the cutover (0, 1, 48,
 49 and every node), on an even and an odd torus, with every base (so
 wrapping ones) and full-span shapes, and assert exact float equality.
+
+A placement asks one query per decision, its candidates' shapes mixed
+and given per row: that query must equal the per-shape queries and the
+scalar one-row calls bit for bit, and draw what they draw.  Below the
+count kernel, ``P_f`` is one lookup in a per-count table and the
+window's flagged nodes are the nonzero bins of a ``bincount``; each is
+checked against the form it replaced.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.failures.events import FailureEvent, FailureLog
@@ -225,3 +233,132 @@ class TestNullBatch:
                 bases, shape, dims, T0, T1
             ).any()
             assert not pred.predict_failures(bases, shape, dims, T0, T1).any()
+
+
+def mixed_candidates(dims: TorusDims, rng: np.random.Generator):
+    """Every base of every test shape in shuffled order: ``(n, 3)``
+    bases and the ``(n, 3)`` extents of each row."""
+    shapes = shapes_of(dims)
+    bases = np.concatenate([all_bases(dims)] * len(shapes))
+    extents = np.repeat(np.array(shapes, dtype=np.int64), dims.volume, axis=0)
+    order = rng.permutation(len(bases))
+    return bases[order], extents[order]
+
+
+def per_shape(query, bases, extents, dims, t0, t1, dtype):
+    """``query`` asked once per distinct shape, answers put back in row order."""
+    out = np.empty(len(bases), dtype=dtype)
+    for shape in shapes_of(dims):
+        rows = np.flatnonzero((extents == shape).all(axis=1))
+        out[rows] = query(bases[rows], shape, dims, t0, t1)
+    return out
+
+
+def one_row_partitions(bases, extents):
+    return [Partition(tuple(b), tuple(e)) for b, e in zip(bases.tolist(), extents.tolist())]
+
+
+class TestMixedShapeQuery:
+    def test_balancing_equals_per_shape_and_scalar_calls(self):
+        rng = np.random.default_rng(42)
+        for dims, k, log in cases():
+            bases, extents = mixed_candidates(dims, rng)
+            parts = one_row_partitions(bases, extents)
+            for rule in PartitionFailureRule:
+                pred = BalancingPredictor(log, 0.3, rule)
+                mixed = pred.partition_failure_probabilities(bases, extents, dims, T0, T1)
+                assert mixed.dtype == np.float64
+                split = per_shape(
+                    pred.partition_failure_probabilities,
+                    bases, extents, dims, T0, T1, np.float64,
+                )
+                assert mixed.tobytes() == split.tobytes(), (dims, k, rule)
+                assert mixed.tolist() == [
+                    pred.partition_failure_probability(p, dims, T0, T1) for p in parts
+                ]
+                assert integral_built(pred, T0, T1) == (k > Predictor._MEMBERSHIP_CUTOVER)
+
+    def test_tiebreak_equals_per_shape_and_scalar_calls_with_the_same_draws(self):
+        rng = np.random.default_rng(43)
+        for dims, k, log in cases():
+            bases, extents = mixed_candidates(dims, rng)
+            parts = one_row_partitions(bases, extents)
+            mixed_pred = TieBreakPredictor(log, 0.5, seed=k)
+            split_pred = TieBreakPredictor(log, 0.5, seed=k)
+            scalar_pred = TieBreakPredictor(log, 0.5, seed=k)
+            for pred in (mixed_pred, split_pred, scalar_pred):
+                pred.begin_pass(T0)
+            for t1 in (T1, T1 + 50.0):
+                mixed = mixed_pred.predict_failures(bases, extents, dims, T0, t1)
+                assert mixed.dtype == np.bool_
+                split = per_shape(
+                    split_pred.predict_failures, bases, extents, dims, T0, t1, bool
+                )
+                assert mixed.tolist() == split.tolist(), (dims, k, t1)
+                assert mixed.tolist() == [
+                    scalar_pred.predicts_failure(p, dims, T0, t1) for p in parts
+                ]
+            # One draw per window, however the candidates were split.
+            states = {
+                str(pred._rng.bit_generator.state)
+                for pred in (mixed_pred, split_pred, scalar_pred)
+            }
+            assert len(states) == 1
+            fresh = np.random.default_rng(k)
+            fresh.random(dims.volume)
+            fresh.random(dims.volume)
+            assert str(fresh.bit_generator.state) in states
+
+
+class TestProbabilityTable:
+    @pytest.mark.parametrize("rule", list(PartitionFailureRule))
+    @pytest.mark.parametrize("confidence", [0.0, 0.1, 1 / 3, 0.5, 0.9, 1.0])
+    def test_table_is_the_scalar_combiner_at_every_count(self, rule, confidence):
+        for dims in DIMS:
+            pred = BalancingPredictor(FailureLog(dims.volume), confidence, rule)
+            expected = [
+                combine_probabilities(confidence, count, rule)
+                for count in range(dims.volume + 1)
+            ]
+            assert pred._pf.tolist() == expected
+            assert pred._pf.tobytes() == np.array(expected, dtype=np.float64).tobytes()
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.floats(0.0, 1.0, allow_nan=False),
+        st.sampled_from(list(PartitionFailureRule)),
+        st.integers(1, 300),
+    )
+    def test_table_on_drawn_confidences(self, confidence, rule, n_nodes):
+        pred = BalancingPredictor(FailureLog(n_nodes), confidence, rule)
+        assert pred._pf.tolist() == [
+            combine_probabilities(confidence, count, rule) for count in range(n_nodes + 1)
+        ]
+
+
+@st.composite
+def logs_and_windows(draw):
+    n_nodes = draw(st.integers(1, 64))
+    times = st.floats(0.0, 100.0, allow_nan=False)
+    events = draw(
+        st.lists(st.tuples(times, st.integers(0, n_nodes - 1)), max_size=80)
+    )
+    log = FailureLog(n_nodes, [FailureEvent(t, n) for t, n in events])
+    bounds = st.one_of(times, st.sampled_from([t for t, _ in events] or [0.0]))
+    return log, draw(bounds), draw(bounds)
+
+
+class TestWindowFlags:
+    @settings(max_examples=200, deadline=None)
+    @given(logs_and_windows())
+    def test_nodes_failing_in_is_the_unique_window_nodes(self, drawn):
+        log, t0, t1 = drawn
+        lo = int(np.searchsorted(log.times, t0, side="left"))
+        hi = int(np.searchsorted(log.times, t1, side="left"))
+        assert log.window_slice(t0, t1) == (lo, hi)
+        got = log.nodes_failing_in(t0, t1)
+        want = np.unique(log.nodes[lo:hi])
+        assert got.dtype == want.dtype
+        assert got.tolist() == want.tolist()
+        if t1 <= t0 or not len(log):
+            assert got.size == 0

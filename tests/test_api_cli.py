@@ -204,16 +204,24 @@ class TestCliObservability:
             (["run", "--seed", "-1"], "seed must be non-negative, got -1"),
             (["serve", "--seed", "-1"], "seed must be non-negative, got -1"),
             (["swf", "missing.swf", "--head", "-3"], "head must be non-negative, got -3"),
+            (["swf", "{inf_size_swf}"], "line 2: job 1"),
+            (["run", "--swf", "{inf_size_swf}"], "line 2: job 1"),
         ],
         ids=[
             "unknown-policy", "missing-swf", "negative-jobs", "missing-trace", "nan-load",
             "negative-seed-run", "negative-seed-serve", "negative-head",
+            "inf-size-swf", "inf-size-swf-run",
         ],
     )
     def test_bad_input_is_one_stderr_line_and_exit_code_2(
-        self, argv, message, capsys
+        self, argv, message, capsys, tmp_path
     ):
         """``ReproError`` / ``OSError`` are answers, not tracebacks."""
+        inf_size_swf = tmp_path / "inf_size.swf"
+        inf_size_swf.write_text(
+            "; MaxProcs: 128\n1 0 -1 300 inf -1 -1 1e400 600 -1 1 1 1 1 1 -1 -1 -1\n"
+        )
+        argv = [arg.format(inf_size_swf=inf_size_swf) for arg in argv]
         assert main(argv) == 2
         captured = capsys.readouterr()
         (line,) = captured.err.splitlines()

@@ -67,6 +67,19 @@ class TestParse:
         with pytest.raises(SWFParseError, match="line 2: job 1"):
             parse_swf(io.StringIO("; MaxProcs: 128\n" + line + "\n"))
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "1 0 -1 300 inf -1 -1 16 600 -1 1 1 1 1 1 -1 -1 -1",
+            "1 0 -1 300 16 -1 -1 1e400 600 -1 1 1 1 1 1 -1 -1 -1",
+            "1 0 -1 300 -inf -1 -1 -1 600 -1 1 1 1 1 1 -1 -1 -1",
+        ],
+        ids=["inf-allocated", "overflowing-requested", "minus-inf-allocated"],
+    )
+    def test_non_finite_size_rejected_with_its_line(self, line):
+        with pytest.raises(SWFParseError, match="line 2: job 1"):
+            parse_swf(io.StringIO("; MaxProcs: 128\n" + line + "\n"))
+
     def test_non_numeric_rejected(self):
         with pytest.raises(SWFParseError, match="non-numeric"):
             parse_swf(io.StringIO("a b c d e f g h i\n"))
