@@ -36,10 +36,12 @@ workload, one seed) as one line of a second schema, told apart by its
      "verdict": "faster", "clears_iqr": true, "meets_claim": true,
      "digests_equal": true, "calls_equal": true}
 
-``verdict`` is the sign test alone; ``meets_claim`` is the gate a speed
-claim must pass (at least 9 of every 10 pairs won, ties counted as
-losses, and ``clears_iqr``: the median gap above the base's IQR).
-``check`` accepts both schemas.
+``metric`` is the judged end-to-end metric (``pairs.py --metric``, one
+of :data:`METRICS`); a pair is won in its ``better`` direction, so on
+``op_p50_ms`` a win is a lower median.  ``verdict`` is the sign test
+alone; ``meets_claim`` is the gate a speed claim must pass (at least 9
+of every 10 pairs won, ties counted as losses, and ``clears_iqr``: the
+median gain above the base's IQR).  ``check`` accepts both schemas.
 """
 
 from __future__ import annotations
@@ -178,10 +180,14 @@ def check(history_path: Path) -> int:
             for key, kind in fields.items():
                 if not isinstance(line[key], kind):
                     raise ValueError(f"{key}={line[key]!r}")
-            if fields is PAIR_FIELDS and (line["kind"], line["verdict"]) not in {
-                ("pairs", v) for v in VERDICTS
-            }:
-                raise ValueError(f"kind={line['kind']!r} verdict={line['verdict']!r}")
+            if fields is PAIR_FIELDS and (
+                line["kind"] != "pairs"
+                or line["verdict"] not in VERDICTS
+                or line["metric"] not in METRICS
+            ):
+                raise ValueError(
+                    f"kind={line['kind']!r} verdict={line['verdict']!r} metric={line['metric']!r}"
+                )
         except ValueError as error:  # JSONDecodeError is one
             print(f"{history_path}:{number}: {error}", file=sys.stderr)
             return 1

@@ -9,16 +9,21 @@ tree, so host drift falls on both sides of a pair alike::
     python benchmarks/perf/pairs.py HEAD --worktree --workload swf_replay --seed 0 --pairs 10 \\
         --out pairs.json
     python benchmarks/perf/history.py append-pairs pairs.json
+    python benchmarks/perf/pairs.py HEAD --worktree --workload serve_replay --metric op_p50_ms
 
 A revision is extracted with ``git archive`` (local, no network) into a
-scratch directory that is removed afterwards.  ``ops_per_s`` is judged
-by the rule the claims table uses (:class:`repro.analysis.compare.
-SignCount`): per-pair signs, ties dropped, a one-sided sign test at
-p <= 0.05 — ``faster``, ``slower`` or ``unresolved``.  Beside it: both
-medians, the base's interquartile range, the median paired ratio, and
-the gate a speed claim must pass (``meets_claim``): the change higher
-in at least 9 of every 10 pairs, a tie counting as a loss, and its
-median above the base's by more than the base's IQR (``clears_iqr``).
+scratch directory that is removed afterwards.  The judged metric is
+``ops_per_s`` unless ``--metric`` names another end-to-end metric of
+``BENCHMARK.json``; its ``better`` direction there says which way a
+pair is won.  It is judged by the rule the claims table uses
+(:class:`repro.analysis.compare.SignCount`): per-pair signs, ties
+dropped, a one-sided sign test at p <= 0.05 — ``faster`` (the change
+better), ``slower`` or ``unresolved``.  Beside it: both medians, the
+base's interquartile range, the median paired ratio (change / base),
+and the gate a speed claim must pass (``meets_claim``): the change
+better in at least 9 of every 10 pairs, a tie counting as a loss, and
+its median better than the base's by more than the base's IQR
+(``clears_iqr``).
 Every run lasts BENCHMARK.json's ``run_seconds``, as the benchmark's.
 One traced run per tree then compares every span call count, and every
 run's ``report_sha256`` / ``trace_sha256`` must equal across the two
@@ -42,7 +47,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.analysis.compare import sign_count  # noqa: E402
 
-#: The judged metric: reference-speed operations per second, higher better.
+#: The default judged metric: reference-speed operations per second.
 METRIC = "ops_per_s"
 #: What a digest comparison reads from a run's ``info``.
 DIGESTS = ("report_sha256", "trace_sha256")
@@ -51,18 +56,20 @@ VERDICTS = {"holds": "faster", "refuted": "slower"}
 CLAIM_WIN_SHARE = 0.9
 
 
-def judge(base: list[float], change: list[float]) -> dict:
-    """The verdict on paired ``ops_per_s`` values (pair ``k`` is
-    ``base[k]``, ``change[k]``)."""
+def judge(base: list[float], change: list[float], lower_is_better: bool = False) -> dict:
+    """The verdict on paired values of one metric (pair ``k`` is
+    ``base[k]``, ``change[k]``); higher is better unless
+    ``lower_is_better``."""
     if not base or len(base) != len(change):
         raise ValueError("need one base and one change value per pair")
-    # ``SignCount`` counts ``candidate - baseline`` below zero as a
-    # "holds"; here higher is better, so the delta is base - change.
-    signs = sign_count([b - c for b, c in zip(base, change)])
+    # ``SignCount`` counts a delta below zero as a "holds": the delta is
+    # how much worse the change is, base - change when higher is better.
+    sign = -1.0 if lower_is_better else 1.0
+    signs = sign_count([sign * (b - c) for b, c in zip(base, change)])
     q1, _, q3 = statistics.quantiles(base, n=4, method="inclusive") if len(base) > 1 else base * 3
     base_median = statistics.median(base)
     change_median = statistics.median(change)
-    clears_iqr = change_median - base_median > q3 - q1
+    clears_iqr = sign * (change_median - base_median) > q3 - q1
     return {
         "n": len(base),
         "wins": signs.lower,
@@ -117,16 +124,16 @@ def span_calls(detail: dict) -> dict[str, float]:
 
 
 def measure(trees: dict[str, Path], workload: str, seed: int, seconds: float,
-            pairs: int) -> dict:
+            pairs: int, metric: str = METRIC, lower_is_better: bool = False) -> dict:
     """Run the pairs and the traced runs; the whole record."""
     runs: dict[str, list[dict]] = {"base": [], "change": []}
     for pair in range(pairs):
         for side in order(pair):
             detail = run_once(trees[side], workload, seed, seconds, trace=False)
             runs[side].append(detail)
-        b, c = (runs[s][-1]["end_to_end"][METRIC] for s in ("base", "change"))
+        b, c = (runs[s][-1]["end_to_end"][metric] for s in ("base", "change"))
         print(f"pair {pair + 1:2d}/{pairs} {'-'.join(order(pair)):11s} "
-              f"base {b:10.1f}  change {c:10.1f}  ratio {c / b:6.3f}", flush=True)
+              f"base {b:10.6g}  change {c:10.6g}  ratio {c / b:6.3f}", flush=True)
     traced = {s: run_once(trees[s], workload, seed, seconds, trace=True) for s in runs}
     digests = {
         s: sorted({(k, d["info"][k]) for d in runs[s] + [traced[s]] for k in DIGESTS
@@ -139,12 +146,12 @@ def measure(trees: dict[str, Path], workload: str, seed: int, seconds: float,
         for k in sorted(set(calls["base"]) | set(calls["change"]))
         if calls["base"].get(k) != calls["change"].get(k)
     }
-    values = {s: [d["end_to_end"][METRIC] for d in runs[s]] for s in runs}
+    values = {s: [d["end_to_end"][metric] for d in runs[s]] for s in runs}
     return {
         "workload": workload,
         "seed": seed,
         "seconds": seconds,
-        "metric": METRIC,
+        "metric": metric,
         "values": values,
         "medians": {
             s: {m: statistics.median(d["end_to_end"][m] for d in runs[s])
@@ -158,7 +165,7 @@ def measure(trees: dict[str, Path], workload: str, seed: int, seconds: float,
         and len(digests["base"]) == len({k for k, _ in digests["base"]}),
         "calls_equal": not calls_diff,
         "calls_diff": calls_diff,
-        "summary": judge(values["base"], values["change"]),
+        "summary": judge(values["base"], values["change"], lower_is_better),
     }
 
 
@@ -171,13 +178,19 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--metric", default=METRIC,
+                        help="an end_to_end metric of BENCHMARK.json (default: %(default)s)")
     parser.add_argument("--out", type=Path, help="write the record here (for append-pairs)")
     args = parser.parse_args(argv)
     if (args.change_rev is None) == (not args.worktree):
         parser.error("name a CHANGE_REV or pass --worktree, not both")
     if args.pairs < 1:
         parser.error("--pairs must be positive")
-    seconds = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())["run_seconds"]
+    contract = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in contract["end_to_end"]}
+    if args.metric not in better:
+        parser.error(f"--metric must be one of {sorted(better)}")
+    seconds = contract["run_seconds"]
     scratch = Path(tempfile.mkdtemp(prefix="pairs_"))
     try:
         trees = {"base": extract(args.base_rev, scratch / "base")}
@@ -189,13 +202,14 @@ def main(argv: list[str] | None = None) -> int:
         else:
             trees["change"] = extract(args.change_rev, scratch / "change")
             sides["change"] = {"rev": git("rev-parse", "--short", args.change_rev), "dirty": False}
-        record = {**measure(trees, args.workload, args.seed, seconds, args.pairs), **sides}
+        record = {**measure(trees, args.workload, args.seed, seconds, args.pairs,
+                            args.metric, better[args.metric] == "lower"), **sides}
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
     s = record["summary"]
-    print(f"{args.workload} seed {args.seed}: {s['verdict']} — change higher in {s['wins']} "
-          f"of {s['n']} pairs ({s['ties']} tied); median {s['base_median']:.1f} -> "
-          f"{s['change_median']:.1f}, base IQR {s['base_iqr']:.1f}, median ratio "
+    print(f"{args.workload} seed {args.seed} {args.metric}: {s['verdict']} — change better "
+          f"in {s['wins']} of {s['n']} pairs ({s['ties']} tied); median {s['base_median']:.6g} "
+          f"-> {s['change_median']:.6g}, base IQR {s['base_iqr']:.6g}, median ratio "
           f"{s['ratio']:.3f}; claim gate {'met' if s['meets_claim'] else 'NOT met'} "
           f"(gap {'clears' if s['clears_iqr'] else 'inside'} the base IQR); "
           f"digests {'equal' if record['digests_equal'] else 'DIFFER'}, "

@@ -6,9 +6,11 @@ main suite's ``testpaths``).
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
-from benchmarks.perf import pairs
+from benchmarks.perf import history, pairs
 
 
 def test_ten_of_ten_is_faster():
@@ -77,3 +79,70 @@ def test_pairs_alternate_abba():
 def test_unpaired_values_are_refused(base, change):
     with pytest.raises(ValueError):
         pairs.judge(base, change)
+
+
+# ----------------------------------------------------------------------
+# lower-is-better metrics (``--metric op_p50_ms``, ``setup_s``, ...)
+# ----------------------------------------------------------------------
+def test_an_aa_run_on_op_p50_ms_is_unresolved():
+    """One tree on both sides of a latency metric: no sign wins."""
+    base = [0.641, 0.652, 0.633, 0.648, 0.639, 0.660, 0.644, 0.637, 0.655, 0.646]
+    change = [0.646, 0.649, 0.640, 0.643, 0.642, 0.655, 0.650, 0.634, 0.657, 0.641]
+    s = pairs.judge(base, change, lower_is_better=True)
+    assert s["verdict"] == "unresolved"
+    assert s["ratio"] == pytest.approx(1.0, abs=0.01)
+    assert not s["clears_iqr"] and not s["meets_claim"]
+
+
+def test_a_lower_is_better_win_is_faster():
+    base = [0.78, 0.80, 0.77, 0.79, 0.81, 0.78, 0.80, 0.79, 0.78, 0.80]
+    change = [v - 0.15 for v in base]
+    s = pairs.judge(base, change, lower_is_better=True)
+    assert (s["verdict"], s["wins"], s["losses"]) == ("faster", 10, 0)
+    assert s["ratio"] < 1 and s["clears_iqr"] and s["meets_claim"]
+    # The same values judged higher-is-better are a loss in every pair.
+    flipped = pairs.judge(base, change)
+    assert (flipped["verdict"], flipped["losses"], flipped["meets_claim"]) == ("slower", 10, False)
+
+
+def test_a_lower_is_better_gain_inside_the_base_spread_does_not_clear_it():
+    base = [0.60, 0.70, 0.80, 0.65, 0.75, 0.70]
+    s = pairs.judge(base, [v - 0.01 for v in base], lower_is_better=True)
+    assert s["verdict"] == "faster" and not s["clears_iqr"] and not s["meets_claim"]
+
+
+def test_measure_judges_the_named_metric_in_its_direction(monkeypatch, tmp_path):
+    """``measure`` reads ``metric`` from each run and files it by name;
+    the change is lower on ``op_p50_ms`` (a win) and on ``ops_per_s``
+    (not judged here)."""
+    def fake_run(tree, workload, seed, seconds, trace):
+        lower = tree.name == "change"
+        return {
+            "end_to_end": {"ops_per_s": 90.0 if lower else 100.0,
+                           "op_p50_ms": 0.5 if lower else 0.6},
+            "correct": True,
+            "info": {"report_sha256": "r"},
+            "per_layer": {"x.calls": 1},
+        }  # fmt: skip
+
+    monkeypatch.setattr(pairs, "run_once", fake_run)
+    trees = {"base": tmp_path / "base", "change": tmp_path / "change"}
+    record = pairs.measure(trees, "w", 0, 8, 10, "op_p50_ms", lower_is_better=True)
+    assert record["metric"] == "op_p50_ms"
+    assert record["values"] == {"base": [0.6] * 10, "change": [0.5] * 10}
+    assert (record["summary"]["verdict"], record["summary"]["meets_claim"]) == ("faster", True)
+    # Filed as a ``pairs`` line that ``history.py check`` accepts.
+    record.update(base={"rev": "a"}, change={"rev": "b", "dirty": False})
+    ledger = tmp_path / "history.ndjson"
+    ledger.write_text(json.dumps(history.pair_line(record)) + "\n", encoding="utf-8")
+    assert history.check(ledger) == 0
+    bad = dict(history.pair_line(record), metric="jobs")
+    ledger.write_text(json.dumps(bad) + "\n", encoding="utf-8")
+    assert history.check(ledger) == 1
+
+
+def test_an_unknown_metric_is_refused(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        pairs.main(["HEAD", "--worktree", "--workload", "sim_faulty", "--metric", "jobs"])
+    assert exit_info.value.code == 2
+    assert "--metric must be one of" in capsys.readouterr().err

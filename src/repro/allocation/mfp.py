@@ -92,7 +92,8 @@ class CandidateBatch:
     canonicalised to 0 and deduplicated (first occurrence wins), so each
     node set appears once.  :class:`~repro.geometry.partition.Partition`
     objects are materialised lazily — only for the winning candidate and
-    for trace records — via :meth:`partition`.
+    for trace records — via :meth:`partition` (a selection's: one per
+    table entry).
 
     The production index hands out a *selection* (:meth:`selected`): the
     ascending rows ``sel`` of its size's :class:`_SizeTable`.  ``len``,
@@ -158,14 +159,18 @@ class CandidateBatch:
         return rows
 
     def partition(self, i: int) -> Partition:
-        """Materialise candidate row ``i`` as a :class:`Partition`."""
+        """Candidate row ``i`` as a :class:`Partition`; a selection's
+        is its (frozen) table entry's, built on first use."""
         table = self._table
         if table is None:
             x, y, z = self.bases[i].tolist()
             return Partition((x, y, z), self.shapes[bisect_right(self.starts, i) - 1])
         j = self._sel[i]
-        x, y, z = table.bases[j].tolist()
-        return Partition((x, y, z), table.all_shapes[table.rows[j]])
+        part = table.parts[j]
+        if part is None:
+            x, y, z = table.bases[j].tolist()
+            part = table.parts[j] = Partition((x, y, z), table.all_shapes[table.rows[j]])
+        return part
 
     def partitions(self) -> list[Partition]:
         """Materialise every candidate (enumeration order)."""
@@ -183,10 +188,12 @@ class _SizeTable:
     into the shape-minor free grid; ``keys``, its fused scoring-table row
     (``None`` without ``zall``); ``rows``, its shape row; ``ext``, its
     shape's ``(3,)`` extents (what a predictor query takes per
-    candidate, and the per-axis resolve's); ``bases``, its base.
+    candidate, and the per-axis resolve's); ``bases``, its base;
+    ``parts``, its :class:`Partition` once a placement asked for it
+    (``None`` until then).
     """
 
-    __slots__ = ("idx", "keys", "rows", "ext", "bases", "all_shapes")
+    __slots__ = ("idx", "keys", "rows", "ext", "bases", "all_shapes", "parts")
 
     def __init__(self, t: _DimsTables, rows: np.ndarray, flat: np.ndarray) -> None:
         self.rows = rows.astype(np.int32)
@@ -203,6 +210,7 @@ class _SizeTable:
             self.keys = ((k[:, 0] * (Y * Y) + k[:, 1]) * (Z * Z) + k[:, 2]).astype(np.int32)
         self.bases = base.astype(np.min_scalar_type(-max(t.dims_tuple)))
         self.all_shapes = t.shapes
+        self.parts: list[Partition | None] = [None] * len(self.rows)
 
 
 class _DimsTables:
@@ -481,7 +489,7 @@ class PlacementIndex:
         self._free = free                                          # (X,Y,Z,S)
         fr = free.view(np.uint8).reshape(-1, len(t.shapes))        # (XYZ, S)
         self._tot = np.add.reduce(fr, axis=0, dtype=t.sum_dtype)  # (S,)
-        self._ne_idx = np.flatnonzero(self._tot)
+        self._ne_idx = self._tot.nonzero()[0]
         self._feasible: frozenset[int] | None = None
         self._fall: np.ndarray | None = None
         #: size → [batch, size table, selected rows, losses or None].

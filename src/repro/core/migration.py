@@ -11,13 +11,14 @@ machine.  Only if *everything* fits is the plan committed; otherwise the
 machine is untouched.  Per the paper's no-checkpoint baseline the move
 itself is free (``migration_cost_s = 0``); a nonzero cost extends each
 moved job's completion and is charged as lost work.
+
+The boxes depend only on the sizes placed, in order (DESIGN §5.4), so a
+run keeps its plans by size sequence (:data:`PlanMemo`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from repro.allocation.mfp import IndexCache
 from repro.core.jobstate import JobState
@@ -48,8 +49,17 @@ class CompactionPlan:
         }
 
 
+#: Planned boxes by size sequence (``None``: no full placement).
+PlanMemo = dict[tuple[int, ...], tuple[Partition, ...] | None]
+#: A memo this full is cleared before the next entry goes in.
+PLAN_MEMO_MAX = 1024
+
+
 def plan_compaction(
-    index_cache: IndexCache, running: list[JobState], head: JobState
+    index_cache: IndexCache,
+    running: list[JobState],
+    head: JobState,
+    memo: PlanMemo | None = None,
 ) -> CompactionPlan | None:
     """Try to re-place all running jobs plus ``head`` on an empty machine.
 
@@ -59,26 +69,24 @@ def plan_compaction(
     first) with the MFP heuristic.  Returns None when no full placement
     is found — the greedy planner is not exhaustive, so rare feasible
     packings may be missed; the engine simply leaves the head waiting
-    then.
+    then.  ``memo`` is the run's: what a run computes and counts must
+    not depend on runs before it.
     """
     torus = index_cache.torus
     todo = sorted(
         [js for js in running if js.running] + [head],
         key=lambda js: (-js.size, js.job.arrival, js.job_id),
     )
-    scratch = Torus(torus.dims)
-    # One incremental index for the whole plan: the next ``get`` after
-    # each placement below syncs it, one box patch.
-    cache = IndexCache(scratch, index_cache.metrics)
-    placements: list[tuple[int, Partition]] = []
-    for js in todo:
-        # First-occurrence argmin: the first candidate at minimal L_MFP.
-        batch, losses = cache.get().batch_mfp_losses(js.size)
-        if not len(batch):
-            return None
-        best = batch.partition(int(np.argmin(losses)))
-        scratch.allocate(js.job_id, best)
-        placements.append((js.job_id, best))
+    sizes = tuple(js.size for js in todo)
+    memo = {} if memo is None else memo
+    if sizes not in memo:
+        if len(memo) >= PLAN_MEMO_MAX:
+            memo.clear()
+        memo[sizes] = _pack(index_cache, sizes)
+    boxes = memo[sizes]
+    if boxes is None:
+        return None
+    placements = tuple((js.job_id, box) for js, box in zip(todo, boxes))
     # Canonical comparison: a full-axis-span partition re-placed under a
     # different base is the same node set — not a move, and must not be
     # charged migration cost.
@@ -89,7 +97,26 @@ def plan_compaction(
         and torus.allocation_of(job_id).canonical(torus.dims)
         != part.canonical(torus.dims)
     )
-    return CompactionPlan(tuple(placements), moved)
+    return CompactionPlan(placements, moved)
+
+
+def _pack(index_cache: IndexCache, sizes: tuple[int, ...]) -> tuple[Partition, ...] | None:
+    """Place ``sizes`` in order on an empty twin of ``index_cache``'s
+    torus, each at its first minimal-``L_MFP`` candidate (first
+    occurrence); None when one does not fit."""
+    scratch = Torus(index_cache.torus.dims)
+    # One incremental index for the whole plan: the next ``get`` after
+    # each placement below syncs it, one box patch.
+    cache = IndexCache(scratch, index_cache.metrics)
+    boxes = []
+    for slot, size in enumerate(sizes):
+        batch, losses = cache.get().batch_mfp_losses(size)
+        if not len(batch):
+            return None
+        best = batch.partition(int(losses.argmin()))
+        scratch.allocate(slot, best)
+        boxes.append(best)
+    return tuple(boxes)
 
 
 def apply_compaction(torus: Torus, plan: CompactionPlan, head_id: int) -> None:

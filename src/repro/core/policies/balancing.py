@@ -30,8 +30,6 @@ recomputes ``L_PF`` and ``E_loss`` bit-exactly.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.allocation.mfp import PlacementIndex
 from repro.core.jobstate import JobState
 from repro.core.policies.base import SchedulingPolicy
@@ -64,8 +62,8 @@ class BalancingPolicy(SchedulingPolicy):
             batch.bases, batch.shape_rows(), index.dims, now, window_end
         )
         e_loss = losses + probs * state.size
-        tied = np.flatnonzero(e_loss == e_loss.min())
-        winner = int(tied[int(np.argmin(probs[tied]))])
+        tied = (e_loss == e_loss.min()).nonzero()[0]
+        winner = int(tied[probs[tied].argmin()])
         chosen = batch.partition(winner)
         if self.recorder.enabled:  # inputs only (module docstring)
             self.trace_decision(state, now, batch, chosen, l_mfp=losses, p_f=probs)

@@ -15,8 +15,6 @@ batch-vs-scalar property suite enforces.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.allocation.mfp import PlacementIndex
 from repro.core.jobstate import JobState
 from repro.core.policies.base import SchedulingPolicy
@@ -34,9 +32,9 @@ class KrevatPolicy(SchedulingPolicy):
         batch, losses = self.batch_scored(index, state.size)
         if losses is None:  # nothing fits, or the choice is forced
             return self.place_unscored(state, now, batch)
-        # np.argmin returns the first occurrence of the minimum — exactly
+        # argmin returns the first occurrence of the minimum — exactly
         # the scalar walk's "first candidate at min loss" tie order.
-        chosen = batch.partition(int(np.argmin(losses)))
+        chosen = batch.partition(int(losses.argmin()))
         if self.recorder.enabled:
             self.trace_decision(state, now, batch, chosen, l_mfp=losses)
         return chosen

@@ -23,8 +23,6 @@ window, not per query.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.allocation.mfp import PlacementIndex
 from repro.core.jobstate import JobState
 from repro.core.policies.base import SchedulingPolicy
@@ -59,11 +57,11 @@ class TieBreakPolicy(SchedulingPolicy):
                 batch.bases, batch.shape_rows(), index.dims, now, window_end
             )
             return self.place_unscored(state, now, batch, predicted_failure=predicted)
-        tied = np.flatnonzero(losses == losses.min())
+        tied = (losses == losses.min()).nonzero()[0]
         predicted = self.predictor.predict_failures(
             batch.bases[tied], batch.shape_rows()[tied], index.dims, now, window_end
         )
-        unpredicted = np.flatnonzero(~predicted)
+        unpredicted = (~predicted).nonzero()[0]
         if unpredicted.size:
             pick = int(unpredicted[0])
         else:

@@ -39,7 +39,7 @@ from repro.core.backfill import ShadowTimeEngine
 from repro.core.config import BackfillMode, SimulationConfig
 from repro.core.events import EventKind, EventQueue
 from repro.core.jobstate import MIN_ESTIMATE_S, JobState
-from repro.core.migration import apply_compaction, head_partition, plan_compaction
+from repro.core.migration import PlanMemo, apply_compaction, head_partition, plan_compaction
 from repro.core.policies.base import SchedulingPolicy
 from repro.core.queue import WaitQueue
 
@@ -119,6 +119,8 @@ class Simulator:
         )
         # (head, walk position, shadow) a backfill left standing this pass.
         self._reservation: tuple[JobState, int, float] | None = None
+        # Compaction plans by size sequence, this run's only (DESIGN §5.4).
+        self._plans: PlanMemo = {}
         self._index_cache = self._make_index_cache()
         self._shadow = ShadowTimeEngine(
             self.torus, index_cache=self._index_cache, metrics=self.metrics
@@ -457,7 +459,7 @@ class Simulator:
             return False
         if self.torus.free_count < head.size:
             return False
-        plan = plan_compaction(self._index_cache, self._running(), head)
+        plan = plan_compaction(self._index_cache, self._running(), head, self._plans)
         if plan is None:
             return False
         apply_compaction(self.torus, plan, head.job_id)

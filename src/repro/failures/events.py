@@ -99,7 +99,7 @@ class FailureLog:
         """Unique node ids with at least one failure in ``[t0, t1)``,
         ascending: the nonzero bins of the window's per-node counts."""
         lo, hi = self.window_slice(t0, t1)
-        return np.flatnonzero(np.bincount(self.nodes[lo:hi], minlength=self.n_nodes))
+        return np.bincount(self.nodes[lo:hi], minlength=self.n_nodes).nonzero()[0]
 
     def failure_mask(self, t0: float, t1: float) -> np.ndarray:
         """Boolean array over node ids: True where a failure falls in

@@ -49,7 +49,6 @@ class BalancingPredictor(Predictor):
     ) -> None:
         if not 0.0 <= confidence <= 1.0:
             raise PredictionError(f"confidence must be in [0, 1], got {confidence}")
-        super().__init__()
         self.log = log
         self.confidence = confidence
         self.rule = rule

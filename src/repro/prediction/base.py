@@ -3,7 +3,8 @@
 Both paper predictors work the same way: for a window ``[t0, t1)`` they
 *flag* a set of nodes, and a partition's answer depends only on how many
 flagged nodes it holds.  A predictor implements :meth:`Predictor._flag`;
-the per-pass window cache and the one count kernel live here.
+the one count kernel lives here.  Only tie-break keeps a window's flags
+for the rest of a pass (its draws must repeat there).
 
 A fault-aware placement asks one query per decision: the bases of every
 candidate it weighs, whatever their shapes, with each candidate's
@@ -59,10 +60,10 @@ class Predictor(abc.ABC):
 
     A predictor is queried about one *window* ``[t0, t1)`` at a time —
     the estimated execution interval of the job being placed.  Queries
-    inside one scheduling pass must be mutually consistent (the
-    tie-breaking predictor's random responses are drawn once per
-    window), so the simulator calls :meth:`begin_pass` before each pass
-    and the flagged set of a window is cached until the next one.
+    inside one scheduling pass must be mutually consistent, so the
+    simulator calls :meth:`begin_pass` before each pass; a predictor
+    whose flags are not a function of the window alone (tie-break's
+    random responses) keeps them until the next one.
     """
 
     #: Flagged-node count up to which per-candidate counts come from a
@@ -70,20 +71,18 @@ class Predictor(abc.ABC):
     #: once per window.  Both give identical integer counts.
     _MEMBERSHIP_CUTOVER = 48
 
-    def __init__(self) -> None:
-        # (t0, t1) -> [flagged linear ids, wrap-pad integral or None]
-        self._windows: dict[tuple[float, float], list] = {}
-
     def begin_pass(self, now: float) -> None:
-        """Drop the window cache: a new pass asks about new windows."""
-        self._windows.clear()
+        """Hook invoked once per scheduler pass (nothing to reset here)."""
 
     @abc.abstractmethod
     def _flag(self, t0: float, t1: float) -> np.ndarray:
-        """Sorted linear ids of the nodes flagged in ``[t0, t1)``.
+        """Sorted linear ids of the nodes flagged in ``[t0, t1)``."""
 
-        Called once per window and pass.
-        """
+    def _window(self, t0: float, t1: float) -> list:
+        """``[flagged linear ids, wrap-pad integral or None]`` of
+        ``[t0, t1)``; :meth:`_counts` fills the integral when it needs
+        one.  A fresh flag per query."""
+        return [self._flag(t0, t1), None]
 
     def _counts(
         self,
@@ -96,9 +95,7 @@ class Predictor(abc.ABC):
         """Flagged nodes inside each of the ``(n, 3)`` candidate bases,
         box ``i`` having extents ``extents`` (a 3-tuple) or ``extents[i]``
         (an ``(n, 3)`` array)."""
-        window = self._windows.get((t0, t1))
-        if window is None:
-            window = self._windows[(t0, t1)] = [self._flag(t0, t1), None]
+        window = self._window(t0, t1)
         flagged, integral = window
         if flagged.size == 0:
             return np.zeros(bases.shape[0], dtype=np.int64)

@@ -39,12 +39,24 @@ class TieBreakPredictor(Predictor):
     def __init__(self, log: FailureLog, accuracy: float, seed: int | None = 0) -> None:
         if not 0.0 <= accuracy <= 1.0:
             raise PredictionError(f"accuracy must be in [0, 1], got {accuracy}")
-        super().__init__()
         self.log = log
         self.accuracy = accuracy
         self._rng = np.random.default_rng(seed)
+        # (t0, t1) -> the window's [flagged ids, integral or None], this pass.
+        self._windows: dict[tuple[float, float], list] = {}
+
+    def begin_pass(self, now: float) -> None:
+        """Drop the window memo: a new pass draws anew."""
+        self._windows.clear()
+
+    def _window(self, t0: float, t1: float) -> list:
+        window = self._windows.get((t0, t1))
+        if window is None:
+            window = self._windows[(t0, t1)] = super()._window(t0, t1)
+        return window
 
     def _flag(self, t0: float, t1: float) -> np.ndarray:
+        # Called once per window and pass (the memo above).
         # One Bernoulli(a) response per node for every new window, drawn
         # whether or not the window holds a failure: the seeded stream
         # then depends only on the sequence of windows asked about.

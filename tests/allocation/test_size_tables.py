@@ -88,3 +88,28 @@ def test_a_table_is_built_once_per_size_and_lists_every_canonical_box(dims, fuse
         np.testing.assert_array_equal(table.ext, want.shape_rows())
         np.testing.assert_array_equal(table.bases, want.bases)
         assert table.idx.dtype == np.int32 and table.bases.dtype.itemsize == 1
+
+
+@pytest.mark.parametrize("dims, fused", DIMS, ids=["4x4x8", "2x3x4", "4x5x8"])
+@settings(max_examples=10, deadline=None)
+@given(seeds=st.lists(st.integers(0, 2**32 - 1), min_size=2, max_size=4))
+def test_a_table_entry_has_one_partition_across_states(dims, fused, seeds):
+    """``partition(i)`` of a selection is its table entry's partition,
+    the same object in every state that selects the entry, and equal to
+    the reference batch's partition of that row."""
+    dims = TorusDims(*dims)
+    seen: dict[tuple[int, int], object] = {}
+    for seed in seeds:
+        torus = random_torus(dims, np.random.default_rng(seed), attempts=6)
+        index = PlacementIndex(torus)
+        reference = ReferencePlacementIndex(torus)
+        for size in schedulable_sizes(dims):
+            batch = index.candidate_batch(size)
+            want = reference.candidate_batch(size)
+            for i in range(len(batch)):
+                part = batch.partition(i)
+                assert batch.partition(i) is part
+                assert part == want.partition(i)
+                entry = (size, int(batch._sel[i]))
+                assert seen.setdefault(entry, part) is part
+    assert seen

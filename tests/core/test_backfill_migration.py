@@ -1,4 +1,11 @@
-"""Tests for shadow-time backfilling and compaction migration."""
+"""Tests for shadow-time backfilling and compaction migration.
+
+A compaction plan is a pure function of the sizes it places, in order,
+so a run keeps its plans by size sequence; the memo tests below check
+that a warm memo answers exactly as an empty one, on running sets that
+share the sequence but not the job ids or positions, and that one run's
+memo never reaches another run.
+"""
 
 from __future__ import annotations
 
@@ -10,7 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.allocation.mfp import IndexCache
+from repro.api import SimulationSetup
 from repro.core.backfill import ShadowTimeEngine
+from repro.core.config import SimulationConfig
 from repro.core.jobstate import JobState
 from repro.core.migration import (
     CompactionPlan,
@@ -18,9 +27,12 @@ from repro.core.migration import (
     head_partition,
     plan_compaction,
 )
-from repro.geometry.coords import BGL_SUPERNODE_DIMS
+from repro.geometry.coords import BGL_SUPERNODE_DIMS, TorusDims
 from repro.geometry.partition import Partition
+from repro.geometry.shapes import schedulable_sizes
 from repro.geometry.torus import Torus
+from repro.metrics.serialize import report_to_dict
+from repro.obs.metrics import MetricsRegistry
 from repro.testing import RebuildIndexCache, random_torus
 from repro.workloads.job import Job
 
@@ -170,3 +182,95 @@ class TestPlannerMatchesRebuildReference:
         assert plan_compaction(IndexCache(torus), running, head) == reference_plan(
             torus, running, head
         )
+
+
+def running_on(torus: Torus, id_offset: int = 0) -> list[JobState]:
+    """A running state per allocation of ``torus`` (ids shifted by
+    ``id_offset``), arrivals spread so the size-order ties vary."""
+    running = []
+    for job_id, partition in torus.allocations():
+        js = JobState(Job(job_id + id_offset, float(job_id % 3), partition.size, 100.0, 100.0))
+        js.dispatch(0.0, 100.0, 100.0)
+        running.append(js)
+    return running
+
+
+def relabelled(torus: Torus, layout, id_offset: int) -> Torus:
+    """A torus holding ``layout``'s ``(job id, partition)`` pairs under
+    ids shifted by ``id_offset``."""
+    other = Torus(torus.dims)
+    for job_id, partition in layout:
+        other.allocate(job_id + id_offset, partition)
+    return other
+
+
+class TestPlanMemo:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dims=st.sampled_from((TorusDims(2, 2, 4), D)),
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        attempts=st.integers(min_value=1, max_value=40),
+        data=st.data(),
+    )
+    def test_a_warm_memo_plans_as_an_empty_one(self, dims, seed, attempts, data):
+        torus = random_torus(dims, rng=seed, attempts=attempts)
+        running = running_on(torus)
+        # Any schedulable size: heads that fit the free nodes and heads
+        # that do not (the plan is None then).
+        head_size = data.draw(st.sampled_from(schedulable_sizes(dims)), label="head")
+        head = JobState(Job(10_000, 0.0, head_size, 100.0, 100.0))
+        cold = plan_compaction(IndexCache(torus), running, head, {})
+        memo: dict = {}
+        # Warm it from states with the same size sequence but other job
+        # ids: the same boxes, and (when a plan exists) the boxes the
+        # plan puts them in, where nothing would move.
+        warmers = [relabelled(torus, torus.allocations(), 1_000)]
+        if cold is not None:
+            warmers.append(relabelled(torus, [p for p in cold.placements if p[0] != 10_000], 2_000))
+        for offset, other in zip((1_000, 2_000), warmers):
+            other_head = JobState(Job(20_000 + offset, 0.0, head_size, 100.0, 100.0))
+            plan_compaction(IndexCache(other), running_on(other), other_head, memo)
+            assert len(memo) == 1
+        registry = MetricsRegistry()
+        warm = plan_compaction(IndexCache(torus, registry), running, head, memo)
+        assert registry.to_dict()["counters"] == {}  # a hit builds no scratch index
+        if cold is None:
+            assert warm is None
+        else:
+            assert warm is not None
+            assert [(j, p.base, p.shape) for j, p in warm.placements] == [
+                (j, p.base, p.shape) for j, p in cold.placements
+            ]
+            assert warm.moved_job_ids == cold.moved_job_ids
+            assert warm == cold
+        assert cold == reference_plan(torus, running, head)
+
+    def test_a_full_memo_is_cleared_before_the_next_plan(self, monkeypatch):
+        from repro.core import migration
+
+        monkeypatch.setattr(migration, "PLAN_MEMO_MAX", 2)
+        t = Torus(D)
+        memo: dict = {}
+        for size in (1, 2, 4):
+            plan_compaction(IndexCache(t), [], JobState(Job(1, 0.0, size, 1.0, 1.0)), memo)
+        assert list(memo) == [(4,)]
+
+
+def profiled_run(setup: SimulationSetup) -> tuple[dict, dict, int]:
+    sim = setup.build_simulator()
+    report = sim.run()
+    return report_to_dict(report), sim.metrics.to_dict(include_timings=False), report.counters.migrations
+
+
+class TestPlanMemoIsPerRun:
+    def test_a_run_computes_and_counts_alike_after_a_migrating_run(self):
+        """The scratch index counts into the run's registry, so a plan
+        memo shared across runs would change what the second run counts."""
+        setup = SimulationSetup(
+            n_jobs=300, n_failures=75, policy="krevat", seed=2, load_scale=1.2,
+            config=SimulationConfig(profile=True),
+        )  # fmt: skip
+        first = profiled_run(setup)
+        assert first[2] > 0  # it migrates
+        assert first[1]["counters"]["index.builds"] > 1  # and plans on scratch indexes
+        assert profiled_run(setup) == first

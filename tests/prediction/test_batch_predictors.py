@@ -36,6 +36,7 @@ from repro.prediction import (
     Predictor,
     TieBreakPredictor,
 )
+from repro.prediction import base as base_module
 from repro.prediction.base import combine_probabilities
 
 DIMS = (TorusDims(4, 4, 8), TorusDims(4, 4, 5))
@@ -84,18 +85,34 @@ def cases():
             yield dims, k, log_flagging(dims, k, rng)
 
 
-def integral_built(pred: Predictor, t0: float, t1: float) -> bool:
+def integral_built(pred: TieBreakPredictor, t0: float, t1: float) -> bool:
+    """Whether tie-break's memo of the window holds an integral."""
     return pred._windows[(t0, t1)][1] is not None
 
 
+@pytest.fixture
+def integrals(monkeypatch) -> list:
+    """One entry per wrap-pad integral the count kernel builds: the
+    balancing predictor keeps no window, so it builds one per query
+    above the cutover."""
+    built = []
+    real = base_module.wrap_pad_integral
+    monkeypatch.setattr(
+        base_module, "wrap_pad_integral", lambda grid: built.append(1) or real(grid)
+    )
+    return built
+
+
 class TestBalancingBatch:
-    def test_matches_mask_oracle(self):
+    def test_matches_mask_oracle(self, integrals):
+        built = integrals
         for dims, k, log in cases():
             mask = log.failure_mask(T0, T1)
             assert int(mask.sum()) == k
             for rule in PartitionFailureRule:
                 for confidence in (0.1, 0.9):
                     pred = BalancingPredictor(log, confidence, rule)
+                    built.clear()
                     for shape in shapes_of(dims):
                         bases = all_bases(dims)
                         probs = pred.partition_failure_probabilities(
@@ -115,10 +132,10 @@ class TestBalancingBatch:
                         assert pred.partition_failure_probability(
                             one, dims, T0, T1
                         ) == expected[-1]
-                    # Both sides of the cutover ran.
-                    assert integral_built(pred, T0, T1) == (
-                        k > Predictor._MEMBERSHIP_CUTOVER
-                    )
+                    # Both sides of the cutover ran: above it, each of
+                    # the batch and one-row queries built its own integral.
+                    above = k > Predictor._MEMBERSHIP_CUTOVER
+                    assert len(built) == (2 * len(shapes_of(dims)) if above else 0)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -259,14 +276,16 @@ def one_row_partitions(bases, extents):
 
 
 class TestMixedShapeQuery:
-    def test_balancing_equals_per_shape_and_scalar_calls(self):
+    def test_balancing_equals_per_shape_and_scalar_calls(self, integrals):
         rng = np.random.default_rng(42)
         for dims, k, log in cases():
             bases, extents = mixed_candidates(dims, rng)
             parts = one_row_partitions(bases, extents)
             for rule in PartitionFailureRule:
                 pred = BalancingPredictor(log, 0.3, rule)
+                integrals.clear()
                 mixed = pred.partition_failure_probabilities(bases, extents, dims, T0, T1)
+                assert bool(integrals) == (k > Predictor._MEMBERSHIP_CUTOVER)
                 assert mixed.dtype == np.float64
                 split = per_shape(
                     pred.partition_failure_probabilities,
@@ -276,7 +295,6 @@ class TestMixedShapeQuery:
                 assert mixed.tolist() == [
                     pred.partition_failure_probability(p, dims, T0, T1) for p in parts
                 ]
-                assert integral_built(pred, T0, T1) == (k > Predictor._MEMBERSHIP_CUTOVER)
 
     def test_tiebreak_equals_per_shape_and_scalar_calls_with_the_same_draws(self):
         rng = np.random.default_rng(43)
