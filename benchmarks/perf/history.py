@@ -8,6 +8,7 @@ in prose is also a file one can plot or diff::
     python benchmarks/perf/history.py append run.json
     python benchmarks/perf/history.py append-pairs pairs.json
     python benchmarks/perf/history.py check          # CI: every line parses
+    python benchmarks/perf/history.py diff 696ce37 a2582e5
 
 ``append`` adds one line per workload of the run::
 
@@ -42,12 +43,22 @@ of :data:`METRICS`); a pair is won in its ``better`` direction, so on
 alone; ``meets_claim`` is the gate a speed claim must pass (at least 9
 of every 10 pairs won, ties counted as losses, and ``clears_iqr``: the
 median gain above the base's IQR).  ``check`` accepts both schemas.
+
+``diff REV_A REV_B`` (the older revision first) prints, per workload,
+the median of each of the four metrics over each revision's suite lines
+and the ratio B / A, then every ``pairs`` line filed between the two:
+base and change both ``REV_A``, ``REV_B`` or a commit between them
+(``git rev-list REV_A..REV_B``).  A change measured as a dirty tree is
+work that landed after its ``change_rev``, so one on ``REV_B`` is left
+out.  A revision is anything ``git rev-parse`` resolves in this
+checkout, or else the ``rev`` prefix the lines carry.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -195,6 +206,88 @@ def check(history_path: Path) -> int:
     return 0
 
 
+def same_rev(line_rev: str, rev: str) -> bool:
+    """``line_rev`` (as filed, abbreviated) names ``rev``."""
+    return line_rev.startswith(rev) or rev.startswith(line_rev)
+
+
+def git(*args: str) -> str | None:
+    """The stdout of a ``git`` command in this checkout, None on failure."""
+    done = subprocess.run(["git", *args], cwd=REPO_ROOT, capture_output=True, text=True)
+    return done.stdout.strip() if done.returncode == 0 else None
+
+
+def commits_between(rev_a: str, rev_b: str) -> list[str]:
+    """``rev_a``, ``rev_b`` and every commit between them, as full
+    hashes when git knows both revisions, else the two names as given."""
+    a = git("rev-parse", "--verify", "--quiet", f"{rev_a}^{{commit}}")
+    b = git("rev-parse", "--verify", "--quiet", f"{rev_b}^{{commit}}")
+    if a is None or b is None:
+        return [rev_a, rev_b]
+    return [a, b, *(git("rev-list", f"{a}..{b}") or "").split()]
+
+
+def suite_medians(lines: list[dict], rev: str) -> dict[str, dict[str, float]]:
+    """workload → metric → median over ``rev``'s suite lines."""
+    by_workload: dict[str, list[dict]] = {}
+    for line in lines:
+        if "kind" not in line and same_rev(line["rev"], rev):
+            by_workload.setdefault(line["workload"], []).append(line)
+    return {
+        workload: {m: statistics.median(line[m] for line in group) for m in METRICS}
+        for workload, group in by_workload.items()
+    }
+
+
+def diff_lines(lines: list[dict], between: list[str]) -> list[str]:
+    """The ``diff`` report over the ledger ``lines``: ``between`` is
+    ``[REV_A, REV_B, *commits between them]``."""
+    rev_a, rev_b = between[:2]
+    a, b = suite_medians(lines, rev_a), suite_medians(lines, rev_b)
+    out = [f"{'workload':<16}{'metric':<13}{'A ' + rev_a[:7]:>14}{'B ' + rev_b[:7]:>14}{'B/A':>8}"]
+    for workload in sorted(a.keys() | b.keys()):
+        for k, metric in enumerate(METRICS):
+            va, vb = a.get(workload, {}).get(metric), b.get(workload, {}).get(metric)
+            ratio = f"{vb / va:.3f}" if va and vb is not None else "-"
+            out.append(
+                f"{workload if k == 0 else '':<16}{metric:<13}"
+                + "".join(f"{'-':>14}" if v is None else f"{v:>14.4f}" for v in (va, vb))
+                + f"{ratio:>8}"
+            )
+
+    def inside(rev: str) -> bool:
+        return any(same_rev(rev, r) for r in between)
+
+    pairs = [
+        line
+        for line in lines
+        if line.get("kind") == "pairs"
+        and inside(line["base_rev"])
+        and inside(line["change_rev"])
+        and not (line["change_dirty"] and same_rev(line["change_rev"], rev_b))
+    ]
+    out.append(f"pairs lines from {rev_a[:7]} to {rev_b[:7]}: {len(pairs)}")
+    for line in pairs:
+        out.append(
+            f"  {line['workload']} seed {line['seed']} {line['metric']}: "
+            f"{line['base_rev']} -> {line['change_rev']}{'+dirty' if line['change_dirty'] else ''}, "
+            f"{line['wins']}/{line['n']} won, {line['base_median']} -> {line['change_median']} "
+            f"(x{line['ratio']}, base IQR {line['base_iqr']}), {line['verdict']}, "
+            f"meets_claim={str(line['meets_claim']).lower()}"
+        )
+    return out
+
+
+def diff(history_path: Path, rev_a: str, rev_b: str) -> int:
+    lines = [json.loads(raw) for raw in history_path.read_text(encoding="utf-8").splitlines()]
+    report = diff_lines(lines, commits_between(rev_a, rev_b))
+    print("\n".join(report))
+    if len(report) == 2:  # the header and a zero pairs count
+        print(f"{history_path}: no lines for {rev_a} or {rev_b}", file=sys.stderr)
+        return 1
+    return 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--history", type=Path, default=HISTORY_PATH)
@@ -202,11 +295,16 @@ def main(argv=None) -> int:
     commands.add_parser("append").add_argument("run", type=Path)
     commands.add_parser("append-pairs").add_argument("records", type=Path, nargs="+")
     commands.add_parser("check")
+    diff_parser = commands.add_parser("diff")
+    diff_parser.add_argument("rev_a")
+    diff_parser.add_argument("rev_b")
     args = parser.parse_args(argv)
     if args.command == "append":
         return append(args.run, args.history)
     if args.command == "append-pairs":
         return append_pairs(args.records, args.history)
+    if args.command == "diff":
+        return diff(args.history, args.rev_a, args.rev_b)
     return check(args.history)
 
 

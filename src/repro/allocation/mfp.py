@@ -51,7 +51,20 @@ Each state pays only for what it is asked:
   empty — a job allocated and released between two lookups — patches
   nothing and skips the refresh: every per-state field, projection,
   enumeration and loss is a pure function of ``sums``, so what the
-  index holds is still bitwise a fresh rebuild's answer.
+  index holds is still bitwise a fresh rebuild's answer.  A sync that
+  patches its way back to a set of held boxes the index held earlier
+  — a job finished and one of the same shape placed where it was —
+  takes back that state's record from the index's own memo instead:
+  each distinct :class:`Partition` value gets a small integer id the
+  first time the index patches it, the state key is the bitset of the
+  held ids (XORed in the loop that patches), and equal keys are equal
+  sets of boxes, so equal answers.  The record is everything
+  :meth:`PlacementIndex._refresh` derives plus what later questions
+  filled in (projections, feasible sizes, enumerations and losses),
+  saved when the index leaves the state.  The free grid stays out of
+  it: a recalled state rebuilds ``sums == 0`` only when asked
+  (:meth:`PlacementIndex._free_grid`).  The memo is cleared at
+  :data:`STATE_MEMO_MAX` records.
 
 There is no busy integral and the index never reads ``torus.grid``: it
 remembers which allocations its tensor holds, and
@@ -81,6 +94,10 @@ from repro.geometry.partition import Partition
 from repro.geometry.shapes import all_shapes, shapes_for_size
 from repro.geometry.torus import Torus
 from repro.obs.metrics import MetricsRegistry
+
+#: Records a :class:`PlacementIndex` keeps of the states it has left; the
+#: memo is cleared when it holds this many.
+STATE_MEMO_MAX = 96
 
 
 class CandidateBatch:
@@ -399,10 +416,11 @@ class PlacementIndex:
     ``_applied`` (job id → partition) names the allocations ``_sums``
     holds.  :meth:`sync` diffs it against the torus's allocation map and
     patches one box per job that left or arrived — O(1) numpy dispatches
-    per box — then :meth:`_refresh` re-derives the per-state fields; a
-    sync with nothing to patch keeps them.  Construction is a zero
-    tensor plus one :meth:`sync`, so a build and a repair run the same
-    patches.
+    per box — then takes back the per-state fields of a state it held
+    before (``_memo``, keyed by ``_key``) or has :meth:`_refresh`
+    re-derive them; a sync with nothing to patch keeps them.
+    Construction is a zero tensor plus one :meth:`sync`, so a build and
+    a repair run the same patches.
     """
 
     __slots__ = (
@@ -417,6 +435,9 @@ class PlacementIndex:
         "_fall",
         "_feasible",
         "_sizes",
+        "_key",
+        "_ids",
+        "_memo",
     )
 
     def __init__(self, torus: Torus) -> None:
@@ -425,6 +446,12 @@ class PlacementIndex:
         self.dims: TorusDims = torus.dims
         self._sums = np.zeros(t.dims_tuple + (len(t.shapes),), t.sum_dtype)
         self._applied: dict[int, Partition] = {}
+        #: The held boxes as a bitset of ``_ids`` (partition value → bit).
+        self._key = 0
+        self._ids: dict[Partition, int] = {}
+        #: key → (_tot, _ne_idx, _feasible, _fall, _sizes) of a state left.
+        self._memo: dict[int, tuple] = {}
+        self._tot = None  # nothing derived yet: the first sync saves no record
         if not self.sync(torus):
             self._refresh()  # an empty machine: nothing patched or derived yet
 
@@ -445,8 +472,11 @@ class PlacementIndex:
         :meth:`_refresh`: every per-state field is a pure function of
         ``_sums``, so when the diff is empty (a job came and went since
         the last sync) the cached fields, enumerations and losses are
-        still bitwise a fresh rebuild's and are kept.  Either way the
-        index afterwards answers exactly as a fresh build would.
+        still bitwise a fresh rebuild's and are kept.  A patch saves the
+        state it leaves in ``_memo`` under its key and, when the new key
+        is there, takes that record back instead of refreshing: equal
+        keys are equal sets of held boxes, so equal ``_sums``.  Either
+        way the index afterwards answers exactly as a fresh build would.
         """
         t = self._tables
         sums = self._sums
@@ -460,6 +490,8 @@ class PlacementIndex:
         self.torus_version = torus.version
         if not changes:
             return 0
+        ids = self._ids
+        key = self._key
         for op, partition in changes:
             bx, by, bz = partition.base
             ax, ay, az = partition.shape
@@ -471,8 +503,25 @@ class PlacementIndex:
                     * t.overlap[1][ay - 1, by][None, :, :]
                 )                                                # (X, Y, S)
             op(sums, oxy[:, :, None, :] * t.overlap[2][az - 1, bz], out=sums)
+            bit = ids.get(partition)
+            if bit is None:
+                bit = ids[partition] = len(ids)
+            key ^= 1 << bit
         self._applied = held
-        self._refresh()
+        memo = self._memo
+        if self._tot is not None:
+            if len(memo) >= STATE_MEMO_MAX:
+                memo.clear()
+            memo[self._key] = (
+                self._tot, self._ne_idx, self._feasible, self._fall, self._sizes,
+            )
+        self._key = key
+        record = memo.get(key)
+        if record is None:
+            self._refresh()
+        else:
+            self._tot, self._ne_idx, self._feasible, self._fall, self._sizes = record
+            self._free = None  # rebuilt from ``_sums`` when asked
         return len(changes)
 
     def _refresh(self) -> None:
@@ -486,7 +535,7 @@ class PlacementIndex:
         """
         t = self._tables
         free = self._sums == 0
-        self._free = free                                          # (X,Y,Z,S)
+        self._free: np.ndarray | None = free                       # (X,Y,Z,S)
         fr = free.view(np.uint8).reshape(-1, len(t.shapes))        # (XYZ, S)
         self._tot = np.add.reduce(fr, axis=0, dtype=t.sum_dtype)  # (S,)
         self._ne_idx = self._tot.nonzero()[0]
@@ -494,6 +543,15 @@ class PlacementIndex:
         self._fall: np.ndarray | None = None
         #: size → [batch, size table, selected rows, losses or None].
         self._sizes: dict[int, list] = {}
+
+    def _free_grid(self) -> np.ndarray:
+        """The free-placement grids ``sums == 0`` (X, Y, Z, S) of this
+        state: :meth:`_refresh`'s, or rebuilt on the first read after
+        :meth:`sync` took back a recalled state's record."""
+        free = self._free
+        if free is None:
+            free = self._free = self._sums == 0
+        return free
 
     def _projections(self) -> np.ndarray:
         """Bit-packed per-axis projections of the free grids, built on
@@ -510,7 +568,7 @@ class PlacementIndex:
         if fall is None:
             t = self._tables
             n_shapes = len(t.shapes)
-            proj = self._free.view(np.uint8).reshape(-1, n_shapes)
+            proj = self._free_grid().view(np.uint8).reshape(-1, n_shapes)
             proj = proj.astype(t.basebits.dtype)
             proj *= t.basebits
             fall = np.empty(n_shapes + 1, dtype=t.basebits.dtype)
@@ -562,11 +620,12 @@ class PlacementIndex:
         """Every free partition of ``size``, the per-size entry ``[batch,
         table, sel, None]``: ``sel`` the rows of the size's
         :class:`_SizeTable` that are free (one ``take``, one
-        ``nonzero``).  Kept until a :meth:`sync` patches, so
-        ``candidate_batch`` and the scoring after it share it.
+        ``nonzero``).  Kept with the state, so ``candidate_batch`` and
+        the scoring after it share it, and so does a later visit that
+        recalls the state.
         """
         table = self._tables.size_table(size)
-        sel = self._free.take(table.idx).nonzero()[0]
+        sel = self._free_grid().take(table.idx).nonzero()[0]
         entry = self._sizes[size] = [
             CandidateBatch.selected(self.dims, table, sel), table, sel, None,
         ]
@@ -583,7 +642,7 @@ class PlacementIndex:
         shrinkage caused by allocating ``batch.partition(i)`` — bitwise
         equal to the reference's per-candidate scalar walk.  One resolve
         for the whole size, candidates of every shape together, kept
-        with the size's enumeration until a :meth:`sync` patches.
+        with the size's enumeration in the state's record.
         """
         entry = self._sizes.get(size) or self._enumerate(size)
         if entry[3] is None:
@@ -613,7 +672,7 @@ class PlacementIndex:
         if idx.size == 0:
             return None
         row = int(idx[0])
-        base = self._tables.coords[int(self._free[..., row].argmax())]
+        base = self._tables.coords[int(self._free_grid()[..., row].argmax())]
         return Partition(
             (int(base[0]), int(base[1]), int(base[2])), self._tables.shapes[row]
         )

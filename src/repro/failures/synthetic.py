@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.errors import FailureModelError
 from repro.failures.events import FailureLog
-from repro.geometry.coords import TorusDims, manhattan_torus_distance
+from repro.geometry.coords import TorusDims
 
 
 @dataclass(frozen=True)
@@ -82,15 +82,15 @@ def _neighbourhood(dims: TorusDims, centre_id: int, radius: int) -> np.ndarray:
     The array is shared by every burst with that epicentre, hence
     read-only.
     """
-    centre = dims.coord(centre_id)
-    ids = np.array(
-        [
-            dims.index(c)
-            for c in dims.iter_coords()
-            if manhattan_torus_distance(dims, centre, c) <= radius
-        ],
-        dtype=np.int64,
-    )
+    # Per axis, the wrapped distance of every position to the centre's;
+    # their broadcast sum is the Manhattan distance of every node, in
+    # row-major (linear id) order.
+    axes = []
+    for c, extent in zip(dims.coord(centre_id), dims.as_tuple()):
+        d = np.abs(np.arange(extent) - c)
+        axes.append(np.minimum(d, extent - d))
+    x, y, z = axes
+    ids = np.flatnonzero(x[:, None, None] + y[None, :, None] + z[None, None, :] <= radius)
     ids.flags.writeable = False
     return ids
 
@@ -128,9 +128,10 @@ def generate_failures(
         centre = int(rng.integers(dims.volume))
         pool = _neighbourhood(dims, centre, model.locality_radius)
         members = rng.choice(pool, size=min(burst_size, pool.size), replace=False)
-        for node in members:
-            times.append(t + float(rng.uniform(0.0, model.burst_window_s)))
-            nodes.append(int(node))
+        # One draw per member, as many doubles in the same order as one
+        # scalar draw each.
+        times += (t + rng.uniform(0.0, model.burst_window_s, size=members.size)).tolist()
+        nodes += members.tolist()
     times_arr = np.array(times[:n_events])
     nodes_arr = np.array(nodes[:n_events])
     # Rescale into [0, horizon): affine map keeps the burst structure.

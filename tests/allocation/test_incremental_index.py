@@ -18,6 +18,12 @@ mutations lie between two lookups — a migration moves every job — one
 object, with the ``index.incremental.*`` counters recording which path
 ran; a lookup whose mutations cancel out (a job allocated and released
 in between) patches nothing and keeps every per-state cache.
+
+The recall tests prove the memo contract: a sync that patches its way
+back to a set of held boxes the index held before takes back that
+state's record — the same batch and losses objects — and every answer
+of the recalled state, including what it was never asked before, is a
+fresh rebuild's; the memo is bounded and each index owns its own.
 """
 
 from __future__ import annotations
@@ -27,11 +33,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.allocation import mfp
 from repro.allocation.mfp import IndexCache, PlacementIndex
+from repro.api import SimulationSetup
+from repro.core.config import SimulationConfig
 from repro.geometry.coords import TorusDims
 from repro.geometry.partition import Partition
 from repro.geometry.shapes import all_shapes, schedulable_sizes, shapes_for_size
 from repro.geometry.torus import Torus
+from repro.metrics.serialize import report_to_dict
 from repro.obs.metrics import MetricsRegistry
 from repro.testing import ReferencePlacementIndex, random_partition, random_torus
 
@@ -99,7 +109,7 @@ def assert_matches_rebuild(inc: PlacementIndex, torus: Torus) -> None:
         # The derived state the scoring kernel and the candidate
         # enumeration read, checked against its definition.
         row = t.row_of[shape]
-        np.testing.assert_array_equal(inc._free[..., row], grid)
+        np.testing.assert_array_equal(inc._free_grid()[..., row], grid)
         assert inc._tot[row] == np.count_nonzero(grid)
         word = int(fall[row])
         assert word >> off_x == axis_bits(grid, 0)
@@ -558,13 +568,14 @@ class TestStaleVersionPoisoning:
         """Random mutations interleaved with allocate-and-release pairs
         that cancel out, every feasible size scored before each lookup:
         after every lookup, kept or repaired, each size's losses are the
-        reference's scalar walk and every field a fresh rebuild's."""
+        reference's scalar walk and every field a fresh rebuild's.  A
+        lookup that patches back to a scored state recalls its record."""
         rng = np.random.default_rng(seed)
         torus = Torus(dims)
         registry = MetricsRegistry()
         cache = IndexCache(torus, metrics=registry)
         live: dict[int, Partition] = {}
-        next_id = 0
+        next_id = lookups = 0
         sizes = schedulable_sizes(dims)
         for _ in range(steps):
             index = cache.get()
@@ -584,12 +595,30 @@ class TestStaleVersionPoisoning:
                 next_id += 1
             index = cache.get()
             fresh = ReferencePlacementIndex(torus)
+            scored_now = {}
             for size in sizes:
                 batch, losses = index.batch_mfp_losses(size)
+                scored_now[size] = (batch, losses)
                 scored = fresh.scored_candidates(size)
                 assert batch.partitions() == [p for p, _ in scored], size
                 assert losses.tolist() == [loss for _, loss in scored], size
             assert_matches_rebuild(index, torus)
+            # A job placed and looked up, then released and looked up:
+            # two patches, the second back to this state, whose batches
+            # and losses come back as the same objects.
+            free = [s for s in sizes if fresh.has_candidate(s)]
+            if free:
+                batch = fresh.candidate_batch(free[int(rng.integers(len(free)))])
+                torus.allocate(next_id, batch.partition(int(rng.integers(len(batch)))))
+                assert cache.get() is index
+                torus.release(next_id)
+                next_id += 1
+                assert cache.get() is index
+                lookups += 2
+                for size, (batch, losses) in scored_now.items():
+                    got_batch, got_losses = index.batch_mfp_losses(size)
+                    assert got_batch is batch and got_losses is losses, size
+                assert_matches_rebuild(index, torus)
         counters = registry.counters
         assert sum(
             counters[name].value
@@ -600,7 +629,7 @@ class TestStaleVersionPoisoning:
                 "index.incremental.repair",
             )
             if name in counters
-        ) == 2 * steps
+        ) == 2 * steps + lookups
 
     def test_hit_counter_on_unchanged_torus(self):
         torus = Torus(TorusDims(2, 2, 2))
@@ -609,6 +638,201 @@ class TestStaleVersionPoisoning:
         index = cache.get()
         assert cache.get() is index
         assert registry.counters["index.incremental.hit"].value == 1
+
+
+def restore(torus: Torus, target: dict[int, Partition]) -> None:
+    """Bring ``torus`` to the allocation map ``target`` through the
+    public API: release every job not held as there, then place the
+    missing ones."""
+    for job, part in list(torus.allocations()):
+        if target.get(job) != part:
+            torus.release(job)
+    held = dict(torus.allocations())
+    for job, part in target.items():
+        if job not in held:
+            torus.allocate(job, part)
+
+
+def move(torus: Torus, rng: np.random.Generator, live: dict) -> None:
+    """Re-place one live job, under the same id, at another free box of
+    its size (a migration's step): the same job ids, other boxes."""
+    if not live:
+        return
+    job = sorted(live)[int(rng.integers(len(live)))]
+    old = live[job]
+    torus.release(job)
+    batch = ReferencePlacementIndex(torus).candidate_batch(old.size)
+    others = [p for p in batch.partitions() if p != old]
+    part = others[int(rng.integers(len(others)))] if others else old
+    torus.allocate(job, part)
+    live[job] = part
+
+
+def state_of(torus: Torus) -> frozenset:
+    return frozenset(p for _, p in torus.allocations())
+
+
+class TestRecalledStates:
+    """A sync back to a set of held boxes the index held before."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        dims=dims_strategy,
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        steps=st.integers(min_value=2, max_value=12),
+    )
+    def test_revisited_states_answer_like_rebuild(self, dims, seed, steps):
+        """A walk of fresh placements, releases, moves under the same
+        job id and returns to earlier allocation maps.  A return takes
+        back the state's record (the same per-size dict); every visit
+        then asks a size its state was never asked, ``mfp_partition``
+        and ``first_fit_release`` — in a random order, so a recalled
+        state's free grid is rebuilt by any of them — and compares all
+        of it, then every field, with a fresh rebuild."""
+        rng = np.random.default_rng(seed)
+        torus = Torus(dims)
+        index = PlacementIndex(torus)
+        live: dict[int, Partition] = {}
+        next_id = 0
+        sizes = schedulable_sizes(dims)
+        maps: list[dict[int, Partition]] = [{}]
+        records = {state_of(torus): index._sizes}
+        for _ in range(steps):
+            roll = rng.random()
+            if roll < 0.4:
+                target = maps[int(rng.integers(len(maps)))]
+                restore(torus, target)
+                live = dict(target)
+            elif roll < 0.6:
+                move(torus, rng, live)
+            else:
+                next_id = mutate(torus, rng, live, next_id)
+            index.sync(torus)
+            state = state_of(torus)
+            if state in records:
+                assert index._sizes is records[state]
+            records[state] = index._sizes
+            maps.append(dict(torus.allocations()))
+            fresh = ReferencePlacementIndex(torus)
+            for q in rng.permutation(["size", "mfp", "release"]):
+                if q == "size":
+                    new = [s for s in sizes if s not in index._sizes]
+                    if new:
+                        size = new[int(rng.integers(len(new)))]
+                        batch, losses = index.batch_mfp_losses(size)
+                        scored = fresh.scored_candidates(size)
+                        assert batch.partitions() == [p for p, _ in scored], size
+                        assert losses.tolist() == [loss for _, loss in scored], size
+                elif q == "mfp":
+                    assert index.mfp_partition() == fresh.mfp_partition()
+                else:
+                    order = [live[j] for j in rng.permutation(sorted(live))]
+                    for size in sizes:
+                        assert index.first_fit_release(size, order) == (
+                            fresh.first_fit_release(size, order)
+                        ), size
+            assert_matches_rebuild(index, torus)
+
+    def test_moved_job_is_another_state(self):
+        """Job 0 moved to another box: the same job ids, another set of
+        boxes, so another key — never the record of where it was."""
+        torus = Torus(TorusDims(2, 2, 4))
+        index = PlacementIndex(torus)
+        torus.allocate(0, Partition((0, 0, 0), (2, 2, 2)))
+        index.sync(torus)
+        before = index._sizes
+        assert len(index.candidate_batch(8)) == 1
+        torus.release(0)
+        torus.allocate(0, Partition((0, 0, 1), (2, 2, 2)))
+        index.sync(torus)
+        assert index._sizes is not before
+        assert index.candidate_batch(8).partitions() == [Partition((0, 0, 3), (2, 2, 2))]
+        assert_matches_rebuild(index, torus)
+
+    def test_recalled_state_rebuilds_its_free_grid(self):
+        """Only a state's derived record comes back: the free grid of
+        the state left behind is not the recalled one's.  A size first
+        asked after the return, the witness MFP and the projections all
+        read the recalled state's own free placements."""
+        torus = Torus(TorusDims(2, 2, 4))
+        index = PlacementIndex(torus)
+        torus.allocate(0, Partition((0, 0, 0), (2, 2, 1)))
+        index.sync(torus)
+        held = index._sizes
+        torus.allocate(1, Partition((0, 0, 1), (2, 2, 2)))
+        index.sync(torus)
+        assert index.mfp_partition() == Partition((0, 0, 3), (2, 2, 1))
+        index.batch_mfp_losses(2)
+        torus.release(1)
+        index.sync(torus)
+        assert index._sizes is held and 4 not in held
+        fresh = ReferencePlacementIndex(torus)
+        assert index.candidate_batch(4).partitions() == fresh.candidate_batch(4).partitions()
+        assert index.mfp_partition() == fresh.mfp_partition() == Partition((0, 0, 1), (2, 2, 3))
+        _, losses = index.batch_mfp_losses(2)
+        assert losses.tolist() == [loss for _, loss in fresh.scored_candidates(2)]
+        assert_matches_rebuild(index, torus)
+
+    def test_memo_is_cleared_at_its_bound(self, monkeypatch):
+        """With room for two records, leaving a third state clears the
+        memo first: the state left last comes back, the first does not
+        (refreshed: a new per-size dict, the same answers)."""
+        monkeypatch.setattr(mfp, "STATE_MEMO_MAX", 2)
+        torus = Torus(TorusDims(2, 2, 4))
+        index = PlacementIndex(torus)
+        seen, held = [index._sizes], []
+        for job in range(3):
+            torus.allocate(job, Partition((0, 0, job), (2, 2, 1)))
+            index.sync(torus)
+            seen.append(index._sizes)
+            held.append(len(index._memo))
+        assert held == [1, 2, 1]
+        torus.release(2)
+        index.sync(torus)  # back to the state left last
+        assert index._sizes is seen[2]
+        for job in (1, 0):
+            torus.release(job)
+        index.sync(torus)  # back to the empty machine, dropped at the clear
+        assert index._sizes is not seen[0]
+        assert len(index._memo) == 1  # cleared again on the way out
+        assert_matches_rebuild(index, torus)
+
+
+def run_dict(setup: SimulationSetup) -> tuple[dict, dict]:
+    sim = setup.build_simulator()
+    report = sim.run()
+    return report_to_dict(report), sim.metrics.to_dict(include_timings=False)
+
+
+class TestStateMemoIsPerIndex:
+    def test_two_indexes_keep_their_own_records(self):
+        """Each index numbers the boxes it patches from 0, so two
+        indexes' keys name different boxes: a record one index left
+        must never answer for the other, on the same dims or others."""
+        for dims_b in (TorusDims(2, 2, 4), TorusDims(2, 2, 2)):
+            a, b = Torus(TorusDims(2, 2, 4)), Torus(dims_b)
+            index_a = PlacementIndex(a)
+            a.allocate(0, Partition((0, 0, 0), (2, 2, 2)))
+            index_a.sync(a)
+            index_a.batch_mfp_losses(4)
+            a.release(0)
+            index_a.sync(a)  # leaves {(0,0,0) 2x2x2} under key 0b1
+            index_b = PlacementIndex(b)
+            b.allocate(0, Partition((0, 0, 0), (1, 1, 1)))
+            index_b.sync(b)  # key 0b1 too, of another box
+            assert index_b._sizes is not index_a._sizes
+            assert index_b._memo is not index_a._memo
+            assert_matches_rebuild(index_b, b)
+            assert_matches_rebuild(index_a, a)
+
+    def test_a_run_computes_alike_after_another_run(self):
+        """A run after a run of other inputs gives what it gives
+        alone: no record of the first run's index reaches the second's."""
+        config = SimulationConfig(profile=True)
+        alone = run_dict(SimulationSetup(n_jobs=120, n_failures=30, seed=4, config=config))
+        run_dict(SimulationSetup(n_jobs=120, n_failures=30, seed=5, policy="krevat", config=config))
+        after = run_dict(SimulationSetup(n_jobs=120, n_failures=30, seed=4, config=config))
+        assert after == alone
 
 
 if __name__ == "__main__":

@@ -18,10 +18,42 @@ from repro.failures.synthetic import (
     _neighbourhood,
     generate_failures,
 )
-from repro.geometry.coords import BGL_SUPERNODE_DIMS, TorusDims
+from repro.geometry.coords import BGL_SUPERNODE_DIMS, TorusDims, manhattan_torus_distance
 
 D = BGL_SUPERNODE_DIMS
 HORIZON = 30 * 86_400.0
+
+
+def generate_failures_per_member(dims, n_events, horizon_s, model, seed):
+    """The generator with one scalar jitter draw per burst member and
+    the ball built by a coordinate loop: the reference the array forms
+    must match bit for bit."""
+    rng = np.random.default_rng(seed)
+    times: list[float] = []
+    nodes: list[int] = []
+    t = 0.0
+    while len(times) < n_events:
+        t += rng.exponential(model.mean_burst_interarrival_s)
+        burst_size = rng.geometric(model.burst_size_p)
+        centre = dims.coord(int(rng.integers(dims.volume)))
+        pool = np.array(
+            [
+                dims.index(c)
+                for c in dims.iter_coords()
+                if manhattan_torus_distance(dims, centre, c) <= model.locality_radius
+            ],
+            dtype=np.int64,
+        )
+        members = rng.choice(pool, size=min(burst_size, pool.size), replace=False)
+        for node in members:
+            times.append(t + float(rng.uniform(0.0, model.burst_window_s)))
+            nodes.append(int(node))
+    times_arr = np.array(times[:n_events])
+    nodes_arr = np.array(nodes[:n_events])
+    t_max = float(times_arr.max())
+    if t_max > 0:
+        times_arr = times_arr * ((horizon_s * (1.0 - 1e-9)) / t_max)
+    return FailureLog.from_arrays(dims.volume, times_arr, nodes_arr)
 
 
 class TestBurstFailureModel:
@@ -82,8 +114,6 @@ class TestGenerateFailures:
     def test_spatial_locality(self):
         """Within a tight time window, failing nodes concentrate near
         each other (Manhattan distance bounded by the model radius)."""
-        from repro.geometry.coords import manhattan_torus_distance
-
         model = BurstFailureModel(burst_size_p=0.25, locality_radius=1, burst_window_s=10.0)
         log = generate_failures(D, 400, HORIZON, model=model, seed=3)
         # Consecutive events closer than 10s come from one burst.
@@ -141,8 +171,6 @@ class TestGenerateFailures:
         ``q`` of bursts are merged.  Every tolerance is ``q`` plus four
         standard errors of the statistic.
         """
-        from repro.geometry.coords import manhattan_torus_distance
-
         n, horizon = 8192, 1e6
         p, mu, w, r = (
             model.burst_size_p, model.mean_burst_interarrival_s,
@@ -187,6 +215,45 @@ class TestGenerateFailures:
             ):
                 spread += 1
         assert spread <= q * bursts + 4.0 * math.sqrt(q * bursts), spread
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize(
+        "model",
+        [
+            BurstFailureModel(),
+            BurstFailureModel(
+                mean_burst_interarrival_s=1800.0, burst_size_p=0.2,
+                locality_radius=3, burst_window_s=60.0,
+            ),
+        ],
+        ids=["default", "wide-bursts"],
+    )
+    def test_one_jitter_draw_per_burst_reads_the_same_stream(self, model, seed):
+        """An array draw of a burst's jitters consumes the doubles the
+        per-member scalar draws did, in order: equal logs, dtypes too."""
+        got = generate_failures(D, 8192, 1e6, model=model, seed=seed)
+        ref = generate_failures_per_member(D, 8192, 1e6, model, seed)
+        for a, b in ((got.times, ref.times), (got.nodes, ref.nodes)):
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize(
+        "dims", [D, TorusDims(2, 3, 4), TorusDims(1, 1, 1)], ids=lambda d: "x".join(map(str, d.as_tuple()))
+    )
+    def test_ball_equals_coordinate_loop(self, dims):
+        """The broadcast wrapped-distance ball is the coordinate loop's
+        list of ids, in the same (linear id) order, for every centre."""
+        for radius in range(4):
+            for centre_id in range(dims.volume):
+                centre = dims.coord(centre_id)
+                loop = [
+                    dims.index(c)
+                    for c in dims.iter_coords()
+                    if manhattan_torus_distance(dims, centre, c) <= radius
+                ]
+                ball = _neighbourhood.__wrapped__(dims, centre_id, radius)
+                assert ball.dtype == np.int64
+                assert ball.tolist() == loop, (centre_id, radius)
 
     def test_memoised_ball_is_read_only_and_shared(self):
         ball = _neighbourhood(D, 5, 2)
