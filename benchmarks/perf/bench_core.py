@@ -43,8 +43,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
-if str(REPO_ROOT / "src") not in sys.path:  # direct-script convenience
-    sys.path.insert(0, str(REPO_ROOT / "src"))
+for path in (REPO_ROOT / "src", REPO_ROOT):  # repro, and the tests.oracles references
+    if str(path) not in sys.path:  # direct-script convenience
+        sys.path.insert(0, str(path))
 
 import numpy as np
 
@@ -59,8 +60,8 @@ from repro.experiments.sweep import SweepPoint, run_sweep_outcome
 from repro.failures.synthetic import generate_failures
 from repro.geometry.coords import BGL_SUPERNODE_DIMS
 from repro.geometry.torus import Torus
-from repro.testing import ReferencePlacementIndex
 from repro.workloads.job import Job
+from tests.oracles import ReferencePlacementIndex
 
 D = BGL_SUPERNODE_DIMS
 
@@ -161,7 +162,7 @@ def loaded_torus(fill: float = 0.5, seed: int = 0) -> Torus:
     rng = np.random.default_rng(seed)
     job_id = 0
     # Allocate real partitions (shadow replay needs the allocation map).
-    from repro.testing.random_state import random_partition
+    from tests.oracles.random_state import random_partition
 
     while torus.free_count > (1.0 - fill) * D.volume:
         part = random_partition(D, rng)
@@ -295,7 +296,7 @@ def bench_migration_plan(scale: Scale):
     """Compaction planning on a fragmented machine: ~20 small running
     jobs scattered over the 4x4x8 torus, a 32-node head."""
     from repro.core.migration import plan_compaction
-    from repro.testing.random_state import random_partition
+    from tests.oracles.random_state import random_partition
 
     torus = Torus(D)
     rng = np.random.default_rng(5)

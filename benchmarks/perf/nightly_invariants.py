@@ -1,23 +1,30 @@
 """Nightly invariant-oracle sweep for the simulator core.
 
-Runs one real sweep three ways, every cell with ``check_invariants`` on
-(per-batch conservation checks against the torus's independent
-occupancy oracles) and decision tracing enabled:
+Runs one real sweep four ways, every cell with decision tracing on:
 
-1. **serial** — the production engine, in-process;
+1. **serial** — the production sweep, in-process;
 2. **workers=2** — the same cells through the process pool (cutover
    pinned off so the pool genuinely runs);
-3. **oracle** — the same cells on the reference engine a test builds,
-   ``repro.testing.oracle_simulator``: every index query answered by a
-   from-scratch ``ReferencePlacementIndex`` and its scalar scoring walk.
+3. **checked** — the same cells one by one on
+   ``tests.oracles.CheckedSimulator``: the production engine under the
+   full runtime oracle harness (per-batch occupancy checks by two
+   independent checkers, event-order checks, an independent
+   recomputation of the unused-capacity integral);
+4. **oracle** — the same cells one by one on
+   ``tests.oracles.CheckedOracleSimulator``: the reference engine (every
+   index query answered by a from-scratch ``ReferencePlacementIndex``
+   and its scalar scoring walk) under the same harness.
 
-All three must agree: identical ``SweepResult`` rows, byte-identical
-per-cell NDJSON traces between the serial and pooled runs, and no
-decision divergence between production and oracle.  On any disagreement the
-first divergent decision (cell, stream index, differing fields, both
-records) is written to ``first_divergence.json`` in the output
-directory — CI uploads it as the failure artifact — and the run exits
-non-zero.
+The harness attaches from the test package, so the checked legs run
+in-process, cell by cell; the pooled leg runs the production engine as
+shipped.  All four must agree: identical ``SweepResult`` rows,
+byte-identical per-cell NDJSON traces between the serial and pooled
+runs, and no decision divergence between the serial sweep and either
+checked leg.  On any disagreement the first divergent decision (cell,
+stream index, differing fields, both records) is written to
+``first_divergence.json`` in the output directory — CI uploads it as the
+failure artifact — and the run exits non-zero; an oracle violation
+exits non-zero with its message.
 
 Usage::
 
@@ -34,8 +41,9 @@ import sys
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
-if str(REPO_ROOT / "src") not in sys.path:  # direct-script convenience
-    sys.path.insert(0, str(REPO_ROOT / "src"))
+for path in (REPO_ROOT / "src", REPO_ROOT):  # repro, and the tests.oracles references
+    if str(path) not in sys.path:  # direct-script convenience
+        sys.path.insert(0, str(path))
 
 from repro.core.config import SimulationConfig
 from repro.experiments import sweep as sweep_mod
@@ -44,11 +52,13 @@ from repro.failures.synthetic import BurstFailureModel
 from repro.obs.aggregate import SweepObsCollector, trace_filename
 from repro.obs.tools import diff_traces
 from repro.obs.trace import read_trace, write_trace
-from repro.testing import oracle_simulator
+from tests.oracles import CheckedOracleSimulator, CheckedSimulator
+
+CHECKED_LEGS = {"checked": CheckedSimulator, "oracle": CheckedOracleSimulator}
 
 
 def build_grid(jobs: int) -> list[SweepPoint]:
-    config = SimulationConfig(check_invariants=True, trace=True)
+    config = SimulationConfig(trace=True)
     return [
         SweepPoint("sdsc", jobs, 1.0, 8, "balancing", 0.1, config=config),
         SweepPoint("nasa", jobs, 1.0, 16, "balancing", 0.5, config=config),
@@ -66,17 +76,15 @@ def run_leg(points, seeds, workers, trace_dir, **kwargs):
     return results, sorted(Path(trace_dir).iterdir())
 
 
-def run_oracle_leg(points, seeds, trace_dir: Path):
-    """The sweep's own cells, each on the reference engine."""
+def run_checked_leg(engine, points, seeds, trace_dir: Path):
+    """The sweep's own cells, each on ``engine``, serially."""
     trace_dir.mkdir(parents=True, exist_ok=True)
     model = BurstFailureModel()
     results = []
     for i, point in enumerate(points):
         reports = []
         for si, seed in enumerate(seeds):
-            sim = oracle_simulator(
-                *sweep_mod.cell_inputs(point, seed, model, with_obs=True)
-            )
+            sim = engine(*sweep_mod.cell_inputs(point, seed, model, with_obs=True))
             reports.append(sim.run())
             write_trace(sim.recorder.records, trace_dir / trace_filename(i, si))
         results.append(SweepResult.from_reports(point, reports))
@@ -102,13 +110,12 @@ def main(argv=None) -> int:
 
     points = build_grid(args.jobs)
     n_cells = len(points) * len(seeds)
-    print(f"nightly invariant-oracle sweep: {n_cells} cells x 3 legs")
+    print(f"nightly invariant-oracle sweep: {n_cells} cells x 4 legs")
 
     serial, serial_files = run_leg(points, seeds, 1, out_dir / "serial")
     pooled, pooled_files = run_leg(
         points, seeds, 2, out_dir / "workers2", min_cells_per_worker=0
     )
-    oracle, oracle_files = run_oracle_leg(points, seeds, out_dir / "oracle")
 
     # 1. Pooled execution is bitwise the serial run.
     if serial != pooled:
@@ -128,24 +135,28 @@ def main(argv=None) -> int:
             })
     print(f"OK: workers=2 identical to serial ({len(serial_files)} traces)")
 
-    # 2. The production engine matches the rebuild oracle decision for
-    #    decision.
-    for i, (fast_res, oracle_res) in enumerate(zip(serial, oracle)):
-        if fast_res != oracle_res:
-            return fail(out_dir, {
-                "what": f"point {i}: production vs oracle sweep metrics differ",
-                "fast": dataclasses.asdict(fast_res),
-                "oracle": dataclasses.asdict(oracle_res),
-            })
-    for a, b in zip(serial_files, oracle_files):
-        divergence = diff_traces(read_trace(a), read_trace(b))
-        if divergence is not None:
-            return fail(out_dir, {
-                "what": f"production vs oracle decision divergence: {a.name}",
-                "divergence": dataclasses.asdict(divergence),
-                "describe": divergence.describe(),
-            })
-    print(f"OK: production engine matches rebuild oracle ({len(oracle_files)} traces)")
+    # 2. Each checked leg — the production engine, then the rebuild
+    #    oracle, both under the runtime oracles — matches the serial
+    #    sweep decision for decision.
+    for leg, engine in CHECKED_LEGS.items():
+        checked, checked_files = run_checked_leg(engine, points, seeds, out_dir / leg)
+        for i, (fast_res, checked_res) in enumerate(zip(serial, checked)):
+            if fast_res != checked_res:
+                return fail(out_dir, {
+                    "what": f"point {i}: production vs {leg} sweep metrics differ",
+                    "fast": dataclasses.asdict(fast_res),
+                    leg: dataclasses.asdict(checked_res),
+                })
+        for a, b in zip(serial_files, checked_files):
+            divergence = diff_traces(read_trace(a), read_trace(b))
+            if divergence is not None:
+                return fail(out_dir, {
+                    "what": f"production vs {leg} decision divergence: {a.name}",
+                    "divergence": dataclasses.asdict(divergence),
+                    "describe": divergence.describe(),
+                })
+        print(f"OK: {leg} leg ({engine.__name__}) matches the serial sweep "
+              f"({len(checked_files)} traces, every oracle clean)")
     print("nightly invariant-oracle sweep: all green")
     return 0
 

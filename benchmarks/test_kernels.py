@@ -17,10 +17,10 @@ from repro.failures.events import FailureLog
 from repro.geometry.coords import BGL_SUPERNODE_DIMS
 from repro.geometry.partition import Partition
 from repro.geometry.torus import Torus, circular_window_sum, wrap_pad_integral
-from repro.testing import ReferencePlacementIndex
 from repro.workloads.models import SDSC_SP
 from repro.workloads.scaling import fit_to_machine
 from repro.workloads.synthetic import generate_workload
+from tests.oracles import ReferencePlacementIndex
 
 D = BGL_SUPERNODE_DIMS
 

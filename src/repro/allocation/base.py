@@ -38,7 +38,7 @@ class PartitionFinder(abc.ABC):
     :func:`~repro.geometry.shapes.shapes_for_size` order (divisor order —
     ascending first extent, then second), bases row-major ``(x, y, z)``
     within each shape.  Every shipped finder honours this, which is
-    verified by :class:`repro.testing.CrossValidator`.
+    verified by the test suite's ``CrossValidator``.
     """
 
     #: Short name used by the registry and CLI.

@@ -74,7 +74,7 @@ one index and syncs it whenever ``torus.version`` moved.
 
 All patches are exact integer arithmetic, so every answer is **bitwise
 equal** to a from-scratch rebuild.  That rebuild is
-:class:`repro.testing.ReferencePlacementIndex` — lazy per-shape grids
+the test suite's ``ReferencePlacementIndex`` — lazy per-shape grids
 from a busy integral of ``torus.grid`` and a scalar early-exit scoring
 walk — which the differential suites under ``tests/allocation`` compare
 with this index field for field and loss for loss.  The two share only
@@ -539,7 +539,7 @@ class PlacementIndex:
         fr = free.view(np.uint8).reshape(-1, len(t.shapes))        # (XYZ, S)
         self._tot = np.add.reduce(fr, axis=0, dtype=t.sum_dtype)  # (S,)
         self._ne_idx = self._tot.nonzero()[0]
-        self._feasible: frozenset[int] | None = None
+        self._feasible: bytes | None = None
         self._fall: np.ndarray | None = None
         #: size → [batch, size table, selected rows, losses or None].
         self._sizes: dict[int, list] = {}
@@ -651,14 +651,15 @@ class PlacementIndex:
 
     def has_candidate(self, size: int) -> bool:
         """True when at least one free partition of ``size`` exists."""
-        # The volumes of the non-empty shape rows, once per state: the
-        # backfill walk asks this for every distinct waiting size.
+        # A byte per size 0..volume, set for the volumes of the non-empty
+        # shape rows, once per state: the backfill walk asks this for
+        # every distinct waiting size.
         feasible = self._feasible
         if feasible is None:
-            feasible = self._feasible = frozenset(
-                self._tables.vol[self._ne_idx].tolist()
-            )
-        return size in feasible
+            table = np.zeros(self.dims.volume + 1, np.uint8)
+            table[self._tables.vol[self._ne_idx]] = 1
+            feasible = self._feasible = table.tobytes()
+        return 0 <= size < len(feasible) and feasible[size] == 1
 
     def mfp_size(self) -> int:
         """Size of the maximal free partition (0 on a full machine)."""
@@ -764,9 +765,9 @@ class IndexCache:
     ``index.incremental.repair`` a sync that patched and
     ``index.incremental.kept`` one that patched nothing.
 
-    :class:`repro.testing.RebuildIndexCache` is the reference twin the
-    tests substitute: a from-scratch
-    :class:`~repro.testing.ReferencePlacementIndex` per state.
+    The test suite's ``RebuildIndexCache`` is the reference twin the
+    tests substitute: a from-scratch ``ReferencePlacementIndex`` per
+    state.
     """
 
     __slots__ = ("torus", "metrics", "_index")

@@ -21,7 +21,7 @@ class NaiveFinder(PartitionFinder):
     The triple shape loop visits ``(a, b, c)`` in ascending lexicographic
     order, which coincides with :func:`shapes_for_size`'s divisor order —
     so the enumeration-order contract of :class:`PartitionFinder` holds
-    here too, and :class:`repro.testing.CrossValidator` can compare
+    here too, and the test suite's ``CrossValidator`` can compare
     ordered outputs across all finders.
     """
 

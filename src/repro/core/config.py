@@ -41,10 +41,11 @@ class SimulationConfig:
     """Everything configurable about one simulation run.
 
     Nine fields change the schedule (and enter sweep cell keys); the
-    three declared ``_OBSERVATIONAL`` only observe it.  There
-    is no engine selector: every run uses the incremental placement index
-    and same-timestamp event batches, and the from-scratch reference is
-    something tests build (:func:`repro.testing.oracle_simulator`).
+    two declared ``_OBSERVATIONAL`` only observe it.  There is no engine
+    selector and no checking switch: every run uses the incremental
+    placement index and same-timestamp event batches, and the
+    from-scratch reference and the runtime checks are something the
+    test suite attaches from outside the package.
 
     Defaults reproduce the paper's setup: the 4x4x8 supernode torus,
     EASY backfilling, migration on (the balancing scheduler "includes
@@ -63,14 +64,6 @@ class SimulationConfig:
     checkpoint: CheckpointConfig = field(default_factory=CheckpointConfig)
     #: Seed for engine-internal randomness (checkpoint prediction hits).
     seed: int = 0
-    #: Attach the full :mod:`repro.testing` oracle harness after every
-    #: scheduler pass: both independent occupancy checkers
-    #: (``Torus.check_invariants`` and the node-index-set
-    #: ``InvariantChecker``), event-ordering checks and an independent
-    #: recomputation of the unused-capacity integral.  Strictly
-    #: observational — the report is bit-for-bit identical with the flag
-    #: on or off.  Slow; default off, on throughout the test suite.
-    check_invariants: bool = field(default=False, metadata=_OBSERVATIONAL)
     #: Emit one :mod:`repro.obs` decision-trace record per scheduler
     #: decision (arrival, candidate enumeration, dispatch, backfill,
     #: migration, failure, checkpoint).  Strictly observational — the

@@ -9,7 +9,7 @@ base order) so runs are reproducible.
 The production path scores the whole candidate set with the batch MFP
 kernel and picks the winner with one first-occurrence ``argmin`` — the
 same partition the scalar walk
-(``repro.testing.choose_partition_scalar``) selects, which the
+of the test suite (``choose_partition_scalar``) selects, which the
 batch-vs-scalar property suite enforces.
 """
 

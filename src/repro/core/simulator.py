@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from itertools import islice
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -42,9 +41,6 @@ from repro.core.jobstate import MIN_ESTIMATE_S, JobState
 from repro.core.migration import PlanMemo, apply_compaction, head_partition, plan_compaction
 from repro.core.policies.base import SchedulingPolicy
 from repro.core.queue import WaitQueue
-
-if TYPE_CHECKING:  # deferred: repro.testing imports repro.core.events
-    from repro.testing.harness import SimulationOracleHarness
 
 #: Tolerance when comparing estimated finishes against the shadow time.
 _SHADOW_EPS = 1e-9
@@ -81,11 +77,6 @@ class Simulator:
         self.records: list[JobRecord] = []
         self.checkpoint = CheckpointModel(self.config.checkpoint)
         self.rng = np.random.default_rng(self.config.seed)
-        self.oracles: SimulationOracleHarness | None = None
-        if self.config.check_invariants:
-            from repro.testing.harness import SimulationOracleHarness
-
-            self.oracles = SimulationOracleHarness(dims.volume)
         if recorder is not None:
             self.recorder = recorder
         elif self.config.trace:
@@ -135,9 +126,9 @@ class Simulator:
 
     def _make_index_cache(self) -> IndexCache:
         """The placement-index cache the scheduler pass and the shadow
-        engine share.  The one seam of the engine:
-        :func:`repro.testing.oracle_simulator` overrides it to run the
-        same simulator on from-scratch reference rebuilds."""
+        engine share.  The test suite's reference engine
+        (``oracle_simulator``) overrides it to run the same simulator
+        on from-scratch reference rebuilds."""
         return IndexCache(self.torus, self.metrics)
 
     # ------------------------------------------------------------------
@@ -273,18 +264,12 @@ class Simulator:
         self._begun = True
         self._last_time = self._min_arrival
         self.tracker.record(self._min_arrival, self.torus.dims.volume, 0)
-        if self.oracles is not None:
-            self.oracles.record_capacity(
-                self._min_arrival, self.torus.dims.volume, 0
-            )
 
     def _step_batch(self) -> float:
         """Pop and apply one same-timestamp batch, then run a scheduler
         pass — one iteration of the historical run loop."""
         batch = self.events.pop_batch()
         now = batch[0].time
-        if self.oracles is not None:
-            self.oracles.observe_batch(batch)
         for event in batch:
             self._processed += 1
             if self._processed > self.config.max_events:
@@ -303,12 +288,6 @@ class Simulator:
             self.tracker.record(
                 now, self.torus.free_count, self.wait.requested_nodes
             )
-            if self.oracles is not None:
-                self.oracles.record_capacity(
-                    now, self.torus.free_count, self.wait.requested_nodes
-                )
-        if self.oracles is not None:
-            self.oracles.check_torus(self.torus)
         self._last_time = now
         return now
 
@@ -570,10 +549,6 @@ class Simulator:
     def _report(self, end_time: float) -> SimulationReport:
         useful = sum(r.size * r.runtime for r in self.records)
         self.tracker.close(max(end_time, self._min_arrival))
-        if self.oracles is not None:
-            self.oracles.finalize(
-                max(end_time, self._min_arrival), self.tracker.surplus_integral()
-            )
         capacity = CapacitySummary.from_tracker(
             self.tracker, useful, self._min_arrival, end_time
         )

@@ -81,18 +81,3 @@ class ChaosError(ReproError):
     Raised only when a :class:`~repro.resilience.ChaosConfig` explicitly
     schedules an in-cell fault; never seen in production runs (chaos is
     off by default)."""
-
-
-class OracleError(ReproError):
-    """A runtime correctness oracle (:mod:`repro.testing`) detected a
-    violation of a simulator invariant."""
-
-
-class InvariantViolationError(OracleError):
-    """Machine state disagrees with itself: occupancy grid, allocation
-    map, free counts or event ordering are inconsistent."""
-
-
-class CrossValidationError(OracleError):
-    """Two independent implementations that must agree produced
-    different answers (e.g. the three partition finders)."""

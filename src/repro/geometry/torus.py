@@ -293,36 +293,6 @@ class Torus:
             self._flat_ids[key] = ids
         return ids
 
-    def check_invariants(self) -> None:
-        """Assert the occupancy grid and the allocation map agree.
-
-        Used by tests and, beside it, by the oracle harness
-        (``SimulationConfig.check_invariants``).  The richer (and
-        independently implemented) oracle is
-        :class:`repro.testing.InvariantChecker`; this quick form rebuilds
-        the expected grid from the map and additionally checks node-count
-        conservation (``free_count == free grid cells == volume − Σ sizes``).
-        """
-        expected = np.full(self.dims.as_tuple(), FREE, dtype=np.int64)
-        allocated_total = 0
-        for job_id, partition in self._allocations.items():
-            sel = np.ix_(*partition.axis_ranges(self.dims))
-            if (expected[sel] != FREE).any():
-                raise PartitionOverlapError(
-                    f"allocation map has overlapping partitions at job {job_id}"
-                )
-            expected[sel] = job_id
-            allocated_total += partition.size
-        if not np.array_equal(expected, self.grid):
-            raise GeometryError("occupancy grid disagrees with allocation map")
-        scanned = int(np.count_nonzero(self.grid == FREE))
-        if not self.free_count == scanned == self.dims.volume - allocated_total:
-            raise GeometryError(
-                f"node-count conservation broken: free={self.free_count}, "
-                f"free grid cells={scanned}, allocated={allocated_total}, "
-                f"volume={self.dims.volume}"
-            )
-
     def __str__(self) -> str:  # pragma: no cover - repr sugar
         return (
             f"Torus(dims={self.dims.as_tuple()}, jobs={self.n_jobs}, "

@@ -58,8 +58,9 @@ logger = get_logger(__name__)
 #: Version of the on-disk cell envelope and of the key material; bump on
 #: breaking change.  Old checkpoints are recomputed, not migrated —
 #: cells are cheap relative to the cost of a wrong migration.  (2: key
-#: material is ``to_plain`` of the point and model.)
-CHECKPOINT_SCHEMA_VERSION = 2
+#: material is ``to_plain`` of the point and model.  3: the config lost
+#: an observational field, which every point's ``to_plain`` carried.)
+CHECKPOINT_SCHEMA_VERSION = 3
 
 
 def _digest(data: Any) -> str:

@@ -32,7 +32,7 @@ from repro.geometry.torus import (
     window_sums_from_integral,
     wrap_pad_integral,
 )
-from repro.testing import RebuildIndexCache, ReferencePlacementIndex, random_torus
+from tests.oracles import RebuildIndexCache, ReferencePlacementIndex, random_torus
 
 dims_strategy = st.builds(
     TorusDims, st.integers(1, 4), st.integers(1, 4), st.integers(1, 5)
@@ -198,7 +198,7 @@ class TestEnumeration:
 
 
 class TestIndexCache:
-    """The reference cache of ``repro.testing``: one fresh plain index
+    """The reference cache of ``tests.oracles``: one fresh plain index
     per machine state (the production cache's repair contract is
     covered by the production index's differential suite)."""
 

@@ -4,7 +4,7 @@ rebuild.
 :class:`~repro.allocation.mfp.PlacementIndex` patches its shape-minor
 window-sum tensor in place as the torus mutates (it never builds a busy
 integral: a build is a zero tensor synced to the allocation map); the
-from-scratch :class:`~repro.testing.ReferencePlacementIndex` is the
+from-scratch :class:`~tests.oracles.ReferencePlacementIndex` is the
 retained oracle (DESIGN.md §5.12).  The property tests here drive random alloc/free
 sequences — including wraparound boxes and full-axis-span shapes whose
 aliased bases must canonicalise — through the public torus API, sync
@@ -43,7 +43,7 @@ from repro.geometry.shapes import all_shapes, schedulable_sizes, shapes_for_size
 from repro.geometry.torus import Torus
 from repro.metrics.serialize import report_to_dict
 from repro.obs.metrics import MetricsRegistry
-from repro.testing import ReferencePlacementIndex, random_partition, random_torus
+from tests.oracles import ReferencePlacementIndex, random_partition, random_torus
 
 dims_strategy = st.builds(
     TorusDims,
@@ -732,6 +732,60 @@ class TestRecalledStates:
                             fresh.first_fit_release(size, order)
                         ), size
             assert_matches_rebuild(index, torus)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        dims=dims_strategy,
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        steps=st.integers(min_value=2, max_value=12),
+    )
+    def test_has_candidate_answers_like_the_reference_on_recalled_states(
+        self, dims, seed, steps
+    ):
+        """Every size from 0 to volume + 1 on every state of a walk that
+        returns to earlier allocation maps.  Each state is asked before
+        it is left, so its record carries its feasible-size table, and a
+        return answers from the record it takes back."""
+        rng = np.random.default_rng(seed)
+        torus = Torus(dims)
+        index = PlacementIndex(torus)
+        live: dict[int, Partition] = {}
+        next_id = 0
+        maps: list[dict[int, Partition]] = [{}]
+        records = {}
+        for _ in range(steps + 1):
+            state = state_of(torus)
+            if state in records:
+                assert index._sizes is records[state]
+            records[state] = index._sizes
+            fresh = ReferencePlacementIndex(torus)
+            for size in range(dims.volume + 2):
+                assert index.has_candidate(size) == fresh.has_candidate(size), size
+            if rng.random() < 0.5:
+                target = maps[int(rng.integers(len(maps)))]
+                restore(torus, target)
+                live = dict(target)
+            else:
+                next_id = mutate(torus, rng, live, next_id)
+            maps.append(dict(torus.allocations()))
+            index.sync(torus)
+
+    def test_has_candidate_on_a_recalled_state(self):
+        """The empty machine, left after its table was built and taken
+        back: full-machine size fits again, 0 and volume + 1 never do."""
+        torus = Torus(TorusDims(2, 2, 4))
+        index = PlacementIndex(torus)
+        assert [index.has_candidate(s) for s in (0, 16, 17)] == [False, True, False]
+        empty = index._sizes
+        torus.allocate(0, Partition((0, 0, 0), (2, 2, 1)))
+        index.sync(torus)
+        assert [index.has_candidate(s) for s in (0, 12, 16, 17)] == [
+            False, True, False, False,
+        ]
+        torus.release(0)
+        index.sync(torus)
+        assert index._sizes is empty
+        assert [index.has_candidate(s) for s in (0, 16, 17)] == [False, True, False]
 
     def test_moved_job_is_another_state(self):
         """Job 0 moved to another box: the same job ids, another set of

@@ -12,7 +12,7 @@ from repro.geometry.partition import Partition
 from repro.geometry.torus import Torus
 from repro.allocation import FastFinder, PlacementIndex, mfp_partition, mfp_size
 from repro.geometry.shapes import all_shapes
-from repro.testing import ReferencePlacementIndex
+from tests.oracles import ReferencePlacementIndex
 
 D = BGL_SUPERNODE_DIMS
 

@@ -1,6 +1,6 @@
 """Cache-consistency tests for the reference placement index.
 
-:class:`~repro.testing.ReferencePlacementIndex` memoises per state
+:class:`~tests.oracles.ReferencePlacementIndex` memoises per state
 (grids, candidate lists, scalar scores); these tests pin that the caches
 never change answers, only cost.  The states are written into
 ``torus.grid`` directly, which only the reference reads.
@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.geometry.coords import BGL_SUPERNODE_DIMS, TorusDims
 from repro.geometry.torus import Torus
-from repro.testing import ReferencePlacementIndex
+from tests.oracles import ReferencePlacementIndex
 
 D = BGL_SUPERNODE_DIMS
 

@@ -41,7 +41,7 @@ from repro.failures.events import FailureLog
 from repro.geometry.coords import BGL_SUPERNODE_DIMS
 from repro.geometry.torus import Torus
 from repro.prediction import BalancingPredictor, TieBreakPredictor
-from repro.testing import ReferencePlacementIndex
+from tests.oracles import ReferencePlacementIndex
 
 #: Span targets of ``prediction.score`` / ``failures.window_query``.
 PREDICTION_TARGETS = (

@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from repro.allocation.mfp import PlacementIndex
 from repro.geometry.coords import TorusDims
 from repro.geometry.shapes import schedulable_sizes
-from repro.testing import ReferencePlacementIndex, random_torus
+from tests.oracles import ReferencePlacementIndex, random_torus
 
 #: (dims, whether the fused ``zall`` table is built for them).
 DIMS = [((4, 4, 8), True), ((2, 3, 4), True), ((4, 5, 8), False)]

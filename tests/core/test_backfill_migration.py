@@ -33,8 +33,8 @@ from repro.geometry.shapes import schedulable_sizes
 from repro.geometry.torus import Torus
 from repro.metrics.serialize import report_to_dict
 from repro.obs.metrics import MetricsRegistry
-from repro.testing import RebuildIndexCache, random_torus
 from repro.workloads.job import Job
+from tests.oracles import RebuildIndexCache, check_rebuilt_grid, random_torus
 
 D = BGL_SUPERNODE_DIMS
 
@@ -92,7 +92,7 @@ class TestCompaction:
         assert part.size == 64
         apply_compaction(t, plan, head_id=3)
         t.allocate(3, part)
-        t.check_invariants()
+        check_rebuilt_grid(t)
         assert t.free_count == 128 - 32 - 32 - 64
 
     def test_returns_none_when_impossible(self):

@@ -11,9 +11,10 @@ queue head exactly as in the backfill walk, with the recorder on or off
 record per call, none of them empty.  Traced and untraced runs must make
 the same calls and produce the same schedule, on the production engine
 and on the reference one a test builds
-(``repro.testing.oracle_simulator``: from-scratch index rebuilds, scalar
+(``tests.oracles.oracle_simulator``: from-scratch index rebuilds, scalar
 scoring, integral release replay), and the trace bytes must be the same
-on both engines.
+on both engines.  The deep-queue runs carry the full runtime oracle
+harness (``tests.oracles.CheckedSimulator``).
 
 The walk computes one EASY reservation per scheduler pass and resumes
 on it after a backfill that ends by the shadow; a test-local subclass
@@ -48,10 +49,10 @@ from repro.geometry.coords import BGL_SUPERNODE_DIMS
 from repro.metrics.serialize import report_to_dict
 from repro.obs.trace import TraceRecorder
 from repro.prediction import BalancingPredictor
-from repro.testing import oracle_simulator
 from repro.workloads.job import Job, Workload
+from tests.oracles import CheckedOracleSimulator, CheckedSimulator
 
-ENGINES = {"production": Simulator, "reference": oracle_simulator}
+ENGINES = {"production": CheckedSimulator, "reference": CheckedOracleSimulator}
 
 
 def deep_queue_setup(**config) -> SimulationSetup:
@@ -62,7 +63,7 @@ def deep_queue_setup(**config) -> SimulationSetup:
         policy="balancing",
         parameter=0.1,
         seed=0,
-        config=SimulationConfig(check_invariants=True, **config),
+        config=SimulationConfig(**config),
     )
 
 
@@ -81,7 +82,7 @@ def engine_calls(monkeypatch, **config) -> tuple[list[tuple], Simulator]:
     ``BalancingPredictor.partition_failure_probabilities`` call it made,
     in order, with what the call was about."""
     calls: list[tuple] = []
-    sim = deep_queue_setup(**config).build_simulator()
+    sim = build("production", deep_queue_setup(**config))
     choose = sim.policy.choose_partition
     get, shadow_time = IndexCache.get, ShadowTimeEngine.shadow_time
     score = PlacementIndex.batch_mfp_losses
@@ -182,7 +183,7 @@ class TestOneWalkTracedOrNot:
         counts the same, with no excepted metric."""
 
         def metrics(**config) -> dict:
-            sim = deep_queue_setup(**config).build_simulator()
+            sim = build("production", deep_queue_setup(**config))
             sim.run()
             return sim.metrics.to_dict(include_timings=False)
 
@@ -191,7 +192,7 @@ class TestOneWalkTracedOrNot:
         assert traced["histograms"]["policy.candidate_set_size"]["min"] >= 1
 
 
-class RestartWalkSimulator(Simulator):
+class RestartWalkSimulator(CheckedSimulator):
     """The walk without a kept reservation: every call starts again at
     position 1 and asks the shadow engine again."""
 
@@ -268,7 +269,7 @@ class TestOneReservationPerPass:
     @pytest.mark.parametrize("backfill", [BackfillMode.EASY, BackfillMode.AGGRESSIVE])
     def test_kept_reservation_decides_like_the_restart_walk(self, backfill, migration):
         setup = deep_queue_setup(trace=True, backfill=backfill, migration=migration)
-        report, trace, calls, sim = traced_run(Simulator, setup)
+        report, trace, calls, sim = traced_run(CheckedSimulator, setup)
         assert traced_run(RestartWalkSimulator, setup)[:3] == (report, trace, calls)
         assert sim.counters.backfills > 0
         kept = sim.metrics.to_dict(include_timings=False)["counters"].get("shadow.kept")
@@ -304,7 +305,7 @@ class TestOneReservationPerPass:
         assert reference.run() == report
 
 
-class UngatedSimulator(Simulator):
+class UngatedSimulator(CheckedSimulator):
     """The pass without the node-count gate: every iteration looks the
     index up, and the backfill walk asks it about every waiting size."""
 
@@ -383,7 +384,7 @@ class TestNodeCountGate:
     @pytest.mark.parametrize("backfill", list(BackfillMode))
     def test_gated_pass_decides_like_the_ungated_pass(self, backfill, migration):
         setup = deep_queue_setup(trace=True, backfill=backfill, migration=migration)
-        report, trace, calls, sim = traced_run(Simulator, setup)
+        report, trace, calls, sim = traced_run(CheckedSimulator, setup)
         ungated = traced_run(UngatedSimulator, setup)
         assert ungated[:3] == (report, trace, calls)
         # The gate binds on this queue: it skips lookups the ungated

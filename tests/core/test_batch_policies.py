@@ -4,7 +4,7 @@ Each policy's production ``choose_partition`` is a vectorised argmin
 over the batch-scored candidate set of the production
 :class:`PlacementIndex`, or — for a forced choice, a size with one free
 partition — that partition, unscored;
-``repro.testing.choose_partition_scalar`` is the per-candidate walk over
+``tests.oracles.choose_partition_scalar`` is the per-candidate walk over
 a :class:`ReferencePlacementIndex`.  Identical choices — including tie
 order — are what make the whole batch refactor observationally
 invisible, so this suite asserts them per decision over random machine
@@ -38,14 +38,14 @@ from repro.prediction import (
     PartitionFailureRule,
     TieBreakPredictor,
 )
-from repro.testing import (
+from repro.workloads.job import Job, Workload
+from tests.oracles import (
     ReferencePlacementIndex,
     choose_partition_scalar,
     oracle_simulator,
     random_partition,
     random_torus,
 )
-from repro.workloads.job import Job, Workload
 
 D = TorusDims(4, 4, 5)
 

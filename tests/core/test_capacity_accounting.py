@@ -15,6 +15,8 @@ from repro.failures.events import FailureEvent, FailureLog
 from repro.geometry.coords import BGL_SUPERNODE_DIMS
 from repro.workloads.job import Job, Workload
 
+pytestmark = pytest.mark.usefixtures("checked_engine")
+
 D = BGL_SUPERNODE_DIMS
 N = D.volume
 
@@ -22,10 +24,7 @@ N = D.volume
 def run(jobs, failures=(), **cfg_kw):
     workload = Workload("t", N, tuple(jobs))
     log = FailureLog(N, [FailureEvent(t, n) for t, n in failures])
-    return simulate(
-        workload, log, KrevatPolicy(),
-        SimulationConfig(check_invariants=True, **cfg_kw),
-    )
+    return simulate(workload, log, KrevatPolicy(), SimulationConfig(**cfg_kw))
 
 
 class TestHandComputable:

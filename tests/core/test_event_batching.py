@@ -3,12 +3,13 @@
 The simulator drains every event sharing the next timestamp (kind order
 FINISH < FAILURE < ARRIVAL), repairs the placement index once, and runs
 one scheduling pass.  There is one engine; what it is compared with is
-the reference a test builds — :func:`repro.testing.oracle_simulator`,
+the reference a test builds — :func:`tests.oracles.oracle_simulator`,
 the same simulator answering every index query from a from-scratch
 ``ReferencePlacementIndex`` rebuild.  The two must be indistinguishable:
 identical reports and byte-identical NDJSON decision traces, across
 randomized workloads and failure mixes, with every runtime oracle
-attached (DESIGN.md §5.12).
+attached to both (``CheckedSimulator`` / ``CheckedOracleSimulator``,
+DESIGN.md §5.12).
 """
 
 from __future__ import annotations
@@ -21,21 +22,21 @@ from repro.api import SimulationSetup
 from repro.core.config import SimulationConfig
 from repro.core.events import EventKind, EventQueue
 from repro.core.policies import KrevatPolicy
-from repro.core.simulator import Simulator, simulate
+from repro.core.simulator import simulate
 from repro.failures.events import FailureEvent, FailureLog
 from repro.geometry.coords import BGL_SUPERNODE_DIMS
 from repro.obs.tools import diff_traces
 from repro.obs.trace import _encode, write_trace
-from repro.testing import oracle_simulator
 from repro.workloads.job import Job, Workload
+from tests.oracles import CheckedOracleSimulator, CheckedSimulator
 
 D = BGL_SUPERNODE_DIMS
 N = D.volume
 
-CONFIG = SimulationConfig(trace=True, check_invariants=True)
+CONFIG = SimulationConfig(trace=True)
 
 
-def run_traced(setup: SimulationSetup, engine=Simulator):
+def run_traced(setup: SimulationSetup, engine=CheckedSimulator):
     """One traced simulation; returns (report, trace records)."""
     sim = engine(*setup.build_inputs(), CONFIG)
     report = sim.run()
@@ -44,7 +45,7 @@ def run_traced(setup: SimulationSetup, engine=Simulator):
 
 def assert_equivalent(setup: SimulationSetup) -> None:
     report, trace = run_traced(setup)
-    oracle_report, oracle_trace = run_traced(setup, oracle_simulator)
+    oracle_report, oracle_trace = run_traced(setup, CheckedOracleSimulator)
     assert report == oracle_report
     # Byte-identical NDJSON: _encode produces exactly the serialized
     # line each record becomes on disk.
@@ -85,7 +86,7 @@ class TestRandomizedEquivalence:
             policy="balancing", parameter=0.3, seed=11,
         )
         _, production = run_traced(setup)
-        _, oracle = run_traced(setup, oracle_simulator)
+        _, oracle = run_traced(setup, CheckedOracleSimulator)
         a, b = tmp_path / "production.ndjson", tmp_path / "oracle.ndjson"
         write_trace(production, a)
         write_trace(oracle, b)
@@ -110,7 +111,7 @@ class TestIntraTimestampOrdering:
         ]
         assert len(queue) == 1  # the t=6 event stays queued
 
-    def test_finish_before_simultaneous_arrival(self):
+    def test_finish_before_simultaneous_arrival(self, checked_engine):
         """A partition freed at t is visible to a job arriving at t."""
         report = simulate(
             Workload("test", N, (
@@ -119,20 +120,20 @@ class TestIntraTimestampOrdering:
             )),
             FailureLog(N),
             KrevatPolicy(),
-            SimulationConfig(check_invariants=True),
+            SimulationConfig(),
         )
         recs = {r.job_id: r for r in report.records}
         assert recs[1].start == 100.0
         assert recs[1].wait == 0.0
 
-    def test_finish_before_simultaneous_failure(self):
+    def test_finish_before_simultaneous_failure(self, checked_engine):
         """A job completing at exactly the failure instant has already
         finished — no restart."""
         report = simulate(
             Workload("test", N, (Job(0, 0.0, N, 100.0),)),
             FailureLog(N, [FailureEvent(100.0, 0)]),
             KrevatPolicy(),
-            SimulationConfig(check_invariants=True),
+            SimulationConfig(),
         )
         assert report.records[0].restarts == 0
         assert report.records[0].response == 100.0

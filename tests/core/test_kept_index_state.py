@@ -8,7 +8,7 @@ nothing, keeps every cached enumeration, projection and ``L_MFP`` loss,
 and ``IndexCache.get`` counts ``index.incremental.kept``.  On a
 scenario heavy in such jobs, and on an SDSC log whose passes migrate,
 the production engine must still make the decisions of
-:func:`repro.testing.oracle_simulator` (a from-scratch reference index
+:func:`tests.oracles.oracle_simulator` (a from-scratch reference index
 per state) — equal reports and equal trace bytes — and must actually
 take that path.
 """
@@ -27,8 +27,8 @@ from repro.core.policies.registry import make_policy
 from repro.core.simulator import Simulator
 from repro.metrics.serialize import report_to_dict
 from repro.obs.trace import TraceRecorder
-from repro.testing import oracle_simulator
 from repro.workloads.job import Workload
+from tests.oracles import oracle_simulator
 
 
 def scenario_inputs(scenario: str):

@@ -13,8 +13,8 @@ from repro.geometry.coords import BGL_SUPERNODE_DIMS
 from repro.geometry.partition import Partition
 from repro.geometry.torus import Torus
 from repro.prediction import BalancingPredictor, TieBreakPredictor
-from repro.testing import ReferencePlacementIndex
 from repro.workloads.job import Job
+from tests.oracles import ReferencePlacementIndex
 
 D = BGL_SUPERNODE_DIMS
 

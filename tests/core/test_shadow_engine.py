@@ -4,7 +4,7 @@
 by the placement index — on the incremental index a cumulative sum of
 overlap patches against the window-sum tensor, on the rebuild index an
 integral rebuild per release — plus per-``(version, size)`` memoisation)
-must agree exactly with :func:`~repro.testing.shadow_time_naive`
+must agree exactly with :func:`~tests.oracles.shadow_time_naive`
 (full grid copy + fresh ReferencePlacementIndex per release) on
 every machine state.  The hypothesis sweeps below pin their own
 ``max_examples`` so at least 120 random torus states are exercised
@@ -26,8 +26,8 @@ from repro.core.jobstate import JobState
 from repro.geometry.coords import BGL_SUPERNODE_DIMS, TorusDims
 from repro.geometry.partition import Partition
 from repro.geometry.torus import Torus
-from repro.testing import RebuildIndexCache, random_torus, shadow_time_naive
 from repro.workloads.job import Job
+from tests.oracles import RebuildIndexCache, random_torus, shadow_time_naive
 
 D = BGL_SUPERNODE_DIMS
 

@@ -18,6 +18,8 @@ from repro.geometry.coords import BGL_SUPERNODE_DIMS
 from repro.prediction import BalancingPredictor
 from repro.workloads.job import Job, Workload
 
+pytestmark = pytest.mark.usefixtures("checked_engine")
+
 D = BGL_SUPERNODE_DIMS
 N = D.volume
 
@@ -30,13 +32,9 @@ def no_failures() -> FailureLog:
     return FailureLog(N)
 
 
-def cfg(**kw) -> SimulationConfig:
-    return SimulationConfig(**{"check_invariants": True, **kw})
-
-
 class TestBasicRuns:
     def test_single_job(self):
-        report = simulate(wl(Job(0, 0.0, 8, 100.0)), no_failures(), KrevatPolicy(), cfg())
+        report = simulate(wl(Job(0, 0.0, 8, 100.0)), no_failures(), KrevatPolicy(), SimulationConfig())
         assert report.timing.n_jobs == 1
         rec = report.records[0]
         assert rec.wait == 0.0
@@ -45,7 +43,7 @@ class TestBasicRuns:
         assert report.capacity.utilized == pytest.approx(8 * 100 / (100 * N))
 
     def test_empty_workload(self):
-        report = simulate(wl(), no_failures(), KrevatPolicy(), cfg())
+        report = simulate(wl(), no_failures(), KrevatPolicy(), SimulationConfig())
         assert report.timing.n_jobs == 0
 
     def test_two_independent_jobs_run_concurrently(self):
@@ -53,7 +51,7 @@ class TestBasicRuns:
             wl(Job(0, 0.0, 64, 100.0), Job(1, 0.0, 64, 100.0)),
             no_failures(),
             KrevatPolicy(),
-            cfg(),
+            SimulationConfig(),
         )
         for rec in report.records:
             assert rec.wait == 0.0
@@ -63,7 +61,7 @@ class TestBasicRuns:
             wl(Job(0, 0.0, 128, 100.0), Job(1, 0.0, 128, 100.0)),
             no_failures(),
             KrevatPolicy(),
-            cfg(),
+            SimulationConfig(),
         )
         recs = {r.job_id: r for r in report.records}
         assert recs[0].start == 0.0
@@ -80,7 +78,7 @@ class TestBasicRuns:
             ),
             no_failures(),
             KrevatPolicy(),
-            cfg(backfill=BackfillMode.NONE),
+            SimulationConfig(backfill=BackfillMode.NONE),
         )
         recs = {r.job_id: r for r in report.records}
         assert recs[2].start >= recs[1].start
@@ -96,7 +94,7 @@ class TestBasicRuns:
             ),
             no_failures(),
             KrevatPolicy(),
-            cfg(backfill=BackfillMode.AGGRESSIVE),
+            SimulationConfig(backfill=BackfillMode.AGGRESSIVE),
         )
         recs = {r.job_id: r for r in report.records}
         assert recs[2].start < recs[1].start
@@ -114,7 +112,7 @@ class TestBasicRuns:
             ),
             no_failures(),
             KrevatPolicy(),
-            cfg(backfill=BackfillMode.EASY),
+            SimulationConfig(backfill=BackfillMode.EASY),
         )
         recs = {r.job_id: r for r in report.records}
         assert recs[2].start >= recs[1].start
@@ -129,7 +127,7 @@ class TestBasicRuns:
             ),
             no_failures(),
             KrevatPolicy(),
-            cfg(backfill=BackfillMode.EASY),
+            SimulationConfig(backfill=BackfillMode.EASY),
         )
         recs = {r.job_id: r for r in report.records}
         assert recs[2].start < recs[1].start
@@ -138,18 +136,18 @@ class TestBasicRuns:
 class TestValidation:
     def test_unschedulable_size_rejected(self):
         with pytest.raises(SimulationError, match="no rectangular"):
-            simulate(wl(Job(0, 0.0, 11, 10.0)), no_failures(), KrevatPolicy(), cfg())
+            simulate(wl(Job(0, 0.0, 11, 10.0)), no_failures(), KrevatPolicy(), SimulationConfig())
 
     def test_wrong_failure_log_size_rejected(self):
         with pytest.raises(SimulationError, match="map_node_ids"):
-            simulate(wl(Job(0, 0.0, 1, 1.0)), FailureLog(350), KrevatPolicy(), cfg())
+            simulate(wl(Job(0, 0.0, 1, 1.0)), FailureLog(350), KrevatPolicy(), SimulationConfig())
 
 
 class TestFailures:
     def test_failure_kills_and_restarts(self):
         # Job runs 100 s from t=0 on the whole machine; failure at t=50.
         log = FailureLog(N, [FailureEvent(50.0, 0)])
-        report = simulate(wl(Job(0, 0.0, 128, 100.0)), log, KrevatPolicy(), cfg())
+        report = simulate(wl(Job(0, 0.0, 128, 100.0)), log, KrevatPolicy(), SimulationConfig())
         rec = report.records[0]
         assert rec.restarts == 1
         assert rec.finish == 150.0          # 50 wasted + fresh 100 s run
@@ -161,19 +159,19 @@ class TestFailures:
         # Krevat places the 64-node job as (2,4,8) at x in {0,1}; a
         # failure at x=3 lands in the free half.
         log = FailureLog(N, [FailureEvent(50.0, D.index((3, 0, 0)))])
-        report = simulate(wl(Job(0, 0.0, 64, 100.0)), log, KrevatPolicy(), cfg())
+        report = simulate(wl(Job(0, 0.0, 64, 100.0)), log, KrevatPolicy(), SimulationConfig())
         assert report.records[0].restarts == 0
         assert report.counters.failures_idle == 1
 
     def test_failure_at_exact_finish_is_harmless(self):
         log = FailureLog(N, [FailureEvent(100.0, 0)])
-        report = simulate(wl(Job(0, 0.0, 128, 100.0)), log, KrevatPolicy(), cfg())
+        report = simulate(wl(Job(0, 0.0, 128, 100.0)), log, KrevatPolicy(), SimulationConfig())
         assert report.records[0].restarts == 0
 
     def test_repeated_failures_repeated_restarts(self):
         # Run 1: 0-50 (killed); run 2: 50-120 (killed); run 3: 120-220.
         log = FailureLog(N, [FailureEvent(50.0, 0), FailureEvent(120.0, 0)])
-        report = simulate(wl(Job(0, 0.0, 128, 100.0)), log, KrevatPolicy(), cfg())
+        report = simulate(wl(Job(0, 0.0, 128, 100.0)), log, KrevatPolicy(), SimulationConfig())
         rec = report.records[0]
         assert rec.restarts == 2
         assert rec.finish == 220.0
@@ -187,7 +185,7 @@ class TestFailures:
             wl(Job(0, 0.0, 128, 100.0), Job(1, 1.0, 128, 100.0)),
             log,
             KrevatPolicy(),
-            cfg(backfill=BackfillMode.NONE),
+            SimulationConfig(backfill=BackfillMode.NONE),
         )
         recs = {r.job_id: r for r in report.records}
         assert recs[0].finish == 150.0
@@ -199,13 +197,13 @@ class TestFailures:
         # first) avoids the failing half entirely.
         log = FailureLog(N, [FailureEvent(50.0, D.index((0, 0, 0)))])
         policy = BalancingPolicy(BalancingPredictor(log, 1.0))
-        report = simulate(wl(Job(0, 0.0, 64, 100.0)), log, policy, cfg())
+        report = simulate(wl(Job(0, 0.0, 64, 100.0)), log, policy, SimulationConfig())
         assert report.records[0].restarts == 0
         assert report.counters.failures_idle == 1
 
     def test_krevat_suffers_where_balancing_does_not(self):
         log = FailureLog(N, [FailureEvent(50.0, 0)])
-        krevat = simulate(wl(Job(0, 0.0, 64, 100.0)), log, KrevatPolicy(), cfg())
+        krevat = simulate(wl(Job(0, 0.0, 64, 100.0)), log, KrevatPolicy(), SimulationConfig())
         assert krevat.records[0].restarts == 1  # placed at origin corner
 
 
@@ -233,10 +231,10 @@ class TestMigration:
                 return super().choose_partition(index, state, now)
 
         with_migration = simulate(
-            wl(*jobs), no_failures(), FragmentingPolicy(), cfg(migration=True)
+            wl(*jobs), no_failures(), FragmentingPolicy(), SimulationConfig(migration=True)
         )
         without = simulate(
-            wl(*jobs), no_failures(), FragmentingPolicy(), cfg(migration=False)
+            wl(*jobs), no_failures(), FragmentingPolicy(), SimulationConfig(migration=False)
         )
         recs_m = {r.job_id: r for r in with_migration.records}
         recs_n = {r.job_id: r for r in without.records}
@@ -265,7 +263,7 @@ class TestMigration:
             wl(*jobs),
             no_failures(),
             FragmentingPolicy(),
-            cfg(migration=True, migration_cost_s=60.0),
+            SimulationConfig(migration=True, migration_cost_s=60.0),
         )
         moved = [r for r in report.records if r.job_id in (0, 1) and r.lost_work > 0]
         assert moved, "at least one migrated job should be charged"
@@ -277,8 +275,8 @@ class TestCheckpointIntegration:
     def test_periodic_checkpoint_reduces_lost_work(self):
         log = FailureLog(N, [FailureEvent(950.0, 0)])
         job = Job(0, 0.0, 128, 1000.0)
-        plain = simulate(wl(job), log, KrevatPolicy(), cfg())
-        ckpt_cfg = cfg(
+        plain = simulate(wl(job), log, KrevatPolicy(), SimulationConfig())
+        ckpt_cfg = SimulationConfig(
             checkpoint=CheckpointConfig(
                 mode=CheckpointMode.PERIODIC, interval_s=100.0, overhead_s=1.0
             )
@@ -291,7 +289,7 @@ class TestCheckpointIntegration:
 
     def test_checkpoint_overhead_extends_wall_time(self):
         job = Job(0, 0.0, 128, 1000.0)
-        ckpt_cfg = cfg(
+        ckpt_cfg = SimulationConfig(
             checkpoint=CheckpointConfig(
                 mode=CheckpointMode.PERIODIC, interval_s=100.0, overhead_s=10.0
             )
@@ -319,7 +317,7 @@ class TestConservation:
             for _ in range(n_fail)
         ]
         log = FailureLog(N, events)
-        report = simulate(wl(*jobs), log, KrevatPolicy(), cfg())
+        report = simulate(wl(*jobs), log, KrevatPolicy(), SimulationConfig())
         assert report.timing.n_jobs == n_jobs
         cap = report.capacity
         assert cap.utilized + cap.unused + cap.lost == pytest.approx(1.0)
@@ -340,6 +338,6 @@ class TestConservation:
         log = FailureLog(N, [FailureEvent(500.0, int(rng.integers(N)))])
         p1 = BalancingPolicy(BalancingPredictor(log, 0.5))
         p2 = BalancingPolicy(BalancingPredictor(log, 0.5))
-        r1 = simulate(wl(*jobs), log, p1, cfg(seed=7))
-        r2 = simulate(wl(*jobs), log, p2, cfg(seed=7))
+        r1 = simulate(wl(*jobs), log, p1, SimulationConfig(seed=7))
+        r2 = simulate(wl(*jobs), log, p2, SimulationConfig(seed=7))
         assert r1.records == r2.records

@@ -473,7 +473,7 @@ class TestWorkerLoop:
             **plain, "pf_rule": "MAX",
             "config": {
                 name: value for name, value in plain["config"].items()
-                if name not in ("trace", "profile", "check_invariants")
+                if name not in ("trace", "profile")
             } | {"dims": [4, 4, 8]},
         }
         for old in (
@@ -499,6 +499,21 @@ class TestWorkerLoop:
             assert queue.counts() == {"tasks": 0, "claims": 0, "failed": 1, "cells": 0}
             record = json.loads((queue.failed_dir / f"{key}.json").read_text())
             assert record["error_type"] == "GarbledTask"
+
+    def test_task_with_a_retired_config_field_is_garbled(self, tmp_path, grid):
+        """A task filed before ``SimulationConfig`` lost its
+        ``check_invariants`` field (every other field current) is a dead
+        letter, not a crash and not a run from the fields that remain."""
+        points, seeds = grid
+        queue = WorkQueue(tmp_path)
+        (key, args), *_ = _calls(points, seeds)
+        record = to_plain(QueueTask(*args))
+        record["point"]["config"]["check_invariants"] = True
+        _file_record(queue.tasks_dir, key, record)
+        assert run_worker(tmp_path, idle_exit_s=0.0) == 0
+        assert queue.counts() == {"tasks": 0, "claims": 0, "failed": 1, "cells": 0}
+        failed = json.loads((queue.failed_dir / f"{key}.json").read_text())
+        assert failed["error_type"] == "GarbledTask"
 
     def test_record_filed_under_the_wrong_key_is_garbled(self, tmp_path, grid):
         """A checkpoint is trusted by key, so a worker must never write

@@ -7,16 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.migration import CompactionPlan, apply_compaction
-from repro.errors import (
-    GeometryError,
-    InvariantViolationError,
-    PartitionOverlapError,
-    UnknownJobError,
-)
+from repro.errors import GeometryError, PartitionOverlapError, UnknownJobError
 from repro.geometry.coords import BGL_SUPERNODE_DIMS, TorusDims
 from repro.geometry.partition import Partition
 from repro.geometry.torus import FREE, Torus, circular_window_sum
-from repro.testing import InvariantChecker
+from tests.oracles import InvariantChecker, InvariantViolationError, check_rebuilt_grid
 
 D = BGL_SUPERNODE_DIMS
 
@@ -94,7 +89,7 @@ class TestAllocation:
         with pytest.raises(PartitionOverlapError):
             t.allocate(2, Partition((1, 1, 1), (2, 2, 2)))
         # failed allocation must not corrupt state
-        t.check_invariants()
+        check_rebuilt_grid(t)
         assert t.free_count == 120
 
     def test_double_allocation_rejected(self):
@@ -128,7 +123,7 @@ class TestAllocation:
         assert t.owner((0, 0, 0)) == 5
         assert t.owner((3, 3, 7)) == 5
         assert t.free_count == 120
-        t.check_invariants()
+        check_rebuilt_grid(t)
 
     def test_is_free_and_free_nodes_in(self):
         t = make_torus()
@@ -212,7 +207,7 @@ class TestAllocationProperties:
                 placed.append((i, p))
             except PartitionOverlapError:
                 pass
-        t.check_invariants()
+        check_rebuilt_grid(t)
         assert t.busy_count == sum(p.size for _, p in placed)
         # A compaction releases every job, then re-places each one (here
         # all shifted by one along z: a translation keeps them disjoint).
@@ -221,22 +216,22 @@ class TestAllocationProperties:
             for i, p in placed
         )
         apply_compaction(t, CompactionPlan(shifted, ()), head_id=-1)
-        t.check_invariants()
+        check_rebuilt_grid(t)
         InvariantChecker().check(t)
         assert t.busy_count == sum(p.size for _, p in placed)
         for i, p in reversed(placed):
             t.release(i)
         assert t.free_count == dims.volume
-        t.check_invariants()
+        check_rebuilt_grid(t)
 
     def test_counter_moved_behind_the_maps_back_fails_both_checkers(self):
         t = make_torus()
         t.allocate(0, Partition((0, 0, 0), (2, 2, 2)))
-        t.check_invariants()
+        check_rebuilt_grid(t)
         InvariantChecker().check(t)
         t._free += 1
         with pytest.raises(GeometryError, match="conservation"):
-            t.check_invariants()
+            check_rebuilt_grid(t)
         with pytest.raises(InvariantViolationError, match="free-count"):
             InvariantChecker().check(t)
 

@@ -49,16 +49,16 @@ from repro.api import SimulationSetup
 from repro.core.config import SimulationConfig
 from repro.core.policies.base import MAX_TRACED_CANDIDATES
 from repro.core.policies.registry import make_policy
-from repro.core.simulator import Simulator
 from repro.failures.events import FailureLog
 from repro.obs.trace import TraceRecorder
+from tests.oracles import CheckedSimulator
 
 
 def deep_queue_inputs():
     setup = SimulationSetup(
         site="sdsc", n_jobs=160, n_failures=160, policy="balancing",
         parameter=0.1, seed=0,
-        config=SimulationConfig(check_invariants=True, trace=True),
+        config=SimulationConfig(trace=True),
     )
     return (*setup.build_inputs(), setup.config)
 
@@ -66,7 +66,7 @@ def deep_queue_inputs():
 def krevat_inputs():
     setup = SimulationSetup(
         site="sdsc", n_jobs=60, n_failures=60, policy="krevat", seed=3,
-        config=SimulationConfig(check_invariants=True, trace=True),
+        config=SimulationConfig(trace=True),
     )
     return (*setup.build_inputs(), setup.config)
 
@@ -78,9 +78,7 @@ def tiebreak_inputs():
     setup = SimulationSetup(
         site="sdsc", n_jobs=60, n_failures=60, policy="tiebreak",
         parameter=1.0, seed=3,
-        config=SimulationConfig(
-            check_invariants=True, trace=True, migration_cost_s=10.0
-        ),
+        config=SimulationConfig(trace=True, migration_cost_s=10.0),
     )
     workload = setup.build_workload()
     base = setup.build_failures(workload)
@@ -120,8 +118,8 @@ def written(request, tmp_path_factory):
     tmp = tmp_path_factory.mktemp(request.param)
     streamed = tmp / "streamed.ndjson"
     with streamed.open("w", encoding="utf-8") as sink:
-        Simulator(*inputs(), recorder=TraceRecorder(sink=sink)).run()
-    sim = Simulator(*inputs())
+        CheckedSimulator(*inputs(), recorder=TraceRecorder(sink=sink)).run()
+    sim = CheckedSimulator(*inputs())
     sim.run()
     buffered = sim.recorder.write(tmp / "buffered.ndjson")
     return pinned, streamed.read_bytes(), buffered.read_bytes(), sim.recorder.records

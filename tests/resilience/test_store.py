@@ -27,12 +27,20 @@ from repro.errors import ResilienceError
 from repro.core.simulator import Simulator
 from repro.experiments.sweep import SweepPoint, cell_inputs
 from repro.failures.synthetic import BurstFailureModel
+from repro.metrics.serialize import SCHEMA_VERSION as REPORT_SCHEMA_VERSION
 from repro.metrics.serialize import report_to_dict
+from repro.records import to_plain
 from repro.resilience import CellStore, cell_key
 from repro.resilience.store import TMP_PREFIX
 
 POINT = SweepPoint("nasa", 12, 1.0, 2, "balancing", 0.3)
 MODEL = BurstFailureModel()
+
+
+def _sha256(value) -> str:
+    """SHA-256 of ``value``'s canonical JSON, as the store hashes."""
+    canonical = json.dumps(value, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -151,6 +159,31 @@ class TestCorruptionDetection:
         assert (store.hits, store.misses, store.corrupt) == (0, 1, 1)
         assert store.validate() == [f"{key}.json: fails integrity check"]
 
+    def test_schema_2_cell_is_a_counted_miss_never_restored(self, tmp_path, report):
+        """A cell the schema-2 store wrote — its key hashed from a config
+        that still had ``check_invariants`` — is not found under the
+        schema-3 key, and filed under it is a counted miss."""
+        store = CellStore(tmp_path)
+        key = cell_key(POINT, 0, MODEL)
+        plain = to_plain(POINT)
+        plain["config"]["check_invariants"] = False
+        old_key = _sha256({
+            "checkpoint_schema": 2, "report_schema": REPORT_SCHEMA_VERSION,
+            "point": plain, "seed": 0, "model": to_plain(MODEL),
+        })
+        assert old_key != key
+        payload = report_to_dict(report)
+        for filed_under in (old_key, key):
+            store.path_for(filed_under).write_text(json.dumps({
+                "schema": 2, "key": filed_under, "point_index": 0, "seed": 0,
+                "payload": payload, "payload_sha256": _sha256(payload),
+            }))
+            assert store.get(key) is None
+        assert (store.hits, store.misses, store.corrupt) == (0, 2, 1)
+        assert sorted(store.validate()) == sorted(
+            f"{k}.json: fails integrity check" for k in (old_key, key)
+        )
+
     def test_non_finite_number_is_a_miss_not_an_exception(self, tmp_path, report):
         """``1e999`` parses to infinity; the strict digest must reject
         the file, not raise out of ``get``."""
@@ -226,8 +259,7 @@ class TestCellKey:
         for flags in (
             dict(trace=True),
             dict(profile=True),
-            dict(check_invariants=True),
-            dict(trace=True, profile=True, check_invariants=True),
+            dict(trace=True, profile=True),
         ):
             toggled = dataclasses.replace(
                 POINT, config=SimulationConfig(**flags)
@@ -251,13 +283,13 @@ class TestCellKey:
         else:
             assert changed != cell_key(POINT, 0, MODEL)
 
-    def test_three_fields_are_marked_observational(self):
+    def test_observational_fields_are_trace_and_profile(self):
         marked = {
             f.name
             for f in dataclasses.fields(SimulationConfig)
             if f.metadata.get("observational")
         }
-        assert marked == {"trace", "profile", "check_invariants"}
+        assert marked == {"trace", "profile"}
 
 
 def _perturbed(value):

@@ -29,17 +29,15 @@ FIXTURES = Path(__file__).resolve().parent / "fixtures"
 SCENARIOS = {
     "golden_nasa_krevat": SimulationSetup(
         site="nasa", n_jobs=30, n_failures=0, policy="krevat", seed=7,
-        config=SimulationConfig(check_invariants=True),
     ),
     "golden_nasa_balancing": SimulationSetup(
         site="nasa", n_jobs=40, n_failures=12, policy="balancing",
         parameter=0.5, seed=7,
-        config=SimulationConfig(check_invariants=True),
     ),
     "golden_sdsc_tiebreak": SimulationSetup(
         site="sdsc", n_jobs=40, n_failures=25, policy="tiebreak",
         parameter=0.9, seed=7,
-        config=SimulationConfig(check_invariants=True, migration_cost_s=10.0),
+        config=SimulationConfig(migration_cost_s=10.0),
     ),
 }
 
@@ -69,8 +67,9 @@ def render(report: SimulationReport) -> str:
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_golden_trace(name):
+def test_golden_trace(name, checked_engine):
     rendered = render(SCENARIOS[name].run())
+    assert len(checked_engine) == 1  # the run was a checked one
     path = FIXTURES / f"{name}.txt"
     if os.environ.get("GOLDEN_REGEN"):
         path.write_text(rendered, encoding="utf-8")
@@ -81,6 +80,6 @@ def test_golden_trace(name):
     )
 
 
-def test_render_is_deterministic():
+def test_render_is_deterministic(checked_engine):
     report = SCENARIOS["golden_nasa_krevat"].run()
     assert render(report) == render(report)

@@ -31,7 +31,7 @@ from repro.geometry.torus import Torus
 from repro.prediction.balancing import BalancingPredictor
 from repro.prediction.base import PartitionFailureRule, combine_probabilities
 from repro.prediction.tiebreak import TieBreakPredictor
-from repro.testing import random_torus
+from tests.oracles import random_torus
 
 LINE = TorusDims(1, 1, 8)  # a ring of 8 nodes: losses computable by hand
 

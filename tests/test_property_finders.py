@@ -16,7 +16,7 @@ from repro.allocation.base import PartitionFinder
 from repro.geometry.coords import TorusDims
 from repro.geometry.shapes import schedulable_sizes, shapes_for_size
 from repro.geometry.torus import Torus
-from repro.testing import CrossValidator, random_torus
+from tests.oracles import CrossValidator, random_torus
 
 # Small machines keep the naive O(M^9)-class reference affordable while
 # still covering wrap-around, full-axis spans and heavy fragmentation.
@@ -98,7 +98,7 @@ class TestFindFreeProperties:
         """Allocating any found partition removes it from (and never
         adds to) the free set — exercised through the real mutation
         path, with the invariant oracle watching."""
-        from repro.testing import InvariantChecker
+        from tests.oracles import InvariantChecker
 
         size = data.draw(st.sampled_from(schedulable_sizes(torus.dims)))
         validator = CrossValidator()

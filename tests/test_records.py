@@ -70,7 +70,6 @@ configs = st.builds(
         hit_probability=unit,
     ),
     seed=st.integers(),
-    check_invariants=st.booleans(),
     trace=st.booleans(),
     profile=st.booleans(),
     max_events=counts,

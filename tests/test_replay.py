@@ -14,6 +14,7 @@ import pytest
 from repro.api import SimulationSetup, quick_simulate
 from repro.core.config import BackfillMode, SimulationConfig
 from repro.metrics.serialize import report_to_json
+from tests.oracles import checking
 
 SCENARIOS = [
     dict(site="nasa", n_jobs=30, n_failures=0, policy="krevat", parameter=0.0),
@@ -36,20 +37,21 @@ class TestReplay:
 
     @pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda s: s["policy"])
     def test_oracles_do_not_perturb(self, scenario):
-        assert run(scenario) == run(scenario, check_invariants=True)
+        plain = run(scenario)
+        with checking() as checked_sims:
+            checked = run(scenario)
+        (sim,) = checked_sims
+        assert sim.oracles.stats()["invariant_checks"] > 0
+        assert checked == plain
 
     def test_different_seed_different_workload(self):
         a = run(SCENARIOS[1], seed=7)
         b = run(SCENARIOS[1], seed=8)
         assert a != b  # different synthetic draw, different trace
 
-    def test_replay_under_alternative_config(self):
+    def test_replay_under_alternative_config(self, checked_engine):
         """Determinism holds off the default config path too."""
-        kw = dict(
-            backfill=BackfillMode.AGGRESSIVE,
-            migration_cost_s=15.0,
-            check_invariants=True,
-        )
+        kw = dict(backfill=BackfillMode.AGGRESSIVE, migration_cost_s=15.0)
         assert run(SCENARIOS[2], **kw) == run(SCENARIOS[2], **kw)
 
     def test_quick_simulate_replays(self):

@@ -5,9 +5,8 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.errors import InvariantViolationError
 from repro.metrics.capacity import CapacityTracker
-from repro.testing import CapacityOracle
+from tests.oracles import CapacityOracle, InvariantViolationError
 
 N = 128
 

@@ -13,11 +13,15 @@ import pytest
 from repro.allocation.base import PartitionFinder
 from repro.allocation.fast import FastFinder
 from repro.allocation.naive import NaiveFinder
-from repro.errors import CrossValidationError
 from repro.geometry.coords import TorusDims
 from repro.geometry.partition import Partition
 from repro.geometry.torus import Torus
-from repro.testing import CrossValidator, default_finders, random_torus
+from tests.oracles import (
+    CrossValidationError,
+    CrossValidator,
+    default_finders,
+    random_torus,
+)
 
 DIMS = TorusDims(3, 3, 4)
 

@@ -8,8 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.events import Event, EventKind, EventQueue
-from repro.errors import InvariantViolationError
-from repro.testing import EventOrderOracle
+from tests.oracles import EventOrderOracle, InvariantViolationError
 
 
 def ev(time: float, kind: EventKind, seq: int = 0) -> Event:

@@ -1,9 +1,13 @@
-"""Integration tests: the oracle harness wired into the simulator.
+"""Integration tests: the oracle harness attached to the simulator.
 
-Acceptance criteria exercised here:
+The harness reaches a run only from the test side —
+:class:`~tests.oracles.CheckedSimulator`, or the ``checked_engine``
+fixture for runs built inside the package.  Exercised here:
 
-* enabling ``check_invariants`` on the seed quickstart scenario runs
-  clean, with every oracle demonstrably exercised;
+* the seed quickstart scenario runs clean under the harness, with every
+  oracle demonstrably exercised, on the production and the reference
+  engine alike;
+* a plain :class:`Simulator` carries no harness;
 * a deliberately corrupted occupancy grid raises a checker error from
   inside the run (negative test via a sabotaging policy).
 """
@@ -15,12 +19,22 @@ import pytest
 from repro.api import quick_simulate
 from repro.core.config import SimulationConfig
 from repro.core.policies.krevat import KrevatPolicy
+from repro.core.events import EventQueue
 from repro.core.simulator import Simulator
-from repro.errors import InvariantViolationError, OracleError
 from repro.failures.events import FailureLog
 from repro.geometry.coords import BGL_SUPERNODE_DIMS
-from repro.testing import SimulationOracleHarness, assert_raises_oracle
+from repro.metrics.capacity import CapacityTracker
 from repro.workloads.job import Job, Workload
+from tests.oracles import (
+    CheckedOracleSimulator,
+    CheckedSimulator,
+    InvariantViolationError,
+    OracleError,
+    RebuildIndexCache,
+    SimulationOracleHarness,
+    assert_raises_oracle,
+    checking,
+)
 
 
 def small_workload(n: int = 12) -> Workload:
@@ -32,7 +46,7 @@ def small_workload(n: int = 12) -> Workload:
 
 
 class TestInstrumentedRuns:
-    def test_quickstart_scenario_runs_clean(self):
+    def test_quickstart_scenario_runs_clean(self, checked_engine):
         report = quick_simulate(
             site="nasa",
             n_jobs=40,
@@ -40,41 +54,60 @@ class TestInstrumentedRuns:
             policy="balancing",
             confidence=0.5,
             seed=0,
-            config=SimulationConfig(check_invariants=True),
         )
         assert report.timing.n_jobs == 40
+        (sim,) = checked_engine
+        assert sim.oracles.stats()["invariant_checks"] > 0
 
     def test_oracles_actually_exercised(self):
-        sim = Simulator(
-            small_workload(),
-            FailureLog(128),
-            KrevatPolicy(),
-            SimulationConfig(check_invariants=True),
-        )
+        sim = CheckedSimulator(small_workload(), FailureLog(128), KrevatPolicy())
         sim.run()
         stats = sim.oracles.stats()
         assert stats["invariant_checks"] > 0
-        assert stats["batches_observed"] > 0
+        assert stats["batches_observed"] == stats["invariant_checks"]
         assert stats["capacity_samples"] > stats["batches_observed"] // 2
 
-    def test_flag_off_attaches_nothing(self):
+    def test_reference_engine_carries_the_harness(self):
+        sim = CheckedOracleSimulator(
+            small_workload(), FailureLog(128), KrevatPolicy()
+        )
+        assert isinstance(sim._index_cache, RebuildIndexCache)
+        report = sim.run()
+        assert sim.oracles.stats()["invariant_checks"] > 0
+        plain = Simulator(small_workload(), FailureLog(128), KrevatPolicy())
+        assert report == plain.run()
+
+    def test_plain_simulator_carries_no_harness(self):
         sim = Simulator(small_workload(), FailureLog(128), KrevatPolicy())
-        assert sim.oracles is None
+        assert not hasattr(sim, "oracles")
+        assert type(sim.events) is EventQueue
+        assert type(sim.tracker) is CapacityTracker
         sim.run()
 
+    def test_checking_rebinds_and_restores_the_engine(self):
+        import repro.api
+        import repro.core.simulator
+
+        with checking() as built:
+            assert issubclass(repro.api.Simulator, CheckedSimulator)
+            assert repro.core.simulator.Simulator is repro.api.Simulator
+            quick_simulate(site="nasa", n_jobs=10, n_failures=2, seed=1)
+        assert len(built) == 1
+        assert repro.api.Simulator is Simulator
+        assert repro.core.simulator.Simulator is Simulator
+
     def test_instrumented_report_identical(self):
-        """The harness is observational: same report with the flag on."""
+        """The harness is observational: same report under it."""
         kwargs = dict(site="nasa", n_jobs=30, n_failures=5, policy="balancing",
                       confidence=0.3, seed=2)
         plain = quick_simulate(**kwargs)
-        checked = quick_simulate(
-            **kwargs, config=SimulationConfig(check_invariants=True)
-        )
+        with checking():
+            checked = quick_simulate(**kwargs)
         assert plain.records == checked.records
         assert plain.capacity == checked.capacity
         assert plain.timing == checked.timing
 
-    def test_migration_and_failures_under_oracles(self):
+    def test_migration_and_failures_under_oracles(self, checked_engine):
         """Compaction + kills, the riskiest mutation paths, stay clean."""
         report = quick_simulate(
             site="sdsc",
@@ -83,17 +116,18 @@ class TestInstrumentedRuns:
             policy="tiebreak",
             confidence=0.9,
             seed=3,
-            config=SimulationConfig(check_invariants=True, migration_cost_s=30.0),
+            config=SimulationConfig(migration_cost_s=30.0),
         )
         assert report.counters.failures_total == 40
+        assert len(checked_engine) == 1
 
 
 class CorruptingPolicy(KrevatPolicy):
     """Sabotage: stamps one *occupied* node with a bogus job id mid-run.
 
-    The bogus id is non-FREE, so the uninstrumented engine behaves
-    identically (the node already looked busy and the owner's release
-    later heals the stamp) — only the oracle harness can tell.
+    The bogus id is non-FREE, so a plain engine behaves identically (the
+    node already looked busy and the owner's release later heals the
+    stamp) — only the oracle harness can tell.
     """
 
     def __init__(self, after_passes: int) -> None:
@@ -119,19 +153,14 @@ class CorruptingPolicy(KrevatPolicy):
 class TestNegativeWiring:
     def test_midrun_corruption_raises(self):
         policy = CorruptingPolicy(after_passes=2)
-        sim = Simulator(
-            small_workload(),
-            FailureLog(128),
-            policy,
-            SimulationConfig(check_invariants=True),
-        )
+        sim = CheckedSimulator(small_workload(), FailureLog(128), policy)
         policy._torus = sim.torus
         with pytest.raises(InvariantViolationError):
             sim.run()
 
-    def test_corruption_unnoticed_without_flag(self):
-        """Control: the same sabotage passes silently when oracles are
-        off — proof the detection comes from the harness."""
+    def test_corruption_unnoticed_by_plain_simulator(self):
+        """Control: the same sabotage passes silently through a plain
+        ``Simulator`` — proof the detection comes from the harness."""
         policy = CorruptingPolicy(after_passes=2)
         sim = Simulator(small_workload(), FailureLog(128), policy)
         policy._torus = sim.torus

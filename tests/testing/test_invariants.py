@@ -5,11 +5,16 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.errors import InvariantViolationError
 from repro.geometry.coords import TorusDims
 from repro.geometry.partition import Partition
 from repro.geometry.torus import FREE, Torus
-from repro.testing import InvariantChecker, corrupt_random_node, random_torus
+from tests.oracles import (
+    InvariantChecker,
+    InvariantViolationError,
+    check_rebuilt_grid,
+    corrupt_random_node,
+    random_torus,
+)
 
 DIMS = TorusDims(4, 4, 8)
 
@@ -103,12 +108,12 @@ class TestCorruptedStates:
 
 
 class TestAgainstTorusBuiltin:
-    """The independent oracle and Torus.check_invariants must agree."""
+    """The two independent occupancy checkers must agree."""
 
     @given(st.integers(0, 2**32 - 1))
     def test_both_accept_clean(self, seed):
         torus = random_torus(TorusDims(3, 3, 4), seed)
-        torus.check_invariants()
+        check_rebuilt_grid(torus)
         InvariantChecker().check(torus)
 
     @given(st.integers(0, 2**32 - 1))
@@ -116,6 +121,6 @@ class TestAgainstTorusBuiltin:
         torus = random_torus(TorusDims(3, 3, 4), seed)
         corrupt_random_node(torus, seed)
         with pytest.raises(Exception):
-            torus.check_invariants()
+            check_rebuilt_grid(torus)
         with pytest.raises(InvariantViolationError):
             InvariantChecker().check(torus)
