@@ -22,6 +22,9 @@ Index benches carry an ``index`` key naming the class they time: the
 production ``PlacementIndex`` or the test-only ``ReferencePlacementIndex``.
 The records are a trajectory, not gates: speed is gated end to end by
 the ``benchmarks/e2e`` workloads.
+``trace_to_file`` carries a ``ratio`` key: its wall time over
+``trace_off``'s, the same simulation untraced, measured in alternation —
+what the decision trace costs (ROADMAP aim 4).
 The last record, ``src_loc``, is not a timing: its ``lines`` key counts
 the non-blank, non-comment lines under ``src/repro`` so the ledger
 tracks code size next to speed (ROADMAP aim 2).
@@ -430,6 +433,47 @@ def bench_master_log_generate(scale: Scale):
     return run, 1
 
 
+def trace_simulations(scale: Scale):
+    """``(untraced, traced)`` runs of one 150-job SDSC balancing (a=0.1)
+    simulation with one failure per job, ``n`` per pass: the same
+    simulation with no recorder, and with the decision recorder
+    streaming to a temp file (what ``bgl-sim run --trace`` does).  Their
+    wall-time ratio is the decision trace's cost at this scale."""
+    import tempfile
+
+    from repro.api import SimulationSetup
+    from repro.core.policies.registry import make_policy
+    from repro.core.simulator import Simulator
+    from repro.obs.trace import TraceRecorder
+
+    setup = SimulationSetup(
+        site="sdsc", n_jobs=150, n_failures=150, policy="balancing", parameter=0.1
+    )
+    workload = setup.build_workload()
+    failures = setup.build_failures(workload)
+    n = max(1, scale.micro_number // 10)
+
+    def simulate(recorder=None):
+        # A fresh policy per run (its predictor caches are per run),
+        # seeded as ``SimulationSetup.build_inputs`` seeds it.
+        policy = make_policy(
+            setup.policy, failure_log=failures, parameter=setup.parameter,
+            seed=setup.seed + 2,
+        )
+        Simulator(workload, failures, policy, setup.config, recorder=recorder).run()
+
+    def untraced():
+        for _ in range(n):
+            simulate()
+
+    def traced():
+        for _ in range(n):
+            with tempfile.TemporaryFile("w", encoding="utf-8") as sink:
+                simulate(TraceRecorder(sink=sink))
+
+    return untraced, traced, n
+
+
 #: Serve-bench overload fixture: size-64 jobs against a 32-job engine
 #: cap, logical clock.  Caps fill almost immediately, so the bench
 #: measures the sustained submission path — admission bookkeeping plus
@@ -586,6 +630,16 @@ def run_benchmarks(scale_name: str, workers: int, out_path: Path) -> list[dict]:
         index = INDEX_CLASS.get(name)
         extra = {"index": index.__name__} if index else {}
         record(name, best_of(run, scale.repeats), ops, **extra)
+
+    # The decision trace's cost: one simulation untraced and traced to a
+    # file, in alternation so host drift falls on both alike.
+    untraced, traced, ops = trace_simulations(scale)
+    off = on = float("inf")
+    for _ in range(scale.repeats):
+        off = min(off, best_of(untraced, 1))
+        on = min(on, best_of(traced, 1))
+    record("trace_off", off, ops)
+    record("trace_to_file", on, ops, ratio=round(on / off, 3))
 
     # Service submission path: in-process and over the TCP transport,
     # both on the overload fixture.

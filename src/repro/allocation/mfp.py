@@ -189,6 +189,29 @@ class CandidateBatch:
             part = table.parts[j] = Partition((x, y, z), table.all_shapes[table.rows[j]])
         return part
 
+    def column_text(self, rows: slice | np.ndarray) -> tuple[str, str]:
+        """The ``base`` and ``shape`` columns of candidate ``rows`` as
+        JSON array text (decision tracing): the bytes ``canonical_json``
+        gives their ``tolist()``, joined from the per-dims text tables
+        (:meth:`_DimsTables.text`) by free-grid index ``flat * S + row``."""
+        t = _tables(self.dims.as_tuple())
+        table = self._table
+        if table is not None:
+            keys = table.idx[self._sel[rows]].tolist()
+        else:
+            _, Y, Z = t.dims_tuple
+            bases = self.bases[rows].astype(np.intp)
+            flat = (bases[:, 0] * Y + bases[:, 1]) * Z + bases[:, 2]
+            group_rows = [t.row_of[shape] for shape in self.shapes]
+            shape_rows = np.repeat(group_rows, np.diff(self.starts))[rows]
+            keys = (flat * len(t.shapes) + shape_rows).tolist()
+        base_text, shape_text = t.text()
+        n_shapes = len(shape_text)
+        return (
+            "[" + ",".join([base_text[k // n_shapes] for k in keys]) + "]",
+            "[" + ",".join([shape_text[k % n_shapes] for k in keys]) + "]",
+        )
+
     def partitions(self) -> list[Partition]:
         """Materialise every candidate (enumeration order)."""
         return [
@@ -260,6 +283,7 @@ class _DimsTables:
         "coords",
         "_size_rows",
         "_size_tables",
+        "_text",
     )
 
     def __init__(self, dims_tuple: Coord) -> None:
@@ -354,6 +378,7 @@ class _DimsTables:
             self.oxy = None
         self._size_rows: dict[int, np.ndarray] = {}
         self._size_tables: dict[int, _SizeTable] = {}
+        self._text: tuple[list[str], list[str]] | None = None
 
     @staticmethod
     def _axis_overlap(
@@ -374,6 +399,17 @@ class _DimsTables:
                 pos = (b + np.arange(a)) % period
                 out[a - 1, b] = member[pos].sum(axis=0)[:, t_idx]  # (q, S)
         return out
+
+    def text(self) -> tuple[list[str], list[str]]:
+        """JSON text of every base coordinate (by flat index) and of
+        every shape (by shape row), ``"[x,y,z]"`` each: what a traced
+        ``considered`` column is joined from.  Built on first use."""
+        if self._text is None:
+            self._text = tuple(
+                ["[%d,%d,%d]" % (x, y, z) for x, y, z in triples.tolist()]
+                for triples in (self.coords, self.ext)
+            )
+        return self._text
 
     def size_rows(self, size: int) -> np.ndarray:
         """Shape rows of every shape with volume ``size`` that fits,

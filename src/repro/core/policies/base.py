@@ -17,6 +17,7 @@ from repro.core.jobstate import JobState
 from repro.geometry.partition import Partition
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_RECORDER
+from repro.records import canonical_json, json_string
 
 #: Per-decision cap on candidates detailed in one trace record; the
 #: record's ``n_candidates`` always carries the uncapped count.
@@ -109,30 +110,21 @@ class SchedulingPolicy(abc.ABC):
         policy computed, never a value derived from them.  The first
         :data:`MAX_TRACED_CANDIDATES` rows become ``considered``, a
         column table ``{"base": [...], "shape": [...], <score>: [...]}``
-        built from the batch arrays — no :class:`Partition` per
-        candidate; ``truncated`` says whether any were left out and
-        ``n_candidates`` is the whole batch.
+        written straight as JSON text — ``base`` / ``shape`` joined from
+        the per-dims text tables (:meth:`CandidateBatch.column_text`),
+        each score column one ``canonical_json`` of its ``tolist()`` —
+        with no :class:`Partition` per candidate; ``truncated`` says
+        whether any were left out and ``n_candidates`` is the whole
+        batch.
         """
         n_examined = len(batch) if rows is None else len(rows)
         shown = slice(0, MAX_TRACED_CANDIDATES)
-        examined = shown if rows is None else rows[shown]
-        considered = {
-            "base": batch.bases[examined].tolist(),
-            "shape": batch.shape_rows()[examined].tolist(),
-        }
+        base, shape = batch.column_text(shown if rows is None else rows[shown])
+        columns = {"base": base, "shape": shape}
         for key, column in scores.items():
-            considered[key] = column[shown].tolist()
+            columns[key] = canonical_json(column[shown].tolist())
+        considered = ",".join([json_string(key) + ":" + columns[key] for key in sorted(columns)])
         self.recorder.emit(
-            "candidates",
-            now,
-            job=state.job_id,
-            size=state.size,
-            policy=self.name,
-            n_candidates=len(batch),
-            considered=considered,
-            truncated=n_examined > MAX_TRACED_CANDIDATES,
-            chosen={
-                "base": [int(x) for x in chosen.base],
-                "shape": [int(x) for x in chosen.shape],
-            },
+            "candidates", now, state.job_id, state.size, self.name, len(batch),
+            "{" + considered + "}", n_examined > MAX_TRACED_CANDIDATES, chosen,
         )

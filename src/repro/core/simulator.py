@@ -351,9 +351,7 @@ class Simulator:
         ):
             return  # ARRIVAL from a life that was cancelled before it landed
         if self.recorder.enabled:
-            self.recorder.emit(
-                "arrival", now, job=job_id, size=self.states[job_id].size
-            )
+            self.recorder.emit("arrival", now, job_id, self.states[job_id].size)
         self._enqueue(self.states[job_id])
 
     def _on_finish(self, job_id: int, epoch: int, now: float) -> None:
@@ -361,7 +359,7 @@ class Simulator:
         if state.epoch != epoch or not state.running:
             return  # stale FINISH from an execution a failure destroyed
         if self.recorder.enabled:
-            self.recorder.emit("finish", now, job=job_id)
+            self.recorder.emit("finish", now, job_id)
         self.torus.release(job_id)
         state.complete(now)
         self.records.append(state.to_record())
@@ -370,7 +368,7 @@ class Simulator:
         self.counters.failures_total += 1
         owner = self.torus.owner_by_index(node)
         if self.recorder.enabled:
-            self.recorder.emit("failure", now, node=node, killed_job=owner)
+            self.recorder.emit("failure", now, node, owner)
         if owner is None:
             self.counters.failures_idle += 1
             return
@@ -510,8 +508,8 @@ class Simulator:
             if partition is not None:
                 if self.recorder.enabled:
                     self.recorder.emit(
-                        "backfill", now, job=state.job_id, head_job=head.job_id,
-                        shadow=shadow if easy else None, est_wall=est_wall,
+                        "backfill", now, state.job_id, head.job_id,
+                        shadow if easy else None, est_wall,
                     )
                 self._dispatch(state, partition, now, via="backfill")
                 self.counters.backfills += 1
@@ -529,10 +527,8 @@ class Simulator:
         epoch = state.dispatch(now, wall, now + state.est_wall)
         if self.recorder.enabled:
             self.recorder.emit(
-                "dispatch", now, job=state.job_id, size=state.size,
-                base=[int(x) for x in partition.base],
-                shape=[int(x) for x in partition.shape],
-                via=via, wall=wall, est_finish=state.est_finish,
+                "dispatch", now, state.job_id, state.size, partition.base,
+                partition.shape, via, wall, state.est_finish,
             )
         if self.metrics is not None:
             self.metrics.counter("sim.dispatches").inc()

@@ -70,7 +70,7 @@ def run_cell(
     per-cell wall-clock timeout live here so they apply identically
     either way.  With ``with_obs`` the second element is the cell's
     picklable observability payload (metrics snapshot, plus the buffered
-    trace records when the point's config traces), else ``None``.
+    trace lines when the point's config traces), else ``None``.
     """
     sweep_mod.MASTER_FAILURE_COUNT = master_failure_count
     with cell_timeout(timeout_s):
@@ -79,8 +79,8 @@ def run_cell(
         report = simulator.run()
     if not with_obs:
         return report, None
-    records = simulator.recorder.records if simulator.recorder.enabled else None
-    return report, CellObs(simulator.metrics.to_dict(), records)
+    lines = simulator.recorder.lines if simulator.recorder.enabled else None
+    return report, CellObs(simulator.metrics.to_dict(), lines)
 
 
 # ----------------------------------------------------------------------

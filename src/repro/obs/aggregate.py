@@ -2,8 +2,9 @@
 
 A parallel sweep runs its ``(point, seed)`` cells in worker processes;
 each worker serialises the cell's metrics registry and (when tracing is
-enabled) its in-memory trace records into a picklable :class:`CellObs`
-payload that rides back to the parent next to the cell's report.
+enabled) its buffered trace lines — already encoded NDJSON — into a
+picklable :class:`CellObs` payload that rides back to the parent next
+to the cell's report; the parent writes them verbatim.
 
 The parent buffers payloads in a :class:`SweepObsCollector` as they
 arrive — in whatever order cells complete — and merges them in
@@ -21,7 +22,7 @@ from typing import Any
 
 from repro.errors import ExperimentError
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import write_trace
+from repro.obs.trace import write_lines
 
 
 @dataclass(frozen=True)
@@ -31,8 +32,10 @@ class CellObs:
     #: :meth:`MetricsRegistry.to_dict` snapshot, or None when the cell
     #: ran without profiling.
     metrics: dict[str, Any] | None
-    #: Buffered trace records, or None when the cell ran untraced.
-    trace_records: list[dict[str, Any]] | None
+    #: The cell recorder's buffered trace lines (newline-terminated
+    #: NDJSON, :attr:`~repro.obs.trace.TraceRecorder.lines`), or None
+    #: when the cell ran untraced.
+    trace_records: list[str] | None
 
 
 def trace_filename(point_index: int, seed_index: int) -> str:
@@ -84,7 +87,7 @@ class SweepObsCollector:
                 self.metrics.merge_dict(obs.metrics)
             if obs.trace_records is not None and self.trace_dir is not None:
                 path = self.trace_dir / trace_filename(*key)
-                write_trace(obs.trace_records, path)
+                write_lines(obs.trace_records, path)
                 self.trace_paths.append(path)
         self._pending.clear()
 

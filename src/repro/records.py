@@ -15,10 +15,15 @@ Three decisions, each made here and nowhere else:
   :func:`parse_json_line`, the one line decoder, calls the C scanner
   directly and hands anything but a bare value to ``json.loads``, so
   every answer and every error is the stdlib's.  Wire lines and trace
-  lines go through these two and nothing else.
-* **A durable write** — :func:`atomic_write_json` never lets a reader
-  (or a power cut) see a partial file; :func:`read_json` answers ``None``
-  for every way a file can be unusable.
+  lines go through these two, with one decided exception: the decision
+  recorder's per-kind line functions (:mod:`repro.obs.trace`) format the
+  six records the engine writes on every decision from ``%`` templates,
+  and the test suite holds them byte-equal to :func:`canonical_json`.
+  They take their string literals from :func:`json_string`.
+* **A durable write** — :func:`atomic_write_text` (and
+  :func:`atomic_write_json` on top of it) never lets a reader (or a
+  power cut) see a partial file; :func:`read_json` answers ``None`` for
+  every way a file can be unusable.
 """
 
 from __future__ import annotations
@@ -51,6 +56,10 @@ _ENCODER = c_make_encoder(
 def canonical_json(obj: Any) -> str:
     """``obj`` as sorted, compact, strict JSON text."""
     return "".join(_ENCODER(obj, 0))
+
+
+#: One string as a JSON literal, exactly as :func:`canonical_json` writes it.
+json_string = encode_basestring_ascii
 
 
 _SCAN = json.JSONDecoder().scan_once
@@ -154,19 +163,19 @@ def record_files(directory: str | Path) -> Iterator[Path]:
             yield Path(directory, name)
 
 
-def atomic_write_json(path: str | Path, obj: Any) -> Path:
-    """Write ``obj`` to ``path`` as canonical JSON, all or nothing.
+def atomic_write_text(path: str | Path, text: str) -> Path:
+    """Write ``text`` to ``path``, all or nothing.
 
     Temp file in the same directory, flushed and fsynced *before* the
     rename, directory fsynced after: a reader sees the old file or the
     new one, and after a power cut the name never points at empty data.
-    An interrupt at any point removes the temp file.
+    A failure or an interrupt at any point removes the temp file.
     """
     path = Path(path)
     tmp = path.with_name(f"{TMP_PREFIX}{path.stem}-{os.getpid()}{path.suffix}")
     try:
         with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(canonical_json(obj))
+            handle.write(text)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, path)
@@ -182,3 +191,9 @@ def atomic_write_json(path: str | Path, obj: Any) -> Path:
         finally:
             os.close(fd)
     return path
+
+
+def atomic_write_json(path: str | Path, obj: Any) -> Path:
+    """Write ``obj`` to ``path`` as canonical JSON, all or nothing
+    (:func:`atomic_write_text`)."""
+    return atomic_write_text(path, canonical_json(obj))

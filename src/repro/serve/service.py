@@ -36,7 +36,7 @@ from typing import Any
 
 from repro.errors import ProtocolError, ServeError
 from repro.obs.log import get_logger
-from repro.records import pretty_json
+from repro.records import atomic_write_text, pretty_json
 from repro.serve.engine import ServeEngine
 from repro.serve.protocol import MAX_LINE_BYTES, decode_line, encode, error_response
 
@@ -232,7 +232,8 @@ def run_service(
                 pass  # no loop signal support here, or not the main thread
         await service.start()
         if ready_file is not None:
-            Path(ready_file).write_text(service.address + "\n", encoding="utf-8")
+            # Atomic: a poller that sees the file sees the whole address.
+            atomic_write_text(ready_file, service.address + "\n")
         await service.serve_until_shutdown()
 
     asyncio.run(_main())

@@ -86,11 +86,14 @@ class TestStrictJson:
             rec.emit("backfill", 0.0, job=1, head_job=0, shadow=bad, est_wall=1.0)
         assert sink.getvalue() == ""
 
-    def test_buffered_write_refuses_non_finite_numbers(self, tmp_path):
+    def test_buffered_emit_refuses_non_finite_numbers(self, tmp_path):
+        """A buffered recorder encodes at ``emit`` as a sink does, so the
+        refusal comes there and nothing is buffered or written."""
         rec = TraceRecorder()
-        rec.emit("backfill", 0.0, job=1, head_job=0, shadow=float("inf"), est_wall=1.0)
         with pytest.raises(ValueError):
-            rec.write(tmp_path / "t.ndjson")
+            rec.emit("backfill", 0.0, job=1, head_job=0, shadow=float("inf"), est_wall=1.0)
+        assert len(rec) == 0 and rec.lines == []
+        assert rec.write(tmp_path / "t.ndjson").read_bytes() == b""
 
 
 class TestNdjsonIO:

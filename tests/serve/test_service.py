@@ -27,6 +27,7 @@ from repro.serve.client import InprocClient, SocketClient, connect
 from repro.serve.engine import ServeEngine
 from repro.serve.load import run_load
 from repro.serve.protocol import MAX_LINE_BYTES, encode
+from repro.records import atomic_write_text
 from repro.serve.service import SchedulerService, run_service
 
 
@@ -102,6 +103,23 @@ class TestTcpService:
             assert reply["ok"] and reply["shutdown"]
         thread.join(timeout=10.0)
         assert not thread.is_alive()
+
+    def test_ready_file_is_written_atomically(self, tmp_path, setup, monkeypatch):
+        """The ready file goes through the record layer's all-or-nothing
+        write, so a poller never reads it empty; no temp file is left."""
+        from repro.serve import service as service_mod
+
+        written = []
+
+        def spy(path, text):
+            written.append((Path(path), text))
+            return atomic_write_text(path, text)
+
+        monkeypatch.setattr(service_mod, "atomic_write_text", spy)
+        address, thread = start_service(tmp_path, ServeEngine.from_setup(setup))
+        assert written == [(tmp_path / "ready", address + "\n")]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ready"]
+        stop_service(address, thread)
 
     def test_pipelined_load_matches_batch(self, tmp_path, setup):
         """Full stack over TCP: replay, drain, byte-identical report."""

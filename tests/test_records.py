@@ -32,6 +32,7 @@ from repro.prediction.base import PartitionFailureRule
 from repro.records import (
     TMP_PREFIX,
     atomic_write_json,
+    atomic_write_text,
     canonical_json,
     from_plain,
     read_json,
@@ -358,6 +359,20 @@ class TestDurableWrite:
             atomic_write_json(tmp_path / "record.json", {"x": float("nan")})
         assert [p.name for p in tmp_path.iterdir()] == ["record.json"]
         assert read_json(tmp_path / "record.json") == {"old": True}
+
+    def test_failed_text_write_leaves_neither_target_nor_temp(self, tmp_path, monkeypatch):
+        def full_disk(fd):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(os, "fsync", full_disk)
+        with pytest.raises(OSError):
+            atomic_write_text(tmp_path / "ready", "127.0.0.1:4000\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_text_write_is_what_a_reader_reads(self, tmp_path):
+        path = atomic_write_text(tmp_path / "ready", "127.0.0.1:4000\n")
+        assert path.read_text(encoding="utf-8") == "127.0.0.1:4000\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["ready"]
 
     def test_temp_name_is_one_directory_scans_skip(self, tmp_path, monkeypatch):
         seen = []
