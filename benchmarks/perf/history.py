@@ -9,6 +9,7 @@ in prose is also a file one can plot or diff::
     python benchmarks/perf/history.py append-pairs pairs.json
     python benchmarks/perf/history.py check          # CI: every line parses
     python benchmarks/perf/history.py diff 696ce37 a2582e5
+    python benchmarks/perf/history.py status 6a07c8f
 
 ``append`` adds one line per workload of the run::
 
@@ -52,6 +53,12 @@ base and change both ``REV_A``, ``REV_B`` or a commit between them
 work that landed after its ``change_rev``, so one on ``REV_B`` is left
 out.  A revision is anything ``git rev-parse`` resolves in this
 checkout, or else the ``rev`` prefix the lines carry.
+
+``status SINCE`` prints where the numbers stand: per workload, the four
+medians of its latest suite block (its last suite lines sharing one
+``rev`` and ``dirty``, with their ledger line numbers) and that block's
+``src_loc``; then every ``pairs`` line that ``meets_claim``, filed from
+the first ledger line naming ``SINCE`` on, by workload.
 """
 
 from __future__ import annotations
@@ -267,13 +274,64 @@ def diff_lines(lines: list[dict], between: list[str]) -> list[str]:
         and not (line["change_dirty"] and same_rev(line["change_rev"], rev_b))
     ]
     out.append(f"pairs lines from {rev_a[:7]} to {rev_b[:7]}: {len(pairs)}")
-    for line in pairs:
+    out.extend("  " + pair_text(line) for line in pairs)
+    return out
+
+
+def pair_text(line: dict) -> str:
+    """One ``pairs`` line as a report row."""
+    return (
+        f"{line['workload']} seed {line['seed']} {line['metric']}: "
+        f"{line['base_rev']} -> {line['change_rev']}{'+dirty' if line['change_dirty'] else ''}, "
+        f"{line['wins']}/{line['n']} won, {line['base_median']} -> {line['change_median']} "
+        f"(x{line['ratio']}, base IQR {line['base_iqr']}), {line['verdict']}, "
+        f"meets_claim={str(line['meets_claim']).lower()}"
+    )
+
+
+def status_lines(lines: list[dict], since: str) -> list[str] | None:
+    """The ``status`` report over the ledger ``lines`` (file order), or
+    None when no line names ``since``."""
+    start = next(
+        (
+            k
+            for k, line in enumerate(lines)
+            if any(line.get(key) and same_rev(line[key], since) for key in ("rev", "base_rev", "change_rev"))
+        ),
+        None,
+    )
+    if start is None:
+        return None
+    # Per workload, its latest suite block: the run of its last suite
+    # lines that share one (rev, dirty), older blocks left out.
+    blocks: dict[str, list[tuple[int, dict]]] = {}
+    for number, line in enumerate(lines, start=1):
+        if "kind" in line:
+            continue
+        block = blocks.setdefault(line["workload"], [])
+        if block and (block[-1][1]["rev"], block[-1][1]["dirty"]) != (line["rev"], line["dirty"]):
+            block.clear()
+        block.append((number, line))
+    out = [
+        f"{'workload':<16}{'rev':<15}{'lines':<10}"
+        + "".join(f"{m:>13}" for m in METRICS)
+        + f"{'src_loc':>9}"
+    ]
+    for workload in sorted(blocks):
+        block = blocks[workload]
+        (first, _), (number, last) = block[0], block[-1]
         out.append(
-            f"  {line['workload']} seed {line['seed']} {line['metric']}: "
-            f"{line['base_rev']} -> {line['change_rev']}{'+dirty' if line['change_dirty'] else ''}, "
-            f"{line['wins']}/{line['n']} won, {line['base_median']} -> {line['change_median']} "
-            f"(x{line['ratio']}, base IQR {line['base_iqr']}), {line['verdict']}, "
-            f"meets_claim={str(line['meets_claim']).lower()}"
+            f"{workload:<16}{last['rev'][:7] + ('+dirty' if last['dirty'] else ''):<15}"
+            f"{str(first) if first == number else f'{first}-{number}':<10}"
+            + "".join(f"{statistics.median(line[m] for _, line in block):>13.4f}" for m in METRICS)
+            + f"{last['src_loc']:>9}"
+        )
+    claims = [(n, line) for n, line in enumerate(lines[start:], start=start + 1)
+              if line.get("kind") == "pairs" and line["meets_claim"]]
+    out.append(f"claims met since {since[:7]} (meets_claim pairs lines): {len(claims)}")
+    for workload in sorted({line["workload"] for _, line in claims}):
+        out.extend(
+            f"  line {n}: {pair_text(line)}" for n, line in claims if line["workload"] == workload
         )
     return out
 
@@ -288,6 +346,16 @@ def diff(history_path: Path, rev_a: str, rev_b: str) -> int:
     return 0
 
 
+def status(history_path: Path, since: str) -> int:
+    lines = [json.loads(raw) for raw in history_path.read_text(encoding="utf-8").splitlines()]
+    report = status_lines(lines, git("rev-parse", "--verify", "--quiet", f"{since}^{{commit}}") or since)
+    if report is None:
+        print(f"{history_path}: no line names {since}", file=sys.stderr)
+        return 1
+    print("\n".join(report))
+    return 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--history", type=Path, default=HISTORY_PATH)
@@ -298,6 +366,7 @@ def main(argv=None) -> int:
     diff_parser = commands.add_parser("diff")
     diff_parser.add_argument("rev_a")
     diff_parser.add_argument("rev_b")
+    commands.add_parser("status").add_argument("since")
     args = parser.parse_args(argv)
     if args.command == "append":
         return append(args.run, args.history)
@@ -305,6 +374,8 @@ def main(argv=None) -> int:
         return append_pairs(args.records, args.history)
     if args.command == "diff":
         return diff(args.history, args.rev_a, args.rev_b)
+    if args.command == "status":
+        return status(args.history, args.since)
     return check(args.history)
 
 

@@ -192,25 +192,26 @@ class CandidateBatch:
     def column_text(self, rows: slice | np.ndarray) -> tuple[str, str]:
         """The ``base`` and ``shape`` columns of candidate ``rows`` as
         JSON array text (decision tracing): the bytes ``canonical_json``
-        gives their ``tolist()``, joined from the per-dims text tables
-        (:meth:`_DimsTables.text`) by free-grid index ``flat * S + row``."""
-        t = _tables(self.dims.as_tuple())
+        gives their ``tolist()``, gathered from the size table's ``text``
+        (a selection) or from :meth:`_DimsTables.text` by free-grid base
+        and shape row (a packed batch)."""
         table = self._table
-        if table is not None:
-            keys = table.idx[self._sel[rows]].tolist()
-        else:
+        if table is None:
+            t = _tables(self.dims.as_tuple())
             _, Y, Z = t.dims_tuple
             bases = self.bases[rows].astype(np.intp)
             flat = (bases[:, 0] * Y + bases[:, 1]) * Z + bases[:, 2]
             group_rows = [t.row_of[shape] for shape in self.shapes]
-            shape_rows = np.repeat(group_rows, np.diff(self.starts))[rows]
-            keys = (flat * len(t.shapes) + shape_rows).tolist()
-        base_text, shape_text = t.text()
-        n_shapes = len(shape_text)
-        return (
-            "[" + ",".join([base_text[k // n_shapes] for k in keys]) + "]",
-            "[" + ",".join([shape_text[k % n_shapes] for k in keys]) + "]",
-        )
+            base_text, shape_text = t.text()
+            base = base_text[flat]
+            shape = shape_text[np.repeat(group_rows, np.diff(self.starts))[rows]]
+        else:
+            if table.text is None:
+                base_text, shape_text = _tables(self.dims.as_tuple()).text()
+                table.text = (base_text[table.idx // len(table.all_shapes)], shape_text[table.rows])
+            sel = self._sel[rows]
+            base, shape = table.text[0][sel], table.text[1][sel]
+        return "[" + ",".join(base.tolist()) + "]", "[" + ",".join(shape.tolist()) + "]"
 
     def partitions(self) -> list[Partition]:
         """Materialise every candidate (enumeration order)."""
@@ -230,10 +231,11 @@ class _SizeTable:
     shape's ``(3,)`` extents (what a predictor query takes per
     candidate, and the per-axis resolve's); ``bases``, its base;
     ``parts``, its :class:`Partition` once a placement asked for it
-    (``None`` until then).
+    (``None`` until then); ``text``, its base and shape text columns
+    once a traced decision asked (``None`` until then).
     """
 
-    __slots__ = ("idx", "keys", "rows", "ext", "bases", "all_shapes", "parts")
+    __slots__ = ("idx", "keys", "rows", "ext", "bases", "all_shapes", "parts", "text")
 
     def __init__(self, t: _DimsTables, rows: np.ndarray, flat: np.ndarray) -> None:
         self.rows = rows.astype(np.int32)
@@ -251,6 +253,7 @@ class _SizeTable:
         self.bases = base.astype(np.min_scalar_type(-max(t.dims_tuple)))
         self.all_shapes = t.shapes
         self.parts: list[Partition | None] = [None] * len(self.rows)
+        self.text: tuple[np.ndarray, np.ndarray] | None = None
 
 
 class _DimsTables:
@@ -378,7 +381,7 @@ class _DimsTables:
             self.oxy = None
         self._size_rows: dict[int, np.ndarray] = {}
         self._size_tables: dict[int, _SizeTable] = {}
-        self._text: tuple[list[str], list[str]] | None = None
+        self._text: tuple[np.ndarray, np.ndarray] | None = None
 
     @staticmethod
     def _axis_overlap(
@@ -400,13 +403,14 @@ class _DimsTables:
                 out[a - 1, b] = member[pos].sum(axis=0)[:, t_idx]  # (q, S)
         return out
 
-    def text(self) -> tuple[list[str], list[str]]:
+    def text(self) -> tuple[np.ndarray, np.ndarray]:
         """JSON text of every base coordinate (by flat index) and of
-        every shape (by shape row), ``"[x,y,z]"`` each: what a traced
-        ``considered`` column is joined from.  Built on first use."""
+        every shape (by shape row), ``"[x,y,z]"`` each, as object
+        arrays: what a traced ``considered`` column is gathered from.
+        Built on first use."""
         if self._text is None:
             self._text = tuple(
-                ["[%d,%d,%d]" % (x, y, z) for x, y, z in triples.tolist()]
+                np.array(["[%d,%d,%d]" % (x, y, z) for x, y, z in triples.tolist()], dtype=object)
                 for triples in (self.coords, self.ext)
             )
         return self._text

@@ -341,7 +341,8 @@ def _flags_serve(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--metrics-file", default=None, metavar="PATH",
-        help="write the final metrics snapshot here on shutdown",
+        help="write the final metrics snapshot here on shutdown "
+        "(profiles the simulator for its sim section)",
     )
     parser.add_argument(
         "--trace", default=None, metavar="PATH",
@@ -595,6 +596,7 @@ def _cmd_sites(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    from repro.core.config import SimulationConfig
     from repro.serve.engine import ServeEngine
     from repro.serve.service import run_service
 
@@ -610,8 +612,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 f"--tenant-weight {entry!r}: weight must be a number"
             ) from None
     with _trace_recorder(args.trace) as recorder:
+        # A metrics file carries the simulator's registry (its ``sim``
+        # section), so asking for one turns the profile on.
         engine = ServeEngine.from_setup(
-            _setup_from_args(args),
+            _setup_from_args(args, config=SimulationConfig(profile=bool(args.metrics_file))),
             clock=args.clock,
             weights=weights or None,
             tenant_cap=args.tenant_cap,

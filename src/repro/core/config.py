@@ -69,7 +69,7 @@ class SimulationConfig:
     #: migration, failure, checkpoint).  Strictly observational — the
     #: report is bit-for-bit identical with the flag on or off — and
     #: zero-cost when off (decisions route through a no-op recorder).
-    #: Implies ``profile``.
+    #: Independent of ``profile``: no trace line reads the registry.
     trace: bool = field(default=False, metadata=_OBSERVATIONAL)
     #: Collect a :class:`repro.obs.metrics.MetricsRegistry` of counters,
     #: histograms and hot-path timers for the run (available as

@@ -9,6 +9,7 @@ between the paper's three schedulers.
 from __future__ import annotations
 
 import abc
+from functools import lru_cache
 
 import numpy as np
 
@@ -22,6 +23,19 @@ from repro.records import canonical_json, json_string
 #: Per-decision cap on candidates detailed in one trace record; the
 #: record's ``n_candidates`` always carries the uncapped count.
 MAX_TRACED_CANDIDATES = 64
+
+#: A forced choice's ``considered`` table: its one row, no score column.
+_FORCED_CONSIDERED = '{"base":[[%d,%d,%d]],"shape":[[%d,%d,%d]]}'
+
+
+@lru_cache(maxsize=16)  # one entry per score-key tuple a policy passes
+def _column_order(keys: tuple[str, ...]) -> tuple[tuple[str, str], ...]:
+    """``(prefix, key)`` per ``considered`` column in sorted key order,
+    each prefix the key's JSON text behind ``{`` (the first) or ``,``."""
+    return tuple(
+        (("," if i else "{") + json_string(key) + ":", key)
+        for i, key in enumerate(sorted(("base", "shape", *keys)))
+    )
 
 
 class SchedulingPolicy(abc.ABC):
@@ -88,8 +102,16 @@ class SchedulingPolicy(abc.ABC):
         if not len(batch):
             return None
         chosen = batch.partition(0)
-        if self.recorder.enabled:
+        if self.recorder.enabled and scores:
             self.trace_decision(state, now, batch, chosen, **scores)
+        elif self.recorder.enabled:
+            # One row, no score column: ``considered`` is the chosen
+            # partition's own base and shape (a batch's bases are
+            # canonical, as its partitions' are).
+            self.recorder.emit(
+                "candidates", now, state.job_id, state.size, self.name, 1,
+                _FORCED_CONSIDERED % (*chosen.base, *chosen.shape), False, chosen,
+            )
         return chosen
 
     # ------------------------------------------------------------------
@@ -123,8 +145,9 @@ class SchedulingPolicy(abc.ABC):
         columns = {"base": base, "shape": shape}
         for key, column in scores.items():
             columns[key] = canonical_json(column[shown].tolist())
-        considered = ",".join([json_string(key) + ":" + columns[key] for key in sorted(columns)])
         self.recorder.emit(
             "candidates", now, state.job_id, state.size, self.name, len(batch),
-            "{" + considered + "}", n_examined > MAX_TRACED_CANDIDATES, chosen,
+            "".join([prefix + columns[key] for prefix, key in _column_order(tuple(scores))])
+            + "}",
+            n_examined > MAX_TRACED_CANDIDATES, chosen,
         )

@@ -84,9 +84,7 @@ class Simulator:
         else:
             self.recorder = NULL_RECORDER
         self.metrics: MetricsRegistry | None = (
-            MetricsRegistry()
-            if (self.config.profile or self.config.trace or self.recorder.enabled)
-            else None
+            MetricsRegistry() if self.config.profile else None
         )
         # Policies emit their own candidate-enumeration records and count
         # on the run's registry, as the index cache and the shadow engine

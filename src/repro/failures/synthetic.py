@@ -119,14 +119,22 @@ def generate_failures(
     if n_events == 0:
         return FailureLog(dims.volume)
 
+    # Every epicentre's ball, by epicentre id: one table per log, so a
+    # burst pays one index instead of a cache lookup keyed on ``dims``.
+    volume = dims.volume
+    balls = [_neighbourhood(dims, centre, model.locality_radius) for centre in range(volume)]
     times: list[float] = []
     nodes: list[int] = []
     t = 0.0
     while len(times) < n_events:
         t += rng.exponential(model.mean_burst_interarrival_s)
         burst_size = rng.geometric(model.burst_size_p)
-        centre = int(rng.integers(dims.volume))
-        pool = _neighbourhood(dims, centre, model.locality_radius)
+        pool = balls[rng.integers(volume)]
+        if burst_size == 1:
+            # ``size=None`` draws what ``size=1`` draws, as scalars.
+            nodes.append(int(rng.choice(pool, None, replace=False)))
+            times.append(t + rng.uniform(0.0, model.burst_window_s))
+            continue
         members = rng.choice(pool, size=min(burst_size, pool.size), replace=False)
         # One draw per member, as many doubles in the same order as one
         # scalar draw each.

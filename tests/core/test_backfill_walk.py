@@ -179,15 +179,15 @@ class TestOneWalkTracedOrNot:
         assert trace.count(b'"kind":"candidates"') == len(chosen)
 
     def test_tracing_does_not_change_the_profile_metrics(self):
-        """Everything a ``profile=True`` run counts, a ``trace=True`` run
-        counts the same, with no excepted metric."""
+        """Everything a ``profile=True`` run counts, a traced profiled
+        run counts the same, with no excepted metric."""
 
         def metrics(**config) -> dict:
             sim = build("production", deep_queue_setup(**config))
             sim.run()
             return sim.metrics.to_dict(include_timings=False)
 
-        traced, profiled = metrics(trace=True), metrics(profile=True)
+        traced, profiled = metrics(trace=True, profile=True), metrics(profile=True)
         assert traced == profiled
         assert traced["histograms"]["policy.candidate_set_size"]["min"] >= 1
 
@@ -268,7 +268,9 @@ class TestOneReservationPerPass:
     @pytest.mark.parametrize("migration", [True, False])
     @pytest.mark.parametrize("backfill", [BackfillMode.EASY, BackfillMode.AGGRESSIVE])
     def test_kept_reservation_decides_like_the_restart_walk(self, backfill, migration):
-        setup = deep_queue_setup(trace=True, backfill=backfill, migration=migration)
+        setup = deep_queue_setup(
+            trace=True, profile=True, backfill=backfill, migration=migration
+        )
         report, trace, calls, sim = traced_run(CheckedSimulator, setup)
         assert traced_run(RestartWalkSimulator, setup)[:3] == (report, trace, calls)
         assert sim.counters.backfills > 0
@@ -383,7 +385,9 @@ class TestNodeCountGate:
     @pytest.mark.parametrize("migration", [True, False])
     @pytest.mark.parametrize("backfill", list(BackfillMode))
     def test_gated_pass_decides_like_the_ungated_pass(self, backfill, migration):
-        setup = deep_queue_setup(trace=True, backfill=backfill, migration=migration)
+        setup = deep_queue_setup(
+            trace=True, profile=True, backfill=backfill, migration=migration
+        )
         report, trace, calls, sim = traced_run(CheckedSimulator, setup)
         ungated = traced_run(UngatedSimulator, setup)
         assert ungated[:3] == (report, trace, calls)

@@ -73,7 +73,7 @@ def traced(engine, scenario: str, policy: str, config: SimulationConfig):
 @pytest.mark.parametrize("scenario", ["full-machine", "migrating"])
 def test_kept_state_decides_like_the_rebuild_oracle(scenario, policy, migration):
     config = SimulationConfig(
-        trace=True, backfill=BackfillMode.EASY, migration=migration
+        trace=True, profile=True, backfill=BackfillMode.EASY, migration=migration
     )
     report, trace, sim = traced(Simulator, scenario, policy, config)
     assert traced(oracle_simulator, scenario, policy, config)[:2] == (report, trace)

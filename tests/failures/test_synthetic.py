@@ -238,6 +238,25 @@ class TestGenerateFailures:
             np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize(
+        "model",
+        [BurstFailureModel(), BurstFailureModel(burst_size_p=1.0, locality_radius=0)],
+        ids=["default", "isolated-p1-r0"],
+    )
+    @pytest.mark.parametrize(
+        "dims", [D, TorusDims(2, 3, 4), TorusDims(1, 1, 1)], ids=lambda d: "x".join(map(str, d.as_tuple()))
+    )
+    def test_scalar_draws_of_one_member_bursts_read_the_same_stream(self, dims, model):
+        """A one-member burst draws its member with ``size=None`` and its
+        jitter as a scalar, from the epicentre's entry of one ball table:
+        the reference's ``size=1`` array draws, bit for bit."""
+        for seed in range(30):
+            got = generate_failures(dims, 400, 1e6, model=model, seed=seed)
+            ref = generate_failures_per_member(dims, 400, 1e6, model, seed)
+            for a, b in ((got.times, ref.times), (got.nodes, ref.nodes)):
+                assert a.dtype == b.dtype
+                np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize(
         "dims", [D, TorusDims(2, 3, 4), TorusDims(1, 1, 1)], ids=lambda d: "x".join(map(str, d.as_tuple()))
     )
     def test_ball_equals_coordinate_loop(self, dims):

@@ -59,9 +59,14 @@ class TestObservationalInvariance:
         assert sim.recorder is NULL_RECORDER
         assert sim.metrics is None
 
-    def test_trace_implies_metrics(self, traced_sim):
-        assert traced_sim.metrics is not None
-        assert traced_sim.metrics.counter("sim.dispatches").value > 0
+    def test_trace_builds_no_metrics_registry(self, traced_sim):
+        """No trace line reads the registry, so tracing alone builds
+        none; a traced and profiled run writes the same bytes."""
+        assert traced_sim.metrics is None
+        profiled = setup(trace=True, profile=True).build_simulator()
+        profiled.run()
+        assert profiled.metrics.counter("sim.dispatches").value > 0
+        assert profiled.recorder.lines == traced_sim.recorder.lines
 
 
 class TestTraceContent:

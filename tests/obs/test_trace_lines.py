@@ -29,6 +29,7 @@ from repro.core.simulator import Simulator
 from repro.geometry.coords import BGL_SUPERNODE_DIMS
 from repro.geometry.partition import Partition
 from repro.geometry.shapes import all_shapes
+from repro.geometry.torus import Torus
 from repro.obs.trace import NULL_RECORDER, TraceRecorder
 from repro.records import canonical_json
 from repro.workloads.job import Job
@@ -217,9 +218,9 @@ def table_as_lists(batch, rows, scores):
     return table
 
 
-def decision_lines(batch, rows, scores, now=12.5):
+def decision_lines(batch, rows, scores, now=12.5, size=8):
     """(``trace_decision``'s line, the keyword form's line)."""
-    state = JobState(Job(7, 0.0, 8, 60.0, 60.0))
+    state = JobState(Job(7, 0.0, size, 60.0, 60.0))
     chosen = batch.partition(0)
     policy = _Recording()
     policy.recorder = TraceRecorder()
@@ -227,7 +228,7 @@ def decision_lines(batch, rows, scores, now=12.5):
     n_examined = len(batch) if rows is None else len(rows)
     expected = TraceRecorder()
     expected.emit(
-        "candidates", now, job=7, size=8, policy="recording",
+        "candidates", now, job=7, size=size, policy="recording",
         n_candidates=len(batch), considered=table_as_lists(batch, rows, scores),
         truncated=n_examined > MAX_TRACED_CANDIDATES,
         chosen={"base": list(chosen.base), "shape": list(chosen.shape)},
@@ -294,7 +295,19 @@ class TestConsideredText:
         lines_selected = decision_lines(selected, None, scores)
         lines_packed = decision_lines(packed, None, scores)
         assert lines_selected[0] == lines_selected[1] == lines_packed[0]
-        assert selected.column_text(slice(None)) == packed.column_text(slice(None))
+        # A selection gathers its text from its size table, a packed batch
+        # from the per-dims tables: equal for any rows a policy examines.
+        n = len(selected)
+        for rows in (slice(None), data.draw(
+            st.builds(slice, st.integers(0, n), st.integers(0, n))
+            | st.lists(st.integers(0, n - 1), max_size=70).map(
+                lambda v: np.array(v, dtype=np.intp)
+            )
+        )):
+            assert selected.column_text(rows) == packed.column_text(rows) == (
+                canonical_json(packed.bases[rows].tolist()),
+                canonical_json(packed.shape_rows()[rows].tolist()),
+            )
 
     @pytest.mark.parametrize("bad", NON_FINITE)
     def test_non_finite_score_raises_and_writes_nothing(self, bad):
@@ -303,6 +316,63 @@ class TestConsideredText:
         p_f[0] = bad
         with pytest.raises(ValueError):
             decision_lines(batch, None, {"p_f": p_f})
+
+
+def forced_torus(axis: int, free: int, at: int) -> Torus:
+    """A torus whose one free box spans every axis but ``axis`` fully
+    and is ``free`` long on it from ``at``: a size with exactly one
+    candidate, its base canonical (0) on the fully-spanned axes."""
+    torus = Torus(D)
+    base, shape = [0, 0, 0], list(D.as_tuple())
+    base[axis], shape[axis] = (at + free) % shape[axis], shape[axis] - free
+    torus.allocate(0, Partition(tuple(base), tuple(shape)))
+    return torus
+
+
+class TestForcedChoice:
+    @pytest.mark.parametrize("index_class", [PlacementIndex, ReferencePlacementIndex])
+    @pytest.mark.parametrize(
+        "torus",
+        [Torus(D), forced_torus(2, 2, 5), forced_torus(2, 7, 3), forced_torus(0, 1, 2),
+         forced_torus(1, 3, 1)],
+        ids=["empty", "z-slab-2", "z-slab-7", "x-slab-1", "y-slab-3"],
+    )
+    def test_forced_line_equals_the_keyword_form(self, torus, index_class):
+        """A forced choice with no score column is formatted from its
+        partition; its line is ``canonical_json`` of the record and the
+        line the general path writes for the same batch."""
+        size = torus.free_count
+        batch = index_class(torus).candidate_batch(size)
+        assert len(batch) == 1
+        state = JobState(Job(7, 0.0, size, 60.0, 60.0))
+        policy = _Recording()
+        policy.recorder = TraceRecorder()
+        chosen = policy.place_unscored(state, 12.5, batch)
+        assert chosen == batch.partition(0) and torus.is_free(chosen)
+        expected = TraceRecorder()
+        expected.emit(
+            "candidates", 12.5, job=7, size=size, policy="recording", n_candidates=1,
+            considered={"base": [list(chosen.base)], "shape": [list(chosen.shape)]},
+            truncated=False,
+            chosen={"base": list(chosen.base), "shape": list(chosen.shape)},
+        )
+        general, keyword = decision_lines(batch, None, {}, size=size)
+        assert policy.recorder.lines == expected.lines == [general] == [keyword]
+
+    def test_scored_forced_choice_keeps_its_column(self):
+        """Tie-break's forced choice carries the predictor's answer."""
+        torus = forced_torus(2, 2, 5)
+        batch = PlacementIndex(torus).candidate_batch(32)
+        policy = _Recording()
+        policy.recorder = TraceRecorder()
+        policy.place_unscored(
+            JobState(Job(7, 0.0, 32, 60.0, 60.0)), 1.0, batch,
+            predicted_failure=np.array([True]),
+        )
+        (record,) = policy.recorder.records
+        assert record["considered"] == {
+            "base": [[0, 0, 5]], "predicted_failure": [True], "shape": [[4, 4, 2]],
+        }
 
 
 # ----------------------------------------------------------------------

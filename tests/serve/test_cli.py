@@ -103,6 +103,8 @@ class TestServeLoadCli:
         assert report["submitted"] == 40 and report["dropped"] == 0
         metrics = json.loads(metrics_file.read_text())
         assert metrics["counters"]["serve.submitted"] == 40
+        # Untraced: the metrics file alone turns the simulator's profile on.
+        assert metrics["sim"]["counters"]["sim.dispatches"] >= 40
 
     def test_swf_scenario_round_trip_with_load_scale(self, tmp_path, capsys):
         """The one builder's other source through the real CLI and
