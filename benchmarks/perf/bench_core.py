@@ -25,6 +25,10 @@ the ``benchmarks/e2e`` workloads.
 ``trace_to_file`` carries a ``ratio`` key: its wall time over
 ``trace_off``'s, the same simulation untraced, measured in alternation —
 what the decision trace costs (ROADMAP aim 4).
+``job_log_pipeline`` (first, so the process peak is its own) carries
+jobs/s per stage (generate, ``write_swf``, ``read_swf``,
+``fit_to_machine``) of one generated NASA log, 100k jobs (10k at smoke
+scale), and ``vm_hwm_mb``, this process's ``VmHWM`` after it.
 The last record, ``src_loc``, is not a timing: its ``lines`` key counts
 the non-blank, non-comment lines under ``src/repro`` so the ledger
 tracks code size next to speed (ROADMAP aim 2).
@@ -99,6 +103,7 @@ class Scale:
     sweep_seeds: int
     sweep_jobs: int         # jobs per simulation cell
     master_failures: int    # master failure-log size for the sweep
+    log_jobs: int           # jobs in the generated log of job_log_pipeline
 
 
 SCALES = {
@@ -111,6 +116,7 @@ SCALES = {
         sweep_seeds=2,
         sweep_jobs=25,
         master_failures=64,
+        log_jobs=10_000,
     ),
     "default": Scale(
         micro_number=200,
@@ -119,6 +125,7 @@ SCALES = {
         sweep_seeds=2,
         sweep_jobs=120,
         master_failures=1024,
+        log_jobs=100_000,
     ),
 }
 
@@ -433,6 +440,39 @@ def bench_master_log_generate(scale: Scale):
     return run, 1
 
 
+def vm_hwm_mib() -> float:
+    """This process's peak resident set (``VmHWM``), MiB."""
+    with open("/proc/self/status", encoding="ascii") as status:
+        kib = next(line.split()[1] for line in status if line.startswith("VmHWM:"))
+    return int(kib) / 1024
+
+
+def job_log_pipeline(scale: Scale) -> dict[str, float]:
+    """One generated NASA log of ``scale.log_jobs`` jobs through generate
+    -> ``write_swf`` -> ``read_swf`` -> ``fit_to_machine``, the path a
+    replayed trace file takes (ROADMAP item 4): seconds per stage."""
+    import tempfile
+
+    from repro.workloads import fit_to_machine, generate_workload, read_swf, site_model, write_swf
+
+    clock = time.perf_counter
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "log.swf"
+        t0 = clock()
+        log = generate_workload(site_model("nasa"), scale.log_jobs, seed=0)
+        t1 = clock()
+        write_swf(log, path)
+        t2 = clock()
+        log = read_swf(path)
+        t3 = clock()
+        log = fit_to_machine(log, D)
+        t4 = clock()
+    if len(log) != scale.log_jobs:
+        raise AssertionError(f"{len(log)} of {scale.log_jobs} generated jobs read back")
+    return {"generate": t1 - t0, "write_swf": t2 - t1, "read_swf": t3 - t2,
+            "fit_to_machine": t4 - t3}  # fmt: skip
+
+
 def trace_simulations(scale: Scale):
     """``(untraced, traced)`` runs of one 150-job SDSC balancing (a=0.1)
     simulation with one failure per job, ``n`` per pass: the same
@@ -608,6 +648,14 @@ def run_benchmarks(scale_name: str, workers: int, out_path: Path) -> list[dict]:
         )
 
     print(f"bench_core [{scale_name}] rev={rev}")
+    # First, so that this process's VmHWM is the job log's and not a
+    # later bench's.
+    stages = job_log_pipeline(scale)
+    record(
+        "job_log_pipeline", sum(stages.values()), scale.log_jobs, jobs=scale.log_jobs,
+        **{f"{k}_jobs_per_s": round(scale.log_jobs / v) for k, v in stages.items()},
+        vm_hwm_mb=round(vm_hwm_mib(), 1),
+    )  # fmt: skip
     micro = [
         ("placement_index_build", bench_placement_index_build),
         ("mfp_excluding", bench_mfp_excluding),

@@ -41,9 +41,10 @@ workload, one seed) as one line of a second schema, told apart by its
 ``metric`` is the judged end-to-end metric (``pairs.py --metric``, one
 of :data:`METRICS`); a pair is won in its ``better`` direction, so on
 ``op_p50_ms`` a win is a lower median.  ``verdict`` is the sign test
-alone; ``meets_claim`` is the gate a speed claim must pass (at least 9
-of every 10 pairs won, ties counted as losses, and ``clears_iqr``: the
-median gain above the base's IQR).  ``check`` accepts both schemas.
+alone; ``meets_claim`` is the gate a speed claim must pass
+(:func:`meets_claim`: at least 10 pairs, at least 9 of every 10 of them
+won, ties counted as losses, and ``clears_iqr``: the median gain above
+the base's IQR).  ``check`` accepts both schemas.
 
 ``diff REV_A REV_B`` (the older revision first) prints, per workload,
 the median of each of the four metrics over each revision's suite lines
@@ -57,8 +58,11 @@ checkout, or else the ``rev`` prefix the lines carry.
 ``status SINCE`` prints where the numbers stand: per workload, the four
 medians of its latest suite block (its last suite lines sharing one
 ``rev`` and ``dirty``, with their ledger line numbers) and that block's
-``src_loc``; then every ``pairs`` line that ``meets_claim``, filed from
-the first ledger line naming ``SINCE`` on, by workload.
+``src_loc``; then every ``pairs`` line filed from the first ledger line
+naming ``SINCE`` on that meets the claim gate, by workload.  The gate is
+judged again from each line's ``n``, ``wins`` and ``clears_iqr``, so a
+line filed ``meets_claim`` under an older, looser gate (no floor on
+``n``) is counted apart, not listed.
 """
 
 from __future__ import annotations
@@ -111,6 +115,15 @@ PAIR_FIELDS = {
     "calls_equal": bool,
 }
 VERDICTS = ("faster", "slower", "unresolved")
+#: A claimed gain wins at least this share of its pairs, a tie counting as a loss,
+CLAIM_WIN_SHARE = 0.9
+#: and has at least this many pairs: fewer cannot show "9 of every 10".
+CLAIM_MIN_PAIRS = 10
+
+
+def meets_claim(n: int, wins: int, clears_iqr: bool) -> bool:
+    """The claim gate on ``wins`` of ``n`` pairs (``pairs.py`` files it)."""
+    return n >= CLAIM_MIN_PAIRS and wins >= CLAIM_WIN_SHARE * n and clears_iqr
 
 
 def checkout_state() -> dict:
@@ -326,9 +339,14 @@ def status_lines(lines: list[dict], since: str) -> list[str] | None:
             + "".join(f"{statistics.median(line[m] for _, line in block):>13.4f}" for m in METRICS)
             + f"{last['src_loc']:>9}"
         )
-    claims = [(n, line) for n, line in enumerate(lines[start:], start=start + 1)
-              if line.get("kind") == "pairs" and line["meets_claim"]]
-    out.append(f"claims met since {since[:7]} (meets_claim pairs lines): {len(claims)}")
+    filed = [(n, line) for n, line in enumerate(lines[start:], start=start + 1)
+             if line.get("kind") == "pairs" and line["meets_claim"]]
+    claims = [(n, line) for n, line in filed
+              if meets_claim(line["n"], line["wins"], line["clears_iqr"])]
+    out.append(
+        f"claims met since {since[:7]} (pairs lines meeting the claim gate): {len(claims)}"
+        f" ({len(filed) - len(claims)} filed meets_claim below {CLAIM_MIN_PAIRS} pairs)"
+    )
     for workload in sorted({line["workload"] for _, line in claims}):
         out.extend(
             f"  line {n}: {pair_text(line)}" for n, line in claims if line["workload"] == workload

@@ -20,10 +20,10 @@ pair is won.  It is judged by the rule the claims table uses
 dropped, a one-sided sign test at p <= 0.05 — ``faster`` (the change
 better), ``slower`` or ``unresolved``.  Beside it: both medians, the
 base's interquartile range, the median paired ratio (change / base),
-and the gate a speed claim must pass (``meets_claim``): the change
-better in at least 9 of every 10 pairs, a tie counting as a loss, and
-its median better than the base's by more than the base's IQR
-(``clears_iqr``).
+and the gate a speed claim must pass (``meets_claim``): at least 10
+pairs, the change better in at least 9 of every 10 of them, a tie
+counting as a loss, and its median better than the base's by more than
+the base's IQR (``clears_iqr``).
 Every run lasts BENCHMARK.json's ``run_seconds``, as the benchmark's.
 One traced run per tree then compares every span call count, and every
 run's ``report_sha256`` / ``trace_sha256`` must equal across the two
@@ -43,8 +43,9 @@ import tempfile
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
-sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path[0:0] = [str(REPO_ROOT / "src"), str(REPO_ROOT)]
 
+from benchmarks.perf.history import meets_claim  # noqa: E402
 from repro.analysis.compare import sign_count  # noqa: E402
 
 #: The default judged metric: reference-speed operations per second.
@@ -52,8 +53,6 @@ METRIC = "ops_per_s"
 #: What a digest comparison reads from a run's ``info``.
 DIGESTS = ("report_sha256", "trace_sha256")
 VERDICTS = {"holds": "faster", "refuted": "slower"}
-#: A claimed gain wins at least this share of all pairs, ties included.
-CLAIM_WIN_SHARE = 0.9
 
 
 def judge(base: list[float], change: list[float], lower_is_better: bool = False) -> dict:
@@ -81,7 +80,7 @@ def judge(base: list[float], change: list[float], lower_is_better: bool = False)
         "ratio": statistics.median(c / b for b, c in zip(base, change)),
         "verdict": VERDICTS.get(signs.verdict, "unresolved"),
         "clears_iqr": clears_iqr,
-        "meets_claim": signs.lower >= CLAIM_WIN_SHARE * len(base) and clears_iqr,
+        "meets_claim": meets_claim(len(base), signs.lower, clears_iqr),
     }
 
 

@@ -12,9 +12,9 @@ from benchmarks.perf import history
 from benchmarks.perf.tests.test_history_diff import pairs, suite
 
 
-def claim(base: str, workload: str, meets: bool = True) -> dict:
+def claim(base: str, workload: str, meets: bool = True, n: int = 10) -> dict:
     line = pairs(base, base, True, workload)
-    line["meets_claim"] = meets
+    line.update(meets_claim=meets, n=n, wins=n if meets else 0)
     return line
 
 
@@ -28,6 +28,7 @@ LEDGER = [
     suite("bbbbbbb", "w", 140.0, rss=54.0),         # 7
     claim("bbbbbbb", "w"),                          # 8
     claim("ccccccc", "v"),                          # 9
+    claim("ccccccc", "w", n=4),                     # 10: 4/4, filed meets_claim
 ]
 
 
@@ -52,14 +53,30 @@ def test_latest_suite_block_per_workload():
 def test_claims_met_from_the_first_line_naming_the_revision():
     report = history.status_lines(LEDGER, "bbbbbbb")
     start = next(k for k, line in enumerate(report) if line.startswith("claims met"))
-    assert report[start] == "claims met since bbbbbbb (meets_claim pairs lines): 2"
-    # By workload: v's line 9, then w's line 8; line 3 predates SINCE and
-    # line 5 does not meet the claim.
+    assert report[start] == (
+        "claims met since bbbbbbb (pairs lines meeting the claim gate): 2"
+        " (1 filed meets_claim below 10 pairs)"
+    )
+    # By workload: v's line 9, then w's line 8; line 3 predates SINCE,
+    # line 5 does not meet the claim and line 10 has only 4 pairs.
     assert [line.split()[:3] for line in report[start + 1:]] == [
         ["line", "9:", "v"], ["line", "8:", "w"],
     ]
     assert "ccccccc -> ccccccc+dirty, 10/10 won" in report[start + 1]
     assert len(history.status_lines(LEDGER, "aaaaaaa")) == 1 + 2 + 1 + 3
+
+
+def test_a_four_pair_line_filed_as_a_claim_is_judged_again():
+    """Lines filed before the gate had a floor on ``n`` keep their
+    ``meets_claim: true``; ``status`` does not list them.  A 10/10 line
+    still is a claim, shown with its metric and its ``n``."""
+    four = dict(claim("bbbbbbb", "w", n=4), metric="setup_s")
+    ten = dict(claim("bbbbbbb", "v", n=10), metric="setup_s")
+    report = history.status_lines([four, ten], "bbbbbbb")
+    start = next(k for k, line in enumerate(report) if line.startswith("claims met"))
+    assert report[start].endswith(": 1 (1 filed meets_claim below 10 pairs)")
+    assert report[start + 1:] == [f"  line 2: {history.pair_text(ten)}"]
+    assert "v seed 0 setup_s:" in report[start + 1] and "10/10 won" in report[start + 1]
 
 
 def test_full_hash_and_unknown_revision(tmp_path, capsys):

@@ -20,6 +20,23 @@ def test_ten_of_ten_is_faster():
     assert s["base_iqr"] == 0.0 and s["clears_iqr"] and s["meets_claim"]
 
 
+def test_four_of_four_is_not_a_claim():
+    """A 4/4 run wins every pair, clears the IQR and is still no claim:
+    its sign test cannot resolve (p = 1/16) and "9 of 10" needs 10."""
+    s = pairs.judge([100.0] * 4, [112.0] * 4)
+    assert (s["verdict"], s["wins"], s["clears_iqr"]) == ("unresolved", 4, True)
+    assert not s["meets_claim"]
+    nine = pairs.judge([100.0] * 9, [112.0] * 9)
+    assert (nine["verdict"], nine["meets_claim"]) == ("faster", False)
+
+
+@pytest.mark.parametrize("n", [10, 11, 20])
+def test_a_clean_sweep_of_ten_or_more_is_a_claim(n):
+    s = pairs.judge([100.0] * n, [112.0] * n)
+    assert (s["verdict"], s["wins"], s["meets_claim"]) == ("faster", n, True)
+    assert history.meets_claim(n, n, True) and not history.meets_claim(n, n, False)
+
+
 def test_nine_of_ten_is_faster_eight_is_not():
     base = [100.0] * 10
     nine = pairs.judge(base, [101.0] * 9 + [99.0])  # p = 11/1024

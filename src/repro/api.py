@@ -20,10 +20,7 @@ from repro.failures.synthetic import BurstFailureModel, failure_horizon_s, gener
 from repro.metrics.report import SimulationReport
 from repro.prediction.base import PartitionFailureRule
 from repro.workloads.job import Workload
-from repro.workloads.models import site_model
-from repro.workloads.scaling import fit_to_machine, scale_load
-from repro.workloads.swf import read_swf
-from repro.workloads.synthetic import generate_workload
+from repro.workloads.scaling import job_log
 
 
 @dataclass(frozen=True)
@@ -60,16 +57,8 @@ class SimulationSetup:
 
     def build_workload(self) -> Workload:
         """Synthesize (or read), load-scale and machine-fit the workload."""
-        if self.swf:
-            workload = read_swf(self.swf)
-            if self.head:
-                workload = workload.head(self.head)
-        else:
-            workload = generate_workload(
-                site_model(self.site), self.n_jobs, seed=self.seed
-            )
-        workload = scale_load(workload, self.load_scale)
-        return fit_to_machine(workload, self.config.dims)
+        return job_log(self.site, self.n_jobs, self.seed, self.load_scale,
+                       self.config.dims, self.swf, self.head)  # fmt: skip
 
     def build_failures(self, workload: Workload) -> FailureLog:
         """Failure log spanning the workload (plus tail slack for jobs

@@ -34,9 +34,7 @@ from repro.failures.synthetic import (
 from repro.metrics.report import SimulationReport
 from repro.prediction.base import PartitionFailureRule
 from repro.workloads.job import Workload
-from repro.workloads.models import site_model
-from repro.workloads.scaling import fit_to_machine, scale_load
-from repro.workloads.synthetic import generate_workload
+from repro.workloads.scaling import job_log
 
 
 @dataclass(frozen=True)
@@ -159,8 +157,7 @@ def _workload_for(point: SweepPoint, seed: int) -> Workload:
     key = (point.site, point.n_jobs, point.load_scale, seed, point.config.dims.as_tuple())
     workload = _workload_cache.get(key)
     if workload is None:
-        raw = generate_workload(site_model(point.site), point.n_jobs, seed=seed)
-        workload = fit_to_machine(scale_load(raw, point.load_scale), point.config.dims)
+        workload = job_log(point.site, point.n_jobs, seed, point.load_scale, point.config.dims)
         _cache_put(_workload_cache, key, workload)
     return workload
 

@@ -22,7 +22,7 @@ from repro.workloads.models import (
     available_sites,
 )
 from repro.workloads.synthetic import generate_workload
-from repro.workloads.scaling import scale_load, offered_load, fit_to_machine
+from repro.workloads.scaling import scale_load, offered_load, fit_to_machine, job_log
 
 __all__ = [
     "Job",
@@ -39,4 +39,5 @@ __all__ = [
     "scale_load",
     "offered_load",
     "fit_to_machine",
+    "job_log",
 ]

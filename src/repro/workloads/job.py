@@ -11,7 +11,8 @@ one once the job completes).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterator, Sequence
 
 from repro.errors import WorkloadError
@@ -79,11 +80,11 @@ class Job:
         estimate, proportionally) by ``c``."""
         if not 0 < c < math.inf:
             raise WorkloadError(f"load scale must be positive and finite, got {c}")
-        return replace(self, runtime=self.runtime * c, estimate=self.estimate * c)
+        return Job(self.job_id, self.arrival, self.size, self.runtime * c, self.estimate * c)
 
     def with_size(self, size: int) -> "Job":
         """Copy with a different node count (machine-fitting adapters)."""
-        return replace(self, size=size)
+        return Job(self.job_id, self.arrival, size, self.runtime, self.estimate)
 
 
 @dataclass(frozen=True)
@@ -99,10 +100,9 @@ class Workload:
             raise WorkloadError(
                 f"machine_nodes must be positive, got {self.machine_nodes}"
             )
-        ordered = tuple(sorted(self.jobs, key=lambda j: (j.arrival, j.job_id)))
+        ordered = tuple(sorted(self.jobs, key=attrgetter("arrival", "job_id")))
         object.__setattr__(self, "jobs", ordered)
-        ids = [j.job_id for j in ordered]
-        if len(set(ids)) != len(ids):
+        if len({j.job_id for j in ordered}) != len(ordered):
             raise WorkloadError(f"workload {self.name!r} has duplicate job ids")
 
     def __len__(self) -> int:

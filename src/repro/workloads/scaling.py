@@ -5,16 +5,22 @@ time by a coefficient ``c`` (0.5–1.5; the reported results use 1.0 and
 1.2).  :func:`scale_load` implements exactly that.  :func:`fit_to_machine`
 adapts a trace to the torus: sizes are capped at the machine and rounded
 up to the nearest size for which a rectangular partition shape exists.
+:func:`job_log` is the whole chain from a site model or trace file to
+the workload a simulation replays.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 from repro.errors import WorkloadError
 from repro.geometry.coords import TorusDims
 from repro.geometry.shapes import round_to_schedulable
 from repro.workloads.job import Workload
+from repro.workloads.models import site_model
+from repro.workloads.swf import read_swf
+from repro.workloads.synthetic import generate_workload
 
 
 def scale_load(workload: Workload, c: float) -> Workload:
@@ -55,10 +61,30 @@ def fit_to_machine(workload: Workload, dims: TorusDims) -> Workload:
     also made by the BG/L prototype scheduler.
     """
     volume = dims.volume
+    round_up = _round_up_table(dims)
     jobs = []
     for job in workload.jobs:
-        size = min(job.size, volume)
-        size = round_to_schedulable(size, dims)
+        size = round_up[min(job.size, volume)]
         jobs.append(job.with_size(size) if size != job.size else job)
-    fitted = workload.replace_jobs(jobs)
-    return Workload(f"{workload.name}", volume, fitted.jobs)
+    return Workload(workload.name, volume, tuple(jobs))
+
+
+@lru_cache(maxsize=64)
+def _round_up_table(dims: TorusDims) -> tuple[int, ...]:
+    """``round_to_schedulable(s, dims)`` at index ``s`` for ``s`` in
+    ``1..dims.volume`` (index 0 unused)."""
+    return (0, *(round_to_schedulable(s, dims) for s in range(1, dims.volume + 1)))
+
+
+def job_log(site: str, n_jobs: int, seed: int, c: float, dims: TorusDims,
+            swf: str | None = None, head: int = 0) -> Workload:  # fmt: skip
+    """``site``'s synthetic log of ``n_jobs`` jobs drawn from ``seed`` (or
+    the trace file ``swf``, its first ``head`` jobs when nonzero), load
+    scaled by ``c`` and fitted to ``dims``."""
+    if swf:
+        workload = read_swf(swf)
+        if head:
+            workload = workload.head(head)
+    else:
+        workload = generate_workload(site_model(site), n_jobs, seed=seed)
+    return fit_to_machine(scale_load(workload, c), dims)

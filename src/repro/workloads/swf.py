@@ -30,7 +30,6 @@ offending line.
 
 from __future__ import annotations
 
-import io
 from pathlib import Path
 from typing import TextIO
 
@@ -41,6 +40,11 @@ from repro.workloads.job import Job, Workload
 SWF_FIELDS = 18
 
 _UNKNOWN = -1
+
+#: One written record: job number, submit time, wait (simulator output,
+#: so unknown), run time, allocated processors, two unknowns, requested
+#: processors and requested time; the other nine fields unknown.
+_RECORD = "%s %d -1 %d %s -1 -1 %s %d" + " -1" * 9 + "\n"
 
 
 def _parse_line(line: str, lineno: int) -> Job | None:
@@ -128,21 +132,17 @@ def write_swf(workload: Workload, path: str | Path | None = None) -> str:
     Only the fields this package consumes are populated; the rest carry
     the SWF "unknown" sentinel ``-1``.
     """
-    buf = io.StringIO()
-    buf.write(f"; SWF trace written by repro\n")
-    buf.write(f"; MaxProcs: {workload.machine_nodes}\n")
-    buf.write(f"; Note: {workload.name}\n")
-    for job in workload.jobs:
-        fields = [_UNKNOWN] * SWF_FIELDS
-        fields[0] = job.job_id
-        fields[1] = int(round(job.arrival))
-        fields[2] = _UNKNOWN  # wait time is simulator output
-        fields[3] = int(round(job.runtime))
-        fields[4] = job.size
-        fields[7] = job.size
-        fields[8] = int(round(job.estimate))
-        buf.write(" ".join(str(f) for f in fields) + "\n")
-    text = buf.getvalue()
+    header = (
+        "; SWF trace written by repro\n"
+        f"; MaxProcs: {workload.machine_nodes}\n"
+        f"; Note: {workload.name}\n"
+    )
+    text = header + "".join(
+        [
+            _RECORD % (j.job_id, round(j.arrival), round(j.runtime), j.size, j.size, round(j.estimate))
+            for j in workload.jobs
+        ]
+    )
     if path is not None:
         Path(path).write_text(text, encoding="utf-8")
     return text

@@ -12,6 +12,7 @@ identical traces.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 
 import numpy as np
 
@@ -58,27 +59,46 @@ def _draw_arrivals(model: SiteModel, n_jobs: int, rng: np.random.Generator) -> n
 
 
 def _draw_sizes(model: SiteModel, n_jobs: int, rng: np.random.Generator) -> np.ndarray:
-    """Job sizes (before ``size_divisor``)."""
+    """Job sizes (before ``size_divisor``).
+
+    A job reads one to three uniform doubles in a fixed branch order.
+    All ``3 * n_jobs`` the walk could need come from one call; the
+    generator is then rewound and advanced by exactly the doubles used,
+    so later draws read the stream a per-job loop of scalar draws leaves
+    (DESIGN §4).
+    """
     lo, hi = model.min_size, model.max_size
-    sizes = np.empty(n_jobs, dtype=np.int64)
     powers = 2 ** np.arange(int(math.log2(hi)) + 1)
     powers = powers[(powers >= lo) & (powers <= hi)]
     if model.p_unit_job > 0:
         # Unit jobs have their own probability atom; keep the
         # power-of-two pool disjoint so the shares stay interpretable.
         powers = powers[powers > 1]
-    for i in range(n_jobs):
-        if model.p_unit_job and rng.random() < model.p_unit_job and lo <= 1:
-            sizes[i] = 1
-        elif rng.random() < model.p_power_of_two and powers.size:
-            # Smaller powers are likelier: geometric-ish weighting
-            # matching the archive logs' size histograms.
-            weights = 1.0 / np.arange(1, powers.size + 1)
-            sizes[i] = rng.choice(powers, p=weights / weights.sum())
+    picks, cdf = powers.tolist(), []
+    if picks:
+        # Smaller powers are likelier: geometric-ish weighting matching
+        # the archive logs' size histograms.  ``Generator.choice(p=...)``
+        # searches this CDF with one double.
+        weights = 1.0 / np.arange(1, powers.size + 1)
+        cdf = (weights / weights.sum()).cumsum()
+        cdf /= cdf[-1]
+        cdf = cdf.tolist()
+    p_unit, p_power = model.p_unit_job, model.p_power_of_two
+    # Log-uniform body over [lo, hi]: ``rng.uniform(a, b)`` is ``a + (b - a) * u``.
+    log_lo, log_span = math.log(lo), math.log(hi + 1) - math.log(lo)
+    state = rng.bit_generator.state
+    doubles = iter(rng.random(3 * n_jobs).tolist())
+    sizes = []
+    for _ in range(n_jobs):
+        if p_unit and next(doubles) < p_unit and lo <= 1:
+            sizes.append(1)
+        elif next(doubles) < p_power and picks:
+            sizes.append(picks[bisect_right(cdf, next(doubles))])
         else:
-            # Log-uniform body over [lo, hi].
-            u = rng.uniform(math.log(lo), math.log(hi + 1))
-            sizes[i] = min(hi, max(lo, int(math.exp(u))))
+            sizes.append(min(hi, max(lo, int(math.exp(log_lo + log_span * next(doubles))))))
+    rng.bit_generator.state = state
+    rng.random(3 * n_jobs - sum(1 for _ in doubles))
+    sizes = np.array(sizes, dtype=np.int64)
     if model.size_divisor > 1:
         sizes = np.maximum(1, -(-sizes // model.size_divisor))  # ceil division
     return sizes
@@ -159,16 +179,8 @@ def generate_workload(
                 runtimes = np.clip(runtimes * factor, 1.0, model.max_runtime_s)
                 estimates = np.clip(estimates * factor, 1.0, model.max_runtime_s * 4)
             estimates = np.maximum(estimates, runtimes)
-    jobs = tuple(
-        Job(
-            job_id=i,
-            arrival=float(arrivals[i]),
-            size=int(sizes[i]),
-            runtime=float(runtimes[i]),
-            estimate=float(estimates[i]),
-        )
-        for i in range(n_jobs)
-    )
+    columns = (arrivals.tolist(), sizes.tolist(), runtimes.tolist(), estimates.tolist())
+    jobs = tuple(map(Job, range(n_jobs), *columns))
     return Workload(
         name=name or f"{model.name}-synthetic",
         machine_nodes=machine,

@@ -32,6 +32,11 @@ index-level comparisons,
 :func:`choose_partition_scalar` and :func:`shadow_time_naive` for one
 placement decision and one backfill reservation.
 
+For the job-log layer, :mod:`tests.oracles.workloads` keeps the
+per-job forms of the size draw, the SWF writer and the job copies of
+``scale_load`` / ``fit_to_machine`` (no bulk draw, no template, one
+``dataclasses.replace`` per copy).
+
 :func:`random_torus` / :func:`corrupt_random_node` supply random and
 deliberately broken machine states for property and negative tests.
 Every check raises an :class:`OracleError`.

@@ -11,8 +11,9 @@ from repro.errors import WorkloadError
 from repro.geometry.coords import BGL_SUPERNODE_DIMS
 from repro.geometry.shapes import schedulable_sizes
 from repro.workloads.job import Job, Workload
-from repro.workloads.models import SDSC_SP
-from repro.workloads.scaling import fit_to_machine, offered_load, scale_load
+from repro.workloads.models import NASA_IPSC, SDSC_SP
+from repro.workloads.scaling import fit_to_machine, job_log, offered_load, scale_load
+from repro.workloads.swf import read_swf, write_swf
 from repro.workloads.synthetic import generate_workload
 
 D = BGL_SUPERNODE_DIMS
@@ -100,3 +101,31 @@ class TestFitToMachine:
         for original, job in zip(w, fitted):
             assert job.size in valid
             assert job.size >= min(original.size, 128)
+
+
+class TestJobLog:
+    """``job_log`` is generate (or read) -> ``scale_load`` -> ``fit_to_machine``;
+    ``SimulationSetup.build_workload`` and the sweep cells both call it."""
+
+    def test_synthetic_log(self):
+        raw = generate_workload(NASA_IPSC, 200, seed=3)
+        assert job_log("nasa", 200, 3, 0.5, D) == fit_to_machine(scale_load(raw, 0.5), D)
+
+    def test_trace_file_and_head(self, tmp_path):
+        path = tmp_path / "t.swf"
+        write_swf(generate_workload(SDSC_SP, 50, seed=1), path)
+        want = fit_to_machine(scale_load(read_swf(path).head(20), 1.2), D)
+        # The site, count and seed are ignored for a trace file.
+        assert job_log("nasa", 7, 9, 1.2, D, swf=str(path), head=20) == want
+        assert len(job_log("sdsc", 0, 0, 1.0, D, swf=str(path))) == 50
+
+    def test_setup_and_sweep_cell_build_the_same_log(self):
+        from repro.api import SimulationSetup
+        from repro.experiments import sweep
+
+        point = sweep.SweepPoint("sdsc", 80, 1.2, 10, "krevat", 0.0)
+        sweep._workload_cache.clear()
+        cell = sweep._workload_for(point, 4)
+        setup = SimulationSetup(site="sdsc", n_jobs=80, load_scale=1.2, seed=4)
+        assert cell == setup.build_workload() == job_log("sdsc", 80, 4, 1.2, D)
+        assert sweep._workload_for(point, 4) is cell  # cached under its key
