@@ -17,6 +17,12 @@ failure story on a small real sweep:
 Exit code 0 means the whole chain held.  ``quarantine.json`` is left in
 the checkpoint directory for CI to upload as an artifact.
 
+The faults come from the test suite's fault layer (``tests.chaos``):
+the production sweep has no chaos option, so step 2 runs inside
+``tests.chaos.injecting``, which wraps the cell entry points of this
+process, of the warm-pool workers it forks and of the queue workers it
+spawns.
+
 ``--queue-dir DIR`` rehearses the same chain, same ``ChaosConfig``,
 through the directory-queue backend (two spawned ``sweep-worker``
 processes, a short lease so the killed worker's claim is noticed fast);
@@ -34,9 +40,15 @@ import sys
 import tempfile
 from pathlib import Path
 
+REPO_ROOT = Path(__file__).resolve().parents[2]
+for path in (REPO_ROOT / "src", REPO_ROOT):  # repro, and the tests.chaos fault layer
+    if str(path) not in sys.path:  # direct-script convenience
+        sys.path.insert(0, str(path))
+
 import repro.experiments.sweep as sweep_mod
 from repro.experiments.sweep import SweepPoint, run_sweep, run_sweep_outcome
-from repro.resilience import ChaosConfig, RetryPolicy
+from repro.resilience import RetryPolicy
+from tests.chaos import ChaosConfig, injecting
 
 #: Small enough for CI seconds, large enough for two policies x two
 #: points x two seeds of real simulation.
@@ -94,9 +106,11 @@ def main(argv: list[str] | None = None) -> int:
         f"[2/3] chaos run: kill {KILL_CELL} (transient), "
         f"poison {POISON_CELL}; checkpoints -> {checkpoint_dir}"
     )
-    chaotic = run_sweep_outcome(
-        POINTS, SEEDS, workers=2, retry=policy, chaos=chaos, **backend
-    )
+    with tempfile.TemporaryDirectory(prefix="resilience-smoke-chaos-") as state:
+        with injecting(chaos, POINTS, SEEDS, state):
+            chaotic = run_sweep_outcome(
+                POINTS, SEEDS, workers=2, retry=policy, **backend
+            )
     print(f"      {chaotic.stats.summary_line()}")
     quarantined = {(e.point_index, e.seed_index) for e in chaotic.quarantined}
     if quarantined != {POISON_CELL}:

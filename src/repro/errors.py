@@ -73,11 +73,3 @@ class CellTimeoutError(ResilienceError):
     """A sweep cell exceeded its :class:`~repro.resilience.RetryPolicy`
     per-cell timeout and was aborted; the cell is retried or
     quarantined, never silently dropped."""
-
-
-class ChaosError(ReproError):
-    """A failure injected by the :mod:`repro.resilience.chaos` layer.
-
-    Raised only when a :class:`~repro.resilience.ChaosConfig` explicitly
-    schedules an in-cell fault; never seen in production runs (chaos is
-    off by default)."""

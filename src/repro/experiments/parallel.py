@@ -31,16 +31,15 @@ Resilience (data carried by the loop, not a second path)
     Without a :class:`~repro.resilience.RetryPolicy` the loop fails
     fast: a cell's own exception propagates unchanged and a dead worker
     raises an error naming every unfinished cell.  With one (any of
-    ``checkpoint_dir`` / ``queue_dir`` / ``retry`` / ``chaos`` implies
-    the default policy) a failing cell (it raised, timed out, or its queue
+    ``checkpoint_dir`` / ``queue_dir`` / ``retry`` implies the default
+    policy) a failing cell (it raised, timed out, or its queue
     lease ran out) is resubmitted after its deterministic backoff and
     quarantined once its attempts are spent, a broken pool (for the
     queue: every local worker dead) is respawned and its lost cells
     resubmitted, and a pool that keeps breaking is swapped for the
-    in-process executor.  Chaos injection and the per-cell timeout live
-    inside the one worker entry point
-    (:func:`repro.experiments.pool.run_cell`), so they apply
-    identically in workers and in-process.
+    in-process executor.  The per-cell timeout lives inside the one
+    worker entry point (:func:`repro.experiments.pool.run_cell`), so it
+    applies identically in workers and in-process.
 
 Whichever way the loop is left — done, a cell's exception, a dead
 worker, Ctrl-C — futures not yet started are cancelled and running ones
@@ -84,14 +83,12 @@ from repro.obs.aggregate import SweepObsCollector
 from repro.obs.log import get_logger
 from repro.resilience import (
     CellStore,
-    ChaosConfig,
     Quarantine,
     QuarantineEntry,
     ResilientSweepOutcome,
     RetryPolicy,
     SweepRunStats,
     cell_key,
-    corrupt_checkpoint,
 )
 
 logger = get_logger(__name__)
@@ -154,11 +151,9 @@ class SweepExecutor:
         of recomputed.
     retry:
         :class:`~repro.resilience.RetryPolicy` for crashed/raising
-        cells; a run with ``checkpoint_dir`` or ``chaos`` but no policy
-        uses the defaults, a run with none of the three fails fast.
-    chaos:
-        :class:`~repro.resilience.ChaosConfig` fault injection (testing
-        only; default off).
+        cells; a run with ``checkpoint_dir`` or ``queue_dir`` but no
+        policy uses the defaults, a run with none of the three fails
+        fast.
     resume:
         Whether to trust existing checkpoint cells (verified reads) or
         recompute everything while still writing checkpoints.
@@ -188,7 +183,6 @@ class SweepExecutor:
     workers: int | None = None
     checkpoint_dir: str | Path | None = None
     retry: RetryPolicy | None = None
-    chaos: ChaosConfig | None = None
     resume: bool = True
     min_cells_per_worker: int = 10
     queue_dir: str | Path | None = None
@@ -205,7 +199,6 @@ class SweepExecutor:
             self.checkpoint_dir is not None
             or self.queue_dir is not None
             or self.retry is not None
-            or (self.chaos is not None and self.chaos.enabled)
         )
 
     # ------------------------------------------------------------------
@@ -396,12 +389,9 @@ class SweepExecutor:
                         future = executor.submit(
                             pool_mod.run_cell,
                             *cell,
-                            attempts[cell[0]],
                             model,
                             with_obs,
-                            self.chaos,
                             timeout_s,
-                            executor is not inprocess,
                             sweep_mod.MASTER_FAILURE_COUNT,
                         )
                     except BrokenProcessPool as exc:
@@ -480,15 +470,15 @@ class SweepExecutor:
                         if obs is not None:
                             collector.add_cell(*cell_id, obs)
                         stats.cells_computed += 1
-                        if store is not None:
-                            path = store.put(
+                        # A queue worker checkpointed its cell before the
+                        # future settled; only cells run here need a put.
+                        if store is not None and (
+                            self.queue_dir is None or executor is inprocess
+                        ):
+                            store.put(
                                 keys[cell_id], report,
                                 point_index=cell_id[0], seed=seed,
                             )
-                            if self.chaos is not None and self.chaos.should_corrupt(
-                                cell_id
-                            ):
-                                corrupt_checkpoint(path, self.chaos, cell_id)
                 now = time.monotonic()
                 if now - last_log >= _LOG_INTERVAL_S and stats.cells_computed:
                     last_log = now

@@ -37,7 +37,7 @@ from repro.experiments import sweep as sweep_mod
 from repro.failures.synthetic import BurstFailureModel
 from repro.obs.aggregate import CellObs
 from repro.obs.log import get_logger
-from repro.resilience import ChaosConfig, cell_timeout, inject_pre_cell
+from repro.resilience import cell_timeout
 
 logger = get_logger(__name__)
 
@@ -49,32 +49,26 @@ def run_cell(
     cell_id: tuple[int, int],
     point: sweep_mod.SweepPoint,
     seed: int,
-    attempt: int,
     model: BurstFailureModel,
     with_obs: bool,
-    chaos: ChaosConfig | None,
     timeout_s: float | None,
-    in_worker: bool,
     master_failure_count: int,
 ):
     """Run one ``(point, seed)`` cell; its ``(report, obs)`` pair.
 
-    ``attempt`` counts the cell's earlier failed attempts (chaos faults
-    fire on chosen attempts only); ``in_worker`` says whether this is a
-    pool or queue worker (chaos kills only fire there, never in the
-    calling process); ``master_failure_count`` is the dispatching
+    ``cell_id`` names the cell (a queue task records it for the
+    checkpoint it writes); ``master_failure_count`` is the dispatching
     process's ``sweep.MASTER_FAILURE_COUNT``, which a persistent worker
     forked before a test or bench shrank the constant must follow, as
     must a queue worker started on another host — its caches are keyed
-    by the count, so following is all it takes.  Chaos injection and the
-    per-cell wall-clock timeout live here so they apply identically
-    either way.  With ``with_obs`` the second element is the cell's
+    by the count, so following is all it takes.  The per-cell
+    wall-clock timeout lives here so it applies identically in workers
+    and in-process.  With ``with_obs`` the second element is the cell's
     picklable observability payload (metrics snapshot, plus the buffered
     trace lines when the point's config traces), else ``None``.
     """
     sweep_mod.MASTER_FAILURE_COUNT = master_failure_count
     with cell_timeout(timeout_s):
-        inject_pre_cell(chaos, cell_id, attempt, in_worker=in_worker)
         simulator = Simulator(*sweep_mod.cell_inputs(point, seed, model, with_obs))
         report = simulator.run()
     if not with_obs:

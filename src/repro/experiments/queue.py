@@ -72,7 +72,7 @@ from repro.records import (
     record_files,
     to_plain,
 )
-from repro.resilience import CellStore, ChaosConfig, cell_key
+from repro.resilience import CellStore, cell_key
 
 logger = get_logger(__name__)
 
@@ -105,12 +105,9 @@ class QueueTask:
     cell_id: tuple[int, int]
     point: SweepPoint
     seed: int
-    attempt: int
     model: BurstFailureModel
     with_obs: bool
-    chaos: ChaosConfig | None
     timeout_s: float | None
-    in_worker: bool
     master_failure_count: int
     lease: Lease | None = None
 

@@ -2,20 +2,13 @@
 
 The paper's premise is that real machines fail mid-run; this package
 gives the sweep runner the same awareness: durable per-cell checkpoints
-(:mod:`~repro.resilience.store`), retry with deterministic backoff and
-quarantine (:mod:`~repro.resilience.retry`), and a seeded
-chaos-injection layer (:mod:`~repro.resilience.chaos`) that the test
-suites drive.  See ``README.md`` ("Resilient sweeps") for the user-level
-story and :mod:`repro.experiments.parallel` for the executor that wires
-it all together.
+(:mod:`~repro.resilience.store`) and retry with deterministic backoff
+and quarantine (:mod:`~repro.resilience.retry`).  See ``README.md``
+("Resilient sweeps") for the user-level story and
+:mod:`repro.experiments.parallel` for the executor that wires it all
+together.
 """
 
-from repro.resilience.chaos import (
-    KILL_EXIT_CODE,
-    ChaosConfig,
-    corrupt_checkpoint,
-    inject_pre_cell,
-)
 from repro.resilience.outcome import (
     ResilientSweepOutcome,
     SweepRunStats,
@@ -36,10 +29,8 @@ from repro.resilience.store import (
 
 __all__ = [
     "CHECKPOINT_SCHEMA_VERSION",
-    "KILL_EXIT_CODE",
     "QUARANTINE_SCHEMA_VERSION",
     "CellStore",
-    "ChaosConfig",
     "Quarantine",
     "QuarantineEntry",
     "ResilientSweepOutcome",
@@ -47,7 +38,5 @@ __all__ = [
     "SweepRunStats",
     "cell_key",
     "cell_timeout",
-    "corrupt_checkpoint",
     "incomplete_points",
-    "inject_pre_cell",
 ]

@@ -17,6 +17,10 @@ The ``checked_engine`` fixture runs every simulator that ``simulate``,
 ``quick_simulate`` or ``SimulationSetup.run`` builds under the full
 runtime oracle harness (:func:`tests.oracles.checking`) and yields the
 list of those simulators.
+
+The ``inject_faults`` fixture is :func:`tests.chaos.injecting` with a
+fresh state directory per call: ``with inject_faults(config, points,
+seeds):`` runs the block's sweeps of that grid under the config.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import os
 import pytest
 from hypothesis import HealthCheck, settings
 
+from tests.chaos import injecting
 from tests.oracles import checking
 
 _COMMON = dict(
@@ -43,3 +48,11 @@ settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "dev"))
 def checked_engine():
     with checking() as built:
         yield built
+
+
+@pytest.fixture
+def inject_faults(tmp_path_factory):
+    def inject(config, points, seeds):
+        return injecting(config, points, seeds, tmp_path_factory.mktemp("chaos"))
+
+    return inject

@@ -14,6 +14,7 @@ keep the skip conditions honest (fork genuinely unavailable).
 
 from __future__ import annotations
 
+import contextlib
 import os
 import time
 from concurrent.futures import wait
@@ -28,7 +29,9 @@ from repro.errors import ExperimentError, ReproError, SimulationError
 from repro.experiments.parallel import SweepExecutor, default_workers, fork_available
 from repro.experiments.pool import shutdown_warm_pool
 from repro.experiments.sweep import SweepPoint, run_sweep, run_sweep_outcome
-from repro.resilience import ChaosConfig, RetryPolicy
+from repro.resilience import RetryPolicy
+
+from tests.chaos import ChaosConfig
 
 needs_fork = pytest.mark.skipif(
     not fork_available(), reason="platform lacks the fork start method"
@@ -88,6 +91,9 @@ GRIDS = {
 
 _FAST_RETRY = RetryPolicy(base_delay_s=0.0, jitter_fraction=0.0)
 
+#: The fault the ``+transient-kill`` backends run under.
+_TRANSIENT_KILL = ChaosConfig(kill_cells=((0, 0),), kill_attempts=1)
+
 #: Every way a sweep can be executed: the options (given a scratch
 #: directory), then the ``mode`` and ``workers_used`` an honest
 #: ``SweepRunStats`` must report.
@@ -106,7 +112,6 @@ BACKENDS = {
     "warm-pool+transient-kill": (
         lambda tmp: dict(
             workers=2, min_cells_per_worker=0, retry=_FAST_RETRY,
-            chaos=ChaosConfig(kill_cells=((0, 0),), kill_attempts=1),
         ),
         "warm", 2,
     ),
@@ -117,7 +122,6 @@ BACKENDS = {
     "queue+transient-kill": (
         lambda tmp: dict(
             workers=2, queue_dir=tmp, lease_s=1.0, retry=_FAST_RETRY,
-            chaos=ChaosConfig(kill_cells=((0, 0),), kill_attempts=1),
         ),
         "queue", 2,
     ),
@@ -142,7 +146,9 @@ def _leave_stale_workers(monkeypatch, points, seeds):
 
 @needs_fork
 @pytest.mark.parametrize("backend", sorted(BACKENDS))
-def test_every_backend_matches_serial(backend, tmp_path, monkeypatch):
+def test_every_backend_matches_serial(
+    backend, tmp_path, monkeypatch, inject_faults
+):
     """One grid through every execution path: results ``==`` serial
     (exact floats) and the stats say what really ran."""
     options, mode, workers_used = BACKENDS[backend]
@@ -160,7 +166,13 @@ def test_every_backend_matches_serial(backend, tmp_path, monkeypatch):
         n_computed = 1
     # The backend under test goes first, against cold caches, so it
     # cannot piggyback on serially computed results.
-    outcome = run_sweep_outcome(points, seeds, **options(tmp_path))
+    faults = (
+        inject_faults(_TRANSIENT_KILL, points, seeds)
+        if "kill" in backend
+        else contextlib.nullcontext()
+    )
+    with faults:
+        outcome = run_sweep_outcome(points, seeds, **options(tmp_path))
     sweep_mod._result_cache.clear()
     assert outcome.results == run_sweep(points, seeds, workers=1)
     assert outcome.complete

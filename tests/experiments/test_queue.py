@@ -41,7 +41,6 @@ from repro.experiments.queue import (
     QueueTask,
     WorkQueue,
     run_worker,
-    spawn_worker_process,
 )
 from repro.experiments.sweep import (
     SweepPoint,
@@ -51,8 +50,9 @@ from repro.experiments.sweep import (
 )
 from repro.failures.synthetic import BurstFailureModel
 from repro.records import atomic_write_json, to_plain
-from repro.resilience import ChaosConfig, RetryPolicy, cell_key
-from repro.resilience.chaos import KILL_EXIT_CODE
+from repro.resilience import CellStore, RetryPolicy, cell_key
+
+from tests.chaos import KILL_EXIT_CODE, PLAN_FILE, ChaosConfig, injecting, load_plan
 
 MODEL = BurstFailureModel()
 
@@ -88,13 +88,13 @@ def _serial_reference(points, seeds):
     return ref
 
 
-def _calls(points, seeds, chaos=None):
+def _calls(points, seeds):
     """``(key, run_cell arguments)`` of every cell, as the dispatch loop
-    would submit its first attempt."""
+    would submit it."""
     return [
         (
             cell_key(point, seed, MODEL),
-            (cell_id, point, seed, 0, MODEL, False, chaos, None, True, 64),
+            (cell_id, point, seed, MODEL, False, None, 64),
         )
         for cell_id, point, seed in enumerate_cells(
             points, range(len(points)), seeds
@@ -102,8 +102,8 @@ def _calls(points, seeds, chaos=None):
     ]
 
 
-def _put_grid(queue, points, seeds, chaos=None):
-    calls = _calls(points, seeds, chaos)
+def _put_grid(queue, points, seeds):
+    calls = _calls(points, seeds)
     for key, args in calls:
         assert queue.put(QueueTask(*args)) == key
     return [key for key, _ in calls]
@@ -112,6 +112,21 @@ def _put_grid(queue, points, seeds, chaos=None):
 def _file_record(directory, key, record):
     """Write one record file as the queue does, bypassing ``put``."""
     atomic_write_json(directory / f"{key}.json", record)
+
+
+@pytest.fixture
+def driver_puts(monkeypatch):
+    """The keys the calling process writes checkpoints under (spawned
+    workers are other processes: their writes are not seen)."""
+    puts = []
+    real_put = CellStore.put
+
+    def recording_put(store, key, *args, **kwargs):
+        puts.append(key)
+        return real_put(store, key, *args, **kwargs)
+
+    monkeypatch.setattr(CellStore, "put", recording_put)
+    return puts
 
 
 # ----------------------------------------------------------------------
@@ -181,13 +196,16 @@ class TestQueueProtocol:
         assert counts["claims"] == len(claimed)
 
     def test_chaos_survives_the_record(self, tmp_path, grid):
-        """``ChaosConfig`` matches cell ids as tuples; JSON's lists must
+        """A queue worker under a fault plan decides by the plan file.
+        ``ChaosConfig`` matches cell ids as tuples; JSON's lists must
         come back as tuples or no fault would ever fire in a worker."""
         points, seeds = grid
         chaos = ChaosConfig(kill_cells=((0, 0),), raise_cells=((1, 1),), seed=3)
-        queue = WorkQueue(tmp_path)
-        _put_grid(queue, points[:1], seeds[:1], chaos)
-        assert queue.claim().chaos == chaos
+        with injecting(chaos, points, seeds, tmp_path) as plan:
+            loaded = load_plan(tmp_path / PLAN_FILE)
+        assert loaded == plan
+        assert loaded.config.should_kill(loaded.cell(points[0], seeds[0]), 0)
+        assert loaded.config.should_raise(loaded.cell(points[1], seeds[1]), 0)
 
     def test_lost_rename_race_moves_to_next_task(
         self, tmp_path, grid, monkeypatch
@@ -243,8 +261,9 @@ class TestQueueProtocol:
     def test_expired_claim_reenqueued_with_next_attempt(self, tmp_path, grid):
         """An expired claim is reported lost exactly once — a
         ``LeaseExpired`` failure on the future of whoever waits for the
-        cell — and re-enqueueing it with the next attempt is that
-        caller's move (the dispatch loop's, as for any failed cell)."""
+        cell — and re-enqueueing it for the next attempt is that
+        caller's move (the dispatch loop's, which counts attempts, as for
+        any failed cell)."""
         points, seeds = grid
         (key, args), *_ = _calls(points, seeds)
         executor = QueueExecutor(tmp_path, lease_s=5.0, spawn_workers=False)
@@ -263,11 +282,10 @@ class TestQueueProtocol:
             assert queue.counts() == {
                 "tasks": 0, "claims": 0, "failed": 0, "cells": 0,
             }
-            cell_id, point, seed, attempt, *rest = args
-            executor.submit(run_cell, cell_id, point, seed, attempt + 1, *rest)
+            executor.submit(run_cell, *args)
             retry = queue.claim()
             assert retry.key == key
-            assert retry.attempt == 1
+            assert retry.call == args
         finally:
             executor.shutdown()
 
@@ -608,60 +626,69 @@ class TestQueueExecutor:
         finally:
             executor.shutdown()
 
-    def test_dead_local_fleet_is_a_broken_pool(self, tmp_path, grid):
+    def test_dead_local_fleet_is_a_broken_pool(
+        self, tmp_path, grid, inject_faults
+    ):
         """Every spawned worker dead with futures outstanding resolves
         them with ``BrokenProcessPool`` and frees the claim the fleet
         died holding, at once — not a lease later."""
         points, seeds = grid
         chaos = ChaosConfig(kill_cells=((0, 0), (1, 0)), kill_attempts=99)
-        executor = QueueExecutor(tmp_path, lease_s=600.0).ensure(1)
-        try:
-            futures = [
-                executor.submit(run_cell, *args)
-                for _, args in _calls(points, seeds[:1], chaos)
-            ]
-            for future in futures:
-                assert isinstance(future.exception(timeout=120), BrokenProcessPool)
-            assert executor.queue.counts()["tasks"] == 0  # withdrawn
-            executor.mark_broken()
-            assert executor.queue.counts()["claims"] == 0
-            assert executor.ensure(1) is executor
-            assert executor.spawns == 2
-        finally:
-            executor.shutdown()
+        with inject_faults(chaos, points, seeds):
+            executor = QueueExecutor(tmp_path, lease_s=600.0).ensure(1)
+            try:
+                futures = [
+                    executor.submit(run_cell, *args)
+                    for _, args in _calls(points, seeds[:1])
+                ]
+                for future in futures:
+                    error = future.exception(timeout=120)
+                    assert isinstance(error, BrokenProcessPool)
+                assert executor.queue.counts()["tasks"] == 0  # withdrawn
+                executor.mark_broken()
+                assert executor.queue.counts()["claims"] == 0
+                assert executor.ensure(1) is executor
+                assert executor.spawns == 2
+            finally:
+                executor.shutdown()
 
     def test_collector_is_refused(self, tmp_path, grid):
         points, seeds = grid
         ((_, args),) = _calls(points[:1], seeds[:1])
         executor = QueueExecutor(tmp_path, spawn_workers=False)
         with pytest.raises(ExperimentError, match="collectors"):
-            executor.submit(run_cell, *args[:5], True, *args[6:])
+            executor.submit(run_cell, *args[:4], True, *args[5:])
         executor.shutdown()
 
     def test_interrupted_loop_cancels_withdraws_and_reaps(
-        self, tmp_path, grid, monkeypatch
+        self, tmp_path, grid, inject_faults
     ):
         """Ctrl-C while the loop sleeps out a backoff: the sweep's own
         workers are reaped and no task of it stays runnable."""
         points, seeds = grid
         spawned = []
-        real_spawn = queue_mod.spawn_worker_process
-
-        def recording_spawn(*args, **kwargs):
-            spawned.append(real_spawn(*args, **kwargs))
-            return spawned[-1]
 
         def interrupt(delay):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(queue_mod, "spawn_worker_process", recording_spawn)
         executor = SweepExecutor(
             workers=2, queue_dir=tmp_path, sleep=interrupt,
             retry=RetryPolicy(base_delay_s=0.0, jitter_fraction=0.0),
-            chaos=ChaosConfig(raise_cells=((0, 0),), raise_attempts=1),
         )
-        with pytest.raises(KeyboardInterrupt):
-            executor.run_outcome(points, seeds)
+        chaos = ChaosConfig(raise_cells=((0, 0),), raise_attempts=1)
+        with (
+            inject_faults(chaos, points, seeds),
+            pytest.MonkeyPatch.context() as patch,
+        ):
+            plan_spawn = queue_mod.spawn_worker_process
+
+            def recording_spawn(*args, **kwargs):
+                spawned.append(plan_spawn(*args, **kwargs))
+                return spawned[-1]
+
+            patch.setattr(queue_mod, "spawn_worker_process", recording_spawn)
+            with pytest.raises(KeyboardInterrupt):
+                executor.run_outcome(points, seeds)
         assert len(spawned) == 2
         assert all(proc.poll() is not None for proc in spawned)
         assert WorkQueue(tmp_path).counts()["tasks"] == 0
@@ -692,19 +719,21 @@ class TestQueueSweepDriver:
         assert resumed.stats.checkpoint_hits == len(points) * len(seeds)
 
     def test_killed_worker_claim_reclaimed_and_resumed_bitwise(
-        self, tmp_path, grid
+        self, tmp_path, grid, inject_faults
     ):
         """The acceptance scenario: a worker dies *holding a claim*
-        (chaos kill, carried in the task record); the driver that
-        enqueued it is gone; a resumed driver finds the claim, lets its
-        lease run out and the merged results equal serial exactly."""
+        (a chaos kill, installed in the worker from the plan file); the
+        driver that enqueued it is gone; a resumed driver finds the
+        claim, lets its lease run out and the merged results equal
+        serial exactly."""
         points, seeds = grid
         ref = _serial_reference(points, seeds)
         queue = WorkQueue(tmp_path, lease_s=1.0)
         chaos = ChaosConfig(kill_cells=((1, 1),), kill_attempts=1)
-        keys = _put_grid(queue, points, seeds, chaos)
-        proc = spawn_worker_process(tmp_path, lease_s=1.0)
-        assert proc.wait(timeout=120) == KILL_EXIT_CODE
+        keys = _put_grid(queue, points, seeds)
+        with inject_faults(chaos, points, seeds):
+            proc = queue_mod.spawn_worker_process(tmp_path, lease_s=1.0)
+            assert proc.wait(timeout=120) == KILL_EXIT_CODE
         counts = queue.counts()
         assert counts["claims"] == 1  # died holding one
         assert counts["cells"] + counts["tasks"] == len(keys) - 1
@@ -718,3 +747,85 @@ class TestQueueSweepDriver:
         assert final["tasks"] == 0
         assert final["claims"] == 0
         assert final["cells"] == len(points) * len(seeds)
+
+    def test_driver_rewrites_no_checkpoint_a_worker_wrote(
+        self, tmp_path, grid, driver_puts
+    ):
+        """A worker's ``complete`` wrote the cell's checkpoint and the
+        settle thread read it back verified: the driver writes none."""
+        points, seeds = grid
+        ref = _serial_reference(points, seeds)
+        outcome = run_sweep_outcome(points, seeds, queue_dir=tmp_path, workers=2)
+        assert outcome.results == ref
+        assert outcome.stats.cells_computed == len(points) * len(seeds)
+        assert driver_puts == []
+        store = CellStore(tmp_path)
+        assert store.validate() == []
+        assert len(store) == len(points) * len(seeds)
+
+    def test_degraded_queue_sweep_checkpoints_its_inprocess_cells(
+        self, tmp_path, grid, driver_puts, inject_faults
+    ):
+        """Once the fleet keeps dying the driver runs what is left
+        itself; those cells have no other writer, so it writes them."""
+        points, seeds = grid
+        ref = _serial_reference(points, seeds)
+        chaos = ChaosConfig(kill_cells=((0, 0),), kill_attempts=99)
+        policy = RetryPolicy(
+            base_delay_s=0.0, jitter_fraction=0.0, max_attempts=8,
+            max_pool_rebuilds=0,
+        )
+        with inject_faults(chaos, points, seeds):
+            outcome = run_sweep_outcome(
+                points, seeds, workers=2, queue_dir=tmp_path, lease_s=1.0,
+                retry=policy,
+            )
+        assert outcome.stats.degraded
+        assert outcome.results == ref
+        assert cell_key(points[0], seeds[0], MODEL) in driver_puts
+        store = CellStore(tmp_path)
+        assert store.validate() == []
+        assert len(store) == len(points) * len(seeds)
+
+    def test_task_filed_with_fields_run_cell_lost_is_charged_then_rerun(
+        self, tmp_path, grid
+    ):
+        """A task in the record shape from before ``run_cell`` lost its
+        ``attempt`` / ``chaos`` / ``in_worker`` parameters does not
+        decode: its claim is a ``GarbledTask`` failed attempt that the
+        driver charges (one attempt allowed: quarantined), and the
+        rerun of the cell matches serial."""
+        points, seeds = grid
+        ref = _serial_reference(points, seeds)
+        queue = WorkQueue(tmp_path)
+        (key, args), *_ = _calls(points, seeds)
+        old = to_plain(QueueTask(*args)) | {
+            "attempt": 0, "chaos": None, "in_worker": True,
+        }
+        _file_record(queue.tasks_dir, key, old)
+
+        def worker():
+            # Only once the driver has filed the other three: it keeps
+            # the old task, and no worker may claim it before then.
+            while queue.counts()["tasks"] < len(points) * len(seeds):
+                time.sleep(0.01)
+            run_worker(tmp_path, idle_exit_s=1.0)
+
+        thread = threading.Thread(target=worker)
+        thread.start()
+        first = run_sweep_outcome(
+            points, seeds, queue_dir=tmp_path, spawn_workers=False,
+            retry=RetryPolicy(max_attempts=1),
+        )
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        (entry,) = first.quarantined
+        assert (entry.point_index, entry.seed_index) == (0, 0)
+        assert (entry.error_type, entry.attempts) == ("GarbledTask", 1)
+        sweep_mod._result_cache.clear()
+        rerun = run_sweep_outcome(points, seeds, queue_dir=tmp_path, workers=1)
+        assert rerun.results == ref
+        assert rerun.stats.cells_computed == 1
+        assert queue.counts() == {
+            "tasks": 0, "claims": 0, "failed": 0, "cells": len(points) * len(seeds),
+        }

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import repro.experiments.sweep as sweep_mod
 from repro.experiments.sweep import run_sweep, run_sweep_outcome
-from repro.resilience import CellStore, ChaosConfig, RetryPolicy
+from repro.resilience import CellStore, RetryPolicy
 
+from tests.chaos import ChaosConfig
 from tests.resilience.conftest import needs_fork
 
 
@@ -23,19 +24,22 @@ def _serial_reference(points, seeds):
 
 @needs_fork
 class TestKillAndResume:
-    def test_transient_kill_bitwise_identical(self, grid, fast_retry):
+    def test_transient_kill_bitwise_identical(
+        self, grid, fast_retry, inject_faults
+    ):
         points, seeds = grid
         ref = _serial_reference(points, seeds)
         chaos = ChaosConfig(kill_cells=((0, 0),), kill_attempts=1)
-        outcome = run_sweep_outcome(
-            points, seeds, workers=2, min_cells_per_worker=0,
-            retry=fast_retry, chaos=chaos,
-        )
+        with inject_faults(chaos, points, seeds):
+            outcome = run_sweep_outcome(
+                points, seeds, workers=2, min_cells_per_worker=0,
+                retry=fast_retry,
+            )
         assert outcome.results == ref
         assert outcome.stats.pool_rebuilds >= 1
 
     def test_killed_sweep_resumes_from_checkpoints(
-        self, grid, fast_retry, tmp_path
+        self, grid, fast_retry, tmp_path, inject_faults
     ):
         """Run 1 loses cells to a poison raise; run 2 (chaos off, same
         directory) restores every surviving cell and only computes what
@@ -43,11 +47,11 @@ class TestKillAndResume:
         points, seeds = grid
         ref = _serial_reference(points, seeds)
         poison = ChaosConfig(raise_cells=((1, 0),), raise_attempts=99)
-        first = run_sweep_outcome(
-            points, seeds, workers=2, min_cells_per_worker=0,
-            checkpoint_dir=tmp_path,
-            retry=fast_retry, chaos=poison,
-        )
+        with inject_faults(poison, points, seeds):
+            first = run_sweep_outcome(
+                points, seeds, workers=2, min_cells_per_worker=0,
+                checkpoint_dir=tmp_path, retry=fast_retry,
+            )
         assert not first.complete
         computed_first = first.stats.cells_computed
         assert computed_first == len(points) * len(seeds) - 1
@@ -66,16 +70,16 @@ class TestKillAndResume:
 
 class TestResumeSemantics:
     def test_corrupted_checkpoints_recomputed_on_resume(
-        self, grid, fast_retry, tmp_path
+        self, grid, fast_retry, tmp_path, inject_faults
     ):
         points, seeds = grid
         ref = _serial_reference(points, seeds)
         # Corrupt both of point 0's freshly written cells.
         chaos = ChaosConfig(corrupt_cells=((0, 0), (0, 1)))
-        first = run_sweep_outcome(
-            points, seeds, checkpoint_dir=tmp_path, retry=fast_retry,
-            chaos=chaos,
-        )
+        with inject_faults(chaos, points, seeds):
+            first = run_sweep_outcome(
+                points, seeds, checkpoint_dir=tmp_path, retry=fast_retry
+            )
         assert first.results == ref  # corruption is post-success, on disk only
         store = CellStore(tmp_path)
         assert len(store.validate()) == 2
@@ -149,12 +153,13 @@ class TestResumeSemantics:
 
 class TestKilledQueueWorker:
     def test_killed_queue_worker_reclaim_resume_bitwise(
-        self, grid, fast_retry, tmp_path
+        self, grid, fast_retry, tmp_path, inject_faults
     ):
         """Multi-host variant of kill-and-resume: a queue worker dies
         deterministically *between claiming and computing* a cell (the
         same ``ChaosConfig`` kill the warm pool is rehearsed with,
-        carried in the task record, exiting with ``KILL_EXIT_CODE``);
+        installed in the worker from the plan file, exiting with
+        ``KILL_EXIT_CODE``);
         the orphaned claim's lease expires; the dispatch loop charges
         the attempt and resubmits, and the merged results are bitwise
         identical to serial, with the reclaim visible in the stats (the
@@ -162,10 +167,11 @@ class TestKilledQueueWorker:
         points, seeds = grid
         ref = _serial_reference(points, seeds)
         chaos = ChaosConfig(kill_cells=((0, 0),), kill_attempts=1)
-        outcome = run_sweep_outcome(
-            points, seeds, workers=2, queue_dir=tmp_path, lease_s=1.0,
-            retry=fast_retry, chaos=chaos,
-        )
+        with inject_faults(chaos, points, seeds):
+            outcome = run_sweep_outcome(
+                points, seeds, workers=2, queue_dir=tmp_path, lease_s=1.0,
+                retry=fast_retry,
+            )
         assert outcome.results == ref
         assert outcome.complete
         assert not outcome.quarantined
@@ -180,7 +186,7 @@ class TestKilledQueueWorker:
 
 class TestObsIntegration:
     def test_resilience_events_flow_into_active_metrics(
-        self, grid, fast_retry, tmp_path
+        self, grid, fast_retry, tmp_path, inject_faults
     ):
         """Each fact the sweep layer counts has one home, ``outcome.stats``
         (filled from the store's instance counters): the injected raise is
@@ -188,10 +194,10 @@ class TestObsIntegration:
         the second run restores them all."""
         points, seeds = grid
         chaos = ChaosConfig(raise_cells=((0, 0),), raise_attempts=1)
-        first = run_sweep_outcome(
-            points, seeds, checkpoint_dir=tmp_path, retry=fast_retry,
-            chaos=chaos,
-        ).stats
+        with inject_faults(chaos, points, seeds):
+            first = run_sweep_outcome(
+                points, seeds, checkpoint_dir=tmp_path, retry=fast_retry
+            ).stats
         sweep_mod._result_cache.clear()
         second = run_sweep_outcome(
             points, seeds, checkpoint_dir=tmp_path, retry=fast_retry

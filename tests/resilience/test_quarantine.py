@@ -16,8 +16,9 @@ import pytest
 import repro.experiments.sweep as sweep_mod
 from repro.experiments.parallel import SweepExecutor
 from repro.experiments.sweep import run_sweep, run_sweep_outcome
-from repro.resilience import ChaosConfig, Quarantine, RetryPolicy
+from repro.resilience import Quarantine, RetryPolicy
 
+from tests.chaos import ChaosConfig
 from tests.resilience.conftest import needs_fork
 
 
@@ -39,15 +40,15 @@ def _pooled_backends(tmp_path):
 
 class TestQuarantine:
     def test_poison_cell_quarantined_partial_point(
-        self, grid, fast_retry, tmp_path
+        self, grid, fast_retry, tmp_path, inject_faults
     ):
         points, seeds = grid
         ref = _serial_reference(points, seeds)
         chaos = ChaosConfig(raise_cells=((1, 1),), raise_attempts=99)
-        outcome = run_sweep_outcome(
-            points, seeds, checkpoint_dir=tmp_path, retry=fast_retry,
-            chaos=chaos,
-        )
+        with inject_faults(chaos, points, seeds):
+            outcome = run_sweep_outcome(
+                points, seeds, checkpoint_dir=tmp_path, retry=fast_retry
+            )
         # The unaffected point is bitwise identical to serial.
         assert outcome.results[0] == ref[0]
         # The poisoned point averages over its surviving seed.
@@ -62,13 +63,15 @@ class TestQuarantine:
         assert not outcome.complete
         assert outcome.stats.quarantined == 1
 
-    def test_quarantine_json_structured(self, grid, fast_retry, tmp_path):
+    def test_quarantine_json_structured(
+        self, grid, fast_retry, tmp_path, inject_faults
+    ):
         points, seeds = grid
         chaos = ChaosConfig(raise_cells=((0, 0),), raise_attempts=99)
-        run_sweep_outcome(
-            points, seeds, checkpoint_dir=tmp_path, retry=fast_retry,
-            chaos=chaos,
-        )
+        with inject_faults(chaos, points, seeds):
+            run_sweep_outcome(
+                points, seeds, checkpoint_dir=tmp_path, retry=fast_retry
+            )
         path = tmp_path / "quarantine.json"
         document = json.loads(path.read_text())
         assert document["schema"] == 1
@@ -79,27 +82,31 @@ class TestQuarantine:
         loaded = Quarantine.load(path)
         assert loaded.cells() == {(0, 0)}
 
-    def test_fully_poisoned_point_is_none(self, grid, fast_retry):
+    def test_fully_poisoned_point_is_none(self, grid, fast_retry, inject_faults):
         points, seeds = grid
         ref = _serial_reference(points, seeds)
         chaos = ChaosConfig(
             raise_cells=((0, 0), (0, 1)), raise_attempts=99
         )
-        outcome = run_sweep_outcome(points, seeds, retry=fast_retry, chaos=chaos)
+        with inject_faults(chaos, points, seeds):
+            outcome = run_sweep_outcome(points, seeds, retry=fast_retry)
         assert outcome.results[0] is None
         assert outcome.results[1] == ref[1]
         assert len(outcome.quarantined) == 2
         assert not outcome.complete
 
     @needs_fork
-    def test_pooled_poison_cell_quarantined(self, grid, fast_retry, tmp_path):
+    def test_pooled_poison_cell_quarantined(
+        self, grid, fast_retry, tmp_path, inject_faults
+    ):
         points, seeds = grid
         ref = _serial_reference(points, seeds)
         chaos = ChaosConfig(raise_cells=((1, 0),), raise_attempts=99)
         for mode, options in _pooled_backends(tmp_path):
-            outcome = run_sweep_outcome(
-                points, seeds, retry=fast_retry, chaos=chaos, **options
-            )
+            with inject_faults(chaos, points, seeds):
+                outcome = run_sweep_outcome(
+                    points, seeds, retry=fast_retry, **options
+                )
             assert outcome.stats.mode == mode
             assert outcome.results[0] == ref[0]
             assert outcome.results[1].n_seeds == 1
@@ -110,11 +117,14 @@ class TestQuarantine:
             assert entry.attempts == fast_retry.max_attempts
         assert Quarantine.load(tmp_path / "quarantine.json").cells() == {(1, 0)}
 
-    def test_partial_point_never_enters_memo_cache(self, grid, fast_retry):
+    def test_partial_point_never_enters_memo_cache(
+        self, grid, fast_retry, inject_faults
+    ):
         """A partial average must not be served to a later clean sweep."""
         points, seeds = grid
         chaos = ChaosConfig(raise_cells=((1, 1),), raise_attempts=99)
-        outcome = run_sweep_outcome(points, seeds, retry=fast_retry, chaos=chaos)
+        with inject_faults(chaos, points, seeds):
+            outcome = run_sweep_outcome(points, seeds, retry=fast_retry)
         assert outcome.results[1].n_seeds == 1
         clean = run_sweep(points, seeds, workers=1)
         assert clean[1].n_seeds == len(seeds)
@@ -122,7 +132,9 @@ class TestQuarantine:
 
 @needs_fork
 class TestDegradation:
-    def test_persistent_killer_degrades_to_inprocess(self, grid, tmp_path):
+    def test_persistent_killer_degrades_to_inprocess(
+        self, grid, tmp_path, inject_faults
+    ):
         """A cell that kills its worker on every attempt forces the pool
         to degrade; kills don't fire in-process, so the sweep completes
         with results bitwise identical to serial.  (The queue's two
@@ -135,9 +147,10 @@ class TestDegradation:
             max_pool_rebuilds=1,
         )
         for mode, options in _pooled_backends(tmp_path):
-            outcome = run_sweep_outcome(
-                points, seeds, retry=policy, chaos=chaos, **options
-            )
+            with inject_faults(chaos, points, seeds):
+                outcome = run_sweep_outcome(
+                    points, seeds, retry=policy, **options
+                )
             assert outcome.stats.mode == mode
             assert outcome.results == ref
             assert outcome.stats.degraded
@@ -145,15 +158,16 @@ class TestDegradation:
             assert not outcome.quarantined
 
     def test_transient_kill_recovers_without_degrading(
-        self, grid, fast_retry, tmp_path
+        self, grid, fast_retry, tmp_path, inject_faults
     ):
         points, seeds = grid
         ref = _serial_reference(points, seeds)
         chaos = ChaosConfig(kill_cells=((0, 0),), kill_attempts=1)
         for mode, options in _pooled_backends(tmp_path):
-            outcome = run_sweep_outcome(
-                points, seeds, retry=fast_retry, chaos=chaos, **options
-            )
+            with inject_faults(chaos, points, seeds):
+                outcome = run_sweep_outcome(
+                    points, seeds, retry=fast_retry, **options
+                )
             assert outcome.results == ref
             assert not outcome.stats.degraded
             assert not outcome.quarantined
@@ -165,7 +179,7 @@ class TestDegradation:
                 # The dead worker's one claim ran out its lease.
                 assert outcome.stats.retries >= 1
 
-    def test_zero_rebuild_budget_degrades_immediately(self, grid):
+    def test_zero_rebuild_budget_degrades_immediately(self, grid, inject_faults):
         points, seeds = grid
         ref = _serial_reference(points, seeds)
         chaos = ChaosConfig(kill_cells=((1, 1),), kill_attempts=99)
@@ -173,10 +187,11 @@ class TestDegradation:
             base_delay_s=0.0, jitter_fraction=0.0, max_attempts=8,
             max_pool_rebuilds=0,
         )
-        outcome = run_sweep_outcome(
-            points, seeds, workers=2, min_cells_per_worker=0,
-            retry=policy, chaos=chaos,
-        )
+        with inject_faults(chaos, points, seeds):
+            outcome = run_sweep_outcome(
+                points, seeds, workers=2, min_cells_per_worker=0,
+                retry=policy,
+            )
         assert outcome.results == ref
         assert outcome.stats.degraded
         assert outcome.stats.pool_rebuilds == 1

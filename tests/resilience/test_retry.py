@@ -15,15 +15,19 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
+import repro.experiments.sweep as sweep_mod
 from repro.errors import CellTimeoutError, ResilienceError
 from repro.experiments.parallel import SweepExecutor
+from repro.experiments.sweep import run_sweep, run_sweep_outcome
 from repro.resilience import (
-    ChaosConfig,
     Quarantine,
     QuarantineEntry,
     RetryPolicy,
     cell_timeout,
 )
+
+from tests.chaos import ChaosConfig
+from tests.resilience.conftest import needs_fork
 
 
 class TestBackoffSchedule:
@@ -92,7 +96,7 @@ class TestBackoffSchedule:
 
 
 class TestFakeClockBackoff:
-    def test_executor_sleeps_exact_schedule(self, grid):
+    def test_executor_sleeps_exact_schedule(self, grid, inject_faults):
         """A transiently raising cell waits exactly its policy schedule.
 
         The executor's clock is injected, so the recorded sleeps are the
@@ -106,10 +110,9 @@ class TestFakeClockBackoff:
         )
         # Cell (1, 0) fails its first two attempts, then runs clean.
         chaos = ChaosConfig(raise_cells=((1, 0),), raise_attempts=2)
-        executor = SweepExecutor(
-            workers=1, retry=policy, chaos=chaos, sleep=slept.append
-        )
-        outcome = executor.run_outcome(points, seeds)
+        executor = SweepExecutor(workers=1, retry=policy, sleep=slept.append)
+        with inject_faults(chaos, points, seeds):
+            outcome = executor.run_outcome(points, seeds)
         assert outcome.complete
         assert outcome.stats.retries == 2
         assert slept == [
@@ -117,7 +120,7 @@ class TestFakeClockBackoff:
             policy.backoff_s((1, 0), 2),
         ] == [0.5, 1.0]
 
-    def test_jittered_schedule_still_replayable(self, grid):
+    def test_jittered_schedule_still_replayable(self, grid, inject_faults):
         points, seeds = grid
         policy = RetryPolicy(
             base_delay_s=0.25, jitter_fraction=0.3, jitter_seed=11,
@@ -126,13 +129,12 @@ class TestFakeClockBackoff:
         chaos = ChaosConfig(raise_cells=((0, 1),), raise_attempts=1)
 
         def run() -> list[float]:
-            import repro.experiments.sweep as sweep_mod
-
             sweep_mod._result_cache.clear()
             slept: list[float] = []
-            SweepExecutor(
-                workers=1, retry=policy, chaos=chaos, sleep=slept.append
-            ).run_outcome(points, seeds)
+            with inject_faults(chaos, points, seeds):
+                SweepExecutor(
+                    workers=1, retry=policy, sleep=slept.append
+                ).run_outcome(points, seeds)
             return slept
 
         first, second = run(), run()
@@ -171,6 +173,37 @@ class TestCellTimeout:
         thread.start()
         thread.join()
         assert outcome[0] is None
+
+    @pytest.mark.parametrize(
+        "backend",
+        [
+            pytest.param(dict(workers=1), id="serial"),
+            pytest.param(
+                dict(workers=2, min_cells_per_worker=0), id="warm",
+                marks=needs_fork,
+            ),
+        ],
+    )
+    def test_cell_delayed_past_its_timeout_is_quarantined(
+        self, grid, inject_faults, backend
+    ):
+        """The injected delay runs inside the cell's timeout, as the
+        cell body does: every attempt of the delayed cell is a
+        ``CellTimeoutError``, and only that cell is lost."""
+        points, seeds = grid
+        ref = run_sweep(points, seeds, workers=1)
+        sweep_mod._result_cache.clear()
+        policy = RetryPolicy(
+            base_delay_s=0.0, jitter_fraction=0.0, max_attempts=2,
+            cell_timeout_s=1.0,
+        )
+        chaos = ChaosConfig(delay_cells=((0, 1),), delay_s=30.0)
+        with inject_faults(chaos, points, seeds):
+            outcome = run_sweep_outcome(points, seeds, retry=policy, **backend)
+        (entry,) = outcome.quarantined
+        assert (entry.point_index, entry.seed_index) == (0, 1)
+        assert (entry.error_type, entry.attempts) == ("CellTimeoutError", 2)
+        assert outcome.results[1] == ref[1]
 
 
 class TestQuarantineDocument:

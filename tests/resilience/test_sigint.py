@@ -1,8 +1,9 @@
 """SIGINT mid-sweep leaves only complete, verified checkpoint cells.
 
 A real resume begins with a kill, so this test performs one: a child
-process runs a checkpointed sweep whose cells are chaos-delayed (making
-the interrupt window wide), the parent SIGINTs it partway, and the
+process runs a checkpointed sweep whose cells are chaos-delayed (the
+child installs the delay plan itself, making the interrupt window
+wide), the parent SIGINTs it partway, and the
 checkpoint directory must then contain nothing but complete,
 checksum-valid cell files — no temp files, no partial JSON.  A resumed
 run finishes the sweep and matches an uninterrupted serial reference.
@@ -31,22 +32,24 @@ _CHILD = textwrap.dedent(
     import repro.experiments.sweep as sweep_mod
     sweep_mod.MASTER_FAILURE_COUNT = 64
     from repro.experiments.sweep import SweepPoint, run_sweep_outcome
-    from repro.resilience import ChaosConfig, RetryPolicy
+    from repro.resilience import RetryPolicy
+    from tests.chaos import ChaosConfig, injecting
 
-    checkpoint_dir = sys.argv[1]
+    checkpoint_dir, chaos_dir = sys.argv[1:]
     points = [
         SweepPoint("nasa", 15, 1.0, 2, "krevat", 0.0),
         SweepPoint("nasa", 18, 1.0, 3, "balancing", 0.5),
     ]
     seeds = (0, 1)
     cells = tuple((i, si) for i in range(2) for si in range(2))
-    run_sweep_outcome(
-        points,
-        seeds,
-        checkpoint_dir=checkpoint_dir,
-        retry=RetryPolicy(base_delay_s=0.0, jitter_fraction=0.0),
-        chaos=ChaosConfig(delay_cells=cells, delay_s=0.35),
-    )
+    delays = ChaosConfig(delay_cells=cells, delay_s=0.35)
+    with injecting(delays, points, seeds, chaos_dir):
+        run_sweep_outcome(
+            points,
+            seeds,
+            checkpoint_dir=checkpoint_dir,
+            retry=RetryPolicy(base_delay_s=0.0, jitter_fraction=0.0),
+        )
     print("COMPLETED-UNINTERRUPTED")
     """
 )
@@ -64,7 +67,10 @@ class TestSigintMidSweep:
             filter(None, ["src", env.get("PYTHONPATH")])
         )
         child = subprocess.Popen(
-            [sys.executable, "-c", _CHILD, str(checkpoint_dir)],
+            [
+                sys.executable, "-c", _CHILD,
+                str(checkpoint_dir), str(tmp_path / "chaos"),
+            ],
             cwd=os.path.dirname(os.path.dirname(os.path.dirname(__file__))),
             env=env,
             stdout=subprocess.PIPE,

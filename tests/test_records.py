@@ -40,11 +40,12 @@ from repro.records import (
 )
 from repro.resilience import (
     CellStore,
-    ChaosConfig,
     Quarantine,
     QuarantineEntry,
     cell_key,
 )
+
+from tests.chaos import ChaosConfig
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 positive = st.floats(min_value=1e-9, max_value=1e12)
@@ -126,12 +127,12 @@ class TestCodecRoundTrip:
         assert restored == x
         assert canonical_json(to_plain(restored)) == canonical_json(to_plain(x))
 
-    @given(point=points, model=models, chaos=st.none() | chaos_configs)
-    def test_task_record_keeps_its_call_and_its_key(self, point, model, chaos):
-        call = ((3, 1), point, 7, 2, model, False, chaos, None, True, 64)
+    @given(point=points, model=models, timeout_s=st.none() | positive)
+    def test_task_record_keeps_its_call_and_its_key(self, point, model, timeout_s):
+        call = ((3, 1), point, 7, model, False, timeout_s, 64)
         task = QueueTask(*call)
         plain = json.loads(canonical_json(to_plain(task)))
-        assert plain["cell_id"] == [3, 1] and plain["attempt"] == 2
+        assert plain["cell_id"] == [3, 1] and plain["master_failure_count"] == 64
         restored = from_plain(QueueTask, plain)
         assert restored == task
         assert restored.call == call
@@ -231,7 +232,7 @@ class TestDeclaredOnce:
         assert cell_key(traced, 0, model) == cell_key(turned, 0, model)
 
         queue = WorkQueue(tmp_path)
-        queue.put(QueueTask((0, 0), traced, 0, 0, model, False, None, None, True, 64))
+        queue.put(QueueTask((0, 0), traced, 0, model, False, None, 64))
         point = queue.claim().point
         assert point == traced and point.config.knob == 7
 
@@ -334,7 +335,7 @@ class TestDurableWrite:
         report = Simulator(*sweep_mod.cell_inputs(POINT, 0, model, with_obs=False)).run()
         key = cell_key(POINT, 0, model)
         queue = WorkQueue(tmp_path)
-        task = QueueTask((0, 0), POINT, 0, 0, model, False, None, None, True, 64)
+        task = QueueTask((0, 0), POINT, 0, model, False, None, 64)
         for write, name in (
             (lambda: CellStore(tmp_path).put(key, report), f"{key}.json"),
             (lambda: queue.put(task), f"{key}.json"),
