@@ -28,7 +28,9 @@ what the decision trace costs (ROADMAP aim 4).
 ``job_log_pipeline`` (first, so the process peak is its own) carries
 jobs/s per stage (generate, ``write_swf``, ``read_swf``,
 ``fit_to_machine``) of one generated NASA log, 100k jobs (10k at smoke
-scale), and ``vm_hwm_mb``, this process's ``VmHWM`` after it.
+scale), the rate of the one-pass synthetic ``job_log`` that draws,
+scales (``c = 0.5``) and fits the same log as ``job_log_jobs_per_s``,
+and ``vm_hwm_mb``, this process's ``VmHWM`` after it.
 The last record, ``src_loc``, is not a timing: its ``lines`` key counts
 the non-blank, non-comment lines under ``src/repro`` so the ledger
 tracks code size next to speed (ROADMAP aim 2).
@@ -450,10 +452,13 @@ def vm_hwm_mib() -> float:
 def job_log_pipeline(scale: Scale) -> dict[str, float]:
     """One generated NASA log of ``scale.log_jobs`` jobs through generate
     -> ``write_swf`` -> ``read_swf`` -> ``fit_to_machine``, the path a
-    replayed trace file takes (ROADMAP item 4): seconds per stage."""
+    replayed trace file takes (ROADMAP item 4), then the same log built
+    by ``job_log`` at half load: seconds per stage."""
     import tempfile
 
-    from repro.workloads import fit_to_machine, generate_workload, read_swf, site_model, write_swf
+    from repro.workloads import (
+        fit_to_machine, generate_workload, job_log, read_swf, site_model, write_swf,
+    )  # fmt: skip
 
     clock = time.perf_counter
     with tempfile.TemporaryDirectory() as tmp:
@@ -469,8 +474,12 @@ def job_log_pipeline(scale: Scale) -> dict[str, float]:
         t4 = clock()
     if len(log) != scale.log_jobs:
         raise AssertionError(f"{len(log)} of {scale.log_jobs} generated jobs read back")
+    del log  # so ``vm_hwm_mb`` stays the peak of one log, not two
+    t5 = clock()
+    job_log("nasa", scale.log_jobs, 0, 0.5, D)
+    t6 = clock()
     return {"generate": t1 - t0, "write_swf": t2 - t1, "read_swf": t3 - t2,
-            "fit_to_machine": t4 - t3}  # fmt: skip
+            "fit_to_machine": t4 - t3, "job_log": t6 - t5}  # fmt: skip
 
 
 def trace_simulations(scale: Scale):

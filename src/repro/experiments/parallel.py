@@ -36,10 +36,12 @@ Resilience (data carried by the loop, not a second path)
     lease ran out) is resubmitted after its deterministic backoff and
     quarantined once its attempts are spent, a broken pool (for the
     queue: every local worker dead) is respawned and its lost cells
-    resubmitted, and a pool that keeps breaking is swapped for the
-    in-process executor.  The per-cell timeout lives inside the one
-    worker entry point (:func:`repro.experiments.pool.run_cell`), so it
-    applies identically in workers and in-process.
+    rerun one at a time (a breakage charges an attempt only to a cell
+    that was alone in flight), and a pool that keeps breaking is
+    swapped for the in-process executor.  The per-cell timeout lives
+    inside the one worker entry point
+    (:func:`repro.experiments.pool.run_cell`), so it applies identically
+    in workers and in-process.
 
 Whichever way the loop is left — done, a cell's exception, a dead
 worker, Ctrl-C — futures not yet started are cancelled and running ones
@@ -380,10 +382,13 @@ class SweepExecutor:
         with_obs = collector is not None
         timeout_s = policy.cell_timeout_s if policy else None
         in_flight: dict[Future, Cell] = {}
+        # Cells a broken pool lost run one at a time until they settle,
+        # so the next breakage names its cell.
+        suspects: set[tuple[int, int]] = set()
         started = last_log = time.monotonic()
         try:
             while backlog or in_flight:
-                if backlog:
+                if backlog and not (suspects and in_flight):
                     cell = backlog.popleft()
                     try:
                         future = executor.submit(
@@ -402,7 +407,7 @@ class SweepExecutor:
                 # submit, so checkpoints land as cells finish.
                 done, _ = wait(
                     in_flight,
-                    timeout=0 if backlog else None,
+                    timeout=0 if backlog and not suspects else None,
                     return_when=FIRST_COMPLETED,
                 )
                 # Successes first: a dying pool resolves all its futures
@@ -412,6 +417,7 @@ class SweepExecutor:
                     if future not in in_flight:
                         continue  # lost with the pool; already requeued
                     cell = in_flight.pop(future)
+                    suspects.discard(cell[0])
                     try:
                         report, obs = future.result()
                     except BrokenProcessPool as exc:
@@ -420,13 +426,11 @@ class SweepExecutor:
                         backend.mark_broken()
                         if policy is None:
                             raise _broken_pool_error(cells, reports) from exc
-                        backlog.extendleft(
-                            reversed(
-                                self._charge_pool_breakage(
-                                    lost, attempts, policy, quarantine, keys, stats
-                                )
-                            )
+                        lost = self._charge_pool_breakage(
+                            lost, attempts, policy, quarantine, keys, stats
                         )
+                        suspects.update(lost_cell[0] for lost_cell in lost)
+                        backlog.extendleft(reversed(lost))
                         if not backlog:
                             continue
                         if stats.pool_rebuilds > policy.max_pool_rebuilds:
@@ -518,24 +522,28 @@ class SweepExecutor:
         keys: dict[tuple[int, int], str],
         stats: SweepRunStats,
     ) -> list[Cell]:
-        """Charge one attempt to every cell a broken pool lost; returns
-        those with attempts left (the rest are quarantined)."""
+        """The cells a broken pool lost that go back to the backlog.
+
+        Only a cell alone in flight is charged an attempt (and
+        quarantined once they are spent): with company, nothing says
+        which cell killed the worker, and the loop reruns them one at a
+        time to find out.
+        """
         stats.pool_rebuilds += 1
-        crash = ExperimentError(
-            "worker process died while this cell was in flight (pool breakage)"
-        )
-        survivors: list[Cell] = []
-        for cell in lost:
+        if len(lost) == 1:
+            (cell,) = lost
             attempts[cell[0]] += 1
-            # The pool respawn's own backoff is the wait; don't also
-            # sleep once per lost cell.
-            if not self._quarantine_or_backoff(
+            crash = ExperimentError(
+                "worker process died while this cell was in flight (pool breakage)"
+            )
+            # The pool respawn's own backoff is the wait.
+            if self._quarantine_or_backoff(
                 cell, crash, attempts[cell[0]], policy, quarantine, keys,
                 stats, wait_backoff=False,
             ):
-                stats.resubmits += 1
-                survivors.append(cell)
-        return survivors
+                return []
+        stats.resubmits += len(lost)
+        return lost
 
     def _quarantine_or_backoff(
         self,

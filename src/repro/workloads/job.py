@@ -19,7 +19,7 @@ from repro.errors import WorkloadError
 from repro.geometry.torus import MAX_JOB_ID
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Job:
     """One job submission.
 
@@ -44,31 +44,39 @@ class Job:
     runtime: float
     estimate: float = -1.0
 
-    def __post_init__(self) -> None:
-        if self.job_id < 0:
-            raise WorkloadError(f"job id must be non-negative, got {self.job_id}")
-        if self.job_id > MAX_JOB_ID:
+    # Hand-written: a job log builds one per job, and the generated
+    # frozen ``__init__`` pays an ``object.__setattr__`` per field.
+    def __init__(self, job_id: int, arrival: float, size: int, runtime: float,
+                 estimate: float = -1.0) -> None:  # fmt: skip
+        if job_id < 0:
+            raise WorkloadError(f"job id must be non-negative, got {job_id}")
+        if job_id > MAX_JOB_ID:
             raise WorkloadError(
-                f"job id {self.job_id} exceeds {MAX_JOB_ID}, the largest the "
+                f"job id {job_id} exceeds {MAX_JOB_ID}, the largest the "
                 f"int64 occupancy grid holds"
             )
         # Comparisons NaN fails, so a NaN is refused with the rest.
-        if not 0 <= self.arrival < math.inf:
+        if not 0 <= arrival < math.inf:
             raise WorkloadError(
-                f"job {self.job_id}: arrival must be finite and >= 0, got {self.arrival}"
+                f"job {job_id}: arrival must be finite and >= 0, got {arrival}"
             )
-        if self.size < 1:
-            raise WorkloadError(f"job {self.job_id}: size must be >= 1, got {self.size}")
-        if not 0 < self.runtime < math.inf:
+        if size < 1:
+            raise WorkloadError(f"job {job_id}: size must be >= 1, got {size}")
+        if not 0 < runtime < math.inf:
             raise WorkloadError(
-                f"job {self.job_id}: runtime must be positive and finite, got {self.runtime}"
+                f"job {job_id}: runtime must be positive and finite, got {runtime}"
             )
-        if self.estimate == -1.0:
-            object.__setattr__(self, "estimate", self.runtime)
-        elif not 0 < self.estimate < math.inf:
+        if estimate == -1.0:
+            estimate = runtime
+        elif not 0 < estimate < math.inf:
             raise WorkloadError(
-                f"job {self.job_id}: estimate must be positive and finite, got {self.estimate}"
+                f"job {job_id}: estimate must be positive and finite, got {estimate}"
             )
+        _set_job_id(self, job_id)
+        _set_arrival(self, arrival)
+        _set_size(self, size)
+        _set_runtime(self, runtime)
+        _set_estimate(self, estimate)
 
     @property
     def work(self) -> float:
@@ -85,6 +93,12 @@ class Job:
     def with_size(self, size: int) -> "Job":
         """Copy with a different node count (machine-fitting adapters)."""
         return Job(self.job_id, self.arrival, size, self.runtime, self.estimate)
+
+
+# The slots' own setters: they bypass the frozen ``__setattr__``.
+_set_job_id, _set_arrival, _set_size, _set_runtime, _set_estimate = (
+    Job.__dict__[name].__set__ for name in ("job_id", "arrival", "size", "runtime", "estimate")
+)
 
 
 @dataclass(frozen=True)

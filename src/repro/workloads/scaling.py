@@ -14,13 +14,15 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
+import numpy as np
+
 from repro.errors import WorkloadError
 from repro.geometry.coords import TorusDims
 from repro.geometry.shapes import round_to_schedulable
-from repro.workloads.job import Workload
+from repro.workloads.job import Job, Workload
 from repro.workloads.models import site_model
 from repro.workloads.swf import read_swf
-from repro.workloads.synthetic import generate_workload
+from repro.workloads.synthetic import _draw_columns
 
 
 def scale_load(workload: Workload, c: float) -> Workload:
@@ -29,11 +31,15 @@ def scale_load(workload: Workload, c: float) -> Workload:
     This is the paper's load-scale coefficient: higher ``c`` means more
     induced load on the same arrival pattern.
     """
-    if not 0 < c < math.inf:
-        raise WorkloadError(f"load scale must be positive and finite, got {c}")
+    _check_load_scale(c)
     if c == 1.0:
         return workload
     return workload.replace_jobs([j.with_runtime_scaled(c) for j in workload.jobs])
+
+
+def _check_load_scale(c: float) -> None:
+    if not 0 < c < math.inf:
+        raise WorkloadError(f"load scale must be positive and finite, got {c}")
 
 
 def offered_load(workload: Workload, machine_nodes: int | None = None) -> float:
@@ -80,11 +86,17 @@ def job_log(site: str, n_jobs: int, seed: int, c: float, dims: TorusDims,
             swf: str | None = None, head: int = 0) -> Workload:  # fmt: skip
     """``site``'s synthetic log of ``n_jobs`` jobs drawn from ``seed`` (or
     the trace file ``swf``, its first ``head`` jobs when nonzero), load
-    scaled by ``c`` and fitted to ``dims``."""
+    scaled by ``c`` and fitted to ``dims``.  A synthetic log is scaled
+    and fitted column-wise, so each job is built once."""
     if swf:
         workload = read_swf(swf)
         if head:
             workload = workload.head(head)
-    else:
-        workload = generate_workload(site_model(site), n_jobs, seed=seed)
-    return fit_to_machine(scale_load(workload, c), dims)
+        return fit_to_machine(scale_load(workload, c), dims)
+    model = site_model(site)
+    arrivals, sizes, runtimes, estimates, _ = _draw_columns(model, n_jobs, seed)
+    _check_load_scale(c)
+    sizes = np.array(_round_up_table(dims))[np.minimum(sizes, dims.volume)]
+    jobs = tuple(map(Job, range(n_jobs), arrivals.tolist(), sizes.tolist(),
+                     (runtimes * c).tolist(), (estimates * c).tolist()))  # fmt: skip
+    return Workload(f"{model.name}-synthetic", dims.volume, jobs)

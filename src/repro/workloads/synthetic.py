@@ -152,6 +152,19 @@ def generate_workload(
     name:
         Workload label; defaults to ``"<site>-synthetic"``.
     """
+    arrivals, sizes, runtimes, estimates, machine = _draw_columns(model, n_jobs, seed)
+    columns = (arrivals.tolist(), sizes.tolist(), runtimes.tolist(), estimates.tolist())
+    jobs = tuple(map(Job, range(n_jobs), *columns))
+    return Workload(
+        name=name or f"{model.name}-synthetic",
+        machine_nodes=machine,
+        jobs=jobs,
+    )
+
+
+def _draw_columns(model: SiteModel, n_jobs: int, seed: int | None) -> tuple:
+    """The arrival, size, runtime and estimate columns of ``n_jobs`` jobs
+    drawn from ``seed``, and the machine size they are drawn for."""
     if n_jobs < 0:
         raise WorkloadError(f"n_jobs must be non-negative, got {n_jobs}")
     rng = np.random.default_rng(seed)
@@ -179,10 +192,4 @@ def generate_workload(
                 runtimes = np.clip(runtimes * factor, 1.0, model.max_runtime_s)
                 estimates = np.clip(estimates * factor, 1.0, model.max_runtime_s * 4)
             estimates = np.maximum(estimates, runtimes)
-    columns = (arrivals.tolist(), sizes.tolist(), runtimes.tolist(), estimates.tolist())
-    jobs = tuple(map(Job, range(n_jobs), *columns))
-    return Workload(
-        name=name or f"{model.name}-synthetic",
-        machine_nodes=machine,
-        jobs=jobs,
-    )
+    return arrivals, sizes, runtimes, estimates, machine

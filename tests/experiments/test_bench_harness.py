@@ -62,7 +62,7 @@ def test_smoke_scale_produces_trajectory_file(bench_core, tmp_path):
     # The job-log layer: one generated log, jobs/s per stage, the peak RSS.
     log = by_name["job_log_pipeline"]
     assert names[0] == "job_log_pipeline" and log["jobs"] == 10_000
-    for stage in ("generate", "write_swf", "read_swf", "fit_to_machine"):
+    for stage in ("generate", "write_swf", "read_swf", "fit_to_machine", "job_log"):
         assert log[f"{stage}_jobs_per_s"] > 0
     assert log["vm_hwm_mb"] > 0
     # Sweep records must carry what actually ran, not the requested

@@ -15,7 +15,7 @@ import pytest
 
 import repro.experiments.sweep as sweep_mod
 from repro.experiments.parallel import SweepExecutor
-from repro.experiments.sweep import run_sweep, run_sweep_outcome
+from repro.experiments.sweep import SweepPoint, run_sweep, run_sweep_outcome
 from repro.resilience import Quarantine, RetryPolicy
 
 from tests.chaos import ChaosConfig
@@ -178,6 +178,30 @@ class TestDegradation:
             else:
                 # The dead worker's one claim ran out its lease.
                 assert outcome.stats.retries >= 1
+
+    def test_breakage_charges_only_a_cell_alone_in_flight(self, grid, inject_faults):
+        """A killer among cells that never fail: a breakage with several
+        cells in flight charges none of them, and they rerun one at a
+        time, so only the killer spends its attempts (each on a pool it
+        broke alone) and the other five cells finish as serial does.
+        Charging every lost cell quarantined the whole grid here."""
+        points, seeds = grid
+        points = [*points, SweepPoint("nasa", 12, 1.0, 1, "krevat", 0.0)]
+        ref = _serial_reference(points, seeds)
+        survivor = _serial_reference(points[:1], seeds[1:])
+        chaos = ChaosConfig(kill_cells=((0, 0),), kill_attempts=99)
+        with inject_faults(chaos, points, seeds):
+            outcome = run_sweep_outcome(
+                points, seeds, workers=2, min_cells_per_worker=0,
+                retry=RetryPolicy(),
+            )
+        (entry,) = outcome.quarantined
+        assert (entry.point_index, entry.seed_index) == (0, 0)
+        assert entry.attempts == RetryPolicy().max_attempts
+        assert outcome.results[1:] == ref[1:]
+        assert outcome.results[0] == survivor[0]
+        assert outcome.stats.mode == "warm"
+        assert outcome.stats.cells_computed == 5
 
     def test_zero_rebuild_budget_degrades_immediately(self, grid, inject_faults):
         points, seeds = grid

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import WorkloadError
+from repro.geometry.torus import MAX_JOB_ID
 from repro.workloads.job import Job, Workload
 
 
@@ -79,6 +82,100 @@ class TestJob:
     def test_scaling_preserves_work_ratio(self, c, runtime):
         j = job(runtime=runtime)
         assert j.with_runtime_scaled(c).work == pytest.approx(j.work * c)
+
+
+#: One bad value per field, in the order ``Job`` checks them, with the
+#: exact message it gives for job 7 (or the bad id).
+BAD_FIELDS = [
+    ("job_id", -1, "job id must be non-negative, got -1"),
+    (
+        "job_id", MAX_JOB_ID + 1,
+        f"job id {MAX_JOB_ID + 1} exceeds {MAX_JOB_ID}, the largest the int64 "
+        f"occupancy grid holds",
+    ),
+    ("arrival", -1.0, "job 7: arrival must be finite and >= 0, got -1.0"),
+    ("size", 0, "job 7: size must be >= 1, got 0"),
+    ("runtime", 0.0, "job 7: runtime must be positive and finite, got 0.0"),
+    ("estimate", -2.0, "job 7: estimate must be positive and finite, got -2.0"),
+]  # fmt: skip
+GOOD = dict(job_id=7, arrival=10.0, size=4, runtime=100.0, estimate=150.0)
+
+
+def refused(**fields) -> str:
+    with pytest.raises(WorkloadError) as info:
+        Job(**{**GOOD, **fields})
+    return str(info.value)
+
+
+class TestJobContract:
+    """The hand-written constructor: every check, its message and its
+    order, and the dataclass behaviour a generated one would give."""
+
+    @pytest.mark.parametrize("name, value, message", BAD_FIELDS)
+    def test_each_invalid_field_has_its_message(self, name, value, message):
+        assert refused(**{name: value}) == message
+
+    @pytest.mark.parametrize("first", range(len(BAD_FIELDS)))
+    def test_the_first_check_in_order_fires(self, first):
+        """Every field from ``first`` on is bad: ``first``'s check wins."""
+        bad = {name: value for name, value, _ in BAD_FIELDS[first:]}
+        if first == 0:
+            bad["job_id"] = -1
+        assert refused(**bad) == BAD_FIELDS[first][2]
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["arrival", "runtime", "estimate"])
+    def test_non_finite_floats(self, name, value):
+        kind = "finite and >= 0" if name == "arrival" else "positive and finite"
+        assert refused(**{name: value}) == f"job 7: {name} must be {kind}, got {value}"
+
+    def test_id_bounds_are_inclusive(self):
+        assert Job(0, 0.0, 1, 1.0).job_id == 0
+        assert Job(MAX_JOB_ID, 0.0, 1, 1.0).job_id == MAX_JOB_ID
+
+    def test_minus_one_estimate_is_the_runtime(self):
+        (field,) = [f for f in dataclasses.fields(Job) if f.name == "estimate"]
+        assert field.default == -1.0
+        assert Job(7, 0.0, 1, 5.0).estimate == 5.0
+        assert Job(7, 0.0, 1, 5.0, -1.0).estimate == 5.0
+        assert Job(7, 0.0, 1, 5.0, estimate=-1.0) == Job(7, 0.0, 1, 5.0, 5.0)
+
+    def test_fields_and_keywords(self):
+        names = [f.name for f in dataclasses.fields(Job)]
+        assert names == ["job_id", "arrival", "size", "runtime", "estimate"]
+        assert Job(**GOOD) == Job(*GOOD.values())
+
+    def test_replace_rechecks(self):
+        j = Job(**GOOD)
+        assert dataclasses.replace(j, size=8) == Job(**{**GOOD, "size": 8})
+        assert dataclasses.replace(j, runtime=3.0).estimate == 150.0
+        with pytest.raises(WorkloadError, match="size must be >= 1"):
+            dataclasses.replace(j, size=0)
+
+    def test_eq_and_hash_follow_the_field_tuple(self):
+        j = Job(**GOOD)
+        assert dataclasses.astuple(j) == tuple(GOOD.values())
+        assert hash(j) == hash(tuple(GOOD.values()))
+        assert j == Job(**GOOD) and j != Job(**{**GOOD, "estimate": 151.0})
+        assert j != tuple(GOOD.values())
+
+    def test_repr(self):
+        assert repr(Job(**GOOD)) == (
+            "Job(job_id=7, arrival=10.0, size=4, runtime=100.0, estimate=150.0)"
+        )
+
+    def test_pickle_round_trip(self):
+        j = Job(**GOOD)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(j, protocol))
+            assert back == j and repr(back) == repr(j)
+
+    @pytest.mark.parametrize("name", list(GOOD))
+    def test_fields_are_frozen(self, name):
+        j = Job(**GOOD)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(j, name, GOOD[name])
+        assert not hasattr(j, "__dict__")
 
 
 class TestWorkload:

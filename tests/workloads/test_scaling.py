@@ -8,13 +8,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import WorkloadError
-from repro.geometry.coords import BGL_SUPERNODE_DIMS
+from repro.geometry.coords import BGL_SUPERNODE_DIMS, TorusDims
 from repro.geometry.shapes import schedulable_sizes
 from repro.workloads.job import Job, Workload
-from repro.workloads.models import NASA_IPSC, SDSC_SP
+from repro.workloads.models import NASA_IPSC, SDSC_SP, available_sites, site_model
 from repro.workloads.scaling import fit_to_machine, job_log, offered_load, scale_load
 from repro.workloads.swf import read_swf, write_swf
 from repro.workloads.synthetic import generate_workload
+from tests.oracles.workloads import fit_to_machine_replace, scale_load_replace
 
 D = BGL_SUPERNODE_DIMS
 
@@ -129,3 +130,63 @@ class TestJobLog:
         setup = SimulationSetup(site="sdsc", n_jobs=80, load_scale=1.2, seed=4)
         assert cell == setup.build_workload() == job_log("sdsc", 80, 4, 1.2, D)
         assert sweep._workload_for(point, 4) is cell  # cached under its key
+
+
+def bits(workload: Workload) -> tuple:
+    """Every field of every job, floats as ``float.hex``, and the header."""
+    return (
+        workload.name,
+        workload.machine_nodes,
+        [
+            (j.job_id, j.arrival.hex(), type(j.size), j.size, j.runtime.hex(), j.estimate.hex())
+            for j in workload.jobs
+        ],
+    )
+
+
+class TestOnePassJobLog:
+    """A synthetic ``job_log`` scales and fits the drawn columns before
+    it builds a job: the composed functions and their per-job
+    references must give the same log, bit for bit."""
+
+    #: BG/L, and a box that rounds (and caps) sizes differently.
+    DIMS = (D, TorusDims(3, 5, 7))
+
+    @pytest.mark.parametrize("dims", DIMS, ids=str)
+    @pytest.mark.parametrize("c", [0.5, 1.0, 1.2])
+    @pytest.mark.parametrize("site", available_sites())
+    def test_equals_the_composed_functions(self, site, c, dims):
+        for seed in range(3):
+            for n in (0, 1, 250):
+                raw = generate_workload(site_model(site), n, seed=seed)
+                got = bits(job_log(site, n, seed, c, dims))
+                assert got == bits(fit_to_machine(scale_load(raw, c), dims))
+                assert got == bits(fit_to_machine_replace(scale_load_replace(raw, c), dims))
+
+    @pytest.mark.parametrize("c", [0.0, -1.0, math.inf, -math.inf, math.nan])
+    def test_invalid_scale_raises_the_same_error(self, c):
+        raw = generate_workload(NASA_IPSC, 20, seed=0)
+        with pytest.raises(WorkloadError) as composed:
+            scale_load(raw, c)
+        with pytest.raises(WorkloadError) as one_pass:
+            job_log("nasa", 20, 0, c, D)
+        assert str(one_pass.value) == str(composed.value)
+
+    def test_a_bad_count_is_refused_before_a_bad_scale(self):
+        with pytest.raises(WorkloadError, match="n_jobs must be non-negative"):
+            job_log("nasa", -1, 0, math.nan, D)
+
+    @pytest.mark.parametrize("c", [0.5, 1.0])
+    def test_each_job_and_the_log_are_built_once(self, c, monkeypatch):
+        built = {Job: 0, Workload: 0}
+        for cls in built:
+            init = cls.__init__
+
+            def counting(self, *args, _init=init, _cls=cls, **kwargs):
+                built[_cls] += 1
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+        log = job_log("sdsc", 300, 1, c, TorusDims(3, 5, 7))
+        assert len(log) == 300
+        assert built == {Job: 300, Workload: 1}
