@@ -23,10 +23,9 @@ import pytest
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
-# Modest default so the full suite finishes in tens of minutes; raise
-# for higher-fidelity regenerations.
-os.environ.setdefault("REPRO_FIG_JOBS", "400")
-os.environ.setdefault("REPRO_FIG_SEEDS", "6")
+# The job and seed counts default in ``repro.experiments.figures`` (400
+# jobs, modest so the full suite finishes in tens of minutes; raise for
+# higher-fidelity regenerations).
 os.environ.setdefault(
     "REPRO_FIG_WORKERS", str(max(1, (os.cpu_count() or 2) - 1))
 )

@@ -12,7 +12,11 @@ tree, so host drift falls on both sides of a pair alike::
     python benchmarks/perf/pairs.py HEAD --worktree --workload serve_replay --metric op_p50_ms
 
 A revision is extracted with ``git archive`` (local, no network) into a
-scratch directory that is removed afterwards.  The judged metric is
+scratch directory that is removed afterwards.  ``--worktree`` extracts
+the working tree the same way, as the commit ``git stash create`` makes
+of its tracked edits (``HEAD`` when there are none; untracked files are
+left out), so both sides run from a fresh directory of the same kind and
+a start-up metric carries no per-location bias.  The judged metric is
 ``ops_per_s`` unless ``--metric`` names another end-to-end metric of
 ``BENCHMARK.json``; its ``better`` direction there says which way a
 pair is won.  It is judged by the rule the claims table uses
@@ -195,7 +199,7 @@ def main(argv: list[str] | None = None) -> int:
         trees = {"base": extract(args.base_rev, scratch / "base")}
         sides = {"base": {"rev": git("rev-parse", "--short", args.base_rev), "dirty": False}}
         if args.worktree:
-            trees["change"] = REPO_ROOT
+            trees["change"] = extract(git("stash", "create") or "HEAD", scratch / "change")
             dirty = git("status", "--porcelain", "--untracked-files=no")
             sides["change"] = {"rev": git("rev-parse", "--short", "HEAD"), "dirty": bool(dirty)}
         else:

@@ -7,6 +7,7 @@ main suite's ``testpaths``).
 from __future__ import annotations
 
 import json
+import subprocess
 
 import pytest
 
@@ -163,3 +164,41 @@ def test_an_unknown_metric_is_refused(capsys):
         pairs.main(["HEAD", "--worktree", "--workload", "sim_faulty", "--metric", "jobs"])
     assert exit_info.value.code == 2
     assert "--metric must be one of" in capsys.readouterr().err
+
+
+def test_the_worktree_is_measured_from_an_extracted_copy(monkeypatch, tmp_path):
+    """``--worktree`` hands ``measure`` a fresh extract of the working
+    tree, its tracked edits included, never the repository directory."""
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    (repo / "BENCHMARK.json").write_bytes((pairs.REPO_ROOT / "BENCHMARK.json").read_bytes())
+    (repo / "tracked.txt").write_text("committed\n", encoding="utf-8")
+    for var in ("GIT_AUTHOR_NAME", "GIT_COMMITTER_NAME"):
+        monkeypatch.setenv(var, "pairs test")
+    for var in ("GIT_AUTHOR_EMAIL", "GIT_COMMITTER_EMAIL"):
+        monkeypatch.setenv(var, "pairs@example.invalid")
+    for args in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "base"]):
+        subprocess.run(["git", *args], cwd=repo, check=True, capture_output=True)
+    (repo / "tracked.txt").write_text("edited\n", encoding="utf-8")
+    monkeypatch.setattr(pairs, "REPO_ROOT", repo)
+
+    class Handed(Exception):
+        pass
+
+    seen = {}
+
+    def fake_measure(trees, *args):
+        seen.update(
+            {side: (tree, (tree / "tracked.txt").read_text(encoding="utf-8"))
+             for side, tree in trees.items()}
+        )  # fmt: skip
+        raise Handed
+
+    monkeypatch.setattr(pairs, "measure", fake_measure)
+    with pytest.raises(Handed):
+        pairs.main(["HEAD", "--worktree", "--workload", "sim_faulty", "--pairs", "1"])
+    (base, base_text), (change, change_text) = seen["base"], seen["change"]
+    assert change != repo and base != repo
+    assert (base_text, change_text) == ("committed\n", "edited\n")
+    assert not change.exists()  # the scratch directory is removed afterwards
+    assert (repo / "tracked.txt").read_text(encoding="utf-8") == "edited\n"

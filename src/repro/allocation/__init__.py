@@ -13,11 +13,13 @@ partition of a requested size on the torus:
 :class:`PlacementIndex` holds, for one occupancy state, the free-placement
 grid of *every* shape, patched across allocations and releases; it
 answers MFP queries and scores every candidate of one size by its
-``L_MFP`` (:class:`CandidateBatch` /
-:meth:`PlacementIndex.batch_mfp_losses`) in a handful of NumPy ops,
-which is what makes the balancing policy tractable.  :class:`IndexCache`
-keeps one index in step with the torus across scheduler loop
-iterations.
+``L_MFP`` (:meth:`PlacementIndex.batch_mfp_losses`) in a handful of
+NumPy ops, which is what makes the balancing policy tractable.  A
+:class:`CandidateBatch` is one form only: the free rows of its size's
+table, built once per dims.  The index uses no integral image; the
+circular window sums of :mod:`repro.geometry.torus` serve the finders.
+:class:`IndexCache` keeps one index in step with the torus across
+scheduler loop iterations.
 """
 
 from __future__ import annotations

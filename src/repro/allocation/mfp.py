@@ -76,14 +76,13 @@ All patches are exact integer arithmetic, so every answer is **bitwise
 equal** to a from-scratch rebuild.  That rebuild is
 the test suite's ``ReferencePlacementIndex`` — lazy per-shape grids
 from a busy integral of ``torus.grid`` and a scalar early-exit scoring
-walk — which the differential suites under ``tests/allocation`` compare
-with this index field for field and loss for loss.  The two share only
-:class:`CandidateBatch`.
+walk, with its own packed candidate batch — which the differential
+suites under ``tests/allocation`` compare with this index field for
+field and loss for loss.  The two share no code.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from functools import lru_cache
 from typing import Sequence
 
@@ -101,7 +100,7 @@ STATE_MEMO_MAX = 96
 
 
 class CandidateBatch:
-    """All free partitions of one size, held as struct-of-arrays.
+    """All free partitions of one size: a selection of its size table.
 
     Candidates are grouped by shape in enumeration order (shape order of
     :func:`~repro.geometry.shapes.shapes_for_size`, then base order —
@@ -109,48 +108,22 @@ class CandidateBatch:
     canonicalised to 0 and deduplicated (first occurrence wins), so each
     node set appears once.  :class:`~repro.geometry.partition.Partition`
     objects are materialised lazily — only for the winning candidate and
-    for trace records — via :meth:`partition` (a selection's: one per
-    table entry).
+    for trace records — via :meth:`partition` (one per table entry).
 
-    The production index hands out a *selection* (:meth:`selected`): the
-    ascending rows ``sel`` of its size's :class:`_SizeTable`.  ``len``,
-    :meth:`partition` and :meth:`shape_rows` read the table; ``bases``
-    is derived on first read (balancing, tie-break, tracing — never
-    Krevat).  The reference index packs its own enumeration eagerly
-    (:meth:`packed`), sharing no table with production; only a packed
-    batch holds the group layout ``shapes`` / ``starts``.
+    A batch is the ascending rows ``sel`` of its size's
+    :class:`_SizeTable`.  ``len``, :meth:`partition` and
+    :meth:`shape_rows` read the table; ``bases`` is derived on first
+    read (balancing, tie-break, tracing — never Krevat).
     """
 
-    __slots__ = ("dims", "shapes", "starts", "bases", "_n", "_table", "_sel", "_shape_rows")
+    __slots__ = ("bases", "_n", "_table", "_sel", "_shape_rows")
 
-    @classmethod
-    def packed(
-        cls,
-        dims: TorusDims,
-        shapes: tuple[Coord, ...],
-        starts: tuple[int, ...],
-        bases: np.ndarray,
-    ) -> "CandidateBatch":
-        """The batch whose group ``g`` (shape ``shapes[g]``) is
-        ``bases[starts[g]:starts[g+1]]``, ``bases`` an ``(n, 3)`` array
-        of canonical bases."""
-        batch = cls.__new__(cls)
-        batch.dims, batch._n, batch._table, batch._sel = dims, starts[-1], None, None
-        batch.shapes, batch.starts, batch.bases = shapes, starts, bases
-        batch._shape_rows = None
-        return batch
-
-    @classmethod
-    def selected(cls, dims: TorusDims, table: _SizeTable, sel: np.ndarray) -> CandidateBatch:
-        """The batch of the entries ``sel`` (ascending) of ``table``."""
-        batch = cls.__new__(cls)
-        batch.dims, batch._n, batch._table, batch._sel = dims, sel.size, table, sel
-        batch._shape_rows = None
-        return batch
+    def __init__(self, table: _SizeTable, sel: np.ndarray) -> None:
+        self._n, self._table, self._sel, self._shape_rows = sel.size, table, sel, None
 
     def __getattr__(self, name: str):
-        # Only an unset slot gets here: a selection's derived ``bases``.
-        if name != "bases" or self._table is None:
+        # Only an unset slot gets here: the derived ``bases``.
+        if name != "bases":
             raise AttributeError(name)
         self.bases = self._table.bases[self._sel]
         return self.bases
@@ -159,58 +132,36 @@ class CandidateBatch:
         return self._n
 
     def shape_rows(self) -> np.ndarray:
-        """``(n, 3)`` array: the shape of every candidate row (cached).
-
-        A selection gathers its rows of the size table's ``ext`` column;
-        a packed batch fills them group by group.
-        """
+        """``(n, 3)`` array: the shape of every candidate row, gathered
+        from the size table's ``ext`` column (cached)."""
         rows = self._shape_rows
         if rows is None:
-            if self._table is not None:
-                rows = self._table.ext[self._sel]
-            else:
-                rows = np.empty((len(self), 3), dtype=np.int64)
-                for g, shape in enumerate(self.shapes):
-                    rows[self.starts[g] : self.starts[g + 1]] = shape
-            self._shape_rows = rows
+            rows = self._shape_rows = self._table.ext[self._sel]
         return rows
 
     def partition(self, i: int) -> Partition:
-        """Candidate row ``i`` as a :class:`Partition`; a selection's
-        is its (frozen) table entry's, built on first use."""
+        """Candidate row ``i`` as a :class:`Partition`: its (frozen)
+        table entry's, built on first use."""
         table = self._table
-        if table is None:
-            x, y, z = self.bases[i].tolist()
-            return Partition((x, y, z), self.shapes[bisect_right(self.starts, i) - 1])
         j = self._sel[i]
         part = table.parts[j]
         if part is None:
             x, y, z = table.bases[j].tolist()
-            part = table.parts[j] = Partition((x, y, z), table.all_shapes[table.rows[j]])
+            part = table.parts[j] = Partition((x, y, z), table.tables.shapes[table.rows[j]])
         return part
 
     def column_text(self, rows: slice | np.ndarray) -> tuple[str, str]:
         """The ``base`` and ``shape`` columns of candidate ``rows`` as
         JSON array text (decision tracing): the bytes ``canonical_json``
-        gives their ``tolist()``, gathered from the size table's ``text``
-        (a selection) or from :meth:`_DimsTables.text` by free-grid base
-        and shape row (a packed batch)."""
+        gives their ``tolist()``, gathered from the size table's
+        ``text`` (itself gathered from :meth:`_DimsTables.text`, so
+        every size shares one string per coordinate and shape)."""
         table = self._table
-        if table is None:
-            t = _tables(self.dims.as_tuple())
-            _, Y, Z = t.dims_tuple
-            bases = self.bases[rows].astype(np.intp)
-            flat = (bases[:, 0] * Y + bases[:, 1]) * Z + bases[:, 2]
-            group_rows = [t.row_of[shape] for shape in self.shapes]
-            base_text, shape_text = t.text()
-            base = base_text[flat]
-            shape = shape_text[np.repeat(group_rows, np.diff(self.starts))[rows]]
-        else:
-            if table.text is None:
-                base_text, shape_text = _tables(self.dims.as_tuple()).text()
-                table.text = (base_text[table.idx // len(table.all_shapes)], shape_text[table.rows])
-            sel = self._sel[rows]
-            base, shape = table.text[0][sel], table.text[1][sel]
+        if table.text is None:
+            base_text, shape_text = table.tables.text()
+            table.text = (base_text[table.idx // len(table.tables.shapes)], shape_text[table.rows])
+        sel = self._sel[rows]
+        base, shape = table.text[0][sel], table.text[1][sel]
         return "[" + ",".join(base.tolist()) + "]", "[" + ",".join(shape.tolist()) + "]"
 
     def partitions(self) -> list[Partition]:
@@ -230,12 +181,13 @@ class _SizeTable:
     (``None`` without ``zall``); ``rows``, its shape row; ``ext``, its
     shape's ``(3,)`` extents (what a predictor query takes per
     candidate, and the per-axis resolve's); ``bases``, its base;
+    ``tables``, the :class:`_DimsTables` it was built from;
     ``parts``, its :class:`Partition` once a placement asked for it
     (``None`` until then); ``text``, its base and shape text columns
     once a traced decision asked (``None`` until then).
     """
 
-    __slots__ = ("idx", "keys", "rows", "ext", "bases", "all_shapes", "parts", "text")
+    __slots__ = ("idx", "keys", "rows", "ext", "bases", "tables", "parts", "text")
 
     def __init__(self, t: _DimsTables, rows: np.ndarray, flat: np.ndarray) -> None:
         self.rows = rows.astype(np.int32)
@@ -251,7 +203,7 @@ class _SizeTable:
             k = (self.ext - 1) * np.array(t.dims_tuple) + base
             self.keys = ((k[:, 0] * (Y * Y) + k[:, 1]) * (Z * Z) + k[:, 2]).astype(np.int32)
         self.bases = base.astype(np.min_scalar_type(-max(t.dims_tuple)))
-        self.all_shapes = t.shapes
+        self.tables = t
         self.parts: list[Partition | None] = [None] * len(self.rows)
         self.text: tuple[np.ndarray, np.ndarray] | None = None
 
@@ -667,7 +619,7 @@ class PlacementIndex:
         table = self._tables.size_table(size)
         sel = self._free_grid().take(table.idx).nonzero()[0]
         entry = self._sizes[size] = [
-            CandidateBatch.selected(self.dims, table, sel), table, sel, None,
+            CandidateBatch(table, sel), table, sel, None,
         ]
         return entry
 

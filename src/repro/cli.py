@@ -8,7 +8,7 @@
     bgl-sim sweep        --parameters 0.0 0.1 0.3 [--checkpoint-dir DIR] ...
     bgl-sim sweep        --queue-dir DIR ...         # multi-host driver
     bgl-sim sweep-worker --queue-dir DIR             # one queue worker
-    bgl-sim figure       fig3 [--jobs 500] [--seeds 6] # series + claim verdicts
+    bgl-sim figure       fig3 [--jobs 400] [--seeds 6] # series + claim verdicts
     bgl-sim figures      # list regenerable figures
     bgl-sim sites        # list workload site models
     bgl-sim compare      --baseline krevat --candidate balancing ...

@@ -15,7 +15,7 @@ paper's, which is what its phenomena depend on; see EXPERIMENTS.md.
 Knobs
 -----
 Figure fidelity scales with ``REPRO_FIG_JOBS`` (jobs per run, default
-500) and ``REPRO_FIG_SEEDS`` (seeds averaged per point, default 6, the
+400) and ``REPRO_FIG_SEEDS`` (seeds averaged per point, default 6, the
 fewest at which a claim's sign test can resolve) —
 environment variables so the pytest-benchmark suite stays
 argument-free.  ``REPRO_FIG_WORKERS`` (default: all cores but one)
@@ -55,7 +55,7 @@ _SECONDS_PER_YEAR = 365.0 * 86_400.0
 
 def default_n_jobs() -> int:
     """Jobs per simulated run (env-tunable)."""
-    return int(os.environ.get("REPRO_FIG_JOBS", "500"))
+    return int(os.environ.get("REPRO_FIG_JOBS", "400"))
 
 
 def default_seeds() -> tuple[int, ...]:

@@ -7,8 +7,7 @@ it through free masks and partition checks and mutate it only through
 no-overlap invariant.
 
 The module also provides :func:`circular_window_sum`, the vectorised
-wrap-around box-sum kernel that powers the fast partition finder and the
-incremental MFP computation.
+wrap-around box-sum kernel behind the partition finders.
 """
 
 from __future__ import annotations
@@ -45,9 +44,10 @@ def wrap_pad_integral(grid: np.ndarray) -> np.ndarray:
       I[x+a,y+b,z+c] - I[x,y+b,z+c] - I[x+a,y,z+c] - I[x+a,y+b,z]
       + I[x,y,z+c] + I[x,y+b,z] + I[x+a,y,z] - I[x,y,z]``.
 
-    This is the shared kernel behind the fast partition finder and the
-    scheduler's incremental MFP queries (profiled ~10x faster than the
-    naive per-shape ``np.roll`` accumulation at BG/L scale).
+    This is the kernel behind the partition finders (through
+    :func:`circular_window_sum`; profiled ~10x faster than the naive
+    per-shape ``np.roll`` accumulation at BG/L scale) and the test
+    suite's from-scratch reference index.
     """
     X, Y, Z = grid.shape
     # One-period-minus-one wrap padding via tile+slice: measurably
@@ -75,51 +75,6 @@ def window_sums_from_integral(
         + i[0:X, b : b + Y, 0:Z]
         + i[a : a + X, 0:Y, 0:Z]
         - i[0:X, 0:Y, 0:Z]
-    )
-
-
-def box_sum_at(integral: np.ndarray, base: Coord, extents: Coord) -> int:
-    """One wrap-around box sum as a scalar lookup on the integral."""
-    x, y, z = base
-    a, b, c = extents
-    i = integral
-    return int(
-        i[x + a, y + b, z + c]
-        - i[x, y + b, z + c]
-        - i[x + a, y, z + c]
-        - i[x + a, y + b, z]
-        + i[x, y, z + c]
-        + i[x, y + b, z]
-        + i[x + a, y, z]
-        - i[x, y, z]
-    )
-
-
-def batch_box_sums(
-    integral: np.ndarray, bases: np.ndarray, extents: Coord | np.ndarray
-) -> np.ndarray:
-    """Wrap-around box sums of windows at many bases.
-
-    Vectorised counterpart of :func:`box_sum_at`: ``bases`` is an
-    ``(n, 3)`` integer array of primary-cell corners and the result is
-    the ``(n,)`` array of box sums, gathered with eight fancy-indexed
-    lookups on the integral instead of ``8 n`` scalar ones.  ``extents``
-    is one window shape for every base, or an ``(n, 3)`` array of one
-    per base.  This is the kernel behind the predictors' batch counts.
-    """
-    x, y, z = bases[:, 0], bases[:, 1], bases[:, 2]
-    ext = np.asarray(extents)
-    a, b, c = ext[..., 0], ext[..., 1], ext[..., 2]
-    i = integral
-    return (
-        i[x + a, y + b, z + c]
-        - i[x, y + b, z + c]
-        - i[x + a, y, z + c]
-        - i[x + a, y + b, z]
-        + i[x, y, z + c]
-        + i[x, y + b, z]
-        + i[x + a, y, z]
-        - i[x, y, z]
     )
 
 

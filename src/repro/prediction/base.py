@@ -23,7 +23,6 @@ import numpy as np
 from repro.errors import PredictionError
 from repro.geometry.coords import TorusDims
 from repro.geometry.partition import Partition
-from repro.geometry.torus import batch_box_sums, wrap_pad_integral
 
 
 class PartitionFailureRule(enum.Enum):
@@ -66,11 +65,6 @@ class Predictor(abc.ABC):
     random responses) keeps them until the next one.
     """
 
-    #: Flagged-node count up to which per-candidate counts come from a
-    #: direct membership test; above it, from a wrap-pad integral built
-    #: once per window.  Both give identical integer counts.
-    _MEMBERSHIP_CUTOVER = 48
-
     def begin_pass(self, now: float) -> None:
         """Hook invoked once per scheduler pass (nothing to reset here)."""
 
@@ -78,11 +72,9 @@ class Predictor(abc.ABC):
     def _flag(self, t0: float, t1: float) -> np.ndarray:
         """Sorted linear ids of the nodes flagged in ``[t0, t1)``."""
 
-    def _window(self, t0: float, t1: float) -> list:
-        """``[flagged linear ids, wrap-pad integral or None]`` of
-        ``[t0, t1)``; :meth:`_counts` fills the integral when it needs
-        one.  A fresh flag per query."""
-        return [self._flag(t0, t1), None]
+    def _window(self, t0: float, t1: float) -> np.ndarray:
+        """The flagged linear ids of ``[t0, t1)``: a fresh flag per query."""
+        return self._flag(t0, t1)
 
     def _counts(
         self,
@@ -95,28 +87,19 @@ class Predictor(abc.ABC):
         """Flagged nodes inside each of the ``(n, 3)`` candidate bases,
         box ``i`` having extents ``extents`` (a 3-tuple) or ``extents[i]``
         (an ``(n, 3)`` array)."""
-        window = self._window(t0, t1)
-        flagged, integral = window
+        flagged = self._window(t0, t1)
         if flagged.size == 0:
             return np.zeros(bases.shape[0], dtype=np.int64)
-        if flagged.size <= self._MEMBERSHIP_CUTOVER:
-            # Node p lies in the wrapped box (b, e) iff
-            # (p - b) mod P < e on every axis.
-            ext = np.asarray(extents).reshape(-1, 3)
-            fx, fy, fz = np.unravel_index(flagged, dims.as_tuple())
-            inside = (
-                (((fx[None, :] - bases[:, 0:1]) % dims.x) < ext[:, 0:1])
-                & (((fy[None, :] - bases[:, 1:2]) % dims.y) < ext[:, 1:2])
-                & (((fz[None, :] - bases[:, 2:3]) % dims.z) < ext[:, 2:3])
-            )
-            return inside.sum(axis=1)
-        if integral is None:
-            grid = np.zeros(dims.volume, dtype=np.int64)
-            grid[flagged] = 1
-            integral = window[1] = wrap_pad_integral(grid.reshape(dims.as_tuple()))
-        return batch_box_sums(
-            integral, bases % np.array(dims.as_tuple(), dtype=np.int64), extents
+        # Node p lies in the wrapped box (b, e) iff (p - b) mod P < e on
+        # every axis.
+        ext = np.asarray(extents).reshape(-1, 3)
+        fx, fy, fz = np.unravel_index(flagged, dims.as_tuple())
+        inside = (
+            (((fx[None, :] - bases[:, 0:1]) % dims.x) < ext[:, 0:1])
+            & (((fy[None, :] - bases[:, 1:2]) % dims.y) < ext[:, 1:2])
+            & (((fz[None, :] - bases[:, 2:3]) % dims.z) < ext[:, 2:3])
         )
+        return inside.sum(axis=1)
 
     # ------------------------------------------------------------------
     # batch surface (candidate scoring hot path)

@@ -42,18 +42,18 @@ class TieBreakPredictor(Predictor):
         self.log = log
         self.accuracy = accuracy
         self._rng = np.random.default_rng(seed)
-        # (t0, t1) -> the window's [flagged ids, integral or None], this pass.
-        self._windows: dict[tuple[float, float], list] = {}
+        # (t0, t1) -> the window's flagged ids, this pass.
+        self._windows: dict[tuple[float, float], np.ndarray] = {}
 
     def begin_pass(self, now: float) -> None:
         """Drop the window memo: a new pass draws anew."""
         self._windows.clear()
 
-    def _window(self, t0: float, t1: float) -> list:
-        window = self._windows.get((t0, t1))
-        if window is None:
-            window = self._windows[(t0, t1)] = super()._window(t0, t1)
-        return window
+    def _window(self, t0: float, t1: float) -> np.ndarray:
+        flagged = self._windows.get((t0, t1))
+        if flagged is None:
+            flagged = self._windows[(t0, t1)] = self._flag(t0, t1)
+        return flagged
 
     def _flag(self, t0: float, t1: float) -> np.ndarray:
         # Called once per window and pass (the memo above).

@@ -73,6 +73,9 @@ class TestEnvKnobs:
     def test_default_n_jobs(self, monkeypatch):
         monkeypatch.setenv("REPRO_FIG_JOBS", "77")
         assert default_n_jobs() == 77
+        # Unset, it is the count the committed benchmarks/results were made at.
+        monkeypatch.delenv("REPRO_FIG_JOBS")
+        assert default_n_jobs() == 400
 
     def test_default_seeds(self, monkeypatch):
         monkeypatch.setenv("REPRO_FIG_SEEDS", "3")

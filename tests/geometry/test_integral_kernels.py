@@ -1,8 +1,10 @@
 """Property tests for the integral-image box-sum kernels.
 
-These kernels sit under every partition query in the scheduler; they are
-validated here directly against brute-force modular sums, independent of
-the finder-level cross-validation.
+These kernels sit under the partition finders and the test suite's
+reference index (whose scalar lookup, :func:`box_sum_at`, lives with it
+in ``tests/oracles/reference.py``); they are validated here directly
+against brute-force modular sums, independent of the finder-level
+cross-validation.
 """
 
 from __future__ import annotations
@@ -11,11 +13,11 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.geometry.torus import (
-    box_sum_at,
     circular_window_sum,
     window_sums_from_integral,
     wrap_pad_integral,
 )
+from tests.oracles.reference import box_sum_at
 
 dims_strategy = st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(1, 6))
 

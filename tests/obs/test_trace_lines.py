@@ -6,8 +6,9 @@ keyword form ``emit(kind, t, **fields)`` is ``canonical_json`` of the
 record.  Every line here is held to the keyword form's bytes, and
 ``trace_decision``'s ``considered`` text to the column table the policy
 used to build as lists (``.tolist()`` of the batch arrays), on the
-production index's selections and the reference index's packed batches
-alike.
+production index's selections and the reference index's packed
+:class:`~tests.oracles.reference.ReferenceBatch` alike (whose text is
+``canonical_json`` itself, so the two are a differential check).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.api import SimulationSetup
-from repro.allocation.mfp import CandidateBatch, PlacementIndex
+from repro.allocation.mfp import PlacementIndex
 from repro.core.config import SimulationConfig
 from repro.core.jobstate import JobState
 from repro.core.policies.base import MAX_TRACED_CANDIDATES, SchedulingPolicy
@@ -34,6 +35,7 @@ from repro.obs.trace import NULL_RECORDER, TraceRecorder
 from repro.records import canonical_json
 from repro.workloads.job import Job
 from tests.oracles import ReferencePlacementIndex, oracle_simulator, random_torus
+from tests.oracles.reference import ReferenceBatch
 
 D = BGL_SUPERNODE_DIMS
 SHAPES = all_shapes(D)
@@ -257,15 +259,13 @@ def score_columns(n):
 
 @st.composite
 def packed_batches(draw):
-    """A packed batch (the reference index's layout) of drawn groups:
-    ``1..90`` rows, so ``truncated`` goes both ways."""
+    """A packed batch (the reference index's :class:`ReferenceBatch`) of
+    drawn groups: ``1..90`` rows, so ``truncated`` goes both ways."""
     groups = draw(st.lists(st.tuples(shapes, st.lists(coords, min_size=1, max_size=30)),
                            min_size=1, max_size=3))
-    starts = [0]
-    for _, bases in groups:
-        starts.append(starts[-1] + len(bases))
     bases = np.array([b for _, group in groups for b in group], dtype=np.int64)
-    return CandidateBatch.packed(D, tuple(s for s, _ in groups), tuple(starts), bases)
+    extents = np.array([s for s, group in groups for _ in group], dtype=np.int64)
+    return ReferenceBatch(bases, extents)
 
 
 class TestConsideredText:
@@ -295,8 +295,9 @@ class TestConsideredText:
         lines_selected = decision_lines(selected, None, scores)
         lines_packed = decision_lines(packed, None, scores)
         assert lines_selected[0] == lines_selected[1] == lines_packed[0]
-        # A selection gathers its text from its size table, a packed batch
-        # from the per-dims tables: equal for any rows a policy examines.
+        # A selection gathers its text from its size table; the
+        # reference's is ``canonical_json`` of its own arrays: equal for
+        # any rows a policy examines.
         n = len(selected)
         for rows in (slice(None), data.draw(
             st.builds(slice, st.integers(0, n), st.integers(0, n))
@@ -304,10 +305,7 @@ class TestConsideredText:
                 lambda v: np.array(v, dtype=np.intp)
             )
         )):
-            assert selected.column_text(rows) == packed.column_text(rows) == (
-                canonical_json(packed.bases[rows].tolist()),
-                canonical_json(packed.shape_rows()[rows].tolist()),
-            )
+            assert selected.column_text(rows) == packed.column_text(rows)
 
     @pytest.mark.parametrize("bad", NON_FINITE)
     def test_non_finite_score_raises_and_writes_nothing(self, bad):

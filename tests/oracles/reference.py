@@ -8,9 +8,11 @@ differential suites compare it with is built here, by tests:
 * :class:`ReferencePlacementIndex` is the plain, from-scratch index of
   one machine state: a busy integral read from ``torus.grid``, lazy
   per-shape placement grids, a scalar early-exit scoring walk and a
-  rebuild-form release replay.  It subclasses nothing and shares only
-  :class:`~repro.allocation.mfp.CandidateBatch` with the production
-  :class:`~repro.allocation.mfp.PlacementIndex`.  Since it reads the
+  rebuild-form release replay.  It subclasses nothing and shares no
+  code with the production :class:`~repro.allocation.mfp.PlacementIndex`:
+  its candidates are a :class:`ReferenceBatch`, its text columns
+  ``canonical_json`` of their ``tolist()`` and its scalar box sums
+  :func:`box_sum_at`'s.  Since it reads the
   grid, it also sees a state written into ``torus.grid`` directly,
   which the production index (synced to the allocation map) does not;
 * :class:`RebuildIndexCache` hands out a fresh reference index whenever
@@ -39,7 +41,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from repro.allocation.mfp import CandidateBatch, IndexCache
+from repro.allocation.mfp import IndexCache
 from repro.core.jobstate import JobState
 from repro.core.policies.base import SchedulingPolicy
 from repro.core.simulator import Simulator
@@ -49,10 +51,28 @@ from repro.geometry.shapes import all_shapes, shapes_for_size
 from repro.geometry.torus import (
     FREE,
     Torus,
-    box_sum_at,
     window_sums_from_integral,
     wrap_pad_integral,
 )
+from repro.records import canonical_json
+
+
+def box_sum_at(integral: np.ndarray, base: Coord, extents: Coord) -> int:
+    """One wrap-around box sum as a scalar lookup on a
+    :func:`~repro.geometry.torus.wrap_pad_integral` result."""
+    x, y, z = base
+    a, b, c = extents
+    i = integral
+    return int(
+        i[x + a, y + b, z + c]
+        - i[x, y + b, z + c]
+        - i[x + a, y, z + c]
+        - i[x + a, y + b, z]
+        + i[x, y, z + c]
+        + i[x, y + b, z]
+        + i[x + a, y, z]
+        - i[x, y, z]
+    )
 
 
 def intersect_window(
@@ -64,7 +84,7 @@ def intersect_window(
     ``(p_base, p_shape)`` iff, on every axis, ``q`` lies in the modular
     interval ``[p - T + 1, p + P - 1]`` of length ``min(extent,
     P + T - 1)``.  Returns that box as ``(base, extents)``, ready for
-    one :func:`~repro.geometry.torus.box_sum_at` lookup.
+    one :func:`box_sum_at` lookup.
     """
     return (
         (
@@ -78,6 +98,42 @@ def intersect_window(
             min(dims.z, p_shape[2] + t_shape[2] - 1),
         ),
     )
+
+
+class ReferenceBatch:
+    """The reference index's candidates of one size, held eagerly: an
+    ``(n, 3)`` array of canonical bases and one of their shapes.
+
+    It answers what a policy and a trace ask of a production
+    :class:`~repro.allocation.mfp.CandidateBatch` — ``len``, ``bases``,
+    :meth:`shape_rows`, :meth:`partition`, :meth:`column_text` — from
+    those two arrays alone.
+    """
+
+    __slots__ = ("bases", "_shape_rows")
+
+    def __init__(self, bases: np.ndarray, shape_rows: np.ndarray) -> None:
+        self.bases = bases
+        self._shape_rows = shape_rows
+
+    def __len__(self) -> int:
+        return len(self.bases)
+
+    def shape_rows(self) -> np.ndarray:
+        return self._shape_rows
+
+    def partition(self, i: int) -> Partition:
+        (x, y, z), (a, b, c) = self.bases[i].tolist(), self._shape_rows[i].tolist()
+        return Partition((x, y, z), (a, b, c))
+
+    def partitions(self) -> list[Partition]:
+        return [self.partition(i) for i in range(len(self))]
+
+    def column_text(self, rows: slice | np.ndarray) -> tuple[str, str]:
+        return (
+            canonical_json(self.bases[rows].tolist()),
+            canonical_json(self._shape_rows[rows].tolist()),
+        )
 
 
 class ReferencePlacementIndex:
@@ -116,7 +172,7 @@ class ReferencePlacementIndex:
         self._totals: dict[Coord, int] = {}
         self._nonempty_rows: list[tuple[int, Coord, int, np.ndarray]] = []
         self._scan_pos = 0
-        self._batches: dict[int, CandidateBatch] = {}
+        self._batches: dict[int, ReferenceBatch] = {}
         self._candidates: dict[int, list[Partition]] = {}
         self._scored: dict[int, list[tuple[Partition, int]]] = {}
 
@@ -139,7 +195,7 @@ class ReferencePlacementIndex:
         self._placements(shape)
         return self._totals[shape]
 
-    def candidate_batch(self, size: int) -> CandidateBatch:
+    def candidate_batch(self, size: int) -> ReferenceBatch:
         """All free partitions of exactly ``size`` nodes as arrays: per
         shape of ``shapes_for_size``, the row-major free bases, with
         fully-spanned axes pinned to 0 and each node set's first
@@ -149,9 +205,8 @@ class ReferencePlacementIndex:
             return batch
         dims = self.dims
         dims_shape = dims.as_tuple()
-        shapes: list[Coord] = []
-        starts = [0]
         groups: list[np.ndarray] = [np.empty((0, 3), dtype=np.int64)]
+        extents: list[np.ndarray] = [np.empty((0, 3), dtype=np.int64)]
         for shape in shapes_for_size(size, dims):
             if self.count_placements(shape) == 0:
                 continue
@@ -167,12 +222,9 @@ class ReferencePlacementIndex:
                 keys = (bases[:, 0] * dims.y + bases[:, 1]) * dims.z + bases[:, 2]
                 _, first = np.unique(keys, return_index=True)
                 bases = bases[np.sort(first)]
-            shapes.append(shape)
-            starts.append(starts[-1] + bases.shape[0])
             groups.append(bases)
-        batch = CandidateBatch.packed(
-            dims, tuple(shapes), tuple(starts), np.concatenate(groups, axis=0)
-        )
+            extents.append(np.tile(np.array(shape, dtype=np.int64), (len(bases), 1)))
+        batch = ReferenceBatch(np.concatenate(groups), np.concatenate(extents))
         self._batches[size] = batch
         return batch
 
@@ -192,7 +244,7 @@ class ReferencePlacementIndex:
             self._scored[size] = cached
         return cached
 
-    def batch_mfp_losses(self, size: int) -> tuple[CandidateBatch, np.ndarray]:
+    def batch_mfp_losses(self, size: int) -> tuple[ReferenceBatch, np.ndarray]:
         """The production call shape over :meth:`scored_candidates`:
         ``(batch, losses)``, the losses as an ``int64`` array."""
         losses = [loss for _, loss in self.scored_candidates(size)]

@@ -1,17 +1,18 @@
 """Both log-peeking predictors against one brute-force oracle.
 
 A predictor flags nodes for a window and counts them per candidate with
-the one kernel in ``repro.prediction.base``: a membership test up to 48
-flagged nodes, a wrap-pad integral above.  The oracle here is neither —
+the one kernel in ``repro.prediction.base``, the membership test
+``(p - b) mod P < e``.  The oracle here is not that — it is
 an ``np.ix_`` count over a boolean node mask, then
 ``combine_probabilities`` (balancing) or ``> 0`` (tie-break).  For
 tie-break the mask is the window's failure mask ANDed with the draws a
 fresh ``default_rng(seed)`` makes, one ``random(volume)`` per window in
 the order the pass first asks about them.
 
-The cases put flagged counts on both sides of the cutover (0, 1, 48,
-49 and every node), on an even and an odd torus, with every base (so
-wrapping ones) and full-span shapes, and assert exact float equality.
+The cases flag 0, 1, 48, 49 and every node (48 was where a wrap-pad
+integral used to take over the counting), on an even and an odd torus,
+with every base (so wrapping ones) and full-span shapes, and assert
+exact float equality.
 
 A placement asks one query per decision, its candidates' shapes mixed
 and given per row: that query must equal the per-shape queries and the
@@ -33,10 +34,8 @@ from repro.geometry.partition import Partition
 from repro.prediction import (
     BalancingPredictor,
     PartitionFailureRule,
-    Predictor,
     TieBreakPredictor,
 )
-from repro.prediction import base as base_module
 from repro.prediction.base import combine_probabilities
 
 DIMS = (TorusDims(4, 4, 8), TorusDims(4, 4, 5))
@@ -85,34 +84,14 @@ def cases():
             yield dims, k, log_flagging(dims, k, rng)
 
 
-def integral_built(pred: TieBreakPredictor, t0: float, t1: float) -> bool:
-    """Whether tie-break's memo of the window holds an integral."""
-    return pred._windows[(t0, t1)][1] is not None
-
-
-@pytest.fixture
-def integrals(monkeypatch) -> list:
-    """One entry per wrap-pad integral the count kernel builds: the
-    balancing predictor keeps no window, so it builds one per query
-    above the cutover."""
-    built = []
-    real = base_module.wrap_pad_integral
-    monkeypatch.setattr(
-        base_module, "wrap_pad_integral", lambda grid: built.append(1) or real(grid)
-    )
-    return built
-
-
 class TestBalancingBatch:
-    def test_matches_mask_oracle(self, integrals):
-        built = integrals
+    def test_matches_mask_oracle(self):
         for dims, k, log in cases():
             mask = log.failure_mask(T0, T1)
             assert int(mask.sum()) == k
             for rule in PartitionFailureRule:
                 for confidence in (0.1, 0.9):
                     pred = BalancingPredictor(log, confidence, rule)
-                    built.clear()
                     for shape in shapes_of(dims):
                         bases = all_bases(dims)
                         probs = pred.partition_failure_probabilities(
@@ -132,10 +111,6 @@ class TestBalancingBatch:
                         assert pred.partition_failure_probability(
                             one, dims, T0, T1
                         ) == expected[-1]
-                    # Both sides of the cutover ran: above it, each of
-                    # the batch and one-row queries built its own integral.
-                    above = k > Predictor._MEMBERSHIP_CUTOVER
-                    assert len(built) == (2 * len(shapes_of(dims)) if above else 0)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -205,9 +180,6 @@ class TestTieBreakBatch:
                         ]
                         assert predicted.tolist() == expected, (dims, k, shape, t1)
                         assert lone == expected[3]
-                    assert integral_built(pred, T0, t1) == (
-                        int(reported.sum()) > Predictor._MEMBERSHIP_CUTOVER
-                    )
 
     def test_draw_is_made_for_an_empty_window(self):
         """Every new window of a pass takes one draw, failure or not, so
@@ -276,16 +248,14 @@ def one_row_partitions(bases, extents):
 
 
 class TestMixedShapeQuery:
-    def test_balancing_equals_per_shape_and_scalar_calls(self, integrals):
+    def test_balancing_equals_per_shape_and_scalar_calls(self):
         rng = np.random.default_rng(42)
         for dims, k, log in cases():
             bases, extents = mixed_candidates(dims, rng)
             parts = one_row_partitions(bases, extents)
             for rule in PartitionFailureRule:
                 pred = BalancingPredictor(log, 0.3, rule)
-                integrals.clear()
                 mixed = pred.partition_failure_probabilities(bases, extents, dims, T0, T1)
-                assert bool(integrals) == (k > Predictor._MEMBERSHIP_CUTOVER)
                 assert mixed.dtype == np.float64
                 split = per_shape(
                     pred.partition_failure_probabilities,
