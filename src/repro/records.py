@@ -15,11 +15,13 @@ Three decisions, each made here and nowhere else:
   :func:`parse_json_line`, the one line decoder, calls the C scanner
   directly and hands anything but a bare value to ``json.loads``, so
   every answer and every error is the stdlib's.  Wire lines and trace
-  lines go through these two, with one decided exception: the decision
+  lines go through these two, with two decided exceptions, each held
+  byte-equal to :func:`canonical_json` by the test suite: the decision
   recorder's per-kind line functions (:mod:`repro.obs.trace`) format the
   six records the engine writes on every decision from ``%`` templates,
-  and the test suite holds them byte-equal to :func:`canonical_json`.
-  They take their string literals from :func:`json_string`.
+  and the service's ``encode`` (:mod:`repro.serve.protocol`) formats a
+  full-queue refusal, the line an overloaded service writes most, from
+  one.  Both take their string literals from :func:`json_string`.
 * **A durable write** — :func:`atomic_write_text` (and
   :func:`atomic_write_json` on top of it) never lets a reader (or a
   power cut) see a partial file; :func:`read_json` answers ``None`` for

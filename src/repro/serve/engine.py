@@ -44,13 +44,14 @@ from repro.serve.protocol import (
     PROTOCOL_VERSION,
     REQUIRED_FIELDS,
     error_response,
+    refusal,
     validate_request,
 )
 from repro.core.arrivals import OnlineArrivalStream
 from repro.core.config import SimulationConfig
 from repro.core.policies.base import SchedulingPolicy
 from repro.core.simulator import Simulator
-from repro.workloads.job import Job, Workload
+from repro.workloads.job import Workload
 
 #: Default cap on released-but-uncompleted jobs inside the engine.
 DEFAULT_ENGINE_CAP = 512
@@ -178,9 +179,6 @@ class ServeEngine:
                 )
         else:
             arrival = float(message.get("arrival", 0.0))
-        runtime = float(message["runtime"])
-        estimate = float(message.get("estimate", -1.0))
-        job = Job(job_id, max(arrival, 0.0), size, runtime, estimate)
         # Two dict lookups settle a new id; only a known one is asked
         # for its phase.
         if job_id in self.sim.states or job_id in self.admission.queued:
@@ -190,19 +188,17 @@ class ServeEngine:
             ):
                 raise ServeError(f"job {job_id} already submitted ({existing})")
         tenant = message.get("tenant", "default")
-        retry_after = self.admission.offer(tenant, job)
+        runtime, estimate = float(message["runtime"]), float(message.get("estimate", -1.0))
+        retry_after = self.admission.offer(
+            tenant, job_id, max(arrival, 0.0), size, runtime, estimate
+        )
         if retry_after is not None:
             # A full queue is refused at its cap, so one tenant's
             # refusals are all alike: build each once, hand out copies.
-            refusal = self._refusals.get((tenant, retry_after))
-            if refusal is None:
-                refusal = self._refusals[tenant, retry_after] = {
-                    "ok": False,
-                    "rejected": True,
-                    "retry_after": round(retry_after, 6),
-                    "error": f"tenant {tenant!r} queue is full",
-                }
-            return dict(refusal)
+            refused = self._refusals.get((tenant, retry_after))
+            if refused is None:
+                refused = self._refusals[tenant, retry_after] = refusal(tenant, retry_after)
+            return dict(refused)
         self._release()
         self._since_pump += 1
         if self._since_pump >= self.pump_interval:

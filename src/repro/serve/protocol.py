@@ -42,7 +42,7 @@ from repro.errors import ProtocolError
 # produce byte-identical transcripts) and strict — a NaN or infinity
 # anywhere in a message raises ``ValueError`` instead of reaching the
 # wire as a token RFC 8259 parsers refuse.
-from repro.records import canonical_json as _ENCODE, parse_json_line
+from repro.records import canonical_json as _ENCODE, json_string, parse_json_line
 
 #: Protocol revision; servers echo it from ``ping`` and ``stats``.
 PROTOCOL_VERSION = 1
@@ -69,8 +69,29 @@ REQUIRED_FIELDS: dict[str, tuple[str, ...]] = {
     "shutdown": (),
 }
 
+#: A full-queue refusal with its request's id, as :func:`canonical_json`
+#: writes it: the line an overloaded service writes most.
+_REFUSAL_LINE = '{"error":%s,"id":%d,"ok":false,"rejected":true,"retry_after":%r}\n'
+
+
+def refusal(tenant: str, retry_after: float) -> dict[str, Any]:
+    """The answer to a submit ``tenant``'s full queue turns away
+    (``ServeEngine.handle`` adds the id)."""
+    error = f"tenant {tenant!r} queue is full"
+    return {"ok": False, "rejected": True, "retry_after": round(retry_after, 6), "error": error}
+
+
 def encode(message: dict[str, Any]) -> bytes:
-    """One message as a compact NDJSON line."""
+    """One message as a compact NDJSON line: a :func:`refusal` with its
+    id (those five keys, of those types, a finite ``retry_after``) from
+    one template, anything else by :func:`canonical_json`, to the same bytes."""
+    if type(message) is dict and message.get("rejected") is True and len(message) == 5:
+        error, job_id, retry = message.get("error"), message.get("id"), message.get("retry_after")
+        if (
+            message.get("ok") is False and type(error) is str and type(job_id) is int
+            and type(retry) is float and -math.inf < retry < math.inf
+        ):
+            return (_REFUSAL_LINE % (json_string(error), job_id, retry)).encode()
     return (_ENCODE(message) + "\n").encode("utf-8")
 
 

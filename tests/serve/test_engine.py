@@ -8,10 +8,12 @@ from repro.api import SimulationSetup
 from repro.core.config import SimulationConfig
 from repro.core.policies.registry import make_policy
 from repro.core.simulator import Simulator
+from repro.geometry.torus import MAX_JOB_ID
 from repro.metrics.serialize import report_to_dict
 from repro.serve.client import InprocClient
 from repro.serve.engine import ServeEngine
 from repro.serve.load import run_load
+from repro.serve.protocol import encode
 
 
 def small_setup(n_jobs: int = 80, seed: int = 11) -> SimulationSetup:
@@ -83,6 +85,22 @@ class TestBackpressure:
         stats = client.stats()
         assert stats["queue_depth"] == 8 and stats["outstanding"] == 4
 
+    def test_a_refused_answer_is_a_plain_five_key_dict(self):
+        """No encoded line or other baggage rides on a refusal.  The
+        ``serve_overload`` benchmark's ``peak_rss_mb`` is the server
+        child's ``ru_maxrss``, which starts at the load generator's
+        resident set at fork, and that set holds the in-process oracle's
+        answers to every request at once: a larger answer object is a
+        larger figure."""
+        engine = self.overload_engine(tenant_cap=2, engine_cap=1)
+        replies = [engine.handle({"op": "submit", "id": i, "size": 64, "runtime": 1e6})
+                   for i in range(6)]
+        refused = [r for r in replies if r.get("rejected")]
+        assert len(refused) == 3
+        for reply in refused:
+            assert type(reply) is dict
+            assert sorted(reply) == ["error", "id", "ok", "rejected", "retry_after"]
+
     def test_drain_honours_queued_work_past_caps(self):
         engine = self.overload_engine(tenant_cap=8, engine_cap=4)
         client = InprocClient(engine)
@@ -105,6 +123,109 @@ class TestBackpressure:
             assert reply["ok"], reply
         assert engine.sim.outstanding == 8  # cap exceeded, nothing rejected
         assert engine.metrics.counter("serve.soft_overflows").value > 0
+
+
+def at_cap(engine: ServeEngine, tenant: str) -> None:
+    """Hold ``tenant`` at its cap as its queue stands.  A full queue
+    stays as it is; an empty one refuses from now on, which is the only
+    way to a full tenant under the trace clock (it releases every
+    admitted job at once) or after a drain (which empties every queue)."""
+    queue = engine.admission.tenant(tenant)
+    queue.cap = queue.depth
+
+
+def submit_line(engine: ServeEngine, **fields) -> bytes:
+    """The wire line answering a size-64 submit by tenant ``a``."""
+    message = {"op": "submit", "size": 64, "runtime": 1e6, "tenant": "a", **fields}
+    return encode(engine.handle(message))
+
+
+def refused_line(job_id: int, retry_after: str = "0.002") -> bytes:
+    return (
+        b'{"error":"tenant \'a\' queue is full","id":%d,"ok":false,'
+        b'"rejected":true,"retry_after":%s}\n' % (job_id, retry_after.encode())
+    )
+
+
+class TestRefusalPrecedence:
+    """A submit by a tenant at its cap that is wrong in some other way
+    too gets the answer for what is wrong, not the refusal: every check
+    of the request path answers before the cap does.  Each line is
+    pinned byte for byte."""
+
+    @pytest.fixture()
+    def full(self) -> ServeEngine:
+        """Tenant ``a`` at its cap on the logical clock, with job 0
+        completed, job 1 running and job 4 queued at admission."""
+        engine = ServeEngine.from_setup(
+            small_setup(), clock="logical", tenant_cap=2, engine_cap=3, pump_interval=1
+        )
+        for i in range(6):
+            assert submit_line(engine, id=i, runtime=1.0 if i == 0 else 1e6).startswith(
+                b'{"id":%d,"ok":true,' % i
+            )
+        states = [engine.handle({"op": "status", "id": i})["state"] for i in (0, 1, 4)]
+        assert states == ["completed", "running", "admitted"]
+        assert submit_line(engine, id=6) == refused_line(6)
+        return engine
+
+    def test_an_id_past_max_job_id_beats_the_cap(self, full):
+        assert submit_line(full, id=MAX_JOB_ID + 1) == (
+            b'{"error":"job id 9223372036854775808 exceeds 9223372036854775807, '
+            b'the largest the int64 occupancy grid holds",'
+            b'"id":9223372036854775808,"ok":false}\n'
+        )
+        assert submit_line(full, id=MAX_JOB_ID) == refused_line(MAX_JOB_ID)
+
+    @pytest.mark.parametrize(
+        "job_id,phase", [(4, "unknown"), (1, "running"), (0, "completed")]
+    )
+    def test_a_duplicate_id_beats_the_cap(self, full, job_id, phase):
+        """Queued at admission (the simulator does not know it yet),
+        running and completed."""
+        assert submit_line(full, id=job_id) == (
+            b'{"error":"job %d already submitted (%s)","id":%d,"ok":false}\n'
+            % (job_id, phase.encode(), job_id)
+        )
+
+    def test_a_size_with_no_partition_beats_the_cap(self, full):
+        assert submit_line(full, id=7, size=11) == (
+            b'{"error":"job 7 size 11 has no rectangular partition on (4, 4, 8)",'
+            b'"id":7,"ok":false}\n'
+        )
+
+    def test_a_submit_after_drain_beats_the_cap(self, full):
+        assert full.handle({"op": "drain"})["ok"]
+        at_cap(full, "a")
+        assert submit_line(full, id=8) == (
+            b'{"error":"service is drained; no further submissions","id":8,"ok":false}\n'
+        )
+
+    def test_a_trace_arrival_behind_the_watermark_beats_the_cap(self):
+        engine = ServeEngine.from_setup(small_setup(), tenant_cap=2)
+        assert submit_line(engine, id=0, arrival=100.0, tenant="b").startswith(
+            b'{"id":0,"ok":true,'
+        )
+        at_cap(engine, "a")
+        assert submit_line(engine, id=1, arrival=100.0) == refused_line(1, "0.0")
+        assert submit_line(engine, id=1, arrival=50.0) == (
+            b'{"error":"job 1 arrival 50.0 is in the simulated past (watermark '
+            b'100.0); trace-mode submissions must be nondecreasing in arrival",'
+            b'"id":1,"ok":false}\n'
+        )
+        assert submit_line(engine, id=1) == (
+            b'{"error":"trace clock requires an \'arrival\' time on submit",'
+            b'"id":1,"ok":false}\n'
+        )
+
+    def test_only_the_cap_counts_a_rejection(self, full):
+        for fields in ({"id": MAX_JOB_ID + 1}, {"id": 1}, {"id": 7, "size": 11}):
+            submit_line(full, **fields)
+        stats = full.handle({"op": "stats"})
+        assert (stats["submitted"], stats["admitted"], stats["rejected"]) == (10, 6, 1)
+        assert stats["tenants"] == {
+            "a": {"weight": 1.0, "admitted": 6, "rejected": 1, "depth": 2}
+        }
 
 
 class TestLifecycle:

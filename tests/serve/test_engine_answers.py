@@ -31,6 +31,7 @@ import pytest
 from repro.api import SimulationSetup
 from repro.records import canonical_json
 from repro.serve.engine import ServeEngine
+from repro.serve.protocol import encode
 
 _TENANTS = ("alice", "bob", "carol", "dave")
 
@@ -123,6 +124,11 @@ def digest(answers: list[dict[str, Any]]) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+def wire_digest(answers: list[dict[str, Any]]) -> str:
+    """The same answers as the service writes them: ``encode``'s lines."""
+    return hashlib.sha256(b"".join(encode(answer) for answer in answers)).hexdigest()
+
+
 _PINNED = {
     "logical": (
         "987331b8b1c5ba1922ddc2cb0189e663f530c63f1eb5c69e770fd3d1adbf1f6a",
@@ -149,10 +155,28 @@ _PINNED = {
 }
 
 
+#: :func:`wire_digest` of the same streams, computed while ``encode`` was
+#: ``canonical_json`` plus a newline for every message.
+_PINNED_WIRE = {
+    "logical": "8e11af8a4d3ac2c932a995e879e388018e69cb13d098fbd2bfafa07e89e8062e",
+    "trace": "af996a40990f1f4d9c8f9b495de3b37ec70209b940e5aa812a9c75d9a7893042",
+}
+
+
 @pytest.mark.parametrize("clock", ["logical", "trace"])
 def test_answers_and_histograms_are_pinned(clock):
     answers, histograms = run_stream(clock)
     assert (digest(answers), histograms) == _PINNED[clock]
+
+
+@pytest.mark.parametrize("clock", ["logical", "trace"])
+def test_wire_lines_are_canonical_json_and_pinned(clock):
+    """``encode`` formats a refusal from its own template; every line it
+    writes must still be the ``canonical_json`` line."""
+    answers, _ = run_stream(clock)
+    for answer in answers:
+        assert encode(answer) == (canonical_json(answer) + "\n").encode()
+    assert wire_digest(answers) == _PINNED_WIRE[clock]
 
 
 def test_stream_reaches_every_branch():
@@ -193,4 +217,4 @@ def test_stream_reaches_every_branch():
 if __name__ == "__main__":
     for clock in ("logical", "trace"):
         answers, histograms = run_stream(clock)
-        print(clock, digest(answers), histograms)
+        print(clock, digest(answers), wire_digest(answers), histograms)

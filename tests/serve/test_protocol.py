@@ -4,16 +4,21 @@ from __future__ import annotations
 
 import json
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ProtocolError, ServeError
+from repro.geometry.torus import MAX_JOB_ID
+from repro.records import canonical_json
+from repro.serve import protocol
 from repro.serve.protocol import (
     MAX_LINE_BYTES,
     decode_line,
     encode,
     error_response,
+    refusal,
     validate_request,
 )
 
@@ -295,3 +300,88 @@ class TestValidation:
         assert resp["ok"] is False
         assert resp["error"] == "boom"
         assert resp["id"] == 4
+
+
+def json_dumps_line(message) -> bytes:
+    """The reference wire line: ``json.dumps`` as the codec is held to."""
+    text = json.dumps(message, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    return (text + "\n").encode()
+
+
+def templated(message) -> bytes:
+    """``encode(message)``, failing unless the refusal template wrote it."""
+    with mock.patch.object(protocol, "_ENCODE", side_effect=AssertionError("not templated")):
+        return encode(message)
+
+
+def refused(tenant: str, job_id: int, retry_after: float = 0.256) -> dict:
+    """A refusal as ``ServeEngine.handle`` answers it."""
+    return {**refusal(tenant, retry_after), "id": job_id}
+
+
+#: Tenant names whose ``repr`` and JSON escapes differ most: a quote, a
+#: backslash, U+2028, non-ASCII, a lone surrogate, empty, and 10 kB.
+_ODD_TENANTS = (
+    'quote"d', "back\\slash", "line\u2028sep", "télé", "日本",
+    json.loads('"\\ud800"'), "", "xé\"\\" * 2500,
+)
+
+
+class TestRefusalLine:
+    """``encode`` formats a full-queue refusal from a template and sends
+    everything else to ``canonical_json``: both must write the bytes
+    ``json.dumps`` writes."""
+
+    @pytest.mark.parametrize("job_id", [0, MAX_JOB_ID, 2**70])
+    @pytest.mark.parametrize("tenant", _ODD_TENANTS, ids=range(len(_ODD_TENANTS)))
+    def test_odd_tenants_and_ids(self, tenant, job_id):
+        message = refused(tenant, job_id)
+        assert templated(message) == json_dumps_line(message)
+        assert json.loads(templated(message))["error"] == f"tenant {tenant!r} queue is full"
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        tenant=st.text(),
+        job_id=st.integers(0, 2**80),
+        retry_after=st.floats(allow_nan=False, allow_infinity=False),
+    )
+    def test_any_refusal(self, tenant, job_id, retry_after):
+        message = refused(tenant, job_id, retry_after)
+        assert templated(message) == json_dumps_line(message)
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"extra": 1},
+            {"retry_after": 1},
+            {"id": True},
+            {"id": 3.0},
+            {"ok": 0},
+            {"rejected": 1},
+            {"error": None},
+        ],
+        ids=["sixth key", "int retry_after", "bool id", "float id", "int ok",
+             "int rejected", "null error"],
+    )
+    def test_a_look_alike_goes_to_canonical_json(self, change):
+        message = {**refused("t", 5), **change}
+        with mock.patch.object(protocol, "_ENCODE", wraps=canonical_json) as codec:
+            assert encode(message) == json_dumps_line(message)
+        codec.assert_called_once_with(message)
+
+    def test_a_missing_key_goes_to_canonical_json(self):
+        message = refused("t", 5)
+        del message["error"]
+        message["queued"] = 0
+        assert encode(message) == json_dumps_line(message)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_retry_after_raises_as_canonical_json_does(self, value):
+        """``SchedulerService._answer`` turns that ``ValueError`` into an
+        error line, so the template must not write the number."""
+        message = {**refused("t", 5), "retry_after": value}
+        with pytest.raises(ValueError) as encoded:
+            encode(message)
+        with pytest.raises(ValueError) as canonical:
+            canonical_json(message)
+        assert str(encoded.value) == str(canonical.value)
