@@ -130,16 +130,9 @@ def checkout_state() -> dict:
     """``rev`` / ``dirty`` / ``src_loc`` of this script's checkout."""
     # The sibling harness already knows how to name a revision and
     # count source lines; run as a script, its directory is on the path.
-    from bench_core import git_rev, src_loc
+    from bench_core import git_rev, src_loc, tree_dirty
 
-    dirty = subprocess.run(
-        ["git", "status", "--porcelain", "--untracked-files=no"],
-        cwd=REPO_ROOT,
-        capture_output=True,
-        text=True,
-        check=True,
-    ).stdout.strip()
-    return {"rev": git_rev(), "dirty": bool(dirty), "src_loc": src_loc()}
+    return {"rev": git_rev(), "dirty": tree_dirty(), "src_loc": src_loc()}
 
 
 def lines_of(run: dict, state: dict) -> list[dict]:
