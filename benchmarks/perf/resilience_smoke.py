@@ -90,7 +90,7 @@ def main(argv: list[str] | None = None) -> int:
         # The grid is below the parallel cutover; kills only fire in a
         # pool worker, so force the pool.
         backend = dict(checkpoint_dir=checkpoint_dir, min_cells_per_worker=0)
-    policy = RetryPolicy(base_delay_s=0.01, jitter_fraction=0.0, max_attempts=3)
+    policy = RetryPolicy(max_attempts=3)
 
     print(f"[1/3] serial reference: {len(POINTS)} points x {len(SEEDS)} seeds")
     reference = run_sweep(POINTS, SEEDS, workers=1)

@@ -695,15 +695,15 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         format_summary,
         headers_differ,
         summarize_trace,
-        validate_trace,
     )
+    from repro.obs.schema import validate_stream
     from repro.obs.trace import read_trace
 
     if args.trace_command == "summarize":
         print(format_summary(summarize_trace(read_trace(args.path))))
         return 0
     if args.trace_command == "validate":
-        errors = validate_trace(read_trace(args.path))
+        errors = validate_stream(read_trace(args.path))
         if errors:
             for error in errors:
                 print(f"{args.path}: {error}")

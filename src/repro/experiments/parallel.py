@@ -33,7 +33,7 @@ Resilience (data carried by the loop, not a second path)
     raises an error naming every unfinished cell.  With one (any of
     ``checkpoint_dir`` / ``queue_dir`` / ``retry`` implies the default
     policy) a failing cell (it raised, timed out, or its queue
-    lease ran out) is resubmitted after its deterministic backoff and
+    lease ran out) is resubmitted after a doubling backoff and
     quarantined once its attempts are spent, a broken pool (for the
     queue: every local worker dead) is respawned and its lost cells
     rerun one at a time (a breakage charges an attempt only to a cell
@@ -90,6 +90,7 @@ from repro.resilience import (
     ResilientSweepOutcome,
     RetryPolicy,
     SweepRunStats,
+    backoff_s,
     cell_key,
 )
 
@@ -244,6 +245,10 @@ class SweepExecutor:
                 raise ExperimentError("lease_s and spawn_workers=False need queue_dir")
         elif self.checkpoint_dir is not None:
             raise ExperimentError("queue_dir is the checkpoint_dir too: pass one")
+        elif collector is not None:
+            raise ExperimentError(
+                "observability collectors are not supported on the queue backend"
+            )
         n_workers = self.workers if self.workers is not None else default_workers()
         stats = SweepRunStats()
 
@@ -452,11 +457,7 @@ class SweepExecutor:
                                 policy.max_pool_rebuilds,
                                 len(backlog),
                             )
-                            self.sleep(
-                                policy.backoff_s(
-                                    (-1, stats.pool_rebuilds), stats.pool_rebuilds
-                                )
-                            )
+                            self.sleep(backoff_s(stats.pool_rebuilds))
                             executor = backend.ensure(n_workers)
                     except Exception as exc:
                         if policy is None:
@@ -558,7 +559,7 @@ class SweepExecutor:
     ) -> bool:
         """Handle one cell failure; True when the cell was quarantined.
 
-        Otherwise logs, sleeps the deterministic backoff (unless the
+        Otherwise logs, sleeps the backoff (unless the
         caller batches the wait, as the pool-respawn path does) and lets
         the caller resubmit.
         """
@@ -585,7 +586,7 @@ class SweepExecutor:
                 exc,
             )
             return True
-        delay = policy.backoff_s(cell_id, attempts_done)
+        delay = backoff_s(attempts_done)
         logger.warning(
             "cell (point %d, seed#%d) failed attempt %d/%d (%s: %s); "
             "retrying in %.3fs",

@@ -64,7 +64,7 @@ def run_cell(
     by the count, so following is all it takes.  The per-cell
     wall-clock timeout lives here so it applies identically in workers
     and in-process.  With ``with_obs`` the second element is the cell's
-    picklable observability payload (metrics snapshot, plus the buffered
+    picklable observability payload (its metrics registry, plus the buffered
     trace lines when the point's config traces), else ``None``.
     """
     sweep_mod.MASTER_FAILURE_COUNT = master_failure_count
@@ -74,7 +74,7 @@ def run_cell(
     if not with_obs:
         return report, None
     lines = simulator.recorder.lines if simulator.recorder.enabled else None
-    return report, CellObs(simulator.metrics.to_dict(), lines)
+    return report, CellObs(simulator.metrics, lines)
 
 
 # ----------------------------------------------------------------------

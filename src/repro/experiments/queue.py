@@ -432,14 +432,9 @@ class QueueExecutor(Executor):
     def submit(self, fn, /, *args, **kwargs) -> Future:
         if fn is not run_cell or kwargs:
             raise ExperimentError("the queue backend runs run_cell calls only")
-        task = QueueTask(*args)
-        if task.with_obs:
-            raise ExperimentError(
-                "observability collectors are not supported on the queue backend"
-            )
         future: Future = Future()
         with self._lock:
-            self._pending[self.queue.put(task)] = future
+            self._pending[self.queue.put(QueueTask(*args))] = future
         return future
 
     def mark_broken(self) -> None:

@@ -1,10 +1,11 @@
 """Cross-process aggregation of sweep observability.
 
 A parallel sweep runs its ``(point, seed)`` cells in worker processes;
-each worker serialises the cell's metrics registry and (when tracing is
-enabled) its buffered trace lines — already encoded NDJSON — into a
-picklable :class:`CellObs` payload that rides back to the parent next
-to the cell's report; the parent writes them verbatim.
+each worker hands back the cell's metrics registry itself (it pickles
+over the fork pool) and, when tracing is enabled, its buffered trace
+lines — already encoded NDJSON — in a :class:`CellObs` payload that
+rides back to the parent next to the cell's report; the parent merges
+the registry and writes the lines verbatim.
 
 The parent buffers payloads in a :class:`SweepObsCollector` as they
 arrive — in whatever order cells complete — and merges them in
@@ -29,9 +30,9 @@ from repro.obs.trace import write_lines
 class CellObs:
     """Observability payload of one simulation cell (picklable)."""
 
-    #: :meth:`MetricsRegistry.to_dict` snapshot, or None when the cell
-    #: ran without profiling.
-    metrics: dict[str, Any] | None
+    #: The cell simulator's registry, or None when the cell ran
+    #: without profiling.
+    metrics: MetricsRegistry | None
     #: The cell recorder's buffered trace lines (newline-terminated
     #: NDJSON, :attr:`~repro.obs.trace.TraceRecorder.lines`), or None
     #: when the cell ran untraced.
@@ -84,7 +85,7 @@ class SweepObsCollector:
             obs = self._pending[key]
             self.n_cells += 1
             if obs.metrics is not None:
-                self.metrics.merge_dict(obs.metrics)
+                self.metrics.merge(obs.metrics)
             if obs.trace_records is not None and self.trace_dir is not None:
                 path = self.trace_dir / trace_filename(*key)
                 write_lines(obs.trace_records, path)

@@ -26,8 +26,6 @@ import time
 from contextlib import contextmanager
 from typing import Any, Iterator
 
-from repro.errors import SimulationError
-
 #: Serialisation version for registry snapshots; bump on breaking change.
 METRICS_SCHEMA_VERSION = 1
 
@@ -191,40 +189,6 @@ class MetricsRegistry:
             }
         return out
 
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "MetricsRegistry":
-        """Inverse of :meth:`to_dict`."""
-        schema = data.get("schema")
-        if schema != METRICS_SCHEMA_VERSION:
-            raise SimulationError(
-                f"unsupported metrics schema {schema!r} "
-                f"(expected {METRICS_SCHEMA_VERSION})"
-            )
-        registry = cls()
-        for name, value in data.get("counters", {}).items():
-            registry.counter(name).value = value
-        for name, value in data.get("gauges", {}).items():
-            registry.gauge(name).value = value
-        for name, payload in data.get("histograms", {}).items():
-            hist = registry.histogram(name)
-            hist.count = payload["count"]
-            hist.total = payload["total"]
-            hist.min = payload["min"]
-            hist.max = payload["max"]
-            buckets = list(payload["buckets"])
-            if len(buckets) != len(hist.buckets):
-                raise SimulationError(
-                    f"histogram {name!r} has {len(buckets)} buckets, "
-                    f"expected {len(hist.buckets)}"
-                )
-            hist.buckets = buckets
-        for name, payload in data.get("timers", {}).items():
-            stat = registry.timers.setdefault(name, TimerStat())
-            stat.count = payload["count"]
-            stat.total_s = payload["total_s"]
-            stat.max_s = payload["max_s"]
-        return registry
-
     def merge(self, other: "MetricsRegistry") -> None:
         """Fold ``other`` into this registry in place.
 
@@ -253,10 +217,6 @@ class MetricsRegistry:
             mine_t.count += stat.count
             mine_t.total_s += stat.total_s
             mine_t.max_s = max(mine_t.max_s, stat.max_s)
-
-    def merge_dict(self, data: dict[str, Any]) -> None:
-        """Merge a :meth:`to_dict` snapshot into this registry."""
-        self.merge(MetricsRegistry.from_dict(data))
 
     # ------------------------------------------------------------------
     def summary_lines(self) -> list[str]:

@@ -1,6 +1,7 @@
-"""Trace toolchain: summarize, diff and validate decision traces.
+"""Trace toolchain: summarize and diff decision traces.
 
-Backs the ``repro trace`` CLI subcommands.  ``diff`` is the debugging
+Backs the ``repro trace`` CLI subcommands (``validate`` is
+:func:`repro.obs.schema.validate_stream`).  ``diff`` is the debugging
 workhorse: identical-seed runs emit byte-identical traces, so the first
 record at which two traces disagree *is* the first divergent scheduler
 decision — it turns a failed golden-trace comparison from "something
@@ -12,8 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Any, Sequence
-
-from repro.obs.schema import validate_stream
 
 
 # ----------------------------------------------------------------------
@@ -176,12 +175,3 @@ def headers_differ(
     return tuple(
         sorted(k for k in (ha.keys() | hb.keys()) if ha.get(k) != hb.get(k))
     )
-
-
-# ----------------------------------------------------------------------
-# validate
-# ----------------------------------------------------------------------
-
-def validate_trace(records: Sequence[dict[str, Any]]) -> list[str]:
-    """Validate a trace against the schema; returns problems (empty = ok)."""
-    return validate_stream(records)

@@ -2,7 +2,7 @@
 
 The paper's premise is that real machines fail mid-run; this package
 gives the sweep runner the same awareness: durable per-cell checkpoints
-(:mod:`~repro.resilience.store`) and retry with deterministic backoff
+(:mod:`~repro.resilience.store`) and retry with a fixed doubling backoff
 and quarantine (:mod:`~repro.resilience.retry`).  See ``README.md``
 ("Resilient sweeps") for the user-level story and
 :mod:`repro.experiments.parallel` for the executor that wires it all
@@ -19,6 +19,7 @@ from repro.resilience.retry import (
     Quarantine,
     QuarantineEntry,
     RetryPolicy,
+    backoff_s,
     cell_timeout,
 )
 from repro.resilience.store import (
@@ -36,6 +37,7 @@ __all__ = [
     "ResilientSweepOutcome",
     "RetryPolicy",
     "SweepRunStats",
+    "backoff_s",
     "cell_key",
     "cell_timeout",
     "incomplete_points",

@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import hashlib
 import logging
 import os
 import subprocess
@@ -54,7 +55,7 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 import repro
 import repro.experiments.pool as pool_mod
@@ -64,7 +65,6 @@ from repro.errors import ReproError, ResilienceError
 from repro.experiments.sweep import SweepPoint
 from repro.records import atomic_write_json, from_plain, read_json, to_plain
 from repro.resilience import CellStore
-from repro.resilience.retry import _unit_hash
 
 logger = logging.getLogger(__name__)
 
@@ -76,6 +76,17 @@ KILL_EXIT_CODE = 86
 PLAN_FILE = "plan.json"
 
 CellId = tuple[int, int]
+
+
+def _unit_hash(*parts: Any) -> float:
+    """Deterministic uniform in ``[0, 1)`` from hashable parts.
+
+    ``hash()`` is salted per process, so this goes through SHA-256 of a
+    stable string — identical across processes, platforms and runs.
+    """
+    text = ":".join(repr(p) for p in parts)
+    digest = hashlib.sha256(text.encode("utf-8")).digest()
+    return int.from_bytes(digest[:8], "big") / 2**64
 
 
 class ChaosError(ReproError):

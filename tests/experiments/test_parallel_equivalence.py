@@ -89,7 +89,8 @@ GRIDS = {
 }
 
 
-_FAST_RETRY = RetryPolicy(base_delay_s=0.0, jitter_fraction=0.0)
+#: The default retry policy, its backoffs not slept.
+_FAST_RETRY = dict(retry=RetryPolicy(), sleep=lambda seconds: None)
 
 #: The fault the ``+transient-kill`` backends run under.
 _TRANSIENT_KILL = ChaosConfig(kill_cells=((0, 0),), kill_attempts=1)
@@ -104,14 +105,14 @@ BACKENDS = {
     ),
     "warm-pool+retry+checkpoint": (
         lambda tmp: dict(
-            workers=2, min_cells_per_worker=0, retry=_FAST_RETRY,
+            workers=2, min_cells_per_worker=0, **_FAST_RETRY,
             checkpoint_dir=tmp,
         ),
         "warm", 2,
     ),
     "warm-pool+transient-kill": (
         lambda tmp: dict(
-            workers=2, min_cells_per_worker=0, retry=_FAST_RETRY,
+            workers=2, min_cells_per_worker=0, **_FAST_RETRY,
         ),
         "warm", 2,
     ),
@@ -121,7 +122,7 @@ BACKENDS = {
     "queue": (lambda tmp: dict(workers=2, queue_dir=tmp), "queue", 2),
     "queue+transient-kill": (
         lambda tmp: dict(
-            workers=2, queue_dir=tmp, lease_s=1.0, retry=_FAST_RETRY,
+            workers=2, queue_dir=tmp, lease_s=1.0, **_FAST_RETRY,
         ),
         "queue", 2,
     ),

@@ -49,6 +49,7 @@ from repro.experiments.sweep import (
     run_sweep_outcome,
 )
 from repro.failures.synthetic import BurstFailureModel
+from repro.obs.aggregate import SweepObsCollector
 from repro.records import atomic_write_json, to_plain
 from repro.resilience import CellStore, RetryPolicy, cell_key
 
@@ -652,13 +653,26 @@ class TestQueueExecutor:
             finally:
                 executor.shutdown()
 
-    def test_collector_is_refused(self, tmp_path, grid):
+    def test_collector_is_refused(self, tmp_path, grid, monkeypatch):
+        """Workers' observability is not shipped back, so a collector
+        with ``queue_dir`` is refused before the queue directory is made
+        or any worker is spawned."""
         points, seeds = grid
-        ((_, args),) = _calls(points[:1], seeds[:1])
-        executor = QueueExecutor(tmp_path, spawn_workers=False)
+        spawned = []
+
+        def spawn(*args):
+            spawned.append(args)
+            raise AssertionError("a sweep-worker was spawned")
+
+        monkeypatch.setattr(queue_mod, "spawn_worker_process", spawn)
+        queue_dir = tmp_path / "queue"
         with pytest.raises(ExperimentError, match="collectors"):
-            executor.submit(run_cell, *args[:4], True, *args[5:])
-        executor.shutdown()
+            run_sweep_outcome(
+                points, seeds[:1], workers=2, queue_dir=queue_dir,
+                collector=SweepObsCollector(),
+            )
+        assert spawned == []
+        assert not queue_dir.exists()
 
     def test_interrupted_loop_cancels_withdraws_and_reaps(
         self, tmp_path, grid, inject_faults
@@ -672,8 +686,7 @@ class TestQueueExecutor:
             raise KeyboardInterrupt
 
         executor = SweepExecutor(
-            workers=2, queue_dir=tmp_path, sleep=interrupt,
-            retry=RetryPolicy(base_delay_s=0.0, jitter_fraction=0.0),
+            workers=2, queue_dir=tmp_path, sleep=interrupt, retry=RetryPolicy(),
         )
         chaos = ChaosConfig(raise_cells=((0, 0),), raise_attempts=1)
         with (
@@ -771,14 +784,11 @@ class TestQueueSweepDriver:
         points, seeds = grid
         ref = _serial_reference(points, seeds)
         chaos = ChaosConfig(kill_cells=((0, 0),), kill_attempts=99)
-        policy = RetryPolicy(
-            base_delay_s=0.0, jitter_fraction=0.0, max_attempts=8,
-            max_pool_rebuilds=0,
-        )
+        policy = RetryPolicy(max_attempts=8, max_pool_rebuilds=0)
         with inject_faults(chaos, points, seeds):
             outcome = run_sweep_outcome(
                 points, seeds, workers=2, queue_dir=tmp_path, lease_s=1.0,
-                retry=policy,
+                retry=policy, sleep=lambda seconds: None,
             )
         assert outcome.stats.degraded
         assert outcome.results == ref

@@ -86,7 +86,7 @@ class TestPoolLifecycle:
         own: a sweep with a retry policy runs on (and keeps) the
         process-wide warm pool."""
         points, seeds = _grid()
-        retry = RetryPolicy(base_delay_s=0.0, jitter_fraction=0.0)
+        retry = RetryPolicy()
         warm = get_warm_pool()
         first = run_sweep_outcome(
             points, seeds, workers=2, min_cells_per_worker=0, retry=retry

@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import math
+import pickle
 
 import pytest
 from hypothesis import example, given, strategies as st
 
-from repro.errors import SimulationError
 from repro.obs.metrics import (
     HISTOGRAM_BOUNDS,
     METRICS_SCHEMA_VERSION,
@@ -116,7 +116,8 @@ class TestSerialisation:
         reg.histogram("h").observe(12)
         with reg.timer("t"):
             pass
-        restored = MetricsRegistry.from_dict(reg.to_dict())
+        # How a sweep cell's registry travels home over the fork pool.
+        restored = pickle.loads(pickle.dumps(reg))
         assert restored.to_dict() == reg.to_dict()
 
     def test_empty_registry_round_trip(self):
@@ -124,7 +125,7 @@ class TestSerialisation:
         data = reg.to_dict()
         assert data["schema"] == METRICS_SCHEMA_VERSION
         assert data["counters"] == {}
-        assert MetricsRegistry.from_dict(data).to_dict() == data
+        assert pickle.loads(pickle.dumps(reg)).to_dict() == data
 
     def test_exclude_timings(self):
         reg = MetricsRegistry()
@@ -133,17 +134,6 @@ class TestSerialisation:
         data = reg.to_dict(include_timings=False)
         assert "timers" not in data
 
-    def test_wrong_schema_rejected(self):
-        with pytest.raises(SimulationError, match="schema"):
-            MetricsRegistry.from_dict({"schema": 999})
-
-    def test_wrong_bucket_count_rejected(self):
-        reg = MetricsRegistry()
-        reg.histogram("h").observe(1)
-        data = reg.to_dict()
-        data["histograms"]["h"]["buckets"] = [0, 1]
-        with pytest.raises(SimulationError, match="buckets"):
-            MetricsRegistry.from_dict(data)
 
 
 class TestMerge:
@@ -177,12 +167,6 @@ class TestMerge:
         for p in reversed(parts):
             rev.merge(p)
         assert fwd.to_dict() == rev.to_dict()
-
-    def test_merge_dict(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        b.counter("c").inc(4)
-        a.merge_dict(b.to_dict())
-        assert a.counter("c").value == 4.0
 
 
 class TestSummary:

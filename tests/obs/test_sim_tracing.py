@@ -18,7 +18,7 @@ from repro.api import SimulationSetup, connect, serve
 from repro.checkpoint.model import CheckpointConfig, CheckpointMode
 from repro.core.config import BackfillMode, SimulationConfig
 from repro.obs.schema import DECISION_KINDS, KIND_FIELDS, validate_stream
-from repro.obs.tools import diff_traces, validate_trace
+from repro.obs.tools import diff_traces
 from repro.obs.trace import NULL_RECORDER, TraceRecorder, _encode
 
 
@@ -71,7 +71,7 @@ class TestObservationalInvariance:
 
 class TestTraceContent:
     def test_trace_validates(self, traced_sim):
-        assert validate_trace(traced_sim.recorder.records) == []
+        assert validate_stream(traced_sim.recorder.records) == []
 
     def test_header_identifies_run(self, traced_sim):
         head = traced_sim.recorder.records[0]

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-from repro.obs.schema import TRACE_SCHEMA_VERSION
+from repro.obs.schema import TRACE_SCHEMA_VERSION, validate_stream
 from repro.obs.tools import (
     diff_traces,
     format_summary,
     headers_differ,
     summarize_trace,
-    validate_trace,
 )
 
 
@@ -73,7 +72,7 @@ class TestSummarize:
         counts them and their share of all decisions."""
         trace = [header(), *(self.candidates(seq, n) for seq, n in
                              enumerate([1, 5, 1, 1], start=1))]
-        assert validate_trace(trace) == []
+        assert validate_stream(trace) == []
         summary = summarize_trace(trace)
         assert (summary["forced"], summary["forced_share"]) == (3, 0.75)
         assert "forced=3 (75%)" in format_summary(summary)
@@ -123,10 +122,10 @@ class TestDiff:
 
 class TestValidate:
     def test_valid_trace(self):
-        assert validate_trace(make_trace()) == []
+        assert validate_stream(make_trace()) == []
 
     def test_broken_trace(self):
         trace = make_trace()
         del trace[2]["via"]
-        errors = validate_trace(trace)
+        errors = validate_stream(trace)
         assert any("via" in e for e in errors)

@@ -59,7 +59,11 @@ def grid():
     return points, (0, 1)
 
 
+def no_sleep(seconds: float) -> None:
+    """A backoff clock that returns at once (deterministic tests stay fast)."""
+
+
 @pytest.fixture
 def fast_retry():
-    """A RetryPolicy that never sleeps (deterministic tests stay fast)."""
-    return RetryPolicy(base_delay_s=0.0, jitter_fraction=0.0)
+    """Sweep options: the default RetryPolicy, its backoffs not slept."""
+    return dict(retry=RetryPolicy(), sleep=no_sleep)

@@ -33,7 +33,7 @@ class TestKillAndResume:
         with inject_faults(chaos, points, seeds):
             outcome = run_sweep_outcome(
                 points, seeds, workers=2, min_cells_per_worker=0,
-                retry=fast_retry,
+                **fast_retry,
             )
         assert outcome.results == ref
         assert outcome.stats.pool_rebuilds >= 1
@@ -50,7 +50,7 @@ class TestKillAndResume:
         with inject_faults(poison, points, seeds):
             first = run_sweep_outcome(
                 points, seeds, workers=2, min_cells_per_worker=0,
-                checkpoint_dir=tmp_path, retry=fast_retry,
+                checkpoint_dir=tmp_path, **fast_retry,
             )
         assert not first.complete
         computed_first = first.stats.cells_computed
@@ -60,7 +60,7 @@ class TestKillAndResume:
         second = run_sweep_outcome(
             points, seeds, workers=2, min_cells_per_worker=0,
             checkpoint_dir=tmp_path,
-            retry=fast_retry,
+            **fast_retry,
         )
         assert second.complete
         assert second.results == ref
@@ -78,7 +78,7 @@ class TestResumeSemantics:
         chaos = ChaosConfig(corrupt_cells=((0, 0), (0, 1)))
         with inject_faults(chaos, points, seeds):
             first = run_sweep_outcome(
-                points, seeds, checkpoint_dir=tmp_path, retry=fast_retry
+                points, seeds, checkpoint_dir=tmp_path, **fast_retry
             )
         assert first.results == ref  # corruption is post-success, on disk only
         store = CellStore(tmp_path)
@@ -86,7 +86,7 @@ class TestResumeSemantics:
 
         sweep_mod._result_cache.clear()
         second = run_sweep_outcome(
-            points, seeds, checkpoint_dir=tmp_path, retry=fast_retry
+            points, seeds, checkpoint_dir=tmp_path, **fast_retry
         )
         assert second.results == ref
         assert second.stats.checkpoint_corrupt == 2
@@ -102,13 +102,13 @@ class TestResumeSemantics:
         ref = _serial_reference(points, seeds)
         n_cells = len(points) * len(seeds)
         first = run_sweep_outcome(
-            points, seeds, checkpoint_dir=tmp_path, retry=fast_retry
+            points, seeds, checkpoint_dir=tmp_path, **fast_retry
         )
         assert first.stats.cells_computed == n_cells
 
         sweep_mod._result_cache.clear()
         second = run_sweep_outcome(
-            points, seeds, checkpoint_dir=tmp_path, retry=fast_retry,
+            points, seeds, checkpoint_dir=tmp_path, **fast_retry,
             resume=False,
         )
         assert second.results == ref
@@ -124,7 +124,7 @@ class TestResumeSemantics:
         points, seeds = grid
         run_sweep(points, seeds, workers=1)  # warms _result_cache
         outcome = run_sweep_outcome(
-            points, seeds, checkpoint_dir=tmp_path, retry=fast_retry
+            points, seeds, checkpoint_dir=tmp_path, **fast_retry
         )
         assert outcome.stats.cells_computed == len(points) * len(seeds)
         assert len(CellStore(tmp_path)) == len(points) * len(seeds)
@@ -140,11 +140,11 @@ class TestResumeSemantics:
 
         other = [dataclasses.replace(p, n_jobs=p.n_jobs + 1) for p in points]
         run_sweep_outcome(
-            other, seeds, checkpoint_dir=tmp_path, retry=fast_retry
+            other, seeds, checkpoint_dir=tmp_path, **fast_retry
         )
         sweep_mod._result_cache.clear()
         outcome = run_sweep_outcome(
-            points, seeds, checkpoint_dir=tmp_path, retry=fast_retry
+            points, seeds, checkpoint_dir=tmp_path, **fast_retry
         )
         assert outcome.results == ref
         assert outcome.stats.checkpoint_hits == 0
@@ -170,7 +170,7 @@ class TestKilledQueueWorker:
         with inject_faults(chaos, points, seeds):
             outcome = run_sweep_outcome(
                 points, seeds, workers=2, queue_dir=tmp_path, lease_s=1.0,
-                retry=fast_retry,
+                **fast_retry,
             )
         assert outcome.results == ref
         assert outcome.complete
@@ -196,11 +196,11 @@ class TestObsIntegration:
         chaos = ChaosConfig(raise_cells=((0, 0),), raise_attempts=1)
         with inject_faults(chaos, points, seeds):
             first = run_sweep_outcome(
-                points, seeds, checkpoint_dir=tmp_path, retry=fast_retry
+                points, seeds, checkpoint_dir=tmp_path, **fast_retry
             ).stats
         sweep_mod._result_cache.clear()
         second = run_sweep_outcome(
-            points, seeds, checkpoint_dir=tmp_path, retry=fast_retry
+            points, seeds, checkpoint_dir=tmp_path, **fast_retry
         ).stats
         n_cells = len(points) * len(seeds)
         assert (first.cells_computed, second.cells_computed) == (n_cells, 0)

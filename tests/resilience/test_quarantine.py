@@ -19,7 +19,7 @@ from repro.experiments.sweep import SweepPoint, run_sweep, run_sweep_outcome
 from repro.resilience import Quarantine, RetryPolicy
 
 from tests.chaos import ChaosConfig
-from tests.resilience.conftest import needs_fork
+from tests.resilience.conftest import needs_fork, no_sleep
 
 
 def _serial_reference(points, seeds):
@@ -47,7 +47,7 @@ class TestQuarantine:
         chaos = ChaosConfig(raise_cells=((1, 1),), raise_attempts=99)
         with inject_faults(chaos, points, seeds):
             outcome = run_sweep_outcome(
-                points, seeds, checkpoint_dir=tmp_path, retry=fast_retry
+                points, seeds, checkpoint_dir=tmp_path, **fast_retry
             )
         # The unaffected point is bitwise identical to serial.
         assert outcome.results[0] == ref[0]
@@ -59,7 +59,7 @@ class TestQuarantine:
             == [(1, 1)]
         entry = outcome.quarantined[0]
         assert entry.error_type == "ChaosError"
-        assert entry.attempts == fast_retry.max_attempts
+        assert entry.attempts == fast_retry["retry"].max_attempts
         assert not outcome.complete
         assert outcome.stats.quarantined == 1
 
@@ -70,7 +70,7 @@ class TestQuarantine:
         chaos = ChaosConfig(raise_cells=((0, 0),), raise_attempts=99)
         with inject_faults(chaos, points, seeds):
             run_sweep_outcome(
-                points, seeds, checkpoint_dir=tmp_path, retry=fast_retry
+                points, seeds, checkpoint_dir=tmp_path, **fast_retry
             )
         path = tmp_path / "quarantine.json"
         document = json.loads(path.read_text())
@@ -89,7 +89,7 @@ class TestQuarantine:
             raise_cells=((0, 0), (0, 1)), raise_attempts=99
         )
         with inject_faults(chaos, points, seeds):
-            outcome = run_sweep_outcome(points, seeds, retry=fast_retry)
+            outcome = run_sweep_outcome(points, seeds, **fast_retry)
         assert outcome.results[0] is None
         assert outcome.results[1] == ref[1]
         assert len(outcome.quarantined) == 2
@@ -105,7 +105,7 @@ class TestQuarantine:
         for mode, options in _pooled_backends(tmp_path):
             with inject_faults(chaos, points, seeds):
                 outcome = run_sweep_outcome(
-                    points, seeds, retry=fast_retry, **options
+                    points, seeds, **fast_retry, **options
                 )
             assert outcome.stats.mode == mode
             assert outcome.results[0] == ref[0]
@@ -114,7 +114,7 @@ class TestQuarantine:
             assert (entry.point_index, entry.seed_index) == (1, 0)
             # The error the worker saw, not the name of what carried it.
             assert entry.error_type == "ChaosError", mode
-            assert entry.attempts == fast_retry.max_attempts
+            assert entry.attempts == fast_retry["retry"].max_attempts
         assert Quarantine.load(tmp_path / "quarantine.json").cells() == {(1, 0)}
 
     def test_partial_point_never_enters_memo_cache(
@@ -124,7 +124,7 @@ class TestQuarantine:
         points, seeds = grid
         chaos = ChaosConfig(raise_cells=((1, 1),), raise_attempts=99)
         with inject_faults(chaos, points, seeds):
-            outcome = run_sweep_outcome(points, seeds, retry=fast_retry)
+            outcome = run_sweep_outcome(points, seeds, **fast_retry)
         assert outcome.results[1].n_seeds == 1
         clean = run_sweep(points, seeds, workers=1)
         assert clean[1].n_seeds == len(seeds)
@@ -142,14 +142,11 @@ class TestDegradation:
         points, seeds = grid
         ref = _serial_reference(points, seeds)
         chaos = ChaosConfig(kill_cells=((0, 0),), kill_attempts=99)
-        policy = RetryPolicy(
-            base_delay_s=0.0, jitter_fraction=0.0, max_attempts=8,
-            max_pool_rebuilds=1,
-        )
+        policy = RetryPolicy(max_attempts=8, max_pool_rebuilds=1)
         for mode, options in _pooled_backends(tmp_path):
             with inject_faults(chaos, points, seeds):
                 outcome = run_sweep_outcome(
-                    points, seeds, retry=policy, **options
+                    points, seeds, retry=policy, sleep=no_sleep, **options
                 )
             assert outcome.stats.mode == mode
             assert outcome.results == ref
@@ -166,7 +163,7 @@ class TestDegradation:
         for mode, options in _pooled_backends(tmp_path):
             with inject_faults(chaos, points, seeds):
                 outcome = run_sweep_outcome(
-                    points, seeds, retry=fast_retry, **options
+                    points, seeds, **fast_retry, **options
                 )
             assert outcome.results == ref
             assert not outcome.stats.degraded
@@ -193,7 +190,7 @@ class TestDegradation:
         with inject_faults(chaos, points, seeds):
             outcome = run_sweep_outcome(
                 points, seeds, workers=2, min_cells_per_worker=0,
-                retry=RetryPolicy(),
+                retry=RetryPolicy(), sleep=no_sleep,
             )
         (entry,) = outcome.quarantined
         assert (entry.point_index, entry.seed_index) == (0, 0)
@@ -207,14 +204,11 @@ class TestDegradation:
         points, seeds = grid
         ref = _serial_reference(points, seeds)
         chaos = ChaosConfig(kill_cells=((1, 1),), kill_attempts=99)
-        policy = RetryPolicy(
-            base_delay_s=0.0, jitter_fraction=0.0, max_attempts=8,
-            max_pool_rebuilds=0,
-        )
+        policy = RetryPolicy(max_attempts=8, max_pool_rebuilds=0)
         with inject_faults(chaos, points, seeds):
             outcome = run_sweep_outcome(
                 points, seeds, workers=2, min_cells_per_worker=0,
-                retry=policy,
+                retry=policy, sleep=no_sleep,
             )
         assert outcome.results == ref
         assert outcome.stats.degraded
@@ -233,7 +227,7 @@ def test_pooled_point_with_unbuildable_inputs_is_quarantined(grid, fast_retry):
     bad = SweepPoint("no-such-site", 10, 1.0, 0, "krevat", 0.0)
     outcome = run_sweep_outcome(
         [*points, bad], seeds, workers=2, min_cells_per_worker=0,
-        retry=fast_retry,
+        **fast_retry,
     )
     assert outcome.stats.mode == "warm"
     assert outcome.results[:2] == ref

@@ -1,19 +1,18 @@
-"""RetryPolicy schedule determinism, fake-clock backoff, quarantine I/O.
+"""Backoff schedule, fake-clock backoff, cell timeout, quarantine I/O.
 
-The backoff schedule must be a pure function of ``(policy, cell,
-attempt)``: no wall clock, no global RNG.  The executor consumes it via
-an injectable ``sleep``, which these tests replace with a recorder so
-the exact delays an interrupted cell experiences are asserted, not
-timed.
+The backoff is a fixed doubling schedule of the attempt number: no
+wall clock, no RNG, no jitter.  The executor consumes it via an
+injectable ``sleep``, which these tests replace with a recorder so the
+exact delays an interrupted cell experiences are asserted, not timed.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+from dataclasses import fields
 
 import pytest
-from hypothesis import given, strategies as st
 
 import repro.experiments.sweep as sweep_mod
 from repro.errors import CellTimeoutError, ResilienceError
@@ -23,66 +22,38 @@ from repro.resilience import (
     Quarantine,
     QuarantineEntry,
     RetryPolicy,
+    backoff_s,
     cell_timeout,
 )
 
 from tests.chaos import ChaosConfig
-from tests.resilience.conftest import needs_fork
+from tests.resilience.conftest import needs_fork, no_sleep
 
 
 class TestBackoffSchedule:
     def test_exponential_without_jitter(self):
-        policy = RetryPolicy(
-            base_delay_s=0.5, backoff_factor=2.0, jitter_fraction=0.0,
-            max_attempts=5, max_delay_s=100.0,
-        )
-        assert policy.schedule((0, 0)) == [0.5, 1.0, 2.0, 4.0]
+        assert [backoff_s(k) for k in range(1, 6)] == [0.1, 0.2, 0.4, 0.8, 1.6]
 
     def test_cap_at_max_delay(self):
-        policy = RetryPolicy(
-            base_delay_s=1.0, backoff_factor=10.0, jitter_fraction=0.0,
-            max_attempts=5, max_delay_s=30.0,
-        )
-        assert policy.schedule((0, 0)) == [1.0, 10.0, 30.0, 30.0]
-
-    def test_deterministic_across_instances(self):
-        a = RetryPolicy(jitter_seed=7)
-        b = RetryPolicy(jitter_seed=7)
-        assert a.backoff_s((3, 1), 2) == b.backoff_s((3, 1), 2)
-
-    def test_jitter_decorrelates_cells(self):
-        policy = RetryPolicy(jitter_fraction=0.5)
-        delays = {policy.backoff_s((i, 0), 1) for i in range(16)}
-        assert len(delays) > 1
-
-    @given(
-        base=st.floats(0.001, 10.0),
-        factor=st.floats(1.0, 4.0),
-        jitter=st.floats(0.0, 0.99),
-        attempt=st.integers(1, 10),
-        cell=st.tuples(st.integers(0, 50), st.integers(0, 10)),
-    )
-    def test_jitter_bounds_and_purity(self, base, factor, jitter, attempt, cell):
-        policy = RetryPolicy(
-            base_delay_s=base, backoff_factor=factor, jitter_fraction=jitter,
-            max_attempts=10, max_delay_s=60.0,
-        )
-        raw = min(base * factor ** (attempt - 1), 60.0)
-        delay = policy.backoff_s(cell, attempt)
-        assert raw * (1 - jitter) <= delay <= raw * (1 + jitter)
-        assert delay == policy.backoff_s(cell, attempt)  # pure
+        assert backoff_s(9) == 25.6
+        assert backoff_s(10) == backoff_s(50) == backoff_s(5000) == 30.0
 
     def test_attempt_is_one_based(self):
         with pytest.raises(ResilienceError):
-            RetryPolicy().backoff_s((0, 0), 0)
+            backoff_s(0)
+
+    def test_policy_has_three_fields(self):
+        assert [f.name for f in fields(RetryPolicy)] == [
+            "max_attempts", "cell_timeout_s", "max_pool_rebuilds",
+        ]
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             dict(max_attempts=0),
-            dict(base_delay_s=-1.0),
-            dict(backoff_factor=0.5),
-            dict(jitter_fraction=1.0),
+            dict(max_attempts=-1),
+            dict(cell_timeout_s=-1.0),
+            dict(cell_timeout_s=float("-inf")),
             dict(cell_timeout_s=0.0),
             dict(max_pool_rebuilds=-1),
             # --cell-timeout nan used to fail every cell until quarantine.
@@ -97,48 +68,40 @@ class TestBackoffSchedule:
 
 class TestFakeClockBackoff:
     def test_executor_sleeps_exact_schedule(self, grid, inject_faults):
-        """A transiently raising cell waits exactly its policy schedule.
+        """A transiently raising cell waits exactly the backoff schedule.
 
         The executor's clock is injected, so the recorded sleeps are the
-        policy's deterministic values — nothing here measures time.
+        schedule's values — nothing here measures time.
         """
         points, seeds = grid
         slept: list[float] = []
-        policy = RetryPolicy(
-            base_delay_s=0.5, backoff_factor=2.0, jitter_fraction=0.0,
-            max_attempts=4,
-        )
         # Cell (1, 0) fails its first two attempts, then runs clean.
         chaos = ChaosConfig(raise_cells=((1, 0),), raise_attempts=2)
-        executor = SweepExecutor(workers=1, retry=policy, sleep=slept.append)
+        executor = SweepExecutor(
+            workers=1, retry=RetryPolicy(max_attempts=4), sleep=slept.append
+        )
         with inject_faults(chaos, points, seeds):
             outcome = executor.run_outcome(points, seeds)
         assert outcome.complete
         assert outcome.stats.retries == 2
-        assert slept == [
-            policy.backoff_s((1, 0), 1),
-            policy.backoff_s((1, 0), 2),
-        ] == [0.5, 1.0]
+        assert slept == [backoff_s(1), backoff_s(2)] == [0.1, 0.2]
 
-    def test_jittered_schedule_still_replayable(self, grid, inject_faults):
+    @needs_fork
+    def test_pool_rebuild_sleeps_its_backoff(self, grid, inject_faults):
+        """A broken pool is respawned after ``backoff_s(k)`` for its
+        k-th rebuild; the killed cell, charged alone, waits no more."""
         points, seeds = grid
-        policy = RetryPolicy(
-            base_delay_s=0.25, jitter_fraction=0.3, jitter_seed=11,
-            max_attempts=3,
+        slept: list[float] = []
+        chaos = ChaosConfig(kill_cells=((0, 0),), kill_attempts=2)
+        executor = SweepExecutor(
+            workers=2, min_cells_per_worker=0, retry=RetryPolicy(),
+            sleep=slept.append,
         )
-        chaos = ChaosConfig(raise_cells=((0, 1),), raise_attempts=1)
-
-        def run() -> list[float]:
-            sweep_mod._result_cache.clear()
-            slept: list[float] = []
-            with inject_faults(chaos, points, seeds):
-                SweepExecutor(
-                    workers=1, retry=policy, sleep=slept.append
-                ).run_outcome(points, seeds)
-            return slept
-
-        first, second = run(), run()
-        assert first == second == [policy.backoff_s((0, 1), 1)]
+        with inject_faults(chaos, points, seeds):
+            outcome = executor.run_outcome(points, seeds)
+        assert outcome.complete
+        assert outcome.stats.pool_rebuilds == 2
+        assert slept == [backoff_s(1), backoff_s(2)]
 
 
 class TestCellTimeout:
@@ -193,13 +156,12 @@ class TestCellTimeout:
         points, seeds = grid
         ref = run_sweep(points, seeds, workers=1)
         sweep_mod._result_cache.clear()
-        policy = RetryPolicy(
-            base_delay_s=0.0, jitter_fraction=0.0, max_attempts=2,
-            cell_timeout_s=1.0,
-        )
+        policy = RetryPolicy(max_attempts=2, cell_timeout_s=1.0)
         chaos = ChaosConfig(delay_cells=((0, 1),), delay_s=30.0)
         with inject_faults(chaos, points, seeds):
-            outcome = run_sweep_outcome(points, seeds, retry=policy, **backend)
+            outcome = run_sweep_outcome(
+                points, seeds, retry=policy, sleep=no_sleep, **backend
+            )
         (entry,) = outcome.quarantined
         assert (entry.point_index, entry.seed_index) == (0, 1)
         assert (entry.error_type, entry.attempts) == ("CellTimeoutError", 2)

@@ -25,6 +25,8 @@ from repro.experiments.sweep import run_sweep, run_sweep_outcome
 from repro.resilience import CellStore, RetryPolicy
 from repro.resilience.store import TMP_PREFIX
 
+from tests.resilience.conftest import no_sleep
+
 _CHILD = textwrap.dedent(
     """
     import sys
@@ -48,7 +50,8 @@ _CHILD = textwrap.dedent(
             points,
             seeds,
             checkpoint_dir=checkpoint_dir,
-            retry=RetryPolicy(base_delay_s=0.0, jitter_fraction=0.0),
+            retry=RetryPolicy(),
+            sleep=lambda seconds: None,
         )
     print("COMPLETED-UNINTERRUPTED")
     """
@@ -138,7 +141,8 @@ class TestSigintMidSweep:
             points,
             seeds,
             checkpoint_dir=checkpoint_dir,
-            retry=RetryPolicy(base_delay_s=0.0, jitter_fraction=0.0),
+            retry=RetryPolicy(),
+            sleep=no_sleep,
         )
         assert resumed.complete
         assert resumed.results == ref

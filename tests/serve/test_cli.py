@@ -16,7 +16,7 @@ import pytest
 import repro.cli as cli
 from repro.api import SimulationSetup, connect, serve
 from repro.cli import main
-from repro.obs.tools import validate_trace
+from repro.obs.schema import validate_stream
 from repro.obs.trace import read_trace
 from repro.serve.client import SocketClient
 from repro.serve.engine import ServeEngine
@@ -221,7 +221,7 @@ class TestSignals:
         assert "5 admitted, 0 rejected, 5 completed" in out
         assert json.loads(metrics.read_text())["counters"]["serve.submitted"] == 5
         records = read_trace(trace)
-        assert validate_trace(records) == []
+        assert validate_stream(records) == []
         assert sum(r["kind"] == "finish" for r in records) == 5
         assert not sock.exists()
 
