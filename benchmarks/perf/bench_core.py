@@ -13,6 +13,7 @@ Record schema (one object per benchmark)::
 
 ``git_rev`` is the checkout's short ``HEAD``, suffixed ``+dirty`` when
 tracked files differ from it: the records then time uncommitted work.
+Outside a git checkout (a ``git archive`` export) it is ``unknown``.
 
 ``cells_per_s`` is operations/second for microbenches and simulation
 cells/second for the sweep benches; ``wall_s`` is the best-of-repeats
@@ -66,7 +67,7 @@ for path in (REPO_ROOT / "src", REPO_ROOT):  # repro, and the tests.oracles refe
 import numpy as np
 
 from repro.allocation.mfp import IndexCache, PlacementIndex
-from repro.allocation.registry import get_finder
+from repro.allocation import FastFinder, NaiveFinder, POPFinder, PartitionFinder
 from repro.core.backfill import ShadowTimeEngine
 from repro.core.jobstate import JobState
 from repro.experiments import parallel as parallel_mod
@@ -152,17 +153,29 @@ def git_rev() -> str:
         return "unknown"
 
 
-def tree_dirty() -> bool:
-    """Whether tracked files differ from ``HEAD`` (``git describe --dirty``)."""
-    return bool(
-        subprocess.run(
+def tree_dirty() -> bool | None:
+    """Whether tracked files differ from ``HEAD`` (``git describe --dirty``);
+    ``None`` outside a git checkout, where nothing says."""
+    try:
+        status = subprocess.run(
             ["git", "status", "--porcelain", "--untracked-files=no"],
             cwd=REPO_ROOT,
             capture_output=True,
             text=True,
             check=True,
-        ).stdout.strip()
-    )
+        ).stdout
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    return bool(status.strip())
+
+
+def rev_stamp() -> str:
+    """The records' ``git_rev``: ``HEAD``, ``+dirty`` when tracked files
+    differ from it, ``unknown`` outside a git checkout."""
+    dirty = tree_dirty()
+    if dirty is None:
+        return "unknown"
+    return git_rev() + ("+dirty" if dirty else "")
 
 
 def src_loc() -> int:
@@ -379,9 +392,8 @@ def bench_backfill_walk_deep_queue(scale: Scale):
     return run, n
 
 
-def _bench_finder(name: str, scale: Scale):
+def _bench_finder(finder: PartitionFinder, scale: Scale):
     torus = loaded_torus(0.4, seed=2)
-    finder = get_finder(name)
     n = scale.micro_number
 
     def run():
@@ -683,7 +695,7 @@ def _clear_sweep_caches() -> None:
 
 def run_benchmarks(scale_name: str, workers: int, out_path: Path) -> list[dict]:
     scale = SCALES[scale_name]
-    rev = git_rev() + ("+dirty" if tree_dirty() else "")
+    rev = rev_stamp()
     records: list[dict] = []
 
     def record(
@@ -724,9 +736,9 @@ def run_benchmarks(scale_name: str, workers: int, out_path: Path) -> list[dict]:
         ("shadow_time_engine", bench_shadow_time_engine),
         ("migration_plan", bench_migration_plan),
         ("backfill_walk_deep_queue", bench_backfill_walk_deep_queue),
-        ("finder_naive", lambda s: _bench_finder("naive", s)),
-        ("finder_pop", lambda s: _bench_finder("pop", s)),
-        ("finder_fast", lambda s: _bench_finder("fast", s)),
+        ("finder_naive", lambda s: _bench_finder(NaiveFinder(), s)),
+        ("finder_pop", lambda s: _bench_finder(POPFinder(), s)),
+        ("finder_fast", lambda s: _bench_finder(FastFinder(), s)),
         ("index_incremental_update", lambda s: _bench_index_update(s, True)),
         ("index_rebuild_oracle", lambda s: _bench_index_update(s, False)),
         ("index_apply_refresh", bench_index_apply_refresh),

@@ -132,7 +132,10 @@ def checkout_state() -> dict:
     # count source lines; run as a script, its directory is on the path.
     from bench_core import git_rev, src_loc, tree_dirty
 
-    return {"rev": git_rev(), "dirty": tree_dirty(), "src_loc": src_loc()}
+    dirty = tree_dirty()
+    if dirty is None:
+        raise SystemExit("history: not a git checkout; a ledger line needs its revision")
+    return {"rev": git_rev(), "dirty": dirty, "src_loc": src_loc()}
 
 
 def lines_of(run: dict, state: dict) -> list[dict]:

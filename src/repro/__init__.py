@@ -44,7 +44,6 @@ from repro._version import __version__
 __all__ = [
     "__version__",
     "quick_simulate",
-    "run_simulation",
     "SimulationSetup",
 ]
 
@@ -52,7 +51,7 @@ __all__ = [
 def __getattr__(name: str) -> Any:
     # Lazy re-exports: keep `import repro.geometry` cheap and cycle-free
     # while still offering the one-line entry points at package top level.
-    if name in ("quick_simulate", "run_simulation", "SimulationSetup"):
+    if name in ("quick_simulate", "SimulationSetup"):
         from repro import api
 
         return getattr(api, name)

@@ -35,7 +35,6 @@ from repro.allocation.mfp import (
     mfp_size,
     mfp_partition,
 )
-from repro.allocation.registry import get_finder, available_finders
 
 __all__ = [
     "PartitionFinder",
@@ -47,6 +46,4 @@ __all__ = [
     "PlacementIndex",
     "mfp_size",
     "mfp_partition",
-    "get_finder",
-    "available_finders",
 ]

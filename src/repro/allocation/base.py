@@ -41,7 +41,7 @@ class PartitionFinder(abc.ABC):
     verified by the test suite's ``CrossValidator``.
     """
 
-    #: Short name used by the registry and CLI.
+    #: Short name used in cross-validation messages and bench records.
     name: str = "abstract"
 
     @abc.abstractmethod
@@ -62,10 +62,6 @@ class PartitionFinder(abc.ABC):
                 seen.add(canon)
                 out.append(canon)
         return out
-
-    def exists_free(self, torus: Torus, size: int) -> bool:
-        """True when at least one free partition of ``size`` exists."""
-        return bool(self.find_free(torus, size))
 
     @staticmethod
     def _check_size(torus: Torus, size: int) -> None:

@@ -15,7 +15,6 @@ from repro.analysis.distributions import (
     DistributionSummary,
     slowdown_distribution,
     wait_distribution,
-    response_distribution,
     per_size_class_summary,
 )
 from repro.analysis.characterize import (
@@ -38,7 +37,6 @@ __all__ = [
     "DistributionSummary",
     "slowdown_distribution",
     "wait_distribution",
-    "response_distribution",
     "per_size_class_summary",
     "WorkloadProfile",
     "FailureProfile",

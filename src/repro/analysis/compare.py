@@ -40,10 +40,6 @@ class PairedComparison:
     lost_work_delta: float   # node-seconds
     utilized_delta: float
 
-    @property
-    def jobs_unchanged(self) -> int:
-        return self.n_jobs - self.jobs_improved - self.jobs_regressed
-
     def summary(self) -> str:
         if abs(self.mean_response_delta) < 0.5:
             sign = "matches"

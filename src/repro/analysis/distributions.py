@@ -79,11 +79,6 @@ def wait_distribution(records: Sequence[JobRecord]) -> DistributionSummary:
     return _distribution(records, "wait_s", lambda r: r.wait)
 
 
-def response_distribution(records: Sequence[JobRecord]) -> DistributionSummary:
-    """Distribution of response time (arrival → finish)."""
-    return _distribution(records, "response_s", lambda r: r.response)
-
-
 #: Size classes used by :func:`per_size_class_summary` (inclusive upper
 #: bounds in supernodes, mirroring common workload-study buckets).
 SIZE_CLASSES = ((1, "1"), (4, "2-4"), (16, "5-16"), (64, "17-64"), (128, "65-128"))

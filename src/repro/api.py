@@ -108,11 +108,6 @@ class SimulationSetup:
         return report
 
 
-def run_simulation(setup: SimulationSetup) -> SimulationReport:
-    """Run one fully-specified experiment point."""
-    return setup.run()
-
-
 def quick_simulate(
     site: str = "sdsc",
     n_jobs: int = 500,

@@ -11,11 +11,7 @@ priority) and leaves the node immediately available.
 
 from __future__ import annotations
 
-from repro.core.arrivals import (
-    ArrivalStream,
-    OnlineArrivalStream,
-    TraceArrivalStream,
-)
+from repro.core.arrivals import OnlineArrivalStream, TraceArrivalStream
 from repro.core.config import BackfillMode, SimulationConfig
 from repro.core.events import Event, EventKind, EventQueue
 from repro.core.jobstate import JobState
@@ -30,7 +26,6 @@ from repro.core.policies import (
 )
 
 __all__ = [
-    "ArrivalStream",
     "OnlineArrivalStream",
     "TraceArrivalStream",
     "BackfillMode",

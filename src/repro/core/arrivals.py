@@ -7,19 +7,14 @@ same engine from an open-ended stream where future arrivals are unknown
 and the loop may only advance through events it can *prove* will not be
 preempted by a later submission.
 
-Both drivers implement one small contract:
-
-``bind(sim)``
-    Attach to a :class:`~repro.core.simulator.Simulator`, pushing any
-    already-known arrivals.
-``watermark``
-    A simulation time **w** such that every job arriving strictly
-    before *w* has already been submitted.  The engine may safely
-    process events with ``time < w`` — a batch popped below the
-    watermark can never gain members retroactively, so decisions made
-    there are final.  ``math.inf`` once the stream is closed.
-``closed``
-    True when no further arrival will ever be submitted.
+Both drivers have ``bind(sim)``, which attaches to a
+:class:`~repro.core.simulator.Simulator` and pushes any already-known
+arrivals.  The online stream also keeps a ``watermark``: a simulation
+time **w** such that every job arriving strictly before *w* has
+already been submitted.  The engine may safely process events with
+``time < w`` — a batch popped below the watermark can never gain
+members retroactively, so decisions made there are final.  It is
+``math.inf`` once the stream is closed.
 
 The watermark is deliberately *strict*: events exactly at the watermark
 stay queued, because a job arriving at precisely that instant would
@@ -31,7 +26,7 @@ the batch run of the same trace (DESIGN.md §5.14).
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Protocol, runtime_checkable
+from typing import TYPE_CHECKING
 
 from repro.errors import SimulationError
 from repro.workloads.job import Job, Workload
@@ -39,22 +34,6 @@ from repro.workloads.job import Job, Workload
 if TYPE_CHECKING:
     from repro.core.jobstate import JobState
     from repro.core.simulator import Simulator
-
-
-@runtime_checkable
-class ArrivalStream(Protocol):
-    """Contract between the simulator loop and an arrival source."""
-
-    def bind(self, sim: "Simulator") -> None:
-        """Attach to a simulator, submitting already-known arrivals."""
-
-    @property
-    def watermark(self) -> float:
-        """Events strictly before this time are safe to process."""
-
-    @property
-    def closed(self) -> bool:
-        """True when no further arrivals will ever come."""
 
 
 class TraceArrivalStream:
@@ -73,14 +52,6 @@ class TraceArrivalStream:
         for job in self.workload.jobs:
             sim.submit_job(job)
 
-    @property
-    def watermark(self) -> float:
-        return math.inf
-
-    @property
-    def closed(self) -> bool:
-        return True
-
 
 class OnlineArrivalStream:
     """An open-ended source fed one submission at a time.
@@ -96,7 +67,6 @@ class OnlineArrivalStream:
         self._sim: "Simulator" | None = None
         self._watermark = -math.inf
         self._closed = False
-        self.submitted = 0
 
     def bind(self, sim: "Simulator") -> None:
         self._sim = sim
@@ -117,7 +87,6 @@ class OnlineArrivalStream:
             )
         state = self._sim.submit_job(job)
         self._watermark = job.arrival
-        self.submitted += 1
         return state
 
     def close(self) -> None:
@@ -127,7 +96,3 @@ class OnlineArrivalStream:
     @property
     def watermark(self) -> float:
         return math.inf if self._closed else self._watermark
-
-    @property
-    def closed(self) -> bool:
-        return self._closed

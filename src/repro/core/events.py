@@ -74,12 +74,6 @@ class EventQueue:
         heapq.heappush(self._heap, event)
         return event
 
-    def peek(self) -> Event:
-        """Next event without removing it."""
-        if not self._heap:
-            raise SimulationError("peek on empty event queue")
-        return self._heap[0]
-
     def next_time(self) -> float | None:
         """Timestamp of the next event, or ``None`` when empty.
 

@@ -6,7 +6,7 @@ from repro.core.policies.base import SchedulingPolicy
 from repro.core.policies.krevat import KrevatPolicy
 from repro.core.policies.balancing import BalancingPolicy
 from repro.core.policies.tiebreak import TieBreakPolicy
-from repro.core.policies.registry import make_policy, available_policies
+from repro.core.policies.registry import make_policy
 
 __all__ = [
     "SchedulingPolicy",
@@ -14,5 +14,4 @@ __all__ = [
     "BalancingPolicy",
     "TieBreakPolicy",
     "make_policy",
-    "available_policies",
 ]

@@ -15,11 +15,6 @@ from repro.core.policies.tiebreak import TieBreakPolicy
 _POLICY_NAMES = ("krevat", "balancing", "tiebreak")
 
 
-def available_policies() -> tuple[str, ...]:
-    """Registered policy names."""
-    return _POLICY_NAMES
-
-
 def make_policy(
     name: str,
     failure_log: FailureLog | None = None,

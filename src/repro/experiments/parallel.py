@@ -431,9 +431,20 @@ class SweepExecutor:
                         backend.mark_broken()
                         if policy is None:
                             raise _broken_pool_error(cells, reports) from exc
-                        lost = self._charge_pool_breakage(
-                            lost, attempts, policy, quarantine, keys, stats
+                        stats.pool_rebuilds += 1
+                        # Only a cell alone in flight is charged: with
+                        # company, nothing says which cell killed the
+                        # worker, and they rerun one at a time to find out.
+                        # The respawn's backoff below is its wait.
+                        crash = ExperimentError(
+                            "worker process died while this cell was in "
+                            "flight (pool breakage)"
                         )
+                        if len(lost) == 1 and self._charge(
+                            cell, crash, attempts, policy, quarantine, keys
+                        ):
+                            lost = []
+                        stats.resubmits += len(lost)
                         suspects.update(lost_cell[0] for lost_cell in lost)
                         backlog.extendleft(reversed(lost))
                         if not backlog:
@@ -462,11 +473,10 @@ class SweepExecutor:
                     except Exception as exc:
                         if policy is None:
                             raise
-                        attempts[cell[0]] += 1
-                        if not self._quarantine_or_backoff(
-                            cell, exc, attempts[cell[0]], policy, quarantine,
-                            keys, stats,
+                        if not self._charge(
+                            cell, exc, attempts, policy, quarantine, keys
                         ):
+                            self.sleep(backoff_s(attempts[cell[0]]))
                             stats.retries += 1
                             backlog.appendleft(cell)
                     else:
@@ -514,56 +524,20 @@ class SweepExecutor:
             stats.summary_line(),
         )
 
-    def _charge_pool_breakage(
+    def _charge(
         self,
-        lost: list[Cell],
+        cell: Cell,
+        exc: BaseException,
         attempts: dict[tuple[int, int], int],
         policy: RetryPolicy,
         quarantine: Quarantine,
         keys: dict[tuple[int, int], str],
-        stats: SweepRunStats,
-    ) -> list[Cell]:
-        """The cells a broken pool lost that go back to the backlog.
-
-        Only a cell alone in flight is charged an attempt (and
-        quarantined once they are spent): with company, nothing says
-        which cell killed the worker, and the loop reruns them one at a
-        time to find out.
-        """
-        stats.pool_rebuilds += 1
-        if len(lost) == 1:
-            (cell,) = lost
-            attempts[cell[0]] += 1
-            crash = ExperimentError(
-                "worker process died while this cell was in flight (pool breakage)"
-            )
-            # The pool respawn's own backoff is the wait.
-            if self._quarantine_or_backoff(
-                cell, crash, attempts[cell[0]], policy, quarantine, keys,
-                stats, wait_backoff=False,
-            ):
-                return []
-        stats.resubmits += len(lost)
-        return lost
-
-    def _quarantine_or_backoff(
-        self,
-        cell: Cell,
-        exc: BaseException,
-        attempts_done: int,
-        policy: RetryPolicy,
-        quarantine: Quarantine,
-        keys: dict[tuple[int, int], str],
-        stats: SweepRunStats,
-        wait_backoff: bool = True,
     ) -> bool:
-        """Handle one cell failure; True when the cell was quarantined.
-
-        Otherwise logs, sleeps the backoff (unless the
-        caller batches the wait, as the pool-respawn path does) and lets
-        the caller resubmit.
-        """
+        """Charge ``cell`` one failed attempt; True when that spent its
+        attempts and quarantined it.  The caller waits any backoff."""
         cell_id, _, seed = cell
+        attempts[cell_id] += 1
+        attempts_done = attempts[cell_id]
         if attempts_done >= policy.max_attempts:
             quarantine.add(
                 QuarantineEntry(
@@ -586,20 +560,15 @@ class SweepExecutor:
                 exc,
             )
             return True
-        delay = backoff_s(attempts_done)
         logger.warning(
-            "cell (point %d, seed#%d) failed attempt %d/%d (%s: %s); "
-            "retrying in %.3fs",
+            "cell (point %d, seed#%d) failed attempt %d/%d (%s: %s); retrying",
             cell_id[0],
             cell_id[1],
             attempts_done,
             policy.max_attempts,
             type(exc).__name__,
             exc,
-            delay,
         )
-        if wait_backoff:
-            self.sleep(delay)
         return False
 
 

@@ -98,23 +98,26 @@ class Lease:
 @dataclasses.dataclass(frozen=True)
 class QueueTask:
     """One cell as filed in ``tasks/`` and ``claims/``: the arguments of
-    its ``run_cell`` call, in order (the driver's master-log size
-    travels with the work, so a worker on any host thins from the log
-    the driver will verify against), then the lease once claimed."""
+    its ``run_cell`` call, in order, less ``with_obs`` (a queue cell
+    runs without a collector; the driver's master-log size travels with
+    the work, so a worker on any host thins from the log the driver
+    will verify against), then the lease once claimed."""
 
     cell_id: tuple[int, int]
     point: SweepPoint
     seed: int
     model: BurstFailureModel
-    with_obs: bool
     timeout_s: float | None
     master_failure_count: int
     lease: Lease | None = None
 
     @property
     def call(self) -> tuple:
-        """The ``run_cell`` arguments."""
-        return tuple(getattr(self, f.name) for f in dataclasses.fields(self)[:-1])
+        """The ``run_cell`` arguments (``with_obs`` is ``False``)."""
+        return (
+            self.cell_id, self.point, self.seed, self.model, False,
+            self.timeout_s, self.master_failure_count,
+        )
 
     @property
     def key(self) -> str:
@@ -432,9 +435,13 @@ class QueueExecutor(Executor):
     def submit(self, fn, /, *args, **kwargs) -> Future:
         if fn is not run_cell or kwargs:
             raise ExperimentError("the queue backend runs run_cell calls only")
+        cell_id, point, seed, model, with_obs, timeout_s, master_failure_count = args
+        if with_obs:
+            raise ExperimentError("the queue backend runs cells without a collector")
+        task = QueueTask(cell_id, point, seed, model, timeout_s, master_failure_count)
         future: Future = Future()
         with self._lock:
-            self._pending[self.queue.put(QueueTask(*args))] = future
+            self._pending[self.queue.put(task)] = future
         return future
 
     def mark_broken(self) -> None:

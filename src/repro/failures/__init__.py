@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from repro.failures.events import FailureEvent, FailureLog
 from repro.failures.synthetic import BurstFailureModel, generate_failures
-from repro.failures.scaling import rescale_failures, failures_for_rate
+from repro.failures.scaling import rescale_failures
 from repro.failures.mapping import map_node_ids
 
 __all__ = [
@@ -22,6 +22,5 @@ __all__ = [
     "BurstFailureModel",
     "generate_failures",
     "rescale_failures",
-    "failures_for_rate",
     "map_node_ids",
 ]

@@ -103,29 +103,13 @@ class FailureLog:
 
     def failure_mask(self, t0: float, t1: float) -> np.ndarray:
         """Boolean array over node ids: True where a failure falls in
-        ``[t0, t1)``.  This is the balancing predictor's raw signal."""
+        ``[t0, t1)``.  The predictors call :meth:`nodes_failing_in`;
+        this mask stays as a named span of the e2e harness."""
         mask = np.zeros(self.n_nodes, dtype=bool)
         mask[self.nodes_failing_in(t0, t1)] = True
         return mask
-
-    def count_in(self, t0: float, t1: float) -> int:
-        """Number of failure events in ``[t0, t1)``."""
-        lo, hi = self.window_slice(t0, t1)
-        return hi - lo
-
-    def events_in(self, t0: float, t1: float) -> Iterator[FailureEvent]:
-        """Iterate events with ``t0 <= time < t1`` in time order."""
-        lo, hi = self.window_slice(t0, t1)
-        for i in range(lo, hi):
-            yield FailureEvent(float(self.times[i]), int(self.nodes[i]))
 
     def per_node_counts(self) -> np.ndarray:
         """Failure count per node id (length ``n_nodes``)."""
         return np.bincount(self.nodes, minlength=self.n_nodes)
 
-    def mean_failures_per_node_day(self) -> float:
-        """Average failures per node per day over the log span."""
-        if self.span <= 0:
-            return 0.0
-        days = self.span / 86_400.0
-        return len(self) / (self.n_nodes * days)

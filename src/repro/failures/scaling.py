@@ -44,18 +44,3 @@ def rescale_failures(log: FailureLog, n_events: int, seed: int | None = 0) -> Fa
     times[dup] += rng.uniform(0, 0.01 * span, size=int(dup.sum()))
     return FailureLog.from_arrays(log.n_nodes, times, nodes)
 
-
-def failures_for_rate(
-    failures_per_node_day: float, n_nodes: int, horizon_s: float
-) -> int:
-    """Event count corresponding to a per-node-per-day failure rate.
-
-    The paper quotes rates like "1 failure per four days" (machine-wide)
-    for its 1000-failure point; this converts between the two views.
-    """
-    if failures_per_node_day < 0:
-        raise FailureModelError("rate must be >= 0")
-    if n_nodes < 1 or horizon_s <= 0:
-        raise FailureModelError("n_nodes must be >= 1 and horizon_s > 0")
-    days = horizon_s / 86_400.0
-    return int(round(failures_per_node_day * n_nodes * days))

@@ -12,11 +12,8 @@ from __future__ import annotations
 from repro.geometry.coords import TorusDims, BGL_SUPERNODE_DIMS, manhattan_torus_distance
 from repro.geometry.shapes import (
     divisors,
-    num_divisors,
-    iter_shapes,
     shapes_for_size,
     all_shapes,
-    max_partition_volume,
 )
 from repro.geometry.partition import Partition
 from repro.geometry.torus import Torus, circular_window_sum
@@ -26,11 +23,8 @@ __all__ = [
     "BGL_SUPERNODE_DIMS",
     "manhattan_torus_distance",
     "divisors",
-    "num_divisors",
-    "iter_shapes",
     "shapes_for_size",
     "all_shapes",
-    "max_partition_volume",
     "Partition",
     "Torus",
     "circular_window_sum",

@@ -80,13 +80,6 @@ class TorusDims:
         cx = rest // self.y
         return (cx, cy, cz)
 
-    def iter_coords(self) -> Iterator[Coord]:
-        """All coordinates in index order."""
-        for cx in range(self.x):
-            for cy in range(self.y):
-                for cz in range(self.z):
-                    yield (cx, cy, cz)
-
     def fits_shape(self, shape: Coord) -> bool:
         """True when a rectangular block of ``shape`` fits in the torus."""
         return shape[0] <= self.x and shape[1] <= self.y and shape[2] <= self.z
@@ -106,8 +99,9 @@ BGL_SUPERNODE_DIMS = TorusDims(4, 4, 8)
 def manhattan_torus_distance(dims: TorusDims, a: Coord, b: Coord) -> int:
     """Manhattan distance between two nodes with per-axis wrap-around.
 
-    Used by the spatially-correlated failure generator to pick burst
-    neighbourhoods; the scheduler itself never needs distances.
+    The scalar reference the tests check the burst generator's
+    vectorised ``_neighbourhood`` against; the scheduler itself never
+    needs distances.
     """
     return (
         dims.axis_distance(a[0], b[0], 0)

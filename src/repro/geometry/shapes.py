@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import lru_cache
-from typing import Iterator
 
 from repro.errors import GeometryError
 from repro.geometry.coords import Coord, TorusDims
@@ -37,11 +36,6 @@ def divisors(n: int) -> tuple[int, ...]:
     return tuple(small + large[::-1])
 
 
-def num_divisors(n: int) -> int:
-    """``f(n)``: the number of divisors of ``n``."""
-    return len(divisors(n))
-
-
 @lru_cache(maxsize=4096)
 def _shapes_cached(size: int, dims_tuple: Coord) -> tuple[Coord, ...]:
     dx, dy, dz = dims_tuple
@@ -59,18 +53,13 @@ def _shapes_cached(size: int, dims_tuple: Coord) -> tuple[Coord, ...]:
     return tuple(out)
 
 
-def iter_shapes(size: int, dims: TorusDims) -> Iterator[Coord]:
-    """Yield every box shape ``(a, b, c)`` with ``a*b*c == size`` that fits
-    inside ``dims`` (``a <= dims.x`` and so on).
+def shapes_for_size(size: int, dims: TorusDims) -> tuple[Coord, ...]:
+    """Every box shape ``(a, b, c)`` with ``a*b*c == size`` that fits
+    inside ``dims`` (``a <= dims.x`` and so on), memoised.
 
     Shapes are *oriented*: ``(1, 2, 4)`` and ``(4, 2, 1)`` are distinct
     because the torus axes have different extents.
     """
-    yield from _shapes_cached(size, dims.as_tuple())
-
-
-def shapes_for_size(size: int, dims: TorusDims) -> tuple[Coord, ...]:
-    """Materialised :func:`iter_shapes` (memoised)."""
     if size < 1:
         raise GeometryError(f"partition size must be positive, got {size}")
     return _shapes_cached(size, dims.as_tuple())
@@ -97,11 +86,6 @@ def all_shapes(dims: TorusDims) -> tuple[Coord, ...]:
     what makes whole-machine MFP scans cheap.
     """
     return _all_shapes_cached(dims.as_tuple())
-
-
-def max_partition_volume(dims: TorusDims) -> int:
-    """Largest possible partition volume (the whole machine)."""
-    return dims.volume
 
 
 @lru_cache(maxsize=256)

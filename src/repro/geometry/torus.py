@@ -166,12 +166,6 @@ class Torus:
         view = self.grid[np.ix_(*partition.axis_ranges(self.dims))]
         return bool((view == FREE).all())
 
-    def free_nodes_in(self, partition: Partition) -> int:
-        """Number of free nodes inside ``partition``."""
-        partition.validate(self.dims)
-        view = self.grid[np.ix_(*partition.axis_ranges(self.dims))]
-        return int(np.count_nonzero(view == FREE))
-
     def allocation_of(self, job_id: int) -> Partition:
         """Partition currently held by ``job_id``."""
         try:

@@ -12,18 +12,11 @@ from repro.metrics.timing import (
 )
 from repro.metrics.capacity import CapacityTracker, CapacitySummary
 from repro.metrics.report import SimulationReport, Counters
-from repro.metrics.serialize import (
-    report_to_dict,
-    report_from_dict,
-    report_to_json,
-    report_from_json,
-)
+from repro.metrics.serialize import report_to_dict, report_from_dict
 
 __all__ = [
     "report_to_dict",
     "report_from_dict",
-    "report_to_json",
-    "report_from_json",
     "BoundedSlowdownRule",
     "GAMMA_SECONDS",
     "bounded_slowdown",

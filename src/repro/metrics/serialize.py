@@ -10,7 +10,6 @@ primitives; :func:`report_from_dict` restores it losslessly
 from __future__ import annotations
 
 import dataclasses
-import json
 from operator import attrgetter
 from typing import Any
 
@@ -64,12 +63,3 @@ def report_from_dict(data: dict[str, Any]) -> SimulationReport:
         parameters=dict(data["parameters"]),
     )
 
-
-def report_to_json(report: SimulationReport, indent: int | None = None) -> str:
-    """Serialise a report to a JSON string."""
-    return json.dumps(report_to_dict(report), indent=indent, sort_keys=True)
-
-
-def report_from_json(text: str) -> SimulationReport:
-    """Parse a report from :func:`report_to_json` output."""
-    return report_from_dict(json.loads(text))

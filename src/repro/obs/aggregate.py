@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
 
 from repro.errors import ExperimentError
 from repro.obs.metrics import MetricsRegistry
@@ -91,10 +90,3 @@ class SweepObsCollector:
                 write_lines(obs.trace_records, path)
                 self.trace_paths.append(path)
         self._pending.clear()
-
-    # ------------------------------------------------------------------
-    def metrics_dict(self, include_timings: bool = False) -> dict[str, Any]:
-        """Merged metrics snapshot (deterministic subset by default)."""
-        if not self._finalized:
-            raise ExperimentError("finalize() the collector before reading it")
-        return self.metrics.to_dict(include_timings=include_timings)

@@ -189,10 +189,6 @@ class FairShareAdmission:
         """Jobs queued across all tenants, awaiting release."""
         return len(self.queued)
 
-    def depths(self) -> dict[str, int]:
-        """Per-tenant queue depths (stats endpoint)."""
-        return {name: tq.depth for name, tq in sorted(self._tenants.items())}
-
     def shares(self) -> dict[str, dict[str, float]]:
         """Per-tenant admission accounting (stats endpoint)."""
         return {

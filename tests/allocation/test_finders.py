@@ -11,17 +11,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import AllocationError, GeometryError
+from repro.errors import GeometryError
 from repro.geometry.coords import BGL_SUPERNODE_DIMS, TorusDims
 from repro.geometry.partition import Partition
 from repro.geometry.torus import Torus
-from repro.allocation import (
-    FastFinder,
-    NaiveFinder,
-    POPFinder,
-    available_finders,
-    get_finder,
-)
+from repro.allocation import FastFinder, NaiveFinder, POPFinder
 
 ALL_FINDERS = [
     NaiveFinder(),
@@ -129,24 +123,9 @@ class TestFinderBehaviour:
             assert frozenset({(3, 0, 0), (0, 0, 0)}) in sets, finder.name
 
     def test_exists_free(self):
+        """An empty answer is the finder's "no such partition"."""
         t = Torus(BGL_SUPERNODE_DIMS)
-        assert NaiveFinder().exists_free(t, 128)
+        assert NaiveFinder().find_free(t, 128)
         t.allocate(0, Partition((0, 0, 0), (1, 1, 1)))
-        assert not NaiveFinder().exists_free(t, 128)
-        assert NaiveFinder().exists_free(t, 64)
-
-
-class TestRegistry:
-    def test_available(self):
-        names = available_finders()
-        assert {"naive", "pop", "fast", "fast-scan"} <= set(names)
-
-    def test_get_each(self):
-        for name in available_finders():
-            finder = get_finder(name)
-            t = Torus(TorusDims(2, 2, 2))
-            assert len(finder.find_free_unique(t, 8)) == 1
-
-    def test_unknown_name(self):
-        with pytest.raises(AllocationError, match="unknown finder"):
-            get_finder("bogus")
+        assert not NaiveFinder().find_free(t, 128)
+        assert NaiveFinder().find_free(t, 64)

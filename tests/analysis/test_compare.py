@@ -44,7 +44,6 @@ class TestCompareReports:
         assert cmp.mean_response_delta == pytest.approx((-100 + 50) / 2)
         assert cmp.jobs_improved == 1
         assert cmp.jobs_regressed == 1
-        assert cmp.jobs_unchanged == 0
         assert cmp.kills_delta == -2
 
     def test_tolerance_ignores_tiny_deltas(self):
@@ -52,7 +51,7 @@ class TestCompareReports:
         cand = report("b", [record(0, 0.0, 100.5)])
         cmp = compare_reports(base, cand)
         assert cmp.jobs_improved == 0 and cmp.jobs_regressed == 0
-        assert cmp.jobs_unchanged == 1
+        assert cmp.n_jobs == 1
 
     def test_mismatched_jobs_rejected(self):
         base = report("a", [record(0, 0, 100)])

@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from repro.analysis.distributions import (
     DistributionSummary,
     per_size_class_summary,
-    response_distribution,
     slowdown_distribution,
     wait_distribution,
 )
@@ -54,7 +53,8 @@ class TestMetricDistributions:
             record(1, start=50.0, finish=150.0),
         ]
         assert wait_distribution(records).mean == pytest.approx(30.0)
-        assert response_distribution(records).mean == pytest.approx(130.0)
+        response = DistributionSummary.from_values("response_s", [r.response for r in records])
+        assert response.mean == pytest.approx(130.0)
 
     def test_slowdown(self):
         records = [record(0, start=0.0, finish=100.0, runtime=100.0)]

@@ -45,8 +45,6 @@ class TestEventQueue:
         with pytest.raises(SimulationError):
             q.pop()
         with pytest.raises(SimulationError):
-            q.peek()
-        with pytest.raises(SimulationError):
             q.pop_batch()
 
     def test_negative_time_rejected(self):

@@ -79,6 +79,15 @@ def test_smoke_scale_produces_trajectory_file(bench_core, tmp_path):
         assert by_name["sweep_parallel"]["mode"] == "serial"
 
 
+def test_rev_stamp_outside_a_git_checkout(bench_core, tmp_path, monkeypatch):
+    """A ``git archive`` export has no repository: the records' stamp
+    is ``unknown`` instead of a ``git status`` crash (exit 128)."""
+    monkeypatch.setattr(bench_core, "REPO_ROOT", tmp_path)
+    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path.parent))
+    assert bench_core.tree_dirty() is None
+    assert bench_core.git_rev() == "unknown"
+    assert bench_core.rev_stamp() == "unknown"
+
 def test_repo_trajectory_file_is_current(bench_core):
     """The committed BENCH_core.json must match the harness schema."""
     committed = BENCH_PATH.parents[2] / "BENCH_core.json"

@@ -103,10 +103,16 @@ def _calls(points, seeds):
     ]
 
 
+def _task(args):
+    """The task record of one ``run_cell`` call (``with_obs`` dropped)."""
+    cell_id, point, seed, model, _, timeout_s, master_failure_count = args
+    return QueueTask(cell_id, point, seed, model, timeout_s, master_failure_count)
+
+
 def _put_grid(queue, points, seeds):
     calls = _calls(points, seeds)
     for key, args in calls:
-        assert queue.put(QueueTask(*args)) == key
+        assert queue.put(_task(args)) == key
     return [key for key, _ in calls]
 
 
@@ -177,7 +183,7 @@ class TestQueueProtocol:
 
         monkeypatch.setattr(os, "replace", interrupted)
         with pytest.raises(KeyboardInterrupt):
-            queue.put(QueueTask(*args))
+            queue.put(_task(args))
         assert list(queue.tasks_dir.iterdir()) == []
 
     def test_claim_then_drain(self, tmp_path, grid):
@@ -476,9 +482,11 @@ class TestWorkerLoop:
         assert outcome.stats.cells_computed == len(points) * len(seeds)
 
     def test_old_format_record_is_garbled_not_half_read(self, tmp_path, grid):
-        """A task in a record format this one replaced — the chunked
-        record (the cell nested in a one-element ``chunk``, every field
-        of it otherwise current), the schema-1 record (the same nesting
+        """A task in a record format this one replaced — the flat record
+        that still carried ``with_obs`` (every other field current; a
+        queue cell runs without a collector), the chunked record (the
+        cell nested in a one-element ``chunk``, every field of it
+        otherwise current), the schema-1 record (the same nesting
         around a hand-mirrored point: ``pf_rule`` by name, ``dims`` as a
         list, no observational flags), or the one before it (cell fields
         at the top level, an ``attempt`` but no ``cell_id``) — is
@@ -486,7 +494,8 @@ class TestWorkerLoop:
         there."""
         points, seeds = grid
         queue = WorkQueue(tmp_path)
-        key = cell_key(points[0], seeds[0], MODEL)
+        (key, args), *_ = _calls(points, seeds)
+        assert key == cell_key(points[0], seeds[0], MODEL)
         plain = to_plain(points[0])
         schema_1_point = {
             **plain, "pf_rule": "MAX",
@@ -496,6 +505,7 @@ class TestWorkerLoop:
             } | {"dims": [4, 4, 8]},
         }
         for old in (
+            to_plain(_task(args)) | {"with_obs": False},
             {
                 "chunk": [[[0, 0], plain, seeds[0], 0]],
                 "model": to_plain(MODEL), "with_obs": False, "chaos": None,
@@ -526,7 +536,7 @@ class TestWorkerLoop:
         points, seeds = grid
         queue = WorkQueue(tmp_path)
         (key, args), *_ = _calls(points, seeds)
-        record = to_plain(QueueTask(*args))
+        record = to_plain(_task(args))
         record["point"]["config"]["check_invariants"] = True
         _file_record(queue.tasks_dir, key, record)
         assert run_worker(tmp_path, idle_exit_s=0.0) == 0
@@ -540,7 +550,7 @@ class TestWorkerLoop:
         points, seeds = grid
         queue = WorkQueue(tmp_path)
         (_, args), (other_key, _), *_ = _calls(points, seeds)
-        _file_record(queue.tasks_dir, other_key, to_plain(QueueTask(*args)))
+        _file_record(queue.tasks_dir, other_key, to_plain(_task(args)))
         assert run_worker(tmp_path, idle_exit_s=0.0) == 0
         assert queue.counts()["cells"] == 0
         assert queue.counts()["failed"] == 1
@@ -553,7 +563,7 @@ class TestWorkerLoop:
         # A rival host re-enqueues the finished cell (e.g. raced the
         # checkpoint write); the worker must release, not recompute.
         ((_, args),) = _calls(points[:1], seeds[:1])
-        _file_record(queue.tasks_dir, key, to_plain(QueueTask(*args)))
+        _file_record(queue.tasks_dir, key, to_plain(_task(args)))
         assert run_worker(tmp_path, idle_exit_s=0.0) == 0
         assert queue.counts()["tasks"] == 0
         assert queue.counts()["claims"] == 0
@@ -607,6 +617,18 @@ class TestQueueExecutor:
         assert not not_done
         assert sum(f.cancelled() for f in done) == 2
         assert queue.counts()["tasks"] == 0
+
+    def test_a_call_with_obs_is_refused(self, tmp_path, grid):
+        """Nothing files a task whose cell would ship observability."""
+        points, seeds = grid
+        (_, args), *_ = _calls(points, seeds)
+        executor = QueueExecutor(tmp_path, spawn_workers=False).ensure(1)
+        try:
+            with pytest.raises(ExperimentError, match="without a collector"):
+                executor.submit(run_cell, *args[:4], True, *args[5:])
+            assert executor.queue.counts()["tasks"] == 0
+        finally:
+            executor.shutdown()
 
     def test_corrupt_worker_checkpoint_is_a_failed_attempt(self, tmp_path, grid):
         """The result is read back through the verified ``get``: damage
@@ -809,7 +831,7 @@ class TestQueueSweepDriver:
         ref = _serial_reference(points, seeds)
         queue = WorkQueue(tmp_path)
         (key, args), *_ = _calls(points, seeds)
-        old = to_plain(QueueTask(*args)) | {
+        old = to_plain(_task(args)) | {
             "attempt": 0, "chaos": None, "in_worker": True,
         }
         _file_record(queue.tasks_dir, key, old)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -85,7 +87,7 @@ class TestNodes:
     @given(partitions_for(D))
     def test_contains_agrees_with_node_set(self, p):
         nodes = p.node_set(D)
-        for c in D.iter_coords():
+        for c in itertools.product(*map(range, D)):
             assert p.contains(D, c) == (c in nodes)
 
 

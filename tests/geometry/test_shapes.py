@@ -10,8 +10,6 @@ from repro.geometry.coords import BGL_SUPERNODE_DIMS, TorusDims
 from repro.geometry.shapes import (
     all_shapes,
     divisors,
-    iter_shapes,
-    num_divisors,
     round_to_schedulable,
     schedulable_sizes,
     shapes_for_size,
@@ -46,7 +44,7 @@ class TestDivisors:
 
     @given(st.integers(1, 500))
     def test_num_divisors_matches_bruteforce(self, n):
-        assert num_divisors(n) == sum(1 for d in range(1, n + 1) if n % d == 0)
+        assert len(divisors(n)) == sum(1 for d in range(1, n + 1) if n % d == 0)
 
 
 class TestShapesForSize:
@@ -83,10 +81,6 @@ class TestShapesForSize:
                 if a * b * c == s
             }
             assert set(shapes_for_size(s, d)) == brute
-
-    def test_iter_shapes_agrees(self):
-        d = TorusDims(3, 3, 3)
-        assert tuple(iter_shapes(8, d)) == shapes_for_size(8, d)
 
     def test_rejects_nonpositive_size(self):
         with pytest.raises(GeometryError):

@@ -131,8 +131,8 @@ class TestAllocation:
         t.allocate(1, busy)
         assert not t.is_free(Partition((1, 1, 1), (2, 2, 2)))
         assert t.is_free(Partition((2, 2, 2), (2, 2, 2)))
-        assert t.free_nodes_in(Partition((0, 0, 0), (4, 4, 8))) == 120
-        assert t.free_nodes_in(busy) == 0
+        assert t.free_count == 120
+        assert not t.is_free(busy)
 
     def test_owner_by_index(self):
         t = make_torus()

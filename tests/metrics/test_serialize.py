@@ -1,4 +1,9 @@
-"""Tests for JSON report serialisation."""
+"""Tests for JSON report serialisation.
+
+A report travels as ``canonical_json(report_to_dict(r))`` (a cell's
+payload, a ``drain`` answer); ``report_from_dict(json.loads(text))``
+reads it back.
+"""
 
 from __future__ import annotations
 
@@ -9,13 +14,16 @@ import pytest
 
 from repro.api import quick_simulate
 from repro.errors import SimulationError
-from repro.metrics.serialize import (
-    SCHEMA_VERSION,
-    report_from_dict,
-    report_from_json,
-    report_to_dict,
-    report_to_json,
-)
+from repro.metrics.serialize import SCHEMA_VERSION, report_from_dict, report_to_dict
+from repro.records import canonical_json
+
+
+def to_json(report) -> str:
+    return canonical_json(report_to_dict(report))
+
+
+def from_json(text: str):
+    return report_from_dict(json.loads(text))
 
 
 @pytest.fixture(scope="module")
@@ -43,13 +51,12 @@ class TestRoundTrip:
         assert [list(r) for r in data["records"]] == [list(r) for r in want]
 
     def test_json_round_trip(self, sample_report):
-        text = report_to_json(sample_report)
-        restored = report_from_json(text)
+        restored = from_json(to_json(sample_report))
         assert restored.records == sample_report.records
         assert restored.counters == sample_report.counters
 
     def test_json_is_valid_and_versioned(self, sample_report):
-        data = json.loads(report_to_json(sample_report, indent=2))
+        data = json.loads(to_json(sample_report))
         assert data["schema"] == SCHEMA_VERSION
         assert isinstance(data["records"], list)
         assert len(data["records"]) == 25
@@ -80,7 +87,7 @@ class TestEmptyReport:
         return quick_simulate(n_jobs=0, n_failures=0, seed=3)
 
     def test_round_trip(self, empty_report):
-        restored = report_from_json(report_to_json(empty_report))
+        restored = from_json(to_json(empty_report))
         assert restored.records == ()
         assert restored.timing == empty_report.timing
         assert restored.capacity == empty_report.capacity
@@ -94,4 +101,4 @@ class TestEmptyReport:
 
     def test_json_stable(self, empty_report):
         # Serialisation is deterministic: same report, same bytes.
-        assert report_to_json(empty_report) == report_to_json(empty_report)
+        assert to_json(empty_report) == to_json(empty_report)

@@ -41,13 +41,8 @@ class TestCollector:
         collector = SweepObsCollector()
         run_sweep(make_points(), seeds=(0, 1), collector=collector)
         assert collector.n_cells == 4
-        metrics = collector.metrics_dict()
+        metrics = collector.metrics.to_dict(include_timings=False)
         assert metrics["counters"]["sim.dispatches"] > 0
-
-    def test_metrics_dict_requires_finalize(self):
-        collector = SweepObsCollector()
-        with pytest.raises(ExperimentError, match="finaliz"):
-            collector.metrics_dict()
 
     def test_duplicate_cell_rejected(self):
         collector = SweepObsCollector()
@@ -65,9 +60,9 @@ class TestCollector:
     def test_finalize_idempotent(self):
         collector = SweepObsCollector()
         run_sweep(make_points(1), seeds=(0,), collector=collector)
-        first = collector.metrics_dict()
+        first = collector.metrics.to_dict(include_timings=False)
         collector.finalize()
-        assert collector.metrics_dict() == first
+        assert collector.metrics.to_dict(include_timings=False) == first
 
     def test_trace_files_written(self, tmp_path):
         collector = SweepObsCollector(trace_dir=tmp_path)
@@ -112,7 +107,8 @@ class TestSerialParallelParity:
             min_cells_per_worker=0,
         )
         assert results_parallel == results_serial
-        assert parallel.metrics_dict() == serial.metrics_dict()
+        want = serial.metrics.to_dict(include_timings=False)
+        assert parallel.metrics.to_dict(include_timings=False) == want
         serial_names = sorted(p.name for p in serial_dir.iterdir())
         parallel_names = sorted(p.name for p in parallel_dir.iterdir())
         assert parallel_names == serial_names

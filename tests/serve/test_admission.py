@@ -19,6 +19,11 @@ def fill(admission: FairShareAdmission, tenant: str, n: int, *, start_id: int = 
         assert admission.offer(tenant, start_id + i, 0.0, 2, 60.0, -1.0) is None
 
 
+def depths(admission: FairShareAdmission) -> dict[str, int]:
+    """Per-tenant queue depths, as the ``stats`` op's ``tenants`` shows them."""
+    return {name: int(share["depth"]) for name, share in admission.shares().items()}
+
+
 class TestTenantQueue:
     def test_stride_is_inverse_weight(self):
         assert TenantQueue("a", weight=2.0).stride == STRIDE_SCALE / 2.0
@@ -98,7 +103,7 @@ class TestBoundedQueues:
         for tenant in ("t", "new"):
             with pytest.raises(WorkloadError, match="exceeds"):
                 adm.offer(tenant, MAX_JOB_ID + 1, 0.0, 2, 60.0, -1.0)
-        assert adm.total_rejected == 0 and adm.depths() == {"t": 2}
+        assert adm.total_rejected == 0 and depths(adm) == {"t": 2}
         assert adm.offer("t", MAX_JOB_ID, 0.0, 2, 60.0, -1.0) is not None
 
     def test_caps_are_per_tenant(self):
@@ -112,7 +117,7 @@ class TestBoundedQueues:
         fill(adm, "a", 3, start_id=0)
         fill(adm, "b", 1, start_id=10)
         assert adm.backlog == 4
-        assert adm.depths() == {"a": 3, "b": 1}
+        assert depths(adm) == {"a": 3, "b": 1}
         shares = adm.shares()
         assert shares["a"]["admitted"] == 3 and shares["a"]["depth"] == 3
 
@@ -130,7 +135,7 @@ class TestBoundedQueues:
         fill(adm, "a", 1)
         with pytest.raises(ServeError, match="already queued"):
             adm.offer("b", 0, 0.0, 2, 60.0, -1.0)
-        assert adm.backlog == 1 and adm.depths() == {"a": 1, "b": 0}
+        assert adm.backlog == 1 and depths(adm) == {"a": 1, "b": 0}
 
     def test_head_arrival_across_tenants(self):
         adm = FairShareAdmission()

@@ -9,7 +9,7 @@ import pytest
 
 import repro
 import repro.cli as cli
-from repro.api import SimulationSetup, connect, quick_simulate, run_simulation, serve
+from repro.api import SimulationSetup, connect, quick_simulate, serve
 from repro.cli import main
 from repro.core.config import SimulationConfig
 from repro.core.simulator import simulate
@@ -67,10 +67,10 @@ class TestQuickSimulate:
 
     def test_setup_equivalent(self):
         a = quick_simulate(site="nasa", n_jobs=25, n_failures=3, confidence=0.3, seed=5)
-        b = run_simulation(
-            SimulationSetup(site="nasa", n_jobs=25, n_failures=3,
-                            policy="balancing", parameter=0.3, seed=5)
-        )
+        b = SimulationSetup(
+            site="nasa", n_jobs=25, n_failures=3,
+            policy="balancing", parameter=0.3, seed=5,
+        ).run()
         assert a.timing == b.timing
         assert a.capacity == b.capacity
 

@@ -129,13 +129,12 @@ class TestCodecRoundTrip:
 
     @given(point=points, model=models, timeout_s=st.none() | positive)
     def test_task_record_keeps_its_call_and_its_key(self, point, model, timeout_s):
-        call = ((3, 1), point, 7, model, False, timeout_s, 64)
-        task = QueueTask(*call)
+        task = QueueTask((3, 1), point, 7, model, timeout_s, 64)
         plain = json.loads(canonical_json(to_plain(task)))
         assert plain["cell_id"] == [3, 1] and plain["master_failure_count"] == 64
         restored = from_plain(QueueTask, plain)
         assert restored == task
-        assert restored.call == call
+        assert restored.call == ((3, 1), point, 7, model, False, timeout_s, 64)
         assert restored.key == cell_key(point, 7, model)
 
     def test_an_int_in_a_float_field_comes_back_an_int(self):
@@ -232,7 +231,7 @@ class TestDeclaredOnce:
         assert cell_key(traced, 0, model) == cell_key(turned, 0, model)
 
         queue = WorkQueue(tmp_path)
-        queue.put(QueueTask((0, 0), traced, 0, model, False, None, 64))
+        queue.put(QueueTask((0, 0), traced, 0, model, None, 64))
         point = queue.claim().point
         assert point == traced and point.config.knob == 7
 
@@ -335,7 +334,7 @@ class TestDurableWrite:
         report = Simulator(*sweep_mod.cell_inputs(POINT, 0, model, with_obs=False)).run()
         key = cell_key(POINT, 0, model)
         queue = WorkQueue(tmp_path)
-        task = QueueTask((0, 0), POINT, 0, model, False, None, 64)
+        task = QueueTask((0, 0), POINT, 0, model, None, 64)
         for write, name in (
             (lambda: CellStore(tmp_path).put(key, report), f"{key}.json"),
             (lambda: queue.put(task), f"{key}.json"),

@@ -13,7 +13,8 @@ import pytest
 
 from repro.api import SimulationSetup, quick_simulate
 from repro.core.config import BackfillMode, SimulationConfig
-from repro.metrics.serialize import report_to_json
+from repro.metrics.serialize import report_to_dict
+from repro.records import canonical_json
 from tests.oracles import checking
 
 SCENARIOS = [
@@ -27,7 +28,7 @@ def run(scenario: dict, seed: int = 7, **config_kw) -> str:
     setup = SimulationSetup(
         seed=seed, config=SimulationConfig(**config_kw), **scenario
     )
-    return report_to_json(setup.run())
+    return canonical_json(report_to_dict(setup.run()))
 
 
 class TestReplay:
@@ -57,4 +58,4 @@ class TestReplay:
     def test_quick_simulate_replays(self):
         a = quick_simulate(site="nasa", n_jobs=25, n_failures=5, seed=11)
         b = quick_simulate(site="nasa", n_jobs=25, n_failures=5, seed=11)
-        assert report_to_json(a) == report_to_json(b)
+        assert canonical_json(report_to_dict(a)) == canonical_json(report_to_dict(b))
